@@ -14,6 +14,11 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# Tier-1 only enters the root package; the crates' own unit, differential
+# and property suites run here as a whole.
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
+
 # The collective suites again with the pipeline override forced both
 # ways, so every differential case runs both the monolithic and the
 # pipelined schedule regardless of per-test hints. (pipeline_mem is
@@ -61,11 +66,13 @@ done
 # The suites again with the pack-kernel mode forced both ways: every
 # kernel family must be bit-identical to the scalar reference loop, so
 # the same differential cases must pass with the kernels disabled and
-# with the best CPU-supported family engaged.
+# with the best CPU-supported family engaged. The root strided_copy test
+# rides along: the depth-1 strided path honours the selection too.
 for pk in scalar auto; do
-  echo "== collective/pipeline/faults/datatype suites under LIO_PACK_KERNEL=$pk"
+  echo "== collective/pipeline/faults/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-core --test collective --test pipeline --test faults
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-datatype
+  LIO_PACK_KERNEL=$pk cargo test -q --test strided_copy
 done
 
 # Self-tuning corpus: the differential suites with the tuner armed on

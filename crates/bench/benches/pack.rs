@@ -282,13 +282,26 @@ fn manual_for(name: &str) -> Option<ManualFn> {
                 }
             }
         })),
+        // the Figure 4 fileview of rank 0 of 2: 16384 blocks of 8 B at
+        // 16-byte pitch in a 256 KiB instance
+        "fig4_8" => Some(Box::new(|src, count, out| {
+            const EXT: usize = 16384 * 16;
+            let mut cur = 0;
+            for inst in 0..count as usize {
+                let base = inst * EXT;
+                for b in 0..16384 {
+                    copy_fixed::<8>(src, base + b * 16, out, cur);
+                    cur += 8;
+                }
+            }
+        })),
         _ => None,
     }
 }
 
 /// Shapes for the kernel matrix: the four base shapes, fine-grained
 /// 2/4/8-byte-block vectors (the regime the fixed-block kernels exist
-/// for), and ragged-built vector-of-vector / BTIO variants whose raw
+/// for), the L2-resident Figure 4 fileview, and ragged-built vector-of-vector / BTIO variants whose raw
 /// compile is a literal tail — the normalization pass must rewrite them
 /// into the same strided form the canonical constructors produce.
 fn kernel_shapes() -> Vec<(&'static str, u64, Datatype)> {
@@ -321,6 +334,9 @@ fn kernel_shapes() -> Vec<(&'static str, u64, Datatype)> {
     let btio_ragged = Datatype::resized(&btio_struct, 0, 128 * 64 * 64 * 8).unwrap();
     let target = 4u64 << 20;
     let mut all: Vec<(&'static str, u64, Datatype)> = shapes();
+    // the Figure 5/6 regime: one 128 KiB instance of the Figure 4 struct,
+    // small enough to stay in L2 (the typed-vs-manual pack guideline)
+    all.push(("fig4_8", 1, lio_noncontig::figure4_filetype(0, 2, 16384, 8)));
     for (name, d) in [
         ("fine2", fine2),
         ("fine4", fine4),
@@ -533,6 +549,7 @@ fn write_json(entries: &[Entry]) {
         "fine2",
         "fine4",
         "fine8",
+        "fig4_8",
         "vv_ragged",
         "btio_ragged",
     ] {

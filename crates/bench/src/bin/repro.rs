@@ -885,14 +885,13 @@ fn metrics(opts: &Opts) {
             );
             println!(
                 "  {key}: normalize {} rewrites ({} -> {} frames); kernels: {} frames \
-                 selected, {} blocks / {} B copied, {} fallbacks",
+                 selected, {} blocks / {} B copied",
                 snap.counter("dt.normalize.rewrites"),
                 snap.counter("dt.normalize.frames_before"),
                 snap.counter("dt.normalize.frames_after"),
                 snap.counter("dt.kernel.selected"),
                 snap.counter("dt.kernel.blocks"),
                 snap.counter("dt.kernel.bytes"),
-                snap.counter("dt.kernel.fallbacks"),
             );
         }
         if *throttled {

@@ -522,6 +522,13 @@ impl<'a> Planner<'a> {
         }))
     }
 
+    /// The longest window [`Planner::next_plan`] can return: windows lie
+    /// on the `cb` grid clipped to `[data_lo, data_hi)`. Window buffers
+    /// are this size.
+    fn max_window(&self) -> usize {
+        self.cb.min(self.data_hi.saturating_sub(self.data_lo)) as usize
+    }
+
     /// Plan the next non-empty window in domain order, advancing every
     /// peer's `expect` cursor past it. `None` when all data is planned.
     fn next_plan(&mut self) -> Option<WindowPlan> {
@@ -813,7 +820,7 @@ impl<'a> IopWrite<'a> {
     }
 
     fn buffered_bytes(&self) -> u64 {
-        (self.msgq_bytes + self.bufs_allocated * self.planner.cb as usize) as u64
+        (self.msgq_bytes + self.bufs_allocated * self.planner.max_window()) as u64
     }
 
     fn on_done(&mut self, d: LaneDone) {
@@ -881,7 +888,7 @@ impl<'a> IopWrite<'a> {
                 if obs {
                     OBS_PEAK_BUFFERED.record_max(self.buffered_bytes());
                 }
-                vec![0u8; self.planner.cb as usize]
+                vec![0u8; self.planner.max_window()]
             } else {
                 break;
             };
@@ -1287,9 +1294,10 @@ pub(crate) fn read_at_all(
                         } else if bufs_allocated < depth {
                             bufs_allocated += 1;
                             if obs {
-                                OBS_PEAK_BUFFERED.record_max((bufs_allocated * cb as usize) as u64);
+                                OBS_PEAK_BUFFERED
+                                    .record_max((bufs_allocated * planner.max_window()) as u64);
                             }
-                            vec![0u8; cb as usize]
+                            vec![0u8; planner.max_window()]
                         } else {
                             break;
                         };

@@ -216,8 +216,11 @@ fn write_sieved(
 ) -> Result<u64> {
     let end_abs = nav.stream_to_abs(stream_start + total - 1) + 1;
     let bufsize = hints.ind_buffer_size as u64;
-    let mut filebuf = vec![0u8; hints.ind_buffer_size];
-    let mut packbuf = vec![0u8; hints.ind_buffer_size];
+    // no larger than the loop can address: a window spans at most the
+    // access range and holds at most `total` bytes
+    let range = end_abs - nav.stream_to_abs(stream_start);
+    let mut filebuf = vec![0u8; bufsize.min(range) as usize];
+    let mut packbuf = vec![0u8; bufsize.min(total) as usize];
 
     let mut stream = stream_start;
     let mut done = 0u64;
@@ -314,8 +317,9 @@ pub(crate) fn read_independent(
         _ => {
             let end_abs = nav.stream_to_abs(stream_start + total - 1) + 1;
             let bufsize = hints.ind_buffer_size as u64;
-            let mut filebuf = vec![0u8; hints.ind_buffer_size];
-            let mut packbuf = vec![0u8; hints.ind_buffer_size];
+            let range = end_abs - nav.stream_to_abs(stream_start);
+            let mut filebuf = vec![0u8; bufsize.min(range) as usize];
+            let mut packbuf = vec![0u8; bufsize.min(total) as usize];
             let mut stream = stream_start;
             let mut done = 0u64;
             while done < total {

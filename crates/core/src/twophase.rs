@@ -747,7 +747,8 @@ fn iop_write_listbased(
     let mut pack_ns = 0u64;
     let mut windows = 0u64;
     let cb = hints.cb_buffer_size as u64;
-    let mut filebuf = vec![0u8; hints.cb_buffer_size];
+    // a window never exceeds the clipped domain, so neither need the buffer
+    let mut filebuf = vec![0u8; cb.min(hi.saturating_sub(lo)) as usize];
     let mut win = lo;
     while win < hi {
         let win_end = (win + cb).min(hi);
@@ -823,7 +824,7 @@ fn iop_write_listless(
     let mut pack_ns = 0u64;
     let mut windows = 0u64;
     let cb = hints.cb_buffer_size as u64;
-    let mut filebuf = vec![0u8; hints.cb_buffer_size];
+    let mut filebuf = vec![0u8; cb.min(hi.saturating_sub(lo)) as usize];
     // per-AP stream cursor (how far each AP's data has been consumed)
     let mut cursors: Vec<u64> = placements.iter().map(|p| p.s_lo).collect();
     let mut win = lo;
@@ -1020,7 +1021,7 @@ pub(crate) fn read_at_all(
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
                     let cb = hints.cb_buffer_size as u64;
-                    let mut filebuf = vec![0u8; hints.cb_buffer_size];
+                    let mut filebuf = vec![0u8; cb.min(hi.saturating_sub(lo)) as usize];
                     let mut win = lo;
                     while win < hi && fatal.is_none() {
                         let win_end = (win + cb).min(hi);
@@ -1106,7 +1107,7 @@ pub(crate) fn read_at_all(
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
                     let cb = hints.cb_buffer_size as u64;
-                    let mut filebuf = vec![0u8; hints.cb_buffer_size];
+                    let mut filebuf = vec![0u8; cb.min(hi.saturating_sub(lo)) as usize];
                     let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
                     let mut win = lo;
                     while win < hi {

@@ -382,8 +382,8 @@ impl FfNav {
     ) -> usize {
         if let Some(spec) = &self.strided {
             let buf_disp = win_start as i64 - self.view.disp as i64;
-            let n = strided_unpack(
-                &spec.clone(),
+            let (n, _) = strided_unpack(
+                spec,
                 self.view.filetype.extent(),
                 filebuf,
                 buf_disp,
@@ -419,8 +419,8 @@ impl FfNav {
     ) -> usize {
         if let Some(spec) = &self.strided {
             let buf_disp = win_start as i64 - self.view.disp as i64;
-            let n = strided_pack(
-                &spec.clone(),
+            let (n, _) = strided_pack(
+                spec,
                 self.view.filetype.extent(),
                 filebuf,
                 buf_disp,

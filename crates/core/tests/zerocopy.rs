@@ -15,6 +15,7 @@ use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_pfs::MemFile;
+use std::sync::Mutex;
 
 const NPROCS: usize = 4;
 const PER_RANK: u64 = 64 * 1024;
@@ -64,15 +65,26 @@ fn run_collective(hints: Hints) {
     assert_eq!(shared.len(), NPROCS as u64 * PER_RANK);
 }
 
-#[test]
-fn contiguous_memtype_never_packs() {
+/// Serialize the two tests and hand back what `f` counted: the `lio_obs`
+/// registry is process-global, so a pack counted by one test would show
+/// up in the other's snapshot.
+fn counted(f: impl FnOnce()) -> lio_obs::Snapshot {
+    static GATE: Mutex<()> = Mutex::new(());
+    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     lio_obs::reset();
     lio_obs::set_enabled(true);
-    for pipelined in [false, true] {
-        run_collective(Hints::listless().cb_buffer(8192).pipelined(pipelined));
-    }
+    f();
     lio_obs::set_enabled(false);
-    let snap = lio_obs::snapshot();
+    lio_obs::snapshot()
+}
+
+#[test]
+fn contiguous_memtype_never_packs() {
+    let snap = counted(|| {
+        for pipelined in [false, true] {
+            run_collective(Hints::listless().cb_buffer(8192).pipelined(pipelined));
+        }
+    });
     assert_eq!(
         snap.counter("dt.pack.calls"),
         0,
@@ -90,23 +102,19 @@ fn contiguous_memtype_never_packs() {
 #[test]
 fn noncontig_memtype_does_pack() {
     let shared = SharedFile::new(MemFile::new());
-    let sh = shared.clone();
-    lio_obs::reset();
-    lio_obs::set_enabled(true);
-    World::run(2, move |comm| {
-        let me = comm.rank() as u64;
-        let mem = Datatype::vector(64, 8, 16, &Datatype::byte()).unwrap();
-        let span = mem.extent() as usize;
-        let user = pattern(span, me + 1);
-        let mut f = File::open(comm, sh.clone(), Hints::listless()).unwrap();
-        f.set_view(0, Datatype::byte(), Datatype::byte()).unwrap();
-        f.write_at_all(me * 512, &user, 1, &mem).unwrap();
+    let snap = counted(|| {
+        World::run(2, move |comm| {
+            let me = comm.rank() as u64;
+            let mem = Datatype::vector(64, 8, 16, &Datatype::byte()).unwrap();
+            let span = mem.extent() as usize;
+            let user = pattern(span, me + 1);
+            let mut f = File::open(comm, shared.clone(), Hints::listless()).unwrap();
+            f.set_view(0, Datatype::byte(), Datatype::byte()).unwrap();
+            f.write_at_all(me * 512, &user, 1, &mem).unwrap();
+        });
     });
-    lio_obs::set_enabled(false);
-    let snap = lio_obs::snapshot();
     assert!(
         snap.counter("dt.pack.calls") > 0,
         "non-contiguous memtype should exercise the pack path"
     );
-    drop(shared);
 }

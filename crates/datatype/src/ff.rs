@@ -23,7 +23,6 @@
 
 use lio_obs::{LazyCounter, LazyHistogram};
 
-use crate::strided::StridedSpec;
 use crate::types::{Datatype, Node, TypeKind};
 
 /// Copy-engine metrics. Blocks-copied and the contiguous-run-length
@@ -50,28 +49,6 @@ static OBS_SHARD_SKIPPED: LazyCounter = LazyCounter::new("dt.pack.shard.skipped"
 pub const SHARD_MIN_TOTAL: u64 = 1 << 20;
 /// Keep every shard at least this large; fewer workers otherwise.
 pub const SHARD_MIN_BYTES: u64 = 256 * 1024;
-
-/// Count (and, when `obs`, record) the contiguous runs of a strided copy
-/// of `n` bytes starting at data byte `skipbytes`, without having walked
-/// them individually.
-fn strided_runs(spec: &StridedSpec, skipbytes: u64, n: u64, obs: bool) -> u64 {
-    if n == 0 || spec.block == 0 {
-        return 0;
-    }
-    let b = spec.block;
-    let first = (b - skipbytes % b).min(n);
-    let rest = n - first;
-    let full = rest / b;
-    let last = rest % b;
-    if obs {
-        OBS_RUN_LEN.record(first);
-        OBS_RUN_LEN.record_n(b, full);
-        if last > 0 {
-            OBS_RUN_LEN.record(last);
-        }
-    }
-    1 + full + u64::from(last > 0)
-}
 
 /// Byte position, within the tiled layout of `d`, where the data byte with
 /// index `databytes` lives (0-based). `databytes` may be any multiple of or
@@ -341,9 +318,10 @@ fn pack_span(
     skipbytes: u64,
     packbuf: &mut [u8],
 ) -> (usize, u64) {
-    // strided fast path: the depth-1 special case of the run program
+    // strided fast path: the program's `Blocks` frame without the
+    // interpreter around it
     if let Some(spec) = d.as_strided() {
-        let n = crate::strided::strided_pack(
+        return crate::strided::strided_pack(
             &spec,
             d.extent(),
             src,
@@ -352,8 +330,6 @@ fn pack_span(
             skipbytes,
             packbuf,
         );
-        let runs = strided_runs(&spec, skipbytes, n as u64, lio_obs::enabled());
-        return (n, runs);
     }
     d.program()
         .pack_into(src, buf_disp, count, skipbytes, packbuf)
@@ -401,9 +377,10 @@ fn unpack_span(
     d: &Datatype,
     skipbytes: u64,
 ) -> (usize, u64) {
-    // strided fast path: the depth-1 special case of the run program
+    // strided fast path: the program's `Blocks` frame without the
+    // interpreter around it
     if let Some(spec) = d.as_strided() {
-        let n = crate::strided::strided_unpack(
+        return crate::strided::strided_unpack(
             &spec,
             d.extent(),
             dst,
@@ -412,8 +389,6 @@ fn unpack_span(
             skipbytes,
             packbuf,
         );
-        let runs = strided_runs(&spec, skipbytes, n as u64, lio_obs::enabled());
-        return (n, runs);
     }
     d.program()
         .unpack_into(packbuf, dst, buf_disp, count, skipbytes)

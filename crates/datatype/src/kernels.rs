@@ -8,7 +8,7 @@
 //! PAPERS.md): the copy loop is bookkeeping-bound, not bandwidth-bound.
 //!
 //! This module provides monomorphized kernels for the small fixed block
-//! sizes (2/4/8/16/32 bytes) that dominate non-contiguous scientific
+//! sizes (1/2/4/8/16/32 bytes) that dominate non-contiguous scientific
 //! layouts:
 //!
 //! * **fixed** — portable unrolled loops whose per-block copy width is a
@@ -21,13 +21,13 @@
 //!
 //! Selection happens **once at compile time per `Blocks` frame**
 //! ([`Sel::select`] records block-size class, stride regularity, and
-//! alignment class in the frame), so the interpreter's hot loop performs a
-//! single direct dispatch per frame region — no per-block branching. A
+//! alignment class in the frame), so the frame executor
+//! ([`crate::strided`]) performs a single direct dispatch per run of whole
+//! blocks — no per-block branching — after clipping the run to the
+//! caller's window, which is the bounds proof the kernels need. A
 //! bit-identical scalar path always remains: the `LIO_PACK_KERNEL`
 //! environment variable (or the `pack_kernel` hint / info key) can force
-//! `scalar`, `fixed`, `sse2`, or `avx2`, and any frame the kernels cannot
-//! prove in-bounds falls back to the per-block scalar loop
-//! (`dt.kernel.fallbacks`).
+//! `scalar`, `fixed`, `sse2`, or `avx2`.
 
 use std::ptr;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -41,9 +41,6 @@ pub(crate) static OBS_KERNEL_SELECTED: LazyCounter = LazyCounter::new("dt.kernel
 pub(crate) static OBS_KERNEL_BLOCKS: LazyCounter = LazyCounter::new("dt.kernel.blocks");
 /// Bytes copied through a non-scalar kernel.
 pub(crate) static OBS_KERNEL_BYTES: LazyCounter = LazyCounter::new("dt.kernel.bytes");
-/// Frame regions that fell back to the scalar loop at run time (bounds
-/// not provable for the batch path).
-pub(crate) static OBS_KERNEL_FALLBACKS: LazyCounter = LazyCounter::new("dt.kernel.fallbacks");
 
 /// Kernel family actually used for a frame region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +188,7 @@ pub fn have(kind: Kind) -> bool {
 /// Per-frame kernel selection, recorded in the `Blocks` frame at program
 /// compile time.
 ///
-/// * `class` — the fixed block-size class (2/4/8/16/32), or 0 when the
+/// * `class` — the fixed block-size class (1/2/4/8/16/32), or 0 when the
 ///   frame is kernel-ineligible (other sizes, or non-positive stride);
 /// * `align` — alignment class: trailing zero bits common to stride and
 ///   block, capped at 6 (all copies use unaligned loads/stores; the class
@@ -214,7 +211,7 @@ impl Sel {
 
     pub fn select(block: u64, stride: i64) -> Sel {
         let class = match block {
-            2 | 4 | 8 | 16 | 32 if stride > 0 => block as u8,
+            1 | 2 | 4 | 8 | 16 | 32 if stride > 0 => block as u8,
             _ => 0,
         };
         if class == 0 {
@@ -240,7 +237,7 @@ impl Sel {
 
 /// Resolve the effective kernel for one frame region: the frame's
 /// compile-time selection filtered through the process mode, degraded to
-/// what the CPU supports. `Scalar` means "use the per-block sink loop".
+/// what the CPU supports. `Scalar` means "one `copy_from_slice` per block".
 pub(crate) fn resolve(sel: Sel, mode: Mode) -> Kind {
     if sel.class == 0 {
         return Kind::Scalar;
@@ -324,6 +321,7 @@ unsafe fn scatter_fixed<const B: usize>(src: *const u8, dst: *mut u8, stride: is
 
 unsafe fn gather_fixed_class(class: u8, src: *const u8, stride: isize, count: usize, dst: *mut u8) {
     match class {
+        1 => gather_fixed::<1>(src, stride, count, dst),
         2 => gather_fixed::<2>(src, stride, count, dst),
         4 => gather_fixed::<4>(src, stride, count, dst),
         8 => gather_fixed::<8>(src, stride, count, dst),
@@ -341,6 +339,7 @@ unsafe fn scatter_fixed_class(
     count: usize,
 ) {
     match class {
+        1 => scatter_fixed::<1>(src, dst, stride, count),
         2 => scatter_fixed::<2>(src, dst, stride, count),
         4 => scatter_fixed::<4>(src, dst, stride, count),
         8 => scatter_fixed::<8>(src, dst, stride, count),
@@ -356,7 +355,7 @@ unsafe fn scatter_fixed_class(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{gather_fixed, scatter_fixed};
+    use super::gather_fixed;
     use core::arch::x86_64::*;
     use std::ptr;
 
@@ -619,14 +618,6 @@ mod x86 {
             i += 1;
         }
     }
-
-    /// Eight-byte scatter: strided `u64` stores (one mov per block).
-    ///
-    /// # Safety
-    /// Bounds as in [`scatter_fixed`].
-    pub unsafe fn scatter8(src: *const u8, dst: *mut u8, stride: isize, count: usize) {
-        scatter_fixed::<8>(src, dst, stride, count)
-    }
 }
 
 /// Gather `count` whole blocks of `class` bytes, `stride` apart starting
@@ -649,6 +640,7 @@ pub(crate) unsafe fn gather(
         Kind::Scalar | Kind::Fixed => gather_fixed_class(class, src, stride, count, dst),
         #[cfg(target_arch = "x86_64")]
         Kind::Sse2 => match class {
+            1 => gather_fixed::<1>(src, stride, count, dst),
             2 => x86::gather2_sse2(src, stride, count, dst),
             4 => x86::gather4_sse2(src, stride, count, dst),
             8 => x86::gather8_sse2(src, stride, count, dst),
@@ -657,14 +649,29 @@ pub(crate) unsafe fn gather(
             _ => unreachable!("kernel call on ineligible frame"),
         },
         #[cfg(target_arch = "x86_64")]
-        Kind::Avx2 => match class {
-            2 => x86::gather2_sse2(src, stride, count, dst),
-            4 => x86::gather4_sse2(src, stride, count, dst),
-            8 => x86::gather8_avx2(src, stride, count, dst),
-            16 => x86::gather16_avx2(src, stride, count, dst),
-            32 => x86::gather32_avx2(src, stride, count, dst),
-            _ => unreachable!("kernel call on ineligible frame"),
-        },
+        Kind::Avx2 => {
+            // A 32-byte store that straddles a cache line on every other
+            // iteration halves the 8-byte gather (18 vs 39 GB/s in L2), and
+            // a heap buffer is 16- but rarely 32-byte aligned: peel whole
+            // blocks up to the next 32-byte boundary when there is one.
+            let off = dst.align_offset(32);
+            let peel = if off.is_multiple_of(class as usize) {
+                (off / class as usize).min(count)
+            } else {
+                0
+            };
+            gather_fixed_class(class, src, stride, peel, dst);
+            let src = src.offset(peel as isize * stride);
+            let dst = dst.add(peel * class as usize);
+            let count = count - peel;
+            match class {
+                8 => x86::gather8_avx2(src, stride, count, dst),
+                16 => x86::gather16_avx2(src, stride, count, dst),
+                32 => x86::gather32_avx2(src, stride, count, dst),
+                // no AVX2 batching below 8 bytes beyond SSE2's
+                _ => gather(Kind::Sse2, class, src, stride, count, dst),
+            }
+        }
         #[cfg(not(target_arch = "x86_64"))]
         Kind::Sse2 | Kind::Avx2 => gather_fixed_class(class, src, stride, count, dst),
     }
@@ -689,9 +696,7 @@ pub(crate) unsafe fn scatter(
         Kind::Scalar | Kind::Fixed => scatter_fixed_class(class, src, dst, stride, count),
         #[cfg(target_arch = "x86_64")]
         Kind::Sse2 | Kind::Avx2 => match class {
-            2 => scatter_fixed::<2>(src, dst, stride, count),
-            4 => scatter_fixed::<4>(src, dst, stride, count),
-            8 => x86::scatter8(src, dst, stride, count),
+            1 | 2 | 4 | 8 => scatter_fixed_class(class, src, dst, stride, count),
             16 => x86::scatter16_sse2(src, dst, stride, count),
             32 => {
                 if kind == Kind::Avx2 {
@@ -724,7 +729,7 @@ mod tests {
 
     #[test]
     fn gather_matches_reference_for_every_class_and_kind() {
-        for &class in &[2u8, 4, 8, 16, 32] {
+        for &class in &[1u8, 2, 4, 8, 16, 32] {
             let b = class as usize;
             for stride in [b as isize, b as isize + 3, 2 * b as isize, 64] {
                 for count in [0usize, 1, 2, 3, 7, 8, 9, 31, 64] {
@@ -736,14 +741,21 @@ mod tests {
                         want[j * b..(j + 1) * b].copy_from_slice(&src[s as usize..s as usize + b]);
                     }
                     for kind in kinds_to_test() {
-                        let mut got = vec![0u8; count * b];
-                        unsafe {
-                            gather(kind, class, src.as_ptr(), stride, count, got.as_mut_ptr());
+                        // every destination alignment mod 32 a block
+                        // boundary can have (the AVX2 path peels to 32)
+                        for pad in [0usize, 8, 16, 24] {
+                            let mut got = vec![0u8; pad + count * b];
+                            unsafe {
+                                let dst = got.as_mut_ptr().add(pad);
+                                gather(kind, class, src.as_ptr(), stride, count, dst);
+                            }
+                            assert_eq!(
+                                &got[pad..],
+                                &want[..],
+                                "gather class={class} stride={stride} count={count} \
+                                 kind={kind:?} pad={pad}"
+                            );
                         }
-                        assert_eq!(
-                            got, want,
-                            "gather class={class} stride={stride} count={count} kind={kind:?}"
-                        );
                     }
                 }
             }
@@ -752,7 +764,7 @@ mod tests {
 
     #[test]
     fn scatter_matches_reference_for_every_class_and_kind() {
-        for &class in &[2u8, 4, 8, 16, 32] {
+        for &class in &[1u8, 2, 4, 8, 16, 32] {
             let b = class as usize;
             for stride in [b as isize, b as isize + 3, 2 * b as isize, 64] {
                 for count in [0usize, 1, 2, 3, 7, 8, 9, 31, 64] {

@@ -34,9 +34,11 @@
 //!
 //! After normalization every `Blocks` frame records its kernel selection
 //! ([`crate::kernels::Sel`]): block-size class, alignment class, and the
-//! fixed-width/SIMD copy kernel that `auto` mode resolves to, so the
-//! interpreter's hot loop is one direct gather/scatter call per frame
-//! region with no per-block dispatch (see [`crate::kernels`]).
+//! fixed-width/SIMD copy kernel that `auto` mode resolves to. The frame
+//! itself is copied by the executor the depth-1 strided path uses
+//! ([`StridedSpec::copy_instance`]): one direct gather/scatter call per
+//! run of whole blocks, no per-block dispatch or division (see
+//! [`crate::kernels`]).
 //!
 //! The interpreter therefore preserves the paper's navigation contract:
 //! entry at an arbitrary `skipbytes` costs `O(depth)` (one division per
@@ -51,7 +53,8 @@ use std::sync::Arc;
 
 use lio_obs::LazyCounter;
 
-use crate::kernels::{self, Kind, Mode, Sel};
+use crate::kernels::{self, Mode, Sel};
+use crate::strided::{Gather, Scatter, StridedSpec, Xfer};
 use crate::types::{Datatype, TypeKind};
 
 static OBS_COMPILE_PROGRAMS: LazyCounter = LazyCounter::new("dt.compile.programs");
@@ -230,32 +233,11 @@ impl RunProgram {
         skip: u64,
         packbuf: &mut [u8],
     ) -> (usize, u64) {
-        let Some(root) = &self.root else {
-            return (0, 0);
+        let x = Gather {
+            typed: src,
+            contig: packbuf,
         };
-        let total = self.size.saturating_mul(count);
-        if skip >= total || packbuf.is_empty() {
-            return (0, 0);
-        }
-        let cap = (total - skip).min(packbuf.len() as u64) as usize;
-        let mut sink = PackSink {
-            src,
-            out: &mut packbuf[..cap],
-            cursor: 0,
-            runs: 0,
-            obs: lio_obs::enabled(),
-            mode: kernels::mode(),
-        };
-        let mut inst = skip / self.size;
-        let mut s = skip % self.size;
-        let mut origin = inst as i64 * self.extent - buf_disp;
-        while inst < count && !sink.full() {
-            root.walk(origin, s, &mut sink);
-            inst += 1;
-            s = 0;
-            origin += self.extent;
-        }
-        (sink.cursor, sink.runs)
+        self.run(x, buf_disp, count, skip)
     }
 
     /// Unpack `packbuf` into `count` tiled instances of `dst`, skipping
@@ -269,19 +251,30 @@ impl RunProgram {
         count: u64,
         skip: u64,
     ) -> (usize, u64) {
+        let x = Scatter {
+            contig: packbuf,
+            typed: dst,
+        };
+        self.run(x, buf_disp, count, skip)
+    }
+
+    /// Interpret the program over `count` tiled instances, in the
+    /// direction `x` fixes.
+    fn run<X: Xfer>(&self, x: X, buf_disp: i64, count: u64, skip: u64) -> (usize, u64) {
         let Some(root) = &self.root else {
             return (0, 0);
         };
         let total = self.size.saturating_mul(count);
-        if skip >= total || packbuf.is_empty() {
+        let (_, contig) = x.lens();
+        if skip >= total || contig == 0 {
             return (0, 0);
         }
-        let cap = (total - skip).min(packbuf.len() as u64) as usize;
-        let mut sink = UnpackSink {
-            packbuf: &packbuf[..cap],
-            dst,
+        let mut sink = Sink {
+            cap: (total - skip).min(contig as u64) as usize,
+            x,
             cursor: 0,
             runs: 0,
+            clipped: false,
             obs: lio_obs::enabled(),
             mode: kernels::mode(),
         };
@@ -774,175 +767,36 @@ fn shape_of(node: &PNode) -> (u32, u32, u64, u64) {
     }
 }
 
-/// Where the interpreter's runs go: pack copies out of the typed buffer,
-/// unpack copies into it. `run` returns the bytes actually moved (short
-/// when the contiguous side is exhausted); `blocks` moves a whole frame
-/// region of equal blocks through the frame's selected kernel, falling
-/// back to per-block `run` calls when the region's bounds cannot be
-/// proven (or the kernel is scalar).
-trait Sink {
-    fn run(&mut self, pos: i64, len: u64) -> u64;
-    fn full(&self) -> bool;
-    fn blocks(&mut self, start: i64, stride: i64, block: u64, count: u64, sel: Sel);
-}
-
-struct PackSink<'a> {
-    src: &'a [u8],
-    out: &'a mut [u8],
+/// Where the interpreter's runs go: `x` fixes the direction (pack gathers
+/// out of the typed buffer, unpack scatters into it), `cursor..cap` is the
+/// contiguous side still to move.
+struct Sink<X> {
+    x: X,
     cursor: usize,
+    cap: usize,
     runs: u64,
+    /// The typed-side window ended before the capacity did.
+    clipped: bool,
     obs: bool,
     mode: Mode,
 }
 
-impl Sink for PackSink<'_> {
-    #[inline]
-    fn run(&mut self, pos: i64, len: u64) -> u64 {
-        let n = (len as usize).min(self.out.len() - self.cursor);
-        if n == 0 {
-            return 0;
-        }
-        let s = pos as usize;
-        self.out[self.cursor..self.cursor + n].copy_from_slice(&self.src[s..s + n]);
-        self.cursor += n;
-        self.runs += 1;
-        if self.obs {
-            crate::ff::OBS_RUN_LEN.record(n as u64);
-        }
-        n as u64
-    }
-
+impl<X: Xfer> Sink<X> {
     #[inline]
     fn full(&self) -> bool {
-        self.cursor == self.out.len()
+        self.cursor == self.cap || self.clipped
     }
 
-    fn blocks(&mut self, start: i64, stride: i64, block: u64, count: u64, sel: Sel) {
-        let rem = (self.out.len() - self.cursor) as u64;
-        let full = count.min(rem / block);
-        let mut pos = start;
-        if full > 0 {
-            let kind = kernels::resolve(sel, self.mode);
-            let mut done = false;
-            if kind != Kind::Scalar {
-                let end = start + (full as i64 - 1) * stride + block as i64;
-                if start >= 0 && end >= 0 && end as u64 <= self.src.len() as u64 {
-                    // the whole region is in bounds: one direct kernel call
-                    unsafe {
-                        kernels::gather(
-                            kind,
-                            sel.class,
-                            self.src.as_ptr().add(start as usize),
-                            stride as isize,
-                            full as usize,
-                            self.out.as_mut_ptr().add(self.cursor),
-                        );
-                    }
-                    self.cursor += (full * block) as usize;
-                    self.runs += full;
-                    if self.obs {
-                        crate::ff::OBS_RUN_LEN.record_n(block, full);
-                        kernels::OBS_KERNEL_BLOCKS.add(full);
-                        kernels::OBS_KERNEL_BYTES.add(full * block);
-                    }
-                    done = true;
-                } else {
-                    kernels::OBS_KERNEL_FALLBACKS.incr();
-                }
-            }
-            if !done {
-                // scalar reference path (also preserves the original
-                // panic-on-out-of-bounds semantics)
-                for _ in 0..full {
-                    self.run(pos, block);
-                    pos += stride;
-                }
-            } else {
-                pos += full as i64 * stride;
-            }
-        }
-        if full < count && !self.full() {
-            // partial tail block: capacity ends inside this block
-            self.run(pos, block);
-        }
-    }
-}
-
-struct UnpackSink<'a> {
-    packbuf: &'a [u8],
-    dst: &'a mut [u8],
-    cursor: usize,
-    runs: u64,
-    obs: bool,
-    mode: Mode,
-}
-
-impl Sink for UnpackSink<'_> {
-    #[inline]
-    fn run(&mut self, pos: i64, len: u64) -> u64 {
-        let n = (len as usize).min(self.packbuf.len() - self.cursor);
-        if n == 0 {
-            return 0;
-        }
-        let t = pos as usize;
-        self.dst[t..t + n].copy_from_slice(&self.packbuf[self.cursor..self.cursor + n]);
+    /// One instance of a `Blocks` frame at `origin`, entered after `skip`
+    /// data bytes, through the shared frame executor.
+    fn blocks(&mut self, spec: &StridedSpec, sel: Sel, origin: i64, skip: u64) {
+        let want = (spec.size() - skip).min((self.cap - self.cursor) as u64) as usize;
+        let kind = kernels::resolve(sel, self.mode);
+        let (n, runs) =
+            spec.copy_instance(&mut self.x, kind, origin, skip, self.cursor, want, self.obs);
         self.cursor += n;
-        self.runs += 1;
-        if self.obs {
-            crate::ff::OBS_RUN_LEN.record(n as u64);
-        }
-        n as u64
-    }
-
-    #[inline]
-    fn full(&self) -> bool {
-        self.cursor == self.packbuf.len()
-    }
-
-    fn blocks(&mut self, start: i64, stride: i64, block: u64, count: u64, sel: Sel) {
-        let rem = (self.packbuf.len() - self.cursor) as u64;
-        let full = count.min(rem / block);
-        let mut pos = start;
-        if full > 0 {
-            let kind = kernels::resolve(sel, self.mode);
-            let mut done = false;
-            if kind != Kind::Scalar {
-                let end = start + (full as i64 - 1) * stride + block as i64;
-                if start >= 0 && end >= 0 && end as u64 <= self.dst.len() as u64 {
-                    unsafe {
-                        kernels::scatter(
-                            kind,
-                            sel.class,
-                            self.packbuf.as_ptr().add(self.cursor),
-                            self.dst.as_mut_ptr().add(start as usize),
-                            stride as isize,
-                            full as usize,
-                        );
-                    }
-                    self.cursor += (full * block) as usize;
-                    self.runs += full;
-                    if self.obs {
-                        crate::ff::OBS_RUN_LEN.record_n(block, full);
-                        kernels::OBS_KERNEL_BLOCKS.add(full);
-                        kernels::OBS_KERNEL_BYTES.add(full * block);
-                    }
-                    done = true;
-                } else {
-                    kernels::OBS_KERNEL_FALLBACKS.incr();
-                }
-            }
-            if !done {
-                for _ in 0..full {
-                    self.run(pos, block);
-                    pos += stride;
-                }
-            } else {
-                pos += full as i64 * stride;
-            }
-        }
-        if full < count && !self.full() {
-            self.run(pos, block);
-        }
+        self.runs += runs;
+        self.clipped = n < want;
     }
 }
 
@@ -951,7 +805,7 @@ impl PNode {
     /// `skip` data bytes (`skip` < the node's data size). The `O(depth)`
     /// entry divides/searches per frame; thereafter every iteration is a
     /// block copy.
-    fn walk<S: Sink>(&self, origin: i64, skip: u64, sink: &mut S) {
+    fn walk<X: Xfer>(&self, origin: i64, skip: u64, sink: &mut Sink<X>) {
         match self {
             PNode::Blocks {
                 base,
@@ -960,23 +814,14 @@ impl PNode {
                 count,
                 kern,
             } => {
-                let mut j = skip / block;
-                if j >= *count {
-                    return;
-                }
-                let within = skip % block;
-                let mut start = origin + base + j as i64 * stride;
-                if within != 0 {
-                    // partial first block, then the kernelized region
-                    let want = block - within;
-                    if sink.run(start + within as i64, want) < want {
-                        return;
-                    }
-                    j += 1;
-                    start += stride;
-                }
-                if j < *count {
-                    sink.blocks(start, *stride, *block, *count - j, *kern);
+                let spec = StridedSpec {
+                    base: *base,
+                    stride: *stride,
+                    block: *block,
+                    count: *count,
+                };
+                if skip < spec.size() {
+                    sink.blocks(&spec, *kern, origin, skip);
                 }
             }
             PNode::Loop {

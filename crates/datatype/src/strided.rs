@@ -1,20 +1,31 @@
-//! Canonical strided decomposition — the flattening-on-the-fly copy
-//! batching.
+//! Canonical strided decomposition and the frame executor — the
+//! flattening-on-the-fly copy batching.
 //!
 //! The defining trick of flattening-on-the-fly (paper Section 3.1) is to
 //! "identify and copy large chunks of evenly spaced, non-contiguous data"
 //! and perform the actual copying "in a non-recursive loop" *outside* the
 //! datatype traversal. On the SX that feeds hardware gather/scatter; on a
 //! scalar machine (the companion paper's setting) it becomes a tight
-//! two-level loop with precomputed base/stride/blocklen — no per-run tree
-//! walking, no per-run representation reads.
+//! loop with precomputed base/stride/blocklen — no per-run tree walking,
+//! no per-run representation reads, and no per-block arithmetic beyond
+//! two pointer bumps.
 //!
 //! [`StridedSpec`] is that canonical form: a datatype whose single
 //! instance is `count` dense blocks of `block` bytes, block `j` starting
 //! at byte `base + j·stride`. Most datatypes used for fileviews in
-//! practice (vectors, subarray rows, the Figure 4 struct) reduce to it;
-//! types that don't simply fall back to the general [`crate::FlatIter`].
+//! practice (vectors, subarray rows, the Figure 4 struct) reduce to it.
+//!
+//! [`StridedSpec::copy_instance`] is the one loop that copies such a
+//! frame, shared by [`strided_pack`]/[`strided_unpack`] (a whole type that
+//! is one frame, and the window placement of `lio-core`) and by every
+//! `Blocks` frame of a compiled run program ([`crate::program`]). Where
+//! its divisions live: one on entry, to turn the data offset into (block
+//! index, offset within the block); one per run of whole blocks, only
+//! when the caller's window cuts the run short; none per block.
+//! [`strided_pack`]/[`strided_unpack`] add two per call to find the first
+//! instance.
 
+use crate::kernels::{self, Kind, Sel};
 use crate::types::{Datatype, TypeKind};
 
 /// A datatype instance as evenly spaced dense blocks.
@@ -157,12 +168,210 @@ impl Datatype {
     }
 }
 
+/// The two sides of a frame copy: a window onto the typed layout and a
+/// contiguous pack buffer. [`Gather`] reads the window (pack, extract),
+/// [`Scatter`] writes it (unpack, place).
+pub(crate) trait Xfer {
+    /// `(window, contiguous)` lengths.
+    fn lens(&self) -> (usize, usize);
+    /// Move `n` bytes between window position `t` and contiguous
+    /// position `c`.
+    fn copy(&mut self, t: usize, c: usize, n: usize);
+    /// Move `n` whole blocks of `class` bytes, `stride` apart from window
+    /// position `t` and dense from contiguous position `c`, through the
+    /// fixed-width kernel family `k`.
+    ///
+    /// # Safety
+    /// Every block lies inside the window and the contiguous side, and
+    /// `k` is CPU-supported (it comes from [`kernels::resolve`]).
+    unsafe fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: isize, c: usize, n: usize);
+}
+
+pub(crate) struct Gather<'a> {
+    pub typed: &'a [u8],
+    pub contig: &'a mut [u8],
+}
+
+impl Xfer for Gather<'_> {
+    fn lens(&self) -> (usize, usize) {
+        (self.typed.len(), self.contig.len())
+    }
+
+    #[inline]
+    fn copy(&mut self, t: usize, c: usize, n: usize) {
+        self.contig[c..c + n].copy_from_slice(&self.typed[t..t + n]);
+    }
+
+    unsafe fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: isize, c: usize, n: usize) {
+        let (src, dst) = (self.typed.as_ptr().add(t), self.contig.as_mut_ptr().add(c));
+        kernels::gather(k, class, src, stride, n, dst);
+    }
+}
+
+pub(crate) struct Scatter<'a> {
+    pub contig: &'a [u8],
+    pub typed: &'a mut [u8],
+}
+
+impl Xfer for Scatter<'_> {
+    fn lens(&self) -> (usize, usize) {
+        (self.typed.len(), self.contig.len())
+    }
+
+    #[inline]
+    fn copy(&mut self, t: usize, c: usize, n: usize) {
+        self.typed[t..t + n].copy_from_slice(&self.contig[c..c + n]);
+    }
+
+    unsafe fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: isize, c: usize, n: usize) {
+        let (src, dst) = (self.contig.as_ptr().add(c), self.typed.as_mut_ptr().add(t));
+        kernels::scatter(k, class, src, dst, stride, n);
+    }
+}
+
+impl StridedSpec {
+    /// The frame executor — the one block-copy loop under every pack,
+    /// unpack and window placement. Copies up to `todo` data bytes of the
+    /// instance whose origin sits at window position `origin`, entering
+    /// after `skip < size()` data bytes, to or from contiguous position
+    /// `c`. Returns `(bytes, runs)`; fewer bytes than
+    /// `todo.min(size() - skip)` means the window ended first.
+    ///
+    /// `(block index, within)` is resolved once on entry. A positive
+    /// stride then gets one *run*: the most whole blocks that fit both
+    /// `todo` and the window — one division, and only when the window
+    /// clips the run — moved by `kind`'s fixed-width kernel, or by one
+    /// `copy_from_slice` per block when `kind` is scalar. The single-block
+    /// step does the rest: a partial head or tail block, the block the
+    /// window cuts, and every block of a non-positive stride.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn copy_instance<X: Xfer>(
+        &self,
+        x: &mut X,
+        kind: Kind,
+        origin: i64,
+        skip: u64,
+        c: usize,
+        todo: usize,
+        obs: bool,
+    ) -> (usize, u64) {
+        let block = self.block as usize;
+        let (window, contig) = x.lens();
+        let wlen = window as i64;
+        let (mut j, mut within) = if skip == 0 {
+            (0, 0)
+        } else {
+            (skip / self.block, (skip % self.block) as usize)
+        };
+        let mut pos = origin + self.base + j as i64 * self.stride;
+        let (mut done, mut runs) = (0usize, 0u64);
+        let mut batch = self.stride > 0;
+        while j < self.count && done < todo {
+            if batch && within == 0 {
+                batch = false;
+                let mut n = (self.count - j).min(((todo - done) / block) as u64);
+                if n == 0 || pos < 0 || pos + block as i64 > wlen {
+                    continue;
+                }
+                let room = (wlen - block as i64 - pos) as u64;
+                if (n - 1)
+                    .checked_mul(self.stride as u64)
+                    .is_none_or(|span| span > room)
+                {
+                    n = room / self.stride as u64 + 1;
+                }
+                let (t, nblk, stride) = (pos as usize, n as usize, self.stride as usize);
+                if kind == Kind::Scalar {
+                    for k in 0..nblk {
+                        x.copy(t + k * stride, c + done + k * block, block);
+                    }
+                } else {
+                    // the clip above, restated where the kernels rely on it
+                    assert!(t + (nblk - 1) * stride + block <= window);
+                    assert!(c + done + nblk * block <= contig);
+                    // SAFETY: the two asserts bound the first and last
+                    // block, so every block, on both sides; `kind` was
+                    // resolved by the caller.
+                    unsafe { x.kernel(kind, block as u8, t, stride as isize, c + done, nblk) };
+                }
+                if obs {
+                    crate::ff::OBS_RUN_LEN.record_n(self.block, n);
+                    if kind != Kind::Scalar {
+                        kernels::OBS_KERNEL_BLOCKS.add(n);
+                        kernels::OBS_KERNEL_BYTES.add(n * self.block);
+                    }
+                }
+                j += n;
+                pos += n as i64 * self.stride;
+                done += nblk * block;
+                runs += n;
+                continue;
+            }
+            let t = pos + within as i64;
+            if t < 0 || t >= wlen {
+                break; // window exhausted
+            }
+            let rest = block - within;
+            let n = rest.min(todo - done).min((wlen - t) as usize);
+            x.copy(t as usize, c + done, n);
+            done += n;
+            runs += 1;
+            if obs {
+                crate::ff::OBS_RUN_LEN.record(n as u64);
+            }
+            if n < rest {
+                break; // the bytes or the window ended mid-block
+            }
+            within = 0;
+            j += 1;
+            pos += self.stride;
+        }
+        (done, runs)
+    }
+}
+
+/// Tile [`StridedSpec::copy_instance`] over instances `extent` bytes
+/// apart: the layout byte at position `p` lives at window position
+/// `p - buf_disp`, the copy starts at data offset `skip` and moves at most
+/// `limit_bytes - skip` bytes. The two divisions here are the only ones
+/// per call; the executor adds at most one per instance.
+fn strided_copy<X: Xfer>(
+    spec: &StridedSpec,
+    extent: u64,
+    x: &mut X,
+    buf_disp: i64,
+    limit_bytes: u64,
+    skip: u64,
+) -> (usize, u64) {
+    let size = spec.size();
+    let todo = (x.lens().1 as u64).min(limit_bytes.saturating_sub(skip)) as usize;
+    if todo == 0 || size == 0 {
+        return (0, 0);
+    }
+    let kind = kernels::resolve(Sel::select(spec.block, spec.stride), kernels::mode());
+    let obs = lio_obs::enabled();
+    let mut s = skip % size;
+    let mut origin = (skip / size) as i64 * extent as i64 - buf_disp;
+    let (mut out, mut runs) = (0usize, 0u64);
+    while out < todo {
+        let want = (size - s).min((todo - out) as u64) as usize;
+        let (n, r) = spec.copy_instance(x, kind, origin, s, out, want, obs);
+        out += n;
+        runs += r;
+        if n < want {
+            break; // window ended
+        }
+        s = 0;
+        origin += extent as i64;
+    }
+    (out, runs)
+}
+
 /// Pack via the strided fast path: copy `packbuf.len().min(available)`
 /// bytes of the tiled layout of `spec` (instance extent `extent`)
 /// starting at data offset `skip`, reading the byte at layout position
-/// `p` from `src[(p - buf_disp)]`. Returns bytes copied.
-///
-/// The caller guarantees the source buffer covers every touched position.
+/// `p` from `src[(p - buf_disp)]`. Returns `(bytes, runs)` copied; the
+/// copy stops early where `src` (a window of the layout) ends.
 pub fn strided_pack(
     spec: &StridedSpec,
     extent: u64,
@@ -171,31 +380,12 @@ pub fn strided_pack(
     limit_bytes: u64,
     skip: u64,
     packbuf: &mut [u8],
-) -> usize {
-    let mut out = 0usize;
-    let todo = (packbuf.len() as u64).min(limit_bytes.saturating_sub(skip)) as usize;
-    // global block index and offset within it
-    let mut gblock = skip / spec.block;
-    let mut within = skip % spec.block;
-    while out < todo {
-        let inst = gblock / spec.count;
-        let j = gblock % spec.count;
-        let pos = inst as i64 * extent as i64 + spec.base + j as i64 * spec.stride + within as i64;
-        let s = (pos - buf_disp) as usize;
-        if s >= src.len() {
-            break; // source window exhausted
-        }
-        let run = (spec.block - within) as usize;
-        let n = run.min(todo - out).min(src.len() - s);
-        packbuf[out..out + n].copy_from_slice(&src[s..s + n]);
-        out += n;
-        if n < run && out < todo {
-            break; // source window ended mid-run
-        }
-        gblock += 1;
-        within = 0;
-    }
-    out
+) -> (usize, u64) {
+    let mut x = Gather {
+        typed: src,
+        contig: packbuf,
+    };
+    strided_copy(spec, extent, &mut x, buf_disp, limit_bytes, skip)
 }
 
 /// Unpack via the strided fast path (inverse of [`strided_pack`]).
@@ -207,30 +397,12 @@ pub fn strided_unpack(
     limit_bytes: u64,
     skip: u64,
     packbuf: &[u8],
-) -> usize {
-    let mut consumed = 0usize;
-    let todo = (packbuf.len() as u64).min(limit_bytes.saturating_sub(skip)) as usize;
-    let mut gblock = skip / spec.block;
-    let mut within = skip % spec.block;
-    while consumed < todo {
-        let inst = gblock / spec.count;
-        let j = gblock % spec.count;
-        let pos = inst as i64 * extent as i64 + spec.base + j as i64 * spec.stride + within as i64;
-        let t = (pos - buf_disp) as usize;
-        if t >= dst.len() {
-            break; // destination window exhausted
-        }
-        let run = (spec.block - within) as usize;
-        let n = run.min(todo - consumed).min(dst.len() - t);
-        dst[t..t + n].copy_from_slice(&packbuf[consumed..consumed + n]);
-        consumed += n;
-        if n < run && consumed < todo {
-            break; // destination window ended mid-run
-        }
-        gblock += 1;
-        within = 0;
-    }
-    consumed
+) -> (usize, u64) {
+    let mut x = Scatter {
+        contig: packbuf,
+        typed: dst,
+    };
+    strided_copy(spec, extent, &mut x, buf_disp, limit_bytes, skip)
 }
 
 #[cfg(test)]
@@ -452,7 +624,7 @@ mod tests {
         for skip in [0u64, 1, 4, 17, 31] {
             let limit = d.size() * 2;
             let mut fast = vec![0u8; (limit - skip) as usize];
-            let n = strided_pack(&spec, ext, &src, 0, limit, skip, &mut fast);
+            let (n, _) = strided_pack(&spec, ext, &src, 0, limit, skip, &mut fast);
             assert_eq!(n as u64, limit - skip);
             let mut slow = vec![0u8; (limit - skip) as usize];
             let m = crate::ff::ff_pack(&src, 2, &d, skip, &mut slow);
@@ -461,7 +633,7 @@ mod tests {
 
             // unpack back
             let mut dst = vec![0u8; 128];
-            let k = strided_unpack(&spec, ext, &mut dst, 0, limit, skip, &fast);
+            let (k, _) = strided_unpack(&spec, ext, &mut dst, 0, limit, skip, &fast);
             assert_eq!(k, n);
         }
     }

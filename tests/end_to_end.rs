@@ -243,3 +243,105 @@ fn prelude_covers_the_basics() {
     });
     assert_eq!(shared.len(), 4 * 4 * 8);
 }
+
+/// Window scratch is sized to what the access can address, so pin both
+/// ends: sieve and collective buffers of 1, 13 and 4097 bytes and the
+/// defaults, each against an access smaller and one larger than the
+/// buffer, both engines, independent, monolithic and pipelined — the file
+/// and the read-back byte-identical to a naive typemap walk.
+#[test]
+fn window_buffers_smaller_and_larger_than_the_access() {
+    use listless_io::datatype::typemap::{expand, reference_pack};
+    use listless_io::noncontig::{figure4_filetype, noncontig_memtype};
+
+    const P: u64 = 2;
+    const DISP: u64 = 5;
+    // 4-byte blocks: 8 data bytes per 12-byte memtype instance, landing in
+    // a 16-byte file instance the two ranks interleave in
+    let memtype = noncontig_memtype(2, 4);
+    let filetype = |rank: u64| figure4_filetype(rank, P, 2, 4);
+
+    #[derive(Clone, Copy, Debug)]
+    enum Schedule {
+        Independent,
+        Monolithic,
+        Pipelined,
+    }
+
+    // 8 B per rank (a 12 B file range) and 8800 B per rank (17600 B)
+    for count in [1u64, 1100] {
+        let users: Vec<Vec<u8>> = (0..P)
+            .map(|r| {
+                (0..count * memtype.extent())
+                    .map(|i| (i * (r + 2) + 1) as u8)
+                    .collect()
+            })
+            .collect();
+        let streams: Vec<Vec<u8>> = users
+            .iter()
+            .map(|u| reference_pack(u, &memtype, count))
+            .collect();
+        let mut want = vec![0u8; (DISP + count * 16) as usize];
+        for (r, stream) in streams.iter().enumerate() {
+            let mut k = 0;
+            for run in expand(&filetype(r as u64), count) {
+                let (o, n) = ((DISP as i64 + run.disp) as usize, run.len as usize);
+                want[o..o + n].copy_from_slice(&stream[k..k + n]);
+                k += n;
+            }
+        }
+
+        for buffer in [Some(1usize), Some(13), Some(4097), None] {
+            for engine in [Hints::list_based(), Hints::listless()] {
+                for schedule in [
+                    Schedule::Independent,
+                    Schedule::Monolithic,
+                    Schedule::Pipelined,
+                ] {
+                    let mut hints = engine;
+                    if let Some(b) = buffer {
+                        hints = hints.ind_buffer(b).cb_buffer(b);
+                    }
+                    hints = hints.pipelined(matches!(schedule, Schedule::Pipelined));
+                    let ctx = format!(
+                        "{:?} {schedule:?} buffer {buffer:?} count {count}",
+                        hints.engine
+                    );
+
+                    let shared = SharedFile::new(MemFile::new());
+                    let backs = World::run(P as usize, |comm| {
+                        let me = comm.rank();
+                        let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                        f.set_view(DISP, Datatype::byte(), filetype(me as u64))
+                            .unwrap();
+                        let mut back = vec![0u8; users[me].len()];
+                        let n = match schedule {
+                            Schedule::Independent => {
+                                f.write_at(0, &users[me], count, &memtype).unwrap();
+                                comm.barrier();
+                                f.read_at(0, &mut back, count, &memtype).unwrap()
+                            }
+                            _ => {
+                                f.write_at_all(0, &users[me], count, &memtype).unwrap();
+                                f.read_at_all(0, &mut back, count, &memtype).unwrap()
+                            }
+                        };
+                        assert_eq!(n, count * memtype.size(), "{ctx}");
+                        back
+                    });
+
+                    let mut file = vec![0u8; shared.len() as usize];
+                    shared.storage().read_at(0, &mut file).unwrap();
+                    assert_eq!(file, want, "file differs from the reference; {ctx}");
+                    for (back, stream) in backs.iter().zip(&streams) {
+                        assert_eq!(
+                            &reference_pack(back, &memtype, count),
+                            stream,
+                            "read-back differs; {ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
