@@ -10,14 +10,12 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# `default-members` in the root manifest makes both commands cover the
+# whole workspace: the root package and every crate's unit, differential
+# and property suites.
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
-
-# Tier-1 only enters the root package; the crates' own unit, differential
-# and property suites run here as a whole.
-echo "== cargo test -q --workspace"
-cargo test -q --workspace
 
 # The collective suites again with the pipeline override forced both
 # ways, so every differential case runs both the monolithic and the
@@ -54,25 +52,16 @@ for be in mem os; do
   done
 done
 
-# The collective suites again with the sharded pack/unpack forced on
-# and off: LIO_PACK_THREADS=4 routes every listless memtype copy above
-# the threshold through the multi-threaded shard path, so a sharding
-# bug fails the same differential cases the single-threaded path passes.
-for pt in 1 4; do
-  echo "== collective suites under LIO_PACK_THREADS=$pt"
-  LIO_PACK_THREADS=$pt cargo test -q -p lio-core --test collective --test pipeline --test faults
-done
-
 # The suites again with the pack-kernel mode forced both ways: every
 # kernel family must be bit-identical to the scalar reference loop, so
 # the same differential cases must pass with the kernels disabled and
 # with the best CPU-supported family engaged. The root strided_copy test
-# rides along: the depth-1 strided path honours the selection too.
+# rides along: it drives the same frame executor through windows.
 for pk in scalar auto; do
   echo "== collective/pipeline/faults/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-core --test collective --test pipeline --test faults
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-datatype
-  LIO_PACK_KERNEL=$pk cargo test -q --test strided_copy
+  LIO_PACK_KERNEL=$pk cargo test -q -p listless-io --test strided_copy
 done
 
 # Self-tuning corpus: the differential suites with the tuner armed on

@@ -1,20 +1,15 @@
 //! Pack/unpack micro-benchmarks: flattening-on-the-fly vs ol-list walking
 //! vs the raw memcpy ceiling (the paper's copy-time overhead, Section 2.1),
-//! plus the compiled run-program interpreter vs the naive tree walk and
-//! the sharded multi-threaded copy.
+//! plus the compiled run-program interpreter vs the naive tree walk.
 //!
 //! Emits `BENCH_pack.json` at the workspace root in the versioned
 //! [`lio_bench::schema`] format: the measured medians, the
-//! tree-walk/compiled/sharded ratios, and the machine's core count
-//! (sharded wall-clock gains require real parallelism; the ratios are
-//! recorded honestly either way).
+//! tree-walk/compiled ratios, and the machine's core count.
 
 use lio_bench::harness::Group;
 use lio_bench::schema;
 use lio_datatype::kernels::{self, Mode};
-use lio_datatype::{
-    darray, ff_pack, ff_pack_shards, ff_unpack, Datatype, Distrib, Field, FlatIter, OlList, Order,
-};
+use lio_datatype::{darray, ff_pack, ff_unpack, Datatype, Distrib, Field, FlatIter, OlList, Order};
 use std::hint::black_box;
 
 /// The naive tree-walk baseline the compiled program replaces: descend
@@ -98,8 +93,8 @@ fn bench_unpack() {
     }
 }
 
-/// Pack through a deep nested type (no strided fast path): the generic
-/// FlatIter path vs the ol-list.
+/// Pack through a deep nested type (a multi-frame program) vs the
+/// ol-list.
 fn bench_pack_nested() {
     let mut g = Group::new("pack_nested");
     g.sample_size(20);
@@ -125,9 +120,8 @@ fn bench_pack_nested() {
     });
 }
 
-/// The benchmark shapes for the compiled-vs-treewalk-vs-sharded matrix:
-/// a count scaling each shape's data volume to ≥ 4 MiB for the sharded
-/// rows, and the datatype itself.
+/// The benchmark shapes for the compiled-vs-treewalk matrix: a count
+/// scaling each shape's data volume to ≥ 4 MiB, and the datatype itself.
 fn shapes() -> Vec<(&'static str, u64, Datatype)> {
     // flat strided: 8 KiB blocks at 2× stride (reduces to one frame)
     let flat = Datatype::vector(512, 1, 2, &Datatype::basic(8192)).unwrap();
@@ -423,7 +417,7 @@ fn bench_pack_kernels(entries: &mut Vec<Entry>) {
     kernels::force(Mode::Auto);
 }
 
-/// Tree walk vs compiled program vs sharded copy, across the four
+/// Tree walk vs compiled program (what `ff_pack` runs), across the four
 /// shapes, on ≥ 4 MiB of data each.
 fn bench_pack_compiled(entries: &mut Vec<Entry>) {
     let mut g = Group::new("pack_compiled");
@@ -445,8 +439,6 @@ fn bench_pack_compiled(entries: &mut Vec<Entry>) {
             bytes: total as u64,
         });
 
-        // the compiled interpreter, bypassing the strided fast path so
-        // flat shapes measure the program too
         let prog = d.program();
         let s = g.bench(format!("compiled/{name}"), || {
             prog.pack_into(black_box(&src), 0, count, 0, black_box(&mut out));
@@ -457,29 +449,6 @@ fn bench_pack_compiled(entries: &mut Vec<Entry>) {
             median_ns: s.median_ns,
             bytes: total as u64,
         });
-
-        // the shipped single-threaded entry (strided fast path or program)
-        let s = g.bench(format!("ff_pack/{name}"), || {
-            ff_pack(black_box(&src), count, &d, 0, black_box(&mut out));
-        });
-        entries.push(Entry {
-            group: "pack_compiled",
-            id: format!("ff_pack/{name}"),
-            median_ns: s.median_ns,
-            bytes: total as u64,
-        });
-
-        for threads in [2usize, 4] {
-            let s = g.bench(format!("sharded{threads}/{name}"), || {
-                ff_pack_shards(black_box(&src), count, &d, 0, black_box(&mut out), threads);
-            });
-            entries.push(Entry {
-                group: "pack_compiled",
-                id: format!("sharded{threads}/{name}"),
-                median_ns: s.median_ns,
-                bytes: total as u64,
-            });
-        }
     }
 }
 
@@ -517,8 +486,8 @@ fn write_json(entries: &[Entry]) {
             "GB/s",
         ));
     }
-    // derived ratios per shape: treewalk/compiled (>1 means the program
-    // is faster) and treewalk/sharded{2,4}
+    // derived ratio per shape: treewalk/compiled (>1 means the program
+    // is faster)
     let med = |id: &str| {
         entries
             .iter()
@@ -527,16 +496,13 @@ fn write_json(entries: &[Entry]) {
             .unwrap_or(f64::NAN)
     };
     for name in ["flat_strided", "nested_vv", "darray_cyclic", "btio_tile"] {
-        let tw = med(&format!("treewalk/{name}"));
-        for variant in ["compiled", "sharded2", "sharded4"] {
-            rows.push(schema::Entry::new(
-                "pack_compiled_ratio",
-                name,
-                format!("{variant}_speedup"),
-                tw / med(&format!("{variant}/{name}")),
-                "x",
-            ));
-        }
+        rows.push(schema::Entry::new(
+            "pack_compiled_ratio",
+            name,
+            "compiled_speedup",
+            med(&format!("treewalk/{name}")) / med(&format!("compiled/{name}")),
+            "x",
+        ));
     }
     // kernel ratios per shape: kernel_speedup = scalar-compiled over
     // kernelized (>1 means the kernels pay), vs_manual = manual over

@@ -793,15 +793,6 @@ fn metrics(opts: &Opts) {
             false,
         ));
     }
-    // listless with a nested non-contiguous memtype big enough to cross
-    // the sharding threshold: exercises the compiled run programs
-    // (`dt.compile.*`) and the sharded copy (`dt.pack.shard.*`)
-    configs.push((
-        "listless_sharded_pack".to_string(),
-        Hints::listless().pack_threads(4).io_nodes(1),
-        false,
-    ));
-
     let mut json = String::from("{\n");
     let mut entries: Vec<lio_bench::schema::Entry> = Vec::new();
     for (i, (key, hints, throttled)) in configs.iter().enumerate() {
@@ -830,32 +821,9 @@ fn metrics(opts: &Opts) {
         };
         let hints = *hints;
         let shared2 = shared.clone();
-        let shard_n: u64 = if opts.quick { 1024 } else { 2048 };
         World::run(nprocs, move |comm| {
             let me = comm.rank() as u64;
             let mut f = File::open(comm, shared2.clone(), hints).expect("open");
-            if hints.pack_threads > 1 {
-                // vector-of-vector memtype, no strided fast path, with
-                // ≥ 1 MiB of data per rank so the copy shards
-                let inner = Datatype::vector(16, 1, 2, &Datatype::basic(64)).unwrap();
-                let mem = Datatype::vector(shard_n, 1, 2, &inner).unwrap();
-                let size = mem.size();
-                let span = mem.extent() as usize;
-                let src: Vec<u8> = (0..span)
-                    .map(|i| (i as u8).wrapping_add(me as u8))
-                    .collect();
-                f.set_view(0, Datatype::byte(), Datatype::byte())
-                    .expect("set_view");
-                f.write_at_all(me * size, &src, 1, &mem).expect("write");
-                let mut back = vec![0u8; span];
-                f.read_at_all(me * size, &mut back, 1, &mem).expect("read");
-                let mut a = vec![0u8; size as usize];
-                let mut b = vec![0u8; size as usize];
-                lio_datatype::ff_pack(&src, 1, &mem, 0, &mut a);
-                lio_datatype::ff_pack(&back, 1, &mem, 0, &mut b);
-                assert_eq!(a, b, "sharded read-back mismatch");
-                return;
-            }
             let ft = lio_noncontig::figure4_filetype(me, nprocs as u64, nblock, sblock);
             f.set_view(0, Datatype::byte(), ft).expect("set_view");
             let data = vec![me as u8 + 1; total as usize];
@@ -875,25 +843,6 @@ fn metrics(opts: &Opts) {
             snap.counter("core.coll.exchange.list_bytes"),
             snap.counter("core.coll.exchange.data_bytes"),
         );
-        if hints.pack_threads > 1 {
-            println!(
-                "  {key}: {} compiled programs ({} frames), {} pack shards, {} shard fallbacks",
-                snap.counter("dt.compile.programs"),
-                snap.counter("dt.compile.frames"),
-                snap.counter("dt.pack.shard.shards"),
-                snap.counter("dt.pack.shard.skipped"),
-            );
-            println!(
-                "  {key}: normalize {} rewrites ({} -> {} frames); kernels: {} frames \
-                 selected, {} blocks / {} B copied",
-                snap.counter("dt.normalize.rewrites"),
-                snap.counter("dt.normalize.frames_before"),
-                snap.counter("dt.normalize.frames_after"),
-                snap.counter("dt.kernel.selected"),
-                snap.counter("dt.kernel.blocks"),
-                snap.counter("dt.kernel.bytes"),
-            );
-        }
         if *throttled {
             println!(
                 "  {key}: overlap write {:.2} ms / read {:.2} ms (storage hidden behind \

@@ -2,16 +2,17 @@
 //! critical-path feedback.
 //!
 //! Every collective knob in this crate — engine choice,
-//! `two_phase_pipeline`, `pipeline_depth`, `cb_buffer_size`,
-//! `pack_threads` — is otherwise frozen at open time, exactly the manual
-//! hint-tuning burden ROMIO documents. This module closes the loop: a
+//! `two_phase_pipeline`, `pipeline_depth`, `cb_buffer_size` — is
+//! otherwise frozen at open time, exactly the manual hint-tuning burden
+//! ROMIO documents. This module closes the loop: a
 //! per-file [`Tuner`] ingests each collective op's critical-path
 //! breakdown (exchange vs io vs pack nanoseconds, observed file-domain
 //! span) and retunes the *next* op's effective knobs with a bounded
 //! hill-climb:
 //!
 //! - **signal**: the op's phase breakdown is classified (io-bound,
-//!   exchange-bound, pack-bound, cb-geometry mismatch, balanced);
+//!   exchange-bound, cb-geometry mismatch, balanced — a pack-bound op
+//!   has no knob to move and counts as balanced);
 //! - **hysteresis**: a knob only moves after [`K_CONSISTENT`] ops agree
 //!   on the same signal, so one noisy op never moves anything;
 //! - **clamp**: every move is a single ×2/÷2 (or on/off) step inside
@@ -65,8 +66,6 @@ pub const CB_MAX: usize = 16 * 1024 * 1024;
 /// laggard).
 pub const DEPTH_MAX_IO: usize = 8;
 pub const DEPTH_MAX_EXCH: usize = 4;
-/// Pack-shard ceiling, matching `Hints::effective_pack_threads`'s auto cap.
-pub const PACK_MAX: usize = 8;
 
 static OBS_DECISIONS: LazyCounter = LazyCounter::new("core.tune.decisions");
 static OBS_REVERTS: LazyCounter = LazyCounter::new("core.tune.reverts");
@@ -128,7 +127,6 @@ pub struct Knobs {
     pub pipelined: bool,
     pub depth: usize,
     pub cb: usize,
-    pub pack_threads: usize,
 }
 
 impl Knobs {
@@ -138,7 +136,6 @@ impl Knobs {
             pipelined: h.two_phase_pipeline,
             depth: h.pipeline_depth.max(1),
             cb: h.cb_buffer_size,
-            pack_threads: h.pack_threads,
         }
     }
 
@@ -149,23 +146,21 @@ impl Knobs {
         h.two_phase_pipeline = self.pipelined;
         h.pipeline_depth = self.depth;
         h.cb_buffer_size = self.cb;
-        h.pack_threads = self.pack_threads;
         h
     }
 
     /// Compact rendering for decision logs and convergence tables,
-    /// e.g. `listless/pipe=on x4/cb=524288/pt=1`.
+    /// e.g. `listless/pipe=on x4/cb=524288`.
     pub fn summary(&self) -> String {
         format!(
-            "{}/pipe={} x{}/cb={}/pt={}",
+            "{}/pipe={} x{}/cb={}",
             match self.engine {
                 Engine::ListBased => "list_based",
                 Engine::Listless => "listless",
             },
             if self.pipelined { "on" } else { "off" },
             self.depth,
-            self.cb,
-            self.pack_threads
+            self.cb
         )
     }
 }
@@ -178,7 +173,6 @@ enum Knob {
     Pipeline = 2,
     Depth = 3,
     Cb = 4,
-    Pack = 5,
 }
 
 /// The classified signal an op's aggregate emits.
@@ -187,7 +181,6 @@ enum SignalKind {
     Balanced,
     IoBound,
     ExchangeBound,
-    PackBound,
     CbMismatch {
         up: bool,
     },
@@ -217,12 +210,6 @@ impl SignalKind {
                 "exchange-bound ({:.0}% of phase time)",
                 agg.exch as f64 / total * 100.0
             ),
-            SignalKind::PackBound => {
-                format!(
-                    "pack-bound ({:.0}% of phase time)",
-                    agg.pack as f64 / total * 100.0
-                )
-            }
             SignalKind::CbMismatch { up } => format!(
                 "cb {} vs target {} for span {} ({})",
                 "mismatch",
@@ -300,10 +287,9 @@ pub struct TunerState {
     base: Hints,
     knobs: Knobs,
     initial: Knobs,
-    /// Env-pinned values: the tuner never fights an explicit
-    /// `LIO_PIPELINE` / `LIO_PACK_THREADS` override.
+    /// Env-pinned value: the tuner never fights an explicit
+    /// `LIO_PIPELINE` override.
     frozen_pipeline: Option<bool>,
-    frozen_pack: Option<usize>,
     /// Lowest op index whose decision has not been taken yet. Op 0 runs
     /// the initial knobs; the decision applying to op n consumes op
     /// n−1's aggregate.
@@ -346,18 +332,11 @@ impl TunerState {
         if let Some(v) = frozen_pipeline {
             knobs.pipelined = v;
         }
-        let frozen_pack = std::env::var("LIO_PACK_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok());
-        if let Some(v) = frozen_pack {
-            knobs.pack_threads = v;
-        }
         TunerState {
             base: *base,
             knobs,
             initial: knobs,
             frozen_pipeline,
-            frozen_pack,
             next_decision: 1,
             ops_seen: 0,
             pending: BTreeMap::new(),
@@ -592,9 +571,6 @@ impl TunerState {
                     if let Some(v) = self.frozen_pipeline {
                         k.pipelined = v;
                     }
-                    if let Some(v) = self.frozen_pack {
-                        k.pack_threads = v;
-                    }
                     if k != self.knobs {
                         let desc = format!("{} -> {}", self.knobs.summary(), k.summary());
                         self.start_trial(
@@ -685,8 +661,6 @@ impl TunerState {
             SignalKind::IoBound
         } else if frac(agg.exch) >= 0.5 {
             SignalKind::ExchangeBound
-        } else if frac(agg.pack) >= 0.5 {
-            SignalKind::PackBound
         } else {
             SignalKind::Balanced
         }
@@ -813,27 +787,6 @@ impl TunerState {
                         format!("pipeline_depth {} -> {}", k.depth, k.depth * 2),
                         Knobs {
                             depth: (k.depth * 2).min(DEPTH_MAX_EXCH),
-                            ..k
-                        },
-                    ))
-                } else {
-                    None
-                }
-            }
-            SignalKind::PackBound => {
-                // pack_threads 0 is already "auto" (engine-sized pool)
-                if self.frozen_pack.is_none()
-                    && k.pack_threads >= 1
-                    && k.pack_threads < PACK_MAX
-                    && open(Knob::Pack, 1)
-                {
-                    let next = (k.pack_threads * 2).min(PACK_MAX);
-                    Some((
-                        Knob::Pack,
-                        1,
-                        format!("pack_threads {} -> {}", k.pack_threads, next),
-                        Knobs {
-                            pack_threads: next,
                             ..k
                         },
                     ))
@@ -988,14 +941,9 @@ mod tests {
     /// explicit env override (ci's `LIO_PIPELINE=1` corpus runs, etc.)
     /// legitimately freezes or flips knobs, so skip under one.
     fn env_pinned() -> bool {
-        [
-            "LIO_PIPELINE",
-            "LIO_PACK_THREADS",
-            "LIO_PROFILE",
-            "LIO_AUTOTUNE",
-        ]
-        .iter()
-        .any(|v| std::env::var(v).is_ok())
+        ["LIO_PIPELINE", "LIO_PROFILE", "LIO_AUTOTUNE"]
+            .iter()
+            .any(|v| std::env::var(v).is_ok())
     }
 
     fn io_bound(span: u64) -> OpOutcome {

@@ -151,16 +151,6 @@ pub struct Hints {
     /// flight per IOP (and how far each AP may run ahead of the IOP's
     /// placement, enforced by credits). 2 = classic double buffering.
     pub pipeline_depth: usize,
-    /// Worker threads for sharded datatype pack/unpack (listless engine):
-    /// large copies are split at data-byte positions computed with the
-    /// paper's `O(depth)` seek and copied by `std::thread::scope` workers
-    /// into disjoint buffer slices. `1` (the default) keeps the copy
-    /// single-threaded; `0` means auto (one worker per available core,
-    /// capped at 8); `n > 1` uses up to `n` workers. Copies below a byte
-    /// threshold stay single-threaded regardless. The `LIO_PACK_THREADS`
-    /// environment variable overrides this hint (see
-    /// [`Hints::effective_pack_threads`]).
-    pub pack_threads: usize,
     /// Pack-kernel family for the compiled run-program interpreter:
     /// `Some(mode)` forces the process-global kernel mode at open time
     /// (`auto` picks the best family the CPU supports per frame; `scalar`
@@ -216,7 +206,6 @@ impl Hints {
             detect_dense_writes: true,
             two_phase_pipeline: false,
             pipeline_depth: 2,
-            pack_threads: 1,
             pack_kernel: None,
             obs: None,
             trace: None,
@@ -349,13 +338,6 @@ impl Hints {
         self
     }
 
-    /// Set the sharded pack/unpack worker count (builder style;
-    /// `0` = auto, `1` = single-threaded).
-    pub fn pack_threads(mut self, threads: usize) -> Hints {
-        self.pack_threads = threads;
-        self
-    }
-
     /// Force the pack-kernel family at open time (builder style). The
     /// default (`None`) defers to the process-global mode and the
     /// `LIO_PACK_KERNEL` environment variable.
@@ -374,25 +356,6 @@ impl Hints {
         match std::env::var("LIO_PACK_KERNEL") {
             Ok(v) => PackKernel::parse(&v).or(self.pack_kernel),
             Err(_) => self.pack_kernel,
-        }
-    }
-
-    /// The worker-thread budget for sharded pack/unpack, honoring the
-    /// `LIO_PACK_THREADS` environment override (a thread count; `0` for
-    /// auto; anything unparseable defers to the `pack_threads` hint).
-    /// Auto resolves to the number of available cores, capped at 8.
-    pub fn effective_pack_threads(&self) -> usize {
-        let requested = match std::env::var("LIO_PACK_THREADS") {
-            Ok(v) => v.trim().parse::<usize>().unwrap_or(self.pack_threads),
-            Err(_) => self.pack_threads,
-        };
-        if requested == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            requested
         }
     }
 
@@ -483,17 +446,18 @@ impl Hints {
     /// Recognized keys: `engine` (`list_based`/`listless`),
     /// `ind_rd_buffer_size`, `ind_wr_buffer_size` (both map to the single
     /// independent buffer knob; the larger wins), `cb_buffer_size`,
-    /// `cb_nodes`, `romio_ds_write` (`enable`/`disable`/`automatic` →
+    /// `cb_nodes`, `romio_ds_write` / `romio_ds_read` (both map to the
+    /// single sieving knob: `enable`/`disable`/`automatic` →
     /// sieve/direct/auto), `detect_dense_writes` (`true`/`false`),
     /// `two_phase_pipeline` (`enable`/`disable`), `pipeline_depth`
-    /// (windows in flight, ≥ 1), `pack_threads` (sharded pack/unpack
-    /// workers; 0 = auto), `pack_kernel` (`auto`/`scalar`/`fixed`/
+    /// (windows in flight, ≥ 1), `pack_kernel` (`auto`/`scalar`/`fixed`/
     /// `sse2`/`avx2` — pack-kernel family for compiled run programs),
     /// `backend` (`mem`/`throttled`/`os` — storage substrate for
-    /// backend-aware opens), `lio_obs` (`enable`/`disable` — force
-    /// metrics recording at open), `lio_trace` (`enable`/`disable` —
-    /// force event tracing at open), `lio_health` (`enable`/`disable`
-    /// — force the runtime health layer at open).
+    /// backend-aware opens), and the `enable`/`disable` switches forced
+    /// at open: `lio_obs` (metrics recording), `lio_trace` (event
+    /// tracing), `lio_profile` (access-pattern profiling), `lio_health`
+    /// (the runtime health layer), `lio_autotune` (the online knob
+    /// tuner).
     ///
     /// ```
     /// use lio_core::{Engine, Hints, SievingMode};
@@ -566,11 +530,6 @@ impl Hints {
                         .parse::<usize>()
                         .map_err(|_| HintError::new(k, v, "expected a window count"))?
                         .max(1);
-                }
-                "pack_threads" => {
-                    self.pack_threads = v
-                        .parse::<usize>()
-                        .map_err(|_| HintError::new(k, v, "expected a thread count (0 = auto)"))?;
                 }
                 "pack_kernel" => {
                     self.pack_kernel = Some(PackKernel::parse(v).ok_or_else(|| {
@@ -675,7 +634,6 @@ impl Hints {
                 "pipeline_depth".to_string(),
                 self.pipeline_depth.to_string(),
             ),
-            ("pack_threads".to_string(), self.pack_threads.to_string()),
             ("backend".to_string(), self.backend.name().to_string()),
         ];
         if let Some(mode) = self.pack_kernel {
@@ -765,28 +723,6 @@ mod info_tests {
         assert!(Hints::default()
             .apply_info([("pipeline_depth", "deep")])
             .is_err());
-    }
-
-    #[test]
-    fn pack_threads_info_key() {
-        let h = Hints::default()
-            .apply_info([("pack_threads", "4")])
-            .unwrap();
-        assert_eq!(h.pack_threads, 4);
-        let h = Hints::default()
-            .apply_info([("pack_threads", "0")])
-            .unwrap();
-        assert_eq!(h.pack_threads, 0);
-        assert!(Hints::default()
-            .apply_info([("pack_threads", "many")])
-            .is_err());
-        // round-trips through to_info
-        let h = Hints::default().pack_threads(3);
-        let pairs = h.to_info();
-        let back = Hints::list_based()
-            .apply_info(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
-            .unwrap();
-        assert_eq!(back.pack_threads, 3);
     }
 
     #[test]
@@ -967,17 +903,6 @@ mod info_tests {
         assert_eq!(BackendKind::parse("memory"), Some(BackendKind::Mem));
         assert_eq!(BackendKind::parse("nvme"), None);
         assert_eq!(BackendKind::Os.name(), "os");
-    }
-
-    #[test]
-    fn pack_threads_auto_resolves_to_cores() {
-        if std::env::var("LIO_PACK_THREADS").is_ok() {
-            return; // the env override legitimately wins
-        }
-        assert_eq!(Hints::default().effective_pack_threads(), 1);
-        let auto = Hints::default().pack_threads(0).effective_pack_threads();
-        assert!((1..=8).contains(&auto));
-        assert_eq!(Hints::default().pack_threads(4).effective_pack_threads(), 4);
     }
 
     #[test]

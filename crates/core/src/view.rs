@@ -14,15 +14,13 @@
 //!   ol-list, searched **linearly from the start** on every navigation
 //!   (the `O(Nblock/2)`-per-access cost of Section 2.2).
 //! * `FfNav` — listless: flattening-on-the-fly navigation in
-//!   `O(depth · log k)` and lazily-seeked run iteration (Section 3).
+//!   `O(depth · log k)`, and window copies through the filetype's
+//!   compiled run program (Section 3).
 
 use std::sync::Arc;
 
 use lio_datatype::typemap::Run;
-use lio_datatype::{
-    bytes_below_tiled, ff_offset, strided_pack, strided_unpack, Datatype, FlatIter, OlList,
-    StridedSpec,
-};
+use lio_datatype::{bytes_below_tiled, ff_offset, Datatype, OlList};
 
 use crate::error::{IoError, Result};
 
@@ -169,7 +167,7 @@ impl ViewNav {
 
 /// Shared placement loop: copy `data` into the window along `runs`
 /// (absolute, monotone, starting at or after `win_start`).
-pub(crate) fn place_runs(
+fn place_runs(
     runs: impl Iterator<Item = Run>,
     data: &[u8],
     filebuf: &mut [u8],
@@ -211,7 +209,7 @@ pub(crate) fn place_runs(
 }
 
 /// Shared extraction loop: copy window bytes into `out` along `runs`.
-pub(crate) fn extract_runs(
+fn extract_runs(
     runs: impl Iterator<Item = Run>,
     filebuf: &[u8],
     win_start: u64,
@@ -359,20 +357,19 @@ impl Iterator for ListRuns<'_> {
 // ---------------------------------------------------------------------
 
 /// Listless navigator: no materialized representation beyond the
-/// `O(1)`-size canonical strided form (when the filetype reduces to one).
+/// filetype's compiled run program, cached on the datatype.
 pub(crate) struct FfNav {
     pub view: FileView,
-    /// The flattening-on-the-fly copy batch descriptor, if applicable.
-    strided: Option<StridedSpec>,
 }
 
 impl FfNav {
     pub fn new(view: FileView) -> FfNav {
-        let strided = view.filetype.as_strided();
-        FfNav { view, strided }
+        FfNav { view }
     }
 
-    /// Place stream data into a window (strided fast path when possible).
+    /// Place stream data into a window: the filetype's program unpacks
+    /// into `filebuf`, whose byte 0 sits at typemap displacement
+    /// `win_start − disp`, and stops where the window or the data ends.
     pub fn place_window(
         &self,
         data: &[u8],
@@ -380,36 +377,18 @@ impl FfNav {
         filebuf: &mut [u8],
         win_start: u64,
     ) -> usize {
-        if let Some(spec) = &self.strided {
-            let buf_disp = win_start as i64 - self.view.disp as i64;
-            let (n, _) = strided_unpack(
-                spec,
-                self.view.filetype.extent(),
-                filebuf,
-                buf_disp,
-                u64::MAX,
-                stream0,
-                data,
-            );
-            // the fast path never materializes runs, so account for the
-            // regular pattern as a batch (a dense spec is one big run)
-            if spec.stride.unsigned_abs() == spec.block {
-                lio_obs::profile::record_run(n as u64, 0, true);
-            } else {
-                lio_obs::profile::record_strided(
-                    spec.block,
-                    spec.stride.unsigned_abs(),
-                    (n as u64).div_ceil(spec.block.max(1)),
-                );
-            }
-            return n;
-        }
-        let needed = stream0 + data.len() as u64;
-        let runs = self.runs_from(stream0, needed);
-        place_runs(runs, data, filebuf, win_start)
+        let buf_disp = win_start as i64 - self.view.disp as i64;
+        let (n, runs) =
+            self.view
+                .filetype
+                .program()
+                .unpack_into(data, filebuf, buf_disp, u64::MAX, stream0);
+        self.profile_runs(n, runs);
+        n
     }
 
-    /// Extract window bytes into `out` (strided fast path when possible).
+    /// Extract window bytes into `out` (the inverse of
+    /// [`FfNav::place_window`]).
     pub fn extract_window(
         &self,
         filebuf: &[u8],
@@ -417,31 +396,33 @@ impl FfNav {
         stream0: u64,
         out: &mut [u8],
     ) -> usize {
-        if let Some(spec) = &self.strided {
-            let buf_disp = win_start as i64 - self.view.disp as i64;
-            let (n, _) = strided_pack(
-                spec,
-                self.view.filetype.extent(),
-                filebuf,
-                buf_disp,
-                u64::MAX,
-                stream0,
-                out,
-            );
-            if spec.stride.unsigned_abs() == spec.block {
-                lio_obs::profile::record_run(n as u64, 0, true);
-            } else {
-                lio_obs::profile::record_strided(
-                    spec.block,
-                    spec.stride.unsigned_abs(),
-                    (n as u64).div_ceil(spec.block.max(1)),
-                );
-            }
-            return n;
+        let buf_disp = win_start as i64 - self.view.disp as i64;
+        let (n, runs) =
+            self.view
+                .filetype
+                .program()
+                .pack_into(filebuf, buf_disp, u64::MAX, stream0, out);
+        self.profile_runs(n, runs);
+        n
+    }
+
+    /// Feed the access-pattern profiler from what the program reports.
+    /// It never materializes runs, so they are accounted for as a batch:
+    /// one run for a contiguous view, whatever its instance size;
+    /// otherwise `runs` runs of the mean length, spaced by the filetype's
+    /// density (exact for a filetype that is one strided frame).
+    fn profile_runs(&self, bytes: usize, runs: u64) {
+        if !lio_obs::profile::enabled() || runs == 0 {
+            return;
         }
-        let needed = stream0 + out.len() as u64;
-        let runs = self.runs_from(stream0, needed);
-        extract_runs(runs, filebuf, win_start, out)
+        if self.view.is_contiguous() {
+            lio_obs::profile::record_run(bytes as u64, 0, true);
+            return;
+        }
+        let ft = &self.view.filetype;
+        let block = (bytes as u64).div_ceil(runs);
+        let stride = (block as u128 * ft.extent() as u128 / ft.size() as u128) as u64;
+        lio_obs::profile::record_strided(block, stride, runs);
     }
 
     pub fn stream_to_abs(&self, stream: u64) -> u64 {
@@ -453,35 +434,6 @@ impl FfNav {
             return 0;
         }
         bytes_below_tiled(&self.view.filetype, (abs - self.view.disp) as i64)
-    }
-
-    /// Iterator over absolute-offset runs from stream position `stream0`,
-    /// valid until stream position `stream_hi`. Construction costs
-    /// `O(depth)`.
-    pub fn runs_from(&self, stream0: u64, stream_hi: u64) -> FfRuns<'_> {
-        let fsize = self.view.filetype.size();
-        let count = stream_hi / fsize + 2;
-        FfRuns {
-            disp: self.view.disp,
-            iter: FlatIter::with_skip(&self.view.filetype, count, stream0),
-        }
-    }
-}
-
-/// Absolute-run iterator driven by flattening-on-the-fly.
-pub(crate) struct FfRuns<'a> {
-    disp: u64,
-    iter: FlatIter<'a>,
-}
-
-impl Iterator for FfRuns<'_> {
-    type Item = Run;
-
-    fn next(&mut self) -> Option<Run> {
-        self.iter.next_run().map(|r| Run {
-            disp: r.disp + self.disp as i64,
-            len: r.len,
-        })
     }
 }
 
@@ -553,14 +505,73 @@ mod tests {
         assert_eq!(ln.stream_to_abs(24), 140); // next instance
     }
 
+    /// A filetype that is not one strided frame — ragged blocks, then a
+    /// vector of two-element blocks, then a trailing gap — walked window
+    /// by window the way the engines do: both navigators must place and
+    /// extract exactly what the typemap says.
     #[test]
-    fn runs_iterators_agree() {
-        let view = sample_view(64);
-        let (ln, fn_) = both_navs(view);
-        for stream0 in 0..48 {
-            let a: Vec<Run> = ln.runs_from(stream0).take(8).collect();
-            let b: Vec<Run> = fn_.runs_from(stream0, stream0 + 200).take(8).collect();
-            assert_eq!(a, b, "stream0 {stream0}");
+    fn non_strided_view_window_walk_matches_typemap() {
+        use lio_datatype::typemap::expand;
+        use lio_datatype::Field;
+        let ragged = Datatype::hindexed(&[3, 5, 1], &[2, 9, 20], &Datatype::byte()).unwrap();
+        let vv = Datatype::vector(3, 2, 4, &Datatype::basic(2)).unwrap();
+        let fields = vec![
+            Field {
+                disp: 0,
+                count: 1,
+                child: ragged,
+            },
+            Field {
+                disp: 32,
+                count: 1,
+                child: vv,
+            },
+        ];
+        let ft = Datatype::resized(&Datatype::struct_type(fields).unwrap(), 0, 60).unwrap();
+        assert!(ft.program().frames() > 1, "{}", ft.program().describe());
+        const NINST: u64 = 3;
+        let total = (ft.size() * NINST) as usize;
+        let data: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
+        for disp in [0u64, 13] {
+            let view = FileView::new(disp, Datatype::byte(), ft.clone()).unwrap();
+            let file_len = (disp + ft.extent() * NINST) as usize;
+            let mut image = vec![0u8; file_len];
+            let mut s = 0;
+            for r in expand(&ft, NINST) {
+                let (o, n) = (disp as usize + r.disp as usize, r.len as usize);
+                image[o..o + n].copy_from_slice(&data[s..s + n]);
+                s += n;
+            }
+            for nav in [
+                ViewNav::List(ListNav::new(view.clone())),
+                ViewNav::Ff(FfNav::new(view.clone())),
+            ] {
+                // 1 and 2 are shorter than most blocks; 7 and 19 start in
+                // gaps, before `disp` and mid-block, and cut blocks; 64
+                // spans more than an instance
+                for w in [1usize, 2, 7, 19, 64] {
+                    let mut file = vec![0u8; file_len];
+                    let mut out = vec![0u8; total];
+                    for lo in (0..file_len).step_by(w) {
+                        let hi = (lo + w).min(file_len);
+                        let s0 = nav.abs_to_stream(lo as u64);
+                        let want = nav.bytes_in(lo as u64, hi as u64) as usize;
+                        let rest = s0 as usize;
+                        let placed =
+                            nav.place_into_window(&data[rest..], s0, &mut file[lo..hi], lo as u64);
+                        assert_eq!(placed, want, "place disp={disp} w={w} lo={lo}");
+                        let got = nav.extract_from_window(
+                            &image[lo..hi],
+                            lo as u64,
+                            s0,
+                            &mut out[rest..],
+                        );
+                        assert_eq!(got, want, "extract disp={disp} w={w} lo={lo}");
+                    }
+                    assert_eq!(file, image, "disp={disp} w={w}");
+                    assert_eq!(out, data, "disp={disp} w={w}");
+                }
+            }
         }
     }
 

@@ -115,6 +115,20 @@ fn first_malformed_pair_wins_and_unknown_keys_pass() {
     assert_eq!(err.key, "cb_nodes", "errors surface in pair order");
 }
 
+/// The listless copy is single-threaded and has no thread-count hint:
+/// such a key is an unknown key (ignored whatever the value, as
+/// `MPI_Info` requires) and is never serialized.
+#[test]
+fn removed_key_is_ignored_and_not_emitted() {
+    for v in ["4", "many"] {
+        let h = Hints::default().apply_info([("pack_threads", v)]).unwrap();
+        assert_eq!(h, Hints::default());
+    }
+    assert!(pairs(&Hints::default())
+        .iter()
+        .all(|(k, _)| k != "pack_threads"));
+}
+
 /// `LIO_PIPELINE` overrides the serialized hint in both directions.
 /// Kept in one test so the save/restore of the process-global variable
 /// cannot race a sibling (Rust runs tests in threads).

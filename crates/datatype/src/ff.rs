@@ -37,19 +37,6 @@ static OBS_UNPACK_BLOCKS: LazyCounter = LazyCounter::new("dt.unpack.blocks");
 static OBS_UNPACK_BYTES: LazyCounter = LazyCounter::new("dt.unpack.bytes");
 pub(crate) static OBS_RUN_LEN: LazyHistogram = LazyHistogram::new("dt.run.len");
 
-/// Sharded-copy metrics: workers spawned, the per-shard byte
-/// distribution, and copies that stayed single-threaded because they
-/// were below the spawn threshold (or not shardable).
-static OBS_SHARD_SHARDS: LazyCounter = LazyCounter::new("dt.pack.shard.shards");
-static OBS_SHARD_BYTES: LazyHistogram = LazyHistogram::new("dt.pack.shard.bytes");
-static OBS_SHARD_SKIPPED: LazyCounter = LazyCounter::new("dt.pack.shard.skipped");
-
-/// Don't spawn shard workers for copies below this size: thread start-up
-/// costs more than it hides.
-pub const SHARD_MIN_TOTAL: u64 = 1 << 20;
-/// Keep every shard at least this large; fewer workers otherwise.
-pub const SHARD_MIN_BYTES: u64 = 256 * 1024;
-
 /// Byte position, within the tiled layout of `d`, where the data byte with
 /// index `databytes` lives (0-based). `databytes` may be any multiple of or
 /// position within instances; `databytes == k · size` returns the first
@@ -297,42 +284,15 @@ pub fn ff_pack_at(
     skipbytes: u64,
     packbuf: &mut [u8],
 ) -> usize {
-    let (n, runs) = pack_span(src, buf_disp, count, d, skipbytes, packbuf);
+    let (n, runs) = d
+        .program()
+        .pack_into(src, buf_disp, count, skipbytes, packbuf);
     if lio_obs::enabled() {
         OBS_PACK_CALLS.incr();
         OBS_PACK_BLOCKS.add(runs);
         OBS_PACK_BYTES.add(n as u64);
     }
     n
-}
-
-/// One single-threaded pack pass: the strided fast path when the whole
-/// type reduces to one `{count, block, stride}` frame, the compiled run
-/// program otherwise. Returns `(bytes, runs)`; call-level counters are
-/// the callers' job (shard workers share one logical call).
-fn pack_span(
-    src: &[u8],
-    buf_disp: i64,
-    count: u64,
-    d: &Datatype,
-    skipbytes: u64,
-    packbuf: &mut [u8],
-) -> (usize, u64) {
-    // strided fast path: the program's `Blocks` frame without the
-    // interpreter around it
-    if let Some(spec) = d.as_strided() {
-        return crate::strided::strided_pack(
-            &spec,
-            d.extent(),
-            src,
-            buf_disp,
-            d.size() * count,
-            skipbytes,
-            packbuf,
-        );
-    }
-    d.program()
-        .pack_into(src, buf_disp, count, skipbytes, packbuf)
 }
 
 /// Unpack contiguous data from `packbuf` into the typed buffer `dst`,
@@ -359,244 +319,15 @@ pub fn ff_unpack_at(
     d: &Datatype,
     skipbytes: u64,
 ) -> usize {
-    let (n, runs) = unpack_span(packbuf, dst, buf_disp, count, d, skipbytes);
+    let (n, runs) = d
+        .program()
+        .unpack_into(packbuf, dst, buf_disp, count, skipbytes);
     if lio_obs::enabled() {
         OBS_UNPACK_CALLS.incr();
         OBS_UNPACK_BLOCKS.add(runs);
         OBS_UNPACK_BYTES.add(n as u64);
     }
     n
-}
-
-/// One single-threaded unpack pass (see [`pack_span`]).
-fn unpack_span(
-    packbuf: &[u8],
-    dst: &mut [u8],
-    buf_disp: i64,
-    count: u64,
-    d: &Datatype,
-    skipbytes: u64,
-) -> (usize, u64) {
-    // strided fast path: the program's `Blocks` frame without the
-    // interpreter around it
-    if let Some(spec) = d.as_strided() {
-        return crate::strided::strided_unpack(
-            &spec,
-            d.extent(),
-            dst,
-            buf_disp,
-            d.size() * count,
-            skipbytes,
-            packbuf,
-        );
-    }
-    d.program()
-        .unpack_into(packbuf, dst, buf_disp, count, skipbytes)
-}
-
-// ---------------------------------------------------------------------
-// Sharded (multi-threaded) pack/unpack
-// ---------------------------------------------------------------------
-//
-// The paper's `O(depth)` seek is what makes the copy parallelizable:
-// any worker can enter the datatype at an arbitrary data-byte position
-// without scanning a list. We split the data-byte range `[skip,
-// skip+len)` evenly, hand each worker a disjoint slice of the pack
-// buffer (pack) or of the typed buffer (unpack, via `ff_offset` on the
-// shard boundaries — monotonicity makes the position ranges disjoint),
-// and run the compiled program in `std::thread::scope` workers with no
-// locks and no shared cache lines on the boundaries.
-
-/// Number of worker shards for a copy of `len` data bytes with up to
-/// `threads` workers; 1 below the spawn threshold.
-fn shard_count(len: u64, threads: usize) -> usize {
-    if threads <= 1 || len < SHARD_MIN_TOTAL {
-        return 1;
-    }
-    (threads as u64).min((len / SHARD_MIN_BYTES).max(1)) as usize
-}
-
-/// Like [`ff_pack`], but splitting the copy across up to `threads`
-/// worker threads when it is large enough to pay for the spawns
-/// (see [`SHARD_MIN_TOTAL`]) and the type is monotone. Falls back to
-/// the single-threaded path otherwise — results are byte-identical
-/// either way.
-pub fn ff_pack_sharded(
-    src: &[u8],
-    count: u64,
-    d: &Datatype,
-    skipbytes: u64,
-    packbuf: &mut [u8],
-    threads: usize,
-) -> usize {
-    let total = d.size().saturating_mul(count);
-    let len = (packbuf.len() as u64).min(total.saturating_sub(skipbytes));
-    let nsh = shard_count(len, threads);
-    if nsh <= 1 || !d.is_monotone() {
-        if threads > 1 {
-            OBS_SHARD_SKIPPED.incr();
-        }
-        return ff_pack(src, count, d, skipbytes, packbuf);
-    }
-    ff_pack_shards(src, count, d, skipbytes, packbuf, nsh)
-}
-
-/// Sharded pack with an explicit shard count, no threshold: the
-/// engine behind [`ff_pack_sharded`], exposed for differential tests
-/// and benchmarks. Shards may be zero-length when `len < nshards`;
-/// those spawn no worker.
-pub fn ff_pack_shards(
-    src: &[u8],
-    count: u64,
-    d: &Datatype,
-    skipbytes: u64,
-    packbuf: &mut [u8],
-    nshards: usize,
-) -> usize {
-    let total = d.size().saturating_mul(count);
-    let len = (packbuf.len() as u64).min(total.saturating_sub(skipbytes));
-    if len == 0 {
-        return 0;
-    }
-    let obs = lio_obs::enabled();
-    let nsh = nshards.max(1) as u64;
-    // compile once up front rather than racing the cache from workers
-    if d.as_strided().is_none() {
-        let _ = d.program();
-    }
-    let (copied, runs) = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nsh as usize);
-        let mut rest = &mut packbuf[..len as usize];
-        let mut done = 0u64;
-        for i in 0..nsh {
-            let hi = len * (i + 1) / nsh;
-            let take = (hi - done) as usize;
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(take);
-            rest = tail;
-            if take == 0 {
-                continue; // zero-length shard: nothing to copy
-            }
-            let shard_skip = skipbytes + done;
-            done = hi;
-            if obs {
-                OBS_SHARD_BYTES.record(take as u64);
-            }
-            let th = lio_obs::trace::thread_handle();
-            handles.push(scope.spawn(move || {
-                lio_obs::trace::adopt(th);
-                let _sp = lio_obs::trace::span_ab("dt.pack.shard", take as u64, 0);
-                pack_span(src, 0, count, d, shard_skip, chunk)
-            }));
-        }
-        if obs {
-            OBS_SHARD_SHARDS.add(handles.len() as u64);
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pack shard worker panicked"))
-            .fold((0usize, 0u64), |(b, r), (n, runs)| (b + n, r + runs))
-    });
-    debug_assert_eq!(copied as u64, len);
-    if obs {
-        OBS_PACK_CALLS.incr();
-        OBS_PACK_BLOCKS.add(runs);
-        OBS_PACK_BYTES.add(copied as u64);
-    }
-    copied
-}
-
-/// Like [`ff_unpack`], but splitting the copy across up to `threads`
-/// worker threads (same gating as [`ff_pack_sharded`]). Requires a
-/// monotone type to shard: the shard boundaries' typemap positions
-/// (found with [`ff_offset`] in `O(depth)`) are then strictly
-/// increasing, so the workers' destination slices are disjoint.
-pub fn ff_unpack_sharded(
-    packbuf: &[u8],
-    dst: &mut [u8],
-    count: u64,
-    d: &Datatype,
-    skipbytes: u64,
-    threads: usize,
-) -> usize {
-    let total = d.size().saturating_mul(count);
-    let len = (packbuf.len() as u64).min(total.saturating_sub(skipbytes));
-    let nsh = shard_count(len, threads);
-    if nsh <= 1 || !d.is_monotone() {
-        if threads > 1 {
-            OBS_SHARD_SKIPPED.incr();
-        }
-        return ff_unpack(packbuf, dst, count, d, skipbytes);
-    }
-    ff_unpack_shards(packbuf, dst, count, d, skipbytes, nsh)
-}
-
-/// Sharded unpack with an explicit shard count, no threshold (the
-/// engine behind [`ff_unpack_sharded`], exposed for differential tests
-/// and benchmarks). The type must be monotone, and `dst` must cover
-/// every touched position, as in [`ff_unpack`].
-pub fn ff_unpack_shards(
-    packbuf: &[u8],
-    dst: &mut [u8],
-    count: u64,
-    d: &Datatype,
-    skipbytes: u64,
-    nshards: usize,
-) -> usize {
-    let total = d.size().saturating_mul(count);
-    let len = (packbuf.len() as u64).min(total.saturating_sub(skipbytes));
-    if len == 0 {
-        return 0;
-    }
-    let obs = lio_obs::enabled();
-    let nsh = nshards.max(1) as u64;
-    if d.as_strided().is_none() {
-        let _ = d.program();
-    }
-    let (copied, runs) = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nsh as usize);
-        let mut rest = dst;
-        let mut cut = 0usize; // dst bytes already split off
-        let mut done = 0u64;
-        for i in 0..nsh {
-            let hi = len * (i + 1) / nsh;
-            if hi == done {
-                continue; // zero-length shard
-            }
-            let lo = done;
-            done = hi;
-            // positions of the shard's first and one-past-last data byte
-            let p_lo = ff_offset(d, skipbytes + lo) as usize;
-            let p_hi = (ff_offset(d, skipbytes + hi - 1) + 1) as usize;
-            let (_, r) = std::mem::take(&mut rest).split_at_mut(p_lo - cut);
-            let (chunk, tail) = r.split_at_mut(p_hi - p_lo);
-            rest = tail;
-            cut = p_hi;
-            let shard_pack = &packbuf[lo as usize..hi as usize];
-            if obs {
-                OBS_SHARD_BYTES.record(hi - lo);
-            }
-            let th = lio_obs::trace::thread_handle();
-            handles.push(scope.spawn(move || {
-                lio_obs::trace::adopt(th);
-                let _sp = lio_obs::trace::span_ab("dt.unpack.shard", hi - lo, 0);
-                unpack_span(shard_pack, chunk, p_lo as i64, count, d, skipbytes + lo)
-            }));
-        }
-        if obs {
-            OBS_SHARD_SHARDS.add(handles.len() as u64);
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("unpack shard worker panicked"))
-            .fold((0usize, 0u64), |(b, r), (n, runs)| (b + n, r + runs))
-    });
-    debug_assert_eq!(copied as u64, len);
-    if obs {
-        OBS_UNPACK_CALLS.incr();
-        OBS_UNPACK_BLOCKS.add(runs);
-        OBS_UNPACK_BYTES.add(copied as u64);
-    }
-    copied
 }
 
 #[cfg(test)]

@@ -10,11 +10,13 @@
 //! * [`OlList`] — **explicit flattening** into `⟨offset, length⟩` lists,
 //!   the list-based baseline the paper attributes to ROMIO, complete with
 //!   its `O(Nblock)` costs in time and memory and its linear-traversal
-//!   navigation;
-//! * [`FlatIter`], [`ff_pack`], [`ff_unpack`], [`ff_size`], [`ff_extent`]
-//!   — **flattening-on-the-fly**, the paper's listless alternative:
+//!   navigation; [`FlatIter`], the per-run tree walk, is the walker under
+//!   [`OlList::flatten`] and the tests' reference oracle, nothing else;
+//! * [`ff_pack`], [`ff_unpack`], [`ff_size`], [`ff_extent`] —
+//!   **flattening-on-the-fly**, the paper's listless alternative:
 //!   `O(depth)` seek, `O(depth · log k)` navigation, and pack/unpack whose
-//!   cost is proportional only to the bytes moved;
+//!   cost is proportional only to the bytes moved. Every listless copy
+//!   runs the type's compiled [`RunProgram`] ([`Datatype::program`]);
 //! * [`serialize`] — the compact tree encoding exchanged once per fileview
 //!   by the fileview-caching optimization.
 //!
@@ -57,13 +59,11 @@ pub mod types;
 
 pub use darray::{darray, Distrib};
 pub use ff::{
-    bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_pack_sharded, ff_pack_shards,
-    ff_size, ff_unpack, ff_unpack_at, ff_unpack_sharded, ff_unpack_shards, SHARD_MIN_BYTES,
-    SHARD_MIN_TOTAL,
+    bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_unpack, ff_unpack_at,
 };
 pub use flatten::{OlList, OlPos, OlSeg};
 pub use iter::FlatIter;
 pub use program::RunProgram;
-pub use strided::{strided_pack, strided_unpack, StridedSpec};
+pub use strided::StridedSpec;
 pub use typemap::Run;
 pub use types::{Datatype, Field, HBlock, Order, TypeError, TypeKind};

@@ -1,13 +1,15 @@
 //! Compiled datatype run programs.
 //!
-//! The generic pack/unpack path walks the [`Datatype`] tree per run via
-//! [`crate::FlatIter`]: every emitted run pays a frame-stack descent and
-//! per-node dispatch. That interpreter overhead is exactly why derived-
-//! datatype copies miss memcpy speed on small blocks. This module
-//! *compiles* the tree once into a compact run program — normalized
-//! nested loop descriptors (`{count, block, stride}` frames) plus literal
-//! run tails for irregular shapes — and interprets that program with
-//! tight block-copy loops and no per-run tree re-descent.
+//! Every listless copy — [`crate::ff_pack`]/[`crate::ff_unpack`] and the
+//! fileview window placement of `lio-core` — runs one of these programs.
+//! Walking the [`Datatype`] tree per run (what [`crate::FlatIter`] does
+//! for the list-based engine's explicit flattening) pays a frame-stack
+//! descent and per-node dispatch for every emitted run, which is exactly
+//! why derived-datatype copies miss memcpy speed on small blocks. This
+//! module *compiles* the tree once into a compact run program —
+//! normalized nested loop descriptors (`{count, block, stride}` frames)
+//! plus literal run tails for irregular shapes — and interprets that
+//! program with tight block-copy loops and no per-run tree re-descent.
 //!
 //! Normalization happens at compile time, in two stages:
 //!
@@ -35,7 +37,7 @@
 //! After normalization every `Blocks` frame records its kernel selection
 //! ([`crate::kernels::Sel`]): block-size class, alignment class, and the
 //! fixed-width/SIMD copy kernel that `auto` mode resolves to. The frame
-//! itself is copied by the executor the depth-1 strided path uses
+//! itself is copied by the frame executor
 //! ([`StridedSpec::copy_instance`]): one direct gather/scatter call per
 //! run of whole blocks, no per-block dispatch or division (see
 //! [`crate::kernels`]).

@@ -16,16 +16,15 @@
 //! practice (vectors, subarray rows, the Figure 4 struct) reduce to it.
 //!
 //! [`StridedSpec::copy_instance`] is the one loop that copies such a
-//! frame, shared by [`strided_pack`]/[`strided_unpack`] (a whole type that
-//! is one frame, and the window placement of `lio-core`) and by every
-//! `Blocks` frame of a compiled run program ([`crate::program`]). Where
-//! its divisions live: one on entry, to turn the data offset into (block
+//! frame. Its only caller is the compiled run program
+//! ([`crate::program`]), whose `Blocks` frames are exactly these specs: a
+//! whole type that reduces to one ([`Datatype::as_strided`], the
+//! compile-time fold) is a program with a single root frame. Where its
+//! divisions live: one on entry, to turn the data offset into (block
 //! index, offset within the block); one per run of whole blocks, only
 //! when the caller's window cuts the run short; none per block.
-//! [`strided_pack`]/[`strided_unpack`] add two per call to find the first
-//! instance.
 
-use crate::kernels::{self, Kind, Sel};
+use crate::kernels::{self, Kind};
 use crate::types::{Datatype, TypeKind};
 
 /// A datatype instance as evenly spaced dense blocks.
@@ -330,81 +329,6 @@ impl StridedSpec {
     }
 }
 
-/// Tile [`StridedSpec::copy_instance`] over instances `extent` bytes
-/// apart: the layout byte at position `p` lives at window position
-/// `p - buf_disp`, the copy starts at data offset `skip` and moves at most
-/// `limit_bytes - skip` bytes. The two divisions here are the only ones
-/// per call; the executor adds at most one per instance.
-fn strided_copy<X: Xfer>(
-    spec: &StridedSpec,
-    extent: u64,
-    x: &mut X,
-    buf_disp: i64,
-    limit_bytes: u64,
-    skip: u64,
-) -> (usize, u64) {
-    let size = spec.size();
-    let todo = (x.lens().1 as u64).min(limit_bytes.saturating_sub(skip)) as usize;
-    if todo == 0 || size == 0 {
-        return (0, 0);
-    }
-    let kind = kernels::resolve(Sel::select(spec.block, spec.stride), kernels::mode());
-    let obs = lio_obs::enabled();
-    let mut s = skip % size;
-    let mut origin = (skip / size) as i64 * extent as i64 - buf_disp;
-    let (mut out, mut runs) = (0usize, 0u64);
-    while out < todo {
-        let want = (size - s).min((todo - out) as u64) as usize;
-        let (n, r) = spec.copy_instance(x, kind, origin, s, out, want, obs);
-        out += n;
-        runs += r;
-        if n < want {
-            break; // window ended
-        }
-        s = 0;
-        origin += extent as i64;
-    }
-    (out, runs)
-}
-
-/// Pack via the strided fast path: copy `packbuf.len().min(available)`
-/// bytes of the tiled layout of `spec` (instance extent `extent`)
-/// starting at data offset `skip`, reading the byte at layout position
-/// `p` from `src[(p - buf_disp)]`. Returns `(bytes, runs)` copied; the
-/// copy stops early where `src` (a window of the layout) ends.
-pub fn strided_pack(
-    spec: &StridedSpec,
-    extent: u64,
-    src: &[u8],
-    buf_disp: i64,
-    limit_bytes: u64,
-    skip: u64,
-    packbuf: &mut [u8],
-) -> (usize, u64) {
-    let mut x = Gather {
-        typed: src,
-        contig: packbuf,
-    };
-    strided_copy(spec, extent, &mut x, buf_disp, limit_bytes, skip)
-}
-
-/// Unpack via the strided fast path (inverse of [`strided_pack`]).
-pub fn strided_unpack(
-    spec: &StridedSpec,
-    extent: u64,
-    dst: &mut [u8],
-    buf_disp: i64,
-    limit_bytes: u64,
-    skip: u64,
-    packbuf: &[u8],
-) -> (usize, u64) {
-    let mut x = Scatter {
-        contig: packbuf,
-        typed: dst,
-    };
-    strided_copy(spec, extent, &mut x, buf_disp, limit_bytes, skip)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,24 +541,24 @@ mod tests {
 
     #[test]
     fn strided_pack_roundtrip() {
+        use crate::ff::{ff_pack_at, ff_unpack_at};
+        use crate::typemap::reference_pack;
         let d = Datatype::vector(8, 1, 2, &Datatype::basic(4)).unwrap();
-        let spec = d.as_strided().unwrap();
-        let ext = d.extent();
+        assert!(d.as_strided().is_some());
         let src: Vec<u8> = (0..128).collect();
+        let full = reference_pack(&src, &d, 2);
         for skip in [0u64, 1, 4, 17, 31] {
             let limit = d.size() * 2;
-            let mut fast = vec![0u8; (limit - skip) as usize];
-            let (n, _) = strided_pack(&spec, ext, &src, 0, limit, skip, &mut fast);
+            let mut packed = vec![0u8; (limit - skip) as usize];
+            let n = ff_pack_at(&src, 0, 2, &d, skip, &mut packed);
             assert_eq!(n as u64, limit - skip);
-            let mut slow = vec![0u8; (limit - skip) as usize];
-            let m = crate::ff::ff_pack(&src, 2, &d, skip, &mut slow);
-            assert_eq!(m, n);
-            assert_eq!(fast, slow, "skip {skip}");
+            assert_eq!(packed, &full[skip as usize..], "skip {skip}");
 
             // unpack back
             let mut dst = vec![0u8; 128];
-            let (k, _) = strided_unpack(&spec, ext, &mut dst, 0, limit, skip, &fast);
+            let k = ff_unpack_at(&packed, &mut dst, 0, 2, &d, skip);
             assert_eq!(k, n);
+            assert_eq!(&reference_pack(&dst, &d, 2)[skip as usize..], &packed[..]);
         }
     }
 }

@@ -1,7 +1,7 @@
-//! Differential corpus for the compiled run programs and the sharded
-//! pack/unpack: for random monotone datatype trees × random skips ×
-//! shard counts {1, 2, 3, 8}, the compiled program, the naive tree
-//! walk, and the sharded copy must produce byte-identical streams.
+//! Differential corpus for the compiled run programs: for random
+//! monotone datatype trees × random skips, the compiled program (under
+//! every forced kernel family) and the naive tree walk must produce
+//! byte-identical streams.
 //!
 //! Seeding follows the fault-corpus convention from `lio-testkit`:
 //! `LIO_FAULT_SEED` replays one seed exactly, otherwise the fixed
@@ -9,13 +9,9 @@
 //! command so a CI failure is reproducible from the log alone.
 
 use lio_datatype::kernels::{self, Mode};
-use lio_datatype::{
-    ff_offset, ff_pack, ff_pack_shards, ff_unpack, ff_unpack_shards, Datatype, Field, FlatIter,
-    RunProgram,
-};
+use lio_datatype::{ff_pack, Datatype, Field, FlatIter, RunProgram};
 use lio_testkit::{corpus_seeds, Rng};
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 const CASES_PER_SEED: u64 = 48;
 
 fn replay(seed: u64, case: u64) -> String {
@@ -25,7 +21,7 @@ fn replay(seed: u64, case: u64) -> String {
 }
 
 /// A random monotone datatype with non-negative data displacements —
-/// the shape sharding supports. Rejection-samples from a generator
+/// the shape fileviews and memtypes have. Rejection-samples from a generator
 /// biased toward nesting (the case the compiled program exists for).
 fn arb_monotone(rng: &mut Rng, depth: u32) -> Datatype {
     loop {
@@ -114,9 +110,9 @@ fn span_of(d: &Datatype, count: u64) -> usize {
     ((count as i64 - 1) * d.extent() as i64 + d.data_ub()).max(0) as usize
 }
 
-/// compiled ≡ tree walk ≡ sharded, byte-for-byte, on the pack side.
+/// compiled ≡ tree walk, byte-for-byte, on the pack side.
 #[test]
-fn pack_compiled_treewalk_sharded_agree() {
+fn pack_compiled_treewalk_agree() {
     for seed in corpus_seeds() {
         for case in 0..CASES_PER_SEED {
             let mut rng = Rng::new(seed.rotate_left(17) ^ (case.wrapping_mul(0xD1B5)));
@@ -136,8 +132,7 @@ fn pack_compiled_treewalk_sharded_agree() {
             let n = treewalk_pack(&src, count, &d, skip, &mut walk);
             assert_eq!(n, want_len, "tree walk short; {}", replay(seed, case));
 
-            // compiled program, invoked directly so even strided-
-            // reducible types exercise the program interpreter
+            // compiled program, invoked directly
             let mut prog = vec![0u8; want_len];
             let (n, _) = d.program().pack_into(&src, 0, count, skip, &mut prog);
             assert_eq!(n, want_len, "compiled short; {}", replay(seed, case));
@@ -148,7 +143,7 @@ fn pack_compiled_treewalk_sharded_agree() {
                 replay(seed, case)
             );
 
-            // the public entry (strided fast path or program)
+            // the public entry
             let mut public = vec![0u8; want_len];
             ff_pack(&src, count, &d, skip, &mut public);
             assert_eq!(
@@ -157,62 +152,6 @@ fn pack_compiled_treewalk_sharded_agree() {
                 "ff_pack ≠ tree walk for {d:?} skip {skip}; {}",
                 replay(seed, case)
             );
-
-            // sharded, every shard count
-            for &nsh in &SHARD_COUNTS {
-                let mut sharded = vec![0u8; want_len];
-                let n = ff_pack_shards(&src, count, &d, skip, &mut sharded, nsh);
-                assert_eq!(n, want_len, "sharded short; {}", replay(seed, case));
-                assert_eq!(
-                    sharded,
-                    walk,
-                    "{nsh}-shard pack ≠ tree walk for {d:?} skip {skip}; {}",
-                    replay(seed, case)
-                );
-            }
-        }
-    }
-}
-
-/// sharded unpack ≡ single-threaded unpack, byte-for-byte, for every
-/// shard count — including the positions the type never touches.
-#[test]
-fn unpack_sharded_agrees_with_single() {
-    for seed in corpus_seeds() {
-        for case in 0..CASES_PER_SEED {
-            let mut rng = Rng::new(seed.rotate_left(29) ^ (case.wrapping_mul(0xB5D1)));
-            let d = arb_monotone(&mut rng, 1 + (case % 3) as u32);
-            let count = 1 + rng.below(3);
-            let total = d.size() * count;
-            let span = span_of(&d, count);
-            if span == 0 || span >= 1 << 22 {
-                continue;
-            }
-            let skip = rng.below(total + 1);
-            let stream: Vec<u8> = (0..(total - skip) as usize)
-                .map(|i| (i % 239) as u8)
-                .collect();
-
-            let mut single = vec![0xAAu8; span];
-            let n = ff_unpack(&stream, &mut single, count, &d, skip);
-            assert_eq!(
-                n,
-                stream.len(),
-                "single unpack short; {}",
-                replay(seed, case)
-            );
-
-            for &nsh in &SHARD_COUNTS {
-                let mut sharded = vec![0xAAu8; span];
-                let n = ff_unpack_shards(&stream, &mut sharded, count, &d, skip, nsh);
-                assert_eq!(n, stream.len(), "sharded short; {}", replay(seed, case));
-                assert_eq!(
-                    sharded,
-                    single,
-                    "{nsh}-shard unpack ≠ single for {d:?} skip {skip}; {}",
-                    replay(seed, case)
-                );
-            }
         }
     }
 }
@@ -414,78 +353,4 @@ fn normalization_pinned_shapes() {
     let p = RunProgram::compile(&v);
     assert_eq!(p.describe(), "B(0,64,64,1)");
     assert_eq!(p.rewrites(), 0, "dense vector is canonical at compile");
-}
-
-/// Shard-boundary edge cases, pinned explicitly rather than left to the
-/// random corpus: a skip landing exactly on an instance boundary, shard
-/// boundaries landing inside a block, and zero-length shards when the
-/// copy is smaller than the shard count.
-#[test]
-fn shard_boundary_edge_cases() {
-    // 4 blocks of 6 bytes, stride 10 → size 24, extent 36
-    let d = Datatype::vector(4, 6, 10, &Datatype::byte()).unwrap();
-    let count = 5u64;
-    let span = span_of(&d, count);
-    let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
-    let total = d.size() * count;
-
-    // skip exactly on an instance boundary: shard 0 starts at instance 2
-    let skip = 2 * d.size();
-    let mut want = vec![0u8; (total - skip) as usize];
-    ff_pack(&src, count, &d, skip, &mut want);
-    for nsh in [2usize, 3, 8] {
-        let mut got = vec![0u8; want.len()];
-        assert_eq!(
-            ff_pack_shards(&src, count, &d, skip, &mut got, nsh),
-            want.len()
-        );
-        assert_eq!(got, want, "{nsh} shards, skip on instance boundary");
-    }
-
-    // 72 data bytes across 5 shards: boundaries at 14.4-byte intervals,
-    // i.e. inside 6-byte blocks, never aligned
-    let mut want = vec![0u8; total as usize];
-    ff_pack(&src, count, &d, 0, &mut want);
-    let mut got = vec![0u8; total as usize];
-    assert_eq!(ff_pack_shards(&src, count, &d, 0, &mut got, 5), want.len());
-    assert_eq!(got, want, "shard boundaries inside blocks");
-
-    // len < shards: zero-length shards must spawn no worker and copy
-    // everything exactly once
-    let tiny = Datatype::vector(3, 1, 4, &Datatype::byte()).unwrap();
-    let tsrc: Vec<u8> = (0..tiny.extent() as usize).map(|i| i as u8).collect();
-    let mut want = vec![0u8; 3];
-    ff_pack(&tsrc, 1, &tiny, 0, &mut want);
-    let mut got = vec![0u8; 3];
-    assert_eq!(ff_pack_shards(&tsrc, 1, &tiny, 0, &mut got, 8), 3);
-    assert_eq!(got, want, "3-byte copy across 8 shards");
-    let mut dst = vec![0u8; tiny.extent() as usize];
-    assert_eq!(ff_unpack_shards(&want, &mut dst, 1, &tiny, 0, 8), 3);
-    let mut dst_single = vec![0u8; tiny.extent() as usize];
-    ff_unpack(&want, &mut dst_single, 1, &tiny, 0);
-    assert_eq!(dst, dst_single, "tiny sharded unpack");
-
-    // unpack shard destinations are carved at ff_offset boundaries:
-    // verify the carve math on a skip that is not block-aligned
-    let skip = 7u64;
-    let stream: Vec<u8> = (0..(total - skip) as usize).map(|i| i as u8).collect();
-    let mut single = vec![0u8; span];
-    ff_unpack(&stream, &mut single, count, &d, skip);
-    for nsh in [2usize, 3, 8] {
-        let mut sharded = vec![0u8; span];
-        assert_eq!(
-            ff_unpack_shards(&stream, &mut sharded, count, &d, skip, nsh),
-            stream.len()
-        );
-        assert_eq!(sharded, single, "{nsh}-shard unpack, unaligned skip");
-        // spot-check a boundary position really belongs to the right shard
-        let lo = stream.len() as u64 / nsh as u64;
-        if lo > 0 && lo < stream.len() as u64 {
-            let p = ff_offset(&d, skip + lo) as usize;
-            assert_eq!(
-                sharded[p], stream[lo as usize],
-                "boundary byte, {nsh} shards"
-            );
-        }
-    }
 }

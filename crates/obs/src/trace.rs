@@ -4,7 +4,7 @@
 //! Each rank owns a fixed-capacity ring buffer of [`Event`]s guarded by
 //! its own mutex — ranks never contend with each other, and within a
 //! rank the only contenders are its own short-lived worker threads
-//! (storage lanes, pack shards), so the lock is effectively uncontended.
+//! (storage lanes), so the lock is effectively uncontended.
 //! The disabled hot path is one relaxed atomic load ([`enabled`]), the
 //! enabled hot path is clock read + ring store: no allocation after the
 //! buffer's one-time reservation. The whole module compiles out when
@@ -118,7 +118,7 @@ pub struct Event {
     pub kind: Kind,
     pub rank: u32,
     /// Export track: the rank's main thread uses `tid == rank`; adopted
-    /// worker threads (lanes, shards) get unique tids past [`MAX_RANKS`].
+    /// worker threads (lanes) get unique tids past [`MAX_RANKS`].
     pub tid: u32,
     pub tag: &'static str,
 }
@@ -215,7 +215,7 @@ pub fn current_rank() -> u32 {
 }
 
 /// A copyable capture of the current thread's trace context, for handing
-/// to spawned worker threads (storage lanes, pack shards).
+/// to spawned worker threads (storage lanes).
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadHandle {
     rank: u32,
@@ -553,7 +553,6 @@ fn arg_names(tag: &str) -> (&'static str, &'static str, &'static str) {
         "pfs.retry" => ("attempt", "backoff_ns", "c"),
         "win" => ("window", "bytes", "c"),
         "io.read" | "io.write" => ("window", "bytes", "c"),
-        "dt.pack.shard" | "dt.unpack.shard" => ("bytes", "b", "c"),
         _ => ("a", "b", "c"),
     }
 }

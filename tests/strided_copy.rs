@@ -1,15 +1,19 @@
-//! Differential test of the strided frame executor through the public
-//! `ff_pack_at` / `ff_unpack_at` entry points against the naive typemap
-//! reference: every block-size class the executor distinguishes, entry at
-//! every offset of the first two blocks, capacities that end mid-block,
-//! and windows onto the layout (`buf_disp != 0`) that start in a gap, end
-//! mid-block, or are shorter than one block. Unpack targets are pre-filled
-//! with a sentinel, so a byte written into a gap fails the comparison.
+//! Differential test of the compiled run program and its frame executor
+//! through the public `ff_pack_at` / `ff_unpack_at` entry points against
+//! the naive typemap reference: every block-size class the executor
+//! distinguishes as a single `Blocks` frame, then shapes that compile to
+//! more than one frame (the BTIO filetype, a ragged `hindexed`, a
+//! vector of vectors) — entry at every offset of the first two blocks,
+//! capacities that end mid-block, and windows onto the layout
+//! (`buf_disp != 0`) that start in a gap, end mid-block, or are shorter
+//! than one block. Unpack targets are pre-filled with a sentinel, so a
+//! byte written into a gap fails the comparison.
 //!
 //! The kernel family is whatever `LIO_PACK_KERNEL` selects; `ci.sh` runs
 //! this file under `scalar` and `auto`.
 
 use lio_testkit::{corpus_seeds, Rng};
+use listless_io::btio::{io::filetype, Decomp};
 use listless_io::datatype::typemap::{expand, reference_pack, reference_unpack};
 use listless_io::datatype::{ff_pack_at, ff_unpack_at, Datatype};
 
@@ -53,6 +57,7 @@ impl Shape {
     fn strided(block: u32, stride: i64, count: u64, instances: u64) -> Shape {
         let v = Datatype::hvector(count, 1, stride, &Datatype::basic(block)).unwrap();
         let d = Datatype::resized(&v, 0, v.extent() + 3).unwrap();
+        assert!(one_blocks_frame(&d), "{d:?}");
         Shape::new(d, instances)
     }
 
@@ -126,6 +131,85 @@ impl Shape {
     }
 }
 
+/// Whether `d` compiles to a program that is one `Blocks` frame (loops
+/// and tails have at least one frame below them).
+fn one_blocks_frame(d: &Datatype) -> bool {
+    d.program().frames() == 1
+}
+
+/// The skip × capacity × window matrix for one shape whose blocks are
+/// (or start with) `blk` bytes; `salt` separates the seeded draws of
+/// different shapes.
+fn window_matrix(sh: &Shape, blk: usize, salt: u64, seeds: &[u64]) {
+    let total = sh.total();
+    let small = blk <= 40;
+
+    // entry at every offset of the first two blocks: small blocks against
+    // the whole layout and to the end, large ones a few bytes at a time
+    // through a tight window
+    for skip in 0..total.min(2 * blk) {
+        if small {
+            sh.check_full(skip, total - skip, "to the end");
+        } else {
+            let cap = (1 + skip % 97).min(total - skip);
+            sh.check_tight(skip, cap, 2, 2, "tight");
+        }
+    }
+    // capacities that end mid-block, entered on and off a block boundary
+    for skip in [0, 1, blk - 1, blk, blk + 1] {
+        if skip >= total {
+            continue;
+        }
+        for cap in [1, blk / 2 + 1, blk + blk / 2 + 1, total - skip] {
+            sh.check_full(skip, cap.min(total - skip), "cap");
+        }
+    }
+    // windows: starting in the gap before the first byte, starting after
+    // it (nothing may move), ending mid-block, ending in a gap, shorter
+    // than one block
+    let mid = total / 2;
+    for skip in [0, mid] {
+        let rest = total - skip;
+        sh.check_tight(skip, rest, 1, 0, "starts in a gap");
+        sh.check_tight(skip, rest, -1, 0, "starts late");
+        sh.check_tight(skip, rest, 0, -1, "ends mid-block");
+        sh.check_tight(skip, rest, 0, -(blk as i64 / 2 + 1), "ends mid-block");
+        sh.check_tight(skip, rest, 2, 1, "ends in a gap");
+        let part = (blk / 2).max(1).min(rest);
+        sh.check_tight(skip, part, 0, 0, "shorter than a block");
+        sh.check_tight(skip, rest.min(blk), 0, -1, "shorter than a block");
+    }
+    // seeded entries, capacities and windows
+    for &seed in seeds {
+        let mut rng = Rng::new(seed ^ salt);
+        let rounds = if small { 8 } else { 2 };
+        for _ in 0..rounds {
+            let skip = rng.below(total as u64) as usize;
+            let cap = 1 + rng.below((total - skip) as u64) as usize;
+            let ctx = replay(seed);
+            sh.check_full(skip, cap, &ctx);
+            let before = rng.below(2 * blk as u64 + 2) as i64 - blk as i64;
+            let after = rng.below(2 * blk as u64 + 2) as i64 - blk as i64;
+            sh.check_tight(skip, cap, before, after, &ctx);
+        }
+    }
+}
+
+/// Monotone shapes that do not compile to one `Blocks` frame, each with
+/// the size of its first block.
+fn multi_frame_shapes() -> Vec<(Datatype, usize)> {
+    // the Table 3 filetype: rank 1 of 4 on a 12³ grid, a struct of two
+    // cell subarrays with rows of six 40-byte points
+    let btio = filetype(&Decomp::new(12, 4).unwrap(), 1);
+    // unequal blocks at uneven displacements: a literal tail
+    let ragged = Datatype::hindexed(&[3, 1, 2, 5], &[0, 40, 56, 100], &Datatype::basic(8)).unwrap();
+    // rows of four 8-byte blocks, rows not continuing the block stride:
+    // a loop over one blocks frame
+    let row = Datatype::vector(4, 1, 2, &Datatype::basic(8)).unwrap();
+    let vv = Datatype::vector(5, 1, 3, &row).unwrap();
+    vec![(btio, 240), (ragged, 24), (vv, 8)]
+}
+
 #[test]
 fn every_class_skip_cap_and_window_matches_reference() {
     let seeds = corpus_seeds();
@@ -135,61 +219,22 @@ fn every_class_skip_cap_and_window_matches_reference() {
             for count in [1u64, 2, 5] {
                 for instances in [1u64, 3] {
                     let sh = Shape::strided(block, stride, count, instances);
-                    let (total, blk) = (sh.total(), block as usize);
-                    let small = blk <= 40;
-
-                    // entry at every offset of the first two blocks: small
-                    // blocks against the whole layout and to the end, large
-                    // ones a few bytes at a time through a tight window
-                    for skip in 0..total.min(2 * blk) {
-                        if small {
-                            sh.check_full(skip, total - skip, "to the end");
-                        } else {
-                            let cap = (1 + skip % 97).min(total - skip);
-                            sh.check_tight(skip, cap, 2, 2, "tight");
-                        }
-                    }
-                    // capacities that end mid-block, entered on and off a
-                    // block boundary
-                    for skip in [0, 1, blk - 1, blk, blk + 1] {
-                        if skip >= total {
-                            continue;
-                        }
-                        for cap in [1, blk / 2 + 1, blk + blk / 2 + 1, total - skip] {
-                            sh.check_full(skip, cap.min(total - skip), "cap");
-                        }
-                    }
-                    // windows: starting in the gap before the first byte,
-                    // starting after it (nothing may move), ending
-                    // mid-block, ending in a gap, shorter than one block
-                    let mid = total / 2;
-                    for skip in [0, mid] {
-                        let rest = total - skip;
-                        sh.check_tight(skip, rest, 1, 0, "starts in a gap");
-                        sh.check_tight(skip, rest, -1, 0, "starts late");
-                        sh.check_tight(skip, rest, 0, -1, "ends mid-block");
-                        sh.check_tight(skip, rest, 0, -(b / 2 + 1), "ends mid-block");
-                        sh.check_tight(skip, rest, 2, 1, "ends in a gap");
-                        let part = (blk / 2).max(1).min(rest);
-                        sh.check_tight(skip, part, 0, 0, "shorter than a block");
-                        sh.check_tight(skip, rest.min(blk), 0, -1, "shorter than a block");
-                    }
-                    // seeded entries, capacities and windows
-                    for &seed in &seeds {
-                        let mut rng = Rng::new(seed ^ ((block as u64) << 32) ^ stride as u64);
-                        let rounds = if small { 8 } else { 2 };
-                        for _ in 0..rounds {
-                            let skip = rng.below(total as u64) as usize;
-                            let cap = 1 + rng.below((total - skip) as u64) as usize;
-                            let ctx = replay(seed);
-                            sh.check_full(skip, cap, &ctx);
-                            let before = rng.below(2 * blk as u64 + 2) as i64 - blk as i64;
-                            let after = rng.below(2 * blk as u64 + 2) as i64 - blk as i64;
-                            sh.check_tight(skip, cap, before, after, &ctx);
-                        }
-                    }
+                    let salt = ((block as u64) << 32) ^ stride as u64;
+                    window_matrix(&sh, block as usize, salt, &seeds);
                 }
             }
+        }
+    }
+    for (i, (d, blk)) in multi_frame_shapes().into_iter().enumerate() {
+        assert!(!one_blocks_frame(&d), "{}", d.program().describe());
+        for instances in [1u64, 3] {
+            let sh = Shape::new(d.clone(), instances);
+            assert_eq!(
+                sh.pos[blk - 1],
+                sh.pos[0] + blk - 1,
+                "first block is {blk} B"
+            );
+            window_matrix(&sh, blk, 0x5EED ^ i as u64, &seeds);
         }
     }
 }
@@ -206,7 +251,10 @@ fn negative_and_overlapping_strides_match_reference() {
     // 8-byte blocks every 5 bytes: each overlaps the next by 3
     let overlapping = Datatype::hvector(4, 1, 5, &Datatype::basic(8)).unwrap();
     for d in [negative, overlapping] {
-        assert!(d.as_strided().is_some(), "{d:?} must take the strided path");
+        assert!(
+            one_blocks_frame(&d),
+            "{d:?} must compile to one Blocks frame"
+        );
         let count = 2u64;
         let span = ((count as i64 - 1) * d.extent() as i64 + d.data_ub()) as usize;
         let src: Vec<u8> = (0..span).map(|i| (i * 5 + 1) as u8).collect();
