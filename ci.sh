@@ -17,6 +17,12 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# The benchmark's own oracle on the data path: one short round of all five
+# workloads with every file-image and read-back check on (< 10 s). The
+# benchmark is a package of its own, so tier-1 never builds it.
+echo "== benchmark smoke run"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
+
 # The collective suites again with the pipeline override forced both
 # ways, so every differential case runs both the monolithic and the
 # pipelined schedule regardless of per-test hints. (pipeline_mem is

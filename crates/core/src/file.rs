@@ -11,6 +11,7 @@ use crate::autotune::{FileTuner, SharedTuner, TuneReport};
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::MemPacker;
+use crate::scratch::Scratch;
 use crate::sieve;
 use crate::twophase::{self, CollState};
 use crate::view::{FfNav, FileView, ListNav, ViewNav};
@@ -168,6 +169,8 @@ pub struct File<'c> {
     /// conflicting accesses from different ranks serialize
     /// (`MPI_File_set_atomicity`).
     atomic: bool,
+    /// This rank's recycled window, pack and message buffers.
+    scratch: Scratch,
 }
 
 impl<'c> File<'c> {
@@ -223,6 +226,7 @@ impl<'c> File<'c> {
             ops: std::sync::atomic::AtomicU64::new(0),
             fp: 0,
             atomic: false,
+            scratch: Scratch::default(),
         })
     }
 
@@ -366,6 +370,7 @@ impl<'c> File<'c> {
         let (stream_start, total) = self.stream_params(offset, count, memtype);
         lio_obs::profile::record_op(lio_obs::profile::OpClass::IndWrite, total);
         let packer = self.packer(&self.hints, memtype, count, buf.len())?;
+        self.scratch.begin_op();
         let _atomic_guard = self
             .atomic
             .then(|| self.shared.lock.lock(self.access_span(stream_start, total)));
@@ -379,6 +384,7 @@ impl<'c> File<'c> {
             total,
             &self.hints,
             self.atomic,
+            &self.scratch,
         )
     }
 
@@ -396,6 +402,7 @@ impl<'c> File<'c> {
         let (stream_start, total) = self.stream_params(offset, count, memtype);
         lio_obs::profile::record_op(lio_obs::profile::OpClass::IndRead, total);
         let packer = self.packer(&self.hints, memtype, count, buf.len())?;
+        self.scratch.begin_op();
         let _atomic_guard = self
             .atomic
             .then(|| self.shared.lock.lock(self.access_span(stream_start, total)));
@@ -407,6 +414,7 @@ impl<'c> File<'c> {
             stream_start,
             total,
             &self.hints,
+            &self.scratch,
         )
     }
 
@@ -438,6 +446,7 @@ impl<'c> File<'c> {
         lio_obs::profile::record_op(lio_obs::profile::OpClass::CollWrite, total);
         let (eff, nav, coll, tuner) = self.plan_collective();
         let packer = self.packer(&eff, memtype, count, buf.len())?;
+        self.scratch.begin_op();
         self.health_begin(true);
         let res = twophase::write_at_all(
             self.shared.storage.as_ref(),
@@ -450,6 +459,7 @@ impl<'c> File<'c> {
             total,
             &eff,
             tuner,
+            &self.scratch,
         );
         self.health_end(res)
     }
@@ -467,6 +477,7 @@ impl<'c> File<'c> {
         lio_obs::profile::record_op(lio_obs::profile::OpClass::CollRead, total);
         let (eff, nav, coll, tuner) = self.plan_collective();
         let packer = self.packer(&eff, memtype, count, buf.len())?;
+        self.scratch.begin_op();
         self.health_begin(false);
         let res = twophase::read_at_all(
             self.shared.storage.as_ref(),
@@ -479,6 +490,7 @@ impl<'c> File<'c> {
             total,
             &eff,
             tuner,
+            &self.scratch,
         );
         self.health_end(res)
     }

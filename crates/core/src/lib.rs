@@ -44,6 +44,7 @@ pub mod file;
 pub mod hints;
 pub mod packer;
 pub mod pipeline;
+mod scratch;
 pub mod sieve;
 pub mod twophase;
 pub mod view;

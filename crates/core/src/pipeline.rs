@@ -44,6 +44,7 @@ use crate::autotune::{FileTuner, OpOutcome};
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::MemPacker;
+use crate::scratch::Scratch;
 use crate::sieve::{read_window, write_window};
 use crate::twophase::{
     access_range, build_access_list, file_domains, parse_ol_list, stream_intersection, CollState,
@@ -58,8 +59,9 @@ use crate::view::{FfNav, ViewNav};
 // exchange: `(exchange_ns + pack_ns + io_ns) − wall`, i.e. how much
 // longer the phases would have taken run back to back. The gauges track
 // high-water marks: concurrently in-flight windows on the IOP, and total
-// bytes the IOP holds (window buffers + queued messages) — the quantity
-// the credit protocol bounds.
+// bytes the IOP holds (window buffers + queued messages + what its
+// scratch arena retains for reuse) — the quantity the credit protocol
+// bounds.
 static OBS_W_OVERLAP_NS: LazyCounter = LazyCounter::new("core.coll.write.overlap_ns");
 static OBS_R_OVERLAP_NS: LazyCounter = LazyCounter::new("core.coll.read.overlap_ns");
 static OBS_INFLIGHT_WINDOWS: LazyGauge = LazyGauge::new("core.coll.pipeline.inflight_windows");
@@ -124,22 +126,16 @@ fn segs_place(segs: &[(u64, u64)], pos: &mut ListPos, data: &[u8], fb: &mut [u8]
     }
 }
 
-/// Gather `want` bytes from the window buffer into `out`, list order.
-fn segs_extract(
-    segs: &[(u64, u64)],
-    pos: &mut ListPos,
-    fb: &[u8],
-    fb_lo: u64,
-    mut want: u64,
-    out: &mut Vec<u8>,
-) {
-    while want > 0 {
+/// Fill `out` from the window buffer, list order.
+fn segs_extract(segs: &[(u64, u64)], pos: &mut ListPos, fb: &[u8], fb_lo: u64, out: &mut [u8]) {
+    let mut d = 0usize;
+    while d < out.len() {
         let (off, len) = segs[pos.seg];
         let cur = off + pos.off;
-        let take = (len - pos.off).min(want);
+        let take = (len - pos.off).min((out.len() - d) as u64);
         let o = (cur - fb_lo) as usize;
-        out.extend_from_slice(&fb[o..o + take as usize]);
-        want -= take;
+        out[d..d + take as usize].copy_from_slice(&fb[o..o + take as usize]);
+        d += take as usize;
         pos.off += take;
         if pos.off == len {
             pos.seg += 1;
@@ -216,6 +212,7 @@ fn ap_pump(
     cb: u64,
     obs: bool,
     pack_ns: &mut u64,
+    scratch: &Scratch,
 ) -> bool {
     let mut progressed = false;
     for ap in aps.iter_mut().flatten() {
@@ -226,17 +223,9 @@ fn ap_pump(
             health::beat(HbPhase::Pack);
             let t = lio_obs::now();
             let sp = lio_obs::trace::span_ab("pack", take, lo);
-            // zero-copy fast path: contiguous memtypes lift the window
-            // straight out of the user buffer, skipping the zero-fill
-            let msg = match packer.contig_slice(user, lo - stream_start, take) {
-                Some(s) => s.to_vec(),
-                None => {
-                    let mut m = vec![0u8; take as usize];
-                    let got = packer.pack(user, lo - stream_start, &mut m);
-                    debug_assert_eq!(got as u64, take);
-                    m
-                }
-            };
+            let mut msg = scratch.take(take as usize);
+            let got = packer.pack(user, lo - stream_start, &mut msg);
+            debug_assert_eq!(got as u64, take);
             drop(sp);
             *pack_ns += lio_obs::elapsed_ns(t);
             if obs {
@@ -343,27 +332,19 @@ impl Peer {
         self.consume_stream += data.len() as u64;
     }
 
-    /// Gather `take` bytes of this peer's window share; advances `consume`.
-    fn extract(
-        &mut self,
-        nav: Option<&FfNav>,
-        fb: &[u8],
-        fb_lo: u64,
-        take: u64,
-        out: &mut Vec<u8>,
-    ) {
+    /// Gather this peer's window share, `out.len()` bytes; advances
+    /// `consume`.
+    fn extract(&mut self, nav: Option<&FfNav>, fb: &[u8], fb_lo: u64, out: &mut [u8]) {
         match &self.segs {
-            Some(segs) => segs_extract(segs, &mut self.consume_pos, fb, fb_lo, take, out),
+            Some(segs) => segs_extract(segs, &mut self.consume_pos, fb, fb_lo, out),
             None => {
-                let start = out.len();
-                out.resize(start + take as usize, 0);
                 let got = nav
                     .expect("listless peer has a cached view")
-                    .extract_window(fb, fb_lo, self.consume_stream, &mut out[start..]);
-                debug_assert_eq!(got as u64, take);
+                    .extract_window(fb, fb_lo, self.consume_stream, out);
+                debug_assert_eq!(got, out.len());
             }
         }
-        self.consume_stream += take;
+        self.consume_stream += out.len() as u64;
     }
 
     /// Advance `consume` without touching buffers (after a fatal error).
@@ -395,6 +376,8 @@ struct Planner<'a> {
     peers: Vec<Peer>,
     navs: Option<&'a [FfNav]>,
     cover: Cover<'a>,
+    /// The `takes` vectors of consumed plans, for the next ones.
+    spare_takes: Vec<Vec<u64>>,
 }
 
 impl<'a> Planner<'a> {
@@ -519,6 +502,7 @@ impl<'a> Planner<'a> {
             peers,
             navs,
             cover,
+            spare_takes: Vec::new(),
         }))
     }
 
@@ -543,7 +527,8 @@ impl<'a> Planner<'a> {
         let j = (a - self.dom.0) / self.cb;
         let win = self.dom.0 + j * self.cb;
         let grid_end = (win + self.cb).min(self.dom.1);
-        let mut takes = vec![0u64; self.peers.len()];
+        let mut takes = self.spare_takes.pop().unwrap_or_default();
+        takes.resize(self.peers.len(), 0);
         for (p, take) in takes.iter_mut().enumerate() {
             *take = self.peers[p].expect_advance(navs.map(|n| &n[p]), grid_end);
         }
@@ -552,7 +537,12 @@ impl<'a> Planner<'a> {
         debug_assert!(io_lo < io_hi, "planned window holds no data");
         let dense = match &mut self.cover {
             Cover::List(c) => c.covered(io_lo, io_hi),
-            Cover::Merge(m) => m.covered(io_lo, io_hi),
+            Cover::Merge(m) => m.filled_by(
+                navs.expect("a mergeview implies cached views"),
+                &takes,
+                io_lo,
+                io_hi,
+            ),
             Cover::None => false,
         };
         Some(WindowPlan {
@@ -561,6 +551,11 @@ impl<'a> Planner<'a> {
             takes,
             dense,
         })
+    }
+
+    /// Hand a consumed plan's `takes` vector back for the next plan.
+    fn recycle(&mut self, plan: WindowPlan) {
+        self.spare_takes.push(plan.takes);
     }
 }
 
@@ -819,8 +814,10 @@ impl<'a> IopWrite<'a> {
         self.reads_outstanding + self.writes_outstanding > 0
     }
 
-    fn buffered_bytes(&self) -> u64 {
-        (self.msgq_bytes + self.bufs_allocated * self.planner.max_window()) as u64
+    /// Everything this IOP holds: queued messages, its window buffers
+    /// and what its arena keeps for reuse.
+    fn buffered_bytes(&self, scratch: &Scratch) -> u64 {
+        (self.msgq_bytes + self.bufs_allocated * self.planner.max_window() + scratch.held()) as u64
     }
 
     fn on_done(&mut self, d: LaneDone) {
@@ -851,6 +848,7 @@ impl<'a> IopWrite<'a> {
     /// One scheduling round: absorb completions and messages, keep up to
     /// `depth` windows in flight, place + write-back the front window as
     /// soon as its pre-read and all its messages are in.
+    #[allow(clippy::too_many_arguments)]
     fn pump(
         &mut self,
         comm: &Comm,
@@ -859,6 +857,7 @@ impl<'a> IopWrite<'a> {
         done_rx: &Receiver<LaneDone>,
         obs: bool,
         pack_ns: &mut u64,
+        scratch: &Scratch,
     ) -> bool {
         let mut progressed = false;
         while let Ok(d) = done_rx.try_recv() {
@@ -875,7 +874,7 @@ impl<'a> IopWrite<'a> {
             self.msgq_bytes += msg.len();
             self.planner.peers[src].msgq.push_back(msg);
             if obs {
-                OBS_PEAK_BUFFERED.record_max(self.buffered_bytes());
+                OBS_PEAK_BUFFERED.record_max(self.buffered_bytes(scratch));
             }
             progressed = true;
         }
@@ -885,10 +884,11 @@ impl<'a> IopWrite<'a> {
                 b
             } else if self.bufs_allocated < self.depth {
                 self.bufs_allocated += 1;
+                let buf = scratch.take(self.planner.max_window());
                 if obs {
-                    OBS_PEAK_BUFFERED.record_max(self.buffered_bytes());
+                    OBS_PEAK_BUFFERED.record_max(self.buffered_bytes(scratch));
                 }
-                vec![0u8; self.planner.max_window()]
+                buf
             } else {
                 break;
             };
@@ -954,7 +954,8 @@ impl<'a> IopWrite<'a> {
             }
             let mut sched = self.queue.pop_front().expect("front exists");
             let buf = sched.buf.take().expect("ready window owns its buffer");
-            self.consume_front(sched.seq, &sched.plan, buf, comm, wjob_tx, pack_ns);
+            self.consume_front(sched.seq, &sched.plan, buf, comm, wjob_tx, pack_ns, scratch);
+            self.planner.recycle(sched.plan);
             progressed = true;
         }
         progressed
@@ -969,6 +970,7 @@ impl<'a> IopWrite<'a> {
         comm: &Comm,
         wjob_tx: &Sender<Job>,
         pack_ns: &mut u64,
+        scratch: &Scratch,
     ) {
         let len = (plan.io_hi - plan.io_lo) as usize;
         let navs = self.planner.navs;
@@ -992,6 +994,8 @@ impl<'a> IopWrite<'a> {
             } else {
                 self.planner.peers[p].skip(take);
             }
+            // placed: the message now belongs to this rank's arena
+            scratch.give(msg);
             // one credit per consumed message keeps the AP producing
             comm.send(p, TAG_TP_CREDIT, &[]);
         }
@@ -1031,6 +1035,7 @@ pub(crate) fn write_at_all(
     total: u64,
     hints: &Hints,
     tuner: Option<&FileTuner>,
+    scratch: &Scratch,
 ) -> Result<u64> {
     let engine = match nav {
         ViewNav::List(_) => Engine::ListBased,
@@ -1124,6 +1129,7 @@ pub(crate) fn write_at_all(
                 cb,
                 obs,
                 &mut pack_ns,
+                scratch,
             );
             while let Some((src, _)) = comm.try_recv_any(TAG_TP_CREDIT) {
                 aps[src]
@@ -1133,7 +1139,15 @@ pub(crate) fn write_at_all(
                 progressed = true;
             }
             if let Some(st) = iop.as_mut() {
-                progressed |= st.pump(comm, &rjob_tx, &wjob_tx, &done_rx, obs, &mut pack_ns);
+                progressed |= st.pump(
+                    comm,
+                    &rjob_tx,
+                    &wjob_tx,
+                    &done_rx,
+                    obs,
+                    &mut pack_ns,
+                    scratch,
+                );
             }
             let aps_done = aps.iter().flatten().all(|a| a.finished());
             if aps_done && iop.as_ref().is_none_or(|s| s.done()) {
@@ -1164,7 +1178,13 @@ pub(crate) fn write_at_all(
                 std::thread::yield_now();
             }
         }
-        fatal = iop.take().and_then(|s| s.fatal);
+        if let Some(st) = iop.take() {
+            // every lane job has completed: all window buffers are home
+            for buf in st.free_bufs {
+                scratch.give(buf);
+            }
+            fatal = st.fatal;
+        }
     });
     health::window_flush();
 
@@ -1226,6 +1246,7 @@ pub(crate) fn read_at_all(
     total: u64,
     hints: &Hints,
     tuner: Option<&FileTuner>,
+    scratch: &Scratch,
 ) -> Result<u64> {
     let engine = match nav {
         ViewNav::List(_) => Engine::ListBased,
@@ -1293,11 +1314,13 @@ pub(crate) fn read_at_all(
                             b
                         } else if bufs_allocated < depth {
                             bufs_allocated += 1;
+                            let buf = scratch.take(planner.max_window());
                             if obs {
-                                OBS_PEAK_BUFFERED
-                                    .record_max((bufs_allocated * planner.max_window()) as u64);
+                                OBS_PEAK_BUFFERED.record_max(
+                                    (bufs_allocated * planner.max_window() + scratch.held()) as u64,
+                                );
                             }
-                            vec![0u8; planner.max_window()]
+                            buf
                         } else {
                             break;
                         };
@@ -1364,19 +1387,18 @@ pub(crate) fn read_at_all(
                         if take == 0 {
                             continue;
                         }
-                        let mut out = Vec::with_capacity(take as usize);
+                        let mut out = scratch.take(take as usize);
                         if fatal.is_none() {
                             planner.peers[p].extract(
                                 navs.map(|n| &n[p]),
                                 &buf[..len],
                                 plan.io_lo,
-                                take,
                                 &mut out,
                             );
                         } else {
                             // unblock the AP with zeros; the error is
                             // reported from this rank's return value
-                            out.resize(take as usize, 0);
+                            out.fill(0);
                             planner.peers[p].skip(take);
                         }
                         if obs {
@@ -1388,6 +1410,11 @@ pub(crate) fn read_at_all(
                     drop(sp);
                     pack_ns += lio_obs::elapsed_ns(t);
                     free_bufs.push(buf);
+                    planner.recycle(plan);
+                }
+                // every pre-read was consumed: all window buffers are home
+                for buf in free_bufs {
+                    scratch.give(buf);
                 }
             });
         }
@@ -1418,6 +1445,7 @@ pub(crate) fn read_at_all(
         pack_ns += lio_obs::elapsed_ns(t);
         debug_assert_eq!(put, chunk.len());
         pend[idx].1 += chunk.len() as u64;
+        scratch.give(chunk);
         if pend[idx].1 < pend[idx].2 {
             reqs[idx] = comm.irecv(src, TAG_TP_RDATA);
         } else {

@@ -10,6 +10,7 @@ use lio_pfs::{RangeLock, StorageFile};
 use crate::error::Result;
 use crate::hints::{Hints, SievingMode};
 use crate::packer::MemPacker;
+use crate::scratch::Scratch;
 use crate::view::ViewNav;
 
 /// Read `storage[offset..]` into `buf`, zero-filling anything past EOF.
@@ -43,6 +44,7 @@ pub(crate) fn write_independent(
     total: u64,
     hints: &Hints,
     whole_range_locked: bool,
+    scratch: &Scratch,
 ) -> Result<u64> {
     if total == 0 {
         return Ok(0);
@@ -52,11 +54,13 @@ pub(crate) fn write_independent(
     if nav.view().is_contiguous() {
         let abs = nav.stream_to_abs(stream_start);
         lio_obs::profile::record_run(total, 0, true);
-        return write_contiguous_region(storage, packer, user, abs, total);
+        return write_contiguous_region(storage, packer, user, abs, total, scratch);
     }
 
     match resolve_mode(hints.sieving, nav, stream_start, total) {
-        SievingMode::Direct => write_direct(storage, nav, packer, user, stream_start, total),
+        SievingMode::Direct => {
+            write_direct(storage, nav, packer, user, stream_start, total, scratch)
+        }
         _ => write_sieved(
             storage,
             lock,
@@ -67,6 +71,7 @@ pub(crate) fn write_independent(
             total,
             hints,
             whole_range_locked,
+            scratch,
         ),
     }
 }
@@ -103,6 +108,9 @@ fn resolve_mode(mode: SievingMode, nav: &ViewNav, stream_start: u64, total: u64)
     choose_mode(density, mean_block)
 }
 
+/// Transfer size of the contiguous-file paths' intermediate buffer.
+const CONTIG_CHUNK: usize = 4 << 20;
+
 /// Contiguous-file write path (the `c-c`/`nc-c` cases of Figure 1):
 /// pack (if needed) and write in large chunks.
 fn write_contiguous_region(
@@ -111,6 +119,7 @@ fn write_contiguous_region(
     user: &[u8],
     abs: u64,
     total: u64,
+    scratch: &Scratch,
 ) -> Result<u64> {
     if let Some(slice) = packer.contig_slice(user, 0, total) {
         // c-c: a single zero-copy write
@@ -118,8 +127,7 @@ fn write_contiguous_region(
         return Ok(total);
     }
     // nc-c: pack through an intermediate buffer
-    const CHUNK: usize = 4 << 20;
-    let mut packbuf = vec![0u8; CHUNK.min(total as usize)];
+    let mut packbuf = scratch.take(CONTIG_CHUNK.min(total as usize));
     let mut done = 0u64;
     while done < total {
         let n = ((total - done) as usize).min(packbuf.len());
@@ -128,6 +136,7 @@ fn write_contiguous_region(
         write_window(storage, abs + done, &packbuf[..n])?;
         done += n as u64;
     }
+    scratch.give(packbuf);
     Ok(total)
 }
 
@@ -139,6 +148,7 @@ fn write_direct(
     user: &[u8],
     stream_start: u64,
     total: u64,
+    scratch: &Scratch,
 ) -> Result<u64> {
     let mut done = 0u64;
     let mut chunk = Vec::new();
@@ -165,14 +175,25 @@ fn write_direct(
             lio_obs::profile::record_run(run_len, gap, abs == prev_end);
             prev_end = abs + run_len;
         }
-        chunk.resize(run_len as usize, 0);
-        let got = packer.pack(user, done, &mut chunk);
+        let run = run_buffer(scratch, &mut chunk, run_len);
+        let got = packer.pack(user, done, run);
         debug_assert_eq!(got as u64, run_len);
-        write_window(storage, abs, &chunk)?;
+        write_window(storage, abs, run)?;
         done += run_len;
         stream += run_len;
     }
+    scratch.give(chunk);
     Ok(total)
+}
+
+/// The first `run_len` bytes of the direct paths' run buffer, which is
+/// traded in for a longer one whenever a run outgrows it.
+fn run_buffer<'a>(scratch: &Scratch, chunk: &'a mut Vec<u8>, run_len: u64) -> &'a mut [u8] {
+    if chunk.len() < run_len as usize {
+        scratch.give(std::mem::take(chunk));
+        *chunk = scratch.take(run_len as usize);
+    }
+    &mut chunk[..run_len as usize]
 }
 
 /// Length of the contiguous view run starting at the data byte at `abs`,
@@ -213,14 +234,15 @@ fn write_sieved(
     total: u64,
     hints: &Hints,
     whole_range_locked: bool,
+    scratch: &Scratch,
 ) -> Result<u64> {
     let end_abs = nav.stream_to_abs(stream_start + total - 1) + 1;
     let bufsize = hints.ind_buffer_size as u64;
     // no larger than the loop can address: a window spans at most the
     // access range and holds at most `total` bytes
     let range = end_abs - nav.stream_to_abs(stream_start);
-    let mut filebuf = vec![0u8; bufsize.min(range) as usize];
-    let mut packbuf = vec![0u8; bufsize.min(total) as usize];
+    let mut filebuf = scratch.take(bufsize.min(range) as usize);
+    let mut packbuf = scratch.take(bufsize.min(total) as usize);
 
     let mut stream = stream_start;
     let mut done = 0u64;
@@ -253,11 +275,14 @@ fn write_sieved(
         stream += n;
         done += n;
     }
+    scratch.give(filebuf);
+    scratch.give(packbuf);
     Ok(total)
 }
 
 /// Independent read of `total` stream bytes starting at stream position
 /// `stream_start`. Returns bytes read (holes/EOF read as zeros).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn read_independent(
     storage: &dyn StorageFile,
     nav: &ViewNav,
@@ -266,6 +291,7 @@ pub(crate) fn read_independent(
     stream_start: u64,
     total: u64,
     hints: &Hints,
+    scratch: &Scratch,
 ) -> Result<u64> {
     if total == 0 {
         return Ok(0);
@@ -274,8 +300,7 @@ pub(crate) fn read_independent(
     if nav.view().is_contiguous() {
         let abs = nav.stream_to_abs(stream_start);
         lio_obs::profile::record_run(total, 0, true);
-        const CHUNK: usize = 4 << 20;
-        let mut buf = vec![0u8; CHUNK.min(total as usize)];
+        let mut buf = scratch.take(CONTIG_CHUNK.min(total as usize));
         let mut done = 0u64;
         while done < total {
             let n = ((total - done) as usize).min(buf.len());
@@ -284,6 +309,7 @@ pub(crate) fn read_independent(
             debug_assert_eq!(put, n);
             done += n as u64;
         }
+        scratch.give(buf);
         return Ok(total);
     }
 
@@ -305,21 +331,22 @@ pub(crate) fn read_independent(
                     lio_obs::profile::record_run(run_len, gap, abs == prev_end);
                     prev_end = abs + run_len;
                 }
-                chunk.resize(run_len as usize, 0);
-                read_window(storage, abs, &mut chunk)?;
-                let put = packer.unpack(&chunk, user, done);
+                let run = run_buffer(scratch, &mut chunk, run_len);
+                read_window(storage, abs, run)?;
+                let put = packer.unpack(run, user, done);
                 debug_assert_eq!(put as u64, run_len);
                 done += run_len;
                 stream += run_len;
             }
+            scratch.give(chunk);
             Ok(total)
         }
         _ => {
             let end_abs = nav.stream_to_abs(stream_start + total - 1) + 1;
             let bufsize = hints.ind_buffer_size as u64;
             let range = end_abs - nav.stream_to_abs(stream_start);
-            let mut filebuf = vec![0u8; bufsize.min(range) as usize];
-            let mut packbuf = vec![0u8; bufsize.min(total) as usize];
+            let mut filebuf = scratch.take(bufsize.min(range) as usize);
+            let mut packbuf = scratch.take(bufsize.min(total) as usize);
             let mut stream = stream_start;
             let mut done = 0u64;
             while done < total {
@@ -339,6 +366,8 @@ pub(crate) fn read_independent(
                 stream += n;
                 done += n;
             }
+            scratch.give(filebuf);
+            scratch.give(packbuf);
             Ok(total)
         }
     }

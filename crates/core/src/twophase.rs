@@ -42,6 +42,7 @@ use crate::autotune::{FileTuner, OpOutcome};
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::MemPacker;
+use crate::scratch::Scratch;
 use crate::sieve::{read_window, write_window};
 use crate::view::{FfNav, FileView, ViewNav};
 use lio_obs::health::{self, HbPhase};
@@ -99,9 +100,24 @@ pub(crate) struct MergeView {
 }
 
 impl MergeView {
+    /// Whether the data of one collective write fills `[lo, hi)`, so that
+    /// the window needs no pre-read: the union of the fileviews covers
+    /// the range, **and** every AP supplies all of its view's bytes in it
+    /// (`takes[k]` is what AP `k` ships for the range). The mergeview
+    /// alone only knows what the views *could* cover; an AP that writes
+    /// fewer bytes than its view holds there leaves file bytes that must
+    /// survive. `O(depth)` per AP, still no list.
+    pub fn filled_by(&self, navs: &[FfNav], takes: &[u64], lo: u64, hi: u64) -> bool {
+        self.covered(lo, hi)
+            && navs
+                .iter()
+                .zip(takes)
+                .all(|(nav, &take)| take == nav.bytes_in(lo, hi))
+    }
+
     /// Whether file range `[lo, hi)` is fully covered by the union of all
     /// fileviews.
-    pub fn covered(&self, lo: u64, hi: u64) -> bool {
+    fn covered(&self, lo: u64, hi: u64) -> bool {
         if hi <= lo {
             return true;
         }
@@ -313,9 +329,11 @@ pub(crate) fn build_access_list(nav: &ViewNav, s_lo: u64, s_hi: u64, dom: (u64, 
 struct RecvList {
     /// Absolute `(offset, len)` pairs.
     segs: Vec<(u64, u64)>,
+    /// Writes: the AP's data message. Reads: the reply being assembled.
     data: Vec<u8>,
     seg_i: usize,
     seg_off: u64,
+    /// How far `data` has been consumed (writes) or filled (reads).
     data_pos: usize,
 }
 
@@ -341,14 +359,18 @@ impl RecvList {
     /// where the payload starts inside `data` (the 16-byte header is
     /// skipped by offset rather than copied out — zero-copy receive).
     fn parse(list_bytes: &[u8], data: Vec<u8>, base: usize) -> Result<RecvList> {
-        let segs = parse_ol_list(list_bytes)?;
-        Ok(RecvList {
+        Ok(RecvList::new(parse_ol_list(list_bytes)?, data, base))
+    }
+
+    /// A cursor at the start of `segs`, with `data` at position `base`.
+    fn new(segs: Vec<(u64, u64)>, data: Vec<u8>, base: usize) -> RecvList {
+        RecvList {
             segs,
             data,
             seg_i: 0,
             seg_off: 0,
             data_pos: base,
-        })
+        }
     }
 
     /// Copy this AP's bytes falling inside `[win_start, win_end)` from its
@@ -378,8 +400,8 @@ impl RecvList {
     }
 
     /// Copy this AP's bytes falling inside `[win_start, win_end)` out of
-    /// the window, appending to `out`.
-    fn extract_from(&mut self, fb: &[u8], win_start: u64, win_end: u64, out: &mut Vec<u8>) {
+    /// the window into the next unfilled bytes of `data`.
+    fn extract_from(&mut self, fb: &[u8], win_start: u64, win_end: u64) {
         while self.seg_i < self.segs.len() {
             let (off, len) = self.segs[self.seg_i];
             let cur = off + self.seg_off;
@@ -390,7 +412,9 @@ impl RecvList {
             let avail = len - self.seg_off;
             let take = avail.min(win_end - cur);
             let o = (cur - win_start) as usize;
-            out.extend_from_slice(&fb[o..o + take as usize]);
+            self.data[self.data_pos..self.data_pos + take as usize]
+                .copy_from_slice(&fb[o..o + take as usize]);
+            self.data_pos += take as usize;
             if take == avail {
                 self.seg_i += 1;
                 self.seg_off = 0;
@@ -499,6 +523,7 @@ pub(crate) fn write_at_all(
     total: u64,
     hints: &Hints,
     tuner: Option<&FileTuner>,
+    scratch: &Scratch,
 ) -> Result<u64> {
     // the root trace span delimiting this collective op (both schedules):
     // the critical-path analyzer keys on its tag
@@ -515,6 +540,7 @@ pub(crate) fn write_at_all(
             total,
             hints,
             tuner,
+            scratch,
         );
     }
     let t_op = lio_obs::now();
@@ -558,23 +584,15 @@ pub(crate) fn write_at_all(
             drop(sp);
             exch_ns += lio_obs::elapsed_ns(t);
         }
-        let mut msg = Vec::with_capacity(16 + n as usize);
-        msg.extend_from_slice(&s_lo.to_le_bytes());
-        msg.extend_from_slice(&s_hi.to_le_bytes());
+        let mut msg = scratch.take(16 + n as usize);
+        msg[0..8].copy_from_slice(&s_lo.to_le_bytes());
+        msg[8..16].copy_from_slice(&s_hi.to_le_bytes());
         if n > 0 {
             health::beat(HbPhase::Pack);
             let t = lio_obs::now();
             let sp = lio_obs::trace::span_ab("pack", n, 0);
-            // zero-copy fast path: contiguous memtypes append the user
-            // bytes directly instead of zero-filling and re-packing
-            if let Some(s) = packer.contig_slice(user, s_lo - stream_start, n) {
-                msg.extend_from_slice(s);
-            } else {
-                let base = msg.len();
-                msg.resize(base + n as usize, 0);
-                let got = packer.pack(user, s_lo - stream_start, &mut msg[base..]);
-                debug_assert_eq!(got as u64, n);
-            }
+            let got = packer.pack(user, s_lo - stream_start, &mut msg[16..]);
+            debug_assert_eq!(got as u64, n);
             drop(sp);
             pack_ns += lio_obs::elapsed_ns(t);
         }
@@ -635,7 +653,12 @@ pub(crate) fn write_at_all(
                         let msg = msg.expect("all data messages received");
                         recv.push(RecvList::parse(list_bytes, msg, 16)?);
                     }
-                    iop_write_listbased(storage, dom, &mut recv, hints)
+                    let done = iop_write_listbased(storage, dom, &mut recv, hints, scratch);
+                    // placed: the messages now belong to this rank's arena
+                    for r in recv {
+                        scratch.give(r.data);
+                    }
+                    done
                 }
                 Engine::Listless => {
                     let navs = state
@@ -669,7 +692,19 @@ pub(crate) fn write_at_all(
                             s_hi,
                         });
                     }
-                    iop_write_listless(storage, dom, &mut placements, state, hints)
+                    let done = iop_write_listless(
+                        storage,
+                        dom,
+                        &placements,
+                        navs,
+                        state.merge.as_ref(),
+                        hints,
+                        scratch,
+                    );
+                    for p in placements {
+                        scratch.give(p.msg);
+                    }
+                    done
                 }
             }
         })();
@@ -726,6 +761,7 @@ fn iop_write_listbased(
     dom: (u64, u64),
     recv: &mut [RecvList],
     hints: &Hints,
+    scratch: &Scratch,
 ) -> Result<(u64, u64)> {
     // clip the domain to where data actually lands
     let lo = recv.iter().filter_map(|r| r.next_offset()).min();
@@ -748,7 +784,7 @@ fn iop_write_listbased(
     let mut windows = 0u64;
     let cb = hints.cb_buffer_size as u64;
     // a window never exceeds the clipped domain, so neither need the buffer
-    let mut filebuf = vec![0u8; cb.min(hi.saturating_sub(lo)) as usize];
+    let mut filebuf = scratch.take(cb.min(hi.saturating_sub(lo)) as usize);
     let mut win = lo;
     while win < hi {
         let win_end = (win + cb).min(hi);
@@ -785,6 +821,7 @@ fn iop_write_listbased(
         }
         win = win_end;
     }
+    scratch.give(filebuf);
     if obs {
         OBS_W_IO_NS.add(io_ns);
         OBS_W_PACK_NS.add(pack_ns);
@@ -798,9 +835,11 @@ fn iop_write_listbased(
 fn iop_write_listless(
     storage: &dyn StorageFile,
     dom: (u64, u64),
-    placements: &mut [FfPlacement],
-    state: &CollState,
+    placements: &[FfPlacement],
+    navs: &[FfNav],
+    merge: Option<&MergeView>,
     hints: &Hints,
+    scratch: &Scratch,
 ) -> Result<(u64, u64)> {
     // clip the domain to where data actually lands
     let lo = placements
@@ -824,16 +863,17 @@ fn iop_write_listless(
     let mut pack_ns = 0u64;
     let mut windows = 0u64;
     let cb = hints.cb_buffer_size as u64;
-    let mut filebuf = vec![0u8; cb.min(hi.saturating_sub(lo)) as usize];
+    let mut filebuf = scratch.take(cb.min(hi.saturating_sub(lo)) as usize);
     // per-AP stream cursor (how far each AP's data has been consumed)
     let mut cursors: Vec<u64> = placements.iter().map(|p| p.s_lo).collect();
+    let mut takes = vec![0u64; placements.len()];
     let mut win = lo;
     while win < hi {
         let win_end = (win + cb).min(hi);
         let fb = &mut filebuf[..(win_end - win) as usize];
         // per-AP byte counts in this window (cheap: O(depth) each)
         let mut any = false;
-        let mut takes = vec![0u64; placements.len()];
+        takes.fill(0);
         for (k, p) in placements.iter().enumerate() {
             if p.s_hi <= p.s_lo || cursors[k] >= p.s_hi {
                 continue;
@@ -849,10 +889,7 @@ fn iop_write_listless(
             health::beat_window(HbPhase::Io, windows - 1);
             let _w = lio_obs::trace::span_ab("win", windows - 1, win);
             let dense = hints.detect_dense_writes
-                && state
-                    .merge
-                    .as_ref()
-                    .is_some_and(|m| m.covered(win, win_end));
+                && merge.is_some_and(|m| m.filled_by(navs, &takes, win, win_end));
             if !dense {
                 let t = lio_obs::now();
                 let sp = lio_obs::trace::span_ab("io.read", win, fb.len() as u64);
@@ -886,6 +923,7 @@ fn iop_write_listless(
         }
         win = win_end;
     }
+    scratch.give(filebuf);
     if obs {
         OBS_W_IO_NS.add(io_ns);
         OBS_W_PACK_NS.add(pack_ns);
@@ -908,6 +946,7 @@ pub(crate) fn read_at_all(
     total: u64,
     hints: &Hints,
     tuner: Option<&FileTuner>,
+    scratch: &Scratch,
 ) -> Result<u64> {
     // root trace span delimiting this collective op (both schedules)
     let _root = lio_obs::trace::span_ab("coll.read", total, 0);
@@ -923,6 +962,7 @@ pub(crate) fn read_at_all(
             total,
             hints,
             tuner,
+            scratch,
         );
     }
     let t_op = lio_obs::now();
@@ -989,10 +1029,9 @@ pub(crate) fn read_at_all(
         let dom = domains[me];
         match engine {
             Engine::ListBased => {
+                // each list carries its AP's reply: a buffer of the length
+                // the announce header promised, filled window by window
                 let mut recv: Vec<RecvList> = Vec::with_capacity(comm.size());
-                let mut outs: Vec<Vec<u8>> = Vec::with_capacity(comm.size());
-                // bytes promised to each AP, from the announce header
-                let mut promised: Vec<u64> = Vec::with_capacity(comm.size());
                 let t = lio_obs::now();
                 let sp = lio_obs::trace::span("exch.wait");
                 for p in 0..comm.size() {
@@ -1002,15 +1041,12 @@ pub(crate) fn read_at_all(
                     health::window_mark(0, p as u32);
                     let s_lo = u64::from_le_bytes(hdr[0..8].try_into().expect("s_lo"));
                     let s_hi = u64::from_le_bytes(hdr[8..16].try_into().expect("s_hi"));
-                    promised.push(s_hi - s_lo);
-                    match RecvList::parse(&list_bytes, Vec::new(), 0) {
-                        Ok(r) => recv.push(r),
-                        Err(e) => {
-                            fatal.get_or_insert(e);
-                            recv.push(RecvList::parse(&[], Vec::new(), 0).expect("empty list"));
-                        }
-                    }
-                    outs.push(Vec::new());
+                    let reply = scratch.take((s_hi - s_lo) as usize);
+                    let segs = parse_ol_list(&list_bytes).unwrap_or_else(|e| {
+                        fatal.get_or_insert(e);
+                        Vec::new()
+                    });
+                    recv.push(RecvList::new(segs, reply, 0));
                 }
                 drop(sp);
                 health::window_flush();
@@ -1021,7 +1057,7 @@ pub(crate) fn read_at_all(
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
                     let cb = hints.cb_buffer_size as u64;
-                    let mut filebuf = vec![0u8; cb.min(hi.saturating_sub(lo)) as usize];
+                    let mut filebuf = scratch.take(cb.min(hi.saturating_sub(lo)) as usize);
                     let mut win = lo;
                     while win < hi && fatal.is_none() {
                         let win_end = (win + cb).min(hi);
@@ -1046,19 +1082,22 @@ pub(crate) fn read_at_all(
                             health::beat(HbPhase::Pack);
                             let t = lio_obs::now();
                             let sp = lio_obs::trace::span_ab("pack.place", win, 0);
-                            for (r, out) in recv.iter_mut().zip(outs.iter_mut()) {
-                                r.extract_from(fb, win, win_end, out);
+                            for r in recv.iter_mut() {
+                                r.extract_from(fb, win, win_end);
                             }
                             drop(sp);
                             pack_ns += lio_obs::elapsed_ns(t);
                         }
                         win = win_end;
                     }
+                    scratch.give(filebuf);
                 }
                 let t = lio_obs::now();
-                for (p, mut out) in outs.into_iter().enumerate() {
+                for (p, r) in recv.into_iter().enumerate() {
+                    let mut out = r.data;
                     if fatal.is_some() {
-                        out.resize(promised[p] as usize, 0);
+                        // the promised length, zeros past the failure point
+                        out[r.data_pos..].fill(0);
                     }
                     if obs {
                         OBS_EXCH_DATA_BYTES.add(out.len() as u64);
@@ -1099,21 +1138,24 @@ pub(crate) fn read_at_all(
                     .filter(|(s, _)| s.1 > s.0)
                     .map(|(s, n)| n.stream_to_abs(s.1 - 1) + 1)
                     .max();
+                // the replies, of the promised length, filled window by
+                // window up to `cursors[k] - spans[k].0`
                 let mut outs: Vec<Vec<u8>> = spans
                     .iter()
-                    .map(|s| Vec::with_capacity((s.1 - s.0) as usize))
+                    .map(|s| scratch.take((s.1 - s.0) as usize))
                     .collect();
+                let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
                 if let (Some(lo), Some(hi)) = (lo, hi) {
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
                     let cb = hints.cb_buffer_size as u64;
-                    let mut filebuf = vec![0u8; cb.min(hi.saturating_sub(lo)) as usize];
-                    let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
+                    let mut filebuf = scratch.take(cb.min(hi.saturating_sub(lo)) as usize);
+                    let mut takes = vec![0u64; spans.len()];
                     let mut win = lo;
                     while win < hi {
                         let win_end = (win + cb).min(hi);
                         let fb = &mut filebuf[..(win_end - win) as usize];
-                        let mut takes = vec![0u64; spans.len()];
+                        takes.fill(0);
                         let mut any = false;
                         for (k, nav_p) in navs.iter().enumerate() {
                             if spans[k].1 <= spans[k].0 || cursors[k] >= spans[k].1 {
@@ -1146,13 +1188,12 @@ pub(crate) fn read_at_all(
                                 if takes[k] == 0 {
                                     continue;
                                 }
-                                let start = outs[k].len();
-                                outs[k].resize(start + takes[k] as usize, 0);
+                                let start = (cursors[k] - spans[k].0) as usize;
                                 let got = nav_p.extract_window(
                                     fb,
                                     win,
                                     cursors[k],
-                                    &mut outs[k][start..],
+                                    &mut outs[k][start..start + takes[k] as usize],
                                 );
                                 debug_assert_eq!(got as u64, takes[k]);
                                 cursors[k] += takes[k];
@@ -1162,11 +1203,13 @@ pub(crate) fn read_at_all(
                         }
                         win = win_end;
                     }
+                    scratch.give(filebuf);
                 }
                 let t = lio_obs::now();
                 for (p, mut out) in outs.into_iter().enumerate() {
                     if fatal.is_some() {
-                        out.resize((spans[p].1 - spans[p].0) as usize, 0);
+                        // the promised length, zeros past the failure point
+                        out[(cursors[p] - spans[p].0) as usize..].fill(0);
                     }
                     if obs {
                         OBS_EXCH_DATA_BYTES.add(out.len() as u64);
@@ -1201,6 +1244,7 @@ pub(crate) fn read_at_all(
             pack_ns += lio_obs::elapsed_ns(t);
             debug_assert_eq!(put, data.len());
         }
+        scratch.give(data);
     }
     if obs {
         OBS_R_EXCH_NS.add(exch_ns);

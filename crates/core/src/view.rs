@@ -435,6 +435,12 @@ impl FfNav {
         }
         bytes_below_tiled(&self.view.filetype, (abs - self.view.disp) as i64)
     }
+
+    /// Stream bytes with absolute offsets in `[lo, hi)`.
+    pub fn bytes_in(&self, lo: u64, hi: u64) -> u64 {
+        self.abs_to_stream(hi)
+            .saturating_sub(self.abs_to_stream(lo))
+    }
 }
 
 #[cfg(test)]

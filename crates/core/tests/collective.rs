@@ -4,7 +4,10 @@
 
 mod common;
 
-use common::{apply_comm_faults, pattern, reference_write, test_storage, test_storage_with};
+use common::{
+    apply_comm_faults, check_partial_participation, pattern, reference_write, test_storage,
+    test_storage_with,
+};
 use lio_core::{File, Hints};
 use lio_datatype::{Datatype, Field, Order};
 use lio_mpi::World;
@@ -283,6 +286,19 @@ fn collective_some_ranks_empty() {
             }
         });
         assert_eq!(shared.len(), 128);
+    }
+}
+
+#[test]
+fn collective_partial_participation_keeps_untouched_bytes() {
+    // rank 1 writes nothing, one block, half of its view; one window per
+    // domain and many
+    for h in engines() {
+        for cb in [4 << 20, 96] {
+            for r1_bytes in [0, 8, 256] {
+                check_partial_participation(h.cb_buffer(cb), r1_bytes);
+            }
+        }
     }
 }
 

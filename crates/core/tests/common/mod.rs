@@ -3,9 +3,9 @@
 //! Shared test helpers: a deliberately naive reference implementation of
 //! viewed file access, used to differentially test both engines.
 
-use lio_core::{BackendKind, SharedFile};
+use lio_core::{BackendKind, File, Hints, SharedFile};
 use lio_datatype::typemap::{expand, reference_pack};
-use lio_datatype::Datatype;
+use lio_datatype::{Datatype, Field};
 use lio_pfs::decorate::FaultyFile;
 use lio_pfs::{MemFile, StorageFile};
 use std::sync::Arc;
@@ -196,4 +196,80 @@ pub fn pattern(len: usize, seed: u64) -> Vec<u8> {
             (x >> 32) as u8
         })
         .collect()
+}
+
+/// The fileview of the paper's Figure 4 for rank `p` of `nprocs`: an
+/// LB/vector/UB struct with the vector at `p·sblock` *inside* the struct,
+/// so every rank uses displacement 0 and the listless engine builds a
+/// mergeview (which covers the whole file).
+pub fn figure4_filetype(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> Datatype {
+    let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
+    let v = Datatype::vector(nblock, 1, nprocs as i64, &block).unwrap();
+    Datatype::struct_type(vec![
+        Field {
+            disp: 0,
+            count: 1,
+            child: Datatype::lb_marker(),
+        },
+        Field {
+            disp: (p * sblock) as i64,
+            count: 1,
+            child: v,
+        },
+        Field {
+            disp: (nblock * nprocs * sblock) as i64,
+            count: 1,
+            child: Datatype::ub_marker(),
+        },
+    ])
+    .unwrap()
+}
+
+/// A collective write in which not every rank writes all its view holds:
+/// two ranks share the Figure-4 view over a file of `0xFF`; rank 0 writes
+/// its 64 blocks, rank 1 only the first `r1_bytes` bytes of its own. The
+/// union of the *views* covers every window, the data of the *call* does
+/// not, so the bytes rank 1 left alone must still be `0xFF` afterwards.
+pub fn check_partial_participation(hints: Hints, r1_bytes: u64) {
+    const NBLOCK: u64 = 64;
+    const SBLOCK: u64 = 8;
+    let counts = [NBLOCK * SBLOCK, r1_bytes];
+    let before = vec![0xFFu8; (2 * NBLOCK * SBLOCK) as usize];
+    let (shared, raw) = test_storage_with(before.clone());
+    lio_mpi::World::run(2, move |comm| {
+        apply_comm_faults(comm);
+        let me = comm.rank() as u64;
+        let mut f = File::open(comm, shared.clone(), hints).unwrap();
+        f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
+            .unwrap();
+        let count = counts[me as usize];
+        let data = pattern(count as usize, me + 1);
+        let n = f.write_at_all(0, &data, count, &Datatype::byte()).unwrap();
+        assert_eq!(n, count);
+    });
+    let mut want = before;
+    for me in 0..2u64 {
+        let data = pattern(counts[me as usize] as usize, me + 1);
+        if !data.is_empty() {
+            reference_write(
+                &mut want,
+                0,
+                &figure4_filetype(me, 2, NBLOCK, SBLOCK),
+                0,
+                &data,
+            );
+        }
+    }
+    let got = raw.snapshot();
+    let clobbered = (0..NBLOCK as usize)
+        .filter(|b| {
+            let at = (2 * b + 1) * SBLOCK as usize;
+            got[at..at + SBLOCK as usize] != want[at..at + SBLOCK as usize]
+        })
+        .count();
+    assert_eq!(
+        clobbered, 0,
+        "{clobbered} of rank 1's blocks clobbered (rank 1 wrote {r1_bytes} B)"
+    );
+    assert_eq!(got, want, "file differs from the reference");
 }

@@ -16,12 +16,12 @@
 
 mod common;
 
-use common::{pattern, reference_write};
+use common::{figure4_filetype, pattern, reference_write};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_pfs::decorate::{FaultPlan, FaultyFile};
-use lio_pfs::MemFile;
+use lio_pfs::{MemFile, StorageFile};
 use lio_testkit as tk;
 use std::sync::Arc;
 
@@ -234,6 +234,94 @@ fn torn_write_leaves_serially_explainable_bytes() {
                  ({was:#04x}) nor the completed write ({new:#04x}) — no serial schedule \
                  produces it"
             );
+        }
+    }
+}
+
+/// A device that loses everything from byte `from` on: reads reaching
+/// past it fail permanently.
+struct DeadFrom {
+    inner: MemFile,
+    from: u64,
+}
+
+impl StorageFile for DeadFrom {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+        if offset + buf.len() as u64 > self.from {
+            return Err(std::io::Error::other("device lost"));
+        }
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
+        self.inner.write_at(offset, buf)
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn sync(&self) -> std::io::Result<()> {
+        self.inner.sync()
+    }
+}
+
+#[test]
+fn failed_collective_read_pads_replies_with_zeros() {
+    // A permanent read fault in the second IOP's domain: that rank's call
+    // fails, the other rank's succeeds, and what it gets from the failed
+    // domain is the promised number of bytes — file bytes up to the
+    // failed window, zeros from there on, never recycled buffer contents.
+    const NBLOCK: u64 = 64;
+    const SBLOCK: u64 = 8;
+    const CB: usize = 96;
+    let len = 2 * NBLOCK * SBLOCK;
+    let image: Vec<u8> = (0..len).map(|i| 1 + (i % 100) as u8).collect();
+    let from = len * 3 / 4;
+    for engine in [Hints::list_based(), Hints::listless()] {
+        for pipelined in [false, true] {
+            let hints = engine.cb_buffer(CB).pipelined(pipelined);
+            let shared = SharedFile::new(DeadFrom {
+                inner: MemFile::with_data(image.clone()),
+                from,
+            });
+            let outcomes = World::run(2, |comm| {
+                let me = comm.rank() as u64;
+                let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
+                    .unwrap();
+                // warm the arena, so the failing op runs on recycled buffers
+                let junk = vec![0x5Au8; (NBLOCK * SBLOCK / 4) as usize];
+                f.write_at_all(0, &junk, junk.len() as u64, &Datatype::byte())
+                    .unwrap();
+                let mut back = vec![0x77u8; (NBLOCK * SBLOCK) as usize];
+                let n = back.len() as u64;
+                let res = f.read_at_all(0, &mut back, n, &Datatype::byte());
+                (res.is_ok(), back)
+            });
+            let what = format!("{:?}, pipelined={pipelined}", hints.engine);
+            assert!(outcomes[0].0, "rank 0's own domain is healthy ({what})");
+            assert!(!outcomes[1].0, "rank 1 must report the fault ({what})");
+            let back = &outcomes[0].1;
+            let mut zeros = 0;
+            for (i, &got) in back.iter().enumerate() {
+                let at = (i as u64 / SBLOCK) * 2 * SBLOCK + i as u64 % SBLOCK;
+                let want = if at < len / 4 {
+                    0x5A
+                } else {
+                    image[at as usize]
+                };
+                if at + (CB as u64) <= from {
+                    assert_eq!(
+                        got, want,
+                        "byte {i} (file {at}) precedes the fault ({what})"
+                    );
+                } else {
+                    assert!(got == want || got == 0, "byte {i} is {got:#x} ({what})");
+                    zeros += (got == 0) as usize;
+                }
+            }
+            assert!(zeros > 0, "the fault left no trace ({what})");
         }
     }
 }

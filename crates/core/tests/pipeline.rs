@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{pattern, reference_write};
+use common::{check_partial_participation, pattern, reference_write};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
@@ -174,6 +174,20 @@ fn pipelined_matches_monolithic_and_reference() {
                 assert_eq!(
                     got, want,
                     "case {case} (p={nprocs} cb={cb} depth={depth}): file differs from reference"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn pipelined_partial_participation_keeps_untouched_bytes() {
+    for h in [Hints::list_based(), Hints::listless()] {
+        for (cb, depth) in [(4 << 20, 2), (96, 1), (96, 4)] {
+            for r1_bytes in [0, 8, 256] {
+                check_partial_participation(
+                    h.cb_buffer(cb).pipelined(true).pipeline_depth(depth),
+                    r1_bytes,
                 );
             }
         }

@@ -1,7 +1,8 @@
 //! Assertion-backed verification of the pipeline's memory bound: with
 //! credit-based flow control, the IOP buffers at most
-//! `O(pipeline_depth · cb_buffer_size · nprocs)` bytes (window buffers
-//! plus queued messages) regardless of the collective access size —
+//! `O(pipeline_depth · cb_buffer_size · nprocs)` bytes (window buffers,
+//! queued messages and the buffers its scratch arena keeps for reuse —
+//! the gauge counts all three) regardless of the collective access size —
 //! unlike the monolithic schedule, which holds every AP's whole
 //! per-domain contribution at once.
 //!
@@ -88,7 +89,10 @@ fn iop_peak_buffering_is_bounded_by_depth_windows() {
     let peak = snap.gauge("core.coll.pipeline.peak_buffered_bytes");
     let inflight = snap.gauge("core.coll.pipeline.inflight_windows");
     let total = NPROCS as u64 * PER_RANK;
-    // ≤ depth un-credited messages per AP + depth window buffers
+    // ≤ depth un-credited messages per AP + depth window buffers; the
+    // arena retains at most what was out at once (the rank's own
+    // un-credited messages and its window buffers), which the messages'
+    // share of the bound — they are a quarter window each — leaves room for
     let bound = (DEPTH * CB * (NPROCS + 1)) as u64;
     assert!(peak > 0, "pipeline never recorded its buffering high-water");
     assert!(

@@ -1,0 +1,117 @@
+//! The scratch arena's promise, counted: once an access pattern has run
+//! twice, repeating it allocates no large block — every window, pack and
+//! message buffer comes out of the rank's arena (or arrived in a message
+//! from the peer's).
+//!
+//! Its own test binary with a single test, so the process-wide counting
+//! allocator sees these operations only.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use common::{figure4_filetype, pattern};
+use lio_core::{File, Hints, SharedFile};
+use lio_datatype::Datatype;
+use lio_mpi::{Comm, World};
+use lio_pfs::MemFile;
+
+/// Allocations of at least this many bytes count.
+const LARGE: usize = 64 * 1024;
+
+static ARMED: AtomicBool = AtomicBool::new(false);
+static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn note(size: usize) {
+    if size >= LARGE && ARMED.load(Ordering::Relaxed) {
+        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: both methods hand their arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract, and the counter touches no
+// allocation. `alloc_zeroed` and `realloc` keep the trait's defaults,
+// which go through `alloc` and are counted there.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const NBLOCK: u64 = 64;
+const SBLOCK: u64 = 4096;
+/// Bytes per rank and operation: 256 KiB, in 128 KiB collective windows
+/// that hold 64 KiB of each rank.
+const BYTES: u64 = NBLOCK * SBLOCK;
+
+/// Run `op` twice to warm the arena, then once more with the counter
+/// armed on every rank at once; returns the large allocations of the
+/// armed run (whole process: both ranks and any storage lane).
+fn large_allocs_in_third(comm: &Comm, mut op: impl FnMut()) -> usize {
+    op();
+    op();
+    comm.barrier();
+    if comm.rank() == 0 {
+        LARGE_ALLOCS.store(0, Ordering::Relaxed);
+        ARMED.store(true, Ordering::Relaxed);
+    }
+    comm.barrier();
+    op();
+    comm.barrier();
+    let n = LARGE_ALLOCS.load(Ordering::Relaxed);
+    comm.barrier();
+    if comm.rank() == 0 {
+        ARMED.store(false, Ordering::Relaxed);
+    }
+    comm.barrier();
+    n
+}
+
+#[test]
+fn steady_state_operations_allocate_no_large_block() {
+    for engine in [Hints::list_based(), Hints::listless()] {
+        for pipelined in [false, true] {
+            let hints = engine.cb_buffer(128 * 1024).pipelined(pipelined);
+            let shared = SharedFile::new(MemFile::new());
+            World::run(2, |comm| {
+                let me = comm.rank() as u64;
+                let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
+                    .unwrap();
+                // half-dense memory, so every byte goes through a pack buffer
+                let block = Datatype::contiguous(SBLOCK, &Datatype::byte()).unwrap();
+                let memtype = Datatype::vector(NBLOCK, 1, 2, &block).unwrap();
+                let data = pattern(2 * BYTES as usize, me + 1);
+                let mut back = vec![0u8; data.len()];
+                let what = |op: &str| format!("{op}, {:?}, pipelined={pipelined}", hints.engine);
+
+                let n = large_allocs_in_third(comm, || {
+                    f.write_at_all(0, &data, 1, &memtype).unwrap();
+                });
+                assert_eq!(n, 0, "{}", what("write_at_all"));
+                let n = large_allocs_in_third(comm, || {
+                    f.read_at_all(0, &mut back, 1, &memtype).unwrap();
+                });
+                assert_eq!(n, 0, "{}", what("read_at_all"));
+                let n = large_allocs_in_third(comm, || {
+                    f.write_at(0, &data, 1, &memtype).unwrap();
+                });
+                assert_eq!(n, 0, "{}", what("write_at"));
+                let n = large_allocs_in_third(comm, || {
+                    f.read_at(0, &mut back, 1, &memtype).unwrap();
+                });
+                assert_eq!(n, 0, "{}", what("read_at"));
+            });
+        }
+    }
+}

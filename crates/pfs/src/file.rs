@@ -13,6 +13,15 @@ use std::sync::{Arc, RwLock};
 /// * `write_at` extends the file as needed and returns the bytes written;
 /// * both may be called concurrently from many threads (interior
 ///   synchronization is the implementation's responsibility).
+///
+/// Concurrency contract: a call is **not** atomic as a whole. A backend
+/// may serve it in pieces ([`MemFile`]: one 256 KiB stripe at a time), and
+/// only each piece is atomic. Concurrent calls on disjoint ranges do not
+/// disturb each other; where concurrent writes overlap, every byte ends up
+/// holding what *one* of the writers put there, but different bytes may
+/// come from different writers, and a read that overlaps a concurrent
+/// write may see part of it. Callers that need more serialize themselves
+/// ([`crate::RangeLock`]); see DESIGN.md for why `lio-core` never needs to.
 pub trait StorageFile: Send + Sync {
     /// Read into `buf` starting at byte `offset`; returns bytes read.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
@@ -68,6 +77,14 @@ impl<F: StorageFile + ?Sized> StorageFile for Arc<F> {
     }
 }
 
+/// Bytes per [`MemFile`] stripe: the unit of locking, and so of the
+/// atomicity the [`StorageFile`] contract promises. Large enough that a
+/// window-sized transfer takes a handful of locks, small enough that two
+/// IOP file domains or two staggered sieve windows rarely meet in one.
+const STRIPE: usize = 256 * 1024;
+
+const POISONED: &str = "a MemFile lock is only poisoned by a panic inside a copy";
+
 /// A growable, thread-safe in-memory file.
 ///
 /// `MemFile` plays the role of a *fast* parallel file system: its transfer
@@ -76,9 +93,86 @@ impl<F: StorageFile + ?Sized> StorageFile for Arc<F> {
 /// higher the bandwidth of the used file system in relation to the
 /// bandwidth of the memory system..., the more important listless I/O
 /// is"). Use [`crate::ThrottledFile`] to emulate slower storage.
+///
+/// It is *parallel* the way such a file system is: the bytes live in
+/// fixed-size stripes, each behind its own lock, so transfers to disjoint
+/// stripes — two IOPs writing their file domains — run at the same time.
+/// The outer lock is taken exclusively only to change the length (a write
+/// past EOF, [`StorageFile::set_len`]); an in-bounds transfer holds it
+/// shared and takes one stripe lock at a time, in ascending order.
 #[derive(Default)]
 pub struct MemFile {
-    data: RwLock<Vec<u8>>,
+    inner: RwLock<Stripes>,
+}
+
+/// `len` bytes in `len.div_ceil(STRIPE)` full-size stripes. The bytes of
+/// the last stripe past `len` are zero, so growing into them needs no fill.
+#[derive(Default)]
+struct Stripes {
+    len: u64,
+    stripes: Vec<RwLock<Box<[u8]>>>,
+}
+
+fn zeroed_stripe() -> RwLock<Box<[u8]>> {
+    RwLock::new(vec![0u8; STRIPE].into_boxed_slice())
+}
+
+/// The stripes under `[offset, offset + n)`, in ascending order, as
+/// `(stripe index, first byte inside it, byte count)`.
+fn pieces(offset: u64, n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut at = offset;
+    let end = offset + n as u64;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let inside = (at % STRIPE as u64) as usize;
+            let take = (STRIPE - inside).min((end - at) as usize);
+            let piece = ((at / STRIPE as u64) as usize, inside, take);
+            at += take as u64;
+            piece
+        })
+    })
+}
+
+impl Stripes {
+    /// Extend to `len` bytes; the new bytes read as zeros.
+    fn grow(&mut self, len: u64) {
+        let need = len.div_ceil(STRIPE as u64) as usize;
+        self.stripes.resize_with(need, zeroed_stripe);
+        self.len = len;
+    }
+
+    /// Cut down to `len` bytes, restoring the zero tail of the last stripe.
+    fn shrink(&mut self, len: u64) {
+        let need = len.div_ceil(STRIPE as u64) as usize;
+        self.stripes.truncate(need);
+        let inside = (len % STRIPE as u64) as usize;
+        if inside > 0 {
+            let last = self.stripes[need - 1].get_mut().expect(POISONED);
+            let dirty = (self.len - (len - inside as u64)).min(STRIPE as u64) as usize;
+            last[inside..dirty].fill(0);
+        }
+        self.len = len;
+    }
+
+    /// Fill `buf` with the (existing) bytes from `offset` on.
+    fn load(&self, offset: u64, buf: &mut [u8]) {
+        let mut done = 0;
+        for (s, inside, n) in pieces(offset, buf.len()) {
+            let stripe = self.stripes[s].read().expect(POISONED);
+            buf[done..done + n].copy_from_slice(&stripe[inside..inside + n]);
+            done += n;
+        }
+    }
+
+    /// Copy `buf` over the (existing) bytes from `offset` on.
+    fn store(&self, offset: u64, buf: &[u8]) {
+        let mut done = 0;
+        for (s, inside, n) in pieces(offset, buf.len()) {
+            let mut stripe = self.stripes[s].write().expect(POISONED);
+            stripe[inside..inside + n].copy_from_slice(&buf[done..done + n]);
+            done += n;
+        }
+    }
 }
 
 impl MemFile {
@@ -89,34 +183,44 @@ impl MemFile {
 
     /// An in-memory file prefilled with `data`.
     pub fn with_data(data: Vec<u8>) -> MemFile {
+        let mut inner = Stripes::default();
+        inner.grow(data.len() as u64);
+        inner.store(0, &data);
         MemFile {
-            data: RwLock::new(data),
+            inner: RwLock::new(inner),
         }
     }
 
-    /// An empty file with reserved capacity (avoids reallocation noise in
-    /// benchmarks).
+    /// An empty file with room reserved for `cap` bytes' worth of stripes
+    /// (avoids reallocating the stripe table in benchmarks). The stripes
+    /// themselves are allocated, zeroed, by the writes that first reach
+    /// them.
     pub fn with_capacity(cap: usize) -> MemFile {
         MemFile {
-            data: RwLock::new(Vec::with_capacity(cap)),
+            inner: RwLock::new(Stripes {
+                len: 0,
+                stripes: Vec::with_capacity(cap.div_ceil(STRIPE)),
+            }),
         }
     }
 
     /// Snapshot the entire contents (test helper).
     pub fn snapshot(&self) -> Vec<u8> {
-        self.data.read().unwrap().clone()
+        let inner = self.inner.read().expect(POISONED);
+        let mut out = vec![0u8; inner.len as usize];
+        inner.load(0, &mut out);
+        out
     }
 }
 
 impl StorageFile for MemFile {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let data = self.data.read().unwrap();
-        let len = data.len() as u64;
-        if offset >= len {
+        let inner = self.inner.read().expect(POISONED);
+        if offset >= inner.len {
             return Ok(0);
         }
-        let n = buf.len().min((len - offset) as usize);
-        buf[..n].copy_from_slice(&data[offset as usize..offset as usize + n]);
+        let n = buf.len().min((inner.len - offset) as usize);
+        inner.load(offset, &mut buf[..n]);
         Ok(n)
     }
 
@@ -124,21 +228,36 @@ impl StorageFile for MemFile {
         if buf.is_empty() {
             return Ok(0);
         }
-        let end = offset as usize + buf.len();
-        let mut data = self.data.write().unwrap();
-        if data.len() < end {
-            data.resize(end, 0);
+        let end = offset
+            .checked_add(buf.len() as u64)
+            .ok_or(io::ErrorKind::InvalidInput)?;
+        {
+            let inner = self.inner.read().expect(POISONED);
+            if end <= inner.len {
+                inner.store(offset, buf);
+                return Ok(buf.len());
+            }
         }
-        data[offset as usize..end].copy_from_slice(buf);
+        let mut inner = self.inner.write().expect(POISONED);
+        // another writer may have grown the file between the two locks
+        if end > inner.len {
+            inner.grow(end);
+        }
+        inner.store(offset, buf);
         Ok(buf.len())
     }
 
     fn len(&self) -> u64 {
-        self.data.read().unwrap().len() as u64
+        self.inner.read().expect(POISONED).len
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
-        self.data.write().unwrap().resize(len as usize, 0);
+        let mut inner = self.inner.write().expect(POISONED);
+        if len >= inner.len {
+            inner.grow(len);
+        } else {
+            inner.shrink(len);
+        }
         Ok(())
     }
 
@@ -272,6 +391,210 @@ mod tests {
         for t in 0..8usize {
             assert!(snap[t * 64..(t + 1) * 64].iter().all(|&b| b == t as u8 + 1));
         }
+    }
+
+    /// A deterministic pseudorandom stream (xorshift64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+        fn bytes(&mut self, n: usize) -> Vec<u8> {
+            (0..n).map(|_| (self.next() >> 32) as u8).collect()
+        }
+    }
+
+    /// Offsets one below, at and one above the `k`-th stripe boundary.
+    fn around(k: usize) -> [u64; 3] {
+        let b = (k * STRIPE) as u64;
+        [b - 1, b, b + 1]
+    }
+
+    #[test]
+    fn memfile_roundtrip_across_stripes() {
+        // every start × end around a boundary, spanning 0, 1 and 3 of them
+        let mut rng = Rng(0x5EED);
+        let image = rng.bytes(5 * STRIPE + 7);
+        for span in [0usize, 1, 3] {
+            for start in around(1) {
+                for end in around(1 + span) {
+                    if end <= start {
+                        continue;
+                    }
+                    let f = MemFile::with_data(image.clone());
+                    let data = rng.bytes((end - start) as usize);
+                    assert_eq!(f.write_at(start, &data).unwrap(), data.len());
+                    let mut want = image.clone();
+                    want[start as usize..end as usize].copy_from_slice(&data);
+                    assert_eq!(f.snapshot(), want, "write [{start}, {end})");
+                    let mut back = vec![0u8; data.len()];
+                    assert_eq!(f.read_at(start, &mut back).unwrap(), back.len());
+                    assert_eq!(back, data, "read [{start}, {end})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memfile_unaligned_reads_and_writes() {
+        // growth that starts and ends around a boundary, and short reads
+        // that hit EOF around one
+        for end in around(2) {
+            for start in around(1) {
+                let f = MemFile::new();
+                let data = vec![0xC3u8; (end - start) as usize];
+                f.write_at(start, &data).unwrap();
+                assert_eq!(f.len(), end);
+                let mut all = vec![9u8; end as usize + 5];
+                assert_eq!(f.read_at(0, &mut all).unwrap(), end as usize);
+                assert!(all[..start as usize].iter().all(|&b| b == 0));
+                assert!(all[start as usize..end as usize].iter().all(|&b| b == 0xC3));
+                assert_eq!(&all[end as usize..], &[9u8; 5], "read past EOF");
+                assert_eq!(f.read_at(end, &mut all).unwrap(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn memfile_large_unaligned_transfer() {
+        let mut rng = Rng(77);
+        let data = rng.bytes(3 * STRIPE + 12345);
+        let f = MemFile::new();
+        f.write_at(STRIPE as u64 - 100, &data).unwrap();
+        let mut back = vec![0u8; data.len()];
+        assert_eq!(
+            f.read_at(STRIPE as u64 - 100, &mut back).unwrap(),
+            back.len()
+        );
+        assert_eq!(back, data);
+    }
+
+    #[test]
+    fn memfile_set_len_across_stripes() {
+        // shrink to around a boundary, regrow past the next one: the bytes
+        // cut off read back as zeros, the bytes kept are untouched
+        for keep in around(1) {
+            let f = MemFile::with_data(vec![7u8; 2 * STRIPE + 500]);
+            f.set_len(keep).unwrap();
+            assert_eq!(f.len(), keep);
+            f.set_len(2 * STRIPE as u64 + 100).unwrap();
+            let snap = f.snapshot();
+            assert_eq!(snap.len(), 2 * STRIPE + 100);
+            assert!(snap[..keep as usize].iter().all(|&b| b == 7));
+            assert!(snap[keep as usize..].iter().all(|&b| b == 0), "keep {keep}");
+            // regrowing by a write leaves the gap zero as well
+            f.set_len(keep).unwrap();
+            f.write_at(2 * STRIPE as u64, b"tail").unwrap();
+            let snap = f.snapshot();
+            assert!(snap[keep as usize..2 * STRIPE].iter().all(|&b| b == 0));
+            assert_eq!(&snap[2 * STRIPE..], b"tail");
+        }
+    }
+
+    #[test]
+    fn memfile_with_capacity_sparse_write_zero_fills() {
+        let f = MemFile::with_capacity(4 * STRIPE);
+        assert_eq!(f.len(), 0);
+        f.write_at(2 * STRIPE as u64 + 3, b"xy").unwrap();
+        let snap = f.snapshot();
+        assert_eq!(snap.len(), 2 * STRIPE + 5);
+        assert!(snap[..2 * STRIPE + 3].iter().all(|&b| b == 0));
+        assert_eq!(&snap[2 * STRIPE + 3..], b"xy");
+    }
+
+    #[test]
+    fn memfile_concurrent_disjoint_stripe_writes() {
+        // Two in-bounds writers own the alternating CHUNK-byte pieces of
+        // the first BASE bytes (CHUNK does not divide STRIPE, so pieces
+        // straddle boundaries) and check their own pieces as they go; a
+        // growing writer appends behind BASE and, between its two phases,
+        // a fourth thread cuts the file back. Barriers fix the order of
+        // the three length changes; everything else commutes, so a plain
+        // Vec<u8> taking the operations in that order is the model.
+        const CHUNK: usize = 100_000;
+        const BASE: usize = 12 * CHUNK;
+        const OPS: usize = 300;
+        let cut = (BASE + STRIPE + 17) as u64;
+        let f = MemFile::with_data(vec![0x11; BASE]);
+        let before_cut = std::sync::Barrier::new(2);
+        let after_cut = std::sync::Barrier::new(2);
+
+        let in_bounds = |who: usize| {
+            let f = &f;
+            move || {
+                let mut rng = Rng(0xABCD + who as u64);
+                let mut mine = vec![0x11u8; BASE];
+                for _ in 0..OPS {
+                    let piece = 2 * rng.below(BASE as u64 / (2 * CHUNK as u64)) as usize + who;
+                    let a = rng.below(CHUNK as u64) as usize;
+                    let n = 1 + rng.below((CHUNK - a) as u64) as usize;
+                    let at = piece * CHUNK + a;
+                    if rng.below(3) == 0 {
+                        let mut got = vec![0u8; n];
+                        assert_eq!(f.read_at(at as u64, &mut got).unwrap(), n);
+                        assert_eq!(got, &mine[at..at + n], "writer {who} read foreign bytes");
+                    } else {
+                        let data = rng.bytes(n);
+                        f.write_at(at as u64, &data).unwrap();
+                        mine[at..at + n].copy_from_slice(&data);
+                    }
+                }
+                mine
+            }
+        };
+        let appends = |rng: &mut Rng, model: &mut Vec<u8>| {
+            for _ in 0..OPS / 10 {
+                // sometimes leave a hole behind the current end
+                let at = model.len() + rng.below(2) as usize * rng.below(3000) as usize;
+                let n = 1 + rng.below(STRIPE as u64 / 2) as usize;
+                let data = rng.bytes(n);
+                f.write_at(at as u64, &data).unwrap();
+                model.resize(at, 0);
+                model.extend_from_slice(&data);
+            }
+        };
+
+        let (even, odd, tail) = std::thread::scope(|s| {
+            let even = s.spawn(in_bounds(0));
+            let odd = s.spawn(in_bounds(1));
+            let grower = s.spawn(|| {
+                let mut rng = Rng(0x6A0);
+                let mut model = vec![0u8; BASE];
+                appends(&mut rng, &mut model);
+                before_cut.wait();
+                after_cut.wait();
+                assert!(model.len() as u64 > cut, "the cut must shrink the file");
+                model.truncate(cut as usize);
+                appends(&mut rng, &mut model);
+                model
+            });
+            s.spawn(|| {
+                before_cut.wait();
+                f.set_len(cut).unwrap();
+                after_cut.wait();
+            });
+            (
+                even.join().unwrap(),
+                odd.join().unwrap(),
+                grower.join().unwrap(),
+            )
+        });
+
+        let mut want = tail;
+        for piece in 0..BASE / CHUNK {
+            let owner = if piece % 2 == 0 { &even } else { &odd };
+            let r = piece * CHUNK..(piece + 1) * CHUNK;
+            want[r.clone()].copy_from_slice(&owner[r]);
+        }
+        assert_eq!(f.len(), want.len() as u64);
+        assert!(f.snapshot() == want, "file differs from the model");
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //!
 //! * [`StorageFile`] — the positional-I/O trait the MPI-IO layer is
 //!   written against;
-//! * [`MemFile`] — a thread-safe in-memory file whose transfer rate is
-//!   memcpy bandwidth (the "fast file system" regime where listless I/O
-//!   matters most), plus [`UnixFile`] for real on-disk output;
+//! * [`MemFile`] — a thread-safe, lock-striped in-memory file whose
+//!   transfer rate is memcpy bandwidth and whose writers to disjoint
+//!   stripes run in parallel (the "fast parallel file system" regime
+//!   where listless I/O matters most), plus [`UnixFile`] for real
+//!   on-disk output;
 //! * [`ThrottledFile`] — a calibrated bandwidth/latency model for
 //!   emulating slower storage ([`Throttle::sx6_local_fs`],
 //!   [`Throttle::commodity_nfs`]);
@@ -20,10 +22,7 @@
 //!   [`squeue`]) served by a worker threadpool over any device, with
 //!   alignment-aware segment planning and staged buffers ([`aligned`]);
 //! * [`RangeLock`] — the byte-range lock that data-sieving writes need for
-//!   their read-modify-write cycle;
-//! * [`StripedFile`] — RAID-0-style striping over several backends, the
-//!   "suitable striping configuration" of the paper's Figure 8
-//!   discussion.
+//!   their read-modify-write cycle.
 
 pub mod aligned;
 pub mod decorate;
@@ -32,7 +31,6 @@ pub mod lock;
 pub mod os;
 pub mod retry;
 pub mod squeue;
-pub mod stripe;
 
 pub use aligned::{AlignedBuf, AlignedPool};
 pub use decorate::{
@@ -43,4 +41,3 @@ pub use lock::{RangeGuard, RangeLock};
 pub use os::{OsConfig, OsFile};
 pub use retry::{RetryExhausted, RetryPolicy};
 pub use squeue::{Cqe, QueueConfig, SqBuf, Sqe, SubmissionQueue};
-pub use stripe::StripedFile;
