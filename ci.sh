@@ -27,12 +27,14 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # ways, so every differential case runs both the monolithic and the
 # pipelined schedule regardless of per-test hints. (pipeline_mem is
 # excluded on purpose: it asserts on the pipeline's own gauges and is
-# not meaningful when the env override forces the hint off.)
+# not meaningful when the env override forces the hint off.) The request
+# geometry suite rides along here and in the backend and fault reruns
+# below: the window grid must hold under every schedule and backend.
 echo "== collective suites under LIO_PIPELINE=0"
-LIO_PIPELINE=0 cargo test -q -p lio-core --test collective --test pipeline
+LIO_PIPELINE=0 cargo test -q -p lio-core --test collective --test pipeline --test geometry
 
 echo "== collective suites under LIO_PIPELINE=1"
-LIO_PIPELINE=1 cargo test -q -p lio-core --test collective --test pipeline
+LIO_PIPELINE=1 cargo test -q -p lio-core --test collective --test pipeline --test geometry
 
 # Real-storage backend: the collective + pipeline + fault suites again
 # with every storage stack forced onto OsFile (submission queue over a
@@ -45,7 +47,7 @@ mkdir -p target/lio-os-ci
 for osdir in /dev/shm "$PWD/target/lio-os-ci"; do
   echo "== collective/pipeline/faults suites under LIO_BACKEND=os LIO_OS_DIR=$osdir"
   LIO_BACKEND=os LIO_OS_DIR=$osdir \
-    cargo test -q -p lio-core --test collective --test pipeline --test faults
+    cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry
   echo "== OsFile fault/edge suites under LIO_OS_DIR=$osdir"
   LIO_OS_DIR=$osdir cargo test -q -p lio-pfs --test os_faults --test os_edge
 done
@@ -54,7 +56,7 @@ echo "== backend corpus cross-product LIO_BACKEND={mem,os} x LIO_PIPELINE={0,1}"
 for be in mem os; do
   for pipe in 0 1; do
     echo "  -- LIO_BACKEND=$be LIO_PIPELINE=$pipe"
-    LIO_BACKEND=$be LIO_PIPELINE=$pipe cargo test -q -p lio-core --test backend
+    LIO_BACKEND=$be LIO_PIPELINE=$pipe cargo test -q -p lio-core --test backend --test geometry
   done
 done
 
@@ -215,15 +217,15 @@ done
 # determinism (the seed depends only on the commit, never the clock).
 # On failure, replay the exact schedule with:
 #   LIO_FAULT_SEED=<seed> LIO_PIPELINE=<0|1> \
-#     cargo test -p lio-core --test collective --test pipeline --test faults
+#     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry
 ROTATING_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5EED)"
 for seed in 7 0xBAD5EED 0x5C032003 "$ROTATING_SEED"; do
   for pipe in 0 1; do
     echo "== fault corpus: LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe"
     if ! LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe \
-        cargo test -q -p lio-core --test collective --test pipeline --test faults; then
+        cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry; then
       echo "FAULT CORPUS FAILURE — replay with:"
-      echo "  LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe cargo test -p lio-core --test collective --test pipeline --test faults"
+      echo "  LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe cargo test -p lio-core --test collective --test pipeline --test faults --test geometry"
       exit 1
     fi
   done

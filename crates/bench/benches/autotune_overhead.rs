@@ -26,8 +26,8 @@ const SBLOCK: u64 = 2048;
 const NBLOCK: u64 = 512;
 
 /// Interleaved across exactly `NPROCS` slots: span = 4 MiB, whose
-/// `cb_target` (1 MiB) sits within the tuner's 4x hysteresis band around
-/// the default 4 MiB cb — no geometry signal fires.
+/// `cb_target` is capped at the default window, i.e. the default cb —
+/// no geometry signal fires.
 fn interleaved_ft() -> Datatype {
     let block = Datatype::contiguous(SBLOCK, &Datatype::byte()).unwrap();
     let v = Datatype::vector(NBLOCK, 1, NPROCS as i64, &block).unwrap();

@@ -562,6 +562,8 @@ fn multidim(opts: &Opts) {
 /// collective buffer size and the number of io-processes, at the
 /// figure-6 operating point (collective nc-nc, small blocks).
 fn ablation(opts: &Opts) {
+    use lio_datatype::{Datatype, Order};
+
     let data = opts
         .data
         .unwrap_or(if opts.quick { 256 << 10 } else { 1 << 20 });
@@ -584,7 +586,8 @@ fn ablation(opts: &Opts) {
         "{:<10} {:>10} {:<11} {:>12} {:>12}",
         "knob", "value", "engine", "write Bpp", "read Bpp"
     );
-    for cb in [64usize << 10, 512 << 10, 4 << 20] {
+    const WINDOWS: [usize; 5] = [64 << 10, 256 << 10, 512 << 10, 1 << 20, 4 << 20];
+    for cb in WINDOWS {
         for (engine, ename) in ENGINES {
             let mut cfg = base.clone();
             cfg.engine = engine;
@@ -597,11 +600,43 @@ fn ablation(opts: &Opts) {
             writeln!(csv, "cb_buffer,{cb},{ename},{w:.3},{r:.3}").unwrap();
         }
     }
+    // The benchmark's coll-tile shape (P = 2, a 64³ grid of 40-byte points
+    // split along the fastest axis, 5.2 MB per rank and op) on both
+    // backends: the point the default window was chosen at.
+    let n = if opts.quick { 32 } else { 64 };
+    let tile = |rank: u64| {
+        Datatype::subarray(
+            &[n, n, n],
+            &[n, n, n / 2],
+            &[0, 0, rank * n / 2],
+            Order::C,
+            &Datatype::basic(40),
+        )
+        .expect("tile subarray")
+    };
+    for (backend, knob) in [
+        (lio_core::BackendKind::Mem, "tile_cb_mem"),
+        (lio_core::BackendKind::Os, "tile_cb_os"),
+    ] {
+        for cb in WINDOWS {
+            for (engine, ename) in ENGINES {
+                let hints = lio_core::Hints::with_engine(engine).cb_buffer(cb);
+                let (w, r) = coll_point(2, hints, backend, n * n * n / 2 * 40, tile);
+                println!("{knob:<10} {cb:>10} {ename:<11} {w:>12.2} {r:>12.2}");
+                writeln!(csv, "{knob},{cb},{ename},{w:.3},{r:.3}").unwrap();
+            }
+        }
+    }
     // IOP count is a Hints knob the noncontig Config does not expose;
     // sweep it through a direct run
+    let (nblock, sblock) = (1024u64, 8u64);
+    let total = (data / (nblock * sblock)).max(1) * nblock * sblock;
     for nodes in [1usize, 2, 4] {
         for (engine, ename) in ENGINES {
-            let (w, r) = iop_point(engine, nodes, data);
+            let hints = lio_core::Hints::with_engine(engine).io_nodes(nodes);
+            let (w, r) = coll_point(4, hints, lio_core::BackendKind::Mem, total, |rank| {
+                lio_noncontig::figure4_filetype(rank, 4, nblock, sblock)
+            });
             println!(
                 "{:<10} {:>10} {:<11} {:>12.2} {:>12.2}",
                 "cb_nodes", nodes, ename, w, r
@@ -612,53 +647,54 @@ fn ablation(opts: &Opts) {
     save("results/ablation.csv", &csv);
 }
 
-/// One collective nc-nc measurement with an explicit IOP count.
-fn iop_point(engine: Engine, cb_nodes: usize, data: u64) -> (f64, f64) {
-    use lio_core::{File, Hints, SharedFile};
+/// Collective writes and read-backs of `total` bytes per rank through the
+/// byte view `view(rank)` on a fresh pre-sized file of `backend`, on one
+/// open file: a warm-up pair (page faults, the scratch arena's first
+/// allocations), then the best of five timed pairs, slowest rank.
+/// `(write, read)` MB/s per process.
+fn coll_point(
+    nprocs: usize,
+    hints: lio_core::Hints,
+    backend: lio_core::BackendKind,
+    total: u64,
+    view: impl Fn(u64) -> lio_datatype::Datatype + Sync,
+) -> (f64, f64) {
+    use lio_core::{File, SharedFile};
     use lio_datatype::Datatype;
     use lio_mpi::World;
-    use lio_pfs::MemFile;
     use std::time::Instant;
 
-    let nprocs = 4usize;
-    let nblock = 1024u64;
-    let sblock = 8u64;
-    let count = (data / (nblock * sblock)).max(1);
-    let total = count * nblock * sblock;
-    let shared = SharedFile::new(MemFile::new());
+    let shared = SharedFile::for_backend(backend).expect("storage for the ablation point");
     shared
         .storage()
         .set_len(total * nprocs as u64)
         .expect("prefault");
-    let hints = Hints::with_engine(engine).io_nodes(cb_nodes);
-    let mut best = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        let shared2 = shared.clone();
-        let (w, r) = World::run(nprocs, move |comm| {
-            let me = comm.rank() as u64;
-            let ft = lio_noncontig::figure4_filetype(me, nprocs as u64, nblock, sblock);
-            let mut f = File::open(comm, shared2.clone(), hints).expect("open");
-            f.set_view(0, Datatype::byte(), ft).expect("set_view");
-            let data_buf = vec![me as u8; total as usize];
+    let (w, r) = World::run(nprocs, |comm| {
+        let me = comm.rank() as u64;
+        let mut f = File::open(comm, shared.clone(), hints).expect("open");
+        f.set_view(0, Datatype::byte(), view(me)).expect("set_view");
+        let data_buf = vec![me as u8; total as usize];
+        let mut back = vec![0u8; total as usize];
+        let mut best = (f64::INFINITY, f64::INFINITY);
+        for i in 0..6 {
             comm.barrier();
             let t = Instant::now();
             f.write_at_all(0, &data_buf, total, &Datatype::byte())
                 .expect("write");
             comm.barrier();
             let w = comm.allmax_f64(t.elapsed().as_secs_f64());
-            let mut back = vec![0u8; total as usize];
-            comm.barrier();
             let t = Instant::now();
             f.read_at_all(0, &mut back, total, &Datatype::byte())
                 .expect("read");
             comm.barrier();
             let r = comm.allmax_f64(t.elapsed().as_secs_f64());
-            (w, r)
-        })[0];
-        best.0 = best.0.min(w);
-        best.1 = best.1.min(r);
-    }
-    (total as f64 / best.0 / 1e6, total as f64 / best.1 / 1e6)
+            if i > 0 {
+                best = (best.0.min(w), best.1.min(r));
+            }
+        }
+        best
+    })[0];
+    (total as f64 / w / 1e6, total as f64 / r / 1e6)
 }
 
 /// Storage-speed ablation (the paper's closing observation: "the higher

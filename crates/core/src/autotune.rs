@@ -57,8 +57,10 @@ pub const SETTLE_QUIET: u32 = 3;
 /// A trial move is reverted when the next op's wall time exceeds the
 /// pre-move baseline by more than this fraction.
 pub const REVERT_TOL: f64 = 0.10;
-/// Collective-buffer clamp for tuner moves (matches the advisor's
-/// `cb_target` clamp in `lio_obs::profile`).
+/// Hard bounds of a tuner move on the collective buffer. The geometry
+/// target the moves steer toward (`lio_obs::profile::cb_target`) is
+/// capped lower, at the default window; `CB_MAX` only bounds a climb
+/// that starts from an explicit, larger hint.
 pub const CB_MIN: usize = 64 * 1024;
 pub const CB_MAX: usize = 16 * 1024 * 1024;
 /// Pipeline-depth ceiling for io-bound escalation (exchange-bound stops
@@ -959,8 +961,13 @@ mod tests {
         }
     }
 
-    /// span chosen so cb_target(span) == default cb: no geometry signal.
-    const SPAN: u64 = 16 << 20;
+    /// Four default windows: the span whose `cb_target` is exactly the
+    /// default cb, so no geometry signal fires.
+    fn span() -> u64 {
+        let span = 4 * Hints::default().cb_buffer_size as u64;
+        assert_eq!(profile::cb_target(span), span / 4);
+        span
+    }
 
     #[test]
     fn knob_moves_need_consistent_signals() {
@@ -970,16 +977,16 @@ mod tests {
         let mut t = Tuner::new(&Hints::default());
         let h0 = t.plan_hints(0);
         assert!(!h0.two_phase_pipeline);
-        t.record(0, io_bound(SPAN));
+        t.record(0, io_bound(span()));
         // op 1's decision sees one io-bound op: cold start (profile off
         // here) establishes the baseline, no move yet
         let h1 = t.plan_hints(1);
         assert!(!h1.two_phase_pipeline);
-        t.record(1, io_bound(SPAN));
+        t.record(1, io_bound(span()));
         // one consistent signal — still below K_CONSISTENT
         let h2 = t.plan_hints(2);
         assert!(!h2.two_phase_pipeline);
-        t.record(2, io_bound(SPAN));
+        t.record(2, io_bound(span()));
         // second consistent signal: the move fires
         let h3 = t.plan_hints(3);
         assert!(h3.two_phase_pipeline, "{:?}", t.report().decisions);
@@ -994,7 +1001,7 @@ mod tests {
         let mut t = Tuner::new(&Hints::default());
         for op in 0..3 {
             t.plan_hints(op);
-            t.record(op, io_bound(SPAN));
+            t.record(op, io_bound(span()));
         }
         let h = t.plan_hints(3);
         assert!(h.two_phase_pipeline);
@@ -1003,7 +1010,7 @@ mod tests {
             3,
             OpOutcome {
                 wall_ns: 3_000_000,
-                ..io_bound(SPAN)
+                ..io_bound(span())
             },
         );
         let h = t.plan_hints(4);
@@ -1012,7 +1019,7 @@ mod tests {
         assert_eq!(r.decisions.last().unwrap().action, "revert");
         // the blocked move never fires again despite io-bound signals
         for op in 4..12 {
-            t.record(op, io_bound(SPAN));
+            t.record(op, io_bound(span()));
             let h = t.plan_hints(op + 1);
             assert!(!h.two_phase_pipeline);
         }
@@ -1028,7 +1035,7 @@ mod tests {
         let mut t = Tuner::new(&Hints::default());
         for op in 0..3 {
             t.plan_hints(op);
-            t.record(op, io_bound(SPAN));
+            t.record(op, io_bound(span()));
         }
         let h = t.plan_hints(3);
         assert!(h.two_phase_pipeline);
@@ -1041,7 +1048,7 @@ mod tests {
             OpOutcome {
                 wall_ns: 600_000,
                 overlap_ns: 200_000,
-                ..io_bound(SPAN)
+                ..io_bound(span())
             },
         );
         for op in 4..8 {
@@ -1051,7 +1058,7 @@ mod tests {
                 OpOutcome {
                     wall_ns: 600_000,
                     overlap_ns: 200_000,
-                    ..io_bound(SPAN)
+                    ..io_bound(span())
                 },
             );
         }
@@ -1068,7 +1075,7 @@ mod tests {
         let mut t = Tuner::new(&Hints::default().pipelined(true).pipeline_depth(4));
         for op in 0..8 {
             let h = t.plan_hints(op);
-            t.record(op, io_bound(SPAN)); // pipelined, overlap_ns == 0
+            t.record(op, io_bound(span())); // pipelined, overlap_ns == 0
             if !h.two_phase_pipeline {
                 break;
             }
@@ -1108,11 +1115,11 @@ mod tests {
         }
         let mut t = Tuner::new(&Hints::default());
         t.plan_hints(0);
-        t.record(0, io_bound(SPAN));
+        t.record(0, io_bound(span()));
         t.plan_hints(1);
         t.plan_hints(2);
         // op 0's decision already ran: a straggler report is stale
-        t.record(0, io_bound(SPAN));
+        t.record(0, io_bound(span()));
         assert_eq!(t.report().stale_reports, 1);
     }
 
@@ -1121,10 +1128,14 @@ mod tests {
         if env_pinned() {
             return;
         }
-        // span 512 KiB → target 128 KiB; default cb 4 MiB is > 4× target
-        let span = 512 << 10;
+        // a span of a quarter window: its target sits at the 64 KiB floor,
+        // more than 4× below the default cb
+        let default_cb = Hints::default().cb_buffer_size;
+        let span = default_cb as u64 / 4;
+        let target = profile::cb_target(span) as usize;
+        assert!(default_cb > 4 * target);
         let mut t = Tuner::new(&Hints::default());
-        let mut cb = Hints::default().cb_buffer_size;
+        let mut cb = default_cb;
         for op in 0..32 {
             let h = t.plan_hints(op);
             assert!(h.cb_buffer_size <= cb, "cb only shrinks");
@@ -1143,8 +1154,8 @@ mod tests {
                 },
             );
         }
-        // within 4× of target (128 KiB): 512 KiB
-        assert_eq!(cb, 512 << 10, "{:?}", t.report().decisions);
+        // halved until within 4× of the target
+        assert_eq!(cb, 4 * target, "{:?}", t.report().decisions);
         assert!(t.report().settled);
     }
 
@@ -1159,7 +1170,7 @@ mod tests {
         let mut t = Tuner::new(&base);
         for op in 0..3 {
             t.plan_hints(op);
-            t.record(op, io_bound(SPAN));
+            t.record(op, io_bound(span()));
         }
         let h = t.plan_hints(3);
         assert!(h.two_phase_pipeline, "io-bound streak trials the pipeline");
@@ -1168,13 +1179,13 @@ mod tests {
             3,
             OpOutcome {
                 wall_ns: 3_000_000,
-                ..io_bound(SPAN)
+                ..io_bound(span())
             },
         );
         for op in 4..12 {
             let h = t.plan_hints(op);
             assert!(!h.two_phase_pipeline);
-            t.record(op, io_bound(SPAN));
+            t.record(op, io_bound(span()));
         }
         t.plan_hints(12);
         assert!(t.report().settled, "{:?}", t.report().decisions);
@@ -1184,7 +1195,7 @@ mod tests {
         let exch_bound = OpOutcome {
             exchange_ns: 800_000,
             io_ns: 150_000,
-            ..io_bound(SPAN)
+            ..io_bound(span())
         };
         t.record(12, exch_bound);
         let mut pipelined = false;

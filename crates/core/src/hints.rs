@@ -5,6 +5,11 @@
 /// on the datatype crate directly.
 pub use lio_datatype::kernels::Mode as PackKernel;
 
+/// The default of both window sizes, [`Hints::ind_buffer_size`] and
+/// [`Hints::cb_buffer_size`]: one cache-sized constant (512 KiB), shared
+/// with the advisor's and the tuner's `cb_target`.
+pub use lio_obs::profile::DEFAULT_WINDOW;
+
 /// Which datatype-handling engine a file uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
@@ -123,11 +128,20 @@ impl HintError {
 pub struct Hints {
     /// Engine selection.
     pub engine: Engine,
-    /// Buffer size for independent data sieving (ROMIO default: 512 KiB
-    /// for writes / 4 MiB for reads; we use one knob).
+    /// Window size of independent data sieving (ROMIO has two knobs,
+    /// 512 KiB for writes and 4 MiB for reads; we use one). Default
+    /// [`DEFAULT_WINDOW`]. Windows lie on the absolute grid of multiples
+    /// of this size, so it is also the largest storage request.
     pub ind_buffer_size: usize,
-    /// Buffer size for collective (two-phase) file access per IOP window
-    /// (ROMIO default 4 MiB).
+    /// Window size of collective (two-phase) file access per IOP. Default
+    /// [`DEFAULT_WINDOW`] — the same cache-sized constant as the sieve
+    /// window, not ROMIO's disk-era 4 MiB: the IOP fills the window from
+    /// its messages and the storage layer reads it straight back, so it
+    /// must fit L2 beside them. Windows lie on the absolute grid of
+    /// multiples of this size and interior file-domain boundaries are
+    /// rounded to it. Setting it (builder, `cb_buffer_size` info key,
+    /// tuner move) sets window and request size exactly; raise it for
+    /// storage whose cost is per request rather than per byte.
     pub cb_buffer_size: usize,
     /// Number of io-processes for collective access; `0` means every rank
     /// is an IOP (the common single-node configuration in the paper).
@@ -199,8 +213,8 @@ impl Hints {
     pub fn with_engine(engine: Engine) -> Hints {
         Hints {
             engine,
-            ind_buffer_size: 512 * 1024,
-            cb_buffer_size: 4 * 1024 * 1024,
+            ind_buffer_size: DEFAULT_WINDOW,
+            cb_buffer_size: DEFAULT_WINDOW,
             cb_nodes: 0,
             sieving: SievingMode::Sieve,
             detect_dense_writes: true,
@@ -403,8 +417,8 @@ mod tests {
     fn defaults() {
         let h = Hints::default();
         assert_eq!(h.engine, Engine::Listless);
-        assert_eq!(h.ind_buffer_size, 512 * 1024);
-        assert_eq!(h.cb_buffer_size, 4 * 1024 * 1024);
+        assert_eq!(h.ind_buffer_size, DEFAULT_WINDOW);
+        assert_eq!(h.cb_buffer_size, DEFAULT_WINDOW);
         assert_eq!(h.effective_io_nodes(8), 8);
     }
 
@@ -445,7 +459,8 @@ impl Hints {
     ///
     /// Recognized keys: `engine` (`list_based`/`listless`),
     /// `ind_rd_buffer_size`, `ind_wr_buffer_size` (both map to the single
-    /// independent buffer knob; the larger wins), `cb_buffer_size`,
+    /// independent buffer knob; the larger wins), `cb_buffer_size` (both
+    /// window sizes default to [`DEFAULT_WINDOW`], 512 KiB),
     /// `cb_nodes`, `romio_ds_write` / `romio_ds_read` (both map to the
     /// single sieving knob: `enable`/`disable`/`automatic` →
     /// sieve/direct/auto), `detect_dense_writes` (`true`/`false`),
@@ -694,7 +709,7 @@ mod info_tests {
         assert_eq!(h.engine, Engine::Listless);
         assert_eq!(h.cb_buffer_size, 65536);
         assert_eq!(h.cb_nodes, 2);
-        assert_eq!(h.ind_buffer_size, 512 * 1024); // max of default and given
+        assert_eq!(h.ind_buffer_size, DEFAULT_WINDOW); // max of default and given
         assert_eq!(h.sieving, SievingMode::Direct);
         assert!(!h.detect_dense_writes);
     }

@@ -48,6 +48,7 @@ mod scratch;
 pub mod sieve;
 pub mod twophase;
 pub mod view;
+mod window;
 
 pub use autotune::{TuneDecision, TuneOp, TuneReport, Tuner};
 pub use error::{IoError, Result};

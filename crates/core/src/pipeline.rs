@@ -7,10 +7,11 @@
 //! module replaces the schedule (not the data placement, which is shared
 //! with `twophase`) with a **windowed, credit-controlled pipeline**:
 //!
-//! * APs chop their contribution along a window grid anchored at the
-//!   IOP's domain start (`win_j = dom.0 + j·cb_buffer_size`) and ship one
-//!   message per non-empty window, at most `pipeline_depth` un-credited
-//!   messages in flight per (AP, IOP) pair;
+//! * APs chop their contribution along the absolute window grid
+//!   (`crate::window`: cell `k` is `[k·cb_buffer_size,
+//!   (k+1)·cb_buffer_size)`, the grid every other window loop uses) and
+//!   ship one message per non-empty window, at most `pipeline_depth`
+//!   un-credited messages in flight per (AP, IOP) pair;
 //! * the IOP owns `pipeline_depth` window buffers and runs storage I/O on
 //!   two small worker lanes (read and write), so the read-modify-write of
 //!   window `k` overlaps receiving and placing window `k+1` — and, with
@@ -47,12 +48,14 @@ use crate::packer::MemPacker;
 use crate::scratch::Scratch;
 use crate::sieve::{read_window, write_window};
 use crate::twophase::{
-    access_range, build_access_list, file_domains, parse_ol_list, stream_intersection, CollState,
-    Coverage, MergeView, OBS_EXCH_DATA_BYTES, OBS_EXCH_LIST_BYTES, OBS_FAULT_ABORTS, OBS_R_CALLS,
-    OBS_R_EXCH_NS, OBS_R_IO_NS, OBS_R_PACK_NS, OBS_WINDOWS, OBS_W_CALLS, OBS_W_EXCH_NS,
-    OBS_W_IO_NS, OBS_W_PACK_NS, TAG_TP_CREDIT, TAG_TP_DATA, TAG_TP_LIST, TAG_TP_RDATA, TAG_TP_WIN,
+    access_range, build_access_list, file_domains, parse_ol_list, recv_announcements,
+    stream_intersection, CollState, Coverage, MergeView, OBS_EXCH_DATA_BYTES, OBS_EXCH_LIST_BYTES,
+    OBS_FAULT_ABORTS, OBS_R_CALLS, OBS_R_EXCH_NS, OBS_R_IO_NS, OBS_R_PACK_NS, OBS_WINDOWS,
+    OBS_W_CALLS, OBS_W_EXCH_NS, OBS_W_IO_NS, OBS_W_PACK_NS, TAG_TP_CREDIT, TAG_TP_DATA,
+    TAG_TP_LIST, TAG_TP_RDATA, TAG_TP_WIN,
 };
 use crate::view::{FfNav, ViewNav};
+use crate::window::{cell, Windows};
 
 // Pipeline-specific metrics, alongside the shared two-phase breakdown.
 // `overlap_ns` is the portion of storage-lane time hidden behind the
@@ -167,7 +170,6 @@ fn segs_skip(segs: &[(u64, u64)], pos: &mut ListPos, mut n: u64) {
 /// so `ff_size`-style cursor state is just the stream position.
 struct ApSend {
     iop: usize,
-    dom: (u64, u64),
     s_hi: u64,
     s_cursor: u64,
     /// Sent but not yet credited window messages.
@@ -181,9 +183,9 @@ impl ApSend {
         if self.s_cursor >= self.s_hi {
             return None;
         }
-        let next_abs = nav.stream_to_abs(self.s_cursor);
-        let j = (next_abs - self.dom.0) / cb;
-        let win_end = (self.dom.0 + (j + 1) * cb).min(self.dom.1);
+        // the same cell the IOP's planner cuts; `s_hi` already ends the
+        // stream at the domain boundary
+        let (_, win_end) = cell(nav.stream_to_abs(self.s_cursor), cb);
         let take = nav
             .abs_to_stream(win_end)
             .min(self.s_hi)
@@ -365,11 +367,10 @@ struct WindowPlan {
     dense: bool,
 }
 
-/// IOP-side window planner. Both the AP and the IOP derive the same
-/// window grid (anchored at `dom.0`) from the same access descriptions,
-/// so the k-th non-empty window of a peer is exactly its k-th message.
+/// IOP-side window planner. Both the AP and the IOP cut the same
+/// absolute window grid ([`cell`]) over the same access descriptions, so
+/// the k-th non-empty window of a peer is exactly its k-th message.
 struct Planner<'a> {
-    dom: (u64, u64),
     cb: u64,
     data_lo: u64,
     data_hi: u64,
@@ -393,41 +394,7 @@ impl<'a> Planner<'a> {
         state: &'a CollState,
         detect_dense: bool,
     ) -> Result<Option<Planner<'a>>> {
-        let p_n = comm.size();
-        let mut hdrs: Vec<Option<Vec<u8>>> = (0..p_n).map(|_| None).collect();
-        let mut lists: Vec<Option<Vec<u8>>> = (0..p_n).map(|_| None).collect();
-        let sp = lio_obs::trace::span("exch.wait");
-        match engine {
-            Engine::ListBased => {
-                let mut reqs: Vec<lio_mpi::Request> = Vec::with_capacity(2 * p_n);
-                for p in 0..p_n {
-                    reqs.push(comm.irecv(p, TAG_TP_LIST));
-                    reqs.push(comm.irecv(p, TAG_TP_DATA));
-                }
-                for _ in 0..2 * p_n {
-                    let (i, src, payload) = comm.wait_any(&mut reqs);
-                    if i % 2 == 0 {
-                        lists[src] = Some(payload);
-                    } else {
-                        // header arrival order = rank entry order into the
-                        // collective: the per-op skew baseline
-                        health::window_mark(0, src as u32);
-                        hdrs[src] = Some(payload);
-                    }
-                }
-            }
-            Engine::Listless => {
-                let mut reqs: Vec<lio_mpi::Request> =
-                    (0..p_n).map(|p| comm.irecv(p, TAG_TP_DATA)).collect();
-                for _ in 0..p_n {
-                    let (_, src, payload) = comm.wait_any(&mut reqs);
-                    health::window_mark(0, src as u32);
-                    hdrs[src] = Some(payload);
-                }
-            }
-        }
-        drop(sp);
-        health::window_flush();
+        let (hdrs, lists) = recv_announcements(comm, engine == Engine::ListBased);
         let navs = match engine {
             Engine::ListBased => None,
             Engine::Listless => Some(
@@ -437,15 +404,10 @@ impl<'a> Planner<'a> {
                     .expect("listless collective requires cached fileviews"),
             ),
         };
-        let mut peers = Vec::with_capacity(p_n);
-        for p in 0..p_n {
-            let hdr = hdrs[p].take().expect("all headers received");
-            let s_lo = u64::from_le_bytes(hdr[0..8].try_into().expect("s_lo"));
-            let s_hi = u64::from_le_bytes(hdr[8..16].try_into().expect("s_hi"));
+        let mut peers = Vec::with_capacity(hdrs.len());
+        for (p, &(s_lo, s_hi)) in hdrs.iter().enumerate() {
             let segs = match engine {
-                Engine::ListBased => Some(parse_ol_list(
-                    lists[p].take().expect("all lists received").as_slice(),
-                )?),
+                Engine::ListBased => Some(parse_ol_list(&lists[p])?),
                 Engine::Listless => None,
             };
             peers.push(Peer::new(s_lo, s_hi, segs));
@@ -495,7 +457,6 @@ impl<'a> Planner<'a> {
             Cover::None
         };
         Ok(Some(Planner {
-            dom,
             cb,
             data_lo: data_lo.max(dom.0),
             data_hi: data_hi.min(dom.1),
@@ -510,7 +471,7 @@ impl<'a> Planner<'a> {
     /// on the `cb` grid clipped to `[data_lo, data_hi)`. Window buffers
     /// are this size.
     fn max_window(&self) -> usize {
-        self.cb.min(self.data_hi.saturating_sub(self.data_lo)) as usize
+        Windows::new(self.data_lo, self.data_hi, self.cb).max_len()
     }
 
     /// Plan the next non-empty window in domain order, advancing every
@@ -523,10 +484,7 @@ impl<'a> Planner<'a> {
                 min_abs = Some(min_abs.map_or(a, |m| m.min(a)));
             }
         }
-        let a = min_abs?;
-        let j = (a - self.dom.0) / self.cb;
-        let win = self.dom.0 + j * self.cb;
-        let grid_end = (win + self.cb).min(self.dom.1);
+        let (win, grid_end) = cell(min_abs?, self.cb);
         let mut takes = self.spare_takes.pop().unwrap_or_default();
         takes.resize(self.peers.len(), 0);
         for (p, take) in takes.iter_mut().enumerate() {
@@ -1083,7 +1041,6 @@ pub(crate) fn write_at_all(
         if s_hi > s_lo {
             aps[i] = Some(ApSend {
                 iop: i,
-                dom,
                 s_hi,
                 s_cursor: s_lo,
                 in_flight: 0,

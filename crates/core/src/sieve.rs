@@ -12,6 +12,7 @@ use crate::hints::{Hints, SievingMode};
 use crate::packer::MemPacker;
 use crate::scratch::Scratch;
 use crate::view::ViewNav;
+use crate::window::Windows;
 
 /// Read `storage[offset..]` into `buf`, zero-filling anything past EOF.
 /// Short reads are resumed and transient errors retried with bounded
@@ -108,8 +109,9 @@ fn resolve_mode(mode: SievingMode, nav: &ViewNav, stream_start: u64, total: u64)
     choose_mode(density, mean_block)
 }
 
-/// Transfer size of the contiguous-file paths' intermediate buffer.
-const CONTIG_CHUNK: usize = 4 << 20;
+/// Transfer size of the contiguous-file paths' intermediate buffer: the
+/// same cache-sized window as everywhere else, on the same grid.
+const CONTIG_CHUNK: u64 = crate::hints::DEFAULT_WINDOW as u64;
 
 /// Contiguous-file write path (the `c-c`/`nc-c` cases of Figure 1):
 /// pack (if needed) and write in large chunks.
@@ -127,14 +129,13 @@ fn write_contiguous_region(
         return Ok(total);
     }
     // nc-c: pack through an intermediate buffer
-    let mut packbuf = scratch.take(CONTIG_CHUNK.min(total as usize));
-    let mut done = 0u64;
-    while done < total {
-        let n = ((total - done) as usize).min(packbuf.len());
-        let got = packer.pack(user, done, &mut packbuf[..n]);
-        debug_assert_eq!(got, n);
-        write_window(storage, abs + done, &packbuf[..n])?;
-        done += n as u64;
+    let grid = Windows::new(abs, abs + total, CONTIG_CHUNK);
+    let mut packbuf = scratch.take(grid.max_len());
+    for (win, win_end) in grid {
+        let chunk = &mut packbuf[..(win_end - win) as usize];
+        let got = packer.pack(user, win - abs, chunk);
+        debug_assert_eq!(got, chunk.len());
+        write_window(storage, win, chunk)?;
     }
     scratch.give(packbuf);
     Ok(total)
@@ -236,32 +237,33 @@ fn write_sieved(
     whole_range_locked: bool,
     scratch: &Scratch,
 ) -> Result<u64> {
-    let end_abs = nav.stream_to_abs(stream_start + total - 1) + 1;
-    let bufsize = hints.ind_buffer_size as u64;
+    let grid = Windows::new(
+        nav.stream_to_abs(stream_start),
+        nav.stream_to_abs(stream_start + total - 1) + 1,
+        hints.ind_buffer_size as u64,
+    );
     // no larger than the loop can address: a window spans at most the
     // access range and holds at most `total` bytes
-    let range = end_abs - nav.stream_to_abs(stream_start);
-    let mut filebuf = scratch.take(bufsize.min(range) as usize);
-    let mut packbuf = scratch.take(bufsize.min(total) as usize);
+    let mut filebuf = scratch.take(grid.max_len());
+    let mut packbuf = scratch.take(grid.max_len().min(total as usize));
 
     let mut stream = stream_start;
     let mut done = 0u64;
-    while done < total {
-        let win_start = nav.stream_to_abs(stream);
-        let win_len = bufsize.min(end_abs - win_start);
-        let fb = &mut filebuf[..win_len as usize];
+    for (win_start, win_end) in grid {
         // view bytes inside the window, capped to what we still have
-        let n = nav
-            .bytes_in(win_start, win_start + win_len)
-            .min(total - done);
-        debug_assert!(n > 0, "window starts at a data byte");
+        let n = nav.bytes_in(win_start, win_end).min(total - done);
+        if n == 0 {
+            continue; // a cell that lies in a gap of the view
+        }
+        let win_len = win_end - win_start;
+        let fb = &mut filebuf[..win_len as usize];
         let nb = n as usize;
         let got = packer.pack(user, done, &mut packbuf[..nb]);
         debug_assert_eq!(got, nb);
 
         // in atomic mode the caller already holds the whole access range;
         // taking the window lock again would self-deadlock
-        let _guard = (!whole_range_locked).then(|| lock.lock(win_start..win_start + win_len));
+        let _guard = (!whole_range_locked).then(|| lock.lock(win_start..win_end));
         // skip the pre-read when the window is fully covered by our data
         let dense = n == win_len;
         if !dense {
@@ -300,14 +302,13 @@ pub(crate) fn read_independent(
     if nav.view().is_contiguous() {
         let abs = nav.stream_to_abs(stream_start);
         lio_obs::profile::record_run(total, 0, true);
-        let mut buf = scratch.take(CONTIG_CHUNK.min(total as usize));
-        let mut done = 0u64;
-        while done < total {
-            let n = ((total - done) as usize).min(buf.len());
-            read_window(storage, abs + done, &mut buf[..n])?;
-            let put = packer.unpack(&buf[..n], user, done);
-            debug_assert_eq!(put, n);
-            done += n as u64;
+        let grid = Windows::new(abs, abs + total, CONTIG_CHUNK);
+        let mut buf = scratch.take(grid.max_len());
+        for (win, win_end) in grid {
+            let chunk = &mut buf[..(win_end - win) as usize];
+            read_window(storage, win, chunk)?;
+            let put = packer.unpack(chunk, user, win - abs);
+            debug_assert_eq!(put, chunk.len());
         }
         scratch.give(buf);
         return Ok(total);
@@ -342,22 +343,22 @@ pub(crate) fn read_independent(
             Ok(total)
         }
         _ => {
-            let end_abs = nav.stream_to_abs(stream_start + total - 1) + 1;
-            let bufsize = hints.ind_buffer_size as u64;
-            let range = end_abs - nav.stream_to_abs(stream_start);
-            let mut filebuf = scratch.take(bufsize.min(range) as usize);
-            let mut packbuf = scratch.take(bufsize.min(total) as usize);
+            let grid = Windows::new(
+                nav.stream_to_abs(stream_start),
+                nav.stream_to_abs(stream_start + total - 1) + 1,
+                hints.ind_buffer_size as u64,
+            );
+            let mut filebuf = scratch.take(grid.max_len());
+            let mut packbuf = scratch.take(grid.max_len().min(total as usize));
             let mut stream = stream_start;
             let mut done = 0u64;
-            while done < total {
-                let win_start = nav.stream_to_abs(stream);
-                let win_len = bufsize.min(end_abs - win_start);
-                let fb = &mut filebuf[..win_len as usize];
+            for (win_start, win_end) in grid {
+                let n = nav.bytes_in(win_start, win_end).min(total - done);
+                if n == 0 {
+                    continue; // a cell that lies in a gap of the view
+                }
+                let fb = &mut filebuf[..(win_end - win_start) as usize];
                 read_window(storage, win_start, fb)?;
-                let n = nav
-                    .bytes_in(win_start, win_start + win_len)
-                    .min(total - done);
-                debug_assert!(n > 0);
                 let got =
                     nav.extract_from_window(fb, win_start, stream, &mut packbuf[..n as usize]);
                 debug_assert_eq!(got as u64, n);

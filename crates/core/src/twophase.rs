@@ -6,6 +6,8 @@
 //! evenly among the IOPs (*file domains*); each AP ships the part of its
 //! access falling into each IOP's domain; each IOP loops over its domain
 //! in `cb_buffer_size` windows, sieving data in or out of a window buffer.
+//! Windows lie on the absolute grid of `crate::window`, and interior
+//! domain boundaries are rounded to it ([`file_domains`]).
 //!
 //! The two engines share this skeleton and differ in exactly the ways the
 //! paper describes:
@@ -45,6 +47,7 @@ use crate::packer::MemPacker;
 use crate::scratch::Scratch;
 use crate::sieve::{read_window, write_window};
 use crate::view::{FfNav, FileView, ViewNav};
+use crate::window::{snap, Windows};
 use lio_obs::health::{self, HbPhase};
 
 // Two-phase breakdown metrics. The `_ns` counters accumulate wall time per
@@ -232,10 +235,21 @@ pub(crate) fn file_domains(comm: &Comm, range: Option<(u64, u64)>, hints: &Hints
     if let (Some(lo), Some(hi)) = (min_st, max_end) {
         let span = hi - lo;
         let chunk = span.div_ceil(naggr as u64).max(1);
+        // ROMIO's striping-unit rule: when every IOP can have a whole
+        // window, interior boundaries move to the nearest grid line, so no
+        // two IOPs share a window cell and only the requests at the
+        // collective's own `lo` and `hi` are off the grid. A shorter span
+        // keeps the even split: balance matters more than alignment there.
+        let cb = hints.cb_buffer_size.max(1) as u64;
+        let on_grid = span / cb >= naggr as u64;
+        let mut a = lo;
         for (i, d) in domains.iter_mut().enumerate() {
-            let a = lo + (i as u64 * chunk).min(span);
-            let b = lo + ((i as u64 + 1) * chunk).min(span);
+            let mut b = lo + ((i as u64 + 1) * chunk).min(span);
+            if on_grid && i + 1 < naggr {
+                b = snap(b, cb, a, hi);
+            }
             *d = (a, b);
+            a = b;
         }
     }
     // Every rank sees the same allgathered ranges; rank 0 records the
@@ -782,12 +796,10 @@ fn iop_write_listbased(
     let mut io_ns = 0u64;
     let mut pack_ns = 0u64;
     let mut windows = 0u64;
-    let cb = hints.cb_buffer_size as u64;
+    let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
     // a window never exceeds the clipped domain, so neither need the buffer
-    let mut filebuf = scratch.take(cb.min(hi.saturating_sub(lo)) as usize);
-    let mut win = lo;
-    while win < hi {
-        let win_end = (win + cb).min(hi);
+    let mut filebuf = scratch.take(grid.max_len());
+    for (win, win_end) in grid {
         let fb = &mut filebuf[..(win_end - win) as usize];
         let has_data = recv
             .iter()
@@ -819,7 +831,6 @@ fn iop_write_listbased(
             io_ns += lio_obs::elapsed_ns(t);
             health::beat_bytes(HbPhase::Io, fb.len() as u64);
         }
-        win = win_end;
     }
     scratch.give(filebuf);
     if obs {
@@ -862,14 +873,12 @@ fn iop_write_listless(
     let mut io_ns = 0u64;
     let mut pack_ns = 0u64;
     let mut windows = 0u64;
-    let cb = hints.cb_buffer_size as u64;
-    let mut filebuf = scratch.take(cb.min(hi.saturating_sub(lo)) as usize);
+    let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
+    let mut filebuf = scratch.take(grid.max_len());
     // per-AP stream cursor (how far each AP's data has been consumed)
     let mut cursors: Vec<u64> = placements.iter().map(|p| p.s_lo).collect();
     let mut takes = vec![0u64; placements.len()];
-    let mut win = lo;
-    while win < hi {
-        let win_end = (win + cb).min(hi);
+    for (win, win_end) in grid {
         let fb = &mut filebuf[..(win_end - win) as usize];
         // per-AP byte counts in this window (cheap: O(depth) each)
         let mut any = false;
@@ -921,7 +930,6 @@ fn iop_write_listless(
             io_ns += lio_obs::elapsed_ns(t);
             health::beat_bytes(HbPhase::Io, fb.len() as u64);
         }
-        win = win_end;
     }
     scratch.give(filebuf);
     if obs {
@@ -930,6 +938,42 @@ fn iop_write_listless(
         OBS_WINDOWS.add(windows);
     }
     Ok((io_ns, pack_ns))
+}
+
+/// IOP side of an announce round (the monolithic collective read and both
+/// pipelined schedules): every rank's `(s_lo, s_hi)` header and,
+/// `with_lists`, its ol-list (empty otherwise), both in rank order.
+/// Receives complete in
+/// arrival order, as the monolithic write's data messages do, so a late
+/// rank 0 delays nobody else's header.
+pub(crate) fn recv_announcements(comm: &Comm, with_lists: bool) -> (Vec<(u64, u64)>, Vec<Vec<u8>>) {
+    let p_n = comm.size();
+    let per = 1 + with_lists as usize;
+    let mut hdrs = vec![(0u64, 0u64); p_n];
+    let mut lists: Vec<Vec<u8>> = vec![Vec::new(); p_n];
+    let sp = lio_obs::trace::span("exch.wait");
+    let mut reqs: Vec<lio_mpi::Request> = Vec::with_capacity(per * p_n);
+    for p in 0..p_n {
+        reqs.push(comm.irecv(p, TAG_TP_DATA));
+        if with_lists {
+            reqs.push(comm.irecv(p, TAG_TP_LIST));
+        }
+    }
+    for _ in 0..per * p_n {
+        let (i, src, payload) = comm.wait_any(&mut reqs);
+        if i % per == 0 {
+            // header arrival order = rank entry order into the collective
+            health::window_mark(0, src as u32);
+            let s_lo = u64::from_le_bytes(payload[0..8].try_into().expect("s_lo"));
+            let s_hi = u64::from_le_bytes(payload[8..16].try_into().expect("s_hi"));
+            hdrs[src] = (s_lo, s_hi);
+        } else {
+            lists[src] = payload;
+        }
+    }
+    drop(sp);
+    health::window_flush();
+    (hdrs, lists)
 }
 
 /// Collective read. Every rank calls this; fills `user` and returns bytes
@@ -1031,36 +1075,27 @@ pub(crate) fn read_at_all(
             Engine::ListBased => {
                 // each list carries its AP's reply: a buffer of the length
                 // the announce header promised, filled window by window
-                let mut recv: Vec<RecvList> = Vec::with_capacity(comm.size());
                 let t = lio_obs::now();
-                let sp = lio_obs::trace::span("exch.wait");
-                for p in 0..comm.size() {
-                    health::beat(HbPhase::ExchangeWait);
-                    let list_bytes = comm.recv(p, TAG_TP_LIST);
-                    let hdr = comm.recv(p, TAG_TP_DATA);
-                    health::window_mark(0, p as u32);
-                    let s_lo = u64::from_le_bytes(hdr[0..8].try_into().expect("s_lo"));
-                    let s_hi = u64::from_le_bytes(hdr[8..16].try_into().expect("s_hi"));
+                let (hdrs, lists) = recv_announcements(comm, true);
+                exch_ns += lio_obs::elapsed_ns(t);
+                let mut recv: Vec<RecvList> = Vec::with_capacity(comm.size());
+                for (&(s_lo, s_hi), list_bytes) in hdrs.iter().zip(&lists) {
                     let reply = scratch.take((s_hi - s_lo) as usize);
-                    let segs = parse_ol_list(&list_bytes).unwrap_or_else(|e| {
+                    let segs = parse_ol_list(list_bytes).unwrap_or_else(|e| {
                         fatal.get_or_insert(e);
                         Vec::new()
                     });
                     recv.push(RecvList::new(segs, reply, 0));
                 }
-                drop(sp);
-                health::window_flush();
-                exch_ns += lio_obs::elapsed_ns(t);
                 let lo = recv.iter().filter_map(|r| r.next_offset()).min();
                 let hi = recv.iter().filter_map(|r| r.end_offset()).max();
-                if let (Some(lo), Some(hi)) = (lo, hi) {
+                // (a malformed list already failed the op: nothing to read)
+                if let (Some(lo), Some(hi), true) = (lo, hi, fatal.is_none()) {
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
-                    let cb = hints.cb_buffer_size as u64;
-                    let mut filebuf = scratch.take(cb.min(hi.saturating_sub(lo)) as usize);
-                    let mut win = lo;
-                    while win < hi && fatal.is_none() {
-                        let win_end = (win + cb).min(hi);
+                    let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
+                    let mut filebuf = scratch.take(grid.max_len());
+                    for (win, win_end) in grid {
                         let fb = &mut filebuf[..(win_end - win) as usize];
                         let wanted = recv
                             .iter()
@@ -1088,7 +1123,6 @@ pub(crate) fn read_at_all(
                             drop(sp);
                             pack_ns += lio_obs::elapsed_ns(t);
                         }
-                        win = win_end;
                     }
                     scratch.give(filebuf);
                 }
@@ -1112,19 +1146,8 @@ pub(crate) fn read_at_all(
                     .remote_navs
                     .as_ref()
                     .expect("listless collective requires cached fileviews");
-                let mut spans: Vec<(u64, u64)> = Vec::with_capacity(comm.size());
                 let t = lio_obs::now();
-                let sp = lio_obs::trace::span("exch.wait");
-                for p in 0..comm.size() {
-                    health::beat(HbPhase::ExchangeWait);
-                    let msg = comm.recv(p, TAG_TP_DATA);
-                    health::window_mark(0, p as u32);
-                    let s_lo = u64::from_le_bytes(msg[0..8].try_into().expect("s_lo"));
-                    let s_hi = u64::from_le_bytes(msg[8..16].try_into().expect("s_hi"));
-                    spans.push((s_lo, s_hi));
-                }
-                drop(sp);
-                health::window_flush();
+                let (spans, _) = recv_announcements(comm, false);
                 exch_ns += lio_obs::elapsed_ns(t);
                 let lo = spans
                     .iter()
@@ -1148,12 +1171,10 @@ pub(crate) fn read_at_all(
                 if let (Some(lo), Some(hi)) = (lo, hi) {
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
-                    let cb = hints.cb_buffer_size as u64;
-                    let mut filebuf = scratch.take(cb.min(hi.saturating_sub(lo)) as usize);
+                    let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
+                    let mut filebuf = scratch.take(grid.max_len());
                     let mut takes = vec![0u64; spans.len()];
-                    let mut win = lo;
-                    while win < hi {
-                        let win_end = (win + cb).min(hi);
+                    for (win, win_end) in grid {
                         let fb = &mut filebuf[..(win_end - win) as usize];
                         takes.fill(0);
                         let mut any = false;
@@ -1201,7 +1222,6 @@ pub(crate) fn read_at_all(
                             drop(sp);
                             pack_ns += lio_obs::elapsed_ns(t);
                         }
-                        win = win_end;
                     }
                     scratch.give(filebuf);
                 }

@@ -103,7 +103,9 @@ fn decision_sequence_is_deterministic() {
             let mut t = Tuner::new(&Hints::default());
             let mut rng = tk::Rng::new(seed);
             for op in 0..24u64 {
-                t.plan_hints(op);
+                let h = t.plan_hints(op);
+                // no span, however long, grows the window past the default
+                assert!(h.cb_buffer_size <= Hints::default().cb_buffer_size);
                 t.record(op, synthetic_outcome(&mut rng, op));
             }
             t.plan_hints(24); // flush the last decision
@@ -201,11 +203,17 @@ fn cold_start_matches_advisor_on_canned_profiles() {
         "cold start must be exactly the advisor settings applied to base"
     );
     // pin the fig6 knob values so a silent rule-table change is caught:
-    // exchange-bound => pipelined at depth 4; 4 MiB domain span => the
-    // shared cb_target geometry rule
+    // exchange-bound => pipelined at depth 4; the fixture's domain span
+    // => the shared cb_target geometry rule, never past the default window
     assert!(k.pipelined, "fig6 is exchange-bound: pipeline must engage");
     assert_eq!(k.depth, 4, "exchange-bound pipeline depth");
-    assert_eq!(k.cb as u64, cb_target(4 << 20), "cb from shared cb_target");
+    let span_per_op = p.domains.span_bytes / p.domains.ops;
+    assert_eq!(
+        k.cb as u64,
+        cb_target(span_per_op),
+        "cb from shared cb_target"
+    );
+    assert!(k.cb <= Hints::default().cb_buffer_size);
 
     // fig5: independent-only profile — no collective evidence, so the
     // collective knobs must stay at base (the tuner additionally gates

@@ -47,6 +47,32 @@ fn noncontig_view(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> (u64, Dataty
 /// contain the perfectly interleaved pattern, and collective read-back
 /// must return each rank its own data.
 fn run_noncontig_collective(hints: Hints, nprocs: u64, nblock: u64, sblock: u64) {
+    let want = noncontig_reference(nprocs, nblock, sblock, 0);
+    run_noncontig_collective_at(hints, nprocs, nblock, sblock, 0, want);
+}
+
+/// The file [`run_noncontig_collective_at`] must produce, per the naive
+/// reference.
+fn noncontig_reference(nprocs: u64, nblock: u64, sblock: u64, base: u64) -> Vec<u8> {
+    let mut want: Vec<u8> = Vec::new();
+    for p in 0..nprocs {
+        let (disp, ft) = noncontig_view(p, nprocs, nblock, sblock);
+        let data = pattern((nblock * sblock) as usize, p + 1);
+        reference_write(&mut want, base + disp, &ft, 0, &data);
+    }
+    want
+}
+
+/// [`run_noncontig_collective`] with the whole pattern moved `base` bytes
+/// into the file; `want` is [`noncontig_reference`] of the same numbers.
+fn run_noncontig_collective_at(
+    hints: Hints,
+    nprocs: u64,
+    nblock: u64,
+    sblock: u64,
+    base: u64,
+    mut want: Vec<u8>,
+) {
     let (shared, mem) = test_storage();
     let shared2 = shared.clone();
     World::run(nprocs as usize, move |comm| {
@@ -54,7 +80,7 @@ fn run_noncontig_collective(hints: Hints, nprocs: u64, nblock: u64, sblock: u64)
         let me = comm.rank() as u64;
         let (disp, ft) = noncontig_view(me, nprocs, nblock, sblock);
         let mut f = File::open(comm, shared2.clone(), hints).unwrap();
-        f.set_view(disp, Datatype::byte(), ft).unwrap();
+        f.set_view(base + disp, Datatype::byte(), ft).unwrap();
         let data = pattern((nblock * sblock) as usize, me + 1);
         let n = f
             .write_at_all(0, &data, data.len() as u64, &Datatype::byte())
@@ -72,17 +98,18 @@ fn run_noncontig_collective(hints: Hints, nprocs: u64, nblock: u64, sblock: u64)
     });
 
     // verify the interleaving against the reference
-    let mut want: Vec<u8> = Vec::new();
-    for p in 0..nprocs {
-        let (disp, ft) = noncontig_view(p, nprocs, nblock, sblock);
-        let data = pattern((nblock * sblock) as usize, p + 1);
-        reference_write(&mut want, disp, &ft, 0, &data);
-    }
     let mut snap = mem.snapshot();
     let n = snap.len().max(want.len());
     snap.resize(n, 0);
     want.resize(n, 0);
-    assert_eq!(snap, want, "collective file contents differ from reference");
+    assert!(
+        snap == want,
+        "collective file contents differ from reference \
+         (P={nprocs} base={base} cb={} pipelined={} {:?})",
+        hints.cb_buffer_size,
+        hints.pipeline_enabled(),
+        hints.engine
+    );
 }
 
 #[test]
@@ -118,6 +145,26 @@ fn collective_tiny_cb_buffer() {
     // force many IOP windows
     for h in engines() {
         run_noncontig_collective(h.cb_buffer(64), 4, 16, 8);
+    }
+}
+
+#[test]
+fn collective_windows_around_the_default_at_displaced_views() {
+    // 1.8 MB over three ranks in 1000 B blocks: several windows per file
+    // domain whose edges cut blocks, at the default window, one byte either
+    // side of it and a size off the page grid; the pattern starts on, just
+    // off and a whole window short of a grid line. Both schedules.
+    let w = Hints::default().cb_buffer_size;
+    for base in [0, 1, 4095, 4097, w as u64 - 1] {
+        let want = noncontig_reference(3, 600, 1000, base);
+        for h in engines() {
+            for pipelined in [false, true] {
+                for cb in [w, w - 1, w + 1, 100_000] {
+                    let h = h.cb_buffer(cb).pipelined(pipelined);
+                    run_noncontig_collective_at(h, 3, 600, 1000, base, want.clone());
+                }
+            }
+        }
     }
 }
 
@@ -294,7 +341,7 @@ fn collective_partial_participation_keeps_untouched_bytes() {
     // rank 1 writes nothing, one block, half of its view; one window per
     // domain and many
     for h in engines() {
-        for cb in [4 << 20, 96] {
+        for cb in [Hints::default().cb_buffer_size, 4 << 20, 96] {
             for r1_bytes in [0, 8, 256] {
                 check_partial_participation(h.cb_buffer(cb), r1_bytes);
             }

@@ -90,6 +90,83 @@ fn storage_stack(
     (shared, SnapHandle(raw))
 }
 
+/// One storage call as [`RecordingFile`] saw it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Request {
+    pub write: bool,
+    pub offset: u64,
+    pub len: u64,
+}
+
+/// A [`StorageFile`] decorator that logs the offset and length of every
+/// `read_at`/`write_at` before handing it to the file beneath, so a test
+/// can assert on the request geometry an engine produces. Like every
+/// decorator it does not forward `submission()`: the pipelined schedule
+/// then uses its synchronous lanes and each window is one logged call.
+pub struct RecordingFile {
+    inner: Arc<dyn StorageFile>,
+    log: std::sync::Mutex<Vec<Request>>,
+}
+
+impl RecordingFile {
+    pub fn new(inner: Arc<dyn StorageFile>) -> RecordingFile {
+        RecordingFile {
+            inner,
+            log: std::sync::Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The requests logged since the last call, in arrival order.
+    pub fn take(&self) -> Vec<Request> {
+        std::mem::take(
+            &mut self
+                .log
+                .lock()
+                .expect("the log lock is never held across a panic"),
+        )
+    }
+
+    fn note(&self, write: bool, offset: u64, len: usize) {
+        self.log
+            .lock()
+            .expect("the log lock is never held across a panic")
+            .push(Request {
+                write,
+                offset,
+                len: len as u64,
+            });
+    }
+}
+
+impl StorageFile for RecordingFile {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.note(false, offset, buf.len());
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
+        self.note(true, offset, buf.len());
+        self.inner.write_at(offset, buf)
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn sync(&self) -> std::io::Result<()> {
+        self.inner.sync()
+    }
+}
+
+/// [`test_storage_with`] (so `LIO_BACKEND` still picks the substrate)
+/// without the storage fault schedule — a retried request would be logged
+/// twice — and with a [`RecordingFile`] on top.
+pub fn recording_storage(data: Vec<u8>) -> (SharedFile, Arc<RecordingFile>) {
+    let (inner, _) = storage_stack(BackendKind::from_env(), data, None);
+    let rec = Arc::new(RecordingFile::new(Arc::clone(inner.storage())));
+    (SharedFile::from_arc(rec.clone()), rec)
+}
+
 /// Arm the rank-local communication fault schedule when `LIO_FAULT_SEED`
 /// is set; a no-op otherwise. Call at the top of a `World::run` closure.
 pub fn apply_comm_faults(comm: &lio_mpi::Comm) {

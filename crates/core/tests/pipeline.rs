@@ -131,9 +131,10 @@ fn pipelined_matches_monolithic_and_reference() {
     let mut case = 0u64;
     for &nprocs in &[1usize, 2, 4, 7] {
         // 64 B: windows much smaller than one filetype block;
-        // 4096 B: a few blocks per window; 4 MiB: the default-sized
-        // window swallowing the whole domain (single-window pipeline).
-        for &cb in &[64usize, 4096, 4 << 20] {
+        // 4096 B: a few blocks per window; 100 B: windows off every
+        // power-of-two boundary; the default: one window swallowing the
+        // whole domain (single-window pipeline).
+        for &cb in &[64usize, 100, 4096, Hints::default().cb_buffer_size] {
             for &depth in &[1usize, 2, 4] {
                 case += 1;
                 let mut rng = Rng::new(0x11FE ^ (case << 8));
@@ -183,7 +184,7 @@ fn pipelined_matches_monolithic_and_reference() {
 #[test]
 fn pipelined_partial_participation_keeps_untouched_bytes() {
     for h in [Hints::list_based(), Hints::listless()] {
-        for (cb, depth) in [(4 << 20, 2), (96, 1), (96, 4)] {
+        for (cb, depth) in [(Hints::default().cb_buffer_size, 2), (96, 1), (96, 4)] {
             for r1_bytes in [0, 8, 256] {
                 check_partial_participation(
                     h.cb_buffer(cb).pipelined(true).pipeline_depth(depth),

@@ -955,7 +955,7 @@ fn rule_pipelining(p: &ProfileSnapshot) -> Option<Recommendation> {
         // not pipelined this run: estimate windows from span vs written data
         let per_op_bytes =
             (p.op(OpClass::CollWrite).bytes + p.op(OpClass::CollRead).bytes) / p.domains.ops.max(1);
-        per_op_bytes / (4 << 20)
+        per_op_bytes / DEFAULT_WINDOW as u64
     };
     if (bound == "io" || bound == "exchange") && frac >= 0.4 {
         let depth = if bound == "exchange" { 4 } else { 2 };
@@ -984,17 +984,32 @@ fn rule_pipelining(p: &ProfileSnapshot) -> Option<Recommendation> {
     }
 }
 
+/// The window every loop over file bytes uses unless a hint says
+/// otherwise — sieve buffer and collective buffer alike
+/// (`lio_core::Hints::{ind_buffer_size, cb_buffer_size}` default to it).
+/// Cache-sized on purpose: an io-process stores into its window and the
+/// storage layer loads from it straight after, so the window must still
+/// be in L2 (2 MiB on the reference box) next to the messages it is
+/// filled from. On the benchmark's three collective workloads 512 KiB
+/// ties 256 KiB and beats 1 MiB and the former 4 MiB (DESIGN.md §3.4 has
+/// the sweep). It lives here, below every other crate, so that [`cb_target`]
+/// and the hint defaults cannot drift apart.
+pub const DEFAULT_WINDOW: usize = 512 * 1024;
+
 /// The collective-buffer size the advisor targets for a given per-op
 /// file-domain span: ~4 windows per op — enough to pipeline, small
 /// enough to keep the exchange lists per window bounded — clamped to
-/// [64 KiB, 16 MiB]. Shared by [`rule_cb_buffer`] in `RULES` and the
-/// online tuner (`lio_core::autotune`) so the threshold lives in exactly
-/// one place.
+/// [64 KiB, [`DEFAULT_WINDOW`]]. A span, however long, is no reason to
+/// outgrow the cache: a window larger than the default is for storage
+/// measured to be latency-bound (an explicit hint), not for a geometry
+/// heuristic. Shared by [`rule_cb_buffer`] in `RULES` and the online
+/// tuner (`lio_core::autotune`) so the threshold lives in exactly one
+/// place.
 pub fn cb_target(span_per_op: u64) -> u64 {
     (span_per_op / 4)
         .max(1)
         .next_power_of_two()
-        .clamp(64 * 1024, 16 * 1024 * 1024)
+        .clamp(64 * 1024, DEFAULT_WINDOW as u64)
 }
 
 fn rule_cb_buffer(p: &ProfileSnapshot) -> Option<Recommendation> {
@@ -1017,8 +1032,9 @@ fn rule_cb_buffer(p: &ProfileSnapshot) -> Option<Recommendation> {
         setting: format!("cb_buffer_size={cb}"),
         reason: format!(
             "collective span {span_per_op} B/op with {:.0}% coverage: {cb} B windows \
-             give ~4 windows per op{dense}",
-            coverage * 100.0
+             give ~{} windows per op and stay inside the cache-sized default{dense}",
+            coverage * 100.0,
+            span_per_op.div_ceil(cb)
         ),
     })
 }
@@ -1105,7 +1121,7 @@ pub static RULES: &[Rule] = &[
     Rule {
         name: "cb_buffer_size",
         description: "size collective-buffer windows for ~4 windows per op, \
-                      clamped to [64 KiB, 16 MiB]",
+                      clamped to [64 KiB, the cache-sized default window]",
         apply: rule_cb_buffer,
     },
     Rule {
@@ -1403,8 +1419,11 @@ mod tests {
         assert!(pipe.reason.contains("exchange-bound"));
         // non-contiguous view → listless
         assert_eq!(by_rule("engine").setting, "engine=listless");
-        // span 4 MiB/op → 1 MiB windows
-        assert!(by_rule("cb_buffer_size").setting.contains("1048576"));
+        // span 4 MiB/op → a quarter of it, capped at the default window
+        assert_eq!(
+            by_rule("cb_buffer_size").setting,
+            format!("cb_buffer_size={DEFAULT_WINDOW}")
+        );
         // 1 KiB blocks sit above the fixed-block kernel classes
         assert!(by_rule("pack_kernel").reason.contains("will not engage"));
         // every recommendation explains itself
