@@ -795,9 +795,21 @@ fn metrics(opts: &Opts) {
     // the env var that File::open would otherwise apply mid-run.
     lio_obs::init_from_env();
 
+    /// What a column's file is made of. Every kind but `Bare` sits under
+    /// a `CountingFile`, which — like every decorator — lends no bytes.
+    #[derive(PartialEq)]
+    enum Store {
+        Counted,
+        Throttled,
+        Bare,
+    }
     let mut configs = Vec::new();
     for (engine, ename) in ENGINES.iter() {
-        configs.push((ename.replace('-', "_"), Hints::with_engine(*engine), false));
+        configs.push((
+            ename.replace('-', "_"),
+            Hints::with_engine(*engine),
+            Store::Counted,
+        ));
     }
     for (engine, ename) in ENGINES.iter() {
         configs.push((
@@ -806,7 +818,7 @@ fn metrics(opts: &Opts) {
                 .cb_buffer(4 << 10)
                 .pipelined(true)
                 .pipeline_depth(2),
-            true,
+            Store::Throttled,
         ));
     }
     // the real-disk column: the same collective through the `os`
@@ -816,7 +828,7 @@ fn metrics(opts: &Opts) {
         configs.push((
             format!("{}_os", ename.replace('-', "_")),
             Hints::with_engine(*engine).backend(lio_core::BackendKind::Os),
-            false,
+            Store::Counted,
         ));
     }
     // the health column: the same collective with the runtime health
@@ -826,12 +838,21 @@ fn metrics(opts: &Opts) {
         configs.push((
             format!("{}_health", ename.replace('-', "_")),
             Hints::with_engine(*engine).cb_buffer(4 << 10).health(true),
-            false,
+            Store::Counted,
+        ));
+    }
+    // the in-place column: the same collective on a bare `MemFile`, which
+    // lends its bytes, so nothing is staged (and no request counted)
+    for (engine, ename) in ENGINES.iter() {
+        configs.push((
+            format!("{}_in_place", ename.replace('-', "_")),
+            Hints::with_engine(*engine),
+            Store::Bare,
         ));
     }
     let mut json = String::from("{\n");
     let mut entries: Vec<lio_bench::schema::Entry> = Vec::new();
-    for (i, (key, hints, throttled)) in configs.iter().enumerate() {
+    for (i, (key, hints, store)) in configs.iter().enumerate() {
         lio_obs::reset();
         lio_obs::set_enabled(true);
         let health_on = hints.health == Some(true);
@@ -846,12 +867,15 @@ fn metrics(opts: &Opts) {
             write_bw: 2e9,
             latency: Duration::from_millis(1),
         };
-        let shared = if *throttled {
+        let throttled = *store == Store::Throttled;
+        let shared = if throttled {
             SharedFile::new(CountingFile::new(ThrottledFile::new(MemFile::new(), slow)))
         } else if hints.backend == lio_core::BackendKind::Os {
             SharedFile::new(CountingFile::new(
                 lio_pfs::OsFile::temp().expect("os backend temp file"),
             ))
+        } else if *store == Store::Bare {
+            SharedFile::new(MemFile::new())
         } else {
             SharedFile::new(CountingFile::new(MemFile::new()))
         };
@@ -879,7 +903,21 @@ fn metrics(opts: &Opts) {
             snap.counter("core.coll.exchange.list_bytes"),
             snap.counter("core.coll.exchange.data_bytes"),
         );
-        if *throttled {
+        // Copies per user byte: pack and place (the message is handed
+        // over, not copied) plus what went through a staging buffer. The
+        // pipelined schedule stages in its own lanes, past the counter.
+        let copies = (!hints.two_phase_pipeline).then(|| {
+            let user = snap.counter("core.coll.exchange.data_bytes") as f64;
+            2.0 + snap.counter("io.staged_bytes") as f64 / user
+        });
+        if let Some(copies) = copies {
+            println!(
+                "  {key}: copies_per_user_byte {copies:.3} ({} B staged, {} B in place)",
+                snap.counter("io.staged_bytes"),
+                snap.counter("io.in_place_bytes"),
+            );
+        }
+        if throttled {
             println!(
                 "  {key}: overlap write {:.2} ms / read {:.2} ms (storage hidden behind \
                  exchange), peak IOP buffering {} B",
@@ -931,6 +969,9 @@ fn metrics(opts: &Opts) {
                 snap.counter("core.coll.exchange.data_bytes") as f64,
                 "bytes",
             ));
+            if let Some(copies) = copies {
+                entries.push(e("copies_per_user_byte", copies, "ratio"));
+            }
             for (hname, short) in [
                 ("pfs.write.size", "write_size"),
                 ("pfs.read.size", "read_size"),

@@ -376,7 +376,9 @@ impl Hints {
     /// Whether collective calls take the pipelined path, honoring the
     /// `LIO_PIPELINE` environment override: `1`/`on`/`true`/`enable`
     /// forces it on, `0`/`off`/`false`/`disable` forces it off, anything
-    /// else (or unset) defers to the `two_phase_pipeline` hint.
+    /// else (or unset) defers to the `two_phase_pipeline` hint. Resolved
+    /// once per `File::open`; later changes of the variable do not reach
+    /// an open file.
     pub fn pipeline_enabled(&self) -> bool {
         match std::env::var("LIO_PIPELINE") {
             Ok(v) => match v.as_str() {

@@ -11,8 +11,8 @@ use crate::error::Result;
 use crate::hints::{Hints, SievingMode};
 use crate::packer::MemPacker;
 use crate::scratch::Scratch;
-use crate::view::ViewNav;
-use crate::window::Windows;
+use crate::view::{RunTally, ViewNav};
+use crate::window::{WindowIo, Windows};
 
 /// Read `storage[offset..]` into `buf`, zero-filling anything past EOF.
 /// Short reads are resumed and transient errors retried with bounded
@@ -128,16 +128,15 @@ fn write_contiguous_region(
         write_window(storage, abs, slice)?;
         return Ok(total);
     }
-    // nc-c: pack through an intermediate buffer
+    // nc-c: pack into the file's bytes, or through an intermediate buffer
     let grid = Windows::new(abs, abs + total, CONTIG_CHUNK);
-    let mut packbuf = scratch.take(grid.max_len());
+    let mut io = WindowIo::new(storage, scratch, grid.max_len());
     for (win, win_end) in grid {
-        let chunk = &mut packbuf[..(win_end - win) as usize];
-        let got = packer.pack(user, win - abs, chunk);
-        debug_assert_eq!(got, chunk.len());
-        write_window(storage, win, chunk)?;
+        io.update(win, win_end, || true, &mut |at, piece| {
+            let got = packer.pack(user, at - abs, piece);
+            debug_assert_eq!(got, piece.len());
+        })?;
     }
-    scratch.give(packbuf);
     Ok(total)
 }
 
@@ -151,50 +150,61 @@ fn write_direct(
     total: u64,
     scratch: &Scratch,
 ) -> Result<u64> {
-    let mut done = 0u64;
-    let mut chunk = Vec::new();
-    // Iterate runs window-lessly: ask the nav for runs, write each.
-    // We reuse place_into_window machinery by treating each run as its own
-    // window via stream arithmetic.
-    let mut stream = stream_start;
-    let mut prev_end = u64::MAX;
-    while done < total {
-        let abs = nav.stream_to_abs(stream);
-        // the run containing `stream` extends to the next gap; bound it by
-        // probing how many view bytes the next file bytes hold
-        let remaining = total - done;
-        // find the run length: view bytes in [abs, abs+X) grow linearly
-        // until the gap; we simply extract up to `remaining` bytes but cap
-        // at the run boundary by asking for the contiguous span
-        let run_len = contiguous_span(nav, abs, remaining);
-        if lio_obs::profile::enabled() {
-            let gap = if prev_end == u64::MAX {
-                0
-            } else {
-                abs - prev_end
-            };
-            lio_obs::profile::record_run(run_len, gap, abs == prev_end);
-            prev_end = abs + run_len;
-        }
-        let run = run_buffer(scratch, &mut chunk, run_len);
-        let got = packer.pack(user, done, run);
-        debug_assert_eq!(got as u64, run_len);
-        write_window(storage, abs, run)?;
-        done += run_len;
-        stream += run_len;
+    // every run of the view is a window of its own, written whole
+    let mut io = WindowIo::new(storage, scratch, 0);
+    let mut runs = DirectRuns::new(nav, stream_start, total);
+    while let Some((abs, run_len, done)) = runs.next_run() {
+        io.update(abs, abs + run_len, || true, &mut |at, piece| {
+            let got = packer.pack(user, done + (at - abs), piece);
+            debug_assert_eq!(got, piece.len());
+        })?;
     }
-    scratch.give(chunk);
     Ok(total)
 }
 
-/// The first `run_len` bytes of the direct paths' run buffer, which is
-/// traded in for a longer one whenever a run outgrows it.
-fn run_buffer<'a>(scratch: &Scratch, chunk: &'a mut Vec<u8>, run_len: u64) -> &'a mut [u8] {
-    if chunk.len() < run_len as usize {
-        scratch.give(std::mem::take(chunk));
-        *chunk = scratch.take(run_len as usize);
+/// The contiguous runs of an access, one at a time, for the direct paths;
+/// feeds the access-pattern profiler as it goes.
+struct DirectRuns<'a> {
+    nav: &'a ViewNav,
+    stream: u64,
+    done: u64,
+    total: u64,
+    prev_end: u64,
+}
+
+impl<'a> DirectRuns<'a> {
+    fn new(nav: &'a ViewNav, stream_start: u64, total: u64) -> Self {
+        DirectRuns {
+            nav,
+            stream: stream_start,
+            done: 0,
+            total,
+            prev_end: u64::MAX,
+        }
     }
-    &mut chunk[..run_len as usize]
+
+    /// `(absolute offset, length, stream bytes before it)` of the next run.
+    fn next_run(&mut self) -> Option<(u64, u64, u64)> {
+        if self.done >= self.total {
+            return None;
+        }
+        let abs = self.nav.stream_to_abs(self.stream);
+        // the run containing `stream` extends to the next gap
+        let run_len = contiguous_span(self.nav, abs, self.total - self.done);
+        if lio_obs::profile::enabled() {
+            let gap = if self.prev_end == u64::MAX {
+                0
+            } else {
+                abs - self.prev_end
+            };
+            lio_obs::profile::record_run(run_len, gap, abs == self.prev_end);
+            self.prev_end = abs + run_len;
+        }
+        let before = self.done;
+        self.done += run_len;
+        self.stream += run_len;
+        Some((abs, run_len, before))
+    }
 }
 
 /// Length of the contiguous view run starting at the data byte at `abs`,
@@ -244,7 +254,7 @@ fn write_sieved(
     );
     // no larger than the loop can address: a window spans at most the
     // access range and holds at most `total` bytes
-    let mut filebuf = scratch.take(grid.max_len());
+    let mut io = WindowIo::new(storage, scratch, grid.max_len());
     let mut packbuf = scratch.take(grid.max_len().min(total as usize));
 
     let mut stream = stream_start;
@@ -255,29 +265,31 @@ fn write_sieved(
         if n == 0 {
             continue; // a cell that lies in a gap of the view
         }
-        let win_len = win_end - win_start;
-        let fb = &mut filebuf[..win_len as usize];
-        let nb = n as usize;
-        let got = packer.pack(user, done, &mut packbuf[..nb]);
-        debug_assert_eq!(got, nb);
+        let data = &mut packbuf[..n as usize];
+        let got = packer.pack(user, done, data);
+        debug_assert_eq!(got as u64, n);
 
         // in atomic mode the caller already holds the whole access range;
         // taking the window lock again would self-deadlock
         let _guard = (!whole_range_locked).then(|| lock.lock(win_start..win_end));
-        // skip the pre-read when the window is fully covered by our data
-        let dense = n == win_len;
-        if !dense {
-            read_window(storage, win_start, fb)?;
-        }
-        let placed = nav.place_into_window(&packbuf[..nb], stream, fb, win_start);
-        debug_assert_eq!(placed, nb);
-        write_window(storage, win_start, fb)?;
+        // staged, a window our data does not fill is read first
+        let mut seen = RunTally::until(win_end);
+        let mut placed = 0;
+        io.update(
+            win_start,
+            win_end,
+            || n == win_end - win_start,
+            &mut |at, piece| {
+                let from = stream + placed as u64;
+                placed += nav.place_into_window(&data[placed..], from, piece, at, &mut seen);
+            },
+        )?;
+        debug_assert_eq!(placed as u64, n);
         drop(_guard);
 
         stream += n;
         done += n;
     }
-    scratch.give(filebuf);
     scratch.give(packbuf);
     Ok(total)
 }
@@ -303,43 +315,26 @@ pub(crate) fn read_independent(
         let abs = nav.stream_to_abs(stream_start);
         lio_obs::profile::record_run(total, 0, true);
         let grid = Windows::new(abs, abs + total, CONTIG_CHUNK);
-        let mut buf = scratch.take(grid.max_len());
+        let mut io = WindowIo::new(storage, scratch, grid.max_len());
         for (win, win_end) in grid {
-            let chunk = &mut buf[..(win_end - win) as usize];
-            read_window(storage, win, chunk)?;
-            let put = packer.unpack(chunk, user, win - abs);
-            debug_assert_eq!(put, chunk.len());
+            io.view(win, win_end, &mut |at, piece| {
+                let put = packer.unpack(piece, user, at - abs);
+                debug_assert_eq!(put, piece.len());
+            })?;
         }
-        scratch.give(buf);
         return Ok(total);
     }
 
     match resolve_mode(hints.sieving, nav, stream_start, total) {
         SievingMode::Direct => {
-            let mut stream = stream_start;
-            let mut done = 0u64;
-            let mut chunk = Vec::new();
-            let mut prev_end = u64::MAX;
-            while done < total {
-                let abs = nav.stream_to_abs(stream);
-                let run_len = contiguous_span(nav, abs, total - done);
-                if lio_obs::profile::enabled() {
-                    let gap = if prev_end == u64::MAX {
-                        0
-                    } else {
-                        abs - prev_end
-                    };
-                    lio_obs::profile::record_run(run_len, gap, abs == prev_end);
-                    prev_end = abs + run_len;
-                }
-                let run = run_buffer(scratch, &mut chunk, run_len);
-                read_window(storage, abs, run)?;
-                let put = packer.unpack(run, user, done);
-                debug_assert_eq!(put as u64, run_len);
-                done += run_len;
-                stream += run_len;
+            let mut io = WindowIo::new(storage, scratch, 0);
+            let mut runs = DirectRuns::new(nav, stream_start, total);
+            while let Some((abs, run_len, done)) = runs.next_run() {
+                io.view(abs, abs + run_len, &mut |at, piece| {
+                    let put = packer.unpack(piece, user, done + (at - abs));
+                    debug_assert_eq!(put, piece.len());
+                })?;
             }
-            scratch.give(chunk);
             Ok(total)
         }
         _ => {
@@ -348,7 +343,7 @@ pub(crate) fn read_independent(
                 nav.stream_to_abs(stream_start + total - 1) + 1,
                 hints.ind_buffer_size as u64,
             );
-            let mut filebuf = scratch.take(grid.max_len());
+            let mut io = WindowIo::new(storage, scratch, grid.max_len());
             let mut packbuf = scratch.take(grid.max_len().min(total as usize));
             let mut stream = stream_start;
             let mut done = 0u64;
@@ -357,17 +352,20 @@ pub(crate) fn read_independent(
                 if n == 0 {
                     continue; // a cell that lies in a gap of the view
                 }
-                let fb = &mut filebuf[..(win_end - win_start) as usize];
-                read_window(storage, win_start, fb)?;
-                let got =
-                    nav.extract_from_window(fb, win_start, stream, &mut packbuf[..n as usize]);
+                let data = &mut packbuf[..n as usize];
+                let mut seen = RunTally::until(win_end);
+                let mut got = 0;
+                io.view(win_start, win_end, &mut |at, piece| {
+                    let from = stream + got as u64;
+                    let out = &mut data[got..];
+                    got += nav.extract_from_window(piece, at, from, out, &mut seen);
+                })?;
                 debug_assert_eq!(got as u64, n);
-                let put = packer.unpack(&packbuf[..n as usize], user, done);
+                let put = packer.unpack(data, user, done);
                 debug_assert_eq!(put as u64, n);
                 stream += n;
                 done += n;
             }
-            scratch.give(filebuf);
             scratch.give(packbuf);
             Ok(total)
         }

@@ -30,8 +30,9 @@
 //! of a larger transient memory footprint and strictly additive
 //! exchange/storage phases. The **pipelined** schedule
 //! ([`crate::pipeline`], selected by the `two_phase_pipeline` hint or
-//! the `LIO_PIPELINE` environment variable) ships the same bytes window
-//! by window with credit-based flow control, bounding IOP memory at
+//! the `LIO_PIPELINE` environment variable, which `File::open` folds into
+//! the hint) ships the same bytes window by window with credit-based flow
+//! control, bounding IOP memory at
 //! `O(pipeline_depth · cb_buffer_size · nprocs)` and overlapping storage
 //! I/O with the exchange.
 
@@ -45,9 +46,8 @@ use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::MemPacker;
 use crate::scratch::Scratch;
-use crate::sieve::{read_window, write_window};
-use crate::view::{FfNav, FileView, ViewNav};
-use crate::window::{snap, Windows};
+use crate::view::{FfNav, FileView, RunTally, ViewNav};
+use crate::window::{snap, WindowIo, Windows};
 use lio_obs::health::{self, HbPhase};
 
 // Two-phase breakdown metrics. The `_ns` counters accumulate wall time per
@@ -542,7 +542,7 @@ pub(crate) fn write_at_all(
     // the root trace span delimiting this collective op (both schedules):
     // the critical-path analyzer keys on its tag
     let _root = lio_obs::trace::span_ab("coll.write", total, 0);
-    if hints.pipeline_enabled() {
+    if hints.two_phase_pipeline {
         return crate::pipeline::write_at_all(
             storage,
             comm,
@@ -792,15 +792,11 @@ fn iop_write_listbased(
         Coverage::merge(&refs)
     });
 
-    let obs = lio_obs::enabled();
-    let mut io_ns = 0u64;
-    let mut pack_ns = 0u64;
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
     // a window never exceeds the clipped domain, so neither need the buffer
-    let mut filebuf = scratch.take(grid.max_len());
+    let mut io = WindowIo::new(storage, scratch, grid.max_len());
     for (win, win_end) in grid {
-        let fb = &mut filebuf[..(win_end - win) as usize];
         let has_data = recv
             .iter()
             .any(|r| r.next_offset().is_some_and(|o| o < win_end));
@@ -808,37 +804,32 @@ fn iop_write_listbased(
             windows += 1;
             health::beat_window(HbPhase::Io, windows - 1);
             let _w = lio_obs::trace::span_ab("win", windows - 1, win);
-            let dense = coverage.as_mut().is_some_and(|c| c.covered(win, win_end));
-            if !dense {
-                let t = lio_obs::now();
-                let sp = lio_obs::trace::span_ab("io.read", win, fb.len() as u64);
-                read_window(storage, win, fb)?;
-                drop(sp);
-                io_ns += lio_obs::elapsed_ns(t);
-            }
-            health::beat(HbPhase::Pack);
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("pack.place", win, 0);
-            for r in recv.iter_mut() {
-                r.place_into(fb, win, win_end);
-            }
-            drop(sp);
-            pack_ns += lio_obs::elapsed_ns(t);
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("io.write", win, fb.len() as u64);
-            write_window(storage, win, fb)?;
-            drop(sp);
-            io_ns += lio_obs::elapsed_ns(t);
-            health::beat_bytes(HbPhase::Io, fb.len() as u64);
+            io.update(
+                win,
+                win_end,
+                || coverage.as_mut().is_some_and(|c| c.covered(win, win_end)),
+                &mut |at, piece| {
+                    health::beat(HbPhase::Pack);
+                    for r in recv.iter_mut() {
+                        r.place_into(piece, at, at + piece.len() as u64);
+                    }
+                },
+            )?;
+            health::beat_bytes(HbPhase::Io, win_end - win);
         }
     }
-    scratch.give(filebuf);
-    if obs {
-        OBS_W_IO_NS.add(io_ns);
-        OBS_W_PACK_NS.add(pack_ns);
+    Ok(iop_write_done(&io, windows))
+}
+
+/// Close an IOP write loop: its phase times go to the metrics and, as
+/// `(io_ns, pack_ns)`, to the tuner.
+fn iop_write_done(io: &WindowIo, windows: u64) -> (u64, u64) {
+    if lio_obs::enabled() {
+        OBS_W_IO_NS.add(io.io_ns);
+        OBS_W_PACK_NS.add(io.pack_ns);
         OBS_WINDOWS.add(windows);
     }
-    Ok((io_ns, pack_ns))
+    (io.io_ns, io.pack_ns)
 }
 
 /// IOP write loop, listless placement via cached fileviews. Returns the
@@ -869,17 +860,14 @@ fn iop_write_listless(
     let lo = lo.max(dom.0);
     let hi = hi.min(dom.1);
 
-    let obs = lio_obs::enabled();
-    let mut io_ns = 0u64;
-    let mut pack_ns = 0u64;
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-    let mut filebuf = scratch.take(grid.max_len());
+    let mut io = WindowIo::new(storage, scratch, grid.max_len());
     // per-AP stream cursor (how far each AP's data has been consumed)
     let mut cursors: Vec<u64> = placements.iter().map(|p| p.s_lo).collect();
     let mut takes = vec![0u64; placements.len()];
+    let mut seen = vec![RunTally::until(0); placements.len()];
     for (win, win_end) in grid {
-        let fb = &mut filebuf[..(win_end - win) as usize];
         // per-AP byte counts in this window (cheap: O(depth) each)
         let mut any = false;
         takes.fill(0);
@@ -897,47 +885,35 @@ fn iop_write_listless(
             windows += 1;
             health::beat_window(HbPhase::Io, windows - 1);
             let _w = lio_obs::trace::span_ab("win", windows - 1, win);
-            let dense = hints.detect_dense_writes
-                && merge.is_some_and(|m| m.filled_by(navs, &takes, win, win_end));
-            if !dense {
-                let t = lio_obs::now();
-                let sp = lio_obs::trace::span_ab("io.read", win, fb.len() as u64);
-                read_window(storage, win, fb)?;
-                drop(sp);
-                io_ns += lio_obs::elapsed_ns(t);
-            }
-            health::beat(HbPhase::Pack);
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("pack.place", win, 0);
-            for (k, p) in placements.iter().enumerate() {
-                if takes[k] == 0 {
-                    continue;
-                }
-                let a = cursors[k];
-                let off = (a - p.s_lo) as usize;
-                let placed =
-                    p.nav
-                        .place_window(&p.data()[off..off + takes[k] as usize], a, fb, win);
-                debug_assert_eq!(placed as u64, takes[k]);
-                cursors[k] += takes[k];
-            }
-            drop(sp);
-            pack_ns += lio_obs::elapsed_ns(t);
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("io.write", win, fb.len() as u64);
-            write_window(storage, win, fb)?;
-            drop(sp);
-            io_ns += lio_obs::elapsed_ns(t);
-            health::beat_bytes(HbPhase::Io, fb.len() as u64);
+            seen.fill(RunTally::until(win_end));
+            io.update(
+                win,
+                win_end,
+                || {
+                    hints.detect_dense_writes
+                        && merge.is_some_and(|m| m.filled_by(navs, &takes, win, win_end))
+                },
+                // each AP's data goes on from its cursor and stops at the
+                // end of the piece by itself
+                &mut |at, piece| {
+                    health::beat(HbPhase::Pack);
+                    for (k, p) in placements.iter().enumerate() {
+                        if takes[k] > 0 {
+                            let rest = &p.data()[(cursors[k] - p.s_lo) as usize..];
+                            cursors[k] +=
+                                p.nav.place_piece(rest, cursors[k], piece, at, &mut seen[k]) as u64;
+                        }
+                    }
+                },
+            )?;
+            health::beat_bytes(HbPhase::Io, win_end - win);
         }
     }
-    scratch.give(filebuf);
-    if obs {
-        OBS_W_IO_NS.add(io_ns);
-        OBS_W_PACK_NS.add(pack_ns);
-        OBS_WINDOWS.add(windows);
-    }
-    Ok((io_ns, pack_ns))
+    debug_assert!(
+        placements.iter().zip(&cursors).all(|(p, &c)| c >= p.s_hi),
+        "an AP's data was not placed completely"
+    );
+    Ok(iop_write_done(&io, windows))
 }
 
 /// IOP side of an announce round (the monolithic collective read and both
@@ -994,7 +970,7 @@ pub(crate) fn read_at_all(
 ) -> Result<u64> {
     // root trace span delimiting this collective op (both schedules)
     let _root = lio_obs::trace::span_ab("coll.read", total, 0);
-    if hints.pipeline_enabled() {
+    if hints.two_phase_pipeline {
         return crate::pipeline::read_at_all(
             storage,
             comm,
@@ -1094,9 +1070,8 @@ pub(crate) fn read_at_all(
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
                     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-                    let mut filebuf = scratch.take(grid.max_len());
+                    let mut io = WindowIo::new(storage, scratch, grid.max_len());
                     for (win, win_end) in grid {
-                        let fb = &mut filebuf[..(win_end - win) as usize];
                         let wanted = recv
                             .iter()
                             .any(|r| r.next_offset().is_some_and(|o| o < win_end));
@@ -1104,27 +1079,22 @@ pub(crate) fn read_at_all(
                             if obs {
                                 OBS_WINDOWS.incr();
                             }
-                            health::beat_bytes(HbPhase::Io, fb.len() as u64);
+                            health::beat_bytes(HbPhase::Io, win_end - win);
                             let _w = lio_obs::trace::span_ab("win", win, win_end - win);
-                            let t = lio_obs::now();
-                            let sp = lio_obs::trace::span_ab("io.read", win, fb.len() as u64);
-                            if let Err(e) = read_window(storage, win, fb) {
+                            let res = io.view(win, win_end, &mut |at, piece| {
+                                health::beat(HbPhase::Pack);
+                                for r in recv.iter_mut() {
+                                    r.extract_from(piece, at, at + piece.len() as u64);
+                                }
+                            });
+                            if let Err(e) = res {
                                 fatal = Some(e);
                                 break;
                             }
-                            drop(sp);
-                            io_ns += lio_obs::elapsed_ns(t);
-                            health::beat(HbPhase::Pack);
-                            let t = lio_obs::now();
-                            let sp = lio_obs::trace::span_ab("pack.place", win, 0);
-                            for r in recv.iter_mut() {
-                                r.extract_from(fb, win, win_end);
-                            }
-                            drop(sp);
-                            pack_ns += lio_obs::elapsed_ns(t);
                         }
                     }
-                    scratch.give(filebuf);
+                    io_ns += io.io_ns;
+                    pack_ns += io.pack_ns;
                 }
                 let t = lio_obs::now();
                 for (p, r) in recv.into_iter().enumerate() {
@@ -1172,58 +1142,46 @@ pub(crate) fn read_at_all(
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
                     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-                    let mut filebuf = scratch.take(grid.max_len());
-                    let mut takes = vec![0u64; spans.len()];
+                    let mut io = WindowIo::new(storage, scratch, grid.max_len());
+                    let mut seen = vec![RunTally::until(0); spans.len()];
                     for (win, win_end) in grid {
-                        let fb = &mut filebuf[..(win_end - win) as usize];
-                        takes.fill(0);
-                        let mut any = false;
-                        for (k, nav_p) in navs.iter().enumerate() {
-                            if spans[k].1 <= spans[k].0 || cursors[k] >= spans[k].1 {
-                                continue;
-                            }
-                            let b = nav_p.abs_to_stream(win_end).min(spans[k].1);
-                            if b > cursors[k] {
-                                takes[k] = b - cursors[k];
-                                any = true;
-                            }
-                        }
-                        if any {
+                        let wanted = navs.iter().enumerate().any(|(k, nav_p)| {
+                            cursors[k] < spans[k].1
+                                && nav_p.abs_to_stream(win_end).min(spans[k].1) > cursors[k]
+                        });
+                        if wanted {
                             if obs {
                                 OBS_WINDOWS.incr();
                             }
-                            health::beat_bytes(HbPhase::Io, fb.len() as u64);
+                            health::beat_bytes(HbPhase::Io, win_end - win);
                             let _w = lio_obs::trace::span_ab("win", win, win_end - win);
-                            let t = lio_obs::now();
-                            let sp = lio_obs::trace::span_ab("io.read", win, fb.len() as u64);
-                            if let Err(e) = read_window(storage, win, fb) {
+                            seen.fill(RunTally::until(win_end));
+                            // each reply goes on from its cursor and stops
+                            // at the end of the piece by itself
+                            let res = io.view(win, win_end, &mut |at, piece| {
+                                health::beat(HbPhase::Pack);
+                                for (k, nav_p) in navs.iter().enumerate() {
+                                    let rest = &mut outs[k][(cursors[k] - spans[k].0) as usize..];
+                                    if !rest.is_empty() {
+                                        cursors[k] += nav_p.extract_piece(
+                                            piece,
+                                            at,
+                                            cursors[k],
+                                            rest,
+                                            &mut seen[k],
+                                        )
+                                            as u64;
+                                    }
+                                }
+                            });
+                            if let Err(e) = res {
                                 fatal = Some(e);
                                 break;
                             }
-                            drop(sp);
-                            io_ns += lio_obs::elapsed_ns(t);
-                            health::beat(HbPhase::Pack);
-                            let t = lio_obs::now();
-                            let sp = lio_obs::trace::span_ab("pack.place", win, 0);
-                            for (k, nav_p) in navs.iter().enumerate() {
-                                if takes[k] == 0 {
-                                    continue;
-                                }
-                                let start = (cursors[k] - spans[k].0) as usize;
-                                let got = nav_p.extract_window(
-                                    fb,
-                                    win,
-                                    cursors[k],
-                                    &mut outs[k][start..start + takes[k] as usize],
-                                );
-                                debug_assert_eq!(got as u64, takes[k]);
-                                cursors[k] += takes[k];
-                            }
-                            drop(sp);
-                            pack_ns += lio_obs::elapsed_ns(t);
                         }
                     }
-                    scratch.give(filebuf);
+                    io_ns += io.io_ns;
+                    pack_ns += io.pack_ns;
                 }
                 let t = lio_obs::now();
                 for (p, mut out) in outs.into_iter().enumerate() {

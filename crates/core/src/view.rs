@@ -117,42 +117,46 @@ impl ViewNav {
     }
 
     /// Copy stream-ordered `data` (starting at stream position `stream0`)
-    /// into the window `filebuf` that mirrors file bytes
-    /// `[win_start, win_start + filebuf.len())`. Returns bytes placed
-    /// (stops at window end or data end).
+    /// into `filebuf`, which mirrors — or is — file bytes
+    /// `[win_start, win_start + filebuf.len())`: a whole window, or one of
+    /// the pieces the storage lends of it. Returns bytes placed (stops at
+    /// the end of `filebuf` or of `data`). `seen` is the profiler's tally
+    /// for the window.
     pub fn place_into_window(
         &self,
         data: &[u8],
         stream0: u64,
         filebuf: &mut [u8],
         win_start: u64,
+        seen: &mut RunTally,
     ) -> usize {
         match self {
             ViewNav::List(n) => {
                 let runs = n.runs_from(stream0);
                 place_runs(runs, data, filebuf, win_start)
             }
-            ViewNav::Ff(n) => n.place_window(data, stream0, filebuf, win_start),
+            ViewNav::Ff(n) => n.place_piece(data, stream0, filebuf, win_start, seen),
         }
     }
 
-    /// Copy this view's bytes out of the window `filebuf` (mirroring
-    /// `[win_start, win_start + filebuf.len())`) into `out`, starting at
-    /// stream position `stream0`. Returns bytes extracted (stops at
-    /// window end or `out` end).
+    /// Copy this view's bytes out of `filebuf` (as for
+    /// [`ViewNav::place_into_window`]) into `out`, starting at stream
+    /// position `stream0`. Returns bytes extracted (stops at the end of
+    /// `filebuf` or of `out`).
     pub fn extract_from_window(
         &self,
         filebuf: &[u8],
         win_start: u64,
         stream0: u64,
         out: &mut [u8],
+        seen: &mut RunTally,
     ) -> usize {
         match self {
             ViewNav::List(n) => {
                 let runs = n.runs_from(stream0);
                 extract_runs(runs, filebuf, win_start, out)
             }
-            ViewNav::Ff(n) => n.extract_window(filebuf, win_start, stream0, out),
+            ViewNav::Ff(n) => n.extract_piece(filebuf, win_start, stream0, out, seen),
         }
     }
 
@@ -356,6 +360,28 @@ impl Iterator for ListRuns<'_> {
 // Listless (flattening-on-the-fly) navigation
 // ---------------------------------------------------------------------
 
+/// What one view moved so far in the window being placed or extracted:
+/// the listless profiler record of a window the storage lends in several
+/// pieces is gathered here and fed once, by the piece that reaches the
+/// window's end (`FfNav::profile_piece`).
+#[derive(Clone)]
+pub(crate) struct RunTally {
+    win_end: u64,
+    bytes: usize,
+    runs: u64,
+}
+
+impl RunTally {
+    /// An empty tally for the window that ends at `win_end`.
+    pub fn until(win_end: u64) -> RunTally {
+        RunTally {
+            win_end,
+            bytes: 0,
+            runs: 0,
+        }
+    }
+}
+
 /// Listless navigator: no materialized representation beyond the
 /// filetype's compiled run program, cached on the datatype.
 pub(crate) struct FfNav {
@@ -377,14 +403,8 @@ impl FfNav {
         filebuf: &mut [u8],
         win_start: u64,
     ) -> usize {
-        let buf_disp = win_start as i64 - self.view.disp as i64;
-        let (n, runs) =
-            self.view
-                .filetype
-                .program()
-                .unpack_into(data, filebuf, buf_disp, u64::MAX, stream0);
-        self.profile_runs(n, runs);
-        n
+        let whole = &mut RunTally::until(win_start + filebuf.len() as u64);
+        self.place_piece(data, stream0, filebuf, win_start, whole)
     }
 
     /// Extract window bytes into `out` (the inverse of
@@ -396,14 +416,70 @@ impl FfNav {
         stream0: u64,
         out: &mut [u8],
     ) -> usize {
-        let buf_disp = win_start as i64 - self.view.disp as i64;
-        let (n, runs) =
+        let whole = &mut RunTally::until(win_start + filebuf.len() as u64);
+        self.extract_piece(filebuf, win_start, stream0, out, whole)
+    }
+
+    /// [`FfNav::place_window`] into `piece`, one of the pieces (this one
+    /// starting at `lo`) that the storage lends of a window; `seen` is
+    /// that window's tally for the profiler.
+    pub fn place_piece(
+        &self,
+        data: &[u8],
+        stream0: u64,
+        piece: &mut [u8],
+        lo: u64,
+        seen: &mut RunTally,
+    ) -> usize {
+        let buf_disp = lo as i64 - self.view.disp as i64;
+        let moved =
             self.view
                 .filetype
                 .program()
-                .pack_into(filebuf, buf_disp, u64::MAX, stream0, out);
-        self.profile_runs(n, runs);
-        n
+                .unpack_into(data, piece, buf_disp, u64::MAX, stream0);
+        self.profile_piece(seen, moved, lo, piece.len())
+    }
+
+    /// [`FfNav::extract_window`] out of one piece of a window.
+    pub fn extract_piece(
+        &self,
+        piece: &[u8],
+        lo: u64,
+        stream0: u64,
+        out: &mut [u8],
+        seen: &mut RunTally,
+    ) -> usize {
+        let buf_disp = lo as i64 - self.view.disp as i64;
+        let moved = self
+            .view
+            .filetype
+            .program()
+            .pack_into(piece, buf_disp, u64::MAX, stream0, out);
+        self.profile_piece(seen, moved, lo, piece.len())
+    }
+
+    /// Tally the `(bytes, runs)` the program moved in the piece
+    /// `[lo, lo + len)` and, with the piece that reaches the window's end,
+    /// tell the profiler of the whole window — once, however many pieces
+    /// the storage cut it into, and without counting a run twice because
+    /// a piece boundary fell inside it. Returns the bytes.
+    fn profile_piece(
+        &self,
+        seen: &mut RunTally,
+        (bytes, runs): (usize, u64),
+        lo: u64,
+        len: usize,
+    ) -> usize {
+        if lio_obs::profile::enabled() {
+            // both sides of the boundary hold data of this access: one run
+            let cut = seen.bytes > 0 && bytes > 0 && self.bytes_in(lo - 1, lo + 1) == 2;
+            seen.bytes += bytes;
+            seen.runs += runs - cut as u64;
+            if lo + len as u64 >= seen.win_end {
+                self.profile_runs(seen.bytes, seen.runs);
+            }
+        }
+        bytes
     }
 
     /// Feed the access-pattern profiler from what the program reports.
@@ -412,7 +488,7 @@ impl FfNav {
     /// otherwise `runs` runs of the mean length, spaced by the filetype's
     /// density (exact for a filetype that is one strided frame).
     fn profile_runs(&self, bytes: usize, runs: u64) {
-        if !lio_obs::profile::enabled() || runs == 0 {
+        if runs == 0 {
             return;
         }
         if self.view.is_contiguous() {
@@ -563,14 +639,20 @@ mod tests {
                         let s0 = nav.abs_to_stream(lo as u64);
                         let want = nav.bytes_in(lo as u64, hi as u64) as usize;
                         let rest = s0 as usize;
-                        let placed =
-                            nav.place_into_window(&data[rest..], s0, &mut file[lo..hi], lo as u64);
+                        let placed = nav.place_into_window(
+                            &data[rest..],
+                            s0,
+                            &mut file[lo..hi],
+                            lo as u64,
+                            &mut RunTally::until(hi as u64),
+                        );
                         assert_eq!(placed, want, "place disp={disp} w={w} lo={lo}");
                         let got = nav.extract_from_window(
                             &image[lo..hi],
                             lo as u64,
                             s0,
                             &mut out[rest..],
+                            &mut RunTally::until(hi as u64),
                         );
                         assert_eq!(got, want, "extract disp={disp} w={w} lo={lo}");
                     }
@@ -588,7 +670,8 @@ mod tests {
         let data: Vec<u8> = (1..=24).collect();
         // window covering the whole first instance
         let mut filebuf = vec![0u8; 40];
-        let placed = nav.place_into_window(&data, 0, &mut filebuf, 0);
+        let placed =
+            nav.place_into_window(&data, 0, &mut filebuf, 0, &mut RunTally::until(u64::MAX));
         assert_eq!(placed, 24);
         assert_eq!(&filebuf[0..8], &data[0..8]);
         assert_eq!(&filebuf[16..24], &data[8..16]);
@@ -597,7 +680,7 @@ mod tests {
         assert_eq!(&filebuf[8..16], &[0; 8]);
 
         let mut out = vec![0u8; 24];
-        let got = nav.extract_from_window(&filebuf, 0, 0, &mut out);
+        let got = nav.extract_from_window(&filebuf, 0, 0, &mut out, &mut RunTally::until(u64::MAX));
         assert_eq!(got, 24);
         assert_eq!(out, data);
     }
@@ -612,13 +695,20 @@ mod tests {
             let data: Vec<u8> = (1..=24).collect();
             // window covers only the first 20 bytes of the file
             let mut filebuf = vec![0u8; 20];
-            let placed = nav.place_into_window(&data, 0, &mut filebuf, 0);
+            let placed =
+                nav.place_into_window(&data, 0, &mut filebuf, 0, &mut RunTally::until(u64::MAX));
             assert_eq!(placed, 12); // block 0 (8) + half of block 1 (4)
             assert_eq!(&filebuf[0..8], &data[0..8]);
             assert_eq!(&filebuf[16..20], &data[8..12]);
             // continue in the next window
             let mut filebuf2 = vec![0u8; 20];
-            let placed2 = nav.place_into_window(&data[12..], 12, &mut filebuf2, 20);
+            let placed2 = nav.place_into_window(
+                &data[12..],
+                12,
+                &mut filebuf2,
+                20,
+                &mut RunTally::until(u64::MAX),
+            );
             assert_eq!(placed2, 12);
             assert_eq!(&filebuf2[0..4], &data[12..16]); // rest of block 1
             assert_eq!(&filebuf2[12..20], &data[16..24]); // block 2
@@ -638,7 +728,13 @@ mod tests {
             let stream0 = nav.abs_to_stream(10);
             assert_eq!(stream0, 8);
             let data = [1u8, 2, 3, 4, 5, 6, 7, 8];
-            let placed = nav.place_into_window(&data, stream0, &mut filebuf, 10);
+            let placed = nav.place_into_window(
+                &data,
+                stream0,
+                &mut filebuf,
+                10,
+                &mut RunTally::until(u64::MAX),
+            );
             assert_eq!(placed, 8);
             assert_eq!(&filebuf[6..14], &data);
         }

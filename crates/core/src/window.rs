@@ -8,6 +8,24 @@
 //! displacement of the view, two ranks cutting overlapping ranges agree on
 //! every boundary, and only the first and the last window of a range can
 //! be short or start off the grid.
+//!
+//! What a loop does with a window goes through [`WindowIo`]: the body is a
+//! closure over *pieces* of the window, and the storage decides whether
+//! those are its own bytes or a staging buffer's.
+
+use lio_obs::LazyCounter;
+use lio_pfs::StorageFile;
+
+use crate::error::Result;
+use crate::scratch::Scratch;
+use crate::sieve::{read_window, write_window};
+
+/// Window bytes the storage lent in place: no request, no staging copy.
+static OBS_IN_PLACE_BYTES: LazyCounter = LazyCounter::new("io.in_place_bytes");
+/// Bytes moved between a staging buffer and the storage by `read_at` and
+/// `write_at` — the copies the in-place path does not make. Together with
+/// the pack and place copies this is the byte-move table of DESIGN.md §3.4.
+static OBS_STAGED_BYTES: LazyCounter = LazyCounter::new("io.staged_bytes");
 
 /// The grid cell `[k·size, (k+1)·size)` that holds `abs`.
 pub(crate) fn cell(abs: u64, size: u64) -> (u64, u64) {
@@ -53,6 +71,140 @@ impl Iterator for Windows {
     }
 }
 
+/// The storage side of one window loop. [`WindowIo::update`] and
+/// [`WindowIo::view`] hand the loop body the bytes of a window as
+/// `f(abs_offset, bytes)` over ascending pieces: the storage's own when it
+/// lends them ([`StorageFile::with_range_mut`] — `MemFile` does, a piece
+/// per lock stripe), else one piece, a buffer from the arena that is read
+/// before and written back after as the window requires. Which of the two
+/// is the storage's answer, per window; nothing selects it.
+///
+/// In place there is no pre-read, dense window or not: bytes the body
+/// does not write are not touched. And an operation that never stages
+/// takes no window buffer at all.
+pub(crate) struct WindowIo<'a> {
+    storage: &'a dyn StorageFile,
+    scratch: &'a Scratch,
+    /// The staging buffer, taken at `max_len` by the first window staged.
+    buf: Vec<u8>,
+    max_len: usize,
+    /// Time in `read_at`/`write_at` (the `io.read`/`io.write` spans);
+    /// stays 0 while the storage lends.
+    pub io_ns: u64,
+    /// Time in the loop body (the `pack.place` spans).
+    pub pack_ns: u64,
+}
+
+impl<'a> WindowIo<'a> {
+    /// `max_len` is the longest window the loop will ask for; a longer
+    /// one (the direct paths' runs have no bound) trades the buffer in.
+    pub fn new(storage: &'a dyn StorageFile, scratch: &'a Scratch, max_len: usize) -> Self {
+        WindowIo {
+            storage,
+            scratch,
+            buf: Vec::new(),
+            max_len,
+            io_ns: 0,
+            pack_ns: 0,
+        }
+    }
+
+    fn stage(&mut self, len: usize) -> &mut [u8] {
+        if self.buf.len() < len {
+            self.scratch.give(std::mem::take(&mut self.buf));
+            self.buf = self.scratch.take(len.max(self.max_len));
+        }
+        &mut self.buf[..len]
+    }
+
+    /// Let `f` write its bytes of `[win, win_end)`. `dense` says whether
+    /// it writes all of them and is asked only when staging: a window that
+    /// is not dense is read first.
+    pub fn update(
+        &mut self,
+        win: u64,
+        win_end: u64,
+        dense: impl FnOnce() -> bool,
+        f: &mut dyn FnMut(u64, &mut [u8]),
+    ) -> Result<()> {
+        let storage = self.storage;
+        let len = win_end - win;
+        let (lent, ns) = timed(None, || {
+            storage.with_range_mut(win, win_end, &mut |at, piece| {
+                let _sp = lio_obs::trace::span_ab("pack.place", at, piece.len() as u64);
+                f(at, piece)
+            })
+        });
+        if lent? {
+            self.pack_ns += ns;
+            OBS_IN_PLACE_BYTES.add(len);
+            return Ok(());
+        }
+        let fb = self.stage(len as usize);
+        let dense = dense();
+        let mut io_ns = 0;
+        if !dense {
+            let (read, ns) = timed(Some(("io.read", win, len)), || {
+                read_window(storage, win, fb)
+            });
+            read?;
+            io_ns = ns;
+        }
+        let ((), pack_ns) = timed(Some(("pack.place", win, 0)), || f(win, fb));
+        let (written, ns) = timed(Some(("io.write", win, len)), || {
+            write_window(storage, win, fb)
+        });
+        written?;
+        self.io_ns += io_ns + ns;
+        self.pack_ns += pack_ns;
+        OBS_STAGED_BYTES.add(len * (2 - dense as u64));
+        Ok(())
+    }
+
+    /// Let `f` read the bytes of `[win, win_end)`; past end-of-file they
+    /// are zeros (always staged: the storage lends what it has).
+    pub fn view(&mut self, win: u64, win_end: u64, f: &mut dyn FnMut(u64, &[u8])) -> Result<()> {
+        let storage = self.storage;
+        let len = win_end - win;
+        let (lent, ns) = timed(None, || {
+            storage.with_range(win, win_end, &mut |at, piece| {
+                let _sp = lio_obs::trace::span_ab("pack.place", at, piece.len() as u64);
+                f(at, piece)
+            })
+        });
+        if lent? {
+            self.pack_ns += ns;
+            OBS_IN_PLACE_BYTES.add(len);
+            return Ok(());
+        }
+        let fb = self.stage(len as usize);
+        let (read, io_ns) = timed(Some(("io.read", win, len)), || {
+            read_window(storage, win, fb)
+        });
+        read?;
+        let ((), pack_ns) = timed(Some(("pack.place", win, 0)), || f(win, fb));
+        self.io_ns += io_ns;
+        self.pack_ns += pack_ns;
+        OBS_STAGED_BYTES.add(len);
+        Ok(())
+    }
+}
+
+/// Run `work` — under the trace span `(tag, a, b)`, if any — and return
+/// what it returned and the nanoseconds it took (0 with obs off).
+fn timed<R>(span: Option<(&'static str, u64, u64)>, work: impl FnOnce() -> R) -> (R, u64) {
+    let t = lio_obs::now();
+    let _sp = span.map(|(tag, a, b)| lio_obs::trace::span_ab(tag, a, b));
+    let r = work();
+    (r, lio_obs::elapsed_ns(t))
+}
+
+impl Drop for WindowIo<'_> {
+    fn drop(&mut self) {
+        self.scratch.give(std::mem::take(&mut self.buf));
+    }
+}
+
 /// `abs` moved to the nearest grid line, but never out of `[lo, hi]`.
 pub(crate) fn snap(abs: u64, size: u64, lo: u64, hi: u64) -> u64 {
     let (down, up) = cell(abs, size);
@@ -63,6 +215,61 @@ pub(crate) fn snap(abs: u64, size: u64, lo: u64, hi: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lio_pfs::{CountingFile, MemFile};
+
+    #[test]
+    fn lent_windows_take_no_buffer_and_need_no_pre_read() {
+        let scratch = Scratch::default();
+        scratch.begin_op();
+        let file = MemFile::with_data(vec![7; 100]);
+        let mut io = WindowIo::new(&file, &scratch, 64);
+        let dense = || -> bool { unreachable!("only staging asks") };
+        io.update(10, 20, dense, &mut |at, piece| {
+            assert_eq!((at, piece.len()), (10, 10));
+            piece[0] = 1;
+        })
+        .unwrap();
+        let mut seen = Vec::new();
+        io.view(8, 12, &mut |_, piece| seen.extend_from_slice(piece))
+            .unwrap();
+        assert_eq!(seen, [7, 7, 1, 7], "what was not written is untouched");
+        // past EOF the storage declines and the window is staged
+        io.view(95, 105, &mut |_, piece| seen = piece.to_vec())
+            .unwrap();
+        assert_eq!(seen, [7, 7, 7, 7, 7, 0, 0, 0, 0, 0]);
+        assert_eq!(io.io_ns, 0, "obs is off");
+        drop(io);
+        assert_eq!(scratch.held(), 64, "one buffer, taken by the staged window");
+    }
+
+    #[test]
+    fn declined_windows_are_staged_through_one_buffer() {
+        let scratch = Scratch::default();
+        scratch.begin_op();
+        let file = CountingFile::new(MemFile::with_data(vec![7; 100]));
+        let mut io = WindowIo::new(&file, &scratch, 16);
+        // not dense: read, modified, written back
+        io.update(10, 20, || false, &mut |at, piece| {
+            assert_eq!((at, piece.len()), (10, 10));
+            piece[0] = 1;
+        })
+        .unwrap();
+        // dense: written without a read
+        io.update(20, 30, || true, &mut |_, piece| piece.fill(2))
+            .unwrap();
+        let stats = file.stats();
+        assert_eq!((stats.reads, stats.writes), (1, 2));
+        // a window longer than announced trades the buffer in
+        let mut seen = Vec::new();
+        io.view(0, 40, &mut |_, piece| seen = piece.to_vec())
+            .unwrap();
+        let mut want = vec![7u8; 40];
+        want[10] = 1;
+        want[20..30].fill(2);
+        assert_eq!(seen, want);
+        drop(io);
+        assert_eq!(scratch.held(), 16 + 40, "both buffers went back");
+    }
 
     #[test]
     fn windows_tile_the_range_on_the_absolute_grid() {

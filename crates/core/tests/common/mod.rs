@@ -158,6 +158,31 @@ impl StorageFile for RecordingFile {
     }
 }
 
+/// A storage that lends no bytes, whatever is beneath it: only the five
+/// required [`StorageFile`] methods are forwarded, so
+/// `with_range`/`with_range_mut` keep their declining defaults and every
+/// window of an access is staged through `read_at`/`write_at` — the oracle
+/// the in-place path of a [`MemFile`] is compared against.
+pub struct Staged<F>(pub F);
+
+impl<F: StorageFile> StorageFile for Staged<F> {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.0.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write_at(offset, buf)
+    }
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.0.set_len(len)
+    }
+    fn sync(&self) -> std::io::Result<()> {
+        self.0.sync()
+    }
+}
+
 /// [`test_storage_with`] (so `LIO_BACKEND` still picks the substrate)
 /// without the storage fault schedule — a retried request would be logged
 /// twice — and with a [`RecordingFile`] on top.
@@ -241,13 +266,12 @@ pub fn reference_read(
             off += remaining_skip;
             len -= remaining_skip;
             remaining_skip = 0;
-            for k in 0..len {
-                if out.len() as u64 == total {
-                    break 'outer;
-                }
-                let i = (off + k) as usize;
-                out.push(if i < file.len() { file[i] } else { 0 });
-            }
+            // the part of the run inside the file, then zeros up to its end
+            let take = len.min(total - out.len() as u64) as usize;
+            let from = (off as usize).min(file.len());
+            let have = take.min(file.len() - from);
+            out.extend_from_slice(&file[from..from + have]);
+            out.resize(out.len() + take - have, 0);
             if out.len() as u64 == total {
                 break 'outer;
             }

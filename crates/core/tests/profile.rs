@@ -103,6 +103,53 @@ fn same_workload_same_profile() {
     );
 }
 
+/// A window that the storage lends in pieces (`MemFile`: one per 256 KiB
+/// stripe, and 1000 B blocks do not end on the seams) is profiled as the
+/// one window it is: the same runs as when it is staged in one buffer.
+#[test]
+fn lent_pieces_profile_like_the_staged_window() {
+    let run = |shared: SharedFile| {
+        let (nblock, sblock) = (320u64, 1000u64);
+        let total = nblock * sblock;
+        World::run(2, move |comm| {
+            let me = comm.rank() as u64;
+            let mut f = File::open(comm, shared.clone(), Hints::listless()).expect("open");
+            f.set_view(0, Datatype::byte(), interleaved_ft(me, 2, nblock, sblock))
+                .expect("set_view");
+            let data = vec![me as u8 + 1; total as usize];
+            let mut back = vec![0u8; total as usize];
+            let byte = Datatype::byte();
+            f.write_at_all(0, &data, total, &byte)
+                .expect("write_at_all");
+            f.read_at_all(0, &mut back, total, &byte)
+                .expect("read_at_all");
+            f.write_at(0, &data, total, &byte).expect("write_at");
+            comm.barrier();
+            f.read_at(0, &mut back, total, &byte).expect("read_at");
+            assert_eq!(back, data, "read-back mismatch");
+        });
+        profile::snapshot()
+    };
+    let (lent, staged) = with_profile(|| {
+        let lent = run(SharedFile::new(MemFile::new()));
+        lio_obs::reset();
+        profile::reset();
+        (
+            lent,
+            run(SharedFile::new(CountingFile::new(MemFile::new()))),
+        )
+    });
+    assert!(
+        lent.runs.total > 4 * 320,
+        "every block of every op is a run"
+    );
+    // ops, runs, view, datatype and domains; what follows is the storage's
+    // own request histogram, which only the counting decorator feeds
+    let (lent, staged) = (lent.to_json(), staged.to_json());
+    let until_storage = |json: &str| json.split("\"storage\"").next().unwrap().to_string();
+    assert_eq!(until_storage(&lent), until_storage(&staged));
+}
+
 #[test]
 fn profile_json_is_well_formed_and_advice_grounded() {
     let (json, recs) = with_profile(|| {

@@ -3,15 +3,15 @@
 //! message buffer comes out of the rank's arena (or arrived in a message
 //! from the peer's).
 //!
-//! Its own test binary with a single test, so the process-wide counting
-//! allocator sees these operations only.
+//! Its own test binary, so the process-wide counting allocator sees these
+//! operations only; the tests take turns at it ([`TURN`]).
 
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use common::{figure4_filetype, pattern};
+use common::{figure4_filetype, pattern, Staged};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::Datatype;
 use lio_mpi::{Comm, World};
@@ -22,6 +22,8 @@ const LARGE: usize = 64 * 1024;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Held by the test whose operations the counter is to see.
+static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 struct Counting;
 
@@ -60,6 +62,11 @@ const BYTES: u64 = NBLOCK * SBLOCK;
 fn large_allocs_in_third(comm: &Comm, mut op: impl FnMut()) -> usize {
     op();
     op();
+    large_allocs_in(comm, op)
+}
+
+/// The large allocations of one `op`, counter armed on every rank at once.
+fn large_allocs_in(comm: &Comm, mut op: impl FnMut()) -> usize {
     comm.barrier();
     if comm.rank() == 0 {
         LARGE_ALLOCS.store(0, Ordering::Relaxed);
@@ -77,8 +84,44 @@ fn large_allocs_in_third(comm: &Comm, mut op: impl FnMut()) -> usize {
     n
 }
 
+/// The large blocks the first collective write on a fresh file takes —
+/// nothing is recycled yet, so every buffer of the op is an allocation.
+fn large_allocs_of_cold_write(shared: SharedFile, hints: Hints) -> usize {
+    World::run(2, |comm| {
+        let me = comm.rank() as u64;
+        let mut f = File::open(comm, shared.clone(), hints).unwrap();
+        f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
+            .unwrap();
+        let data = pattern(BYTES as usize, me + 1);
+        large_allocs_in(comm, || {
+            f.write_at_all(0, &data, BYTES, &Datatype::byte()).unwrap();
+        })
+    })[0]
+}
+
+/// An op on storage that lends its bytes takes no window buffer at all:
+/// each rank's two 128 KiB messages are all the first collective write
+/// allocates, where a staging IOP also takes its 128 KiB window.
+#[test]
+fn an_in_place_collective_takes_only_message_buffers() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    for engine in [Hints::list_based(), Hints::listless()] {
+        let hints = engine.cb_buffer(128 * 1024).pipelined(false);
+        if hints.pipeline_enabled() {
+            return; // `LIO_PIPELINE` forces the schedule that always stages
+        }
+        // (a file of the final size: growing it allocates stripes)
+        let file = || MemFile::with_data(vec![0; 2 * BYTES as usize]);
+        let lent = large_allocs_of_cold_write(SharedFile::new(file()), hints);
+        assert_eq!(lent, 4, "{:?}: two messages per rank", hints.engine);
+        let staged = large_allocs_of_cold_write(SharedFile::new(Staged(file())), hints);
+        assert_eq!(staged, 6, "{:?}: and a window per IOP", hints.engine);
+    }
+}
+
 #[test]
 fn steady_state_operations_allocate_no_large_block() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     for engine in [Hints::list_based(), Hints::listless()] {
         for pipelined in [false, true] {
             let hints = engine.cb_buffer(128 * 1024).pipelined(pipelined);

@@ -179,6 +179,40 @@ fn ring_wraparound_drops_oldest_first() {
     });
 }
 
+/// On storage that lends its bytes the monolithic schedule places and
+/// extracts in place: `pack.place` spans carry the piece's byte count,
+/// there is no `io.read`/`io.write` span at all, and the critical-path
+/// analyzer reports such an op with zero io time. The same op on storage
+/// that declines still shows its requests.
+#[test]
+fn in_place_ops_trace_places_and_no_requests() {
+    let hints = Hints::default().pipelined(false);
+    if hints.pipeline_enabled() {
+        return; // `LIO_PIPELINE` forces the pipelined schedule, which stages
+    }
+    with_trace(|| {
+        let spans = |shared: SharedFile| {
+            let tl = trace::merge(&traced_collective(hints, shared));
+            let begun = |tag: &str| {
+                let of_tag = move |ev: &&trace::Event| {
+                    matches!(ev.kind, trace::Kind::SpanBegin) && ev.tag == tag
+                };
+                tl.events.iter().filter(of_tag).cloned().collect::<Vec<_>>()
+            };
+            let requests = begun("io.read").len() + begun("io.write").len();
+            let io_ns: u64 = trace::critical_path(&tl).iter().map(|r| r.io_ns).sum();
+            assert_eq!(trace::critical_path(&tl).len(), 2, "a write and a read");
+            (begun("pack.place"), requests, io_ns)
+        };
+        let (places, requests, io_ns) = spans(SharedFile::new(MemFile::new()));
+        assert!(!places.is_empty(), "no placement recorded");
+        assert!(places.iter().all(|ev| ev.b > 0), "a piece has bytes");
+        assert_eq!((requests, io_ns), (0, 0), "in place there is no request");
+        let (places, requests, _) = spans(SharedFile::new(common::Staged(MemFile::new())));
+        assert!(!places.is_empty() && requests > 0, "staging makes requests");
+    });
+}
+
 #[test]
 fn critical_path_names_a_bounding_phase() {
     with_trace(|| {

@@ -552,7 +552,7 @@ fn arg_names(tag: &str) -> (&'static str, &'static str, &'static str) {
         "pfs.read" | "pfs.write" => ("bytes", "modelled_ns", "spin_ns"),
         "pfs.retry" => ("attempt", "backoff_ns", "c"),
         "win" => ("window", "bytes", "c"),
-        "io.read" | "io.write" => ("window", "bytes", "c"),
+        "io.read" | "io.write" | "pack.place" => ("window", "bytes", "c"),
         _ => ("a", "b", "c"),
     }
 }

@@ -10,6 +10,13 @@
 //! workers call) decorates the worker-side accesses instead, which is
 //! how the fault plans reach the worker threadpool's retry path. The
 //! async-completion conformance tests pin both arrangements.
+//!
+//! For the same reason no decorator forwards
+//! [`StorageFile::with_range_mut`]/[`StorageFile::with_range`]: bytes lent
+//! in place are not a request, so there would be nothing to count, delay,
+//! tear or fail. A decorated file answers `false`, the caller stages the
+//! range in its own buffer, and the decorator sees the `read_at`/`write_at`
+//! it always saw.
 
 use std::io;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};

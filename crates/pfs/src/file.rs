@@ -54,6 +54,38 @@ pub trait StorageFile: Send + Sync {
     fn submission(&self) -> Option<&crate::squeue::SubmissionQueue> {
         None
     }
+
+    /// Lend the file's own bytes of `[lo, hi)` for updating: run
+    /// `f(abs_offset, bytes)` over them in ascending contiguous pieces
+    /// (together exactly the range) and return `Ok(true)` — or do nothing
+    /// and return `Ok(false)`, the default: this storage has no bytes to
+    /// lend, the caller stages the range in a buffer of its own and goes
+    /// through `read_at`/`write_at`. The file is first extended to `hi`
+    /// as `write_at` would; an empty range is `Ok(true)` with no call.
+    ///
+    /// A piece is lent under whatever lock makes one `write_at` piece
+    /// atomic ([`MemFile`]: one stripe's), so the concurrency contract
+    /// above holds unchanged, `f` must not call back into the storage,
+    /// and a panic in `f` poisons the file like a panic inside a copy.
+    /// Bytes `f` leaves alone keep their value: an update in place needs
+    /// no read-modify-write. Decorators deliberately do *not* forward
+    /// this (see [`crate::decorate`]): what they count, delay, fail or
+    /// record is the request, and lent bytes are not one.
+    fn with_range_mut(
+        &self,
+        _lo: u64,
+        _hi: u64,
+        _f: &mut dyn FnMut(u64, &mut [u8]),
+    ) -> io::Result<bool> {
+        Ok(false)
+    }
+
+    /// The read-only twin of [`StorageFile::with_range_mut`]. Also
+    /// answers `false` when `hi` is past end-of-file, so that zero-filling
+    /// a short read stays in one place: the caller's staged path.
+    fn with_range(&self, _lo: u64, _hi: u64, _f: &mut dyn FnMut(u64, &[u8])) -> io::Result<bool> {
+        Ok(false)
+    }
 }
 
 impl<F: StorageFile + ?Sized> StorageFile for Arc<F> {
@@ -74,6 +106,17 @@ impl<F: StorageFile + ?Sized> StorageFile for Arc<F> {
     }
     fn submission(&self) -> Option<&crate::squeue::SubmissionQueue> {
         (**self).submission()
+    }
+    fn with_range_mut(
+        &self,
+        lo: u64,
+        hi: u64,
+        f: &mut dyn FnMut(u64, &mut [u8]),
+    ) -> io::Result<bool> {
+        (**self).with_range_mut(lo, hi, f)
+    }
+    fn with_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, &[u8])) -> io::Result<bool> {
+        (**self).with_range(lo, hi, f)
     }
 }
 
@@ -154,24 +197,41 @@ impl Stripes {
         self.len = len;
     }
 
+    /// Run `f(abs_offset, bytes)` over the (existing) bytes of
+    /// `[offset, offset + n)`, one stripe — and its read lock — at a time.
+    fn lend(&self, offset: u64, n: usize, f: &mut dyn FnMut(u64, &[u8])) {
+        let mut at = offset;
+        for (s, inside, n) in pieces(offset, n) {
+            let stripe = self.stripes[s].read().expect(POISONED);
+            f(at, &stripe[inside..inside + n]);
+            at += n as u64;
+        }
+    }
+
+    /// [`Stripes::lend`] for updating, under the stripes' write locks.
+    fn lend_mut(&self, offset: u64, n: usize, f: &mut dyn FnMut(u64, &mut [u8])) {
+        let mut at = offset;
+        for (s, inside, n) in pieces(offset, n) {
+            let mut stripe = self.stripes[s].write().expect(POISONED);
+            f(at, &mut stripe[inside..inside + n]);
+            at += n as u64;
+        }
+    }
+
     /// Fill `buf` with the (existing) bytes from `offset` on.
     fn load(&self, offset: u64, buf: &mut [u8]) {
-        let mut done = 0;
-        for (s, inside, n) in pieces(offset, buf.len()) {
-            let stripe = self.stripes[s].read().expect(POISONED);
-            buf[done..done + n].copy_from_slice(&stripe[inside..inside + n]);
-            done += n;
-        }
+        self.lend(offset, buf.len(), &mut |at, piece| {
+            let o = (at - offset) as usize;
+            buf[o..o + piece.len()].copy_from_slice(piece);
+        });
     }
 
     /// Copy `buf` over the (existing) bytes from `offset` on.
     fn store(&self, offset: u64, buf: &[u8]) {
-        let mut done = 0;
-        for (s, inside, n) in pieces(offset, buf.len()) {
-            let mut stripe = self.stripes[s].write().expect(POISONED);
-            stripe[inside..inside + n].copy_from_slice(&buf[done..done + n]);
-            done += n;
-        }
+        self.lend_mut(offset, buf.len(), &mut |at, piece| {
+            let o = (at - offset) as usize;
+            piece.copy_from_slice(&buf[o..o + piece.len()]);
+        });
     }
 }
 
@@ -263,6 +323,43 @@ impl StorageFile for MemFile {
 
     fn sync(&self) -> io::Result<()> {
         Ok(())
+    }
+
+    fn with_range_mut(
+        &self,
+        lo: u64,
+        hi: u64,
+        f: &mut dyn FnMut(u64, &mut [u8]),
+    ) -> io::Result<bool> {
+        if hi <= lo {
+            return Ok(true);
+        }
+        loop {
+            let inner = self.inner.read().expect(POISONED);
+            if hi <= inner.len {
+                inner.lend_mut(lo, (hi - lo) as usize, f);
+                return Ok(true);
+            }
+            drop(inner);
+            // grow exclusively, lend shared: `f` must not run under the
+            // outer write lock, and a `set_len` may cut the file again
+            // between the two locks — hence the loop
+            let mut inner = self.inner.write().expect(POISONED);
+            if hi > inner.len {
+                inner.grow(hi);
+            }
+        }
+    }
+
+    fn with_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, &[u8])) -> io::Result<bool> {
+        let inner = self.inner.read().expect(POISONED);
+        if hi > inner.len {
+            return Ok(false);
+        }
+        if lo < hi {
+            inner.lend(lo, (hi - lo) as usize, f);
+        }
+        Ok(true)
     }
 }
 
@@ -595,6 +692,160 @@ mod tests {
         }
         assert_eq!(f.len(), want.len() as u64);
         assert!(f.snapshot() == want, "file differs from the model");
+    }
+
+    /// Whether `f` lends `[lo, hi)` for reading, running `on` over the pieces.
+    fn lent(f: &dyn StorageFile, lo: u64, hi: u64, on: &mut dyn FnMut(u64, &[u8])) -> bool {
+        f.with_range(lo, hi, on).unwrap()
+    }
+
+    /// The pieces `with_range_mut` lends for `[lo, hi)`, as `(offset, len)`.
+    fn lent_mut(f: &dyn StorageFile, lo: u64, hi: u64) -> Option<Vec<(u64, usize)>> {
+        let mut got = Vec::new();
+        f.with_range_mut(lo, hi, &mut |at, piece| got.push((at, piece.len())))
+            .unwrap()
+            .then_some(got)
+    }
+
+    #[test]
+    fn memfile_lends_ascending_pieces_cut_at_stripe_seams() {
+        let mut rng = Rng(0x1E0D);
+        let image = rng.bytes(4 * STRIPE);
+        let s = STRIPE as u64;
+        for (lo, hi) in [
+            (0, s),
+            (5, s - 5),
+            (s - 1, s + 1),
+            (s - 7, 3 * s + 9),
+            (s, 2 * s),
+        ] {
+            let f = MemFile::with_data(image.clone());
+            // the read-only side sees exactly the file's bytes, in order
+            let mut seen = Vec::new();
+            let mut next = lo;
+            assert!(lent(&f, lo, hi, &mut |at, piece| {
+                assert_eq!(at, next, "pieces are ascending and contiguous");
+                assert!(!piece.is_empty());
+                next += piece.len() as u64;
+                seen.extend_from_slice(piece);
+                // a piece never crosses a stripe seam
+                assert_eq!(at / s, (next - 1) / s);
+            }));
+            assert_eq!(next, hi);
+            assert_eq!(seen, &image[lo as usize..hi as usize]);
+            // the updating side lends the same pieces, and what it does
+            // not touch keeps its value
+            let pieces = lent_mut(&f, lo, hi).unwrap();
+            assert_eq!(pieces.iter().map(|p| p.1 as u64).sum::<u64>(), hi - lo);
+            assert_eq!(pieces.len() as u64, (hi - 1) / s - lo / s + 1);
+            assert_eq!(f.snapshot(), image);
+            f.with_range_mut(lo, hi, &mut |at, piece| {
+                for (i, b) in piece.iter_mut().enumerate() {
+                    *b = (at + i as u64) as u8;
+                }
+            })
+            .unwrap();
+            let mut want = image.clone();
+            for at in lo..hi {
+                want[at as usize] = at as u8;
+            }
+            assert_eq!(f.snapshot(), want, "[{lo}, {hi})");
+        }
+    }
+
+    #[test]
+    fn memfile_lending_grows_like_write_at_and_keeps_the_zero_tail() {
+        for end in around(2) {
+            let f = MemFile::with_data(vec![7u8; 2 * STRIPE + 500]);
+            f.set_len(STRIPE as u64 / 2).unwrap();
+            // regrow by an update that starts past EOF and touches nothing
+            assert_eq!(
+                lent_mut(&f, end - 3, end).unwrap().len(),
+                1 + (end % STRIPE as u64 == 1) as usize
+            );
+            assert_eq!(f.len(), end);
+            let snap = f.snapshot();
+            assert!(snap[..STRIPE / 2].iter().all(|&b| b == 7));
+            assert!(snap[STRIPE / 2..].iter().all(|&b| b == 0), "end {end}");
+        }
+        // an empty range lends nothing and grows nothing
+        let f = MemFile::new();
+        assert_eq!(lent_mut(&f, 100, 100), Some(Vec::new()));
+        assert_eq!(f.len(), 0);
+    }
+
+    #[test]
+    fn memfile_with_range_declines_past_eof() {
+        let f = MemFile::with_data(vec![1u8; 100]);
+        let mut calls = 0;
+        assert!(!lent(&f, 50, 101, &mut |_, _| calls += 1));
+        assert!(!lent(&f, 200, 300, &mut |_, _| calls += 1));
+        // an empty range is served, without a call, wherever EOF is
+        assert!(lent(&f, 100, 100, &mut |_, _| calls += 1));
+        assert!(lent(&f, 40, 40, &mut |_, _| calls += 1));
+        assert_eq!(calls, 0);
+        assert!(lent(&f, 50, 100, &mut |_, _| calls += 1));
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn memfile_concurrent_in_place_updates_of_disjoint_halves() {
+        // the halves meet inside a stripe, so both threads take its lock
+        let len = 3 * STRIPE as u64;
+        let mid = len / 2;
+        let f = MemFile::new();
+        f.set_len(len).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (who, lo, hi) in [(1u8, 0, mid), (2u8, mid, len)] {
+                let (f, start) = (&f, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        assert!(f.with_range_mut(lo, hi, &mut |_, p| p.fill(who)).unwrap());
+                        assert!(lent(f, lo, hi, &mut |_, p| {
+                            assert!(p.iter().all(|&b| b == who), "foreign bytes")
+                        }));
+                    }
+                });
+            }
+        });
+        let snap = f.snapshot();
+        assert!(snap[..mid as usize].iter().all(|&b| b == 1));
+        assert!(snap[mid as usize..].iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn arcs_forward_lending_and_decorators_decline() {
+        use crate::decorate::{CountingFile, FaultPlan, FaultyFile, Throttle, ThrottledFile};
+        let lends = |f: &dyn StorageFile| {
+            f.write_at(0, &[9u8; 64]).unwrap();
+            let a = lent_mut(f, 8, 16).is_some();
+            let b = lent(f, 8, 16, &mut |_, _| {});
+            assert_eq!(a, b);
+            a
+        };
+        assert!(lends(&MemFile::new()));
+        assert!(lends(&Arc::new(MemFile::new())));
+        let dynamic: Arc<dyn StorageFile> = Arc::new(MemFile::new());
+        assert!(lends(&dynamic));
+        assert!(lends(&Arc::new(dynamic)));
+
+        let dir = std::env::temp_dir().join(format!("lio-pfs-lend-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lend.bin");
+        assert!(!lends(&UnixFile::create(&path).unwrap()));
+        std::fs::remove_file(&path).unwrap();
+        assert!(!lends(&crate::OsFile::temp().unwrap()));
+        assert!(!lends(&CountingFile::new(MemFile::new())));
+        assert!(!lends(&ThrottledFile::new(
+            MemFile::new(),
+            Throttle::sx6_local_fs()
+        )));
+        assert!(!lends(&FaultyFile::new(
+            MemFile::new(),
+            FaultPlan::disabled()
+        )));
     }
 
     #[test]

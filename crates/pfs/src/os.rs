@@ -103,7 +103,9 @@ pub fn temp_unix() -> io::Result<UnixFile> {
 
 /// A real-OS-file storage backend: batched, alignment-aware submission
 /// over a worker threadpool, presented as a synchronous [`StorageFile`].
-/// See the module docs.
+/// See the module docs. It lends no bytes
+/// ([`StorageFile::with_range_mut`] keeps its declining default): that
+/// would take an `mmap` window, which is a decision of its own.
 pub struct OsFile {
     device: Arc<dyn StorageFile>,
     queue: SubmissionQueue,
