@@ -34,7 +34,10 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # cross-product, the pack-kernel and the fault reruns: a `MemFile` that
 # lends its bytes, one that does not and the environment's storage must
 # agree byte for byte whatever the schedule, backend, kernel or fault
-# seed. These are debug builds, so the scratch arena's 0xA5 poison is on.
+# seed. And so does the own-share corpus (`own_share`): what an IOP moves
+# between its own user buffer and the window without a message must be
+# what a message would have left, under the same four axes.
+# These are debug builds, so the scratch arena's 0xA5 poison is on.
 echo "== collective suites under LIO_PIPELINE=0"
 LIO_PIPELINE=0 cargo test -q -p lio-core --test collective --test pipeline --test geometry
 
@@ -62,7 +65,7 @@ for be in mem os; do
   for pipe in 0 1; do
     echo "  -- LIO_BACKEND=$be LIO_PIPELINE=$pipe"
     LIO_BACKEND=$be LIO_PIPELINE=$pipe \
-      cargo test -q -p lio-core --test backend --test geometry --test inplace
+      cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share
   done
 done
 
@@ -72,9 +75,9 @@ done
 # with the best CPU-supported family engaged. The root strided_copy test
 # rides along: it drives the same frame executor through windows.
 for pk in scalar auto; do
-  echo "== collective/pipeline/faults/inplace/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
+  echo "== collective/pipeline/faults/inplace/own_share/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
   LIO_PACK_KERNEL=$pk \
-    cargo test -q -p lio-core --test collective --test pipeline --test faults --test inplace
+    cargo test -q -p lio-core --test collective --test pipeline --test faults --test inplace --test own_share
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-datatype
   LIO_PACK_KERNEL=$pk cargo test -q -p listless-io --test strided_copy
 done
@@ -224,15 +227,15 @@ done
 # determinism (the seed depends only on the commit, never the clock).
 # On failure, replay the exact schedule with:
 #   LIO_FAULT_SEED=<seed> LIO_PIPELINE=<0|1> \
-#     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace
+#     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share
 ROTATING_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5EED)"
 for seed in 7 0xBAD5EED 0x5C032003 "$ROTATING_SEED"; do
   for pipe in 0 1; do
     echo "== fault corpus: LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe"
     if ! LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe \
-        cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace; then
+        cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share; then
       echo "FAULT CORPUS FAILURE — replay with:"
-      echo "  LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace"
+      echo "  LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share"
       exit 1
     fi
   done

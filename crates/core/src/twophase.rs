@@ -7,7 +7,8 @@
 //! access falling into each IOP's domain; each IOP loops over its domain
 //! in `cb_buffer_size` windows, sieving data in or out of a window buffer.
 //! Windows lie on the absolute grid of `crate::window`, and interior
-//! domain boundaries are rounded to it ([`file_domains`]).
+//! domain boundaries are rounded to it ([`file_domains`]). What an AP has in
+//! the domain of its own IOP side is never a message ([`OwnShare`]).
 //!
 //! The two engines share this skeleton and differ in exactly the ways the
 //! paper describes:
@@ -47,7 +48,7 @@ use crate::hints::{Engine, Hints};
 use crate::packer::MemPacker;
 use crate::scratch::Scratch;
 use crate::view::{FfNav, FileView, RunTally, ViewNav};
-use crate::window::{snap, WindowIo, Windows};
+use crate::window::{snap, timed, WindowIo, Windows};
 use lio_obs::health::{self, HbPhase};
 
 // Two-phase breakdown metrics. The `_ns` counters accumulate wall time per
@@ -338,16 +339,16 @@ pub(crate) fn build_access_list(nav: &ViewNav, s_lo: u64, s_hi: u64, dom: (u64, 
     out
 }
 
-/// An ol-list received from an AP, with its data, consumed window by
-/// window through a cursor (the IOP-side list walking of Section 2.3).
+/// An ol-list received from an AP, consumed window by window through a
+/// cursor (the IOP-side list walking of Section 2.3). The AP's data — a
+/// write's message, a read's reply being assembled, or, for the IOP's own
+/// list, its own bytes of the window — is handed to each step.
 struct RecvList {
     /// Absolute `(offset, len)` pairs.
     segs: Vec<(u64, u64)>,
-    /// Writes: the AP's data message. Reads: the reply being assembled.
-    data: Vec<u8>,
     seg_i: usize,
     seg_off: u64,
-    /// How far `data` has been consumed (writes) or filled (reads).
+    /// How far the data has been consumed (writes) or filled (reads).
     data_pos: usize,
 }
 
@@ -369,27 +370,20 @@ pub(crate) fn parse_ol_list(list_bytes: &[u8]) -> Result<Vec<(u64, u64)>> {
 }
 
 impl RecvList {
-    /// Parse a received list and adopt the data message as-is; `base` is
-    /// where the payload starts inside `data` (the 16-byte header is
-    /// skipped by offset rather than copied out — zero-copy receive).
-    fn parse(list_bytes: &[u8], data: Vec<u8>, base: usize) -> Result<RecvList> {
-        Ok(RecvList::new(parse_ol_list(list_bytes)?, data, base))
-    }
-
-    /// A cursor at the start of `segs`, with `data` at position `base`.
-    fn new(segs: Vec<(u64, u64)>, data: Vec<u8>, base: usize) -> RecvList {
+    /// A cursor at the start of `segs`, its data at position `base` (a
+    /// message's 16-byte header is skipped by offset, not copied out).
+    fn new(segs: Vec<(u64, u64)>, base: usize) -> RecvList {
         RecvList {
             segs,
-            data,
             seg_i: 0,
             seg_off: 0,
             data_pos: base,
         }
     }
 
-    /// Copy this AP's bytes falling inside `[win_start, win_end)` from its
-    /// data buffer into the window.
-    fn place_into(&mut self, fb: &mut [u8], win_start: u64, win_end: u64) {
+    /// Copy this AP's bytes falling inside `[win_start, win_end)` from
+    /// `data` into the window.
+    fn place_into(&mut self, data: &[u8], fb: &mut [u8], win_start: u64, win_end: u64) {
         while self.seg_i < self.segs.len() {
             let (off, len) = self.segs[self.seg_i];
             let cur = off + self.seg_off;
@@ -401,7 +395,7 @@ impl RecvList {
             let take = avail.min(win_end - cur);
             let o = (cur - win_start) as usize;
             fb[o..o + take as usize]
-                .copy_from_slice(&self.data[self.data_pos..self.data_pos + take as usize]);
+                .copy_from_slice(&data[self.data_pos..self.data_pos + take as usize]);
             self.data_pos += take as usize;
             if take == avail {
                 self.seg_i += 1;
@@ -415,7 +409,7 @@ impl RecvList {
 
     /// Copy this AP's bytes falling inside `[win_start, win_end)` out of
     /// the window into the next unfilled bytes of `data`.
-    fn extract_from(&mut self, fb: &[u8], win_start: u64, win_end: u64) {
+    fn extract_from(&mut self, data: &mut [u8], fb: &[u8], win_start: u64, win_end: u64) {
         while self.seg_i < self.segs.len() {
             let (off, len) = self.segs[self.seg_i];
             let cur = off + self.seg_off;
@@ -426,7 +420,7 @@ impl RecvList {
             let avail = len - self.seg_off;
             let take = avail.min(win_end - cur);
             let o = (cur - win_start) as usize;
-            self.data[self.data_pos..self.data_pos + take as usize]
+            data[self.data_pos..self.data_pos + take as usize]
                 .copy_from_slice(&fb[o..o + take as usize]);
             self.data_pos += take as usize;
             if take == avail {
@@ -506,20 +500,149 @@ impl Coverage {
     }
 }
 
-/// Listless placement bookkeeping for one AP at one IOP. Adopts the
-/// received message wholesale; `base` marks where the payload starts
-/// (past the 16-byte header) so no re-allocating copy is made.
-struct FfPlacement<'a> {
-    nav: &'a FfNav,
-    msg: Vec<u8>,
-    base: usize,
-    s_lo: u64,
-    s_hi: u64,
+/// The file range `[lo, hi)` that the stream intervals `spans` of the
+/// views `navs` reach; `None` when all are empty.
+fn touched(spans: &[(u64, u64)], navs: &[FfNav]) -> Option<(u64, u64)> {
+    let used = || spans.iter().zip(navs).filter(|(s, _)| s.1 > s.0);
+    let lo = used().map(|(s, n)| n.stream_to_abs(s.0)).min()?;
+    let hi = used().map(|(s, n)| n.stream_to_abs(s.1 - 1) + 1).max()?;
+    Some((lo, hi))
 }
 
-impl FfPlacement<'_> {
-    fn data(&self) -> &[u8] {
-        &self.msg[self.base..]
+/// `packer.pack` as the `pack` phase of an op — heartbeat, trace span —
+/// filling `out`; returns the nanoseconds it took.
+fn timed_pack(packer: &MemPacker, user: &[u8], skip: u64, out: &mut [u8]) -> u64 {
+    health::beat(HbPhase::Pack);
+    let n = out.len();
+    let (got, ns) = timed(Some(("pack", n as u64, 0)), || packer.pack(user, skip, out));
+    debug_assert_eq!(got, n);
+    ns
+}
+
+/// `packer.unpack` of all of `data`, as [`timed_pack`].
+fn timed_unpack(packer: &MemPacker, data: &[u8], user: &mut [u8], skip: u64) -> u64 {
+    health::beat(HbPhase::Pack);
+    let span = Some(("unpack", data.len() as u64, 0));
+    let (put, ns) = timed(span, || packer.unpack(data, user, skip));
+    debug_assert_eq!(put, data.len());
+    ns
+}
+
+/// What a rank has in the file domain it is itself the io-process of. It
+/// is never a message: the window loop moves each window's worth of it
+/// between the user buffer (`&[u8]` writing, `&mut [u8]` reading) and the
+/// window through one window-sized chunk from the arena — pack → chunk →
+/// place, extract → chunk → unpack, the calls that serve a message, so
+/// there is still one copy path. Where the user buffer *is* the stream
+/// (`MemPacker::Contig`) it stands in for the chunk and none is taken.
+struct OwnShare<'a, U> {
+    /// This rank: the index of the share among the IOP's per-AP cursors.
+    me: usize,
+    packer: &'a MemPacker,
+    scratch: &'a Scratch,
+    user: U,
+    /// Stream position of the user buffer's first byte.
+    stream_start: u64,
+    /// Stream bytes `[pos, hi)` of the share are still to move.
+    pos: u64,
+    hi: u64,
+    /// Taken at `cap` — a window, or the whole share where that is less —
+    /// by the first window that needs it.
+    chunk: Vec<u8>,
+    cap: usize,
+    /// Time under the `pack`/`unpack` spans.
+    pack_ns: u64,
+}
+
+impl<'a, U> OwnShare<'a, U> {
+    fn new(
+        me: usize,
+        packer: &'a MemPacker,
+        scratch: &'a Scratch,
+        user: U,
+        stream_start: u64,
+        (pos, hi): (u64, u64),
+        hints: &Hints,
+    ) -> Self {
+        OwnShare {
+            me,
+            packer,
+            scratch,
+            user,
+            stream_start,
+            pos,
+            hi,
+            chunk: Vec::new(),
+            cap: (hi - pos).min(hints.cb_buffer_size.max(1) as u64) as usize,
+            pack_ns: 0,
+        }
+    }
+
+    /// The first `n ≤ cap` bytes of the chunk.
+    fn chunk(&mut self, n: usize) -> &mut [u8] {
+        if self.chunk.len() < n {
+            self.chunk = self.scratch.take(self.cap);
+        }
+        &mut self.chunk[..n]
+    }
+}
+
+impl<U> Drop for OwnShare<'_, U> {
+    fn drop(&mut self) {
+        self.scratch.give(std::mem::take(&mut self.chunk));
+    }
+}
+
+impl OwnShare<'_, &[u8]> {
+    /// The share's bytes up to stream position `to` (a window's worth at
+    /// most), ready to be placed.
+    fn pack_to(&mut self, to: u64) -> &[u8] {
+        let n = to.clamp(self.pos, self.hi) - self.pos;
+        let skip = self.pos - self.stream_start;
+        self.pos += n;
+        if let Some(run) = self.packer.contig_slice(self.user, skip, n) {
+            return run;
+        }
+        if n > 0 {
+            let (packer, user) = (self.packer, self.user);
+            self.pack_ns += timed_pack(packer, user, skip, self.chunk(n as usize));
+        }
+        &self.chunk[..n as usize]
+    }
+}
+
+impl OwnShare<'_, &mut [u8]> {
+    /// Where a window's extraction puts the next bytes of the share: the
+    /// chunk, cut to what is left of the share.
+    fn buf(&mut self) -> &mut [u8] {
+        let n = (self.hi - self.pos).min(self.cap as u64) as usize;
+        match self.packer {
+            MemPacker::Contig { base } => {
+                &mut self.user[base + (self.pos - self.stream_start) as usize..][..n]
+            }
+            _ => self.chunk(n),
+        }
+    }
+
+    /// The first `n` bytes of [`OwnShare::buf`] are extracted: they go to
+    /// the user buffer.
+    fn unpack(&mut self, n: usize) {
+        if n > 0 && !matches!(self.packer, MemPacker::Contig { .. }) {
+            let skip = self.pos - self.stream_start;
+            self.pack_ns += timed_unpack(self.packer, &self.chunk[..n], self.user, skip);
+        }
+        self.pos += n as u64;
+    }
+
+    /// After a storage fault: what the share still lacks reads as zeros,
+    /// as the rest of a reply does.
+    fn zero_rest(&mut self) {
+        while self.pos < self.hi {
+            let rest = self.buf();
+            rest.fill(0);
+            let n = rest.len();
+            self.unpack(n);
+        }
     }
 }
 
@@ -572,54 +695,20 @@ pub(crate) fn write_at_all(
     let t = lio_obs::now();
     let (domains, _ranges) = file_domains(comm, my_range, hints);
     exch_ns += lio_obs::elapsed_ns(t);
-    let stream_end = stream_start + total;
     let naggr = domains.len();
     let me = comm.rank();
 
     // ----- AP phase: ship lists (list-based) and data ------------------
-    for (i, &dom) in domains.iter().enumerate() {
-        if dom.1 <= dom.0 {
-            continue;
-        }
-        let (s_lo, s_hi) = if my_range.is_some() {
-            stream_intersection(nav, stream_start, stream_end, dom)
-        } else {
-            (stream_start, stream_start)
-        };
-        let n = s_hi - s_lo;
-        if engine == Engine::ListBased {
-            let list = build_access_list(nav, s_lo, s_hi, dom);
-            if obs {
-                OBS_EXCH_LIST_BYTES.add(list.len() as u64);
-            }
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
-            comm.send_vec(i, TAG_TP_LIST, list);
-            drop(sp);
-            exch_ns += lio_obs::elapsed_ns(t);
-        }
-        let mut msg = scratch.take(16 + n as usize);
-        msg[0..8].copy_from_slice(&s_lo.to_le_bytes());
-        msg[8..16].copy_from_slice(&s_hi.to_le_bytes());
-        if n > 0 {
-            health::beat(HbPhase::Pack);
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("pack", n, 0);
-            let got = packer.pack(user, s_lo - stream_start, &mut msg[16..]);
-            debug_assert_eq!(got as u64, n);
-            drop(sp);
-            pack_ns += lio_obs::elapsed_ns(t);
-        }
-        if obs {
-            OBS_EXCH_DATA_BYTES.add(n);
-        }
-        health::beat_bytes(HbPhase::Exchange, n);
-        let t = lio_obs::now();
-        let sp = lio_obs::trace::span_ab("exch.send", i as u64, n);
-        comm.send_vec(i, TAG_TP_DATA, msg);
-        drop(sp);
-        exch_ns += lio_obs::elapsed_ns(t);
-    }
+    let span = (stream_start, stream_start + total);
+    let times = (&mut exch_ns, &mut pack_ns);
+    let (_, own_list) = announce(
+        comm,
+        nav,
+        &domains,
+        span,
+        Some((packer, user, scratch)),
+        times,
+    );
 
     // ----- IOP phase ----------------------------------------------------
     // A storage fault on an IOP must not strand the other ranks at the
@@ -633,94 +722,33 @@ pub(crate) fn write_at_all(
     if me < naggr && domains[me].1 > domains[me].0 {
         let dom = domains[me];
         let res: Result<(u64, u64)> = (|| {
-            match engine {
+            let t = lio_obs::now();
+            let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+            exch_ns += lio_obs::elapsed_ns(t);
+            let share = header(&msgs[me]);
+            let mut own = OwnShare::new(me, packer, scratch, user, stream_start, share, hints);
+            let done = match engine {
                 Engine::ListBased => {
-                    // Complete receives in arrival order (no head-of-line
-                    // blocking on rank 0), then assemble in rank order.
-                    let p_n = comm.size();
-                    let mut lists: Vec<Option<Vec<u8>>> = (0..p_n).map(|_| None).collect();
-                    let mut datas: Vec<Option<Vec<u8>>> = (0..p_n).map(|_| None).collect();
-                    let t = lio_obs::now();
-                    let sp = lio_obs::trace::span("exch.wait");
-                    let mut reqs: Vec<lio_mpi::Request> = Vec::with_capacity(2 * p_n);
-                    for p in 0..p_n {
-                        reqs.push(comm.irecv(p, TAG_TP_LIST));
-                        reqs.push(comm.irecv(p, TAG_TP_DATA));
+                    let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
+                    for list_bytes in &lists {
+                        recv.push(RecvList::new(parse_ol_list(list_bytes)?, 16));
                     }
-                    for _ in 0..2 * p_n {
-                        let (i, src, payload) = comm.wait_any(&mut reqs);
-                        if i % 2 == 0 {
-                            lists[src] = Some(payload);
-                        } else {
-                            // one contribution per AP: its arrival time
-                            // feeds the per-op rank-skew histogram
-                            health::window_mark(0, src as u32);
-                            datas[src] = Some(payload);
-                        }
-                    }
-                    drop(sp);
-                    health::window_flush();
-                    exch_ns += lio_obs::elapsed_ns(t);
-                    let mut recv: Vec<RecvList> = Vec::with_capacity(p_n);
-                    for (list_bytes, msg) in lists.iter().zip(datas) {
-                        let list_bytes = list_bytes.as_ref().expect("all lists received");
-                        let msg = msg.expect("all data messages received");
-                        recv.push(RecvList::parse(list_bytes, msg, 16)?);
-                    }
-                    let done = iop_write_listbased(storage, dom, &mut recv, hints, scratch);
-                    // placed: the messages now belong to this rank's arena
-                    for r in recv {
-                        scratch.give(r.data);
-                    }
-                    done
+                    iop_write_listbased(storage, dom, &mut recv, &msgs, nav, hints, &mut own)
                 }
                 Engine::Listless => {
                     let navs = state
                         .remote_navs
                         .as_ref()
                         .expect("listless collective requires cached fileviews");
-                    let p_n = comm.size();
-                    let mut msgs: Vec<Option<Vec<u8>>> = (0..p_n).map(|_| None).collect();
-                    let t = lio_obs::now();
-                    let sp = lio_obs::trace::span("exch.wait");
-                    let mut reqs: Vec<lio_mpi::Request> =
-                        (0..p_n).map(|p| comm.irecv(p, TAG_TP_DATA)).collect();
-                    for _ in 0..p_n {
-                        let (_, src, payload) = comm.wait_any(&mut reqs);
-                        health::window_mark(0, src as u32);
-                        msgs[src] = Some(payload);
-                    }
-                    drop(sp);
-                    health::window_flush();
-                    exch_ns += lio_obs::elapsed_ns(t);
-                    let mut placements: Vec<FfPlacement> = Vec::with_capacity(p_n);
-                    for (nav_p, msg) in navs.iter().zip(msgs) {
-                        let msg = msg.expect("all data messages received");
-                        let s_lo = u64::from_le_bytes(msg[0..8].try_into().expect("s_lo"));
-                        let s_hi = u64::from_le_bytes(msg[8..16].try_into().expect("s_hi"));
-                        placements.push(FfPlacement {
-                            nav: nav_p,
-                            msg,
-                            base: 16,
-                            s_lo,
-                            s_hi,
-                        });
-                    }
-                    let done = iop_write_listless(
-                        storage,
-                        dom,
-                        &placements,
-                        navs,
-                        state.merge.as_ref(),
-                        hints,
-                        scratch,
-                    );
-                    for p in placements {
-                        scratch.give(p.msg);
-                    }
-                    done
+                    let merge = state.merge.as_ref();
+                    iop_write_listless(storage, dom, &msgs, navs, merge, hints, &mut own)
                 }
+            };
+            // placed: the messages now belong to this rank's arena
+            for msg in msgs {
+                scratch.give(msg);
             }
+            done
         })();
         match res {
             Ok((io, p)) => {
@@ -769,13 +797,16 @@ pub(crate) fn write_at_all(
     }
 }
 
-/// IOP write loop, list-based placement.
+/// IOP write loop, list-based placement: `msgs[k]` is the data of list
+/// `recv[k]`, behind the 16-byte header.
 fn iop_write_listbased(
     storage: &dyn StorageFile,
     dom: (u64, u64),
     recv: &mut [RecvList],
+    msgs: &[Vec<u8>],
+    nav: &ViewNav,
     hints: &Hints,
-    scratch: &Scratch,
+    own: &mut OwnShare<&[u8]>,
 ) -> Result<(u64, u64)> {
     // clip the domain to where data actually lands
     let lo = recv.iter().filter_map(|r| r.next_offset()).min();
@@ -795,7 +826,8 @@ fn iop_write_listbased(
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
     // a window never exceeds the clipped domain, so neither need the buffer
-    let mut io = WindowIo::new(storage, scratch, grid.max_len());
+    let mut io = WindowIo::new(storage, own.scratch, grid.max_len());
+    let me = own.me;
     for (win, win_end) in grid {
         let has_data = recv
             .iter()
@@ -804,57 +836,59 @@ fn iop_write_listbased(
             windows += 1;
             health::beat_window(HbPhase::Io, windows - 1);
             let _w = lio_obs::trace::span_ab("win", windows - 1, win);
+            // How much of the own share the window holds is one linear
+            // locate in the view's list; walking the own list's segments
+            // ahead of the placement would be a second pass over them.
+            // (the own list's `data_pos` counts from there, per window)
+            let mine = own.pack_to(nav.abs_to_stream(win_end));
+            recv[me].data_pos = 0;
             io.update(
                 win,
                 win_end,
                 || coverage.as_mut().is_some_and(|c| c.covered(win, win_end)),
                 &mut |at, piece| {
                     health::beat(HbPhase::Pack);
-                    for r in recv.iter_mut() {
-                        r.place_into(piece, at, at + piece.len() as u64);
+                    for (k, r) in recv.iter_mut().enumerate() {
+                        let data = if k == me { mine } else { &msgs[k] };
+                        r.place_into(data, piece, at, at + piece.len() as u64);
                     }
                 },
             )?;
             health::beat_bytes(HbPhase::Io, win_end - win);
         }
     }
-    Ok(iop_write_done(&io, windows))
+    Ok(iop_write_done(&io, own.pack_ns, windows))
 }
 
-/// Close an IOP write loop: its phase times go to the metrics and, as
+/// Close an IOP write loop: its phase times — the window loop's and what
+/// packing the own share took — go to the metrics and, as
 /// `(io_ns, pack_ns)`, to the tuner.
-fn iop_write_done(io: &WindowIo, windows: u64) -> (u64, u64) {
+fn iop_write_done(io: &WindowIo, own_pack_ns: u64, windows: u64) -> (u64, u64) {
+    let pack_ns = io.pack_ns + own_pack_ns;
     if lio_obs::enabled() {
         OBS_W_IO_NS.add(io.io_ns);
-        OBS_W_PACK_NS.add(io.pack_ns);
+        OBS_W_PACK_NS.add(pack_ns);
         OBS_WINDOWS.add(windows);
     }
-    (io.io_ns, io.pack_ns)
+    (io.io_ns, pack_ns)
 }
 
-/// IOP write loop, listless placement via cached fileviews. Returns the
-/// `(io_ns, pack_ns)` phase breakdown for the tuner.
+/// IOP write loop, listless placement via cached fileviews: `msgs[k]` is
+/// AP `k`'s message as received, its data behind the 16-byte header (no
+/// re-allocating copy). Returns the `(io_ns, pack_ns)` phase breakdown for
+/// the tuner.
 fn iop_write_listless(
     storage: &dyn StorageFile,
     dom: (u64, u64),
-    placements: &[FfPlacement],
+    msgs: &[Vec<u8>],
     navs: &[FfNav],
     merge: Option<&MergeView>,
     hints: &Hints,
-    scratch: &Scratch,
+    own: &mut OwnShare<&[u8]>,
 ) -> Result<(u64, u64)> {
+    let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
     // clip the domain to where data actually lands
-    let lo = placements
-        .iter()
-        .filter(|p| p.s_hi > p.s_lo)
-        .map(|p| p.nav.stream_to_abs(p.s_lo))
-        .min();
-    let hi = placements
-        .iter()
-        .filter(|p| p.s_hi > p.s_lo)
-        .map(|p| p.nav.stream_to_abs(p.s_hi - 1) + 1)
-        .max();
-    let (Some(lo), Some(hi)) = (lo, hi) else {
+    let Some((lo, hi)) = touched(&spans, navs) else {
         return Ok((0, 0));
     };
     let lo = lo.max(dom.0);
@@ -862,20 +896,21 @@ fn iop_write_listless(
 
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-    let mut io = WindowIo::new(storage, scratch, grid.max_len());
+    let mut io = WindowIo::new(storage, own.scratch, grid.max_len());
+    let me = own.me;
     // per-AP stream cursor (how far each AP's data has been consumed)
-    let mut cursors: Vec<u64> = placements.iter().map(|p| p.s_lo).collect();
-    let mut takes = vec![0u64; placements.len()];
-    let mut seen = vec![RunTally::until(0); placements.len()];
+    let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
+    let mut takes = vec![0u64; spans.len()];
+    let mut seen = vec![RunTally::until(0); spans.len()];
     for (win, win_end) in grid {
         // per-AP byte counts in this window (cheap: O(depth) each)
         let mut any = false;
         takes.fill(0);
-        for (k, p) in placements.iter().enumerate() {
-            if p.s_hi <= p.s_lo || cursors[k] >= p.s_hi {
+        for (k, &(_, s_hi)) in spans.iter().enumerate() {
+            if cursors[k] >= s_hi {
                 continue;
             }
-            let b = p.nav.abs_to_stream(win_end).min(p.s_hi);
+            let b = navs[k].abs_to_stream(win_end).min(s_hi);
             if b > cursors[k] {
                 takes[k] = b - cursors[k];
                 any = true;
@@ -886,6 +921,9 @@ fn iop_write_listless(
             health::beat_window(HbPhase::Io, windows - 1);
             let _w = lio_obs::trace::span_ab("win", windows - 1, win);
             seen.fill(RunTally::until(win_end));
+            // the own share's bytes of this window, from `own_at` on
+            let own_at = cursors[me];
+            let mine = own.pack_to(own_at + takes[me]);
             io.update(
                 win,
                 win_end,
@@ -897,11 +935,15 @@ fn iop_write_listless(
                 // end of the piece by itself
                 &mut |at, piece| {
                     health::beat(HbPhase::Pack);
-                    for (k, p) in placements.iter().enumerate() {
+                    for (k, nav_p) in navs.iter().enumerate() {
                         if takes[k] > 0 {
-                            let rest = &p.data()[(cursors[k] - p.s_lo) as usize..];
+                            let rest = if k == me {
+                                &mine[(cursors[k] - own_at) as usize..]
+                            } else {
+                                &msgs[k][16 + (cursors[k] - spans[k].0) as usize..]
+                            };
                             cursors[k] +=
-                                p.nav.place_piece(rest, cursors[k], piece, at, &mut seen[k]) as u64;
+                                nav_p.place_piece(rest, cursors[k], piece, at, &mut seen[k]) as u64;
                         }
                     }
                 },
@@ -910,46 +952,127 @@ fn iop_write_listless(
         }
     }
     debug_assert!(
-        placements.iter().zip(&cursors).all(|(p, &c)| c >= p.s_hi),
+        spans.iter().zip(&cursors).all(|(s, &c)| c >= s.1),
         "an AP's data was not placed completely"
     );
-    Ok(iop_write_done(&io, windows))
+    Ok(iop_write_done(&io, own.pack_ns, windows))
 }
 
-/// IOP side of an announce round (the monolithic collective read and both
-/// pipelined schedules): every rank's `(s_lo, s_hi)` header and,
-/// `with_lists`, its ol-list (empty otherwise), both in rank order.
-/// Receives complete in
-/// arrival order, as the monolithic write's data messages do, so a late
-/// rank 0 delays nobody else's header.
-pub(crate) fn recv_announcements(comm: &Comm, with_lists: bool) -> (Vec<(u64, u64)>, Vec<Vec<u8>>) {
+/// AP side of the exchange, both directions. Every IOP with a domain gets
+/// the `(s_lo, s_hi)` of this rank's access `[stream_start, stream_end)`
+/// in it, followed — writing, so with `data` — by those stream bytes,
+/// packed; list-based, the ol-list goes ahead in a message of its own.
+/// Except to the rank's own IOP side: that gets the header alone, its list
+/// is returned instead of sent (second value), and its data stays in the
+/// user buffer for the window loop ([`OwnShare`]). Returns the intervals
+/// per domain; time goes to `(exch_ns, pack_ns)`.
+fn announce(
+    comm: &Comm,
+    nav: &ViewNav,
+    domains: &[(u64, u64)],
+    (stream_start, stream_end): (u64, u64),
+    data: Option<(&MemPacker, &[u8], &Scratch)>,
+    (exch_ns, pack_ns): (&mut u64, &mut u64),
+) -> (Vec<(u64, u64)>, Option<Vec<u8>>) {
+    let me = comm.rank();
+    let mut own_list = None;
+    let mut shares = vec![(stream_start, stream_start); domains.len()];
+    for (i, &dom) in domains.iter().enumerate() {
+        if dom.1 <= dom.0 {
+            continue;
+        }
+        if stream_end > stream_start {
+            shares[i] = stream_intersection(nav, stream_start, stream_end, dom);
+        }
+        let (s_lo, s_hi) = shares[i];
+        if let ViewNav::List(_) = nav {
+            let list = build_access_list(nav, s_lo, s_hi, dom);
+            if i == me {
+                own_list = Some(list);
+            } else {
+                OBS_EXCH_LIST_BYTES.add(list.len() as u64);
+                let t = lio_obs::now();
+                let _sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
+                comm.send_vec(i, TAG_TP_LIST, list);
+                *exch_ns += lio_obs::elapsed_ns(t);
+            }
+        }
+        let payload = data.filter(|_| i != me && s_hi > s_lo);
+        let n = payload.map_or(0, |_| s_hi - s_lo);
+        let mut msg = match payload {
+            Some((packer, user, scratch)) => {
+                let mut msg = scratch.take(16 + n as usize);
+                *pack_ns += timed_pack(packer, user, s_lo - stream_start, &mut msg[16..]);
+                msg
+            }
+            None => vec![0; 16],
+        };
+        msg[0..8].copy_from_slice(&s_lo.to_le_bytes());
+        msg[8..16].copy_from_slice(&s_hi.to_le_bytes());
+        OBS_EXCH_DATA_BYTES.add(n);
+        health::beat_bytes(HbPhase::Exchange, n);
+        let t = lio_obs::now();
+        let _sp = lio_obs::trace::span_ab("exch.send", i as u64, n);
+        comm.send_vec(i, TAG_TP_DATA, msg);
+        *exch_ns += lio_obs::elapsed_ns(t);
+    }
+    (shares, own_list)
+}
+
+/// The `(s_lo, s_hi)` stream interval a `TAG_TP_DATA` message starts with.
+fn header(msg: &[u8]) -> (u64, u64) {
+    let s_lo = u64::from_le_bytes(msg[0..8].try_into().expect("s_lo"));
+    let s_hi = u64::from_le_bytes(msg[8..16].try_into().expect("s_hi"));
+    (s_lo, s_hi)
+}
+
+/// IOP side of the exchange: every rank's `TAG_TP_DATA` message and,
+/// `with_lists`, its ol-list (empty otherwise), both in rank order. A rank
+/// that kept the list of its own domain hands it in as `own_list`; that
+/// one is not waited for. Receives complete in arrival order, so a late
+/// rank 0 delays nobody else's message.
+fn recv_exchange(
+    comm: &Comm,
+    with_lists: bool,
+    own_list: Option<Vec<u8>>,
+) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let p_n = comm.size();
-    let per = 1 + with_lists as usize;
-    let mut hdrs = vec![(0u64, 0u64); p_n];
+    let mut msgs: Vec<Vec<u8>> = vec![Vec::new(); p_n];
     let mut lists: Vec<Vec<u8>> = vec![Vec::new(); p_n];
     let sp = lio_obs::trace::span("exch.wait");
-    let mut reqs: Vec<lio_mpi::Request> = Vec::with_capacity(per * p_n);
-    for p in 0..p_n {
-        reqs.push(comm.irecv(p, TAG_TP_DATA));
-        if with_lists {
-            reqs.push(comm.irecv(p, TAG_TP_LIST));
-        }
+    let mut reqs: Vec<lio_mpi::Request> = (0..p_n).map(|p| comm.irecv(p, TAG_TP_DATA)).collect();
+    if with_lists {
+        let kept = own_list.is_some().then_some(comm.rank());
+        reqs.extend(
+            (0..p_n)
+                .filter(|&p| Some(p) != kept)
+                .map(|p| comm.irecv(p, TAG_TP_LIST)),
+        );
     }
-    for _ in 0..per * p_n {
+    for _ in 0..reqs.len() {
         let (i, src, payload) = comm.wait_any(&mut reqs);
-        if i % per == 0 {
-            // header arrival order = rank entry order into the collective
+        if i < p_n {
+            // one per AP: arrival order = rank entry order into the
+            // collective, and feeds the per-op rank-skew histogram
             health::window_mark(0, src as u32);
-            let s_lo = u64::from_le_bytes(payload[0..8].try_into().expect("s_lo"));
-            let s_hi = u64::from_le_bytes(payload[8..16].try_into().expect("s_hi"));
-            hdrs[src] = (s_lo, s_hi);
+            msgs[src] = payload;
         } else {
             lists[src] = payload;
         }
     }
+    if let Some(list) = own_list {
+        lists[comm.rank()] = list;
+    }
     drop(sp);
     health::window_flush();
-    (hdrs, lists)
+    (msgs, lists)
+}
+
+/// [`recv_exchange`] of an announce round (both pipelined schedules):
+/// the messages are the `(s_lo, s_hi)` headers alone.
+pub(crate) fn recv_announcements(comm: &Comm, with_lists: bool) -> (Vec<(u64, u64)>, Vec<Vec<u8>>) {
+    let (msgs, lists) = recv_exchange(comm, with_lists, None);
+    (msgs.iter().map(|m| header(m)).collect(), lists)
 }
 
 /// Collective read. Every rank calls this; fills `user` and returns bytes
@@ -1001,67 +1124,59 @@ pub(crate) fn read_at_all(
     let t = lio_obs::now();
     let (domains, _ranges) = file_domains(comm, my_range, hints);
     exch_ns += lio_obs::elapsed_ns(t);
-    let stream_end = stream_start + total;
     let naggr = domains.len();
     let me = comm.rank();
 
     // ----- AP phase: announce (and, list-based, ship the lists) --------
-    let mut my_intersections = vec![(stream_start, stream_start); naggr];
-    for (i, &dom) in domains.iter().enumerate() {
-        if dom.1 <= dom.0 {
-            continue;
-        }
-        let (s_lo, s_hi) = if my_range.is_some() {
-            stream_intersection(nav, stream_start, stream_end, dom)
-        } else {
-            (stream_start, stream_start)
-        };
-        my_intersections[i] = (s_lo, s_hi);
-        if engine == Engine::ListBased {
-            let list = build_access_list(nav, s_lo, s_hi, dom);
-            if obs {
-                OBS_EXCH_LIST_BYTES.add(list.len() as u64);
-            }
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
-            comm.send_vec(i, TAG_TP_LIST, list);
-            drop(sp);
-            exch_ns += lio_obs::elapsed_ns(t);
-        }
-        let mut msg = Vec::with_capacity(16);
-        msg.extend_from_slice(&s_lo.to_le_bytes());
-        msg.extend_from_slice(&s_hi.to_le_bytes());
-        health::beat(HbPhase::Exchange);
-        let t = lio_obs::now();
-        let sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
-        comm.send_vec(i, TAG_TP_DATA, msg);
-        drop(sp);
-        exch_ns += lio_obs::elapsed_ns(t);
-    }
+    let span = (stream_start, stream_start + total);
+    let times = (&mut exch_ns, &mut pack_ns);
+    let (my_intersections, own_list) = announce(comm, nav, &domains, span, None, times);
 
     // ----- IOP phase: read windows and ship each AP its bytes ----------
     // A storage fault on an IOP must not strand APs waiting for their
     // reply: errors are captured, every AP still receives a buffer of the
     // exact promised length (zero-padded past the failure point), and the
-    // error surfaces on this rank after the exchange completes.
+    // error surfaces on this rank after the exchange completes. The IOP's
+    // own share goes to its user buffer window by window ([`OwnShare`]),
+    // zero-padded likewise.
     let mut fatal: Option<IoError> = None;
     if me < naggr && domains[me].1 > domains[me].0 {
         let dom = domains[me];
+        let t = lio_obs::now();
+        let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+        exch_ns += lio_obs::elapsed_ns(t);
+        let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
+        let mut own = OwnShare::new(
+            me,
+            packer,
+            scratch,
+            &mut *user,
+            stream_start,
+            spans[me],
+            hints,
+        );
+        // the replies, of the promised length (none for the own share),
+        // filled window by window up to `filled`
+        let reply_len = |k: usize| {
+            if k == me {
+                0
+            } else {
+                (spans[k].1 - spans[k].0) as usize
+            }
+        };
+        let mut outs: Vec<Vec<u8>> = (0..spans.len())
+            .map(|k| scratch.take(reply_len(k)))
+            .collect();
+        let mut filled = vec![0usize; spans.len()];
         match engine {
             Engine::ListBased => {
-                // each list carries its AP's reply: a buffer of the length
-                // the announce header promised, filled window by window
-                let t = lio_obs::now();
-                let (hdrs, lists) = recv_announcements(comm, true);
-                exch_ns += lio_obs::elapsed_ns(t);
-                let mut recv: Vec<RecvList> = Vec::with_capacity(comm.size());
-                for (&(s_lo, s_hi), list_bytes) in hdrs.iter().zip(&lists) {
-                    let reply = scratch.take((s_hi - s_lo) as usize);
+                let mut recv: Vec<RecvList> = Vec::with_capacity(spans.len());
+                for list_bytes in &lists {
                     let segs = parse_ol_list(list_bytes).unwrap_or_else(|e| {
                         fatal.get_or_insert(e);
                         Vec::new()
                     });
-                    recv.push(RecvList::new(segs, reply, 0));
+                    recv.push(RecvList::new(segs, 0));
                 }
                 let lo = recv.iter().filter_map(|r| r.next_offset()).min();
                 let hi = recv.iter().filter_map(|r| r.end_offset()).max();
@@ -1083,62 +1198,33 @@ pub(crate) fn read_at_all(
                             let _w = lio_obs::trace::span_ab("win", win, win_end - win);
                             let res = io.view(win, win_end, &mut |at, piece| {
                                 health::beat(HbPhase::Pack);
-                                for r in recv.iter_mut() {
-                                    r.extract_from(piece, at, at + piece.len() as u64);
+                                for (k, r) in recv.iter_mut().enumerate() {
+                                    let reply = if k == me { own.buf() } else { &mut outs[k] };
+                                    r.extract_from(reply, piece, at, at + piece.len() as u64);
                                 }
                             });
                             if let Err(e) = res {
                                 fatal = Some(e);
                                 break;
                             }
+                            // the own list's `data_pos` counts per window
+                            own.unpack(std::mem::take(&mut recv[me].data_pos));
                         }
                     }
                     io_ns += io.io_ns;
                     pack_ns += io.pack_ns;
                 }
-                let t = lio_obs::now();
-                for (p, r) in recv.into_iter().enumerate() {
-                    let mut out = r.data;
-                    if fatal.is_some() {
-                        // the promised length, zeros past the failure point
-                        out[r.data_pos..].fill(0);
-                    }
-                    if obs {
-                        OBS_EXCH_DATA_BYTES.add(out.len() as u64);
-                    }
-                    health::beat_bytes(HbPhase::Exchange, out.len() as u64);
-                    comm.send_vec(p, TAG_TP_RDATA, out);
+                for (k, r) in recv.iter().enumerate() {
+                    filled[k] = r.data_pos;
                 }
-                exch_ns += lio_obs::elapsed_ns(t);
             }
             Engine::Listless => {
                 let navs = state
                     .remote_navs
                     .as_ref()
                     .expect("listless collective requires cached fileviews");
-                let t = lio_obs::now();
-                let (spans, _) = recv_announcements(comm, false);
-                exch_ns += lio_obs::elapsed_ns(t);
-                let lo = spans
-                    .iter()
-                    .zip(navs)
-                    .filter(|(s, _)| s.1 > s.0)
-                    .map(|(s, n)| n.stream_to_abs(s.0))
-                    .min();
-                let hi = spans
-                    .iter()
-                    .zip(navs)
-                    .filter(|(s, _)| s.1 > s.0)
-                    .map(|(s, n)| n.stream_to_abs(s.1 - 1) + 1)
-                    .max();
-                // the replies, of the promised length, filled window by
-                // window up to `cursors[k] - spans[k].0`
-                let mut outs: Vec<Vec<u8>> = spans
-                    .iter()
-                    .map(|s| scratch.take((s.1 - s.0) as usize))
-                    .collect();
                 let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
-                if let (Some(lo), Some(hi)) = (lo, hi) {
+                if let Some((lo, hi)) = touched(&spans, navs) {
                     let lo = lo.max(dom.0);
                     let hi = hi.min(dom.1);
                     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
@@ -1156,12 +1242,17 @@ pub(crate) fn read_at_all(
                             health::beat_bytes(HbPhase::Io, win_end - win);
                             let _w = lio_obs::trace::span_ab("win", win, win_end - win);
                             seen.fill(RunTally::until(win_end));
+                            let own_at = cursors[me];
                             // each reply goes on from its cursor and stops
                             // at the end of the piece by itself
                             let res = io.view(win, win_end, &mut |at, piece| {
                                 health::beat(HbPhase::Pack);
                                 for (k, nav_p) in navs.iter().enumerate() {
-                                    let rest = &mut outs[k][(cursors[k] - spans[k].0) as usize..];
+                                    let rest = if k == me {
+                                        &mut own.buf()[(cursors[k] - own_at) as usize..]
+                                    } else {
+                                        &mut outs[k][(cursors[k] - spans[k].0) as usize..]
+                                    };
                                     if !rest.is_empty() {
                                         cursors[k] += nav_p.extract_piece(
                                             piece,
@@ -1178,49 +1269,55 @@ pub(crate) fn read_at_all(
                                 fatal = Some(e);
                                 break;
                             }
+                            own.unpack((cursors[me] - own_at) as usize);
                         }
                     }
                     io_ns += io.io_ns;
                     pack_ns += io.pack_ns;
                 }
-                let t = lio_obs::now();
-                for (p, mut out) in outs.into_iter().enumerate() {
-                    if fatal.is_some() {
-                        // the promised length, zeros past the failure point
-                        out[(cursors[p] - spans[p].0) as usize..].fill(0);
-                    }
-                    if obs {
-                        OBS_EXCH_DATA_BYTES.add(out.len() as u64);
-                    }
-                    health::beat_bytes(HbPhase::Exchange, out.len() as u64);
-                    comm.send_vec(p, TAG_TP_RDATA, out);
+                for (k, c) in cursors.iter().enumerate() {
+                    filled[k] = (c - spans[k].0) as usize;
                 }
-                exch_ns += lio_obs::elapsed_ns(t);
             }
         }
+        if fatal.is_some() {
+            own.zero_rest();
+        }
+        pack_ns += own.pack_ns;
+        let t = lio_obs::now();
+        for (p, mut out) in outs.into_iter().enumerate() {
+            if p == me {
+                continue;
+            }
+            if fatal.is_some() {
+                // the promised length, zeros past the failure point
+                out[filled[p]..].fill(0);
+            }
+            if obs {
+                OBS_EXCH_DATA_BYTES.add(out.len() as u64);
+            }
+            health::beat_bytes(HbPhase::Exchange, out.len() as u64);
+            comm.send_vec(p, TAG_TP_RDATA, out);
+        }
+        exch_ns += lio_obs::elapsed_ns(t);
     }
 
-    // ----- AP phase 2: receive and unpack -------------------------------
-    for (i, &dom) in domains.iter().enumerate() {
-        if dom.1 <= dom.0 {
-            continue;
-        }
-        health::beat(HbPhase::ExchangeWait);
+    // ----- AP phase 2: receive and unpack, in arrival order -------------
+    // (nothing comes from this rank's own IOP side)
+    let mut reqs: Vec<lio_mpi::Request> = (0..naggr)
+        .filter(|&i| i != me && domains[i].1 > domains[i].0)
+        .map(|i| comm.irecv(i, TAG_TP_RDATA))
+        .collect();
+    for _ in 0..reqs.len() {
         let t = lio_obs::now();
-        let sp = lio_obs::trace::span_ab("exch.wait", i as u64, 0);
-        let data = comm.recv(i, TAG_TP_RDATA);
+        let sp = lio_obs::trace::span("exch.wait");
+        let (_, i, data) = comm.wait_any(&mut reqs);
         drop(sp);
         exch_ns += lio_obs::elapsed_ns(t);
         let (s_lo, s_hi) = my_intersections[i];
         debug_assert_eq!(data.len() as u64, s_hi - s_lo);
         if s_hi > s_lo {
-            health::beat(HbPhase::Pack);
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("unpack", data.len() as u64, 0);
-            let put = packer.unpack(&data, user, s_lo - stream_start);
-            drop(sp);
-            pack_ns += lio_obs::elapsed_ns(t);
-            debug_assert_eq!(put, data.len());
+            pack_ns += timed_unpack(packer, &data, user, s_lo - stream_start);
         }
         scratch.give(data);
     }

@@ -192,7 +192,10 @@ impl<'a> WindowIo<'a> {
 
 /// Run `work` — under the trace span `(tag, a, b)`, if any — and return
 /// what it returned and the nanoseconds it took (0 with obs off).
-fn timed<R>(span: Option<(&'static str, u64, u64)>, work: impl FnOnce() -> R) -> (R, u64) {
+pub(crate) fn timed<R>(
+    span: Option<(&'static str, u64, u64)>,
+    work: impl FnOnce() -> R,
+) -> (R, u64) {
     let t = lio_obs::now();
     let _sp = span.map(|(tag, a, b)| lio_obs::trace::span_ab(tag, a, b));
     let r = work();

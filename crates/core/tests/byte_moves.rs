@@ -9,17 +9,26 @@
 //! buffer) and is exactly zero where `io.in_place_bytes` counts the
 //! windows instead. Per user byte, at P = 2 on the Figure-4 view:
 //!
-//! | path             | staged | in place |
-//! |------------------|--------|----------|
-//! | sieved write     | 6      | 2        |
-//! | sieved read      | 4      | 2        |
-//! | collective write | 3      | 2        |
-//! | collective read  | 3      | 2        |
-//! | nc-c write       | 2      | 1        |
-//! | c-nc read        | 2      | 1        |
+//! | path                              | staged | in place |
+//! |-----------------------------------|--------|----------|
+//! | sieved write                      | 6      | 2        |
+//! | sieved read                       | 4      | 2        |
+//! | collective write, strided memory  | 3      | 2        |
+//! | collective read, strided memory   | 3      | 2        |
+//! | collective write, stream memory   | 2.5    | 1.5      |
+//! | collective read, stream memory    | 2.5    | 1.5      |
+//! | nc-c write                        | 2      | 1        |
+//! | c-nc read                         | 2      | 1        |
 //!
 //! (The sieved rows are `6 − 2/n` and `4 − 1/n` for `n` blocks per rank:
 //! a rank's access range holds `n` blocks and `n − 1` gaps.)
+//!
+//! A collective moves the half of the bytes that changes ranks twice
+//! (pack → message, message → window) and the rank's own half — which is
+//! no message — through a window-sized chunk (pack → chunk, chunk →
+//! window: still twice), or, where the user buffer is the stream itself,
+//! straight between user buffer and window: once, `(2 + 1)/2` at P = 2.
+//! `core.coll.exchange.data_bytes` counts the half that travels, exactly.
 //!
 //! Its own test binary with a single test: the counters are process-wide.
 //! Like `pipeline_mem` it relies on the `two_phase_pipeline` *hint* (the
@@ -30,7 +39,7 @@ mod common;
 
 use common::{figure4_filetype, pattern, Staged};
 use lio_core::{File, Hints, SharedFile};
-use lio_datatype::Datatype;
+use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
 use lio_pfs::{MemFile, OsFile, Throttle, ThrottledFile};
 
@@ -46,6 +55,8 @@ const RANGE: u64 = (2 * NBLOCK - 1) * SBLOCK;
 struct Moved {
     staged: u64,
     in_place: u64,
+    /// Payload that left its rank (`core.coll.exchange.data_bytes`).
+    exchanged: u64,
 }
 
 /// What the two counters read after both ranks ran `op` once.
@@ -69,6 +80,7 @@ fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) 
     Moved {
         staged: snap.counter("io.staged_bytes"),
         in_place: snap.counter("io.in_place_bytes"),
+        exchanged: snap.counter("core.coll.exchange.data_bytes"),
     }
 }
 
@@ -110,68 +122,148 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     for engine in [Hints::list_based(), Hints::listless()] {
         let hints = engine.pipelined(false);
         for (name, lends, shared) in &storages {
-            // `staged`: bytes through read_at/write_at per op, both ranks;
-            // `touched`: window bytes the op works on
+            // `lib_copies`: what the library moves, in user bytes of both
+            // ranks; `staged`: bytes through read_at/write_at per op, both
+            // ranks; `touched`: window bytes the op works on. Of a
+            // collective's bytes exactly one rank's worth changes ranks.
             let mut check = |path: &str, lib_copies: u64, staged: u64, touched: u64, got: Moved| {
+                let exchanged = if path.starts_with("collective") {
+                    BYTES
+                } else {
+                    0
+                };
                 let want = if *lends {
                     Moved {
                         staged: 0,
                         in_place: touched,
+                        exchanged,
                     }
                 } else {
                     Moved {
                         staged,
                         in_place: 0,
+                        exchanged,
                     }
                 };
                 assert_eq!(got, want, "{:?} {name} {path}", hints.engine);
-                let per_byte = (lib_copies * 2 * BYTES + got.staged) as f64 / (2 * BYTES) as f64;
+                let per_byte = (lib_copies + got.staged) as f64 / (2 * BYTES) as f64;
                 table.push(format!("{:?} {name} {path}: {per_byte:.3}", hints.engine));
             };
             let data = |me: u64| pattern(BYTES as usize, me + 1);
+            // strided memory, for the collective rows and the contiguous file
+            let block = Datatype::contiguous(SBLOCK, &byte).unwrap();
+            let memtype = Datatype::vector(NBLOCK, 1, 2, &block).unwrap();
+            let user = |me: u64| pattern(memtype.extent() as usize, me + 9);
 
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 f.write_at(0, &data(me), BYTES, &byte).unwrap();
             });
             // every window is half ours: read, merged, written back
-            check("sieved write", 2, 2 * 2 * RANGE, 2 * RANGE, got);
+            check("sieved write", 4 * BYTES, 2 * 2 * RANGE, 2 * RANGE, got);
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 let mut back = vec![0u8; BYTES as usize];
                 f.read_at(0, &mut back, BYTES, &byte).unwrap();
                 assert_eq!(back, data(me));
             });
-            check("sieved read", 2, 2 * RANGE, 2 * RANGE, got);
+            check("sieved read", 4 * BYTES, 2 * RANGE, 2 * RANGE, got);
 
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 f.write_at_all(0, &data(me), BYTES, &byte).unwrap();
             });
-            // the ranks' data fills every window: no pre-read
-            check("collective write", 2, 2 * BYTES, 2 * BYTES, got);
+            // the ranks' data fills every window: no pre-read; the half that
+            // changes ranks is moved twice, the own half once
+            check(
+                "collective write, stream memory",
+                3 * BYTES,
+                2 * BYTES,
+                2 * BYTES,
+                got,
+            );
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 let mut back = vec![0u8; BYTES as usize];
                 f.read_at_all(0, &mut back, BYTES, &byte).unwrap();
                 assert_eq!(back, data(me));
             });
-            check("collective read", 2, 2 * BYTES, 2 * BYTES, got);
+            check(
+                "collective read, stream memory",
+                3 * BYTES,
+                2 * BYTES,
+                2 * BYTES,
+                got,
+            );
+            // through the chunk the own half is moved twice as well
+            let got = count(shared, hints, |f, me| {
+                view(f, me);
+                f.write_at_all(0, &user(me), 1, &memtype).unwrap();
+            });
+            check(
+                "collective write, strided memory",
+                4 * BYTES,
+                2 * BYTES,
+                2 * BYTES,
+                got,
+            );
+            let got = count(shared, hints, |f, me| {
+                view(f, me);
+                let mut back = vec![0u8; memtype.extent() as usize];
+                f.read_at_all(0, &mut back, 1, &memtype).unwrap();
+            });
+            check(
+                "collective read, strided memory",
+                4 * BYTES,
+                2 * BYTES,
+                2 * BYTES,
+                got,
+            );
 
             // strided memory, contiguous file: rank `me` owns its half
-            let block = Datatype::contiguous(SBLOCK, &byte).unwrap();
-            let memtype = Datatype::vector(NBLOCK, 1, 2, &block).unwrap();
-            let user = |me: u64| pattern(memtype.extent() as usize, me + 9);
             let got = count(shared, hints, |f, me| {
                 f.write_at(me * BYTES, &user(me), 1, &memtype).unwrap();
             });
-            check("nc-c write", 1, 2 * BYTES, 2 * BYTES, got);
+            check("nc-c write", 2 * BYTES, 2 * BYTES, 2 * BYTES, got);
             let got = count(shared, hints, |f, me| {
                 let mut back = vec![0u8; memtype.extent() as usize];
                 f.read_at(me * BYTES, &mut back, 1, &memtype).unwrap();
             });
-            check("c-nc read", 1, 2 * BYTES, 2 * BYTES, got);
+            check("c-nc read", 2 * BYTES, 2 * BYTES, 2 * BYTES, got);
         }
     }
     println!("copies per user byte:\n  {}", table.join("\n  "));
+
+    // The tile shape — a 3-D array of 40-byte points split in two along
+    // the fastest axis, the memory tile padded with ghost points all round
+    // — has half of every rank's rows in either domain too: of the two
+    // ranks' bytes exactly one rank's worth travels, either way.
+    const N: u64 = 16;
+    let point = Datatype::basic(40);
+    let tile_bytes = N * N * (N / 2) * 40;
+    let padded = [N + 2, N + 2, N / 2 + 2];
+    let mem_tile =
+        Datatype::subarray(&padded, &[N, N, N / 2], &[1, 1, 1], Order::C, &point).unwrap();
+    for engine in [Hints::list_based(), Hints::listless()] {
+        let hints = engine.pipelined(false);
+        let shared = SharedFile::new(MemFile::new());
+        let file_tile = |f: &mut File, me: u64| {
+            let starts = [0, 0, me * N / 2];
+            let tile =
+                Datatype::subarray(&[N, N, N], &[N, N, N / 2], &starts, Order::C, &point).unwrap();
+            f.set_view(0, Datatype::byte(), tile).unwrap();
+        };
+        let got = count(&shared, hints, |f, me| {
+            file_tile(f, me);
+            let user = pattern(mem_tile.extent() as usize, me + 3);
+            f.write_at_all(0, &user, 1, &mem_tile).unwrap();
+        });
+        assert_eq!(got.exchanged, tile_bytes, "{:?} tile write", hints.engine);
+        let got = count(&shared, hints, |f, me| {
+            file_tile(f, me);
+            let mut back = vec![0u8; mem_tile.extent() as usize];
+            f.read_at_all(0, &mut back, 1, &mem_tile).unwrap();
+        });
+        assert_eq!(got.exchanged, tile_bytes, "{:?} tile read", hints.engine);
+    }
 }

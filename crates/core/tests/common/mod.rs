@@ -183,6 +183,63 @@ impl<F: StorageFile> StorageFile for Staged<F> {
     }
 }
 
+/// The whole file as rank code sees it (retries ride out injected faults).
+pub fn image_of(shared: &SharedFile) -> Vec<u8> {
+    let mut img = vec![0u8; shared.len() as usize];
+    let n = lio_pfs::retry::read_full_at(shared.storage().as_ref(), 0, &mut img).unwrap();
+    assert_eq!(n, img.len());
+    img
+}
+
+/// Run `body` on every rank over a file holding `initial`, once per
+/// storage; the final file and what the ranks returned must not depend on
+/// the storage. Returns both for the comparison with the reference.
+pub fn on_each_storage<R: PartialEq + Send>(
+    what: &str,
+    initial: &[u8],
+    nprocs: u64,
+    body: impl Fn(&lio_mpi::Comm, SharedFile) -> R + Sync,
+) -> (Vec<u8>, Vec<R>) {
+    let run = |shared: SharedFile| {
+        lio_mpi::World::run(nprocs as usize, |comm| {
+            apply_comm_faults(comm);
+            body(comm, shared.clone())
+        })
+    };
+    let lends = |shared: &SharedFile| shared.storage().with_range(0, 0, &mut |_, _| {}).unwrap();
+
+    // `SharedFile::new` wraps the `Arc<MemFile>` in its own `Arc`: the
+    // bytes are lent only because `Arc<F>` forwards the two methods
+    let mem = Arc::new(MemFile::with_data(initial.to_vec()));
+    let in_place = SharedFile::new(Arc::clone(&mem));
+    assert!(lends(&in_place), "a MemFile behind SharedFile must lend");
+    let got = run(in_place);
+    let image = mem.snapshot();
+
+    let mem = Arc::new(MemFile::with_data(initial.to_vec()));
+    let staged = SharedFile::new(Staged(Arc::clone(&mem)));
+    assert!(!lends(&staged));
+    assert!(
+        run(staged) == got,
+        "{what}: in place and staged return different data"
+    );
+    assert!(
+        mem.snapshot() == image,
+        "{what}: in place and staged leave different files"
+    );
+
+    let (shared, raw) = test_storage_with(initial.to_vec());
+    assert!(
+        run(shared) == got,
+        "{what}: the environment's storage returns different data"
+    );
+    assert!(
+        raw.snapshot() == image,
+        "{what}: the environment's storage leaves a different file"
+    );
+    (image, got)
+}
+
 /// [`test_storage_with`] (so `LIO_BACKEND` still picks the substrate)
 /// without the storage fault schedule — a retried request would be logged
 /// twice — and with a [`RecordingFile`] on top.
@@ -322,6 +379,24 @@ pub fn figure4_filetype(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> Dataty
             count: 1,
             child: Datatype::ub_marker(),
         },
+    ])
+    .unwrap()
+}
+
+/// [`figure4_filetype`] with every block one elementary type, so that the
+/// naive reference walks blocks, not bytes.
+pub fn figure4_of_blocks(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> Datatype {
+    let field = |disp: u64, child: Datatype| Field {
+        disp: disp as i64,
+        count: 1,
+        child,
+    };
+    let block = Datatype::basic(sblock as u32);
+    let blocks = Datatype::vector(nblock, 1, nprocs as i64, &block).unwrap();
+    Datatype::struct_type(vec![
+        field(0, Datatype::lb_marker()),
+        field(p * sblock, blocks),
+        field(nprocs * nblock * sblock, Datatype::ub_marker()),
     ])
     .unwrap()
 }

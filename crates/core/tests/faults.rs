@@ -269,17 +269,21 @@ impl StorageFile for DeadFrom {
 #[test]
 fn failed_collective_read_pads_replies_with_zeros() {
     // A permanent read fault in the second IOP's domain: that rank's call
-    // fails, the other rank's succeeds, and what it gets from the failed
-    // domain is the promised number of bytes — file bytes up to the
-    // failed window, zeros from there on, never recycled buffer contents.
+    // fails, the other rank's succeeds, and what either gets from the
+    // failed domain — rank 0 in a reply, rank 1 as its own share, which is
+    // no message — is the promised number of bytes: file bytes up to the
+    // failed window, zeros from there on, never recycled buffer contents
+    // or bytes left as they were. Both return with nothing in flight.
     const NBLOCK: u64 = 64;
     const SBLOCK: u64 = 8;
     const CB: usize = 96;
     let len = 2 * NBLOCK * SBLOCK;
     let image: Vec<u8> = (0..len).map(|i| 1 + (i % 100) as u8).collect();
     let from = len * 3 / 4;
+    // strided user memory takes the own share through its chunk
+    let memtype = Datatype::vector(NBLOCK * SBLOCK, 1, 2, &Datatype::byte()).unwrap();
     for engine in [Hints::list_based(), Hints::listless()] {
-        for pipelined in [false, true] {
+        for (pipelined, strided) in [(false, false), (false, true), (true, false)] {
             let hints = engine.cb_buffer(CB).pipelined(pipelined);
             let shared = SharedFile::new(DeadFrom {
                 inner: MemFile::with_data(image.clone()),
@@ -294,34 +298,51 @@ fn failed_collective_read_pads_replies_with_zeros() {
                 let junk = vec![0x5Au8; (NBLOCK * SBLOCK / 4) as usize];
                 f.write_at_all(0, &junk, junk.len() as u64, &Datatype::byte())
                     .unwrap();
-                let mut back = vec![0x77u8; (NBLOCK * SBLOCK) as usize];
-                let n = back.len() as u64;
-                let res = f.read_at_all(0, &mut back, n, &Datatype::byte());
+                let n = NBLOCK * SBLOCK;
+                let (res, back) = if strided {
+                    let mut back = vec![0x77u8; memtype.extent() as usize];
+                    let res = f.read_at_all(0, &mut back, 1, &memtype);
+                    (res, common::reference_stream(&back, &memtype, 1))
+                } else {
+                    let mut back = vec![0x77u8; n as usize];
+                    let res = f.read_at_all(0, &mut back, n, &Datatype::byte());
+                    (res, back)
+                };
+                comm.barrier();
+                assert_eq!(comm.stashed_msgs(), 0, "a message of the failed op is left");
                 (res.is_ok(), back)
             });
-            let what = format!("{:?}, pipelined={pipelined}", hints.engine);
+            let what = format!(
+                "{:?}, pipelined={pipelined}, strided={strided}",
+                hints.engine
+            );
             assert!(outcomes[0].0, "rank 0's own domain is healthy ({what})");
             assert!(!outcomes[1].0, "rank 1 must report the fault ({what})");
-            let back = &outcomes[0].1;
-            let mut zeros = 0;
-            for (i, &got) in back.iter().enumerate() {
-                let at = (i as u64 / SBLOCK) * 2 * SBLOCK + i as u64 % SBLOCK;
-                let want = if at < len / 4 {
-                    0x5A
-                } else {
-                    image[at as usize]
-                };
-                if at + (CB as u64) <= from {
-                    assert_eq!(
-                        got, want,
-                        "byte {i} (file {at}) precedes the fault ({what})"
-                    );
-                } else {
-                    assert!(got == want || got == 0, "byte {i} is {got:#x} ({what})");
-                    zeros += (got == 0) as usize;
+            for (rank, (_, back)) in outcomes.iter().enumerate() {
+                let mut zeros = 0;
+                for (i, &got) in back.iter().enumerate() {
+                    let i = i as u64;
+                    let at = (i / SBLOCK) * 2 * SBLOCK + rank as u64 * SBLOCK + i % SBLOCK;
+                    let want = if at < len / 4 {
+                        0x5A
+                    } else {
+                        image[at as usize]
+                    };
+                    if at + (CB as u64) <= from {
+                        assert_eq!(
+                            got, want,
+                            "rank {rank} byte {i} (file {at}) precedes the fault ({what})"
+                        );
+                    } else {
+                        assert!(
+                            got == want || got == 0,
+                            "rank {rank} byte {i} is {got:#x} ({what})"
+                        );
+                        zeros += (got == 0) as usize;
+                    }
                 }
+                assert!(zeros > 0, "the fault left no trace on rank {rank} ({what})");
             }
-            assert!(zeros > 0, "the fault left no trace ({what})");
         }
     }
 }

@@ -13,17 +13,13 @@
 
 mod common;
 
-use std::sync::Arc;
-
 use common::{
-    apply_comm_faults, pattern, reference_read, reference_stream, reference_write,
-    test_storage_with, Staged,
+    figure4_of_blocks, image_of, on_each_storage, pattern, reference_read, reference_stream,
+    reference_write,
 };
 use lio_core::hints::DEFAULT_WINDOW;
-use lio_core::{File, Hints, SharedFile, SievingMode};
-use lio_datatype::{Datatype, Field};
-use lio_mpi::{Comm, World};
-use lio_pfs::MemFile;
+use lio_core::{File, Hints, SievingMode};
+use lio_datatype::Datatype;
 
 /// `MemFile`'s stripe: where a lent window is cut into pieces.
 const STRIPE: u64 = 256 * 1024;
@@ -40,22 +36,8 @@ struct Geo {
 }
 
 impl Geo {
-    /// `common::figure4_filetype` with every block one elementary type,
-    /// so that the naive reference walks blocks, not bytes.
     fn filetype(&self, rank: u64) -> Datatype {
-        let field = |disp: u64, child: Datatype| Field {
-            disp: disp as i64,
-            count: 1,
-            child,
-        };
-        let block = Datatype::basic(self.sblock as u32);
-        let blocks = Datatype::vector(self.nblock, 1, self.p as i64, &block).unwrap();
-        Datatype::struct_type(vec![
-            field(0, Datatype::lb_marker()),
-            field(rank * self.sblock, blocks),
-            field(self.p * self.total(), Datatype::ub_marker()),
-        ])
-        .unwrap()
+        figure4_of_blocks(rank, self.p, self.nblock, self.sblock)
     }
     /// Bytes in one rank's view instance.
     fn total(&self) -> u64 {
@@ -113,63 +95,6 @@ fn geometries(p: u64) -> Vec<Geo> {
 
 fn engines() -> [Hints; 2] {
     [Hints::list_based(), Hints::listless()]
-}
-
-/// The whole file as rank code sees it (retries ride out injected faults).
-fn image_of(shared: &SharedFile) -> Vec<u8> {
-    let mut img = vec![0u8; shared.len() as usize];
-    let n = lio_pfs::retry::read_full_at(shared.storage().as_ref(), 0, &mut img).unwrap();
-    assert_eq!(n, img.len());
-    img
-}
-
-/// Run `body` on every rank over a file holding `initial`, once per
-/// storage; the final file and what the ranks returned must not depend on
-/// the storage. Returns both for the comparison with the reference.
-fn on_each_storage<R: PartialEq + Send>(
-    what: &str,
-    initial: &[u8],
-    nprocs: u64,
-    body: impl Fn(&Comm, SharedFile) -> R + Sync,
-) -> (Vec<u8>, Vec<R>) {
-    let run = |shared: SharedFile| {
-        World::run(nprocs as usize, |comm| {
-            apply_comm_faults(comm);
-            body(comm, shared.clone())
-        })
-    };
-    let lends = |shared: &SharedFile| shared.storage().with_range(0, 0, &mut |_, _| {}).unwrap();
-
-    // `SharedFile::new` wraps the `Arc<MemFile>` in its own `Arc`: the
-    // bytes are lent only because `Arc<F>` forwards the two methods
-    let mem = Arc::new(MemFile::with_data(initial.to_vec()));
-    let in_place = SharedFile::new(Arc::clone(&mem));
-    assert!(lends(&in_place), "a MemFile behind SharedFile must lend");
-    let got = run(in_place);
-    let image = mem.snapshot();
-
-    let mem = Arc::new(MemFile::with_data(initial.to_vec()));
-    let staged = SharedFile::new(Staged(Arc::clone(&mem)));
-    assert!(!lends(&staged));
-    assert!(
-        run(staged) == got,
-        "{what}: in place and staged return different data"
-    );
-    assert!(
-        mem.snapshot() == image,
-        "{what}: in place and staged leave different files"
-    );
-
-    let (shared, raw) = test_storage_with(initial.to_vec());
-    assert!(
-        run(shared) == got,
-        "{what}: the environment's storage returns different data"
-    );
-    assert!(
-        raw.snapshot() == image,
-        "{what}: the environment's storage leaves a different file"
-    );
-    (image, got)
 }
 
 /// How the ranks of one scenario access the file.

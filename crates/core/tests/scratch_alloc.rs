@@ -86,22 +86,32 @@ fn large_allocs_in(comm: &Comm, mut op: impl FnMut()) -> usize {
 
 /// The large blocks the first collective write on a fresh file takes —
 /// nothing is recycled yet, so every buffer of the op is an allocation.
-fn large_allocs_of_cold_write(shared: SharedFile, hints: Hints) -> usize {
+/// The user buffer is half-dense (`strided`) or the stream itself.
+fn large_allocs_of_cold_write(shared: SharedFile, hints: Hints, strided: bool) -> usize {
     World::run(2, |comm| {
         let me = comm.rank() as u64;
         let mut f = File::open(comm, shared.clone(), hints).unwrap();
         f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
             .unwrap();
-        let data = pattern(BYTES as usize, me + 1);
+        let block = Datatype::contiguous(SBLOCK, &Datatype::byte()).unwrap();
+        let (memtype, count) = if strided {
+            (Datatype::vector(NBLOCK, 1, 2, &block).unwrap(), 1)
+        } else {
+            (Datatype::byte(), BYTES)
+        };
+        let data = pattern(memtype.extent() as usize * count as usize, me + 1);
         large_allocs_in(comm, || {
-            f.write_at_all(0, &data, BYTES, &Datatype::byte()).unwrap();
+            f.write_at_all(0, &data, count, &memtype).unwrap();
         })
     })[0]
 }
 
-/// An op on storage that lends its bytes takes no window buffer at all:
-/// each rank's two 128 KiB messages are all the first collective write
-/// allocates, where a staging IOP also takes its 128 KiB window.
+/// What the first collective write allocates, in words: each rank one
+/// 128 KiB message — the half of its data that changes ranks — and, as an
+/// IOP, one window-sized chunk through which its own half goes from a
+/// strided user buffer into the windows. A user buffer that is the stream
+/// itself needs no chunk, storage that lends its bytes no window buffer;
+/// a staging IOP takes its 128 KiB window on top.
 #[test]
 fn an_in_place_collective_takes_only_message_buffers() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -112,10 +122,18 @@ fn an_in_place_collective_takes_only_message_buffers() {
         }
         // (a file of the final size: growing it allocates stripes)
         let file = || MemFile::with_data(vec![0; 2 * BYTES as usize]);
-        let lent = large_allocs_of_cold_write(SharedFile::new(file()), hints);
-        assert_eq!(lent, 4, "{:?}: two messages per rank", hints.engine);
-        let staged = large_allocs_of_cold_write(SharedFile::new(Staged(file())), hints);
-        assert_eq!(staged, 6, "{:?}: and a window per IOP", hints.engine);
+        for (strided, chunks) in [(false, 0), (true, 2)] {
+            let what = format!("{:?}, strided={strided}", hints.engine);
+            let lent = large_allocs_of_cold_write(SharedFile::new(file()), hints, strided);
+            assert_eq!(
+                lent,
+                2 + chunks,
+                "{what}: a message per rank, a chunk per IOP"
+            );
+            let staged =
+                large_allocs_of_cold_write(SharedFile::new(Staged(file())), hints, strided);
+            assert_eq!(staged, 4 + chunks, "{what}: and a window per IOP");
+        }
     }
 }
 

@@ -213,6 +213,27 @@ fn in_place_ops_trace_places_and_no_requests() {
     });
 }
 
+/// A rank's own share of a monolithic collective is no message: the only
+/// edges from a rank to itself are the 16-byte headers to its own IOP
+/// side, and the critical-path analysis takes such an op like any other.
+#[test]
+fn the_own_share_makes_no_edge() {
+    let hints = Hints::default().pipelined(false);
+    if hints.pipeline_enabled() {
+        return; // the pipelined schedule ships every window
+    }
+    with_trace(|| {
+        let tl = trace::merge(&traced_collective(hints, SharedFile::new(MemFile::new())));
+        let to_self = |e: &&trace::Edge| e.src_rank == e.dst_rank;
+        let own: Vec<u64> = tl.edges.iter().filter(to_self).map(|e| e.bytes).collect();
+        assert_eq!(own, [16; 8], "one header per rank and op, nothing else");
+        assert_eq!((tl.unmatched_sends, tl.unmatched_recvs), (0, 0));
+        let reports = trace::critical_path(&tl);
+        assert_eq!(reports.len(), 2, "a write and a read");
+        assert!(reports.iter().all(|r| r.wall_ns > 0 && r.pack_ns > 0));
+    });
+}
+
 #[test]
 fn critical_path_names_a_bounding_phase() {
     with_trace(|| {

@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn barrier_many_rounds() {
-        World::run(5, |comm| {
+        World::run(16, |comm| {
             for _ in 0..50 {
                 comm.barrier();
             }

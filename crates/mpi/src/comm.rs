@@ -16,8 +16,9 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use lio_obs::{LazyCounter, LazyHistogram};
 
@@ -31,6 +32,9 @@ static OBS_P2P_BYTES: LazyCounter = LazyCounter::new("mpi.p2p.bytes");
 static OBS_COLL_MSGS: LazyCounter = LazyCounter::new("mpi.coll.msgs");
 static OBS_COLL_BYTES: LazyCounter = LazyCounter::new("mpi.coll.bytes");
 static OBS_MSG_SIZE: LazyHistogram = LazyHistogram::new("mpi.msg.size");
+/// Blocking receives satisfied while polling / that had to park.
+static OBS_RECV_POLLED: LazyCounter = LazyCounter::new("mpi.recv.polled");
+static OBS_RECV_PARKED: LazyCounter = LazyCounter::new("mpi.recv.parked");
 
 /// Wildcard source for [`Comm::recv_any`].
 pub const ANY_SOURCE: usize = usize::MAX;
@@ -44,6 +48,17 @@ const COLL_TAG_BASE: u64 = 1 << 32;
 /// sources) per receive call; without a budget, a probe would drain an
 /// entire flood into `pending` before even looking at the next source.
 const DRAIN_BUDGET: usize = 32;
+
+/// How long a blocking receive polls its channel before it parks (see
+/// [`Comm::recv_raw`]). Waking a parked thread costs both sides a futex
+/// round trip — 17–20 µs on the sender, 20–45 µs on the receiver of the
+/// 2-vCPU box — and one collective op blocks three times. Measured on the
+/// benchmark (`write_mbps` at 20 µs / 100 µs / 500 µs / 5 ms): `coll-small`
+/// 5668 / 5529 / 5685 / 5645, one spread; `ind-small` (a barrier per 8 ops
+/// of 0.2 ms) 2834 / 2919 / 3111 / 3095. Past the bound the wait is a
+/// straggler or the user's compute phase, and the core is worth more than
+/// the wake-up.
+const POLL_BOUND: Duration = Duration::from_micros(500);
 
 /// A message in flight.
 ///
@@ -327,21 +342,43 @@ impl Comm {
         self.recv_raw(src, tag)
     }
 
+    /// The one blocking receive, under `recv`, `wait` and every
+    /// collective. It waits as [`Comm::wait_any`] and [`Comm::recv_any`]
+    /// do — `try_recv`, `yield_now` between attempts, so an oversubscribed
+    /// world or a storage lane gets the core the moment it can use it —
+    /// but only for [`POLL_BOUND`]; then it parks in the channel.
     pub(crate) fn recv_raw(&self, src: usize, tag: u64) -> Vec<u8> {
         assert!(src < self.size, "source rank {src} out of range");
         if let Some(p) = self.unstash(src, tag) {
             return p;
         }
+        const GONE: &str = "sender rank terminated while a receive was posted";
+        let rx = &self.receivers[src];
+        let mut polling_since: Option<Instant> = None;
+        let mut parked = false;
         // drain the channel until the tag appears
         loop {
-            let msg = self.receivers[src]
-                .recv()
-                .expect("sender rank terminated while a receive was posted");
+            let msg = match rx.try_recv() {
+                Ok(msg) => msg,
+                Err(TryRecvError::Disconnected) => panic!("{GONE}"),
+                Err(TryRecvError::Empty) if parked => rx.recv().expect(GONE),
+                Err(TryRecvError::Empty) => {
+                    parked = polling_since.get_or_insert_with(Instant::now).elapsed() >= POLL_BOUND;
+                    std::thread::yield_now();
+                    continue;
+                }
+            };
             debug_assert_eq!(msg.src, src, "message arrived on the wrong channel");
             if !self.accept(&msg) {
                 continue;
             }
             if msg.tag == tag {
+                if parked {
+                    &OBS_RECV_PARKED
+                } else {
+                    &OBS_RECV_POLLED
+                }
+                .incr();
                 return msg.payload;
             }
             self.stash(src, msg.tag, msg.payload);
@@ -638,7 +675,8 @@ mod tests {
 
     #[test]
     fn many_to_many_stress() {
-        World::run(6, |comm| {
+        // eight ranks per core: a polling receive must hand its core on
+        World::run(16, |comm| {
             let me = comm.rank();
             for round in 0..50u64 {
                 for dst in 0..comm.size() {
