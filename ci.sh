@@ -10,6 +10,25 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# `unsafe` census (ROADMAP item 6): the lines of each crate's src/ that
+# hold the keyword, comment lines left out, against the number reviewed
+# for it. A change that needs one more raises the number here, where the
+# diff shows it; one that removes some should lower it.
+echo "== unsafe census"
+declare -A reviewed=(
+  [bench]=0 [btio]=2 [core]=0 [datatype]=23 [mpi]=0
+  [noncontig]=0 [obs]=0 [pfs]=21 [testkit]=0
+)
+for src in crates/*/src; do
+  crate=$(basename "$(dirname "$src")")
+  n=$(grep -rhv --include='*.rs' '^[[:space:]]*//' "$src" | grep -cw unsafe || true)
+  echo "  $crate: $n (reviewed: ${reviewed[$crate]:-none})"
+  if [ "$n" -gt "${reviewed[$crate]:--1}" ]; then
+    echo "unsafe census: crates/$crate has $n, more than was reviewed"
+    exit 1
+  fi
+done
+
 # `default-members` in the root manifest makes both commands cover the
 # whole workspace: the root package and every crate's unit, differential
 # and property suites.
@@ -48,7 +67,14 @@ LIO_PIPELINE=1 cargo test -q -p lio-core --test collective --test pipeline --tes
 # with every storage stack forced onto OsFile (submission queue over a
 # real unlinked file), once on tmpfs and once on a real directory so
 # both the fast-page-cache and the ordinary-filesystem paths are
-# exercised. Cross-backend equivalence itself is the backend corpus:
+# exercised. Without a fault seed the queue's device is a plain UnixFile,
+# which lends a shared mapping of the file: these reruns (and the
+# LIO_BACKEND=os rows of the cross-product below) are the monolithic
+# schedule on mapped windows, 4 KiB pages on tmpfs and large folios on
+# ext4; os_edge holds the mapping's own edge cases (EOF, set_len, growth,
+# sync + reopen). The fault-seed reruns at the end put a FaultyFile under
+# the queue, which declines: they are the staged path on the same backend.
+# Cross-backend equivalence itself is the backend corpus:
 # the same differential cases must produce byte-identical files under
 # every backend × pipeline combination.
 mkdir -p target/lio-os-ci

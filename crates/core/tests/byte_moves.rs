@@ -37,7 +37,7 @@
 
 mod common;
 
-use common::{figure4_filetype, pattern, Staged};
+use common::{figure4_filetype, pattern, real_file_with, Staged};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
@@ -84,6 +84,11 @@ fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) 
     }
 }
 
+/// A real file that already holds every byte the table's accesses touch.
+fn real_file() -> OsFile {
+    real_file_with(&vec![0u8; 2 * BYTES as usize])
+}
+
 #[test]
 fn copies_per_user_byte_with_and_without_lent_bytes() {
     if Hints::default().pipelined(false).pipeline_enabled() {
@@ -107,10 +112,14 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             false,
             SharedFile::new(ThrottledFile::new(MemFile::new(), fast)),
         ),
+        // a real file lends what lies inside it (its mapping never grows
+        // the file), so it starts at full size; staged, it is the same
+        // file behind the queue's `pread`/`pwrite`
+        ("OsFile", true, SharedFile::new(real_file())),
         (
-            "OsFile",
+            "Staged(OsFile)",
             false,
-            SharedFile::new(OsFile::temp().expect("temp file for the os backend")),
+            SharedFile::new(Staged(real_file())),
         ),
     ];
     let byte = Datatype::byte();

@@ -183,6 +183,14 @@ impl<F: StorageFile> StorageFile for Staged<F> {
     }
 }
 
+/// An `OsFile` on an unlinked real file holding `data`, no decorator
+/// anywhere: what lies inside the file is lent through its mapping.
+pub fn real_file_with(data: &[u8]) -> lio_pfs::OsFile {
+    let f = lio_pfs::OsFile::temp().expect("temp file for the os backend");
+    lio_pfs::retry::write_full_at(&f, 0, data).expect("pre-populate storage");
+    f
+}
+
 /// The whole file as rank code sees it (retries ride out injected faults).
 pub fn image_of(shared: &SharedFile) -> Vec<u8> {
     let mut img = vec![0u8; shared.len() as usize];
@@ -226,6 +234,19 @@ pub fn on_each_storage<R: PartialEq + Send>(
     assert!(
         mem.snapshot() == image,
         "{what}: in place and staged leave different files"
+    );
+
+    // a real file lends through a mapping what lies inside it and stages
+    // what lies past its end: both on one file, window by window
+    let os = SharedFile::new(real_file_with(initial));
+    assert!(lends(&os), "an OsFile over a plain UnixFile must lend");
+    assert!(
+        run(os.clone()) == got,
+        "{what}: in place and the real file return different data"
+    );
+    assert!(
+        image_of(&os) == image,
+        "{what}: in place and the real file leave different files"
     );
 
     let (shared, raw) = test_storage_with(initial.to_vec());

@@ -19,7 +19,7 @@ mod common;
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use common::{apply_comm_faults, figure4_filetype, pattern, recording_storage, Request};
+use common::{apply_comm_faults, figure4_filetype, pattern, recording_storage, Request, Staged};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
@@ -243,7 +243,10 @@ fn aligned_windows_stay_off_the_os_worker_pool() {
                     // windows to the queue on purpose
                     return;
                 }
-                let shared = SharedFile::new(OsFile::over(MemFile::new(), OsConfig::default()));
+                // a device that lends nothing (a bare `MemFile` would, and
+                // `OsFile` forwards the question): every window is a request
+                let device = Staged(MemFile::new());
+                let shared = SharedFile::new(OsFile::over(device, OsConfig::default()));
                 lio_obs::reset();
                 lio_obs::set_enabled(true);
                 drive(&shared, hints, shape, nprocs, 0, |op| {

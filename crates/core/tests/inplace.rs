@@ -2,14 +2,16 @@
 //! that does not must leave the same file and return the same data, and
 //! both must match the naive typemap reference.
 //!
-//! Every scenario runs three times — on an `Arc<MemFile>` behind
+//! Every scenario runs four times — on an `Arc<MemFile>` behind
 //! `SharedFile` (in place: the window loops work on the stripes), on
 //! [`Staged`]`(MemFile)` (every window through a scratch buffer and
-//! `read_at`/`write_at`), and on the stack `LIO_BACKEND`/`LIO_FAULT_SEED`
-//! select — across both engines, window sizes on either side of the
-//! 256 KiB stripe, displacements that put the data anywhere relative to
-//! the window grid and the stripe seams, files that end before, inside
-//! and after the access, partial participation, and atomic mode.
+//! `read_at`/`write_at`), on `OsFile::temp()` (a real file: the windows
+//! inside it are lent through its mapping, those past its end staged),
+//! and on the stack `LIO_BACKEND`/`LIO_FAULT_SEED` select — across both
+//! engines, window sizes on either side of the 256 KiB stripe,
+//! displacements that put the data anywhere relative to the window grid
+//! and the stripe seams, files that end before, inside and after the
+//! access, partial participation, and atomic mode.
 
 mod common;
 
@@ -21,7 +23,8 @@ use lio_core::hints::DEFAULT_WINDOW;
 use lio_core::{File, Hints, SievingMode};
 use lio_datatype::Datatype;
 
-/// `MemFile`'s stripe: where a lent window is cut into pieces.
+/// The stripe of `MemFile` and of a real file's mapping: where a lent
+/// window is cut into pieces.
 const STRIPE: u64 = 256 * 1024;
 
 /// Where the data lies: `p` ranks share the Figure-4 view at `disp`,

@@ -5,8 +5,9 @@
 //! engines, whatever the number of ranks and io-processes, the window,
 //! where the view starts and how the user buffer holds the stream.
 //!
-//! Every scenario runs on a lending `MemFile`, on `Staged(MemFile)` and on
-//! the stack `LIO_BACKEND`/`LIO_FAULT_SEED` select (`on_each_storage`).
+//! Every scenario runs on a lending `MemFile`, on `Staged(MemFile)`, on a
+//! real file that lends through its mapping (`OsFile::temp()`) and on the
+//! stack `LIO_BACKEND`/`LIO_FAULT_SEED` select (`on_each_storage`).
 //! The last test pins what does cross a channel, as exact counts.
 
 mod common;

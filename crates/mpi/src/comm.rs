@@ -60,6 +60,11 @@ const DRAIN_BUDGET: usize = 32;
 /// the wake-up.
 const POLL_BOUND: Duration = Duration::from_micros(500);
 
+/// What a receive panics with when its sender's thread is gone: a rank
+/// that died inside a collective takes the world down instead of leaving
+/// the others waiting for it.
+const GONE: &str = "sender rank terminated while a receive was posted";
+
 /// A message in flight.
 ///
 /// `seq` numbers each (src → dst) channel's messages from 1, always on:
@@ -352,7 +357,6 @@ impl Comm {
         if let Some(p) = self.unstash(src, tag) {
             return p;
         }
-        const GONE: &str = "sender rank terminated while a receive was posted";
         let rx = &self.receivers[src];
         let mut polling_since: Option<Instant> = None;
         let mut parked = false;
@@ -548,6 +552,7 @@ impl Comm {
             // Nothing stashed matches: pull whatever has arrived into the
             // stash (budgeted per source), then rescan.
             let mut progressed = false;
+            let mut gone = false;
             for src in 0..self.size {
                 if self.poll_deferred(src) {
                     continue;
@@ -561,11 +566,22 @@ impl Comm {
                             progressed = true;
                             self.stash(src, msg.tag, msg.payload);
                         }
-                        Err(_) => break,
+                        Err(TryRecvError::Empty) => break,
+                        // reported only once the channel is drained
+                        Err(TryRecvError::Disconnected) => {
+                            gone |= reqs.iter().any(
+                                |r| matches!(r.state, ReqState::Recv { src: s, .. } if s == src),
+                            );
+                            break;
+                        }
                     }
                 }
             }
             if !progressed {
+                // The scan above found no stashed match and this sweep
+                // stashed nothing: a request posted on a vanished sender's
+                // drained channel can never complete.
+                assert!(!gone, "{GONE}");
                 std::thread::yield_now();
             } else {
                 // Messages arrived: real progress, refresh the heartbeat.

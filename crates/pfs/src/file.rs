@@ -3,6 +3,8 @@
 use std::io;
 use std::sync::{Arc, RwLock};
 
+use crate::map::MappedFile;
+
 /// A byte-addressable storage file supporting positional I/O — the
 /// substrate beneath the MPI-IO layer, standing in for the SX local file
 /// system of the paper's testbed.
@@ -60,8 +62,10 @@ pub trait StorageFile: Send + Sync {
     /// (together exactly the range) and return `Ok(true)` — or do nothing
     /// and return `Ok(false)`, the default: this storage has no bytes to
     /// lend, the caller stages the range in a buffer of its own and goes
-    /// through `read_at`/`write_at`. The file is first extended to `hi`
-    /// as `write_at` would; an empty range is `Ok(true)` with no call.
+    /// through `read_at`/`write_at`. A range past end-of-file is either
+    /// lent after extending the file to `hi` as `write_at` would
+    /// ([`MemFile`]) or declined, so that growth — and its errors — stay in
+    /// `write_at` ([`UnixFile`]); an empty range is `Ok(true)` with no call.
     ///
     /// A piece is lent under whatever lock makes one `write_at` piece
     /// atomic ([`MemFile`]: one stripe's), so the concurrency contract
@@ -120,11 +124,12 @@ impl<F: StorageFile + ?Sized> StorageFile for Arc<F> {
     }
 }
 
-/// Bytes per [`MemFile`] stripe: the unit of locking, and so of the
-/// atomicity the [`StorageFile`] contract promises. Large enough that a
-/// window-sized transfer takes a handful of locks, small enough that two
-/// IOP file domains or two staggered sieve windows rarely meet in one.
-const STRIPE: usize = 256 * 1024;
+/// Bytes per stripe of a [`MemFile`] and of a [`UnixFile`]'s mapping: the
+/// unit of locking, and so of the atomicity the [`StorageFile`] contract
+/// promises. Large enough that a window-sized transfer takes a handful of
+/// locks, small enough that two IOP file domains or two staggered sieve
+/// windows rarely meet in one.
+pub(crate) const STRIPE: usize = 256 * 1024;
 
 const POISONED: &str = "a MemFile lock is only poisoned by a panic inside a copy";
 
@@ -162,7 +167,7 @@ fn zeroed_stripe() -> RwLock<Box<[u8]>> {
 
 /// The stripes under `[offset, offset + n)`, in ascending order, as
 /// `(stripe index, first byte inside it, byte count)`.
-fn pieces(offset: u64, n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+pub(crate) fn pieces(offset: u64, n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
     let mut at = offset;
     let end = offset + n as u64;
     std::iter::from_fn(move || {
@@ -365,8 +370,13 @@ impl StorageFile for MemFile {
 
 /// A [`StorageFile`] backed by a real file on disk, for examples and
 /// integration tests that want durable output.
+///
+/// It lends its bytes through one shared mapping of the file, made by the
+/// first lend (`map.rs`): in-bounds ranges only — a range past
+/// end-of-file is declined by both methods, so the file grows through
+/// `write_at` alone and a full disk stays an `io::Error`.
 pub struct UnixFile {
-    file: std::fs::File,
+    file: MappedFile,
 }
 
 impl UnixFile {
@@ -378,7 +388,9 @@ impl UnixFile {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(UnixFile { file })
+        Ok(UnixFile {
+            file: MappedFile::new(file),
+        })
     }
 
     /// Open an existing file at `path` for read/write.
@@ -387,13 +399,14 @@ impl UnixFile {
             .read(true)
             .write(true)
             .open(path)?;
-        Ok(UnixFile { file })
+        Ok(UnixFile {
+            file: MappedFile::new(file),
+        })
     }
 }
 
 impl StorageFile for UnixFile {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        use std::os::unix::fs::FileExt;
         // loop over partial reads so callers see POSIX-short reads only at EOF
         let mut total = 0;
         while total < buf.len() {
@@ -408,13 +421,16 @@ impl StorageFile for UnixFile {
     }
 
     fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<usize> {
-        use std::os::unix::fs::FileExt;
         self.file.write_all_at(buf, offset)?;
         Ok(buf.len())
     }
 
+    /// The length by `fstat`; 0 if that fails (the signature has no room
+    /// for the error). Nothing that decides on the length relies on this:
+    /// the lending methods and `read_at` make their own call and return
+    /// its `io::Error`.
     fn len(&self) -> u64 {
-        self.file.metadata().map(|m| m.len()).unwrap_or(0)
+        self.file.len().unwrap_or(0)
     }
 
     fn set_len(&self, len: u64) -> io::Result<()> {
@@ -423,6 +439,19 @@ impl StorageFile for UnixFile {
 
     fn sync(&self) -> io::Result<()> {
         self.file.sync_data()
+    }
+
+    fn with_range_mut(
+        &self,
+        lo: u64,
+        hi: u64,
+        f: &mut dyn FnMut(u64, &mut [u8]),
+    ) -> io::Result<bool> {
+        self.file.lend_mut(lo, hi, f)
+    }
+
+    fn with_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, &[u8])) -> io::Result<bool> {
+        self.file.lend(lo, hi, f)
     }
 }
 
@@ -707,8 +736,23 @@ mod tests {
             .then_some(got)
     }
 
-    #[test]
-    fn memfile_lends_ascending_pieces_cut_at_stripe_seams() {
+    /// An unlinked real file holding `data`.
+    fn unix_with(data: &[u8]) -> UnixFile {
+        let f = crate::os::temp_unix().expect("temp file");
+        f.write_at(0, data).unwrap();
+        f
+    }
+
+    /// The whole file through `read_at`.
+    fn contents(f: &dyn StorageFile) -> Vec<u8> {
+        let mut out = vec![0u8; f.len() as usize];
+        assert_eq!(f.read_at(0, &mut out).unwrap(), out.len());
+        out
+    }
+
+    /// Both lending methods hand out exactly `[lo, hi)`, ascending, cut at
+    /// the stripe seams, on a file `make` builds over the given bytes.
+    fn lends_ascending_pieces_cut_at_stripe_seams<F: StorageFile>(make: impl Fn(&[u8]) -> F) {
         let mut rng = Rng(0x1E0D);
         let image = rng.bytes(4 * STRIPE);
         let s = STRIPE as u64;
@@ -718,8 +762,9 @@ mod tests {
             (s - 1, s + 1),
             (s - 7, 3 * s + 9),
             (s, 2 * s),
+            (3 * s + 1, 4 * s), // up to the last byte of the file
         ] {
-            let f = MemFile::with_data(image.clone());
+            let f = make(&image);
             // the read-only side sees exactly the file's bytes, in order
             let mut seen = Vec::new();
             let mut next = lo;
@@ -738,7 +783,7 @@ mod tests {
             let pieces = lent_mut(&f, lo, hi).unwrap();
             assert_eq!(pieces.iter().map(|p| p.1 as u64).sum::<u64>(), hi - lo);
             assert_eq!(pieces.len() as u64, (hi - 1) / s - lo / s + 1);
-            assert_eq!(f.snapshot(), image);
+            assert_eq!(contents(&f), image);
             f.with_range_mut(lo, hi, &mut |at, piece| {
                 for (i, b) in piece.iter_mut().enumerate() {
                     *b = (at + i as u64) as u8;
@@ -749,8 +794,22 @@ mod tests {
             for at in lo..hi {
                 want[at as usize] = at as u8;
             }
-            assert_eq!(f.snapshot(), want, "[{lo}, {hi})");
+            assert_eq!(contents(&f), want, "[{lo}, {hi})");
         }
+    }
+
+    #[test]
+    fn memfile_lends_ascending_pieces_cut_at_stripe_seams() {
+        lends_ascending_pieces_cut_at_stripe_seams(|data| MemFile::with_data(data.to_vec()));
+    }
+
+    #[test]
+    fn unixfile_lends_ascending_pieces_cut_at_stripe_seams() {
+        lends_ascending_pieces_cut_at_stripe_seams(unix_with);
+        // and the queue facade hands out its device's pieces unchanged
+        lends_ascending_pieces_cut_at_stripe_seams(|data| {
+            crate::OsFile::over(unix_with(data), crate::OsConfig::default())
+        });
     }
 
     #[test]
@@ -788,17 +847,16 @@ mod tests {
         assert_eq!(calls, 1);
     }
 
-    #[test]
-    fn memfile_concurrent_in_place_updates_of_disjoint_halves() {
-        // the halves meet inside a stripe, so both threads take its lock
+    /// Two threads update and check their own half of `f` in place, over
+    /// and over; the halves meet inside a stripe, so both take its lock.
+    fn concurrent_in_place_updates_of_disjoint_halves(f: &dyn StorageFile) {
         let len = 3 * STRIPE as u64;
         let mid = len / 2;
-        let f = MemFile::new();
-        f.set_len(len).unwrap();
+        f.write_at(0, &vec![0u8; len as usize]).unwrap();
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             for (who, lo, hi) in [(1u8, 0, mid), (2u8, mid, len)] {
-                let (f, start) = (&f, &start);
+                let start = &start;
                 s.spawn(move || {
                     start.wait();
                     for _ in 0..20 {
@@ -810,9 +868,20 @@ mod tests {
                 });
             }
         });
-        let snap = f.snapshot();
+        let snap = contents(f);
         assert!(snap[..mid as usize].iter().all(|&b| b == 1));
         assert!(snap[mid as usize..].iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn memfile_concurrent_in_place_updates_of_disjoint_halves() {
+        concurrent_in_place_updates_of_disjoint_halves(&MemFile::new());
+    }
+
+    #[test]
+    fn unixfile_concurrent_in_place_updates_of_disjoint_halves() {
+        // both threads also race to make the mapping
+        concurrent_in_place_updates_of_disjoint_halves(&unix_with(&[]));
     }
 
     #[test]
@@ -831,12 +900,23 @@ mod tests {
         assert!(lends(&dynamic));
         assert!(lends(&Arc::new(dynamic)));
 
-        let dir = std::env::temp_dir().join(format!("lio-pfs-lend-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lend.bin");
-        assert!(!lends(&UnixFile::create(&path).unwrap()));
-        std::fs::remove_file(&path).unwrap();
-        assert!(!lends(&crate::OsFile::temp().unwrap()));
+        // a real file lends through its mapping, and the queue facade
+        // answers what its device answers
+        let os_over = |device| crate::OsFile::over_arc(device, crate::OsConfig::default());
+        assert!(lends(&unix_with(&[])));
+        assert!(lends(&crate::OsFile::temp().unwrap()));
+        assert!(lends(&os_over(Arc::new(MemFile::new()))));
+        assert!(!lends(&os_over(Arc::new(FaultyFile::new(
+            unix_with(&[]),
+            FaultPlan::disabled()
+        )))));
+        assert!(!lends(&os_over(Arc::new(
+            CountingFile::new(MemFile::new())
+        ))));
+        assert!(!lends(&FaultyFile::new(
+            unix_with(&[]),
+            FaultPlan::disabled()
+        )));
         assert!(!lends(&CountingFile::new(MemFile::new())));
         assert!(!lends(&ThrottledFile::new(
             MemFile::new(),

@@ -28,6 +28,7 @@ pub mod aligned;
 pub mod decorate;
 pub mod file;
 pub mod lock;
+mod map;
 pub mod os;
 pub mod retry;
 pub mod squeue;

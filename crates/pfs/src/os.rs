@@ -103,9 +103,10 @@ pub fn temp_unix() -> io::Result<UnixFile> {
 
 /// A real-OS-file storage backend: batched, alignment-aware submission
 /// over a worker threadpool, presented as a synchronous [`StorageFile`].
-/// See the module docs. It lends no bytes
-/// ([`StorageFile::with_range_mut`] keeps its declining default): that
-/// would take an `mmap` window, which is a decision of its own.
+/// See the module docs. Whether it lends its bytes is the device's answer
+/// ([`StorageFile::with_range_mut`] and its twin are forwarded): a plain
+/// [`UnixFile`] does, through its mapping; a decorated device declines
+/// and every window is staged through the queue.
 pub struct OsFile {
     device: Arc<dyn StorageFile>,
     queue: SubmissionQueue,
@@ -302,6 +303,21 @@ impl StorageFile for OsFile {
 
     fn submission(&self) -> Option<&SubmissionQueue> {
         Some(&self.queue)
+    }
+
+    // Lent bytes bypass the queue. Nothing of this caller's is in flight
+    // there: the facade drains every batch before it returns.
+    fn with_range_mut(
+        &self,
+        lo: u64,
+        hi: u64,
+        f: &mut dyn FnMut(u64, &mut [u8]),
+    ) -> io::Result<bool> {
+        self.device.with_range_mut(lo, hi, f)
+    }
+
+    fn with_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, &[u8])) -> io::Result<bool> {
+        self.device.with_range(lo, hi, f)
     }
 }
 

@@ -5,8 +5,17 @@
 //! backpressure. Each case runs differentially against a plain
 //! [`MemFile`] mirror, so the facade's POSIX semantics are pinned
 //! byte-for-byte rather than asserted piecemeal.
+//!
+//! The second half is the real file's lending path — a [`UnixFile`]'s
+//! shared mapping, bare and under the queue facade: coherence with the
+//! positional calls in both directions, and the three ways a mapping
+//! could outlive its file (a range past EOF, a shrinking `set_len`, growth
+//! through `write_at`), each of which must decline or remap, never fault.
+//! `ci.sh` runs this file on tmpfs and on a real directory (`LIO_OS_DIR`).
 
-use lio_pfs::{MemFile, OsConfig, OsFile, QueueConfig, StorageFile};
+use lio_pfs::{
+    FaultPlan, FaultyFile, MemFile, OsConfig, OsFile, QueueConfig, StorageFile, UnixFile,
+};
 
 fn pattern(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -162,4 +171,175 @@ fn real_file_edge_sweep() {
     );
     let mirror = MemFile::new();
     differential_sweep(&f, &mirror, &edge_accesses(align), 3000);
+}
+
+/// Bytes per lock stripe of a lending file (`lio-pfs` keeps it private).
+const STRIPE: u64 = 256 * 1024;
+
+/// A real unlinked file holding `data`: bare, and under the queue facade.
+fn real_lenders(data: &[u8]) -> [(&'static str, Box<dyn StorageFile>); 2] {
+    let unix = || {
+        let f = lio_pfs::os::temp_unix().expect("temp file");
+        f.write_at(0, data).unwrap();
+        f
+    };
+    [
+        ("UnixFile", Box::new(unix())),
+        (
+            "OsFile",
+            Box::new(OsFile::over(unix(), cfg(2, 8, None, 4096, 8192))),
+        ),
+    ]
+}
+
+/// The bytes of `[lo, hi)` as `with_range` lends them, `None` if declined.
+fn lent(f: &dyn StorageFile, lo: u64, hi: u64) -> Option<Vec<u8>> {
+    let mut seen = Vec::new();
+    f.with_range(lo, hi, &mut |at, piece| {
+        assert_eq!(at, lo + seen.len() as u64, "ascending and contiguous");
+        seen.extend_from_slice(piece);
+    })
+    .unwrap()
+    .then_some(seen)
+}
+
+/// Copy `data` into the file at `lo` in place; whether the file lent.
+fn place(f: &dyn StorageFile, lo: u64, data: &[u8]) -> bool {
+    f.with_range_mut(lo, lo + data.len() as u64, &mut |at, piece| {
+        let o = (at - lo) as usize;
+        piece.copy_from_slice(&data[o..o + piece.len()]);
+    })
+    .unwrap()
+}
+
+fn read_back(f: &dyn StorageFile, lo: u64, len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    assert_eq!(f.read_at(lo, &mut out).unwrap(), len);
+    out
+}
+
+#[test]
+fn lent_bytes_and_positional_io_see_each_other() {
+    let len = 2 * STRIPE as usize + 999;
+    for (name, f) in real_lenders(&pattern(len, 1)) {
+        let f = &*f;
+        let mut want = pattern(len, 1);
+        // pwrite, then the mapping (made only now) shows it
+        assert_eq!(lent(f, 0, len as u64).unwrap(), want, "{name}");
+        // a store through the mapping, then pread shows it
+        let (lo, patch) = (STRIPE - 100, pattern(STRIPE as usize + 300, 2));
+        assert!(place(f, lo, &patch), "{name}");
+        want[lo as usize..][..patch.len()].copy_from_slice(&patch);
+        assert_eq!(read_back(f, 0, len), want, "{name}");
+        // and a pwrite under the live mapping shows through it
+        let (lo, patch) = (4095, pattern(STRIPE as usize, 3));
+        f.write_at(lo, &patch).unwrap();
+        want[lo as usize..][..patch.len()].copy_from_slice(&patch);
+        assert_eq!(lent(f, 0, len as u64).unwrap(), want, "{name}");
+        assert_eq!(f.len(), len as u64);
+    }
+}
+
+#[test]
+fn a_range_past_eof_and_a_decorated_device_are_declined() {
+    let len = STRIPE + 100;
+    let untouched = |f: &dyn StorageFile, lo, hi| {
+        let mut calls = 0;
+        let a = f.with_range(lo, hi, &mut |_, _| calls += 1).unwrap();
+        let b = f.with_range_mut(lo, hi, &mut |_, _| calls += 1).unwrap();
+        assert_eq!((a, b, calls), (false, false, 0), "[{lo}, {hi}) was lent");
+        assert_eq!(f.len(), len, "a declined range must not grow the file");
+    };
+    for (name, f) in real_lenders(&pattern(len as usize, 4)) {
+        let f = &*f;
+        // before and after the mapping exists
+        for round in 0..2 {
+            untouched(f, len - 1, len + 1);
+            untouched(f, len, len + 1);
+            untouched(f, 3 * STRIPE, 4 * STRIPE);
+            // an empty range is served wherever it is, without a call
+            assert_eq!(lent(f, len + 5, len + 5), Some(Vec::new()));
+            assert!(lent(f, 0, len).is_some(), "{name} round {round}");
+        }
+    }
+    // in bounds, but the device is decorated: the request is the fault
+    // plan's business, so the facade stages it
+    let faulty = FaultyFile::new(
+        lio_pfs::os::temp_unix().expect("temp file"),
+        FaultPlan::disabled(),
+    );
+    let f = OsFile::over(faulty, cfg(2, 8, None, 4096, 8192));
+    f.write_at(0, &pattern(len as usize, 4)).unwrap();
+    untouched(&f, 0, len);
+    untouched(&f, 10, 20);
+}
+
+#[test]
+fn shrinking_below_a_lent_range_unmaps_it() {
+    let len = 3 * STRIPE;
+    let cut = STRIPE + STRIPE / 2 + 7;
+    for (name, f) in real_lenders(&pattern(len as usize, 5)) {
+        let f = &*f;
+        assert!(lent(f, 0, len).is_some(), "{name}");
+        f.set_len(cut).unwrap();
+        // the old mapping reached past the new end: touching it would be
+        // a SIGBUS, so the range must be declined, not served
+        assert_eq!(lent(f, 0, len), None, "{name}");
+        assert_eq!(lent(f, cut - 1, cut + 1), None, "{name}");
+        assert!(!place(f, cut, &[1; 16]), "{name}");
+        assert_eq!(f.len(), cut);
+        assert_eq!(
+            lent(f, 0, cut).unwrap(),
+            pattern(len as usize, 5)[..cut as usize]
+        );
+        // regrown, what was cut off reads as zeros through the new mapping
+        f.set_len(len).unwrap();
+        let tail = lent(f, cut, len).unwrap();
+        assert!(tail.iter().all(|&b| b == 0), "{name}: stale bytes");
+        assert!(place(f, len - 16, &[9; 16]), "{name}");
+        assert_eq!(read_back(f, len - 17, 17), [&[0u8][..], &[9; 16]].concat());
+    }
+}
+
+#[test]
+fn growth_through_write_at_is_remapped_on_demand() {
+    let len = STRIPE + 5;
+    for (name, f) in real_lenders(&pattern(len as usize, 6)) {
+        let f = &*f;
+        assert!(lent(f, 0, len).is_some(), "{name}");
+        // the file grows behind the mapping's back, hole included
+        let more = pattern(2 * STRIPE as usize, 7);
+        f.write_at(len + 1000, &more).unwrap();
+        let new_len = len + 1000 + more.len() as u64;
+        let mut want = pattern(len as usize, 6);
+        want.resize(len as usize + 1000, 0);
+        want.extend_from_slice(&more);
+        assert_eq!(lent(f, 0, new_len).unwrap(), want, "{name}");
+        let patch = pattern(3000, 8);
+        assert!(place(f, new_len - 3000, &patch), "{name}");
+        assert_eq!(read_back(f, new_len - 3000, 3000), patch, "{name}");
+        assert_eq!(f.len(), new_len);
+    }
+}
+
+#[test]
+fn lent_updates_survive_sync_and_reopen() {
+    let dir = lio_pfs::os::os_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("lio-os-edge-reopen-{}.bin", std::process::id()));
+    let len = STRIPE as usize + 4097;
+    let data = pattern(len, 9);
+    {
+        let f = OsFile::create(&path).expect("named file");
+        f.write_at(0, &vec![0u8; len]).unwrap();
+        assert!(place(&f, 0, &data));
+        // fdatasync covers the stores through the mapping: no msync
+        f.sync().unwrap();
+    }
+    let f = UnixFile::open(&path).expect("reopen");
+    assert_eq!(f.len(), len as u64);
+    assert_eq!(read_back(&f, 0, len), data);
+    assert_eq!(lent(&f, 0, len as u64).unwrap(), data);
+    drop(f);
+    std::fs::remove_file(&path).unwrap();
 }
