@@ -903,12 +903,14 @@ fn metrics(opts: &Opts) {
             snap.counter("core.coll.exchange.list_bytes"),
             snap.counter("core.coll.exchange.data_bytes"),
         );
-        // Copies per user byte: pack and place (the message is handed
-        // over, not copied) plus what went through a staging buffer. The
-        // pipelined schedule stages in its own lanes, past the counter.
+        // Copies per user byte of the write and the read together: what
+        // the library's copy loops moved (the message is handed over, not
+        // copied) plus what went through a staging buffer. The pipelined
+        // schedule stages in its own lanes, past the counter.
         let copies = (!hints.two_phase_pipeline).then(|| {
-            let user = snap.counter("core.coll.exchange.data_bytes") as f64;
-            2.0 + snap.counter("io.staged_bytes") as f64 / user
+            let user = (2 * nprocs as u64 * total) as f64;
+            let moved = snap.counter("dt.copy.bytes") + snap.counter("io.staged_bytes");
+            moved as f64 / user
         });
         if let Some(copies) = copies {
             println!(

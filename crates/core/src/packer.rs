@@ -8,8 +8,12 @@
 //!   beyond the single access operation");
 //! * listless (Section 3.1): `ff_pack`/`ff_unpack` stream the data with no
 //!   materialized representation.
+//!
+//! Packed, the stream becomes a message; a window loop takes it from the
+//! buffer as it lies there ([`UserSide`]), with no pack buffer in between.
 
-use lio_datatype::{ff_pack, ff_unpack, Datatype, OlList};
+use lio_datatype::ff::OBS_COPY_BYTES;
+use lio_datatype::{ff_pack, ff_unpack, Datatype, OlCursor, OlList};
 
 use crate::error::{IoError, Result};
 
@@ -77,6 +81,7 @@ impl MemPacker {
                 let s = base + skip as usize;
                 let n = out.len().min(user.len().saturating_sub(s));
                 out[..n].copy_from_slice(&user[s..s + n]);
+                OBS_COPY_BYTES.add(n as u64);
                 n
             }
             MemPacker::List { list } => list.pack(user, skip, out),
@@ -92,17 +97,12 @@ impl MemPacker {
                 let s = base + skip as usize;
                 let n = data.len().min(user.len().saturating_sub(s));
                 user[s..s + n].copy_from_slice(&data[..n]);
+                OBS_COPY_BYTES.add(n as u64);
                 n
             }
             MemPacker::List { list } => list.unpack(data, user, skip),
             MemPacker::Ff { memtype, count } => ff_unpack(data, user, *count, memtype, skip),
         }
-    }
-
-    /// Whether the stream is a contiguous slice of the user buffer.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_contiguous(&self) -> bool {
-        matches!(self, MemPacker::Contig { .. })
     }
 
     /// For contiguous packers, the stream as a borrowed subslice
@@ -116,6 +116,87 @@ impl MemPacker {
             _ => None,
         }
     }
+
+    /// Where the stream's bytes lie in the user buffer from stream
+    /// position `skip` on, for the list-based engine's walks: the per-access
+    /// ol-list from its linear `locate(skip)` on, or the one run that a
+    /// contiguous buffer is.
+    pub fn runs_from(&self, skip: u64) -> UserRuns<'_> {
+        match self {
+            MemPacker::Contig { base } => UserRuns::Contig(base + skip as usize),
+            MemPacker::List { list } => UserRuns::List(list.cursor(skip)),
+            MemPacker::Ff { .. } => unreachable!("the listless engine materializes no runs"),
+        }
+    }
+}
+
+/// Bytes of `(s_lo, s_hi)` header that a data message of the collective
+/// exchange starts with.
+pub(crate) const MSG_HEADER: usize = 16;
+/// The layout of a buffer that is the stream itself.
+pub(crate) static STREAM: MemPacker = MemPacker::Contig { base: 0 };
+/// The layout of a data message: the stream, behind the header.
+pub(crate) static MESSAGE: MemPacker = MemPacker::Contig { base: MSG_HEADER };
+
+/// One end of a window loop's copies: a buffer, how the stream lies in it,
+/// and the view-stream position of the stream's first byte. The user
+/// buffer of an access is one (`U` is `&[u8]` writing, `&mut [u8]`
+/// reading); so is a message of the collective exchange ([`MESSAGE`]) and
+/// a reply being filled ([`STREAM`]). The placement calls of `crate::view`
+/// move stream bytes between a `UserSide` and a window in one copy,
+/// whatever the layout on either side.
+pub(crate) struct UserSide<'a, U> {
+    pub packer: &'a MemPacker,
+    pub user: U,
+    pub stream_start: u64,
+}
+
+impl<'a, U> UserSide<'a, U> {
+    pub fn new(packer: &'a MemPacker, user: U, stream_start: u64) -> Self {
+        UserSide {
+            packer,
+            user,
+            stream_start,
+        }
+    }
+}
+
+/// A forward-only cursor over the runs of a user buffer's stream: the
+/// list-based engine's side of the co-walk with a view's runs.
+pub(crate) enum UserRuns<'a> {
+    /// One endless run; the next stream byte lies at this buffer position.
+    Contig(usize),
+    List(OlCursor<'a>),
+}
+
+impl UserRuns<'_> {
+    /// Copy the next `dst.len()` stream bytes out of `user`; returns the
+    /// bytes copied, fewer only where a list ends.
+    #[inline]
+    pub fn read(&mut self, user: &[u8], dst: &mut [u8]) -> usize {
+        match self {
+            UserRuns::Contig(at) => {
+                dst.copy_from_slice(&user[*at..*at + dst.len()]);
+                *at += dst.len();
+                dst.len()
+            }
+            UserRuns::List(cursor) => cursor.read(user, dst),
+        }
+    }
+
+    /// Copy `src` to where the next `src.len()` stream bytes lie in
+    /// `user`; returns the bytes copied, as [`UserRuns::read`].
+    #[inline]
+    pub fn write(&mut self, user: &mut [u8], src: &[u8]) -> usize {
+        match self {
+            UserRuns::Contig(at) => {
+                user[*at..*at + src.len()].copy_from_slice(src);
+                *at += src.len();
+                src.len()
+            }
+            UserRuns::List(cursor) => cursor.write(src, user),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -126,7 +207,7 @@ mod tests {
     fn contig_passthrough() {
         let m = Datatype::contiguous(4, &Datatype::double()).unwrap();
         let p = MemPacker::new(&m, 1, 32, false).unwrap();
-        assert!(p.is_contiguous());
+        assert!(matches!(p, MemPacker::Contig { .. }));
         let user: Vec<u8> = (0..32).collect();
         let mut out = vec![0u8; 16];
         assert_eq!(p.pack(&user, 8, &mut out), 16);
@@ -185,9 +266,27 @@ mod tests {
         // a resized int: one data run but extent 12
         let m = Datatype::resized(&Datatype::int(), 0, 12).unwrap();
         let p = MemPacker::new(&m, 1, 12, false).unwrap();
-        assert!(p.is_contiguous());
+        assert!(matches!(p, MemPacker::Contig { .. }));
         // two instances: gaps between runs, not contiguous
         let p2 = MemPacker::new(&m, 2, 24, false).unwrap();
-        assert!(!p2.is_contiguous());
+        assert!(!matches!(p2, MemPacker::Contig { .. }));
+    }
+
+    #[test]
+    fn user_runs_follow_the_packer() {
+        let m = Datatype::vector(4, 2, 3, &Datatype::int()).unwrap();
+        let user: Vec<u8> = (0..m.extent() as u8).collect();
+        let listed = MemPacker::new(&m, 1, user.len(), true).unwrap();
+        let mut stream = vec![0u8; m.size() as usize];
+        listed.pack(&user, 0, &mut stream);
+        // a typed buffer in pieces; a message: the stream behind its header
+        let (mut runs, mut got) = (listed.runs_from(3), [0u8; 7]);
+        assert_eq!(
+            runs.read(&user, &mut got[..2]) + runs.read(&user, &mut got[2..]),
+            7
+        );
+        assert_eq!(got, stream[3..10]);
+        assert_eq!(MESSAGE.runs_from(2).read(&user, &mut got), 7);
+        assert_eq!(got, user[MSG_HEADER + 2..MSG_HEADER + 9]);
     }
 }

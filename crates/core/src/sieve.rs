@@ -7,9 +7,9 @@
 
 use lio_pfs::{RangeLock, StorageFile};
 
-use crate::error::Result;
+use crate::error::{IoError, Result};
 use crate::hints::{Hints, SievingMode};
-use crate::packer::MemPacker;
+use crate::packer::{MemPacker, UserSide};
 use crate::scratch::Scratch;
 use crate::view::{RunTally, ViewNav};
 use crate::window::{WindowIo, Windows};
@@ -211,12 +211,12 @@ impl<'a> DirectRuns<'a> {
 /// capped at `cap`. Uses doubling + navigation probes, so the cost stays
 /// `O(depth · log cap)` for the listless nav.
 fn contiguous_span(nav: &ViewNav, abs: u64, cap: u64) -> u64 {
-    // `abs` is the position of a data byte. The run continues while
-    // bytes_in(abs, abs+k) == k.
-    let mut lo = 1u64; // at least one byte (abs is a data byte)
+    // `abs` is the position of a data byte, so the run holds at least one
+    // byte; it continues while bytes_in(abs, abs+k) == k.
+    let mut lo = 1u64;
     let mut hi = cap;
     if hi <= lo {
-        return cap.max(1).min(cap);
+        return cap; // a cap of 0 or 1 byte is the answer itself
     }
     if nav.bytes_in(abs, abs + hi) == hi {
         return hi;
@@ -253,45 +253,51 @@ fn write_sieved(
         hints.ind_buffer_size as u64,
     );
     // no larger than the loop can address: a window spans at most the
-    // access range and holds at most `total` bytes
+    // access range
     let mut io = WindowIo::new(storage, scratch, grid.max_len());
-    let mut packbuf = scratch.take(grid.max_len().min(total as usize));
+    let src = UserSide::new(packer, user, stream_start);
 
     let mut stream = stream_start;
-    let mut done = 0u64;
+    let end = stream_start + total;
     for (win_start, win_end) in grid {
         // view bytes inside the window, capped to what we still have
-        let n = nav.bytes_in(win_start, win_end).min(total - done);
+        let n = nav.bytes_in(win_start, win_end).min(end - stream);
         if n == 0 {
             continue; // a cell that lies in a gap of the view
         }
-        let data = &mut packbuf[..n as usize];
-        let got = packer.pack(user, done, data);
-        debug_assert_eq!(got as u64, n);
-
         // in atomic mode the caller already holds the whole access range;
         // taking the window lock again would self-deadlock
         let _guard = (!whole_range_locked).then(|| lock.lock(win_start..win_end));
         // staged, a window our data does not fill is read first
         let mut seen = RunTally::until(win_end);
-        let mut placed = 0;
+        let mut placed = 0u64;
         io.update(
             win_start,
             win_end,
             || n == win_end - win_start,
             &mut |at, piece| {
-                let from = stream + placed as u64;
-                placed += nav.place_into_window(&data[placed..], from, piece, at, &mut seen);
+                let rest = (n - placed) as usize;
+                let from = stream + placed;
+                placed += nav.place_into_window(&src, from, rest, piece, at, &mut seen) as u64;
             },
         )?;
-        debug_assert_eq!(placed as u64, n);
         drop(_guard);
-
+        short_transfer(win_start, win_end, placed, n)?;
         stream += n;
-        done += n;
     }
-    scratch.give(packbuf);
     Ok(total)
+}
+
+/// The copy of a window moved `moved` bytes where navigation counted `n`:
+/// an error, not a debug assertion — no pack step cross-checks the count
+/// any more, and a short window is file or user bytes left stale.
+fn short_transfer(win_start: u64, win_end: u64, moved: u64, n: u64) -> Result<()> {
+    if moved == n {
+        return Ok(());
+    }
+    Err(IoError::Storage(std::io::Error::other(format!(
+        "window [{win_start}, {win_end}) moved {moved} of the view's {n} bytes"
+    ))))
 }
 
 /// Independent read of `total` stream bytes starting at stream position
@@ -344,30 +350,59 @@ pub(crate) fn read_independent(
                 hints.ind_buffer_size as u64,
             );
             let mut io = WindowIo::new(storage, scratch, grid.max_len());
-            let mut packbuf = scratch.take(grid.max_len().min(total as usize));
+            let mut dst = UserSide::new(packer, user, stream_start);
             let mut stream = stream_start;
-            let mut done = 0u64;
+            let end = stream_start + total;
             for (win_start, win_end) in grid {
-                let n = nav.bytes_in(win_start, win_end).min(total - done);
+                let n = nav.bytes_in(win_start, win_end).min(end - stream);
                 if n == 0 {
                     continue; // a cell that lies in a gap of the view
                 }
-                let data = &mut packbuf[..n as usize];
                 let mut seen = RunTally::until(win_end);
-                let mut got = 0;
+                let mut got = 0u64;
                 io.view(win_start, win_end, &mut |at, piece| {
-                    let from = stream + got as u64;
-                    let out = &mut data[got..];
-                    got += nav.extract_from_window(piece, at, from, out, &mut seen);
+                    let rest = (n - got) as usize;
+                    let from = stream + got;
+                    got +=
+                        nav.extract_from_window(piece, at, from, rest, &mut dst, &mut seen) as u64;
                 })?;
-                debug_assert_eq!(got as u64, n);
-                let put = packer.unpack(data, user, done);
-                debug_assert_eq!(put as u64, n);
+                short_transfer(win_start, win_end, got, n)?;
                 stream += n;
-                done += n;
             }
-            scratch.give(packbuf);
             Ok(total)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::view::{FfNav, FileView, ListNav};
+    use lio_datatype::Datatype;
+
+    #[test]
+    fn contiguous_span_of_a_tiny_cap_is_the_cap() {
+        // blocks of 8 bytes at 0, 16, 32
+        let ft = Datatype::vector(3, 1, 2, &Datatype::double()).unwrap();
+        let view = FileView::new(0, Datatype::byte(), ft).unwrap();
+        for nav in [
+            ViewNav::List(ListNav::new(view.clone())),
+            ViewNav::Ff(FfNav::new(view.clone())),
+        ] {
+            // nothing asked for, nothing there; one byte is the data byte
+            // `abs` points at
+            assert_eq!(contiguous_span(&nav, 16, 0), 0);
+            assert_eq!(contiguous_span(&nav, 16, 1), 1);
+            assert_eq!(contiguous_span(&nav, 16, 2), 2);
+            assert_eq!(contiguous_span(&nav, 19, 100), 5, "to the end of the block");
+        }
+    }
+
+    #[test]
+    fn a_short_window_is_an_error_in_every_build() {
+        assert!(short_transfer(0, 64, 40, 40).is_ok());
+        let err = short_transfer(0, 64, 39, 40).unwrap_err();
+        assert!(matches!(err, IoError::Storage(_)), "{err}");
+        assert!(err.to_string().contains("moved 39 of the view's 40 bytes"));
     }
 }

@@ -8,7 +8,11 @@
 //! in `cb_buffer_size` windows, sieving data in or out of a window buffer.
 //! Windows lie on the absolute grid of `crate::window`, and interior
 //! domain boundaries are rounded to it ([`file_domains`]). What an AP has in
-//! the domain of its own IOP side is never a message ([`OwnShare`]).
+//! the domain of its own IOP side — its *own share* — is never a message:
+//! every AP has an end in the IOP's window loop ([`UserSide`]), a message
+//! for most, the user buffer itself for the IOP's own rank, and the loop
+//! moves each window's worth of it between that end and the window in one
+//! copy, whatever the memtype.
 //!
 //! The two engines share this skeleton and differ in exactly the ways the
 //! paper describes:
@@ -37,6 +41,7 @@
 //! `O(pipeline_depth · cb_buffer_size · nprocs)` and overlapping storage
 //! I/O with the exchange.
 
+use lio_datatype::ff::OBS_COPY_BYTES;
 use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field};
 use lio_mpi::Comm;
 use lio_obs::LazyCounter;
@@ -45,7 +50,7 @@ use lio_pfs::StorageFile;
 use crate::autotune::{FileTuner, OpOutcome};
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
-use crate::packer::MemPacker;
+use crate::packer::{MemPacker, UserRuns, UserSide, MESSAGE, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
 use crate::view::{FfNav, FileView, RunTally, ViewNav};
 use crate::window::{snap, timed, WindowIo, Windows};
@@ -340,16 +345,18 @@ pub(crate) fn build_access_list(nav: &ViewNav, s_lo: u64, s_hi: u64, dom: (u64, 
 }
 
 /// An ol-list received from an AP, consumed window by window through a
-/// cursor (the IOP-side list walking of Section 2.3). The AP's data — a
-/// write's message, a read's reply being assembled, or, for the IOP's own
-/// list, its own bytes of the window — is handed to each step.
-struct RecvList {
+/// cursor (the IOP-side list walking of Section 2.3), side by side with
+/// the runs of the AP's end of the loop: a write's message, a read's reply
+/// being filled, or, for the IOP's own list, its user buffer.
+struct RecvList<'a> {
     /// Absolute `(offset, len)` pairs.
     segs: Vec<(u64, u64)>,
     seg_i: usize,
     seg_off: u64,
-    /// How far the data has been consumed (writes) or filled (reads).
-    data_pos: usize,
+    /// Where the AP's next stream byte lies in its end's buffer.
+    runs: UserRuns<'a>,
+    /// Stream bytes consumed (writes) or filled (reads) so far.
+    moved: usize,
 }
 
 /// Decode serialized `(offset, len)` pairs (the wire form of
@@ -369,21 +376,29 @@ pub(crate) fn parse_ol_list(list_bytes: &[u8]) -> Result<Vec<(u64, u64)>> {
         .collect())
 }
 
-impl RecvList {
-    /// A cursor at the start of `segs`, its data at position `base` (a
-    /// message's 16-byte header is skipped by offset, not copied out).
-    fn new(segs: Vec<(u64, u64)>, base: usize) -> RecvList {
+impl<'a> RecvList<'a> {
+    /// A cursor at the start of `segs`, over an end whose stream goes on
+    /// at `runs`.
+    fn new(segs: Vec<(u64, u64)>, runs: UserRuns<'a>) -> Self {
         RecvList {
             segs,
             seg_i: 0,
             seg_off: 0,
-            data_pos: base,
+            runs,
+            moved: 0,
         }
     }
 
-    /// Copy this AP's bytes falling inside `[win_start, win_end)` from
-    /// `data` into the window.
-    fn place_into(&mut self, data: &[u8], fb: &mut [u8], win_start: u64, win_end: u64) {
+    /// Move this AP's bytes falling inside `[win_start, win_end)`: `mv`
+    /// copies each segment's part of the window, given as a range of
+    /// window positions, from or to the next bytes of the end's `runs`.
+    fn walk(
+        &mut self,
+        win_start: u64,
+        win_end: u64,
+        mut mv: impl FnMut(&mut UserRuns, std::ops::Range<usize>) -> usize,
+    ) {
+        let before = self.moved;
         while self.seg_i < self.segs.len() {
             let (off, len) = self.segs[self.seg_i];
             let cur = off + self.seg_off;
@@ -394,9 +409,9 @@ impl RecvList {
             let avail = len - self.seg_off;
             let take = avail.min(win_end - cur);
             let o = (cur - win_start) as usize;
-            fb[o..o + take as usize]
-                .copy_from_slice(&data[self.data_pos..self.data_pos + take as usize]);
-            self.data_pos += take as usize;
+            let got = mv(&mut self.runs, o..o + take as usize);
+            debug_assert_eq!(got as u64, take, "the list outran its data");
+            self.moved += take as usize;
             if take == avail {
                 self.seg_i += 1;
                 self.seg_off = 0;
@@ -405,32 +420,7 @@ impl RecvList {
                 break;
             }
         }
-    }
-
-    /// Copy this AP's bytes falling inside `[win_start, win_end)` out of
-    /// the window into the next unfilled bytes of `data`.
-    fn extract_from(&mut self, data: &mut [u8], fb: &[u8], win_start: u64, win_end: u64) {
-        while self.seg_i < self.segs.len() {
-            let (off, len) = self.segs[self.seg_i];
-            let cur = off + self.seg_off;
-            if cur >= win_end {
-                break;
-            }
-            debug_assert!(cur >= win_start);
-            let avail = len - self.seg_off;
-            let take = avail.min(win_end - cur);
-            let o = (cur - win_start) as usize;
-            data[self.data_pos..self.data_pos + take as usize]
-                .copy_from_slice(&fb[o..o + take as usize]);
-            self.data_pos += take as usize;
-            if take == avail {
-                self.seg_i += 1;
-                self.seg_off = 0;
-            } else {
-                self.seg_off += take;
-                break;
-            }
-        }
+        OBS_COPY_BYTES.add((self.moved - before) as u64);
     }
 
     /// First uncopied absolute offset, if any.
@@ -480,7 +470,7 @@ impl Coverage {
         Coverage { segs: all, i: 0 }
     }
 
-    fn merge(lists: &[&RecvList]) -> Coverage {
+    fn merge(lists: &[&RecvList<'_>]) -> Coverage {
         let segs: Vec<&[(u64, u64)]> = lists.iter().map(|l| l.segs.as_slice()).collect();
         Coverage::merge_segs(&segs)
     }
@@ -507,143 +497,6 @@ fn touched(spans: &[(u64, u64)], navs: &[FfNav]) -> Option<(u64, u64)> {
     let lo = used().map(|(s, n)| n.stream_to_abs(s.0)).min()?;
     let hi = used().map(|(s, n)| n.stream_to_abs(s.1 - 1) + 1).max()?;
     Some((lo, hi))
-}
-
-/// `packer.pack` as the `pack` phase of an op — heartbeat, trace span —
-/// filling `out`; returns the nanoseconds it took.
-fn timed_pack(packer: &MemPacker, user: &[u8], skip: u64, out: &mut [u8]) -> u64 {
-    health::beat(HbPhase::Pack);
-    let n = out.len();
-    let (got, ns) = timed(Some(("pack", n as u64, 0)), || packer.pack(user, skip, out));
-    debug_assert_eq!(got, n);
-    ns
-}
-
-/// `packer.unpack` of all of `data`, as [`timed_pack`].
-fn timed_unpack(packer: &MemPacker, data: &[u8], user: &mut [u8], skip: u64) -> u64 {
-    health::beat(HbPhase::Pack);
-    let span = Some(("unpack", data.len() as u64, 0));
-    let (put, ns) = timed(span, || packer.unpack(data, user, skip));
-    debug_assert_eq!(put, data.len());
-    ns
-}
-
-/// What a rank has in the file domain it is itself the io-process of. It
-/// is never a message: the window loop moves each window's worth of it
-/// between the user buffer (`&[u8]` writing, `&mut [u8]` reading) and the
-/// window through one window-sized chunk from the arena — pack → chunk →
-/// place, extract → chunk → unpack, the calls that serve a message, so
-/// there is still one copy path. Where the user buffer *is* the stream
-/// (`MemPacker::Contig`) it stands in for the chunk and none is taken.
-struct OwnShare<'a, U> {
-    /// This rank: the index of the share among the IOP's per-AP cursors.
-    me: usize,
-    packer: &'a MemPacker,
-    scratch: &'a Scratch,
-    user: U,
-    /// Stream position of the user buffer's first byte.
-    stream_start: u64,
-    /// Stream bytes `[pos, hi)` of the share are still to move.
-    pos: u64,
-    hi: u64,
-    /// Taken at `cap` — a window, or the whole share where that is less —
-    /// by the first window that needs it.
-    chunk: Vec<u8>,
-    cap: usize,
-    /// Time under the `pack`/`unpack` spans.
-    pack_ns: u64,
-}
-
-impl<'a, U> OwnShare<'a, U> {
-    fn new(
-        me: usize,
-        packer: &'a MemPacker,
-        scratch: &'a Scratch,
-        user: U,
-        stream_start: u64,
-        (pos, hi): (u64, u64),
-        hints: &Hints,
-    ) -> Self {
-        OwnShare {
-            me,
-            packer,
-            scratch,
-            user,
-            stream_start,
-            pos,
-            hi,
-            chunk: Vec::new(),
-            cap: (hi - pos).min(hints.cb_buffer_size.max(1) as u64) as usize,
-            pack_ns: 0,
-        }
-    }
-
-    /// The first `n ≤ cap` bytes of the chunk.
-    fn chunk(&mut self, n: usize) -> &mut [u8] {
-        if self.chunk.len() < n {
-            self.chunk = self.scratch.take(self.cap);
-        }
-        &mut self.chunk[..n]
-    }
-}
-
-impl<U> Drop for OwnShare<'_, U> {
-    fn drop(&mut self) {
-        self.scratch.give(std::mem::take(&mut self.chunk));
-    }
-}
-
-impl OwnShare<'_, &[u8]> {
-    /// The share's bytes up to stream position `to` (a window's worth at
-    /// most), ready to be placed.
-    fn pack_to(&mut self, to: u64) -> &[u8] {
-        let n = to.clamp(self.pos, self.hi) - self.pos;
-        let skip = self.pos - self.stream_start;
-        self.pos += n;
-        if let Some(run) = self.packer.contig_slice(self.user, skip, n) {
-            return run;
-        }
-        if n > 0 {
-            let (packer, user) = (self.packer, self.user);
-            self.pack_ns += timed_pack(packer, user, skip, self.chunk(n as usize));
-        }
-        &self.chunk[..n as usize]
-    }
-}
-
-impl OwnShare<'_, &mut [u8]> {
-    /// Where a window's extraction puts the next bytes of the share: the
-    /// chunk, cut to what is left of the share.
-    fn buf(&mut self) -> &mut [u8] {
-        let n = (self.hi - self.pos).min(self.cap as u64) as usize;
-        match self.packer {
-            MemPacker::Contig { base } => {
-                &mut self.user[base + (self.pos - self.stream_start) as usize..][..n]
-            }
-            _ => self.chunk(n),
-        }
-    }
-
-    /// The first `n` bytes of [`OwnShare::buf`] are extracted: they go to
-    /// the user buffer.
-    fn unpack(&mut self, n: usize) {
-        if n > 0 && !matches!(self.packer, MemPacker::Contig { .. }) {
-            let skip = self.pos - self.stream_start;
-            self.pack_ns += timed_unpack(self.packer, &self.chunk[..n], self.user, skip);
-        }
-        self.pos += n as u64;
-    }
-
-    /// After a storage fault: what the share still lacks reads as zeros,
-    /// as the rest of a reply does.
-    fn zero_rest(&mut self) {
-        while self.pos < self.hi {
-            let rest = self.buf();
-            rest.fill(0);
-            let n = rest.len();
-            self.unpack(n);
-        }
-    }
 }
 
 /// Collective write. Every rank calls this; returns bytes written by this
@@ -725,15 +578,21 @@ pub(crate) fn write_at_all(
             let t = lio_obs::now();
             let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
             exch_ns += lio_obs::elapsed_ns(t);
-            let share = header(&msgs[me]);
-            let mut own = OwnShare::new(me, packer, scratch, user, stream_start, share, hints);
+            let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
+            // every AP's end of the window loop: its message, or — the own
+            // share — the user buffer itself
+            let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans))
+                .map(|(msg, span)| UserSide::new(&MESSAGE, msg.as_slice(), span.0))
+                .collect();
+            ends[me] = UserSide::new(packer, user, stream_start);
             let done = match engine {
                 Engine::ListBased => {
                     let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
-                    for list_bytes in &lists {
-                        recv.push(RecvList::new(parse_ol_list(list_bytes)?, 16));
+                    for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
+                        let runs = end.packer.runs_from(span.0 - end.stream_start);
+                        recv.push(RecvList::new(parse_ol_list(list_bytes)?, runs));
                     }
-                    iop_write_listbased(storage, dom, &mut recv, &msgs, nav, hints, &mut own)
+                    iop_write_listbased(storage, dom, &mut recv, &ends, hints, scratch)
                 }
                 Engine::Listless => {
                     let navs = state
@@ -741,7 +600,7 @@ pub(crate) fn write_at_all(
                         .as_ref()
                         .expect("listless collective requires cached fileviews");
                     let merge = state.merge.as_ref();
-                    iop_write_listless(storage, dom, &msgs, navs, merge, hints, &mut own)
+                    iop_write_listless(storage, dom, &spans, &ends, navs, merge, hints, scratch)
                 }
             };
             // placed: the messages now belong to this rank's arena
@@ -797,16 +656,15 @@ pub(crate) fn write_at_all(
     }
 }
 
-/// IOP write loop, list-based placement: `msgs[k]` is the data of list
-/// `recv[k]`, behind the 16-byte header.
+/// IOP write loop, list-based placement: list `recv[k]` says where the
+/// stream of `ends[k]` goes.
 fn iop_write_listbased(
     storage: &dyn StorageFile,
     dom: (u64, u64),
     recv: &mut [RecvList],
-    msgs: &[Vec<u8>],
-    nav: &ViewNav,
+    ends: &[UserSide<&[u8]>],
     hints: &Hints,
-    own: &mut OwnShare<&[u8]>,
+    scratch: &Scratch,
 ) -> Result<(u64, u64)> {
     // clip the domain to where data actually lands
     let lo = recv.iter().filter_map(|r| r.next_offset()).min();
@@ -826,8 +684,7 @@ fn iop_write_listbased(
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
     // a window never exceeds the clipped domain, so neither need the buffer
-    let mut io = WindowIo::new(storage, own.scratch, grid.max_len());
-    let me = own.me;
+    let mut io = WindowIo::new(storage, scratch, grid.max_len());
     for (win, win_end) in grid {
         let has_data = recv
             .iter()
@@ -836,59 +693,53 @@ fn iop_write_listbased(
             windows += 1;
             health::beat_window(HbPhase::Io, windows - 1);
             let _w = lio_obs::trace::span_ab("win", windows - 1, win);
-            // How much of the own share the window holds is one linear
-            // locate in the view's list; walking the own list's segments
-            // ahead of the placement would be a second pass over them.
-            // (the own list's `data_pos` counts from there, per window)
-            let mine = own.pack_to(nav.abs_to_stream(win_end));
-            recv[me].data_pos = 0;
             io.update(
                 win,
                 win_end,
                 || coverage.as_mut().is_some_and(|c| c.covered(win, win_end)),
                 &mut |at, piece| {
                     health::beat(HbPhase::Pack);
-                    for (k, r) in recv.iter_mut().enumerate() {
-                        let data = if k == me { mine } else { &msgs[k] };
-                        r.place_into(data, piece, at, at + piece.len() as u64);
+                    for (r, end) in recv.iter_mut().zip(ends) {
+                        r.walk(at, at + piece.len() as u64, |runs, o| {
+                            runs.read(end.user, &mut piece[o])
+                        });
                     }
                 },
             )?;
             health::beat_bytes(HbPhase::Io, win_end - win);
         }
     }
-    Ok(iop_write_done(&io, own.pack_ns, windows))
+    Ok(iop_write_done(&io, windows))
 }
 
-/// Close an IOP write loop: its phase times — the window loop's and what
-/// packing the own share took — go to the metrics and, as
+/// Close an IOP write loop: its phase times go to the metrics and, as
 /// `(io_ns, pack_ns)`, to the tuner.
-fn iop_write_done(io: &WindowIo, own_pack_ns: u64, windows: u64) -> (u64, u64) {
-    let pack_ns = io.pack_ns + own_pack_ns;
+fn iop_write_done(io: &WindowIo, windows: u64) -> (u64, u64) {
     if lio_obs::enabled() {
         OBS_W_IO_NS.add(io.io_ns);
-        OBS_W_PACK_NS.add(pack_ns);
+        OBS_W_PACK_NS.add(io.pack_ns);
         OBS_WINDOWS.add(windows);
     }
-    (io.io_ns, pack_ns)
+    (io.io_ns, io.pack_ns)
 }
 
-/// IOP write loop, listless placement via cached fileviews: `msgs[k]` is
-/// AP `k`'s message as received, its data behind the 16-byte header (no
-/// re-allocating copy). Returns the `(io_ns, pack_ns)` phase breakdown for
-/// the tuner.
+/// IOP write loop, listless placement via cached fileviews: AP `k`'s
+/// stream bytes `spans[k]` go from `ends[k]` — its message as received
+/// (no re-allocating copy), or the user buffer — to where `navs[k]` says.
+/// Returns the `(io_ns, pack_ns)` phase breakdown for the tuner.
+#[allow(clippy::too_many_arguments)]
 fn iop_write_listless(
     storage: &dyn StorageFile,
     dom: (u64, u64),
-    msgs: &[Vec<u8>],
+    spans: &[(u64, u64)],
+    ends: &[UserSide<&[u8]>],
     navs: &[FfNav],
     merge: Option<&MergeView>,
     hints: &Hints,
-    own: &mut OwnShare<&[u8]>,
+    scratch: &Scratch,
 ) -> Result<(u64, u64)> {
-    let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
     // clip the domain to where data actually lands
-    let Some((lo, hi)) = touched(&spans, navs) else {
+    let Some((lo, hi)) = touched(spans, navs) else {
         return Ok((0, 0));
     };
     let lo = lo.max(dom.0);
@@ -896,8 +747,7 @@ fn iop_write_listless(
 
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-    let mut io = WindowIo::new(storage, own.scratch, grid.max_len());
-    let me = own.me;
+    let mut io = WindowIo::new(storage, scratch, grid.max_len());
     // per-AP stream cursor (how far each AP's data has been consumed)
     let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
     let mut takes = vec![0u64; spans.len()];
@@ -921,9 +771,6 @@ fn iop_write_listless(
             health::beat_window(HbPhase::Io, windows - 1);
             let _w = lio_obs::trace::span_ab("win", windows - 1, win);
             seen.fill(RunTally::until(win_end));
-            // the own share's bytes of this window, from `own_at` on
-            let own_at = cursors[me];
-            let mine = own.pack_to(own_at + takes[me]);
             io.update(
                 win,
                 win_end,
@@ -937,13 +784,10 @@ fn iop_write_listless(
                     health::beat(HbPhase::Pack);
                     for (k, nav_p) in navs.iter().enumerate() {
                         if takes[k] > 0 {
-                            let rest = if k == me {
-                                &mine[(cursors[k] - own_at) as usize..]
-                            } else {
-                                &msgs[k][16 + (cursors[k] - spans[k].0) as usize..]
-                            };
+                            let (from, rest) = (cursors[k], (spans[k].1 - cursors[k]) as usize);
                             cursors[k] +=
-                                nav_p.place_piece(rest, cursors[k], piece, at, &mut seen[k]) as u64;
+                                nav_p.place_piece(&ends[k], from, rest, piece, at, &mut seen[k])
+                                    as u64;
                         }
                     }
                 },
@@ -955,7 +799,7 @@ fn iop_write_listless(
         spans.iter().zip(&cursors).all(|(s, &c)| c >= s.1),
         "an AP's data was not placed completely"
     );
-    Ok(iop_write_done(&io, own.pack_ns, windows))
+    Ok(iop_write_done(&io, windows))
 }
 
 /// AP side of the exchange, both directions. Every IOP with a domain gets
@@ -964,7 +808,7 @@ fn iop_write_listless(
 /// packed; list-based, the ol-list goes ahead in a message of its own.
 /// Except to the rank's own IOP side: that gets the header alone, its list
 /// is returned instead of sent (second value), and its data stays in the
-/// user buffer for the window loop ([`OwnShare`]). Returns the intervals
+/// user buffer for the window loop (its [`UserSide`]). Returns the intervals
 /// per domain; time goes to `(exch_ns, pack_ns)`.
 fn announce(
     comm: &Comm,
@@ -1001,11 +845,16 @@ fn announce(
         let n = payload.map_or(0, |_| s_hi - s_lo);
         let mut msg = match payload {
             Some((packer, user, scratch)) => {
-                let mut msg = scratch.take(16 + n as usize);
-                *pack_ns += timed_pack(packer, user, s_lo - stream_start, &mut msg[16..]);
+                let mut msg = scratch.take(MSG_HEADER + n as usize);
+                health::beat(HbPhase::Pack);
+                let (got, ns) = timed(Some(("pack", n, 0)), || {
+                    packer.pack(user, s_lo - stream_start, &mut msg[MSG_HEADER..])
+                });
+                debug_assert_eq!(got as u64, n);
+                *pack_ns += ns;
                 msg
             }
-            None => vec![0; 16],
+            None => vec![0; MSG_HEADER],
         };
         msg[0..8].copy_from_slice(&s_lo.to_le_bytes());
         msg[8..16].copy_from_slice(&s_hi.to_le_bytes());
@@ -1137,8 +986,8 @@ pub(crate) fn read_at_all(
     // reply: errors are captured, every AP still receives a buffer of the
     // exact promised length (zero-padded past the failure point), and the
     // error surfaces on this rank after the exchange completes. The IOP's
-    // own share goes to its user buffer window by window ([`OwnShare`]),
-    // zero-padded likewise.
+    // own share goes to its user buffer window by window, zero-padded
+    // likewise.
     let mut fatal: Option<IoError> = None;
     if me < naggr && domains[me].1 > domains[me].0 {
         let dom = domains[me];
@@ -1146,15 +995,6 @@ pub(crate) fn read_at_all(
         let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
         exch_ns += lio_obs::elapsed_ns(t);
         let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
-        let mut own = OwnShare::new(
-            me,
-            packer,
-            scratch,
-            &mut *user,
-            stream_start,
-            spans[me],
-            hints,
-        );
         // the replies, of the promised length (none for the own share),
         // filled window by window up to `filled`
         let reply_len = |k: usize| {
@@ -1167,16 +1007,23 @@ pub(crate) fn read_at_all(
         let mut outs: Vec<Vec<u8>> = (0..spans.len())
             .map(|k| scratch.take(reply_len(k)))
             .collect();
-        let mut filled = vec![0usize; spans.len()];
+        // every AP's end of the window loop: the reply being filled, or —
+        // the own share — the user buffer itself
+        let mut ends: Vec<UserSide<&mut [u8]>> = (outs.iter_mut().zip(&spans))
+            .map(|(out, span)| UserSide::new(&STREAM, out.as_mut_slice(), span.0))
+            .collect();
+        ends[me] = UserSide::new(packer, &mut *user, stream_start);
+        let mut filled = vec![0u64; spans.len()];
         match engine {
             Engine::ListBased => {
                 let mut recv: Vec<RecvList> = Vec::with_capacity(spans.len());
-                for list_bytes in &lists {
+                for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
                     let segs = parse_ol_list(list_bytes).unwrap_or_else(|e| {
                         fatal.get_or_insert(e);
                         Vec::new()
                     });
-                    recv.push(RecvList::new(segs, 0));
+                    let runs = end.packer.runs_from(span.0 - end.stream_start);
+                    recv.push(RecvList::new(segs, runs));
                 }
                 let lo = recv.iter().filter_map(|r| r.next_offset()).min();
                 let hi = recv.iter().filter_map(|r| r.end_offset()).max();
@@ -1198,24 +1045,23 @@ pub(crate) fn read_at_all(
                             let _w = lio_obs::trace::span_ab("win", win, win_end - win);
                             let res = io.view(win, win_end, &mut |at, piece| {
                                 health::beat(HbPhase::Pack);
-                                for (k, r) in recv.iter_mut().enumerate() {
-                                    let reply = if k == me { own.buf() } else { &mut outs[k] };
-                                    r.extract_from(reply, piece, at, at + piece.len() as u64);
+                                for (r, end) in recv.iter_mut().zip(&mut ends) {
+                                    r.walk(at, at + piece.len() as u64, |runs, o| {
+                                        runs.write(end.user, &piece[o])
+                                    });
                                 }
                             });
                             if let Err(e) = res {
                                 fatal = Some(e);
                                 break;
                             }
-                            // the own list's `data_pos` counts per window
-                            own.unpack(std::mem::take(&mut recv[me].data_pos));
                         }
                     }
                     io_ns += io.io_ns;
                     pack_ns += io.pack_ns;
                 }
                 for (k, r) in recv.iter().enumerate() {
-                    filled[k] = r.data_pos;
+                    filled[k] = r.moved as u64;
                 }
             }
             Engine::Listless => {
@@ -1242,23 +1088,20 @@ pub(crate) fn read_at_all(
                             health::beat_bytes(HbPhase::Io, win_end - win);
                             let _w = lio_obs::trace::span_ab("win", win, win_end - win);
                             seen.fill(RunTally::until(win_end));
-                            let own_at = cursors[me];
-                            // each reply goes on from its cursor and stops
-                            // at the end of the piece by itself
+                            // each AP's bytes go on from its cursor and stop
+                            // at the end of the piece by themselves
                             let res = io.view(win, win_end, &mut |at, piece| {
                                 health::beat(HbPhase::Pack);
                                 for (k, nav_p) in navs.iter().enumerate() {
-                                    let rest = if k == me {
-                                        &mut own.buf()[(cursors[k] - own_at) as usize..]
-                                    } else {
-                                        &mut outs[k][(cursors[k] - spans[k].0) as usize..]
-                                    };
-                                    if !rest.is_empty() {
+                                    let rest = (spans[k].1 - cursors[k]) as usize;
+                                    if rest > 0 {
+                                        let (from, end) = (cursors[k], &mut ends[k]);
                                         cursors[k] += nav_p.extract_piece(
                                             piece,
                                             at,
-                                            cursors[k],
+                                            from,
                                             rest,
+                                            end,
                                             &mut seen[k],
                                         )
                                             as u64;
@@ -1269,29 +1112,30 @@ pub(crate) fn read_at_all(
                                 fatal = Some(e);
                                 break;
                             }
-                            own.unpack((cursors[me] - own_at) as usize);
                         }
                     }
                     io_ns += io.io_ns;
                     pack_ns += io.pack_ns;
                 }
                 for (k, c) in cursors.iter().enumerate() {
-                    filled[k] = (c - spans[k].0) as usize;
+                    filled[k] = c - spans[k].0;
                 }
             }
         }
         if fatal.is_some() {
-            own.zero_rest();
+            // every AP gets the promised length, zeros past the failure
+            // point — in its reply or, the own share, in the user buffer
+            for ((end, span), done) in ends.iter_mut().zip(&spans).zip(&filled) {
+                let zeros = vec![0u8; (span.1 - span.0 - done) as usize];
+                let skip = span.0 + done - end.stream_start;
+                end.packer.unpack(&zeros, end.user, skip);
+            }
         }
-        pack_ns += own.pack_ns;
+        drop(ends);
         let t = lio_obs::now();
-        for (p, mut out) in outs.into_iter().enumerate() {
+        for (p, out) in outs.into_iter().enumerate() {
             if p == me {
                 continue;
-            }
-            if fatal.is_some() {
-                // the promised length, zeros past the failure point
-                out[filled[p]..].fill(0);
             }
             if obs {
                 OBS_EXCH_DATA_BYTES.add(out.len() as u64);
@@ -1317,7 +1161,11 @@ pub(crate) fn read_at_all(
         let (s_lo, s_hi) = my_intersections[i];
         debug_assert_eq!(data.len() as u64, s_hi - s_lo);
         if s_hi > s_lo {
-            pack_ns += timed_unpack(packer, &data, user, s_lo - stream_start);
+            health::beat(HbPhase::Pack);
+            let span = Some(("unpack", data.len() as u64, 0));
+            let (put, ns) = timed(span, || packer.unpack(&data, user, s_lo - stream_start));
+            debug_assert_eq!(put, data.len());
+            pack_ns += ns;
         }
         scratch.give(data);
     }

@@ -17,12 +17,15 @@
 //!   `O(depth · log k)`, and window copies through the filetype's
 //!   compiled run program (Section 3).
 
+use std::ops::Range;
 use std::sync::Arc;
 
+use lio_datatype::ff::OBS_COPY_BYTES;
 use lio_datatype::typemap::Run;
 use lio_datatype::{bytes_below_tiled, ff_offset, Datatype, OlList};
 
 use crate::error::{IoError, Result};
+use crate::packer::{MemPacker, UserSide, STREAM};
 
 /// An MPI-IO fileview: displacement, elementary type, filetype.
 #[derive(Debug, Clone)]
@@ -116,47 +119,53 @@ impl ViewNav {
         self.abs_to_stream(hi) - self.abs_to_stream(lo)
     }
 
-    /// Copy stream-ordered `data` (starting at stream position `stream0`)
-    /// into `filebuf`, which mirrors — or is — file bytes
+    /// Copy up to `n` stream bytes from stream position `stream0` on out
+    /// of `src` into `filebuf`, which mirrors — or is — file bytes
     /// `[win_start, win_start + filebuf.len())`: a whole window, or one of
-    /// the pieces the storage lends of it. Returns bytes placed (stops at
-    /// the end of `filebuf` or of `data`). `seen` is the profiler's tally
-    /// for the window.
+    /// the pieces the storage lends of it. One copy, whatever `src`'s
+    /// layout: listless, the filetype's program runs against the memtype's;
+    /// list-based, the two ol-lists are walked side by side. Returns bytes
+    /// placed; `seen` is the profiler's tally for the window.
     pub fn place_into_window(
         &self,
-        data: &[u8],
+        src: &UserSide<&[u8]>,
         stream0: u64,
+        n: usize,
         filebuf: &mut [u8],
         win_start: u64,
         seen: &mut RunTally,
     ) -> usize {
         match self {
-            ViewNav::List(n) => {
-                let runs = n.runs_from(stream0);
-                place_runs(runs, data, filebuf, win_start)
+            ViewNav::List(nav) => {
+                let mut from = src.packer.runs_from(stream0 - src.stream_start);
+                walk_runs(nav.runs_from(stream0), n, win_start, filebuf.len(), |at| {
+                    from.read(src.user, &mut filebuf[at])
+                })
             }
-            ViewNav::Ff(n) => n.place_piece(data, stream0, filebuf, win_start, seen),
+            ViewNav::Ff(nav) => nav.place_piece(src, stream0, n, filebuf, win_start, seen),
         }
     }
 
     /// Copy this view's bytes out of `filebuf` (as for
-    /// [`ViewNav::place_into_window`]) into `out`, starting at stream
-    /// position `stream0`. Returns bytes extracted (stops at the end of
-    /// `filebuf` or of `out`).
+    /// [`ViewNav::place_into_window`]) into `dst`: up to `n` stream bytes
+    /// from stream position `stream0` on. Returns bytes extracted.
     pub fn extract_from_window(
         &self,
         filebuf: &[u8],
         win_start: u64,
         stream0: u64,
-        out: &mut [u8],
+        n: usize,
+        dst: &mut UserSide<&mut [u8]>,
         seen: &mut RunTally,
     ) -> usize {
         match self {
-            ViewNav::List(n) => {
-                let runs = n.runs_from(stream0);
-                extract_runs(runs, filebuf, win_start, out)
+            ViewNav::List(nav) => {
+                let mut to = dst.packer.runs_from(stream0 - dst.stream_start);
+                walk_runs(nav.runs_from(stream0), n, win_start, filebuf.len(), |at| {
+                    to.write(dst.user, &filebuf[at])
+                })
             }
-            ViewNav::Ff(n) => n.extract_piece(filebuf, win_start, stream0, out, seen),
+            ViewNav::Ff(nav) => nav.extract_piece(filebuf, win_start, stream0, n, dst, seen),
         }
     }
 
@@ -169,20 +178,25 @@ impl ViewNav {
     }
 }
 
-/// Shared placement loop: copy `data` into the window along `runs`
-/// (absolute, monotone, starting at or after `win_start`).
-fn place_runs(
+/// The list-based window loop, either direction: hand `mv` the part
+/// inside the window `[win_start, win_start + win_len)` of each of `runs`
+/// (absolute, monotone, starting at or after `win_start`), as a range of
+/// window positions, until `n` stream bytes are moved or the window ends;
+/// `mv` copies the range from or to the user side's next bytes and says
+/// how many it moved. Returns the bytes moved.
+fn walk_runs(
     runs: impl Iterator<Item = Run>,
-    data: &[u8],
-    filebuf: &mut [u8],
+    n: usize,
     win_start: u64,
+    win_len: usize,
+    mut mv: impl FnMut(Range<usize>) -> usize,
 ) -> usize {
-    let win_end = win_start + filebuf.len() as u64;
-    let mut consumed = 0usize;
+    let win_end = win_start + win_len as u64;
+    let mut moved = 0usize;
     let profiling = lio_obs::profile::enabled();
     let mut prev_end = u64::MAX;
     for run in runs {
-        if consumed >= data.len() {
+        if moved >= n {
             break;
         }
         let abs = run.disp as u64;
@@ -191,11 +205,11 @@ fn place_runs(
         }
         debug_assert!(abs >= win_start, "run starts before the window");
         let take = (run.len as usize)
-            .min(data.len() - consumed)
+            .min(n - moved)
             .min((win_end - abs) as usize);
         let o = (abs - win_start) as usize;
-        filebuf[o..o + take].copy_from_slice(&data[consumed..consumed + take]);
-        consumed += take;
+        let got = mv(o..o + take);
+        moved += got;
         if profiling {
             let gap = if prev_end == u64::MAX {
                 0
@@ -205,53 +219,12 @@ fn place_runs(
             lio_obs::profile::record_run(take as u64, gap, abs == prev_end);
             prev_end = abs + take as u64;
         }
-        if take < run.len as usize {
-            break; // window or data exhausted mid-run
+        if got < run.len as usize {
+            break; // the window, the count or the user's stream ended mid-run
         }
     }
-    consumed
-}
-
-/// Shared extraction loop: copy window bytes into `out` along `runs`.
-fn extract_runs(
-    runs: impl Iterator<Item = Run>,
-    filebuf: &[u8],
-    win_start: u64,
-    out: &mut [u8],
-) -> usize {
-    let win_end = win_start + filebuf.len() as u64;
-    let mut produced = 0usize;
-    let profiling = lio_obs::profile::enabled();
-    let mut prev_end = u64::MAX;
-    for run in runs {
-        if produced >= out.len() {
-            break;
-        }
-        let abs = run.disp as u64;
-        if abs >= win_end {
-            break;
-        }
-        debug_assert!(abs >= win_start, "run starts before the window");
-        let take = (run.len as usize)
-            .min(out.len() - produced)
-            .min((win_end - abs) as usize);
-        let o = (abs - win_start) as usize;
-        out[produced..produced + take].copy_from_slice(&filebuf[o..o + take]);
-        produced += take;
-        if profiling {
-            let gap = if prev_end == u64::MAX {
-                0
-            } else {
-                abs - prev_end
-            };
-            lio_obs::profile::record_run(take as u64, gap, abs == prev_end);
-            prev_end = abs + take as u64;
-        }
-        if take < run.len as usize {
-            break;
-        }
-    }
-    produced
+    OBS_COPY_BYTES.add(moved as u64);
+    moved
 }
 
 // ---------------------------------------------------------------------
@@ -404,7 +377,8 @@ impl FfNav {
         win_start: u64,
     ) -> usize {
         let whole = &mut RunTally::until(win_start + filebuf.len() as u64);
-        self.place_piece(data, stream0, filebuf, win_start, whole)
+        let src = UserSide::new(&STREAM, data, stream0);
+        self.place_piece(&src, stream0, data.len(), filebuf, win_start, whole)
     }
 
     /// Extract window bytes into `out` (the inverse of
@@ -417,44 +391,82 @@ impl FfNav {
         out: &mut [u8],
     ) -> usize {
         let whole = &mut RunTally::until(win_start + filebuf.len() as u64);
-        self.extract_piece(filebuf, win_start, stream0, out, whole)
+        let n = out.len();
+        let mut dst = UserSide::new(&STREAM, out, stream0);
+        self.extract_piece(filebuf, win_start, stream0, n, &mut dst, whole)
     }
 
-    /// [`FfNav::place_window`] into `piece`, one of the pieces (this one
-    /// starting at `lo`) that the storage lends of a window; `seen` is
-    /// that window's tally for the profiler.
+    /// Place up to `n` bytes of `src`'s stream, from view-stream position
+    /// `stream0` on, into `piece`: a window, or one of the pieces (this
+    /// one starting at `lo`) that the storage lends of one; `seen` is that
+    /// window's tally for the profiler. The filetype's program runs over
+    /// the piece, whose byte 0 sits at typemap displacement `lo − disp`,
+    /// and stops where the piece or the bytes end; its other side is the
+    /// stream as `src` holds it — contiguous bytes (unpack), or a typed
+    /// user buffer under its own program (transfer).
     pub fn place_piece(
         &self,
-        data: &[u8],
+        src: &UserSide<&[u8]>,
         stream0: u64,
+        n: usize,
         piece: &mut [u8],
         lo: u64,
         seen: &mut RunTally,
     ) -> usize {
         let buf_disp = lo as i64 - self.view.disp as i64;
-        let moved =
-            self.view
-                .filetype
-                .program()
-                .unpack_into(data, piece, buf_disp, u64::MAX, stream0);
+        let skip = stream0 - src.stream_start;
+        let prog = self.view.filetype.program();
+        let moved = match src.packer {
+            MemPacker::Contig { base } => {
+                let data = &src.user[base + skip as usize..][..n];
+                prog.unpack_into(data, piece, buf_disp, u64::MAX, stream0)
+            }
+            MemPacker::Ff { memtype, count } => {
+                let from = memtype.program();
+                let (user, count) = (src.user, *count);
+                prog.transfer_into(
+                    piece,
+                    buf_disp,
+                    u64::MAX,
+                    stream0,
+                    from,
+                    user,
+                    count,
+                    skip,
+                    n,
+                )
+            }
+            MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
+        };
         self.profile_piece(seen, moved, lo, piece.len())
     }
 
-    /// [`FfNav::extract_window`] out of one piece of a window.
+    /// [`FfNav::place_piece`] the other way: up to `n` stream bytes out of
+    /// `piece` into `dst`.
     pub fn extract_piece(
         &self,
         piece: &[u8],
         lo: u64,
         stream0: u64,
-        out: &mut [u8],
+        n: usize,
+        dst: &mut UserSide<&mut [u8]>,
         seen: &mut RunTally,
     ) -> usize {
         let buf_disp = lo as i64 - self.view.disp as i64;
-        let moved = self
-            .view
-            .filetype
-            .program()
-            .pack_into(piece, buf_disp, u64::MAX, stream0, out);
+        let skip = stream0 - dst.stream_start;
+        let prog = self.view.filetype.program();
+        let moved = match dst.packer {
+            MemPacker::Contig { base } => {
+                let out = &mut dst.user[base + skip as usize..][..n];
+                prog.pack_into(piece, buf_disp, u64::MAX, stream0, out)
+            }
+            MemPacker::Ff { memtype, count } => {
+                let to = memtype.program();
+                let (user, count) = (&mut *dst.user, *count);
+                prog.transfer_out_of(piece, buf_disp, u64::MAX, stream0, to, user, count, skip, n)
+            }
+            MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
+        };
         self.profile_piece(seen, moved, lo, piece.len())
     }
 
@@ -534,6 +546,21 @@ mod tests {
         (ListNav::new(view.clone()), FfNav::new(view))
     }
 
+    /// Place `data`, the stream from position `stream0` on.
+    fn place(nav: &ViewNav, data: &[u8], stream0: u64, filebuf: &mut [u8], at: u64) -> usize {
+        let src = UserSide::new(&STREAM, data, stream0);
+        let seen = &mut RunTally::until(u64::MAX);
+        nav.place_into_window(&src, stream0, data.len(), filebuf, at, seen)
+    }
+
+    /// Extract into `out`, the stream from position `stream0` on.
+    fn extract(nav: &ViewNav, filebuf: &[u8], at: u64, stream0: u64, out: &mut [u8]) -> usize {
+        let n = out.len();
+        let mut dst = UserSide::new(&STREAM, out, stream0);
+        let seen = &mut RunTally::until(u64::MAX);
+        nav.extract_from_window(filebuf, at, stream0, n, &mut dst, seen)
+    }
+
     #[test]
     fn view_validation() {
         assert!(FileView::new(0, Datatype::double(), Datatype::double()).is_ok());
@@ -590,7 +617,8 @@ mod tests {
     /// A filetype that is not one strided frame — ragged blocks, then a
     /// vector of two-element blocks, then a trailing gap — walked window
     /// by window the way the engines do: both navigators must place and
-    /// extract exactly what the typemap says.
+    /// extract exactly what the typemap says, from and into a user buffer
+    /// that is the stream and one that holds it in 3-byte blocks.
     #[test]
     fn non_strided_view_window_walk_matches_typemap() {
         use lio_datatype::typemap::expand;
@@ -614,6 +642,11 @@ mod tests {
         const NINST: u64 = 3;
         let total = (ft.size() * NINST) as usize;
         let data: Vec<u8> = (0..total).map(|i| (i % 251) as u8 + 1).collect();
+        // the same stream behind a memtype whose blocks line up with
+        // nothing in the filetype
+        let memtype = Datatype::vector(total as u64 / 3, 3, 5, &Datatype::byte()).unwrap();
+        let mut strided = vec![0u8; memtype.extent() as usize];
+        lio_datatype::typemap::reference_unpack(&data, &mut strided, &memtype, 1);
         for disp in [0u64, 13] {
             let view = FileView::new(disp, Datatype::byte(), ft.clone()).unwrap();
             let file_len = (disp + ft.extent() * NINST) as usize;
@@ -624,40 +657,39 @@ mod tests {
                 image[o..o + n].copy_from_slice(&data[s..s + n]);
                 s += n;
             }
-            for nav in [
-                ViewNav::List(ListNav::new(view.clone())),
-                ViewNav::Ff(FfNav::new(view.clone())),
+            for (nav, list_based) in [
+                (ViewNav::List(ListNav::new(view.clone())), true),
+                (ViewNav::Ff(FfNav::new(view.clone())), false),
             ] {
-                // 1 and 2 are shorter than most blocks; 7 and 19 start in
-                // gaps, before `disp` and mid-block, and cut blocks; 64
-                // spans more than an instance
-                for w in [1usize, 2, 7, 19, 64] {
-                    let mut file = vec![0u8; file_len];
-                    let mut out = vec![0u8; total];
-                    for lo in (0..file_len).step_by(w) {
-                        let hi = (lo + w).min(file_len);
-                        let s0 = nav.abs_to_stream(lo as u64);
-                        let want = nav.bytes_in(lo as u64, hi as u64) as usize;
-                        let rest = s0 as usize;
-                        let placed = nav.place_into_window(
-                            &data[rest..],
-                            s0,
-                            &mut file[lo..hi],
-                            lo as u64,
-                            &mut RunTally::until(hi as u64),
-                        );
-                        assert_eq!(placed, want, "place disp={disp} w={w} lo={lo}");
-                        let got = nav.extract_from_window(
-                            &image[lo..hi],
-                            lo as u64,
-                            s0,
-                            &mut out[rest..],
-                            &mut RunTally::until(hi as u64),
-                        );
-                        assert_eq!(got, want, "extract disp={disp} w={w} lo={lo}");
+                let typed = MemPacker::new(&memtype, 1, strided.len(), list_based).unwrap();
+                for (packer, user) in [(&STREAM, &data), (&typed, &strided)] {
+                    // 1 and 2 are shorter than most blocks; 7 and 19 start
+                    // in gaps, before `disp` and mid-block, and cut blocks;
+                    // 64 spans more than an instance
+                    for w in [1usize, 2, 7, 19, 64] {
+                        let mut file = vec![0u8; file_len];
+                        let mut out = vec![0u8; user.len()];
+                        let ctx = format!("disp={disp} w={w} typed={}", user.len() > total);
+                        for lo in (0..file_len).step_by(w) {
+                            let hi = (lo + w).min(file_len);
+                            let s0 = nav.abs_to_stream(lo as u64);
+                            let want = nav.bytes_in(lo as u64, hi as u64) as usize;
+                            let rest = total - s0 as usize;
+                            let seen = &mut RunTally::until(hi as u64);
+                            let src = UserSide::new(packer, user.as_slice(), 0);
+                            let piece = &mut file[lo..hi];
+                            let placed =
+                                nav.place_into_window(&src, s0, rest, piece, lo as u64, seen);
+                            assert_eq!(placed, want, "place {ctx} lo={lo}");
+                            let mut dst = UserSide::new(packer, out.as_mut_slice(), 0);
+                            let piece = &image[lo..hi];
+                            let got =
+                                nav.extract_from_window(piece, lo as u64, s0, rest, &mut dst, seen);
+                            assert_eq!(got, want, "extract {ctx} lo={lo}");
+                        }
+                        assert_eq!(file, image, "{ctx}");
+                        assert_eq!(out, *user, "{ctx}");
                     }
-                    assert_eq!(file, image, "disp={disp} w={w}");
-                    assert_eq!(out, data, "disp={disp} w={w}");
                 }
             }
         }
@@ -670,8 +702,7 @@ mod tests {
         let data: Vec<u8> = (1..=24).collect();
         // window covering the whole first instance
         let mut filebuf = vec![0u8; 40];
-        let placed =
-            nav.place_into_window(&data, 0, &mut filebuf, 0, &mut RunTally::until(u64::MAX));
+        let placed = place(&nav, &data, 0, &mut filebuf, 0);
         assert_eq!(placed, 24);
         assert_eq!(&filebuf[0..8], &data[0..8]);
         assert_eq!(&filebuf[16..24], &data[8..16]);
@@ -680,7 +711,7 @@ mod tests {
         assert_eq!(&filebuf[8..16], &[0; 8]);
 
         let mut out = vec![0u8; 24];
-        let got = nav.extract_from_window(&filebuf, 0, 0, &mut out, &mut RunTally::until(u64::MAX));
+        let got = extract(&nav, &filebuf, 0, 0, &mut out);
         assert_eq!(got, 24);
         assert_eq!(out, data);
     }
@@ -695,20 +726,13 @@ mod tests {
             let data: Vec<u8> = (1..=24).collect();
             // window covers only the first 20 bytes of the file
             let mut filebuf = vec![0u8; 20];
-            let placed =
-                nav.place_into_window(&data, 0, &mut filebuf, 0, &mut RunTally::until(u64::MAX));
+            let placed = place(&nav, &data, 0, &mut filebuf, 0);
             assert_eq!(placed, 12); // block 0 (8) + half of block 1 (4)
             assert_eq!(&filebuf[0..8], &data[0..8]);
             assert_eq!(&filebuf[16..20], &data[8..12]);
             // continue in the next window
             let mut filebuf2 = vec![0u8; 20];
-            let placed2 = nav.place_into_window(
-                &data[12..],
-                12,
-                &mut filebuf2,
-                20,
-                &mut RunTally::until(u64::MAX),
-            );
+            let placed2 = place(&nav, &data[12..], 12, &mut filebuf2, 20);
             assert_eq!(placed2, 12);
             assert_eq!(&filebuf2[0..4], &data[12..16]); // rest of block 1
             assert_eq!(&filebuf2[12..20], &data[16..24]); // block 2
@@ -728,13 +752,7 @@ mod tests {
             let stream0 = nav.abs_to_stream(10);
             assert_eq!(stream0, 8);
             let data = [1u8, 2, 3, 4, 5, 6, 7, 8];
-            let placed = nav.place_into_window(
-                &data,
-                stream0,
-                &mut filebuf,
-                10,
-                &mut RunTally::until(u64::MAX),
-            );
+            let placed = place(&nav, &data, stream0, &mut filebuf, 10);
             assert_eq!(placed, 8);
             assert_eq!(&filebuf[6..14], &data);
         }

@@ -2,32 +2,35 @@
 //! copied on its way between the user buffer and the file, with and
 //! without a storage that lends its bytes.
 //!
-//! The library-side copies are fixed by the path — pack and place (two)
-//! on the sieved and collective paths, one pack or unpack on the
-//! contiguous-file paths. What the storage adds is counted by
+//! The library's own copies are counted by `dt.copy.bytes`, fed by every
+//! copy loop the library has (the run-program executor, the ol-list loops,
+//! the list-based engine's walks); what the storage adds is counted by
 //! `io.staged_bytes` (bytes through `read_at`/`write_at` from a scratch
 //! buffer) and is exactly zero where `io.in_place_bytes` counts the
-//! windows instead. Per user byte, at P = 2 on the Figure-4 view:
+//! windows instead. Per user byte, at P = 2 on the Figure-4 view, for both
+//! engines:
 //!
-//! | path                              | staged | in place |
-//! |-----------------------------------|--------|----------|
-//! | sieved write                      | 6      | 2        |
-//! | sieved read                       | 4      | 2        |
-//! | collective write, strided memory  | 3      | 2        |
-//! | collective read, strided memory   | 3      | 2        |
-//! | collective write, stream memory   | 2.5    | 1.5      |
-//! | collective read, stream memory    | 2.5    | 1.5      |
-//! | nc-c write                        | 2      | 1        |
-//! | c-nc read                         | 2      | 1        |
+//! | path                              | library | staged | in place |
+//! |-----------------------------------|---------|--------|----------|
+//! | sieved write, stream memory       | 1       | 5      | 1        |
+//! | sieved write, strided memory      | 1       | 5      | 1        |
+//! | sieved read, either memory        | 1       | 3      | 1        |
+//! | collective write, either memory   | 1.5     | 2.5    | 1.5      |
+//! | collective read, either memory    | 1.5     | 2.5    | 1.5      |
+//! | nc-c write                        | 1       | 2      | 1        |
+//! | c-nc read                         | 1       | 2      | 1        |
 //!
-//! (The sieved rows are `6 − 2/n` and `4 − 1/n` for `n` blocks per rank:
-//! a rank's access range holds `n` blocks and `n − 1` gaps.)
+//! (`staged` and `in place` are the library's column plus the storage's;
+//! the staged sieved rows are `5 − 2/n` and `3 − 1/n` for `n` blocks per
+//! rank: a rank's access range holds `n` blocks and `n − 1` gaps.)
 //!
-//! A collective moves the half of the bytes that changes ranks twice
-//! (pack → message, message → window) and the rank's own half — which is
-//! no message — through a window-sized chunk (pack → chunk, chunk →
-//! window: still twice), or, where the user buffer is the stream itself,
-//! straight between user buffer and window: once, `(2 + 1)/2` at P = 2.
+//! One copy takes a byte between a user buffer and a window whatever the
+//! two layouts are: a typed user buffer meets the typed window in a
+//! transfer, with no pack buffer in between. So a sieved access copies
+//! each byte once, and so does the part of a collective that stays on its
+//! rank (the rank's own share is no message); the half of a collective's
+//! bytes that changes ranks is copied twice (user buffer → message,
+//! message → window): `(1 + 2)/2` at P = 2.
 //! `core.coll.exchange.data_bytes` counts the half that travels, exactly.
 //!
 //! Its own test binary with a single test: the counters are process-wide.
@@ -53,13 +56,15 @@ const RANGE: u64 = (2 * NBLOCK - 1) * SBLOCK;
 
 #[derive(Debug, PartialEq)]
 struct Moved {
+    /// Bytes the library's copy loops moved (`dt.copy.bytes`).
+    copied: u64,
     staged: u64,
     in_place: u64,
     /// Payload that left its rank (`core.coll.exchange.data_bytes`).
     exchanged: u64,
 }
 
-/// What the two counters read after both ranks ran `op` once.
+/// What the counters read after both ranks ran `op` once.
 fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) -> Moved {
     World::run(2, |comm| {
         let me = comm.rank() as u64;
@@ -78,6 +83,7 @@ fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) 
     });
     let snap = lio_obs::snapshot();
     Moved {
+        copied: snap.counter("dt.copy.bytes"),
         staged: snap.counter("io.staged_bytes"),
         in_place: snap.counter("io.in_place_bytes"),
         exchanged: snap.counter("core.coll.exchange.data_bytes"),
@@ -131,9 +137,9 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     for engine in [Hints::list_based(), Hints::listless()] {
         let hints = engine.pipelined(false);
         for (name, lends, shared) in &storages {
-            // `lib_copies`: what the library moves, in user bytes of both
-            // ranks; `staged`: bytes through read_at/write_at per op, both
-            // ranks; `touched`: window bytes the op works on. Of a
+            // `lib_copies`: what the library's copy loops move; `staged`:
+            // bytes through read_at/write_at; `touched`: window bytes the
+            // op works on — each per op, both ranks together. Of a
             // collective's bytes exactly one rank's worth changes ranks.
             let mut check = |path: &str, lib_copies: u64, staged: u64, touched: u64, got: Moved| {
                 let exchanged = if path.starts_with("collective") {
@@ -143,12 +149,14 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
                 };
                 let want = if *lends {
                     Moved {
+                        copied: lib_copies,
                         staged: 0,
                         in_place: touched,
                         exchanged,
                     }
                 } else {
                     Moved {
+                        copied: lib_copies,
                         staged,
                         in_place: 0,
                         exchanged,
@@ -164,70 +172,89 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             let memtype = Datatype::vector(NBLOCK, 1, 2, &block).unwrap();
             let user = |me: u64| pattern(memtype.extent() as usize, me + 9);
 
+            // every window is half ours: read, merged, written back; one
+            // copy takes a byte from the user buffer to the window,
+            // whether that buffer is the stream or holds it in blocks
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 f.write_at(0, &data(me), BYTES, &byte).unwrap();
             });
-            // every window is half ours: read, merged, written back
-            check("sieved write", 4 * BYTES, 2 * 2 * RANGE, 2 * RANGE, got);
+            let (staged, touched) = (2 * 2 * RANGE, 2 * RANGE);
+            check(
+                "sieved write, stream memory",
+                2 * BYTES,
+                staged,
+                touched,
+                got,
+            );
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 let mut back = vec![0u8; BYTES as usize];
                 f.read_at(0, &mut back, BYTES, &byte).unwrap();
                 assert_eq!(back, data(me));
             });
-            check("sieved read", 4 * BYTES, 2 * RANGE, 2 * RANGE, got);
+            check(
+                "sieved read, stream memory",
+                2 * BYTES,
+                touched,
+                touched,
+                got,
+            );
+            let got = count(shared, hints, |f, me| {
+                view(f, me);
+                f.write_at(0, &user(me), 1, &memtype).unwrap();
+            });
+            check(
+                "sieved write, strided memory",
+                2 * BYTES,
+                staged,
+                touched,
+                got,
+            );
+            let got = count(shared, hints, |f, me| {
+                view(f, me);
+                let mut back = vec![0u8; memtype.extent() as usize];
+                f.read_at(0, &mut back, 1, &memtype).unwrap();
+            });
+            check(
+                "sieved read, strided memory",
+                2 * BYTES,
+                touched,
+                touched,
+                got,
+            );
 
+            // the ranks' data fills every window: no pre-read; the half that
+            // changes ranks is moved twice, the own half once — from a
+            // strided user buffer as from one that is the stream
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 f.write_at_all(0, &data(me), BYTES, &byte).unwrap();
             });
-            // the ranks' data fills every window: no pre-read; the half that
-            // changes ranks is moved twice, the own half once
-            check(
-                "collective write, stream memory",
-                3 * BYTES,
-                2 * BYTES,
-                2 * BYTES,
-                got,
-            );
+            let (staged, touched) = (2 * BYTES, 2 * BYTES);
+            let path = "collective write, stream memory";
+            check(path, 3 * BYTES, staged, touched, got);
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 let mut back = vec![0u8; BYTES as usize];
                 f.read_at_all(0, &mut back, BYTES, &byte).unwrap();
                 assert_eq!(back, data(me));
             });
-            check(
-                "collective read, stream memory",
-                3 * BYTES,
-                2 * BYTES,
-                2 * BYTES,
-                got,
-            );
-            // through the chunk the own half is moved twice as well
+            let path = "collective read, stream memory";
+            check(path, 3 * BYTES, staged, touched, got);
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 f.write_at_all(0, &user(me), 1, &memtype).unwrap();
             });
-            check(
-                "collective write, strided memory",
-                4 * BYTES,
-                2 * BYTES,
-                2 * BYTES,
-                got,
-            );
+            let path = "collective write, strided memory";
+            check(path, 3 * BYTES, staged, touched, got);
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 let mut back = vec![0u8; memtype.extent() as usize];
                 f.read_at_all(0, &mut back, 1, &memtype).unwrap();
             });
-            check(
-                "collective read, strided memory",
-                4 * BYTES,
-                2 * BYTES,
-                2 * BYTES,
-                got,
-            );
+            let path = "collective read, strided memory";
+            check(path, 3 * BYTES, staged, touched, got);
 
             // strided memory, contiguous file: rank `me` owns its half
             let got = count(shared, hints, |f, me| {

@@ -107,11 +107,11 @@ fn large_allocs_of_cold_write(shared: SharedFile, hints: Hints, strided: bool) -
 }
 
 /// What the first collective write allocates, in words: each rank one
-/// 128 KiB message — the half of its data that changes ranks — and, as an
-/// IOP, one window-sized chunk through which its own half goes from a
-/// strided user buffer into the windows. A user buffer that is the stream
-/// itself needs no chunk, storage that lends its bytes no window buffer;
-/// a staging IOP takes its 128 KiB window on top.
+/// 128 KiB message — the half of its data that changes ranks. Its own
+/// half goes from the user buffer into the windows in one copy, strided
+/// user buffer or not, so an IOP takes nothing for it; storage that lends
+/// its bytes needs no window buffer, a staging IOP takes its 128 KiB
+/// window on top.
 #[test]
 fn an_in_place_collective_takes_only_message_buffers() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -122,17 +122,56 @@ fn an_in_place_collective_takes_only_message_buffers() {
         }
         // (a file of the final size: growing it allocates stripes)
         let file = || MemFile::with_data(vec![0; 2 * BYTES as usize]);
-        for (strided, chunks) in [(false, 0), (true, 2)] {
+        for strided in [false, true] {
             let what = format!("{:?}, strided={strided}", hints.engine);
             let lent = large_allocs_of_cold_write(SharedFile::new(file()), hints, strided);
             assert_eq!(
-                lent,
-                2 + chunks,
-                "{what}: a message per rank, a chunk per IOP"
+                lent, 2,
+                "{what}: a message per rank, nothing for the own share"
             );
             let staged =
                 large_allocs_of_cold_write(SharedFile::new(Staged(file())), hints, strided);
-            assert_eq!(staged, 4 + chunks, "{what}: and a window per IOP");
+            assert_eq!(staged, 4, "{what}: and a window per IOP");
+        }
+    }
+}
+
+/// A sieved operation moves every byte straight between the user buffer —
+/// half-dense here — and the window: on storage that lends its bytes the
+/// first write and the first read on a fresh `File` take no large block at
+/// all, on staging storage one window buffer per rank (256 KiB of blocks
+/// and gaps, in one 512 KiB sieve window) and no pack buffer beside it.
+#[test]
+fn an_in_place_sieved_op_takes_no_buffer() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    for hints in [Hints::list_based(), Hints::listless()] {
+        let file = || MemFile::with_data(vec![0; 2 * BYTES as usize]);
+        let lent = SharedFile::new(file());
+        let staged = SharedFile::new(Staged(file()));
+        for (shared, windows) in [(lent, 0), (staged, 2)] {
+            World::run(2, |comm| {
+                let me = comm.rank() as u64;
+                let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
+                    .unwrap();
+                let block = Datatype::contiguous(SBLOCK, &Datatype::byte()).unwrap();
+                let memtype = Datatype::vector(NBLOCK, 1, 2, &block).unwrap();
+                let data = pattern(memtype.extent() as usize, me + 1);
+                let mut back = vec![0u8; data.len()];
+                let what = format!("{:?}, {windows} windows", hints.engine);
+                let n = large_allocs_in(comm, || {
+                    f.write_at(0, &data, 1, &memtype).unwrap();
+                });
+                assert_eq!(n, windows, "write_at, {what}");
+                // (a fresh arena again: the write's window went back to it)
+                let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
+                    .unwrap();
+                let n = large_allocs_in(comm, || {
+                    f.read_at(0, &mut back, 1, &memtype).unwrap();
+                });
+                assert_eq!(n, windows, "read_at, {what}");
+            });
         }
     }
 }
@@ -149,7 +188,7 @@ fn steady_state_operations_allocate_no_large_block() {
                 let mut f = File::open(comm, shared.clone(), hints).unwrap();
                 f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
                     .unwrap();
-                // half-dense memory, so every byte goes through a pack buffer
+                // half-dense memory: what changes ranks goes through a message
                 let block = Datatype::contiguous(SBLOCK, &Datatype::byte()).unwrap();
                 let memtype = Datatype::vector(NBLOCK, 1, 2, &block).unwrap();
                 let data = pattern(2 * BYTES as usize, me + 1);

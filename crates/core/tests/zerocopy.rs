@@ -98,7 +98,10 @@ fn contiguous_memtype_never_packs() {
 }
 
 /// Sanity check the audit has teeth: a genuinely non-contiguous memtype
-/// on the same collective *does* drive the pack counters.
+/// on the same collective *does* drive the pack counters — for the bytes
+/// that change ranks, so each rank writes into the other's file domain
+/// (what stays on its rank goes from the user buffer to the window in one
+/// transfer, which is no pack).
 #[test]
 fn noncontig_memtype_does_pack() {
     let shared = SharedFile::new(MemFile::new());
@@ -110,7 +113,7 @@ fn noncontig_memtype_does_pack() {
             let user = pattern(span, me + 1);
             let mut f = File::open(comm, shared.clone(), Hints::listless()).unwrap();
             f.set_view(0, Datatype::byte(), Datatype::byte()).unwrap();
-            f.write_at_all(me * 512, &user, 1, &mem).unwrap();
+            f.write_at_all((1 - me) * 512, &user, 1, &mem).unwrap();
         });
     });
     assert!(

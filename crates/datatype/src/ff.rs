@@ -36,6 +36,12 @@ static OBS_UNPACK_CALLS: LazyCounter = LazyCounter::new("dt.unpack.calls");
 static OBS_UNPACK_BLOCKS: LazyCounter = LazyCounter::new("dt.unpack.blocks");
 static OBS_UNPACK_BYTES: LazyCounter = LazyCounter::new("dt.unpack.bytes");
 pub(crate) static OBS_RUN_LEN: LazyHistogram = LazyHistogram::new("dt.run.len");
+/// Every byte a copy loop of the library moves: the run-program executor
+/// under pack, unpack, window placement and transfer, the ol-list loops of
+/// [`crate::OlList`], and the list-based engine's walks in `lio-core`,
+/// which feed it too. Divided by the user bytes of an access it is the
+/// library's column of the byte-move table (DESIGN.md §3.4).
+pub static OBS_COPY_BYTES: LazyCounter = LazyCounter::new("dt.copy.bytes");
 
 /// Byte position, within the tiled layout of `d`, where the data byte with
 /// index `databytes` lives (0-based). `databytes` may be any multiple of or
@@ -328,6 +334,60 @@ pub fn ff_unpack_at(
         OBS_UNPACK_BYTES.add(n as u64);
     }
     n
+}
+
+/// Move up to `n` data bytes from a typed user buffer straight into the
+/// typed buffer `dst` — the typed-to-typed member of the family:
+/// [`ff_unpack_at`] of what [`ff_pack`] would produce, without the pack
+/// buffer and its second copy.
+///
+/// The source is `ucount` instances of `utype` over `user` (`user[0]` at
+/// typemap displacement 0, which its data must not precede), read from
+/// its data byte `uskip` on; the destination is as for [`ff_unpack_at`]:
+/// `count` instances of `d`, `dst[0]` at typemap displacement `buf_disp`,
+/// written from data byte `skipbytes` on. Stops where `n`, either stream
+/// or the window `dst` ends; returns the bytes copied.
+#[allow(clippy::too_many_arguments)]
+pub fn ff_transfer_to(
+    user: &[u8],
+    ucount: u64,
+    utype: &Datatype,
+    uskip: u64,
+    dst: &mut [u8],
+    buf_disp: i64,
+    count: u64,
+    d: &Datatype,
+    skipbytes: u64,
+    n: usize,
+) -> usize {
+    let from = utype.program();
+    let (moved, _) = d.program().transfer_into(
+        dst, buf_disp, count, skipbytes, from, user, ucount, uskip, n,
+    );
+    moved
+}
+
+/// The inverse of [`ff_transfer_to`]: move up to `n` data bytes of the
+/// typed buffer `src` (as for [`ff_pack_at`]) straight into the typed
+/// user buffer — [`ff_unpack`] of what [`ff_pack_at`] would produce.
+#[allow(clippy::too_many_arguments)]
+pub fn ff_transfer_from(
+    src: &[u8],
+    buf_disp: i64,
+    count: u64,
+    d: &Datatype,
+    skipbytes: u64,
+    user: &mut [u8],
+    ucount: u64,
+    utype: &Datatype,
+    uskip: u64,
+    n: usize,
+) -> usize {
+    let to = utype.program();
+    let (moved, _) = d
+        .program()
+        .transfer_out_of(src, buf_disp, count, skipbytes, to, user, ucount, uskip, n);
+    moved
 }
 
 #[cfg(test)]

@@ -49,6 +49,76 @@ pub struct OlPos {
     pub within: u64,
 }
 
+/// A forward-only cursor over the data stream of an [`OlList`]: the
+/// list-based engine's way through a typed buffer, one tuple read per
+/// block, whether the other end of the copy is a pack buffer
+/// ([`OlList::pack`]) or the runs of a second list walked side by side.
+#[derive(Debug, Clone)]
+pub struct OlCursor<'a> {
+    /// The list from the current block on.
+    segs: &'a [OlSeg],
+    /// Buffer offset of the next data byte.
+    at: i64,
+}
+
+impl OlCursor<'_> {
+    /// The buffer range of the next run of the stream, cut to `want`
+    /// bytes; the cursor moves past it. Empty past the end of the list.
+    #[inline]
+    fn next_run(&mut self, want: usize) -> std::ops::Range<usize> {
+        let Some((seg, rest)) = self.segs.split_first() else {
+            return 0..0;
+        };
+        let seg_end = seg.offset + seg.len as i64;
+        let end = seg_end.min(self.at.saturating_add(want as i64));
+        let run = self.at as usize..end as usize;
+        if end == seg_end {
+            self.segs = rest;
+            self.at = rest.first().map_or(seg_end, |s| s.offset);
+        } else {
+            self.at = end;
+        }
+        run
+    }
+
+    /// Hand `mv` the next `n` stream bytes run by run, as `(stream bytes
+    /// before the run, its buffer range)`; returns the bytes handed out,
+    /// fewer than `n` only where the list ends.
+    #[inline]
+    fn each_run(&mut self, n: usize, mut mv: impl FnMut(usize, std::ops::Range<usize>)) -> usize {
+        let mut done = 0;
+        while done < n {
+            let run = self.next_run(n - done);
+            if run.is_empty() {
+                break;
+            }
+            let len = run.len();
+            mv(done, run);
+            done += len;
+        }
+        done
+    }
+
+    /// Copy the next `out.len()` stream bytes out of the typed buffer
+    /// `src`; returns the bytes copied, fewer only where the list ends.
+    #[inline]
+    pub fn read(&mut self, src: &[u8], out: &mut [u8]) -> usize {
+        self.each_run(out.len(), |done, run| {
+            out[done..done + run.len()].copy_from_slice(&src[run]);
+        })
+    }
+
+    /// Copy `data` to where the next `data.len()` stream bytes lie in the
+    /// typed buffer `dst`; returns the bytes copied, as [`OlCursor::read`].
+    #[inline]
+    pub fn write(&mut self, data: &[u8], dst: &mut [u8]) -> usize {
+        self.each_run(data.len(), |done, run| {
+            let len = run.len();
+            dst[run].copy_from_slice(&data[done..done + len]);
+        })
+    }
+}
+
 impl OlList {
     /// Explicitly flatten `count` instances of `d` — the `O(Nblock)`
     /// operation ROMIO performs when a fileview is first established.
@@ -160,48 +230,34 @@ impl OlList {
         total
     }
 
+    /// A cursor at the `skipbytes`-th data byte, found by [`OlList::locate`]'s
+    /// linear traversal; past the end of the data it yields nothing.
+    pub fn cursor(&self, skipbytes: u64) -> OlCursor<'_> {
+        let (seg, within) = match self.locate(skipbytes) {
+            Some(p) => (p.seg, p.within as i64),
+            None => (self.segs.len(), 0),
+        };
+        let segs = &self.segs[seg..];
+        OlCursor {
+            segs,
+            at: segs.first().map_or(0, |s| s.offset + within),
+        }
+    }
+
     /// Pack typed data into `packbuf`, skipping the first `skipbytes` data
     /// bytes, copying at most `packbuf.len()` bytes: the list-based copy
     /// loop with its per-block tuple read. Returns bytes copied.
     pub fn pack(&self, src: &[u8], skipbytes: u64, packbuf: &mut [u8]) -> usize {
-        let Some(start) = self.locate(skipbytes) else {
-            return 0;
-        };
-        let mut out = 0usize;
-        let mut within = start.within;
-        for s in &self.segs[start.seg..] {
-            if out >= packbuf.len() {
-                break;
-            }
-            let off = (s.offset + within as i64) as usize;
-            let avail = (s.len - within) as usize;
-            let n = avail.min(packbuf.len() - out);
-            packbuf[out..out + n].copy_from_slice(&src[off..off + n]);
-            out += n;
-            within = 0;
-        }
+        let out = self.cursor(skipbytes).read(src, packbuf);
+        crate::ff::OBS_COPY_BYTES.add(out as u64);
         out
     }
 
     /// Unpack packed data into a typed buffer, skipping the first
     /// `skipbytes` data bytes. Returns bytes copied.
     pub fn unpack(&self, packbuf: &[u8], dst: &mut [u8], skipbytes: u64) -> usize {
-        let Some(start) = self.locate(skipbytes) else {
-            return 0;
-        };
-        let mut consumed = 0usize;
-        let mut within = start.within;
-        for s in &self.segs[start.seg..] {
-            if consumed >= packbuf.len() {
-                break;
-            }
-            let off = (s.offset + within as i64) as usize;
-            let avail = (s.len - within) as usize;
-            let n = avail.min(packbuf.len() - consumed);
-            dst[off..off + n].copy_from_slice(&packbuf[consumed..consumed + n]);
-            consumed += n;
-            within = 0;
-        }
+        let consumed = self.cursor(skipbytes).write(packbuf, dst);
+        crate::ff::OBS_COPY_BYTES.add(consumed as u64);
         consumed
     }
 
@@ -322,6 +378,26 @@ mod tests {
                 assert_eq!(n as u64, cap);
                 assert_eq!(&buf[..], &full[skip as usize..(skip + cap) as usize]);
             }
+        }
+    }
+
+    #[test]
+    fn cursor_reads_in_pieces_and_stops_at_the_end() {
+        let d = Datatype::vector(4, 3, 5, &Datatype::basic(2)).unwrap();
+        let src: Vec<u8> = (0..d.extent() as u8).collect();
+        let l = OlList::flatten(&d, 1);
+        let full = reference_pack(&src, &d, 1);
+        for skip in 0..=full.len() {
+            // pieces that cut blocks and span several
+            let mut cur = l.cursor(skip as u64);
+            let mut got = vec![0u8; full.len() - skip];
+            let (head, tail) = got.split_at_mut(5.min(full.len() - skip));
+            assert_eq!(cur.read(&src, head), head.len());
+            assert_eq!(cur.read(&src, tail), tail.len());
+            assert_eq!(got, full[skip..], "skip {skip}");
+            // past the end of the list nothing moves, either way
+            assert_eq!(cur.read(&src, &mut [0u8; 4]), 0);
+            assert_eq!(cur.write(&[1u8; 4], &mut src.clone()), 0);
         }
     }
 

@@ -17,6 +17,8 @@
 //!   `O(depth)` seek, `O(depth · log k)` navigation, and pack/unpack whose
 //!   cost is proportional only to the bytes moved. Every listless copy
 //!   runs the type's compiled [`RunProgram`] ([`Datatype::program`]);
+//!   [`ff_transfer_to`]/[`ff_transfer_from`] move data between two typed
+//!   buffers in one copy where pack + unpack make two;
 //! * [`serialize`] — the compact tree encoding exchanged once per fileview
 //!   by the fileview-caching optimization.
 //!
@@ -54,14 +56,16 @@ pub mod kernels;
 pub mod program;
 pub mod serialize;
 pub mod strided;
+mod transfer;
 pub mod typemap;
 pub mod types;
 
 pub use darray::{darray, Distrib};
 pub use ff::{
-    bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_unpack, ff_unpack_at,
+    bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_transfer_from,
+    ff_transfer_to, ff_unpack, ff_unpack_at,
 };
-pub use flatten::{OlList, OlPos, OlSeg};
+pub use flatten::{OlCursor, OlList, OlPos, OlSeg};
 pub use iter::FlatIter;
 pub use program::RunProgram;
 pub use strided::StridedSpec;

@@ -57,6 +57,7 @@ use lio_obs::LazyCounter;
 
 use crate::kernels::{self, Mode, Sel};
 use crate::strided::{Gather, Scatter, StridedSpec, Xfer};
+use crate::transfer::{Stretches, ToUser, ToWindow, Transfer};
 use crate::types::{Datatype, TypeKind};
 
 static OBS_COMPILE_PROGRAMS: LazyCounter = LazyCounter::new("dt.compile.programs");
@@ -72,7 +73,7 @@ static OBS_NORM_FRAMES_AFTER: LazyCounter = LazyCounter::new("dt.normalize.frame
 
 /// One node of a compiled run program.
 #[derive(Debug, Clone, PartialEq)]
-enum PNode {
+pub(crate) enum PNode {
     /// `count` dense blocks of `block` bytes, block `j` starting at
     /// `base + j·stride` — the `{count, block, stride}` frame. This is
     /// the canonical strided form and the only node that copies bytes;
@@ -105,9 +106,9 @@ enum PNode {
 
 /// One literal-tail entry: `node` displaced by `disp` bytes.
 #[derive(Debug, Clone, PartialEq)]
-struct Part {
-    disp: i64,
-    node: PNode,
+pub(crate) struct Part {
+    pub(crate) disp: i64,
+    pub(crate) node: PNode,
 }
 
 /// The canonical `Blocks` constructor: kernel selection happens here,
@@ -127,9 +128,9 @@ fn blocks(base: i64, stride: i64, block: u64, count: u64) -> PNode {
 /// duplicated here so the interpreter never touches the tree.
 #[derive(Debug)]
 pub struct RunProgram {
-    root: Option<PNode>,
-    size: u64,
-    extent: i64,
+    pub(crate) root: Option<PNode>,
+    pub(crate) size: u64,
+    pub(crate) extent: i64,
     frames: u32,
     rewrites: u32,
 }
@@ -260,6 +261,51 @@ impl RunProgram {
         self.run(x, buf_disp, count, skip)
     }
 
+    /// Move up to `n` stream bytes from a typed user buffer straight into
+    /// `count` tiled instances of `dst` — [`RunProgram::unpack_into`]
+    /// without the pack buffer in between. The user side is `ucount`
+    /// instances of `from` laid over `user` (byte 0 at typemap
+    /// displacement 0), read from its data byte `uskip` on. Returns
+    /// `(bytes copied, runs copied)`, runs counted on the `dst` side.
+    #[allow(clippy::too_many_arguments)]
+    pub fn transfer_into(
+        &self,
+        dst: &mut [u8],
+        buf_disp: i64,
+        count: u64,
+        skip: u64,
+        from: &RunProgram,
+        user: &[u8],
+        ucount: u64,
+        uskip: u64,
+        n: usize,
+    ) -> (usize, u64) {
+        let ends = ToWindow { user, window: dst };
+        let x = Transfer::new(Stretches::new(from, ucount, uskip), n, ends);
+        self.run(x, buf_disp, count, skip)
+    }
+
+    /// The inverse of [`RunProgram::transfer_into`]: move up to `n` stream
+    /// bytes of `count` tiled instances in `src` straight into the typed
+    /// user buffer — [`RunProgram::pack_into`] without the pack buffer.
+    #[allow(clippy::too_many_arguments)]
+    pub fn transfer_out_of(
+        &self,
+        src: &[u8],
+        buf_disp: i64,
+        count: u64,
+        skip: u64,
+        to: &RunProgram,
+        user: &mut [u8],
+        ucount: u64,
+        uskip: u64,
+        n: usize,
+    ) -> (usize, u64) {
+        let ends = ToUser { window: src, user };
+        let x = Transfer::new(Stretches::new(to, ucount, uskip), n, ends);
+        self.run(x, buf_disp, count, skip)
+    }
+
     /// Interpret the program over `count` tiled instances, in the
     /// direction `x` fixes.
     fn run<X: Xfer>(&self, x: X, buf_disp: i64, count: u64, skip: u64) -> (usize, u64) {
@@ -288,6 +334,9 @@ impl RunProgram {
             inst += 1;
             s = 0;
             origin += self.extent;
+        }
+        if sink.obs {
+            crate::ff::OBS_COPY_BYTES.add(sink.cursor as u64);
         }
         (sink.cursor, sink.runs)
     }

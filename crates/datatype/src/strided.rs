@@ -167,23 +167,52 @@ impl Datatype {
     }
 }
 
-/// The two sides of a frame copy: a window onto the typed layout and a
-/// contiguous pack buffer. [`Gather`] reads the window (pack, extract),
-/// [`Scatter`] writes it (unpack, place).
+/// The two sides of a frame copy: a window onto the typed layout and the
+/// stream its data bytes form. For [`Gather`] (pack, extract) and
+/// [`Scatter`] (unpack, place) the stream is a contiguous pack buffer; for
+/// a [`crate::transfer::Transfer`] it is a second typed buffer, walked by a
+/// cursor. The executor consumes the stream front to back: each call's `c`
+/// is where the one before it ended.
 pub(crate) trait Xfer {
-    /// `(window, contiguous)` lengths.
+    /// `(window, stream)` lengths.
     fn lens(&self) -> (usize, usize);
-    /// Move `n` bytes between window position `t` and contiguous
-    /// position `c`.
+    /// Move `n` bytes between window position `t` and stream position `c`.
     fn copy(&mut self, t: usize, c: usize, n: usize);
-    /// Move `n` whole blocks of `class` bytes, `stride` apart from window
-    /// position `t` and dense from contiguous position `c`, through the
-    /// fixed-width kernel family `k`.
-    ///
-    /// # Safety
-    /// Every block lies inside the window and the contiguous side, and
-    /// `k` is CPU-supported (it comes from [`kernels::resolve`]).
-    unsafe fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: isize, c: usize, n: usize);
+    /// Move `n` whole blocks of `block` bytes, `stride` apart from window
+    /// position `t` and dense from stream position `c`, a `copy` each.
+    fn blocks(&mut self, t: usize, stride: usize, c: usize, block: usize, n: usize) {
+        for k in 0..n {
+            self.copy(t + k * stride, c + k * block, block);
+        }
+    }
+    /// Move `n > 0` whole blocks of `class` bytes, `stride` apart from
+    /// window position `t` and dense from stream position `c`, through
+    /// the fixed-width kernel family `k`. Panics unless every block lies
+    /// inside both sides.
+    fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: usize, c: usize, n: usize);
+}
+
+/// Whether `n > 0` blocks of `block` bytes, `stride` apart from `t`, lie
+/// inside a window of `window` bytes and, dense from `c`, inside `contig`
+/// bytes — the first and the last block bound every block — and `k` runs
+/// on this CPU: what the raw kernels require of their caller.
+fn kernel_fits(
+    k: Kind,
+    (window, contig): (usize, usize),
+    block: usize,
+    t: usize,
+    stride: usize,
+    c: usize,
+    n: usize,
+) -> bool {
+    let end = |first: usize, step: usize| {
+        (n.checked_sub(1)?.checked_mul(step)?)
+            .checked_add(first)?
+            .checked_add(block)
+    };
+    end(t, stride).is_some_and(|e| e <= window)
+        && end(c, block).is_some_and(|e| e <= contig)
+        && kernels::have(k)
 }
 
 pub(crate) struct Gather<'a> {
@@ -201,9 +230,14 @@ impl Xfer for Gather<'_> {
         self.contig[c..c + n].copy_from_slice(&self.typed[t..t + n]);
     }
 
-    unsafe fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: isize, c: usize, n: usize) {
-        let (src, dst) = (self.typed.as_ptr().add(t), self.contig.as_mut_ptr().add(c));
-        kernels::gather(k, class, src, stride, n, dst);
+    fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: usize, c: usize, n: usize) {
+        assert!(kernel_fits(k, self.lens(), class as usize, t, stride, c, n));
+        // SAFETY: the assert bounds every block on both sides and finds
+        // `k` supported; a `class` that is no kernel's panics inside.
+        unsafe {
+            let (src, dst) = (self.typed.as_ptr().add(t), self.contig.as_mut_ptr().add(c));
+            kernels::gather(k, class, src, stride as isize, n, dst);
+        }
     }
 }
 
@@ -222,9 +256,13 @@ impl Xfer for Scatter<'_> {
         self.typed[t..t + n].copy_from_slice(&self.contig[c..c + n]);
     }
 
-    unsafe fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: isize, c: usize, n: usize) {
-        let (src, dst) = (self.contig.as_ptr().add(c), self.typed.as_mut_ptr().add(t));
-        kernels::scatter(k, class, src, dst, stride, n);
+    fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: usize, c: usize, n: usize) {
+        assert!(kernel_fits(k, self.lens(), class as usize, t, stride, c, n));
+        // SAFETY: as for `Gather::kernel`, the sides' roles swapped.
+        unsafe {
+            let (src, dst) = (self.contig.as_ptr().add(c), self.typed.as_mut_ptr().add(t));
+            kernels::scatter(k, class, src, dst, stride as isize, n);
+        }
     }
 }
 
@@ -255,8 +293,7 @@ impl StridedSpec {
         obs: bool,
     ) -> (usize, u64) {
         let block = self.block as usize;
-        let (window, contig) = x.lens();
-        let wlen = window as i64;
+        let wlen = x.lens().0 as i64;
         let (mut j, mut within) = if skip == 0 {
             (0, 0)
         } else {
@@ -281,17 +318,9 @@ impl StridedSpec {
                 }
                 let (t, nblk, stride) = (pos as usize, n as usize, self.stride as usize);
                 if kind == Kind::Scalar {
-                    for k in 0..nblk {
-                        x.copy(t + k * stride, c + done + k * block, block);
-                    }
+                    x.blocks(t, stride, c + done, block, nblk);
                 } else {
-                    // the clip above, restated where the kernels rely on it
-                    assert!(t + (nblk - 1) * stride + block <= window);
-                    assert!(c + done + nblk * block <= contig);
-                    // SAFETY: the two asserts bound the first and last
-                    // block, so every block, on both sides; `kind` was
-                    // resolved by the caller.
-                    unsafe { x.kernel(kind, block as u8, t, stride as isize, c + done, nblk) };
+                    x.kernel(kind, block as u8, t, stride, c + done, nblk);
                 }
                 if obs {
                     crate::ff::OBS_RUN_LEN.record_n(self.block, n);
