@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, then the tier-1 gate (see ROADMAP.md).
 # Usage: ./ci.sh
+# A full run with warm build directories takes about 4.5 minutes on the
+# 2-vCPU box (PR 22: 2 min 45 s up to the bench comparison, 1 min 40 s of
+# fault corpus) — the per-schedule axis that used to double the backend
+# corpus and the fault corpus and add two reruns is gone with the second
+# collective schedule.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -42,26 +47,19 @@ cargo test -q
 echo "== benchmark smoke run"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
-# The collective suites again with the pipeline override forced both
-# ways, so every differential case runs both the monolithic and the
-# pipelined schedule regardless of per-test hints. (pipeline_mem is
-# excluded on purpose: it asserts on the pipeline's own gauges and is
-# not meaningful when the env override forces the hint off.) The request
-# geometry suite rides along here and in the backend and fault reruns
-# below: the window grid must hold under every schedule and backend.
-# So does the in-place ≡ staged corpus (`inplace`), in the backend
-# cross-product, the pack-kernel and the fault reruns: a `MemFile` that
-# lends its bytes, one that does not and the environment's storage must
-# agree byte for byte whatever the schedule, backend, kernel or fault
-# seed. And so does the own-share corpus (`own_share`): what an IOP moves
-# between its own user buffer and the window without a message must be
-# what a message would have left, under the same four axes.
+# There is one collective schedule, so no rerun per schedule: tier-1 above
+# ran every differential case on it, `--test pipeline` among them, which
+# runs its corpus a second time on slow staging storage with the IOPs'
+# write-behind lanes armed. The request geometry suite rides along in the
+# backend and fault reruns below: the window grid must hold on every
+# backend. So does the in-place ≡ staged corpus (`inplace`), in the
+# backend, the pack-kernel and the fault reruns: a `MemFile` that lends
+# its bytes, one that does not and the environment's storage must agree
+# byte for byte whatever the backend, kernel or fault seed. And so does the
+# own-share corpus (`own_share`): what an IOP moves between its own user
+# buffer and the window without a message must be what a message would
+# have left, under the same three axes.
 # These are debug builds, so the scratch arena's 0xA5 poison is on.
-echo "== collective suites under LIO_PIPELINE=0"
-LIO_PIPELINE=0 cargo test -q -p lio-core --test collective --test pipeline --test geometry
-
-echo "== collective suites under LIO_PIPELINE=1"
-LIO_PIPELINE=1 cargo test -q -p lio-core --test collective --test pipeline --test geometry
 
 # Real-storage backend: the collective + pipeline + fault suites again
 # with every storage stack forced onto OsFile (submission queue over a
@@ -69,14 +67,14 @@ LIO_PIPELINE=1 cargo test -q -p lio-core --test collective --test pipeline --tes
 # both the fast-page-cache and the ordinary-filesystem paths are
 # exercised. Without a fault seed the queue's device is a plain UnixFile,
 # which lends a shared mapping of the file: these reruns (and the
-# LIO_BACKEND=os rows of the cross-product below) are the monolithic
+# LIO_BACKEND=os row of the backend corpus below) are the collective
 # schedule on mapped windows, 4 KiB pages on tmpfs and large folios on
 # ext4; os_edge holds the mapping's own edge cases (EOF, set_len, growth,
 # sync + reopen). The fault-seed reruns at the end put a FaultyFile under
 # the queue, which declines: they are the staged path on the same backend.
 # Cross-backend equivalence itself is the backend corpus:
 # the same differential cases must produce byte-identical files under
-# every backend × pipeline combination.
+# every backend.
 mkdir -p target/lio-os-ci
 for osdir in /dev/shm "$PWD/target/lio-os-ci"; do
   echo "== collective/pipeline/faults suites under LIO_BACKEND=os LIO_OS_DIR=$osdir"
@@ -86,13 +84,11 @@ for osdir in /dev/shm "$PWD/target/lio-os-ci"; do
   LIO_OS_DIR=$osdir cargo test -q -p lio-pfs --test os_faults --test os_edge
 done
 
-echo "== backend corpus cross-product LIO_BACKEND={mem,os} x LIO_PIPELINE={0,1}"
+echo "== backend corpus LIO_BACKEND={mem,os}"
 for be in mem os; do
-  for pipe in 0 1; do
-    echo "  -- LIO_BACKEND=$be LIO_PIPELINE=$pipe"
-    LIO_BACKEND=$be LIO_PIPELINE=$pipe \
-      cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share
-  done
+  echo "  -- LIO_BACKEND=$be"
+  LIO_BACKEND=$be \
+    cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share
 done
 
 # The suites again with the pack-kernel mode forced both ways: every
@@ -115,9 +111,9 @@ done
 # Self-tuning corpus: the differential suites with the tuner armed on
 # every file — the tuner may only move performance knobs, so every
 # corpus case must stay byte-identical to the naive reference while
-# knobs shift mid-run. (pipeline_mem/zerocopy are excluded on purpose:
-# they pin engine-specific gauges, and the tuner legitimately changes
-# which schedule runs.)
+# knobs shift mid-run. (zerocopy is excluded on purpose: it pins
+# engine-specific counters, and the tuner legitimately changes which
+# engine runs.)
 for be in mem os; do
   echo "== autotune corpus under LIO_AUTOTUNE=1 LIO_BACKEND=$be"
   LIO_AUTOTUNE=1 LIO_BACKEND=$be \
@@ -162,7 +158,7 @@ grep -q "bounding" /tmp/lio_trace_out.txt
 echo "== repro profile + validate-json"
 ./target/release/repro profile --quick | tee /tmp/lio_profile_out.txt
 grep -q "engine=listless" /tmp/lio_profile_out.txt
-grep -q "two_phase_pipeline=enable" /tmp/lio_profile_out.txt
+grep -q "cb_buffer_size=" /tmp/lio_profile_out.txt
 grep -q "pack_kernel=auto" /tmp/lio_profile_out.txt
 # the ragged workload's programs must be attributed to the
 # normalization pass, not reported as born strided
@@ -256,19 +252,17 @@ done
 # seed so the corpus keeps widening over time without losing replay
 # determinism (the seed depends only on the commit, never the clock).
 # On failure, replay the exact schedule with:
-#   LIO_FAULT_SEED=<seed> LIO_PIPELINE=<0|1> \
+#   LIO_FAULT_SEED=<seed> \
 #     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share
 ROTATING_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5EED)"
 for seed in 7 0xBAD5EED 0x5C032003 "$ROTATING_SEED"; do
-  for pipe in 0 1; do
-    echo "== fault corpus: LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe"
-    if ! LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe \
-        cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share; then
-      echo "FAULT CORPUS FAILURE — replay with:"
-      echo "  LIO_FAULT_SEED=$seed LIO_PIPELINE=$pipe cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share"
-      exit 1
-    fi
-  done
+  echo "== fault corpus: LIO_FAULT_SEED=$seed"
+  if ! LIO_FAULT_SEED=$seed \
+      cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share; then
+    echo "FAULT CORPUS FAILURE — replay with:"
+    echo "  LIO_FAULT_SEED=$seed cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share"
+    exit 1
+  fi
 done
 
 echo "CI OK"

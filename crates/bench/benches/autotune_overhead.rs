@@ -1,7 +1,7 @@
 //! Cost of leaving the self-tuner armed on a workload it cannot improve.
 //!
 //! The ci gate behind `Hints::autotune`: a collective whose knobs are
-//! already optimal (listless, unpipelined, cb matching the file span on
+//! already optimal (listless, cb matching the file span on
 //! memory-speed storage) pays for per-op planning, outcome aggregation
 //! and signal classification but must get nothing wrong — wall overhead
 //! within 2% of the tuner-off baseline, and zero *net* knob movement

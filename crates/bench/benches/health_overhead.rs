@@ -6,7 +6,7 @@
 //! twice. The enabled run shows what heartbeating (a handful of relaxed
 //! stores per window) and skew tracking cost on top.
 //!
-//! The workload is a 4-rank pipelined collective write with a small
+//! The workload is a 4-rank collective write with a small
 //! window size on in-memory storage: minimal real work per window, so
 //! the per-beat cost is maximally visible.
 
@@ -43,14 +43,11 @@ fn interleaved_ft(slots: u64) -> Datatype {
     .unwrap()
 }
 
-/// One pipelined 4-rank collective write on memory storage with a small
+/// One 4-rank collective write on memory storage with a small
 /// window, maximizing heartbeat-site executions per byte moved.
 fn collective_write() {
     let nprocs = 4;
-    let hints = Hints::default()
-        .cb_buffer(2 << 10)
-        .pipelined(true)
-        .pipeline_depth(2);
+    let hints = Hints::default().cb_buffer(2 << 10);
     let shared = SharedFile::new(MemFile::new());
     World::run(nprocs, move |comm| {
         let me = comm.rank() as u64;

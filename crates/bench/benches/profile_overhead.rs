@@ -46,14 +46,11 @@ fn interleaved_ft(slots: u64) -> Datatype {
     .unwrap()
 }
 
-/// One pipelined 4-rank collective write on memory storage with a small
+/// One 4-rank collective write on memory storage with a small
 /// window, maximizing profile-site executions per byte moved.
 fn collective_write() {
     let nprocs = 4;
-    let hints = Hints::default()
-        .cb_buffer(2 << 10)
-        .pipelined(true)
-        .pipeline_depth(2);
+    let hints = Hints::default().cb_buffer(2 << 10);
     let shared = SharedFile::new(MemFile::new());
     World::run(nprocs, move |comm| {
         let me = comm.rank() as u64;

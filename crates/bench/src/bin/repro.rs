@@ -763,17 +763,16 @@ fn throttle(opts: &Opts) {
     save("results/throttle.csv", &csv);
 }
 
-/// One instrumented collective write + read per engine — monolithic and
-/// pipelined — with a full `lio-obs` snapshot each. The JSON answers,
+/// One instrumented collective write + read per engine and storage, with
+/// a full `lio-obs` snapshot each. The JSON answers,
 /// per configuration: how many file accesses and bytes the storage
 /// layer saw (`pfs.*`, via a [`CountingFile`] wrapper), how many bytes
 /// crossed the exchange phase and how much of that was ol-list metadata
 /// (`core.coll.exchange.*`, `mpi.*`), how many blocks the pack/unpack
 /// machinery copied (`dt.*`), and how the wall time of the collective
 /// split into exchange / file I/O / pack phases (`core.coll.*_ns`).
-/// The `*_pipelined` entries run on throttled (1 ms/op) storage with
-/// small exchange windows so `core.coll.*.overlap_ns` — storage time
-/// hidden behind the exchange — is meaningfully exercised.
+/// The `*_throttled` entries run on throttled (1 ms/op) storage with
+/// small windows, so the IOPs' write-behind lanes arm (`io.behind_bytes`).
 fn metrics(opts: &Opts) {
     use lio_core::{File, Hints, SharedFile};
     use lio_datatype::Datatype;
@@ -813,11 +812,8 @@ fn metrics(opts: &Opts) {
     }
     for (engine, ename) in ENGINES.iter() {
         configs.push((
-            format!("{}_pipelined", ename.replace('-', "_")),
-            Hints::with_engine(*engine)
-                .cb_buffer(4 << 10)
-                .pipelined(true)
-                .pipeline_depth(2),
+            format!("{}_throttled", ename.replace('-', "_")),
+            Hints::with_engine(*engine).cb_buffer(4 << 10),
             Store::Throttled,
         ));
     }
@@ -905,29 +901,17 @@ fn metrics(opts: &Opts) {
         );
         // Copies per user byte of the write and the read together: what
         // the library's copy loops moved (the message is handed over, not
-        // copied) plus what went through a staging buffer. The pipelined
-        // schedule stages in its own lanes, past the counter.
-        let copies = (!hints.two_phase_pipeline).then(|| {
-            let user = (2 * nprocs as u64 * total) as f64;
-            let moved = snap.counter("dt.copy.bytes") + snap.counter("io.staged_bytes");
-            moved as f64 / user
-        });
-        if let Some(copies) = copies {
-            println!(
-                "  {key}: copies_per_user_byte {copies:.3} ({} B staged, {} B in place)",
-                snap.counter("io.staged_bytes"),
-                snap.counter("io.in_place_bytes"),
-            );
-        }
-        if throttled {
-            println!(
-                "  {key}: overlap write {:.2} ms / read {:.2} ms (storage hidden behind \
-                 exchange), peak IOP buffering {} B",
-                snap.counter("core.coll.write.overlap_ns") as f64 / 1e6,
-                snap.counter("core.coll.read.overlap_ns") as f64 / 1e6,
-                snap.gauge("core.coll.pipeline.peak_buffered_bytes"),
-            );
-        }
+        // copied) plus what went through a staging buffer.
+        let user = (2 * nprocs as u64 * total) as f64;
+        let moved = snap.counter("dt.copy.bytes") + snap.counter("io.staged_bytes");
+        let copies = moved as f64 / user;
+        println!(
+            "  {key}: copies_per_user_byte {copies:.3} ({} B staged, {} B of them written \
+             behind, {} B in place)",
+            snap.counter("io.staged_bytes"),
+            snap.counter("io.behind_bytes"),
+            snap.counter("io.in_place_bytes"),
+        );
         // satellite: request-size quantiles straight from the log2
         // histograms — the shape data sieving / two-phase is supposed
         // to move (tiny accesses -> buffer-sized ones)
@@ -971,9 +955,12 @@ fn metrics(opts: &Opts) {
                 snap.counter("core.coll.exchange.data_bytes") as f64,
                 "bytes",
             ));
-            if let Some(copies) = copies {
-                entries.push(e("copies_per_user_byte", copies, "ratio"));
-            }
+            entries.push(e("copies_per_user_byte", copies, "ratio"));
+            entries.push(e(
+                "behind_bytes",
+                snap.counter("io.behind_bytes") as f64,
+                "bytes",
+            ));
             for (hname, short) in [
                 ("pfs.write.size", "write_size"),
                 ("pfs.read.size", "read_size"),
@@ -1052,7 +1039,7 @@ fn metrics(opts: &Opts) {
 }
 
 /// `repro top`: live per-rank health introspection. Runs a 4-rank
-/// pipelined collective write + read on throttled storage with the
+/// collective write + read on throttled storage with the
 /// runtime health layer armed, samples the lock-free heartbeat slots
 /// while the collective is in flight (phase, window, bytes, queue depth,
 /// heartbeat age per rank — the batch rendering of a `top`-style view),
@@ -1087,11 +1074,7 @@ fn top_cmd(opts: &Opts) {
         latency: Duration::from_millis(1),
     };
     let shared = SharedFile::new(ThrottledFile::new(MemFile::new(), slow));
-    let hints = Hints::listless()
-        .cb_buffer(4 << 10)
-        .pipelined(true)
-        .pipeline_depth(2)
-        .health(true);
+    let hints = Hints::listless().cb_buffer(4 << 10).health(true);
     let worker = std::thread::spawn(move || {
         World::run(nprocs, move |comm| {
             let me = comm.rank() as u64;
@@ -1137,7 +1120,7 @@ fn top_cmd(opts: &Opts) {
 }
 
 /// `repro bench`: regenerate the schema-versioned pipeline bench
-/// artifact (`BENCH_pipeline.json`), including the `{engine}/os/{off,on}`
+/// artifact (`BENCH_pipeline.json`), including the `{engine}/os`
 /// real-storage backend column, through the same measurement code the
 /// `pipeline` cargo bench target runs. `--quick` shrinks the sampling
 /// the same way `LIO_BENCH_FAST=1` does.
@@ -1148,7 +1131,7 @@ fn bench_cmd(opts: &Opts) {
     lio_bench::pipebench::run();
 }
 
-/// `repro trace`: a 4-rank pipelined collective write + read on
+/// `repro trace`: a 4-rank collective write + read on
 /// throttled storage with event tracing armed, exported as a
 /// Chrome/Perfetto timeline (`results/trace.json`, load it at
 /// `ui.perfetto.dev`) together with the per-op critical-path report
@@ -1165,7 +1148,7 @@ fn trace_cmd(opts: &Opts) {
     let nblock: u64 = if opts.quick { 128 } else { 512 };
     let sblock: u64 = 64;
     let total = 16 * nblock * sblock;
-    println!("# trace: 4-rank pipelined collective write+read, 1 ms/op storage, tracing on");
+    println!("# trace: 4-rank collective write+read, 1 ms/op storage, tracing on");
 
     // consume the one-shot env checks, then force recording on: this
     // subcommand exists to produce a timeline
@@ -1188,10 +1171,7 @@ fn trace_cmd(opts: &Opts) {
         latency: Duration::from_millis(1),
     };
     let shared = SharedFile::new(ThrottledFile::new(MemFile::new(), slow));
-    let hints = Hints::listless()
-        .cb_buffer(4 << 10)
-        .pipelined(true)
-        .pipeline_depth(2);
+    let hints = Hints::listless().cb_buffer(4 << 10);
     World::run(nprocs, move |comm| {
         let me = comm.rank() as u64;
         let mut f = File::open(comm, shared.clone(), hints).expect("open");
@@ -1302,9 +1282,9 @@ fn profile_cmd(opts: &Opts) {
         }),
     ));
 
-    // 2. Figure 6: collective access, 4 procs, slow storage, pipelining
-    // deliberately left off — the profile should reveal the io-bound
-    // phase breakdown and the advisor should recommend turning it on
+    // 2. Figure 6: collective access, 4 procs, slow storage — the profile
+    // should reveal the io-bound phase breakdown, and the advisor size the
+    // collective buffer to the op's file-domain span
     sections.push((
         "fig6_collective_throttled",
         profiled("fig6_collective_throttled", &mut || {
@@ -1617,7 +1597,7 @@ impl TuneWorkload {
 
 /// `repro autotune`: the self-tuning loop closed end to end. For each
 /// workload, an exhaustive static sweep over the tuner's knob grid
-/// (engine × pipeline off/2/4 × collective-buffer size, each config
+/// (engine × collective-buffer size, each config
 /// 1 warmup + 3 measured ops) establishes the best static wall time;
 /// then a single file opened with nothing but `Hints::default()
 /// .autotune(true)` runs the same ops from cold start. The convergence
@@ -1644,8 +1624,8 @@ fn autotune_cmd(opts: &Opts) {
     profile::init_from_env();
 
     let workloads = [
-        // storage-bound: 1 ms/op throttled device, where pipelining and
-        // window geometry matter — the tuner must find them
+        // storage-bound: 1 ms/op throttled device, where window geometry
+        // matters — the tuner must find it
         TuneWorkload {
             name: "fig6_throttled",
             nprocs: 4,
@@ -1696,33 +1676,20 @@ fn autotune_cmd(opts: &Opts) {
         let mut best_hints = Hints::default();
         println!("  {}: static sweep", wl.name);
         for engine in [Engine::ListBased, Engine::Listless] {
-            for depth in [0usize, 2, 4] {
-                for &cb in &cbs {
-                    let mut h = Hints::with_engine(engine).cb_buffer(cb);
-                    if depth > 0 {
-                        h = h.pipelined(true).pipeline_depth(depth);
-                    }
-                    let (walls, _) = wl.run(h, 4);
-                    let wall = median3(&walls[1..]);
-                    let label = format!(
-                        "{:?}/pipe={}/cb={cb}",
-                        engine,
-                        if depth > 0 {
-                            format!("x{depth}")
-                        } else {
-                            "off".to_string()
-                        }
-                    );
-                    println!("    {label:<40} {:>9.3} ms", wall * 1e3);
-                    if wall < best_static {
-                        best_static = wall;
-                        best_name = label;
-                        best_hints = h;
-                    }
+            for &cb in &cbs {
+                let h = Hints::with_engine(engine).cb_buffer(cb);
+                let (walls, _) = wl.run(h, 4);
+                let wall = median3(&walls[1..]);
+                let label = format!("{engine:?}/cb={cb}");
+                println!("    {label:<40} {:>9.3} ms", wall * 1e3);
+                if wall < best_static {
+                    best_static = wall;
+                    best_name = label;
+                    best_hints = h;
                 }
             }
         }
-        // min over twelve noisy medians is biased low (winner's curse):
+        // min over a few noisy medians is biased low (winner's curse):
         // re-measure the winning config on a fresh file for an unbiased
         // estimate of its true cost. Gate on the slower of the two
         // estimates, capped at 1.5x the sweep value so one pathological

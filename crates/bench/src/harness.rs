@@ -18,7 +18,7 @@ pub struct Stats {
     pub mean_ns: f64,
 }
 
-fn fast_mode() -> bool {
+pub(crate) fn fast_mode() -> bool {
     std::env::var("LIO_BENCH_FAST").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 

@@ -1,27 +1,26 @@
-//! Pipelined vs monolithic two-phase collective writes, shared between
-//! the `pipeline` cargo bench and `repro bench` so both produce the same
+//! The overlap gate of the collective schedule, shared between the
+//! `pipeline` cargo bench and `repro bench` so both produce the same
 //! schema-versioned `BENCH_pipeline.json`. Three sections:
 //!
-//! * timed `Group` comparisons on throttled in-memory storage (latency
-//!   ≥ 100 µs per file access, the regime the pipeline targets),
-//!   pipeline off/on × both engines at equal `cb_buffer_size` — the
-//!   headline wall-clock improvement;
-//! * the same collective on the `os` submission-queue backend — a real
-//!   kernel-backed file (under `LIO_OS_DIR`) driven through the worker
-//!   threadpool — recorded as the `{engine}/os/{off,on}` real-disk
-//!   column;
-//! * an instrumented overlap proof: with the `lio-obs` registry
-//!   recording, a run whose `exchange_ns + io_ns` exceeds its wall time
-//!   can only have overlapped the storage lanes with the exchange.
+//! * timed runs of one collective write and one collective read
+//!   on throttled in-memory storage (1 ms per file access — the regime in
+//!   which an IOP's write-behind lane arms), both engines;
+//! * the same write on the `os` backend — a real kernel-backed file (under
+//!   `LIO_OS_DIR`), whose requests are too fast to arm a lane — recorded
+//!   as the `{engine}/os` real-disk column;
+//! * the overlap proof, which gates: with one rank the exchange is free,
+//!   so `exchange_ns + io_ns > wall` can only hold if the write-back of a
+//!   window ran beside the pre-read of the next. [`run`] exits non-zero
+//!   when it does not.
 //!
 //! The access pattern is cyclically interleaved with one block slot per
-//! stride left unwritten, so every window is read-modify-write and both
-//! storage lanes (pre-read and write-back) carry traffic.
+//! stride left unwritten, so every window is read-modify-write: the
+//! pre-read is what there is to overlap the write-back with.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use crate::harness::Group;
+use crate::harness;
 use crate::schema::{self, Entry};
 use lio_core::{BackendKind, File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
@@ -35,7 +34,7 @@ const LAT_US: u64 = 1000;
 /// High per-access latency, high bandwidth: op cost is dominated by
 /// latency, as on NFS-class storage. Must sit well above the throttle's
 /// spin-only regime (2× its 100 µs spin tail) so waiting genuinely
-/// yields the CPU and lanes can overlap on few-core hosts.
+/// yields the CPU and the lane can overlap on few-core hosts.
 fn slow_store() -> Throttle {
     Throttle {
         read_bw: 2e9,
@@ -71,8 +70,9 @@ fn interleaved_ft(slots: u64) -> Datatype {
 }
 
 /// One collective write of `NBLOCK * SBLOCK` bytes per rank on the given
-/// storage; returns the across-ranks wall time of the collective.
-fn collective_write_on(shared: SharedFile, hints: Hints, nprocs: usize) -> f64 {
+/// storage — or, `read`ing, that write and then one collective read of the
+/// same bytes; returns the across-ranks wall time of the timed collective.
+fn collective_on(shared: SharedFile, hints: Hints, nprocs: usize, read: bool) -> f64 {
     let span = (NBLOCK * (nprocs as u64 + 1) + 1) * SBLOCK;
     shared.storage().set_len(span).expect("prefault");
     World::run(nprocs, move |comm| {
@@ -82,24 +82,29 @@ fn collective_write_on(shared: SharedFile, hints: Hints, nprocs: usize) -> f64 {
         f.set_view(me * SBLOCK, Datatype::byte(), interleaved_ft(slots))
             .expect("set_view");
         let total = NBLOCK * SBLOCK;
-        let data = vec![me as u8 + 1; total as usize];
+        let mut data = vec![me as u8 + 1; total as usize];
+        if read {
+            f.write_at_all(0, &data, total, &Datatype::byte())
+                .expect("write");
+        }
         comm.barrier();
         let t = Instant::now();
-        f.write_at_all(0, &data, total, &Datatype::byte())
-            .expect("write");
+        if read {
+            f.read_at_all(0, &mut data, total, &Datatype::byte())
+                .expect("read");
+        } else {
+            f.write_at_all(0, &data, total, &Datatype::byte())
+                .expect("write");
+        }
         comm.barrier();
         comm.allmax_f64(t.elapsed().as_secs_f64())
     })[0]
 }
 
-/// The latency-bound configuration the pipeline targets: throttled
-/// in-memory storage.
-fn collective_write(hints: Hints, nprocs: usize) -> f64 {
-    collective_write_on(
-        SharedFile::new(ThrottledFile::new(MemFile::new(), slow_store())),
-        hints,
-        nprocs,
-    )
+/// The latency-bound configuration the write-behind lane targets:
+/// throttled in-memory storage.
+fn throttled() -> SharedFile {
+    SharedFile::new(ThrottledFile::new(MemFile::new(), slow_store()))
 }
 
 /// A fresh real-file backend (submission queue over an unlinked temp
@@ -108,191 +113,115 @@ fn os_storage() -> SharedFile {
     SharedFile::for_backend(BackendKind::Os).expect("os backend storage")
 }
 
-fn bench_pipeline_write(entries: &mut Vec<Entry>) {
-    let nprocs = 4;
-    let cb = 32usize << 10;
-    let total = NBLOCK * SBLOCK * nprocs as u64;
-    let mut g = Group::new("pipeline_write");
-    g.sample_size(5);
-    for (engine, ename) in [
-        (Hints::list_based(), "list_based"),
-        (Hints::listless(), "listless"),
-    ] {
-        g.throughput_bytes(total);
-        let s = g.bench(format!("{ename}/off"), || {
-            collective_write(engine.cb_buffer(cb), nprocs);
-        });
-        entries.push(Entry::new(
-            "pipeline_write",
-            format!("{ename}/off"),
-            "wall_ns",
-            s.median_ns,
-            "ns",
-        ));
-        g.throughput_bytes(total);
-        let s = g.bench(format!("{ename}/on"), || {
-            collective_write(
-                engine.cb_buffer(cb).pipelined(true).pipeline_depth(2),
-                nprocs,
-            );
-        });
-        entries.push(Entry::new(
-            "pipeline_write",
-            format!("{ename}/on"),
-            "wall_ns",
-            s.median_ns,
-            "ns",
-        ));
-    }
-    // The real-disk column: the same collective through the `os`
-    // backend's worker threadpool (whole-window batch submission on the
-    // pipelined runs), against a real kernel-backed file.
-    for (engine, ename) in [
-        (Hints::list_based(), "list_based"),
-        (Hints::listless(), "listless"),
-    ] {
-        for (pipe, pname) in [(false, "off"), (true, "on")] {
-            let base = engine.cb_buffer(cb).backend(BackendKind::Os);
-            let hints = if pipe {
-                base.pipelined(true).pipeline_depth(2)
-            } else {
-                base
-            };
-            g.throughput_bytes(total);
-            let s = g.bench(format!("{ename}/os/{pname}"), || {
-                collective_write_on(os_storage(), hints, nprocs);
+const NPROCS: usize = 4;
+const CB: usize = 32 << 10;
+
+fn engines() -> [(Hints, &'static str); 2] {
+    [
+        (Hints::list_based().cb_buffer(CB), "list_based"),
+        (Hints::listless().cb_buffer(CB), "listless"),
+    ]
+}
+
+/// Median and minimum of `run`'s wall times, in ns, after one warm-up.
+fn sampled(mut run: impl FnMut() -> f64) -> (f64, f64) {
+    let samples = if harness::fast_mode() { 5 } else { 15 };
+    run();
+    let mut walls: Vec<f64> = (0..samples).map(|_| run() * 1e9).collect();
+    walls.sort_by(|a, b| a.total_cmp(b));
+    (walls[samples / 2], walls[0])
+}
+
+/// The timed collectives: what is measured is the collective call alone,
+/// barrier to barrier, slowest rank — not the world's set-up, and for a
+/// read not the write that made the file.
+fn bench_collectives(entries: &mut Vec<Entry>) {
+    let mut timed = |bench: &'static str, config: String, run: &mut dyn FnMut() -> f64| {
+        let (median, min) = sampled(run);
+        println!(
+            "{bench}/{config:<24} median {:>8.3} ms  (min {:.3} ms)",
+            median / 1e6,
+            min / 1e6
+        );
+        entries.push(Entry::new(bench, config, "wall_ns", median, "ns"));
+    };
+    for (bench, read) in [("pipeline_write", false), ("pipeline_read", true)] {
+        for (hints, ename) in engines() {
+            timed(bench, format!("{ename}/throttled"), &mut || {
+                collective_on(throttled(), hints, NPROCS, read)
             });
-            entries.push(Entry::new(
-                "pipeline_write",
-                format!("{ename}/os/{pname}"),
-                "wall_ns",
-                s.median_ns,
-                "ns",
-            ));
         }
+    }
+    // The real-disk column: the same write through the `os` backend's
+    // worker threadpool, against a real kernel-backed file.
+    for (hints, ename) in engines() {
+        let hints = hints.backend(BackendKind::Os);
+        timed("pipeline_write", format!("{ename}/os"), &mut || {
+            collective_on(os_storage(), hints, NPROCS, false)
+        });
     }
 }
 
-/// Instrumented single runs: wall-clock improvement and the overlap
-/// proof, per engine, written to `results/pipeline.csv`.
-fn overlap_proof(entries: &mut Vec<Entry>) {
-    let nprocs = 4;
-    let cb = 32usize << 10;
+/// Instrumented single runs: the phase breakdown of the P = 4 write per
+/// engine, and the P = 1 overlap proof, written to `results/pipeline.csv`.
+/// Returns whether the proof held for both engines.
+fn overlap_proof(entries: &mut Vec<Entry>) -> bool {
     println!(
-        "# pipeline: instrumented collective write, P={nprocs}, cb={cb} B, {LAT_US} us/op storage"
+        "# pipeline: instrumented collective write, P={NPROCS}, cb={CB} B, {LAT_US} us/op storage"
     );
     println!(
-        "{:<11} {:<4} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "engine", "pipe", "wall ms", "exch ms", "io ms", "pack ms", "ovlp ms"
+        "{:<11} {:>2} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "engine", "P", "wall ms", "exch ms", "io ms", "pack ms", "behind KB"
     );
     let mut csv =
-        String::from("engine,pipeline,wall_ms,exchange_ms,io_ms,pack_ms,overlap_ms,improvement\n");
-    for (base, ename) in [
-        (Hints::list_based(), "list_based"),
-        (Hints::listless(), "listless"),
-    ] {
-        let mut walls = [0f64; 2];
-        for (pipe, hints) in [
-            (false, base.cb_buffer(cb)),
-            (true, base.cb_buffer(cb).pipelined(true).pipeline_depth(2)),
-        ] {
+        String::from("engine,nprocs,wall_ms,exchange_ms,io_ms,pack_ms,behind_bytes,overlapped\n");
+    let mut held = true;
+    for (hints, ename) in engines() {
+        for nprocs in [NPROCS, 1] {
             lio_obs::reset();
             lio_obs::set_enabled(true);
-            let wall = collective_write(hints, nprocs);
+            let wall = collective_on(throttled(), hints, nprocs, false);
             lio_obs::set_enabled(false);
             let snap = lio_obs::snapshot();
             let ms = |c: &str| snap.counter(c) as f64 / 1e6;
-            let (exch, io, pack, ovlp) = (
+            let (exch, io, pack) = (
                 ms("core.coll.write.exchange_ns"),
                 ms("core.coll.write.io_ns"),
                 ms("core.coll.write.pack_ns"),
-                ms("core.coll.write.overlap_ns"),
             );
-            walls[pipe as usize] = wall;
-            let improvement = if pipe {
-                (walls[0] - walls[1]) / walls[0] * 100.0
-            } else {
-                0.0
-            };
+            let behind = snap.counter("io.behind_bytes");
+            let wall_ms = wall * 1e3;
             println!(
-                "{:<11} {:<4} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2}",
-                ename,
-                if pipe { "on" } else { "off" },
-                wall * 1e3,
-                exch,
-                io,
-                pack,
-                ovlp
+                "{ename:<11} {nprocs:>2} {wall_ms:>9.2} {exch:>9.2} {io:>9.2} {pack:>9.2} {:>9}",
+                behind / 1024
             );
-            if pipe {
+            // With one rank the exchange is free, so phases-sum > wall
+            // isolates exactly the storage overlap.
+            let overlapped = exch + io > wall_ms;
+            if nprocs == 1 {
                 println!(
-                    "  {ename}: wall improved {improvement:.1}% with pipelining \
-                     ({} the >= 20% target)",
-                    if improvement >= 20.0 {
-                        "meets"
-                    } else {
-                        "MISSES"
-                    }
+                    "  {ename}: overlap proof (P=1): exchange_ns + io_ns = {:.2} ms {} \
+                     wall = {wall_ms:.2} ms",
+                    exch + io,
+                    if overlapped { ">" } else { "<= (NO OVERLAP)" }
                 );
+                held &= overlapped;
             }
             writeln!(
                 csv,
-                "{ename},{},{:.3},{exch:.3},{io:.3},{pack:.3},{ovlp:.3},{improvement:.1}",
-                if pipe { "on" } else { "off" },
-                wall * 1e3,
+                "{ename},{nprocs},{wall_ms:.3},{exch:.3},{io:.3},{pack:.3},{behind},{overlapped}"
             )
             .unwrap();
-            let cfg = format!("{ename}/{}", if pipe { "on" } else { "off" });
-            entries.push(Entry::new(
-                "overlap_proof",
-                cfg.clone(),
-                "wall_ns",
-                wall * 1e9,
-                "ns",
-            ));
+            let cfg = format!("{ename}/p{nprocs}");
             for (metric, v) in [
-                ("exchange_ns", exch),
-                ("io_ns", io),
-                ("pack_ns", pack),
-                ("overlap_ns", ovlp),
+                ("wall_ns", wall * 1e9),
+                ("exchange_ns", exch * 1e6),
+                ("io_ns", io * 1e6),
+                ("pack_ns", pack * 1e6),
             ] {
-                entries.push(Entry::new(
-                    "overlap_proof",
-                    cfg.clone(),
-                    metric,
-                    v * 1e6,
-                    "ns",
-                ));
+                entries.push(Entry::new("overlap_proof", cfg.clone(), metric, v, "ns"));
             }
         }
-    }
-
-    // Single-rank overlap proof: with one rank the exchange is free, so
-    // phases-sum > wall isolates exactly the storage-lane overlap
-    // (`exchange_ns + io_ns > wall` cannot hold without it).
-    for (base, ename) in [
-        (Hints::list_based(), "list_based"),
-        (Hints::listless(), "listless"),
-    ] {
-        lio_obs::reset();
-        lio_obs::set_enabled(true);
-        let wall = collective_write(base.cb_buffer(cb).pipelined(true).pipeline_depth(2), 1);
-        lio_obs::set_enabled(false);
-        let snap = lio_obs::snapshot();
-        let sum_ms = (snap.counter("core.coll.write.exchange_ns")
-            + snap.counter("core.coll.write.io_ns")) as f64
-            / 1e6;
-        let wall_ms = wall * 1e3;
-        println!(
-            "  {ename}: overlap proof (P=1): exchange_ns + io_ns = {sum_ms:.2} ms {} \
-             wall = {wall_ms:.2} ms",
-            if sum_ms > wall_ms {
-                ">"
-            } else {
-                "<= (NO OVERLAP)"
-            }
-        );
-        writeln!(csv, "{ename},proof_p1,{wall_ms:.3},,{sum_ms:.3},,,").unwrap();
     }
 
     // cargo runs benches from the package dir; put the CSV in the
@@ -301,14 +230,16 @@ fn overlap_proof(entries: &mut Vec<Entry>) {
     std::fs::create_dir_all(&dir).expect("results dir");
     std::fs::write(dir.join("pipeline.csv"), &csv).expect("write csv");
     println!("  -> results/pipeline.csv");
+    held
 }
 
 /// Run every section and write the schema-versioned artifact. Called by
-/// both `cargo bench --bench pipeline` and `repro bench`.
+/// both `cargo bench --bench pipeline` and `repro bench`. Exits non-zero
+/// if the overlap proof fails.
 pub fn run() {
     let mut entries = Vec::new();
-    bench_pipeline_write(&mut entries);
-    overlap_proof(&mut entries);
+    bench_collectives(&mut entries);
+    let held = overlap_proof(&mut entries);
     schema::write_bench_json(
         "BENCH_pipeline.json",
         &entries,
@@ -320,4 +251,8 @@ pub fn run() {
                 .to_string(),
         )],
     );
+    if !held {
+        eprintln!("pipeline: the write-behind lane overlapped nothing at P=1");
+        std::process::exit(1);
+    }
 }

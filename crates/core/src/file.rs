@@ -199,8 +199,6 @@ impl<'c> File<'c> {
         if let Some(mode) = hints.effective_pack_kernel() {
             lio_datatype::kernels::force(mode);
         }
-        // the `LIO_PIPELINE` override, read here and not per collective call
-        let hints = hints.pipelined(hints.pipeline_enabled());
         let tuner = if hints.autotune_enabled() {
             // the tuner is fed by the obs phase clocks: without them every
             // wall/phase reading is zero, so arm obs unless the caller

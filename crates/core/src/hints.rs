@@ -152,19 +152,6 @@ pub struct Hints {
     /// read-modify-write (ROMIO's list-merge optimization; the listless
     /// engine uses the mergeview instead).
     pub detect_dense_writes: bool,
-    /// Use the pipelined two-phase path: APs ship their contribution per
-    /// file-domain window (bounding IOP memory) and each IOP
-    /// double-buffers, overlapping storage I/O with the exchange. Off by
-    /// default: on memcpy-speed storage the per-call worker threads cost
-    /// more than they hide, so the paper-regime benches keep the
-    /// monolithic path unless asked. The `LIO_PIPELINE` environment
-    /// variable overrides this hint either way (see
-    /// [`Hints::pipeline_enabled`]).
-    pub two_phase_pipeline: bool,
-    /// How many collective-buffer windows the pipelined path keeps in
-    /// flight per IOP (and how far each AP may run ahead of the IOP's
-    /// placement, enforced by credits). 2 = classic double buffering.
-    pub pipeline_depth: usize,
     /// Pack-kernel family for the compiled run-program interpreter:
     /// `Some(mode)` forces the process-global kernel mode at open time
     /// (`auto` picks the best family the CPU supports per frame; `scalar`
@@ -218,8 +205,6 @@ impl Hints {
             cb_nodes: 0,
             sieving: SievingMode::Sieve,
             detect_dense_writes: true,
-            two_phase_pipeline: false,
-            pipeline_depth: 2,
             pack_kernel: None,
             obs: None,
             trace: None,
@@ -340,18 +325,6 @@ impl Hints {
         }
     }
 
-    /// Enable or disable the pipelined two-phase path (builder style).
-    pub fn pipelined(mut self, on: bool) -> Hints {
-        self.two_phase_pipeline = on;
-        self
-    }
-
-    /// Override the pipeline depth (builder style; clamped to ≥ 1).
-    pub fn pipeline_depth(mut self, windows: usize) -> Hints {
-        self.pipeline_depth = windows.max(1);
-        self
-    }
-
     /// Force the pack-kernel family at open time (builder style). The
     /// default (`None`) defers to the process-global mode and the
     /// `LIO_PACK_KERNEL` environment variable.
@@ -371,28 +344,6 @@ impl Hints {
             Ok(v) => PackKernel::parse(&v).or(self.pack_kernel),
             Err(_) => self.pack_kernel,
         }
-    }
-
-    /// Whether collective calls take the pipelined path, honoring the
-    /// `LIO_PIPELINE` environment override: `1`/`on`/`true`/`enable`
-    /// forces it on, `0`/`off`/`false`/`disable` forces it off, anything
-    /// else (or unset) defers to the `two_phase_pipeline` hint. Resolved
-    /// once per `File::open`; later changes of the variable do not reach
-    /// an open file.
-    pub fn pipeline_enabled(&self) -> bool {
-        match std::env::var("LIO_PIPELINE") {
-            Ok(v) => match v.as_str() {
-                "1" | "on" | "true" | "enable" => true,
-                "0" | "off" | "false" | "disable" => false,
-                _ => self.two_phase_pipeline,
-            },
-            Err(_) => self.two_phase_pipeline,
-        }
-    }
-
-    /// Pipeline depth with the ≥ 1 invariant enforced.
-    pub fn effective_pipeline_depth(&self) -> usize {
-        self.pipeline_depth.max(1)
     }
 
     /// Resolve `cb_nodes` against the world size.
@@ -442,16 +393,6 @@ mod tests {
         let h = Hints::listless().ind_buffer(0);
         assert_eq!(h.ind_buffer_size, 1);
     }
-
-    #[test]
-    fn pipeline_builders() {
-        let h = Hints::default();
-        assert!(!h.two_phase_pipeline);
-        assert_eq!(h.pipeline_depth, 2);
-        let h = Hints::listless().pipelined(true).pipeline_depth(0);
-        assert!(h.two_phase_pipeline);
-        assert_eq!(h.effective_pipeline_depth(), 1);
-    }
 }
 
 impl Hints {
@@ -466,9 +407,8 @@ impl Hints {
     /// `cb_nodes`, `romio_ds_write` / `romio_ds_read` (both map to the
     /// single sieving knob: `enable`/`disable`/`automatic` →
     /// sieve/direct/auto), `detect_dense_writes` (`true`/`false`),
-    /// `two_phase_pipeline` (`enable`/`disable`), `pipeline_depth`
-    /// (windows in flight, ≥ 1), `pack_kernel` (`auto`/`scalar`/`fixed`/
-    /// `sse2`/`avx2` — pack-kernel family for compiled run programs),
+    /// `pack_kernel` (`auto`/`scalar`/`fixed`/`sse2`/`avx2` — pack-kernel
+    /// family for compiled run programs),
     /// `backend` (`mem`/`throttled`/`os` — storage substrate for
     /// backend-aware opens), and the `enable`/`disable` switches forced
     /// at open: `lio_obs` (metrics recording), `lio_trace` (event
@@ -534,19 +474,6 @@ impl Hints {
                         "false" => false,
                         _ => return Err(HintError::new(k, v, "expected true or false")),
                     }
-                }
-                "two_phase_pipeline" => {
-                    self.two_phase_pipeline = match v {
-                        "enable" | "true" | "1" => true,
-                        "disable" | "false" | "0" => false,
-                        _ => return Err(HintError::new(k, v, "expected enable or disable")),
-                    }
-                }
-                "pipeline_depth" => {
-                    self.pipeline_depth = v
-                        .parse::<usize>()
-                        .map_err(|_| HintError::new(k, v, "expected a window count"))?
-                        .max(1);
                 }
                 "pack_kernel" => {
                     self.pack_kernel = Some(PackKernel::parse(v).ok_or_else(|| {
@@ -639,18 +566,6 @@ impl Hints {
                 "detect_dense_writes".to_string(),
                 self.detect_dense_writes.to_string(),
             ),
-            (
-                "two_phase_pipeline".to_string(),
-                if self.two_phase_pipeline {
-                    "enable".to_string()
-                } else {
-                    "disable".to_string()
-                },
-            ),
-            (
-                "pipeline_depth".to_string(),
-                self.pipeline_depth.to_string(),
-            ),
             ("backend".to_string(), self.backend.name().to_string()),
         ];
         if let Some(mode) = self.pack_kernel {
@@ -724,21 +639,6 @@ mod info_tests {
             .is_err());
         assert!(Hints::default()
             .apply_info([("detect_dense_writes", "maybe")])
-            .is_err());
-    }
-
-    #[test]
-    fn pipeline_info_keys() {
-        let h = Hints::default()
-            .apply_info([("two_phase_pipeline", "enable"), ("pipeline_depth", "3")])
-            .unwrap();
-        assert!(h.two_phase_pipeline);
-        assert_eq!(h.pipeline_depth, 3);
-        assert!(Hints::default()
-            .apply_info([("two_phase_pipeline", "maybe")])
-            .is_err());
-        assert!(Hints::default()
-            .apply_info([("pipeline_depth", "deep")])
             .is_err());
     }
 

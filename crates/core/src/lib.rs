@@ -43,7 +43,6 @@ pub mod error;
 pub mod file;
 pub mod hints;
 pub mod packer;
-pub mod pipeline;
 mod scratch;
 pub mod sieve;
 pub mod twophase;

@@ -10,7 +10,9 @@
 //!
 //! * **Owner.** One arena per [`File`](crate::File), i.e. per rank and
 //!   open file; nothing global, nothing thread-local. It is only ever
-//!   touched from the rank's own thread and is freed with the `File`.
+//!   touched from the rank's own thread — a window buffer that the
+//!   write-behind lane (`crate::window`) writes back comes home through a
+//!   channel first — and is freed with the `File`.
 //!   Message buffers change owner with the message: the sender takes one
 //!   from its arena, the receiver gives it to its own once the bytes are
 //!   placed or unpacked.
@@ -29,9 +31,7 @@
 //!   sent may carry it over the mark by less than itself, which beats
 //!   dropping a buffer the next operation is going to ask for. Buffers
 //!   that sat unused through a whole operation are freed at the start of
-//!   the next, so a change of access pattern does not clog the arena. For
-//!   the pipelined schedule all of this stays inside the
-//!   `O(pipeline_depth · cb_buffer_size · nprocs)` IOP-memory bound.
+//!   the next, so a change of access pattern does not clog the arena.
 
 use std::cell::RefCell;
 
@@ -123,6 +123,7 @@ impl Scratch {
     }
 
     /// Bytes (of capacity) currently retained for reuse.
+    #[cfg(test)]
     pub fn held(&self) -> usize {
         self.pool.borrow().held
     }

@@ -28,18 +28,16 @@
 //!   carry *only data*; placement uses flattening-on-the-fly, and the
 //!   covered-window test is one `O(depth)` mergeview evaluation.
 //!
-//! Two exchange schedules share this file's skeleton. The default
-//! (monolithic) schedule ships data for a whole file domain in one
-//! message per (AP, IOP) pair — communication volume and list-handling
-//! costs (the quantities the paper measures) are preserved at the price
-//! of a larger transient memory footprint and strictly additive
-//! exchange/storage phases. The **pipelined** schedule
-//! ([`crate::pipeline`], selected by the `two_phase_pipeline` hint or
-//! the `LIO_PIPELINE` environment variable, which `File::open` folds into
-//! the hint) ships the same bytes window by window with credit-based flow
-//! control, bounding IOP memory at
-//! `O(pipeline_depth · cb_buffer_size · nprocs)` and overlapping storage
-//! I/O with the exchange.
+//! There is one schedule, the monolithic two-phase of Thakur, Gropp & Lusk:
+//! data for a whole file domain travels in one message per (AP, IOP) pair,
+//! which preserves the communication volume and list-handling costs the
+//! paper measures; then each IOP walks its domain. An IOP is the only
+//! writer of its domain until the closing rank-sync, and says so
+//! ([`WindowIo::sole_writer`]): on storage that stages and is slow, the
+//! write-back of window `k` runs beside the pre-read and placement of
+//! window `k + 1` — the only overlap that ever paid (EXPERIMENTS.md).
+
+use std::thread::Scope;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
 use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field};
@@ -64,33 +62,27 @@ use lio_obs::health::{self, HbPhase};
 // ol-list metadata shipped (list-based engine only; always 0 for listless —
 // the paper's "16 bytes per tuple" overhead), `exchange.data_bytes` the
 // payload proper.
-pub(crate) static OBS_W_CALLS: LazyCounter = LazyCounter::new("core.coll.write.calls");
-pub(crate) static OBS_W_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.write.exchange_ns");
-pub(crate) static OBS_W_IO_NS: LazyCounter = LazyCounter::new("core.coll.write.io_ns");
-pub(crate) static OBS_W_PACK_NS: LazyCounter = LazyCounter::new("core.coll.write.pack_ns");
-pub(crate) static OBS_R_CALLS: LazyCounter = LazyCounter::new("core.coll.read.calls");
-pub(crate) static OBS_R_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.read.exchange_ns");
-pub(crate) static OBS_R_IO_NS: LazyCounter = LazyCounter::new("core.coll.read.io_ns");
-pub(crate) static OBS_R_PACK_NS: LazyCounter = LazyCounter::new("core.coll.read.pack_ns");
-pub(crate) static OBS_EXCH_LIST_BYTES: LazyCounter =
-    LazyCounter::new("core.coll.exchange.list_bytes");
-pub(crate) static OBS_EXCH_DATA_BYTES: LazyCounter =
-    LazyCounter::new("core.coll.exchange.data_bytes");
-pub(crate) static OBS_WINDOWS: LazyCounter = LazyCounter::new("core.coll.windows");
+static OBS_W_CALLS: LazyCounter = LazyCounter::new("core.coll.write.calls");
+static OBS_W_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.write.exchange_ns");
+static OBS_W_IO_NS: LazyCounter = LazyCounter::new("core.coll.write.io_ns");
+static OBS_W_PACK_NS: LazyCounter = LazyCounter::new("core.coll.write.pack_ns");
+static OBS_R_CALLS: LazyCounter = LazyCounter::new("core.coll.read.calls");
+static OBS_R_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.read.exchange_ns");
+static OBS_R_IO_NS: LazyCounter = LazyCounter::new("core.coll.read.io_ns");
+static OBS_R_PACK_NS: LazyCounter = LazyCounter::new("core.coll.read.pack_ns");
+static OBS_EXCH_LIST_BYTES: LazyCounter = LazyCounter::new("core.coll.exchange.list_bytes");
+static OBS_EXCH_DATA_BYTES: LazyCounter = LazyCounter::new("core.coll.exchange.data_bytes");
+static OBS_WINDOWS: LazyCounter = LazyCounter::new("core.coll.windows");
 /// Collective calls that aborted on a permanent storage fault — counted
 /// after the closing rank-sync, so an abort is always a clean abort.
-pub(crate) static OBS_FAULT_ABORTS: LazyCounter = LazyCounter::new("core.coll.fault_aborts");
+static OBS_FAULT_ABORTS: LazyCounter = LazyCounter::new("core.coll.fault_aborts");
 
 /// Tag for the ol-list message (list-based engine only).
-pub(crate) const TAG_TP_LIST: u64 = 101;
+const TAG_TP_LIST: u64 = 101;
 /// Tag for AP→IOP write data / access headers.
-pub(crate) const TAG_TP_DATA: u64 = 102;
+const TAG_TP_DATA: u64 = 102;
 /// Tag for IOP→AP read data.
-pub(crate) const TAG_TP_RDATA: u64 = 103;
-/// Tag for one window's worth of AP→IOP write data (pipelined path).
-pub(crate) const TAG_TP_WIN: u64 = 104;
-/// Tag for IOP→AP flow-control credits (pipelined path).
-pub(crate) const TAG_TP_CREDIT: u64 = 105;
+const TAG_TP_RDATA: u64 = 103;
 
 /// Collective state established at `set_view` time.
 pub(crate) struct CollState {
@@ -207,7 +199,7 @@ fn build_mergeview(views: &[FileView]) -> Result<Option<MergeView>> {
 
 /// This rank's absolute access range for `total` stream bytes from
 /// `stream_start`; `None` when empty.
-pub(crate) fn access_range(nav: &ViewNav, stream_start: u64, total: u64) -> Option<(u64, u64)> {
+fn access_range(nav: &ViewNav, stream_start: u64, total: u64) -> Option<(u64, u64)> {
     if total == 0 {
         return None;
     }
@@ -217,10 +209,10 @@ pub(crate) fn access_range(nav: &ViewNav, stream_start: u64, total: u64) -> Opti
 }
 
 /// Per-IOP file domains plus each rank's access range.
-pub(crate) type Domains = (Vec<(u64, u64)>, Vec<Option<(u64, u64)>>);
+type Domains = (Vec<(u64, u64)>, Vec<Option<(u64, u64)>>);
 
 /// Exchange access ranges and compute the per-IOP file domains.
-pub(crate) fn file_domains(comm: &Comm, range: Option<(u64, u64)>, hints: &Hints) -> Domains {
+fn file_domains(comm: &Comm, range: Option<(u64, u64)>, hints: &Hints) -> Domains {
     let mut msg = [0u8; 16];
     let (lo, hi) = range.unwrap_or((u64::MAX, 0));
     msg[0..8].copy_from_slice(&lo.to_le_bytes());
@@ -304,7 +296,7 @@ fn profile_domains(ranges: &[Option<(u64, u64)>], min_st: Option<u64>, max_end: 
 
 /// The intersection of this rank's stream interval with an IOP domain,
 /// expressed in stream positions.
-pub(crate) fn stream_intersection(
+fn stream_intersection(
     nav: &ViewNav,
     stream_start: u64,
     stream_end: u64,
@@ -318,7 +310,7 @@ pub(crate) fn stream_intersection(
 /// Serialize this rank's access runs within `dom` as an absolute ol-list
 /// (the list the list-based AP must build and ship for every collective
 /// access).
-pub(crate) fn build_access_list(nav: &ViewNav, s_lo: u64, s_hi: u64, dom: (u64, u64)) -> Vec<u8> {
+fn build_access_list(nav: &ViewNav, s_lo: u64, s_hi: u64, dom: (u64, u64)) -> Vec<u8> {
     let mut out = Vec::new();
     if s_hi <= s_lo {
         return out;
@@ -361,7 +353,7 @@ struct RecvList<'a> {
 
 /// Decode serialized `(offset, len)` pairs (the wire form of
 /// [`build_access_list`]).
-pub(crate) fn parse_ol_list(list_bytes: &[u8]) -> Result<Vec<(u64, u64)>> {
+fn parse_ol_list(list_bytes: &[u8]) -> Result<Vec<(u64, u64)>> {
     if !list_bytes.len().is_multiple_of(16) {
         return Err(IoError::Usage("malformed access list".into()));
     }
@@ -436,14 +428,14 @@ impl<'a> RecvList<'a> {
 
 /// Cursor over a merged ol-list for covered-window tests (the list-based
 /// collective-write optimization).
-pub(crate) struct Coverage {
+struct Coverage {
     segs: Vec<(u64, u64)>,
     i: usize,
 }
 
 impl Coverage {
     /// Merge per-AP lists (`O(Σ_p N(p))` as the paper notes).
-    pub(crate) fn merge_segs(lists: &[&[(u64, u64)]]) -> Coverage {
+    fn merge_segs(lists: &[&[(u64, u64)]]) -> Coverage {
         let mut all: Vec<(u64, u64)> = Vec::new();
         let mut cursors = vec![0usize; lists.len()];
         loop {
@@ -477,7 +469,7 @@ impl Coverage {
 
     /// Whether `[lo, hi)` is fully inside one merged segment. Windows are
     /// probed in increasing order, so a cursor suffices.
-    pub(crate) fn covered(&mut self, lo: u64, hi: u64) -> bool {
+    fn covered(&mut self, lo: u64, hi: u64) -> bool {
         // skip segments that end at or before the window: they can never
         // cover this or any later window
         while self.i < self.segs.len() && self.segs[self.i].0 + self.segs[self.i].1 <= lo {
@@ -515,24 +507,9 @@ pub(crate) fn write_at_all(
     tuner: Option<&FileTuner>,
     scratch: &Scratch,
 ) -> Result<u64> {
-    // the root trace span delimiting this collective op (both schedules):
-    // the critical-path analyzer keys on its tag
+    // the root trace span delimiting this collective op: the
+    // critical-path analyzer keys on its tag
     let _root = lio_obs::trace::span_ab("coll.write", total, 0);
-    if hints.two_phase_pipeline {
-        return crate::pipeline::write_at_all(
-            storage,
-            comm,
-            state,
-            nav,
-            packer,
-            user,
-            stream_start,
-            total,
-            hints,
-            tuner,
-            scratch,
-        );
-    }
     let t_op = lio_obs::now();
     let engine = match nav {
         ViewNav::List(_) => Engine::ListBased,
@@ -574,41 +551,43 @@ pub(crate) fn write_at_all(
     let mut iop_pack = 0u64;
     if me < naggr && domains[me].1 > domains[me].0 {
         let dom = domains[me];
-        let res: Result<(u64, u64)> = (|| {
-            let t = lio_obs::now();
-            let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
-            exch_ns += lio_obs::elapsed_ns(t);
-            let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
-            // every AP's end of the window loop: its message, or — the own
-            // share — the user buffer itself
-            let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans))
-                .map(|(msg, span)| UserSide::new(&MESSAGE, msg.as_slice(), span.0))
-                .collect();
-            ends[me] = UserSide::new(packer, user, stream_start);
-            let done = match engine {
-                Engine::ListBased => {
-                    let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
-                    for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
-                        let runs = end.packer.runs_from(span.0 - end.stream_start);
-                        recv.push(RecvList::new(parse_ol_list(list_bytes)?, runs));
-                    }
-                    iop_write_listbased(storage, dom, &mut recv, &ends, hints, scratch)
+        let t = lio_obs::now();
+        let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+        exch_ns += lio_obs::elapsed_ns(t);
+        let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
+        // every AP's end of the window loop: its message, or — the own
+        // share — the user buffer itself
+        let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans))
+            .map(|(msg, span)| UserSide::new(&MESSAGE, msg.as_slice(), span.0))
+            .collect();
+        ends[me] = UserSide::new(packer, user, stream_start);
+        // Domains are disjoint and nobody is told the write is done
+        // before the closing barrier below: this IOP is the only writer
+        // of its windows, so its loop may write behind (`lane`).
+        let res: Result<(u64, u64)> = std::thread::scope(|lane| match engine {
+            Engine::ListBased => {
+                let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
+                for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
+                    let runs = end.packer.runs_from(span.0 - end.stream_start);
+                    recv.push(RecvList::new(parse_ol_list(list_bytes)?, runs));
                 }
-                Engine::Listless => {
-                    let navs = state
-                        .remote_navs
-                        .as_ref()
-                        .expect("listless collective requires cached fileviews");
-                    let merge = state.merge.as_ref();
-                    iop_write_listless(storage, dom, &spans, &ends, navs, merge, hints, scratch)
-                }
-            };
-            // placed: the messages now belong to this rank's arena
-            for msg in msgs {
-                scratch.give(msg);
+                iop_write_listbased(storage, dom, &mut recv, &ends, hints, scratch, lane)
             }
-            done
-        })();
+            Engine::Listless => {
+                let navs = state
+                    .remote_navs
+                    .as_ref()
+                    .expect("listless collective requires cached fileviews");
+                let merge = state.merge.as_ref();
+                iop_write_listless(
+                    storage, dom, &spans, &ends, navs, merge, hints, scratch, lane,
+                )
+            }
+        });
+        // placed: the messages now belong to this rank's arena
+        for msg in msgs {
+            scratch.give(msg);
+        }
         match res {
             Ok((io, p)) => {
                 iop_io = io;
@@ -630,7 +609,6 @@ pub(crate) fn write_at_all(
                 exchange_ns: exch_ns,
                 io_ns: iop_io,
                 pack_ns: pack_ns + iop_pack,
-                overlap_ns: 0,
                 bytes: total,
                 span: domains.iter().map(|d| d.1.saturating_sub(d.0)).sum(),
             }),
@@ -658,13 +636,14 @@ pub(crate) fn write_at_all(
 
 /// IOP write loop, list-based placement: list `recv[k]` says where the
 /// stream of `ends[k]` goes.
-fn iop_write_listbased(
-    storage: &dyn StorageFile,
+fn iop_write_listbased<'s>(
+    storage: &'s dyn StorageFile,
     dom: (u64, u64),
     recv: &mut [RecvList],
     ends: &[UserSide<&[u8]>],
     hints: &Hints,
-    scratch: &Scratch,
+    scratch: &'s Scratch,
+    lane: &'s Scope<'s, '_>,
 ) -> Result<(u64, u64)> {
     // clip the domain to where data actually lands
     let lo = recv.iter().filter_map(|r| r.next_offset()).min();
@@ -684,7 +663,7 @@ fn iop_write_listbased(
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
     // a window never exceeds the clipped domain, so neither need the buffer
-    let mut io = WindowIo::new(storage, scratch, grid.max_len());
+    let mut io = WindowIo::sole_writer(storage, scratch, grid.max_len(), lane);
     for (win, win_end) in grid {
         let has_data = recv
             .iter()
@@ -709,18 +688,19 @@ fn iop_write_listbased(
             health::beat_bytes(HbPhase::Io, win_end - win);
         }
     }
-    Ok(iop_write_done(&io, windows))
+    iop_write_done(io, windows)
 }
 
-/// Close an IOP write loop: its phase times go to the metrics and, as
-/// `(io_ns, pack_ns)`, to the tuner.
-fn iop_write_done(io: &WindowIo, windows: u64) -> (u64, u64) {
+/// Close an IOP write loop: the last write has landed, and the loop's
+/// phase times go to the metrics and, as `(io_ns, pack_ns)`, to the tuner.
+fn iop_write_done(mut io: WindowIo, windows: u64) -> Result<(u64, u64)> {
+    io.finish()?;
     if lio_obs::enabled() {
         OBS_W_IO_NS.add(io.io_ns);
         OBS_W_PACK_NS.add(io.pack_ns);
         OBS_WINDOWS.add(windows);
     }
-    (io.io_ns, io.pack_ns)
+    Ok((io.io_ns, io.pack_ns))
 }
 
 /// IOP write loop, listless placement via cached fileviews: AP `k`'s
@@ -728,15 +708,16 @@ fn iop_write_done(io: &WindowIo, windows: u64) -> (u64, u64) {
 /// (no re-allocating copy), or the user buffer — to where `navs[k]` says.
 /// Returns the `(io_ns, pack_ns)` phase breakdown for the tuner.
 #[allow(clippy::too_many_arguments)]
-fn iop_write_listless(
-    storage: &dyn StorageFile,
+fn iop_write_listless<'s>(
+    storage: &'s dyn StorageFile,
     dom: (u64, u64),
     spans: &[(u64, u64)],
     ends: &[UserSide<&[u8]>],
     navs: &[FfNav],
     merge: Option<&MergeView>,
     hints: &Hints,
-    scratch: &Scratch,
+    scratch: &'s Scratch,
+    lane: &'s Scope<'s, '_>,
 ) -> Result<(u64, u64)> {
     // clip the domain to where data actually lands
     let Some((lo, hi)) = touched(spans, navs) else {
@@ -747,7 +728,7 @@ fn iop_write_listless(
 
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-    let mut io = WindowIo::new(storage, scratch, grid.max_len());
+    let mut io = WindowIo::sole_writer(storage, scratch, grid.max_len(), lane);
     // per-AP stream cursor (how far each AP's data has been consumed)
     let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
     let mut takes = vec![0u64; spans.len()];
@@ -799,7 +780,7 @@ fn iop_write_listless(
         spans.iter().zip(&cursors).all(|(s, &c)| c >= s.1),
         "an AP's data was not placed completely"
     );
-    Ok(iop_write_done(&io, windows))
+    iop_write_done(io, windows)
 }
 
 /// AP side of the exchange, both directions. Every IOP with a domain gets
@@ -917,13 +898,6 @@ fn recv_exchange(
     (msgs, lists)
 }
 
-/// [`recv_exchange`] of an announce round (both pipelined schedules):
-/// the messages are the `(s_lo, s_hi)` headers alone.
-pub(crate) fn recv_announcements(comm: &Comm, with_lists: bool) -> (Vec<(u64, u64)>, Vec<Vec<u8>>) {
-    let (msgs, lists) = recv_exchange(comm, with_lists, None);
-    (msgs.iter().map(|m| header(m)).collect(), lists)
-}
-
 /// Collective read. Every rank calls this; fills `user` and returns bytes
 /// read by this rank's access.
 #[allow(clippy::too_many_arguments)]
@@ -940,23 +914,8 @@ pub(crate) fn read_at_all(
     tuner: Option<&FileTuner>,
     scratch: &Scratch,
 ) -> Result<u64> {
-    // root trace span delimiting this collective op (both schedules)
+    // root trace span delimiting this collective op
     let _root = lio_obs::trace::span_ab("coll.read", total, 0);
-    if hints.two_phase_pipeline {
-        return crate::pipeline::read_at_all(
-            storage,
-            comm,
-            state,
-            nav,
-            packer,
-            user,
-            stream_start,
-            total,
-            hints,
-            tuner,
-            scratch,
-        );
-    }
     let t_op = lio_obs::now();
     let engine = match nav {
         ViewNav::List(_) => Engine::ListBased,
@@ -1186,7 +1145,6 @@ pub(crate) fn read_at_all(
                 exchange_ns: exch_ns,
                 io_ns,
                 pack_ns,
-                overlap_ns: 0,
                 bytes: total,
                 span: domains.iter().map(|d| d.1.saturating_sub(d.0)).sum(),
             }),

@@ -25,7 +25,7 @@ use lio_datatype::typemap::Run;
 use lio_datatype::{bytes_below_tiled, ff_offset, Datatype, OlList};
 
 use crate::error::{IoError, Result};
-use crate::packer::{MemPacker, UserSide, STREAM};
+use crate::packer::{MemPacker, UserSide};
 
 /// An MPI-IO fileview: displacement, elementary type, filetype.
 #[derive(Debug, Clone)]
@@ -366,36 +366,6 @@ impl FfNav {
         FfNav { view }
     }
 
-    /// Place stream data into a window: the filetype's program unpacks
-    /// into `filebuf`, whose byte 0 sits at typemap displacement
-    /// `win_start − disp`, and stops where the window or the data ends.
-    pub fn place_window(
-        &self,
-        data: &[u8],
-        stream0: u64,
-        filebuf: &mut [u8],
-        win_start: u64,
-    ) -> usize {
-        let whole = &mut RunTally::until(win_start + filebuf.len() as u64);
-        let src = UserSide::new(&STREAM, data, stream0);
-        self.place_piece(&src, stream0, data.len(), filebuf, win_start, whole)
-    }
-
-    /// Extract window bytes into `out` (the inverse of
-    /// [`FfNav::place_window`]).
-    pub fn extract_window(
-        &self,
-        filebuf: &[u8],
-        win_start: u64,
-        stream0: u64,
-        out: &mut [u8],
-    ) -> usize {
-        let whole = &mut RunTally::until(win_start + filebuf.len() as u64);
-        let n = out.len();
-        let mut dst = UserSide::new(&STREAM, out, stream0);
-        self.extract_piece(filebuf, win_start, stream0, n, &mut dst, whole)
-    }
-
     /// Place up to `n` bytes of `src`'s stream, from view-stream position
     /// `stream0` on, into `piece`: a window, or one of the pieces (this
     /// one starting at `lo`) that the storage lends of one; `seen` is that
@@ -534,6 +504,7 @@ impl FfNav {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packer::STREAM;
     use lio_datatype::Datatype;
 
     fn sample_view(disp: u64) -> FileView {

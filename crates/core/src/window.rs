@@ -1,5 +1,5 @@
 //! The window grid: every window loop of this crate — the sieve windows
-//! of independent access, the IOP windows of both two-phase schedules and
+//! of independent access, the IOP windows of the two-phase schedule and
 //! the staging chunks of the contiguous paths — cuts its byte range along
 //! absolute multiples of the window size.
 //!
@@ -11,8 +11,15 @@
 //!
 //! What a loop does with a window goes through [`WindowIo`]: the body is a
 //! closure over *pieces* of the window, and the storage decides whether
-//! those are its own bytes or a staging buffer's.
+//! those are its own bytes or a staging buffer's. A loop that is the only
+//! writer of its range gets one more thing from it: staged windows on slow
+//! storage are written back *behind* the loop (the write-behind lane).
 
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::Scope;
+use std::time::{Duration, Instant};
+
+use lio_obs::health;
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
 
@@ -26,6 +33,17 @@ static OBS_IN_PLACE_BYTES: LazyCounter = LazyCounter::new("io.in_place_bytes");
 /// `write_at` — the copies the in-place path does not make. Together with
 /// the pack and place copies this is the byte-move table of DESIGN.md §3.4.
 static OBS_STAGED_BYTES: LazyCounter = LazyCounter::new("io.staged_bytes");
+/// Window bytes the write-behind lane wrote (a part of `io.staged_bytes`).
+static OBS_BEHIND_BYTES: LazyCounter = LazyCounter::new("io.behind_bytes");
+
+/// What handing a window to the lane costs: a channel send, a thread
+/// wake-up and the way back. An inline staged write that took longer arms
+/// the lane; one that did not (a decorator over `MemFile`, a real file's
+/// page cache) is cheaper done in line. It is `ThrottledFile`'s boundary
+/// between a delay it spins through and one it sleeps through — below it
+/// the waiting thread keeps its core and a second thread has nothing to
+/// overlap with.
+pub(crate) const LANE_HOP: Duration = Duration::from_micros(100);
 
 /// The grid cell `[k·size, (k+1)·size)` that holds `abs`.
 pub(crate) fn cell(abs: u64, size: u64) -> (u64, u64) {
@@ -82,20 +100,77 @@ impl Iterator for Windows {
 /// In place there is no pre-read, dense window or not: bytes the body
 /// does not write are not touched. And an operation that never stages
 /// takes no window buffer at all.
-pub(crate) struct WindowIo<'a> {
+///
+/// **Write-behind.** A loop made by [`WindowIo::sole_writer`] has declared
+/// that nobody else writes its range until it has called
+/// [`WindowIo::finish`]. Once one of its inline staged writes has taken
+/// longer than [`LANE_HOP`], its later windows are written back by one
+/// lane thread while the loop pre-reads and fills the next window in a
+/// second buffer. At most one write is in flight; its result is taken
+/// before the next write is issued and by `finish`, so a failed write
+/// stops the loop with no later window written. Storage that lends never
+/// stages, so it never sees the thread. A loop whose writes must land
+/// before it lets go of something — sieving's window lock — does not
+/// declare and stays inline.
+pub(crate) struct WindowIo<'a, 'env> {
     storage: &'a dyn StorageFile,
     scratch: &'a Scratch,
     /// The staging buffer, taken at `max_len` by the first window staged.
     buf: Vec<u8>,
     max_len: usize,
-    /// Time in `read_at`/`write_at` (the `io.read`/`io.write` spans);
-    /// stays 0 while the storage lends.
+    /// Where the lane thread may run: the declaration of `sole_writer`.
+    owner: Option<&'a Scope<'a, 'env>>,
+    lane: Option<Lane>,
+    /// Time in `read_at`/`write_at` (the `io.read`/`io.write` spans), the
+    /// lane's included; stays 0 while the storage lends.
     pub io_ns: u64,
     /// Time in the loop body (the `pack.place` spans).
     pub pack_ns: u64,
 }
 
-impl<'a> WindowIo<'a> {
+/// The write-behind lane of one window loop. Buffers cross to the lane
+/// thread and come back through the channels, so the arena stays on the
+/// rank's thread.
+struct Lane {
+    /// `(offset, buffer, length)` of the window to write.
+    jobs: Sender<(u64, Vec<u8>, usize)>,
+    /// The buffer, what the write returned and the nanoseconds it took.
+    done: Receiver<(Vec<u8>, Result<()>, u64)>,
+    in_flight: bool,
+    /// The buffer that is not being filled: the last one to come back.
+    spare: Vec<u8>,
+}
+
+impl Lane {
+    fn spawn<'s>(scope: &'s Scope<'s, '_>, storage: &'s dyn StorageFile) -> Lane {
+        let (jobs, todo) = mpsc::channel::<(u64, Vec<u8>, usize)>();
+        let (tx, done) = mpsc::channel();
+        let (th, hh) = (lio_obs::trace::thread_handle(), health::thread_handle());
+        scope.spawn(move || {
+            lio_obs::trace::adopt(th);
+            health::adopt(hh);
+            for (win, buf, len) in todo {
+                let (res, ns) = timed(Some(("io.write", win, len as u64)), || {
+                    write_window(storage, win, &buf[..len])
+                });
+                // the throttle's busy-wait tail is this thread's CPU, not
+                // device time another thread could have overlapped with
+                let ns = ns.saturating_sub(lio_pfs::take_spin_ns());
+                if tx.send((buf, res, ns)).is_err() {
+                    break;
+                }
+            }
+        });
+        Lane {
+            jobs,
+            done,
+            in_flight: false,
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl<'a, 'env> WindowIo<'a, 'env> {
     /// `max_len` is the longest window the loop will ask for; a longer
     /// one (the direct paths' runs have no bound) trades the buffer in.
     pub fn new(storage: &'a dyn StorageFile, scratch: &'a Scratch, max_len: usize) -> Self {
@@ -104,9 +179,26 @@ impl<'a> WindowIo<'a> {
             scratch,
             buf: Vec::new(),
             max_len,
+            owner: None,
+            lane: None,
             io_ns: 0,
             pack_ns: 0,
         }
+    }
+
+    /// [`WindowIo::new`] for a loop that is the only writer of the windows
+    /// it updates from now until its [`WindowIo::finish`] has returned —
+    /// nobody reads them expecting its data before that either. `lane` is
+    /// where the write-behind thread runs if the storage turns out slow.
+    pub fn sole_writer(
+        storage: &'a dyn StorageFile,
+        scratch: &'a Scratch,
+        max_len: usize,
+        lane: &'a Scope<'a, 'env>,
+    ) -> Self {
+        let mut io = WindowIo::new(storage, scratch, max_len);
+        io.owner = Some(lane);
+        io
     }
 
     fn stage(&mut self, len: usize) -> &mut [u8] {
@@ -140,6 +232,7 @@ impl<'a> WindowIo<'a> {
             OBS_IN_PLACE_BYTES.add(len);
             return Ok(());
         }
+        let (owner, behind) = (self.owner, self.lane.is_some());
         let fb = self.stage(len as usize);
         let dense = dense();
         let mut io_ns = 0;
@@ -151,14 +244,63 @@ impl<'a> WindowIo<'a> {
             io_ns = ns;
         }
         let ((), pack_ns) = timed(Some(("pack.place", win, 0)), || f(win, fb));
-        let (written, ns) = timed(Some(("io.write", win, len)), || {
-            write_window(storage, win, fb)
-        });
-        written?;
-        self.io_ns += io_ns + ns;
+        let mut slow = false;
+        if !behind {
+            // only a loop that could arm the lane pays for the clock
+            let clock = owner.map(|_| Instant::now());
+            let (written, ns) = timed(Some(("io.write", win, len)), || {
+                write_window(storage, win, fb)
+            });
+            written?;
+            io_ns += ns;
+            slow = clock.is_some_and(|t| t.elapsed() > LANE_HOP);
+        }
+        self.io_ns += io_ns;
         self.pack_ns += pack_ns;
         OBS_STAGED_BYTES.add(len * (2 - dense as u64));
+        if behind {
+            return self.write_behind(win, len as usize);
+        }
+        if let (Some(scope), true) = (owner, slow) {
+            self.lane = Some(Lane::spawn(scope, storage));
+        }
         Ok(())
+    }
+
+    /// Hand the filled staging buffer to the lane and go on in the other
+    /// one — once the write before this one is known to have landed.
+    fn write_behind(&mut self, win: u64, len: usize) -> Result<()> {
+        self.harvest()?;
+        let lane = self.lane.as_mut().expect("called with a lane");
+        let full = std::mem::replace(&mut self.buf, std::mem::take(&mut lane.spare));
+        lane.jobs
+            .send((win, full, len))
+            .expect("the lane runs until its job channel closes");
+        lane.in_flight = true;
+        OBS_BEHIND_BYTES.add(len as u64);
+        Ok(())
+    }
+
+    /// The result of the write in flight, if there is one.
+    fn harvest(&mut self) -> Result<()> {
+        let Some(lane) = self.lane.as_mut().filter(|l| l.in_flight) else {
+            return Ok(());
+        };
+        let (buf, res, ns) = lane
+            .done
+            .recv()
+            .expect("the lane answers every job it was sent");
+        lane.in_flight = false;
+        lane.spare = buf;
+        self.io_ns += ns;
+        res
+    }
+
+    /// Close a [`WindowIo::sole_writer`] loop: every window it updated is
+    /// in the storage, or this is the error of the one that is not. Call it
+    /// before telling anyone the range is written.
+    pub fn finish(&mut self) -> Result<()> {
+        self.harvest()
     }
 
     /// Let `f` read the bytes of `[win, win_end)`; past end-of-file they
@@ -202,8 +344,19 @@ pub(crate) fn timed<R>(
     (r, lio_obs::elapsed_ns(t))
 }
 
-impl Drop for WindowIo<'_> {
+impl Drop for WindowIo<'_, '_> {
     fn drop(&mut self) {
+        // A loop that stopped on an error leaves its last write in flight:
+        // let it land (its own result is the later error and is dropped),
+        // then close the job channel, which ends the lane thread.
+        if let Some(lane) = self.lane.take() {
+            if lane.in_flight {
+                if let Ok((buf, ..)) = lane.done.recv() {
+                    self.scratch.give(buf);
+                }
+            }
+            self.scratch.give(lane.spare);
+        }
         self.scratch.give(std::mem::take(&mut self.buf));
     }
 }
@@ -272,6 +425,61 @@ mod tests {
         assert_eq!(seen, want);
         drop(io);
         assert_eq!(scratch.held(), 16 + 40, "both buffers went back");
+    }
+
+    /// Staging storage whose writes take twice the lane hop.
+    struct Slow(MemFile);
+
+    impl StorageFile for Slow {
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.0.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
+            std::thread::sleep(2 * LANE_HOP);
+            self.0.write_at(offset, buf)
+        }
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            self.0.set_len(len)
+        }
+        fn sync(&self) -> std::io::Result<()> {
+            self.0.sync()
+        }
+    }
+
+    #[test]
+    fn only_a_sole_writer_writes_behind_and_through_two_buffers() {
+        let mut want = vec![7u8; 64];
+        for w in 0..4 {
+            want[w * 16] = w as u8;
+        }
+        let run = |io: &mut WindowIo| {
+            for w in 0..4u64 {
+                io.update(w * 16, w * 16 + 16, || false, &mut |_, piece| {
+                    piece[0] = w as u8
+                })
+                .unwrap();
+            }
+            io.finish().unwrap();
+            io.lane.is_some()
+        };
+        // declared: the first slow write arms the lane, the other three
+        // windows alternate between two buffers
+        let (scratch, file) = (Scratch::default(), Slow(MemFile::with_data(vec![7; 64])));
+        scratch.begin_op();
+        let armed =
+            std::thread::scope(|lane| run(&mut WindowIo::sole_writer(&file, &scratch, 16, lane)));
+        assert!(armed);
+        assert_eq!(file.0.snapshot(), want);
+        assert_eq!(scratch.held(), 32, "both buffers came home");
+        // not declared: every write is made before `update` returns
+        let (scratch, file) = (Scratch::default(), Slow(MemFile::with_data(vec![7; 64])));
+        scratch.begin_op();
+        assert!(!run(&mut WindowIo::new(&file, &scratch, 16)));
+        assert_eq!(file.0.snapshot(), want);
+        assert_eq!(scratch.held(), 16);
     }
 
     #[test]

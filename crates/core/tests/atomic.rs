@@ -1,5 +1,8 @@
 //! Atomic-mode semantics: conflicting independent accesses serialize.
 
+mod common;
+
+use common::{slow_staged, test_storage};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::Datatype;
 use lio_mpi::World;
@@ -12,15 +15,20 @@ fn engines() -> Vec<Hints> {
 /// With atomicity on, two ranks writing the *same* strided region with
 /// tiny sieving windows must not interleave: the final file holds one
 /// rank's pattern in every block (whichever wrote last), never a mix
-/// within one access.
+/// within one access. Slow staging storage (every other round) widens the
+/// windows in time: a write that landed after its access had let go of
+/// the lock would show.
 #[test]
 fn atomic_conflicting_writes_do_not_tear() {
     for h in engines() {
         // tiny windows maximize interleaving opportunities when not atomic
         let h = h.ind_buffer(64);
-        for round in 0..5 {
-            let shared = SharedFile::new(MemFile::new());
-            let shared2 = shared.clone();
+        for round in 0..6 {
+            let (shared2, raw) = if round % 2 == 1 {
+                slow_staged(Vec::new())
+            } else {
+                test_storage()
+            };
             World::run(2, move |comm| {
                 let me = comm.rank() as u64;
                 let ft = Datatype::vector(64, 1, 2, &Datatype::double()).unwrap();
@@ -32,8 +40,7 @@ fn atomic_conflicting_writes_do_not_tear() {
                 let data = vec![me as u8 + 1; 64 * 8];
                 f.write_at(0, &data, 64 * 8, &Datatype::byte()).unwrap();
             });
-            let mut snap = vec![0u8; shared.len() as usize];
-            shared.storage().read_at(0, &mut snap).unwrap();
+            let snap = raw.snapshot();
             // every data block must carry a single writer's value, and all
             // blocks the same writer (the whole access serialized)
             let mut writers = std::collections::HashSet::new();

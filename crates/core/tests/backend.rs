@@ -1,7 +1,7 @@
 //! Cross-backend differential corpus: the in-memory backend and the
 //! real-file submission-queue backend must be *byte-identical* — same
-//! final file contents, same collective read-backs — across engines,
-//! world sizes, and the pipelined/monolithic paths.
+//! final file contents, same collective read-backs — across engines and
+//! world sizes.
 //!
 //! Every assertion carries a replay line (environment + command) so a
 //! failing configuration reproduces from the message alone, the same
@@ -45,7 +45,6 @@ fn noncontig_view(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> (u64, Dataty
 #[derive(Clone, Copy)]
 struct Config {
     engine: Engine,
-    pipelined: bool,
     nprocs: u64,
     nblock: u64,
     sblock: u64,
@@ -56,9 +55,9 @@ impl Config {
     /// One line that reproduces this configuration from a shell.
     fn replay(&self, test: &str) -> String {
         format!(
-            "replay: LIO_PIPELINE={} cargo test -q -p lio-core --test backend -- {test} \
+            "replay: cargo test -q -p lio-core --test backend -- {test} \
              [engine={:?} ranks={} nblock={} sblock={} cb={}]",
-            self.pipelined as u8, self.engine, self.nprocs, self.nblock, self.sblock, self.cb
+            self.engine, self.nprocs, self.nblock, self.sblock, self.cb
         )
     }
 }
@@ -74,7 +73,6 @@ fn run_on(kind: BackendKind, cfg: Config) -> (Vec<u8>, Vec<Vec<u8>>) {
     World::run(cfg.nprocs as usize, move |comm| {
         let me = comm.rank() as u64;
         let hints = Hints::with_engine(cfg.engine)
-            .pipelined(cfg.pipelined)
             .cb_buffer(cfg.cb)
             .backend(kind);
         let (disp, ft) = noncontig_view(me, cfg.nprocs, cfg.nblock, cfg.sblock);
@@ -141,19 +139,16 @@ fn assert_equivalent(cfg: Config, test: &str) {
 
 fn corpus(nprocs: u64, nblock: u64, sblock: u64, cb: usize, test: &str) {
     for engine in [Engine::ListBased, Engine::Listless] {
-        for pipelined in [false, true] {
-            assert_equivalent(
-                Config {
-                    engine,
-                    pipelined,
-                    nprocs,
-                    nblock,
-                    sblock,
-                    cb,
-                },
-                test,
-            );
-        }
+        assert_equivalent(
+            Config {
+                engine,
+                nprocs,
+                nblock,
+                sblock,
+                cb,
+            },
+            test,
+        );
     }
 }
 

@@ -34,9 +34,6 @@
 //! `core.coll.exchange.data_bytes` counts the half that travels, exactly.
 //!
 //! Its own test binary with a single test: the counters are process-wide.
-//! Like `pipeline_mem` it relies on the `two_phase_pipeline` *hint* (the
-//! pipelined schedule stages on every storage and bypasses the counters)
-//! and is not meaningful under a forcing `LIO_PIPELINE`.
 
 mod common;
 
@@ -97,9 +94,6 @@ fn real_file() -> OsFile {
 
 #[test]
 fn copies_per_user_byte_with_and_without_lent_bytes() {
-    if Hints::default().pipelined(false).pipeline_enabled() {
-        return; // see the module docs
-    }
     // (name, whether it lends its bytes, a fresh file)
     let fast = Throttle {
         read_bw: 1e12,
@@ -134,8 +128,7 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             .unwrap();
     };
     let mut table = Vec::new();
-    for engine in [Hints::list_based(), Hints::listless()] {
-        let hints = engine.pipelined(false);
+    for hints in [Hints::list_based(), Hints::listless()] {
         for (name, lends, shared) in &storages {
             // `lib_copies`: what the library's copy loops move; `staged`:
             // bytes through read_at/write_at; `touched`: window bytes the
@@ -280,8 +273,7 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     let padded = [N + 2, N + 2, N / 2 + 2];
     let mem_tile =
         Datatype::subarray(&padded, &[N, N, N / 2], &[1, 1, 1], Order::C, &point).unwrap();
-    for engine in [Hints::list_based(), Hints::listless()] {
-        let hints = engine.pipelined(false);
+    for hints in [Hints::list_based(), Hints::listless()] {
         let shared = SharedFile::new(MemFile::new());
         let file_tile = |f: &mut File, me: u64| {
             let starts = [0, 0, me * N / 2];

@@ -105,9 +105,8 @@ fn run_noncontig_collective_at(
     assert!(
         snap == want,
         "collective file contents differ from reference \
-         (P={nprocs} base={base} cb={} pipelined={} {:?})",
+         (P={nprocs} base={base} cb={} {:?})",
         hints.cb_buffer_size,
-        hints.pipeline_enabled(),
         hints.engine
     );
 }
@@ -153,16 +152,13 @@ fn collective_windows_around_the_default_at_displaced_views() {
     // 1.8 MB over three ranks in 1000 B blocks: several windows per file
     // domain whose edges cut blocks, at the default window, one byte either
     // side of it and a size off the page grid; the pattern starts on, just
-    // off and a whole window short of a grid line. Both schedules.
+    // off and a whole window short of a grid line.
     let w = Hints::default().cb_buffer_size;
     for base in [0, 1, 4095, 4097, w as u64 - 1] {
         let want = noncontig_reference(3, 600, 1000, base);
         for h in engines() {
-            for pipelined in [false, true] {
-                for cb in [w, w - 1, w + 1, 100_000] {
-                    let h = h.cb_buffer(cb).pipelined(pipelined);
-                    run_noncontig_collective_at(h, 3, 600, 1000, base, want.clone());
-                }
+            for cb in [w, w - 1, w + 1, 100_000] {
+                run_noncontig_collective_at(h.cb_buffer(cb), 3, 600, 1000, base, want.clone());
             }
         }
     }
@@ -343,7 +339,7 @@ fn collective_partial_participation_keeps_untouched_bytes() {
     for h in engines() {
         for cb in [Hints::default().cb_buffer_size, 4 << 20, 96] {
             for r1_bytes in [0, 8, 256] {
-                check_partial_participation(h.cb_buffer(cb), r1_bytes);
+                check_partial_participation(test_storage_with, h.cb_buffer(cb), r1_bytes);
             }
         }
     }

@@ -101,8 +101,7 @@ pub struct Request {
 /// A [`StorageFile`] decorator that logs the offset and length of every
 /// `read_at`/`write_at` before handing it to the file beneath, so a test
 /// can assert on the request geometry an engine produces. Like every
-/// decorator it does not forward `submission()`: the pipelined schedule
-/// then uses its synchronous lanes and each window is one logged call.
+/// decorator it lends nothing, so each staged window is one logged call.
 pub struct RecordingFile {
     inner: Arc<dyn StorageFile>,
     log: std::sync::Mutex<Vec<Request>>,
@@ -181,6 +180,25 @@ impl<F: StorageFile> StorageFile for Staged<F> {
     fn sync(&self) -> std::io::Result<()> {
         self.0.sync()
     }
+}
+
+/// `inner` at 150 µs per request and lending nothing — more than the
+/// window loop's lane hop (`LANE_HOP`, 100 µs), so a collective write's
+/// IOPs arm their write-behind lanes after their first staged window,
+/// while sieving (which never declares itself sole writer) stays inline.
+pub fn slow<F: StorageFile>(inner: F) -> lio_pfs::ThrottledFile<F> {
+    let per_request = lio_pfs::Throttle {
+        read_bw: 1e12,
+        write_bw: 1e12,
+        latency: std::time::Duration::from_micros(150),
+    };
+    lio_pfs::ThrottledFile::new(inner, per_request)
+}
+
+/// [`slow`] storage over a `MemFile` holding `data`.
+pub fn slow_staged(data: Vec<u8>) -> (SharedFile, SnapHandle) {
+    let mem = Arc::new(MemFile::with_data(data));
+    (SharedFile::new(slow(Arc::clone(&mem))), SnapHandle(mem))
 }
 
 /// An `OsFile` on an unlinked real file holding `data`, no decorator
@@ -427,12 +445,17 @@ pub fn figure4_of_blocks(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> Datat
 /// its 64 blocks, rank 1 only the first `r1_bytes` bytes of its own. The
 /// union of the *views* covers every window, the data of the *call* does
 /// not, so the bytes rank 1 left alone must still be `0xFF` afterwards.
-pub fn check_partial_participation(hints: Hints, r1_bytes: u64) {
+/// `storage` makes the file: [`test_storage_with`], or [`slow_staged`].
+pub fn check_partial_participation(
+    storage: fn(Vec<u8>) -> (SharedFile, SnapHandle),
+    hints: Hints,
+    r1_bytes: u64,
+) {
     const NBLOCK: u64 = 64;
     const SBLOCK: u64 = 8;
     let counts = [NBLOCK * SBLOCK, r1_bytes];
     let before = vec![0xFFu8; (2 * NBLOCK * SBLOCK) as usize];
-    let (shared, raw) = test_storage_with(before.clone());
+    let (shared, raw) = storage(before.clone());
     lio_mpi::World::run(2, move |comm| {
         apply_comm_faults(comm);
         let me = comm.rank() as u64;

@@ -1,7 +1,8 @@
 //! Differential fault-schedule corpus: collective writes and read-backs
 //! under seeded storage + communication fault injection must produce
 //! byte-for-byte the same file as the naive fault-free reference, for
-//! both engines, monolithic and pipelined, across rank counts — the
+//! both engines, with every window written inline and with the windows
+//! written behind the loop (slow storage), across rank counts — the
 //! retry/backoff and short-I/O resumption layers must make injected
 //! faults invisible to correct programs.
 //!
@@ -9,21 +10,23 @@
 //! ([`lio_testkit::repro_hint`]); setting `LIO_FAULT_SEED` narrows the
 //! corpus to that one seed for replay.
 //!
-//! The final test is crash-consistency: a fail-stop torn write mid-
-//! collective must surface as an error on at least one rank, and the
-//! file must never contain a byte that no serial schedule of the old
-//! and new contents could produce.
+//! Then crash-consistency: a fail-stop torn write mid-collective must
+//! surface as an error on at least one rank, and the file must never
+//! contain a byte that no serial schedule of the old and new contents
+//! could produce; a write that fails *behind* the window loop stops the
+//! loop before the next write and strands no rank.
 
 mod common;
 
-use common::{figure4_filetype, pattern, reference_write};
+use common::{figure4_filetype, pattern, reference_write, slow};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_pfs::decorate::{FaultPlan, FaultyFile};
 use lio_pfs::{MemFile, StorageFile};
 use lio_testkit as tk;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 
 /// The cyclically interleaved filetype used throughout: `nblock` blocks
 /// of `sblock` bytes, one block per stride of `slots` block slots.
@@ -53,9 +56,13 @@ fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
 
 /// One collective write + sync + full read-back with the seed's storage
 /// and communication fault schedules armed; every rank asserts its
-/// read-back in-world. Returns the injection-free file snapshot.
+/// read-back in-world. Returns the injection-free file snapshot. On `slow`
+/// storage the faults hit the lane's writes and the loop's pre-reads at
+/// the same time.
+#[allow(clippy::too_many_arguments)]
 fn run_faulty_case(
     hints: Hints,
+    slow_storage: bool,
     seed: u64,
     nprocs: usize,
     sblock: u64,
@@ -64,7 +71,12 @@ fn run_faulty_case(
     steps: u64,
 ) -> Vec<u8> {
     let mem = Arc::new(MemFile::new());
-    let shared = SharedFile::new(FaultyFile::new(Arc::clone(&mem), tk::fault_plan(seed)));
+    let faulty = FaultyFile::new(Arc::clone(&mem), tk::fault_plan(seed));
+    let shared = if slow_storage {
+        SharedFile::new(slow(faulty))
+    } else {
+        SharedFile::new(faulty)
+    };
     World::run(nprocs, move |comm| {
         comm.set_fault_plan(Some(tk::comm_fault_plan(seed, comm.rank())));
         let me = comm.rank() as u64;
@@ -132,20 +144,15 @@ fn fault_corpus_matches_reference() {
                 let steps = 1 + rng.below(2);
 
                 let variants = [
-                    Hints::list_based().cb_buffer(cb),
-                    Hints::list_based()
-                        .cb_buffer(cb)
-                        .pipelined(true)
-                        .pipeline_depth(2),
-                    Hints::listless().cb_buffer(cb),
-                    Hints::listless()
-                        .cb_buffer(cb)
-                        .pipelined(true)
-                        .pipeline_depth(2),
+                    (Hints::list_based().cb_buffer(cb), false),
+                    (Hints::list_based().cb_buffer(cb), true),
+                    (Hints::listless().cb_buffer(cb), false),
+                    (Hints::listless().cb_buffer(cb), true),
                 ];
                 let mut want = reference_file(nprocs, sblock, nblock, holey, steps);
-                for (i, &h) in variants.iter().enumerate() {
-                    let mut got = run_faulty_case(h, seed, nprocs, sblock, nblock, holey, steps);
+                for (i, &(h, slow)) in variants.iter().enumerate() {
+                    let mut got =
+                        run_faulty_case(h, slow, seed, nprocs, sblock, nblock, holey, steps);
                     let n = want.len().max(got.len());
                     want.resize(n, 0);
                     got.resize(n, 0);
@@ -175,17 +182,11 @@ fn torn_write_leaves_serially_explainable_bytes() {
     let want = reference_file(nprocs, sblock, nblock, false, steps);
     let old: Vec<u8> = (0..want.len()).map(|i| 0xC0 | (i as u8 & 0x0F)).collect();
 
-    for (v, &hints) in [
-        Hints::list_based().cb_buffer(256),
-        Hints::list_based()
-            .cb_buffer(256)
-            .pipelined(true)
-            .pipeline_depth(2),
-        Hints::listless().cb_buffer(256),
-        Hints::listless()
-            .cb_buffer(256)
-            .pipelined(true)
-            .pipeline_depth(2),
+    for (v, &(hints, slow_storage)) in [
+        (Hints::list_based().cb_buffer(256), false),
+        (Hints::list_based().cb_buffer(256), true),
+        (Hints::listless().cb_buffer(256), false),
+        (Hints::listless().cb_buffer(256), true),
     ]
     .iter()
     .enumerate()
@@ -197,7 +198,12 @@ fn torn_write_leaves_serially_explainable_bytes() {
             torn_after: Some(want.len() as u64 / 2),
             ..FaultPlan::disabled()
         };
-        let shared = SharedFile::new(FaultyFile::new(Arc::clone(&mem), plan));
+        let faulty = FaultyFile::new(Arc::clone(&mem), plan);
+        let shared = if slow_storage {
+            SharedFile::new(slow(faulty))
+        } else {
+            SharedFile::new(faulty)
+        };
         let results = World::run(nprocs, move |comm| {
             let me = comm.rank() as u64;
             let ft = interleaved_ft(sblock, nblock, nprocs as u64);
@@ -235,6 +241,113 @@ fn torn_write_leaves_serially_explainable_bytes() {
                  produces it"
             );
         }
+    }
+}
+
+/// Logs the offset and the calling thread of every `write_at` it is asked
+/// for, before the device beneath gets to fail it.
+struct WriteLog<F> {
+    inner: F,
+    log: Mutex<Vec<(u64, ThreadId)>>,
+}
+
+impl<F: StorageFile> StorageFile for WriteLog<F> {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
+        let who = std::thread::current().id();
+        self.log.lock().unwrap().push((offset, who));
+        self.inner.write_at(offset, buf)
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn set_len(&self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
+    fn sync(&self) -> std::io::Result<()> {
+        self.inner.sync()
+    }
+}
+
+/// A permanent fault in a write that the lane makes *behind* the window
+/// loop is that IOP's typed error, found before the next write is issued:
+/// the log shows no write past the failed window. Every rank returns (the
+/// closing barrier is reached) with nothing left in flight, and only the
+/// IOP reports the fault.
+#[test]
+fn a_failed_write_behind_stops_the_loop_and_strands_nobody() {
+    const CB: u64 = 256;
+    const FAILS: u64 = 3; // the window whose write fails; 0 is inline
+    let nprocs = 3usize;
+    let (sblock, nblock) = (32u64, 24u64);
+    // one hole per stride: every window is read, modified and written whole
+    let slots = nprocs as u64 + 1;
+    let span = nblock * slots * sblock;
+    assert!(
+        span >= (FAILS + 3) * CB,
+        "windows left after the failed one"
+    );
+    for engine in [Hints::list_based(), Hints::listless()] {
+        // one IOP, so one loop makes every write, in window order
+        let hints = engine.cb_buffer(CB as usize).io_nodes(1);
+        let plan = FaultPlan {
+            torn_after: Some(FAILS * CB + CB / 2),
+            ..FaultPlan::disabled()
+        };
+        let device = FaultyFile::new(MemFile::with_data(vec![0xEE; span as usize]), plan);
+        let log = Arc::new(WriteLog {
+            inner: device,
+            log: Mutex::new(Vec::new()),
+        });
+        let shared = SharedFile::new(slow(Arc::clone(&log)));
+        let outcomes = World::run(nprocs, move |comm| {
+            let me = comm.rank() as u64;
+            let mut f = File::open(comm, shared.clone(), hints).unwrap();
+            f.set_view(
+                me * sblock,
+                Datatype::byte(),
+                interleaved_ft(sblock, nblock, slots),
+            )
+            .unwrap();
+            let data = pattern((nblock * sblock) as usize, me + 1);
+            let res = f.write_at_all(0, &data, data.len() as u64, &Datatype::byte());
+            comm.barrier();
+            assert_eq!(comm.stashed_msgs(), 0, "a message of the failed op is left");
+            (res.map_err(|e| e.to_string()), std::thread::current().id())
+        });
+        let what = format!("{:?}", hints.engine);
+        let err = outcomes[0]
+            .0
+            .as_ref()
+            .expect_err("the IOP must report the fault");
+        assert!(
+            err.contains("storage"),
+            "{what}: a typed storage error, got {err}"
+        );
+        for (rank, (res, _)) in outcomes.iter().enumerate().skip(1) {
+            assert!(
+                res.is_ok(),
+                "{what}: rank {rank} has no storage to fail: {res:?}"
+            );
+        }
+        let log = log.log.lock().unwrap();
+        let failed: Vec<_> = log.iter().filter(|w| w.0 / CB == FAILS).collect();
+        assert!(
+            !failed.is_empty(),
+            "{what}: window {FAILS} was never written"
+        );
+        let iop = outcomes[0].1;
+        assert!(
+            failed.iter().all(|w| w.1 != iop),
+            "{what}: window {FAILS} was written inline, not behind the loop"
+        );
+        assert!(
+            log.iter().all(|w| w.0 / CB <= FAILS),
+            "{what}: a window past the failed one was written: {:?}",
+            log.iter().map(|w| w.0).collect::<Vec<_>>()
+        );
     }
 }
 
@@ -283,8 +396,8 @@ fn failed_collective_read_pads_replies_with_zeros() {
     // strided user memory takes the own share through its chunk
     let memtype = Datatype::vector(NBLOCK * SBLOCK, 1, 2, &Datatype::byte()).unwrap();
     for engine in [Hints::list_based(), Hints::listless()] {
-        for (pipelined, strided) in [(false, false), (false, true), (true, false)] {
-            let hints = engine.cb_buffer(CB).pipelined(pipelined);
+        for strided in [false, true] {
+            let hints = engine.cb_buffer(CB);
             let shared = SharedFile::new(DeadFrom {
                 inner: MemFile::with_data(image.clone()),
                 from,
@@ -312,10 +425,7 @@ fn failed_collective_read_pads_replies_with_zeros() {
                 assert_eq!(comm.stashed_msgs(), 0, "a message of the failed op is left");
                 (res.is_ok(), back)
             });
-            let what = format!(
-                "{:?}, pipelined={pipelined}, strided={strided}",
-                hints.engine
-            );
+            let what = format!("{:?}, strided={strided}", hints.engine);
             assert!(outcomes[0].0, "rank 0's own domain is healthy ({what})");
             assert!(!outcomes[1].0, "rank 1 must report the fault ({what})");
             for (rank, (_, back)) in outcomes.iter().enumerate() {

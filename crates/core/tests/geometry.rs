@@ -1,7 +1,7 @@
 //! Request geometry: where the storage requests of an access fall, not
 //! what they carry (the differential corpora check that).
 //!
-//! With default hints every window loop — both two-phase schedules of both
+//! With default hints every window loop — the two-phase schedule of both
 //! engines, and data sieving — cuts its range along the absolute grid of
 //! multiples of the default window, and the file domains of a collective
 //! meet on grid lines. So, whatever the displacement of the view:
@@ -175,15 +175,6 @@ fn drive(
     });
 }
 
-fn schedules() -> [Hints; 4] {
-    [
-        Hints::list_based(),
-        Hints::list_based().pipelined(true),
-        Hints::listless(),
-        Hints::listless().pipelined(true),
-    ]
-}
-
 #[test]
 fn requests_stay_on_the_window_grid() {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -191,16 +182,15 @@ fn requests_stay_on_the_window_grid() {
     for shape in [Shape::Figure4, Shape::Tile] {
         for nprocs in [2u64, 4] {
             for disp in [0, 1, PAGE - 1, PAGE + 1, w - 1] {
-                for hints in schedules() {
+                for hints in [Hints::list_based(), Hints::listless()] {
                     let (lo, hi) = (disp, disp + shape.span(nprocs));
                     // the file exists beyond the access, so no read meets
                     // EOF and comes back for the rest
                     let (shared, rec) = recording_storage(vec![0x5A; (hi + w) as usize]);
                     let what = |op: &str| {
                         format!(
-                            "{op}, {shape:?}, P={nprocs}, disp={disp}, {:?}, pipelined={}",
-                            hints.engine,
-                            hints.pipeline_enabled()
+                            "{op}, {shape:?}, P={nprocs}, disp={disp}, {:?}",
+                            hints.engine
                         )
                     };
                     drive(&shared, hints, shape, nprocs, disp, |op| {
@@ -238,11 +228,6 @@ fn aligned_windows_stay_off_the_os_worker_pool() {
     for shape in [Shape::Figure4, Shape::Tile] {
         for nprocs in [2u64, 4] {
             for hints in [Hints::list_based(), Hints::listless()] {
-                if hints.pipeline_enabled() {
-                    // LIO_PIPELINE=1: the pipelined schedule submits its
-                    // windows to the queue on purpose
-                    return;
-                }
                 // a device that lends nothing (a bare `MemFile` would, and
                 // `OsFile` forwards the question): every window is a request
                 let device = Staged(MemFile::new());

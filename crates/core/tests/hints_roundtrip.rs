@@ -1,7 +1,7 @@
 //! Hint serialization round-trips: `base.apply_info(h.to_info())` must
 //! reconstruct `h` for every recognized key, malformed values must
-//! surface as typed [`HintError`]s naming the failing pair, and the
-//! `LIO_PIPELINE` environment override must win over the hint either way.
+//! surface as typed [`HintError`]s naming the failing pair, and an
+//! environment override (`LIO_AUTOTUNE`) must win over the hint either way.
 
 use lio_core::{Engine, Hints, SievingMode};
 
@@ -30,8 +30,7 @@ fn roundtrip_reconstructs_every_field() {
             .cb_buffer(65536)
             .io_nodes(3)
             .sieving_mode(SievingMode::Direct)
-            .pipelined(true)
-            .pipeline_depth(5),
+            .autotune(true),
         Hints::list_based()
             .sieving_mode(SievingMode::Auto)
             .observability(true),
@@ -54,7 +53,7 @@ fn roundtrip_reconstructs_every_field() {
 fn roundtrip_is_stable_under_reserialization() {
     let h = Hints::listless()
         .cb_buffer(4096)
-        .pipelined(true)
+        .autotune(true)
         .observability(true);
     let once = roundtrip(h);
     assert_eq!(pairs(&once), pairs(&h), "serialization must be a fixpoint");
@@ -82,8 +81,6 @@ fn malformed_values_name_the_failing_pair() {
         ("romio_ds_write", "sometimes", "automatic"),
         ("romio_ds_read", "yes", "automatic"),
         ("detect_dense_writes", "enable", "true or false"),
-        ("two_phase_pipeline", "deep", "enable or disable"),
-        ("pipeline_depth", "two", "window count"),
         ("lio_obs", "loud", "enable or disable"),
     ];
     for (key, value, reason_part) in cases {
@@ -129,27 +126,27 @@ fn removed_key_is_ignored_and_not_emitted() {
         .all(|(k, _)| k != "pack_threads"));
 }
 
-/// `LIO_PIPELINE` overrides the serialized hint in both directions.
+/// `LIO_AUTOTUNE` overrides the serialized hint in both directions.
 /// Kept in one test so the save/restore of the process-global variable
 /// cannot race a sibling (Rust runs tests in threads).
 #[test]
 fn env_override_beats_roundtripped_hint() {
-    let saved = std::env::var("LIO_PIPELINE").ok();
+    let saved = std::env::var("LIO_AUTOTUNE").ok();
 
-    let on = roundtrip(Hints::default().pipelined(true));
-    let off = roundtrip(Hints::default().pipelined(false));
-    assert!(on.two_phase_pipeline && !off.two_phase_pipeline);
+    let on = roundtrip(Hints::default().autotune(true));
+    let off = roundtrip(Hints::default().autotune(false));
+    assert_eq!((on.autotune, off.autotune), (Some(true), Some(false)));
 
-    std::env::set_var("LIO_PIPELINE", "0");
-    assert!(!on.pipeline_enabled(), "LIO_PIPELINE=0 must force off");
-    std::env::set_var("LIO_PIPELINE", "1");
-    assert!(off.pipeline_enabled(), "LIO_PIPELINE=1 must force on");
-    std::env::set_var("LIO_PIPELINE", "mumble");
-    assert!(on.pipeline_enabled() && !off.pipeline_enabled());
+    std::env::set_var("LIO_AUTOTUNE", "0");
+    assert!(!on.autotune_enabled(), "LIO_AUTOTUNE=0 must force off");
+    std::env::set_var("LIO_AUTOTUNE", "1");
+    assert!(off.autotune_enabled(), "LIO_AUTOTUNE=1 must force on");
+    std::env::set_var("LIO_AUTOTUNE", "mumble");
+    assert!(on.autotune_enabled() && !off.autotune_enabled());
 
     match saved {
-        Some(v) => std::env::set_var("LIO_PIPELINE", v),
-        None => std::env::remove_var("LIO_PIPELINE"),
+        Some(v) => std::env::set_var("LIO_AUTOTUNE", v),
+        None => std::env::remove_var("LIO_AUTOTUNE"),
     }
 }
 

@@ -4,7 +4,9 @@
 
 mod common;
 
-use common::{pattern, reference_read, reference_stream, reference_write};
+use common::{
+    pattern, reference_read, reference_stream, reference_write, slow_staged, test_storage,
+};
 use lio_core::{File, Hints, SharedFile, SievingMode};
 use lio_datatype::{Datatype, Field, Order};
 use lio_mpi::World;
@@ -256,31 +258,42 @@ fn struct_filetype_with_markers() {
 #[test]
 fn two_ranks_disjoint_independent_writes() {
     // concurrent sieving writes to interleaved views must not clobber each
-    // other (the range lock at work)
+    // other (the range lock at work) — on storage that lends, and on slow
+    // staging storage, where every window is a read-modify-write of 300 µs
+    // under the lock and a write made *behind* the loop, after the lock is
+    // gone, would lose the other rank's blocks. Sieving never declares
+    // itself sole writer, so no lane may arm.
+    lio_obs::set_enabled(true);
     for h in engines() {
-        let h = h.ind_buffer(64);
-        let shared = SharedFile::new(MemFile::new());
-        let sblock = 8u64;
-        let nblock = 32u64;
-        let shared2 = shared.clone();
-        World::run(2, move |comm| {
-            let me = comm.rank() as u64;
-            let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
-            let ft_raw = Datatype::vector(nblock, 1, 2, &block).unwrap();
-            let mut f = File::open(comm, shared2.clone(), h).unwrap();
-            f.set_view(me * sblock, Datatype::byte(), ft_raw).unwrap();
-            let data = vec![me as u8 + 1; (nblock * sblock) as usize];
-            f.write_at(0, &data, data.len() as u64, &Datatype::byte())
-                .unwrap();
-        });
-        let mut snap = vec![0u8; shared.len() as usize];
-        shared.storage().read_at(0, &mut snap).unwrap();
-        assert_eq!(snap.len() as u64, 2 * nblock * sblock);
-        for (i, b) in snap.iter().enumerate() {
-            let owner = (i as u64 / sblock) % 2;
-            assert_eq!(*b, owner as u8 + 1, "byte {i}");
+        for slow in [false, true] {
+            let h = h.ind_buffer(64);
+            let (shared, raw) = if slow {
+                slow_staged(Vec::new())
+            } else {
+                test_storage()
+            };
+            let sblock = 8u64;
+            let nblock = 32u64;
+            World::run(2, move |comm| {
+                let me = comm.rank() as u64;
+                let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
+                let ft_raw = Datatype::vector(nblock, 1, 2, &block).unwrap();
+                let mut f = File::open(comm, shared.clone(), h).unwrap();
+                f.set_view(me * sblock, Datatype::byte(), ft_raw).unwrap();
+                let data = vec![me as u8 + 1; (nblock * sblock) as usize];
+                f.write_at(0, &data, data.len() as u64, &Datatype::byte())
+                    .unwrap();
+            });
+            let snap = raw.snapshot();
+            assert_eq!(snap.len() as u64, 2 * nblock * sblock);
+            for (i, b) in snap.iter().enumerate() {
+                let owner = (i as u64 / sblock) % 2;
+                assert_eq!(*b, owner as u8 + 1, "byte {i}, slow={slow}");
+            }
         }
     }
+    // (this binary makes no collective call: nothing else could feed it)
+    assert_eq!(lio_obs::snapshot().counter("io.behind_bytes"), 0);
 }
 
 #[test]

@@ -324,11 +324,8 @@ fn the_own_share_never_crosses_a_channel() {
     const NBLOCK: u64 = 512;
     const SBLOCK: u64 = 64;
     const BYTES: u64 = NBLOCK * SBLOCK; // per rank
-    if Hints::default().pipelined(false).pipeline_enabled() {
-        return; // `LIO_PIPELINE` forces the schedule that ships every window
-    }
-    // gather of two 16-byte ranges at rank 0 (one message), broadcast of
-    // count + two lengths + the ranges (one message)
+                                        // gather of two 16-byte ranges at rank 0 (one message), broadcast of
+                                        // count + two lengths + the ranges (one message)
     let allgather = (2, 16 + (8 + 2 * 8 + 2 * 16));
     // a 16-byte header to each IOP, the rank's own included
     let headers = (4, 4 * 16);
@@ -348,7 +345,7 @@ fn the_own_share_never_crosses_a_channel() {
     for engine in engines() {
         for name in ["MemFile", "Staged(MemFile)", "OsFile"] {
             let shared = storage(name);
-            let hints = engine.pipelined(false);
+            let hints = engine;
             // (std's barrier: the world's own would count)
             let quiet = std::sync::Barrier::new(2);
             let sent = |comm: &lio_mpi::Comm, op: &mut dyn FnMut()| {

@@ -1,22 +1,23 @@
-//! Differential tests for the pipelined two-phase schedule: for a corpus
-//! of interleaved collective accesses, the pipelined and monolithic
-//! schedules must produce bit-identical files and read-backs, for both
-//! engines, across rank counts and window sizes — including windows
-//! smaller than one filetype block, where a single contiguous block
-//! spans several exchange windows.
-//!
-//! Every variant is also compared against the naive reference
-//! implementation, so the test keeps its teeth when `LIO_PIPELINE` in the
-//! environment forces both "on" and "off" variants onto the same
-//! schedule (as CI does).
+//! Differential tests for the two ways a collective write gets a staged
+//! window back into the file: inline, and behind the window loop through
+//! its write-behind lane (`lio-core`'s `window.rs`). For a corpus of
+//! interleaved collective accesses, both engines must produce the file of
+//! the naive reference and read their own data back, across rank counts
+//! and window sizes — including windows smaller than one filetype block,
+//! where a single contiguous block spans several windows — on the
+//! environment's storage (`LIO_BACKEND`, `LIO_FAULT_SEED`) and once more
+//! on storage that stages and is slow enough to arm the lane, which the
+//! `io.behind_bytes` counter must show it did.
 
 mod common;
 
-use common::{check_partial_participation, pattern, reference_write};
+use common::{
+    apply_comm_faults, check_partial_participation, pattern, reference_write, slow_staged,
+    test_storage_with, SnapHandle,
+};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
-use lio_pfs::MemFile;
 
 /// xorshift64* — deterministic, dependency-free case generator.
 struct Rng(u64);
@@ -69,9 +70,11 @@ fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
     .unwrap()
 }
 
-/// Run a multi-step collective write + full read-back under `hints`;
-/// every rank asserts its read-back in-world. Returns the file snapshot.
+/// Run a multi-step collective write + full read-back under `hints` on
+/// the file `storage` makes; every rank asserts its read-back in-world.
+/// Returns the file snapshot.
 fn run_case(
+    storage: fn(Vec<u8>) -> (SharedFile, SnapHandle),
     hints: Hints,
     nprocs: usize,
     sblock: u64,
@@ -79,13 +82,13 @@ fn run_case(
     holey: bool,
     steps: u64,
 ) -> Vec<u8> {
-    let shared = SharedFile::new(MemFile::new());
-    let sh = shared.clone();
+    let (shared, raw) = storage(Vec::new());
     World::run(nprocs, move |comm| {
+        apply_comm_faults(comm);
         let me = comm.rank() as u64;
         let slots = comm.size() as u64 + holey as u64;
         let ft = interleaved_ft(sblock, nblock, slots);
-        let mut f = File::open(comm, sh.clone(), hints).unwrap();
+        let mut f = File::open(comm, shared.clone(), hints).unwrap();
         f.set_view(me * sblock, Datatype::byte(), ft).unwrap();
         let step = nblock * sblock;
         for s in 0..steps {
@@ -105,9 +108,7 @@ fn run_case(
             );
         }
     });
-    let mut snap = vec![0u8; shared.len() as usize];
-    shared.storage().read_at(0, &mut snap).unwrap();
-    snap
+    raw.snapshot()
 }
 
 /// The file every variant must produce, per the naive reference.
@@ -126,70 +127,61 @@ fn reference_file(nprocs: usize, sblock: u64, nblock: u64, holey: bool, steps: u
     want
 }
 
+/// "Pipelined": on slow staged storage, where window `k` is written back
+/// behind the loop while window `k + 1` is read and filled. "Monolithic":
+/// on the environment's storage, every window written where it is filled
+/// (in place on a lending `MemFile`, the default).
 #[test]
 fn pipelined_matches_monolithic_and_reference() {
+    lio_obs::set_enabled(true);
     let mut case = 0u64;
     for &nprocs in &[1usize, 2, 4, 7] {
         // 64 B: windows much smaller than one filetype block;
         // 4096 B: a few blocks per window; 100 B: windows off every
         // power-of-two boundary; the default: one window swallowing the
-        // whole domain (single-window pipeline).
+        // whole domain (the lane never arms: there is no second window).
         for &cb in &[64usize, 100, 4096, Hints::default().cb_buffer_size] {
-            for &depth in &[1usize, 2, 4] {
-                case += 1;
-                let mut rng = Rng::new(0x11FE ^ (case << 8));
-                // sblock up to 96 so cb=64 splits single blocks
-                let sblock = rng.range(1, 96);
-                let nblock = rng.range(1, 12);
-                let holey = rng.range(0, 2) == 1;
-                let steps = rng.range(1, 3);
+            case += 1;
+            let mut rng = Rng::new(0x11FE ^ (case << 8));
+            // sblock up to 96 so cb=64 splits single blocks
+            let sblock = rng.range(1, 96);
+            let nblock = rng.range(1, 12);
+            let holey = rng.range(0, 2) == 1;
+            let steps = rng.range(1, 3);
 
-                let variants = [
-                    Hints::list_based().cb_buffer(cb),
-                    Hints::list_based()
-                        .cb_buffer(cb)
-                        .pipelined(true)
-                        .pipeline_depth(depth),
-                    Hints::listless().cb_buffer(cb),
-                    Hints::listless()
-                        .cb_buffer(cb)
-                        .pipelined(true)
-                        .pipeline_depth(depth),
-                ];
-                let snaps: Vec<Vec<u8>> = variants
-                    .iter()
-                    .map(|&h| run_case(h, nprocs, sblock, nblock, holey, steps))
-                    .collect();
-                for (i, snap) in snaps.iter().enumerate().skip(1) {
-                    assert_eq!(
-                        &snaps[0], snap,
-                        "case {case} (p={nprocs} cb={cb} depth={depth} sblock={sblock} \
-                         nblock={nblock} holey={holey}): variant {i} file differs"
+            let mut want = reference_file(nprocs, sblock, nblock, holey, steps);
+            for engine in [Hints::list_based(), Hints::listless()] {
+                let hints = engine.cb_buffer(cb);
+                for (on, storage) in [
+                    ("the environment's storage", test_storage_with as fn(_) -> _),
+                    ("slow staged storage", slow_staged),
+                ] {
+                    let mut got = run_case(storage, hints, nprocs, sblock, nblock, holey, steps);
+                    let n = want.len().max(got.len());
+                    want.resize(n, 0);
+                    got.resize(n, 0);
+                    assert!(
+                        got == want,
+                        "case {case} (p={nprocs} cb={cb} sblock={sblock} nblock={nblock} \
+                         holey={holey} {:?}) on {on}: file differs from reference",
+                        hints.engine
                     );
                 }
-                let mut want = reference_file(nprocs, sblock, nblock, holey, steps);
-                let mut got = snaps[0].clone();
-                let n = want.len().max(got.len());
-                want.resize(n, 0);
-                got.resize(n, 0);
-                assert_eq!(
-                    got, want,
-                    "case {case} (p={nprocs} cb={cb} depth={depth}): file differs from reference"
-                );
             }
         }
     }
+    // Only a write-behind lane feeds this counter, and a lane arms only on
+    // storage that stages and is slow: here, the slow staged runs.
+    let behind = lio_obs::snapshot().counter("io.behind_bytes");
+    assert!(behind > 0, "no lane armed on slow staged storage");
 }
 
 #[test]
 fn pipelined_partial_participation_keeps_untouched_bytes() {
     for h in [Hints::list_based(), Hints::listless()] {
-        for (cb, depth) in [(Hints::default().cb_buffer_size, 2), (96, 1), (96, 4)] {
+        for cb in [Hints::default().cb_buffer_size, 96] {
             for r1_bytes in [0, 8, 256] {
-                check_partial_participation(
-                    h.cb_buffer(cb).pipelined(true).pipeline_depth(depth),
-                    r1_bytes,
-                );
+                check_partial_participation(slow_staged, h.cb_buffer(cb), r1_bytes);
             }
         }
     }

@@ -11,7 +11,7 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use common::{figure4_filetype, pattern, Staged};
+use common::{figure4_filetype, pattern, slow_staged, Staged};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::Datatype;
 use lio_mpi::{Comm, World};
@@ -111,15 +111,13 @@ fn large_allocs_of_cold_write(shared: SharedFile, hints: Hints, strided: bool) -
 /// half goes from the user buffer into the windows in one copy, strided
 /// user buffer or not, so an IOP takes nothing for it; storage that lends
 /// its bytes needs no window buffer, a staging IOP takes its 128 KiB
-/// window on top.
+/// window on top — and, once slow storage has armed its write-behind lane,
+/// a second one and never a third.
 #[test]
 fn an_in_place_collective_takes_only_message_buffers() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     for engine in [Hints::list_based(), Hints::listless()] {
-        let hints = engine.cb_buffer(128 * 1024).pipelined(false);
-        if hints.pipeline_enabled() {
-            return; // `LIO_PIPELINE` forces the schedule that always stages
-        }
+        let hints = engine.cb_buffer(128 * 1024);
         // (a file of the final size: growing it allocates stripes)
         let file = || MemFile::with_data(vec![0; 2 * BYTES as usize]);
         for strided in [false, true] {
@@ -132,6 +130,11 @@ fn an_in_place_collective_takes_only_message_buffers() {
             let staged =
                 large_allocs_of_cold_write(SharedFile::new(Staged(file())), hints, strided);
             assert_eq!(staged, 4, "{what}: and a window per IOP");
+            // four 64 KiB windows per IOP: the first is written inline and
+            // arms the lane, the other three alternate between two buffers
+            let (slow, _) = slow_staged(vec![0; 2 * BYTES as usize]);
+            let behind = large_allocs_of_cold_write(slow, hints.cb_buffer(LARGE), strided);
+            assert_eq!(behind, 6, "{what}: and two windows per armed lane");
         }
     }
 }
@@ -180,9 +183,14 @@ fn an_in_place_sieved_op_takes_no_buffer() {
 fn steady_state_operations_allocate_no_large_block() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     for engine in [Hints::list_based(), Hints::listless()] {
-        for pipelined in [false, true] {
-            let hints = engine.cb_buffer(128 * 1024).pipelined(pipelined);
-            let shared = SharedFile::new(MemFile::new());
+        // lending storage, and slow staging storage whose collective writes
+        // run their write-behind lanes (four windows per IOP): the lane's
+        // buffers come home to the arena too
+        for (slow, shared) in [
+            (false, SharedFile::new(MemFile::new())),
+            (true, slow_staged(Vec::new()).0),
+        ] {
+            let hints = engine.cb_buffer(LARGE);
             World::run(2, |comm| {
                 let me = comm.rank() as u64;
                 let mut f = File::open(comm, shared.clone(), hints).unwrap();
@@ -193,7 +201,7 @@ fn steady_state_operations_allocate_no_large_block() {
                 let memtype = Datatype::vector(NBLOCK, 1, 2, &block).unwrap();
                 let data = pattern(2 * BYTES as usize, me + 1);
                 let mut back = vec![0u8; data.len()];
-                let what = |op: &str| format!("{op}, {:?}, pipelined={pipelined}", hints.engine);
+                let what = |op: &str| format!("{op}, {:?}, slow={slow}", hints.engine);
 
                 let n = large_allocs_in_third(comm, || {
                     f.write_at_all(0, &data, 1, &memtype).unwrap();

@@ -2,7 +2,7 @@
 //! cross-rank send→recv edges are causally ordered after the merge, the
 //! ring buffer drops oldest-first on wraparound without corrupting the
 //! export, and the critical-path analyzer names a bounding phase for a
-//! pipelined collective write.
+//! collective write whose windows are written behind the loop.
 
 mod common;
 
@@ -179,17 +179,14 @@ fn ring_wraparound_drops_oldest_first() {
     });
 }
 
-/// On storage that lends its bytes the monolithic schedule places and
-/// extracts in place: `pack.place` spans carry the piece's byte count,
+/// On storage that lends its bytes a collective places and extracts in
+/// place: `pack.place` spans carry the piece's byte count,
 /// there is no `io.read`/`io.write` span at all, and the critical-path
 /// analyzer reports such an op with zero io time. The same op on storage
 /// that declines still shows its requests.
 #[test]
 fn in_place_ops_trace_places_and_no_requests() {
-    let hints = Hints::default().pipelined(false);
-    if hints.pipeline_enabled() {
-        return; // `LIO_PIPELINE` forces the pipelined schedule, which stages
-    }
+    let hints = Hints::default();
     with_trace(|| {
         let spans = |shared: SharedFile| {
             let tl = trace::merge(&traced_collective(hints, shared));
@@ -213,15 +210,12 @@ fn in_place_ops_trace_places_and_no_requests() {
     });
 }
 
-/// A rank's own share of a monolithic collective is no message: the only
+/// A rank's own share of a collective is no message: the only
 /// edges from a rank to itself are the 16-byte headers to its own IOP
 /// side, and the critical-path analysis takes such an op like any other.
 #[test]
 fn the_own_share_makes_no_edge() {
-    let hints = Hints::default().pipelined(false);
-    if hints.pipeline_enabled() {
-        return; // the pipelined schedule ships every window
-    }
+    let hints = Hints::default();
     with_trace(|| {
         let tl = trace::merge(&traced_collective(hints, SharedFile::new(MemFile::new())));
         let to_self = |e: &&trace::Edge| e.src_rank == e.dst_rank;
@@ -237,17 +231,15 @@ fn the_own_share_makes_no_edge() {
 #[test]
 fn critical_path_names_a_bounding_phase() {
     with_trace(|| {
-        // a modelled-slow device makes the phase attribution non-trivial
+        // a modelled-slow device makes the phase attribution non-trivial,
+        // and arms the IOPs' write-behind lanes (a worker track each)
         let slow = Throttle {
             read_bw: 500e6,
             write_bw: 500e6,
             latency: std::time::Duration::from_micros(200),
         };
         let shared = SharedFile::new(ThrottledFile::new(Arc::new(MemFile::new()), slow));
-        let hints = Hints::default()
-            .cb_buffer(1 << 10)
-            .pipelined(true)
-            .pipeline_depth(2);
+        let hints = Hints::default().cb_buffer(1 << 10);
         let streams = traced_collective(hints, shared);
         let tl = trace::merge(&streams);
         let reports = trace::critical_path(&tl);

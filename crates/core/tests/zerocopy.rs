@@ -1,7 +1,6 @@
 //! Zero-copy audit: a *contiguous* memtype must never route through the
-//! datatype pack machinery. Both the monolithic two-phase exchange and
-//! the pipelined window pump lift the bytes straight out of the user
-//! buffer via `contig_slice`, so `dt.pack.calls` / `dt.unpack.calls`
+//! datatype pack machinery. The two-phase exchange lifts the bytes
+//! straight out of the user buffer, so `dt.pack.calls` / `dt.unpack.calls`
 //! stay at zero for the whole collective — any regression that
 //! reintroduces a pack on this path trips the counters.
 //!
@@ -81,9 +80,7 @@ fn counted(f: impl FnOnce()) -> lio_obs::Snapshot {
 #[test]
 fn contiguous_memtype_never_packs() {
     let snap = counted(|| {
-        for pipelined in [false, true] {
-            run_collective(Hints::listless().cb_buffer(8192).pipelined(pipelined));
-        }
+        run_collective(Hints::listless().cb_buffer(8192));
     });
     assert_eq!(
         snap.counter("dt.pack.calls"),

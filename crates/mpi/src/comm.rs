@@ -10,8 +10,8 @@
 //! Besides blocking `send`/`recv`, the communicator offers nonblocking
 //! operations ([`Comm::isend`], [`Comm::irecv`]) returning [`Request`]
 //! handles completed by [`Comm::wait`], [`Comm::test`] or
-//! [`Comm::wait_any`] — the primitives the pipelined two-phase engine
-//! uses to complete receives in arrival order instead of rank order.
+//! [`Comm::wait_any`] — the primitives the two-phase engine uses to
+//! complete receives in arrival order instead of rank order.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};

@@ -249,7 +249,7 @@ pub fn current_rank() -> u32 {
 }
 
 /// A capturable copy of the calling thread's health identity, for
-/// worker threads (squeue pool, pipeline lanes) that service a rank's
+/// worker threads (squeue pool, the write-behind lane) that service a rank's
 /// I/O: capture on the submitting thread, [`adopt`] on the worker.
 #[derive(Clone, Copy, Debug)]
 pub struct Handle(u32);

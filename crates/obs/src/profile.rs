@@ -17,8 +17,7 @@
 //! * file-domain span/coverage/overlap and per-rank access-byte skew
 //!   from the two-phase engine, plus per-rank exchange-byte skew from
 //!   `lio-mpi`;
-//! * storage-level request-size histograms from `lio-pfs` and pipelined
-//!   window counts from `lio-core::pipeline`;
+//! * storage-level request-size histograms from `lio-pfs`;
 //! * the existing `core.coll.critical.*`-style phase breakdown, read
 //!   from the metric registry at snapshot time.
 //!
@@ -153,9 +152,6 @@ struct State {
     // storage-level request shapes
     pfs_read_sizes: Histogram,
     pfs_write_sizes: Histogram,
-    // pipelined engine windows
-    pipe_windows: AtomicU64,
-    pipe_window_bytes: AtomicU64,
 }
 
 impl State {
@@ -189,8 +185,6 @@ impl State {
             rank_exchange_bytes: std::array::from_fn(|_| AtomicU64::new(0)),
             pfs_read_sizes: Histogram::new(),
             pfs_write_sizes: Histogram::new(),
-            pipe_windows: AtomicU64::new(0),
-            pipe_window_bytes: AtomicU64::new(0),
         }
     }
 }
@@ -238,8 +232,6 @@ pub fn reset() {
     }
     s.pfs_read_sizes.reset();
     s.pfs_write_sizes.reset();
-    s.pipe_windows.store(0, Relaxed);
-    s.pipe_window_bytes.store(0, Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,17 +396,6 @@ pub fn record_pfs(write: bool, bytes: u64) {
     }
 }
 
-/// One pipelined collective-buffer window of `bytes`.
-#[inline(always)]
-pub fn record_pipeline_window(bytes: u64) {
-    if !enabled() {
-        return;
-    }
-    let s = state();
-    s.pipe_windows.fetch_add(1, Relaxed);
-    s.pipe_window_bytes.fetch_add(bytes, Relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot
 // ---------------------------------------------------------------------------
@@ -552,13 +533,6 @@ pub struct StorageStats {
     pub write_sizes: HistogramSnapshot,
 }
 
-/// Pipelined-engine window totals.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PipelineStats {
-    pub windows: u64,
-    pub window_bytes: u64,
-}
-
 /// Critical-phase nanoseconds from the `core.coll.*` metric counters,
 /// read from the registry at snapshot time (requires `lio_obs` enabled
 /// during the run; zeros otherwise).
@@ -603,7 +577,6 @@ pub struct ProfileSnapshot {
     pub shape: ShapeStats,
     pub domains: DomainStats,
     pub storage: StorageStats,
-    pub pipeline: PipelineStats,
     pub coll_write: PhaseNs,
     pub coll_read: PhaseNs,
 }
@@ -696,10 +669,6 @@ pub fn snapshot() -> ProfileSnapshot {
         storage: StorageStats {
             read_sizes: hist_snapshot(&s.pfs_read_sizes),
             write_sizes: hist_snapshot(&s.pfs_write_sizes),
-        },
-        pipeline: PipelineStats {
-            windows: s.pipe_windows.load(Relaxed),
-            window_bytes: s.pipe_window_bytes.load(Relaxed),
         },
         coll_write: phase("write"),
         coll_read: phase("read"),
@@ -838,11 +807,6 @@ impl ProfileSnapshot {
         write_hist(&mut out, &self.storage.read_sizes);
         out.push_str(", \"write_sizes\": ");
         write_hist(&mut out, &self.storage.write_sizes);
-        out.push_str("},\n  \"pipeline\": {");
-        out.push_str(&format!(
-            "\"windows\": {}, \"window_bytes\": {}",
-            self.pipeline.windows, self.pipeline.window_bytes
-        ));
         out.push_str("},\n  \"critical\": {");
         for (i, (name, p)) in [("write", self.coll_write), ("read", self.coll_read)]
             .iter()
@@ -902,7 +866,7 @@ fn write_u64_array(out: &mut String, vals: &[u64]) {
 pub struct Recommendation {
     /// Name of the [`Rule`] that fired.
     pub rule: &'static str,
-    /// The hint assignment, info-string style, e.g. `"pipeline_depth=4"`.
+    /// The hint assignment, info-string style, e.g. `"cb_buffer_size=262144"`.
     pub setting: String,
     /// Why — stated in terms of the profile evidence.
     pub reason: String,
@@ -933,55 +897,11 @@ fn rule_engine(p: &ProfileSnapshot) -> Option<Recommendation> {
         reason: format!(
             "non-contiguous view with {} leaf runs per filetype: flattening on the fly \
              avoids materializing and exchanging per-run offset/length lists, and the \
-             pipelined collective benches show listless at or ahead of list-based in \
-             every measured configuration",
+             collective benches show listless at or ahead of list-based in every \
+             measured configuration",
             p.view.leaf_runs
         ),
     })
-}
-
-fn rule_pipelining(p: &ProfileSnapshot) -> Option<Recommendation> {
-    if !p.has_collective() {
-        return None;
-    }
-    let phases = p.coll_phases();
-    let (bound, frac) = phases.bounding();
-    if p.pipeline.windows.max(p.domains.ops) < 1 || phases.total() == 0 {
-        return None;
-    }
-    let windows_per_op = if p.domains.ops > 0 && p.pipeline.windows > 0 {
-        p.pipeline.windows / p.domains.ops
-    } else {
-        // not pipelined this run: estimate windows from span vs written data
-        let per_op_bytes =
-            (p.op(OpClass::CollWrite).bytes + p.op(OpClass::CollRead).bytes) / p.domains.ops.max(1);
-        per_op_bytes / DEFAULT_WINDOW as u64
-    };
-    if (bound == "io" || bound == "exchange") && frac >= 0.4 {
-        let depth = if bound == "exchange" { 4 } else { 2 };
-        Some(Recommendation {
-            rule: "pipelining",
-            setting: format!("two_phase_pipeline=enable, pipeline_depth={depth}"),
-            reason: format!(
-                "{bound}-bound collective ({:.0}% of phase time): windowed pipelining \
-                 overlaps exchange with storage; depth {depth} keeps enough windows in \
-                 flight to hide the {bound} phase (measured ~40% wall-time win on the \
-                 throttled pipeline bench)",
-                frac * 100.0
-            ),
-        })
-    } else {
-        Some(Recommendation {
-            rule: "pipelining",
-            setting: "two_phase_pipeline=disable".to_string(),
-            reason: format!(
-                "pack-bound or balanced phases ({bound} at {:.0}%) with ~{windows_per_op} \
-                 window(s) per op: pipelining has nothing to overlap and only adds \
-                 credit-protocol traffic",
-                frac * 100.0
-            ),
-        })
-    }
 }
 
 /// The window every loop over file bytes uses unless a hint says
@@ -997,7 +917,7 @@ fn rule_pipelining(p: &ProfileSnapshot) -> Option<Recommendation> {
 pub const DEFAULT_WINDOW: usize = 512 * 1024;
 
 /// The collective-buffer size the advisor targets for a given per-op
-/// file-domain span: ~4 windows per op — enough to pipeline, small
+/// file-domain span: ~4 windows per op — enough to write behind, small
 /// enough to keep the exchange lists per window bounded — clamped to
 /// [64 KiB, [`DEFAULT_WINDOW`]]. A span, however long, is no reason to
 /// outgrow the cache: a window larger than the default is for storage
@@ -1113,12 +1033,6 @@ pub static RULES: &[Rule] = &[
         apply: rule_engine,
     },
     Rule {
-        name: "pipelining",
-        description: "io/exchange-bound collectives with multiple windows \
-                      gain from windowed overlap; pack-bound ones do not",
-        apply: rule_pipelining,
-    },
-    Rule {
         name: "cb_buffer_size",
         description: "size collective-buffer windows for ~4 windows per op, \
                       clamped to [64 KiB, the cache-sized default window]",
@@ -1191,7 +1105,7 @@ pub mod fixtures {
         }
     }
 
-    /// Fig6 shape: exchange-bound pipelinable collective write through a
+    /// Fig6 shape: exchange-bound collective write through a
     /// non-contiguous interleaved view with small runs.
     pub fn fig6_collective_small_runs() -> ProfileSnapshot {
         ProfileSnapshot {
@@ -1243,10 +1157,6 @@ pub mod fixtures {
             storage: StorageStats {
                 read_sizes: empty_hist(),
                 write_sizes: hist_of(1 << 20, 4),
-            },
-            pipeline: PipelineStats {
-                windows: 4,
-                window_bytes: 4 << 20,
             },
             coll_write: PhaseNs {
                 exchange_ns: 6_000_000,
@@ -1303,7 +1213,6 @@ pub mod fixtures {
                 read_sizes: empty_hist(),
                 write_sizes: hist_of(1 << 20, 64),
             },
-            pipeline: PipelineStats::default(),
             coll_write: PhaseNs::default(),
             coll_read: PhaseNs::default(),
         }
@@ -1348,7 +1257,6 @@ mod tests {
             record_rank_access(1, 3000);
             record_rank_exchange(0, 500);
             record_pfs(true, 4096);
-            record_pipeline_window(1 << 16);
 
             let p = snapshot();
             assert_eq!(p.op(OpClass::CollWrite).requests, 2);
@@ -1368,7 +1276,6 @@ mod tests {
             assert_eq!(p.domains.rank_access_bytes, vec![1000, 3000]);
             assert!((p.domains.access_skew() - 1.5).abs() < 1e-9);
             assert_eq!(p.storage.write_sizes.count, 1);
-            assert_eq!(p.pipeline.windows, 1);
 
             let json = p.to_json();
             crate::json::validate(&json).expect("profile JSON parses");
@@ -1412,11 +1319,6 @@ mod tests {
                 .find(|r| r.rule == name)
                 .unwrap_or_else(|| panic!("rule {name} did not fire"))
         };
-        // exchange-bound (60%) → pipelined, depth 4
-        let pipe = by_rule("pipelining");
-        assert!(pipe.setting.contains("two_phase_pipeline=enable"));
-        assert!(pipe.setting.contains("pipeline_depth=4"));
-        assert!(pipe.reason.contains("exchange-bound"));
         // non-contiguous view → listless
         assert_eq!(by_rule("engine").setting, "engine=listless");
         // span 4 MiB/op → a quarter of it, capped at the default window
@@ -1438,8 +1340,7 @@ mod tests {
         // density 0.125, 1 MiB blocks → direct access
         let sieve = by_rule("sieving").expect("sieving rule fires");
         assert_eq!(sieve.setting, "sieving=direct");
-        // no collective traffic → no pipelining or cb recommendation
-        assert!(by_rule("pipelining").is_none());
+        // no collective traffic → no cb recommendation
         assert!(by_rule("cb_buffer_size").is_none());
     }
 
@@ -1457,19 +1358,13 @@ mod tests {
 
     #[test]
     fn rules_table_is_inspectable() {
-        assert!(RULES.len() >= 5);
+        assert!(RULES.len() >= 4);
         for r in RULES {
             assert!(!r.name.is_empty());
             assert!(!r.description.is_empty());
         }
         let names: Vec<_> = RULES.iter().map(|r| r.name).collect();
-        for want in [
-            "engine",
-            "pipelining",
-            "cb_buffer_size",
-            "pack_kernel",
-            "sieving",
-        ] {
+        for want in ["engine", "cb_buffer_size", "pack_kernel", "sieving"] {
             assert!(names.contains(&want), "rule {want} missing from table");
         }
     }

@@ -924,9 +924,8 @@ pub fn flight_dump(reason: &str) {
     let streams = collect();
     eprintln!("=== lio-trace flight recorder: {reason} ===");
     if let Ok(seed) = std::env::var("LIO_FAULT_SEED") {
-        let pipe = std::env::var("LIO_PIPELINE").unwrap_or_else(|_| "1".into());
         eprintln!(
-            "replay: LIO_FAULT_SEED={seed} LIO_PIPELINE={pipe} \
+            "replay: LIO_FAULT_SEED={seed} \
              cargo test -p lio-core --test collective --test pipeline --test faults"
         );
     }

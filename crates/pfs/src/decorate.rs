@@ -41,14 +41,13 @@ static OBS_WRITE_SIZE: LazyHistogram = LazyHistogram::new("pfs.write.size");
 static OBS_THROTTLE_NS: LazyCounter = LazyCounter::new("pfs.throttle.delay_ns");
 /// Wall time burnt in the busy-wait tail of [`throttle_delay`]. This is
 /// CPU time, not modelled device time: consumers that account "storage
-/// time" from wall clocks (the pipelined engine's lane accounting)
-/// subtract it so overlap numbers aren't inflated by the spin.
+/// time" from wall clocks (the write-behind lane's accounting in
+/// `lio-core`) subtract it so overlap numbers aren't inflated by the spin.
 static OBS_SPIN_NS: LazyCounter = LazyCounter::new("pfs.throttle.spin_ns");
 static OBS_FAULTS_INJECTED: LazyCounter = LazyCounter::new("pfs.faults.injected");
 /// High-water mark of concurrently in-flight throttled storage ops,
-/// process-wide. > 1 proves the pipelined collective engine genuinely
-/// overlapped storage accesses (reads against writes, or storage
-/// against exchange on another rank).
+/// process-wide. > 1 proves that storage accesses genuinely overlapped
+/// (an IOP's pre-read against its write-behind lane, or two ranks).
 static OBS_OPS_INFLIGHT_MAX: LazyGauge = LazyGauge::new("pfs.ops.inflight_max");
 
 /// Current in-flight throttled ops across all [`ThrottledFile`]s.
@@ -62,9 +61,9 @@ static THROTTLE_INFLIGHT: AtomicU64 = AtomicU64::new(0);
 /// spin-wait so that sub-microsecond costs are representable (OS sleep
 /// granularity is far too coarse at these rates); long delays sleep for
 /// the bulk and spin only the tail, so a modelled slow device genuinely
-/// yields the CPU — required for the pipelined collective engine's
-/// storage/exchange overlap to be real rather than an artifact of
-/// busy-waiting threads contending for cores.
+/// yields the CPU — required for the collective engine's write-behind
+/// overlap to be real rather than an artifact of busy-waiting threads
+/// contending for cores.
 #[derive(Debug, Clone, Copy)]
 pub struct Throttle {
     /// Sustained read bandwidth in bytes/second.
@@ -134,9 +133,9 @@ thread_local! {
 }
 
 /// Drain the calling thread's accumulated throttle spin-tail time (ns).
-/// The pipelined collective engine calls this around each storage lane
-/// op: the spin is CPU burn, not modelled device time, and must not be
-/// credited to `core.coll.*.io_ns` / `overlap_ns`.
+/// The collective engine's write-behind lane calls this after each
+/// write: the spin is CPU burn, not modelled device time, and must not be
+/// credited to `core.coll.*.io_ns`.
 pub fn take_spin_ns() -> u64 {
     SPIN_NS.with(|c| c.replace(0))
 }

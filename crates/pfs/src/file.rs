@@ -47,12 +47,12 @@ pub trait StorageFile: Send + Sync {
     fn sync(&self) -> io::Result<()>;
 
     /// The asynchronous submission queue behind this file, if it has
-    /// one. Consumers that understand the queue (the pipelined
-    /// collective engine's storage lanes) submit whole batches and
-    /// harvest completions out of order instead of going through the
-    /// blocking positional methods. Decorators deliberately do *not*
-    /// forward this: their accounting assumes the synchronous facade
-    /// (see [`crate::decorate`]).
+    /// one. Nothing in this workspace calls it since the pipelined
+    /// collective schedule went; it stays because the benchmark package's
+    /// storage decorator forwards it and may not be edited by a library
+    /// change (ROADMAP item 3(c) decides the queue's fate, this seam's
+    /// with it). Decorators deliberately do *not* forward this: their
+    /// accounting assumes the synchronous facade (see [`crate::decorate`]).
     fn submission(&self) -> Option<&crate::squeue::SubmissionQueue> {
         None
     }

@@ -17,8 +17,8 @@
 //! * [`FaultyFile`] — seeded deterministic fault injection (short
 //!   transfers, transient errors, torn writes, flush failures), with the
 //!   bounded recovery loops in [`retry`];
-//! * [`OsFile`] — the real-storage backend: an asynchronous
-//!   [`SubmissionQueue`]/completion-queue pair (io_uring-shaped; see
+//! * [`OsFile`] — the real-storage backend: a blocking facade over its
+//!   own [`SubmissionQueue`]/completion-queue pair (io_uring-shaped; see
 //!   [`squeue`]) served by a worker threadpool over any device, with
 //!   alignment-aware segment planning and staged buffers ([`aligned`]);
 //! * [`RangeLock`] — the byte-range lock that data-sieving writes need for
@@ -41,4 +41,4 @@ pub use file::{MemFile, StorageFile, UnixFile};
 pub use lock::{RangeGuard, RangeLock};
 pub use os::{OsConfig, OsFile};
 pub use retry::{RetryExhausted, RetryPolicy};
-pub use squeue::{Cqe, QueueConfig, SqBuf, Sqe, SubmissionQueue};
+pub use squeue::{QueueConfig, SubmissionQueue};

@@ -17,10 +17,8 @@
 //! [`crate::UnixFile`] for real kernel I/O (the normal configuration), a
 //! [`crate::MemFile`] for deterministic queue tests, or a
 //! [`crate::FaultyFile`]-wrapped file so the seeded fault schedules
-//! exercise the worker threadpool's retry path. Consumers that know
-//! about the queue (the pipelined collective engine) can bypass the
-//! blocking facade entirely via [`StorageFile::submission`] and submit
-//! whole windows asynchronously.
+//! exercise the worker threadpool's retry path. The facade is the only
+//! client the queue has; [`StorageFile::submission`] still exposes it.
 
 use std::io;
 use std::path::{Path, PathBuf};

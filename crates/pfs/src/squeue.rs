@@ -93,8 +93,6 @@ impl RawSliceMut {
 /// The buffer attached to a submission, returned to the caller inside
 /// the matching [`Cqe`].
 pub enum SqBuf {
-    /// An owned heap buffer (the pipelined engine's window buffers).
-    Owned(Vec<u8>),
     /// An aligned staging buffer (unaligned head/tail fragments).
     Aligned(crate::aligned::AlignedBuf),
     /// Borrowed caller memory, write submissions (zero-copy body).
@@ -107,7 +105,6 @@ impl SqBuf {
     /// The readable bytes (write submissions).
     pub fn as_io(&self) -> &[u8] {
         match self {
-            SqBuf::Owned(v) => v,
             SqBuf::Aligned(b) => b.as_slice(),
             // SAFETY: validity guaranteed by the RawSlice constructor's
             // contract.
@@ -120,20 +117,11 @@ impl SqBuf {
     /// which is read-only by construction.
     pub fn as_io_mut(&mut self) -> &mut [u8] {
         match self {
-            SqBuf::Owned(v) => v,
             SqBuf::Aligned(b) => b.as_mut_slice(),
             SqBuf::Raw(_) => panic!("read submission carries a read-only buffer"),
             // SAFETY: validity and exclusivity guaranteed by the
             // RawSliceMut constructor's contract.
             SqBuf::RawMut(r) => unsafe { std::slice::from_raw_parts_mut(r.ptr, r.len) },
-        }
-    }
-
-    /// Recover the owned buffer, if this submission carried one.
-    pub fn into_owned(self) -> Option<Vec<u8>> {
-        match self {
-            SqBuf::Owned(v) => Some(v),
-            _ => None,
         }
     }
 }
@@ -467,6 +455,13 @@ mod tests {
     use crate::file::MemFile;
     use std::sync::mpsc;
 
+    /// A submission buffer of `len` bytes that starts with `data`.
+    fn staged(data: &[u8], len: usize) -> SqBuf {
+        let mut buf = crate::aligned::AlignedBuf::new(len.max(1), 1);
+        buf.as_mut_slice()[..data.len()].copy_from_slice(data);
+        SqBuf::Aligned(buf)
+    }
+
     fn queue_over(data: Vec<u8>, cfg: QueueConfig) -> (SubmissionQueue, Arc<MemFile>) {
         let mem = Arc::new(MemFile::with_data(data));
         let q = SubmissionQueue::new(Arc::clone(&mem) as Arc<dyn StorageFile>, cfg);
@@ -477,26 +472,23 @@ mod tests {
     fn roundtrip_read_write() {
         let (q, mem) = queue_over(Vec::new(), QueueConfig::default());
         let (tx, rx) = mpsc::channel();
-        q.submit(
-            Sqe::write(1, 0, SqBuf::Owned(b"hello world".to_vec()), 11),
-            &tx,
-        );
+        q.submit(Sqe::write(1, 0, staged(b"hello world", 11), 11), &tx);
         let cqe = rx.recv().unwrap();
         assert_eq!(cqe.token, 1);
         assert_eq!(cqe.result.unwrap(), 11);
         assert_eq!(mem.snapshot(), b"hello world");
-        q.submit(Sqe::read(2, 6, SqBuf::Owned(vec![0; 5]), 5), &tx);
+        q.submit(Sqe::read(2, 6, staged(&[], 5), 5), &tx);
         let cqe = rx.recv().unwrap();
         assert_eq!(cqe.result.unwrap(), 5);
-        assert_eq!(cqe.buf.unwrap().into_owned().unwrap(), b"world");
+        assert_eq!(cqe.buf.unwrap().as_io(), b"world");
     }
 
     #[test]
     fn zero_length_submissions_complete() {
         let (q, _mem) = queue_over(vec![9u8; 16], QueueConfig::default());
         let (tx, rx) = mpsc::channel();
-        q.submit(Sqe::read(0, 4, SqBuf::Owned(Vec::new()), 0), &tx);
-        q.submit(Sqe::write(1, 4, SqBuf::Owned(Vec::new()), 0), &tx);
+        q.submit(Sqe::read(0, 4, staged(&[], 0), 0), &tx);
+        q.submit(Sqe::write(1, 4, staged(&[], 0), 0), &tx);
         q.submit(Sqe::sync(2), &tx);
         let mut tokens: Vec<u64> = (0..3)
             .map(|_| rx.recv().unwrap())
@@ -510,12 +502,11 @@ mod tests {
     fn read_past_eof_completes_short() {
         let (q, _mem) = queue_over(vec![7u8; 10], QueueConfig::default());
         let (tx, rx) = mpsc::channel();
-        q.submit(Sqe::read(0, 4, SqBuf::Owned(vec![0; 32]), 32), &tx);
+        q.submit(Sqe::read(0, 4, staged(&[], 32), 32), &tx);
         let cqe = rx.recv().unwrap();
         assert_eq!(cqe.result.unwrap(), 6, "short only at EOF");
         assert_eq!(cqe.len, 32);
-        let buf = cqe.buf.unwrap().into_owned().unwrap();
-        assert_eq!(&buf[..6], &[7u8; 6]);
+        assert_eq!(&cqe.buf.unwrap().as_io()[..6], &[7u8; 6]);
     }
 
     #[test]
@@ -568,10 +559,10 @@ mod tests {
                     shuffle_seed: seed,
                 },
             );
-            q.submit(Sqe::read(1000, 0, SqBuf::Owned(vec![0; 8]), 8), &tx);
+            q.submit(Sqe::read(1000, 0, staged(&[], 8), 8), &tx);
             entered_rx.recv().unwrap(); // worker holds the gate entry
             for i in 0..16u64 {
-                q.submit(Sqe::read(i, i * 8, SqBuf::Owned(vec![0; 8]), 8), &tx);
+                q.submit(Sqe::read(i, i * 8, staged(&[], 8), 8), &tx);
             }
             gate_tx.send(()).unwrap();
             let mut order = Vec::new();
@@ -628,10 +619,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         // First read is dequeued by the worker and blocks on the gate;
         // two more fill the queue to its depth.
-        q.submit(Sqe::read(0, 0, SqBuf::Owned(vec![0; 4]), 4), &tx);
+        q.submit(Sqe::read(0, 0, staged(&[], 4), 4), &tx);
         // Wait for the worker to have dequeued the first entry.
         loop {
-            if q.try_submit(Sqe::read(1, 0, SqBuf::Owned(vec![0; 4]), 4), &tx)
+            if q.try_submit(Sqe::read(1, 0, staged(&[], 4), 4), &tx)
                 .is_ok()
             {
                 break;
@@ -639,13 +630,13 @@ mod tests {
             std::thread::yield_now();
         }
         while q
-            .try_submit(Sqe::read(2, 0, SqBuf::Owned(vec![0; 4]), 4), &tx)
+            .try_submit(Sqe::read(2, 0, staged(&[], 4), 4), &tx)
             .is_err()
         {
             std::thread::yield_now();
         }
         // Now 2 are queued (depth reached) while the first is in service.
-        let refused = q.try_submit(Sqe::read(3, 0, SqBuf::Owned(vec![0; 4]), 4), &tx);
+        let refused = q.try_submit(Sqe::read(3, 0, staged(&[], 4), 4), &tx);
         assert!(refused.is_err(), "queue at depth must refuse try_submit");
         let sqe = refused.err().unwrap();
         assert_eq!(sqe.token, 3, "the refused submission comes back intact");
@@ -671,10 +662,7 @@ mod tests {
         );
         let (tx, rx) = mpsc::channel();
         for i in 0..32u64 {
-            q.submit(
-                Sqe::write(i, i * 4, SqBuf::Owned(vec![i as u8 + 1; 4]), 4),
-                &tx,
-            );
+            q.submit(Sqe::write(i, i * 4, staged(&[i as u8 + 1; 4], 4), 4), &tx);
         }
         drop(q); // must join only after servicing all 32
         drop(tx);

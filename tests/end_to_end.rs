@@ -247,8 +247,8 @@ fn prelude_covers_the_basics() {
 /// Window scratch is sized to what the access can address, so pin both
 /// ends: sieve and collective buffers of 1, 13 and 4097 bytes and the
 /// defaults, each against an access smaller and one larger than the
-/// buffer, both engines, independent, monolithic and pipelined — the file
-/// and the read-back byte-identical to a naive typemap walk.
+/// buffer, both engines, independent and collective — the file and the
+/// read-back byte-identical to a naive typemap walk.
 #[test]
 fn window_buffers_smaller_and_larger_than_the_access() {
     use listless_io::datatype::typemap::{expand, reference_pack};
@@ -262,10 +262,9 @@ fn window_buffers_smaller_and_larger_than_the_access() {
     let filetype = |rank: u64| figure4_filetype(rank, P, 2, 4);
 
     #[derive(Clone, Copy, Debug)]
-    enum Schedule {
+    enum Access {
         Independent,
-        Monolithic,
-        Pipelined,
+        Collective,
     }
 
     // 8 B per rank (a 12 B file range) and 8800 B per rank (17600 B)
@@ -293,18 +292,13 @@ fn window_buffers_smaller_and_larger_than_the_access() {
 
         for buffer in [Some(1usize), Some(13), Some(4097), None] {
             for engine in [Hints::list_based(), Hints::listless()] {
-                for schedule in [
-                    Schedule::Independent,
-                    Schedule::Monolithic,
-                    Schedule::Pipelined,
-                ] {
+                for access in [Access::Independent, Access::Collective] {
                     let mut hints = engine;
                     if let Some(b) = buffer {
                         hints = hints.ind_buffer(b).cb_buffer(b);
                     }
-                    hints = hints.pipelined(matches!(schedule, Schedule::Pipelined));
                     let ctx = format!(
-                        "{:?} {schedule:?} buffer {buffer:?} count {count}",
+                        "{:?} {access:?} buffer {buffer:?} count {count}",
                         hints.engine
                     );
 
@@ -315,13 +309,13 @@ fn window_buffers_smaller_and_larger_than_the_access() {
                         f.set_view(DISP, Datatype::byte(), filetype(me as u64))
                             .unwrap();
                         let mut back = vec![0u8; users[me].len()];
-                        let n = match schedule {
-                            Schedule::Independent => {
+                        let n = match access {
+                            Access::Independent => {
                                 f.write_at(0, &users[me], count, &memtype).unwrap();
                                 comm.barrier();
                                 f.read_at(0, &mut back, count, &memtype).unwrap()
                             }
-                            _ => {
+                            Access::Collective => {
                                 f.write_at_all(0, &users[me], count, &memtype).unwrap();
                                 f.read_at_all(0, &mut back, count, &memtype).unwrap()
                             }
