@@ -34,6 +34,21 @@ for src in crates/*/src; do
   fi
 done
 
+# Knob census (ROADMAP item 5(d)), the same ratchet: the distinct
+# `LIO_*` names anywhere under crates/*/src — every environment variable
+# the workspace reads, whether it selects, arms or sizes something —
+# against the number reviewed. A new one raises the number here, where the
+# diff shows it, and owes a bench on which it changes the answer.
+echo "== LIO_* knob census"
+reviewed_knobs=16
+knobs=$(grep -rhoE --include='*.rs' 'LIO_[A-Z_]+' crates/*/src | sort -u)
+n=$(echo "$knobs" | grep -c .)
+echo "  $n (reviewed: $reviewed_knobs):" $knobs
+if [ "$n" -gt "$reviewed_knobs" ]; then
+  echo "knob census: $n distinct LIO_* names under crates/*/src, more than was reviewed"
+  exit 1
+fi
+
 # `default-members` in the root manifest makes both commands cover the
 # whole workspace: the root package and every crate's unit, differential
 # and property suites.
@@ -43,7 +58,11 @@ cargo test -q
 
 # The benchmark's own oracle on the data path: one short round of all five
 # workloads with every file-image and read-back check on (< 10 s). The
-# benchmark is a package of its own, so tier-1 never builds it.
+# benchmark is a package of its own, so tier-1 never builds it. All five
+# files lend their bytes, so the listless collective read-backs of the
+# three `coll-*` rows are *routed* reads (each rank's own sieved read, no
+# exchange): this run is the read-back oracle of that path on the tile and
+# Figure-4 shapes, on `MemFile` and on the mapped real file.
 echo "== benchmark smoke run"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
@@ -68,10 +87,16 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # exercised. Without a fault seed the queue's device is a plain UnixFile,
 # which lends a shared mapping of the file: these reruns (and the
 # LIO_BACKEND=os row of the backend corpus below) are the collective
-# schedule on mapped windows, 4 KiB pages on tmpfs and large folios on
-# ext4; os_edge holds the mapping's own edge cases (EOF, set_len, growth,
-# sync + reopen). The fault-seed reruns at the end put a FaultyFile under
-# the queue, which declines: they are the staged path on the same backend.
+# write schedule on mapped windows and — listless — *routed* collective
+# reads over the mapping (every rank is lent its bytes, so each reads its
+# own view by itself; the list-based engine and every write stay
+# two-phase), 4 KiB pages on tmpfs and large folios on ext4; the suites
+# run each read-back on `Staged` storage too, which keeps the two-phase
+# read in these reruns. os_edge holds the mapping's own edge cases (EOF,
+# set_len, growth, sync + reopen). The fault-seed reruns at the end put a
+# FaultyFile under the queue, which declines: they are the staged path on
+# the same backend, and their collective reads are two-phase reads by
+# construction (no decorator lends, so no rank's probe is answered).
 # Cross-backend equivalence itself is the backend corpus:
 # the same differential cases must produce byte-identical files under
 # every backend.
@@ -251,6 +276,10 @@ done
 # Fault corpus: the three fixed seeds plus a rotating, commit-derived
 # seed so the corpus keeps widening over time without losing replay
 # determinism (the seed depends only on the commit, never the clock).
+# A fault seed wraps the device in a FaultyFile, which lends nothing: every
+# collective read here is a two-phase read, so the zero-fill contract of a
+# failed IOP and `core.coll.fault_aborts` are tested where a storage fault
+# can occur at all (a routed read stages only what the storage declines).
 # On failure, replay the exact schedule with:
 #   LIO_FAULT_SEED=<seed> \
 #     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share

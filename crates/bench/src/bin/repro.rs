@@ -905,12 +905,16 @@ fn metrics(opts: &Opts) {
         let user = (2 * nprocs as u64 * total) as f64;
         let moved = snap.counter("dt.copy.bytes") + snap.counter("io.staged_bytes");
         let copies = moved as f64 / user;
+        // (every rank of a routed read counts: `nprocs` of `nprocs` on a
+        // bare `MemFile` under the listless engine, 0 anywhere else)
+        let routed = snap.counter("core.coll.read.routed");
         println!(
             "  {key}: copies_per_user_byte {copies:.3} ({} B staged, {} B of them written \
-             behind, {} B in place)",
+             behind, {} B in place; {routed} of {} collective reads routed)",
             snap.counter("io.staged_bytes"),
             snap.counter("io.behind_bytes"),
             snap.counter("io.in_place_bytes"),
+            snap.counter("core.coll.read.calls"),
         );
         // satellite: request-size quantiles straight from the log2
         // histograms — the shape data sieving / two-phase is supposed
@@ -956,6 +960,7 @@ fn metrics(opts: &Opts) {
                 "bytes",
             ));
             entries.push(e("copies_per_user_byte", copies, "ratio"));
+            entries.push(e("reads_routed", routed as f64, "count"));
             entries.push(e(
                 "behind_bytes",
                 snap.counter("io.behind_bytes") as f64,

@@ -38,7 +38,10 @@
 //! rank reads the memoized result. Reports arriving after their op's
 //! decision was taken (reads have no closing barrier) are dropped as
 //! stale; aborted ops mark the aggregate so the decision discards it —
-//! failed ops never move a knob (`core.tune.discarded`).
+//! failed ops never move a knob (`core.tune.discarded`). A collective read
+//! that was routed (each rank's own placement, `twophase::read_at_all`) is
+//! reported the same way: neither knob reached it, so it measures neither,
+//! and the discard keeps the op numbering aligned on every rank.
 //!
 //! The tuner changes *performance* knobs only: the differential corpus
 //! (`tests/autotune.rs`, plus the `LIO_AUTOTUNE=1` corpus reruns in
@@ -241,7 +244,7 @@ pub struct TuneReport {
     pub ops: Vec<TuneOp>,
     /// Reports that arrived after their op's decision was taken.
     pub stale_reports: u64,
-    /// Aborted ops whose measurements were discarded.
+    /// Ops whose measurements were discarded: aborted, or routed reads.
     pub discarded: u64,
     pub settled: bool,
     /// Knob summaries at arm time and now.
@@ -438,13 +441,14 @@ impl TunerState {
         if agg.aborted {
             self.report.discarded += 1;
             OBS_DISCARDED.incr();
-            // an aborted op measures the fault, not the knobs: keep the
-            // trial (judged by the next clean op) and move nothing
+            // an aborted op measures the fault, a routed read the storage's
+            // memory, neither the knobs: keep the trial (judged by the next
+            // clean op) and move nothing
             self.push_decision(
                 op,
                 "discard",
                 String::new(),
-                "op aborted by fault".to_string(),
+                "op aborted by a fault, or a read routed past both knobs".to_string(),
                 agg.wall_max,
             );
             return;
@@ -726,7 +730,8 @@ impl FileTuner {
             .record(self.cur_op.get(), o);
     }
 
-    /// Report that the op planned last by this rank aborted.
+    /// Report that the op planned last by this rank aborted, or ran where
+    /// no knob reached it (a routed read): its decision is a discard.
     pub(crate) fn abort_op(&self) {
         self.shared
             .lock()

@@ -433,7 +433,9 @@ impl<'c> File<'c> {
 
     /// Collective write (`MPI_File_write_at_all`): every rank of the
     /// communicator must call this, each with its own offset, buffer, and
-    /// memtype. Performed with two-phase I/O.
+    /// memtype. Performed with two-phase I/O on every storage: io-processes
+    /// write disjoint file domains, and the call ends in a rank-sync, so
+    /// when it returns every rank's data is in the file.
     pub fn write_at_all(
         &self,
         offset: u64,
@@ -464,7 +466,17 @@ impl<'c> File<'c> {
         self.health_end(res)
     }
 
-    /// Collective read (`MPI_File_read_at_all`).
+    /// Collective read (`MPI_File_read_at_all`): every rank of the
+    /// communicator must call this. Two-phase I/O turns many small storage
+    /// requests into few large ones; where that buys nothing it is not
+    /// done: if every rank is on the listless engine, not in atomic mode,
+    /// and the storage lends it the bytes of the file (a `MemFile`, a
+    /// mapped `UnixFile` — no decorator does), the call is each rank's own
+    /// [`File::read_at`] on its view, sized by `ind_buffer_size` and
+    /// [`crate::SievingMode`], with no exchange after the opening
+    /// allgather that takes the decision. Either way the call ends in no
+    /// rank-sync (`MPI_File_read_at_all` promises none): data another rank
+    /// writes is visible once *its* `write_at_all` has returned.
     pub fn read_at_all(
         &self,
         offset: u64,
@@ -489,6 +501,7 @@ impl<'c> File<'c> {
             stream_start,
             total,
             &eff,
+            self.atomic,
             tuner,
             &self.scratch,
         );

@@ -23,7 +23,9 @@ pub enum Engine {
     Listless,
 }
 
-/// How independent non-contiguous accesses touch the file.
+/// How independent non-contiguous accesses touch the file — and a routed
+/// collective read, which is each rank's independent read (see
+/// [`crate::File::read_at_all`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SievingMode {
     /// Data sieving: read a large window, copy through it, write it back
@@ -131,7 +133,10 @@ pub struct Hints {
     /// Window size of independent data sieving (ROMIO has two knobs,
     /// 512 KiB for writes and 4 MiB for reads; we use one). Default
     /// [`DEFAULT_WINDOW`]. Windows lie on the absolute grid of multiples
-    /// of this size, so it is also the largest storage request.
+    /// of this size, so it is also the largest storage request. It sizes
+    /// the windows of a routed collective read too (each rank's own sieved
+    /// read, [`crate::File::read_at_all`]); by default that is the grid
+    /// `cb_buffer_size` gives the two-phase read.
     pub ind_buffer_size: usize,
     /// Window size of collective (two-phase) file access per IOP. Default
     /// [`DEFAULT_WINDOW`] — the same cache-sized constant as the sieve
@@ -373,6 +378,19 @@ mod tests {
         assert_eq!(h.ind_buffer_size, DEFAULT_WINDOW);
         assert_eq!(h.cb_buffer_size, DEFAULT_WINDOW);
         assert_eq!(h.effective_io_nodes(8), 8);
+    }
+
+    /// A collective read that is routed walks `ind_buffer_size` windows
+    /// where the two-phase read walks `cb_buffer_size` ones: by default
+    /// the route must not move the window grid.
+    #[test]
+    fn both_window_defaults_are_the_one_constant() {
+        let h = Hints::default();
+        assert_eq!(h.ind_buffer_size, h.cb_buffer_size);
+        assert_eq!(DEFAULT_WINDOW, 512 * 1024);
+        for engine in [Hints::list_based(), Hints::listless()] {
+            assert_eq!(engine.ind_buffer_size, engine.cb_buffer_size);
+        }
     }
 
     #[test]

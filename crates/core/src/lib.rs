@@ -15,7 +15,11 @@
 //!
 //! Both engines share the same data sieving and two-phase skeletons, so
 //! measured differences isolate exactly the non-contiguous datatype
-//! handling — the paper's experimental design.
+//! handling — the paper's experimental design. Not every collective
+//! exchanges: a listless collective *read* on storage that lends its bytes
+//! to every rank is each rank's own sieved read ([`File::read_at_all`]);
+//! writes, the list-based engine and every storage that takes requests
+//! keep the two-phase method.
 //!
 //! ## Quick example
 //!

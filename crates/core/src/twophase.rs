@@ -1,4 +1,4 @@
-//! Collective file access: the two-phase method.
+//! Collective file access: the two-phase method, and when a read skips it.
 //!
 //! Collective reads/writes are performed by **io-processes** (IOPs) that
 //! touch the file, on behalf of all **access-processes** (APs) — paper
@@ -28,6 +28,21 @@
 //!   carry *only data*; placement uses flattening-on-the-fly, and the
 //!   covered-window test is one `O(depth)` mergeview evaluation.
 //!
+//! Not every collective exchanges. Two-phase exists to turn many small
+//! file requests into few large ones, and ROMIO skips it where it buys
+//! nothing; on storage that lends its bytes there are no requests at all.
+//! So `read_at_all` asks, inside the allgather of access ranges it opens
+//! with (one more byte per rank: no new message, and no way for two ranks
+//! to disagree), whether **every** rank is listless, not in atomic mode,
+//! and was just lent the first byte of its own range — and if so each rank
+//! runs `sieve::read_independent` on its own view and buffer: one copy
+//! per user byte instead of one and a half, no message. That is one more
+//! *placement* of the schedule below, not a second schedule: the window
+//! loop is the sieve's. The list-based engine is left out (`ListNav` would
+//! pay its linear locate per sieve window — the paper's own point), and
+//! so are writes: there, file domains keep two ranks from storing into the
+//! same cache lines (DESIGN.md §3.4, *Routing*).
+//!
 //! There is one schedule, the monolithic two-phase of Thakur, Gropp & Lusk:
 //! data for a whole file domain travels in one message per (AP, IOP) pair,
 //! which preserves the communication volume and list-handling costs the
@@ -50,6 +65,7 @@ use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::{MemPacker, UserRuns, UserSide, MESSAGE, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
+use crate::sieve;
 use crate::view::{FfNav, FileView, RunTally, ViewNav};
 use crate::window::{snap, timed, WindowIo, Windows};
 use lio_obs::health::{self, HbPhase};
@@ -67,6 +83,9 @@ static OBS_W_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.write.exchange_n
 static OBS_W_IO_NS: LazyCounter = LazyCounter::new("core.coll.write.io_ns");
 static OBS_W_PACK_NS: LazyCounter = LazyCounter::new("core.coll.write.pack_ns");
 static OBS_R_CALLS: LazyCounter = LazyCounter::new("core.coll.read.calls");
+/// Collective reads that were each rank's own placement (a part of
+/// `core.coll.read.calls`): no exchange, no IOP, none of the `_ns` below.
+static OBS_R_ROUTED: LazyCounter = LazyCounter::new("core.coll.read.routed");
 static OBS_R_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.read.exchange_ns");
 static OBS_R_IO_NS: LazyCounter = LazyCounter::new("core.coll.read.io_ns");
 static OBS_R_PACK_NS: LazyCounter = LazyCounter::new("core.coll.read.pack_ns");
@@ -208,16 +227,33 @@ fn access_range(nav: &ViewNav, stream_start: u64, total: u64) -> Option<(u64, u6
     Some((lo, hi))
 }
 
-/// Per-IOP file domains plus each rank's access range.
-type Domains = (Vec<(u64, u64)>, Vec<Option<(u64, u64)>>);
+/// Per-IOP file domains, and whether every rank said `alone`.
+type Domains = (Vec<(u64, u64)>, bool);
 
-/// Exchange access ranges and compute the per-IOP file domains.
-fn file_domains(comm: &Comm, range: Option<(u64, u64)>, hints: &Hints) -> Domains {
-    let mut msg = [0u8; 16];
+/// Whether the storage lends this rank the first byte of its access range
+/// right now — the lending interface itself is the probe. An empty access
+/// has nothing to be refused; a probe that fails is a refusal (the staged
+/// path meets the error where it is typed).
+fn lent_first_byte(storage: &dyn StorageFile, range: Option<(u64, u64)>) -> bool {
+    range.is_none_or(|(lo, _)| {
+        storage
+            .with_range(lo, lo + 1, &mut |_, _| {})
+            .unwrap_or(false)
+    })
+}
+
+/// Exchange access ranges and compute the per-IOP file domains. `alone` is
+/// this rank's answer to "could you place your access by yourself"; the
+/// second value is whether every rank's was yes — a function of the
+/// allgathered bytes only, so no two ranks can disagree on it.
+fn file_domains(comm: &Comm, range: Option<(u64, u64)>, alone: bool, hints: &Hints) -> Domains {
+    let mut msg = [0u8; 17];
     let (lo, hi) = range.unwrap_or((u64::MAX, 0));
     msg[0..8].copy_from_slice(&lo.to_le_bytes());
     msg[8..16].copy_from_slice(&hi.to_le_bytes());
+    msg[16] = alone as u8;
     let all = comm.allgather(msg.to_vec());
+    let all_alone = all.iter().all(|b| b[16] != 0);
     let ranges: Vec<Option<(u64, u64)>> = all
         .iter()
         .map(|b| {
@@ -256,7 +292,7 @@ fn file_domains(comm: &Comm, range: Option<(u64, u64)>, hints: &Hints) -> Domain
     if lio_obs::profile::enabled() && comm.rank() == 0 {
         profile_domains(&ranges, min_st, max_end);
     }
-    (domains, ranges)
+    (domains, all_alone)
 }
 
 /// Profile the file-domain geometry of one collective op: overall span,
@@ -523,7 +559,9 @@ pub(crate) fn write_at_all(
     let mut pack_ns = 0u64;
     let my_range = access_range(nav, stream_start, total);
     let t = lio_obs::now();
-    let (domains, _ranges) = file_domains(comm, my_range, hints);
+    // a write keeps its file domains on every storage (DESIGN.md §3.4,
+    // *Routing*)
+    let (domains, _) = file_domains(comm, my_range, false, hints);
     exch_ns += lio_obs::elapsed_ns(t);
     let naggr = domains.len();
     let me = comm.rank();
@@ -911,11 +949,12 @@ pub(crate) fn read_at_all(
     stream_start: u64,
     total: u64,
     hints: &Hints,
+    atomic: bool,
     tuner: Option<&FileTuner>,
     scratch: &Scratch,
 ) -> Result<u64> {
     // root trace span delimiting this collective op
-    let _root = lio_obs::trace::span_ab("coll.read", total, 0);
+    let mut root = lio_obs::trace::span_ab("coll.read", total, 0);
     let t_op = lio_obs::now();
     let engine = match nav {
         ViewNav::List(_) => Engine::ListBased,
@@ -929,9 +968,36 @@ pub(crate) fn read_at_all(
     let mut io_ns = 0u64;
     let mut pack_ns = 0u64;
     let my_range = access_range(nav, stream_start, total);
+    // this rank's answer to the routing question of the module docs
+    let alone = engine == Engine::Listless && !atomic && lent_first_byte(storage, my_range);
     let t = lio_obs::now();
-    let (domains, _ranges) = file_domains(comm, my_range, hints);
+    let (domains, routed) = file_domains(comm, my_range, alone, hints);
     exch_ns += lio_obs::elapsed_ns(t);
+    if routed {
+        // every rank decided the same from the same allgathered bytes, so
+        // nobody waits for a message from here on; a preceding collective
+        // write has passed its closing barrier on every rank
+        root.set_payload(total, 1, 0);
+        if obs {
+            OBS_R_ROUTED.incr();
+            OBS_R_EXCH_NS.add(exch_ns);
+        }
+        // neither `engine` nor `cb` touched this op
+        if let Some(tu) = tuner {
+            tu.abort_op();
+        }
+        health::beat_bytes(HbPhase::Pack, total);
+        return sieve::read_independent(
+            storage,
+            nav,
+            packer,
+            user,
+            stream_start,
+            total,
+            hints,
+            scratch,
+        );
+    }
     let naggr = domains.len();
     let me = comm.rank();
 

@@ -14,11 +14,15 @@
 //!    exactly.
 //! 4. **Differential corpus** — `Hints::autotune(true)` across ranks
 //!    {1, 2, 4, 7} × backends {mem, os} is byte-for-byte the naive
-//!    reference: the tuner changes performance knobs only.
+//!    reference: the tuner changes performance knobs only. Every other
+//!    case runs behind `Staged`, so that the read-back is two-phase there
+//!    and (while the tuner holds the listless engine) routed elsewhere.
+//! 5. **A routed read is a discard** — neither knob reached it, so it
+//!    moves none, and the op numbering stays aligned on every rank.
 
 mod common;
 
-use common::{pattern, reference_read, reference_write, storage_for_backend};
+use common::{pattern, reference_read, reference_write, storage_for_backend, Staged};
 use lio_core::autotune::{apply_settings, cold_start_knobs, Knobs, OpOutcome};
 use lio_core::{BackendKind, File, Hints, SharedFile, Tuner};
 use lio_datatype::{Datatype, Field};
@@ -264,7 +268,11 @@ fn autotuned_corpus_matches_reference() {
                 };
                 let hints = engine_hints.cb_buffer(4096).autotune(true);
                 let (shared, snap) = storage_for_backend(backend);
-                let sh = shared.clone();
+                let sh = if case.is_multiple_of(2) {
+                    SharedFile::new(Staged(std::sync::Arc::clone(shared.storage())))
+                } else {
+                    shared.clone()
+                };
                 let want_ro = want.clone();
                 World::run(nprocs, move |comm| {
                     let me = comm.rank() as u64;
@@ -306,4 +314,48 @@ fn autotuned_corpus_matches_reference() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// 5. A routed read is a discard
+// ---------------------------------------------------------------------
+
+#[test]
+fn routed_reads_are_discards_and_keep_the_ops_aligned() {
+    const OPS: u64 = 6;
+    let (nprocs, sblock, nblock) = (2usize, 64u64, 32u64);
+    let step = nblock * sblock;
+    let image = pattern((2 * step) as usize, 5);
+    let run = |shared: SharedFile| {
+        let sh = shared.clone();
+        World::run(nprocs, move |comm| {
+            let me = comm.rank() as u64;
+            let ft = interleaved_ft(sblock, nblock, nprocs as u64);
+            let mut f = File::open(comm, sh.clone(), Hints::listless().autotune(true)).unwrap();
+            f.set_view(me * sblock, Datatype::byte(), ft).unwrap();
+            let mut back = vec![0u8; step as usize];
+            for _ in 0..OPS {
+                f.read_at_all(0, &mut back, step, &Datatype::byte())
+                    .unwrap();
+                // reads end in no sync: let every report land before the
+                // next op's decision is taken
+                comm.barrier();
+            }
+        });
+        shared.tune_report().expect("tuner was armed")
+    };
+    // lent to every rank: each read is routed, each decision a discard
+    let report = run(SharedFile::new(MemFile::with_data(image.clone())));
+    assert_eq!(report.ops.len() as u64, OPS, "{report:?}");
+    assert_eq!(report.discarded, OPS - 1, "the last op's decision is due");
+    assert_eq!(report.stale_reports, 0, "{report:?}");
+    for d in &report.decisions {
+        assert_eq!(d.action, "discard", "{report:?}");
+        assert!(d.signal.contains("routed"), "{report:?}");
+    }
+    assert_eq!(report.current, report.initial, "{report:?}");
+    // staged, the same reads are two-phase ops the tuner measures
+    let report = run(SharedFile::new(Staged(MemFile::with_data(image))));
+    assert_eq!(report.ops.len() as u64, OPS, "{report:?}");
+    assert_eq!(report.discarded, 0, "{report:?}");
 }

@@ -1,7 +1,9 @@
 //! Cross-backend differential corpus: the in-memory backend and the
 //! real-file submission-queue backend must be *byte-identical* — same
 //! final file contents, same collective read-backs — across engines and
-//! world sizes.
+//! world sizes, and each once more behind `Staged`: both backends lend
+//! their bytes, so the listless read-back is routed on them as they are
+//! and two-phase behind the wrapper.
 //!
 //! Every assertion carries a replay line (environment + command) so a
 //! failing configuration reproduces from the message alone, the same
@@ -9,8 +11,8 @@
 
 mod common;
 
-use common::{pattern, reference_write, storage_for_backend};
-use lio_core::{BackendKind, Engine, File, Hints};
+use common::{pattern, reference_write, storage_for_backend, Staged};
+use lio_core::{BackendKind, Engine, File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use std::sync::{Arc, Mutex};
@@ -62,11 +64,16 @@ impl Config {
     }
 }
 
-/// Run the interleaved collective write + read-back on one backend.
-/// Returns the final raw file bytes and each rank's read-back.
-fn run_on(kind: BackendKind, cfg: Config) -> (Vec<u8>, Vec<Vec<u8>>) {
+/// Run the interleaved collective write + read-back on one backend, as it
+/// is or lending nothing. Returns the final raw file bytes and each rank's
+/// read-back.
+fn run_on(kind: BackendKind, staged: bool, cfg: Config) -> (Vec<u8>, Vec<Vec<u8>>) {
     let (shared, snap) = storage_for_backend(kind);
-    let shared2 = shared.clone();
+    let shared2 = if staged {
+        SharedFile::new(Staged(Arc::clone(shared.storage())))
+    } else {
+        shared.clone()
+    };
     let reads: Arc<Mutex<Vec<Vec<u8>>>> =
         Arc::new(Mutex::new(vec![Vec::new(); cfg.nprocs as usize]));
     let reads2 = Arc::clone(&reads);
@@ -110,30 +117,32 @@ fn reference(cfg: Config) -> Vec<u8> {
 /// The differential assertion: mem and os agree with each other *and*
 /// with the reference, and every rank reads its own data back on both.
 fn assert_equivalent(cfg: Config, test: &str) {
-    let replay = cfg.replay(test);
-    let (mem_file, mem_reads) = run_on(BackendKind::Mem, cfg);
-    let (os_file, os_reads) = run_on(BackendKind::Os, cfg);
-    let mut want = reference(cfg);
-    let n = mem_file.len().max(os_file.len()).max(want.len());
-    let pad = |mut v: Vec<u8>| {
-        v.resize(n, 0);
-        v
-    };
-    let (mem_file, os_file) = (pad(mem_file), pad(os_file));
-    want = pad(want);
-    assert_eq!(
-        mem_file, want,
-        "mem backend diverges from reference\n{replay}"
-    );
-    assert_eq!(
-        os_file, want,
-        "os backend diverges from reference\n{replay}"
-    );
-    assert_eq!(mem_file, os_file, "backends diverge\n{replay}");
-    for p in 0..cfg.nprocs as usize {
-        let data = pattern((cfg.nblock * cfg.sblock) as usize, p as u64 + 1);
-        assert_eq!(mem_reads[p], data, "mem read-back, rank {p}\n{replay}");
-        assert_eq!(os_reads[p], data, "os read-back, rank {p}\n{replay}");
+    for staged in [false, true] {
+        let replay = format!("{} staged={staged}", cfg.replay(test));
+        let (mem_file, mem_reads) = run_on(BackendKind::Mem, staged, cfg);
+        let (os_file, os_reads) = run_on(BackendKind::Os, staged, cfg);
+        let mut want = reference(cfg);
+        let n = mem_file.len().max(os_file.len()).max(want.len());
+        let pad = |mut v: Vec<u8>| {
+            v.resize(n, 0);
+            v
+        };
+        let (mem_file, os_file) = (pad(mem_file), pad(os_file));
+        want = pad(want);
+        assert_eq!(
+            mem_file, want,
+            "mem backend diverges from reference\n{replay}"
+        );
+        assert_eq!(
+            os_file, want,
+            "os backend diverges from reference\n{replay}"
+        );
+        assert_eq!(mem_file, os_file, "backends diverge\n{replay}");
+        for p in 0..cfg.nprocs as usize {
+            let data = pattern((cfg.nblock * cfg.sblock) as usize, p as u64 + 1);
+            assert_eq!(mem_reads[p], data, "mem read-back, rank {p}\n{replay}");
+            assert_eq!(os_reads[p], data, "os read-back, rank {p}\n{replay}");
+        }
     }
 }
 

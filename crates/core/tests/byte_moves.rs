@@ -16,7 +16,8 @@
 //! | sieved write, strided memory      | 1       | 5      | 1        |
 //! | sieved read, either memory        | 1       | 3      | 1        |
 //! | collective write, either memory   | 1.5     | 2.5    | 1.5      |
-//! | collective read, either memory    | 1.5     | 2.5    | 1.5      |
+//! | collective read, list-based       | 1.5     | 2.5    | 1.5      |
+//! | collective read, listless         | 1.5     | 2.5    | **1**    |
 //! | nc-c write                        | 1       | 2      | 1        |
 //! | c-nc read                         | 1       | 2      | 1        |
 //!
@@ -33,12 +34,18 @@
 //! message → window): `(1 + 2)/2` at P = 2.
 //! `core.coll.exchange.data_bytes` counts the half that travels, exactly.
 //!
+//! A listless collective read on storage that lends its bytes to every
+//! rank is *routed*: each rank's own sieved read, so it is the sieved-read
+//! row — one copy, nothing exchanged, the rank's access range lent —
+//! and `core.coll.read.routed` counts it beside `core.coll.read.calls`.
+//! Staged, and list-based on any storage, it stays two-phase.
+//!
 //! Its own test binary with a single test: the counters are process-wide.
 
 mod common;
 
 use common::{figure4_filetype, pattern, real_file_with, Staged};
-use lio_core::{File, Hints, SharedFile};
+use lio_core::{Engine, File, Hints, SharedFile};
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
 use lio_pfs::{MemFile, OsFile, Throttle, ThrottledFile};
@@ -59,6 +66,9 @@ struct Moved {
     in_place: u64,
     /// Payload that left its rank (`core.coll.exchange.data_bytes`).
     exchanged: u64,
+    /// `core.coll.read.calls`, and how many of them were routed.
+    coll_reads: u64,
+    routed: u64,
 }
 
 /// What the counters read after both ranks ran `op` once.
@@ -84,6 +94,8 @@ fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) 
         staged: snap.counter("io.staged_bytes"),
         in_place: snap.counter("io.in_place_bytes"),
         exchanged: snap.counter("core.coll.exchange.data_bytes"),
+        coll_reads: snap.counter("core.coll.read.calls"),
+        routed: snap.counter("core.coll.read.routed"),
     }
 }
 
@@ -140,23 +152,35 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
                 } else {
                     0
                 };
-                let want = if *lends {
-                    Moved {
-                        copied: lib_copies,
-                        staged: 0,
-                        in_place: touched,
-                        exchanged,
-                    }
+                let coll_reads = if path.starts_with("collective read") {
+                    2
                 } else {
-                    Moved {
-                        copied: lib_copies,
-                        staged,
-                        in_place: 0,
-                        exchanged,
-                    }
+                    0
                 };
+                let mut want = Moved {
+                    copied: lib_copies,
+                    staged,
+                    in_place: 0,
+                    exchanged,
+                    coll_reads,
+                    routed: 0,
+                };
+                if *lends {
+                    (want.staged, want.in_place) = (0, touched);
+                }
+                // every rank was lent its bytes and navigates without a
+                // list: the collective read is the sieved read of each
+                if *lends && coll_reads > 0 && hints.engine == Engine::Listless {
+                    want = Moved {
+                        copied: 2 * BYTES,
+                        in_place: 2 * RANGE,
+                        exchanged: 0,
+                        routed: coll_reads,
+                        ..want
+                    };
+                }
                 assert_eq!(got, want, "{:?} {name} {path}", hints.engine);
-                let per_byte = (lib_copies + got.staged) as f64 / (2 * BYTES) as f64;
+                let per_byte = (got.copied + got.staged) as f64 / (2 * BYTES) as f64;
                 table.push(format!("{:?} {name} {path}: {per_byte:.3}", hints.engine));
             };
             let data = |me: u64| pattern(BYTES as usize, me + 1);
@@ -266,7 +290,8 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     // The tile shape — a 3-D array of 40-byte points split in two along
     // the fastest axis, the memory tile padded with ghost points all round
     // — has half of every rank's rows in either domain too: of the two
-    // ranks' bytes exactly one rank's worth travels, either way.
+    // ranks' bytes exactly one rank's worth travels, either way — but for
+    // the listless read, which on a `MemFile` is routed.
     const N: u64 = 16;
     let point = Datatype::basic(40);
     let tile_bytes = N * N * (N / 2) * 40;
@@ -292,6 +317,14 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             let mut back = vec![0u8; mem_tile.extent() as usize];
             f.read_at_all(0, &mut back, 1, &mem_tile).unwrap();
         });
-        assert_eq!(got.exchanged, tile_bytes, "{:?} tile read", hints.engine);
+        let routed = hints.engine == Engine::Listless;
+        let travels = if routed { 0 } else { tile_bytes };
+        assert_eq!(got.exchanged, travels, "{:?} tile read", hints.engine);
+        assert_eq!(
+            got.routed,
+            2 * routed as u64,
+            "{:?} tile read",
+            hints.engine
+        );
     }
 }

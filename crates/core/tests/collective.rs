@@ -1,19 +1,30 @@
-//! Collective (two-phase) I/O: both engines vs the reference, across
-//! process counts, IOP counts, buffer sizes, and view shapes — including
-//! the noncontig benchmark's interleaved pattern and BTIO-style subarrays.
+//! Collective I/O: both engines vs the reference, across process counts,
+//! IOP counts, buffer sizes, and view shapes — including the noncontig
+//! benchmark's interleaved pattern and BTIO-style subarrays. Every case
+//! that reads back collectively runs on the environment's storage (a bare
+//! `MemFile` by default: the listless read is routed) and on staging
+//! storage (two-phase): `LENDING_AND_STAGED`.
 
 mod common;
 
 use common::{
     apply_comm_faults, check_partial_participation, pattern, reference_write, test_storage,
-    test_storage_with,
+    LENDING_AND_STAGED,
 };
-use lio_core::{File, Hints};
+use common::{MakeStorage, SnapHandle};
+use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field, Order};
 use lio_mpi::World;
 
 fn engines() -> Vec<Hints> {
     vec![Hints::list_based(), Hints::listless()]
+}
+
+/// Every engine on the environment's storage and on staging storage: the
+/// cases of a test that reads back collectively.
+fn engines_on_both_storages() -> Vec<(Hints, MakeStorage)> {
+    let on_both = |h| LENDING_AND_STAGED.map(|storage| (h, storage));
+    engines().into_iter().flat_map(on_both).collect()
 }
 
 /// The noncontig benchmark's fileview for rank p of P (Figure 4): an
@@ -71,9 +82,31 @@ fn run_noncontig_collective_at(
     nblock: u64,
     sblock: u64,
     base: u64,
-    mut want: Vec<u8>,
+    want: Vec<u8>,
 ) {
-    let (shared, mem) = test_storage();
+    for storage in LENDING_AND_STAGED {
+        run_noncontig_collective_on(
+            storage(Vec::new()),
+            hints,
+            nprocs,
+            nblock,
+            sblock,
+            base,
+            &want,
+        );
+    }
+}
+
+fn run_noncontig_collective_on(
+    (shared, mem): (SharedFile, SnapHandle),
+    hints: Hints,
+    nprocs: u64,
+    nblock: u64,
+    sblock: u64,
+    base: u64,
+    want: &[u8],
+) {
+    let mut want = want.to_vec();
     let shared2 = shared.clone();
     World::run(nprocs as usize, move |comm| {
         apply_comm_faults(comm);
@@ -222,8 +255,8 @@ fn collective_subarray_2d_tiles() {
     let rows = 16u64;
     let cols = 16u64;
     let esz = 8u64;
-    for h in engines() {
-        let (shared, mem) = test_storage();
+    for (h, storage) in engines_on_both_storages() {
+        let (shared, mem) = storage(Vec::new());
         let shared2 = shared.clone();
         World::run(4, move |comm| {
             apply_comm_faults(comm);
@@ -265,8 +298,8 @@ fn collective_subarray_2d_tiles() {
 #[test]
 fn collective_with_noncontig_memtype() {
     // nc-nc collectively: memtype is a strided vector
-    for h in engines() {
-        let (shared, _mem) = test_storage();
+    for (h, storage) in engines_on_both_storages() {
+        let (shared, _mem) = storage(Vec::new());
         let shared2 = shared.clone();
         World::run(2, move |comm| {
             apply_comm_faults(comm);
@@ -339,7 +372,9 @@ fn collective_partial_participation_keeps_untouched_bytes() {
     for h in engines() {
         for cb in [Hints::default().cb_buffer_size, 4 << 20, 96] {
             for r1_bytes in [0, 8, 256] {
-                check_partial_participation(test_storage_with, h.cb_buffer(cb), r1_bytes);
+                for storage in LENDING_AND_STAGED {
+                    check_partial_participation(storage, h.cb_buffer(cb), r1_bytes);
+                }
             }
         }
     }
@@ -347,8 +382,8 @@ fn collective_partial_participation_keeps_untouched_bytes() {
 
 #[test]
 fn collective_all_ranks_empty() {
-    for h in engines() {
-        let (shared, _mem) = test_storage();
+    for (h, storage) in engines_on_both_storages() {
+        let (shared, _mem) = storage(Vec::new());
         let shared2 = shared.clone();
         World::run(3, move |comm| {
             apply_comm_faults(comm);
@@ -365,8 +400,8 @@ fn collective_all_ranks_empty() {
 #[test]
 fn repeated_collectives_on_same_view() {
     // BTIO writes the array every step: many collectives on one view
-    for h in engines() {
-        let (shared2, _mem) = test_storage();
+    for (h, storage) in engines_on_both_storages() {
+        let (shared2, _mem) = storage(Vec::new());
         World::run(2, move |comm| {
             apply_comm_faults(comm);
             let me = comm.rank() as u64;
@@ -401,9 +436,9 @@ fn repeated_collectives_on_same_view() {
 #[test]
 fn collective_read_of_preexisting_file() {
     // reads from a file written externally
-    for h in engines() {
+    for (h, storage) in engines_on_both_storages() {
         let content = pattern(1024, 42);
-        let (shared2, _mem) = test_storage_with(content.clone());
+        let (shared2, _mem) = storage(content.clone());
         let content2 = content.clone();
         World::run(4, move |comm| {
             apply_comm_faults(comm);

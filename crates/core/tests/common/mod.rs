@@ -182,6 +182,23 @@ impl<F: StorageFile> StorageFile for Staged<F> {
     }
 }
 
+/// A `MemFile` holding `data` behind [`Staged`]: the same bytes as
+/// [`test_storage_with`]'s default, none of them lent.
+pub fn staged_with(data: Vec<u8>) -> (SharedFile, SnapHandle) {
+    let mem = Arc::new(MemFile::with_data(data));
+    (SharedFile::new(Staged(Arc::clone(&mem))), SnapHandle(mem))
+}
+
+/// What a collective corpus runs on, as makers of a file holding the given
+/// bytes. A listless `read_at_all` is *routed* where every rank is lent its
+/// bytes — each rank's own sieved read, on [`test_storage_with`]'s bare
+/// `MemFile` — and two-phase where the storage stages: a read-back must be
+/// the same on both.
+pub const LENDING_AND_STAGED: [MakeStorage; 2] = [test_storage_with, staged_with];
+
+/// Makes a file holding the given bytes, and the handle that snapshots it.
+pub type MakeStorage = fn(Vec<u8>) -> (SharedFile, SnapHandle);
+
 /// `inner` at 150 µs per request and lending nothing — more than the
 /// window loop's lane hop (`LANE_HOP`, 100 µs), so a collective write's
 /// IOPs arm their write-behind lanes after their first staged window,
@@ -444,30 +461,16 @@ pub fn figure4_of_blocks(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> Datat
 /// two ranks share the Figure-4 view over a file of `0xFF`; rank 0 writes
 /// its 64 blocks, rank 1 only the first `r1_bytes` bytes of its own. The
 /// union of the *views* covers every window, the data of the *call* does
-/// not, so the bytes rank 1 left alone must still be `0xFF` afterwards.
-/// `storage` makes the file: [`test_storage_with`], or [`slow_staged`].
-pub fn check_partial_participation(
-    storage: fn(Vec<u8>) -> (SharedFile, SnapHandle),
-    hints: Hints,
-    r1_bytes: u64,
-) {
+/// not, so the bytes rank 1 left alone must still be `0xFF` afterwards —
+/// in the file, and in what both ranks then read back collectively.
+/// `storage` makes the file: [`test_storage_with`], [`staged_with`] or
+/// [`slow_staged`].
+pub fn check_partial_participation(storage: MakeStorage, hints: Hints, r1_bytes: u64) {
     const NBLOCK: u64 = 64;
     const SBLOCK: u64 = 8;
     let counts = [NBLOCK * SBLOCK, r1_bytes];
     let before = vec![0xFFu8; (2 * NBLOCK * SBLOCK) as usize];
-    let (shared, raw) = storage(before.clone());
-    lio_mpi::World::run(2, move |comm| {
-        apply_comm_faults(comm);
-        let me = comm.rank() as u64;
-        let mut f = File::open(comm, shared.clone(), hints).unwrap();
-        f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
-            .unwrap();
-        let count = counts[me as usize];
-        let data = pattern(count as usize, me + 1);
-        let n = f.write_at_all(0, &data, count, &Datatype::byte()).unwrap();
-        assert_eq!(n, count);
-    });
-    let mut want = before;
+    let mut want = before.clone();
     for me in 0..2u64 {
         let data = pattern(counts[me as usize] as usize, me + 1);
         if !data.is_empty() {
@@ -480,6 +483,23 @@ pub fn check_partial_participation(
             );
         }
     }
+    let (shared, raw) = storage(before);
+    let file = want.clone();
+    lio_mpi::World::run(2, move |comm| {
+        apply_comm_faults(comm);
+        let me = comm.rank() as u64;
+        let view = figure4_filetype(me, 2, NBLOCK, SBLOCK);
+        let mut f = File::open(comm, shared.clone(), hints).unwrap();
+        f.set_view(0, Datatype::byte(), view.clone()).unwrap();
+        let count = counts[me as usize];
+        let data = pattern(count as usize, me + 1);
+        let n = f.write_at_all(0, &data, count, &Datatype::byte()).unwrap();
+        assert_eq!(n, count);
+        let mut back = vec![0u8; (NBLOCK * SBLOCK) as usize];
+        let n = back.len() as u64;
+        f.read_at_all(0, &mut back, n, &Datatype::byte()).unwrap();
+        assert_eq!(back, reference_read(&file, 0, &view, 0, n), "rank {me}");
+    });
     let got = raw.snapshot();
     let clobbered = (0..NBLOCK as usize)
         .filter(|b| {

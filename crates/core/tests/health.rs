@@ -13,6 +13,9 @@
 //! 4. **Straggler attribution** — a fabricated last-arrival streak must
 //!    surface through `health::straggler()`, the per-rank skew table,
 //!    and the autotuner's under-performing-rank signal.
+//! 5. **A routed read is an op like any other** — no exchange, no IOP
+//!    window: it still begins, beats with its bytes and ends, and trips
+//!    nothing.
 //!
 //! Health state is process-global, so every test serializes through one
 //! gate and resets the layer on entry and exit.
@@ -440,5 +443,43 @@ fn health_report_renders_and_serializes_after_a_run() {
         let json = rep.to_json();
         lio_obs::json::validate(&json).expect("health JSON must parse");
         assert!(json.contains(health::REPORT_SCHEMA));
+    });
+}
+
+// ---------------------------------------------------------------------
+// 5. A routed collective read: no exchange or window beat, still an op
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_routed_read_beats_and_ends_like_any_op() {
+    let nprocs = 2usize;
+    let (sblock, nblock) = (64u64, 512u64);
+    let step = sblock * nblock;
+    with_health(|| {
+        health::set_watchdog(300, true);
+        // every byte lent to every rank: the listless read is routed
+        let shared = SharedFile::new(lio_pfs::MemFile::with_data(pattern(2 * step as usize, 3)));
+        World::run(nprocs, move |comm| {
+            let me = comm.rank() as u64;
+            let ft = interleaved_ft(sblock, nblock, nprocs as u64);
+            let mut f = File::open(comm, shared.clone(), Hints::listless()).unwrap();
+            f.set_view(me * sblock, Datatype::byte(), ft).unwrap();
+            let mut back = vec![0u8; step as usize];
+            for _ in 0..3 {
+                let n = f.read_at_all(0, &mut back, step, &Datatype::byte());
+                assert_eq!(n.unwrap(), step);
+            }
+        });
+        let rep = health::report();
+        assert_eq!(rep.watchdog_fired, 0, "{}", rep.render());
+        assert_eq!(rep.ranks.len(), nprocs, "{}", rep.render());
+        for r in &rep.ranks {
+            assert_eq!(r.phase, "idle", "the op ended: {r:?}");
+            assert_eq!(r.bytes, step, "the last op's bytes: {r:?}");
+        }
+        assert!(
+            health::rank_skews().is_empty(),
+            "no exchange, no skew window"
+        );
     });
 }

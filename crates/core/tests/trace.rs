@@ -54,6 +54,16 @@ fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
     .unwrap()
 }
 
+/// A file that lends its bytes — its listless collective read is routed,
+/// each rank's own placement — and one that stages every window, whose read
+/// is two-phase: the span and edge rules hold on both.
+fn both_storages() -> [SharedFile; 2] {
+    [
+        SharedFile::new(MemFile::new()),
+        SharedFile::new(common::Staged(MemFile::new())),
+    ]
+}
+
 /// Run one 4-rank collective write + read-back under `hints` against the
 /// given storage, with tracing armed, and return the collected streams.
 fn traced_collective(hints: Hints, shared: SharedFile) -> Vec<trace::RankStream> {
@@ -76,8 +86,8 @@ fn traced_collective(hints: Hints, shared: SharedFile) -> Vec<trace::RankStream>
 
 #[test]
 fn every_span_closes() {
-    with_trace(|| {
-        let streams = traced_collective(Hints::default(), SharedFile::new(MemFile::new()));
+    let check = |shared: SharedFile| {
+        let streams = traced_collective(Hints::default(), shared);
         assert!(!streams.is_empty(), "no events recorded");
         for s in &streams {
             assert_eq!(s.dropped, 0, "rank {} overflowed its ring", s.rank);
@@ -114,13 +124,14 @@ fn every_span_closes() {
         // exporting must yield well-formed JSON
         let tl = trace::merge(&streams);
         lio_obs::json::validate(&trace::to_chrome_json(&tl)).expect("chrome export parses");
-    });
+    };
+    with_trace(|| both_storages().map(check));
 }
 
 #[test]
 fn send_recv_edges_are_causal() {
-    with_trace(|| {
-        let streams = traced_collective(Hints::default(), SharedFile::new(MemFile::new()));
+    let check = |shared: SharedFile| {
+        let streams = traced_collective(Hints::default(), shared);
         let tl = trace::merge(&streams);
         assert!(!tl.edges.is_empty(), "collective produced no message edges");
         assert_eq!(tl.unmatched_sends, 0, "sends without a matching recv");
@@ -140,7 +151,8 @@ fn send_recv_edges_are_causal() {
             tl.events.windows(2).all(|w| w[0].ts <= w[1].ts),
             "merged timeline is not time-ordered"
         );
-    });
+    };
+    with_trace(|| both_storages().map(check));
 }
 
 #[test]
@@ -213,18 +225,41 @@ fn in_place_ops_trace_places_and_no_requests() {
 /// A rank's own share of a collective is no message: the only
 /// edges from a rank to itself are the 16-byte headers to its own IOP
 /// side, and the critical-path analysis takes such an op like any other.
+/// A routed read has no IOP side: no header, no `exch.*` or `win` span
+/// under its root, and the analysis says which read it was.
 #[test]
 fn the_own_share_makes_no_edge() {
     let hints = Hints::default();
     with_trace(|| {
-        let tl = trace::merge(&traced_collective(hints, SharedFile::new(MemFile::new())));
-        let to_self = |e: &&trace::Edge| e.src_rank == e.dst_rank;
-        let own: Vec<u64> = tl.edges.iter().filter(to_self).map(|e| e.bytes).collect();
-        assert_eq!(own, [16; 8], "one header per rank and op, nothing else");
-        assert_eq!((tl.unmatched_sends, tl.unmatched_recvs), (0, 0));
-        let reports = trace::critical_path(&tl);
-        assert_eq!(reports.len(), 2, "a write and a read");
-        assert!(reports.iter().all(|r| r.wall_ns > 0 && r.pack_ns > 0));
+        for (shared, routed) in both_storages().into_iter().zip([true, false]) {
+            let tl = trace::merge(&traced_collective(hints, shared));
+            let to_self = |e: &&trace::Edge| e.src_rank == e.dst_rank;
+            let own: Vec<u64> = tl.edges.iter().filter(to_self).map(|e| e.bytes).collect();
+            let headers = if routed { 4 } else { 8 };
+            assert_eq!(
+                own,
+                vec![16; headers],
+                "one header per rank and two-phase op"
+            );
+            assert_eq!((tl.unmatched_sends, tl.unmatched_recvs), (0, 0));
+            let reports = trace::critical_path(&tl);
+            assert_eq!(reports.len(), 2, "a write and a read");
+            assert!(reports.iter().all(|r| r.wall_ns > 0 && r.pack_ns > 0));
+            assert_eq!((reports[0].routed, reports[1].routed), (false, routed));
+            // what lies under the read's root spans
+            let roots: Vec<u64> = (tl.events.iter())
+                .filter(|ev| ev.tag == "coll.read" && matches!(ev.kind, trace::Kind::SpanBegin))
+                .map(|ev| ev.span_id)
+                .collect();
+            assert_eq!(roots.len(), 4, "one root per rank");
+            let two_phase_children = (tl.events.iter())
+                .filter(|ev| roots.contains(&ev.parent))
+                .filter(|ev| ev.tag.starts_with("exch.") || ev.tag == "win")
+                .count();
+            assert_eq!(two_phase_children == 0, routed);
+            let table = trace::render_report(&reports, &tl);
+            assert_eq!(table.contains("read.routed"), routed, "{table}");
+        }
     });
 }
 

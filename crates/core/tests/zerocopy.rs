@@ -2,7 +2,9 @@
 //! datatype pack machinery. The two-phase exchange lifts the bytes
 //! straight out of the user buffer, so `dt.pack.calls` / `dt.unpack.calls`
 //! stay at zero for the whole collective — any regression that
-//! reintroduces a pack on this path trips the counters.
+//! reintroduces a pack on this path trips the counters. The audit runs
+//! on a `MemFile` (whose listless read-back is routed: each rank's own
+//! placement) and on staging storage (two-phase both ways).
 //!
 //! Runs as its own test binary so the process-global counters reflect
 //! exactly the collectives issued here.
@@ -22,8 +24,7 @@ const PER_RANK: u64 = 64 * 1024;
 /// Interleaved noncontig *fileview* with a contiguous byte memtype: the
 /// file side is gappy (so two-phase really exchanges data) but the
 /// memory side is one run.
-fn run_collective(hints: Hints) {
-    let shared = SharedFile::new(MemFile::new());
+fn run_collective(hints: Hints, shared: SharedFile) {
     let sh = shared.clone();
     World::run(NPROCS, move |comm| {
         let me = comm.rank() as u64;
@@ -80,8 +81,18 @@ fn counted(f: impl FnOnce()) -> lio_obs::Snapshot {
 #[test]
 fn contiguous_memtype_never_packs() {
     let snap = counted(|| {
-        run_collective(Hints::listless().cb_buffer(8192));
+        let hints = Hints::listless().cb_buffer(8192);
+        run_collective(hints, SharedFile::new(MemFile::new()));
+        run_collective(hints, SharedFile::new(common::Staged(MemFile::new())));
     });
+    assert_eq!(
+        (
+            snap.counter("core.coll.read.calls"),
+            snap.counter("core.coll.read.routed")
+        ),
+        (2 * NPROCS as u64, NPROCS as u64),
+        "one read-back of each kind"
+    );
     assert_eq!(
         snap.counter("dt.pack.calls"),
         0,

@@ -162,6 +162,7 @@ pub fn phase_of(_tag: &str) -> Option<Phase> {
 pub struct OpReport {
     pub index: usize,
     pub tag: &'static str,
+    pub routed: bool,
     pub wall_ns: u64,
     pub bound_rank: u32,
     pub exchange_ns: u64,
