@@ -2,10 +2,11 @@
 # Local CI: formatting, lints, then the tier-1 gate (see ROADMAP.md).
 # Usage: ./ci.sh
 # A full run with warm build directories takes about 4.5 minutes on the
-# 2-vCPU box (PR 22: 2 min 45 s up to the bench comparison, 1 min 40 s of
+# 2-vCPU box (PR 24: 2 min 35–50 s up to the bench comparison, 1 min 10 s of
 # fault corpus) — the per-schedule axis that used to double the backend
-# corpus and the fault corpus and add two reruns is gone with the second
-# collective schedule.
+# corpus and the fault corpus went with the second collective schedule
+# (PR 22), the tuner-armed corpus reruns and the tuner's two gates with the
+# tuner (PR 24).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -40,7 +41,7 @@ done
 # against the number reviewed. A new one raises the number here, where the
 # diff shows it, and owes a bench on which it changes the answer.
 echo "== LIO_* knob census"
-reviewed_knobs=16
+reviewed_knobs=15
 knobs=$(grep -rhoE --include='*.rs' 'LIO_[A-Z_]+' crates/*/src | sort -u)
 n=$(echo "$knobs" | grep -c .)
 echo "  $n (reviewed: $reviewed_knobs):" $knobs
@@ -133,23 +134,6 @@ for pk in scalar auto; do
   LIO_PACK_KERNEL=$pk cargo test -q -p listless-io --test strided_copy
 done
 
-# Self-tuning corpus: the differential suites with the tuner armed on
-# every file — the tuner may only move performance knobs, so every
-# corpus case must stay byte-identical to the naive reference while
-# knobs shift mid-run. (zerocopy is excluded on purpose: it pins
-# engine-specific counters, and the tuner legitimately changes which
-# engine runs.)
-for be in mem os; do
-  echo "== autotune corpus under LIO_AUTOTUNE=1 LIO_BACKEND=$be"
-  LIO_AUTOTUNE=1 LIO_BACKEND=$be \
-    cargo test -q -p lio-core --test collective --test pipeline --test faults --test backend
-done
-
-# Tuner determinism + fault-safety + cold-start==advisor + autotuned
-# differential corpus (ranks x backends), in a clean env.
-echo "== autotune suite"
-cargo test -q -p lio-core --test autotune
-
 # Event tracing: the collective + pipeline suites once more with the
 # recorder armed (catches trace-enabled-only panics), plus the dedicated
 # trace-correctness tests (span pairing, causal merge, ring wraparound,
@@ -225,21 +209,6 @@ LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench health_overhead
 echo "== os_overhead gate"
 LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench os_overhead
 
-# Tuner-enabled-but-already-optimal overhead gate: <=2% wall overhead
-# and zero net knob movement after settling (exits non-zero on a clean
-# violation; prints CHECK when the host's own noise floor exceeds it).
-echo "== autotune_overhead gate"
-LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench autotune_overhead
-
-# Self-tuning convergence proof: from cold-start default hints, the
-# tuned wall time must reach within 10% of the best static config (the
-# exhaustive sweep runs in the same invocation) in at most 8 ops; the
-# binary exits non-zero on a miss and writes BENCH_autotune.json.
-echo "== repro autotune + validate-json"
-./target/release/repro autotune --quick | tee /tmp/lio_autotune_out.txt
-grep -q "converged at op" /tmp/lio_autotune_out.txt
-./target/release/repro validate-json BENCH_autotune.json
-
 # Perf trajectory: regenerate every committed BENCH_*.json artifact and
 # compare against its baseline. Any time-unit metric regressing beyond
 # the threshold fails CI with the (bench, config, metric) triple named;
@@ -252,7 +221,6 @@ regen_bench() {
     BENCH_pipeline.json) LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench pipeline ;;
     BENCH_pack.json)     LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench pack ;;
     BENCH_metrics.json)  ./target/release/repro metrics --quick ;;
-    BENCH_autotune.json) ./target/release/repro autotune --quick ;;
     *) return 1 ;;
   esac
 }

@@ -94,7 +94,6 @@ fn main() {
         "trace" => trace_cmd(&opts),
         "profile" => profile_cmd(&opts),
         "bench" => bench_cmd(&opts),
-        "autotune" => autotune_cmd(&opts),
         "all" => {
             fig5(&opts);
             fig6(&opts);
@@ -118,7 +117,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro fig5|fig6|fig7|fig8|table1|table2|table3|overheads|multidim|ablation|throttle|tileio|metrics|top|trace|profile|bench|autotune|all \
+        "usage: repro fig5|fig6|fig7|fig8|table1|table2|table3|overheads|multidim|ablation|throttle|tileio|metrics|top|trace|profile|bench|all \
          [--quick] [--data BYTES]\n       repro validate-json <file>\n       repro bench-compare [--fail] <baseline.json> <current.json>"
     );
     std::process::exit(2);
@@ -1513,311 +1512,6 @@ fn bench_compare(baseline: &str, current: &str, fail: bool) {
             "bench-compare: FAIL — {regressions} (bench, config, metric) triples regressed \
              more than {threshold}% against {baseline}; see REGRESSION lines above"
         );
-        std::process::exit(1);
-    }
-}
-
-/// The deterministic data seed every `repro autotune` workload derives
-/// its bytes from — printed with the results so a convergence check is
-/// replayable bit-for-bit.
-const AUTOTUNE_SEED: u64 = 0x5C03_2003;
-
-/// One `repro autotune` workload: a repeated collective write whose
-/// every op is identical, so per-op wall times are directly comparable
-/// between the static sweep and the tuned run.
-struct TuneWorkload {
-    name: &'static str,
-    nprocs: usize,
-    nblock: u64,
-    sblock: u64,
-    count: u64,
-    throttled: bool,
-}
-
-impl TuneWorkload {
-    fn total(&self) -> u64 {
-        self.count * self.nblock * self.sblock
-    }
-
-    fn span(&self) -> u64 {
-        self.total() * self.nprocs as u64
-    }
-
-    fn make_shared(&self) -> lio_core::SharedFile {
-        use lio_pfs::{MemFile, Throttle, ThrottledFile};
-        use std::time::Duration;
-        let shared = if self.throttled {
-            let slow = Throttle {
-                read_bw: 2e9,
-                write_bw: 2e9,
-                latency: Duration::from_millis(1),
-            };
-            lio_core::SharedFile::new(ThrottledFile::new(MemFile::new(), slow))
-        } else {
-            lio_core::SharedFile::new(MemFile::new())
-        };
-        shared.storage().set_len(self.span()).expect("prefault");
-        shared
-    }
-
-    /// Run `nops` identical collective writes under `hints`; returns the
-    /// slowest-rank wall time of each op, in seconds, plus the shared
-    /// file (whose tuner report the caller may read).
-    fn run(&self, hints: lio_core::Hints, nops: usize) -> (Vec<f64>, lio_core::SharedFile) {
-        use lio_core::File;
-        use lio_datatype::Datatype;
-        use lio_mpi::World;
-        use std::time::Instant;
-
-        let shared = self.make_shared();
-        let (nprocs, nblock, sblock, total) = (self.nprocs, self.nblock, self.sblock, self.total());
-        let shared2 = shared.clone();
-        let walls = World::run(nprocs, move |comm| {
-            let me = comm.rank() as u64;
-            let ft = lio_noncontig::figure4_filetype(me, nprocs as u64, nblock, sblock);
-            let mut f = File::open(comm, shared2.clone(), hints).expect("open");
-            f.set_view(0, Datatype::byte(), ft).expect("set_view");
-            let mut x = AUTOTUNE_SEED ^ (me.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
-            let data: Vec<u8> = (0..total)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x >> 32) as u8
-                })
-                .collect();
-            let mut walls = Vec::with_capacity(nops);
-            for _ in 0..nops {
-                comm.barrier();
-                let t = Instant::now();
-                f.write_at_all(0, &data, total, &Datatype::byte())
-                    .expect("write");
-                walls.push(comm.allmax_f64(t.elapsed().as_secs_f64()));
-            }
-            walls
-        });
-        (walls[0].clone(), shared)
-    }
-}
-
-/// `repro autotune`: the self-tuning loop closed end to end. For each
-/// workload, an exhaustive static sweep over the tuner's knob grid
-/// (engine × collective-buffer size, each config
-/// 1 warmup + 3 measured ops) establishes the best static wall time;
-/// then a single file opened with nothing but `Hints::default()
-/// .autotune(true)` runs the same ops from cold start. The convergence
-/// table shows the knobs and wall of every tuned op; the gate — tuned
-/// median-of-3 window within 10% of the best static config in ≤ 8 ops —
-/// lands in the schema-versioned `BENCH_autotune.json`, and a miss exits
-/// nonzero (the ci.sh convergence check).
-fn autotune_cmd(opts: &Opts) {
-    use lio_core::{Engine, Hints};
-    use lio_obs::profile;
-
-    const CONVERGE_WITHIN_OPS: usize = 8;
-    const CONVERGE_TOL: f64 = 0.10;
-    let nblock: u64 = if opts.quick { 256 } else { 1024 };
-    println!(
-        "# autotune: online knob adaptation vs exhaustive static sweep \
-         (data seed {AUTOTUNE_SEED:#x})"
-    );
-
-    // consume the one-shot env checks, then drive recording explicitly:
-    // the tuner is fed by the obs phase clocks and cold-starts from the
-    // live profile
-    lio_obs::init_from_env();
-    profile::init_from_env();
-
-    let workloads = [
-        // storage-bound: 1 ms/op throttled device, where window geometry
-        // matters — the tuner must find it
-        TuneWorkload {
-            name: "fig6_throttled",
-            nprocs: 4,
-            nblock,
-            sblock: 64,
-            count: 16,
-            throttled: true,
-        },
-        // memory-speed small blocks: defaults are already near-optimal —
-        // the tuner must converge by *not* thrashing knobs
-        TuneWorkload {
-            name: "fig5_mem",
-            nprocs: 4,
-            nblock,
-            sblock: 8,
-            count: 1024,
-            throttled: false,
-        },
-    ];
-
-    let median3 = |w: &[f64]| -> f64 {
-        let mut v = [w[0], w[1], w[2]];
-        v.sort_by(f64::total_cmp);
-        v[1]
-    };
-
-    let mut entries: Vec<lio_bench::schema::Entry> = Vec::new();
-    let mut csv = String::from("workload,op,knobs,wall_ms\n");
-    let mut gate_failures: Vec<String> = Vec::new();
-    for wl in &workloads {
-        // ----- static sweep -------------------------------------------
-        // both arms run fully instrumented (obs + profiler): the tuned
-        // run needs the live profile for its cold-start jump, and the
-        // static configs must carry identical recording cost or the
-        // comparison measures instrumentation, not knobs
-        lio_obs::reset();
-        lio_obs::set_enabled(true);
-        profile::reset();
-        profile::set_enabled(true);
-        let cb_default = Hints::default().cb_buffer_size;
-        let cb_geom = profile::cb_target(wl.span()) as usize;
-        let mut cbs = vec![cb_default];
-        if cb_geom != cb_default {
-            cbs.push(cb_geom);
-        }
-        let mut best_static = f64::INFINITY;
-        let mut best_name = String::new();
-        let mut best_hints = Hints::default();
-        println!("  {}: static sweep", wl.name);
-        for engine in [Engine::ListBased, Engine::Listless] {
-            for &cb in &cbs {
-                let h = Hints::with_engine(engine).cb_buffer(cb);
-                let (walls, _) = wl.run(h, 4);
-                let wall = median3(&walls[1..]);
-                let label = format!("{engine:?}/cb={cb}");
-                println!("    {label:<40} {:>9.3} ms", wall * 1e3);
-                if wall < best_static {
-                    best_static = wall;
-                    best_name = label;
-                    best_hints = h;
-                }
-            }
-        }
-        // min over a few noisy medians is biased low (winner's curse):
-        // re-measure the winning config on a fresh file for an unbiased
-        // estimate of its true cost. Gate on the slower of the two
-        // estimates, capped at 1.5x the sweep value so one pathological
-        // re-run can't void the gate entirely.
-        let (rewalls, _) = wl.run(best_hints, 4);
-        let remeasured = median3(&rewalls[1..]);
-        best_static = best_static.max(remeasured.min(best_static * 1.5));
-        println!(
-            "    best static: {best_name} at {:.3} ms (re-measured)",
-            best_static * 1e3
-        );
-
-        // ----- tuned run from cold-start hints ------------------------
-        lio_obs::reset();
-        lio_obs::set_enabled(true);
-        profile::reset();
-        profile::set_enabled(true);
-        let nops = 12usize;
-        let (walls, shared) = wl.run(Hints::default().autotune(true), nops);
-        profile::set_enabled(false);
-        let report = shared.tune_report().expect("tuner was armed");
-
-        // ----- convergence table --------------------------------------
-        println!(
-            "  {}: tuned run (cold start from defaults; {} decisions, {} discarded, settled={})",
-            wl.name,
-            report.decisions.len(),
-            report.discarded,
-            report.settled
-        );
-        println!("    {:>3} {:<42} {:>10}", "op", "knobs", "wall ms");
-        for (i, wall) in walls.iter().enumerate() {
-            let knobs = report
-                .ops
-                .get(i)
-                .map(|o| o.knobs.clone())
-                .unwrap_or_default();
-            println!("    {i:>3} {knobs:<42} {:>10.3}", wall * 1e3);
-            writeln!(csv, "{},{i},{knobs},{:.4}", wl.name, wall * 1e3).unwrap();
-        }
-        for d in &report.decisions {
-            println!(
-                "      op {:>2}: {:<10} {}  [{}]",
-                d.op, d.action, d.knob, d.signal
-            );
-        }
-
-        // first op whose 3-op median window reaches the static best
-        let converged_op = (0..=nops.saturating_sub(3))
-            .find(|&i| median3(&walls[i..i + 3]) <= best_static * (1.0 + CONVERGE_TOL));
-        let settled_wall = median3(&walls[nops - 3..]);
-        match converged_op {
-            Some(i) => println!(
-                "    converged at op {i}: window median {:.3} ms vs static best {:.3} ms (+10% gate)",
-                median3(&walls[i..i + 3]) * 1e3,
-                best_static * 1e3
-            ),
-            None => println!(
-                "    NOT converged in {nops} ops: settled {:.3} ms vs static best {:.3} ms",
-                settled_wall * 1e3,
-                best_static * 1e3
-            ),
-        }
-        if converged_op.is_none_or(|i| i > CONVERGE_WITHIN_OPS) {
-            gate_failures.push(format!(
-                "{}: tuned run did not reach {:.0}% of the best static config \
-                 ({best_name}, {:.3} ms) within {CONVERGE_WITHIN_OPS} ops",
-                wl.name,
-                (1.0 + CONVERGE_TOL) * 100.0,
-                best_static * 1e3
-            ));
-        }
-
-        let reverts = report
-            .decisions
-            .iter()
-            .filter(|d| d.action == "revert")
-            .count();
-        let e = |config: String, metric: &str, value: f64, unit: &'static str| {
-            lio_bench::schema::Entry::new("autotune", config, metric, value, unit)
-        };
-        entries.push(e(
-            format!("{}/static_best", wl.name),
-            "wall_ns",
-            best_static * 1e9,
-            "ns",
-        ));
-        entries.push(e(
-            format!("{}/tuned_settled", wl.name),
-            "wall_ns",
-            settled_wall * 1e9,
-            "ns",
-        ));
-        entries.push(e(
-            wl.name.to_string(),
-            "converged_op",
-            converged_op.map_or(nops as f64, |i| i as f64),
-            "ops",
-        ));
-        entries.push(e(
-            wl.name.to_string(),
-            "decisions",
-            report.decisions.len() as f64,
-            "count",
-        ));
-        entries.push(e(wl.name.to_string(), "reverts", reverts as f64, "count"));
-    }
-    lio_obs::set_enabled(false);
-
-    save("results/autotune.csv", &csv);
-    lio_bench::schema::write_bench_json(
-        "BENCH_autotune.json",
-        &entries,
-        &[
-            ("seed", format!("{AUTOTUNE_SEED}")),
-            ("nblock", nblock.to_string()),
-            ("converge_within_ops", CONVERGE_WITHIN_OPS.to_string()),
-        ],
-    );
-    if !gate_failures.is_empty() {
-        for g in &gate_failures {
-            eprintln!("autotune: FAIL — {g}");
-        }
         std::process::exit(1);
     }
 }

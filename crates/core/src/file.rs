@@ -7,7 +7,6 @@ use lio_mpi::Comm;
 use lio_obs::LazyHistogram;
 use lio_pfs::{RangeLock, StorageFile};
 
-use crate::autotune::{FileTuner, SharedTuner, TuneReport};
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::MemPacker;
@@ -50,10 +49,6 @@ pub struct SharedFile {
     /// The shared file pointer (etype units), one per open file as in
     /// MPI-IO's `MPI_File_read/write_shared` family.
     shared_fp: Arc<std::sync::atomic::AtomicU64>,
-    /// The online knob tuner ([`crate::autotune`]), lazily initialized by
-    /// the first open with autotune armed. One per file, shared by every
-    /// rank, so per-op knob decisions are identical across the world.
-    tuner: SharedTuner,
 }
 
 impl SharedFile {
@@ -68,7 +63,6 @@ impl SharedFile {
             storage,
             lock: RangeLock::new(),
             shared_fp: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-            tuner: Arc::new(std::sync::Mutex::new(None)),
         }
     }
 
@@ -115,17 +109,6 @@ impl SharedFile {
         self.storage.len() == 0
     }
 
-    /// Everything the online tuner decided for this file so far (`None`
-    /// until an autotune-armed open ran a collective). Safe to call from
-    /// outside the rank closure after `World::run` returns.
-    pub fn tune_report(&self) -> Option<TuneReport> {
-        self.tuner
-            .lock()
-            .unwrap()
-            .as_ref()
-            .map(|st| st.report_snapshot())
-    }
-
     /// A point-in-time health report for the ranks working on this
     /// file: per-rank phase/progress/queue-depth snapshots plus the
     /// watchdog and straggler aggregates (see `lio_obs::health`).
@@ -152,13 +135,6 @@ pub struct File<'c> {
     hints: Hints,
     nav: ViewNav,
     coll: CollState,
-    /// With autotune armed: the *other* engine's navigation and
-    /// collective state for the current view, so a tuner engine switch
-    /// takes effect at the next op without a collective re-establish.
-    nav_alt: Option<ViewNav>,
-    coll_alt: Option<CollState>,
-    /// This rank's handle to the shared online tuner, when armed.
-    tuner: Option<FileTuner>,
     /// Collective ops issued through this handle — the health layer's
     /// op id. Collectives are called in the same order on every rank,
     /// so the ids align across the world.
@@ -199,60 +175,20 @@ impl<'c> File<'c> {
         if let Some(mode) = hints.effective_pack_kernel() {
             lio_datatype::kernels::force(mode);
         }
-        let tuner = if hints.autotune_enabled() {
-            // the tuner is fed by the obs phase clocks: without them every
-            // wall/phase reading is zero, so arm obs unless the caller
-            // explicitly forced it off
-            if hints.obs.is_none() {
-                lio_obs::set_enabled(true);
-            }
-            Some(FileTuner::arm(&shared.tuner, &hints))
-        } else {
-            None
-        };
         let view = FileView::bytes();
         let nav = Self::make_nav(view.clone(), hints.engine);
         let coll = twophase::establish_view(comm, &view, hints.engine)?;
-        let (nav_alt, coll_alt) = Self::make_alt(comm, &view, hints.engine, tuner.is_some());
         Ok(File {
             shared,
             comm,
             hints,
             nav,
             coll,
-            nav_alt,
-            coll_alt,
-            tuner,
             ops: std::sync::atomic::AtomicU64::new(0),
             fp: 0,
             atomic: false,
             scratch: Scratch::default(),
         })
-    }
-
-    /// Build the other engine's navigation and collective state so the
-    /// tuner can switch engines between ops. `establish_view` for the
-    /// listless engine is collective (fileview allgather); all ranks arm
-    /// autotune together, so the call pattern stays symmetric. A view the
-    /// alternate engine cannot establish (error is symmetric — every rank
-    /// decodes the same exchanged views) simply disables engine switching.
-    fn make_alt(
-        comm: &Comm,
-        view: &FileView,
-        engine: Engine,
-        armed: bool,
-    ) -> (Option<ViewNav>, Option<CollState>) {
-        if !armed {
-            return (None, None);
-        }
-        let alt = match engine {
-            Engine::ListBased => Engine::Listless,
-            Engine::Listless => Engine::ListBased,
-        };
-        match twophase::establish_view(comm, view, alt) {
-            Ok(coll) => (Some(Self::make_nav(view.clone(), alt)), Some(coll)),
-            Err(_) => (None, None),
-        }
     }
 
     fn make_nav(view: FileView, engine: Engine) -> ViewNav {
@@ -274,10 +210,6 @@ impl<'c> File<'c> {
             view.is_contiguous(),
         );
         self.coll = twophase::establish_view(self.comm, &view, self.hints.engine)?;
-        let (nav_alt, coll_alt) =
-            Self::make_alt(self.comm, &view, self.hints.engine, self.tuner.is_some());
-        self.nav_alt = nav_alt;
-        self.coll_alt = coll_alt;
         self.nav = Self::make_nav(view, self.hints.engine);
         self.fp = 0;
         Ok(())
@@ -309,33 +241,13 @@ impl<'c> File<'c> {
         (stream_start, total)
     }
 
-    fn packer(
-        &self,
-        hints: &Hints,
-        memtype: &Datatype,
-        count: u64,
-        buf_len: usize,
-    ) -> Result<MemPacker> {
-        MemPacker::new(memtype, count, buf_len, hints.engine == Engine::ListBased)
-    }
-
-    /// Resolve what the next collective op runs with: the tuner's
-    /// effective-hints snapshot (plus the matching nav/coll pair, which
-    /// may be the alternate engine's) when autotune is armed; the
-    /// open-time hints otherwise.
-    fn plan_collective(&self) -> (Hints, &ViewNav, &CollState, Option<&FileTuner>) {
-        let Some(t) = &self.tuner else {
-            return (self.hints, &self.nav, &self.coll, None);
-        };
-        let mut eff = t.plan(&self.hints);
-        if eff.engine != self.hints.engine {
-            if let (Some(nav), Some(coll)) = (&self.nav_alt, &self.coll_alt) {
-                return (eff, nav, coll, Some(t));
-            }
-            // alternate engine unavailable for this view: run the primary
-            eff.engine = self.hints.engine;
-        }
-        (eff, &self.nav, &self.coll, Some(t))
+    fn packer(&self, memtype: &Datatype, count: u64, buf_len: usize) -> Result<MemPacker> {
+        MemPacker::new(
+            memtype,
+            count,
+            buf_len,
+            self.hints.engine == Engine::ListBased,
+        )
     }
 
     // ----- independent access -------------------------------------------
@@ -369,7 +281,7 @@ impl<'c> File<'c> {
         let _span = OBS_WRITE_AT_NS.span();
         let (stream_start, total) = self.stream_params(offset, count, memtype);
         lio_obs::profile::record_op(lio_obs::profile::OpClass::IndWrite, total);
-        let packer = self.packer(&self.hints, memtype, count, buf.len())?;
+        let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
         let _atomic_guard = self
             .atomic
@@ -401,7 +313,7 @@ impl<'c> File<'c> {
         let _span = OBS_READ_AT_NS.span();
         let (stream_start, total) = self.stream_params(offset, count, memtype);
         lio_obs::profile::record_op(lio_obs::profile::OpClass::IndRead, total);
-        let packer = self.packer(&self.hints, memtype, count, buf.len())?;
+        let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
         let _atomic_guard = self
             .atomic
@@ -446,21 +358,19 @@ impl<'c> File<'c> {
         let _span = OBS_WRITE_ALL_NS.span();
         let (stream_start, total) = self.stream_params(offset, count, memtype);
         lio_obs::profile::record_op(lio_obs::profile::OpClass::CollWrite, total);
-        let (eff, nav, coll, tuner) = self.plan_collective();
-        let packer = self.packer(&eff, memtype, count, buf.len())?;
+        let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
         self.health_begin(true);
         let res = twophase::write_at_all(
             self.shared.storage.as_ref(),
             self.comm,
-            coll,
-            nav,
+            &self.coll,
+            &self.nav,
             &packer,
             buf,
             stream_start,
             total,
-            &eff,
-            tuner,
+            &self.hints,
             &self.scratch,
         );
         self.health_end(res)
@@ -487,22 +397,20 @@ impl<'c> File<'c> {
         let _span = OBS_READ_ALL_NS.span();
         let (stream_start, total) = self.stream_params(offset, count, memtype);
         lio_obs::profile::record_op(lio_obs::profile::OpClass::CollRead, total);
-        let (eff, nav, coll, tuner) = self.plan_collective();
-        let packer = self.packer(&eff, memtype, count, buf.len())?;
+        let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
         self.health_begin(false);
         let res = twophase::read_at_all(
             self.shared.storage.as_ref(),
             self.comm,
-            coll,
-            nav,
+            &self.coll,
+            &self.nav,
             &packer,
             buf,
             stream_start,
             total,
-            &eff,
+            &self.hints,
             self.atomic,
-            tuner,
             &self.scratch,
         );
         self.health_end(res)

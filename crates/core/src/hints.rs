@@ -7,7 +7,7 @@ pub use lio_datatype::kernels::Mode as PackKernel;
 
 /// The default of both window sizes, [`Hints::ind_buffer_size`] and
 /// [`Hints::cb_buffer_size`]: one cache-sized constant (512 KiB), shared
-/// with the advisor's and the tuner's `cb_target`.
+/// with the advisor's `cb_buffer_size` rule.
 pub use lio_obs::profile::DEFAULT_WINDOW;
 
 /// Which datatype-handling engine a file uses.
@@ -144,9 +144,9 @@ pub struct Hints {
     /// its messages and the storage layer reads it straight back, so it
     /// must fit L2 beside them. Windows lie on the absolute grid of
     /// multiples of this size and interior file-domain boundaries are
-    /// rounded to it. Setting it (builder, `cb_buffer_size` info key,
-    /// tuner move) sets window and request size exactly; raise it for
-    /// storage whose cost is per request rather than per byte.
+    /// rounded to it. Setting it (builder, `cb_buffer_size` info key) sets
+    /// window and request size exactly; raise it for storage whose cost is
+    /// per request rather than per byte.
     pub cb_buffer_size: usize,
     /// Number of io-processes for collective access; `0` means every rank
     /// is an IOP (the common single-node configuration in the paper).
@@ -190,14 +190,6 @@ pub struct Hints {
     /// The `LIO_BACKEND` environment variable overrides this hint (see
     /// [`Hints::effective_backend`]).
     pub backend: BackendKind,
-    /// Online knob adaptation: `Some(true)` arms the per-file tuner
-    /// ([`crate::autotune`]), which retunes the *next* collective op's
-    /// effective knobs from each op's critical-path breakdown; `Some(false)`
-    /// forces it off; `None` (the default) defers to the `LIO_AUTOTUNE`
-    /// environment variable (see [`Hints::autotune_enabled`]). The tuner
-    /// changes *performance* knobs only — file bytes are identical with or
-    /// without it (pinned by the differential corpus).
-    pub autotune: Option<bool>,
 }
 
 impl Hints {
@@ -216,7 +208,6 @@ impl Hints {
             profile: None,
             health: None,
             backend: BackendKind::Mem,
-            autotune: None,
         }
     }
 
@@ -287,29 +278,6 @@ impl Hints {
     pub fn health(mut self, on: bool) -> Hints {
         self.health = Some(on);
         self
-    }
-
-    /// Arm or disarm the online knob tuner at open time (builder style).
-    /// The default (`None`) defers to the `LIO_AUTOTUNE` environment
-    /// variable (see [`Hints::autotune_enabled`]).
-    pub fn autotune(mut self, on: bool) -> Hints {
-        self.autotune = Some(on);
-        self
-    }
-
-    /// Whether opens with these hints arm the online knob tuner, honoring
-    /// the `LIO_AUTOTUNE` environment override: `1`/`on`/`true`/`enable`
-    /// forces it on, `0`/`off`/`false`/`disable` forces it off, anything
-    /// else (or unset) defers to the `autotune` hint (off when `None`).
-    pub fn autotune_enabled(&self) -> bool {
-        match std::env::var("LIO_AUTOTUNE") {
-            Ok(v) => match v.as_str() {
-                "1" | "on" | "true" | "enable" => true,
-                "0" | "off" | "false" | "disable" => false,
-                _ => self.autotune == Some(true),
-            },
-            Err(_) => self.autotune == Some(true),
-        }
     }
 
     /// Select the storage backend for backend-aware opens (builder
@@ -431,8 +399,7 @@ impl Hints {
     /// backend-aware opens), and the `enable`/`disable` switches forced
     /// at open: `lio_obs` (metrics recording), `lio_trace` (event
     /// tracing), `lio_profile` (access-pattern profiling), `lio_health`
-    /// (the runtime health layer), `lio_autotune` (the online knob
-    /// tuner).
+    /// (the runtime health layer).
     ///
     /// ```
     /// use lio_core::{Engine, Hints, SievingMode};
@@ -502,41 +469,10 @@ impl Hints {
                     self.backend = BackendKind::parse(v)
                         .ok_or_else(|| HintError::new(k, v, "expected mem, throttled, or os"))?;
                 }
-                "lio_obs" => {
-                    self.obs = match v {
-                        "enable" | "true" | "1" => Some(true),
-                        "disable" | "false" | "0" => Some(false),
-                        _ => return Err(HintError::new(k, v, "expected enable or disable")),
-                    }
-                }
-                "lio_trace" => {
-                    self.trace = match v {
-                        "enable" | "true" | "1" => Some(true),
-                        "disable" | "false" | "0" => Some(false),
-                        _ => return Err(HintError::new(k, v, "expected enable or disable")),
-                    }
-                }
-                "lio_profile" => {
-                    self.profile = match v {
-                        "enable" | "true" | "1" => Some(true),
-                        "disable" | "false" | "0" => Some(false),
-                        _ => return Err(HintError::new(k, v, "expected enable or disable")),
-                    }
-                }
-                "lio_health" => {
-                    self.health = match v {
-                        "enable" | "true" | "1" => Some(true),
-                        "disable" | "false" | "0" => Some(false),
-                        _ => return Err(HintError::new(k, v, "expected enable or disable")),
-                    }
-                }
-                "lio_autotune" => {
-                    self.autotune = match v {
-                        "enable" | "true" | "1" => Some(true),
-                        "disable" | "false" | "0" => Some(false),
-                        _ => return Err(HintError::new(k, v, "expected enable or disable")),
-                    }
-                }
+                "lio_obs" => self.obs = switch(k, v)?,
+                "lio_trace" => self.trace = switch(k, v)?,
+                "lio_profile" => self.profile = switch(k, v)?,
+                "lio_health" => self.health = switch(k, v)?,
                 _ => {} // unknown keys are ignored, like MPI_Info
             }
         }
@@ -589,37 +525,27 @@ impl Hints {
         if let Some(mode) = self.pack_kernel {
             pairs.push(("pack_kernel".to_string(), mode.name().to_string()));
         }
-        if let Some(on) = self.obs {
-            pairs.push((
-                "lio_obs".to_string(),
-                if on { "enable" } else { "disable" }.to_string(),
-            ));
-        }
-        if let Some(on) = self.trace {
-            pairs.push((
-                "lio_trace".to_string(),
-                if on { "enable" } else { "disable" }.to_string(),
-            ));
-        }
-        if let Some(on) = self.profile {
-            pairs.push((
-                "lio_profile".to_string(),
-                if on { "enable" } else { "disable" }.to_string(),
-            ));
-        }
-        if let Some(on) = self.health {
-            pairs.push((
-                "lio_health".to_string(),
-                if on { "enable" } else { "disable" }.to_string(),
-            ));
-        }
-        if let Some(on) = self.autotune {
-            pairs.push((
-                "lio_autotune".to_string(),
-                if on { "enable" } else { "disable" }.to_string(),
-            ));
+        for (key, forced) in [
+            ("lio_obs", self.obs),
+            ("lio_trace", self.trace),
+            ("lio_profile", self.profile),
+            ("lio_health", self.health),
+        ] {
+            if let Some(on) = forced {
+                let v = if on { "enable" } else { "disable" };
+                pairs.push((key.to_string(), v.to_string()));
+            }
         }
         pairs
+    }
+}
+
+/// The value of an `enable`/`disable` info switch forced at open.
+fn switch(k: &str, v: &str) -> std::result::Result<Option<bool>, HintError> {
+    match v {
+        "enable" | "true" | "1" => Ok(Some(true)),
+        "disable" | "false" | "0" => Ok(Some(false)),
+        _ => Err(HintError::new(k, v, "expected enable or disable")),
     }
 }
 
@@ -767,41 +693,6 @@ mod info_tests {
             .apply_info(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
             .unwrap();
         assert_eq!(back.health, Some(true));
-    }
-
-    #[test]
-    fn autotune_info_key() {
-        let h = Hints::default()
-            .apply_info([("lio_autotune", "enable")])
-            .unwrap();
-        assert_eq!(h.autotune, Some(true));
-        let h = Hints::default()
-            .apply_info([("lio_autotune", "0")])
-            .unwrap();
-        assert_eq!(h.autotune, Some(false));
-        assert!(Hints::default()
-            .apply_info([("lio_autotune", "maybe")])
-            .is_err());
-        // absent by default, emitted (and round-tripped) only when forced
-        assert!(Hints::default()
-            .to_info()
-            .iter()
-            .all(|(k, _)| k != "lio_autotune"));
-        let pairs = Hints::default().autotune(true).to_info();
-        let back = Hints::list_based()
-            .apply_info(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
-            .unwrap();
-        assert_eq!(back.autotune, Some(true));
-    }
-
-    #[test]
-    fn autotune_env_defers_to_hint() {
-        if std::env::var("LIO_AUTOTUNE").is_ok() {
-            return; // the env override legitimately wins
-        }
-        assert!(!Hints::default().autotune_enabled());
-        assert!(Hints::default().autotune(true).autotune_enabled());
-        assert!(!Hints::default().autotune(false).autotune_enabled());
     }
 
     #[test]

@@ -42,7 +42,6 @@
 //! assert_eq!(shared.len(), 64);
 //! ```
 
-pub mod autotune;
 pub mod error;
 pub mod file;
 pub mod hints;
@@ -53,7 +52,6 @@ pub mod twophase;
 pub mod view;
 mod window;
 
-pub use autotune::{TuneDecision, TuneOp, TuneReport, Tuner};
 pub use error::{IoError, Result};
 pub use file::{File, SharedFile};
 pub use hints::{BackendKind, Engine, HintError, Hints, PackKernel, SievingMode};

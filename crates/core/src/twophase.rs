@@ -60,7 +60,6 @@ use lio_mpi::Comm;
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
 
-use crate::autotune::{FileTuner, OpOutcome};
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::{MemPacker, UserRuns, UserSide, MESSAGE, MSG_HEADER, STREAM};
@@ -540,13 +539,11 @@ pub(crate) fn write_at_all(
     stream_start: u64,
     total: u64,
     hints: &Hints,
-    tuner: Option<&FileTuner>,
     scratch: &Scratch,
 ) -> Result<u64> {
     // the root trace span delimiting this collective op: the
     // critical-path analyzer keys on its tag
     let _root = lio_obs::trace::span_ab("coll.write", total, 0);
-    let t_op = lio_obs::now();
     let engine = match nav {
         ViewNav::List(_) => Engine::ListBased,
         ViewNav::Ff(_) => Engine::Listless,
@@ -585,8 +582,6 @@ pub(crate) fn write_at_all(
     // (All AP→IOP messages were received above the window loop, so an
     // aborted IOP leaves nothing in flight.)
     let mut fatal: Option<IoError> = None;
-    let mut iop_io = 0u64;
-    let mut iop_pack = 0u64;
     if me < naggr && domains[me].1 > domains[me].0 {
         let dom = domains[me];
         let t = lio_obs::now();
@@ -602,7 +597,7 @@ pub(crate) fn write_at_all(
         // Domains are disjoint and nobody is told the write is done
         // before the closing barrier below: this IOP is the only writer
         // of its windows, so its loop may write behind (`lane`).
-        let res: Result<(u64, u64)> = std::thread::scope(|lane| match engine {
+        let res: Result<()> = std::thread::scope(|lane| match engine {
             Engine::ListBased => {
                 let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
                 for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
@@ -626,31 +621,7 @@ pub(crate) fn write_at_all(
         for msg in msgs {
             scratch.give(msg);
         }
-        match res {
-            Ok((io, p)) => {
-                iop_io = io;
-                iop_pack = p;
-            }
-            Err(e) => fatal = Some(e),
-        }
-    }
-
-    // Tuner outcome: reported *before* the closing barrier, so when the
-    // decision for the next op runs, every rank's report for this op has
-    // already been merged (writes always aggregate completely).
-    if let Some(tu) = tuner {
-        match &fatal {
-            Some(_) => tu.abort_op(),
-            None => tu.finish_op(OpOutcome {
-                write: true,
-                wall_ns: lio_obs::elapsed_ns(t_op),
-                exchange_ns: exch_ns,
-                io_ns: iop_io,
-                pack_ns: pack_ns + iop_pack,
-                bytes: total,
-                span: domains.iter().map(|d| d.1.saturating_sub(d.0)).sum(),
-            }),
-        }
+        fatal = res.err();
     }
 
     let t = lio_obs::now();
@@ -682,12 +653,12 @@ fn iop_write_listbased<'s>(
     hints: &Hints,
     scratch: &'s Scratch,
     lane: &'s Scope<'s, '_>,
-) -> Result<(u64, u64)> {
+) -> Result<()> {
     // clip the domain to where data actually lands
     let lo = recv.iter().filter_map(|r| r.next_offset()).min();
     let hi = recv.iter().filter_map(|r| r.end_offset()).max();
     let (Some(lo), Some(hi)) = (lo, hi) else {
-        return Ok((0, 0));
+        return Ok(());
     };
     let lo = lo.max(dom.0);
     let hi = hi.min(dom.1);
@@ -730,21 +701,20 @@ fn iop_write_listbased<'s>(
 }
 
 /// Close an IOP write loop: the last write has landed, and the loop's
-/// phase times go to the metrics and, as `(io_ns, pack_ns)`, to the tuner.
-fn iop_write_done(mut io: WindowIo, windows: u64) -> Result<(u64, u64)> {
+/// phase times go to the metrics.
+fn iop_write_done(mut io: WindowIo, windows: u64) -> Result<()> {
     io.finish()?;
     if lio_obs::enabled() {
         OBS_W_IO_NS.add(io.io_ns);
         OBS_W_PACK_NS.add(io.pack_ns);
         OBS_WINDOWS.add(windows);
     }
-    Ok((io.io_ns, io.pack_ns))
+    Ok(())
 }
 
 /// IOP write loop, listless placement via cached fileviews: AP `k`'s
 /// stream bytes `spans[k]` go from `ends[k]` — its message as received
 /// (no re-allocating copy), or the user buffer — to where `navs[k]` says.
-/// Returns the `(io_ns, pack_ns)` phase breakdown for the tuner.
 #[allow(clippy::too_many_arguments)]
 fn iop_write_listless<'s>(
     storage: &'s dyn StorageFile,
@@ -756,10 +726,10 @@ fn iop_write_listless<'s>(
     hints: &Hints,
     scratch: &'s Scratch,
     lane: &'s Scope<'s, '_>,
-) -> Result<(u64, u64)> {
+) -> Result<()> {
     // clip the domain to where data actually lands
     let Some((lo, hi)) = touched(spans, navs) else {
-        return Ok((0, 0));
+        return Ok(());
     };
     let lo = lo.max(dom.0);
     let hi = hi.min(dom.1);
@@ -950,12 +920,10 @@ pub(crate) fn read_at_all(
     total: u64,
     hints: &Hints,
     atomic: bool,
-    tuner: Option<&FileTuner>,
     scratch: &Scratch,
 ) -> Result<u64> {
     // root trace span delimiting this collective op
     let mut root = lio_obs::trace::span_ab("coll.read", total, 0);
-    let t_op = lio_obs::now();
     let engine = match nav {
         ViewNav::List(_) => Engine::ListBased,
         ViewNav::Ff(_) => Engine::Listless,
@@ -981,10 +949,6 @@ pub(crate) fn read_at_all(
         if obs {
             OBS_R_ROUTED.incr();
             OBS_R_EXCH_NS.add(exch_ns);
-        }
-        // neither `engine` nor `cb` touched this op
-        if let Some(tu) = tuner {
-            tu.abort_op();
         }
         health::beat_bytes(HbPhase::Pack, total);
         return sieve::read_independent(
@@ -1198,23 +1162,6 @@ pub(crate) fn read_at_all(
         OBS_R_EXCH_NS.add(exch_ns);
         OBS_R_IO_NS.add(io_ns);
         OBS_R_PACK_NS.add(pack_ns);
-    }
-    // Tuner outcome. Reads have no closing barrier, so a rank may report
-    // after the next op's decision already ran — such stragglers are
-    // dropped as stale by the tuner (partial aggregation by design).
-    if let Some(tu) = tuner {
-        match &fatal {
-            Some(_) => tu.abort_op(),
-            None => tu.finish_op(OpOutcome {
-                write: false,
-                wall_ns: lio_obs::elapsed_ns(t_op),
-                exchange_ns: exch_ns,
-                io_ns,
-                pack_ns,
-                bytes: total,
-                span: domains.iter().map(|d| d.1.saturating_sub(d.0)).sum(),
-            }),
-        }
     }
     match fatal {
         Some(e) => {

@@ -17,12 +17,13 @@ use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use std::sync::{Arc, Mutex};
 
-/// The noncontig benchmark's fileview for rank p of P: an LB/vector/UB
-/// struct with disp = p·blocklen, stride = P·blocklen.
-fn noncontig_view(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> (u64, Datatype) {
+/// The noncontig benchmark's fileview for rank p: an LB/vector/UB struct
+/// with disp = p·blocklen, stride = slots·blocklen. With more slots than
+/// ranks one slot per stride stays unwritten.
+fn noncontig_view(p: u64, slots: u64, nblock: u64, sblock: u64) -> (u64, Datatype) {
     let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
-    let v = Datatype::vector(nblock, 1, nprocs as i64, &block).unwrap();
-    let extent = nblock * nprocs * sblock;
+    let v = Datatype::vector(nblock, 1, slots as i64, &block).unwrap();
+    let extent = nblock * slots * sblock;
     let ft = Datatype::struct_type(vec![
         Field {
             disp: 0,
@@ -51,15 +52,30 @@ struct Config {
     nblock: u64,
     sblock: u64,
     cb: usize,
+    /// One block slot per stride that no rank writes.
+    holey: bool,
+    /// Collective writes per rank, one view instance each; the read-back
+    /// is one call over all of them.
+    steps: u64,
 }
 
 impl Config {
+    fn view(&self, p: u64) -> (u64, Datatype) {
+        let slots = self.nprocs + self.holey as u64;
+        noncontig_view(p, slots, self.nblock, self.sblock)
+    }
+
+    /// What rank `p` writes, all steps on end.
+    fn data(&self, p: u64) -> Vec<u8> {
+        pattern((self.steps * self.nblock * self.sblock) as usize, p + 1)
+    }
+
     /// One line that reproduces this configuration from a shell.
     fn replay(&self, test: &str) -> String {
         format!(
             "replay: cargo test -q -p lio-core --test backend -- {test} \
-             [engine={:?} ranks={} nblock={} sblock={} cb={}]",
-            self.engine, self.nprocs, self.nblock, self.sblock, self.cb
+             [engine={:?} ranks={} nblock={} sblock={} cb={} holey={} steps={}]",
+            self.engine, self.nprocs, self.nblock, self.sblock, self.cb, self.holey, self.steps
         )
     }
 }
@@ -82,20 +98,23 @@ fn run_on(kind: BackendKind, staged: bool, cfg: Config) -> (Vec<u8>, Vec<Vec<u8>
         let hints = Hints::with_engine(cfg.engine)
             .cb_buffer(cfg.cb)
             .backend(kind);
-        let (disp, ft) = noncontig_view(me, cfg.nprocs, cfg.nblock, cfg.sblock);
+        let (disp, ft) = cfg.view(me);
         let mut f = File::open(comm, shared2.clone(), hints).unwrap();
         f.set_view(disp, Datatype::byte(), ft).unwrap();
-        let data = pattern((cfg.nblock * cfg.sblock) as usize, me + 1);
-        let n = f
-            .write_at_all(0, &data, data.len() as u64, &Datatype::byte())
-            .unwrap();
-        assert_eq!(n, cfg.nblock * cfg.sblock);
+        let data = cfg.data(me);
+        let step = cfg.nblock * cfg.sblock;
+        for (s, chunk) in data.chunks(step as usize).enumerate() {
+            let n = f
+                .write_at_all(s as u64 * step, chunk, step, &Datatype::byte())
+                .unwrap();
+            assert_eq!(n, step);
+        }
         let mut back = vec![0u8; data.len()];
         let blen = back.len() as u64;
         let n = f
             .read_at_all(0, &mut back, blen, &Datatype::byte())
             .unwrap();
-        assert_eq!(n, cfg.nblock * cfg.sblock);
+        assert_eq!(n, blen);
         reads2.lock().unwrap()[me as usize] = back;
     });
     let contents = snap.snapshot();
@@ -107,9 +126,8 @@ fn run_on(kind: BackendKind, staged: bool, cfg: Config) -> (Vec<u8>, Vec<Vec<u8>
 fn reference(cfg: Config) -> Vec<u8> {
     let mut want = Vec::new();
     for p in 0..cfg.nprocs {
-        let (disp, ft) = noncontig_view(p, cfg.nprocs, cfg.nblock, cfg.sblock);
-        let data = pattern((cfg.nblock * cfg.sblock) as usize, p + 1);
-        reference_write(&mut want, disp, &ft, 0, &data);
+        let (disp, ft) = cfg.view(p);
+        reference_write(&mut want, disp, &ft, 0, &cfg.data(p));
     }
     want
 }
@@ -139,26 +157,31 @@ fn assert_equivalent(cfg: Config, test: &str) {
         );
         assert_eq!(mem_file, os_file, "backends diverge\n{replay}");
         for p in 0..cfg.nprocs as usize {
-            let data = pattern((cfg.nblock * cfg.sblock) as usize, p as u64 + 1);
+            let data = cfg.data(p as u64);
             assert_eq!(mem_reads[p], data, "mem read-back, rank {p}\n{replay}");
             assert_eq!(os_reads[p], data, "os read-back, rank {p}\n{replay}");
         }
     }
 }
 
-fn corpus(nprocs: u64, nblock: u64, sblock: u64, cb: usize, test: &str) {
+/// `shape` under each engine.
+fn both_engines(shape: Config, test: &str) {
     for engine in [Engine::ListBased, Engine::Listless] {
-        assert_equivalent(
-            Config {
-                engine,
-                nprocs,
-                nblock,
-                sblock,
-                cb,
-            },
-            test,
-        );
+        assert_equivalent(Config { engine, ..shape }, test);
     }
+}
+
+fn corpus(nprocs: u64, nblock: u64, sblock: u64, cb: usize, test: &str) {
+    let shape = Config {
+        engine: Engine::Listless,
+        nprocs,
+        nblock,
+        sblock,
+        cb,
+        holey: false,
+        steps: 1,
+    };
+    both_engines(shape, test);
 }
 
 #[test]
@@ -192,4 +215,25 @@ fn backends_agree_unaligned_blocks() {
 fn backends_agree_window_smaller_than_block() {
     // cb below one interleave stripe forces many tiny windows per IOP.
     corpus(2, 32, 24, 96, "backends_agree_window_smaller_than_block");
+}
+
+#[test]
+fn backends_agree_on_holey_views_written_in_steps() {
+    // Block sizes off every power of two, a slot per stride nobody writes
+    // (every window is a read-modify-write), several writes that each
+    // append a view instance, one read-back across all of them.
+    for (nprocs, nblock, sblock, steps) in
+        [(1, 11, 95, 4), (2, 5, 37, 6), (4, 11, 7, 5), (7, 3, 61, 4)]
+    {
+        let shape = Config {
+            engine: Engine::Listless,
+            nprocs,
+            nblock,
+            sblock,
+            cb: 4096,
+            holey: true,
+            steps,
+        };
+        both_engines(shape, "backends_agree_on_holey_views_written_in_steps");
+    }
 }

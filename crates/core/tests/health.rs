@@ -11,8 +11,8 @@
 //!    `os` backend run with a tight watchdog deadline and must register
 //!    progress (window/worker heartbeats), never a false positive.
 //! 4. **Straggler attribution** — a fabricated last-arrival streak must
-//!    surface through `health::straggler()`, the per-rank skew table,
-//!    and the autotuner's under-performing-rank signal.
+//!    surface through `health::straggler()`, the per-rank skew table
+//!    and the health report.
 //! 5. **A routed read is an op like any other** — no exchange, no IOP
 //!    window: it still begins, beats with its bytes and ends, and trips
 //!    nothing.
@@ -25,8 +25,7 @@ mod common;
 use common::{
     pattern, reference_write, slow_staged, storage_for_backend, test_storage, SnapHandle,
 };
-use lio_core::autotune::OpOutcome;
-use lio_core::{BackendKind, File, Hints, IoError, SharedFile, Tuner};
+use lio_core::{BackendKind, File, Hints, IoError, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_obs::health::{self, HbPhase, StallSpec};
@@ -331,18 +330,11 @@ fn slow_backends_heartbeat_instead_of_tripping_the_watchdog() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Straggler attribution reaches the report and the autotuner
+// 4. Straggler attribution reaches the report
 // ---------------------------------------------------------------------
 
 #[test]
-fn straggler_streak_feeds_report_and_autotuner() {
-    if ["LIO_PROFILE", "LIO_AUTOTUNE"]
-        .iter()
-        .any(|k| std::env::var(k).is_ok())
-    {
-        // pinned knobs freeze the tuner's moves; skip under corpus reruns
-        return;
-    }
+fn straggler_streak_feeds_report() {
     with_health(|| {
         // fabricate a last-arrival streak: rank 3 closes every window
         // with a spread comfortably above STRAGGLER_MIN_SKEW_NS
@@ -376,31 +368,6 @@ fn straggler_streak_feeds_report_and_autotuner() {
         let rep = health::report();
         assert_eq!(rep.straggler, Some(s));
         assert!(rep.straggler_flags >= 1);
-
-        // and the autotuner classifies it as an under-performing-rank
-        // signal, which outranks the phase totals: a list-based file whose
-        // ops read exchange-bound would be switched to listless after two
-        // of them (`autotune`'s unit tests), but an op gated on a laggard
-        // says nothing about the engine, so nothing moves
-        let mut t = Tuner::new(&Hints::list_based());
-        let outcome = OpOutcome {
-            write: true,
-            wall_ns: 1_000_000,
-            exchange_ns: 800_000,
-            io_ns: 100_000,
-            pack_ns: 100_000,
-            bytes: 1 << 20,
-            span: 1 << 21,
-        };
-        for op in 0..10u64 {
-            assert_eq!(
-                t.plan_hints(op),
-                Hints::list_based(),
-                "a persistent straggler must hold the knobs still: {:?}",
-                t.report().decisions
-            );
-            t.record(op, outcome);
-        }
     });
 }
 

@@ -1,7 +1,6 @@
 //! Hint serialization round-trips: `base.apply_info(h.to_info())` must
-//! reconstruct `h` for every recognized key, malformed values must
-//! surface as typed [`HintError`]s naming the failing pair, and an
-//! environment override (`LIO_AUTOTUNE`) must win over the hint either way.
+//! reconstruct `h` for every recognized key, and malformed values must
+//! surface as typed [`HintError`]s naming the failing pair.
 
 use lio_core::{Engine, Hints, SievingMode};
 
@@ -29,8 +28,7 @@ fn roundtrip_reconstructs_every_field() {
             .ind_buffer(8192)
             .cb_buffer(65536)
             .io_nodes(3)
-            .sieving_mode(SievingMode::Direct)
-            .autotune(true),
+            .sieving_mode(SievingMode::Direct),
         Hints::list_based()
             .sieving_mode(SievingMode::Auto)
             .observability(true),
@@ -51,10 +49,7 @@ fn roundtrip_reconstructs_every_field() {
 
 #[test]
 fn roundtrip_is_stable_under_reserialization() {
-    let h = Hints::listless()
-        .cb_buffer(4096)
-        .autotune(true)
-        .observability(true);
+    let h = Hints::listless().cb_buffer(4096).observability(true);
     let once = roundtrip(h);
     assert_eq!(pairs(&once), pairs(&h), "serialization must be a fixpoint");
 }
@@ -124,30 +119,6 @@ fn removed_key_is_ignored_and_not_emitted() {
     assert!(pairs(&Hints::default())
         .iter()
         .all(|(k, _)| k != "pack_threads"));
-}
-
-/// `LIO_AUTOTUNE` overrides the serialized hint in both directions.
-/// Kept in one test so the save/restore of the process-global variable
-/// cannot race a sibling (Rust runs tests in threads).
-#[test]
-fn env_override_beats_roundtripped_hint() {
-    let saved = std::env::var("LIO_AUTOTUNE").ok();
-
-    let on = roundtrip(Hints::default().autotune(true));
-    let off = roundtrip(Hints::default().autotune(false));
-    assert_eq!((on.autotune, off.autotune), (Some(true), Some(false)));
-
-    std::env::set_var("LIO_AUTOTUNE", "0");
-    assert!(!on.autotune_enabled(), "LIO_AUTOTUNE=0 must force off");
-    std::env::set_var("LIO_AUTOTUNE", "1");
-    assert!(off.autotune_enabled(), "LIO_AUTOTUNE=1 must force on");
-    std::env::set_var("LIO_AUTOTUNE", "mumble");
-    assert!(on.autotune_enabled() && !off.autotune_enabled());
-
-    match saved {
-        Some(v) => std::env::set_var("LIO_AUTOTUNE", v),
-        None => std::env::remove_var("LIO_AUTOTUNE"),
-    }
 }
 
 #[test]

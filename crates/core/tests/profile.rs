@@ -1,8 +1,9 @@
 //! Access-pattern profiler integration tests: the same deterministic
 //! workload produces a byte-identical profile (modulo the trailing
 //! timing block), the `lio_profile` hint drives the global enable, the
-//! export is well-formed JSON, and the advisor fires the expected rules
-//! on a real collective run.
+//! export is well-formed JSON, the advisor fires the expected rules on a
+//! real collective run, and every setting it prints is an info pair
+//! `Hints::apply_info` takes.
 
 mod common;
 
@@ -174,6 +175,38 @@ fn profile_json_is_well_formed_and_advice_grounded() {
         assert!(!r.reason.is_empty(), "{rule} must explain itself");
     }
     assert!(recs.iter().any(|r| r.setting.contains("engine=listless")));
+}
+
+/// The advisor's output is meant to be passed to `Hints::apply_info` as it
+/// is printed. An unknown key is silently ignored there, so `Ok` alone
+/// proves nothing: the hints that come back must carry the pair.
+#[test]
+fn advice_is_info_pairs_apply_info_takes() {
+    let mut rules = Vec::new();
+    for p in [
+        profile::fixtures::fig5_independent_sparse_large(),
+        profile::fixtures::fig6_collective_small_runs(),
+    ] {
+        for rec in profile::advise(&p) {
+            let (k, v) = rec
+                .setting
+                .split_once('=')
+                .unwrap_or_else(|| panic!("{}: not key=value", rec.setting));
+            let h = Hints::default()
+                .apply_info([(k, v)])
+                .unwrap_or_else(|e| panic!("{}: {e}", rec.setting));
+            assert!(
+                h.to_info().iter().any(|(hk, hv)| hk == k && hv == v),
+                "{}: apply_info dropped the pair",
+                rec.setting
+            );
+            rules.push(rec.rule);
+        }
+    }
+    // between them the two fixtures make every rule of the table speak
+    for rule in profile::RULES {
+        assert!(rules.contains(&rule.name), "rule {} never fired", rule.name);
+    }
 }
 
 #[test]

@@ -24,8 +24,7 @@
 //!   is recorded into the `core.health.skew_ns` histogram and the
 //!   last-arriving rank feeds a persistence streak. A rank that
 //!   arrives last [`STRAGGLER_K`] windows in a row with non-trivial
-//!   skew is flagged as a straggler, which the autotuner consumes as
-//!   an under-performing-rank signal.
+//!   skew is flagged as a straggler and named in the health report.
 //! * **Live introspection** — [`live_snapshot`] and [`report`] render
 //!   the slots as structs / text / schema-versioned JSON, and the
 //!   watchdog can periodically emit the JSON to `LIO_HEALTH_STATUS`
@@ -750,8 +749,7 @@ pub struct StragglerInfo {
 
 /// The current straggler, if any rank has arrived last for
 /// [`STRAGGLER_K`] consecutive windows with skew above
-/// [`STRAGGLER_MIN_SKEW_NS`]. Consumed by the autotuner as an
-/// under-performing-rank signal.
+/// [`STRAGGLER_MIN_SKEW_NS`]. Named in [`HealthReport::straggler`].
 pub fn straggler() -> Option<StragglerInfo> {
     let streak = SLOW_STREAK.load(Relaxed);
     if streak < STRAGGLER_K {
@@ -789,71 +787,6 @@ pub fn rank_skews() -> Vec<RankSkew> {
             })
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Workload-shift detection (consumed by the autotuner: a settled file
-// un-settles when the dominant phase durably changes)
-// ---------------------------------------------------------------------------
-
-/// Detects a sustained shift in an op stream's phase distribution.
-/// Deterministic and allocation-free: feed each op's phase breakdown
-/// to [`ShiftDetector::observe`]; it returns `true` once the dominant
-/// phase has differed from the established baseline for
-/// [`ShiftDetector::PERSISTENCE`] consecutive ops (then re-baselines,
-/// so one shift reports once).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShiftDetector {
-    baseline: Option<u8>,
-    candidate: u8,
-    run: u32,
-}
-
-impl ShiftDetector {
-    /// Consecutive differing-dominant ops before a shift is reported.
-    pub const PERSISTENCE: u32 = 3;
-
-    pub fn new() -> ShiftDetector {
-        ShiftDetector::default()
-    }
-
-    fn dominant(exchange_ns: u64, io_ns: u64, pack_ns: u64) -> u8 {
-        if io_ns >= exchange_ns && io_ns >= pack_ns {
-            1
-        } else if exchange_ns >= pack_ns {
-            0
-        } else {
-            2
-        }
-    }
-
-    /// Feed one op's phase breakdown; `true` means a sustained shift
-    /// was just detected (and the detector re-baselined to the new
-    /// distribution).
-    pub fn observe(&mut self, exchange_ns: u64, io_ns: u64, pack_ns: u64) -> bool {
-        let dom = Self::dominant(exchange_ns, io_ns, pack_ns);
-        let Some(base) = self.baseline else {
-            self.baseline = Some(dom);
-            self.run = 0;
-            return false;
-        };
-        if dom == base {
-            self.run = 0;
-            return false;
-        }
-        if dom == self.candidate {
-            self.run += 1;
-        } else {
-            self.candidate = dom;
-            self.run = 1;
-        }
-        if self.run >= Self::PERSISTENCE {
-            self.baseline = Some(dom);
-            self.run = 0;
-            return true;
-        }
-        false
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1190,24 +1123,6 @@ mod tests {
             window_flush();
             assert!(straggler().is_none());
         });
-    }
-
-    #[test]
-    fn shift_detector_unsettles_once() {
-        let mut d = ShiftDetector::new();
-        // Establish an io-bound baseline.
-        assert!(!d.observe(10, 100, 5));
-        for _ in 0..5 {
-            assert!(!d.observe(10, 100, 5));
-        }
-        // One-off blip does not shift.
-        assert!(!d.observe(100, 10, 5));
-        assert!(!d.observe(10, 100, 5));
-        // Sustained exchange-bound stream shifts exactly once.
-        assert!(!d.observe(100, 10, 5));
-        assert!(!d.observe(100, 10, 5));
-        assert!(d.observe(100, 10, 5));
-        assert!(!d.observe(100, 10, 5));
     }
 
     #[test]

@@ -912,26 +912,16 @@ fn rule_engine(p: &ProfileSnapshot) -> Option<Recommendation> {
 /// be in L2 (2 MiB on the reference box) next to the messages it is
 /// filled from. On the benchmark's three collective workloads 512 KiB
 /// ties 256 KiB and beats 1 MiB and the former 4 MiB (DESIGN.md §3.4 has
-/// the sweep). It lives here, below every other crate, so that [`cb_target`]
-/// and the hint defaults cannot drift apart.
+/// the sweep). It lives here, below every other crate, so that the
+/// advisor's `cb_buffer_size` rule and the hint defaults cannot drift apart.
 pub const DEFAULT_WINDOW: usize = 512 * 1024;
 
-/// The collective-buffer size the advisor targets for a given per-op
-/// file-domain span: ~4 windows per op — enough to write behind, small
-/// enough to keep the exchange lists per window bounded — clamped to
-/// [64 KiB, [`DEFAULT_WINDOW`]]. A span, however long, is no reason to
-/// outgrow the cache: a window larger than the default is for storage
-/// measured to be latency-bound (an explicit hint), not for a geometry
-/// heuristic. Shared by [`rule_cb_buffer`] in `RULES` and the online
-/// tuner (`lio_core::autotune`) so the threshold lives in exactly one
-/// place.
-pub fn cb_target(span_per_op: u64) -> u64 {
-    (span_per_op / 4)
-        .max(1)
-        .next_power_of_two()
-        .clamp(64 * 1024, DEFAULT_WINDOW as u64)
-}
-
+/// The collective-buffer size for a per-op file-domain span: ~4 windows
+/// per op — enough to write behind, small enough to keep the exchange
+/// lists per window bounded — clamped to [64 KiB, [`DEFAULT_WINDOW`]]. A
+/// span, however long, is no reason to outgrow the cache: a window larger
+/// than the default is for storage measured to be latency-bound (an
+/// explicit hint), not for a geometry heuristic.
 fn rule_cb_buffer(p: &ProfileSnapshot) -> Option<Recommendation> {
     if !p.has_collective() || p.domains.ops == 0 {
         return None;
@@ -940,7 +930,10 @@ fn rule_cb_buffer(p: &ProfileSnapshot) -> Option<Recommendation> {
     if span_per_op == 0 {
         return None;
     }
-    let cb = cb_target(span_per_op);
+    let cb = (span_per_op / 4)
+        .max(1)
+        .next_power_of_two()
+        .clamp(64 * 1024, DEFAULT_WINDOW as u64);
     let coverage = p.domains.coverage();
     let dense = if coverage >= 0.9 {
         " (dense coverage: the covered-window write optimization skips the read-back)"
@@ -1003,7 +996,7 @@ fn rule_sieving(p: &ProfileSnapshot) -> Option<Recommendation> {
     if density >= SIEVE_DENSITY_THRESHOLD || mean_block < SIEVE_SMALL_BLOCK {
         Some(Recommendation {
             rule: "sieving",
-            setting: "sieving=sieve".to_string(),
+            setting: "romio_ds_write=enable".to_string(),
             reason: format!(
                 "view density {density:.2} and mean block {mean_block:.0} B: sieving \
                  turns many small accesses into one buffered window \
@@ -1014,7 +1007,7 @@ fn rule_sieving(p: &ProfileSnapshot) -> Option<Recommendation> {
     } else {
         Some(Recommendation {
             rule: "sieving",
-            setting: "sieving=direct".to_string(),
+            setting: "romio_ds_write=disable".to_string(),
             reason: format!(
                 "view density {density:.2} with mean block {mean_block:.0} B: blocks \
                  are large and sparse, direct access moves less data than a \
@@ -1077,9 +1070,9 @@ pub fn recommendations_json(recs: &[Recommendation]) -> String {
 }
 
 /// Canned, pinned [`ProfileSnapshot`]s for the repro's fig5/fig6
-/// workload shapes. These are the reference inputs for advisor tests
-/// *and* for the tuner cold-start regression test in `lio-core` (which
-/// pins advisor output == tuner cold-start choice), so they live in the
+/// workload shapes. These are the reference inputs for the advisor tests
+/// here *and* for the info-key test in `lio-core` (every setting the
+/// advisor prints is one `Hints::apply_info` takes), so they live in the
 /// public API rather than behind `cfg(test)`.
 pub mod fixtures {
     use super::*;
@@ -1339,7 +1332,7 @@ mod tests {
         let by_rule = |name: &str| recs.iter().find(|r| r.rule == name);
         // density 0.125, 1 MiB blocks → direct access
         let sieve = by_rule("sieving").expect("sieving rule fires");
-        assert_eq!(sieve.setting, "sieving=direct");
+        assert_eq!(sieve.setting, "romio_ds_write=disable");
         // no collective traffic → no cb recommendation
         assert!(by_rule("cb_buffer_size").is_none());
     }
