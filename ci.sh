@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, then the tier-1 gate (see ROADMAP.md).
 # Usage: ./ci.sh
-# A full run with warm build directories takes about 4.5 minutes on the
-# 2-vCPU box (PR 24: 2 min 35–50 s up to the bench comparison, 1 min 10 s of
+# A full run with warm build directories takes about 3.5 minutes on the
+# 2-vCPU box (PR 25: 2 min 36 s through the BENCH_pack comparison, 55 s of
 # fault corpus) — the per-schedule axis that used to double the backend
 # corpus and the fault corpus went with the second collective schedule
 # (PR 22), the tuner-armed corpus reruns and the tuner's two gates with the
-# tuner (PR 24).
+# tuner (PR 24), the os_overhead gate and the os_faults suite with the
+# submission queue (PR 25).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -23,7 +24,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== unsafe census"
 declare -A reviewed=(
   [bench]=0 [btio]=2 [core]=0 [datatype]=21 [mpi]=0
-  [noncontig]=0 [obs]=0 [pfs]=21 [testkit]=0
+  [noncontig]=0 [obs]=0 [pfs]=6 [testkit]=0
 )
 for src in crates/*/src; do
   crate=$(basename "$(dirname "$src")")
@@ -41,7 +42,7 @@ done
 # against the number reviewed. A new one raises the number here, where the
 # diff shows it, and owes a bench on which it changes the answer.
 echo "== LIO_* knob census"
-reviewed_knobs=15
+reviewed_knobs=13
 knobs=$(grep -rhoE --include='*.rs' 'LIO_[A-Z_]+' crates/*/src | sort -u)
 n=$(echo "$knobs" | grep -c .)
 echo "  $n (reviewed: $reviewed_knobs):" $knobs
@@ -81,33 +82,32 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # have left, under the same three axes.
 # These are debug builds, so the scratch arena's 0xA5 poison is on.
 
-# Real-storage backend: the collective + pipeline + fault suites again
-# with every storage stack forced onto OsFile (submission queue over a
-# real unlinked file), once on tmpfs and once on a real directory so
-# both the fast-page-cache and the ordinary-filesystem paths are
-# exercised. Without a fault seed the queue's device is a plain UnixFile,
-# which lends a shared mapping of the file: these reruns (and the
-# LIO_BACKEND=os row of the backend corpus below) are the collective
-# write schedule on mapped windows and — listless — *routed* collective
-# reads over the mapping (every rank is lent its bytes, so each reads its
-# own view by itself; the list-based engine and every write stay
-# two-phase), 4 KiB pages on tmpfs and large folios on ext4; the suites
-# run each read-back on `Staged` storage too, which keeps the two-phase
-# read in these reruns. os_edge holds the mapping's own edge cases (EOF,
-# set_len, growth, sync + reopen). The fault-seed reruns at the end put a
-# FaultyFile under the queue, which declines: they are the staged path on
-# the same backend, and their collective reads are two-phase reads by
-# construction (no decorator lends, so no rank's probe is answered).
-# Cross-backend equivalence itself is the backend corpus:
-# the same differential cases must produce byte-identical files under
-# every backend.
+# Real-storage backend: the collective + pipeline + fault + geometry
+# suites again with every storage stack forced onto the mapped real file
+# (`UnixFile::temp()`, an unlinked file in LIO_OS_DIR), once on tmpfs and
+# once on a real directory so both the fast-page-cache and the
+# ordinary-filesystem paths are exercised. The file lends a shared mapping
+# of what lies inside it and stages the rest through `pread`/`pwrite`:
+# these reruns (and the LIO_BACKEND=os row of the backend corpus below)
+# are the collective write schedule on mapped windows and — listless —
+# *routed* collective reads over the mapping (every rank is lent its
+# bytes, so each reads its own view by itself; the list-based engine and
+# every write stay two-phase), 4 KiB pages on tmpfs and large folios on
+# ext4; the suites run each read-back on `Staged` storage too, which keeps
+# the two-phase read in these reruns. os_edge holds the real file's own
+# edge cases (EOF, zero-length and odd-shaped accesses against a MemFile
+# mirror, a seeded fault plan under the retry loops, and the mapping's
+# EOF, set_len, growth, sync + reopen). The fault-seed reruns at the end
+# set no LIO_BACKEND, so they run on `mem`. Cross-backend equivalence
+# itself is the backend corpus: the same differential cases must produce
+# byte-identical files under every backend.
 mkdir -p target/lio-os-ci
 for osdir in /dev/shm "$PWD/target/lio-os-ci"; do
   echo "== collective/pipeline/faults suites under LIO_BACKEND=os LIO_OS_DIR=$osdir"
   LIO_BACKEND=os LIO_OS_DIR=$osdir \
     cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry
-  echo "== OsFile fault/edge suites under LIO_OS_DIR=$osdir"
-  LIO_OS_DIR=$osdir cargo test -q -p lio-pfs --test os_faults --test os_edge
+  echo "== real-file edge suite under LIO_OS_DIR=$osdir"
+  LIO_OS_DIR=$osdir cargo test -q -p lio-pfs --test os_edge
 done
 
 echo "== backend corpus LIO_BACKEND={mem,os}"
@@ -201,13 +201,6 @@ LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench profile_overhead
 # run-to-run noise (<2%).
 echo "== health_overhead gate"
 LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench health_overhead
-
-# Submission-queue backend overhead gate: on contiguous page-aligned
-# 4 MiB transfers the OsFile layer must stay within 5% of a direct
-# pread/pwrite (exits non-zero on a clean violation; prints CHECK when
-# the host's own noise floor exceeds the threshold).
-echo "== os_overhead gate"
-LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench os_overhead
 
 # Perf trajectory: regenerate every committed BENCH_*.json artifact and
 # compare against its baseline. Any time-unit metric regressing beyond

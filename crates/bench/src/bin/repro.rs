@@ -816,9 +816,8 @@ fn metrics(opts: &Opts) {
             Store::Throttled,
         ));
     }
-    // the real-disk column: the same collective through the `os`
-    // submission-queue backend (worker threadpool over a real file),
-    // counters still collected above the queue's facade
+    // the real-disk column: the same collective on the mapped real file
+    // (`UnixFile::temp()`), counted like the rest
     for (engine, ename) in ENGINES.iter() {
         configs.push((
             format!("{}_os", ename.replace('-', "_")),
@@ -867,7 +866,7 @@ fn metrics(opts: &Opts) {
             SharedFile::new(CountingFile::new(ThrottledFile::new(MemFile::new(), slow)))
         } else if hints.backend == lio_core::BackendKind::Os {
             SharedFile::new(CountingFile::new(
-                lio_pfs::OsFile::temp().expect("os backend temp file"),
+                lio_pfs::UnixFile::temp().expect("os backend temp file"),
             ))
         } else if *store == Store::Bare {
             SharedFile::new(MemFile::new())
@@ -1045,8 +1044,8 @@ fn metrics(opts: &Opts) {
 /// `repro top`: live per-rank health introspection. Runs a 4-rank
 /// collective write + read on throttled storage with the
 /// runtime health layer armed, samples the lock-free heartbeat slots
-/// while the collective is in flight (phase, window, bytes, queue depth,
-/// heartbeat age per rank — the batch rendering of a `top`-style view),
+/// while the collective is in flight (phase, window, bytes, heartbeat age
+/// per rank — the batch rendering of a `top`-style view),
 /// and writes the final schema-versioned health report to
 /// `results/health.json`.
 fn top_cmd(opts: &Opts) {

@@ -5,9 +5,10 @@
 //! * timed runs of one collective write and one collective read
 //!   on throttled in-memory storage (1 ms per file access — the regime in
 //!   which an IOP's write-behind lane arms), both engines;
-//! * the same write on the `os` backend — a real kernel-backed file (under
-//!   `LIO_OS_DIR`), whose requests are too fast to arm a lane — recorded
-//!   as the `{engine}/os` real-disk column;
+//! * the same write on the `os` backend — the mapped real file
+//!   (`UnixFile::temp()` under `LIO_OS_DIR`), which lends the windows of
+//!   this prefaulted file, so no lane arms — recorded as the
+//!   `{engine}/os` real-disk column;
 //! * the overlap proof, which gates: with one rank the exchange is free,
 //!   so `exchange_ns + io_ns > wall` can only hold if the write-back of a
 //!   window ran beside the pre-read of the next. [`run`] exits non-zero
@@ -107,8 +108,8 @@ fn throttled() -> SharedFile {
     SharedFile::new(ThrottledFile::new(MemFile::new(), slow_store()))
 }
 
-/// A fresh real-file backend (submission queue over an unlinked temp
-/// file in `LIO_OS_DIR`), one per run so every iteration starts cold.
+/// A fresh real-file backend (an unlinked, mapped temp file in
+/// `LIO_OS_DIR`), one per run so every iteration starts cold.
 fn os_storage() -> SharedFile {
     SharedFile::for_backend(BackendKind::Os).expect("os backend storage")
 }

@@ -68,10 +68,10 @@ impl SharedFile {
 
     /// Open a fresh file on the given storage backend: an in-memory file
     /// for [`BackendKind::Mem`], the calibrated SX-6 bandwidth model for
-    /// [`BackendKind::Throttled`], and the asynchronous submission-queue
-    /// backend over an unlinked temp file for [`BackendKind::Os`]
-    /// (configured by `LIO_OS_DIR`/`LIO_OS_WORKERS`/`LIO_OS_DEPTH`).
-    /// Only the `Os` backend can fail (temp-file creation).
+    /// [`BackendKind::Throttled`], and an unlinked real file in
+    /// `LIO_OS_DIR` for [`BackendKind::Os`] (`lio_pfs::UnixFile::temp`:
+    /// `pread`/`pwrite`, and a shared mapping lent for what lies inside
+    /// the file). Only the `Os` backend can fail (temp-file creation).
     pub fn for_backend(kind: crate::BackendKind) -> std::io::Result<SharedFile> {
         use crate::BackendKind;
         Ok(match kind {
@@ -80,7 +80,7 @@ impl SharedFile {
                 lio_pfs::MemFile::new(),
                 lio_pfs::Throttle::sx6_local_fs(),
             )),
-            BackendKind::Os => SharedFile::new(lio_pfs::OsFile::temp()?),
+            BackendKind::Os => SharedFile::new(lio_pfs::UnixFile::temp()?),
         })
     }
 
@@ -110,7 +110,7 @@ impl SharedFile {
     }
 
     /// A point-in-time health report for the ranks working on this
-    /// file: per-rank phase/progress/queue-depth snapshots plus the
+    /// file: per-rank phase/progress snapshots plus the
     /// watchdog and straggler aggregates (see `lio_obs::health`).
     /// The heartbeat slots are process-global, so on a process running
     /// several files this reports every active rank. Safe to call from

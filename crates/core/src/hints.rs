@@ -57,9 +57,9 @@ pub enum BackendKind {
     /// In-memory file behind the calibrated SX-6 local-FS bandwidth model
     /// (`lio_pfs::ThrottledFile`).
     Throttled,
-    /// Real OS file served through the asynchronous submission-queue
-    /// backend (`lio_pfs::OsFile` over an unlinked temp file in
-    /// `LIO_OS_DIR`).
+    /// Real OS file: an unlinked temp file in `LIO_OS_DIR`
+    /// (`lio_pfs::UnixFile::temp`), lent through its mapping where the
+    /// access lies inside it and reached with `pread`/`pwrite` elsewhere.
     Os,
 }
 

@@ -1,5 +1,5 @@
 //! Cross-backend differential corpus: the in-memory backend and the
-//! real-file submission-queue backend must be *byte-identical* — same
+//! mapped real-file backend must be *byte-identical* — same
 //! final file contents, same collective read-backs — across engines and
 //! world sizes, and each once more behind `Staged`: both backends lend
 //! their bytes, so the listless read-back is routed on them as they are
@@ -206,8 +206,8 @@ fn backends_agree_7_ranks() {
 
 #[test]
 fn backends_agree_unaligned_blocks() {
-    // Odd block size and displacement: every submission-queue window has
-    // unaligned head/tail fragments, exercising the staged-buffer path.
+    // Odd block size and displacement: no window starts or ends on a
+    // page, and behind `Staged` every one is an unaligned `pread`/`pwrite`.
     corpus(4, 20, 7, 256, "backends_agree_unaligned_blocks");
 }
 

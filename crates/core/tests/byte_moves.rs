@@ -48,7 +48,7 @@ use common::{figure4_filetype, pattern, real_file_with, Staged};
 use lio_core::{Engine, File, Hints, SharedFile};
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
-use lio_pfs::{MemFile, OsFile, Throttle, ThrottledFile};
+use lio_pfs::{MemFile, Throttle, ThrottledFile, UnixFile};
 
 const NBLOCK: u64 = 512;
 const SBLOCK: u64 = 1024;
@@ -100,7 +100,7 @@ fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) 
 }
 
 /// A real file that already holds every byte the table's accesses touch.
-fn real_file() -> OsFile {
+fn real_file() -> UnixFile {
     real_file_with(&vec![0u8; 2 * BYTES as usize])
 }
 
@@ -126,10 +126,10 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
         ),
         // a real file lends what lies inside it (its mapping never grows
         // the file), so it starts at full size; staged, it is the same
-        // file behind the queue's `pread`/`pwrite`
-        ("OsFile", true, SharedFile::new(real_file())),
+        // file through `pread`/`pwrite`
+        ("UnixFile", true, SharedFile::new(real_file())),
         (
-            "Staged(OsFile)",
+            "Staged(UnixFile)",
             false,
             SharedFile::new(Staged(real_file())),
         ),

@@ -7,12 +7,12 @@ use lio_core::{BackendKind, File, Hints, SharedFile};
 use lio_datatype::typemap::{expand, reference_pack};
 use lio_datatype::{Datatype, Field};
 use lio_pfs::decorate::FaultyFile;
-use lio_pfs::{MemFile, StorageFile};
+use lio_pfs::{MemFile, StorageFile, UnixFile};
 use std::sync::Arc;
 
 /// An injection-free handle on the raw device beneath whatever stack
-/// [`test_storage`] built (fault decorator, submission queue, ...), for
-/// byte-exact snapshots regardless of the selected backend.
+/// [`test_storage`] built (fault decorator, throttle), for byte-exact
+/// snapshots regardless of the selected backend.
 pub struct SnapHandle(Arc<dyn StorageFile>);
 
 impl SnapHandle {
@@ -31,13 +31,13 @@ impl SnapHandle {
 /// Empty test storage honoring the backend and fault environment:
 ///
 /// * `LIO_BACKEND` selects the substrate — `mem` (default) builds over a
-///   [`MemFile`], `os` over the real-file submission-queue backend
-///   ([`lio_pfs::OsFile`] on an unlinked temp file), `throttled` over
-///   the calibrated bandwidth model — so the whole differential corpus
-///   reruns unchanged against real storage;
-/// * `LIO_FAULT_SEED` injects that seed's storage fault schedule
-///   ([`lio_testkit::fault_plan`]) *beneath* the backend stack (for the
-///   `os` backend that means inside the worker threadpool's retry path).
+///   [`MemFile`], `os` over the mapped real file ([`UnixFile::temp`], an
+///   unlinked file in `LIO_OS_DIR`), `throttled` over the calibrated
+///   bandwidth model — so the whole differential corpus reruns unchanged
+///   against real storage;
+/// * `LIO_FAULT_SEED` wraps the raw file in that seed's storage fault
+///   schedule ([`lio_testkit::fault_plan`]), beneath the throttle if there
+///   is one; the engines' own retry loops ride it out.
 ///
 /// The returned [`SnapHandle`] bypasses both for byte-exact snapshots.
 pub fn test_storage() -> (SharedFile, SnapHandle) {
@@ -61,9 +61,7 @@ fn storage_stack(
     fault_seed: Option<u64>,
 ) -> (SharedFile, SnapHandle) {
     let raw: Arc<dyn StorageFile> = match backend {
-        BackendKind::Os => {
-            Arc::new(lio_pfs::os::temp_unix().expect("temp file for the os backend"))
-        }
+        BackendKind::Os => Arc::new(UnixFile::temp().expect("temp file for the os backend")),
         _ => Arc::new(MemFile::new()),
     };
     if !data.is_empty() {
@@ -77,15 +75,11 @@ fn storage_stack(
         None => Arc::clone(&raw),
     };
     let shared = match backend {
-        BackendKind::Os => SharedFile::new(lio_pfs::OsFile::over_arc(
-            device,
-            lio_pfs::OsConfig::from_env(),
-        )),
         BackendKind::Throttled => SharedFile::new(lio_pfs::ThrottledFile::new(
             device,
             lio_pfs::Throttle::sx6_local_fs(),
         )),
-        BackendKind::Mem => SharedFile::from_arc(device),
+        BackendKind::Mem | BackendKind::Os => SharedFile::from_arc(device),
     };
     (shared, SnapHandle(raw))
 }
@@ -218,10 +212,10 @@ pub fn slow_staged(data: Vec<u8>) -> (SharedFile, SnapHandle) {
     (SharedFile::new(slow(Arc::clone(&mem))), SnapHandle(mem))
 }
 
-/// An `OsFile` on an unlinked real file holding `data`, no decorator
-/// anywhere: what lies inside the file is lent through its mapping.
-pub fn real_file_with(data: &[u8]) -> lio_pfs::OsFile {
-    let f = lio_pfs::OsFile::temp().expect("temp file for the os backend");
+/// An unlinked real file holding `data`, no decorator anywhere: what lies
+/// inside the file is lent through its mapping.
+pub fn real_file_with(data: &[u8]) -> UnixFile {
+    let f = UnixFile::temp().expect("temp file for the os backend");
     lio_pfs::retry::write_full_at(&f, 0, data).expect("pre-populate storage");
     f
 }
@@ -274,7 +268,7 @@ pub fn on_each_storage<R: PartialEq + Send>(
     // a real file lends through a mapping what lies inside it and stages
     // what lies past its end: both on one file, window by window
     let os = SharedFile::new(real_file_with(initial));
-    assert!(lends(&os), "an OsFile over a plain UnixFile must lend");
+    assert!(lends(&os), "a plain UnixFile must lend");
     assert!(
         run(os.clone()) == got,
         "{what}: in place and the real file return different data"

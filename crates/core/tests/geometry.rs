@@ -10,24 +10,16 @@
 //! * per collective operation at most two requests have an end off the
 //!   grid (the one at the operation's first byte, the one at its last);
 //! * no cell sees two requests of a kind in one collective operation, i.e.
-//!   no two io-processes work on the same cell;
-//! * on `OsFile`, page-aligned accesses are single aligned segments, which
-//!   it serves inline: nothing reaches its worker pool.
+//!   no two io-processes work on the same cell.
 
 mod common;
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
-use common::{apply_comm_faults, figure4_filetype, pattern, recording_storage, Request, Staged};
+use common::{apply_comm_faults, figure4_filetype, pattern, recording_storage, Request};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
-use lio_pfs::{MemFile, OsConfig, OsFile};
-
-/// Tests of this binary share the process-global `lio-obs` registry with
-/// the one test that reads it.
-static GATE: Mutex<()> = Mutex::new(());
 
 const PAGE: u64 = 4096;
 
@@ -177,7 +169,6 @@ fn drive(
 
 #[test]
 fn requests_stay_on_the_window_grid() {
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     let w = window();
     for shape in [Shape::Figure4, Shape::Tile] {
         for nprocs in [2u64, 4] {
@@ -217,44 +208,6 @@ fn requests_stay_on_the_window_grid() {
                         }
                     });
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn aligned_windows_stay_off_the_os_worker_pool() {
-    let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    for shape in [Shape::Figure4, Shape::Tile] {
-        for nprocs in [2u64, 4] {
-            for hints in [Hints::list_based(), Hints::listless()] {
-                // a device that lends nothing (a bare `MemFile` would, and
-                // `OsFile` forwards the question): every window is a request
-                let device = Staged(MemFile::new());
-                let shared = SharedFile::new(OsFile::over(device, OsConfig::default()));
-                lio_obs::reset();
-                lio_obs::set_enabled(true);
-                drive(&shared, hints, shape, nprocs, 0, |op| {
-                    let snap = lio_obs::snapshot();
-                    // the Tile shape's column slabs start mid-page, so a
-                    // rank's own sieve range is not page-aligned
-                    let aligned = op.ends_with("_all") || matches!(shape, Shape::Figure4);
-                    if op != "open" && aligned {
-                        assert!(
-                            snap.counter("pfs.os.sqe.submitted") > 0,
-                            "{op}: OsFile served nothing"
-                        );
-                        assert_eq!(
-                            snap.gauge("pfs.os.queue_depth_max"),
-                            0,
-                            "{op}, {shape:?}, P={nprocs}, {:?}: a page-aligned access \
-                             reached the worker pool",
-                            hints.engine
-                        );
-                    }
-                    lio_obs::reset();
-                });
-                lio_obs::set_enabled(false);
             }
         }
     }

@@ -9,7 +9,7 @@
 //!    file byte-identical to the naive reference.
 //! 3. **Slow is not stuck** — the throttled bandwidth model and the real
 //!    `os` backend run with a tight watchdog deadline and must register
-//!    progress (window/worker heartbeats), never a false positive.
+//!    progress (the window loops' heartbeats), never a false positive.
 //! 4. **Straggler attribution** — a fabricated last-arrival streak must
 //!    surface through `health::straggler()`, the per-rank skew table
 //!    and the health report.
@@ -294,8 +294,9 @@ fn slow_backends_heartbeat_instead_of_tripping_the_watchdog() {
             Hints::listless().cb_buffer(8192),
         ] {
             with_health(|| {
-                // tight deadline: only per-window/per-job heartbeats from
-                // the window loops and workers keep this from firing
+                // tight deadline: only the per-window heartbeats of the
+                // window loops (and of a write-behind lane) keep this from
+                // firing
                 health::set_watchdog(300, true);
                 let (shared, _snap) = storage_for_backend(backend);
                 let sh = shared.clone();

@@ -5,7 +5,7 @@
 //! Every scenario runs four times — on an `Arc<MemFile>` behind
 //! `SharedFile` (in place: the window loops work on the stripes), on
 //! [`Staged`]`(MemFile)` (every window through a scratch buffer and
-//! `read_at`/`write_at`), on `OsFile::temp()` (a real file: the windows
+//! `read_at`/`write_at`), on `UnixFile::temp()` (a real file: the windows
 //! inside it are lent through its mapping, those past its end staged),
 //! and on the stack `LIO_BACKEND`/`LIO_FAULT_SEED` select — across both
 //! engines, window sizes on either side of the 256 KiB stripe,

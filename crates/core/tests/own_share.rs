@@ -6,7 +6,7 @@
 //! where the view starts and how the user buffer holds the stream.
 //!
 //! Every scenario runs on a lending `MemFile`, on `Staged(MemFile)`, on a
-//! real file that lends through its mapping (`OsFile::temp()`) and on the
+//! real file that lends through its mapping (`UnixFile::temp()`) and on the
 //! stack `LIO_BACKEND`/`LIO_FAULT_SEED` select (`on_each_storage`).
 //! The last test pins what does cross a channel, as exact counts.
 
@@ -24,7 +24,7 @@ use lio_core::{File, Hints, SharedFile};
 use lio_datatype::typemap::reference_unpack;
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
-use lio_pfs::{MemFile, OsFile};
+use lio_pfs::{MemFile, UnixFile};
 
 /// How a rank's user buffer holds its stream.
 #[derive(Clone, Copy, Debug)]
@@ -342,10 +342,10 @@ fn the_own_share_never_crosses_a_channel() {
     let storage = |name: &str| match name {
         "MemFile" => SharedFile::new(MemFile::new()),
         "Staged(MemFile)" => SharedFile::new(Staged(MemFile::new())),
-        _ => SharedFile::new(OsFile::temp().expect("temp file for the os backend")),
+        _ => SharedFile::new(UnixFile::temp().expect("temp file for the os backend")),
     };
     for engine in engines() {
-        for name in ["MemFile", "Staged(MemFile)", "OsFile"] {
+        for name in ["MemFile", "Staged(MemFile)", "UnixFile"] {
             let shared = storage(name);
             let hints = engine;
             // (std's barrier: the world's own would count)

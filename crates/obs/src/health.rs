@@ -141,7 +141,7 @@ pub enum HbPhase {
     Exchange = 2,
     /// Blocked waiting for exchange messages to arrive.
     ExchangeWait = 3,
-    /// Storage access (read/write/flush), including squeue service.
+    /// Storage access (read/write/flush), including the write-behind lane.
     Io = 4,
     /// Datatype pack/unpack.
     Pack = 5,
@@ -201,8 +201,6 @@ struct Slot {
     beats: AtomicU64,
     /// `now_ns()` of the last heartbeat.
     ts: AtomicU64,
-    /// Last published submission-queue depth observed by this rank.
-    qdepth: AtomicU64,
     /// Op id the watchdog already flagged (dedup: one diagnosis per op).
     flagged: AtomicU64,
 }
@@ -217,7 +215,6 @@ impl Slot {
             bytes: AtomicU64::new(0),
             beats: AtomicU64::new(0),
             ts: AtomicU64::new(0),
-            qdepth: AtomicU64::new(0),
             flagged: AtomicU64::new(0),
         }
     }
@@ -247,9 +244,9 @@ pub fn current_rank() -> u32 {
     RANK.with(|r| r.get())
 }
 
-/// A capturable copy of the calling thread's health identity, for
-/// worker threads (squeue pool, the write-behind lane) that service a rank's
-/// I/O: capture on the submitting thread, [`adopt`] on the worker.
+/// A capturable copy of the calling thread's health identity, for the
+/// threads (the write-behind lane) that service a rank's I/O: capture on
+/// the submitting thread, [`adopt`] on the lane.
 #[derive(Clone, Copy, Debug)]
 pub struct Handle(u32);
 
@@ -365,19 +362,6 @@ fn beat_slow(phase: HbPhase, window: Option<u64>, bytes: u64) {
     if STALL_ARMED.load(Relaxed) {
         maybe_wedge(rank, phase, s);
     }
-}
-
-/// Publish the submission-queue depth observed by the calling rank.
-#[inline(always)]
-pub fn queue_depth(depth: u64) {
-    if !enabled() {
-        return;
-    }
-    let rank = current_rank();
-    if rank as usize >= MAX_RANKS {
-        return;
-    }
-    SLOTS[rank as usize].qdepth.store(depth, Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -806,7 +790,6 @@ pub struct RankHealth {
     pub window: u64,
     pub bytes: u64,
     pub beats: u64,
-    pub queue_depth: u64,
     /// Milliseconds since the last heartbeat.
     pub age_ms: u64,
 }
@@ -826,7 +809,6 @@ pub fn live_snapshot() -> Vec<RankHealth> {
             window: s.window.load(Relaxed),
             bytes: s.bytes.load(Relaxed),
             beats: s.beats.load(Relaxed),
-            queue_depth: s.qdepth.load(Relaxed),
             age_ms: now.saturating_sub(s.ts.load(Relaxed)) / 1_000_000,
         })
         .collect()
@@ -887,9 +869,8 @@ impl HealthReport {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!(
                 "    {{\"rank\": {}, \"op\": {}, \"write\": {}, \"phase\": \"{}\", \
-                 \"window\": {}, \"bytes\": {}, \"beats\": {}, \"queue_depth\": {}, \
-                 \"age_ms\": {}}}",
-                r.rank, r.op, r.write, r.phase, r.window, r.bytes, r.beats, r.queue_depth, r.age_ms
+                 \"window\": {}, \"bytes\": {}, \"beats\": {}, \"age_ms\": {}}}",
+                r.rank, r.op, r.write, r.phase, r.window, r.bytes, r.beats, r.age_ms
             ));
         }
         if !self.ranks.is_empty() {
@@ -904,12 +885,12 @@ impl HealthReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:>4}  {:>4}  {:<2}  {:<13}  {:>7}  {:>12}  {:>8}  {:>6}  {:>7}\n",
-            "rank", "op", "rw", "phase", "window", "bytes", "beats", "qdep", "age_ms"
+            "{:>4}  {:>4}  {:<2}  {:<13}  {:>7}  {:>12}  {:>8}  {:>7}\n",
+            "rank", "op", "rw", "phase", "window", "bytes", "beats", "age_ms"
         ));
         for r in &self.ranks {
             out.push_str(&format!(
-                "{:>4}  {:>4}  {:<2}  {:<13}  {:>7}  {:>12}  {:>8}  {:>6}  {:>7}\n",
+                "{:>4}  {:>4}  {:<2}  {:<13}  {:>7}  {:>12}  {:>8}  {:>7}\n",
                 r.rank,
                 r.op,
                 if r.op == 0 {
@@ -923,7 +904,6 @@ impl HealthReport {
                 r.window,
                 r.bytes,
                 r.beats,
-                r.queue_depth,
                 r.age_ms
             ));
         }
@@ -952,7 +932,6 @@ pub fn reset() {
         s.bytes.store(0, Relaxed);
         s.beats.store(0, Relaxed);
         s.ts.store(0, Relaxed);
-        s.qdepth.store(0, Relaxed);
         s.flagged.store(0, Relaxed);
     }
     for p in PENDING.iter() {

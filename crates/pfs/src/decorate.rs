@@ -1,22 +1,12 @@
 //! Storage-file decorators: throttling, statistics, and fault injection.
 //!
-//! Decorators present a **synchronous facade**: each counts, throttles,
-//! or perturbs exactly the call that passes through it, attributing the
-//! effect to the calling thread. They therefore do not forward
-//! [`StorageFile::submission`] — wrapping an asynchronous backend (e.g.
-//! [`crate::OsFile`]) hides its queue, so every access is funnelled
-//! through the blocking positional path where the decorator's accounting
-//! is well defined. A decorator *beneath* the queue (as the device the
-//! workers call) decorates the worker-side accesses instead, which is
-//! how the fault plans reach the worker threadpool's retry path. The
-//! async-completion conformance tests pin both arrangements.
-//!
-//! For the same reason no decorator forwards
-//! [`StorageFile::with_range_mut`]/[`StorageFile::with_range`]: bytes lent
-//! in place are not a request, so there would be nothing to count, delay,
-//! tear or fail. A decorated file answers `false`, the caller stages the
-//! range in its own buffer, and the decorator sees the `read_at`/`write_at`
-//! it always saw.
+//! Each decorator counts, throttles, or perturbs exactly the call that
+//! passes through it, attributing the effect to the calling thread. None
+//! forwards [`StorageFile::with_range_mut`]/[`StorageFile::with_range`]:
+//! bytes lent in place are not a request, so there would be nothing to
+//! count, delay, tear or fail. A decorated file answers `false`, the
+//! caller stages the range in its own buffer, and the decorator sees the
+//! `read_at`/`write_at` it always saw.
 
 use std::io;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -624,6 +614,27 @@ mod tests {
         assert_eq!(total.bytes_read, s.bytes_read + 5);
         assert_eq!(total.max_read, 512);
         assert_eq!(total.max_write, 100);
+    }
+
+    #[test]
+    fn counting_is_concurrency_safe() {
+        let f = CountingFile::new(MemFile::new());
+        let (threads, ops) = (8usize, 16usize);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let f = &f;
+                s.spawn(move || {
+                    for i in 0..ops {
+                        f.write_at((t * ops + i) as u64 * 777, &[t as u8 + 1; 777])
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let s = f.stats();
+        assert_eq!(s.writes, (threads * ops) as u64);
+        assert_eq!(s.bytes_written, (threads * ops * 777) as u64);
+        assert_eq!(s.max_write, 777);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The storage-file abstraction and its in-memory and on-disk backends.
 
 use std::io;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::map::MappedFile;
@@ -46,14 +48,10 @@ pub trait StorageFile: Send + Sync {
     /// Flush any caches to stable storage.
     fn sync(&self) -> io::Result<()>;
 
-    /// The asynchronous submission queue behind this file, if it has
-    /// one. Nothing in this workspace calls it since the pipelined
-    /// collective schedule went; it stays because the benchmark package's
-    /// storage decorator forwards it and may not be edited by a library
-    /// change (ROADMAP item 3(c) decides the queue's fate, this seam's
-    /// with it). Decorators deliberately do *not* forward this: their
-    /// accounting assumes the synchronous facade (see [`crate::decorate`]).
-    fn submission(&self) -> Option<&crate::squeue::SubmissionQueue> {
+    /// Always `None`: [`SubmissionQueue`] has no values. The method exists
+    /// only because the benchmark package (`benchmark/`, which a library
+    /// change may not edit) overrides it in its storage decorator.
+    fn submission(&self) -> Option<&SubmissionQueue> {
         None
     }
 
@@ -92,6 +90,11 @@ pub trait StorageFile: Send + Sync {
     }
 }
 
+/// An uninhabited type, so [`StorageFile::submission`] can only answer
+/// `None`. It exists only because the benchmark package (`benchmark/`,
+/// which a library change may not edit) names it.
+pub enum SubmissionQueue {}
+
 impl<F: StorageFile + ?Sized> StorageFile for Arc<F> {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
         (**self).read_at(offset, buf)
@@ -107,9 +110,6 @@ impl<F: StorageFile + ?Sized> StorageFile for Arc<F> {
     }
     fn sync(&self) -> io::Result<()> {
         (**self).sync()
-    }
-    fn submission(&self) -> Option<&crate::squeue::SubmissionQueue> {
-        (**self).submission()
     }
     fn with_range_mut(
         &self,
@@ -368,18 +368,45 @@ impl StorageFile for MemFile {
     }
 }
 
-/// A [`StorageFile`] backed by a real file on disk, for examples and
-/// integration tests that want durable output.
+/// The directory for the backing files of [`UnixFile::temp`]:
+/// `LIO_OS_DIR` if set (CI points it at tmpfs and at a real disk), the
+/// system temp directory otherwise.
+pub fn os_dir() -> PathBuf {
+    std::env::var_os("LIO_OS_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(std::env::temp_dir)
+}
+
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A [`StorageFile`] backed by a real file — the real-storage backend
+/// (`BackendKind::Os` in `lio-core`), and durable output for examples.
 ///
-/// It lends its bytes through one shared mapping of the file, made by the
-/// first lend (`map.rs`): in-bounds ranges only — a range past
-/// end-of-file is declined by both methods, so the file grows through
-/// `write_at` alone and a full disk stays an `io::Error`.
+/// Staged requests are plain `pread`/`pwrite` calls (no `O_DIRECT`, so no
+/// alignment rule). It lends its bytes through one shared mapping of the
+/// file, made by the first lend (`map.rs`): in-bounds ranges only — a
+/// range past end-of-file is declined by both methods, so the file grows
+/// through `write_at` alone and a full disk stays an `io::Error`.
 pub struct UnixFile {
     file: MappedFile,
 }
 
 impl UnixFile {
+    /// An anonymous file in [`os_dir`]: the path is unlinked right after
+    /// opening, so the storage disappears with the handle, panics included.
+    pub fn temp() -> io::Result<UnixFile> {
+        let dir = os_dir();
+        std::fs::create_dir_all(&dir)?;
+        let path = dir.join(format!(
+            "lio-os-{}-{}.bin",
+            std::process::id(),
+            TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let f = UnixFile::create(&path)?;
+        std::fs::remove_file(&path)?;
+        Ok(f)
+    }
+
     /// Create (or truncate) a file at `path`.
     pub fn create(path: impl AsRef<std::path::Path>) -> io::Result<UnixFile> {
         let file = std::fs::OpenOptions::new()
@@ -738,7 +765,7 @@ mod tests {
 
     /// An unlinked real file holding `data`.
     fn unix_with(data: &[u8]) -> UnixFile {
-        let f = crate::os::temp_unix().expect("temp file");
+        let f = UnixFile::temp().expect("temp file");
         f.write_at(0, data).unwrap();
         f
     }
@@ -806,10 +833,6 @@ mod tests {
     #[test]
     fn unixfile_lends_ascending_pieces_cut_at_stripe_seams() {
         lends_ascending_pieces_cut_at_stripe_seams(unix_with);
-        // and the queue facade hands out its device's pieces unchanged
-        lends_ascending_pieces_cut_at_stripe_seams(|data| {
-            crate::OsFile::over(unix_with(data), crate::OsConfig::default())
-        });
     }
 
     #[test]
@@ -900,19 +923,9 @@ mod tests {
         assert!(lends(&dynamic));
         assert!(lends(&Arc::new(dynamic)));
 
-        // a real file lends through its mapping, and the queue facade
-        // answers what its device answers
-        let os_over = |device| crate::OsFile::over_arc(device, crate::OsConfig::default());
+        // a real file lends through its mapping, behind an `Arc` too
         assert!(lends(&unix_with(&[])));
-        assert!(lends(&crate::OsFile::temp().unwrap()));
-        assert!(lends(&os_over(Arc::new(MemFile::new()))));
-        assert!(!lends(&os_over(Arc::new(FaultyFile::new(
-            unix_with(&[]),
-            FaultPlan::disabled()
-        )))));
-        assert!(!lends(&os_over(Arc::new(
-            CountingFile::new(MemFile::new())
-        ))));
+        assert!(lends(&Arc::new(UnixFile::temp().unwrap())));
         assert!(!lends(&FaultyFile::new(
             unix_with(&[]),
             FaultPlan::disabled()

@@ -8,8 +8,10 @@
 //! * [`MemFile`] — a thread-safe, lock-striped in-memory file whose
 //!   transfer rate is memcpy bandwidth and whose writers to disjoint
 //!   stripes run in parallel (the "fast parallel file system" regime
-//!   where listless I/O matters most), plus [`UnixFile`] for real
-//!   on-disk output;
+//!   where listless I/O matters most);
+//! * [`UnixFile`] — the real-storage backend: a kernel file reached with
+//!   `pread`/`pwrite`, lending what lies inside it through one shared
+//!   mapping ([`UnixFile::temp`] makes an unlinked one in [`os_dir`]);
 //! * [`ThrottledFile`] — a calibrated bandwidth/latency model for
 //!   emulating slower storage ([`Throttle::sx6_local_fs`],
 //!   [`Throttle::commodity_nfs`]);
@@ -17,28 +19,18 @@
 //! * [`FaultyFile`] — seeded deterministic fault injection (short
 //!   transfers, transient errors, torn writes, flush failures), with the
 //!   bounded recovery loops in [`retry`];
-//! * [`OsFile`] — the real-storage backend: a blocking facade over its
-//!   own [`SubmissionQueue`]/completion-queue pair (io_uring-shaped; see
-//!   [`squeue`]) served by a worker threadpool over any device, with
-//!   alignment-aware segment planning and staged buffers ([`aligned`]);
 //! * [`RangeLock`] — the byte-range lock that data-sieving writes need for
 //!   their read-modify-write cycle.
 
-pub mod aligned;
 pub mod decorate;
 pub mod file;
 pub mod lock;
 mod map;
-pub mod os;
 pub mod retry;
-pub mod squeue;
 
-pub use aligned::{AlignedBuf, AlignedPool};
 pub use decorate::{
     take_spin_ns, CountingFile, FaultPlan, FaultyFile, IoStats, Throttle, ThrottledFile,
 };
-pub use file::{MemFile, StorageFile, UnixFile};
+pub use file::{os_dir, MemFile, StorageFile, SubmissionQueue, UnixFile};
 pub use lock::{RangeGuard, RangeLock};
-pub use os::{OsConfig, OsFile};
 pub use retry::{RetryExhausted, RetryPolicy};
-pub use squeue::{QueueConfig, SubmissionQueue};

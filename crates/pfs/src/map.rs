@@ -288,7 +288,7 @@ mod tests {
 
     /// An unlinked real file of `len` bytes.
     fn temp(len: usize) -> MappedFile {
-        let dir = crate::os::os_dir();
+        let dir = crate::os_dir();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("lio-map-{}-{len}.bin", std::process::id()));
         let file = File::options()

@@ -1,21 +1,21 @@
-//! Alignment and edge-case suite for the submission-queue backend,
-//! driven end-to-end through the public facade: unaligned head/tail
-//! splits, zero-length submissions, transfers spanning EOF, completion
-//! reordering under a seeded scheduler shuffle, and queue-full
-//! backpressure. Each case runs differentially against a plain
-//! [`MemFile`] mirror, so the facade's POSIX semantics are pinned
-//! byte-for-byte rather than asserted piecemeal.
+//! Edge-case suite for the real-file backend, a bare [`UnixFile`] on an
+//! unlinked temp file ([`UnixFile::temp`]): zero-length accesses, reads
+//! short at EOF, writes that extend the file, and accesses of every shape
+//! relative to a block grid, each run differentially against a plain
+//! [`MemFile`] mirror so the POSIX semantics are pinned byte for byte
+//! rather than asserted piecemeal; and the seeded fault plan over the real
+//! file, ridden out by the same [`lio_pfs::retry`] loops `lio-core` wraps
+//! every staged call in.
 //!
-//! The second half is the real file's lending path — a [`UnixFile`]'s
-//! shared mapping, bare and under the queue facade: coherence with the
-//! positional calls in both directions, and the three ways a mapping
-//! could outlive its file (a range past EOF, a shrinking `set_len`, growth
-//! through `write_at`), each of which must decline or remap, never fault.
+//! The second half is the lending path — the file's shared mapping:
+//! coherence with the positional calls in both directions, and the three
+//! ways a mapping could outlive its file (a range past EOF, a shrinking
+//! `set_len`, growth through `write_at`), each of which must decline or
+//! remap, never fault; and a decorated file declines to lend at all.
 //! `ci.sh` runs this file on tmpfs and on a real directory (`LIO_OS_DIR`).
 
-use lio_pfs::{
-    FaultPlan, FaultyFile, MemFile, OsConfig, OsFile, QueueConfig, StorageFile, UnixFile,
-};
+use lio_pfs::retry::{read_full_at, sync_with_retry, write_full_at};
+use lio_pfs::{FaultPlan, FaultyFile, MemFile, StorageFile, UnixFile};
 
 fn pattern(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -29,29 +29,16 @@ fn pattern(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-fn cfg(
-    workers: usize,
-    depth: usize,
-    shuffle: Option<u64>,
-    align: usize,
-    max_seg: usize,
-) -> OsConfig {
-    OsConfig {
-        queue: QueueConfig {
-            workers,
-            depth,
-            shuffle_seed: shuffle,
-        },
-        align,
-        max_seg,
-    }
+fn temp() -> UnixFile {
+    UnixFile::temp().expect("temp file")
 }
 
-/// Mirror every (offset, len) access on both files and demand identical
-/// observable behavior: same return counts, same read bytes, same final
-/// contents.
-fn differential_sweep(f: &OsFile, mirror: &MemFile, accesses: &[(u64, usize)], seed: u64) {
-    for (i, &(off, len)) in accesses.iter().enumerate() {
+/// Mirror every access of [`edge_accesses`]`(block)` on a fresh real file
+/// and a fresh [`MemFile`] and demand identical observable behavior: same
+/// return counts, same read bytes, same final contents.
+fn differential_sweep(block: u64, seed: u64) {
+    let (f, mirror) = (temp(), MemFile::new());
+    for (i, &(off, len)) in edge_accesses(block).iter().enumerate() {
         let data = pattern(len, seed + i as u64);
         assert_eq!(
             f.write_at(off, &data).unwrap(),
@@ -73,13 +60,13 @@ fn differential_sweep(f: &OsFile, mirror: &MemFile, accesses: &[(u64, usize)], s
     assert_eq!(a, mirror.snapshot(), "final contents diverge");
 }
 
-/// Offsets/lengths chosen to hit every split shape: block-aligned,
-/// head-only, tail-only, head+tail, sub-block, straddling one boundary,
-/// and multi-segment bodies.
-fn edge_accesses(align: u64) -> Vec<(u64, usize)> {
-    let a = align;
+/// Offsets/lengths of every shape against a grid of `block` bytes:
+/// block-aligned, ragged head only, ragged tail only, both, sub-block,
+/// straddling one boundary, and spanning several blocks.
+fn edge_accesses(block: u64) -> Vec<(u64, usize)> {
+    let a = block;
     vec![
-        (0, a as usize * 3),            // aligned, multi-segment body
+        (0, a as usize * 3),            // aligned, several blocks
         (a, a as usize),                // aligned single block
         (3, 100),                       // sub-block fragment
         (a - 1, 2),                     // straddles one boundary
@@ -92,15 +79,18 @@ fn edge_accesses(align: u64) -> Vec<(u64, usize)> {
 
 #[test]
 fn unaligned_splits_match_memfile() {
-    let align = 512u64;
-    let f = OsFile::over(MemFile::new(), cfg(3, 16, None, align as usize, 1024));
-    let mirror = MemFile::new();
-    differential_sweep(&f, &mirror, &edge_accesses(align), 1000);
+    differential_sweep(512, 1000);
+}
+
+#[test]
+fn real_file_edge_sweep() {
+    // The same shapes against the page grid.
+    differential_sweep(4096, 3000);
 }
 
 #[test]
 fn zero_length_accesses_are_noops() {
-    let f = OsFile::over(MemFile::new(), cfg(2, 8, None, 512, 1024));
+    let f = temp();
     assert_eq!(f.write_at(100, &[]).unwrap(), 0);
     assert_eq!(f.len(), 0, "zero-length write must not extend");
     let mut empty: [u8; 0] = [];
@@ -111,10 +101,8 @@ fn zero_length_accesses_are_noops() {
 
 #[test]
 fn reads_spanning_eof_are_short_writes_extend() {
-    let f = OsFile::over(
-        MemFile::with_data(pattern(3000, 5)),
-        cfg(2, 8, None, 512, 1024),
-    );
+    let f = temp();
+    f.write_at(0, &pattern(3000, 5)).unwrap();
     // Read window straddling EOF: short at exactly the boundary.
     let mut buf = vec![0xAAu8; 2048];
     let n = f.read_at(2500, &mut buf).unwrap();
@@ -135,61 +123,28 @@ fn reads_spanning_eof_are_short_writes_extend() {
 }
 
 #[test]
-fn completion_reordering_is_invisible_through_the_facade() {
-    // One worker + seeded shuffle: submissions complete in a
-    // deterministic non-FIFO order, and the facade must reassemble
-    // identical bytes anyway. Two different seeds double-check that the
-    // result does not depend on the schedule.
-    let align = 512u64;
-    for seed in [0x5EED_0001u64, 0xD15C_0BADu64] {
-        let f = OsFile::over(MemFile::new(), cfg(1, 32, Some(seed), align as usize, 1024));
-        let mirror = MemFile::new();
-        differential_sweep(&f, &mirror, &edge_accesses(align), 2000);
-    }
-}
-
-#[test]
-fn queue_full_backpressure_still_completes() {
-    // Depth 1 and a tiny max_seg force a 96 KiB transfer through ~192
-    // sequential submissions, saturating the queue; the blocking submit
-    // path must absorb the backpressure and complete correctly.
-    let f = OsFile::over(MemFile::new(), cfg(2, 1, None, 512, 512));
-    let data = pattern(96 * 1024, 9);
-    assert_eq!(f.write_at(1, &data).unwrap(), data.len());
+fn seeded_plan_survives_on_a_real_file() {
+    // Shorts, bounded transients and two failed flushes, under the retry
+    // loops the engines use for every staged call.
+    let f = FaultyFile::new(temp(), FaultPlan::seeded(33));
+    let data = pattern(20_000, 33);
+    write_full_at(&f, 11, &data).unwrap();
     let mut back = vec![0u8; data.len()];
-    assert_eq!(f.read_at(1, &mut back).unwrap(), data.len());
+    assert_eq!(read_full_at(&f, 11, &mut back).unwrap(), data.len());
     assert_eq!(back, data);
-}
-
-#[test]
-fn real_file_edge_sweep() {
-    // The same split shapes against a real kernel-backed temp file.
-    let align = 4096u64;
-    let f = OsFile::over(
-        lio_pfs::os::temp_unix().expect("temp file"),
-        cfg(3, 16, None, align as usize, 8192),
-    );
-    let mirror = MemFile::new();
-    differential_sweep(&f, &mirror, &edge_accesses(align), 3000);
+    sync_with_retry(&f).expect("sync survives the default plan");
+    assert!(f.injected() > 0);
+    assert_eq!(read_back(f.inner(), 11, data.len()), data);
 }
 
 /// Bytes per lock stripe of a lending file (`lio-pfs` keeps it private).
 const STRIPE: u64 = 256 * 1024;
 
-/// A real unlinked file holding `data`: bare, and under the queue facade.
-fn real_lenders(data: &[u8]) -> [(&'static str, Box<dyn StorageFile>); 2] {
-    let unix = || {
-        let f = lio_pfs::os::temp_unix().expect("temp file");
-        f.write_at(0, data).unwrap();
-        f
-    };
-    [
-        ("UnixFile", Box::new(unix())),
-        (
-            "OsFile",
-            Box::new(OsFile::over(unix(), cfg(2, 8, None, 4096, 8192))),
-        ),
-    ]
+/// A real unlinked file holding `data`.
+fn real_lender(data: &[u8]) -> UnixFile {
+    let f = temp();
+    f.write_at(0, data).unwrap();
+    f
 }
 
 /// The bytes of `[lo, hi)` as `with_range` lends them, `None` if declined.
@@ -221,23 +176,21 @@ fn read_back(f: &dyn StorageFile, lo: u64, len: usize) -> Vec<u8> {
 #[test]
 fn lent_bytes_and_positional_io_see_each_other() {
     let len = 2 * STRIPE as usize + 999;
-    for (name, f) in real_lenders(&pattern(len, 1)) {
-        let f = &*f;
-        let mut want = pattern(len, 1);
-        // pwrite, then the mapping (made only now) shows it
-        assert_eq!(lent(f, 0, len as u64).unwrap(), want, "{name}");
-        // a store through the mapping, then pread shows it
-        let (lo, patch) = (STRIPE - 100, pattern(STRIPE as usize + 300, 2));
-        assert!(place(f, lo, &patch), "{name}");
-        want[lo as usize..][..patch.len()].copy_from_slice(&patch);
-        assert_eq!(read_back(f, 0, len), want, "{name}");
-        // and a pwrite under the live mapping shows through it
-        let (lo, patch) = (4095, pattern(STRIPE as usize, 3));
-        f.write_at(lo, &patch).unwrap();
-        want[lo as usize..][..patch.len()].copy_from_slice(&patch);
-        assert_eq!(lent(f, 0, len as u64).unwrap(), want, "{name}");
-        assert_eq!(f.len(), len as u64);
-    }
+    let f = &real_lender(&pattern(len, 1));
+    let mut want = pattern(len, 1);
+    // pwrite, then the mapping (made only now) shows it
+    assert_eq!(lent(f, 0, len as u64).unwrap(), want);
+    // a store through the mapping, then pread shows it
+    let (lo, patch) = (STRIPE - 100, pattern(STRIPE as usize + 300, 2));
+    assert!(place(f, lo, &patch));
+    want[lo as usize..][..patch.len()].copy_from_slice(&patch);
+    assert_eq!(read_back(f, 0, len), want);
+    // and a pwrite under the live mapping shows through it
+    let (lo, patch) = (4095, pattern(STRIPE as usize, 3));
+    f.write_at(lo, &patch).unwrap();
+    want[lo as usize..][..patch.len()].copy_from_slice(&patch);
+    assert_eq!(lent(f, 0, len as u64).unwrap(), want);
+    assert_eq!(f.len(), len as u64);
 }
 
 #[test]
@@ -250,26 +203,22 @@ fn a_range_past_eof_and_a_decorated_device_are_declined() {
         assert_eq!((a, b, calls), (false, false, 0), "[{lo}, {hi}) was lent");
         assert_eq!(f.len(), len, "a declined range must not grow the file");
     };
-    for (name, f) in real_lenders(&pattern(len as usize, 4)) {
-        let f = &*f;
-        // before and after the mapping exists
-        for round in 0..2 {
-            untouched(f, len - 1, len + 1);
-            untouched(f, len, len + 1);
-            untouched(f, 3 * STRIPE, 4 * STRIPE);
-            // an empty range is served wherever it is, without a call
-            assert_eq!(lent(f, len + 5, len + 5), Some(Vec::new()));
-            assert!(lent(f, 0, len).is_some(), "{name} round {round}");
-        }
+    let f = &real_lender(&pattern(len as usize, 4));
+    // before and after the mapping exists
+    for round in 0..2 {
+        untouched(f, len - 1, len + 1);
+        untouched(f, len, len + 1);
+        untouched(f, 3 * STRIPE, 4 * STRIPE);
+        // an empty range is served wherever it is, without a call
+        assert_eq!(lent(f, len + 5, len + 5), Some(Vec::new()));
+        assert!(lent(f, 0, len).is_some(), "round {round}");
     }
-    // in bounds, but the device is decorated: the request is the fault
-    // plan's business, so the facade stages it
-    let faulty = FaultyFile::new(
-        lio_pfs::os::temp_unix().expect("temp file"),
+    // in bounds, but the file is decorated: the request is the fault
+    // plan's business, so the caller stages it
+    let f = FaultyFile::new(
+        real_lender(&pattern(len as usize, 4)),
         FaultPlan::disabled(),
     );
-    let f = OsFile::over(faulty, cfg(2, 8, None, 4096, 8192));
-    f.write_at(0, &pattern(len as usize, 4)).unwrap();
     untouched(&f, 0, len);
     untouched(&f, 10, 20);
 }
@@ -278,59 +227,55 @@ fn a_range_past_eof_and_a_decorated_device_are_declined() {
 fn shrinking_below_a_lent_range_unmaps_it() {
     let len = 3 * STRIPE;
     let cut = STRIPE + STRIPE / 2 + 7;
-    for (name, f) in real_lenders(&pattern(len as usize, 5)) {
-        let f = &*f;
-        assert!(lent(f, 0, len).is_some(), "{name}");
-        f.set_len(cut).unwrap();
-        // the old mapping reached past the new end: touching it would be
-        // a SIGBUS, so the range must be declined, not served
-        assert_eq!(lent(f, 0, len), None, "{name}");
-        assert_eq!(lent(f, cut - 1, cut + 1), None, "{name}");
-        assert!(!place(f, cut, &[1; 16]), "{name}");
-        assert_eq!(f.len(), cut);
-        assert_eq!(
-            lent(f, 0, cut).unwrap(),
-            pattern(len as usize, 5)[..cut as usize]
-        );
-        // regrown, what was cut off reads as zeros through the new mapping
-        f.set_len(len).unwrap();
-        let tail = lent(f, cut, len).unwrap();
-        assert!(tail.iter().all(|&b| b == 0), "{name}: stale bytes");
-        assert!(place(f, len - 16, &[9; 16]), "{name}");
-        assert_eq!(read_back(f, len - 17, 17), [&[0u8][..], &[9; 16]].concat());
-    }
+    let f = &real_lender(&pattern(len as usize, 5));
+    assert!(lent(f, 0, len).is_some());
+    f.set_len(cut).unwrap();
+    // the old mapping reached past the new end: touching it would be a
+    // SIGBUS, so the range must be declined, not served
+    assert_eq!(lent(f, 0, len), None);
+    assert_eq!(lent(f, cut - 1, cut + 1), None);
+    assert!(!place(f, cut, &[1; 16]));
+    assert_eq!(f.len(), cut);
+    assert_eq!(
+        lent(f, 0, cut).unwrap(),
+        pattern(len as usize, 5)[..cut as usize]
+    );
+    // regrown, what was cut off reads as zeros through the new mapping
+    f.set_len(len).unwrap();
+    let tail = lent(f, cut, len).unwrap();
+    assert!(tail.iter().all(|&b| b == 0), "stale bytes");
+    assert!(place(f, len - 16, &[9; 16]));
+    assert_eq!(read_back(f, len - 17, 17), [&[0u8][..], &[9; 16]].concat());
 }
 
 #[test]
 fn growth_through_write_at_is_remapped_on_demand() {
     let len = STRIPE + 5;
-    for (name, f) in real_lenders(&pattern(len as usize, 6)) {
-        let f = &*f;
-        assert!(lent(f, 0, len).is_some(), "{name}");
-        // the file grows behind the mapping's back, hole included
-        let more = pattern(2 * STRIPE as usize, 7);
-        f.write_at(len + 1000, &more).unwrap();
-        let new_len = len + 1000 + more.len() as u64;
-        let mut want = pattern(len as usize, 6);
-        want.resize(len as usize + 1000, 0);
-        want.extend_from_slice(&more);
-        assert_eq!(lent(f, 0, new_len).unwrap(), want, "{name}");
-        let patch = pattern(3000, 8);
-        assert!(place(f, new_len - 3000, &patch), "{name}");
-        assert_eq!(read_back(f, new_len - 3000, 3000), patch, "{name}");
-        assert_eq!(f.len(), new_len);
-    }
+    let f = &real_lender(&pattern(len as usize, 6));
+    assert!(lent(f, 0, len).is_some());
+    // the file grows behind the mapping's back, hole included
+    let more = pattern(2 * STRIPE as usize, 7);
+    f.write_at(len + 1000, &more).unwrap();
+    let new_len = len + 1000 + more.len() as u64;
+    let mut want = pattern(len as usize, 6);
+    want.resize(len as usize + 1000, 0);
+    want.extend_from_slice(&more);
+    assert_eq!(lent(f, 0, new_len).unwrap(), want);
+    let patch = pattern(3000, 8);
+    assert!(place(f, new_len - 3000, &patch));
+    assert_eq!(read_back(f, new_len - 3000, 3000), patch);
+    assert_eq!(f.len(), new_len);
 }
 
 #[test]
 fn lent_updates_survive_sync_and_reopen() {
-    let dir = lio_pfs::os::os_dir();
+    let dir = lio_pfs::os_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("lio-os-edge-reopen-{}.bin", std::process::id()));
     let len = STRIPE as usize + 4097;
     let data = pattern(len, 9);
     {
-        let f = OsFile::create(&path).expect("named file");
+        let f = UnixFile::create(&path).expect("named file");
         f.write_at(0, &vec![0u8; len]).unwrap();
         assert!(place(&f, 0, &data));
         // fdatasync covers the stores through the mapping: no msync
