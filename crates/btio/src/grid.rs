@@ -22,10 +22,12 @@ pub const NVARS: usize = 5;
 pub struct Grid {
     /// The owning rank's cells (interior shapes).
     pub cells: Vec<Cell>,
-    /// Byte offset of each cell's storage within `data`.
+    /// Index of each cell's first value within `data`.
     pub cell_base: Vec<usize>,
-    /// All cells' storage, ghost points included, `f64` values.
-    pub data: Vec<f64>,
+    /// All cells' storage, ghost points included: `f64` values as their
+    /// little-endian bytes, so the I/O user buffer is the storage itself
+    /// ([`Grid::value`] and [`Grid::set`] index it by value).
+    data: Vec<u8>,
 }
 
 /// Storage dimensions of a cell including ghosts, `[z, y, x]`.
@@ -51,8 +53,20 @@ impl Grid {
         Grid {
             cells,
             cell_base,
-            data: vec![0.0; total],
+            data: vec![0; total * 8],
         }
+    }
+
+    /// Value `i`.
+    #[inline]
+    pub fn value(&self, i: usize) -> f64 {
+        f64::from_le_bytes(self.data[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+    }
+
+    /// Set value `i`.
+    #[inline]
+    pub fn set(&mut self, i: usize, v: f64) {
+        self.data[8 * i..8 * i + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Initialize every interior point to a deterministic function of its
@@ -71,7 +85,7 @@ impl Grid {
                         let gx = cell.start[2] + x;
                         let idx = point_index(base, pd, z + GHOST, y + GHOST, x + GHOST);
                         for v in 0..NVARS {
-                            self.data[idx + v] = expected_value(gz, gy, gx, v);
+                            self.set(idx + v, expected_value(gz, gy, gx, v));
                         }
                     }
                 }
@@ -96,15 +110,16 @@ impl Grid {
                             let xs = (pd[2] as usize) * NVARS;
                             let ys = (pd[1] * pd[2]) as usize * NVARS;
                             for v in 0..NVARS {
-                                let c = self.data[i + v];
-                                let n = self.data[i + v - xs]
-                                    + self.data[i + v + xs]
-                                    + self.data[i + v - ys]
-                                    + self.data[i + v + ys]
-                                    + self.data[i + v - NVARS]
-                                    + self.data[i + v + NVARS];
+                                let j = i + v;
+                                let c = self.value(j);
+                                let n = self.value(j - xs)
+                                    + self.value(j + xs)
+                                    + self.value(j - ys)
+                                    + self.value(j + ys)
+                                    + self.value(j - NVARS)
+                                    + self.value(j + NVARS);
                                 let updated = 0.4 * c + 0.1 * n;
-                                self.data[i + v] = updated;
+                                self.set(j, updated);
                                 acc += updated;
                             }
                         }
@@ -120,19 +135,14 @@ impl Grid {
         self.cells.iter().map(|c| c.points()).sum()
     }
 
-    /// The raw storage as bytes (for use as the I/O user buffer).
+    /// The storage as bytes (the I/O user buffer).
     pub fn bytes(&self) -> &[u8] {
-        let ptr = self.data.as_ptr().cast::<u8>();
-        // SAFETY: f64 has no padding or invalid bit patterns as bytes; the
-        // slice covers exactly the Vec's initialized storage.
-        unsafe { std::slice::from_raw_parts(ptr, self.data.len() * 8) }
+        &self.data
     }
 
-    /// The raw storage as mutable bytes.
+    /// The storage as mutable bytes.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        let ptr = self.data.as_mut_ptr().cast::<u8>();
-        // SAFETY: every byte pattern is a valid f64 byte; exclusive borrow.
-        unsafe { std::slice::from_raw_parts_mut(ptr, self.data.len() * 8) }
+        &mut self.data
     }
 }
 
@@ -168,7 +178,7 @@ mod tests {
                 (pd[0] * pd[1] * pd[2]) as usize * NVARS
             })
             .sum();
-        assert_eq!(g.data.len(), padded_total);
+        assert_eq!(g.bytes().len(), padded_total * 8);
     }
 
     #[test]
@@ -177,17 +187,17 @@ mod tests {
         let mut g = Grid::new(&d, 1);
         g.initialize();
         // ghost corners stay zero
-        assert_eq!(g.data[0], 0.0);
+        assert_eq!(g.value(0), 0.0);
         // an interior point holds the oracle value
         let cell = g.cells[0];
         let pd = padded(&cell);
         let idx = point_index(g.cell_base[0], pd, GHOST, GHOST, GHOST);
         assert_eq!(
-            g.data[idx],
+            g.value(idx),
             expected_value(cell.start[0], cell.start[1], cell.start[2], 0)
         );
         assert_eq!(
-            g.data[idx + 3],
+            g.value(idx + 3),
             expected_value(cell.start[0], cell.start[1], cell.start[2], 3)
         );
     }
@@ -197,9 +207,9 @@ mod tests {
         let d = Decomp::new(8, 1).unwrap();
         let mut g = Grid::new(&d, 0);
         g.initialize();
-        let before = g.data.clone();
+        let before = g.bytes().to_vec();
         let r1 = g.relax(1);
-        assert_ne!(g.data, before);
+        assert_ne!(g.bytes(), before);
         assert!(r1.is_finite());
         let r2 = g.relax(1);
         assert_ne!(r1, r2);
@@ -213,6 +223,6 @@ mod tests {
         let copy = g.bytes().to_vec();
         g.bytes_mut().copy_from_slice(&copy);
         let idx = point_index(g.cell_base[0], padded(&g.cells[0]), GHOST, GHOST, GHOST);
-        assert_eq!(g.data[idx], expected_value(0, 0, 0, 0));
+        assert_eq!(g.value(idx), expected_value(0, 0, 0, 0));
     }
 }

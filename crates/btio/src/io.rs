@@ -107,7 +107,7 @@ mod tests {
         let mt = memtype(&g);
         assert_eq!(mt.size(), g.points() * 40);
         // extent fits in the storage
-        assert!(mt.data_ub() as usize <= g.data.len() * 8);
+        assert!(mt.data_ub() as usize <= g.bytes().len());
         assert!(!mt.is_contiguous());
     }
 

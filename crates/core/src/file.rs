@@ -346,8 +346,12 @@ impl<'c> File<'c> {
     /// Collective write (`MPI_File_write_at_all`): every rank of the
     /// communicator must call this, each with its own offset, buffer, and
     /// memtype. Performed with two-phase I/O on every storage: io-processes
-    /// write disjoint file domains, and the call ends in a rank-sync, so
-    /// when it returns every rank's data is in the file.
+    /// write disjoint file domains. List-based, each rank ships them its
+    /// ol-lists and data; listless, every rank lends `buf` for the call
+    /// ([`lio_mpi::Comm::lend`]) and the io-processes read each rank's bytes
+    /// where they lie, through its memtype, so no data is exchanged. The
+    /// call ends in a rank-sync, so when it returns every rank's data is in
+    /// the file and no rank reads `buf` any more.
     pub fn write_at_all(
         &self,
         offset: u64,

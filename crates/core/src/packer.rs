@@ -9,11 +9,14 @@
 //! * listless (Section 3.1): `ff_pack`/`ff_unpack` stream the data with no
 //!   materialized representation.
 //!
-//! Packed, the stream becomes a message; a window loop takes it from the
-//! buffer as it lies there ([`UserSide`]), with no pack buffer in between.
+//! Packed, the stream becomes a message (the list-based collective write);
+//! a window loop takes it from the buffer as it lies there ([`UserSide`]),
+//! with no pack buffer in between — the rank's own, or, in a listless
+//! collective write, one another rank lent it, found through the layout
+//! [`MemPacker::encode_into`] sent ahead.
 
 use lio_datatype::ff::OBS_COPY_BYTES;
-use lio_datatype::{ff_pack, ff_unpack, Datatype, OlCursor, OlList};
+use lio_datatype::{ff_pack, ff_unpack, serialize, Datatype, OlCursor, OlList};
 
 use crate::error::{IoError, Result};
 
@@ -117,6 +120,43 @@ impl MemPacker {
         }
     }
 
+    /// Append what another rank needs to find this stream in the user
+    /// buffer it is lent: a contiguous stream's base, or the memtype,
+    /// encoded the way fileview caching encodes filetypes, and its count.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            MemPacker::Contig { base } => {
+                out.push(0);
+                out.extend_from_slice(&(*base as u64).to_le_bytes());
+            }
+            MemPacker::Ff { memtype, count } => {
+                out.push(1);
+                out.extend_from_slice(&count.to_le_bytes());
+                serialize::encode_into(memtype, out);
+            }
+            MemPacker::List { .. } => unreachable!("the list-based engine lends no user buffer"),
+        }
+    }
+
+    /// The packer [`MemPacker::encode_into`] described.
+    pub fn decode(buf: &[u8]) -> Result<MemPacker> {
+        let word = || {
+            buf.get(1..9)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("eight bytes")))
+                .ok_or_else(|| IoError::Usage("truncated memtype layout".into()))
+        };
+        match buf.first() {
+            Some(0) if buf.len() == 9 => Ok(MemPacker::Contig {
+                base: word()? as usize,
+            }),
+            Some(1) => Ok(MemPacker::Ff {
+                count: word()?,
+                memtype: serialize::decode(&buf[9..])?,
+            }),
+            _ => Err(IoError::Usage("malformed memtype layout".into())),
+        }
+    }
+
     /// Where the stream's bytes lie in the user buffer from stream
     /// position `skip` on, for the list-based engine's walks: the per-access
     /// ol-list from its linear `locate(skip)` on, or the one run that a
@@ -141,8 +181,9 @@ pub(crate) static MESSAGE: MemPacker = MemPacker::Contig { base: MSG_HEADER };
 /// One end of a window loop's copies: a buffer, how the stream lies in it,
 /// and the view-stream position of the stream's first byte. The user
 /// buffer of an access is one (`U` is `&[u8]` writing, `&mut [u8]`
-/// reading); so is a message of the collective exchange ([`MESSAGE`]) and
-/// a reply being filled ([`STREAM`]). The placement calls of `crate::view`
+/// reading), whichever rank it belongs to; so is a message of the
+/// list-based collective exchange ([`MESSAGE`]) and a reply being filled
+/// ([`STREAM`]). The placement calls of `crate::view`
 /// move stream bytes between a `UserSide` and a window in one copy,
 /// whatever the layout on either side.
 pub(crate) struct UserSide<'a, U> {
@@ -270,6 +311,32 @@ mod tests {
         // two instances: gaps between runs, not contiguous
         let p2 = MemPacker::new(&m, 2, 24, false).unwrap();
         assert!(!matches!(p2, MemPacker::Contig { .. }));
+    }
+
+    #[test]
+    fn a_layout_decodes_to_its_packer() {
+        let strided = Datatype::vector(4, 2, 3, &Datatype::int()).unwrap();
+        for p in [
+            MemPacker::new(&strided, 3, 1024, false).unwrap(),
+            MemPacker::new(
+                &Datatype::hindexed(&[1], &[24], &strided).unwrap(),
+                1,
+                1024,
+                false,
+            )
+            .unwrap(),
+            MemPacker::new(&Datatype::int(), 5, 20, false).unwrap(),
+        ] {
+            let mut layout = Vec::new();
+            p.encode_into(&mut layout);
+            let q = MemPacker::decode(&layout).unwrap();
+            let user: Vec<u8> = (0..1024).map(|i| i as u8).collect();
+            let (mut a, mut b) = ([0u8; 40], [0u8; 40]);
+            assert_eq!(p.pack(&user, 4, &mut a), q.pack(&user, 4, &mut b));
+            assert_eq!(a, b);
+            assert!(MemPacker::decode(&layout[..layout.len() - 1]).is_err());
+        }
+        assert!(MemPacker::decode(&[]).is_err());
     }
 
     #[test]

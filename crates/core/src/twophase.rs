@@ -7,12 +7,12 @@
 //! access falling into each IOP's domain; each IOP loops over its domain
 //! in `cb_buffer_size` windows, sieving data in or out of a window buffer.
 //! Windows lie on the absolute grid of `crate::window`, and interior
-//! domain boundaries are rounded to it ([`file_domains`]). What an AP has in
+//! domain boundaries are rounded to it ([`file_domains`]). Every AP has an
+//! *end* in the IOP's window loop ([`UserSide`]): a buffer and how its
+//! stream lies there. The loop moves each window's worth of it between that
+//! end and the window in one copy, whatever the memtype. What an AP has in
 //! the domain of its own IOP side — its *own share* — is never a message:
-//! every AP has an end in the IOP's window loop ([`UserSide`]), a message
-//! for most, the user buffer itself for the IOP's own rank, and the loop
-//! moves each window's worth of it between that end and the window in one
-//! copy, whatever the memtype.
+//! its end is the user buffer itself.
 //!
 //! The two engines share this skeleton and differ in exactly the ways the
 //! paper describes:
@@ -21,12 +21,21 @@
 //!   `⟨offset, length⟩` tuples covering each IOP's domain** — size
 //!   `O(Saccess/Sextent · Nblock)`, i.e. proportional to the access, not
 //!   the filetype — and sends it with the data (16 bytes of metadata per
-//!   tuple). For writes, the IOP merges all received lists
-//!   (`O(Σ_p Nblock(p))`) to detect fully-covered windows.
+//!   tuple); an AP's end is its message. For writes, the IOP merges all
+//!   received lists (`O(Σ_p Nblock(p))`) to detect fully-covered windows.
 //! * **listless**: fileview caching means the IOP already has every AP's
-//!   `(disp, filetype)` (exchanged compactly at `set_view`), so messages
-//!   carry *only data*; placement uses flattening-on-the-fly, and the
-//!   covered-window test is one `O(depth)` mergeview evaluation.
+//!   `(disp, filetype)` (exchanged compactly at `set_view`), so the paper's
+//!   messages carry *only data*; placement uses flattening-on-the-fly, and
+//!   the covered-window test is one `O(depth)` mergeview evaluation.
+//!
+//! Ranks here are threads of one address space, so a listless write sends
+//! not even the data. Every rank lends its user buffer for the op
+//! ([`Comm::lend`]); an AP's header tells each IOP its stream interval
+//! there, its `stream_start` and its memtype (encoded as fileview caching
+//! encodes filetypes, and decoded once per memtype, [`CollState`]), and
+//! the IOP's end for that AP is the lent buffer — the shape the own share
+//! has always had. One copy per user byte, no data message, and the
+//! lending scope's closing barrier is the rank-sync the write ends in.
 //!
 //! Not every collective exchanges. Two-phase exists to turn many small
 //! file requests into few large ones, and ROMIO skips it where it buys
@@ -44,19 +53,21 @@
 //! same cache lines (DESIGN.md §3.4, *Routing*).
 //!
 //! There is one schedule, the monolithic two-phase of Thakur, Gropp & Lusk:
-//! data for a whole file domain travels in one message per (AP, IOP) pair,
-//! which preserves the communication volume and list-handling costs the
-//! paper measures; then each IOP walks its domain. An IOP is the only
-//! writer of its domain until the closing rank-sync, and says so
-//! ([`WindowIo::sole_writer`]): on storage that stages and is slow, the
-//! write-back of window `k` runs beside the pre-read and placement of
-//! window `k + 1` — the only overlap that ever paid (EXPERIMENTS.md).
+//! data for a whole file domain travels in one message per (AP, IOP) pair
+//! (or, in a listless write, is read where it lies), which preserves the
+//! communication volume and list-handling costs the paper measures; then
+//! each IOP walks its domain. An IOP is the only writer of its domain
+//! until the closing rank-sync, and says so ([`WindowIo::sole_writer`]): on
+//! storage that stages and is slow, the write-back of window `k` runs
+//! beside the pre-read and placement of window `k + 1` — the only overlap
+//! that ever paid (EXPERIMENTS.md).
 
+use std::cell::{RefCell, RefMut};
 use std::thread::Scope;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
 use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field};
-use lio_mpi::Comm;
+use lio_mpi::{Comm, Lent};
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
 
@@ -76,7 +87,7 @@ use lio_obs::health::{self, HbPhase};
 // pack/unpack/place/extract memory movement. `exchange.list_bytes` counts
 // ol-list metadata shipped (list-based engine only; always 0 for listless —
 // the paper's "16 bytes per tuple" overhead), `exchange.data_bytes` the
-// payload proper.
+// payload proper (0 for a listless write, which lends it).
 static OBS_W_CALLS: LazyCounter = LazyCounter::new("core.coll.write.calls");
 static OBS_W_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.write.exchange_ns");
 static OBS_W_IO_NS: LazyCounter = LazyCounter::new("core.coll.write.io_ns");
@@ -97,10 +108,13 @@ static OBS_FAULT_ABORTS: LazyCounter = LazyCounter::new("core.coll.fault_aborts"
 
 /// Tag for the ol-list message (list-based engine only).
 const TAG_TP_LIST: u64 = 101;
-/// Tag for AP→IOP write data / access headers.
+/// Tag for AP→IOP access headers, with write data or its layout behind.
 const TAG_TP_DATA: u64 = 102;
 /// Tag for IOP→AP read data.
 const TAG_TP_RDATA: u64 = 103;
+/// Where the layout of a listless write header starts: behind the
+/// `(s_lo, s_hi)` header and the AP's `stream_start`.
+const LAYOUT_AT: usize = MSG_HEADER + 8;
 
 /// Collective state established at `set_view` time.
 pub(crate) struct CollState {
@@ -108,6 +122,40 @@ pub(crate) struct CollState {
     pub remote_navs: Option<Vec<FfNav>>,
     /// Listless: the mergeview, when all ranks share disp and extent.
     pub merge: Option<MergeView>,
+    /// Listless: how each AP's stream lies in the user buffer it lends, as
+    /// this rank's IOP side last decoded it.
+    lenders: RefCell<Vec<Option<Lender>>>,
+}
+
+/// An AP's layout as it came in a write header, and its packer.
+type Lender = (Vec<u8>, MemPacker);
+
+impl CollState {
+    fn new(remote_navs: Option<Vec<FfNav>>, merge: Option<MergeView>) -> CollState {
+        CollState {
+            remote_navs,
+            merge,
+            lenders: RefCell::default(),
+        }
+    }
+
+    /// The packer of every AP whose write header `msgs[k]` carries a layout
+    /// (`Behind::Layout`). A layout is decoded when it differs from the one
+    /// that AP sent last, so a memtype that stays the same from op to op is
+    /// decoded — and its program compiled — once.
+    fn lenders(&self, msgs: &[Vec<u8>]) -> Result<RefMut<'_, Vec<Option<Lender>>>> {
+        let mut lenders = self.lenders.borrow_mut();
+        lenders.resize_with(msgs.len(), || None);
+        for (msg, lender) in msgs.iter().zip(lenders.iter_mut()) {
+            let Some(layout) = msg.get(LAYOUT_AT..).filter(|l| !l.is_empty()) else {
+                continue;
+            };
+            if lender.as_ref().is_none_or(|(known, _)| known != layout) {
+                *lender = Some((layout.to_vec(), MemPacker::decode(layout)?));
+            }
+        }
+        Ok(lenders)
+    }
 }
 
 /// The overlay of all ranks' filetypes (Section 3.2.3): a struct type
@@ -156,10 +204,7 @@ pub(crate) fn establish_view(comm: &Comm, view: &FileView, engine: Engine) -> Re
         Engine::ListBased => {
             // ROMIO exchanges nothing at view time; ol-lists travel with
             // every collective access instead.
-            Ok(CollState {
-                remote_navs: None,
-                merge: None,
-            })
+            Ok(CollState::new(None, None))
         }
         Engine::Listless => {
             // fileview caching: one compact exchange per set_view
@@ -179,7 +224,7 @@ pub(crate) fn establish_view(comm: &Comm, view: &FileView, engine: Engine) -> Re
             }
             let merge = build_mergeview(&views)?;
             let remote_navs = Some(views.into_iter().map(FfNav::new).collect());
-            Ok(CollState { remote_navs, merge })
+            Ok(CollState::new(remote_navs, merge))
         }
     }
 }
@@ -563,70 +608,56 @@ pub(crate) fn write_at_all(
     let naggr = domains.len();
     let me = comm.rank();
 
-    // ----- AP phase: ship lists (list-based) and data ------------------
+    // ----- AP phase: ship lists and data (list-based), or where the data
+    // lies (listless) ---------------------------------------------------
     let span = (stream_start, stream_start + total);
-    let times = (&mut exch_ns, &mut pack_ns);
-    let (_, own_list) = announce(
-        comm,
-        nav,
-        &domains,
-        span,
-        Some((packer, user, scratch)),
-        times,
-    );
-
-    // ----- IOP phase ----------------------------------------------------
-    // A storage fault on an IOP must not strand the other ranks at the
-    // closing barrier, so IOP errors are captured, every rank reaches the
-    // barrier, and the error surfaces only after the world is in sync.
-    // (All AP→IOP messages were received above the window loop, so an
-    // aborted IOP leaves nothing in flight.)
-    let mut fatal: Option<IoError> = None;
-    if me < naggr && domains[me].1 > domains[me].0 {
-        let dom = domains[me];
-        let t = lio_obs::now();
-        let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
-        exch_ns += lio_obs::elapsed_ns(t);
-        let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
-        // every AP's end of the window loop: its message, or — the own
-        // share — the user buffer itself
-        let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans))
-            .map(|(msg, span)| UserSide::new(&MESSAGE, msg.as_slice(), span.0))
-            .collect();
-        ends[me] = UserSide::new(packer, user, stream_start);
-        // Domains are disjoint and nobody is told the write is done
-        // before the closing barrier below: this IOP is the only writer
-        // of its windows, so its loop may write behind (`lane`).
-        let res: Result<()> = std::thread::scope(|lane| match engine {
-            Engine::ListBased => {
-                let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
-                for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
-                    let runs = end.packer.runs_from(span.0 - end.stream_start);
-                    recv.push(RecvList::new(parse_ol_list(list_bytes)?, runs));
-                }
-                iop_write_listbased(storage, dom, &mut recv, &ends, hints, scratch, lane)
-            }
-            Engine::Listless => {
-                let navs = state
-                    .remote_navs
-                    .as_ref()
-                    .expect("listless collective requires cached fileviews");
-                let merge = state.merge.as_ref();
-                iop_write_listless(
-                    storage, dom, &spans, &ends, navs, merge, hints, scratch, lane,
-                )
-            }
-        });
-        // placed: the messages now belong to this rank's arena
-        for msg in msgs {
-            scratch.give(msg);
+    let behind = match engine {
+        Engine::ListBased => Behind::Data(packer, user, scratch),
+        Engine::Listless => {
+            let mut layout = stream_start.to_le_bytes().to_vec();
+            packer.encode_into(&mut layout);
+            Behind::Layout(layout)
         }
-        fatal = res.err();
-    }
+    };
+    let times = (&mut exch_ns, &mut pack_ns);
+    let (_, own_list) = announce(comm, nav, &domains, span, &behind, times);
 
-    let t = lio_obs::now();
-    let sp = lio_obs::trace::span("exch.barrier");
-    comm.barrier();
+    // ----- IOP phase, in a lending scope --------------------------------
+    // Every rank lends its user buffer: a listless IOP places each AP's
+    // bytes from where they lie (the list-based one from its messages). The
+    // scope ends in the barrier this write ends in. A storage fault on an
+    // IOP must not strand the other ranks there, so IOP errors are
+    // captured, every rank reaches the barrier, and the error surfaces only
+    // after the world is in sync. (All AP→IOP messages are received above
+    // the window loop, so an aborted IOP leaves nothing in flight.)
+    let own = UserSide::new(packer, user, stream_start);
+    let (fatal, t, sp) = comm.lend(user, |lent| {
+        let mut fatal = None;
+        if me < naggr && domains[me].1 > domains[me].0 {
+            let t = lio_obs::now();
+            let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+            exch_ns += lio_obs::elapsed_ns(t);
+            fatal = iop_write(
+                storage,
+                domains[me],
+                state,
+                engine,
+                &msgs,
+                &lists,
+                own,
+                lent,
+                me,
+                hints,
+                scratch,
+            )
+            .err();
+            // placed: the messages now belong to this rank's arena
+            for msg in msgs {
+                scratch.give(msg);
+            }
+        }
+        (fatal, lio_obs::now(), lio_obs::trace::span("exch.barrier"))
+    });
     drop(sp);
     exch_ns += lio_obs::elapsed_ns(t);
     if obs {
@@ -640,6 +671,73 @@ pub(crate) fn write_at_all(
             Err(e)
         }
         None => Ok(total),
+    }
+}
+
+/// An IOP's part of a collective write over its domain `dom`, once every
+/// AP's message `msgs[k]` (and, list-based, its list `lists[k]`) is in:
+/// every AP's end of the window loop, then the loop. An AP's end is its
+/// message as received (list-based) or the user buffer it lent (listless,
+/// through the layout its header carries); the IOP's own rank's is `own`
+/// either way.
+#[allow(clippy::too_many_arguments)]
+fn iop_write(
+    storage: &dyn StorageFile,
+    dom: (u64, u64),
+    state: &CollState,
+    engine: Engine,
+    msgs: &[Vec<u8>],
+    lists: &[Vec<u8>],
+    own: UserSide<&[u8]>,
+    lent: &Lent,
+    me: usize,
+    hints: &Hints,
+    scratch: &Scratch,
+) -> Result<()> {
+    let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
+    // Domains are disjoint and nobody is told the write is done before
+    // the closing barrier: this IOP is the only writer of its windows, so
+    // its loop may write behind (`lane`).
+    match engine {
+        Engine::ListBased => {
+            let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans))
+                .map(|(msg, span)| UserSide::new(&MESSAGE, msg.as_slice(), span.0))
+                .collect();
+            ends[me] = own;
+            let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
+            for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
+                let runs = end.packer.runs_from(span.0 - end.stream_start);
+                recv.push(RecvList::new(parse_ol_list(list_bytes)?, runs));
+            }
+            std::thread::scope(|lane| {
+                iop_write_listbased(storage, dom, &mut recv, &ends, hints, scratch, lane)
+            })
+        }
+        Engine::Listless => {
+            let lenders = state.lenders(msgs)?;
+            let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans).zip(lenders.iter()))
+                .enumerate()
+                .map(|(k, ((msg, span), lender))| match lender {
+                    Some((_, packer)) if msg.len() > LAYOUT_AT => {
+                        let at = msg[MSG_HEADER..LAYOUT_AT].try_into().expect("8 bytes");
+                        UserSide::new(packer, lent.get(k), u64::from_le_bytes(at))
+                    }
+                    // nothing of this AP's in the domain
+                    _ => UserSide::new(&STREAM, &[][..], span.0),
+                })
+                .collect();
+            ends[me] = own;
+            let navs = state
+                .remote_navs
+                .as_ref()
+                .expect("listless collective requires cached fileviews");
+            let merge = state.merge.as_ref();
+            std::thread::scope(|lane| {
+                iop_write_listless(
+                    storage, dom, &spans, &ends, navs, merge, hints, scratch, lane,
+                )
+            })
+        }
     }
 }
 
@@ -713,8 +811,8 @@ fn iop_write_done(mut io: WindowIo, windows: u64) -> Result<()> {
 }
 
 /// IOP write loop, listless placement via cached fileviews: AP `k`'s
-/// stream bytes `spans[k]` go from `ends[k]` — its message as received
-/// (no re-allocating copy), or the user buffer — to where `navs[k]` says.
+/// stream bytes `spans[k]` go from `ends[k]` — the user buffer it lent, or
+/// this rank's own — to where `navs[k]` says.
 #[allow(clippy::too_many_arguments)]
 fn iop_write_listless<'s>(
     storage: &'s dyn StorageFile,
@@ -791,20 +889,32 @@ fn iop_write_listless<'s>(
     iop_write_done(io, windows)
 }
 
+/// What an AP's `TAG_TP_DATA` message carries behind its header.
+enum Behind<'a> {
+    /// Nothing: a read's announcement.
+    Nothing,
+    /// The stream bytes, packed from the user buffer (the list-based write).
+    Data(&'a MemPacker, &'a [u8], &'a Scratch),
+    /// Where they lie in the user buffer the AP lends (the listless write):
+    /// its `stream_start`, then its packer's [`MemPacker::encode_into`].
+    Layout(Vec<u8>),
+}
+
 /// AP side of the exchange, both directions. Every IOP with a domain gets
 /// the `(s_lo, s_hi)` of this rank's access `[stream_start, stream_end)`
-/// in it, followed — writing, so with `data` — by those stream bytes,
-/// packed; list-based, the ol-list goes ahead in a message of its own.
-/// Except to the rank's own IOP side: that gets the header alone, its list
-/// is returned instead of sent (second value), and its data stays in the
-/// user buffer for the window loop (its [`UserSide`]). Returns the intervals
-/// per domain; time goes to `(exch_ns, pack_ns)`.
+/// in it, followed — writing, so with something `behind` — by those
+/// stream bytes, packed (list-based, whose ol-list goes ahead in a message
+/// of its own), or by where they lie (listless). Except to the rank's own
+/// IOP side: that gets the header alone, its list is returned instead of
+/// sent (second value), and its data stays in the user buffer for the
+/// window loop (its [`UserSide`]). Returns the intervals per domain; time
+/// goes to `(exch_ns, pack_ns)`.
 fn announce(
     comm: &Comm,
     nav: &ViewNav,
     domains: &[(u64, u64)],
     (stream_start, stream_end): (u64, u64),
-    data: Option<(&MemPacker, &[u8], &Scratch)>,
+    behind: &Behind,
     (exch_ns, pack_ns): (&mut u64, &mut u64),
 ) -> (Vec<(u64, u64)>, Option<Vec<u8>>) {
     let me = comm.rank();
@@ -830,10 +940,11 @@ fn announce(
                 *exch_ns += lio_obs::elapsed_ns(t);
             }
         }
-        let payload = data.filter(|_| i != me && s_hi > s_lo);
-        let n = payload.map_or(0, |_| s_hi - s_lo);
-        let mut msg = match payload {
-            Some((packer, user, scratch)) => {
+        let crosses = i != me && s_hi > s_lo;
+        let mut n = 0;
+        let mut msg = match behind {
+            Behind::Data(packer, user, scratch) if crosses => {
+                n = s_hi - s_lo;
                 let mut msg = scratch.take(MSG_HEADER + n as usize);
                 health::beat(HbPhase::Pack);
                 let (got, ns) = timed(Some(("pack", n, 0)), || {
@@ -843,7 +954,12 @@ fn announce(
                 *pack_ns += ns;
                 msg
             }
-            None => vec![0; MSG_HEADER],
+            Behind::Layout(layout) if crosses => {
+                let mut msg = vec![0; MSG_HEADER];
+                msg.extend_from_slice(layout);
+                msg
+            }
+            _ => vec![0; MSG_HEADER],
         };
         msg[0..8].copy_from_slice(&s_lo.to_le_bytes());
         msg[8..16].copy_from_slice(&s_hi.to_le_bytes());
@@ -968,7 +1084,7 @@ pub(crate) fn read_at_all(
     // ----- AP phase: announce (and, list-based, ship the lists) --------
     let span = (stream_start, stream_start + total);
     let times = (&mut exch_ns, &mut pack_ns);
-    let (my_intersections, own_list) = announce(comm, nav, &domains, span, None, times);
+    let (my_intersections, own_list) = announce(comm, nav, &domains, span, &Behind::Nothing, times);
 
     // ----- IOP phase: read windows and ship each AP its bytes ----------
     // A storage fault on an IOP must not strand APs waiting for their

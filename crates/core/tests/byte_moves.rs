@@ -7,19 +7,19 @@
 //! the list-based engine's walks); what the storage adds is counted by
 //! `io.staged_bytes` (bytes through `read_at`/`write_at` from a scratch
 //! buffer) and is exactly zero where `io.in_place_bytes` counts the
-//! windows instead. Per user byte, at P = 2 on the Figure-4 view, for both
-//! engines:
+//! windows instead. Per user byte, at P = 2 on the Figure-4 view:
 //!
-//! | path                              | library | staged | in place |
-//! |-----------------------------------|---------|--------|----------|
-//! | sieved write, stream memory       | 1       | 5      | 1        |
-//! | sieved write, strided memory      | 1       | 5      | 1        |
-//! | sieved read, either memory        | 1       | 3      | 1        |
-//! | collective write, either memory   | 1.5     | 2.5    | 1.5      |
-//! | collective read, list-based       | 1.5     | 2.5    | 1.5      |
-//! | collective read, listless         | 1.5     | 2.5    | **1**    |
-//! | nc-c write                        | 1       | 2      | 1        |
-//! | c-nc read                         | 1       | 2      | 1        |
+//! | path                                | library | staged | in place |
+//! |-------------------------------------|---------|--------|----------|
+//! | sieved write, stream memory         | 1       | 5      | 1        |
+//! | sieved write, strided memory        | 1       | 5      | 1        |
+//! | sieved read, either memory          | 1       | 3      | 1        |
+//! | collective write, list-based        | 1.5     | 2.5    | 1.5      |
+//! | collective write, listless          | **1**   | **2**  | **1**    |
+//! | collective read, list-based         | 1.5     | 2.5    | 1.5      |
+//! | collective read, listless           | 1.5     | 2.5    | **1**    |
+//! | nc-c write                          | 1       | 2      | 1        |
+//! | c-nc read                           | 1       | 2      | 1        |
 //!
 //! (`staged` and `in place` are the library's column plus the storage's;
 //! the staged sieved rows are `5 − 2/n` and `3 − 1/n` for `n` blocks per
@@ -29,16 +29,19 @@
 //! two layouts are: a typed user buffer meets the typed window in a
 //! transfer, with no pack buffer in between. So a sieved access copies
 //! each byte once, and so does the part of a collective that stays on its
-//! rank (the rank's own share is no message); the half of a collective's
-//! bytes that changes ranks is copied twice (user buffer → message,
-//! message → window): `(1 + 2)/2` at P = 2.
+//! rank (the rank's own share is no message). List-based, the half of a
+//! collective's bytes that changes ranks is copied twice (user buffer →
+//! message, message → window): `(1 + 2)/2` at P = 2.
 //! `core.coll.exchange.data_bytes` counts the half that travels, exactly.
 //!
-//! A listless collective read on storage that lends its bytes to every
-//! rank is *routed*: each rank's own sieved read, so it is the sieved-read
-//! row — one copy, nothing exchanged, the rank's access range lent —
-//! and `core.coll.read.routed` counts it beside `core.coll.read.calls`.
-//! Staged, and list-based on any storage, it stays two-phase.
+//! A listless collective write moves no byte through a message: every rank
+//! lends its user buffer for the op (`lio_mpi::Comm::lend`), and each IOP
+//! places every AP's bytes from where they lie, as it does its own — one
+//! copy, nothing exchanged, on every storage. A listless collective read
+//! on storage that lends its bytes to every rank is *routed*: each rank's
+//! own sieved read, so it is the sieved-read row — one copy, nothing
+//! exchanged, the rank's access range lent — and `core.coll.read.routed`
+//! counts it beside `core.coll.read.calls`. Staged, it stays two-phase.
 //!
 //! Its own test binary with a single test: the counters are process-wide.
 
@@ -147,7 +150,11 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             // op works on — each per op, both ranks together. Of a
             // collective's bytes exactly one rank's worth changes ranks.
             let mut check = |path: &str, lib_copies: u64, staged: u64, touched: u64, got: Moved| {
-                let exchanged = if path.starts_with("collective") {
+                // a listless write's IOPs read each AP's bytes where they lie
+                let lent_write =
+                    hints.engine == Engine::Listless && path.starts_with("collective write");
+                let lib_copies = if lent_write { 2 * BYTES } else { lib_copies };
+                let exchanged = if path.starts_with("collective") && !lent_write {
                     BYTES
                 } else {
                     0
@@ -242,8 +249,9 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             );
 
             // the ranks' data fills every window: no pre-read; the half that
-            // changes ranks is moved twice, the own half once — from a
-            // strided user buffer as from one that is the stream
+            // changes ranks is moved twice (but for the listless write, which
+            // places it from the buffer it was lent), the own half once —
+            // from a strided user buffer as from one that is the stream
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 f.write_at_all(0, &data(me), BYTES, &byte).unwrap();
@@ -290,8 +298,9 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     // The tile shape — a 3-D array of 40-byte points split in two along
     // the fastest axis, the memory tile padded with ghost points all round
     // — has half of every rank's rows in either domain too: of the two
-    // ranks' bytes exactly one rank's worth travels, either way — but for
-    // the listless read, which on a `MemFile` is routed.
+    // ranks' bytes exactly one rank's worth travels, list-based, either
+    // way; listless, nothing — the write is lent, and the read on a
+    // `MemFile` routed.
     const N: u64 = 16;
     let point = Datatype::basic(40);
     let tile_bytes = N * N * (N / 2) * 40;
@@ -311,14 +320,17 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             let user = pattern(mem_tile.extent() as usize, me + 3);
             f.write_at_all(0, &user, 1, &mem_tile).unwrap();
         });
-        assert_eq!(got.exchanged, tile_bytes, "{:?} tile write", hints.engine);
+        let listless = hints.engine == Engine::Listless;
+        let travels = if listless { 0 } else { tile_bytes };
+        assert_eq!(got.exchanged, travels, "{:?} tile write", hints.engine);
+        let copies = if listless { 2 } else { 3 } * tile_bytes;
+        assert_eq!(got.copied, copies, "{:?} tile write", hints.engine);
         let got = count(&shared, hints, |f, me| {
             file_tile(f, me);
             let mut back = vec![0u8; mem_tile.extent() as usize];
             f.read_at_all(0, &mut back, 1, &mem_tile).unwrap();
         });
-        let routed = hints.engine == Engine::Listless;
-        let travels = if routed { 0 } else { tile_bytes };
+        let routed = listless;
         assert_eq!(got.exchanged, travels, "{:?} tile read", hints.engine);
         assert_eq!(
             got.routed,

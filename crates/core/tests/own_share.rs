@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use lio_core::hints::DEFAULT_WINDOW;
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::typemap::reference_unpack;
-use lio_datatype::{Datatype, Field};
+use lio_datatype::{serialize, Datatype, Field};
 use lio_mpi::World;
 use lio_pfs::{MemFile, UnixFile};
 
@@ -319,8 +319,10 @@ fn windows_that_are_all_own_or_not_at_all() {
 /// ranks, the fixed headers, the ol-lists of the other rank's domain
 /// (list-based), the allgather of the access ranges and the write's
 /// closing barrier. The own share — the other half — is in none of them.
-/// A listless read on storage that lends is routed: its allgather is all
-/// that crosses.
+/// Listless, no share of a write is a message: the header to the other
+/// rank's IOP side says where the bytes lie in the buffer the rank lends,
+/// and the IOP reads them there. A listless read on storage that lends is
+/// routed: its allgather is all that crosses.
 #[test]
 fn the_own_share_never_crosses_a_channel() {
     const NBLOCK: u64 = 512;
@@ -331,6 +333,12 @@ fn the_own_share_never_crosses_a_channel() {
     let allgather = (2, 17 + (8 + 2 * 8 + 2 * 17));
     // a 16-byte header to each IOP, the rank's own included
     let headers = (4, 4 * 16);
+    // listless, a write's header to the other rank's IOP side goes on with
+    // where the bytes lie in the lent buffer: the rank's `stream_start`, a
+    // tag, the count and the memtype as fileview caching encodes it
+    let (memtype, _) = Mem::Strided.memtype(BYTES);
+    let layout = 8 + 1 + 8 + serialize::encode(&memtype).len() as u64;
+    let lent_headers = (4, 4 * 16 + 2 * layout);
     // the half of each rank's bytes that changes ranks: a write's rides
     // behind the header, a read's comes back in a reply of its own
     let payload = (0, BYTES);
@@ -391,8 +399,11 @@ fn the_own_share_never_crosses_a_channel() {
             if hints.engine == lio_core::Engine::ListBased {
                 write.push(lists);
                 read.push(lists);
-            } else if name != "Staged(MemFile)" {
-                read = vec![allgather];
+            } else {
+                write = vec![allgather, lent_headers, barrier];
+                if name != "Staged(MemFile)" {
+                    read = vec![allgather];
+                }
             }
             let what = format!("{:?} on {name}", hints.engine);
             assert_eq!(

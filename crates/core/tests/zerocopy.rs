@@ -12,7 +12,7 @@
 mod common;
 
 use common::pattern;
-use lio_core::{File, Hints, SharedFile};
+use lio_core::{Engine, File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_pfs::MemFile;
@@ -65,17 +65,17 @@ fn run_collective(hints: Hints, shared: SharedFile) {
     assert_eq!(shared.len(), NPROCS as u64 * PER_RANK);
 }
 
-/// Serialize the two tests and hand back what `f` counted: the `lio_obs`
-/// registry is process-global, so a pack counted by one test would show
-/// up in the other's snapshot.
-fn counted(f: impl FnOnce()) -> lio_obs::Snapshot {
+/// Serialize the tests and run `f` with the counters armed from zero: the
+/// `lio_obs` registry is process-global, so a pack counted by one test
+/// would show up in another's snapshot.
+fn counted<R>(f: impl FnOnce() -> R) -> R {
     static GATE: Mutex<()> = Mutex::new(());
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     lio_obs::reset();
     lio_obs::set_enabled(true);
-    f();
+    let out = f();
     lio_obs::set_enabled(false);
-    lio_obs::snapshot()
+    out
 }
 
 #[test]
@@ -84,6 +84,7 @@ fn contiguous_memtype_never_packs() {
         let hints = Hints::listless().cb_buffer(8192);
         run_collective(hints, SharedFile::new(MemFile::new()));
         run_collective(hints, SharedFile::new(common::Staged(MemFile::new())));
+        lio_obs::snapshot()
     });
     assert_eq!(
         (
@@ -105,27 +106,76 @@ fn contiguous_memtype_never_packs() {
     );
 }
 
-/// Sanity check the audit has teeth: a genuinely non-contiguous memtype
-/// on the same collective *does* drive the pack counters — for the bytes
-/// that change ranks, so each rank writes into the other's file domain
-/// (what stays on its rank goes from the user buffer to the window in one
-/// transfer, which is no pack).
+/// A genuinely non-contiguous memtype, each rank writing into the other's
+/// file domain: the list-based AP packs what changes ranks into a message
+/// (through its memtype's ol-list, so `core.coll.exchange.data_bytes`
+/// counts it), the listless one never packs a write — every IOP reads the
+/// bytes from the user buffer the AP lends, in one transfer. The audit has
+/// teeth: the listless two-phase read-back (on staging storage) unpacks
+/// each reply through the memtype, and `dt.unpack.calls` sees it.
 #[test]
 fn noncontig_memtype_does_pack() {
+    for hints in [Hints::list_based(), Hints::listless()] {
+        let shared = SharedFile::new(common::Staged(MemFile::new()));
+        let snap = counted(|| {
+            World::run(2, |comm| {
+                let me = comm.rank() as u64;
+                let mem = Datatype::vector(64, 8, 16, &Datatype::byte()).unwrap();
+                let span = mem.extent() as usize;
+                let user = pattern(span, me + 1);
+                let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                f.set_view(0, Datatype::byte(), Datatype::byte()).unwrap();
+                f.write_at_all((1 - me) * 512, &user, 1, &mem).unwrap();
+                let mut back = vec![0u8; span];
+                f.read_at_all((1 - me) * 512, &mut back, 1, &mem).unwrap();
+            });
+            lio_obs::snapshot()
+        });
+        let what = format!("{:?}", hints.engine);
+        let read_exchanged = 2 * 512;
+        let write_exchanged = match hints.engine {
+            Engine::ListBased => 2 * 512,
+            Engine::Listless => {
+                assert_eq!(snap.counter("dt.pack.calls"), 0, "{what}: a write packed");
+                assert!(snap.counter("dt.unpack.calls") > 0, "{what}: no unpack");
+                0
+            }
+        };
+        assert_eq!(
+            snap.counter("core.coll.exchange.data_bytes"),
+            write_exchanged + read_exchanged,
+            "{what}: the bytes packed into messages"
+        );
+    }
+}
+
+/// A layout an IOP decoded is kept: the memtype a rank lends in every
+/// write is decoded, and its run program compiled, by the first write on
+/// the file and never again.
+#[test]
+fn a_lent_memtype_compiles_once() {
     let shared = SharedFile::new(MemFile::new());
-    let snap = counted(|| {
+    let compiled = counted(|| {
         World::run(2, move |comm| {
             let me = comm.rank() as u64;
             let mem = Datatype::vector(64, 8, 16, &Datatype::byte()).unwrap();
-            let span = mem.extent() as usize;
-            let user = pattern(span, me + 1);
+            let user = pattern(mem.extent() as usize, me + 1);
             let mut f = File::open(comm, shared.clone(), Hints::listless()).unwrap();
             f.set_view(0, Datatype::byte(), Datatype::byte()).unwrap();
-            f.write_at_all((1 - me) * 512, &user, 1, &mem).unwrap();
-        });
+            let mut programs = Vec::new();
+            for op in 0..4 {
+                f.write_at_all((1 - me) * 512 + op * 1024, &user, 1, &mem)
+                    .unwrap();
+                comm.barrier();
+                programs.push(lio_obs::snapshot().counter("dt.compile.programs"));
+                comm.barrier();
+            }
+            programs
+        })
     });
+    assert!(compiled[0][0] > 0, "the first write compiles");
     assert!(
-        snap.counter("dt.pack.calls") > 0,
-        "non-contiguous memtype should exercise the pack path"
+        compiled.iter().all(|p| p.iter().all(|&n| n == p[0])),
+        "a later write compiled: {compiled:?}"
     );
 }

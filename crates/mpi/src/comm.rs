@@ -1,11 +1,13 @@
 //! Communicators and point-to-point messaging.
 //!
 //! Ranks are threads; transport is an mpsc channel per ordered rank
-//! pair. Messages physically move through the channels (the ol-lists of
-//! the list-based engine are really serialized and sent), so communication
+//! pair. A message is a `Vec<u8>` that changes owner (the ol-lists of the
+//! list-based engine are really serialized and sent), so communication
 //! *volume* — the quantity the paper's two-phase analysis hinges on — is
-//! faithfully represented, with shared-memory transport standing in for
-//! the SX's internode crossbar.
+//! counted per message, with shared-memory transport standing in for the
+//! SX's internode crossbar. Bytes that need not travel at all are lent
+//! instead ([`Comm::lend`], `crate::lend`): a peer reads them where they
+//! lie, and no message or byte count sees them.
 //!
 //! Besides blocking `send`/`recv`, the communicator offers nonblocking
 //! operations ([`Comm::isend`], [`Comm::irecv`]) returning [`Request`]
@@ -23,6 +25,7 @@ use std::time::{Duration, Instant};
 use lio_obs::{LazyCounter, LazyHistogram};
 
 use crate::fault::{CommFaultPlan, CommFaultStats, FaultState};
+use crate::lend::LendSlot;
 
 /// Point-to-point traffic (user sends), distinguished from collective
 /// traffic so the ol-list metadata exchanged inside two-phase collectives
@@ -88,10 +91,12 @@ pub struct CommStats {
     pub bytes_sent: u64,
 }
 
-/// Shared per-world counters, indexed by rank.
-pub(crate) struct WorldCounters {
+/// Shared per-world state, indexed by rank: the traffic counters and the
+/// lending table of [`Comm::lend`].
+pub(crate) struct WorldState {
     pub msgs: Vec<AtomicU64>,
     pub bytes: Vec<AtomicU64>,
+    pub lent: Vec<LendSlot>,
 }
 
 /// A nonblocking operation handle, MPI-request style. Created by
@@ -148,7 +153,10 @@ pub struct Comm {
     recv_seq: RefCell<Vec<u64>>,
     /// Optional fault injector for this endpoint.
     fault: RefCell<Option<FaultState>>,
-    counters: Arc<WorldCounters>,
+    /// Lending scopes opened so far, and whether one is open now.
+    lend_scopes: Cell<u64>,
+    in_lend_scope: Cell<bool>,
+    counters: Arc<WorldState>,
 }
 
 impl Comm {
@@ -157,7 +165,7 @@ impl Comm {
         size: usize,
         senders: Vec<Sender<Message>>,
         receivers: Vec<Receiver<Message>>,
-        counters: Arc<WorldCounters>,
+        counters: Arc<WorldState>,
     ) -> Comm {
         Comm {
             rank,
@@ -170,6 +178,8 @@ impl Comm {
             send_seq: RefCell::new(vec![0; size]),
             recv_seq: RefCell::new(vec![0; size]),
             fault: RefCell::new(None),
+            lend_scopes: Cell::new(0),
+            in_lend_scope: Cell::new(false),
             counters,
         }
     }
@@ -602,6 +612,33 @@ impl Comm {
         OBS_COLL_MSGS.incr();
         OBS_COLL_BYTES.add(payload.len() as u64);
         self.send_raw(dst, tag, payload);
+    }
+
+    /// The world's lending table (see [`crate::lend`]).
+    pub(crate) fn lending(&self) -> &[LendSlot] {
+        &self.counters.lent
+    }
+
+    /// Number the next lending scope; they do not nest.
+    pub(crate) fn open_lend_scope(&self) -> u64 {
+        assert!(
+            !self.in_lend_scope.replace(true),
+            "lending scopes do not nest"
+        );
+        self.lend_scopes.set(self.lend_scopes.get() + 1);
+        self.lend_scopes.get()
+    }
+
+    pub(crate) fn end_lend_scope(&self) {
+        self.in_lend_scope.set(false);
+    }
+}
+
+impl Drop for Comm {
+    /// A rank that is gone lends nothing and reads nothing any more: no
+    /// peer waits for it in a lending scope.
+    fn drop(&mut self) {
+        self.counters.lent[self.rank].close_all();
     }
 }
 

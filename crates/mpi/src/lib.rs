@@ -12,6 +12,10 @@
 //!   volume is physically realized and counted ([`Comm::stats`]);
 //! * collectives (barrier, bcast, gather, allgather, alltoall, allreduce)
 //!   are built on point-to-point, as in an MPI library;
+//! * a lending scope ([`Comm::lend`]) lets every rank read the bytes every
+//!   rank lent where they lie — the one thing threads of one address space
+//!   can do that processes cannot, made sound by a closing barrier and a
+//!   borrow the scope cannot outlive;
 //! * a deterministic fault injector ([`CommFaultPlan`]) perturbs delivery
 //!   (duplicates, delays, `wait_any` completion order) without violating
 //!   the semantics correct programs rely on.
@@ -22,8 +26,10 @@
 pub mod coll;
 pub mod comm;
 pub mod fault;
+pub mod lend;
 pub mod world;
 
 pub use comm::{Comm, CommStats, Request, ANY_SOURCE};
 pub use fault::{CommFaultPlan, CommFaultStats};
+pub use lend::Lent;
 pub use world::World;

@@ -4,7 +4,8 @@ use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crate::comm::{Comm, Message, WorldCounters};
+use crate::comm::{Comm, Message, WorldState};
+use crate::lend::LendSlot;
 
 /// Factory for rank worlds.
 pub struct World;
@@ -62,9 +63,10 @@ impl World {
     /// Build the communicator endpoints without spawning threads (for
     /// callers that manage their own threads).
     pub fn make_comms(nprocs: usize) -> Vec<Comm> {
-        let counters = Arc::new(WorldCounters {
+        let counters = Arc::new(WorldState {
             msgs: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
             bytes: (0..nprocs).map(|_| AtomicU64::new(0)).collect(),
+            lent: (0..nprocs).map(|_| LendSlot::new()).collect(),
         });
         // channel[p][q]: p -> q
         let mut txs: Vec<Vec<Option<Sender<Message>>>> = (0..nprocs)

@@ -1,6 +1,8 @@
 //! `lio-profile`: per-open, per-op access-pattern characterization and a
-//! rule-based hint advisor — the observability substrate the self-tuning
-//! collective engine (ROADMAP item 4) will consume.
+//! rule-based hint advisor. Since the online tuner was deleted (PR 24) its
+//! consumers are `repro profile`, which prints the advice as the
+//! `key=value` pairs `Hints::apply_info` takes, and `ci.sh`; ROADMAP item
+//! 5(f) decides, with data, whether the rule table stays.
 //!
 //! The profiler aggregates, with zero allocation on the hot path and the
 //! same enable discipline as [`crate::trace`] (one relaxed atomic load
