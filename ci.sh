@@ -23,10 +23,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `unsafe` census (ROADMAP item 6): the lines of each crate's src/ that
 # hold the keyword, comment lines left out, against the number reviewed
 # for it. A change that needs one more raises the number here, where the
-# diff shows it; one that removes some should lower it.
+# diff shows it; one that removes some should lower it. `mpi` has two, both
+# in lend.rs: `Lent::get` hands out a slice another rank lent to be read,
+# `LentMut::take` the piece another rank lent this one to be written —
+# each sound by the scope's borrow and its closing barrier, `take` also by
+# the pieces' disjointness and its one taker (their SAFETY comments).
 echo "== unsafe census"
 declare -A reviewed=(
-  [bench]=0 [btio]=0 [core]=0 [datatype]=21 [mpi]=1
+  [bench]=0 [btio]=0 [core]=0 [datatype]=21 [mpi]=2
   [noncontig]=0 [obs]=0 [pfs]=6 [testkit]=0
 )
 for src in crates/*/src; do
@@ -64,10 +68,11 @@ cargo test -q
 # The benchmark's own oracle on the data path: one short round of all five
 # workloads with every file-image and read-back check on (< 10 s). The
 # benchmark is a package of its own, so tier-1 never builds it. All five
-# files lend their bytes, so the listless collective read-backs of the
-# three `coll-*` rows are *routed* reads (each rank's own sieved read, no
-# exchange): this run is the read-back oracle of that path on the tile and
-# Figure-4 shapes, on `MemFile` and on the mapped real file.
+# files lend their bytes, so the listless collective writes and read-backs
+# of the three `coll-*` rows work on the file in place, each IOP moving
+# every rank's bytes between its windows and the buffer (a write) or the
+# pieces (a read) the rank lends: this run is the oracle of that path on
+# the tile and Figure-4 shapes, on `MemFile` and on the mapped real file.
 echo "== benchmark smoke run"
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
@@ -82,9 +87,11 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # byte for byte whatever the backend, kernel or fault seed. And so do the
 # own-share corpus (`own_share`): what an IOP moves between its own user
 # buffer and the window without a message must be what a message would
-# have left — and the lent-write corpus (`lent_write`): what a listless IOP
-# places from the user buffers the other ranks lend, through their
-# memtypes, must be the naive reference's file, under the same three axes.
+# have left — and the lent-write and lent-read corpora (`lent_write`,
+# `lent_read`): what a listless IOP places from the user buffers the other
+# ranks lend, and extracts into the pieces of them they lend, through
+# their memtypes, must be the naive reference's file and buffers, under the
+# same three axes.
 # These are debug builds, so the scratch arena's 0xA5 poison is on.
 
 # Real-storage backend: the collective + pipeline + fault + geometry
@@ -94,12 +101,11 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # ordinary-filesystem paths are exercised. The file lends a shared mapping
 # of what lies inside it and stages the rest through `pread`/`pwrite`:
 # these reruns (and the LIO_BACKEND=os row of the backend corpus below)
-# are the collective write schedule on mapped windows and — listless —
-# *routed* collective reads over the mapping (every rank is lent its
-# bytes, so each reads its own view by itself; the list-based engine and
-# every write stay two-phase), 4 KiB pages on tmpfs and large folios on
-# ext4; the suites run each read-back on `Staged` storage too, which keeps
-# the two-phase read in these reruns. os_edge holds the real file's own
+# are the collective schedule on mapped windows — listless, the IOPs move
+# every rank's bytes between the mapping and the buffers the ranks lend —
+# 4 KiB pages on tmpfs and large folios on ext4; the suites run each
+# read-back on `Staged` storage too, which stages every window of the same
+# read in these reruns. os_edge holds the real file's own
 # edge cases (EOF, zero-length and odd-shaped accesses against a MemFile
 # mirror, a seeded fault plan under the retry loops, and the mapping's
 # EOF, set_len, growth, sync + reopen). The fault-seed reruns at the end
@@ -119,7 +125,7 @@ echo "== backend corpus LIO_BACKEND={mem,os}"
 for be in mem os; do
   echo "  -- LIO_BACKEND=$be"
   LIO_BACKEND=$be \
-    cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share --test lent_write
+    cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share --test lent_write --test lent_read
 done
 
 # The suites again with the pack-kernel mode forced both ways: every
@@ -132,9 +138,9 @@ done
 # every mode in turn); the corpora above it reach the transfer through
 # every sieved access and every collective's own share.
 for pk in scalar auto; do
-  echo "== collective/pipeline/faults/inplace/own_share/lent_write/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
+  echo "== collective/pipeline/faults/inplace/own_share/lent_write/lent_read/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
   LIO_PACK_KERNEL=$pk \
-    cargo test -q -p lio-core --test collective --test pipeline --test faults --test inplace --test own_share --test lent_write
+    cargo test -q -p lio-core --test collective --test pipeline --test faults --test inplace --test own_share --test lent_write --test lent_read
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-datatype
   LIO_PACK_KERNEL=$pk cargo test -q -p listless-io --test strided_copy
 done
@@ -211,19 +217,20 @@ LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench health_overhead
 # seed so the corpus keeps widening over time without losing replay
 # determinism (the seed depends only on the commit, never the clock).
 # A fault seed wraps the device in a FaultyFile, which lends nothing: every
-# collective read here is a two-phase read, so the zero-fill contract of a
-# failed IOP and `core.coll.fault_aborts` are tested where a storage fault
-# can occur at all (a routed read stages only what the storage declines).
+# window here is staged, so the zero-fill contract of a failed IOP (the
+# rest of every AP's lent piece and reply) and `core.coll.fault_aborts`
+# are tested where a storage fault can occur at all — on the one read
+# placement that ships.
 # On failure, replay the exact schedule with:
 #   LIO_FAULT_SEED=<seed> \
-#     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write
+#     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read
 ROTATING_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5EED)"
 for seed in 7 0xBAD5EED 0x5C032003 "$ROTATING_SEED"; do
   echo "== fault corpus: LIO_FAULT_SEED=$seed"
   if ! LIO_FAULT_SEED=$seed \
-      cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write; then
+      cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read; then
     echo "FAULT CORPUS FAILURE — replay with:"
-    echo "  LIO_FAULT_SEED=$seed cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write"
+    echo "  LIO_FAULT_SEED=$seed cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read"
     exit 1
   fi
 done

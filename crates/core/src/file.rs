@@ -381,16 +381,18 @@ impl<'c> File<'c> {
     }
 
     /// Collective read (`MPI_File_read_at_all`): every rank of the
-    /// communicator must call this. Two-phase I/O turns many small storage
-    /// requests into few large ones; where that buys nothing it is not
-    /// done: if every rank is on the listless engine, not in atomic mode,
-    /// and the storage lends it the bytes of the file (a `MemFile`, a
-    /// mapped `UnixFile` — no decorator does), the call is each rank's own
-    /// [`File::read_at`] on its view, sized by `ind_buffer_size` and
-    /// [`crate::SievingMode`], with no exchange after the opening
-    /// allgather that takes the decision. Either way the call ends in no
-    /// rank-sync (`MPI_File_read_at_all` promises none): data another rank
-    /// writes is visible once *its* `write_at_all` has returned.
+    /// communicator must call this, each with its own offset, buffer, and
+    /// memtype. Performed with two-phase I/O on every storage, atomic mode
+    /// or not: io-processes read disjoint file domains, each file byte
+    /// once. List-based, they send each rank its bytes back in messages;
+    /// listless, every rank cuts `buf` into one piece per file domain and
+    /// lends each io-process its piece ([`lio_mpi::Comm::lend_mut`]), which
+    /// fills it through the rank's memtype, so no data is exchanged (a
+    /// memtype whose bytes do not lie in stream order gets messages). The
+    /// listless call ends in the lending scope's barrier, so when it
+    /// returns no rank writes `buf` any more; the list-based one ends in no
+    /// rank-sync. Either way, data another rank writes is visible once
+    /// *its* `write_at_all` has returned.
     pub fn read_at_all(
         &self,
         offset: u64,
@@ -414,7 +416,6 @@ impl<'c> File<'c> {
             stream_start,
             total,
             &self.hints,
-            self.atomic,
             &self.scratch,
         );
         self.health_end(res)

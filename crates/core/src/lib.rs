@@ -15,11 +15,10 @@
 //!
 //! Both engines share the same data sieving and two-phase skeletons, so
 //! measured differences isolate exactly the non-contiguous datatype
-//! handling — the paper's experimental design. Not every collective
-//! exchanges: a listless collective *read* on storage that lends its bytes
-//! to every rank is each rank's own sieved read ([`File::read_at_all`]);
-//! writes, the list-based engine and every storage that takes requests
-//! keep the two-phase method.
+//! handling — the paper's experimental design. Every collective is
+//! two-phase; a listless one exchanges no data, because its io-processes
+//! move every rank's bytes where they lie in the user buffer the rank lends
+//! ([`File::write_at_all`], [`File::read_at_all`]).
 //!
 //! ## Quick example
 //!

@@ -12,11 +12,14 @@
 //! Packed, the stream becomes a message (the list-based collective write);
 //! a window loop takes it from the buffer as it lies there ([`UserSide`]),
 //! with no pack buffer in between — the rank's own, or, in a listless
-//! collective write, one another rank lent it, found through the layout
-//! [`MemPacker::encode_into`] sent ahead.
+//! collective, one another rank lent it (a write's whole buffer, a read's
+//! piece of it), found through the layout [`MemPacker::encode_into`] sent
+//! ahead.
+
+use std::ops::Range;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
-use lio_datatype::{ff_pack, ff_unpack, serialize, Datatype, OlCursor, OlList};
+use lio_datatype::{ff_offset, ff_pack, ff_unpack_at, serialize, Datatype, OlCursor, OlList};
 
 use crate::error::{IoError, Result};
 
@@ -95,16 +98,56 @@ impl MemPacker {
     /// Copy `data` into the user buffer at stream position `skip`.
     /// Returns bytes copied.
     pub fn unpack(&self, data: &[u8], user: &mut [u8], skip: u64) -> usize {
+        self.unpack_at(data, user, 0, skip)
+    }
+
+    /// [`MemPacker::unpack`] into a piece of the user buffer: `user[0]`
+    /// is its byte `at`, and the stream from `skip` on lies inside it.
+    pub fn unpack_at(&self, data: &[u8], user: &mut [u8], at: usize, skip: u64) -> usize {
         match self {
             MemPacker::Contig { base } => {
-                let s = base + skip as usize;
+                let s = base + skip as usize - at;
                 let n = data.len().min(user.len().saturating_sub(s));
                 user[s..s + n].copy_from_slice(&data[..n]);
                 OBS_COPY_BYTES.add(n as u64);
                 n
             }
-            MemPacker::List { list } => list.unpack(data, user, skip),
-            MemPacker::Ff { memtype, count } => ff_unpack(data, user, *count, memtype, skip),
+            MemPacker::List { list } => {
+                debug_assert_eq!(at, 0, "a flattened memtype is never lent in pieces");
+                list.unpack(data, user, skip)
+            }
+            MemPacker::Ff { memtype, count } => {
+                ff_unpack_at(data, user, at as i64, *count, memtype, skip)
+            }
+        }
+    }
+
+    /// Whether the stream lies in the user buffer in order, each byte
+    /// after the last (the listless engine's packers only): then disjoint
+    /// ascending stream intervals occupy disjoint ascending buffer ranges,
+    /// [`MemPacker::buffer_range`], and the buffer can be cut at them.
+    pub fn in_order(&self) -> bool {
+        match self {
+            MemPacker::Contig { .. } => true,
+            MemPacker::Ff { memtype, count } => {
+                memtype.is_monotone()
+                    && (*count <= 1
+                        || memtype.data_ub() - memtype.data_lb() <= memtype.extent() as i64)
+            }
+            MemPacker::List { .. } => false,
+        }
+    }
+
+    /// The user buffer's bytes that hold stream bytes `[from, to)`, from
+    /// the first to one past the last, for a packer [`MemPacker::in_order`];
+    /// `from < to`.
+    pub fn buffer_range(&self, from: u64, to: u64) -> Range<usize> {
+        match self {
+            MemPacker::Contig { base } => base + from as usize..base + to as usize,
+            MemPacker::Ff { memtype, .. } => {
+                ff_offset(memtype, from) as usize..ff_offset(memtype, to - 1) as usize + 1
+            }
+            MemPacker::List { .. } => unreachable!("a flattened memtype is never lent in pieces"),
         }
     }
 
@@ -181,23 +224,32 @@ pub(crate) static MESSAGE: MemPacker = MemPacker::Contig { base: MSG_HEADER };
 /// One end of a window loop's copies: a buffer, how the stream lies in it,
 /// and the view-stream position of the stream's first byte. The user
 /// buffer of an access is one (`U` is `&[u8]` writing, `&mut [u8]`
-/// reading), whichever rank it belongs to; so is a message of the
-/// list-based collective exchange ([`MESSAGE`]) and a reply being filled
-/// ([`STREAM`]). The placement calls of `crate::view`
-/// move stream bytes between a `UserSide` and a window in one copy,
-/// whatever the layout on either side.
+/// reading), whichever rank it belongs to — or, reading, the piece of it
+/// that rank lent the IOP; so is a message of the list-based collective
+/// exchange ([`MESSAGE`]) and a reply being filled ([`STREAM`]). The
+/// placement calls of `crate::view` move stream bytes between a `UserSide`
+/// and a window in one copy, whatever the layout on either side.
 pub(crate) struct UserSide<'a, U> {
     pub packer: &'a MemPacker,
     pub user: U,
     pub stream_start: u64,
+    /// The position of `user[0]` in the buffer `packer` describes: 0 for a
+    /// whole buffer, where the piece starts for a piece of one.
+    pub buf_at: usize,
 }
 
 impl<'a, U> UserSide<'a, U> {
     pub fn new(packer: &'a MemPacker, user: U, stream_start: u64) -> Self {
+        UserSide::piece(packer, user, stream_start, 0)
+    }
+
+    /// An end over the piece of a buffer that starts at its byte `buf_at`.
+    pub fn piece(packer: &'a MemPacker, user: U, stream_start: u64, buf_at: usize) -> Self {
         UserSide {
             packer,
             user,
             stream_start,
+            buf_at,
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Collective file access: the two-phase method, and when a read skips it.
+//! Collective file access: the two-phase method.
 //!
 //! Collective reads/writes are performed by **io-processes** (IOPs) that
 //! touch the file, on behalf of all **access-processes** (APs) — paper
@@ -28,33 +28,25 @@
 //!   messages carry *only data*; placement uses flattening-on-the-fly, and
 //!   the covered-window test is one `O(depth)` mergeview evaluation.
 //!
-//! Ranks here are threads of one address space, so a listless write sends
-//! not even the data. Every rank lends its user buffer for the op
-//! ([`Comm::lend`]); an AP's header tells each IOP its stream interval
-//! there, its `stream_start` and its memtype (encoded as fileview caching
-//! encodes filetypes, and decoded once per memtype, [`CollState`]), and
-//! the IOP's end for that AP is the lent buffer — the shape the own share
-//! has always had. One copy per user byte, no data message, and the
-//! lending scope's closing barrier is the rank-sync the write ends in.
-//!
-//! Not every collective exchanges. Two-phase exists to turn many small
-//! file requests into few large ones, and ROMIO skips it where it buys
-//! nothing; on storage that lends its bytes there are no requests at all.
-//! So `read_at_all` asks, inside the allgather of access ranges it opens
-//! with (one more byte per rank: no new message, and no way for two ranks
-//! to disagree), whether **every** rank is listless, not in atomic mode,
-//! and was just lent the first byte of its own range — and if so each rank
-//! runs `sieve::read_independent` on its own view and buffer: one copy
-//! per user byte instead of one and a half, no message. That is one more
-//! *placement* of the schedule below, not a second schedule: the window
-//! loop is the sieve's. The list-based engine is left out (`ListNav` would
-//! pay its linear locate per sieve window — the paper's own point), and
-//! so are writes: there, file domains keep two ranks from storing into the
-//! same cache lines (DESIGN.md §3.4, *Routing*).
+//! Ranks here are threads of one address space, so a listless collective
+//! sends not even the data. An AP's header tells each IOP its stream
+//! interval there, its `stream_start` and its memtype (encoded as fileview
+//! caching encodes filetypes, and decoded once per memtype, [`CollState`]),
+//! and the IOP's end for that AP is the AP's user buffer — the shape the
+//! own share has always had. Writing, every rank lends its whole buffer to
+//! be read ([`Comm::lend`]). Reading, every rank cuts its buffer into one
+//! piece per file domain — the bytes its share of that domain occupies —
+//! and lends piece `i` to IOP `i` alone to be written ([`Comm::lend_mut`]):
+//! each IOP reads each file byte of its domain once and fills every rank's
+//! typed memory from there. One copy per user byte, no data message, and
+//! the lending scope's closing barrier is the rank-sync the op ends in. (A
+//! memtype whose bytes do not lie in stream order cannot be cut so; such
+//! an AP lends nothing and gets its shares back as replies, as the
+//! list-based engine does.)
 //!
 //! There is one schedule, the monolithic two-phase of Thakur, Gropp & Lusk:
 //! data for a whole file domain travels in one message per (AP, IOP) pair
-//! (or, in a listless write, is read where it lies), which preserves the
+//! (or, listless, is moved where it lies), which preserves the
 //! communication volume and list-handling costs the paper measures; then
 //! each IOP walks its domain. An IOP is the only writer of its domain
 //! until the closing rank-sync, and says so ([`WindowIo::sole_writer`]): on
@@ -67,7 +59,7 @@ use std::thread::Scope;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
 use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field};
-use lio_mpi::{Comm, Lent};
+use lio_mpi::{Comm, Lent, LentMut};
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
 
@@ -75,7 +67,6 @@ use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::{MemPacker, UserRuns, UserSide, MESSAGE, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
-use crate::sieve;
 use crate::view::{FfNav, FileView, RunTally, ViewNav};
 use crate::window::{snap, timed, WindowIo, Windows};
 use lio_obs::health::{self, HbPhase};
@@ -87,15 +78,12 @@ use lio_obs::health::{self, HbPhase};
 // pack/unpack/place/extract memory movement. `exchange.list_bytes` counts
 // ol-list metadata shipped (list-based engine only; always 0 for listless —
 // the paper's "16 bytes per tuple" overhead), `exchange.data_bytes` the
-// payload proper (0 for a listless write, which lends it).
+// payload proper (0 for a listless collective, which lends it).
 static OBS_W_CALLS: LazyCounter = LazyCounter::new("core.coll.write.calls");
 static OBS_W_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.write.exchange_ns");
 static OBS_W_IO_NS: LazyCounter = LazyCounter::new("core.coll.write.io_ns");
 static OBS_W_PACK_NS: LazyCounter = LazyCounter::new("core.coll.write.pack_ns");
 static OBS_R_CALLS: LazyCounter = LazyCounter::new("core.coll.read.calls");
-/// Collective reads that were each rank's own placement (a part of
-/// `core.coll.read.calls`): no exchange, no IOP, none of the `_ns` below.
-static OBS_R_ROUTED: LazyCounter = LazyCounter::new("core.coll.read.routed");
 static OBS_R_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.read.exchange_ns");
 static OBS_R_IO_NS: LazyCounter = LazyCounter::new("core.coll.read.io_ns");
 static OBS_R_PACK_NS: LazyCounter = LazyCounter::new("core.coll.read.pack_ns");
@@ -110,10 +98,10 @@ static OBS_FAULT_ABORTS: LazyCounter = LazyCounter::new("core.coll.fault_aborts"
 const TAG_TP_LIST: u64 = 101;
 /// Tag for AP→IOP access headers, with write data or its layout behind.
 const TAG_TP_DATA: u64 = 102;
-/// Tag for IOP→AP read data.
+/// Tag for IOP→AP read data (list-based, or an AP that lends no pieces).
 const TAG_TP_RDATA: u64 = 103;
-/// Where the layout of a listless write header starts: behind the
-/// `(s_lo, s_hi)` header and the AP's `stream_start`.
+/// Where the layout of a listless header starts: behind the `(s_lo, s_hi)`
+/// header and the AP's `stream_start`.
 const LAYOUT_AT: usize = MSG_HEADER + 8;
 
 /// Collective state established at `set_view` time.
@@ -127,7 +115,7 @@ pub(crate) struct CollState {
     lenders: RefCell<Vec<Option<Lender>>>,
 }
 
-/// An AP's layout as it came in a write header, and its packer.
+/// An AP's layout as it came in a header, and its packer.
 type Lender = (Vec<u8>, MemPacker);
 
 impl CollState {
@@ -139,7 +127,7 @@ impl CollState {
         }
     }
 
-    /// The packer of every AP whose write header `msgs[k]` carries a layout
+    /// The packer of every AP whose header `msgs[k]` carries a layout
     /// (`Behind::Layout`). A layout is decoded when it differs from the one
     /// that AP sent last, so a memtype that stays the same from op to op is
     /// decoded — and its program compiled — once.
@@ -271,33 +259,12 @@ fn access_range(nav: &ViewNav, stream_start: u64, total: u64) -> Option<(u64, u6
     Some((lo, hi))
 }
 
-/// Per-IOP file domains, and whether every rank said `alone`.
-type Domains = (Vec<(u64, u64)>, bool);
-
-/// Whether the storage lends this rank the first byte of its access range
-/// right now — the lending interface itself is the probe. An empty access
-/// has nothing to be refused; a probe that fails is a refusal (the staged
-/// path meets the error where it is typed).
-fn lent_first_byte(storage: &dyn StorageFile, range: Option<(u64, u64)>) -> bool {
-    range.is_none_or(|(lo, _)| {
-        storage
-            .with_range(lo, lo + 1, &mut |_, _| {})
-            .unwrap_or(false)
-    })
-}
-
-/// Exchange access ranges and compute the per-IOP file domains. `alone` is
-/// this rank's answer to "could you place your access by yourself"; the
-/// second value is whether every rank's was yes — a function of the
-/// allgathered bytes only, so no two ranks can disagree on it.
-fn file_domains(comm: &Comm, range: Option<(u64, u64)>, alone: bool, hints: &Hints) -> Domains {
-    let mut msg = [0u8; 17];
+/// Exchange access ranges and compute the per-IOP file domains.
+fn file_domains(comm: &Comm, range: Option<(u64, u64)>, hints: &Hints) -> Vec<(u64, u64)> {
     let (lo, hi) = range.unwrap_or((u64::MAX, 0));
-    msg[0..8].copy_from_slice(&lo.to_le_bytes());
-    msg[8..16].copy_from_slice(&hi.to_le_bytes());
-    msg[16] = alone as u8;
-    let all = comm.allgather(msg.to_vec());
-    let all_alone = all.iter().all(|b| b[16] != 0);
+    let mut msg = lo.to_le_bytes().to_vec();
+    msg.extend_from_slice(&hi.to_le_bytes());
+    let all = comm.allgather(msg);
     let ranges: Vec<Option<(u64, u64)>> = all
         .iter()
         .map(|b| {
@@ -336,7 +303,7 @@ fn file_domains(comm: &Comm, range: Option<(u64, u64)>, alone: bool, hints: &Hin
     if lio_obs::profile::enabled() && comm.rank() == 0 {
         profile_domains(&ranges, min_st, max_end);
     }
-    (domains, all_alone)
+    domains
 }
 
 /// Profile the file-domain geometry of one collective op: overall span,
@@ -601,9 +568,7 @@ pub(crate) fn write_at_all(
     let mut pack_ns = 0u64;
     let my_range = access_range(nav, stream_start, total);
     let t = lio_obs::now();
-    // a write keeps its file domains on every storage (DESIGN.md §3.4,
-    // *Routing*)
-    let (domains, _) = file_domains(comm, my_range, false, hints);
+    let domains = file_domains(comm, my_range, hints);
     exch_ns += lio_obs::elapsed_ns(t);
     let naggr = domains.len();
     let me = comm.rank();
@@ -613,11 +578,7 @@ pub(crate) fn write_at_all(
     let span = (stream_start, stream_start + total);
     let behind = match engine {
         Engine::ListBased => Behind::Data(packer, user, scratch),
-        Engine::Listless => {
-            let mut layout = stream_start.to_le_bytes().to_vec();
-            packer.encode_into(&mut layout);
-            Behind::Layout(layout)
-        }
+        Engine::Listless => Behind::layout(packer, stream_start),
     };
     let times = (&mut exch_ns, &mut pack_ns);
     let (_, own_list) = announce(comm, nav, &domains, span, &behind, times);
@@ -717,14 +678,15 @@ fn iop_write(
             let lenders = state.lenders(msgs)?;
             let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans).zip(lenders.iter()))
                 .enumerate()
-                .map(|(k, ((msg, span), lender))| match lender {
-                    Some((_, packer)) if msg.len() > LAYOUT_AT => {
-                        let at = msg[MSG_HEADER..LAYOUT_AT].try_into().expect("8 bytes");
-                        UserSide::new(packer, lent.get(k), u64::from_le_bytes(at))
-                    }
-                    // nothing of this AP's in the domain
-                    _ => UserSide::new(&STREAM, &[][..], span.0),
-                })
+                .map(
+                    |(k, ((msg, span), lender))| match (lender, lent_from(msg)) {
+                        (Some((_, packer)), Some(start)) => {
+                            UserSide::new(packer, lent.get(k), start)
+                        }
+                        // nothing of this AP's in the domain
+                        _ => UserSide::new(&STREAM, &[][..], span.0),
+                    },
+                )
                 .collect();
             ends[me] = own;
             let navs = state
@@ -891,13 +853,22 @@ fn iop_write_listless<'s>(
 
 /// What an AP's `TAG_TP_DATA` message carries behind its header.
 enum Behind<'a> {
-    /// Nothing: a read's announcement.
+    /// Nothing: a read's announcement that is answered in replies.
     Nothing,
     /// The stream bytes, packed from the user buffer (the list-based write).
     Data(&'a MemPacker, &'a [u8], &'a Scratch),
-    /// Where they lie in the user buffer the AP lends (the listless write):
-    /// its `stream_start`, then its packer's [`MemPacker::encode_into`].
+    /// Where they lie in the user buffer the AP lends (listless): its
+    /// `stream_start`, then its packer's [`MemPacker::encode_into`].
     Layout(Vec<u8>),
+}
+
+impl Behind<'_> {
+    /// The layout of a stream from `stream_start` in a buffer as `packer`.
+    fn layout(packer: &MemPacker, stream_start: u64) -> Self {
+        let mut layout = stream_start.to_le_bytes().to_vec();
+        packer.encode_into(&mut layout);
+        Behind::Layout(layout)
+    }
 }
 
 /// AP side of the exchange, both directions. Every IOP with a domain gets
@@ -980,6 +951,15 @@ fn header(msg: &[u8]) -> (u64, u64) {
     (s_lo, s_hi)
 }
 
+/// The `stream_start` of an AP that lends this IOP its bytes, which its
+/// header carries ahead of its layout; `None` for a header alone.
+fn lent_from(msg: &[u8]) -> Option<u64> {
+    let at = msg
+        .get(MSG_HEADER..LAYOUT_AT)
+        .filter(|_| msg.len() > LAYOUT_AT)?;
+    Some(u64::from_le_bytes(at.try_into().expect("8 bytes")))
+}
+
 /// IOP side of the exchange: every rank's `TAG_TP_DATA` message and,
 /// `with_lists`, its ol-list (empty otherwise), both in rank order. A rank
 /// that kept the list of its own domain hands it in as `own_list`; that
@@ -1035,11 +1015,10 @@ pub(crate) fn read_at_all(
     stream_start: u64,
     total: u64,
     hints: &Hints,
-    atomic: bool,
     scratch: &Scratch,
 ) -> Result<u64> {
     // root trace span delimiting this collective op
-    let mut root = lio_obs::trace::span_ab("coll.read", total, 0);
+    let _root = lio_obs::trace::span_ab("coll.read", total, 0);
     let engine = match nav {
         ViewNav::List(_) => Engine::ListBased,
         ViewNav::Ff(_) => Engine::Listless,
@@ -1049,234 +1028,93 @@ pub(crate) fn read_at_all(
         OBS_R_CALLS.incr();
     }
     let mut exch_ns = 0u64;
-    let mut io_ns = 0u64;
     let mut pack_ns = 0u64;
     let my_range = access_range(nav, stream_start, total);
-    // this rank's answer to the routing question of the module docs
-    let alone = engine == Engine::Listless && !atomic && lent_first_byte(storage, my_range);
     let t = lio_obs::now();
-    let (domains, routed) = file_domains(comm, my_range, alone, hints);
+    let domains = file_domains(comm, my_range, hints);
     exch_ns += lio_obs::elapsed_ns(t);
-    if routed {
-        // every rank decided the same from the same allgathered bytes, so
-        // nobody waits for a message from here on; a preceding collective
-        // write has passed its closing barrier on every rank
-        root.set_payload(total, 1, 0);
-        if obs {
-            OBS_R_ROUTED.incr();
-            OBS_R_EXCH_NS.add(exch_ns);
-        }
-        health::beat_bytes(HbPhase::Pack, total);
-        return sieve::read_independent(
-            storage,
-            nav,
-            packer,
-            user,
-            stream_start,
-            total,
-            hints,
-            scratch,
-        );
-    }
-    let naggr = domains.len();
     let me = comm.rank();
+    let iop = domains.get(me).is_some_and(|d| d.1 > d.0);
 
     // ----- AP phase: announce (and, list-based, ship the lists) --------
+    // A listless AP whose stream lies in its buffer in order lends each IOP
+    // the piece of the buffer its share of that IOP's domain occupies, and
+    // says how the stream lies there; any other AP gets its shares back in
+    // replies.
+    let lends = engine == Engine::Listless && packer.in_order();
+    let behind = match lends {
+        true => Behind::layout(packer, stream_start),
+        false => Behind::Nothing,
+    };
     let span = (stream_start, stream_start + total);
     let times = (&mut exch_ns, &mut pack_ns);
-    let (my_intersections, own_list) = announce(comm, nav, &domains, span, &Behind::Nothing, times);
+    let (shares, own_list) = announce(comm, nav, &domains, span, &behind, times);
+    // the IOPs this rank gets a reply from: list-based, every other one
+    let replied = |i: usize| {
+        i != me
+            && domains[i].1 > domains[i].0
+            && !lends
+            && (engine == Engine::ListBased || shares[i].1 > shares[i].0)
+    };
 
-    // ----- IOP phase: read windows and ship each AP its bytes ----------
-    // A storage fault on an IOP must not strand APs waiting for their
-    // reply: errors are captured, every AP still receives a buffer of the
-    // exact promised length (zero-padded past the failure point), and the
-    // error surfaces on this rank after the exchange completes. The IOP's
-    // own share goes to its user buffer window by window, zero-padded
-    // likewise.
-    let mut fatal: Option<IoError> = None;
-    if me < naggr && domains[me].1 > domains[me].0 {
-        let dom = domains[me];
-        let t = lio_obs::now();
-        let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
-        exch_ns += lio_obs::elapsed_ns(t);
-        let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
-        // the replies, of the promised length (none for the own share),
-        // filled window by window up to `filled`
-        let reply_len = |k: usize| {
-            if k == me {
-                0
-            } else {
-                (spans[k].1 - spans[k].0) as usize
-            }
-        };
-        let mut outs: Vec<Vec<u8>> = (0..spans.len())
-            .map(|k| scratch.take(reply_len(k)))
-            .collect();
-        // every AP's end of the window loop: the reply being filled, or —
-        // the own share — the user buffer itself
-        let mut ends: Vec<UserSide<&mut [u8]>> = (outs.iter_mut().zip(&spans))
-            .map(|(out, span)| UserSide::new(&STREAM, out.as_mut_slice(), span.0))
-            .collect();
-        ends[me] = UserSide::new(packer, &mut *user, stream_start);
-        let mut filled = vec![0u64; spans.len()];
-        match engine {
-            Engine::ListBased => {
-                let mut recv: Vec<RecvList> = Vec::with_capacity(spans.len());
-                for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
-                    let segs = parse_ol_list(list_bytes).unwrap_or_else(|e| {
-                        fatal.get_or_insert(e);
-                        Vec::new()
-                    });
-                    let runs = end.packer.runs_from(span.0 - end.stream_start);
-                    recv.push(RecvList::new(segs, runs));
+    // ----- IOP phase, then the replies ------------------------------------
+    // A storage fault on an IOP must not strand its APs: it is captured,
+    // every AP still gets the promised bytes (zeros past the failure point)
+    // and every rank the end of the op, and it surfaces on this rank only
+    // then. The IOP side's own end is the user buffer this rank `kept`, or
+    // the piece of it this rank lent itself.
+    let rest = |mut kept: Option<&mut [u8]>, lent: Option<&LentMut>| {
+        let mut fatal = None;
+        if iop {
+            let own = match kept.as_deref_mut() {
+                Some(user) => UserSide::new(packer, user, stream_start),
+                None => {
+                    let lent = lent.expect("a rank that keeps no buffer lent it");
+                    lent_end(packer, lent.take(me), stream_start, shares[me])
                 }
-                let lo = recv.iter().filter_map(|r| r.next_offset()).min();
-                let hi = recv.iter().filter_map(|r| r.end_offset()).max();
-                // (a malformed list already failed the op: nothing to read)
-                if let (Some(lo), Some(hi), true) = (lo, hi, fatal.is_none()) {
-                    let lo = lo.max(dom.0);
-                    let hi = hi.min(dom.1);
-                    let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-                    let mut io = WindowIo::new(storage, scratch, grid.max_len());
-                    for (win, win_end) in grid {
-                        let wanted = recv
-                            .iter()
-                            .any(|r| r.next_offset().is_some_and(|o| o < win_end));
-                        if wanted {
-                            if obs {
-                                OBS_WINDOWS.incr();
-                            }
-                            health::beat_bytes(HbPhase::Io, win_end - win);
-                            let _w = lio_obs::trace::span_ab("win", win, win_end - win);
-                            let res = io.view(win, win_end, &mut |at, piece| {
-                                health::beat(HbPhase::Pack);
-                                for (r, end) in recv.iter_mut().zip(&mut ends) {
-                                    r.walk(at, at + piece.len() as u64, |runs, o| {
-                                        runs.write(end.user, &piece[o])
-                                    });
-                                }
-                            });
-                            if let Err(e) = res {
-                                fatal = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    io_ns += io.io_ns;
-                    pack_ns += io.pack_ns;
-                }
-                for (k, r) in recv.iter().enumerate() {
-                    filled[k] = r.moved as u64;
-                }
-            }
-            Engine::Listless => {
-                let navs = state
-                    .remote_navs
-                    .as_ref()
-                    .expect("listless collective requires cached fileviews");
-                let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
-                if let Some((lo, hi)) = touched(&spans, navs) {
-                    let lo = lo.max(dom.0);
-                    let hi = hi.min(dom.1);
-                    let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-                    let mut io = WindowIo::new(storage, scratch, grid.max_len());
-                    let mut seen = vec![RunTally::until(0); spans.len()];
-                    for (win, win_end) in grid {
-                        let wanted = navs.iter().enumerate().any(|(k, nav_p)| {
-                            cursors[k] < spans[k].1
-                                && nav_p.abs_to_stream(win_end).min(spans[k].1) > cursors[k]
-                        });
-                        if wanted {
-                            if obs {
-                                OBS_WINDOWS.incr();
-                            }
-                            health::beat_bytes(HbPhase::Io, win_end - win);
-                            let _w = lio_obs::trace::span_ab("win", win, win_end - win);
-                            seen.fill(RunTally::until(win_end));
-                            // each AP's bytes go on from its cursor and stop
-                            // at the end of the piece by themselves
-                            let res = io.view(win, win_end, &mut |at, piece| {
-                                health::beat(HbPhase::Pack);
-                                for (k, nav_p) in navs.iter().enumerate() {
-                                    let rest = (spans[k].1 - cursors[k]) as usize;
-                                    if rest > 0 {
-                                        let (from, end) = (cursors[k], &mut ends[k]);
-                                        cursors[k] += nav_p.extract_piece(
-                                            piece,
-                                            at,
-                                            from,
-                                            rest,
-                                            end,
-                                            &mut seen[k],
-                                        )
-                                            as u64;
-                                    }
-                                }
-                            });
-                            if let Err(e) = res {
-                                fatal = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    io_ns += io.io_ns;
-                    pack_ns += io.pack_ns;
-                }
-                for (k, c) in cursors.iter().enumerate() {
-                    filled[k] = c - spans[k].0;
-                }
-            }
+            };
+            fatal = iop_read(
+                storage,
+                comm,
+                domains[me],
+                state,
+                engine,
+                own_list,
+                own,
+                lent,
+                hints,
+                scratch,
+                &mut exch_ns,
+            );
         }
-        if fatal.is_some() {
-            // every AP gets the promised length, zeros past the failure
-            // point — in its reply or, the own share, in the user buffer
-            for ((end, span), done) in ends.iter_mut().zip(&spans).zip(&filled) {
-                let zeros = vec![0u8; (span.1 - span.0 - done) as usize];
-                let skip = span.0 + done - end.stream_start;
-                end.packer.unpack(&zeros, end.user, skip);
-            }
+        if let Some(user) = kept {
+            let mine = UserSide::new(packer, user, stream_start);
+            let times = (&mut exch_ns, &mut pack_ns);
+            recv_replies(comm, &shares, replied, mine, scratch, times);
         }
-        drop(ends);
-        let t = lio_obs::now();
-        for (p, out) in outs.into_iter().enumerate() {
-            if p == me {
-                continue;
-            }
-            if obs {
-                OBS_EXCH_DATA_BYTES.add(out.len() as u64);
-            }
-            health::beat_bytes(HbPhase::Exchange, out.len() as u64);
-            comm.send_vec(p, TAG_TP_RDATA, out);
+        fatal
+    };
+    let fatal = match engine {
+        Engine::ListBased => rest(Some(user), None),
+        // Every rank lends its pieces (an AP that cannot cut its buffer
+        // none) in a scope that ends in the barrier this read ends in: no
+        // rank writes a piece once its lender is told the read is done.
+        Engine::Listless => {
+            let (pieces, kept) = match lends {
+                true => (cut(packer, user, stream_start, &shares), None),
+                false => (Vec::new(), Some(user)),
+            };
+            let (fatal, t, sp) = comm.lend_mut(pieces, |lent| {
+                let fatal = rest(kept, Some(lent));
+                (fatal, lio_obs::now(), lio_obs::trace::span("exch.barrier"))
+            });
+            drop(sp);
+            exch_ns += lio_obs::elapsed_ns(t);
+            fatal
         }
-        exch_ns += lio_obs::elapsed_ns(t);
-    }
-
-    // ----- AP phase 2: receive and unpack, in arrival order -------------
-    // (nothing comes from this rank's own IOP side)
-    let mut reqs: Vec<lio_mpi::Request> = (0..naggr)
-        .filter(|&i| i != me && domains[i].1 > domains[i].0)
-        .map(|i| comm.irecv(i, TAG_TP_RDATA))
-        .collect();
-    for _ in 0..reqs.len() {
-        let t = lio_obs::now();
-        let sp = lio_obs::trace::span("exch.wait");
-        let (_, i, data) = comm.wait_any(&mut reqs);
-        drop(sp);
-        exch_ns += lio_obs::elapsed_ns(t);
-        let (s_lo, s_hi) = my_intersections[i];
-        debug_assert_eq!(data.len() as u64, s_hi - s_lo);
-        if s_hi > s_lo {
-            health::beat(HbPhase::Pack);
-            let span = Some(("unpack", data.len() as u64, 0));
-            let (put, ns) = timed(span, || packer.unpack(&data, user, s_lo - stream_start));
-            debug_assert_eq!(put, data.len());
-            pack_ns += ns;
-        }
-        scratch.give(data);
-    }
+    };
     if obs {
         OBS_R_EXCH_NS.add(exch_ns);
-        OBS_R_IO_NS.add(io_ns);
         OBS_R_PACK_NS.add(pack_ns);
     }
     match fatal {
@@ -1286,5 +1124,282 @@ pub(crate) fn read_at_all(
             Err(e)
         }
         None => Ok(total),
+    }
+}
+
+/// `user`, a buffer that holds a stream from view-stream position
+/// `stream_start` on as `packer` says (in order), cut into one piece per
+/// file domain: the bytes that hold this rank's share `shares[i]` of domain
+/// `i`, empty where the share is.
+fn cut<'u>(
+    packer: &MemPacker,
+    mut user: &'u mut [u8],
+    stream_start: u64,
+    shares: &[(u64, u64)],
+) -> Vec<&'u mut [u8]> {
+    let mut at = 0;
+    (shares.iter())
+        .map(|&(s_lo, s_hi)| {
+            if s_hi <= s_lo {
+                return &mut [][..];
+            }
+            let range = packer.buffer_range(s_lo - stream_start, s_hi - stream_start);
+            let (_, rest) = std::mem::take(&mut user).split_at_mut(range.start - at);
+            let (piece, rest) = rest.split_at_mut(range.len());
+            (user, at) = (rest, range.end);
+            piece
+        })
+        .collect()
+}
+
+/// The end of a window loop over `piece`: the bytes of a buffer, laid out
+/// as `packer` says from view-stream position `stream_start` on, that hold
+/// the stream interval `span` ([`cut`]).
+fn lent_end<'a, 'p>(
+    packer: &'a MemPacker,
+    piece: &'p mut [u8],
+    stream_start: u64,
+    (s_lo, s_hi): (u64, u64),
+) -> UserSide<'a, &'p mut [u8]> {
+    let mut at = 0;
+    if s_hi > s_lo {
+        let range = packer.buffer_range(s_lo - stream_start, s_hi - stream_start);
+        debug_assert_eq!(piece.len(), range.len(), "a piece is its share's bytes");
+        at = range.start;
+    }
+    UserSide::piece(packer, piece, stream_start, at)
+}
+
+/// An IOP's part of a collective read over its domain `dom`: every AP's
+/// header (and, list-based, its list) in, every AP's end of the window
+/// loop, the loop, then the replies out. An AP's end is the piece of its
+/// user buffer it lent this IOP (listless, through the layout its header
+/// carries) or else a reply of the promised length; the IOP's own rank's is
+/// `own`. A storage fault ends the loop, and every end is filled up with
+/// zeros past the failure point before the replies go: returns the fault.
+#[allow(clippy::too_many_arguments)]
+fn iop_read(
+    storage: &dyn StorageFile,
+    comm: &Comm,
+    dom: (u64, u64),
+    state: &CollState,
+    engine: Engine,
+    own_list: Option<Vec<u8>>,
+    own: UserSide<&mut [u8]>,
+    lent: Option<&LentMut>,
+    hints: &Hints,
+    scratch: &Scratch,
+    exch_ns: &mut u64,
+) -> Option<IoError> {
+    let me = comm.rank();
+    let t = lio_obs::now();
+    let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+    *exch_ns += lio_obs::elapsed_ns(t);
+    let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
+    let mut fatal: Option<IoError> = None;
+    let lenders = match lent.map(|_| state.lenders(&msgs)).transpose() {
+        Ok(lenders) => lenders,
+        // nothing is read then, but the replies still go
+        Err(e) => {
+            fatal = Some(e);
+            None
+        }
+    };
+    // whether AP `k` gets a reply: list-based, every other AP does
+    let replies = |k: usize| {
+        k != me
+            && (engine == Engine::ListBased
+                || (spans[k].1 > spans[k].0 && lent_from(&msgs[k]).is_none()))
+    };
+    let mut outs: Vec<Vec<u8>> = (0..spans.len())
+        .map(|k| match replies(k) {
+            true => scratch.take((spans[k].1 - spans[k].0) as usize),
+            false => Vec::new(),
+        })
+        .collect();
+    let mut own = Some(own);
+    let mut ends: Vec<UserSide<&mut [u8]>> = Vec::with_capacity(spans.len());
+    for (k, (out, &span)) in outs.iter_mut().zip(&spans).enumerate() {
+        let lender = || {
+            let packer = &lenders.as_ref()?[k].as_ref()?.1;
+            Some((lent?, packer, lent_from(&msgs[k])?))
+        };
+        ends.push(match lender() {
+            _ if k == me => own.take().expect("one own end"),
+            Some((lent, packer, start)) => lent_end(packer, lent.take(k), start, span),
+            None => UserSide::new(&STREAM, out.as_mut_slice(), span.0),
+        });
+    }
+    let mut filled = vec![0u64; spans.len()];
+    let obs = lio_obs::enabled();
+    let mut io_ns = 0;
+    let mut pack_ns = 0;
+    match engine {
+        Engine::ListBased => {
+            let mut recv: Vec<RecvList> = Vec::with_capacity(spans.len());
+            for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
+                let segs = parse_ol_list(list_bytes).unwrap_or_else(|e| {
+                    fatal.get_or_insert(e);
+                    Vec::new()
+                });
+                let runs = end.packer.runs_from(span.0 - end.stream_start);
+                recv.push(RecvList::new(segs, runs));
+            }
+            let lo = recv.iter().filter_map(|r| r.next_offset()).min();
+            let hi = recv.iter().filter_map(|r| r.end_offset()).max();
+            // (a malformed list already failed the op: nothing to read)
+            if let (Some(lo), Some(hi), true) = (lo, hi, fatal.is_none()) {
+                let lo = lo.max(dom.0);
+                let hi = hi.min(dom.1);
+                let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
+                let mut io = WindowIo::new(storage, scratch, grid.max_len());
+                for (win, win_end) in grid {
+                    let wanted = recv
+                        .iter()
+                        .any(|r| r.next_offset().is_some_and(|o| o < win_end));
+                    if wanted {
+                        if obs {
+                            OBS_WINDOWS.incr();
+                        }
+                        health::beat_bytes(HbPhase::Io, win_end - win);
+                        let _w = lio_obs::trace::span_ab("win", win, win_end - win);
+                        let res = io.view(win, win_end, &mut |at, piece| {
+                            health::beat(HbPhase::Pack);
+                            for (r, end) in recv.iter_mut().zip(&mut ends) {
+                                r.walk(at, at + piece.len() as u64, |runs, o| {
+                                    runs.write(end.user, &piece[o])
+                                });
+                            }
+                        });
+                        if let Err(e) = res {
+                            fatal = Some(e);
+                            break;
+                        }
+                    }
+                }
+                (io_ns, pack_ns) = (io.io_ns, io.pack_ns);
+            }
+            for (k, r) in recv.iter().enumerate() {
+                filled[k] = r.moved as u64;
+            }
+        }
+        Engine::Listless => {
+            let navs = state
+                .remote_navs
+                .as_ref()
+                .expect("listless collective requires cached fileviews");
+            let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
+            // (an undecodable layout already failed the op: nothing to read)
+            if let (Some((lo, hi)), true) = (touched(&spans, navs), fatal.is_none()) {
+                let lo = lo.max(dom.0);
+                let hi = hi.min(dom.1);
+                let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
+                let mut io = WindowIo::new(storage, scratch, grid.max_len());
+                let mut seen = vec![RunTally::until(0); spans.len()];
+                for (win, win_end) in grid {
+                    let wanted = navs.iter().enumerate().any(|(k, nav_p)| {
+                        cursors[k] < spans[k].1
+                            && nav_p.abs_to_stream(win_end).min(spans[k].1) > cursors[k]
+                    });
+                    if wanted {
+                        if obs {
+                            OBS_WINDOWS.incr();
+                        }
+                        health::beat_bytes(HbPhase::Io, win_end - win);
+                        let _w = lio_obs::trace::span_ab("win", win, win_end - win);
+                        seen.fill(RunTally::until(win_end));
+                        // each AP's bytes go on from its cursor and stop at
+                        // the end of the piece by themselves
+                        let res = io.view(win, win_end, &mut |at, piece| {
+                            health::beat(HbPhase::Pack);
+                            for (k, nav_p) in navs.iter().enumerate() {
+                                let rest = (spans[k].1 - cursors[k]) as usize;
+                                if rest > 0 {
+                                    let (from, end) = (cursors[k], &mut ends[k]);
+                                    cursors[k] += nav_p.extract_piece(
+                                        piece,
+                                        at,
+                                        from,
+                                        rest,
+                                        end,
+                                        &mut seen[k],
+                                    ) as u64;
+                                }
+                            }
+                        });
+                        if let Err(e) = res {
+                            fatal = Some(e);
+                            break;
+                        }
+                    }
+                }
+                (io_ns, pack_ns) = (io.io_ns, io.pack_ns);
+            }
+            for (k, c) in cursors.iter().enumerate() {
+                filled[k] = c - spans[k].0;
+            }
+        }
+    }
+    if obs {
+        OBS_R_IO_NS.add(io_ns);
+        OBS_R_PACK_NS.add(pack_ns);
+    }
+    if fatal.is_some() {
+        // every AP gets the promised length, zeros past the failure point:
+        // in its reply, in the piece it lent or, the own share, in the user
+        // buffer
+        for ((end, span), done) in ends.iter_mut().zip(&spans).zip(&filled) {
+            let zeros = vec![0u8; (span.1 - span.0 - done) as usize];
+            let skip = span.0 + done - end.stream_start;
+            end.packer.unpack_at(&zeros, end.user, end.buf_at, skip);
+        }
+    }
+    drop(ends);
+    let t = lio_obs::now();
+    for (k, out) in outs.into_iter().enumerate() {
+        if replies(k) {
+            if obs {
+                OBS_EXCH_DATA_BYTES.add(out.len() as u64);
+            }
+            health::beat_bytes(HbPhase::Exchange, out.len() as u64);
+            comm.send_vec(k, TAG_TP_RDATA, out);
+        }
+    }
+    *exch_ns += lio_obs::elapsed_ns(t);
+    fatal
+}
+
+/// AP side of a read's replies: from every IOP `i` that `replied(i)`, the
+/// bytes of this rank's share `shares[i]` of its domain, unpacked into
+/// `mine` in arrival order. Time goes to `(exch_ns, pack_ns)`.
+fn recv_replies(
+    comm: &Comm,
+    shares: &[(u64, u64)],
+    replied: impl Fn(usize) -> bool,
+    mine: UserSide<&mut [u8]>,
+    scratch: &Scratch,
+    (exch_ns, pack_ns): (&mut u64, &mut u64),
+) {
+    let mut reqs: Vec<lio_mpi::Request> = (0..shares.len())
+        .filter(|&i| replied(i))
+        .map(|i| comm.irecv(i, TAG_TP_RDATA))
+        .collect();
+    for _ in 0..reqs.len() {
+        let t = lio_obs::now();
+        let sp = lio_obs::trace::span("exch.wait");
+        let (_, i, data) = comm.wait_any(&mut reqs);
+        drop(sp);
+        *exch_ns += lio_obs::elapsed_ns(t);
+        let (s_lo, s_hi) = shares[i];
+        debug_assert_eq!(data.len() as u64, s_hi - s_lo);
+        if s_hi > s_lo {
+            health::beat(HbPhase::Pack);
+            let skip = s_lo - mine.stream_start;
+            let span = Some(("unpack", data.len() as u64, 0));
+            let (put, ns) = timed(span, || mine.packer.unpack(&data, mine.user, skip));
+            debug_assert_eq!(put, data.len());
+            *pack_ns += ns;
+        }
+        scratch.give(data);
     }
 }

@@ -383,6 +383,7 @@ impl FfNav {
         lo: u64,
         seen: &mut RunTally,
     ) -> usize {
+        debug_assert_eq!(src.buf_at, 0, "a write's end is a whole buffer");
         let buf_disp = lo as i64 - self.view.disp as i64;
         let skip = stream0 - src.stream_start;
         let prog = self.view.filetype.program();
@@ -412,7 +413,8 @@ impl FfNav {
     }
 
     /// [`FfNav::place_piece`] the other way: up to `n` stream bytes out of
-    /// `piece` into `dst`.
+    /// `piece` into `dst` — a whole buffer, or the piece of one that holds
+    /// those bytes (`dst.buf_at` offsets it as `lo` offsets the window).
     pub fn extract_piece(
         &self,
         piece: &[u8],
@@ -427,13 +429,24 @@ impl FfNav {
         let prog = self.view.filetype.program();
         let moved = match dst.packer {
             MemPacker::Contig { base } => {
-                let out = &mut dst.user[base + skip as usize..][..n];
+                let out = &mut dst.user[base + skip as usize - dst.buf_at..][..n];
                 prog.pack_into(piece, buf_disp, u64::MAX, stream0, out)
             }
             MemPacker::Ff { memtype, count } => {
                 let to = memtype.program();
-                let (user, count) = (&mut *dst.user, *count);
-                prog.transfer_out_of(piece, buf_disp, u64::MAX, stream0, to, user, count, skip, n)
+                let (user, at, count) = (&mut *dst.user, dst.buf_at, *count);
+                prog.transfer_out_of(
+                    piece,
+                    buf_disp,
+                    u64::MAX,
+                    stream0,
+                    to,
+                    user,
+                    at,
+                    count,
+                    skip,
+                    n,
+                )
             }
             MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
         };

@@ -2,8 +2,8 @@
 //! mapped real-file backend must be *byte-identical* — same
 //! final file contents, same collective read-backs — across engines and
 //! world sizes, and each once more behind `Staged`: both backends lend
-//! their bytes, so the listless read-back is routed on them as they are
-//! and two-phase behind the wrapper.
+//! their bytes, so the IOPs work on their windows in place as they are and
+//! stage every window behind the wrapper.
 //!
 //! Every assertion carries a replay line (environment + command) so a
 //! failing configuration reproduces from the message alone, the same

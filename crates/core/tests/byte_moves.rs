@@ -17,7 +17,7 @@
 //! | collective write, list-based        | 1.5     | 2.5    | 1.5      |
 //! | collective write, listless          | **1**   | **2**  | **1**    |
 //! | collective read, list-based         | 1.5     | 2.5    | 1.5      |
-//! | collective read, listless           | 1.5     | 2.5    | **1**    |
+//! | collective read, listless           | **1**   | **2**  | **1**    |
 //! | nc-c write                          | 1       | 2      | 1        |
 //! | c-nc read                           | 1       | 2      | 1        |
 //!
@@ -34,14 +34,13 @@
 //! message, message → window): `(1 + 2)/2` at P = 2.
 //! `core.coll.exchange.data_bytes` counts the half that travels, exactly.
 //!
-//! A listless collective write moves no byte through a message: every rank
-//! lends its user buffer for the op (`lio_mpi::Comm::lend`), and each IOP
-//! places every AP's bytes from where they lie, as it does its own — one
-//! copy, nothing exchanged, on every storage. A listless collective read
-//! on storage that lends its bytes to every rank is *routed*: each rank's
-//! own sieved read, so it is the sieved-read row — one copy, nothing
-//! exchanged, the rank's access range lent — and `core.coll.read.routed`
-//! counts it beside `core.coll.read.calls`. Staged, it stays two-phase.
+//! A listless collective moves no byte through a message: writing, every
+//! rank lends its user buffer for the op (`lio_mpi::Comm::lend`), and each
+//! IOP places every AP's bytes from where they lie, as it does its own;
+//! reading, every rank lends each IOP the piece of its buffer that its
+//! share of the IOP's domain occupies (`lio_mpi::Comm::lend_mut`), and the
+//! IOP fills it — one copy, nothing exchanged, on every storage, and each
+//! file byte of the touched range read once.
 //!
 //! Its own test binary with a single test: the counters are process-wide.
 
@@ -69,9 +68,6 @@ struct Moved {
     in_place: u64,
     /// Payload that left its rank (`core.coll.exchange.data_bytes`).
     exchanged: u64,
-    /// `core.coll.read.calls`, and how many of them were routed.
-    coll_reads: u64,
-    routed: u64,
 }
 
 /// What the counters read after both ranks ran `op` once.
@@ -97,8 +93,6 @@ fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) 
         staged: snap.counter("io.staged_bytes"),
         in_place: snap.counter("io.in_place_bytes"),
         exchanged: snap.counter("core.coll.exchange.data_bytes"),
-        coll_reads: snap.counter("core.coll.read.calls"),
-        routed: snap.counter("core.coll.read.routed"),
     }
 }
 
@@ -150,41 +144,20 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             // op works on — each per op, both ranks together. Of a
             // collective's bytes exactly one rank's worth changes ranks.
             let mut check = |path: &str, lib_copies: u64, staged: u64, touched: u64, got: Moved| {
-                // a listless write's IOPs read each AP's bytes where they lie
-                let lent_write =
-                    hints.engine == Engine::Listless && path.starts_with("collective write");
-                let lib_copies = if lent_write { 2 * BYTES } else { lib_copies };
-                let exchanged = if path.starts_with("collective") && !lent_write {
-                    BYTES
-                } else {
-                    0
-                };
-                let coll_reads = if path.starts_with("collective read") {
-                    2
-                } else {
-                    0
-                };
+                // a listless collective's IOPs move each AP's bytes where
+                // they lie
+                let collective = path.starts_with("collective");
+                let lent = hints.engine == Engine::Listless && collective;
+                let lib_copies = if lent { 2 * BYTES } else { lib_copies };
+                let exchanged = if collective && !lent { BYTES } else { 0 };
                 let mut want = Moved {
                     copied: lib_copies,
                     staged,
                     in_place: 0,
                     exchanged,
-                    coll_reads,
-                    routed: 0,
                 };
                 if *lends {
                     (want.staged, want.in_place) = (0, touched);
-                }
-                // every rank was lent its bytes and navigates without a
-                // list: the collective read is the sieved read of each
-                if *lends && coll_reads > 0 && hints.engine == Engine::Listless {
-                    want = Moved {
-                        copied: 2 * BYTES,
-                        in_place: 2 * RANGE,
-                        exchanged: 0,
-                        routed: coll_reads,
-                        ..want
-                    };
                 }
                 assert_eq!(got, want, "{:?} {name} {path}", hints.engine);
                 let per_byte = (got.copied + got.staged) as f64 / (2 * BYTES) as f64;
@@ -249,9 +222,10 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             );
 
             // the ranks' data fills every window: no pre-read; the half that
-            // changes ranks is moved twice (but for the listless write, which
-            // places it from the buffer it was lent), the own half once —
-            // from a strided user buffer as from one that is the stream
+            // changes ranks is moved twice (but listless, where the IOP moves
+            // it between the window and the buffer it was lent), the own half
+            // once — from a strided user buffer as from one that is the
+            // stream; the IOPs together touch the file range once
             let got = count(shared, hints, |f, me| {
                 view(f, me);
                 f.write_at_all(0, &data(me), BYTES, &byte).unwrap();
@@ -299,8 +273,8 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     // the fastest axis, the memory tile padded with ghost points all round
     // — has half of every rank's rows in either domain too: of the two
     // ranks' bytes exactly one rank's worth travels, list-based, either
-    // way; listless, nothing — the write is lent, and the read on a
-    // `MemFile` routed.
+    // way; listless, nothing — the write's buffers are lent whole, the
+    // read's in pieces.
     const N: u64 = 16;
     let point = Datatype::basic(40);
     let tile_bytes = N * N * (N / 2) * 40;
@@ -330,13 +304,8 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             let mut back = vec![0u8; mem_tile.extent() as usize];
             f.read_at_all(0, &mut back, 1, &mem_tile).unwrap();
         });
-        let routed = listless;
         assert_eq!(got.exchanged, travels, "{:?} tile read", hints.engine);
-        assert_eq!(
-            got.routed,
-            2 * routed as u64,
-            "{:?} tile read",
-            hints.engine
-        );
+        assert_eq!(got.copied, copies, "{:?} tile read", hints.engine);
+        assert_eq!(got.in_place, 2 * tile_bytes, "{:?} tile read", hints.engine);
     }
 }

@@ -2,8 +2,8 @@
 //! IOP counts, buffer sizes, and view shapes — including the noncontig
 //! benchmark's interleaved pattern and BTIO-style subarrays. Every case
 //! that reads back collectively runs on the environment's storage (a bare
-//! `MemFile` by default: the listless read is routed) and on staging
-//! storage (two-phase): `LENDING_AND_STAGED`.
+//! `MemFile` by default, whose windows the IOPs work on in place) and on
+//! staging storage: `LENDING_AND_STAGED`.
 
 mod common;
 

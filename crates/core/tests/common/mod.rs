@@ -184,10 +184,9 @@ pub fn staged_with(data: Vec<u8>) -> (SharedFile, SnapHandle) {
 }
 
 /// What a collective corpus runs on, as makers of a file holding the given
-/// bytes. A listless `read_at_all` is *routed* where every rank is lent its
-/// bytes — each rank's own sieved read, on [`test_storage_with`]'s bare
-/// `MemFile` — and two-phase where the storage stages: a read-back must be
-/// the same on both.
+/// bytes: the IOPs work on the windows of [`test_storage_with`]'s bare
+/// `MemFile` in place and stage every window of [`staged_with`]'s, and a
+/// read-back must be the same on both.
 pub const LENDING_AND_STAGED: [MakeStorage; 2] = [test_storage_with, staged_with];
 
 /// Makes a file holding the given bytes, and the handle that snapshots it.

@@ -319,23 +319,23 @@ fn windows_that_are_all_own_or_not_at_all() {
 /// ranks, the fixed headers, the ol-lists of the other rank's domain
 /// (list-based), the allgather of the access ranges and the write's
 /// closing barrier. The own share — the other half — is in none of them.
-/// Listless, no share of a write is a message: the header to the other
+/// Listless, no share of either op is a message: the header to the other
 /// rank's IOP side says where the bytes lie in the buffer the rank lends,
-/// and the IOP reads them there. A listless read on storage that lends is
-/// routed: its allgather is all that crosses.
+/// whole for a write and in pieces for a read, the IOP moves them there,
+/// and both ops end in their lending scope's barrier.
 #[test]
 fn the_own_share_never_crosses_a_channel() {
     const NBLOCK: u64 = 512;
     const SBLOCK: u64 = 64;
     const BYTES: u64 = NBLOCK * SBLOCK; // per rank
-                                        // gather of two 17-byte answers (range and routing vote) at rank 0 (one
-                                        // message), broadcast of count + two lengths + the answers (one message)
-    let allgather = (2, 17 + (8 + 2 * 8 + 2 * 17));
+                                        // gather of two 16-byte access ranges at rank 0 (one message),
+                                        // broadcast of count + two lengths + the ranges (one message)
+    let allgather = (2, 16 + (8 + 2 * 8 + 2 * 16));
     // a 16-byte header to each IOP, the rank's own included
     let headers = (4, 4 * 16);
-    // listless, a write's header to the other rank's IOP side goes on with
-    // where the bytes lie in the lent buffer: the rank's `stream_start`, a
-    // tag, the count and the memtype as fileview caching encodes it
+    // listless, the header to the other rank's IOP side goes on with where
+    // the bytes lie in the lent buffer: the rank's `stream_start`, a tag,
+    // the count and the memtype as fileview caching encodes it
     let (memtype, _) = Mem::Strided.memtype(BYTES);
     let layout = 8 + 1 + 8 + serialize::encode(&memtype).len() as u64;
     let lent_headers = (4, 4 * 16 + 2 * layout);
@@ -394,17 +394,16 @@ fn the_own_share_never_crosses_a_channel() {
                 );
                 (wrote, read)
             })[0];
-            let mut write = vec![allgather, headers, payload, barrier];
-            let mut read = vec![allgather, headers, replies];
-            if hints.engine == lio_core::Engine::ListBased {
-                write.push(lists);
-                read.push(lists);
-            } else {
-                write = vec![allgather, lent_headers, barrier];
-                if name != "Staged(MemFile)" {
-                    read = vec![allgather];
-                }
-            }
+            let (write, read) = match hints.engine {
+                lio_core::Engine::ListBased => (
+                    vec![allgather, headers, payload, barrier, lists],
+                    vec![allgather, headers, replies, lists],
+                ),
+                lio_core::Engine::Listless => (
+                    vec![allgather, lent_headers, barrier],
+                    vec![allgather, lent_headers, barrier],
+                ),
+            };
             let what = format!("{:?} on {name}", hints.engine);
             assert_eq!(
                 counted.0,

@@ -122,12 +122,8 @@ fn lent_pieces_profile_like_the_staged_window() {
             let byte = Datatype::byte();
             f.write_at_all(0, &data, total, &byte)
                 .expect("write_at_all");
-            // atomic mode keeps the collective read two-phase where the
-            // storage lends (else it is routed: the `read_at` below)
-            f.set_atomicity(true);
             f.read_at_all(0, &mut back, total, &byte)
                 .expect("read_at_all");
-            f.set_atomicity(false);
             f.write_at(0, &data, total, &byte).expect("write_at");
             comm.barrier();
             f.read_at(0, &mut back, total, &byte).expect("read_at");

@@ -189,8 +189,8 @@ fn engines_agree_collective() {
         };
         let steps = rng.range(1, 3);
 
-        // (on the lending file the listless read-back is routed, on the
-        // staging one it is two-phase)
+        // (the lending file's windows are worked on in place, the staging
+        // one's staged)
         let mut snaps = Vec::new();
         for (hints, staged) in [
             (Hints::list_based().cb_buffer(cb), false),

@@ -84,10 +84,11 @@ fn large_allocs_in(comm: &Comm, mut op: impl FnMut()) -> usize {
     n
 }
 
-/// The large blocks the first collective write on a fresh file takes —
-/// nothing is recycled yet, so every buffer of the op is an allocation.
-/// The user buffer is half-dense (`strided`) or the stream itself.
-fn large_allocs_of_cold_write(shared: SharedFile, hints: Hints, strided: bool) -> usize {
+/// The large blocks the first collective write — or, `read`, the first
+/// collective read — on a fresh file takes: nothing is recycled yet, so
+/// every buffer of the op is an allocation. The user buffer is half-dense
+/// (`strided`) or the stream itself.
+fn large_allocs_of_cold_op(shared: SharedFile, hints: Hints, strided: bool, read: bool) -> usize {
     World::run(2, |comm| {
         let me = comm.rank() as u64;
         let mut f = File::open(comm, shared.clone(), hints).unwrap();
@@ -99,21 +100,27 @@ fn large_allocs_of_cold_write(shared: SharedFile, hints: Hints, strided: bool) -
         } else {
             (Datatype::byte(), BYTES)
         };
-        let data = pattern(memtype.extent() as usize * count as usize, me + 1);
+        let mut data = pattern(memtype.extent() as usize * count as usize, me + 1);
         large_allocs_in(comm, || {
-            f.write_at_all(0, &data, count, &memtype).unwrap();
+            if read {
+                f.read_at_all(0, &mut data, count, &memtype).unwrap();
+            } else {
+                f.write_at_all(0, &data, count, &memtype).unwrap();
+            }
         })
     })[0]
 }
 
-/// What the first collective write allocates, in words. List-based, each
-/// rank one 128 KiB message — the half of its data that changes ranks;
-/// listless, no message buffer at all — every rank lends its user buffer
-/// and each IOP places every AP's bytes from there. Either way the own half
-/// goes from the user buffer into the windows in one copy, strided user
-/// buffer or not; storage that lends its bytes needs no window buffer, a
-/// staging IOP takes its 128 KiB window on top — and, once slow storage has
-/// armed its write-behind lane, a second one and never a third.
+/// What the first collective write and read allocate, in words. List-based,
+/// each rank one 128 KiB message — the half of its data that changes ranks,
+/// a write's on its way out and a read's on its way back; listless, no
+/// message buffer at all — every rank lends its user buffer, whole to be
+/// read or in pieces to be written, and each IOP moves every AP's bytes
+/// there. Either way the own half goes between the user buffer and the
+/// windows in one copy, strided user buffer or not; storage that lends its
+/// bytes needs no window buffer, a staging IOP takes its 128 KiB window on
+/// top — and, once slow storage has armed a write's write-behind lane, a
+/// second one and never a third.
 #[test]
 fn an_in_place_collective_takes_only_message_buffers() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -126,24 +133,27 @@ fn an_in_place_collective_takes_only_message_buffers() {
         // (a file of the final size: growing it allocates stripes)
         let file = || MemFile::with_data(vec![0; 2 * BYTES as usize]);
         for strided in [false, true] {
-            let what = format!("{:?}, strided={strided}", hints.engine);
-            let lent = large_allocs_of_cold_write(SharedFile::new(file()), hints, strided);
-            assert_eq!(
-                lent, messages,
-                "{what}: the messages, nothing for the own share"
-            );
-            let staged =
-                large_allocs_of_cold_write(SharedFile::new(Staged(file())), hints, strided);
-            assert_eq!(staged, messages + 2, "{what}: and a window per IOP");
-            // four 64 KiB windows per IOP: the first is written inline and
-            // arms the lane, the other three alternate between two buffers
-            let (slow, _) = slow_staged(vec![0; 2 * BYTES as usize]);
-            let behind = large_allocs_of_cold_write(slow, hints.cb_buffer(LARGE), strided);
-            assert_eq!(
-                behind,
-                messages + 4,
-                "{what}: and two windows per armed lane"
-            );
+            for read in [false, true] {
+                let what = format!("{:?}, strided={strided}, read={read}", hints.engine);
+                let cold = |shared, hints| large_allocs_of_cold_op(shared, hints, strided, read);
+                let lent = cold(SharedFile::new(file()), hints);
+                assert_eq!(
+                    lent, messages,
+                    "{what}: the messages, nothing for the own share"
+                );
+                let staged = cold(SharedFile::new(Staged(file())), hints);
+                assert_eq!(staged, messages + 2, "{what}: and a window per IOP");
+                // four 64 KiB windows per IOP: the first write is inline and
+                // arms the lane, the other three alternate between two
+                // buffers; a read has no lane
+                let (slow, _) = slow_staged(vec![0; 2 * BYTES as usize]);
+                let windows = if read { 2 } else { 4 };
+                assert_eq!(
+                    cold(slow, hints.cb_buffer(LARGE)),
+                    messages + windows,
+                    "{what}: and two windows per armed lane"
+                );
+            }
         }
     }
 }

@@ -54,9 +54,8 @@ fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
     .unwrap()
 }
 
-/// A file that lends its bytes — its listless collective read is routed,
-/// each rank's own placement — and one that stages every window, whose read
-/// is two-phase: the span and edge rules hold on both.
+/// A file that lends its bytes — the IOPs work on its windows in place —
+/// and one that stages every window: the span and edge rules hold on both.
 fn both_storages() -> [SharedFile; 2] {
     [
         SharedFile::new(MemFile::new()),
@@ -222,43 +221,43 @@ fn in_place_ops_trace_places_and_no_requests() {
     });
 }
 
-/// A rank's own share of a collective is no message: the only
-/// edges from a rank to itself are the 16-byte headers to its own IOP
-/// side, and the critical-path analysis takes such an op like any other.
-/// A routed read has no IOP side: no header, no `exch.*` or `win` span
-/// under its root, and the analysis says which read it was.
+/// A rank's own share of a collective is no message: the only edges from
+/// a rank to itself are the 16-byte headers to its own IOP side, one per
+/// rank and op on either storage, and the critical-path analysis takes
+/// such an op like any other. The read is the write's mirror: an exchange
+/// and a window loop under every root, and one lending scope whose barrier
+/// ends it.
 #[test]
 fn the_own_share_makes_no_edge() {
     let hints = Hints::default();
     with_trace(|| {
-        for (shared, routed) in both_storages().into_iter().zip([true, false]) {
+        for shared in both_storages() {
             let tl = trace::merge(&traced_collective(hints, shared));
             let to_self = |e: &&trace::Edge| e.src_rank == e.dst_rank;
             let own: Vec<u64> = tl.edges.iter().filter(to_self).map(|e| e.bytes).collect();
-            let headers = if routed { 4 } else { 8 };
-            assert_eq!(
-                own,
-                vec![16; headers],
-                "one header per rank and two-phase op"
-            );
+            assert_eq!(own, vec![16; 8], "one header per rank and op");
             assert_eq!((tl.unmatched_sends, tl.unmatched_recvs), (0, 0));
             let reports = trace::critical_path(&tl);
             assert_eq!(reports.len(), 2, "a write and a read");
             assert!(reports.iter().all(|r| r.wall_ns > 0 && r.pack_ns > 0));
-            assert_eq!((reports[0].routed, reports[1].routed), (false, routed));
+            assert_eq!(
+                (reports[0].tag, reports[1].tag),
+                ("coll.write", "coll.read")
+            );
             // what lies under the read's root spans
             let roots: Vec<u64> = (tl.events.iter())
                 .filter(|ev| ev.tag == "coll.read" && matches!(ev.kind, trace::Kind::SpanBegin))
                 .map(|ev| ev.span_id)
                 .collect();
             assert_eq!(roots.len(), 4, "one root per rank");
-            let two_phase_children = (tl.events.iter())
-                .filter(|ev| roots.contains(&ev.parent))
-                .filter(|ev| ev.tag.starts_with("exch.") || ev.tag == "win")
-                .count();
-            assert_eq!(two_phase_children == 0, routed);
-            let table = trace::render_report(&reports, &tl);
-            assert_eq!(table.contains("read.routed"), routed, "{table}");
+            let children = |tag: &str| {
+                (tl.events.iter())
+                    .filter(|ev| matches!(ev.kind, trace::Kind::SpanBegin))
+                    .filter(|ev| roots.contains(&ev.parent) && ev.tag == tag)
+                    .count()
+            };
+            assert!(children("exch.send") > 0 && children("win") > 0);
+            assert_eq!(children("exch.barrier"), 4, "one scope's end per rank");
         }
     });
 }

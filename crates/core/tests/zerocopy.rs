@@ -1,10 +1,10 @@
-//! Zero-copy audit: a *contiguous* memtype must never route through the
+//! Zero-copy audit: a *contiguous* memtype must never go through the
 //! datatype pack machinery. The two-phase exchange lifts the bytes
 //! straight out of the user buffer, so `dt.pack.calls` / `dt.unpack.calls`
 //! stay at zero for the whole collective — any regression that
 //! reintroduces a pack on this path trips the counters. The audit runs
-//! on a `MemFile` (whose listless read-back is routed: each rank's own
-//! placement) and on staging storage (two-phase both ways).
+//! on a `MemFile` (whose windows the IOPs work on in place) and on staging
+//! storage.
 //!
 //! Runs as its own test binary so the process-global counters reflect
 //! exactly the collectives issued here.
@@ -87,12 +87,9 @@ fn contiguous_memtype_never_packs() {
         lio_obs::snapshot()
     });
     assert_eq!(
-        (
-            snap.counter("core.coll.read.calls"),
-            snap.counter("core.coll.read.routed")
-        ),
-        (2 * NPROCS as u64, NPROCS as u64),
-        "one read-back of each kind"
+        snap.counter("core.coll.read.calls"),
+        2 * NPROCS as u64,
+        "one read-back on each storage"
     );
     assert_eq!(
         snap.counter("dt.pack.calls"),
@@ -107,38 +104,47 @@ fn contiguous_memtype_never_packs() {
 }
 
 /// A genuinely non-contiguous memtype, each rank writing into the other's
-/// file domain: the list-based AP packs what changes ranks into a message
-/// (through its memtype's ol-list, so `core.coll.exchange.data_bytes`
-/// counts it), the listless one never packs a write — every IOP reads the
-/// bytes from the user buffer the AP lends, in one transfer. The audit has
-/// teeth: the listless two-phase read-back (on staging storage) unpacks
-/// each reply through the memtype, and `dt.unpack.calls` sees it.
+/// file domain and reading it back: the list-based AP packs what changes
+/// ranks into a message (through its memtype's ol-list, so
+/// `core.coll.exchange.data_bytes` counts it) and gets it back in one; the
+/// listless one never packs or unpacks — every IOP moves the bytes between
+/// the window and the user buffer the AP lends, whole to be read or in
+/// pieces to be written, in one transfer. The audit has teeth: a memtype
+/// whose blocks descend cannot be cut into pieces, so its listless
+/// read-back comes in a reply that is unpacked through the memtype, and
+/// `dt.unpack.calls` sees it.
 #[test]
 fn noncontig_memtype_does_pack() {
-    for hints in [Hints::list_based(), Hints::listless()] {
+    let strided = Datatype::vector(64, 8, 16, &Datatype::byte()).unwrap();
+    let descending = Datatype::hindexed(&[256, 256], &[300, 0], &Datatype::byte()).unwrap();
+    for (hints, mem) in [
+        (Hints::list_based(), &strided),
+        (Hints::listless(), &strided),
+        (Hints::listless(), &descending),
+    ] {
         let shared = SharedFile::new(common::Staged(MemFile::new()));
         let snap = counted(|| {
             World::run(2, |comm| {
                 let me = comm.rank() as u64;
-                let mem = Datatype::vector(64, 8, 16, &Datatype::byte()).unwrap();
                 let span = mem.extent() as usize;
                 let user = pattern(span, me + 1);
                 let mut f = File::open(comm, shared.clone(), hints).unwrap();
                 f.set_view(0, Datatype::byte(), Datatype::byte()).unwrap();
-                f.write_at_all((1 - me) * 512, &user, 1, &mem).unwrap();
+                f.write_at_all((1 - me) * 512, &user, 1, mem).unwrap();
                 let mut back = vec![0u8; span];
-                f.read_at_all((1 - me) * 512, &mut back, 1, &mem).unwrap();
+                f.read_at_all((1 - me) * 512, &mut back, 1, mem).unwrap();
             });
             lio_obs::snapshot()
         });
-        let what = format!("{:?}", hints.engine);
-        let read_exchanged = 2 * 512;
-        let write_exchanged = match hints.engine {
-            Engine::ListBased => 2 * 512,
+        let in_order = mem.is_monotone();
+        let what = format!("{:?}, in order: {in_order}", hints.engine);
+        let (write_exchanged, read_exchanged) = match hints.engine {
+            Engine::ListBased => (2 * 512, 2 * 512),
             Engine::Listless => {
                 assert_eq!(snap.counter("dt.pack.calls"), 0, "{what}: a write packed");
-                assert!(snap.counter("dt.unpack.calls") > 0, "{what}: no unpack");
-                0
+                let unpacked = snap.counter("dt.unpack.calls") > 0;
+                assert_eq!(unpacked, !in_order, "{what}: unpacked a reply");
+                (0, if in_order { 0 } else { 2 * 512 })
             }
         };
         assert_eq!(
@@ -150,8 +156,8 @@ fn noncontig_memtype_does_pack() {
 }
 
 /// A layout an IOP decoded is kept: the memtype a rank lends in every
-/// write is decoded, and its run program compiled, by the first write on
-/// the file and never again.
+/// write and every read is decoded, and its run program compiled, by the
+/// file's first write and first read and never again.
 #[test]
 fn a_lent_memtype_compiles_once() {
     let shared = SharedFile::new(MemFile::new());
@@ -160,12 +166,14 @@ fn a_lent_memtype_compiles_once() {
             let me = comm.rank() as u64;
             let mem = Datatype::vector(64, 8, 16, &Datatype::byte()).unwrap();
             let user = pattern(mem.extent() as usize, me + 1);
+            let mut back = vec![0u8; user.len()];
             let mut f = File::open(comm, shared.clone(), Hints::listless()).unwrap();
             f.set_view(0, Datatype::byte(), Datatype::byte()).unwrap();
             let mut programs = Vec::new();
             for op in 0..4 {
-                f.write_at_all((1 - me) * 512 + op * 1024, &user, 1, &mem)
-                    .unwrap();
+                let at = (1 - me) * 512 + op * 1024;
+                f.write_at_all(at, &user, 1, &mem).unwrap();
+                f.read_at_all(at, &mut back, 1, &mem).unwrap();
                 comm.barrier();
                 programs.push(lio_obs::snapshot().counter("dt.compile.programs"));
                 comm.barrier();
@@ -173,9 +181,9 @@ fn a_lent_memtype_compiles_once() {
             programs
         })
     });
-    assert!(compiled[0][0] > 0, "the first write compiles");
+    assert!(compiled[0][0] > 0, "the first ops compile");
     assert!(
         compiled.iter().all(|p| p.iter().all(|&n| n == p[0])),
-        "a later write compiled: {compiled:?}"
+        "a later write or read compiled: {compiled:?}"
     );
 }

@@ -384,9 +384,9 @@ pub fn ff_transfer_from(
     n: usize,
 ) -> usize {
     let to = utype.program();
-    let (moved, _) = d
-        .program()
-        .transfer_out_of(src, buf_disp, count, skipbytes, to, user, ucount, uskip, n);
+    let (moved, _) = d.program().transfer_out_of(
+        src, buf_disp, count, skipbytes, to, user, 0, ucount, uskip, n,
+    );
     moved
 }
 

@@ -288,6 +288,9 @@ impl RunProgram {
     /// The inverse of [`RunProgram::transfer_into`]: move up to `n` stream
     /// bytes of `count` tiled instances in `src` straight into the typed
     /// user buffer — [`RunProgram::pack_into`] without the pack buffer.
+    /// `user[0]` is byte `user_at` of the buffer the user type lays out, as
+    /// `src[0]` lies at `buf_disp` of this one: `user` may be the piece of
+    /// that buffer which holds the bytes moved.
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_out_of(
         &self,
@@ -297,11 +300,16 @@ impl RunProgram {
         skip: u64,
         to: &RunProgram,
         user: &mut [u8],
+        user_at: usize,
         ucount: u64,
         uskip: u64,
         n: usize,
     ) -> (usize, u64) {
-        let ends = ToUser { window: src, user };
+        let ends = ToUser {
+            window: src,
+            user,
+            at: user_at,
+        };
         let x = Transfer::new(Stretches::new(to, ucount, uskip), n, ends);
         self.run(x, buf_disp, count, skip)
     }

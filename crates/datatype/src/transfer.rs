@@ -288,6 +288,8 @@ impl Ends for ToWindow<'_> {
 pub(crate) struct ToUser<'a> {
     pub window: &'a [u8],
     pub user: &'a mut [u8],
+    /// The user type's buffer position of `user[0]`: `user` may be a piece.
+    pub at: usize,
 }
 
 impl Ends for ToUser<'_> {
@@ -297,7 +299,7 @@ impl Ends for ToUser<'_> {
 
     #[inline]
     fn mv(&mut self, m: Move, fixed: bool) {
-        let (src, dst) = (&self.window[m.w..], &mut self.user[m.u..]);
+        let (src, dst) = (&self.window[m.w..], &mut self.user[m.u - self.at..]);
         strided_copy(src, m.ws, dst, m.us, m.block, m.n, fixed);
     }
 }

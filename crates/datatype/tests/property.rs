@@ -664,8 +664,52 @@ fn transfer_is_pack_then_unpack(
     assert_eq!(got, want, "user bytes; {}", ctx());
 }
 
-/// Every skip on both sides and every cut length, over the whole window.
+/// A window -> user transfer into the piece of the user buffer that the
+/// bytes it moves occupy — `user[0]` at that piece's displacement — leaves
+/// there what the transfer into the whole buffer does.
+fn a_user_piece_is_the_whole_buffer_there(
+    user: &Side,
+    uskip: u64,
+    win: &Side,
+    wskip: u64,
+    n: usize,
+    ctx: impl Fn() -> String,
+) {
+    let (ut, wt) = (&user.dtype, &win.dtype);
+    let src = win.fill(3);
+    let mut whole = user.fill(4);
+    let moved = ff_transfer_from(
+        &src, 0, win.count, wt, wskip, &mut whole, user.count, ut, uskip, n,
+    );
+    if moved == 0 {
+        return;
+    }
+    let lo = ff_offset(ut, uskip) as usize;
+    let hi = ff_offset(ut, uskip + moved as u64 - 1) as usize + 1;
+    let mut piece = user.fill(4)[lo..hi].to_vec();
+    let (put, _) = wt.program().transfer_out_of(
+        &src,
+        0,
+        win.count,
+        wskip,
+        ut.program(),
+        &mut piece,
+        lo,
+        user.count,
+        uskip,
+        moved,
+    );
+    assert_eq!(put, moved, "bytes to the piece; {}", ctx());
+    assert_eq!(piece, whole[lo..hi], "piece bytes; {}", ctx());
+}
+
+/// Every skip on both sides and every cut length, over the whole window;
+/// where the user's bytes lie in stream order, into pieces of its buffer
+/// too.
 fn all_skips_and_cuts(user: &Side, win: &Side, ctx: &str) {
+    let ut = &user.dtype;
+    let in_order =
+        ut.is_monotone() && (user.count <= 1 || ut.data_ub() - ut.data_lb() <= ut.extent() as i64);
     for uskip in 0..=user.total() {
         for wskip in 0..=win.total() {
             // one past what either stream holds: the transfer must stop
@@ -673,6 +717,9 @@ fn all_skips_and_cuts(user: &Side, win: &Side, ctx: &str) {
             for n in 0..=most {
                 let ctx = || format!("{ctx} uskip={uskip} wskip={wskip} n={n}");
                 transfer_is_pack_then_unpack(user, uskip, win, wskip, (0, win.span), n, ctx);
+                if in_order {
+                    a_user_piece_is_the_whole_buffer_there(user, uskip, win, wskip, n, ctx);
+                }
             }
         }
     }

@@ -6,8 +6,9 @@
 //! *volume* — the quantity the paper's two-phase analysis hinges on — is
 //! counted per message, with shared-memory transport standing in for the
 //! SX's internode crossbar. Bytes that need not travel at all are lent
-//! instead ([`Comm::lend`], `crate::lend`): a peer reads them where they
-//! lie, and no message or byte count sees them.
+//! instead ([`Comm::lend`], [`Comm::lend_mut`], `crate::lend`): a peer
+//! reads or writes them where they lie, and no message or byte count sees
+//! them.
 //!
 //! Besides blocking `send`/`recv`, the communicator offers nonblocking
 //! operations ([`Comm::isend`], [`Comm::irecv`]) returning [`Request`]

@@ -12,10 +12,11 @@
 //!   volume is physically realized and counted ([`Comm::stats`]);
 //! * collectives (barrier, bcast, gather, allgather, alltoall, allreduce)
 //!   are built on point-to-point, as in an MPI library;
-//! * a lending scope ([`Comm::lend`]) lets every rank read the bytes every
-//!   rank lent where they lie — the one thing threads of one address space
-//!   can do that processes cannot, made sound by a closing barrier and a
-//!   borrow the scope cannot outlive;
+//! * lending scopes let every rank read the bytes every rank lent
+//!   ([`Comm::lend`]), or write the piece each rank lent it alone
+//!   ([`Comm::lend_mut`]), where they lie — the one thing threads of one
+//!   address space can do that processes cannot, made sound by a closing
+//!   barrier and a borrow the scope cannot outlive;
 //! * a deterministic fault injector ([`CommFaultPlan`]) perturbs delivery
 //!   (duplicates, delays, `wait_any` completion order) without violating
 //!   the semantics correct programs rely on.
@@ -31,5 +32,5 @@ pub mod world;
 
 pub use comm::{Comm, CommStats, Request, ANY_SOURCE};
 pub use fault::{CommFaultPlan, CommFaultStats};
-pub use lend::Lent;
+pub use lend::{Lent, LentMut};
 pub use world::World;

@@ -1,10 +1,13 @@
 //! `Comm::lend`: every rank reads the slice every rank lent, the scope
 //! ends in a barrier on every path, and a rank that dies does not leave
-//! its peers waiting. (That a lent slice cannot leave its scope is the
-//! `compile_fail` example in `lend.rs`'s module docs.)
+//! its peers waiting. `Comm::lend_mut`: rank `i` writes piece `i` of every
+//! lender, once, and the same holds. (That a lent slice or a taken piece
+//! cannot leave its scope are the `compile_fail` examples in `lend.rs`'s
+//! docs.)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use lio_mpi::World;
@@ -120,5 +123,133 @@ fn a_rank_gone_before_it_lends_is_no_lender_to_wait_for() {
 fn scopes_do_not_nest() {
     World::run(1, |comm| {
         comm.lend(&[1], |_| comm.lend(&[2], |_| ()));
+    });
+}
+
+/// The length of piece `i` that rank `r` lends: 0, 1 or 2 bytes, so that
+/// every P has empty pieces.
+fn piece_len(r: usize, i: usize) -> usize {
+    (r + 2 * i) % 3
+}
+
+/// What rank `taker` writes into the piece rank `lender` lent it.
+fn written(lender: usize, taker: usize) -> u8 {
+    (16 * lender + taker + 1) as u8
+}
+
+#[test]
+fn every_rank_writes_the_piece_every_rank_lent_it() {
+    for p in [1, 2, 4] {
+        World::run(p, |comm| {
+            let me = comm.rank();
+            for s in 0..3 {
+                // a gap byte before every piece, which nobody may touch
+                let lens: Vec<usize> = (0..p).map(|i| piece_len(me + s, i)).collect();
+                let mut mine = vec![0xEEu8; lens.iter().map(|n| n + 1).sum()];
+                let mut pieces = Vec::new();
+                let mut rest = mine.as_mut_slice();
+                for &n in &lens {
+                    let (piece, tail) = rest[1..].split_at_mut(n);
+                    pieces.push(piece);
+                    rest = tail;
+                }
+                comm.lend_mut(pieces, |lent| {
+                    for r in 0..p {
+                        let piece = lent.take(r);
+                        assert_eq!(piece.len(), piece_len(r + s, me), "p={p} scope {s}");
+                        piece.fill(written(r, me));
+                    }
+                });
+                let mut want = Vec::new();
+                for (i, &n) in lens.iter().enumerate() {
+                    want.push(0xEE);
+                    want.extend(std::iter::repeat_n(written(me, i), n));
+                }
+                assert_eq!(mine, want, "p={p} scope {s} rank {me}");
+            }
+        });
+    }
+}
+
+#[test]
+fn a_rank_beyond_the_last_piece_takes_an_empty_one() {
+    World::run(3, |comm| {
+        let me = comm.rank();
+        // rank 0 lends one piece, rank 1 none, rank 2 one for each rank
+        let mut mine = [0u8; 3];
+        let pieces = match me {
+            0 => vec![&mut mine[..2]],
+            1 => Vec::new(),
+            _ => mine.chunks_mut(1).collect(),
+        };
+        comm.lend_mut(pieces, |lent| {
+            let lens: Vec<usize> = (0..3).map(|r| lent.take(r).len()).collect();
+            let from_0 = if me == 0 { 2 } else { 0 };
+            assert_eq!(lens, [from_0, 0, 1], "rank {me}");
+        });
+    });
+}
+
+#[test]
+#[should_panic(expected = "was taken before")]
+fn a_piece_is_taken_once() {
+    World::run(1, |comm| {
+        let mut mine = [0u8; 4];
+        comm.lend_mut(vec![&mut mine[..]], |lent| {
+            let first = lent.take(0);
+            let second = lent.take(0);
+            first[0] = second[0];
+        });
+    });
+}
+
+/// A buffer that says what it held when it is freed.
+struct Keep(Vec<u8>, &'static Mutex<Vec<u8>>);
+
+impl Drop for Keep {
+    fn drop(&mut self) {
+        *self.1.lock().unwrap() = self.0.clone();
+    }
+}
+
+#[test]
+fn a_rank_that_panics_in_the_scope_lends_until_its_peer_has_written() {
+    static UNWOUND: AtomicBool = AtomicBool::new(false);
+    static HELD: Mutex<Vec<u8>> = Mutex::new(Vec::new());
+    let said = panic_of(2, |comm| {
+        let mut mine = Keep(vec![0; 4], &HELD);
+        let pieces = mine.0.chunks_mut(2).collect();
+        comm.lend_mut(pieces, |lent| {
+            if comm.rank() == 1 {
+                let _left = Flag(&UNWOUND);
+                panic!("rank 1 fails inside the scope");
+            }
+            // rank 1 has unwound out of its closure; its pieces stay lent
+            while !UNWOUND.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            lent.take(1).copy_from_slice(&[7, 8]);
+        });
+        if comm.rank() == 0 {
+            std::mem::forget(mine);
+        }
+    });
+    assert!(said.contains("rank 1 fails"), "{said}");
+    assert_eq!(
+        *HELD.lock().unwrap(),
+        [7, 8, 0, 0],
+        "rank 1 freed its bytes"
+    );
+}
+
+#[test]
+#[should_panic(expected = "other kind")]
+fn both_kinds_of_scope_do_not_mix() {
+    World::run(2, |comm| {
+        if comm.rank() == 0 {
+            comm.lend(&[1], |lent| lent.get(1).len());
+        } else {
+            comm.lend_mut(vec![&mut [0u8][..]], |lent| lent.take(0).len());
+        }
     });
 }

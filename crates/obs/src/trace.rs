@@ -552,7 +552,7 @@ fn arg_names(tag: &str) -> (&'static str, &'static str, &'static str) {
         "pfs.read" | "pfs.write" => ("bytes", "modelled_ns", "spin_ns"),
         "pfs.retry" => ("attempt", "backoff_ns", "c"),
         "win" => ("window", "bytes", "c"),
-        "coll.read" | "coll.write" => ("bytes", "routed", "c"),
+        "coll.read" | "coll.write" => ("bytes", "b", "c"),
         "io.read" | "io.write" | "pack.place" => ("window", "bytes", "c"),
         _ => ("a", "b", "c"),
     }
@@ -686,10 +686,6 @@ pub struct OpReport {
     pub index: usize,
     /// `coll.write` or `coll.read`.
     pub tag: &'static str,
-    /// A read that was each rank's own placement (the root span closed
-    /// with `routed` set): it has no `exch.*` or `win` children, and its
-    /// exchange time is the opening allgather alone.
-    pub routed: bool,
     /// Slowest rank's wall time for this op.
     pub wall_ns: u64,
     /// The rank that bounded the op.
@@ -744,7 +740,6 @@ pub fn critical_path(t: &Timeline) -> Vec<OpReport> {
     // pair spans: id -> (begin event index, end ts)
     let mut begin: HashMap<u64, usize> = HashMap::new();
     let mut spans: Vec<(usize, u64)> = Vec::new(); // (begin idx, end ts)
-    let mut routed: Vec<u64> = Vec::new(); // ids of roots that closed routed
     for (i, ev) in t.events.iter().enumerate() {
         match ev.kind {
             Kind::SpanBegin => {
@@ -753,9 +748,6 @@ pub fn critical_path(t: &Timeline) -> Vec<OpReport> {
             Kind::SpanEnd => {
                 if let Some(b) = begin.remove(&ev.span_id) {
                     spans.push((b, ev.ts));
-                    if ev.tag == "coll.read" && ev.b != 0 {
-                        routed.push(ev.span_id);
-                    }
                 }
             }
             _ => {}
@@ -815,7 +807,6 @@ pub fn critical_path(t: &Timeline) -> Vec<OpReport> {
         reports.push(OpReport {
             index: k,
             tag: t.events[b].tag,
-            routed: routed.contains(&t.events[b].span_id),
             wall_ns: dur,
             bound_rank: rank,
             exchange_ns: exch,
@@ -839,7 +830,7 @@ pub fn render_report(reports: &[OpReport], tl: &Timeline) -> String {
         out.push_str(&format!(
             "{:>4} {:<11} {:>10.3} {:>5} {:>10.3} {:>10.3} {:>10.3}  {}\n",
             r.index,
-            if r.routed { "read.routed" } else { r.tag },
+            r.tag,
             r.wall_ns as f64 / 1e6,
             r.bound_rank,
             r.exchange_ns as f64 / 1e6,
