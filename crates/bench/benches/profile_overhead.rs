@@ -1,7 +1,7 @@
 //! Cost of access-pattern-profiler instrumentation on the collective
 //! write path.
 //!
-//! Same acceptance bar as `obs_overhead` / `trace_overhead`: with
+//! Same acceptance bar as `trace_overhead`: with
 //! profiling *disabled* the hooks (one relaxed atomic load per record
 //! site) must be within noise (< 2%) of the uninstrumented baseline.
 //! The hooks are compiled in, so the closest measurable baseline is the

@@ -1,7 +1,7 @@
 //! Cost of trace instrumentation on the collective-write path.
 //!
-//! The acceptance bar mirrors `obs_overhead`: with tracing *disabled*
-//! the hooks (one relaxed atomic load per site) must be within noise
+//! The acceptance bar: with tracing *disabled* the hooks (one relaxed
+//! atomic load per site) must be within noise
 //! (< 2%) of the uninstrumented baseline. The hooks are compiled in, so
 //! the closest measurable baseline is the same collective measured twice
 //! with tracing off — the run-to-run delta bounds the noise floor, and

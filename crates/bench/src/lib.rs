@@ -1,10 +1,11 @@
 //! # lio-bench — benchmark harness
 //!
-//! Self-contained micro-benchmarks (pack, flatten, navigate, sieve, ...)
-//! plus the `repro` runner that regenerates every figure and table of the
-//! paper. The [`harness`] module is a minimal timing loop standing in for
-//! an external bench framework: calibrated batch sizes, median-of-samples
-//! reporting, and throughput lines, with no dependencies.
+//! Self-contained micro-benchmarks (pack, the write-behind pipeline and the
+//! five `*_overhead` gates) plus the `repro` runner that regenerates every
+//! figure and table of the paper. The [`harness`] module is a minimal
+//! timing loop standing in for an external bench framework: calibrated
+//! batch sizes, median-of-samples reporting, and throughput lines, with no
+//! dependencies.
 
 pub mod harness;
 pub mod pipebench;

@@ -58,6 +58,7 @@ use std::cell::{RefCell, RefMut};
 use std::thread::Scope;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
+use lio_datatype::kernels::claim_ahead;
 use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field};
 use lio_mpi::{Comm, Lent, LentMut};
 use lio_obs::LazyCounter;
@@ -749,6 +750,7 @@ fn iop_write_listbased<'s>(
                     health::beat(HbPhase::Pack);
                     for (r, end) in recv.iter_mut().zip(ends) {
                         r.walk(at, at + piece.len() as u64, |runs, o| {
+                            claim_ahead(piece, o.clone());
                             runs.read(end.user, &mut piece[o])
                         });
                     }

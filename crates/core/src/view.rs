@@ -21,6 +21,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
+use lio_datatype::kernels::claim_ahead;
 use lio_datatype::typemap::Run;
 use lio_datatype::{bytes_below_tiled, ff_offset, Datatype, OlList};
 
@@ -139,6 +140,7 @@ impl ViewNav {
             ViewNav::List(nav) => {
                 let mut from = src.packer.runs_from(stream0 - src.stream_start);
                 walk_runs(nav.runs_from(stream0), n, win_start, filebuf.len(), |at| {
+                    claim_ahead(filebuf, at.clone());
                     from.read(src.user, &mut filebuf[at])
                 })
             }

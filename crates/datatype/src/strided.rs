@@ -253,6 +253,7 @@ impl Xfer for Scatter<'_> {
 
     #[inline]
     fn copy(&mut self, t: usize, c: usize, n: usize) {
+        kernels::claim_ahead(self.typed, t..t + n);
         self.typed[t..t + n].copy_from_slice(&self.contig[c..c + n]);
     }
 

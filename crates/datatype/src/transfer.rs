@@ -277,10 +277,20 @@ impl Ends for ToWindow<'_> {
         self.window.len()
     }
 
+    /// A run long enough to claim the window lines after it is stored
+    /// one block at a time, each behind its claim.
     #[inline]
     fn mv(&mut self, m: Move, fixed: bool) {
-        let (src, dst) = (&self.user[m.u..], &mut self.window[m.w..]);
-        strided_copy(src, m.us, dst, m.ws, m.block, m.n, fixed);
+        if m.block < *kernels::CLAIM_RUNS.start() {
+            let (src, dst) = (&self.user[m.u..], &mut self.window[m.w..]);
+            strided_copy(src, m.us, dst, m.ws, m.block, m.n, fixed);
+            return;
+        }
+        for i in 0..m.n {
+            let (w, u) = (m.w + i * m.ws, m.u + i * m.us);
+            kernels::claim_ahead(self.window, w..w + m.block);
+            self.window[w..w + m.block].copy_from_slice(&self.user[u..u + m.block]);
+        }
     }
 }
 

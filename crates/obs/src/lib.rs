@@ -12,8 +12,8 @@
 //! [`LazyGauge`], [`LazyHistogram`]) naming the metric; the handle registers
 //! itself in the global [`Registry`] on first use. Every recording method is
 //! gated on the global [`enabled`] flag, so the **disabled cost is one
-//! relaxed atomic load and a predictable branch** — verified by the
-//! `obs_overhead` bench in `lio-bench`.
+//! relaxed atomic load and a predictable branch** (no bench times it on
+//! its own: the `*_overhead` gates of `lio-bench` run with it off).
 //!
 //! Enable programmatically with [`set_enabled`], via the `LIO_OBS`
 //! environment variable (checked by [`init_from_env`]), or through the

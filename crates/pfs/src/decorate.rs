@@ -405,8 +405,7 @@ impl FaultPlan {
 /// wrap an `Arc<MemFile>` to keep an injection-free handle for snapshots.
 ///
 /// An inactive plan takes a single-branch fast path, so a `FaultyFile`
-/// left in place costs nothing measurable (gated by the `fault_overhead`
-/// bench, same style as `obs_overhead`).
+/// left in place costs one predictable branch per request.
 pub struct FaultyFile<F> {
     inner: F,
     plan: FaultPlan,
@@ -502,8 +501,8 @@ impl<F: StorageFile> FaultyFile<F> {
 }
 
 impl<F: StorageFile> StorageFile for FaultyFile<F> {
-    // The inactive paths must cost a single predictable branch — gated by
-    // the `fault_overhead` bench — so keep them inlinable.
+    // The inactive paths must cost a single predictable branch, so keep
+    // them inlinable.
     #[inline]
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
         if !self.active {

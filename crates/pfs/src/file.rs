@@ -158,11 +158,32 @@ pub struct MemFile {
 #[derive(Default)]
 struct Stripes {
     len: u64,
-    stripes: Vec<RwLock<Box<[u8]>>>,
+    stripes: Vec<RwLock<Stripe>>,
 }
 
-fn zeroed_stripe() -> RwLock<Box<[u8]>> {
-    RwLock::new(vec![0u8; STRIPE].into_boxed_slice())
+/// One stripe's bytes, starting on a cache line: a window piece lent from
+/// a stripe boundary then has its blocks on the same 64-byte grid as the
+/// file offsets they mirror.
+struct Stripe {
+    buf: Box<[u8]>,
+    /// Where the stripe's first byte lies in `buf`.
+    at: usize,
+}
+
+impl Stripe {
+    fn zeroed() -> RwLock<Stripe> {
+        let buf = vec![0u8; STRIPE + 63].into_boxed_slice();
+        let at = buf.as_ptr().align_offset(64);
+        RwLock::new(Stripe { buf, at })
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.at..self.at + STRIPE]
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.buf[self.at..self.at + STRIPE]
+    }
 }
 
 /// The stripes under `[offset, offset + n)`, in ascending order, as
@@ -185,7 +206,7 @@ impl Stripes {
     /// Extend to `len` bytes; the new bytes read as zeros.
     fn grow(&mut self, len: u64) {
         let need = len.div_ceil(STRIPE as u64) as usize;
-        self.stripes.resize_with(need, zeroed_stripe);
+        self.stripes.resize_with(need, Stripe::zeroed);
         self.len = len;
     }
 
@@ -197,7 +218,7 @@ impl Stripes {
         if inside > 0 {
             let last = self.stripes[need - 1].get_mut().expect(POISONED);
             let dirty = (self.len - (len - inside as u64)).min(STRIPE as u64) as usize;
-            last[inside..dirty].fill(0);
+            last.bytes_mut()[inside..dirty].fill(0);
         }
         self.len = len;
     }
@@ -208,7 +229,7 @@ impl Stripes {
         let mut at = offset;
         for (s, inside, n) in pieces(offset, n) {
             let stripe = self.stripes[s].read().expect(POISONED);
-            f(at, &stripe[inside..inside + n]);
+            f(at, &stripe.bytes()[inside..inside + n]);
             at += n as u64;
         }
     }
@@ -218,7 +239,7 @@ impl Stripes {
         let mut at = offset;
         for (s, inside, n) in pieces(offset, n) {
             let mut stripe = self.stripes[s].write().expect(POISONED);
-            f(at, &mut stripe[inside..inside + n]);
+            f(at, &mut stripe.bytes_mut()[inside..inside + n]);
             at += n as u64;
         }
     }
@@ -613,6 +634,28 @@ mod tests {
                 assert_eq!(f.read_at(end, &mut all).unwrap(), 0);
             }
         }
+    }
+
+    #[test]
+    fn memfile_lends_stripes_on_the_cache_line_grid() {
+        // a grown stripe, a prefilled one and one grown by a lend
+        let f = MemFile::with_data(vec![3u8; STRIPE + 10]);
+        f.write_at(3 * STRIPE as u64, b"end").unwrap();
+        let mut firsts = Vec::new();
+        let mut note = |at: u64, piece: &[u8]| {
+            if at.is_multiple_of(STRIPE as u64) {
+                firsts.push((at, piece.as_ptr() as usize % 64));
+            }
+        };
+        f.with_range(0, f.len(), &mut note).unwrap();
+        f.with_range_mut(STRIPE as u64, 5 * STRIPE as u64, &mut |at, p| note(at, p))
+            .unwrap();
+        let s = STRIPE as u64;
+        let want: Vec<(u64, usize)> = [0, s, 2 * s, 3 * s, s, 2 * s, 3 * s, 4 * s]
+            .iter()
+            .map(|&at| (at, 0))
+            .collect();
+        assert_eq!(firsts, want);
     }
 
     #[test]
