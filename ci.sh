@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, then the tier-1 gate (see ROADMAP.md).
 # Usage: ./ci.sh
-# A full run with warm build directories takes about 3 minutes on the
-# 2-vCPU box (3 min 2 s to `CI OK`; the three disabled-cost gates may
-# print CHECK (noisy host), which does not fail the run; the `lent_write`
-# and `lent_read` corpora in the
+# A full run with warm build directories takes about 3½ minutes on the
+# 2-vCPU box (3 min 37 s to `CI OK`; the three disabled-cost gates may
+# print CHECK (noisy host), which does not fail the run; `claim` in the
+# real-file and pack-kernel reruns, and the `lent_write` and `lent_read`
+# corpora in the
 # backend, pack-kernel and fault reruns included). PR 26 also dropped the
 # `BENCH_*.json` baseline comparison, which stopped PRs 22, 24 and 25 on
 # rows none of them touched (ROADMAP item 8(a) does the rest: the benchmark
@@ -30,12 +31,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `LentMut::take` the piece another rank lent this one to be written —
 # each sound by the scope's borrow and its closing barrier, `take` also by
 # the pieces' disjointness and its one taker (their SAFETY comments).
-# `datatype`'s 22nd is the write prefetch under `kernels::claim_ahead`: a
+# `datatype`'s 22nd is the prefetch under `kernels::claim_ahead`: a
 # prefetch hint never faults, and its address is taken from inside the
-# window slice.
+# buffer slice. Its 23rd and 24th are what streaming a placement's whole
+# lines needs (`kernels::stream_lines`, `kernels::fence`): the
+# non-temporal stores and their loads, sound by the slices' bounds and the
+# asserted 64-byte alignment, and the `sfence` that orders them, which
+# touches no memory.
 echo "== unsafe census"
 declare -A reviewed=(
-  [bench]=0 [btio]=0 [core]=0 [datatype]=22 [mpi]=2
+  [bench]=0 [btio]=0 [core]=0 [datatype]=24 [mpi]=2
   [noncontig]=0 [obs]=0 [pfs]=6 [testkit]=0
 )
 for src in crates/*/src; do
@@ -54,7 +59,7 @@ done
 # against the number reviewed. A new one raises the number here, where the
 # diff shows it, and owes a bench on which it changes the answer.
 echo "== LIO_* knob census"
-reviewed_knobs=13
+reviewed_knobs=12
 knobs=$(grep -rhoE --include='*.rs' 'LIO_[A-Z_]+' crates/*/src | sort -u)
 n=$(echo "$knobs" | grep -c .)
 echo "  $n (reviewed: $reviewed_knobs):" $knobs
@@ -99,8 +104,8 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # same three axes.
 # These are debug builds, so the scratch arena's 0xA5 poison is on.
 
-# Real-storage backend: the collective + pipeline + fault + geometry
-# suites again with every storage stack forced onto the mapped real file
+# Real-storage backend: the collective + pipeline + fault + geometry +
+# claim suites again with every storage stack forced onto the mapped real file
 # (`UnixFile::temp()`, an unlinked file in LIO_OS_DIR), once on tmpfs and
 # once on a real directory so both the fast-page-cache and the
 # ordinary-filesystem paths are exercised. The file lends a shared mapping
@@ -113,15 +118,17 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # read in these reruns. os_edge holds the real file's own
 # edge cases (EOF, zero-length and odd-shaped accesses against a MemFile
 # mirror, a seeded fault plan under the retry loops, and the mapping's
-# EOF, set_len, growth, sync + reopen). The fault-seed reruns at the end
+# EOF, set_len, growth, sync + reopen). `claim` places runs long enough to
+# stream their whole lines, on and off the line grid, into those mapped
+# pages. The fault-seed reruns at the end
 # set no LIO_BACKEND, so they run on `mem`. Cross-backend equivalence
 # itself is the backend corpus: the same differential cases must produce
 # byte-identical files under every backend.
 mkdir -p target/lio-os-ci
 for osdir in /dev/shm "$PWD/target/lio-os-ci"; do
-  echo "== collective/pipeline/faults suites under LIO_BACKEND=os LIO_OS_DIR=$osdir"
+  echo "== collective/pipeline/faults/geometry/claim suites under LIO_BACKEND=os LIO_OS_DIR=$osdir"
   LIO_BACKEND=os LIO_OS_DIR=$osdir \
-    cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry
+    cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test claim
   echo "== real-file edge suite under LIO_OS_DIR=$osdir"
   LIO_OS_DIR=$osdir cargo test -q -p lio-pfs --test os_edge
 done
@@ -143,9 +150,9 @@ done
 # every mode in turn); the corpora above it reach the transfer through
 # every sieved access and every collective's own share.
 for pk in scalar auto; do
-  echo "== collective/pipeline/faults/inplace/own_share/lent_write/lent_read/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
+  echo "== collective/pipeline/faults/inplace/own_share/lent_write/lent_read/claim/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
   LIO_PACK_KERNEL=$pk \
-    cargo test -q -p lio-core --test collective --test pipeline --test faults --test inplace --test own_share --test lent_write --test lent_read
+    cargo test -q -p lio-core --test collective --test pipeline --test faults --test inplace --test own_share --test lent_write --test lent_read --test claim
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-datatype
   LIO_PACK_KERNEL=$pk cargo test -q -p listless-io --test strided_copy
 done

@@ -34,29 +34,11 @@ struct Opts {
 fn main() {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_else(|| usage());
-    // subcommands taking positional paths, not figure options
-    match cmd.as_str() {
-        "validate-json" => {
-            let path = args.next().unwrap_or_else(|| usage());
-            validate_json(&path);
-            return;
-        }
-        "bench-compare" => {
-            let mut fail = false;
-            let mut paths = Vec::new();
-            for a in args.by_ref() {
-                match a.as_str() {
-                    "--fail" => fail = true,
-                    _ => paths.push(a),
-                }
-            }
-            let [baseline, current] = paths.as_slice() else {
-                usage()
-            };
-            bench_compare(baseline, current, fail);
-            return;
-        }
-        _ => {}
+    // the subcommand taking a positional path, not figure options
+    if cmd == "validate-json" {
+        let path = args.next().unwrap_or_else(|| usage());
+        validate_json(&path);
+        return;
     }
     let mut opts = Opts {
         quick: false,
@@ -118,7 +100,7 @@ fn main() {
 fn usage() -> ! {
     eprintln!(
         "usage: repro fig5|fig6|fig7|fig8|table1|table2|table3|overheads|multidim|ablation|throttle|tileio|metrics|top|trace|profile|bench|all \
-         [--quick] [--data BYTES]\n       repro validate-json <file>\n       repro bench-compare [--fail] <baseline.json> <current.json>"
+         [--quick] [--data BYTES]\n       repro validate-json <file>"
     );
     std::process::exit(2);
 }
@@ -1404,109 +1386,6 @@ fn validate_json(path: &str) {
             eprintln!("{path}: INVALID JSON: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-/// `repro bench-compare [--fail] <baseline> <current>`: diff two
-/// schema-versioned `BENCH_*.json` files, matching entries by
-/// `(bench, config, metric)`, and flag time metrics that regressed by
-/// more than `LIO_BENCH_COMPARE_PCT` percent (default 15). With
-/// `--fail`, a regressed *end-to-end* metric (`wall_ns`/`median_ns`)
-/// names its `(bench, config, metric)` triple and the process exits
-/// nonzero — ci.sh runs every committed `BENCH_*.json` through this
-/// gate. Phase-breakdown slices (`pack_ns`, `io_ns`, …) always warn
-/// only: attribution legitimately shifts between lanes, and a
-/// sub-millisecond slice's run-to-run noise would gate on the host, not
-/// the code.
-fn bench_compare(baseline: &str, current: &str, fail: bool) {
-    use lio_obs::json::{parse, Value};
-
-    let load = |path: &str| -> Value {
-        let s = fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench-compare: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        parse(&s).unwrap_or_else(|e| {
-            eprintln!("bench-compare: {path} is not valid JSON: {e}");
-            std::process::exit(2);
-        })
-    };
-    let base = load(baseline);
-    let cur = load(current);
-    let version = |v: &Value| v.get("schema_version").and_then(|s| s.as_f64());
-    match (version(&base), version(&cur)) {
-        (Some(a), Some(b)) if a == b => {}
-        (a, b) => {
-            eprintln!(
-                "bench-compare: schema_version mismatch or missing \
-                 (baseline {a:?}, current {b:?}); refusing to diff"
-            );
-            std::process::exit(2);
-        }
-    }
-    let rows = |v: &Value| -> Vec<(String, f64, String)> {
-        v.get("entries")
-            .and_then(|e| e.as_arr())
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|e| {
-                        let key = format!(
-                            "{}/{}/{}",
-                            e.get("bench")?.as_str()?,
-                            e.get("config")?.as_str()?,
-                            e.get("metric")?.as_str()?
-                        );
-                        let unit = e.get("unit")?.as_str()?.to_string();
-                        Some((key, e.get("value")?.as_f64()?, unit))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let base_rows = rows(&base);
-    let cur_rows = rows(&cur);
-    let is_time = |unit: &str| matches!(unit, "ns" | "us" | "ms" | "s");
-    let threshold: f64 = std::env::var("LIO_BENCH_COMPARE_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15.0);
-    let gates = |key: &str| key.ends_with("/wall_ns") || key.ends_with("/median_ns");
-    let mut compared = 0usize;
-    let mut regressions = 0usize;
-    let mut warnings = 0usize;
-    for (key, cur_v, unit) in &cur_rows {
-        if !is_time(unit) {
-            continue;
-        }
-        let Some((_, base_v, _)) = base_rows.iter().find(|(k, _, _)| k == key) else {
-            continue;
-        };
-        if *base_v <= 0.0 {
-            continue;
-        }
-        compared += 1;
-        let pct = (cur_v - base_v) / base_v * 100.0;
-        if pct > threshold {
-            let gating = fail && gates(key);
-            if gating {
-                regressions += 1;
-            } else {
-                warnings += 1;
-            }
-            let tag = if gating { "REGRESSION" } else { "WARN" };
-            println!("{tag}: {key} regressed {pct:+.1}% ({base_v:.0} {unit} -> {cur_v:.0} {unit})");
-        }
-    }
-    println!(
-        "bench-compare: {compared} time metrics compared, {regressions} wall regressions and \
-         {warnings} warnings > {threshold}% ({baseline} -> {current})"
-    );
-    if fail && regressions > 0 {
-        eprintln!(
-            "bench-compare: FAIL — {regressions} (bench, config, metric) triples regressed \
-             more than {threshold}% against {baseline}; see REGRESSION lines above"
-        );
-        std::process::exit(1);
     }
 }
 

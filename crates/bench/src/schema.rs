@@ -2,23 +2,20 @@
 //!
 //! Every `BENCH_*.json` artifact at the workspace root is a flat list of
 //! `{bench, config, metric, value, unit, commit}` entries under a
-//! `schema_version` header, so runs from different commits can be
-//! compared mechanically: `repro bench-compare <baseline> <current>`
-//! matches entries by `(bench, config, metric)` and warns when a
-//! wall-time metric regressed by more than a threshold. Keeping the
-//! schema stable (append entries, never rename fields) is what makes the
-//! committed baselines a perf trajectory rather than a pile of logs.
+//! `schema_version` header, so entries of runs from different commits
+//! match by `(bench, config, metric)`. Keeping the schema stable (append
+//! entries, never rename fields) keeps old files readable. Nothing gates
+//! on these files: the `benchmark/` package judges performance.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// Bump only on incompatible field changes; `bench-compare` refuses to
-/// diff files with mismatched versions.
+/// Bump only on incompatible field changes, so that a reader can tell
+/// files it cannot compare.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// One measurement: which benchmark, which configuration of it, which
-/// metric, and the measured value. Time metrics must use an `ns`/`ms`
-/// unit so the regression comparator can find them.
+/// metric, and the measured value, in `unit` (time metrics in `ns`/`ms`).
 pub struct Entry {
     pub bench: String,
     pub config: String,
@@ -61,8 +58,7 @@ pub fn commit() -> String {
 }
 
 /// Render `entries` as a schema-versioned JSON document. `context` pairs
-/// (e.g. core counts) land in a `context` object, informational only —
-/// the comparator ignores them.
+/// (e.g. core counts) land in a `context` object, informational only.
 pub fn render(entries: &[Entry], context: &[(&str, String)]) -> String {
     let commit = commit();
     let mut json = String::from("{\n");

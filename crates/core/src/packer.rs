@@ -19,6 +19,7 @@
 use std::ops::Range;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
+use lio_datatype::kernels::{claim_ahead, Stores};
 use lio_datatype::{ff_offset, ff_pack, ff_unpack_at, serialize, Datatype, OlCursor, OlList};
 
 use crate::error::{IoError, Result};
@@ -263,27 +264,31 @@ pub(crate) enum UserRuns<'a> {
 }
 
 impl UserRuns<'_> {
-    /// Copy the next `dst.len()` stream bytes out of `user`; returns the
-    /// bytes copied, fewer only where a list ends.
+    /// Copy the next `dst.len()` stream bytes out of `user`, each run of
+    /// them stored into `dst` as `stores` says; returns the bytes copied,
+    /// fewer only where a list ends.
     #[inline]
-    pub fn read(&mut self, user: &[u8], dst: &mut [u8]) -> usize {
+    pub fn read(&mut self, user: &[u8], dst: &mut [u8], stores: &mut Stores) -> usize {
         match self {
             UserRuns::Contig(at) => {
-                dst.copy_from_slice(&user[*at..*at + dst.len()]);
+                stores.copy(dst, &user[*at..*at + dst.len()]);
                 *at += dst.len();
                 dst.len()
             }
-            UserRuns::List(cursor) => cursor.read(user, dst),
+            UserRuns::List(cursor) => cursor.read(user, dst, stores),
         }
     }
 
     /// Copy `src` to where the next `src.len()` stream bytes lie in
-    /// `user`; returns the bytes copied, as [`UserRuns::read`].
+    /// `user`, claiming the user lines after each run first
+    /// ([`claim_ahead`]); returns the bytes copied, as [`UserRuns::read`].
     #[inline]
     pub fn write(&mut self, user: &mut [u8], src: &[u8]) -> usize {
         match self {
             UserRuns::Contig(at) => {
-                user[*at..*at + src.len()].copy_from_slice(src);
+                let run = *at..*at + src.len();
+                claim_ahead(user, run.clone());
+                user[run].copy_from_slice(src);
                 *at += src.len();
                 src.len()
             }
@@ -400,12 +405,13 @@ mod tests {
         listed.pack(&user, 0, &mut stream);
         // a typed buffer in pieces; a message: the stream behind its header
         let (mut runs, mut got) = (listed.runs_from(3), [0u8; 7]);
+        let stores = &mut Stores::new(lio_datatype::kernels::Store::Cached);
         assert_eq!(
-            runs.read(&user, &mut got[..2]) + runs.read(&user, &mut got[2..]),
+            runs.read(&user, &mut got[..2], stores) + runs.read(&user, &mut got[2..], stores),
             7
         );
         assert_eq!(got, stream[3..10]);
-        assert_eq!(MESSAGE.runs_from(2).read(&user, &mut got), 7);
+        assert_eq!(MESSAGE.runs_from(2).read(&user, &mut got, stores), 7);
         assert_eq!(got, user[MSG_HEADER + 2..MSG_HEADER + 9]);
     }
 }

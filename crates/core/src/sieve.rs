@@ -132,7 +132,7 @@ fn write_contiguous_region(
     let grid = Windows::new(abs, abs + total, CONTIG_CHUNK);
     let mut io = WindowIo::new(storage, scratch, grid.max_len());
     for (win, win_end) in grid {
-        io.update(win, win_end, || true, &mut |at, piece| {
+        io.update(win, win_end, || true, &mut |at, piece, _| {
             let got = packer.pack(user, at - abs, piece);
             debug_assert_eq!(got, piece.len());
         })?;
@@ -154,7 +154,7 @@ fn write_direct(
     let mut io = WindowIo::new(storage, scratch, 0);
     let mut runs = DirectRuns::new(nav, stream_start, total);
     while let Some((abs, run_len, done)) = runs.next_run() {
-        io.update(abs, abs + run_len, || true, &mut |at, piece| {
+        io.update(abs, abs + run_len, || true, &mut |at, piece, _| {
             let got = packer.pack(user, done + (at - abs), piece);
             debug_assert_eq!(got, piece.len());
         })?;
@@ -275,10 +275,11 @@ fn write_sieved(
             win_start,
             win_end,
             || n == win_end - win_start,
-            &mut |at, piece| {
+            &mut |at, piece, store| {
                 let rest = (n - placed) as usize;
                 let from = stream + placed;
-                placed += nav.place_into_window(&src, from, rest, piece, at, &mut seen) as u64;
+                placed +=
+                    nav.place_into_window(&src, from, rest, piece, at, &mut seen, store) as u64;
             },
         )?;
         drop(_guard);

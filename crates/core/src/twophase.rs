@@ -58,7 +58,7 @@ use std::cell::{RefCell, RefMut};
 use std::thread::Scope;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
-use lio_datatype::kernels::claim_ahead;
+use lio_datatype::kernels::Stores;
 use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field};
 use lio_mpi::{Comm, Lent, LentMut};
 use lio_obs::LazyCounter;
@@ -746,12 +746,12 @@ fn iop_write_listbased<'s>(
                 win,
                 win_end,
                 || coverage.as_mut().is_some_and(|c| c.covered(win, win_end)),
-                &mut |at, piece| {
+                &mut |at, piece, store| {
                     health::beat(HbPhase::Pack);
+                    let mut stores = Stores::new(store);
                     for (r, end) in recv.iter_mut().zip(ends) {
                         r.walk(at, at + piece.len() as u64, |runs, o| {
-                            claim_ahead(piece, o.clone());
-                            runs.read(end.user, &mut piece[o])
+                            runs.read(end.user, &mut piece[o], &mut stores)
                         });
                     }
                 },
@@ -831,14 +831,15 @@ fn iop_write_listless<'s>(
                 },
                 // each AP's data goes on from its cursor and stops at the
                 // end of the piece by itself
-                &mut |at, piece| {
+                &mut |at, piece, store| {
                     health::beat(HbPhase::Pack);
                     for (k, nav_p) in navs.iter().enumerate() {
                         if takes[k] > 0 {
                             let (from, rest) = (cursors[k], (spans[k].1 - cursors[k]) as usize);
-                            cursors[k] +=
-                                nav_p.place_piece(&ends[k], from, rest, piece, at, &mut seen[k])
-                                    as u64;
+                            let seen = &mut seen[k];
+                            cursors[k] += nav_p
+                                .place_piece(&ends[k], from, rest, piece, at, seen, store)
+                                as u64;
                         }
                     }
                 },

@@ -21,7 +21,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
-use lio_datatype::kernels::claim_ahead;
+use lio_datatype::kernels::{Store, Stores};
 use lio_datatype::typemap::Run;
 use lio_datatype::{bytes_below_tiled, ff_offset, Datatype, OlList};
 
@@ -125,8 +125,11 @@ impl ViewNav {
     /// `[win_start, win_start + filebuf.len())`: a whole window, or one of
     /// the pieces the storage lends of it. One copy, whatever `src`'s
     /// layout: listless, the filetype's program runs against the memtype's;
-    /// list-based, the two ol-lists are walked side by side. Returns bytes
-    /// placed; `seen` is the profiler's tally for the window.
+    /// list-based, the two ol-lists are walked side by side. `store` says
+    /// how runs are stored into `filebuf` ([`Stores`]); a call that
+    /// streamed has fenced before it returns. Returns bytes placed; `seen`
+    /// is the profiler's tally for the window.
+    #[allow(clippy::too_many_arguments)]
     pub fn place_into_window(
         &self,
         src: &UserSide<&[u8]>,
@@ -135,16 +138,17 @@ impl ViewNav {
         filebuf: &mut [u8],
         win_start: u64,
         seen: &mut RunTally,
+        store: Store,
     ) -> usize {
         match self {
             ViewNav::List(nav) => {
                 let mut from = src.packer.runs_from(stream0 - src.stream_start);
+                let mut stores = Stores::new(store);
                 walk_runs(nav.runs_from(stream0), n, win_start, filebuf.len(), |at| {
-                    claim_ahead(filebuf, at.clone());
-                    from.read(src.user, &mut filebuf[at])
+                    from.read(src.user, &mut filebuf[at], &mut stores)
                 })
             }
-            ViewNav::Ff(nav) => nav.place_piece(src, stream0, n, filebuf, win_start, seen),
+            ViewNav::Ff(nav) => nav.place_piece(src, stream0, n, filebuf, win_start, seen, store),
         }
     }
 
@@ -375,7 +379,9 @@ impl FfNav {
     /// the piece, whose byte 0 sits at typemap displacement `lo − disp`,
     /// and stops where the piece or the bytes end; its other side is the
     /// stream as `src` holds it — contiguous bytes (unpack), or a typed
-    /// user buffer under its own program (transfer).
+    /// user buffer under its own program (transfer); `store` as for
+    /// [`ViewNav::place_into_window`].
+    #[allow(clippy::too_many_arguments)]
     pub fn place_piece(
         &self,
         src: &UserSide<&[u8]>,
@@ -384,6 +390,7 @@ impl FfNav {
         piece: &mut [u8],
         lo: u64,
         seen: &mut RunTally,
+        store: Store,
     ) -> usize {
         debug_assert_eq!(src.buf_at, 0, "a write's end is a whole buffer");
         let buf_disp = lo as i64 - self.view.disp as i64;
@@ -392,7 +399,7 @@ impl FfNav {
         let moved = match src.packer {
             MemPacker::Contig { base } => {
                 let data = &src.user[base + skip as usize..][..n];
-                prog.unpack_into(data, piece, buf_disp, u64::MAX, stream0)
+                prog.unpack_into(data, piece, buf_disp, u64::MAX, stream0, store)
             }
             MemPacker::Ff { memtype, count } => {
                 let from = memtype.program();
@@ -407,6 +414,7 @@ impl FfNav {
                     count,
                     skip,
                     n,
+                    store,
                 )
             }
             MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
@@ -536,7 +544,7 @@ mod tests {
     fn place(nav: &ViewNav, data: &[u8], stream0: u64, filebuf: &mut [u8], at: u64) -> usize {
         let src = UserSide::new(&STREAM, data, stream0);
         let seen = &mut RunTally::until(u64::MAX);
-        nav.place_into_window(&src, stream0, data.len(), filebuf, at, seen)
+        nav.place_into_window(&src, stream0, data.len(), filebuf, at, seen, Store::Stream)
     }
 
     /// Extract into `out`, the stream from position `stream0` on.
@@ -664,8 +672,9 @@ mod tests {
                             let seen = &mut RunTally::until(hi as u64);
                             let src = UserSide::new(packer, user.as_slice(), 0);
                             let piece = &mut file[lo..hi];
-                            let placed =
-                                nav.place_into_window(&src, s0, rest, piece, lo as u64, seen);
+                            let store = [Store::Cached, Store::Stream][lo % 2];
+                            let placed = nav
+                                .place_into_window(&src, s0, rest, piece, lo as u64, seen, store);
                             assert_eq!(placed, want, "place {ctx} lo={lo}");
                             let mut dst = UserSide::new(packer, out.as_mut_slice(), 0);
                             let piece = &image[lo..hi];

@@ -19,6 +19,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
+use lio_datatype::kernels::Store;
 use lio_obs::health;
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
@@ -211,20 +212,23 @@ impl<'a, 'env> WindowIo<'a, 'env> {
 
     /// Let `f` write its bytes of `[win, win_end)`. `dense` says whether
     /// it writes all of them and is asked only when staging: a window that
-    /// is not dense is read first.
+    /// is not dense is read first. The third argument of `f` is how to
+    /// store into the piece: [`Store::Stream`] into the storage's own
+    /// bytes, which the op does not read again, [`Store::Cached`] into a
+    /// staging buffer, which is written back right away.
     pub fn update(
         &mut self,
         win: u64,
         win_end: u64,
         dense: impl FnOnce() -> bool,
-        f: &mut dyn FnMut(u64, &mut [u8]),
+        f: &mut dyn FnMut(u64, &mut [u8], Store),
     ) -> Result<()> {
         let storage = self.storage;
         let len = win_end - win;
         let (lent, ns) = timed(None, || {
             storage.with_range_mut(win, win_end, &mut |at, piece| {
                 let _sp = lio_obs::trace::span_ab("pack.place", at, piece.len() as u64);
-                f(at, piece)
+                f(at, piece, Store::Stream)
             })
         });
         if lent? {
@@ -243,7 +247,7 @@ impl<'a, 'env> WindowIo<'a, 'env> {
             read?;
             io_ns = ns;
         }
-        let ((), pack_ns) = timed(Some(("pack.place", win, 0)), || f(win, fb));
+        let ((), pack_ns) = timed(Some(("pack.place", win, 0)), || f(win, fb, Store::Cached));
         let mut slow = false;
         if !behind {
             // only a loop that could arm the lane pays for the clock
@@ -380,8 +384,8 @@ mod tests {
         let file = MemFile::with_data(vec![7; 100]);
         let mut io = WindowIo::new(&file, &scratch, 64);
         let dense = || -> bool { unreachable!("only staging asks") };
-        io.update(10, 20, dense, &mut |at, piece| {
-            assert_eq!((at, piece.len()), (10, 10));
+        io.update(10, 20, dense, &mut |at, piece, store| {
+            assert_eq!((at, piece.len(), store), (10, 10, Store::Stream));
             piece[0] = 1;
         })
         .unwrap();
@@ -405,13 +409,13 @@ mod tests {
         let file = CountingFile::new(MemFile::with_data(vec![7; 100]));
         let mut io = WindowIo::new(&file, &scratch, 16);
         // not dense: read, modified, written back
-        io.update(10, 20, || false, &mut |at, piece| {
-            assert_eq!((at, piece.len()), (10, 10));
+        io.update(10, 20, || false, &mut |at, piece, store| {
+            assert_eq!((at, piece.len(), store), (10, 10, Store::Cached));
             piece[0] = 1;
         })
         .unwrap();
         // dense: written without a read
-        io.update(20, 30, || true, &mut |_, piece| piece.fill(2))
+        io.update(20, 30, || true, &mut |_, piece, _| piece.fill(2))
             .unwrap();
         let stats = file.stats();
         assert_eq!((stats.reads, stats.writes), (1, 2));
@@ -457,7 +461,7 @@ mod tests {
         }
         let run = |io: &mut WindowIo| {
             for w in 0..4u64 {
-                io.update(w * 16, w * 16 + 16, || false, &mut |_, piece| {
+                io.update(w * 16, w * 16 + 16, || false, &mut |_, piece, _| {
                     piece[0] = w as u8
                 })
                 .unwrap();

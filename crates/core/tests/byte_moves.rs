@@ -42,6 +42,13 @@
 //! IOP fills it — one copy, nothing exchanged, on every storage, and each
 //! file byte of the touched range read once.
 //!
+//! A write that stores a run of 256 B or more into a window the storage
+//! lent streams the run's whole cache lines past the cache
+//! (`dt.stream.bytes`): every byte of every write here on lending storage,
+//! whose blocks are whole lines — but the nc-c write, which packs into
+//! the window through the gather kernels — and nothing on storage that
+//! stages, nothing of any read, nothing of the Figure-4 8 B blocks.
+//!
 //! Its own test binary with a single test: the counters are process-wide.
 
 mod common;
@@ -68,6 +75,8 @@ struct Moved {
     in_place: u64,
     /// Payload that left its rank (`core.coll.exchange.data_bytes`).
     exchanged: u64,
+    /// Bytes stored past the cache (`dt.stream.bytes`).
+    streamed: u64,
 }
 
 /// What the counters read after both ranks ran `op` once.
@@ -93,7 +102,19 @@ fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) 
         staged: snap.counter("io.staged_bytes"),
         in_place: snap.counter("io.in_place_bytes"),
         exchanged: snap.counter("core.coll.exchange.data_bytes"),
+        streamed: snap.counter("dt.stream.bytes"),
     }
+}
+
+/// What a write that streams every byte of its whole lines streams: the
+/// bytes of `runs` (file offsets and lengths) that lie in whole 64-byte
+/// lines, where x86_64 streams at all.
+fn whole_lines(runs: impl Iterator<Item = (u64, u64)>) -> u64 {
+    if !cfg!(target_arch = "x86_64") {
+        return 0;
+    }
+    runs.map(|(at, len)| ((at + len) / 64).saturating_sub(at.div_ceil(64)) * 64)
+        .sum()
 }
 
 /// A real file that already holds every byte the table's accesses touch.
@@ -155,9 +176,15 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
                     staged,
                     in_place: 0,
                     exchanged,
+                    streamed: 0,
                 };
                 if *lends {
                     (want.staged, want.in_place) = (0, touched);
+                    // the blocks are whole lines: every byte placed streams
+                    let places = path.contains("write") && path != "nc-c write";
+                    if places {
+                        want.streamed = whole_lines([(0, 2 * BYTES)].into_iter());
+                    }
                 }
                 assert_eq!(got, want, "{:?} {name} {path}", hints.engine);
                 let per_byte = (got.copied + got.staged) as f64 / (2 * BYTES) as f64;
@@ -281,31 +308,72 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     let padded = [N + 2, N + 2, N / 2 + 2];
     let mem_tile =
         Datatype::subarray(&padded, &[N, N, N / 2], &[1, 1, 1], Order::C, &point).unwrap();
+    // Its rows of 8 points (320 B) are runs that stream: on lending storage
+    // the write of either engine streams every byte of their whole lines,
+    // the rows placed from a lent buffer, a message or the IOP's own user
+    // buffer alike; on storage that stages, and reading, nothing.
+    let file_tile = |me: u64, disp: u64| {
+        let starts = [0, 0, me * N / 2];
+        let tile =
+            Datatype::subarray(&[N, N, N], &[N, N, N / 2], &starts, Order::C, &point).unwrap();
+        let runs = lio_datatype::typemap::expand_merged(&tile, 1);
+        let lines = whole_lines(runs.iter().map(|r| (disp + r.disp as u64, r.len)));
+        (tile, lines)
+    };
     for hints in [Hints::list_based(), Hints::listless()] {
-        let shared = SharedFile::new(MemFile::new());
-        let file_tile = |f: &mut File, me: u64| {
-            let starts = [0, 0, me * N / 2];
-            let tile =
-                Datatype::subarray(&[N, N, N], &[N, N, N / 2], &starts, Order::C, &point).unwrap();
-            f.set_view(0, Datatype::byte(), tile).unwrap();
-        };
+        // 0: every row starts a line; 24: no row does
+        for disp in [0, 24] {
+            let what = format!("{:?} tile, displacement {disp}", hints.engine);
+            let streams: u64 = (0..2).map(|me| file_tile(me, disp).1).sum();
+            for (lends, shared) in [
+                (true, SharedFile::new(MemFile::new())),
+                (false, SharedFile::new(Staged(MemFile::new()))),
+            ] {
+                let view = |f: &mut File, me: u64| {
+                    f.set_view(disp, Datatype::byte(), file_tile(me, disp).0)
+                        .unwrap()
+                };
+                let got = count(&shared, hints, |f, me| {
+                    view(f, me);
+                    let user = pattern(mem_tile.extent() as usize, me + 3);
+                    f.write_at_all(0, &user, 1, &mem_tile).unwrap();
+                });
+                let listless = hints.engine == Engine::Listless;
+                let travels = if listless { 0 } else { tile_bytes };
+                assert_eq!(got.exchanged, travels, "{what} write");
+                let copies = if listless { 2 } else { 3 } * tile_bytes;
+                assert_eq!(got.copied, copies, "{what} write");
+                let want = if lends { streams } else { 0 };
+                assert_eq!(got.streamed, want, "{what} write, lending {lends}");
+                let got = count(&shared, hints, |f, me| {
+                    view(f, me);
+                    let mut back = vec![0u8; mem_tile.extent() as usize];
+                    f.read_at_all(0, &mut back, 1, &mem_tile).unwrap();
+                });
+                assert_eq!(got.exchanged, travels, "{what} read");
+                assert_eq!(got.copied, copies, "{what} read");
+                let in_place = if lends { 2 * tile_bytes } else { 0 };
+                assert_eq!(got.in_place, in_place, "{what} read");
+                assert_eq!(got.streamed, 0, "{what} read");
+            }
+        }
+    }
+    if cfg!(target_arch = "x86_64") {
+        assert_eq!(file_tile(0, 0).1 + file_tile(1, 0).1, 2 * tile_bytes);
+    }
+
+    // The Figure-4 shapes of the small benchmark rows, 8 B blocks, stream
+    // nothing, sieved or collective, on storage that lends.
+    let shared = SharedFile::new(MemFile::new());
+    for hints in [Hints::list_based(), Hints::listless()] {
         let got = count(&shared, hints, |f, me| {
-            file_tile(f, me);
-            let user = pattern(mem_tile.extent() as usize, me + 3);
-            f.write_at_all(0, &user, 1, &mem_tile).unwrap();
+            f.set_view(0, byte.clone(), figure4_filetype(me, 2, 4096, 8))
+                .unwrap();
+            let data = pattern(4096 * 8, me + 5);
+            f.write_at(0, &data, data.len() as u64, &byte).unwrap();
+            f.write_at_all(0, &data, data.len() as u64, &byte).unwrap();
         });
-        let listless = hints.engine == Engine::Listless;
-        let travels = if listless { 0 } else { tile_bytes };
-        assert_eq!(got.exchanged, travels, "{:?} tile write", hints.engine);
-        let copies = if listless { 2 } else { 3 } * tile_bytes;
-        assert_eq!(got.copied, copies, "{:?} tile write", hints.engine);
-        let got = count(&shared, hints, |f, me| {
-            file_tile(f, me);
-            let mut back = vec![0u8; mem_tile.extent() as usize];
-            f.read_at_all(0, &mut back, 1, &mem_tile).unwrap();
-        });
-        assert_eq!(got.exchanged, travels, "{:?} tile read", hints.engine);
-        assert_eq!(got.copied, copies, "{:?} tile read", hints.engine);
-        assert_eq!(got.in_place, 2 * tile_bytes, "{:?} tile read", hints.engine);
+        assert!(got.in_place > 0, "{:?} 8 B blocks", hints.engine);
+        assert_eq!(got.streamed, 0, "{:?} 8 B blocks", hints.engine);
     }
 }

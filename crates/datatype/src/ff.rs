@@ -23,6 +23,7 @@
 
 use lio_obs::{LazyCounter, LazyHistogram};
 
+use crate::kernels::Store;
 use crate::types::{Datatype, Node, TypeKind};
 
 /// Copy-engine metrics. Blocks-copied and the contiguous-run-length
@@ -325,9 +326,9 @@ pub fn ff_unpack_at(
     d: &Datatype,
     skipbytes: u64,
 ) -> usize {
-    let (n, runs) = d
-        .program()
-        .unpack_into(packbuf, dst, buf_disp, count, skipbytes);
+    let (n, runs) =
+        d.program()
+            .unpack_into(packbuf, dst, buf_disp, count, skipbytes, Store::Cached);
     if lio_obs::enabled() {
         OBS_UNPACK_CALLS.incr();
         OBS_UNPACK_BLOCKS.add(runs);
@@ -362,7 +363,16 @@ pub fn ff_transfer_to(
 ) -> usize {
     let from = utype.program();
     let (moved, _) = d.program().transfer_into(
-        dst, buf_disp, count, skipbytes, from, user, ucount, uskip, n,
+        dst,
+        buf_disp,
+        count,
+        skipbytes,
+        from,
+        user,
+        ucount,
+        uskip,
+        n,
+        Store::Cached,
     );
     moved
 }

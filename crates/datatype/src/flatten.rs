@@ -12,6 +12,7 @@
 //! * **copy time** — [`OlList::pack`]/[`OlList::unpack`] read one tuple per
 //!   copied block.
 
+use crate::kernels::{claim_ahead, Store, Stores, CLAIM_RUNS};
 use crate::typemap::Run;
 use crate::types::Datatype;
 use crate::FlatIter;
@@ -100,20 +101,48 @@ impl OlCursor<'_> {
     }
 
     /// Copy the next `out.len()` stream bytes out of the typed buffer
-    /// `src`; returns the bytes copied, fewer only where the list ends.
+    /// `src`, each run of them stored into `out` as `stores` says; returns
+    /// the bytes copied, fewer only where the list ends.
     #[inline]
-    pub fn read(&mut self, src: &[u8], out: &mut [u8]) -> usize {
+    pub fn read(&mut self, src: &[u8], out: &mut [u8], stores: &mut Stores) -> usize {
+        if stores.streams(out.len()) {
+            return self.read_streaming(src, out, stores);
+        }
         self.each_run(out.len(), |done, run| {
             out[done..done + run.len()].copy_from_slice(&src[run]);
         })
     }
 
+    /// [`OlCursor::read`] into bytes long enough to hold a run that
+    /// streams, out of line as [`OlCursor::write_claiming`] is.
+    #[inline(never)]
+    fn read_streaming(&mut self, src: &[u8], out: &mut [u8], stores: &mut Stores) -> usize {
+        self.each_run(out.len(), |done, run| {
+            stores.copy(&mut out[done..done + run.len()], &src[run]);
+        })
+    }
+
     /// Copy `data` to where the next `data.len()` stream bytes lie in the
-    /// typed buffer `dst`; returns the bytes copied, as [`OlCursor::read`].
+    /// typed buffer `dst`, claiming the lines after each run first
+    /// ([`claim_ahead`]); returns the bytes copied, as [`OlCursor::read`].
     #[inline]
     pub fn write(&mut self, data: &[u8], dst: &mut [u8]) -> usize {
+        if data.len() >= *CLAIM_RUNS.start() {
+            return self.write_claiming(data, dst);
+        }
         self.each_run(data.len(), |done, run| {
             let len = run.len();
+            dst[run].copy_from_slice(&data[done..done + len]);
+        })
+    }
+
+    /// [`OlCursor::write`] of data long enough to hold a run that claims,
+    /// out of line: the loop of short writes stays as small as it was.
+    #[inline(never)]
+    fn write_claiming(&mut self, data: &[u8], dst: &mut [u8]) -> usize {
+        self.each_run(data.len(), |done, run| {
+            let len = run.len();
+            claim_ahead(dst, run.clone());
             dst[run].copy_from_slice(&data[done..done + len]);
         })
     }
@@ -248,7 +277,8 @@ impl OlList {
     /// bytes, copying at most `packbuf.len()` bytes: the list-based copy
     /// loop with its per-block tuple read. Returns bytes copied.
     pub fn pack(&self, src: &[u8], skipbytes: u64, packbuf: &mut [u8]) -> usize {
-        let out = self.cursor(skipbytes).read(src, packbuf);
+        let stores = &mut Stores::new(Store::Cached);
+        let out = self.cursor(skipbytes).read(src, packbuf, stores);
         crate::ff::OBS_COPY_BYTES.add(out as u64);
         out
     }
@@ -390,13 +420,14 @@ mod tests {
         for skip in 0..=full.len() {
             // pieces that cut blocks and span several
             let mut cur = l.cursor(skip as u64);
+            let stores = &mut Stores::new(Store::Cached);
             let mut got = vec![0u8; full.len() - skip];
             let (head, tail) = got.split_at_mut(5.min(full.len() - skip));
-            assert_eq!(cur.read(&src, head), head.len());
-            assert_eq!(cur.read(&src, tail), tail.len());
+            assert_eq!(cur.read(&src, head, stores), head.len());
+            assert_eq!(cur.read(&src, tail, stores), tail.len());
             assert_eq!(got, full[skip..], "skip {skip}");
             // past the end of the list nothing moves, either way
-            assert_eq!(cur.read(&src, &mut [0u8; 4]), 0);
+            assert_eq!(cur.read(&src, &mut [0u8; 4], stores), 0);
             assert_eq!(cur.write(&[1u8; 4], &mut src.clone()), 0);
         }
     }

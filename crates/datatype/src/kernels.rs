@@ -29,10 +29,14 @@
 //! environment variable (or the `pack_kernel` hint / info key) can force
 //! `scalar`, `fixed`, `sse2`, or `avx2`.
 //!
-//! One more helper serves every placement, whatever its kernel:
-//! [`claim_ahead`] asks for the window lines after a run of 256 B–4 KiB
-//! before the run is stored, so that a write's stores into lines it has
-//! not touched yet do not each wait for a read-for-ownership.
+//! Two more helpers serve every placement and extraction, whatever its
+//! kernel. [`Stores`] copies each run of 256 B or more into a window the
+//! storage lent with non-temporal stores for the run's whole cache lines,
+//! and fences once per placement call, so that a write's lines go to
+//! memory without first being read for ownership. [`claim_ahead`] asks for
+//! the user lines after a run of 256 B–4 KiB that an extraction is about to
+//! store, so that a read's stores into lines it has not touched yet do not
+//! each wait for a read-for-ownership.
 
 use std::ops::{Range, RangeInclusive};
 use std::ptr;
@@ -719,10 +723,151 @@ pub(crate) unsafe fn scatter(
 }
 
 // ---------------------------------------------------------------------------
-// Claiming window lines ahead of a placement's stores
+// Streaming a placement's whole lines past the cache
 // ---------------------------------------------------------------------------
 
-/// Window bytes past a placed run whose cache lines [`claim_ahead`] asks
+/// Bytes placed into windows with non-temporal stores.
+static OBS_STREAM_BYTES: LazyCounter = LazyCounter::new("dt.stream.bytes");
+
+/// The shortest run whose whole lines a placement into a lent window
+/// streams. The 8 B blocks of the Figure-4 rows never do: a run that short
+/// holds at most one whole line.
+pub const STREAM_RUN: usize = 256;
+
+/// Where the stores of a placement into a window go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Store {
+    /// Into the cache, as ordinary stores: a staged window, which is
+    /// written back right after the placement, or any other buffer that is
+    /// read again at once.
+    Cached,
+    /// Past the cache for the whole 64-byte lines of every run of
+    /// [`STREAM_RUN`] bytes or more: a window the storage lent, which the
+    /// op does not read again. An ordinary store into a line that is not in
+    /// cache first reads the line for ownership and later writes it back,
+    /// two memory transfers where a streamed line costs one.
+    Stream,
+}
+
+/// The stores of one placement call into its window. [`Stores::copy`]
+/// streams where its [`Store`] allows. Dropping it fences once (`sfence`)
+/// if anything streamed: non-temporal stores are weakly ordered, and the
+/// fence puts them ahead of whatever follows the placement call — a stripe
+/// unlock, a sieve's window lock, a collective's closing barrier — so that
+/// every core that is told the bytes are written sees them.
+pub struct Stores {
+    stream: bool,
+    /// Bytes streamed and not yet fenced.
+    streamed: u64,
+}
+
+impl Stores {
+    pub fn new(store: Store) -> Stores {
+        Stores {
+            stream: store == Store::Stream,
+            streamed: 0,
+        }
+    }
+
+    /// Whether [`Stores::copy`] streams the whole lines of a run of `len`
+    /// bytes.
+    #[inline]
+    pub fn streams(&self, len: usize) -> bool {
+        self.stream && len >= STREAM_RUN
+    }
+
+    /// `dst.copy_from_slice(src)`, with the whole lines of `dst` streamed
+    /// when [`Stores::streams`] says so.
+    #[inline]
+    pub fn copy(&mut self, dst: &mut [u8], src: &[u8]) {
+        if self.streams(dst.len()) {
+            self.streamed += stream_copy(dst, src) as u64;
+        } else {
+            dst.copy_from_slice(src);
+        }
+    }
+}
+
+impl Drop for Stores {
+    fn drop(&mut self) {
+        if self.streamed > 0 {
+            fence();
+            OBS_STREAM_BYTES.add(self.streamed);
+        }
+    }
+}
+
+/// Order every non-temporal store this thread made before every store and
+/// load after it. Off x86_64 nothing streams and this does nothing.
+fn fence() {
+    // SAFETY: `sfence` only orders stores; SSE is baseline x86_64.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        core::arch::x86_64::_mm_sfence()
+    };
+}
+
+/// `dst.copy_from_slice(src)` that stores the whole 64-byte lines of `dst`
+/// with non-temporal stores and its partial first and last lines with
+/// ordinary ones: a partial line holds bytes that are not the run's.
+/// Returns the bytes streamed; the caller fences before anyone else reads
+/// `dst`. Out of line, as [`claim`] is: the short-run paths of its callers
+/// stay as small as they were. Off x86_64 it streams nothing.
+#[cold]
+#[inline(never)]
+fn stream_copy(dst: &mut [u8], src: &[u8]) -> usize {
+    assert_eq!(dst.len(), src.len(), "a copy moves equal lengths");
+    if !cfg!(target_arch = "x86_64") {
+        dst.copy_from_slice(src);
+        return 0;
+    }
+    let head = dst.as_ptr().align_offset(64).min(dst.len());
+    let body = (dst.len() - head) / 64 * 64;
+    let (d_head, rest) = dst.split_at_mut(head);
+    let (d_body, d_tail) = rest.split_at_mut(body);
+    let (s_head, rest) = src.split_at(head);
+    let (s_body, s_tail) = rest.split_at(body);
+    d_head.copy_from_slice(s_head);
+    stream_lines(d_body, s_body);
+    d_tail.copy_from_slice(s_tail);
+    body
+}
+
+/// Stream `src` into `dst`: equal lengths, whole lines, `dst` 64-byte
+/// aligned.
+#[cfg(target_arch = "x86_64")]
+fn stream_lines(dst: &mut [u8], src: &[u8]) {
+    use core::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_stream_si128};
+    let aligned = dst.is_empty() || dst.as_ptr().align_offset(64) == 0;
+    assert!(dst.len() == src.len() && dst.len().is_multiple_of(64) && aligned);
+    for (d, s) in dst.chunks_exact_mut(64).zip(src.chunks_exact(64)) {
+        let (d, s) = (
+            d.as_mut_ptr().cast::<__m128i>(),
+            s.as_ptr().cast::<__m128i>(),
+        );
+        // SAFETY: `d` and `s` each address 64 bytes of their slices, moved
+        // as four 16-byte words; `d` is 64-byte aligned (the assert, and
+        // every chunk is 64 bytes), more than `_mm_stream_si128`'s 16, and
+        // `_mm_loadu_si128` takes any address; SSE2 is baseline x86_64.
+        unsafe {
+            let v = [0, 1, 2, 3].map(|i| _mm_loadu_si128(s.add(i)));
+            for (i, v) in v.into_iter().enumerate() {
+                _mm_stream_si128(d.add(i), v);
+            }
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn stream_lines(_: &mut [u8], _: &[u8]) {
+    unreachable!("only x86_64 streams")
+}
+
+// ---------------------------------------------------------------------------
+// Claiming user lines ahead of an extraction's stores
+// ---------------------------------------------------------------------------
+
+/// Buffer bytes past a stored run whose cache lines [`claim_ahead`] asks
 /// for: far enough that a line arrives before the stores reach it, near
 /// enough that it is still in cache when they do (1, 4, 8 and 32 KiB all
 /// measured slower on the benchmark's tile rows, 2-vCPU x86_64 box).
@@ -733,27 +878,29 @@ pub const CLAIM_AHEAD: usize = 2048;
 /// hardware prefetcher already follows the store stream.
 pub const CLAIM_RUNS: RangeInclusive<usize> = 256..=4096;
 
-/// The window positions [`claim_ahead`] claims for `run` in a window of
-/// `window_len` bytes: the [`CLAIM_AHEAD`] bytes after the run, clipped to
-/// the window, or nothing for a run length outside [`CLAIM_RUNS`].
-pub fn claim_lines(window_len: usize, run: Range<usize>) -> Range<usize> {
+/// The positions [`claim_ahead`] claims for `run` in a buffer of
+/// `buf_len` bytes: the [`CLAIM_AHEAD`] bytes after the run, clipped to
+/// the buffer, or nothing for a run length outside [`CLAIM_RUNS`].
+pub fn claim_lines(buf_len: usize, run: Range<usize>) -> Range<usize> {
     if !CLAIM_RUNS.contains(&run.len()) {
         return 0..0;
     }
-    run.end.min(window_len)..run.end.saturating_add(CLAIM_AHEAD).min(window_len)
+    run.end.min(buf_len)..run.end.saturating_add(CLAIM_AHEAD).min(buf_len)
 }
 
-/// Before `run` of `window` is stored to, prefetch the lines of
+/// Before `run` of `buf` is stored to, prefetch the lines of
 /// [`claim_lines`] for writing, so that a store into a line the op has not
-/// touched yet does not wait for its read-for-ownership. The hint is
-/// `prefetchw` where the target has `prfchw`, `prefetcht0` on the default
-/// `x86-64` target; both measured the same. The stores stay ordinary
-/// cached stores: what a write leaves in cache is there for the reads
-/// after it. Off x86_64 this does nothing.
+/// touched yet does not wait for its read-for-ownership. Extractions call
+/// it on the user buffer they fill. The hint is `prefetchw` where the
+/// target has `prfchw`, `prefetcht0` on the default `x86-64` target; both
+/// measured the same. Never on a line that is then streamed ([`Stores`]):
+/// the claim reads the line from memory, which is the transfer streaming
+/// saves, and a non-temporal store into a cached line evicts it again.
+/// Off x86_64 this does nothing.
 #[inline]
-pub fn claim_ahead(window: &[u8], run: Range<usize>) {
+pub fn claim_ahead(buf: &[u8], run: Range<usize>) {
     if CLAIM_RUNS.contains(&run.len()) {
-        claim(window, run);
+        claim(buf, run);
     }
 }
 
@@ -761,16 +908,17 @@ pub fn claim_ahead(window: &[u8], run: Range<usize>) {
 /// the list-based walk of 8 B runs that never claim (`ind-small`
 /// `lb_write_mbps` ×0.89), and a call costs nothing next to the copy of
 /// the 256 B or more behind it.
+#[cold]
 #[inline(never)]
-fn claim(window: &[u8], run: Range<usize>) {
+fn claim(buf: &[u8], run: Range<usize>) {
     #[cfg(target_arch = "x86_64")]
-    for at in claim_lines(window.len(), run).step_by(64) {
+    for at in claim_lines(buf.len(), run).step_by(64) {
         use core::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0};
-        // SAFETY: a prefetch never faults, and `at < window.len()`.
-        unsafe { _mm_prefetch::<_MM_HINT_ET0>(window.as_ptr().add(at).cast()) }
+        // SAFETY: a prefetch never faults, and `at < buf.len()`.
+        unsafe { _mm_prefetch::<_MM_HINT_ET0>(buf.as_ptr().add(at).cast()) }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (window, run);
+    let _ = (buf, run);
 }
 
 #[cfg(test)]
@@ -876,6 +1024,68 @@ mod tests {
         // avx2 has no 4-byte gather batching beyond sse2's
         let k = resolve(sel, Mode::Avx2);
         assert!(matches!(k, Kind::Sse2 | Kind::Fixed));
+    }
+
+    #[test]
+    fn streamed_copies_match_copy_from_slice_and_leave_the_guards() {
+        const GUARD: u8 = 0xEE;
+        let lens = (0..=320).chain([1280, 4096, 16384]);
+        for len in lens {
+            // room to put the destination at every offset from a 64-byte
+            // boundary, with a line of guard bytes on either side
+            let mut dst = vec![GUARD; len + 3 * 64];
+            let src_buf: Vec<u8> = (0..len + 16).map(|i| (i * 7 % 251) as u8).collect();
+            let base = dst.as_ptr().align_offset(64);
+            for d_off in 0..64 {
+                let at = base + 64 + d_off;
+                for s_off in 0..16 {
+                    let src = &src_buf[s_off..s_off + len];
+                    let streamed = stream_copy(&mut dst[at..at + len], src);
+                    fence();
+                    let ctx = format!("len {len} dst offset {d_off} src offset {s_off}");
+                    assert!(dst[at..at + len] == *src, "{ctx}: bytes");
+                    assert!(dst[..at].iter().all(|&b| b == GUARD), "{ctx}: guard before");
+                    assert!(
+                        dst[at + len..].iter().all(|&b| b == GUARD),
+                        "{ctx}: guard after"
+                    );
+                    // the whole lines inside the run, and nothing else
+                    let whole = ((d_off + len) / 64).saturating_sub(d_off.div_ceil(64)) * 64;
+                    let want = if cfg!(target_arch = "x86_64") {
+                        whole
+                    } else {
+                        0
+                    };
+                    assert_eq!(streamed, want, "{ctx}: bytes streamed");
+                    dst[at..at + len].fill(GUARD);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stores_stream_only_long_runs_and_only_when_told() {
+        let src = vec![3u8; 4096];
+        let mut dst = vec![0u8; 4096 + 64];
+        let at = dst.as_ptr().align_offset(64);
+        let dst = &mut dst[at..at + 4096];
+        let mut stores = Stores::new(Store::Cached);
+        assert!(!stores.streams(4096));
+        stores.copy(dst, &src);
+        assert_eq!(stores.streamed, 0);
+        let mut stores = Stores::new(Store::Stream);
+        assert!(!stores.streams(STREAM_RUN - 1) && stores.streams(STREAM_RUN));
+        stores.copy(&mut dst[..STREAM_RUN - 1], &src[..STREAM_RUN - 1]);
+        assert_eq!(stores.streamed, 0);
+        stores.copy(dst, &src);
+        let want = if cfg!(target_arch = "x86_64") {
+            4096
+        } else {
+            0
+        };
+        assert_eq!(stores.streamed, want);
+        drop(stores);
+        assert!(dst.iter().all(|&b| b == 3));
     }
 
     #[test]

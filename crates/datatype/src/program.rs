@@ -55,7 +55,7 @@ use std::sync::Arc;
 
 use lio_obs::LazyCounter;
 
-use crate::kernels::{self, Mode, Sel};
+use crate::kernels::{self, Mode, Sel, Store, Stores};
 use crate::strided::{Gather, Scatter, StridedSpec, Xfer};
 use crate::transfer::{Stretches, ToUser, ToWindow, Transfer};
 use crate::types::{Datatype, TypeKind};
@@ -245,7 +245,9 @@ impl RunProgram {
 
     /// Unpack `packbuf` into `count` tiled instances of `dst`, skipping
     /// the first `skip` data bytes; `dst[0]` corresponds to typemap
-    /// displacement `buf_disp`. Returns `(bytes copied, runs copied)`.
+    /// displacement `buf_disp`. `store` says how runs are stored into `dst`
+    /// ([`Stores`]); a call that streamed has fenced before it returns.
+    /// Returns `(bytes copied, runs copied)`.
     pub fn unpack_into(
         &self,
         packbuf: &[u8],
@@ -253,18 +255,20 @@ impl RunProgram {
         buf_disp: i64,
         count: u64,
         skip: u64,
+        store: Store,
     ) -> (usize, u64) {
         let x = Scatter {
             contig: packbuf,
             typed: dst,
+            stores: Stores::new(store),
         };
         self.run(x, buf_disp, count, skip)
     }
 
     /// Move up to `n` stream bytes from a typed user buffer straight into
     /// `count` tiled instances of `dst` — [`RunProgram::unpack_into`]
-    /// without the pack buffer in between. The user side is `ucount`
-    /// instances of `from` laid over `user` (byte 0 at typemap
+    /// without the pack buffer in between, `store` as there. The user side
+    /// is `ucount` instances of `from` laid over `user` (byte 0 at typemap
     /// displacement 0), read from its data byte `uskip` on. Returns
     /// `(bytes copied, runs copied)`, runs counted on the `dst` side.
     #[allow(clippy::too_many_arguments)]
@@ -279,8 +283,13 @@ impl RunProgram {
         ucount: u64,
         uskip: u64,
         n: usize,
+        store: Store,
     ) -> (usize, u64) {
-        let ends = ToWindow { user, window: dst };
+        let ends = ToWindow {
+            user,
+            window: dst,
+            stores: Stores::new(store),
+        };
         let x = Transfer::new(Stretches::new(from, ucount, uskip), n, ends);
         self.run(x, buf_disp, count, skip)
     }
@@ -947,9 +956,11 @@ mod tests {
             let (n, _) = prog.pack_into(&src, 0, count, skip, &mut buf);
             assert_eq!(n as u64, total - skip, "skip {skip}");
             assert_eq!(&buf[..], &full[skip as usize..], "skip {skip}");
-            // and unpack back into a fresh buffer
+            // and unpack back into a fresh buffer, streaming every other
+            // time
             let mut dst = vec![0u8; src.len()];
-            let (m, _) = prog.unpack_into(&buf, &mut dst, 0, count, skip);
+            let store = [Store::Cached, Store::Stream][skip as usize % 2];
+            let (m, _) = prog.unpack_into(&buf, &mut dst, 0, count, skip, store);
             assert_eq!(m, n);
             let check = reference_pack(&dst, d, count);
             assert_eq!(&check[skip as usize..], &full[skip as usize..]);

@@ -244,6 +244,9 @@ impl Xfer for Gather<'_> {
 pub(crate) struct Scatter<'a> {
     pub contig: &'a [u8],
     pub typed: &'a mut [u8],
+    /// How the runs are stored into `typed`: streamed where it is a window
+    /// the storage lent.
+    pub stores: kernels::Stores,
 }
 
 impl Xfer for Scatter<'_> {
@@ -253,8 +256,8 @@ impl Xfer for Scatter<'_> {
 
     #[inline]
     fn copy(&mut self, t: usize, c: usize, n: usize) {
-        kernels::claim_ahead(self.typed, t..t + n);
-        self.typed[t..t + n].copy_from_slice(&self.contig[c..c + n]);
+        self.stores
+            .copy(&mut self.typed[t..t + n], &self.contig[c..c + n]);
     }
 
     fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: usize, c: usize, n: usize) {

@@ -20,7 +20,7 @@
 //! and never looks back. It never materializes a run list either: its
 //! state is one stretch and a stack of at most `depth` frames.
 
-use crate::kernels::{self, Kind, Mode};
+use crate::kernels::{self, Kind, Mode, Stores};
 use crate::program::{PNode, Part, RunProgram};
 use crate::strided::Xfer;
 
@@ -270,6 +270,8 @@ pub(crate) trait Ends {
 pub(crate) struct ToWindow<'a> {
     pub user: &'a [u8],
     pub window: &'a mut [u8],
+    /// How the blocks are stored into `window`.
+    pub stores: Stores,
 }
 
 impl Ends for ToWindow<'_> {
@@ -277,19 +279,19 @@ impl Ends for ToWindow<'_> {
         self.window.len()
     }
 
-    /// A run long enough to claim the window lines after it is stored
-    /// one block at a time, each behind its claim.
+    /// Blocks long enough to stream are stored one at a time, each
+    /// streaming its whole lines.
     #[inline]
     fn mv(&mut self, m: Move, fixed: bool) {
-        if m.block < *kernels::CLAIM_RUNS.start() {
+        if !self.stores.streams(m.block) {
             let (src, dst) = (&self.user[m.u..], &mut self.window[m.w..]);
             strided_copy(src, m.us, dst, m.ws, m.block, m.n, fixed);
             return;
         }
         for i in 0..m.n {
             let (w, u) = (m.w + i * m.ws, m.u + i * m.us);
-            kernels::claim_ahead(self.window, w..w + m.block);
-            self.window[w..w + m.block].copy_from_slice(&self.user[u..u + m.block]);
+            self.stores
+                .copy(&mut self.window[w..w + m.block], &self.user[u..u + m.block]);
         }
     }
 }
@@ -307,10 +309,20 @@ impl Ends for ToUser<'_> {
         self.window.len()
     }
 
+    /// A block long enough to claim the user lines after it is stored one
+    /// at a time, each behind its claim.
     #[inline]
     fn mv(&mut self, m: Move, fixed: bool) {
         let (src, dst) = (&self.window[m.w..], &mut self.user[m.u - self.at..]);
-        strided_copy(src, m.ws, dst, m.us, m.block, m.n, fixed);
+        if m.block < *kernels::CLAIM_RUNS.start() {
+            strided_copy(src, m.ws, dst, m.us, m.block, m.n, fixed);
+            return;
+        }
+        for i in 0..m.n {
+            let (w, u) = (i * m.ws, i * m.us);
+            kernels::claim_ahead(dst, u..u + m.block);
+            dst[u..u + m.block].copy_from_slice(&src[w..w + m.block]);
+        }
     }
 }
 

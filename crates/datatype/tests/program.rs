@@ -8,7 +8,7 @@
 //! corpus runs, and every assertion message carries a one-line replay
 //! command so a CI failure is reproducible from the log alone.
 
-use lio_datatype::kernels::{self, Mode};
+use lio_datatype::kernels::{self, Mode, Store};
 use lio_datatype::{ff_pack, Datatype, Field, FlatIter, RunProgram};
 use lio_testkit::{corpus_seeds, Rng};
 
@@ -182,7 +182,7 @@ fn forced_kernels_bit_identical() {
                 // scalar unpack is the scatter reference for the families
                 kernels::force(Mode::Scalar);
                 let mut scalar_dst = vec![0xAAu8; span];
-                prog.unpack_into(&walk, &mut scalar_dst, 0, count, skip);
+                prog.unpack_into(&walk, &mut scalar_dst, 0, count, skip, Store::Cached);
 
                 for &m in Mode::ALL.iter() {
                     kernels::force(m);
@@ -202,8 +202,9 @@ fn forced_kernels_bit_identical() {
                         m.name(),
                         replay(seed, case)
                     );
+                    // the families unpack streaming, against cached scalar
                     let mut dst = vec![0xAAu8; span];
-                    let (n, _) = prog.unpack_into(&walk, &mut dst, 0, count, skip);
+                    let (n, _) = prog.unpack_into(&walk, &mut dst, 0, count, skip, Store::Stream);
                     assert_eq!(
                         n,
                         want_len,
