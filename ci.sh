@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, then the tier-1 gate (see ROADMAP.md).
 # Usage: ./ci.sh
-# A full run with warm build directories takes about 3½ minutes on the
-# 2-vCPU box (3 min 37 s to `CI OK`; the three disabled-cost gates may
+# A full run with warm build directories takes about 4 minutes on the
+# 2-vCPU box (4 min 6 s to `CI OK`; the three disabled-cost gates may
 # print CHECK (noisy host), which does not fail the run; `claim` in the
-# real-file and pack-kernel reruns, and the `lent_write` and `lent_read`
-# corpora in the
-# backend, pack-kernel and fault reruns included). PR 26 also dropped the
+# real-file reruns, and the `lent_write` and `lent_read` corpora in the
+# backend and fault reruns included). The pack-kernel reruns and the
+# kernel_overhead gate went with the kernel families: there is one copy
+# loop, and tier-1 runs every suite on it. An earlier change dropped the
 # `BENCH_*.json` baseline comparison, which stopped PRs 22, 24 and 25 on
 # rows none of them touched (ROADMAP item 8(a) does the rest: the benchmark
 # package judges performance). The per-schedule axis that used to double
@@ -31,16 +32,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `LentMut::take` the piece another rank lent this one to be written —
 # each sound by the scope's borrow and its closing barrier, `take` also by
 # the pieces' disjointness and its one taker (their SAFETY comments).
-# `datatype`'s 22nd is the prefetch under `kernels::claim_ahead`: a
-# prefetch hint never faults, and its address is taken from inside the
-# buffer slice. Its 23rd and 24th are what streaming a placement's whole
-# lines needs (`kernels::stream_lines`, `kernels::fence`): the
-# non-temporal stores and their loads, sound by the slices' bounds and the
-# asserted 64-byte alignment, and the `sfence` that orders them, which
-# touches no memory.
+# `datatype` has three, all in kernels.rs, none of them a block copy: the
+# frame executor's one loop (`strided::strided_copy`) is safe code, and
+# the SSE2/AVX2 gather/scatter families that held the other 21 are gone
+# (no benchmark workload reached them). The first is the prefetch under
+# `kernels::claim_ahead`: a prefetch hint never faults, and its address
+# is taken from inside the buffer slice. The other two are what streaming
+# a placement's whole lines needs (`kernels::stream_lines`,
+# `kernels::fence`): the non-temporal stores and their loads, sound by
+# the slices' bounds and the asserted 64-byte alignment, and the `sfence`
+# that orders them, which touches no memory.
 echo "== unsafe census"
 declare -A reviewed=(
-  [bench]=0 [btio]=0 [core]=0 [datatype]=24 [mpi]=2
+  [bench]=0 [btio]=0 [core]=0 [datatype]=3 [mpi]=2
   [noncontig]=0 [obs]=0 [pfs]=6 [testkit]=0
 )
 for src in crates/*/src; do
@@ -57,9 +61,11 @@ done
 # `LIO_*` names anywhere under crates/*/src — every environment variable
 # the workspace reads, whether it selects, arms or sizes something —
 # against the number reviewed. A new one raises the number here, where the
-# diff shows it, and owes a bench on which it changes the answer.
+# diff shows it, and owes a bench on which it changes the answer. Eleven
+# since the variable that forced a pack-kernel family went with the
+# families.
 echo "== LIO_* knob census"
-reviewed_knobs=12
+reviewed_knobs=11
 knobs=$(grep -rhoE --include='*.rs' 'LIO_[A-Z_]+' crates/*/src | sort -u)
 n=$(echo "$knobs" | grep -c .)
 echo "  $n (reviewed: $reviewed_knobs):" $knobs
@@ -92,9 +98,9 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # write-behind lanes armed. The request geometry suite rides along in the
 # backend and fault reruns below: the window grid must hold on every
 # backend. So does the in-place ≡ staged corpus (`inplace`), in the
-# backend, the pack-kernel and the fault reruns: a `MemFile` that lends
-# its bytes, one that does not and the environment's storage must agree
-# byte for byte whatever the backend, kernel or fault seed. And so do the
+# backend and the fault reruns: a `MemFile` that lends its bytes, one
+# that does not and the environment's storage must agree byte for byte
+# whatever the backend or fault seed. And so do the
 # own-share corpus (`own_share`): what an IOP moves between its own user
 # buffer and the window without a message must be what a message would
 # have left — and the lent-write and lent-read corpora (`lent_write`,
@@ -140,23 +146,6 @@ for be in mem os; do
     cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share --test lent_write --test lent_read
 done
 
-# The suites again with the pack-kernel mode forced both ways: every
-# kernel family must be bit-identical to the scalar reference loop, so
-# the same differential cases must pass with the kernels disabled and
-# with the best CPU-supported family engaged. The root strided_copy test
-# rides along: it drives the same frame executor through windows. The
-# datatype suite holds the typed-to-typed transfer's differential tests
-# (`property.rs`: transfer == pack then unpack, which themselves force
-# every mode in turn); the corpora above it reach the transfer through
-# every sieved access and every collective's own share.
-for pk in scalar auto; do
-  echo "== collective/pipeline/faults/inplace/own_share/lent_write/lent_read/claim/datatype/strided_copy suites under LIO_PACK_KERNEL=$pk"
-  LIO_PACK_KERNEL=$pk \
-    cargo test -q -p lio-core --test collective --test pipeline --test faults --test inplace --test own_share --test lent_write --test lent_read --test claim
-  LIO_PACK_KERNEL=$pk cargo test -q -p lio-datatype
-  LIO_PACK_KERNEL=$pk cargo test -q -p listless-io --test strided_copy
-done
-
 # Event tracing: the collective + pipeline suites once more with the
 # recorder armed (catches trace-enabled-only panics), plus the dedicated
 # trace-correctness tests (span pairing, causal merge, ring wraparound,
@@ -191,7 +180,6 @@ echo "== repro profile + validate-json"
 ./target/release/repro profile --quick | tee /tmp/lio_profile_out.txt
 grep -q "engine=listless" /tmp/lio_profile_out.txt
 grep -q "cb_buffer_size=" /tmp/lio_profile_out.txt
-grep -q "pack_kernel=auto" /tmp/lio_profile_out.txt
 # the ragged workload's programs must be attributed to the
 # normalization pass, not reported as born strided
 grep -Eq "ragged_hindexed_pack:.*[1-9][0-9]* rewritten" /tmp/lio_profile_out.txt
@@ -202,12 +190,6 @@ grep -Eq "ragged_hindexed_pack:.*[1-9][0-9]* rewritten" /tmp/lio_profile_out.txt
 # on a sustained violation).
 echo "== pack_overhead gate"
 LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench pack_overhead
-
-# Kernel overhead gate: on a flat-contiguous type (one huge block — the
-# fixed-block kernels must not engage) auto mode must stay within 2% of
-# a forced-scalar run.
-echo "== kernel_overhead gate"
-LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench kernel_overhead
 
 # Trace overhead: the same run measured twice with tracing disabled
 # bounds the noise floor, and the disabled hooks must be within it.

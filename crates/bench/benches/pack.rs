@@ -8,7 +8,6 @@
 
 use lio_bench::harness::Group;
 use lio_bench::schema;
-use lio_datatype::kernels::{self, Mode};
 use lio_datatype::{darray, ff_pack, ff_unpack, Datatype, Distrib, Field, FlatIter, OlList, Order};
 use std::hint::black_box;
 
@@ -167,7 +166,7 @@ fn shapes() -> Vec<(&'static str, u64, Datatype)> {
 /// A hand-rolled packer: the loop a scientist writes when they give up
 /// on the datatype engine — every layout constant baked in, nothing but
 /// nested loops and fixed-width copies. The honest baseline the
-/// kernelized interpreter has to stay within ~10% of (Hunold et al.).
+/// compiled interpreter has to stay within ~10% of (Hunold et al.).
 type ManualFn = Box<dyn Fn(&[u8], u64, &mut [u8])>;
 
 /// Copy `B` bytes with a fixed-width load/store (what a typed manual
@@ -293,12 +292,13 @@ fn manual_for(name: &str) -> Option<ManualFn> {
     }
 }
 
-/// Shapes for the kernel matrix: the four base shapes, fine-grained
-/// 2/4/8-byte-block vectors (the regime the fixed-block kernels exist
-/// for), the L2-resident Figure 4 fileview, and ragged-built vector-of-vector / BTIO variants whose raw
-/// compile is a literal tail — the normalization pass must rewrite them
-/// into the same strided form the canonical constructors produce.
-fn kernel_shapes() -> Vec<(&'static str, u64, Datatype)> {
+/// Shapes for the manual-pack matrix: the four base shapes, fine-grained
+/// 2/4/8-byte-block vectors (the regime where a datatype engine loses to
+/// manual packing), the L2-resident Figure 4 fileview, and ragged-built
+/// vector-of-vector / BTIO variants whose raw compile is a literal tail —
+/// the normalization pass must rewrite them into the same strided form the
+/// canonical constructors produce.
+fn manual_shapes() -> Vec<(&'static str, u64, Datatype)> {
     let fine2 = Datatype::vector(1 << 19, 1, 2, &Datatype::basic(2)).unwrap();
     let fine4 = Datatype::vector(1 << 18, 1, 2, &Datatype::basic(4)).unwrap();
     let fine8 = Datatype::vector(1 << 17, 1, 2, &Datatype::basic(8)).unwrap();
@@ -344,14 +344,14 @@ fn kernel_shapes() -> Vec<(&'static str, u64, Datatype)> {
     all
 }
 
-/// Scalar-compiled vs kernelized vs manual, across the kernel shapes.
-/// The manual packer is verified byte-identical to `ff_pack` before it
-/// is timed, and the ragged shapes assert the normalization pass
-/// actually rewrote them.
-fn bench_pack_kernels(entries: &mut Vec<Entry>) {
-    let mut g = Group::new("pack_kernels");
+/// Compiled vs manual, across the small-block shapes (Adefemi's
+/// manual-pack column). The manual packer is verified byte-identical to
+/// `ff_pack` before it is timed, and the ragged shapes assert the
+/// normalization pass actually rewrote them.
+fn bench_pack_manual(entries: &mut Vec<Entry>) {
+    let mut g = Group::new("pack_manual");
     g.sample_size(20);
-    for (name, count, d) in kernel_shapes() {
+    for (name, count, d) in manual_shapes() {
         let span = ((count as i64 - 1) * d.extent() as i64 + d.data_ub()) as usize;
         let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
         let total = (d.size() * count) as usize;
@@ -366,31 +366,19 @@ fn bench_pack_kernels(entries: &mut Vec<Entry>) {
                 prog.describe()
             );
             entries.push(Entry {
-                group: "pack_kernels",
+                group: "pack_manual",
                 id: format!("normalize_rewrites/{name}"),
                 median_ns: prog.rewrites() as f64,
                 bytes: 0,
             });
         }
 
-        kernels::force(Mode::Scalar);
-        let s = g.bench(format!("compiled_scalar/{name}"), || {
+        let s = g.bench(format!("compiled/{name}"), || {
             prog.pack_into(black_box(&src), 0, count, 0, black_box(&mut out));
         });
         entries.push(Entry {
-            group: "pack_kernels",
-            id: format!("compiled_scalar/{name}"),
-            median_ns: s.median_ns,
-            bytes: total as u64,
-        });
-
-        kernels::force(Mode::Auto);
-        let s = g.bench(format!("kernelized/{name}"), || {
-            prog.pack_into(black_box(&src), 0, count, 0, black_box(&mut out));
-        });
-        entries.push(Entry {
-            group: "pack_kernels",
-            id: format!("kernelized/{name}"),
+            group: "pack_manual",
+            id: format!("compiled/{name}"),
             median_ns: s.median_ns,
             bytes: total as u64,
         });
@@ -407,14 +395,13 @@ fn bench_pack_kernels(entries: &mut Vec<Entry>) {
                 manual(black_box(&src), count, black_box(&mut out));
             });
             entries.push(Entry {
-                group: "pack_kernels",
+                group: "pack_manual",
                 id: format!("manual/{name}"),
                 median_ns: s.median_ns,
                 bytes: total as u64,
             });
         }
     }
-    kernels::force(Mode::Auto);
 }
 
 /// Tree walk vs compiled program (what `ff_pack` runs), across the four
@@ -488,10 +475,10 @@ fn write_json(entries: &[Entry]) {
     }
     // derived ratio per shape: treewalk/compiled (>1 means the program
     // is faster)
-    let med = |id: &str| {
+    let med = |group: &str, id: &str| {
         entries
             .iter()
-            .find(|e| e.id == id)
+            .find(|e| e.group == group && e.id == id)
             .map(|e| e.median_ns)
             .unwrap_or(f64::NAN)
     };
@@ -500,13 +487,13 @@ fn write_json(entries: &[Entry]) {
             "pack_compiled_ratio",
             name,
             "compiled_speedup",
-            med(&format!("treewalk/{name}")) / med(&format!("compiled/{name}")),
+            med("pack_compiled", &format!("treewalk/{name}"))
+                / med("pack_compiled", &format!("compiled/{name}")),
             "x",
         ));
     }
-    // kernel ratios per shape: kernel_speedup = scalar-compiled over
-    // kernelized (>1 means the kernels pay), vs_manual = manual over
-    // kernelized (≥ ~0.9 means within ~10% of the hand-rolled packer)
+    // vs_manual per shape: manual over compiled (≥ ~0.9 means within
+    // ~10% of the hand-rolled packer)
     for name in [
         "flat_strided",
         "nested_vv",
@@ -519,21 +506,13 @@ fn write_json(entries: &[Entry]) {
         "vv_ragged",
         "btio_ragged",
     ] {
-        let auto = med(&format!("kernelized/{name}"));
-        rows.push(schema::Entry::new(
-            "pack_kernel_ratio",
-            name,
-            "kernel_speedup",
-            med(&format!("compiled_scalar/{name}")) / auto,
-            "x",
-        ));
-        let manual = med(&format!("manual/{name}"));
+        let manual = med("pack_manual", &format!("manual/{name}"));
         if manual.is_finite() {
             rows.push(schema::Entry::new(
-                "pack_kernel_ratio",
+                "pack_manual_ratio",
                 name,
                 "vs_manual",
-                manual / auto,
+                manual / med("pack_manual", &format!("compiled/{name}")),
                 "x",
             ));
         }
@@ -547,6 +526,6 @@ fn main() {
     bench_pack_nested();
     let mut entries = Vec::new();
     bench_pack_compiled(&mut entries);
-    bench_pack_kernels(&mut entries);
+    bench_pack_manual(&mut entries);
     write_json(&entries);
 }

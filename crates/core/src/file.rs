@@ -172,9 +172,6 @@ impl<'c> File<'c> {
         if lio_obs::health::enabled() {
             lio_obs::health::ensure_watchdog();
         }
-        if let Some(mode) = hints.effective_pack_kernel() {
-            lio_datatype::kernels::force(mode);
-        }
         let view = FileView::bytes();
         let nav = Self::make_nav(view.clone(), hints.engine);
         let coll = twophase::establish_view(comm, &view, hints.engine)?;

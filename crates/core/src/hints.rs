@@ -1,10 +1,5 @@
 //! Tuning hints, modelled on ROMIO's `MPI_Info` keys.
 
-/// Pack-kernel family selector, re-exported from
-/// [`lio_datatype::kernels::Mode`] so hint-level callers need not depend
-/// on the datatype crate directly.
-pub use lio_datatype::kernels::Mode as PackKernel;
-
 /// The default of both window sizes, [`Hints::ind_buffer_size`] and
 /// [`Hints::cb_buffer_size`]: one cache-sized constant (512 KiB), shared
 /// with the advisor's `cb_buffer_size` rule.
@@ -152,15 +147,6 @@ pub struct Hints {
     /// read-modify-write (ROMIO's list-merge optimization; the listless
     /// engine uses the mergeview instead).
     pub detect_dense_writes: bool,
-    /// Pack-kernel family for the compiled run-program interpreter:
-    /// `Some(mode)` forces the process-global kernel mode at open time
-    /// (`auto` picks the best family the CPU supports per frame; `scalar`
-    /// disables the fixed-block kernels; `fixed`/`sse2`/`avx2` force one
-    /// family, degrading to what the CPU supports). `None` (the default)
-    /// leaves the process-global setting (and the `LIO_PACK_KERNEL`
-    /// environment variable) in charge. See
-    /// [`Hints::effective_pack_kernel`].
-    pub pack_kernel: Option<PackKernel>,
     /// Observability: `Some(on)` forces `lio-obs` recording on or off when
     /// a file is opened with these hints; `None` leaves the process-global
     /// setting (and the `LIO_OBS` environment variable) in charge.
@@ -197,7 +183,6 @@ impl Hints {
             cb_nodes: 0,
             sieving: SievingMode::Sieve,
             detect_dense_writes: true,
-            pack_kernel: None,
             obs: None,
             trace: None,
             profile: None,
@@ -293,27 +278,6 @@ impl Hints {
         }
     }
 
-    /// Force the pack-kernel family at open time (builder style). The
-    /// default (`None`) defers to the process-global mode and the
-    /// `LIO_PACK_KERNEL` environment variable.
-    pub fn pack_kernel(mut self, mode: PackKernel) -> Hints {
-        self.pack_kernel = Some(mode);
-        self
-    }
-
-    /// The pack-kernel mode this open should install, honoring the
-    /// `LIO_PACK_KERNEL` environment override (`auto`, `scalar`, `fixed`,
-    /// `sse2`, `avx2`; anything unparseable or unset defers to the
-    /// `pack_kernel` hint). Returns `None` when neither the environment
-    /// nor the hint asks for anything — the process-global default
-    /// (`auto`) stays in charge.
-    pub fn effective_pack_kernel(&self) -> Option<PackKernel> {
-        match std::env::var("LIO_PACK_KERNEL") {
-            Ok(v) => PackKernel::parse(&v).or(self.pack_kernel),
-            Err(_) => self.pack_kernel,
-        }
-    }
-
     /// Resolve `cb_nodes` against the world size.
     pub fn effective_io_nodes(&self, world: usize) -> usize {
         if self.cb_nodes == 0 {
@@ -387,8 +351,6 @@ impl Hints {
     /// `cb_nodes`, `romio_ds_write` / `romio_ds_read` (both map to the
     /// single sieving knob: `enable`/`disable`/`automatic` →
     /// sieve/direct/auto), `detect_dense_writes` (`true`/`false`),
-    /// `pack_kernel` (`auto`/`scalar`/`fixed`/`sse2`/`avx2` — pack-kernel
-    /// family for compiled run programs),
     /// `backend` (`mem`/`throttled`/`os` — storage substrate for
     /// backend-aware opens), and the `enable`/`disable` switches forced
     /// at open: `lio_obs` (metrics recording), `lio_trace` (event
@@ -454,11 +416,6 @@ impl Hints {
                         _ => return Err(HintError::new(k, v, "expected true or false")),
                     }
                 }
-                "pack_kernel" => {
-                    self.pack_kernel = Some(PackKernel::parse(v).ok_or_else(|| {
-                        HintError::new(k, v, "expected auto, scalar, fixed, sse2, or avx2")
-                    })?);
-                }
                 "backend" => {
                     self.backend = BackendKind::parse(v)
                         .ok_or_else(|| HintError::new(k, v, "expected mem, throttled, or os"))?;
@@ -516,9 +473,6 @@ impl Hints {
             ),
             ("backend".to_string(), self.backend.name().to_string()),
         ];
-        if let Some(mode) = self.pack_kernel {
-            pairs.push(("pack_kernel".to_string(), mode.name().to_string()));
-        }
         for (key, forced) in [
             ("lio_obs", self.obs),
             ("lio_trace", self.trace),
@@ -559,6 +513,9 @@ mod info_tests {
                 ("romio_ds_write", "disable"),
                 ("detect_dense_writes", "false"),
                 ("totally_unknown_key", "whatever"),
+                // a key that once selected the pack loop: an info set
+                // that still carries it applies
+                ("pack_kernel", "avx2"),
             ])
             .unwrap();
         assert_eq!(h.engine, Engine::Listless);
@@ -578,46 +535,6 @@ mod info_tests {
         assert!(Hints::default()
             .apply_info([("detect_dense_writes", "maybe")])
             .is_err());
-    }
-
-    #[test]
-    fn pack_kernel_info_key() {
-        assert_eq!(Hints::default().pack_kernel, None);
-        let h = Hints::default()
-            .apply_info([("pack_kernel", "scalar")])
-            .unwrap();
-        assert_eq!(h.pack_kernel, Some(PackKernel::Scalar));
-        let h = Hints::default()
-            .apply_info([("pack_kernel", "avx2")])
-            .unwrap();
-        assert_eq!(h.pack_kernel, Some(PackKernel::Avx2));
-        assert!(Hints::default()
-            .apply_info([("pack_kernel", "warp9")])
-            .is_err());
-        // absent by default, emitted (and round-tripped) only when set
-        assert!(Hints::default()
-            .to_info()
-            .iter()
-            .all(|(k, _)| k != "pack_kernel"));
-        let pairs = Hints::default().pack_kernel(PackKernel::Fixed).to_info();
-        let back = Hints::list_based()
-            .apply_info(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
-            .unwrap();
-        assert_eq!(back.pack_kernel, Some(PackKernel::Fixed));
-    }
-
-    #[test]
-    fn pack_kernel_env_defers_to_hint() {
-        if std::env::var("LIO_PACK_KERNEL").is_ok() {
-            return; // the env override legitimately wins
-        }
-        assert_eq!(Hints::default().effective_pack_kernel(), None);
-        assert_eq!(
-            Hints::default()
-                .pack_kernel(PackKernel::Sse2)
-                .effective_pack_kernel(),
-            Some(PackKernel::Sse2)
-        );
     }
 
     #[test]

@@ -53,5 +53,5 @@ mod window;
 
 pub use error::{IoError, Result};
 pub use file::{File, SharedFile};
-pub use hints::{BackendKind, Engine, HintError, Hints, PackKernel, SievingMode};
+pub use hints::{BackendKind, Engine, HintError, Hints, SievingMode};
 pub use view::FileView;

@@ -46,7 +46,7 @@
 //! lent streams the run's whole cache lines past the cache
 //! (`dt.stream.bytes`): every byte of every write here on lending storage,
 //! whose blocks are whole lines — but the nc-c write, which packs into
-//! the window through the gather kernels — and nothing on storage that
+//! the window with ordinary stores — and nothing on storage that
 //! stages, nothing of any read, nothing of the Figure-4 8 B blocks.
 //!
 //! Its own test binary with a single test: the counters are process-wide.

@@ -162,8 +162,8 @@ fn profile_json_is_well_formed_and_advice_grounded() {
     let recs_json = profile::recommendations_json(&recs);
     lio_obs::json::validate(&recs_json).expect("advice export must be well-formed JSON");
     // a non-contiguous collective workload must at least decide the
-    // engine, window-size, and pack-kernel questions, with reasons
-    for rule in ["engine", "cb_buffer_size", "pack_kernel"] {
+    // engine and window-size questions, with reasons
+    for rule in ["engine", "cb_buffer_size"] {
         let r = recs
             .iter()
             .find(|r| r.rule == rule)

@@ -34,13 +34,10 @@
 //!   `dt.normalize.{rewrites,frames_before,frames_after}` counters record
 //!   what the pass accomplished.
 //!
-//! After normalization every `Blocks` frame records its kernel selection
-//! ([`crate::kernels::Sel`]): block-size class, alignment class, and the
-//! fixed-width/SIMD copy kernel that `auto` mode resolves to. The frame
-//! itself is copied by the frame executor
-//! ([`StridedSpec::copy_instance`]): one direct gather/scatter call per
-//! run of whole blocks, no per-block dispatch or division (see
-//! [`crate::kernels`]).
+//! Every `Blocks` frame is copied by the frame executor
+//! ([`StridedSpec::copy_instance`]): one call of the safe fixed-width loop
+//! ([`crate::strided::strided_copy`]) per run of whole blocks, no
+//! per-block dispatch or division.
 //!
 //! The interpreter therefore preserves the paper's navigation contract:
 //! entry at an arbitrary `skipbytes` costs `O(depth)` (one division per
@@ -55,7 +52,7 @@ use std::sync::Arc;
 
 use lio_obs::LazyCounter;
 
-use crate::kernels::{self, Mode, Sel, Store, Stores};
+use crate::kernels::{Store, Stores};
 use crate::strided::{Gather, Scatter, StridedSpec, Xfer};
 use crate::transfer::{Stretches, ToUser, ToWindow, Transfer};
 use crate::types::{Datatype, TypeKind};
@@ -76,14 +73,12 @@ static OBS_NORM_FRAMES_AFTER: LazyCounter = LazyCounter::new("dt.normalize.frame
 pub(crate) enum PNode {
     /// `count` dense blocks of `block` bytes, block `j` starting at
     /// `base + j·stride` — the `{count, block, stride}` frame. This is
-    /// the canonical strided form and the only node that copies bytes;
-    /// `kern` records its compile-time kernel selection.
+    /// the canonical strided form and the only node that copies bytes.
     Blocks {
         base: i64,
         stride: i64,
         block: u64,
         count: u64,
-        kern: Sel,
     },
     /// `count` repetitions of `body` (holding `size` data bytes each),
     /// repetition `i` originating at `base + i·stride`.
@@ -111,15 +106,13 @@ pub(crate) struct Part {
     pub(crate) node: PNode,
 }
 
-/// The canonical `Blocks` constructor: kernel selection happens here,
-/// once, at compile time.
+/// A `Blocks` frame.
 fn blocks(base: i64, stride: i64, block: u64, count: u64) -> PNode {
     PNode::Blocks {
         base,
         stride,
         block,
         count,
-        kern: Sel::select(block, stride),
     }
 }
 
@@ -190,13 +183,6 @@ impl RunProgram {
         OBS_NORM_FRAMES_AFTER.add(frames as u64);
         if rewrites > 0 {
             OBS_NORM_REWRITES.add(rewrites as u64);
-        }
-        if let Some(root) = &root {
-            // count frames that selected a vector-eligible kernel
-            let selected = count_selected(root);
-            if selected > 0 {
-                kernels::OBS_KERNEL_SELECTED.add(selected);
-            }
         }
         RunProgram {
             frames,
@@ -341,7 +327,6 @@ impl RunProgram {
             runs: 0,
             clipped: false,
             obs: lio_obs::enabled(),
-            mode: kernels::mode(),
         };
         let mut inst = skip / self.size;
         let mut s = skip % self.size;
@@ -463,7 +448,6 @@ fn tile(body: PNode, n: u64, step: i64, body_size: u64) -> PNode {
         stride,
         block,
         count,
-        ..
     } = body
     {
         if count == 1 {
@@ -505,14 +489,7 @@ fn shift(node: PNode, d: i64) -> PNode {
             stride,
             block,
             count,
-            kern,
-        } => PNode::Blocks {
-            base: base + d,
-            stride,
-            block,
-            count,
-            kern,
-        },
+        } => blocks(base + d, stride, block, count),
         PNode::Loop {
             base,
             count,
@@ -562,7 +539,6 @@ fn normalize(node: PNode, rw: &mut u32) -> PNode {
             stride,
             block,
             count,
-            ..
         } => {
             if count > 1 && stride == block as i64 {
                 // stride == block: the blocks are dense — one big block
@@ -677,7 +653,6 @@ fn try_merge(a: &Part, b: &Part) -> Option<Part> {
         stride: astride,
         block: ablock,
         count: ac,
-        ..
     } = a.node
     else {
         return None;
@@ -687,7 +662,6 @@ fn try_merge(a: &Part, b: &Part) -> Option<Part> {
         stride: bstride,
         block: bblock,
         count: bc,
-        ..
     } = b.node
     else {
         return None;
@@ -772,15 +746,6 @@ fn collect_blocks(node: &PNode, sizes: &mut Vec<u64>) {
     }
 }
 
-/// `Blocks` frames whose compile-time selection is kernel-eligible.
-fn count_selected(node: &PNode) -> u64 {
-    match node {
-        PNode::Blocks { kern, .. } => u64::from(kern.eligible()),
-        PNode::Loop { body, .. } => count_selected(body),
-        PNode::Tail { parts, .. } => parts.iter().map(|p| count_selected(&p.node)).sum(),
-    }
-}
-
 fn describe_node(node: &PNode) -> String {
     match node {
         PNode::Blocks {
@@ -788,7 +753,6 @@ fn describe_node(node: &PNode) -> String {
             stride,
             block,
             count,
-            ..
         } => format!("B({base},{stride},{block},{count})"),
         PNode::Loop {
             base,
@@ -846,7 +810,6 @@ struct Sink<X> {
     /// The typed-side window ended before the capacity did.
     clipped: bool,
     obs: bool,
-    mode: Mode,
 }
 
 impl<X: Xfer> Sink<X> {
@@ -857,11 +820,9 @@ impl<X: Xfer> Sink<X> {
 
     /// One instance of a `Blocks` frame at `origin`, entered after `skip`
     /// data bytes, through the shared frame executor.
-    fn blocks(&mut self, spec: &StridedSpec, sel: Sel, origin: i64, skip: u64) {
+    fn blocks(&mut self, spec: &StridedSpec, origin: i64, skip: u64) {
         let want = (spec.size() - skip).min((self.cap - self.cursor) as u64) as usize;
-        let kind = kernels::resolve(sel, self.mode);
-        let (n, runs) =
-            spec.copy_instance(&mut self.x, kind, origin, skip, self.cursor, want, self.obs);
+        let (n, runs) = spec.copy_instance(&mut self.x, origin, skip, self.cursor, want, self.obs);
         self.cursor += n;
         self.runs += runs;
         self.clipped = n < want;
@@ -880,7 +841,6 @@ impl PNode {
                 stride,
                 block,
                 count,
-                kern,
             } => {
                 let spec = StridedSpec {
                     base: *base,
@@ -889,7 +849,7 @@ impl PNode {
                     count: *count,
                 };
                 if skip < spec.size() {
-                    sink.blocks(&spec, *kern, origin, skip);
+                    sink.blocks(&spec, origin, skip);
                 }
             }
             PNode::Loop {

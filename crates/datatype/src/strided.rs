@@ -15,16 +15,18 @@
 //! at byte `base + j·stride`. Most datatypes used for fileviews in
 //! practice (vectors, subarray rows, the Figure 4 struct) reduce to it.
 //!
-//! [`StridedSpec::copy_instance`] is the one loop that copies such a
+//! [`StridedSpec::copy_instance`] is the one loop that walks such a
 //! frame. Its only caller is the compiled run program
 //! ([`crate::program`]), whose `Blocks` frames are exactly these specs: a
 //! whole type that reduces to one ([`Datatype::as_strided`], the
 //! compile-time fold) is a program with a single root frame. Where its
 //! divisions live: one on entry, to turn the data offset into (block
 //! index, offset within the block); one per run of whole blocks, only
-//! when the caller's window cuts the run short; none per block.
+//! when the caller's window cuts the run short; none per block. A run of
+//! whole blocks is copied by [`strided_copy`], the safe fixed-width loop
+//! that every pack, unpack, placement and extraction shares.
 
-use crate::kernels::{self, Kind};
+use crate::kernels::Stores;
 use crate::types::{Datatype, TypeKind};
 
 /// A datatype instance as evenly spaced dense blocks.
@@ -178,41 +180,10 @@ pub(crate) trait Xfer {
     fn lens(&self) -> (usize, usize);
     /// Move `n` bytes between window position `t` and stream position `c`.
     fn copy(&mut self, t: usize, c: usize, n: usize);
-    /// Move `n` whole blocks of `block` bytes, `stride` apart from window
-    /// position `t` and dense from stream position `c`, a `copy` each.
-    fn blocks(&mut self, t: usize, stride: usize, c: usize, block: usize, n: usize) {
-        for k in 0..n {
-            self.copy(t + k * stride, c + k * block, block);
-        }
-    }
-    /// Move `n > 0` whole blocks of `class` bytes, `stride` apart from
-    /// window position `t` and dense from stream position `c`, through
-    /// the fixed-width kernel family `k`. Panics unless every block lies
-    /// inside both sides.
-    fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: usize, c: usize, n: usize);
-}
-
-/// Whether `n > 0` blocks of `block` bytes, `stride` apart from `t`, lie
-/// inside a window of `window` bytes and, dense from `c`, inside `contig`
-/// bytes — the first and the last block bound every block — and `k` runs
-/// on this CPU: what the raw kernels require of their caller.
-fn kernel_fits(
-    k: Kind,
-    (window, contig): (usize, usize),
-    block: usize,
-    t: usize,
-    stride: usize,
-    c: usize,
-    n: usize,
-) -> bool {
-    let end = |first: usize, step: usize| {
-        (n.checked_sub(1)?.checked_mul(step)?)
-            .checked_add(first)?
-            .checked_add(block)
-    };
-    end(t, stride).is_some_and(|e| e <= window)
-        && end(c, block).is_some_and(|e| e <= contig)
-        && kernels::have(k)
+    /// Move `n > 0` whole blocks of `block` bytes, `stride` apart from
+    /// window position `t` and dense from stream position `c`. Panics
+    /// unless every block lies inside both sides.
+    fn blocks(&mut self, t: usize, stride: usize, c: usize, block: usize, n: usize);
 }
 
 pub(crate) struct Gather<'a> {
@@ -230,14 +201,16 @@ impl Xfer for Gather<'_> {
         self.contig[c..c + n].copy_from_slice(&self.typed[t..t + n]);
     }
 
-    fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: usize, c: usize, n: usize) {
-        assert!(kernel_fits(k, self.lens(), class as usize, t, stride, c, n));
-        // SAFETY: the assert bounds every block on both sides and finds
-        // `k` supported; a `class` that is no kernel's panics inside.
-        unsafe {
-            let (src, dst) = (self.typed.as_ptr().add(t), self.contig.as_mut_ptr().add(c));
-            kernels::gather(k, class, src, stride as isize, n, dst);
-        }
+    #[inline]
+    fn blocks(&mut self, t: usize, stride: usize, c: usize, block: usize, n: usize) {
+        strided_copy(
+            &self.typed[t..],
+            stride,
+            &mut self.contig[c..],
+            block,
+            block,
+            n,
+        );
     }
 }
 
@@ -246,7 +219,7 @@ pub(crate) struct Scatter<'a> {
     pub typed: &'a mut [u8],
     /// How the runs are stored into `typed`: streamed where it is a window
     /// the storage lent.
-    pub stores: kernels::Stores,
+    pub stores: Stores,
 }
 
 impl Xfer for Scatter<'_> {
@@ -260,36 +233,93 @@ impl Xfer for Scatter<'_> {
             .copy(&mut self.typed[t..t + n], &self.contig[c..c + n]);
     }
 
-    fn kernel(&mut self, k: Kind, class: u8, t: usize, stride: usize, c: usize, n: usize) {
-        assert!(kernel_fits(k, self.lens(), class as usize, t, stride, c, n));
-        // SAFETY: as for `Gather::kernel`, the sides' roles swapped.
-        unsafe {
-            let (src, dst) = (self.contig.as_ptr().add(c), self.typed.as_mut_ptr().add(t));
-            kernels::scatter(k, class, src, dst, stride as isize, n);
+    /// Blocks long enough to stream are stored one at a time, each
+    /// streaming its whole lines, as a transfer's placement stores them.
+    #[inline]
+    fn blocks(&mut self, t: usize, stride: usize, c: usize, block: usize, n: usize) {
+        if !self.stores.streams(block) {
+            strided_copy(
+                &self.contig[c..],
+                block,
+                &mut self.typed[t..],
+                stride,
+                block,
+                n,
+            );
+            return;
+        }
+        for k in 0..n {
+            self.copy(t + k * stride, c + k * block, block);
         }
     }
 }
 
+/// Copy `n` blocks of `block` bytes, block `i` from `src[i·ss..]` to
+/// `dst[i·ds..]` — the one block-copy loop under every pack, unpack,
+/// placement and extraction. Blocks of 1–32 B, a power of two, that lie
+/// apart on both sides take [`zip_fixed`]; overlapping blocks go one after
+/// the other, as a `copy_from_slice` each would.
+#[inline]
+pub(crate) fn strided_copy(
+    src: &[u8],
+    ss: usize,
+    dst: &mut [u8],
+    ds: usize,
+    block: usize,
+    n: usize,
+) {
+    if n == 1 {
+        dst[..block].copy_from_slice(&src[..block]);
+        return;
+    }
+    let zip = n > 1 && ss >= block && ds >= block;
+    match block {
+        1 if zip => zip_fixed::<1>(src, ss, dst, ds, n),
+        2 if zip => zip_fixed::<2>(src, ss, dst, ds, n),
+        4 if zip => zip_fixed::<4>(src, ss, dst, ds, n),
+        8 if zip => zip_fixed::<8>(src, ss, dst, ds, n),
+        16 if zip => zip_fixed::<16>(src, ss, dst, ds, n),
+        32 if zip => zip_fixed::<32>(src, ss, dst, ds, n),
+        _ => {
+            for i in 0..n {
+                dst[i * ds..][..block].copy_from_slice(&src[i * ss..][..block]);
+            }
+        }
+    }
+}
+
+/// [`strided_copy`] of `n > 1` blocks whose size is a compile-time
+/// constant, so that a block is a load and a store rather than a `memcpy`
+/// call. All but the last block have a whole stride after them on both
+/// sides: they zip as exact chunks.
+fn zip_fixed<const B: usize>(src: &[u8], ss: usize, dst: &mut [u8], ds: usize, n: usize) {
+    assert!(ss >= B && ds >= B);
+    let head = n - 1;
+    let pairs = dst[..head * ds]
+        .chunks_exact_mut(ds)
+        .zip(src[..head * ss].chunks_exact(ss));
+    for (d, s) in pairs {
+        d[..B].copy_from_slice(&s[..B]);
+    }
+    dst[head * ds..][..B].copy_from_slice(&src[head * ss..][..B]);
+}
+
 impl StridedSpec {
-    /// The frame executor — the one block-copy loop under every pack,
-    /// unpack and window placement. Copies up to `todo` data bytes of the
-    /// instance whose origin sits at window position `origin`, entering
-    /// after `skip < size()` data bytes, to or from contiguous position
-    /// `c`. Returns `(bytes, runs)`; fewer bytes than
-    /// `todo.min(size() - skip)` means the window ended first.
+    /// The frame executor. Copies up to `todo` data bytes of the instance
+    /// whose origin sits at window position `origin`, entering after
+    /// `skip < size()` data bytes, to or from contiguous position `c`.
+    /// Returns `(bytes, runs)`; fewer bytes than `todo.min(size() - skip)`
+    /// means the window ended first.
     ///
     /// `(block index, within)` is resolved once on entry. A positive
     /// stride then gets one *run*: the most whole blocks that fit both
     /// `todo` and the window — one division, and only when the window
-    /// clips the run — moved by `kind`'s fixed-width kernel, or by one
-    /// `copy_from_slice` per block when `kind` is scalar. The single-block
+    /// clips the run — moved by one [`Xfer::blocks`] call. The single-block
     /// step does the rest: a partial head or tail block, the block the
     /// window cuts, and every block of a non-positive stride.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn copy_instance<X: Xfer>(
         &self,
         x: &mut X,
-        kind: Kind,
         origin: i64,
         skip: u64,
         c: usize,
@@ -320,18 +350,10 @@ impl StridedSpec {
                 {
                     n = room / self.stride as u64 + 1;
                 }
-                let (t, nblk, stride) = (pos as usize, n as usize, self.stride as usize);
-                if kind == Kind::Scalar {
-                    x.blocks(t, stride, c + done, block, nblk);
-                } else {
-                    x.kernel(kind, block as u8, t, stride, c + done, nblk);
-                }
+                let nblk = n as usize;
+                x.blocks(pos as usize, self.stride as usize, c + done, block, nblk);
                 if obs {
                     crate::ff::OBS_RUN_LEN.record_n(self.block, n);
-                    if kind != Kind::Scalar {
-                        kernels::OBS_KERNEL_BLOCKS.add(n);
-                        kernels::OBS_KERNEL_BYTES.add(n * self.block);
-                    }
                 }
                 j += n;
                 pos += n as i64 * self.stride;
@@ -592,6 +614,61 @@ mod tests {
             let k = ff_unpack_at(&packed, &mut dst, 0, 2, &d, skip);
             assert_eq!(k, n);
             assert_eq!(&reference_pack(&dst, &d, 2)[skip as usize..], &packed[..]);
+        }
+    }
+
+    /// Every fixed-width class, each at the strides {dense, odd, twice the
+    /// block, a cache line} and at counts around the zip's edges.
+    fn grid() -> impl Iterator<Item = (usize, usize, usize)> {
+        [1, 2, 4, 8, 16, 32].into_iter().flat_map(|b| {
+            [b, b + 3, 2 * b, 64].into_iter().flat_map(move |stride| {
+                [0, 1, 2, 3, 7, 8, 9, 31, 64].map(move |count| (b, stride, count))
+            })
+        })
+    }
+
+    /// The destination offsets from a 32-byte boundary that a block
+    /// boundary can have.
+    const PADS: [usize; 4] = [0, 8, 16, 24];
+
+    #[test]
+    fn gather_matches_reference_for_every_class() {
+        for (b, stride, count) in grid() {
+            let span = count.saturating_sub(1) * stride + b;
+            let src: Vec<u8> = (0..span + 5).map(|i| (i % 251) as u8).collect();
+            let mut want = vec![0u8; count * b];
+            for j in 0..count {
+                want[j * b..][..b].copy_from_slice(&src[j * stride..][..b]);
+            }
+            for pad in PADS {
+                let mut got = vec![0u8; pad + count * b];
+                strided_copy(&src, stride, &mut got[pad..], b, b, count);
+                assert_eq!(
+                    &got[pad..],
+                    &want[..],
+                    "gather class={b} stride={stride} count={count} pad={pad}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_matches_reference_for_every_class() {
+        for (b, stride, count) in grid() {
+            let span = count.saturating_sub(1) * stride + b;
+            let src: Vec<u8> = (0..count * b).map(|i| (i % 249) as u8).collect();
+            for pad in PADS {
+                let mut want = vec![0xEEu8; pad + span + 5];
+                for j in 0..count {
+                    want[pad + j * stride..][..b].copy_from_slice(&src[j * b..][..b]);
+                }
+                let mut got = vec![0xEEu8; pad + span + 5];
+                strided_copy(&src, b, &mut got[pad..], stride, b, count);
+                assert_eq!(
+                    got, want,
+                    "scatter class={b} stride={stride} count={count} pad={pad}"
+                );
+            }
         }
     }
 }

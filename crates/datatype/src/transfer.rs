@@ -20,9 +20,9 @@
 //! and never looks back. It never materializes a run list either: its
 //! state is one stretch and a stack of at most `depth` frames.
 
-use crate::kernels::{self, Kind, Mode, Stores};
+use crate::kernels::{self, Stores};
 use crate::program::{PNode, Part, RunProgram};
-use crate::strided::Xfer;
+use crate::strided::{strided_copy, Xfer};
 
 /// Blocks of the user's type that lie evenly spaced and are next in its
 /// stream.
@@ -95,7 +95,6 @@ impl<'p> Stretches<'p> {
                     stride,
                     block,
                     count,
-                    ..
                 } => {
                     let j = skip / block;
                     self.cur = Stretch {
@@ -181,16 +180,8 @@ impl<'p> Stretches<'p> {
     /// Pair `wn` window blocks of `wb` bytes, `ws` apart from window
     /// position `t`, with the next `wn · wb` bytes of the stream, and have
     /// `ends` carry out the pairing in as few [`Move`]s as the two layouts
-    /// allow (`fixed` as for [`Ends::mv`]).
-    fn pair<E: Ends>(
-        &mut self,
-        mut t: usize,
-        ws: usize,
-        wb: usize,
-        mut wn: usize,
-        ends: &mut E,
-        fixed: bool,
-    ) {
+    /// allow.
+    fn pair<E: Ends>(&mut self, mut t: usize, ws: usize, wb: usize, mut wn: usize, ends: &mut E) {
         // bytes of the window block at `t` already paired
         let mut w_within = 0;
         while wn > 0 {
@@ -224,7 +215,7 @@ impl<'p> Stretches<'p> {
                 block,
                 n,
             };
-            ends.mv(m, fixed);
+            ends.mv(m);
             if b > block {
                 s.within += n * block;
             }
@@ -262,8 +253,8 @@ pub(crate) struct Move {
 /// The two buffers of a transfer and the direction between them.
 pub(crate) trait Ends {
     fn window_len(&self) -> usize;
-    /// Carry out `m`; `fixed` allows the fixed-width loops.
-    fn mv(&mut self, m: Move, fixed: bool);
+    /// Carry out `m`.
+    fn mv(&mut self, m: Move);
 }
 
 /// User buffer → window (place).
@@ -282,10 +273,10 @@ impl Ends for ToWindow<'_> {
     /// Blocks long enough to stream are stored one at a time, each
     /// streaming its whole lines.
     #[inline]
-    fn mv(&mut self, m: Move, fixed: bool) {
+    fn mv(&mut self, m: Move) {
         if !self.stores.streams(m.block) {
             let (src, dst) = (&self.user[m.u..], &mut self.window[m.w..]);
-            strided_copy(src, m.us, dst, m.ws, m.block, m.n, fixed);
+            strided_copy(src, m.us, dst, m.ws, m.block, m.n);
             return;
         }
         for i in 0..m.n {
@@ -312,10 +303,10 @@ impl Ends for ToUser<'_> {
     /// A block long enough to claim the user lines after it is stored one
     /// at a time, each behind its claim.
     #[inline]
-    fn mv(&mut self, m: Move, fixed: bool) {
+    fn mv(&mut self, m: Move) {
         let (src, dst) = (&self.window[m.w..], &mut self.user[m.u - self.at..]);
         if m.block < *kernels::CLAIM_RUNS.start() {
-            strided_copy(src, m.ws, dst, m.us, m.block, m.n, fixed);
+            strided_copy(src, m.ws, dst, m.us, m.block, m.n);
             return;
         }
         for i in 0..m.n {
@@ -334,9 +325,6 @@ pub(crate) struct Transfer<'p, E> {
     cap: usize,
     /// Stream bytes moved so far.
     done: usize,
-    /// Whether runs of small equal blocks take the fixed-width loops; the
-    /// `scalar` kernel mode keeps one `copy_from_slice` per block.
-    fixed: bool,
     ends: E,
 }
 
@@ -347,13 +335,12 @@ impl<'p, E: Ends> Transfer<'p, E> {
             cap: (n as u64).min(cur.len) as usize,
             cur,
             done: 0,
-            fixed: kernels::mode() != Mode::Scalar,
             ends,
         }
     }
 
     fn run(&mut self, t: usize, ws: usize, wb: usize, wn: usize) {
-        self.cur.pair(t, ws, wb, wn, &mut self.ends, self.fixed);
+        self.cur.pair(t, ws, wb, wn, &mut self.ends);
         self.done += wb * wn;
     }
 }
@@ -375,56 +362,4 @@ impl<E: Ends> Xfer for Transfer<'_, E> {
         debug_assert_eq!(c, self.done, "the executor consumes the stream in order");
         self.run(t, stride, block, n);
     }
-
-    /// No kernel family: the pairing picks the loop by block size itself.
-    fn kernel(&mut self, _k: Kind, class: u8, t: usize, stride: usize, c: usize, n: usize) {
-        self.blocks(t, stride, c, class as usize, n);
-    }
-}
-
-/// Copy `n` blocks of `block` bytes, block `i` from `src[i·ss..]` to
-/// `dst[i·ds..]`; for `n > 1` both strides are at least `block`.
-#[inline]
-fn strided_copy(
-    src: &[u8],
-    ss: usize,
-    dst: &mut [u8],
-    ds: usize,
-    block: usize,
-    n: usize,
-    fixed: bool,
-) {
-    if n == 1 {
-        dst[..block].copy_from_slice(&src[..block]);
-        return;
-    }
-    match block {
-        1 if fixed => zip_fixed::<1>(src, ss, dst, ds, n),
-        2 if fixed => zip_fixed::<2>(src, ss, dst, ds, n),
-        4 if fixed => zip_fixed::<4>(src, ss, dst, ds, n),
-        8 if fixed => zip_fixed::<8>(src, ss, dst, ds, n),
-        16 if fixed => zip_fixed::<16>(src, ss, dst, ds, n),
-        32 if fixed => zip_fixed::<32>(src, ss, dst, ds, n),
-        _ => {
-            for i in 0..n {
-                dst[i * ds..][..block].copy_from_slice(&src[i * ss..][..block]);
-            }
-        }
-    }
-}
-
-/// [`strided_copy`] of `n > 1` blocks whose size is a compile-time
-/// constant, so that a block is a load and a store rather than a `memcpy`
-/// call. All but the last block have a whole stride after them on both
-/// sides: they zip as exact chunks.
-fn zip_fixed<const B: usize>(src: &[u8], ss: usize, dst: &mut [u8], ds: usize, n: usize) {
-    assert!(ss >= B && ds >= B);
-    let head = n - 1;
-    let pairs = dst[..head * ds]
-        .chunks_exact_mut(ds)
-        .zip(src[..head * ss].chunks_exact(ss));
-    for (d, s) in pairs {
-        d[..B].copy_from_slice(&s[..B]);
-    }
-    dst[head * ds..][..B].copy_from_slice(&src[head * ss..][..B]);
 }

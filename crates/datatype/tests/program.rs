@@ -1,14 +1,13 @@
 //! Differential corpus for the compiled run programs: for random
-//! monotone datatype trees × random skips, the compiled program (under
-//! every forced kernel family) and the naive tree walk must produce
-//! byte-identical streams.
+//! monotone datatype trees × random skips, the compiled program and the
+//! naive tree walk must produce byte-identical streams.
 //!
 //! Seeding follows the fault-corpus convention from `lio-testkit`:
 //! `LIO_FAULT_SEED` replays one seed exactly, otherwise the fixed
 //! corpus runs, and every assertion message carries a one-line replay
 //! command so a CI failure is reproducible from the log alone.
 
-use lio_datatype::kernels::{self, Mode, Store};
+use lio_datatype::kernels::Store;
 use lio_datatype::{ff_pack, Datatype, Field, FlatIter, RunProgram};
 use lio_testkit::{corpus_seeds, Rng};
 
@@ -156,12 +155,26 @@ fn pack_compiled_treewalk_agree() {
     }
 }
 
-/// Every forced kernel family must produce byte-for-byte the stream the
-/// tree walk produces, across random monotone trees × skips 0..16. The
-/// kernel mode is process-global and the guarantee is bit-identity, so
-/// flipping it here cannot perturb the concurrently running tests.
+/// The tree-walk reference of unpack: scatter `packed` over the merged
+/// leaf runs from data byte `skip` on.
+fn treewalk_unpack(packed: &[u8], count: u64, d: &Datatype, skip: u64, dst: &mut [u8]) {
+    let mut cursor = 0;
+    for run in FlatIter::with_skip(d, count, skip) {
+        if cursor == packed.len() {
+            break;
+        }
+        let n = (run.len as usize).min(packed.len() - cursor);
+        let s = run.disp as usize;
+        dst[s..s + n].copy_from_slice(&packed[cursor..cursor + n]);
+        cursor += n;
+    }
+}
+
+/// Pack and unpack, the unpack streaming its long runs, must produce
+/// byte-for-byte what the tree walk produces, across random monotone trees
+/// × every skip 0..16: every entry into a frame's first blocks.
 #[test]
-fn forced_kernels_bit_identical() {
+fn program_matches_tree_walk_at_small_skips() {
     for seed in corpus_seeds() {
         for case in 0..12u64 {
             let mut rng = Rng::new(seed.rotate_left(43) ^ (case.wrapping_mul(0x9E37)));
@@ -178,49 +191,37 @@ fn forced_kernels_bit_identical() {
                 let want_len = (total - skip) as usize;
                 let mut walk = vec![0u8; want_len];
                 treewalk_pack(&src, count, &d, skip, &mut walk);
+                let mut packed = vec![0u8; want_len];
+                let (n, _) = prog.pack_into(&src, 0, count, skip, &mut packed);
+                assert_eq!(
+                    n,
+                    want_len,
+                    "pack short for {d:?} skip {skip}; {}",
+                    replay(seed, case)
+                );
+                assert_eq!(
+                    packed,
+                    walk,
+                    "pack ≠ tree walk for {d:?} skip {skip}; {}",
+                    replay(seed, case)
+                );
 
-                // scalar unpack is the scatter reference for the families
-                kernels::force(Mode::Scalar);
-                let mut scalar_dst = vec![0xAAu8; span];
-                prog.unpack_into(&walk, &mut scalar_dst, 0, count, skip, Store::Cached);
-
-                for &m in Mode::ALL.iter() {
-                    kernels::force(m);
-                    let mut packed = vec![0u8; want_len];
-                    let (n, _) = prog.pack_into(&src, 0, count, skip, &mut packed);
-                    assert_eq!(
-                        n,
-                        want_len,
-                        "{} pack short for {d:?} skip {skip}; {}",
-                        m.name(),
-                        replay(seed, case)
-                    );
-                    assert_eq!(
-                        packed,
-                        walk,
-                        "{} pack ≠ tree walk for {d:?} skip {skip}; {}",
-                        m.name(),
-                        replay(seed, case)
-                    );
-                    // the families unpack streaming, against cached scalar
-                    let mut dst = vec![0xAAu8; span];
-                    let (n, _) = prog.unpack_into(&walk, &mut dst, 0, count, skip, Store::Stream);
-                    assert_eq!(
-                        n,
-                        want_len,
-                        "{} unpack short for {d:?} skip {skip}; {}",
-                        m.name(),
-                        replay(seed, case)
-                    );
-                    assert_eq!(
-                        dst,
-                        scalar_dst,
-                        "{} unpack ≠ scalar for {d:?} skip {skip}; {}",
-                        m.name(),
-                        replay(seed, case)
-                    );
-                }
-                kernels::force(Mode::Auto);
+                let mut want = vec![0xAAu8; span];
+                treewalk_unpack(&walk, count, &d, skip, &mut want);
+                let mut dst = vec![0xAAu8; span];
+                let (n, _) = prog.unpack_into(&walk, &mut dst, 0, count, skip, Store::Stream);
+                assert_eq!(
+                    n,
+                    want_len,
+                    "unpack short for {d:?} skip {skip}; {}",
+                    replay(seed, case)
+                );
+                assert_eq!(
+                    dst,
+                    want,
+                    "unpack ≠ tree walk for {d:?} skip {skip}; {}",
+                    replay(seed, case)
+                );
             }
         }
     }
@@ -323,7 +324,7 @@ fn normalization_pinned_shapes() {
 
     // vector-of-vector built raggedly (hindexed rows at a step that
     // breaks cross-row stride regularity): the pass folds the 8 equal
-    // parts into Loop{Blocks} — the shape BENCH_pack's kernels eat
+    // parts into Loop{Blocks} — BENCH_pack's vv_ragged shape
     let lens = [1u64; 8];
     let disps: Vec<i64> = (0..8).map(|i| i * 100).collect();
     let vv = Datatype::hindexed(&lens, &disps, &row).unwrap();

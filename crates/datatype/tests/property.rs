@@ -8,7 +8,6 @@
 //! so every run exercises the same corpus and failures are reproducible
 //! from the reported case number alone.
 
-use lio_datatype::kernels::{self, Mode};
 use lio_datatype::typemap::{expand, expand_merged, merge, reference_pack};
 use lio_datatype::{
     bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_transfer_from,
@@ -742,8 +741,6 @@ fn all_pieces(user: &Side, win: &Side, ctx: &str) {
 
 /// The typed-to-typed transfer is pack + unpack minus the pack buffer:
 /// shapes picked for what the pairing of two layouts has to get right.
-/// The kernel mode is process-global; every mode is bit-identical, so
-/// flipping it cannot perturb the tests running beside this one.
 #[test]
 fn transfer_equals_pack_then_unpack_on_picked_shapes() {
     let b = Datatype::basic;
@@ -810,15 +807,11 @@ fn transfer_equals_pack_then_unpack_on_picked_shapes() {
         let win = Side::new(wt, *wcount).unwrap();
         // an empty user type has no buffer: one byte stands in
         let user = Side::new(ut, *ucount).unwrap_or(Side::over(ut, *ucount, 1));
-        for m in Mode::ALL {
-            kernels::force(m);
-            let ctx = format!("pair {i} mode={}", m.name());
-            all_skips_and_cuts(&user, &win, &ctx);
-            if wt.is_monotone() {
-                all_pieces(&user, &win, &ctx);
-            }
+        let ctx = format!("pair {i}");
+        all_skips_and_cuts(&user, &win, &ctx);
+        if wt.is_monotone() {
+            all_pieces(&user, &win, &ctx);
         }
-        kernels::force(Mode::Auto);
     }
     // an empty window type: nothing to enter
     let empty = Datatype::contiguous(0, &b(4)).unwrap();
@@ -838,7 +831,7 @@ fn transfer_equals_pack_then_unpack_on_picked_shapes() {
 
 /// The same identity over random pairs of trees (not necessarily
 /// monotone: a transfer follows typemap order like pack and unpack do),
-/// at sampled skips, cuts and window pieces, under every kernel mode.
+/// at sampled skips, cuts and window pieces.
 #[test]
 fn transfer_equals_pack_then_unpack_on_random_pairs() {
     for case in 0..CASES {
@@ -851,26 +844,21 @@ fn transfer_equals_pack_then_unpack_on_random_pairs() {
         if user.span >= 1 << 16 || win.span >= 1 << 16 {
             continue;
         }
-        for m in Mode::ALL {
-            kernels::force(m);
-            for _ in 0..24 {
-                let uskip = rng.range(0, user.total() + 1);
-                let wskip = rng.range(0, win.total() + 1);
-                let n = rng.range(0, user.total().max(win.total()) + 2) as usize;
-                let lo = rng.range(0, win.span as u64 / 2 + 1) as usize;
-                let hi = rng.range(lo as u64, win.span as u64 + 1) as usize;
-                for piece in [(0, win.span), (lo, hi)] {
-                    let ctx = || {
-                        format!(
-                            "case {case} mode={} {ut:?} x{ucount} -> {wt:?} x{wcount} \
-                             uskip={uskip} wskip={wskip} n={n} piece={piece:?}",
-                            m.name()
-                        )
-                    };
-                    transfer_is_pack_then_unpack(&user, uskip, &win, wskip, piece, n, ctx);
-                }
+        for _ in 0..24 {
+            let uskip = rng.range(0, user.total() + 1);
+            let wskip = rng.range(0, win.total() + 1);
+            let n = rng.range(0, user.total().max(win.total()) + 2) as usize;
+            let lo = rng.range(0, win.span as u64 / 2 + 1) as usize;
+            let hi = rng.range(lo as u64, win.span as u64 + 1) as usize;
+            for piece in [(0, win.span), (lo, hi)] {
+                let ctx = || {
+                    format!(
+                        "case {case} {ut:?} x{ucount} -> {wt:?} x{wcount} \
+                         uskip={uskip} wskip={wskip} n={n} piece={piece:?}"
+                    )
+                };
+                transfer_is_pack_then_unpack(&user, uskip, &win, wskip, piece, n, ctx);
             }
         }
-        kernels::force(Mode::Auto);
     }
 }

@@ -307,7 +307,7 @@ pub fn record_view(size: u64, extent: u64, leaf_runs: u64, contiguous: bool) {
 /// (`normalized`), how many rewrites the normalization pass applied to
 /// get there (`rewrites` — 0 means the program was *born* strided), and
 /// the block size of every `Blocks` frame (feeds the block-size
-/// histogram the kernel-eligibility advisor reads).
+/// histogram of the access-pattern summary).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub fn record_program(
@@ -477,8 +477,8 @@ pub struct ShapeStats {
     /// Smallest contiguous block any program moves; 0 when none compiled.
     pub min_block: u64,
     pub max_block: u64,
-    /// Block size of every compiled `Blocks` frame — what the pack
-    /// kernels would operate on.
+    /// Block size of every compiled `Blocks` frame — what the frame
+    /// executor's block copies move.
     pub block_sizes: HistogramSnapshot,
 }
 
@@ -954,41 +954,6 @@ fn rule_cb_buffer(p: &ProfileSnapshot) -> Option<Recommendation> {
     })
 }
 
-/// Largest block size the fixed-block pack kernels cover
-/// (`lio-datatype::kernels` classes: 2/4/8/16/32 B).
-pub const KERNEL_MAX_BLOCK: u64 = 32;
-
-fn rule_pack_kernel(p: &ProfileSnapshot) -> Option<Recommendation> {
-    if p.shape.programs == 0 || p.shape.block_sizes.count == 0 {
-        return None;
-    }
-    let p50 = p.shape.block_sizes.p50();
-    let mn = p.shape.min_block;
-    if p50 <= KERNEL_MAX_BLOCK {
-        Some(Recommendation {
-            rule: "pack_kernel",
-            setting: "pack_kernel=auto".to_string(),
-            reason: format!(
-                "run-program block-size histogram has median {p50} B (min {mn} B): most \
-                 copies fall in the 2–{KERNEL_MAX_BLOCK} B fixed-block classes where the \
-                 vector kernels measure ≥ 1.3× over the scalar interpreter (BENCH_pack), \
-                 so keep pack_kernel=auto and let per-frame selection engage them"
-            ),
-        })
-    } else {
-        Some(Recommendation {
-            rule: "pack_kernel",
-            setting: "pack_kernel=auto".to_string(),
-            reason: format!(
-                "run-program block-size histogram has median {p50} B, above the \
-                 {KERNEL_MAX_BLOCK} B kernel classes: blocks this large already copy at \
-                 memcpy speed and the fixed-block kernels will not engage (auto costs \
-                 nothing and still covers any small-block frames that appear)"
-            ),
-        })
-    }
-}
-
 fn rule_sieving(p: &ProfileSnapshot) -> Option<Recommendation> {
     if !p.has_independent() || p.view.views_set == 0 || p.view.contiguous {
         return None;
@@ -1032,12 +997,6 @@ pub static RULES: &[Rule] = &[
         description: "size collective-buffer windows for ~4 windows per op, \
                       clamped to [64 KiB, the cache-sized default window]",
         apply: rule_cb_buffer,
-    },
-    Rule {
-        name: "pack_kernel",
-        description: "small-block run programs (2–32 B blocks) engage the fixed-block \
-                      vector pack kernels; larger blocks copy at memcpy speed anyway",
-        apply: rule_pack_kernel,
     },
     Rule {
         name: "sieving",
@@ -1321,8 +1280,6 @@ mod tests {
             by_rule("cb_buffer_size").setting,
             format!("cb_buffer_size={DEFAULT_WINDOW}")
         );
-        // 1 KiB blocks sit above the fixed-block kernel classes
-        assert!(by_rule("pack_kernel").reason.contains("will not engage"));
         // every recommendation explains itself
         assert!(recs.iter().all(|r| !r.reason.is_empty()));
     }
@@ -1353,13 +1310,13 @@ mod tests {
 
     #[test]
     fn rules_table_is_inspectable() {
-        assert!(RULES.len() >= 4);
+        assert!(RULES.len() >= 3);
         for r in RULES {
             assert!(!r.name.is_empty());
             assert!(!r.description.is_empty());
         }
         let names: Vec<_> = RULES.iter().map(|r| r.name).collect();
-        for want in ["engine", "cb_buffer_size", "pack_kernel", "sieving"] {
+        for want in ["engine", "cb_buffer_size", "sieving"] {
             assert!(names.contains(&want), "rule {want} missing from table");
         }
     }

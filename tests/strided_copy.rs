@@ -9,8 +9,9 @@
 //! than one block. Unpack targets are pre-filled with a sentinel, so a
 //! byte written into a gap fails the comparison.
 //!
-//! The kernel family is whatever `LIO_PACK_KERNEL` selects; `ci.sh` runs
-//! this file under `scalar` and `auto`.
+//! Every run of whole blocks goes through the one fixed-width block copy
+//! (`strided_copy`), so the block sizes around its zipped classes
+//! (1/2/4/8/16/32 B) are where a slip would show.
 
 use lio_testkit::{corpus_seeds, Rng};
 use listless_io::btio::{io::filetype, Decomp};
