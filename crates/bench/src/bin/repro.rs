@@ -23,7 +23,7 @@ use std::fs;
 use std::path::Path;
 
 use lio_btio::{volume_stats, Class};
-use lio_core::Engine;
+use lio_core::{Engine, Layers};
 use lio_noncontig::{Access, Config, Pattern};
 
 struct Opts {
@@ -771,8 +771,8 @@ fn metrics(opts: &Opts) {
     );
 
     // Consume the one-shot LIO_OBS env check up front: this subcommand is
-    // meaningless without recording, so its explicit enable must win over
-    // the env var that File::open would otherwise apply mid-run.
+    // meaningless without recording, so the layers it arms below must win
+    // over the env var that File::open would otherwise apply mid-run.
     lio_obs::init_from_env();
 
     /// What a column's file is made of. Every kind but `Bare` sits under
@@ -813,7 +813,9 @@ fn metrics(opts: &Opts) {
     for (engine, ename) in ENGINES.iter() {
         configs.push((
             format!("{}_health", ename.replace('-', "_")),
-            Hints::with_engine(*engine).cb_buffer(4 << 10).health(true),
+            Hints::with_engine(*engine)
+                .cb_buffer(4 << 10)
+                .observe(Layers::METRICS | Layers::HEALTH),
             Store::Counted,
         ));
     }
@@ -829,11 +831,11 @@ fn metrics(opts: &Opts) {
     let mut json = String::from("{\n");
     let mut entries: Vec<lio_bench::schema::Entry> = Vec::new();
     for (i, (key, hints, store)) in configs.iter().enumerate() {
+        let layers = hints.obs.unwrap_or(Layers::METRICS);
+        let health_on = layers.contains(Layers::HEALTH);
         lio_obs::reset();
-        lio_obs::set_enabled(true);
-        let health_on = hints.health == Some(true);
         lio_obs::health::reset();
-        lio_obs::health::set_enabled(health_on);
+        layers.arm();
         if health_on {
             // diagnose-only with a deadline this workload cannot trip
             lio_obs::health::set_watchdog(30_000, false);
@@ -870,7 +872,7 @@ fn metrics(opts: &Opts) {
                 .expect("read");
             assert_eq!(back, data, "read-back mismatch");
         });
-        lio_obs::set_enabled(false);
+        Layers::NONE.arm();
         let snap = lio_obs::snapshot();
         println!(
             "  {key}: {} file accesses, {} B written, {} B list metadata, {} B exchange data",
@@ -1000,7 +1002,6 @@ fn metrics(opts: &Opts) {
                 }
             }
         }
-        lio_obs::health::set_enabled(false);
         let sep = if i + 1 < configs.len() { "," } else { "" };
         writeln!(json, "  \"{key}\": {}{sep}", snap.to_json()).unwrap();
     }
@@ -1040,12 +1041,11 @@ fn top_cmd(opts: &Opts) {
     let total = 16 * nblock * sblock;
     println!("# top: per-rank health snapshots over a 4-rank throttled collective run");
 
-    // consume the one-shot env checks, then force the layer on: this
+    // consume the one-shot env check, then arm the layer: this
     // subcommand exists to show heartbeats
     lio_obs::init_from_env();
-    health::init_from_env();
     health::reset();
-    health::set_enabled(true);
+    Layers::HEALTH.arm();
     health::set_watchdog(30_000, false);
 
     let slow = Throttle {
@@ -1054,7 +1054,7 @@ fn top_cmd(opts: &Opts) {
         latency: Duration::from_millis(1),
     };
     let shared = SharedFile::new(ThrottledFile::new(MemFile::new(), slow));
-    let hints = Hints::listless().cb_buffer(4 << 10).health(true);
+    let hints = Hints::listless().cb_buffer(4 << 10).observe(Layers::HEALTH);
     let worker = std::thread::spawn(move || {
         World::run(nprocs, move |comm| {
             let me = comm.rank() as u64;
@@ -1095,7 +1095,7 @@ fn top_cmd(opts: &Opts) {
     lio_obs::json::validate(&json).expect("health export must be well-formed JSON");
     fs::write("results/health.json", &json).expect("write health json");
     println!("  -> results/health.json");
-    health::set_enabled(false);
+    Layers::NONE.arm();
     health::reset();
 }
 
@@ -1130,19 +1130,15 @@ fn trace_cmd(opts: &Opts) {
     let total = 16 * nblock * sblock;
     println!("# trace: 4-rank collective write+read, 1 ms/op storage, tracing on");
 
-    // consume the one-shot env checks, then force recording on: this
-    // subcommand exists to produce a timeline
+    // consume the one-shot env check, then arm recording: this
+    // subcommand exists to produce a timeline. Health is armed too: the
+    // critical-path report then carries the per-rank window-skew
+    // attribution alongside the bounding phases
     lio_obs::init_from_env();
-    trace::init_from_env();
     lio_obs::reset();
-    lio_obs::set_enabled(true);
-    trace::set_enabled(true);
     trace::reset();
-    // health armed too: the critical-path report then carries the
-    // per-rank window-skew attribution alongside the bounding phases
-    lio_obs::health::init_from_env();
     lio_obs::health::reset();
-    lio_obs::health::set_enabled(true);
+    (Layers::METRICS | Layers::TRACE | Layers::HEALTH).arm();
     lio_obs::health::set_watchdog(30_000, false);
 
     let slow = Throttle {
@@ -1169,8 +1165,6 @@ fn trace_cmd(opts: &Opts) {
     let streams = trace::collect();
     let timeline = trace::merge(&streams);
     let reports = trace::critical_path(&timeline);
-    lio_obs::set_enabled(false);
-    trace::set_enabled(false);
 
     let dropped: u64 = streams.iter().map(|s| s.dropped).sum();
     println!(
@@ -1183,7 +1177,7 @@ fn trace_cmd(opts: &Opts) {
         timeline.causal_violations,
     );
     print!("{}", trace::render_report(&reports, &timeline));
-    lio_obs::health::set_enabled(false);
+    Layers::NONE.arm();
     lio_obs::health::reset();
 
     let json = trace::to_chrome_json(&timeline);
@@ -1213,20 +1207,17 @@ fn profile_cmd(opts: &Opts) {
     let nblock: u64 = if opts.quick { 128 } else { 512 };
     println!("# profile: access-pattern profiler + hint advisor, 3 workloads");
 
-    // consume the one-shot env checks, then drive recording explicitly
+    // consume the one-shot env check, then drive recording explicitly
     lio_obs::init_from_env();
-    profile::init_from_env();
 
     // run `body` with the profiler armed; returns (profile, advice) JSON
     let profiled = |name: &str, body: &mut dyn FnMut()| -> (String, String) {
         lio_obs::reset();
-        lio_obs::set_enabled(true);
         profile::reset();
-        profile::set_enabled(true);
+        (Layers::METRICS | Layers::PROFILE).arm();
         body();
-        profile::set_enabled(false);
+        Layers::NONE.arm();
         let p = profile::snapshot();
-        lio_obs::set_enabled(false);
         let recs = profile::advise(&p);
         println!("  {name}: {}", p.characterize());
         for r in &recs {

@@ -1,7 +1,7 @@
 //! # lio-bench — benchmark harness
 //!
 //! Self-contained micro-benchmarks (pack, the write-behind pipeline and the
-//! five `*_overhead` gates) plus the `repro` runner that regenerates every
+//! `pack_overhead` gate) plus the `repro` runner that regenerates every
 //! figure and table of the paper. The [`harness`] module is a minimal
 //! timing loop standing in for an external bench framework: calibrated
 //! batch sizes, median-of-samples reporting, and throughput lines, with no

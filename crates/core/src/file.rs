@@ -153,25 +153,7 @@ impl<'c> File<'c> {
     /// Open the file collectively. Every rank of `comm` must call this
     /// with the same `shared` file and equivalent hints.
     pub fn open(comm: &'c Comm, shared: SharedFile, hints: Hints) -> Result<File<'c>> {
-        lio_obs::init_from_env();
-        if let Some(on) = hints.obs {
-            lio_obs::set_enabled(on);
-        }
-        lio_obs::trace::init_from_env();
-        if let Some(on) = hints.trace {
-            lio_obs::trace::set_enabled(on);
-        }
-        lio_obs::profile::init_from_env();
-        if let Some(on) = hints.profile {
-            lio_obs::profile::set_enabled(on);
-        }
-        lio_obs::health::init_from_env();
-        if let Some(on) = hints.health {
-            lio_obs::health::set_enabled(on);
-        }
-        if lio_obs::health::enabled() {
-            lio_obs::health::ensure_watchdog();
-        }
+        lio_obs::arm_at_open(hints.obs);
         let view = FileView::bytes();
         let nav = Self::make_nav(view.clone(), hints.engine);
         let coll = twophase::establish_view(comm, &view, hints.engine)?;

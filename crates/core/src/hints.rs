@@ -5,6 +5,9 @@
 /// with the advisor's `cb_buffer_size` rule.
 pub use lio_obs::profile::DEFAULT_WINDOW;
 
+/// The set of telemetry layers [`Hints::observe`] arms at open.
+pub use lio_obs::Layers;
+
 /// Which datatype-handling engine a file uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
@@ -147,25 +150,11 @@ pub struct Hints {
     /// read-modify-write (ROMIO's list-merge optimization; the listless
     /// engine uses the mergeview instead).
     pub detect_dense_writes: bool,
-    /// Observability: `Some(on)` forces `lio-obs` recording on or off when
-    /// a file is opened with these hints; `None` leaves the process-global
+    /// Telemetry: `Some(layers)` arms exactly these `lio-obs` layers
+    /// (metrics, trace, profile, health) and disarms the others when a
+    /// file is opened with these hints; `None` leaves the process-global
     /// setting (and the `LIO_OBS` environment variable) in charge.
-    pub obs: Option<bool>,
-    /// Event tracing: `Some(on)` forces the `lio-trace` recorder on or off
-    /// when a file is opened with these hints; `None` leaves the
-    /// process-global setting (and the `LIO_TRACE` environment variable)
-    /// in charge.
-    pub trace: Option<bool>,
-    /// Access-pattern profiling: `Some(on)` forces the `lio-profile`
-    /// recorder on or off when a file is opened with these hints; `None`
-    /// leaves the process-global setting (and the `LIO_PROFILE`
-    /// environment variable) in charge.
-    pub profile: Option<bool>,
-    /// Runtime health layer (`lio_obs::health`): `Some(on)` forces
-    /// progress heartbeats + the hang watchdog on or off when a file is
-    /// opened with these hints; `None` leaves the process-global
-    /// setting (and the `LIO_HEALTH` environment variable) in charge.
-    pub health: Option<bool>,
+    pub obs: Option<Layers>,
     /// Which storage substrate backs files opened through the
     /// backend-aware open path ([`crate::SharedFile::for_backend`]).
     /// The `LIO_BACKEND` environment variable overrides this hint (see
@@ -184,9 +173,6 @@ impl Hints {
             sieving: SievingMode::Sieve,
             detect_dense_writes: true,
             obs: None,
-            trace: None,
-            profile: None,
-            health: None,
             backend: BackendKind::Mem,
         }
     }
@@ -225,38 +211,12 @@ impl Hints {
         self
     }
 
-    /// Force `lio-obs` metrics recording on or off at open time
-    /// (builder style). The default (`None`) defers to
-    /// `lio_obs::set_enabled` / the `LIO_OBS` environment variable.
-    pub fn observability(mut self, on: bool) -> Hints {
-        self.obs = Some(on);
-        self
-    }
-
-    /// Force `lio-trace` event recording on or off at open time
-    /// (builder style). The default (`None`) defers to
-    /// `lio_obs::trace::set_enabled` / the `LIO_TRACE` environment
+    /// Arm exactly `layers` of `lio-obs` at open time, and disarm the
+    /// others (builder style). The default (`None`) defers to the
+    /// per-layer `set_enabled` calls and the `LIO_OBS` environment
     /// variable.
-    pub fn tracing(mut self, on: bool) -> Hints {
-        self.trace = Some(on);
-        self
-    }
-
-    /// Force `lio-profile` access-pattern recording on or off at open
-    /// time (builder style). The default (`None`) defers to
-    /// `lio_obs::profile::set_enabled` / the `LIO_PROFILE` environment
-    /// variable.
-    pub fn profiling(mut self, on: bool) -> Hints {
-        self.profile = Some(on);
-        self
-    }
-
-    /// Force the runtime health layer (heartbeats + hang watchdog) on
-    /// or off at open time (builder style). The default (`None`) defers
-    /// to `lio_obs::health::set_enabled` / the `LIO_HEALTH` environment
-    /// variable.
-    pub fn health(mut self, on: bool) -> Hints {
-        self.health = Some(on);
+    pub fn observe(mut self, layers: Layers) -> Hints {
+        self.obs = Some(layers);
         self
     }
 
@@ -352,10 +312,9 @@ impl Hints {
     /// single sieving knob: `enable`/`disable`/`automatic` →
     /// sieve/direct/auto), `detect_dense_writes` (`true`/`false`),
     /// `backend` (`mem`/`throttled`/`os` — storage substrate for
-    /// backend-aware opens), and the `enable`/`disable` switches forced
-    /// at open: `lio_obs` (metrics recording), `lio_trace` (event
-    /// tracing), `lio_profile` (access-pattern profiling), `lio_health`
-    /// (the runtime health layer).
+    /// backend-aware opens), and `lio_obs`, the telemetry layers armed at
+    /// open (`all`, `off`, or a comma list of `metrics`, `trace`,
+    /// `profile` and `health`; `enable` means `metrics`).
     ///
     /// ```
     /// use lio_core::{Engine, Hints, SievingMode};
@@ -420,10 +379,19 @@ impl Hints {
                     self.backend = BackendKind::parse(v)
                         .ok_or_else(|| HintError::new(k, v, "expected mem, throttled, or os"))?;
                 }
-                "lio_obs" => self.obs = switch(k, v)?,
-                "lio_trace" => self.trace = switch(k, v)?,
-                "lio_profile" => self.profile = switch(k, v)?,
-                "lio_health" => self.health = switch(k, v)?,
+                "lio_obs" => {
+                    let set = Layers::parse(v).map_err(|name| {
+                        HintError::new(
+                            k,
+                            v,
+                            format!(
+                                "unknown layer {name:?}: expected all, off, or a comma list \
+                                 of metrics, trace, profile, health"
+                            ),
+                        )
+                    })?;
+                    self.obs = Some(set);
+                }
                 _ => {} // unknown keys are ignored, like MPI_Info
             }
         }
@@ -433,7 +401,7 @@ impl Hints {
     /// Serialize these hints back to `MPI_Info` pairs. Every recognized
     /// key that [`Hints::apply_info`] parses is emitted (the read/write
     /// sieving aliases collapse to `romio_ds_write`; `lio_obs` only
-    /// appears when the hint forces observability one way), so
+    /// appears when the hint arms a set of layers), so
     /// `base.apply_info(h.to_info_pairs())` reconstructs `h` for any base
     /// whose independent buffer does not exceed `h`'s (the
     /// `ind_*_buffer_size` keys are larger-wins by the ROMIO contract).
@@ -473,27 +441,10 @@ impl Hints {
             ),
             ("backend".to_string(), self.backend.name().to_string()),
         ];
-        for (key, forced) in [
-            ("lio_obs", self.obs),
-            ("lio_trace", self.trace),
-            ("lio_profile", self.profile),
-            ("lio_health", self.health),
-        ] {
-            if let Some(on) = forced {
-                let v = if on { "enable" } else { "disable" };
-                pairs.push((key.to_string(), v.to_string()));
-            }
+        if let Some(set) = self.obs {
+            pairs.push(("lio_obs".to_string(), set.to_string()));
         }
         pairs
-    }
-}
-
-/// The value of an `enable`/`disable` info switch forced at open.
-fn switch(k: &str, v: &str) -> std::result::Result<Option<bool>, HintError> {
-    match v {
-        "enable" | "true" | "1" => Ok(Some(true)),
-        "disable" | "false" | "0" => Ok(Some(false)),
-        _ => Err(HintError::new(k, v, "expected enable or disable")),
     }
 }
 
@@ -513,9 +464,13 @@ mod info_tests {
                 ("romio_ds_write", "disable"),
                 ("detect_dense_writes", "false"),
                 ("totally_unknown_key", "whatever"),
-                // a key that once selected the pack loop: an info set
-                // that still carries it applies
+                // keys that once selected the pack loop and armed one
+                // telemetry layer each: an info set that still carries
+                // them applies
                 ("pack_kernel", "avx2"),
+                ("lio_trace", "1"),
+                ("lio_profile", "enable"),
+                ("lio_health", "1"),
             ])
             .unwrap();
         assert_eq!(h.engine, Engine::Listless);
@@ -524,6 +479,7 @@ mod info_tests {
         assert_eq!(h.ind_buffer_size, DEFAULT_WINDOW); // max of default and given
         assert_eq!(h.sieving, SievingMode::Direct);
         assert!(!h.detect_dense_writes);
+        assert_eq!(h.obs, None);
     }
 
     #[test]
@@ -537,73 +493,44 @@ mod info_tests {
             .is_err());
     }
 
-    #[test]
-    fn trace_info_key() {
-        let h = Hints::default()
-            .apply_info([("lio_trace", "enable")])
-            .unwrap();
-        assert_eq!(h.trace, Some(true));
-        let h = Hints::default().apply_info([("lio_trace", "0")]).unwrap();
-        assert_eq!(h.trace, Some(false));
-        assert!(Hints::default()
-            .apply_info([("lio_trace", "maybe")])
-            .is_err());
-        // absent by default, emitted (and round-tripped) only when forced
-        assert!(Hints::default()
-            .to_info()
-            .iter()
-            .all(|(k, _)| k != "lio_trace"));
-        let pairs = Hints::default().tracing(true).to_info();
+    /// `lio_obs=<name>` arms the one layer and round-trips through
+    /// `to_info`.
+    fn layer_info_key(name: &str, layer: Layers) {
+        let h = Hints::default().apply_info([("lio_obs", name)]).unwrap();
+        assert_eq!(h.obs, Some(layer));
+        let pairs = Hints::default().observe(layer).to_info();
+        assert!(pairs.iter().any(|(k, v)| k == "lio_obs" && v == name));
         let back = Hints::list_based()
             .apply_info(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
             .unwrap();
-        assert_eq!(back.trace, Some(true));
+        assert_eq!(back.obs, Some(layer));
+    }
+
+    #[test]
+    fn trace_info_key() {
+        layer_info_key("trace", Layers::TRACE);
     }
 
     #[test]
     fn profile_info_key() {
-        let h = Hints::default()
-            .apply_info([("lio_profile", "enable")])
-            .unwrap();
-        assert_eq!(h.profile, Some(true));
-        let h = Hints::default().apply_info([("lio_profile", "0")]).unwrap();
-        assert_eq!(h.profile, Some(false));
-        assert!(Hints::default()
-            .apply_info([("lio_profile", "maybe")])
-            .is_err());
-        // absent by default, emitted (and round-tripped) only when forced
-        assert!(Hints::default()
-            .to_info()
-            .iter()
-            .all(|(k, _)| k != "lio_profile"));
-        let pairs = Hints::default().profiling(true).to_info();
-        let back = Hints::list_based()
-            .apply_info(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
-            .unwrap();
-        assert_eq!(back.profile, Some(true));
+        layer_info_key("profile", Layers::PROFILE);
     }
 
     #[test]
     fn health_info_key() {
+        layer_info_key("health", Layers::HEALTH);
+    }
+
+    #[test]
+    fn obs_info_key_takes_a_set() {
         let h = Hints::default()
-            .apply_info([("lio_health", "enable")])
+            .apply_info([("lio_obs", "Metrics, health")])
             .unwrap();
-        assert_eq!(h.health, Some(true));
-        let h = Hints::default().apply_info([("lio_health", "0")]).unwrap();
-        assert_eq!(h.health, Some(false));
-        assert!(Hints::default()
-            .apply_info([("lio_health", "maybe")])
-            .is_err());
-        // absent by default, emitted (and round-tripped) only when forced
-        assert!(Hints::default()
-            .to_info()
-            .iter()
-            .all(|(k, _)| k != "lio_health"));
-        let pairs = Hints::default().health(true).to_info();
-        let back = Hints::list_based()
-            .apply_info(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
-            .unwrap();
-        assert_eq!(back.health, Some(true));
+        assert_eq!(h.obs, Some(Layers::METRICS | Layers::HEALTH));
+        let err = Hints::default()
+            .apply_info([("lio_obs", "trace,loud")])
+            .unwrap_err();
+        assert!(err.reason.contains("\"loud\""), "{}", err.reason);
     }
 
     #[test]

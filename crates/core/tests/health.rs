@@ -42,7 +42,7 @@ fn with_health<R>(f: impl FnOnce() -> R) -> R {
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
     // Consume the env knobs now so a later `File::open` inside the test
     // cannot override the programmatic config below.
-    health::init_from_env();
+    lio_obs::init_from_env();
     health::reset();
     health::set_enabled(true);
     let r = f();

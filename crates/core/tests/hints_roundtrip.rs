@@ -2,7 +2,7 @@
 //! reconstruct `h` for every recognized key, and malformed values must
 //! surface as typed [`HintError`]s naming the failing pair.
 
-use lio_core::{Engine, Hints, SievingMode};
+use lio_core::{Engine, Hints, Layers, SievingMode};
 
 /// `to_info` emits borrowed pairs for `apply_info`.
 fn pairs(h: &Hints) -> Vec<(String, String)> {
@@ -31,8 +31,10 @@ fn roundtrip_reconstructs_every_field() {
             .sieving_mode(SievingMode::Direct),
         Hints::list_based()
             .sieving_mode(SievingMode::Auto)
-            .observability(true),
-        Hints::listless().observability(false),
+            .observe(Layers::METRICS),
+        Hints::listless().observe(Layers::TRACE | Layers::HEALTH),
+        Hints::listless().observe(Layers::NONE),
+        Hints::list_based().observe(Layers::ALL),
         Hints {
             detect_dense_writes: false,
             ..Hints::list_based()
@@ -49,7 +51,9 @@ fn roundtrip_reconstructs_every_field() {
 
 #[test]
 fn roundtrip_is_stable_under_reserialization() {
-    let h = Hints::listless().cb_buffer(4096).observability(true);
+    let h = Hints::listless()
+        .cb_buffer(4096)
+        .observe(Layers::METRICS | Layers::PROFILE);
     let once = roundtrip(h);
     assert_eq!(pairs(&once), pairs(&h), "serialization must be a fixpoint");
 }
@@ -59,10 +63,10 @@ fn obs_key_only_present_when_forced() {
     let neutral = pairs(&Hints::default());
     assert!(
         neutral.iter().all(|(k, _)| k != "lio_obs"),
-        "unforced observability must not serialize"
+        "an unarmed telemetry hint must not serialize"
     );
-    let forced = pairs(&Hints::default().observability(false));
-    assert!(forced.iter().any(|(k, v)| k == "lio_obs" && v == "disable"));
+    let forced = pairs(&Hints::default().observe(Layers::NONE));
+    assert!(forced.iter().any(|(k, v)| k == "lio_obs" && v == "off"));
 }
 
 #[test]
@@ -76,7 +80,7 @@ fn malformed_values_name_the_failing_pair() {
         ("romio_ds_write", "sometimes", "automatic"),
         ("romio_ds_read", "yes", "automatic"),
         ("detect_dense_writes", "enable", "true or false"),
-        ("lio_obs", "loud", "enable or disable"),
+        ("lio_obs", "loud", "metrics, trace, profile, health"),
     ];
     for (key, value, reason_part) in cases {
         let err = Hints::default().apply_info([(key, value)]).unwrap_err();

@@ -1,6 +1,6 @@
 //! Access-pattern profiler integration tests: the same deterministic
 //! workload produces a byte-identical profile (modulo the trailing
-//! timing block), the `lio_profile` hint drives the global enable, the
+//! timing block), the `lio_obs` hint drives the global enable, the
 //! export is well-formed JSON, the advisor fires the expected rules on a
 //! real collective run, and every setting it prints is an info pair
 //! `Hints::apply_info` takes.
@@ -9,7 +9,7 @@ mod common;
 
 use std::sync::Mutex;
 
-use lio_core::{File, Hints, SharedFile};
+use lio_core::{File, Hints, Layers, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_obs::profile;
@@ -212,7 +212,7 @@ fn profile_hint_controls_recording() {
     with_profile(|| {
         profile::set_enabled(false);
         let shared = SharedFile::new(MemFile::new());
-        let hints = Hints::listless().profiling(true);
+        let hints = Hints::listless().observe(Layers::METRICS | Layers::PROFILE);
         World::run(2, move |comm| {
             let mut f = File::open(comm, shared.clone(), hints).expect("open");
             f.set_view(0, Datatype::byte(), Datatype::byte())
@@ -224,7 +224,7 @@ fn profile_hint_controls_recording() {
         let p = profile::snapshot();
         assert!(
             p.op(profile::OpClass::CollWrite).requests >= 2,
-            "lio_profile=enable must arm the profiler"
+            "lio_obs=metrics,profile must arm the profiler"
         );
         assert_eq!(p.op(profile::OpClass::CollWrite).bytes, 512);
     });

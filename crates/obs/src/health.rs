@@ -30,11 +30,11 @@
 //!   watchdog can periodically emit the JSON to `LIO_HEALTH_STATUS`
 //!   for an external admission/fairness loop.
 //!
-//! Enablement follows the obs convention: `LIO_HEALTH` env (see
-//! [`init_from_env`]), `Hints::health` / the `lio_health` info key in
-//! `lio-core`, or [`set_enabled`]. Disabled cost is one relaxed atomic
-//! load and a branch per heartbeat site (gated by the `health_overhead`
-//! bench in `lio-bench`).
+//! The layer is armed like the others, as `health` in the one
+//! [`crate::Layers`] switch (`LIO_OBS=health`, `Hints::observe`), or by
+//! [`set_enabled`]. Disabled cost is one relaxed atomic load and a branch
+//! per heartbeat site, and `lio-core`'s `obs_off` test counts that a
+//! disarmed op publishes no heartbeat.
 //!
 //! Hang injection for tests goes through [`set_stall_plan`]: a seeded
 //! `Stall` fault (see `lio-testkit`) wedges a chosen rank inside its
@@ -42,6 +42,7 @@
 //! flags it — after release the rank completes the collective protocol
 //! normally, so no peer is ever stranded before the closing sync.
 
+use crate::trace::now_ns;
 use crate::{LazyCounter, LazyHistogram};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
@@ -78,49 +79,26 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }
 
-/// Read `LIO_HEALTH` once per process and enable the layer unless the
-/// value is `0`, `false`, or `off`. Absent leaves the current setting
-/// alone. Also reads the watchdog knobs: `LIO_HEALTH_DEADLINE_MS`
+/// Read the watchdog's settings from the environment
+/// ([`crate::init_from_env`] calls this once): `LIO_HEALTH_DEADLINE_MS`
 /// (no-progress deadline, default 5000), `LIO_HEALTH_ABORT`
 /// (`1`/`on`/`true` parks a typed stall for the culprit rank instead of
-/// diagnosing only), and `LIO_HEALTH_STATUS` (a path that receives a
-/// periodic schema-versioned JSON status report).
-pub fn init_from_env() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LIO_HEALTH") {
-            let v = v.to_ascii_lowercase();
-            set_enabled(!matches!(v.as_str(), "0" | "false" | "off" | ""));
+/// diagnosing only). `LIO_HEALTH_STATUS`, a path that receives a periodic
+/// schema-versioned JSON status report, is read when the watchdog first
+/// writes one.
+pub(crate) fn watchdog_from_env() {
+    if let Ok(v) = std::env::var("LIO_HEALTH_DEADLINE_MS") {
+        if let Ok(ms) = v.trim().parse::<u64>() {
+            set_watchdog(ms.max(1), abort_configured());
         }
-        if let Ok(v) = std::env::var("LIO_HEALTH_DEADLINE_MS") {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                set_watchdog(ms.max(1), abort_configured());
-            }
-        }
-        if let Ok(v) = std::env::var("LIO_HEALTH_ABORT") {
-            let on = matches!(
-                v.to_ascii_lowercase().as_str(),
-                "1" | "on" | "true" | "enable"
-            );
-            WD_ABORT.store(on, Relaxed);
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Monotonic clock (own epoch: the trace clock is feature-gated away in
-// `trace_off` builds, health is always present)
-// ---------------------------------------------------------------------------
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Nanoseconds since the process-local health epoch.
-#[inline]
-pub fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+    }
+    if let Ok(v) = std::env::var("LIO_HEALTH_ABORT") {
+        let on = matches!(
+            v.to_ascii_lowercase().as_str(),
+            "1" | "on" | "true" | "enable"
+        );
+        WD_ABORT.store(on, Relaxed);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -549,7 +527,7 @@ fn check_once(deadline_ms: u64) {
             }
         );
         eprintln!(
-            "  replay: LIO_HEALTH=1 LIO_HEALTH_DEADLINE_MS={} cargo test -q -p lio-core --test health",
+            "  replay: LIO_OBS=health LIO_HEALTH_DEADLINE_MS={} cargo test -q -p lio-core --test health",
             deadline_ms
         );
         crate::trace::flight_dump(&format!(

@@ -12,13 +12,16 @@
 //! [`LazyGauge`], [`LazyHistogram`]) naming the metric; the handle registers
 //! itself in the global [`Registry`] on first use. Every recording method is
 //! gated on the global [`enabled`] flag, so the **disabled cost is one
-//! relaxed atomic load and a predictable branch** (no bench times it on
-//! its own: the `*_overhead` gates of `lio-bench` run with it off).
+//! relaxed atomic load and a predictable branch**; `lio-core`'s `obs_off`
+//! test counts that nothing at all is recorded while it is off.
 //!
-//! Enable programmatically with [`set_enabled`], via the `LIO_OBS`
-//! environment variable (checked by [`init_from_env`]), or through the
-//! `lio_obs` hint key in `lio-core`. [`snapshot`] serializes every
-//! registered metric to JSON (hand-rolled; no serde).
+//! Four layers record: these metrics, [`trace`], [`profile`] and
+//! [`health`]. One switch arms any set of them, a [`Layers`]: the
+//! `LIO_OBS` environment variable (`all`, or a comma list such as
+//! `metrics,trace`; read once by [`init_from_env`]), the `lio_obs` info
+//! key and `Hints::observe` in `lio-core`, or [`Layers::arm`]. Each
+//! layer's own `set_enabled` is the primitive underneath. [`snapshot`]
+//! serializes every registered metric to JSON (hand-rolled; no serde).
 //!
 //! Metric name convention: `layer.object.what`, e.g. `pfs.read.bytes`,
 //! `mpi.p2p.msgs`, `dt.pack.blocks`, `core.coll.write.exchange_ns`.
@@ -33,13 +36,10 @@
 pub mod health;
 pub mod json;
 pub mod profile;
-#[cfg(feature = "trace")]
-pub mod trace;
-#[cfg(not(feature = "trace"))]
-#[path = "trace_off.rs"]
 pub mod trace;
 
 use std::collections::BTreeMap;
+use std::ops::BitOr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
@@ -61,18 +61,124 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }
 
-/// Read the `LIO_OBS` environment variable once per process and enable
-/// recording unless it is `0`, `false`, or `off`. Absent means "leave the
-/// current setting alone". Call sites that open files or run benchmarks
-/// invoke this; repeated calls are free.
+// ---------------------------------------------------------------------------
+// The one switch: a set of layers
+// ---------------------------------------------------------------------------
+
+/// A set of the four recording layers: these metrics, [`trace`],
+/// [`profile`] and [`health`]. Combine with `|`; [`Layers::arm`] turns
+/// exactly the set's layers on and the others off.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Layers(u8);
+
+impl Layers {
+    pub const NONE: Layers = Layers(0);
+    pub const METRICS: Layers = Layers(1);
+    pub const TRACE: Layers = Layers(2);
+    pub const PROFILE: Layers = Layers(4);
+    pub const HEALTH: Layers = Layers(8);
+    pub const ALL: Layers = Layers(15);
+
+    const NAMED: [(&'static str, Layers); 4] = [
+        ("metrics", Layers::METRICS),
+        ("trace", Layers::TRACE),
+        ("profile", Layers::PROFILE),
+        ("health", Layers::HEALTH),
+    ];
+
+    /// Does this set hold every layer of `other`?
+    pub fn contains(self, other: Layers) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// Parse a switch value, case and spaces ignored: `all`; `0`, `off`,
+    /// `false`, `disable` or empty for no layer; `1`, `on`, `true` or
+    /// `enable` for metrics alone; else a comma list of
+    /// `metrics`, `trace`, `profile` and `health`. An unknown name is
+    /// the `Err`.
+    pub fn parse(s: &str) -> Result<Layers, String> {
+        let s = s.trim().to_ascii_lowercase();
+        match s.as_str() {
+            "all" => return Ok(Layers::ALL),
+            "" | "0" | "off" | "false" | "disable" => return Ok(Layers::NONE),
+            "1" | "on" | "true" | "enable" => return Ok(Layers::METRICS),
+            _ => {}
+        }
+        let mut set = Layers::NONE;
+        for name in s.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+            match Layers::NAMED.iter().find(|(n, _)| *n == name) {
+                Some(&(_, layer)) => set = set | layer,
+                None => return Err(name.to_string()),
+            }
+        }
+        Ok(set)
+    }
+
+    /// Turn this set's layers on and every other layer off, through each
+    /// layer's own `set_enabled`.
+    pub fn arm(self) {
+        set_enabled(self.contains(Layers::METRICS));
+        trace::set_enabled(self.contains(Layers::TRACE));
+        profile::set_enabled(self.contains(Layers::PROFILE));
+        health::set_enabled(self.contains(Layers::HEALTH));
+    }
+}
+
+impl BitOr for Layers {
+    type Output = Layers;
+    fn bitor(self, rhs: Layers) -> Layers {
+        Layers(self.0 | rhs.0)
+    }
+}
+
+/// The value [`Layers::parse`] reads back: `off`, `all`, or the comma
+/// list of the set's layers.
+impl std::fmt::Display for Layers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Layers::NONE => f.write_str("off"),
+            Layers::ALL => f.write_str("all"),
+            set => {
+                let names: Vec<&str> = Layers::NAMED
+                    .iter()
+                    .filter(|(_, layer)| set.contains(*layer))
+                    .map(|(n, _)| *n)
+                    .collect();
+                f.write_str(&names.join(","))
+            }
+        }
+    }
+}
+
+/// Read the environment once per process: `LIO_OBS` arms exactly the
+/// layers it names (absent or unparseable leaves every layer as it is),
+/// and the health watchdog's settings are read
+/// ([`health::set_watchdog`]). Call sites that open files or run
+/// benchmarks invoke this; repeated calls are free.
 pub fn init_from_env() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LIO_OBS") {
-            let v = v.to_ascii_lowercase();
-            set_enabled(!matches!(v.as_str(), "0" | "false" | "off" | ""));
+        if let Some(set) = std::env::var("LIO_OBS")
+            .ok()
+            .and_then(|v| Layers::parse(&v).ok())
+        {
+            set.arm();
         }
+        health::watchdog_from_env();
     });
+}
+
+/// What a file open does with its telemetry hint: read the environment
+/// ([`init_from_env`]), arm exactly `forced` when it is given, and start
+/// the health watchdog when that layer is armed.
+pub fn arm_at_open(forced: Option<Layers>) {
+    init_from_env();
+    if let Some(set) = forced {
+        set.arm();
+    }
+    if health::enabled() {
+        health::ensure_watchdog();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -868,6 +974,30 @@ mod tests {
             assert_eq!(H.histogram().count(), 0);
             assert_eq!(H.histogram().min(), None);
         });
+    }
+
+    #[test]
+    fn layers_parse() {
+        let m = Layers::METRICS;
+        for (v, want) in [
+            ("all", Layers::ALL),
+            ("ALL", Layers::ALL),
+            ("1", m),
+            ("on", m),
+            ("enable", m),
+            ("0", Layers::NONE),
+            ("off", Layers::NONE),
+            ("disable", Layers::NONE),
+            ("", Layers::NONE),
+            (" Trace , HEALTH ", Layers::TRACE | Layers::HEALTH),
+            ("metrics,profile,", m | Layers::PROFILE),
+        ] {
+            assert_eq!(Layers::parse(v), Ok(want), "{v:?}");
+            assert_eq!(Layers::parse(&want.to_string()), Ok(want), "{want}");
+        }
+        assert_eq!(Layers::parse("trace,loud"), Err("loud".to_string()));
+        assert!(Layers::ALL.contains(Layers::PROFILE | Layers::HEALTH));
+        assert!(!Layers::TRACE.contains(Layers::METRICS));
     }
 
     #[test]

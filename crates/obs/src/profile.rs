@@ -6,7 +6,7 @@
 //!
 //! The profiler aggregates, with zero allocation on the hot path and the
 //! same enable discipline as [`crate::trace`] (one relaxed atomic load
-//! when disabled, `LIO_PROFILE` / `lio_profile` hint to arm):
+//! when disabled, `profile` in the one [`crate::Layers`] switch to arm):
 //!
 //! * per-op-class request counts and bytes (independent/collective ×
 //!   read/write);
@@ -31,7 +31,7 @@
 //! to be fastest for the corresponding access shapes.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Once, OnceLock};
+use std::sync::OnceLock;
 
 use crate::{Histogram, HistogramSnapshot};
 
@@ -53,19 +53,6 @@ pub fn enabled() -> bool {
 /// Turn profiling on or off globally.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
-}
-
-/// Read the `LIO_PROFILE` environment variable once per process and
-/// enable profiling unless it is `0`, `false`, or `off`. Absent means
-/// "leave the current setting alone".
-pub fn init_from_env() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LIO_PROFILE") {
-            let v = v.to_ascii_lowercase();
-            set_enabled(!matches!(v.as_str(), "0" | "false" | "off" | ""));
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@
 //! (storage lanes), so the lock is effectively uncontended.
 //! The disabled hot path is one relaxed atomic load ([`enabled`]), the
 //! enabled hot path is clock read + ring store: no allocation after the
-//! buffer's one-time reservation. The whole module compiles out when
-//! `lio-obs` is built without the default `trace` feature.
+//! buffer's one-time reservation.
 //!
 //! Cross-rank causality rides on the per-channel message sequence
 //! numbers `lio-mpi` already maintains for duplicate suppression: every
@@ -16,13 +15,13 @@
 //! [`merge`] stitches the per-rank streams into one timeline whose
 //! send→recv edges are checked (and exported as Perfetto flow events).
 //!
-//! Enable with [`set_enabled`], the `LIO_TRACE` environment variable
-//! ([`init_from_env`]), or the `lio_trace` hint key in `lio-core`.
+//! Enable with [`set_enabled`], or as `trace` in the one
+//! [`crate::Layers`] switch (`LIO_OBS=trace`, `Hints::observe`).
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::LazyCounter;
@@ -58,19 +57,6 @@ pub fn set_enabled(on: bool) {
         let _ = epoch();
     }
     TRACE_ENABLED.store(on, Relaxed);
-}
-
-/// Read the `LIO_TRACE` environment variable once per process and enable
-/// tracing unless it is `0`, `false`, or `off`. Absent means "leave the
-/// current setting alone"; repeated calls are free.
-pub fn init_from_env() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LIO_TRACE") {
-            let v = v.to_ascii_lowercase();
-            set_enabled(!matches!(v.as_str(), "0" | "false" | "off" | ""));
-        }
-    });
 }
 
 fn epoch() -> Instant {
@@ -854,7 +840,7 @@ pub fn render_report(reports: &[OpReport], tl: &Timeline) -> String {
     }
     // Per-rank skew column from the runtime health layer: which ranks
     // closed collective windows (arrived last) and how much spread they
-    // cost. Only present when LIO_HEALTH armed the heartbeats.
+    // cost. Only present when the health layer is armed.
     if crate::health::enabled() {
         let skews = crate::health::rank_skews();
         if !skews.is_empty() {

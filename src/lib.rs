@@ -12,8 +12,10 @@
 //!
 //! * [`datatype`] — derived datatypes; ol-list flattening vs
 //!   flattening-on-the-fly,
-//! * [`obs`] — cross-layer metrics: counters, histograms, span timers,
-//!   JSON snapshots (`LIO_OBS=1` or the `lio_obs` hint to enable),
+//! * [`obs`] — telemetry: metrics (counters, histograms, span timers,
+//!   JSON snapshots), event trace, profiler and health layer, armed as
+//!   one set (`LIO_OBS=metrics,trace`, `LIO_OBS=all`, or the `lio_obs`
+//!   hint),
 //! * [`pfs`] — storage substrate (mem/disk/throttled/counting files),
 //! * [`mpi`] — threads-as-ranks message passing,
 //! * [`core`] — fileviews, data sieving, two-phase collective I/O,
