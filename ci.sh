@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, then the tier-1 gate (see ROADMAP.md).
 # Usage: ./ci.sh
-# A full run with warm build directories takes 2½–3½ minutes on the
-# 2-vCPU box, as its load goes (2 min 28 s to `CI OK` right after the
-# previous version of this script took 2 min 32 s; 3 min 36 s against
-# 3 min 55 s in a busier hour; `claim` in the real-file reruns, and the
-# `lent_write` and `lent_read` corpora in the backend and fault reruns
-# included). The telemetry's disabled cost is a count, not a
+# A full run with warm build directories takes 2½–4 minutes on the
+# 2-vCPU box, as its load goes (3 min 42 s to `CI OK` right after the
+# previous version of this script took 3 min 48 s in the same busy hour;
+# 2 min 28 s against 2 min 32 s in a quieter one; `claim` in the
+# real-file reruns, and the `lent_write` and `lent_read` corpora in the
+# backend and fault reruns included). The telemetry's disabled cost is a count, not a
 # timing: tier-1's `obs_off` test, so no gate here prints a verdict it
 # cannot fail on. The pack-kernel reruns and the kernel_overhead gate went
 # with the kernel families: there is one copy loop, and tier-1 runs every
@@ -64,11 +64,15 @@ done
 # `LIO_*` names anywhere under crates/*/src — every environment variable
 # the workspace reads, whether it selects, arms or sizes something —
 # against the number reviewed. A new one raises the number here, where the
-# diff shows it, and owes a bench on which it changes the answer. Eight
-# since one `LIO_OBS` set arms every telemetry layer: the per-layer
-# on-off switches of trace, profile and health went.
+# diff shows it, and owes a bench on which it changes the answer. Five
+# since the health watchdog is configured in code only
+# (`health::set_watchdog`): its three variables, which no test, stanza or
+# `repro` command set, went, after the per-layer on-off switches of
+# trace, profile and health, which one `LIO_OBS` set replaced. What is
+# left: the backend and its directory, the fault seed, the one telemetry
+# switch, and the benches' fast mode.
 echo "== LIO_* knob census"
-reviewed_knobs=8
+reviewed_knobs=5
 knobs=$(grep -rhoE --include='*.rs' 'LIO_[A-Z_]+' crates/*/src | sort -u)
 n=$(echo "$knobs" | grep -c .)
 echo "  $n (reviewed: $reviewed_knobs):" $knobs
@@ -154,8 +158,12 @@ done
 # heartbeats on for every file (catches a panic that only an armed layer
 # reaches, and a watchdog false positive under tracing), plus the
 # dedicated trace-correctness tests (span pairing, causal merge, ring
-# wraparound, critical path), then the hang-injection suite under a hard
-# timeout so a watchdog regression can never wedge CI itself.
+# wraparound, critical path, each `win` span's index and bytes), then the
+# hang-injection suite under a hard timeout so a watchdog regression can
+# never wedge CI itself. Heartbeats are published from the span opens, so
+# that suite checks that those alone name a seeded stall's rank and
+# phase; it configures its watchdog in code (`health::set_watchdog`), and
+# its replay line is `LIO_OBS=health cargo test -q -p lio-core --test health`.
 echo "== collective/pipeline/faults suites under LIO_OBS=all"
 LIO_OBS=all cargo test -q -p lio-core --test collective --test pipeline --test faults
 echo "== trace correctness tests"

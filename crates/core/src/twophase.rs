@@ -70,7 +70,7 @@ use crate::packer::{MemPacker, UserRuns, UserSide, MESSAGE, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
 use crate::view::{FfNav, FileView, RunTally, ViewNav};
 use crate::window::{snap, timed, WindowIo, Windows};
-use lio_obs::health::{self, HbPhase};
+use lio_obs::health;
 
 // Two-phase breakdown metrics. The `_ns` counters accumulate wall time per
 // phase across all rounds on this process: `exchange_ns` covers AP↔IOP
@@ -740,14 +740,12 @@ fn iop_write_listbased<'s>(
             .any(|r| r.next_offset().is_some_and(|o| o < win_end));
         if has_data {
             windows += 1;
-            health::beat_window(HbPhase::Io, windows - 1);
-            let _w = lio_obs::trace::span_ab("win", windows - 1, win);
+            let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
             io.update(
                 win,
                 win_end,
                 || coverage.as_mut().is_some_and(|c| c.covered(win, win_end)),
                 &mut |at, piece, store| {
-                    health::beat(HbPhase::Pack);
                     let mut stores = Stores::new(store);
                     for (r, end) in recv.iter_mut().zip(ends) {
                         r.walk(at, at + piece.len() as u64, |runs, o| {
@@ -756,7 +754,6 @@ fn iop_write_listbased<'s>(
                     }
                 },
             )?;
-            health::beat_bytes(HbPhase::Io, win_end - win);
         }
     }
     iop_write_done(io, windows)
@@ -819,8 +816,7 @@ fn iop_write_listless<'s>(
         }
         if any {
             windows += 1;
-            health::beat_window(HbPhase::Io, windows - 1);
-            let _w = lio_obs::trace::span_ab("win", windows - 1, win);
+            let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
             seen.fill(RunTally::until(win_end));
             io.update(
                 win,
@@ -832,7 +828,6 @@ fn iop_write_listless<'s>(
                 // each AP's data goes on from its cursor and stops at the
                 // end of the piece by itself
                 &mut |at, piece, store| {
-                    health::beat(HbPhase::Pack);
                     for (k, nav_p) in navs.iter().enumerate() {
                         if takes[k] > 0 {
                             let (from, rest) = (cursors[k], (spans[k].1 - cursors[k]) as usize);
@@ -844,7 +839,6 @@ fn iop_write_listless<'s>(
                     }
                 },
             )?;
-            health::beat_bytes(HbPhase::Io, win_end - win);
         }
     }
     debug_assert!(
@@ -920,7 +914,6 @@ fn announce(
             Behind::Data(packer, user, scratch) if crosses => {
                 n = s_hi - s_lo;
                 let mut msg = scratch.take(MSG_HEADER + n as usize);
-                health::beat(HbPhase::Pack);
                 let (got, ns) = timed(Some(("pack", n, 0)), || {
                     packer.pack(user, s_lo - stream_start, &mut msg[MSG_HEADER..])
                 });
@@ -938,7 +931,6 @@ fn announce(
         msg[0..8].copy_from_slice(&s_lo.to_le_bytes());
         msg[8..16].copy_from_slice(&s_hi.to_le_bytes());
         OBS_EXCH_DATA_BYTES.add(n);
-        health::beat_bytes(HbPhase::Exchange, n);
         let t = lio_obs::now();
         let _sp = lio_obs::trace::span_ab("exch.send", i as u64, n);
         comm.send_vec(i, TAG_TP_DATA, msg);
@@ -1237,6 +1229,7 @@ fn iop_read(
     let obs = lio_obs::enabled();
     let mut io_ns = 0;
     let mut pack_ns = 0;
+    let mut windows = 0u64;
     match engine {
         Engine::ListBased => {
             let mut recv: Vec<RecvList> = Vec::with_capacity(spans.len());
@@ -1261,13 +1254,9 @@ fn iop_read(
                         .iter()
                         .any(|r| r.next_offset().is_some_and(|o| o < win_end));
                     if wanted {
-                        if obs {
-                            OBS_WINDOWS.incr();
-                        }
-                        health::beat_bytes(HbPhase::Io, win_end - win);
-                        let _w = lio_obs::trace::span_ab("win", win, win_end - win);
+                        windows += 1;
+                        let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
                         let res = io.view(win, win_end, &mut |at, piece| {
-                            health::beat(HbPhase::Pack);
                             for (r, end) in recv.iter_mut().zip(&mut ends) {
                                 r.walk(at, at + piece.len() as u64, |runs, o| {
                                     runs.write(end.user, &piece[o])
@@ -1305,16 +1294,12 @@ fn iop_read(
                             && nav_p.abs_to_stream(win_end).min(spans[k].1) > cursors[k]
                     });
                     if wanted {
-                        if obs {
-                            OBS_WINDOWS.incr();
-                        }
-                        health::beat_bytes(HbPhase::Io, win_end - win);
-                        let _w = lio_obs::trace::span_ab("win", win, win_end - win);
+                        windows += 1;
+                        let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
                         seen.fill(RunTally::until(win_end));
                         // each AP's bytes go on from its cursor and stop at
                         // the end of the piece by themselves
                         let res = io.view(win, win_end, &mut |at, piece| {
-                            health::beat(HbPhase::Pack);
                             for (k, nav_p) in navs.iter().enumerate() {
                                 let rest = (spans[k].1 - cursors[k]) as usize;
                                 if rest > 0 {
@@ -1346,6 +1331,7 @@ fn iop_read(
     if obs {
         OBS_R_IO_NS.add(io_ns);
         OBS_R_PACK_NS.add(pack_ns);
+        OBS_WINDOWS.add(windows);
     }
     if fatal.is_some() {
         // every AP gets the promised length, zeros past the failure point:
@@ -1364,7 +1350,7 @@ fn iop_read(
             if obs {
                 OBS_EXCH_DATA_BYTES.add(out.len() as u64);
             }
-            health::beat_bytes(HbPhase::Exchange, out.len() as u64);
+            let _sp = lio_obs::trace::span_ab("exch.send", k as u64, out.len() as u64);
             comm.send_vec(k, TAG_TP_RDATA, out);
         }
     }
@@ -1396,7 +1382,6 @@ fn recv_replies(
         let (s_lo, s_hi) = shares[i];
         debug_assert_eq!(data.len() as u64, s_hi - s_lo);
         if s_hi > s_lo {
-            health::beat(HbPhase::Pack);
             let skip = s_lo - mine.stream_start;
             let span = Some(("unpack", data.len() as u64, 0));
             let (put, ns) = timed(span, || mine.packer.unpack(&data, mine.user, skip));

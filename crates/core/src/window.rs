@@ -20,7 +20,6 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use lio_datatype::kernels::Store;
-use lio_obs::health;
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
 
@@ -146,10 +145,9 @@ impl Lane {
     fn spawn<'s>(scope: &'s Scope<'s, '_>, storage: &'s dyn StorageFile) -> Lane {
         let (jobs, todo) = mpsc::channel::<(u64, Vec<u8>, usize)>();
         let (tx, done) = mpsc::channel();
-        let (th, hh) = (lio_obs::trace::thread_handle(), health::thread_handle());
+        let rank = lio_obs::trace::thread_handle();
         scope.spawn(move || {
-            lio_obs::trace::adopt(th);
-            health::adopt(hh);
+            lio_obs::trace::adopt(rank);
             for (win, buf, len) in todo {
                 let (res, ns) = timed(Some(("io.write", win, len as u64)), || {
                     write_window(storage, win, &buf[..len])

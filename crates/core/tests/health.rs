@@ -29,7 +29,8 @@ use common::{
 use lio_core::{BackendKind, File, Hints, IoError, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
-use lio_obs::health::{self, HbPhase, StallSpec};
+use lio_obs::health::{self, StallSpec};
+use lio_obs::trace::Phase;
 use lio_testkit as tk;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -40,8 +41,8 @@ use std::time::Duration;
 fn with_health<R>(f: impl FnOnce() -> R) -> R {
     static GATE: Mutex<()> = Mutex::new(());
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
-    // Consume the env knobs now so a later `File::open` inside the test
-    // cannot override the programmatic config below.
+    // Consume `LIO_OBS` now so a later `File::open` inside the test
+    // cannot re-arm the layers below.
     lio_obs::init_from_env();
     health::reset();
     health::set_enabled(true);
@@ -56,10 +57,10 @@ fn replay(seed: u64) -> String {
     format!("replay with: LIO_FAULT_SEED={seed} cargo test -q -p lio-core --test health")
 }
 
-fn hb_phase(p: tk::StallPhase) -> HbPhase {
+fn hb_phase(p: tk::StallPhase) -> Phase {
     match p {
-        tk::StallPhase::Exchange => HbPhase::Exchange,
-        tk::StallPhase::Io => HbPhase::Io,
+        tk::StallPhase::Exchange => Phase::Exchange,
+        tk::StallPhase::Io => Phase::Io,
     }
 }
 
@@ -203,9 +204,9 @@ fn seeded_stall_is_named_and_aborted_without_stranding_peers() {
 }
 
 /// The same with the windows written behind the loop: on slow staging
-/// storage every IOP's lane arms (32 windows of 1 KiB each), its thread
-/// beats under the rank's identity, and a wedged rank is still the one
-/// rank that is named.
+/// storage every IOP's lane arms (32 windows of 1 KiB each), its
+/// `io.write` spans beat under the rank's identity, and a wedged rank is
+/// still the one rank that is named.
 #[test]
 fn seeded_stall_detected_in_pipelined_engine() {
     let nprocs = 4usize;

@@ -3,7 +3,10 @@
 //! nothing at all — no trace event, no profiled op, no heartbeat, no
 //! metric. The same ops armed through the one switch (`Hints::observe`)
 //! must then record in every layer, so a count of zero above is a count
-//! the recording sites could have broken.
+//! the recording sites could have broken. Heartbeats are published from
+//! the trace layer's span opens, so each of the two is then armed alone:
+//! health alone records no trace event, trace alone publishes no
+//! heartbeat.
 //!
 //! Every layer is process-global, so the whole check is one test.
 
@@ -156,5 +159,32 @@ fn nothing_armed_records_nothing() {
             "armed metrics left {name} at zero"
         );
     }
+
+    // one layer of the two that share the span opens, then the other
+    for (alone, name) in [(Layers::HEALTH, "health"), (Layers::TRACE, "trace")] {
+        lio_obs::reset();
+        trace::reset();
+        health::reset();
+        run_ops(Some(alone));
+        Layers::NONE.arm();
+        let (events, beats) = (trace_events(), health::live_snapshot());
+        if alone == Layers::HEALTH {
+            assert!(!beats.is_empty(), "health alone published no heartbeat");
+            assert_eq!(events, 0, "health alone recorded trace events");
+        } else {
+            assert!(events > 0, "trace alone recorded nothing");
+            assert!(
+                beats.is_empty(),
+                "trace alone published heartbeats: {beats:?}"
+            );
+        }
+        let metrics = recorded_metrics();
+        assert_eq!(
+            metrics,
+            Vec::<String>::new(),
+            "{name} alone recorded metrics"
+        );
+    }
+    trace::reset();
     health::reset();
 }

@@ -306,3 +306,58 @@ fn critical_path_names_a_bounding_phase() {
         );
     });
 }
+
+/// Every `win` span carries `(window index, window bytes)`. On each IOP
+/// and op its indices count from 0 and its `b` words sum to the bytes its
+/// windows cover: the pieces placed in place (`pack.place`) on storage
+/// that lends, the requests (`io.write` in a write, `io.read` in a read)
+/// on storage that stages — for both engines, writes and reads.
+#[test]
+fn win_spans_carry_index_and_bytes() {
+    with_trace(|| {
+        for hints in [Hints::list_based(), Hints::listless()] {
+            for (lends, shared) in [true, false].into_iter().zip(both_storages()) {
+                let streams = traced_collective(hints, shared);
+                let mut windows = 0;
+                for s in &streams {
+                    // per root: (tag, win bytes, win indices, covered bytes)
+                    let mut ops: Vec<(&str, u64, Vec<u64>, u64)> = Vec::new();
+                    let begins = s
+                        .events
+                        .iter()
+                        .filter(|ev| ev.kind == trace::Kind::SpanBegin);
+                    for ev in begins {
+                        if ev.tag.starts_with("coll.") {
+                            ops.push((ev.tag, 0, Vec::new(), 0));
+                            continue;
+                        }
+                        let op = ops.last_mut().expect("every span lies under a root");
+                        let covers = match (lends, op.0, ev.tag) {
+                            (_, _, "win") => {
+                                op.1 += ev.b;
+                                op.2.push(ev.a);
+                                false
+                            }
+                            (true, _, "pack.place") => true,
+                            (false, "coll.write", "io.write") => true,
+                            (false, "coll.read", "io.read") => true,
+                            _ => false,
+                        };
+                        if covers {
+                            op.3 += ev.b;
+                        }
+                    }
+                    assert_eq!(ops.len(), 2, "rank {}: a write and a read", s.rank);
+                    for (root, win_bytes, indices, covered) in ops {
+                        let what = format!("rank {} {root} {hints:?} lends={lends}", s.rank);
+                        assert_eq!(win_bytes, covered, "{what}: window bytes");
+                        let count: Vec<u64> = (0..indices.len() as u64).collect();
+                        assert_eq!(indices, count, "{what}: window indices");
+                        windows += count.len();
+                    }
+                }
+                assert!(windows > 0, "no IOP opened a window");
+            }
+        }
+    });
+}

@@ -14,7 +14,7 @@ impl Comm {
         }
         // A rank parked here is waiting on peers, not stuck itself —
         // the watchdog treats `barrier` as a wait phase.
-        lio_obs::health::beat(lio_obs::health::HbPhase::Barrier);
+        let _sp = lio_obs::trace::span("mpi.barrier");
         let me = self.rank();
         let mut dist = 1;
         let mut round = 0;

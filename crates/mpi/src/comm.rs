@@ -497,11 +497,9 @@ impl Comm {
         match std::mem::replace(&mut req.state, ReqState::Done) {
             ReqState::SendDone => (self.rank, Vec::new()),
             ReqState::Recv { src, tag } => {
+                // Its heartbeat ages while the rank is parked here: a
+                // victim of whoever it waits on, as the watchdog sees it.
                 let _sp = lio_obs::trace::span("mpi.wait");
-                // One beat on entering the wait: a rank parked here is
-                // a victim of whoever it waits on, and the aging
-                // timestamp lets the watchdog see exactly that.
-                lio_obs::health::beat(lio_obs::health::HbPhase::ExchangeWait);
                 (src, self.recv_raw(src, tag))
             }
             ReqState::Done => panic!("wait on a completed request"),
@@ -535,7 +533,6 @@ impl Comm {
             "wait_any on no active requests"
         );
         let _sp = lio_obs::trace::span("mpi.wait");
-        lio_obs::health::beat(lio_obs::health::HbPhase::ExchangeWait);
         loop {
             // An installed fault plan may rotate the scan start, so which
             // of several satisfiable requests completes first is
@@ -594,9 +591,6 @@ impl Comm {
                 // drained channel can never complete.
                 assert!(!gone, "{GONE}");
                 std::thread::yield_now();
-            } else {
-                // Messages arrived: real progress, refresh the heartbeat.
-                lio_obs::health::beat(lio_obs::health::HbPhase::Exchange);
             }
         }
     }

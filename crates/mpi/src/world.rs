@@ -38,11 +38,10 @@ impl World {
                 .into_iter()
                 .map(|comm| {
                     s.spawn(move || {
-                        // claim this thread's trace buffer and health
-                        // heartbeat slot before user code can open
-                        // spans or send messages
+                        // claim this thread's trace buffer and heartbeat
+                        // slot before user code can open spans or send
+                        // messages
                         lio_obs::trace::set_thread_rank(comm.rank() as u32);
-                        lio_obs::health::set_thread_rank(comm.rank() as u32);
                         f(&comm)
                     })
                 })

@@ -6,11 +6,13 @@
 //! obs stack could only explain an op *after* it finished. This module
 //! names the failure while it is happening:
 //!
-//! * **Heartbeats** — every rank publishes its progress (op id, phase,
-//!   window index, bytes moved, monotonic timestamp) into a per-rank
-//!   slot of plain atomics. Publishing is zero-alloc and lock-free; a
-//!   reader (the watchdog, `SharedFile::health_report()`, `repro top`)
-//!   scans the slots with relaxed loads and never blocks a writer.
+//! * **Heartbeats** — every rank's progress (op id, phase, window index,
+//!   bytes moved, monotonic timestamp) lives in a per-rank slot of plain
+//!   atomics, written by the trace layer's span and mark opens while this
+//!   layer is armed, tracing on or off (see `publish`). Publishing is
+//!   zero-alloc and lock-free; a reader (the watchdog,
+//!   `SharedFile::health_report()`, `repro top`) scans the slots with
+//!   relaxed loads and never blocks a writer.
 //! * **Watchdog** — a lazily-spawned thread scans the slots and flags
 //!   any in-flight op whose heartbeat is older than a deadline. It
 //!   picks the *culprit* (a rank stuck in a non-wait phase beats a
@@ -19,6 +21,7 @@
 //!   for the recent event history, and — when abort is configured —
 //!   parks a typed [`StallInfo`] for the culprit rank that `lio-core`
 //!   surfaces as `IoError::Stalled` once the closing sync is reached.
+//!   It is configured in code only, by [`set_watchdog`].
 //! * **Straggler attribution** — IOPs mark each per-window
 //!   contribution arrival; the spread between first and last arrival
 //!   is recorded into the `core.health.skew_ns` histogram and the
@@ -26,15 +29,13 @@
 //!   arrives last [`STRAGGLER_K`] windows in a row with non-trivial
 //!   skew is flagged as a straggler and named in the health report.
 //! * **Live introspection** — [`live_snapshot`] and [`report`] render
-//!   the slots as structs / text / schema-versioned JSON, and the
-//!   watchdog can periodically emit the JSON to `LIO_HEALTH_STATUS`
-//!   for an external admission/fairness loop.
+//!   the slots as structs / text / schema-versioned JSON.
 //!
 //! The layer is armed like the others, as `health` in the one
 //! [`crate::Layers`] switch (`LIO_OBS=health`, `Hints::observe`), or by
-//! [`set_enabled`]. Disabled cost is one relaxed atomic load and a branch
-//! per heartbeat site, and `lio-core`'s `obs_off` test counts that a
-//! disarmed op publishes no heartbeat.
+//! [`set_enabled`]. Disarmed, a span costs the one load of the arming
+//! word it costs the trace layer, and `lio-core`'s `obs_off` test counts
+//! that a disarmed op publishes no heartbeat.
 //!
 //! Hang injection for tests goes through [`set_stall_plan`]: a seeded
 //! `Stall` fault (see `lio-testkit`) wedges a chosen rank inside its
@@ -42,18 +43,12 @@
 //! flags it — after release the rank completes the collective protocol
 //! normally, so no peer is ever stranded before the closing sync.
 
-use crate::trace::now_ns;
-use crate::{LazyCounter, LazyHistogram};
+use crate::trace::{current_rank, now_ns, phase_of, Phase};
+use crate::{Layers, LazyCounter, LazyHistogram, MAX_RANKS, NO_RANK};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
-
-/// Maximum ranks with health slots (matches `trace::MAX_RANKS`).
-pub const MAX_RANKS: usize = 64;
-
-/// Rank value meaning "this thread has no health identity".
-pub const NO_RANK: u32 = u32::MAX;
 
 /// Consecutive last-arrival windows before a rank is flagged a straggler.
 pub const STRAGGLER_K: u32 = 4;
@@ -66,102 +61,21 @@ pub const STRAGGLER_MIN_SKEW_NS: u64 = 20_000;
 // Enablement
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
 /// Is the health layer recording heartbeats? One relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Relaxed)
+    crate::armed().contains(Layers::HEALTH)
 }
 
 /// Turn the health layer on or off globally.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Relaxed);
-}
-
-/// Read the watchdog's settings from the environment
-/// ([`crate::init_from_env`] calls this once): `LIO_HEALTH_DEADLINE_MS`
-/// (no-progress deadline, default 5000), `LIO_HEALTH_ABORT`
-/// (`1`/`on`/`true` parks a typed stall for the culprit rank instead of
-/// diagnosing only). `LIO_HEALTH_STATUS`, a path that receives a periodic
-/// schema-versioned JSON status report, is read when the watchdog first
-/// writes one.
-pub(crate) fn watchdog_from_env() {
-    if let Ok(v) = std::env::var("LIO_HEALTH_DEADLINE_MS") {
-        if let Ok(ms) = v.trim().parse::<u64>() {
-            set_watchdog(ms.max(1), abort_configured());
-        }
-    }
-    if let Ok(v) = std::env::var("LIO_HEALTH_ABORT") {
-        let on = matches!(
-            v.to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "enable"
-        );
-        WD_ABORT.store(on, Relaxed);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Phases
-// ---------------------------------------------------------------------------
-
-/// The phase a rank last made progress in. `ExchangeWait` and `Barrier`
-/// are *wait* phases: a rank parked there is a victim of someone else's
-/// stall, not the culprit — the watchdog uses this to attribute hangs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u32)]
-pub enum HbPhase {
-    /// No collective in flight.
-    Idle = 0,
-    /// Building the access plan / flattening the view.
-    Plan = 1,
-    /// Actively sending or receiving exchange data.
-    Exchange = 2,
-    /// Blocked waiting for exchange messages to arrive.
-    ExchangeWait = 3,
-    /// Storage access (read/write/flush), including the write-behind lane.
-    Io = 4,
-    /// Datatype pack/unpack.
-    Pack = 5,
-    /// Closing synchronization.
-    Barrier = 6,
-}
-
-impl HbPhase {
-    /// Stable lower-case name, used in diagnoses and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            HbPhase::Idle => "idle",
-            HbPhase::Plan => "plan",
-            HbPhase::Exchange => "exchange",
-            HbPhase::ExchangeWait => "exchange.wait",
-            HbPhase::Io => "io",
-            HbPhase::Pack => "pack",
-            HbPhase::Barrier => "barrier",
-        }
-    }
-
-    /// Is a rank parked in this phase waiting on *other* ranks?
-    pub fn is_wait(self) -> bool {
-        matches!(self, HbPhase::ExchangeWait | HbPhase::Barrier)
-    }
-
-    fn from_u32(v: u32) -> HbPhase {
-        match v {
-            1 => HbPhase::Plan,
-            2 => HbPhase::Exchange,
-            3 => HbPhase::ExchangeWait,
-            4 => HbPhase::Io,
-            5 => HbPhase::Pack,
-            6 => HbPhase::Barrier,
-            _ => HbPhase::Idle,
-        }
-    }
+    crate::arm_layers(Layers::HEALTH, on);
 }
 
 // ---------------------------------------------------------------------------
 // Heartbeat slots: one cache-line-ish struct of atomics per rank,
-// single-writer (the rank), many lock-free readers
+// written by the rank's threads (its own and its write-behind lane),
+// many lock-free readers
 // ---------------------------------------------------------------------------
 
 struct Slot {
@@ -169,7 +83,7 @@ struct Slot {
     op: AtomicU64,
     /// 1 when the in-flight op is a write.
     write: AtomicU32,
-    /// Last progress phase (`HbPhase` as u32).
+    /// Last progress phase (`Phase` as u32).
     phase: AtomicU32,
     /// Last window index the rank contributed to / placed.
     window: AtomicU64,
@@ -198,45 +112,7 @@ impl Slot {
     }
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const SLOT_INIT: Slot = Slot::new();
-static SLOTS: [Slot; MAX_RANKS] = [SLOT_INIT; MAX_RANKS];
-
-// ---------------------------------------------------------------------------
-// Thread identity (health keeps its own: trace's is feature-gated)
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static RANK: Cell<u32> = const { Cell::new(NO_RANK) };
-}
-
-/// Bind the calling thread to `rank` for heartbeat publication.
-/// `World::run` calls this for every rank thread.
-pub fn set_thread_rank(rank: u32) {
-    RANK.with(|r| r.set(rank));
-}
-
-/// The rank bound to the calling thread, or [`NO_RANK`].
-#[inline]
-pub fn current_rank() -> u32 {
-    RANK.with(|r| r.get())
-}
-
-/// A capturable copy of the calling thread's health identity, for the
-/// threads (the write-behind lane) that service a rank's I/O: capture on
-/// the submitting thread, [`adopt`] on the lane.
-#[derive(Clone, Copy, Debug)]
-pub struct Handle(u32);
-
-/// Capture the calling thread's health identity.
-pub fn thread_handle() -> Handle {
-    Handle(current_rank())
-}
-
-/// Adopt a captured identity on the calling thread.
-pub fn adopt(h: Handle) {
-    RANK.with(|r| r.set(h.0));
-}
+static SLOTS: [Slot; MAX_RANKS] = [const { Slot::new() }; MAX_RANKS];
 
 // ---------------------------------------------------------------------------
 // Instruments (aggregate surface; the raw atomics below stay readable
@@ -262,16 +138,11 @@ static STRAGGLER_FLAGS_RAW: AtomicU64 = AtomicU64::new(0);
 /// `lio-core` threads a per-file sequence number through so ids align
 /// across ranks). Resets the per-op progress fields.
 pub fn op_begin(op: u64, write: bool) {
-    if !enabled() {
+    let Some(s) = SLOTS.get(current_rank() as usize).filter(|_| enabled()) else {
         return;
-    }
-    let rank = current_rank();
-    if rank as usize >= MAX_RANKS {
-        return;
-    }
-    let s = &SLOTS[rank as usize];
+    };
     s.write.store(write as u32, Relaxed);
-    s.phase.store(HbPhase::Plan as u32, Relaxed);
+    s.phase.store(Phase::Plan as u32, Relaxed);
     s.window.store(0, Relaxed);
     s.bytes.store(0, Relaxed);
     s.beats.store(1, Relaxed);
@@ -286,53 +157,38 @@ pub fn op_end() {
         return;
     }
     window_flush();
-    let rank = current_rank();
-    if rank as usize >= MAX_RANKS {
+    let Some(s) = SLOTS.get(current_rank() as usize) else {
         return;
-    }
-    let s = &SLOTS[rank as usize];
+    };
     s.op.store(0, Relaxed);
-    s.phase.store(HbPhase::Idle as u32, Relaxed);
+    s.phase.store(Phase::Idle as u32, Relaxed);
     s.ts.store(now_ns(), Relaxed);
 }
 
-/// Publish a heartbeat: the calling rank made progress in `phase`.
-#[inline(always)]
-pub fn beat(phase: HbPhase) {
-    if enabled() {
-        beat_slow(phase, None, 0);
-    }
-}
-
-/// Heartbeat plus bytes moved (storage service, exchange payloads).
-#[inline(always)]
-pub fn beat_bytes(phase: HbPhase, bytes: u64) {
-    if enabled() {
-        beat_slow(phase, None, bytes);
-    }
-}
-
-/// Heartbeat plus the window index the rank just advanced to.
-#[inline(always)]
-pub fn beat_window(phase: HbPhase, window: u64) {
-    if enabled() {
-        beat_slow(phase, Some(window), 0);
-    }
-}
-
+/// Publish `rank`'s heartbeat for the span or mark `tag` it opened with
+/// payload `(a, b)`; the trace layer's gate calls this for every event
+/// while the layer is armed. The phase is the tag's in the one table
+/// ([`phase_of`]; none, nothing is published); a `win` span adds its
+/// window index and bytes, an `exch.send` its bytes. A message receipt
+/// publishes only out of an exchange wait: in a barrier's rounds or a
+/// plan's allgather the rank is still waiting on whoever is late.
 #[inline(never)]
-fn beat_slow(phase: HbPhase, window: Option<u64>, bytes: u64) {
-    let rank = current_rank();
-    if rank as usize >= MAX_RANKS {
+pub(crate) fn publish(rank: u32, tag: &str, a: u64, b: u64) {
+    let phase = phase_of(tag).0;
+    let Some(s) = SLOTS.get(rank as usize) else {
+        return;
+    };
+    if phase == Phase::Idle
+        || (tag == "msg.recv" && s.phase.load(Relaxed) != Phase::ExchangeWait as u32)
+    {
         return;
     }
-    let s = &SLOTS[rank as usize];
     s.phase.store(phase as u32, Relaxed);
-    if let Some(w) = window {
-        s.window.store(w, Relaxed);
+    if tag == "win" {
+        s.window.store(a, Relaxed);
     }
-    if bytes > 0 {
-        s.bytes.fetch_add(bytes, Relaxed);
+    if tag == "win" || tag == "exch.send" {
+        s.bytes.fetch_add(b, Relaxed);
     }
     s.beats.fetch_add(1, Relaxed);
     s.ts.store(now_ns(), Relaxed);
@@ -353,34 +209,29 @@ fn beat_slow(phase: HbPhase, window: Option<u64>, bytes: u64) {
 #[derive(Clone, Copy, Debug)]
 pub struct StallSpec {
     pub rank: u32,
-    pub phase: HbPhase,
+    pub phase: Phase,
     pub hold: Duration,
 }
 
-struct StallState {
-    spec: StallSpec,
-    fired: bool,
-}
-
 static STALL_ARMED: AtomicBool = AtomicBool::new(false);
-static STALL: Mutex<Option<StallState>> = Mutex::new(None);
+static STALL: Mutex<Option<StallSpec>> = Mutex::new(None);
 
 /// Arm (or clear) the one-shot stall plan. Each armed plan fires at
 /// most once.
 pub fn set_stall_plan(spec: Option<StallSpec>) {
     let mut st = STALL.lock().unwrap();
     STALL_ARMED.store(spec.is_some(), Relaxed);
-    *st = spec.map(|spec| StallState { spec, fired: false });
+    *st = spec;
 }
 
-fn maybe_wedge(rank: u32, phase: HbPhase, slot: &Slot) {
+fn maybe_wedge(rank: u32, phase: Phase, slot: &Slot) {
     let hold = {
         let mut st = STALL.lock().unwrap();
-        match st.as_mut() {
-            Some(state) if !state.fired && state.spec.rank == rank && state.spec.phase == phase => {
-                state.fired = true;
+        match *st {
+            Some(spec) if spec.rank == rank && spec.phase == phase => {
+                *st = None;
                 STALL_ARMED.store(false, Relaxed);
-                state.spec.hold
+                spec.hold
             }
             _ => return,
         }
@@ -405,16 +256,10 @@ static WD_DEADLINE_MS: AtomicU64 = AtomicU64::new(5000);
 static WD_ABORT: AtomicBool = AtomicBool::new(false);
 static WD_DIAGNOSES: AtomicU32 = AtomicU32::new(0);
 
-fn abort_configured() -> bool {
-    WD_ABORT.load(Relaxed)
-}
-
-/// Configure the watchdog: `deadline_ms` of no progress flags an op;
-/// `abort` parks a [`StallInfo`] for the culprit rank (surfaced by
-/// `lio-core` as `IoError::Stalled`) instead of diagnosing only.
-/// Programmatic twin of `LIO_HEALTH_DEADLINE_MS` / `LIO_HEALTH_ABORT`
-/// — tests use this because process env is racy under the parallel
-/// test runner.
+/// Configure the watchdog, the one way to: `deadline_ms` of no progress
+/// (default 5000) flags an op; `abort` parks a [`StallInfo`] for the
+/// culprit rank (surfaced by `lio-core` as `IoError::Stalled`) instead of
+/// diagnosing only (the default).
 pub fn set_watchdog(deadline_ms: u64, abort: bool) {
     WD_DEADLINE_MS.store(deadline_ms.max(1), Relaxed);
     WD_ABORT.store(abort, Relaxed);
@@ -433,16 +278,6 @@ pub fn ensure_watchdog() {
     });
 }
 
-fn status_path() -> Option<&'static str> {
-    static PATH: OnceLock<Option<String>> = OnceLock::new();
-    PATH.get_or_init(|| {
-        std::env::var("LIO_HEALTH_STATUS")
-            .ok()
-            .filter(|p| !p.is_empty())
-    })
-    .as_deref()
-}
-
 fn watchdog_loop() {
     loop {
         let deadline_ms = WD_DEADLINE_MS.load(Relaxed);
@@ -455,9 +290,6 @@ fn watchdog_loop() {
         }
         WD_CHECKS_RAW.fetch_add(1, Relaxed);
         check_once(deadline_ms);
-        if let Some(path) = status_path() {
-            let _ = std::fs::write(path, report().to_json());
-        }
     }
 }
 
@@ -467,7 +299,7 @@ fn check_once(deadline_ms: u64) {
     let now = now_ns();
     let deadline_ns = deadline_ms.saturating_mul(1_000_000);
     // Collect overdue in-flight ops not yet flagged.
-    let mut culprit: Option<(usize, u64, HbPhase, u64)> = None; // (rank, age, phase, op)
+    let mut culprit: Option<(usize, u64, Phase, u64)> = None; // (rank, age, phase, op)
     for (rank, s) in SLOTS.iter().enumerate() {
         let op = s.op.load(Relaxed);
         if op == 0 || s.flagged.load(Relaxed) == op {
@@ -477,7 +309,7 @@ fn check_once(deadline_ms: u64) {
         if age < deadline_ns {
             continue;
         }
-        let phase = HbPhase::from_u32(s.phase.load(Relaxed));
+        let phase = Phase::from_u32(s.phase.load(Relaxed));
         // A rank stuck in a non-wait phase outranks any waiter (the
         // waiters are its victims); among equals the oldest beat wins.
         let better = match culprit {
@@ -506,30 +338,17 @@ fn check_once(deadline_ms: u64) {
     s.flagged.store(op, Relaxed);
     WD_FIRED_RAW.fetch_add(1, Relaxed);
     OBS_WD_FIRED.incr();
-    let abort = abort_configured();
+    let abort = WD_ABORT.load(Relaxed);
     // Diagnose loudly the first couple of times, then stay quiet (the
     // same suppression discipline as the trace flight recorder).
     let n = WD_DIAGNOSES.fetch_add(1, Relaxed);
     if n < 2 {
-        eprintln!(
-            "lio-health watchdog: rank {} made no progress for {} ms — stuck in {} \
-             (op {}, window {}, {} bytes moved); {}",
-            info.rank,
-            info.stalled_ms,
-            info.phase,
-            info.op,
-            info.window,
-            info.bytes,
-            if abort {
-                "aborting op with IoError::Stalled"
-            } else {
-                "diagnosing only (set LIO_HEALTH_ABORT=1 to abort)"
-            }
-        );
-        eprintln!(
-            "  replay: LIO_OBS=health LIO_HEALTH_DEADLINE_MS={} cargo test -q -p lio-core --test health",
-            deadline_ms
-        );
+        let verdict = match abort {
+            true => "aborting op with IoError::Stalled",
+            false => "diagnosing only (health::set_watchdog(_, true) aborts)",
+        };
+        eprintln!("lio-health watchdog: {info}; {verdict}");
+        eprintln!("  replay: LIO_OBS=health cargo test -q -p lio-core --test health");
         crate::trace::flight_dump(&format!(
             "health watchdog: rank {} stalled in {}",
             info.rank, info.phase
@@ -552,7 +371,7 @@ fn check_once(deadline_ms: u64) {
 pub struct StallInfo {
     /// The culprit rank.
     pub rank: u32,
-    /// Phase name the rank was stuck in (see [`HbPhase::name`]).
+    /// Phase name the rank was stuck in (see [`Phase::name`]).
     pub phase: &'static str,
     /// Collective op id.
     pub op: u64,
@@ -574,19 +393,14 @@ impl std::fmt::Display for StallInfo {
     }
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const PENDING_INIT: Mutex<Option<StallInfo>> = Mutex::new(None);
-static PENDING: [Mutex<Option<StallInfo>>; MAX_RANKS] = [PENDING_INIT; MAX_RANKS];
+static PENDING: [Mutex<Option<StallInfo>>; MAX_RANKS] = [const { Mutex::new(None) }; MAX_RANKS];
 
 /// Take the parked stall for `rank`, if the watchdog aborted its op.
 /// `lio-core` calls this after the engine returns (i.e. after the
 /// closing sync — no peer is stranded) and converts it to
 /// `IoError::Stalled`.
 pub fn take_stall(rank: u32) -> Option<StallInfo> {
-    if rank as usize >= MAX_RANKS {
-        return None;
-    }
-    PENDING[rank as usize].lock().unwrap().take()
+    PENDING.get(rank as usize)?.lock().unwrap().take()
 }
 
 // ---------------------------------------------------------------------------
@@ -616,10 +430,8 @@ static SLOW_SKEW_NS: AtomicU64 = AtomicU64::new(0);
 // Per-rank last-arrival attribution: how many finished windows each rank
 // closed and the total spread charged to it. Feeds the per-rank skew
 // column of the critical-path report.
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_U64: AtomicU64 = AtomicU64::new(0);
-static LAST_COUNT: [AtomicU64; MAX_RANKS] = [ZERO_U64; MAX_RANKS];
-static LAST_SKEW_SUM_NS: [AtomicU64; MAX_RANKS] = [ZERO_U64; MAX_RANKS];
+static LAST_COUNT: [AtomicU64; MAX_RANKS] = [const { AtomicU64::new(0) }; MAX_RANKS];
+static LAST_SKEW_SUM_NS: [AtomicU64; MAX_RANKS] = [const { AtomicU64::new(0) }; MAX_RANKS];
 
 /// An IOP received a per-window contribution from `src_rank` for
 /// `window`. On window rollover the previous window's first-to-last
@@ -783,7 +595,7 @@ pub fn live_snapshot() -> Vec<RankHealth> {
             rank: rank as u32,
             op: s.op.load(Relaxed),
             write: s.write.load(Relaxed) != 0,
-            phase: HbPhase::from_u32(s.phase.load(Relaxed)).name(),
+            phase: Phase::from_u32(s.phase.load(Relaxed)).name(),
             window: s.window.load(Relaxed),
             bytes: s.bytes.load(Relaxed),
             beats: s.beats.load(Relaxed),
@@ -937,6 +749,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{adopt, mark, msg_recv, set_thread_rank, span, span_ab, thread_handle};
 
     /// Serialize access to the global health state across tests.
     fn with_health<R>(f: impl FnOnce() -> R) -> R {
@@ -955,8 +768,8 @@ mod tests {
         with_health(|| {
             set_thread_rank(3);
             op_begin(7, true);
-            beat_bytes(HbPhase::Io, 4096);
-            beat_window(HbPhase::Exchange, 5);
+            drop(span_ab("win", 5, 4096));
+            drop(span_ab("exch.send", 1, 0));
             let snap = live_snapshot();
             let r = snap.iter().find(|r| r.rank == 3).unwrap();
             assert_eq!(r.op, 7);
@@ -964,7 +777,11 @@ mod tests {
             assert_eq!(r.phase, "exchange");
             assert_eq!(r.window, 5);
             assert_eq!(r.bytes, 4096);
-            assert!(r.beats >= 3);
+            assert_eq!(r.beats, 3);
+            // a tag with no phase publishes nothing
+            mark("test.mark", 9, 9);
+            let beats = || live_snapshot().iter().find(|r| r.rank == 3).unwrap().beats;
+            assert_eq!(beats(), 3);
             op_end();
             let snap = live_snapshot();
             let r = snap.iter().find(|r| r.rank == 3).unwrap();
@@ -975,12 +792,32 @@ mod tests {
     }
 
     #[test]
+    fn a_receipt_ends_only_an_exchange_wait() {
+        with_health(|| {
+            set_thread_rank(5);
+            op_begin(2, false);
+            let phase = || live_snapshot().iter().find(|r| r.rank == 5).unwrap().phase;
+            msg_recv(1, 1, 64); // the plan's allgather
+            assert_eq!(phase(), "plan");
+            drop(span("mpi.wait"));
+            assert_eq!(phase(), "exchange.wait");
+            msg_recv(1, 2, 64);
+            assert_eq!(phase(), "exchange");
+            drop(span("mpi.barrier"));
+            msg_recv(1, 3, 0); // a barrier's round
+            assert_eq!(phase(), "barrier");
+            op_end();
+            set_thread_rank(NO_RANK);
+        });
+    }
+
+    #[test]
     fn disabled_beats_are_noops() {
         with_health(|| {
             set_enabled(false);
             set_thread_rank(9);
             op_begin(1, false);
-            beat(HbPhase::Io);
+            drop(span("io.write"));
             assert!(live_snapshot().iter().all(|r| r.rank != 9));
             set_enabled(true);
             set_thread_rank(NO_RANK);
@@ -994,10 +831,10 @@ mod tests {
             // Rank 0: wedged in io. Rank 1: waiting on it. Both overdue.
             set_thread_rank(0);
             op_begin(42, true);
-            beat(HbPhase::Io);
+            drop(span("io.write"));
             set_thread_rank(1);
             op_begin(42, true);
-            beat(HbPhase::ExchangeWait);
+            drop(span("mpi.wait"));
             set_thread_rank(NO_RANK);
             std::thread::sleep(Duration::from_millis(5));
             check_once(1);
@@ -1020,7 +857,7 @@ mod tests {
             set_watchdog(10_000, true);
             set_thread_rank(2);
             op_begin(5, false);
-            beat(HbPhase::Io);
+            drop(span("io.read"));
             set_thread_rank(NO_RANK);
             check_once(10_000);
             assert!(take_stall(2).is_none(), "recent beat must not be flagged");
@@ -1033,18 +870,18 @@ mod tests {
         with_health(|| {
             set_stall_plan(Some(StallSpec {
                 rank: 4,
-                phase: HbPhase::Exchange,
+                phase: Phase::Exchange,
                 hold: Duration::from_millis(30),
             }));
             set_thread_rank(4);
             op_begin(1, true);
             let t0 = Instant::now();
-            beat(HbPhase::Io); // wrong phase: no wedge
+            drop(span("io.read")); // wrong phase: no wedge
             assert!(t0.elapsed() < Duration::from_millis(20));
-            beat(HbPhase::Exchange); // wedges ~30ms
+            drop(span("exch.send")); // wedges ~30ms
             assert!(t0.elapsed() >= Duration::from_millis(30));
             let t1 = Instant::now();
-            beat(HbPhase::Exchange); // one-shot: no second wedge
+            drop(span("exch.send")); // one-shot: no second wedge
             assert!(t1.elapsed() < Duration::from_millis(20));
             set_thread_rank(NO_RANK);
         });
@@ -1087,7 +924,7 @@ mod tests {
         with_health(|| {
             set_thread_rank(0);
             op_begin(9, true);
-            beat_bytes(HbPhase::Pack, 128);
+            drop(span_ab("pack", 128, 0));
             let rep = report();
             let json = rep.to_json();
             crate::json::validate(&json).expect("health report JSON parses");
@@ -1101,6 +938,8 @@ mod tests {
         });
     }
 
+    /// A write-behind lane adopts its rank's identity, so its `io.write`
+    /// spans beat on the rank's slot.
     #[test]
     fn worker_adoption_carries_rank() {
         with_health(|| {
@@ -1111,12 +950,12 @@ mod tests {
                 s.spawn(move || {
                     adopt(h);
                     assert_eq!(current_rank(), 6);
-                    beat_bytes(HbPhase::Io, 512);
+                    drop(span_ab("io.write", 0, 512));
                 });
             });
             let snap = live_snapshot();
             let r = snap.iter().find(|r| r.rank == 6).unwrap();
-            assert_eq!(r.bytes, 512);
+            assert_eq!((r.phase, r.beats), ("io", 2));
             op_end();
             set_thread_rank(NO_RANK);
         });

@@ -19,19 +19,23 @@
 //! [`health`]. One switch arms any set of them, a [`Layers`]: the
 //! `LIO_OBS` environment variable (`all`, or a comma list such as
 //! `metrics,trace`; read once by [`init_from_env`]), the `lio_obs` info
-//! key and `Hints::observe` in `lio-core`, or [`Layers::arm`]. Each
-//! layer's own `set_enabled` is the primitive underneath. [`snapshot`]
+//! key and `Hints::observe` in `lio-core`, or [`Layers::arm`]. The armed
+//! set is one word, and each layer's `enabled` one relaxed load of it;
+//! each layer's own `set_enabled` flips its bit. [`snapshot`]
 //! serializes every registered metric to JSON (hand-rolled; no serde).
 //!
 //! Metric name convention: `layer.object.what`, e.g. `pfs.read.bytes`,
 //! `mpi.p2p.msgs`, `dt.pack.blocks`, `core.coll.write.exchange_ns`.
 //!
-//! The [`trace`] module adds per-rank *event* recording on top of the
-//! aggregate metrics (spans, message edges, Perfetto export,
-//! critical-path analysis); [`health`] adds runtime liveness on top of
-//! both (progress heartbeats, a hang watchdog, straggler attribution,
-//! live status reports); [`json`] is the tiny parser the tooling uses
-//! to check emitted artifacts.
+//! The [`trace`] module adds per-rank *events* on top of the aggregate
+//! metrics (spans, message edges, Perfetto export, critical-path
+//! analysis) and owns what the event layers share: the thread's rank
+//! ([`trace::set_thread_rank`]) and the one tag table
+//! ([`trace::phase_of`]). [`health`] is built from those events: a span
+//! or mark opened while it is armed publishes the rank's heartbeat, which
+//! its hang watchdog and live status reports read, next to its straggler
+//! attribution. [`json`] is the tiny parser the tooling uses to check
+//! emitted artifacts.
 
 pub mod health;
 pub mod json;
@@ -40,25 +44,48 @@ pub mod trace;
 
 use std::collections::BTreeMap;
 use std::ops::BitOr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Global enable flag
+// The arming word and the rank ceiling
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Ranks at or above this index record nothing in the per-rank layers
+/// (worlds in this repo top out at 25 ranks).
+pub const MAX_RANKS: usize = 64;
+
+/// The rank of a thread that belongs to no rank: it records nothing.
+pub const NO_RANK: u32 = u32::MAX;
+
+/// The bits of the armed [`Layers`].
+static ARMED: AtomicU8 = AtomicU8::new(0);
+
+/// The armed layers: one relaxed load.
+#[inline(always)]
+pub(crate) fn armed() -> Layers {
+    Layers(ARMED.load(Relaxed))
+}
+
+/// Arm or disarm the layers of `set`, the others as they are.
+pub(crate) fn arm_layers(set: Layers, on: bool) {
+    if on {
+        ARMED.fetch_or(set.0, Relaxed);
+    } else {
+        ARMED.fetch_and(!set.0, Relaxed);
+    }
+}
 
 /// Is instrumentation currently recording? One relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Relaxed)
+    armed().contains(Layers::METRICS)
 }
 
 /// Turn recording on or off globally.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Relaxed);
+    arm_layers(Layers::METRICS, on);
 }
 
 // ---------------------------------------------------------------------------
@@ -114,13 +141,10 @@ impl Layers {
         Ok(set)
     }
 
-    /// Turn this set's layers on and every other layer off, through each
-    /// layer's own `set_enabled`.
+    /// Turn this set's layers on and every other layer off: one store of
+    /// the arming word.
     pub fn arm(self) {
-        set_enabled(self.contains(Layers::METRICS));
-        trace::set_enabled(self.contains(Layers::TRACE));
-        profile::set_enabled(self.contains(Layers::PROFILE));
-        health::set_enabled(self.contains(Layers::HEALTH));
+        ARMED.store(self.0, Relaxed);
     }
 }
 
@@ -151,10 +175,10 @@ impl std::fmt::Display for Layers {
 }
 
 /// Read the environment once per process: `LIO_OBS` arms exactly the
-/// layers it names (absent or unparseable leaves every layer as it is),
-/// and the health watchdog's settings are read
-/// ([`health::set_watchdog`]). Call sites that open files or run
-/// benchmarks invoke this; repeated calls are free.
+/// layers it names (absent or unparseable leaves every layer as it is).
+/// Call sites that open files or run benchmarks invoke this; repeated
+/// calls are free. The health watchdog is configured in code only
+/// ([`health::set_watchdog`]).
 pub fn init_from_env() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -164,7 +188,6 @@ pub fn init_from_env() {
         {
             set.arm();
         }
-        health::watchdog_from_env();
     });
 }
 

@@ -30,29 +30,24 @@
 //! they recommend exactly the static configurations those benches show
 //! to be fastest for the corresponding access shapes.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 
-use crate::{Histogram, HistogramSnapshot};
-
-/// Fixed per-rank slots for skew accounting, mirroring `trace::MAX_RANKS`.
-pub const MAX_RANKS: usize = 64;
+use crate::{Histogram, HistogramSnapshot, Layers, MAX_RANKS};
 
 // ---------------------------------------------------------------------------
 // Enable flag (same discipline as trace)
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
 /// Is profiling currently recording? One relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Relaxed)
+    crate::armed().contains(Layers::PROFILE)
 }
 
 /// Turn profiling on or off globally.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Relaxed);
+    crate::arm_layers(Layers::PROFILE, on);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,23 +15,22 @@
 //! [`merge`] stitches the per-rank streams into one timeline whose
 //! send→recv edges are checked (and exported as Perfetto flow events).
 //!
+//! This module is the event source of the layers that read events: it
+//! keeps the thread's rank ([`set_thread_rank`], [`adopt`]) and the one
+//! tag table ([`phase_of`]). Opening a span or a mark publishes the
+//! rank's heartbeat ([`crate::health`]) whenever that layer is armed,
+//! with tracing on or off; only tracing records the event.
+//!
 //! Enable with [`set_enabled`], or as `trace` in the one
 //! [`crate::Layers`] switch (`LIO_OBS=trace`, `Hints::observe`).
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::LazyCounter;
-
-/// Ranks above this index record nothing (worlds in this repo top out
-/// at 25 ranks).
-pub const MAX_RANKS: usize = 64;
-
-/// Sentinel: the current thread belongs to no rank; events are dropped.
-pub const NO_RANK: u32 = u32::MAX;
+use crate::{health, Layers, LazyCounter, MAX_RANKS, NO_RANK};
 
 /// Default per-rank ring capacity, in events.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
@@ -43,32 +42,24 @@ pub const FLIGHT_EVENTS: usize = 32;
 // Enable flag + clock
 // ---------------------------------------------------------------------------
 
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
-
 /// Is tracing currently recording? One relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    TRACE_ENABLED.load(Relaxed)
+    crate::armed().contains(Layers::TRACE)
 }
 
 /// Turn tracing on or off globally.
 pub fn set_enabled(on: bool) {
-    if on {
-        let _ = epoch();
-    }
-    TRACE_ENABLED.store(on, Relaxed);
+    crate::arm_layers(Layers::TRACE, on);
 }
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Nanoseconds since the process-wide trace epoch. All ranks are threads
-/// of one process, so one monotonic clock is globally comparable.
+/// Nanoseconds since the process-wide trace epoch, its first reading.
+/// All ranks are threads of one process, so one monotonic clock is
+/// globally comparable.
 #[inline]
 pub fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -144,9 +135,7 @@ impl Ring {
     }
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const RING_INIT: Mutex<Ring> = Mutex::new(Ring::new());
-static BUFS: [Mutex<Ring>; MAX_RANKS] = [RING_INIT; MAX_RANKS];
+static BUFS: [Mutex<Ring>; MAX_RANKS] = [const { Mutex::new(Ring::new()) }; MAX_RANKS];
 
 #[inline]
 fn push(ev: Event) {
@@ -187,8 +176,9 @@ thread_local! {
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU32 = AtomicU32::new(MAX_RANKS as u32);
 
-/// Declare the current thread to be rank `rank`'s main thread.
-/// `World::run` calls this before entering the rank closure.
+/// Declare the current thread to be rank `rank`'s main thread: its
+/// events and heartbeats are that rank's. `World::run` calls this before
+/// entering the rank closure.
 pub fn set_thread_rank(rank: u32) {
     RANK.with(|r| r.set(rank));
     TID.with(|t| t.set(rank));
@@ -200,8 +190,8 @@ pub fn current_rank() -> u32 {
     RANK.with(|r| r.get())
 }
 
-/// A copyable capture of the current thread's trace context, for handing
-/// to spawned worker threads (storage lanes).
+/// A copyable capture of the current thread's rank and open span, for
+/// handing to spawned worker threads (storage lanes).
 #[derive(Clone, Copy, Debug)]
 pub struct ThreadHandle {
     rank: u32,
@@ -213,13 +203,14 @@ pub struct ThreadHandle {
 pub fn thread_handle() -> ThreadHandle {
     ThreadHandle {
         rank: current_rank(),
-        parent: PARENT.with(|p| p.get()),
+        parent: parent(),
     }
 }
 
 /// Join the rank of the captured handle from a freshly spawned worker
-/// thread: events parent under the span that was open at capture time,
-/// on a worker track of their own.
+/// thread: its heartbeats are that rank's, and its events parent under
+/// the span that was open at capture time, on a worker track of their
+/// own.
 pub fn adopt(h: ThreadHandle) {
     RANK.with(|r| r.set(h.rank));
     PARENT.with(|p| p.set(h.parent));
@@ -236,38 +227,13 @@ pub fn adopt(h: ThreadHandle) {
 /// drop. Inert (zero further cost) when tracing is disabled or the
 /// thread has no rank.
 pub struct Span {
-    id: u64,
-    rank: u32,
-    tid: u32,
-    prev_parent: u64,
+    /// `(rank, id, enclosing span)` of a recording span; `None` inert.
+    open: Option<(u32, u64, u64)>,
     payload: (u64, u64, u64),
     tag: &'static str,
-    active: bool,
 }
 
 impl Span {
-    fn inert() -> Span {
-        Span {
-            id: 0,
-            rank: NO_RANK,
-            tid: NO_RANK,
-            prev_parent: 0,
-            payload: (0, 0, 0),
-            tag: "",
-            active: false,
-        }
-    }
-
-    /// The span's id (0 when inert), for explicit parenting.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Is this span actually recording?
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// Attach payload words to the closing event (e.g. bytes moved, the
     /// modelled device time of a throttled storage op).
     pub fn set_payload(&mut self, a: u64, b: u64, c: u64) {
@@ -277,24 +243,54 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if !self.active {
-            return;
+        if let Some((rank, id, parent)) = self.open {
+            PARENT.with(|p| p.set(parent));
+            record(rank, Kind::SpanEnd, self.tag, (id, parent), self.payload);
         }
-        PARENT.with(|p| p.set(self.prev_parent));
-        let (a, b, c) = self.payload;
-        push(Event {
-            ts: now_ns(),
-            span_id: self.id,
-            parent: self.prev_parent,
-            a,
-            b,
-            c,
-            kind: Kind::SpanEnd,
-            rank: self.rank,
-            tid: self.tid,
-            tag: self.tag,
-        });
     }
+}
+
+/// The one gate of every span, mark and message event: the calling
+/// thread's rank when tracing records `tag`, after publishing the rank's
+/// heartbeat for it when the health layer is armed. Disarmed, both
+/// layers cost the one load of the arming word.
+#[inline]
+fn open(tag: &'static str, a: u64, b: u64) -> Option<u32> {
+    let on = crate::armed();
+    if !on.contains(Layers::TRACE) && !on.contains(Layers::HEALTH) {
+        return None;
+    }
+    let rank = current_rank();
+    if rank == NO_RANK {
+        return None;
+    }
+    if on.contains(Layers::HEALTH) {
+        health::publish(rank, tag, a, b);
+    }
+    on.contains(Layers::TRACE).then_some(rank)
+}
+
+/// Push an event of the calling thread, stamped now.
+fn record(rank: u32, kind: Kind, tag: &'static str, ids: (u64, u64), abc: (u64, u64, u64)) {
+    let ((span_id, parent), (a, b, c)) = (ids, abc);
+    let (ts, tid) = (now_ns(), TID.with(|t| t.get()));
+    push(Event {
+        ts,
+        span_id,
+        parent,
+        a,
+        b,
+        c,
+        kind,
+        rank,
+        tid,
+        tag,
+    });
+}
+
+/// The span the calling thread has open (0 for none).
+fn parent() -> u64 {
+    PARENT.with(|p| p.get())
 }
 
 /// Open a span named `tag` on the current thread.
@@ -307,65 +303,25 @@ pub fn span(tag: &'static str) -> Span {
 /// index and its byte count).
 #[inline]
 pub fn span_ab(tag: &'static str, a: u64, b: u64) -> Span {
-    if !enabled() {
-        return Span::inert();
-    }
-    let rank = current_rank();
-    if rank == NO_RANK {
-        return Span::inert();
-    }
-    let id = NEXT_SPAN.fetch_add(1, Relaxed);
-    let parent = PARENT.with(|p| {
-        let v = p.get();
-        p.set(id);
-        v
-    });
-    let tid = TID.with(|t| t.get());
-    push(Event {
-        ts: now_ns(),
-        span_id: id,
-        parent,
-        a,
-        b,
-        c: 0,
-        kind: Kind::SpanBegin,
-        rank,
-        tid,
-        tag,
+    let open = open(tag, a, b).map(|rank| {
+        let id = NEXT_SPAN.fetch_add(1, Relaxed);
+        let parent = PARENT.with(|p| p.replace(id));
+        record(rank, Kind::SpanBegin, tag, (id, parent), (a, b, 0));
+        (rank, id, parent)
     });
     Span {
-        id,
-        rank,
-        tid,
-        prev_parent: parent,
+        open,
         payload: (0, 0, 0),
         tag,
-        active: true,
     }
 }
 
 /// Record an instant event.
 #[inline]
 pub fn mark(tag: &'static str, a: u64, b: u64) {
-    if !enabled() {
-        return;
+    if let Some(rank) = open(tag, a, b) {
+        record(rank, Kind::Mark, tag, (0, parent()), (a, b, 0));
     }
-    let rank = current_rank();
-    if rank == NO_RANK {
-        return;
-    }
-    push(Event {
-        ts: now_ns(),
-        span_id: 0,
-        parent: PARENT.with(|p| p.get()),
-        a,
-        b,
-        c: 0,
-        kind: Kind::Mark,
-        rank,
-        tid: TID.with(|t| t.get()),
-        tag,
-    });
 }
 
 /// Record a message leaving this rank for `peer` with the channel
@@ -384,25 +340,9 @@ pub fn msg_recv(peer: u32, seq: u64, bytes: u64) {
 
 #[inline]
 fn msg_event(kind: Kind, tag: &'static str, peer: u32, seq: u64, bytes: u64) {
-    if !enabled() {
-        return;
+    if let Some(rank) = open(tag, peer as u64, seq) {
+        record(rank, kind, tag, (0, parent()), (peer as u64, seq, bytes));
     }
-    let rank = current_rank();
-    if rank == NO_RANK {
-        return;
-    }
-    push(Event {
-        ts: now_ns(),
-        span_id: 0,
-        parent: PARENT.with(|p| p.get()),
-        a: peer as u64,
-        b: seq,
-        c: bytes,
-        kind,
-        rank,
-        tid: TID.with(|t| t.get()),
-        tag,
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -635,34 +575,75 @@ pub fn to_chrome_json(t: &Timeline) -> String {
 // Critical-path analysis
 // ---------------------------------------------------------------------------
 
-/// The three phase categories of a two-phase collective.
+/// The phases of a two-phase collective (exchange, file access, pack)
+/// and the waits and plan around them. A heartbeat names the phase its
+/// rank last made progress in; the critical path charges time to three
+/// of them. `ExchangeWait` and `Barrier` are *wait* phases: a rank parked
+/// there is a victim of someone else's stall, not the culprit — the
+/// health watchdog attributes hangs with this.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u32)]
 pub enum Phase {
-    Exchange,
-    Io,
-    Pack,
+    /// No collective in flight.
+    Idle = 0,
+    /// Building the access plan / flattening the view.
+    Plan = 1,
+    /// Actively sending or receiving exchange data.
+    Exchange = 2,
+    /// Blocked waiting for exchange messages to arrive.
+    ExchangeWait = 3,
+    /// Storage access (read/write/flush), including the write-behind lane.
+    Io = 4,
+    /// Datatype pack/unpack.
+    Pack = 5,
+    /// Closing synchronization.
+    Barrier = 6,
 }
 
 impl Phase {
+    /// Stable lower-case name, used in diagnoses, reports and JSON.
     pub fn name(self) -> &'static str {
         match self {
+            Phase::Idle => "idle",
+            Phase::Plan => "plan",
             Phase::Exchange => "exchange",
+            Phase::ExchangeWait => "exchange.wait",
             Phase::Io => "io",
             Phase::Pack => "pack",
+            Phase::Barrier => "barrier",
         }
+    }
+
+    /// Is a rank parked in this phase waiting on *other* ranks?
+    pub fn is_wait(self) -> bool {
+        matches!(self, Phase::ExchangeWait | Phase::Barrier)
+    }
+
+    pub(crate) fn from_u32(v: u32) -> Phase {
+        use Phase::*;
+        let all = [Idle, Plan, Exchange, ExchangeWait, Io, Pack, Barrier];
+        all.get(v as usize).copied().unwrap_or(Idle)
     }
 }
 
-/// Which phase a span tag belongs to, if any.
-pub fn phase_of(tag: &str) -> Option<Phase> {
-    if tag.starts_with("exch") || tag == "mpi.wait" {
-        Some(Phase::Exchange)
-    } else if tag.starts_with("io.") || tag.starts_with("pfs.") {
-        Some(Phase::Io)
-    } else if tag.starts_with("pack") || tag.starts_with("unpack") || tag.starts_with("dt.") {
-        Some(Phase::Pack)
-    } else {
-        None
+/// The one tag table: for each tag the library opens (spans, marks,
+/// message events), the phase its heartbeat publishes (`Idle`: none) and
+/// the phase the critical path charges its time to. They differ where
+/// the time is another span's: `win` wraps its `io.*` and `pack.place`
+/// children, so it beats as `Io` but adds nothing to `io_ns`; a
+/// collective's closing `mpi.barrier` lies inside `exch.barrier`.
+pub fn phase_of(tag: &str) -> (Phase, Option<Phase>) {
+    use Phase::*;
+    match tag {
+        "exch.send" => (Exchange, Some(Exchange)),
+        "msg.recv" => (Exchange, None),
+        "exch.wait" | "mpi.wait" => (ExchangeWait, Some(Exchange)),
+        "exch.barrier" => (Barrier, Some(Exchange)),
+        "mpi.barrier" => (Barrier, None),
+        "win" => (Io, None),
+        "io.read" | "io.write" | "pfs.read" | "pfs.write" | "pfs.retry" => (Io, Some(Io)),
+        "pack" | "unpack" | "pack.place" => (Pack, Some(Pack)),
+        _ => (Idle, None),
     }
 }
 
@@ -764,7 +745,7 @@ pub fn critical_path(t: &Timeline) -> Vec<OpReport> {
             continue;
         };
         let (lo, hi) = (t.events[b].ts, end);
-        let mut per_phase: [Vec<(u64, u64)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+        let (mut exch, mut io, mut pack) = (Vec::new(), Vec::new(), Vec::new());
         for &(sb, send) in &spans {
             let ev = &t.events[sb];
             if ev.rank != rank || sb == b {
@@ -773,13 +754,16 @@ pub fn critical_path(t: &Timeline) -> Vec<OpReport> {
             if ev.ts >= hi || send <= lo {
                 continue;
             }
-            if let Some(p) = phase_of(ev.tag) {
-                per_phase[p as usize].push((ev.ts, send));
+            match phase_of(ev.tag).1 {
+                Some(Phase::Exchange) => exch.push((ev.ts, send)),
+                Some(Phase::Io) => io.push((ev.ts, send)),
+                Some(Phase::Pack) => pack.push((ev.ts, send)),
+                _ => {}
             }
         }
-        let exch = union_ns(per_phase[Phase::Exchange as usize].clone(), lo, hi);
-        let io = union_ns(per_phase[Phase::Io as usize].clone(), lo, hi);
-        let pack = union_ns(per_phase[Phase::Pack as usize].clone(), lo, hi);
+        let exch = union_ns(exch, lo, hi);
+        let io = union_ns(io, lo, hi);
+        let pack = union_ns(pack, lo, hi);
         let bounding = if exch >= io && exch >= pack {
             Phase::Exchange
         } else if io >= pack {
@@ -841,8 +825,8 @@ pub fn render_report(reports: &[OpReport], tl: &Timeline) -> String {
     // Per-rank skew column from the runtime health layer: which ranks
     // closed collective windows (arrived last) and how much spread they
     // cost. Only present when the health layer is armed.
-    if crate::health::enabled() {
-        let skews = crate::health::rank_skews();
+    if health::enabled() {
+        let skews = health::rank_skews();
         if !skews.is_empty() {
             out.push_str("rank skew (health): windows each rank arrived last in\n");
             out.push_str(&format!(
@@ -858,7 +842,7 @@ pub fn render_report(reports: &[OpReport], tl: &Timeline) -> String {
                     s.skew_ns as f64 / s.windows_last as f64 / 1e6,
                 ));
             }
-            match crate::health::straggler() {
+            match health::straggler() {
                 Some(st) => out.push_str(&format!(
                     "  straggler: rank {} ({} consecutive windows, last skew {:.3} ms)\n",
                     st.rank,
@@ -929,4 +913,61 @@ pub fn flight_dump(reason: &str) {
         }
     }
     eprintln!("=== end flight recorder ===");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every tag the library opens, with the phase its heartbeat names.
+    const OPENED: [(&str, Phase); 18] = [
+        ("coll.write", Phase::Idle),
+        ("coll.read", Phase::Idle),
+        ("exch.send", Phase::Exchange),
+        ("msg.recv", Phase::Exchange),
+        ("msg.send", Phase::Idle),
+        ("exch.wait", Phase::ExchangeWait),
+        ("mpi.wait", Phase::ExchangeWait),
+        ("exch.barrier", Phase::Barrier),
+        ("mpi.barrier", Phase::Barrier),
+        ("win", Phase::Io),
+        ("io.read", Phase::Io),
+        ("io.write", Phase::Io),
+        ("pfs.read", Phase::Io),
+        ("pfs.write", Phase::Io),
+        ("pfs.retry", Phase::Io),
+        ("pack", Phase::Pack),
+        ("unpack", Phase::Pack),
+        ("pack.place", Phase::Pack),
+    ];
+
+    /// The critical path's categories as they stood before heartbeats
+    /// shared its table: by tag prefix.
+    fn category_by_prefix(tag: &str) -> Option<Phase> {
+        if tag.starts_with("exch") || tag == "mpi.wait" {
+            Some(Phase::Exchange)
+        } else if tag.starts_with("io.") || tag.starts_with("pfs.") {
+            Some(Phase::Io)
+        } else if tag.starts_with("pack") || tag.starts_with("unpack") || tag.starts_with("dt.") {
+            Some(Phase::Pack)
+        } else {
+            None
+        }
+    }
+
+    #[test]
+    fn one_tag_table() {
+        for (tag, beat) in OPENED {
+            let (phase, critical) = phase_of(tag);
+            assert_eq!(phase, beat, "{tag} heartbeats as the beat it replaced");
+            assert_eq!(
+                critical,
+                category_by_prefix(tag),
+                "{tag} on the critical path"
+            );
+        }
+        // a window heartbeats as io but its time is its children's
+        assert_eq!(phase_of("win"), (Phase::Io, None));
+        assert_eq!(phase_of("test.mark"), (Phase::Idle, None));
+    }
 }
