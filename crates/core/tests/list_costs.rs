@@ -1,0 +1,130 @@
+//! The list-based engine's list costs (paper §2.4), counted exactly: on
+//! the Figure-4 view with a strided memtype, what an independent and a
+//! collective write and read-back of the list-based engine flatten
+//! (`dt.flatten.{calls,entries,bytes}`) and ship between ranks as
+//! per-IOP access lists (`core.coll.exchange.list_bytes`).
+//!
+//! The numbers are fixed by the shapes: setting the view flattens one
+//! filetype instance per rank; every access flattens its memtype; every
+//! collective ships the runs each rank has in each other rank's file
+//! domain. How a list is built may change; these counts may not.
+//!
+//! Its own test binary with a single test: the counters are process-wide.
+
+mod common;
+
+use common::{figure4_filetype, pattern};
+use lio_core::{File, Hints, SharedFile};
+use lio_datatype::Datatype;
+use lio_mpi::World;
+use lio_pfs::MemFile;
+
+const NBLOCK: u64 = 256;
+const SBLOCK: u64 = 8;
+/// Memtype instances per access: the strided vector's instances abut, so
+/// each of the list's seams merges two blocks.
+const COUNT: u64 = 3;
+
+#[derive(Debug, PartialEq)]
+struct Lists {
+    calls: u64,
+    entries: u64,
+    bytes: u64,
+    /// Access-list bytes that left their rank.
+    exchanged: u64,
+}
+
+/// What one phase of both ranks recorded.
+fn lists(before: &lio_obs::Snapshot, after: &lio_obs::Snapshot) -> Lists {
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    Lists {
+        calls: delta("dt.flatten.calls"),
+        entries: delta("dt.flatten.entries"),
+        bytes: delta("dt.flatten.bytes"),
+        exchanged: delta("core.coll.exchange.list_bytes"),
+    }
+}
+
+/// Set the view, write and read back, armed; the counts of each phase.
+fn phases(collective: bool) -> Vec<(&'static str, Lists)> {
+    let shared = SharedFile::new(MemFile::new());
+    let snaps = World::run(2, |comm| {
+        let me = comm.rank() as u64;
+        let memtype = Datatype::vector(NBLOCK, 1, 2, &Datatype::basic(SBLOCK as u32)).unwrap();
+        let len = ((COUNT - 1) * memtype.extent()) as usize + memtype.data_ub() as usize;
+        let user = pattern(len, me + 1);
+        let mut back = vec![0u8; len];
+        let mut f = File::open(comm, shared.clone(), Hints::list_based()).unwrap();
+        let mut snaps = Vec::new();
+        let mut mark = |comm: &lio_mpi::Comm| {
+            comm.barrier();
+            if me == 0 {
+                snaps.push(lio_obs::snapshot());
+            }
+            comm.barrier();
+        };
+        comm.barrier();
+        if me == 0 {
+            lio_obs::reset();
+            lio_obs::set_enabled(true);
+        }
+        mark(comm);
+        f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
+            .unwrap();
+        mark(comm);
+        if collective {
+            f.write_at_all(0, &user, COUNT, &memtype).unwrap();
+        } else {
+            f.write_at(0, &user, COUNT, &memtype).unwrap();
+        }
+        mark(comm);
+        if collective {
+            f.read_at_all(0, &mut back, COUNT, &memtype).unwrap();
+        } else {
+            f.read_at(0, &mut back, COUNT, &memtype).unwrap();
+        }
+        mark(comm);
+        if me == 0 {
+            lio_obs::set_enabled(false);
+        }
+        assert_eq!(
+            common::reference_stream(&back, &memtype, COUNT),
+            common::reference_stream(&user, &memtype, COUNT),
+            "rank {me} reads back what it wrote"
+        );
+        snaps
+    });
+    let s = &snaps[0];
+    ["set_view", "write", "read"]
+        .into_iter()
+        .zip(s.windows(2).map(|w| lists(&w[0], &w[1])))
+        .collect()
+}
+
+/// Exact counts, one per phase: how a list is built must not change what
+/// is built, shipped and walked.
+#[test]
+fn list_based_ops_build_and_ship_the_same_lists() {
+    let counts = |calls, entries, bytes, exchanged| Lists {
+        calls,
+        entries,
+        bytes,
+        exchanged,
+    };
+    // a view: one filetype instance of NBLOCK = 256 blocks per rank, two
+    // ranks, 16 B a tuple
+    let view = || ("set_view", counts(2, 512, 8_192, 0));
+    // an access: COUNT = 3 memtype instances per rank, 3·256 − 2 tuples
+    let access = |what, exchanged| (what, counts(2, 1_532, 24_512, exchanged));
+    assert_eq!(
+        phases(false),
+        vec![view(), access("write", 0), access("read", 0)],
+        "independent"
+    );
+    // a collective ships each rank's 384 runs in the other rank's domain
+    assert_eq!(
+        phases(true),
+        vec![view(), access("write", 12_288), access("read", 12_288)],
+        "collective"
+    );
+}

@@ -11,11 +11,15 @@
 //!   list-based navigation requires (`Nblock/2` entries on average);
 //! * **copy time** — [`OlList::pack`]/[`OlList::unpack`] read one tuple per
 //!   copied block.
+//!
+//! Building the list costs `O(Nblock)` too, at the constant of a competent
+//! baseline: [`OlList::flatten`] fills it as ROMIO does, one tight loop per
+//! strided frame of the type's compiled [`crate::RunProgram`], not one
+//! tree walk per run.
 
 use crate::kernels::{claim_ahead, Store, Stores, CLAIM_RUNS};
 use crate::typemap::Run;
 use crate::types::Datatype;
-use crate::FlatIter;
 use lio_obs::LazyCounter;
 
 static OBS_FLATTEN_CALLS: LazyCounter = LazyCounter::new("dt.flatten.calls");
@@ -150,22 +154,19 @@ impl OlCursor<'_> {
 
 impl OlList {
     /// Explicitly flatten `count` instances of `d` — the `O(Nblock)`
-    /// operation ROMIO performs when a fileview is first established.
-    /// Adjacent runs are merged, as ROMIO's flattening does.
+    /// operation ROMIO performs when a fileview is first established. The
+    /// type's compiled [`crate::RunProgram`] is expanded, each strided
+    /// frame's tuples in one loop, into a list reserved once from the
+    /// program's block count; adjacent runs are merged, as ROMIO's
+    /// flattening does.
     pub fn flatten(d: &Datatype, count: u64) -> OlList {
+        let prog = d.program();
         let mut segs: Vec<OlSeg> = Vec::new();
-        for run in FlatIter::new(d, count) {
-            if let Some(last) = segs.last_mut() {
-                if last.offset + last.len as i64 == run.disp {
-                    last.len += run.len;
-                    continue;
-                }
-            }
-            segs.push(OlSeg {
-                offset: run.disp,
-                len: run.len,
-            });
-        }
+        // merging only shortens the list, so the count is an upper bound;
+        // one too large to allocate leaves the list to grow as it fills
+        let blocks = prog.blocks().saturating_mul(count);
+        let _ = segs.try_reserve_exact(usize::try_from(blocks).unwrap_or(usize::MAX));
+        prog.expand(count, &mut |disp, len| push_merged(&mut segs, disp, len));
         let list = OlList { segs };
         if lio_obs::enabled() {
             OBS_FLATTEN_CALLS.incr();
@@ -175,24 +176,14 @@ impl OlList {
         list
     }
 
-    /// Build directly from runs (used by the two-phase engine when an AP
-    /// constructs the per-IOP access list).
+    /// Build directly from runs, dropping empty ones and merging the rest
+    /// as [`OlList::flatten`] does.
     pub fn from_runs(runs: impl IntoIterator<Item = Run>) -> OlList {
         let mut segs: Vec<OlSeg> = Vec::new();
         for run in runs {
-            if run.len == 0 {
-                continue;
+            if run.len > 0 {
+                push_merged(&mut segs, run.disp, run.len);
             }
-            if let Some(last) = segs.last_mut() {
-                if last.offset + last.len as i64 == run.disp {
-                    last.len += run.len;
-                    continue;
-                }
-            }
-            segs.push(OlSeg {
-                offset: run.disp,
-                len: run.len,
-            });
         }
         OlList { segs }
     }
@@ -220,36 +211,43 @@ impl OlList {
     /// the paper criticizes (Section 2.2). Returns `None` when the offset
     /// lies at or beyond the end of the data.
     pub fn locate(&self, databytes: u64) -> Option<OlPos> {
+        self.walk_to(databytes).ok()
+    }
+
+    /// [`OlList::locate`]'s traversal; where the list runs out first, the
+    /// `Err` holds how many data bytes were left to walk.
+    fn walk_to(&self, databytes: u64) -> Result<OlPos, u64> {
         let mut remaining = databytes;
         for (i, s) in self.segs.iter().enumerate() {
             if remaining < s.len {
-                return Some(OlPos {
+                return Ok(OlPos {
                     seg: i,
                     within: remaining,
                 });
             }
             remaining -= s.len;
         }
-        None
+        Err(remaining)
     }
 
     /// The absolute byte offset of the `databytes`-th data byte (linear
-    /// traversal; the list-based counterpart of `ff_offset`). For
+    /// traversal up to it; the list-based counterpart of `ff_offset`). For
     /// `databytes` equal to the total data size, returns one past the last
     /// block.
     pub fn offset_of(&self, databytes: u64) -> Option<i64> {
-        if databytes == self.total_data() {
-            return self.segs.last().map(|s| s.offset + s.len as i64);
+        match self.walk_to(databytes) {
+            Ok(p) => Some(self.segs[p.seg].offset + p.within as i64),
+            Err(0) => self.segs.last().map(|s| s.offset + s.len as i64),
+            Err(_) => None,
         }
-        self.locate(databytes)
-            .map(|p| self.segs[p.seg].offset + p.within as i64)
     }
 
     /// Count the data bytes with offsets in `[lo, hi)` by linear traversal
-    /// (the list-based counterpart of `ff_size`). Requires a monotone list.
+    /// up to the first block at or past `hi` (the list-based counterpart
+    /// of `ff_size`). Requires a monotone list.
     pub fn size_in_window(&self, lo: i64, hi: i64) -> u64 {
         let mut total = 0;
-        for s in &self.segs {
+        for s in self.segs.iter().take_while(|s| s.offset < hi) {
             let a = s.offset.max(lo);
             let b = (s.offset + s.len as i64).min(hi);
             if b > a {
@@ -324,6 +322,19 @@ impl OlList {
     }
 }
 
+/// Append the block `len` bytes at `offset`, folding it into the last
+/// block when that one ends where it starts.
+#[inline]
+fn push_merged(segs: &mut Vec<OlSeg>, offset: i64, len: u64) {
+    if let Some(last) = segs.last_mut() {
+        if last.offset + last.len as i64 == offset {
+            last.len += len;
+            return;
+        }
+    }
+    segs.push(OlSeg { offset, len });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,6 +383,8 @@ mod tests {
         assert_eq!(l.offset_of(0), Some(0));
         assert_eq!(l.offset_of(8), Some(16));
         assert_eq!(l.offset_of(24), Some(40)); // one past the end
+        assert_eq!(l.offset_of(25), None); // past that, nothing
+        assert_eq!(OlList::default().offset_of(0), None);
     }
 
     #[test]

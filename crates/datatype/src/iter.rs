@@ -14,6 +14,11 @@
 //!   run (the stand-in for the SX gather/scatter batching);
 //! * no allocation is performed after construction beyond the frame stack,
 //!   whose size is the tree depth.
+//!
+//! No production path walks the tree this way: both engines interpret
+//! the compiled [`crate::RunProgram`] (the list-based one through
+//! [`crate::OlList::flatten`]). `FlatIter` is the tests' tree-walk oracle
+//! and the benches' tree-walk baseline.
 
 use crate::typemap::Run;
 use crate::types::{Datatype, Node, TypeKind};

@@ -10,8 +10,10 @@
 //! * [`OlList`] — **explicit flattening** into `⟨offset, length⟩` lists,
 //!   the list-based baseline the paper attributes to ROMIO, complete with
 //!   its `O(Nblock)` costs in time and memory and its linear-traversal
-//!   navigation; [`FlatIter`], the per-run tree walk, is the walker under
-//!   [`OlList::flatten`] and the tests' reference oracle, nothing else;
+//!   navigation; [`OlList::flatten`] expands the type's compiled
+//!   [`RunProgram`], the one interpreter both engines share;
+//!   [`FlatIter`], the per-run tree walk, is the tests' reference oracle
+//!   and the benches' tree-walk baseline, nothing else;
 //! * [`ff_pack`], [`ff_unpack`], [`ff_size`], [`ff_extent`] —
 //!   **flattening-on-the-fly**, the paper's listless alternative:
 //!   `O(depth)` seek, `O(depth · log k)` navigation, and pack/unpack whose

@@ -1,9 +1,11 @@
 //! Compiled datatype run programs.
 //!
-//! Every listless copy — [`crate::ff_pack`]/[`crate::ff_unpack`] and the
-//! fileview window placement of `lio-core` — runs one of these programs.
-//! Walking the [`Datatype`] tree per run (what [`crate::FlatIter`] does
-//! for the list-based engine's explicit flattening) pays a frame-stack
+//! Both engines interpret a datatype through one of these programs: every
+//! listless copy — [`crate::ff_pack`]/[`crate::ff_unpack`] and the
+//! fileview window placement of `lio-core` — runs it, and the list-based
+//! engine's explicit flattening ([`crate::OlList::flatten`]) expands it
+//! (`RunProgram::expand`). Walking the [`Datatype`] tree per run (what
+//! [`crate::FlatIter`], the tests' oracle, does) pays a frame-stack
 //! descent and per-node dispatch for every emitted run, which is exactly
 //! why derived-datatype copies miss memcpy speed on small blocks. This
 //! module *compiles* the tree once into a compact run program —
@@ -204,6 +206,12 @@ impl RunProgram {
         self.rewrites
     }
 
+    /// Blocks one instance emits before adjacent ones merge (saturating):
+    /// the count ROMIO takes before it fills an ol-list.
+    pub(crate) fn blocks(&self) -> u64 {
+        self.root.as_ref().map_or(0, node_blocks)
+    }
+
     /// A compact structural description, for tests and the profiler:
     /// `B(base,stride,block,count)`, `L(base,count,stride,size)[body]`,
     /// `T[@disp part; ...]`, or `-` for an empty program.
@@ -307,6 +315,22 @@ impl RunProgram {
         };
         let x = Transfer::new(Stretches::new(to, ucount, uskip), n, ends);
         self.run(x, buf_disp, count, skip)
+    }
+
+    /// Hand `emit` every block of `count` tiled instances as `(disp, len)`,
+    /// in typemap order, instance `i` at `i · extent`: each `Blocks` frame
+    /// emits its blocks in one loop, `Loop` and `Tail` frames recurse at
+    /// their displacements. The list-based engine's explicit flattening
+    /// ([`crate::OlList::flatten`]) is this expansion.
+    pub(crate) fn expand(&self, count: u64, emit: &mut impl FnMut(i64, u64)) {
+        let Some(root) = &self.root else {
+            return;
+        };
+        let mut origin = 0i64;
+        for _ in 0..count {
+            root.expand(origin, emit);
+            origin += self.extent;
+        }
     }
 
     /// Interpret the program over `count` tiled instances, in the
@@ -525,6 +549,17 @@ fn node_size(node: &PNode) -> u64 {
         PNode::Blocks { block, count, .. } => block * count,
         PNode::Loop { count, size, .. } => count * size,
         PNode::Tail { prefix, .. } => *prefix.last().unwrap_or(&0),
+    }
+}
+
+/// Blocks one instance of `node` emits, saturating.
+fn node_blocks(node: &PNode) -> u64 {
+    match node {
+        PNode::Blocks { count, .. } => *count,
+        PNode::Loop { count, body, .. } => count.saturating_mul(node_blocks(body)),
+        PNode::Tail { parts, .. } => parts
+            .iter()
+            .fold(0u64, |n, p| n.saturating_add(node_blocks(&p.node))),
     }
 }
 
@@ -830,6 +865,43 @@ impl<X: Xfer> Sink<X> {
 }
 
 impl PNode {
+    /// Emit every block of one instance of this node at `origin`
+    /// ([`RunProgram::expand`]).
+    fn expand(&self, origin: i64, emit: &mut impl FnMut(i64, u64)) {
+        match self {
+            PNode::Blocks {
+                base,
+                stride,
+                block,
+                count,
+            } => {
+                let mut at = origin + base;
+                for _ in 0..*count {
+                    emit(at, *block);
+                    at += stride;
+                }
+            }
+            PNode::Loop {
+                base,
+                count,
+                stride,
+                body,
+                ..
+            } => {
+                let mut org = origin + base;
+                for _ in 0..*count {
+                    body.expand(org, emit);
+                    org += stride;
+                }
+            }
+            PNode::Tail { parts, .. } => {
+                for part in parts.iter() {
+                    part.node.expand(origin + part.disp, emit);
+                }
+            }
+        }
+    }
+
     /// Execute one instance of this node at `origin`, entering after
     /// `skip` data bytes (`skip` < the node's data size). The `O(depth)`
     /// entry divides/searches per frame; thereafter every iteration is a

@@ -150,6 +150,156 @@ fn flatten_matches_reference() {
     }
 }
 
+/// Shapes the random corpus does not reach: negative strides, resized
+/// LB/UB extents (and markers), ragged `hindexed`, multi-field structs,
+/// `darray` pieces and types that hold no data.
+fn picked_shapes() -> Vec<Datatype> {
+    use lio_datatype::{darray, Distrib, Order};
+    let int = Datatype::int();
+    let v = Datatype::vector(3, 2, 4, &int).unwrap();
+    let field = |disp: i64, count: u64, child: &Datatype| Field {
+        disp,
+        count,
+        child: child.clone(),
+    };
+    vec![
+        Datatype::vector(5, 1, -2, &int).unwrap(),
+        Datatype::hvector(3, 2, -40, &v).unwrap(),
+        Datatype::vector(4, 1, 3, &Datatype::vector(2, 1, -1, &int).unwrap()).unwrap(),
+        Datatype::resized(&v, -8, 64).unwrap(),
+        Datatype::resized(&v, 4, 12).unwrap(),
+        Datatype::resized(&Datatype::vector(3, 1, -2, &int).unwrap(), -16, 40).unwrap(),
+        Datatype::struct_type(vec![
+            field(-4, 1, &Datatype::lb_marker()),
+            field(0, 2, &v),
+            field(100, 1, &Datatype::ub_marker()),
+        ])
+        .unwrap(),
+        Datatype::hindexed(&[3, 1, 2, 1], &[0, 20, 24, 60], &int).unwrap(),
+        Datatype::hindexed(&[2, 1, 3], &[48, 8, -16], &int).unwrap(),
+        Datatype::struct_type(vec![
+            field(0, 2, &int),
+            field(8, 1, &Datatype::double()),
+            field(24, 3, &v),
+            field(-32, 1, &Datatype::basic(3)),
+        ])
+        .unwrap(),
+        darray(
+            4,
+            3,
+            &[10, 9],
+            &[Distrib::Cyclic(2), Distrib::Block],
+            &[2, 2],
+            Order::C,
+            &int,
+        )
+        .unwrap(),
+        darray(
+            2,
+            0,
+            &[6, 5, 4],
+            &[Distrib::Block, Distrib::None, Distrib::Cyclic(1)],
+            &[2, 1, 1],
+            Order::Fortran,
+            &Datatype::double(),
+        )
+        .unwrap(),
+        Datatype::contiguous(0, &int).unwrap(),
+        Datatype::struct_type(vec![
+            field(0, 1, &Datatype::lb_marker()),
+            field(16, 1, &Datatype::ub_marker()),
+        ])
+        .unwrap(),
+        Datatype::hindexed(&[0, 0], &[4, 12], &int).unwrap(),
+    ]
+}
+
+/// `OlList::flatten` expands the compiled run program; the per-run tree
+/// walk, merged, yields the same list segment for segment.
+#[test]
+fn flatten_is_the_tree_walk_merged() {
+    let mut corpus = picked_shapes();
+    for case in 0..CASES {
+        let mut rng = Rng::new(0x2B ^ case);
+        corpus.push(arb_type(&mut rng, 3));
+    }
+    for (case, d) in corpus.iter().enumerate() {
+        for count in [1u64, 2, 3, 5] {
+            let got: Vec<Run> = OlList::flatten(d, count)
+                .segs
+                .iter()
+                .map(|s| Run {
+                    disp: s.offset,
+                    len: s.len,
+                })
+                .collect();
+            let want = merge(FlatIter::new(d, count).collect());
+            assert_eq!(got, want, "case {case}, count {count}: {d:?}");
+        }
+    }
+}
+
+/// The benchmark's types flatten to the lists their shapes predict: one
+/// entry per block, less one per seam where instances abut.
+#[test]
+fn benchmark_shapes_flatten_to_their_block_counts() {
+    use lio_datatype::Order;
+    let fig4_memtype = |sblock: u32, nblock: u64| {
+        Datatype::vector(nblock, 1, 2, &Datatype::basic(sblock)).unwrap()
+    };
+    let fig4_filetype = |p: i64| {
+        let v = Datatype::vector(4096, 1, 2, &Datatype::basic(8)).unwrap();
+        Datatype::struct_type(vec![
+            Field {
+                disp: 0,
+                count: 1,
+                child: Datatype::lb_marker(),
+            },
+            Field {
+                disp: p * 8,
+                count: 1,
+                child: v,
+            },
+            Field {
+                disp: 2 * 4096 * 8,
+                count: 1,
+                child: Datatype::ub_marker(),
+            },
+        ])
+        .unwrap()
+    };
+    let point = Datatype::basic(40);
+    let tile_file = |r: u64| {
+        Datatype::subarray(
+            &[64, 64, 64],
+            &[64, 64, 32],
+            &[0, 0, 32 * r],
+            Order::C,
+            &point,
+        )
+    };
+    let tile_mem = Datatype::subarray(&[66, 66, 34], &[64, 64, 32], &[1, 1, 1], Order::C, &point);
+    let small = fig4_memtype(8, 4096);
+    assert_eq!(small.extent(), 65_528, "instances abut");
+    let cases = [
+        ("figure-4 memtype x4", small.clone(), 4, 16_381),
+        ("figure-4 memtype x32", small, 32, 131_041),
+        ("figure-4 filetype, rank 0", fig4_filetype(0), 1, 4_096),
+        ("figure-4 filetype, rank 1", fig4_filetype(1), 1, 4_096),
+        ("tile filetype, rank 0", tile_file(0).unwrap(), 1, 4_096),
+        ("tile filetype, rank 1", tile_file(1).unwrap(), 1, 4_096),
+        ("tile memtype", tile_mem.unwrap(), 1, 4_096),
+        ("large memtype x64", fig4_memtype(16_384, 8), 64, 449),
+    ];
+    for (what, d, count, entries) in cases {
+        let l = OlList::flatten(&d, count);
+        assert_eq!(l.num_blocks(), entries, "{what}");
+        assert_eq!(l.total_data(), d.size() * count, "{what}");
+        let want = merge(FlatIter::new(&d, count).collect());
+        assert_eq!(l.num_blocks(), want.len(), "{what}");
+    }
+}
+
 /// Seeking with FlatIter must drop exactly the first `skip` bytes.
 #[test]
 fn flatiter_skip_consistent() {
