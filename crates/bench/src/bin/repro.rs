@@ -413,24 +413,40 @@ fn table3(opts: &Opts) {
 
 /// The Section 2.4 / 3.3 overhead inventory, quantified: representation
 /// memory, creation time, navigation time for list-based vs listless
-/// handling. Flattening is timed as the median of several builds, and
-/// also given per list entry: the unit cost a list-based model composes.
+/// handling. Flattening, the one-pass build of a collective's access list
+/// and the coverage merge of two interleaved received lists are each timed
+/// as the median of several runs and also given per tuple: the unit costs
+/// a list-based model composes.
 fn overheads() {
-    use lio_datatype::{ff_offset, serialize, Datatype, OlList};
+    use lio_datatype::{ff_offset, serialize, Datatype, OlList, OlWire};
     use std::time::Instant;
 
-    const FLATTEN_REPS: usize = 9;
+    const REPS: usize = 9;
+    /// Median microseconds of `REPS` runs of `f`.
+    fn median_us<R>(mut f: impl FnMut() -> R) -> f64 {
+        let mut times: Vec<f64> = (0..REPS)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(f());
+                t.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        times[REPS / 2]
+    }
     println!("# overheads: the paper's Section 2.4 inventory, measured");
     let mut csv = String::from(
-        "nblock,ol_bytes,compact_bytes,flatten_us,flatten_ns_per_tuple,encode_us,nav_linear_us,nav_ff_us\n",
+        "nblock,ol_bytes,compact_bytes,flatten_us,flatten_ns_per_tuple,build_ns_per_tuple,merge_ns_per_tuple,encode_us,nav_linear_us,nav_ff_us\n",
     );
     println!(
-        "{:>8} {:>12} {:>10} {:>12} {:>10} {:>10} {:>12} {:>10}",
+        "{:>8} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
         "Nblock",
         "ol-list B",
         "compact B",
         "flatten us",
         "ns/tuple",
+        "build ns",
+        "merge ns",
         "encode us",
         "nav-lin us",
         "nav-ff us"
@@ -438,18 +454,27 @@ fn overheads() {
     for nblock in [64u64, 1024, 16384, 262144] {
         let d = Datatype::vector(nblock, 1, 2, &Datatype::double()).expect("vector");
 
-        let mut times: Vec<f64> = (0..FLATTEN_REPS)
-            .map(|_| {
-                let t = Instant::now();
-                std::hint::black_box(OlList::flatten(&d, 1));
-                t.elapsed().as_secs_f64() * 1e6
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        let flatten_us = times[FLATTEN_REPS / 2];
+        let flatten_us = median_us(|| OlList::flatten(&d, 1));
         let ol = OlList::flatten(&d, 1);
         let ol_bytes = ol.memory_bytes();
-        let ns_per_tuple = flatten_us * 1e3 / ol.num_blocks() as f64;
+        let tuples = ol.num_blocks() as f64;
+        let ns_per_tuple = flatten_us * 1e3 / tuples;
+
+        // an AP's access list of one instance, and the same view's at an
+        // 8-byte offset — the other rank of the Figure-4 pattern — merged
+        // from the bytes they travel as, as an IOP merges them
+        let (ext, size) = (d.extent(), d.size());
+        let build_us = median_us(|| ol.encode_tiled(0, ext, size, 0..size));
+        let build_ns = build_us * 1e3 / tuples;
+        let lists = [
+            ol.encode_tiled(0, ext, size, 0..size),
+            ol.encode_tiled(8, ext, size, 0..size),
+        ];
+        let wires = lists
+            .each_ref()
+            .map(|l| OlWire::new(l).expect("whole tuples"));
+        let merge_us = median_us(|| OlList::merge_lists(wires.iter().map(OlWire::segs)));
+        let merge_ns = merge_us * 1e3 / (2.0 * tuples);
 
         let t = Instant::now();
         let compact = serialize::encode(&d);
@@ -466,19 +491,21 @@ fn overheads() {
         assert_eq!(a, b);
 
         println!(
-            "{:>8} {:>12} {:>10} {:>12.1} {:>10.2} {:>10.1} {:>12.2} {:>10.2}",
+            "{:>8} {:>12} {:>10} {:>12.1} {:>10.2} {:>10.2} {:>10.2} {:>10.1} {:>12.2} {:>10.2}",
             nblock,
             ol_bytes,
             compact.len(),
             flatten_us,
             ns_per_tuple,
+            build_ns,
+            merge_ns,
             encode_us,
             nav_linear_us,
             nav_ff_us
         );
         writeln!(
             csv,
-            "{nblock},{ol_bytes},{},{flatten_us:.1},{ns_per_tuple:.2},{encode_us:.1},{nav_linear_us:.2},{nav_ff_us:.2}",
+            "{nblock},{ol_bytes},{},{flatten_us:.1},{ns_per_tuple:.2},{build_ns:.2},{merge_ns:.2},{encode_us:.1},{nav_linear_us:.2},{nav_ff_us:.2}",
             compact.len()
         )
         .unwrap();

@@ -22,7 +22,8 @@
 //!   `O(Saccess/Sextent · Nblock)`, i.e. proportional to the access, not
 //!   the filetype — and sends it with the data (16 bytes of metadata per
 //!   tuple); an AP's end is its message. For writes, the IOP merges all
-//!   received lists (`O(Σ_p Nblock(p))`) to detect fully-covered windows.
+//!   received lists (`O(Σ_p Nblock(p))`) to detect fully-covered windows,
+//!   once it stages a window: only a staged window asks.
 //! * **listless**: fileview caching means the IOP already has every AP's
 //!   `(disp, filetype)` (exchanged compactly at `set_view`), so the paper's
 //!   messages carry *only data*; placement uses flattening-on-the-fly, and
@@ -59,7 +60,7 @@ use std::thread::Scope;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
 use lio_datatype::kernels::Stores;
-use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field};
+use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field, OlList, OlWire};
 use lio_mpi::{Comm, Lent, LentMut};
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
@@ -355,42 +356,14 @@ fn stream_intersection(
     (a, b)
 }
 
-/// Serialize this rank's access runs within `dom` as an absolute ol-list
-/// (the list the list-based AP must build and ship for every collective
-/// access).
-fn build_access_list(nav: &ViewNav, s_lo: u64, s_hi: u64, dom: (u64, u64)) -> Vec<u8> {
-    let mut out = Vec::new();
-    if s_hi <= s_lo {
-        return out;
-    }
-    let ViewNav::List(list_nav) = nav else {
-        unreachable!("access lists are a list-based concept");
-    };
-    let mut remaining = s_hi - s_lo;
-    for run in list_nav.runs_from(s_lo) {
-        if remaining == 0 {
-            break;
-        }
-        let take = run.len.min(remaining);
-        let abs = run.disp as u64;
-        debug_assert!(
-            abs >= dom.0 && abs + take <= dom.1,
-            "run escapes the domain"
-        );
-        out.extend_from_slice(&abs.to_le_bytes());
-        out.extend_from_slice(&take.to_le_bytes());
-        remaining -= take;
-    }
-    out
-}
-
-/// An ol-list received from an AP, consumed window by window through a
-/// cursor (the IOP-side list walking of Section 2.3), side by side with
-/// the runs of the AP's end of the loop: a write's message, a read's reply
-/// being filled, or, for the IOP's own list, its user buffer.
+/// An ol-list received from an AP, read where it landed and consumed
+/// window by window through a cursor (the IOP-side list walking of Section
+/// 2.3), side by side with the runs of the AP's end of the loop: a write's
+/// message, a read's reply being filled, or, for the IOP's own list, its
+/// user buffer.
 struct RecvList<'a> {
-    /// Absolute `(offset, len)` pairs.
-    segs: Vec<(u64, u64)>,
+    /// Absolute `(offset, len)` tuples.
+    list: OlWire<'a>,
     seg_i: usize,
     seg_off: u64,
     /// Where the AP's next stream byte lies in its end's buffer.
@@ -399,29 +372,17 @@ struct RecvList<'a> {
     moved: usize,
 }
 
-/// Decode serialized `(offset, len)` pairs (the wire form of
-/// [`build_access_list`]).
-fn parse_ol_list(list_bytes: &[u8]) -> Result<Vec<(u64, u64)>> {
-    if !list_bytes.len().is_multiple_of(16) {
-        return Err(IoError::Usage("malformed access list".into()));
-    }
-    Ok(list_bytes
-        .chunks_exact(16)
-        .map(|c| {
-            (
-                u64::from_le_bytes(c[0..8].try_into().expect("offset")),
-                u64::from_le_bytes(c[8..16].try_into().expect("len")),
-            )
-        })
-        .collect())
+/// The tuples of a received access list, its length checked once.
+fn wire(list_bytes: &[u8]) -> Result<OlWire<'_>> {
+    OlWire::new(list_bytes).ok_or_else(|| IoError::Usage("malformed access list".into()))
 }
 
 impl<'a> RecvList<'a> {
-    /// A cursor at the start of `segs`, over an end whose stream goes on
+    /// A cursor at the start of `list`, over an end whose stream goes on
     /// at `runs`.
-    fn new(segs: Vec<(u64, u64)>, runs: UserRuns<'a>) -> Self {
+    fn new(list: OlWire<'a>, runs: UserRuns<'a>) -> Self {
         RecvList {
-            segs,
+            list,
             seg_i: 0,
             seg_off: 0,
             runs,
@@ -439,8 +400,7 @@ impl<'a> RecvList<'a> {
         mut mv: impl FnMut(&mut UserRuns, std::ops::Range<usize>) -> usize,
     ) {
         let before = self.moved;
-        while self.seg_i < self.segs.len() {
-            let (off, len) = self.segs[self.seg_i];
+        while let Some((off, len)) = self.list.get(self.seg_i) {
             let cur = off + self.seg_off;
             if cur >= win_end {
                 break;
@@ -465,68 +425,41 @@ impl<'a> RecvList<'a> {
 
     /// First uncopied absolute offset, if any.
     fn next_offset(&self) -> Option<u64> {
-        self.segs.get(self.seg_i).map(|(o, _)| o + self.seg_off)
+        self.list.get(self.seg_i).map(|(o, _)| o + self.seg_off)
     }
 
     /// Last absolute offset + 1 across all segments.
     fn end_offset(&self) -> Option<u64> {
-        self.segs.last().map(|(o, l)| o + l)
+        self.list.last().map(|(o, l)| o + l)
     }
 }
 
-/// Cursor over a merged ol-list for covered-window tests (the list-based
-/// collective-write optimization).
+/// Cursor over the merge of every AP's list for covered-window tests (the
+/// list-based collective-write optimization).
 struct Coverage {
-    segs: Vec<(u64, u64)>,
+    merged: OlList,
     i: usize,
 }
 
 impl Coverage {
-    /// Merge per-AP lists (`O(Σ_p N(p))` as the paper notes).
-    fn merge_segs(lists: &[&[(u64, u64)]]) -> Coverage {
-        let mut all: Vec<(u64, u64)> = Vec::new();
-        let mut cursors = vec![0usize; lists.len()];
-        loop {
-            let mut best: Option<(usize, u64)> = None;
-            for (li, l) in lists.iter().enumerate() {
-                if let Some(&(off, _)) = l.get(cursors[li]) {
-                    if best.is_none_or(|(_, o)| off < o) {
-                        best = Some((li, off));
-                    }
-                }
-            }
-            let Some((li, _)) = best else { break };
-            let (off, len) = lists[li][cursors[li]];
-            cursors[li] += 1;
-            if let Some(last) = all.last_mut() {
-                if off <= last.0 + last.1 {
-                    let end = (off + len).max(last.0 + last.1);
-                    last.1 = end - last.0;
-                    continue;
-                }
-            }
-            all.push((off, len));
-        }
-        Coverage { segs: all, i: 0 }
-    }
-
-    fn merge(lists: &[&RecvList<'_>]) -> Coverage {
-        let segs: Vec<&[(u64, u64)]> = lists.iter().map(|l| l.segs.as_slice()).collect();
-        Coverage::merge_segs(&segs)
+    /// Merge the received lists (`O(Σ_p N(p))` as the paper notes).
+    fn merge(lists: &[OlWire]) -> Coverage {
+        let merged = OlList::merge_lists(lists.iter().map(OlWire::segs));
+        Coverage { merged, i: 0 }
     }
 
     /// Whether `[lo, hi)` is fully inside one merged segment. Windows are
     /// probed in increasing order, so a cursor suffices.
     fn covered(&mut self, lo: u64, hi: u64) -> bool {
+        let segs = &self.merged.segs;
+        let (lo, hi) = (lo as i64, hi as i64);
         // skip segments that end at or before the window: they can never
         // cover this or any later window
-        while self.i < self.segs.len() && self.segs[self.i].0 + self.segs[self.i].1 <= lo {
+        while self.i < segs.len() && segs[self.i].offset + segs[self.i].len as i64 <= lo {
             self.i += 1;
         }
-        match self.segs.get(self.i) {
-            Some(&(o, l)) => o <= lo && o + l >= hi,
-            None => false,
-        }
+        segs.get(self.i)
+            .is_some_and(|s| s.offset <= lo && s.offset + s.len as i64 >= hi)
     }
 }
 
@@ -669,7 +602,7 @@ fn iop_write(
             let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
             for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
                 let runs = end.packer.runs_from(span.0 - end.stream_start);
-                recv.push(RecvList::new(parse_ol_list(list_bytes)?, runs));
+                recv.push(RecvList::new(wire(list_bytes)?, runs));
             }
             std::thread::scope(|lane| {
                 iop_write_listbased(storage, dom, &mut recv, &ends, hints, scratch, lane)
@@ -724,11 +657,10 @@ fn iop_write_listbased<'s>(
     let lo = lo.max(dom.0);
     let hi = hi.min(dom.1);
 
-    // the merge of all lists, for the covered-window optimization
-    let mut coverage = hints.detect_dense_writes.then(|| {
-        let refs: Vec<&RecvList> = recv.iter().collect();
-        Coverage::merge(&refs)
-    });
+    // the merge of all lists, for the covered-window optimization: made by
+    // the first window that is staged, as only a staged window asks
+    let lists: Vec<OlWire> = recv.iter().map(|r| r.list).collect();
+    let mut coverage = None;
 
     let mut windows = 0u64;
     let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
@@ -744,7 +676,11 @@ fn iop_write_listbased<'s>(
             io.update(
                 win,
                 win_end,
-                || coverage.as_mut().is_some_and(|c| c.covered(win, win_end)),
+                || {
+                    hints.detect_dense_writes
+                        && (coverage.get_or_insert_with(|| Coverage::merge(&lists)))
+                            .covered(win, win_end)
+                },
                 &mut |at, piece, store| {
                     let mut stores = Stores::new(store);
                     for (r, end) in recv.iter_mut().zip(ends) {
@@ -896,8 +832,8 @@ fn announce(
             shares[i] = stream_intersection(nav, stream_start, stream_end, dom);
         }
         let (s_lo, s_hi) = shares[i];
-        if let ViewNav::List(_) = nav {
-            let list = build_access_list(nav, s_lo, s_hi, dom);
+        if let ViewNav::List(list_nav) = nav {
+            let list = list_nav.access_list(s_lo..s_hi);
             if i == me {
                 own_list = Some(list);
             } else {
@@ -1234,12 +1170,12 @@ fn iop_read(
         Engine::ListBased => {
             let mut recv: Vec<RecvList> = Vec::with_capacity(spans.len());
             for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
-                let segs = parse_ol_list(list_bytes).unwrap_or_else(|e| {
+                let list = wire(list_bytes).unwrap_or_else(|e| {
                     fatal.get_or_insert(e);
-                    Vec::new()
+                    OlWire::default()
                 });
                 let runs = end.packer.runs_from(span.0 - end.stream_start);
-                recv.push(RecvList::new(segs, runs));
+                recv.push(RecvList::new(list, runs));
             }
             let lo = recv.iter().filter_map(|r| r.next_offset()).min();
             let hi = recv.iter().filter_map(|r| r.end_offset()).max();
@@ -1389,5 +1325,79 @@ fn recv_replies(
             *pack_ns += ns;
         }
         scratch.give(data);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lio_datatype::TUPLE_BYTES;
+    use lio_mpi::World;
+    use lio_pfs::MemFile;
+
+    /// A `TAG_TP_DATA` header for the stream interval `[s_lo, s_hi)`.
+    fn header_of(s_lo: u64, s_hi: u64) -> Vec<u8> {
+        [s_lo.to_le_bytes(), s_hi.to_le_bytes()].concat()
+    }
+
+    /// An access list one byte short of whole tuples fails an IOP's write
+    /// with `Usage`, before anything is placed.
+    #[test]
+    fn a_torn_access_list_fails_the_write() {
+        let storage = MemFile::new();
+        let results = World::run(2, |comm| {
+            comm.lend(&[], |lent| {
+                if comm.rank() == 1 {
+                    return None;
+                }
+                // rank 1 announces 8 bytes in rank 0's domain
+                let msgs = [header_of(0, 0), [header_of(0, 8), vec![1; 8]].concat()];
+                let lists = [Vec::new(), vec![0; TUPLE_BYTES - 1]];
+                let (state, scratch) = (CollState::new(None, None), Scratch::default());
+                let own = UserSide::new(&STREAM, &[][..], 0);
+                let hints = Hints::list_based();
+                let (dom, engine) = ((0, 64), Engine::ListBased);
+                let res = iop_write(
+                    &storage, dom, &state, engine, &msgs, &lists, own, lent, 0, &hints, &scratch,
+                );
+                Some(res)
+            })
+        });
+        assert!(
+            matches!(results[0], Some(Err(IoError::Usage(_)))),
+            "{:?}",
+            results[0]
+        );
+        assert_eq!(storage.len(), 0, "nothing was written");
+    }
+
+    /// The same list fails an IOP's read with `Usage`, and the AP that sent
+    /// it still gets its reply, the promised length of zeros.
+    #[test]
+    fn a_torn_access_list_fails_the_read_and_the_replies_still_go() {
+        let storage = MemFile::new();
+        let results = World::run(2, |comm| {
+            if comm.rank() == 1 {
+                comm.send_vec(0, TAG_TP_DATA, header_of(0, 8));
+                comm.send_vec(0, TAG_TP_LIST, vec![0; TUPLE_BYTES + 1]);
+                let reply = comm.recv(0, TAG_TP_RDATA);
+                assert_eq!(reply, [0; 8], "the promised bytes, zeros");
+                return None;
+            }
+            comm.send_vec(0, TAG_TP_DATA, header_of(0, 0));
+            let (state, scratch) = (CollState::new(None, None), Scratch::default());
+            let own = UserSide::new(&STREAM, &mut [][..], 0);
+            let hints = Hints::list_based();
+            let (dom, engine, own_list) = ((0, 64), Engine::ListBased, Some(Vec::new()));
+            let exch_ns = &mut 0;
+            iop_read(
+                &storage, comm, dom, &state, engine, own_list, own, None, &hints, &scratch, exch_ns,
+            )
+        });
+        assert!(
+            matches!(results[0], Some(IoError::Usage(_))),
+            "{:?}",
+            results[0]
+        );
     }
 }

@@ -280,6 +280,14 @@ impl ListNav {
         inst * self.fsize() + self.list.size_in_window(0, within as i64)
     }
 
+    /// The access list of stream bytes `stream`: its runs as absolute
+    /// tuples, in the form a collective ships them
+    /// ([`OlList::encode_tiled`]: one linear locate, then one pass).
+    pub fn access_list(&self, stream: Range<u64>) -> Vec<u8> {
+        self.list
+            .encode_tiled(self.view.disp, self.fext(), self.fsize(), stream)
+    }
+
     /// Iterator over absolute-offset runs from stream position `stream0`.
     /// Construction performs the linear locate.
     pub fn runs_from(&self, stream0: u64) -> ListRuns<'_> {
@@ -685,6 +693,77 @@ mod tests {
                         assert_eq!(file, image, "{ctx}");
                         assert_eq!(out, *user, "{ctx}");
                     }
+                }
+            }
+        }
+    }
+
+    /// The access list as the `ListRuns` walk spells it: every run from
+    /// the interval's first byte on, the last one cut at its end.
+    fn walked_access_list(nav: &ListNav, s_lo: u64, s_hi: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut left = s_hi.saturating_sub(s_lo);
+        for run in nav.runs_from(s_lo) {
+            if left == 0 {
+                break;
+            }
+            let take = run.len.min(left);
+            out.extend_from_slice(&(run.disp as u64).to_le_bytes());
+            out.extend_from_slice(&take.to_le_bytes());
+            left -= take;
+        }
+        out
+    }
+
+    /// The one-pass access list is the `ListRuns` walk, byte for byte:
+    /// filetypes with one and several frames, ragged and gapped blocks, a
+    /// leading gap; displacements 0 and off any block; intervals empty,
+    /// inside one block, starting and ending mid-block, and spanning
+    /// several instances.
+    #[test]
+    fn access_list_is_the_runs_walk() {
+        use lio_datatype::Field;
+        let ragged = Datatype::hindexed(&[3, 5, 1], &[2, 9, 20], &Datatype::byte()).unwrap();
+        let vv = Datatype::vector(3, 2, 4, &Datatype::basic(2)).unwrap();
+        let fields = vec![
+            Field {
+                disp: 0,
+                count: 1,
+                child: ragged.clone(),
+            },
+            Field {
+                disp: 32,
+                count: 1,
+                child: vv,
+            },
+        ];
+        let two_frames = Datatype::resized(&Datatype::struct_type(fields).unwrap(), 0, 60).unwrap();
+        let filetypes = [
+            Datatype::vector(3, 1, 2, &Datatype::double()).unwrap(),
+            Datatype::resized(&ragged, 0, 24).unwrap(),
+            two_frames,
+            Datatype::contiguous(5, &Datatype::byte()).unwrap(),
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for (t, ft) in filetypes.iter().enumerate() {
+            for disp in [0u64, 7, 4099] {
+                let nav = ListNav::new(FileView::new(disp, Datatype::byte(), ft.clone()).unwrap());
+                let size = ft.size();
+                let mut intervals = vec![(0, 0), (size, size), (1, size - 1), (0, 5 * size)];
+                intervals.extend((0..64).map(|_| {
+                    let a = next(4 * size);
+                    (a, a + next(3 * size))
+                }));
+                for (a, b) in intervals {
+                    let want = walked_access_list(&nav, a, b);
+                    let got = nav.access_list(a..b);
+                    assert_eq!(got, want, "filetype {t}, disp {disp}, [{a}, {b})");
                 }
             }
         }

@@ -1,19 +1,22 @@
 //! The list-based engine's list costs (paper §2.4), counted exactly: on
 //! the Figure-4 view with a strided memtype, what an independent and a
 //! collective write and read-back of the list-based engine flatten
-//! (`dt.flatten.{calls,entries,bytes}`) and ship between ranks as
-//! per-IOP access lists (`core.coll.exchange.list_bytes`).
+//! (`dt.flatten.{calls,entries,bytes}`), ship between ranks as per-IOP
+//! access lists (`core.coll.exchange.list_bytes`) and merge to find the
+//! windows a collective write covers (`dt.merge.tuples`).
 //!
 //! The numbers are fixed by the shapes: setting the view flattens one
 //! filetype instance per rank; every access flattens its memtype; every
 //! collective ships the runs each rank has in each other rank's file
-//! domain. How a list is built may change; these counts may not.
+//! domain; a collective write merges every list of its domains when a
+//! window is staged, and only then. How a list is built may change; these
+//! counts may not.
 //!
 //! Its own test binary with a single test: the counters are process-wide.
 
 mod common;
 
-use common::{figure4_filetype, pattern};
+use common::{figure4_filetype, pattern, Staged};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::Datatype;
 use lio_mpi::World;
@@ -24,6 +27,9 @@ const SBLOCK: u64 = 8;
 /// Memtype instances per access: the strided vector's instances abut, so
 /// each of the list's seams merges two blocks.
 const COUNT: u64 = 3;
+/// The tuples of every access list of a collective write: two ranks' 384
+/// runs in each of two domains.
+const MERGED: u64 = 1_536;
 
 #[derive(Debug, PartialEq)]
 struct Lists {
@@ -32,6 +38,8 @@ struct Lists {
     bytes: u64,
     /// Access-list bytes that left their rank.
     exchanged: u64,
+    /// Tuples the IOPs' coverage merge consumed.
+    merged: u64,
 }
 
 /// What one phase of both ranks recorded.
@@ -42,12 +50,13 @@ fn lists(before: &lio_obs::Snapshot, after: &lio_obs::Snapshot) -> Lists {
         entries: delta("dt.flatten.entries"),
         bytes: delta("dt.flatten.bytes"),
         exchanged: delta("core.coll.exchange.list_bytes"),
+        merged: delta("dt.merge.tuples"),
     }
 }
 
-/// Set the view, write and read back, armed; the counts of each phase.
-fn phases(collective: bool) -> Vec<(&'static str, Lists)> {
-    let shared = SharedFile::new(MemFile::new());
+/// Set the view, write and read back on `shared`, armed; the counts of
+/// each phase.
+fn phases(shared: SharedFile, collective: bool) -> Vec<(&'static str, Lists)> {
     let snaps = World::run(2, |comm| {
         let me = comm.rank() as u64;
         let memtype = Datatype::vector(NBLOCK, 1, 2, &Datatype::basic(SBLOCK as u32)).unwrap();
@@ -102,29 +111,51 @@ fn phases(collective: bool) -> Vec<(&'static str, Lists)> {
 }
 
 /// Exact counts, one per phase: how a list is built must not change what
-/// is built, shipped and walked.
+/// is built, shipped, walked and merged.
 #[test]
 fn list_based_ops_build_and_ship_the_same_lists() {
-    let counts = |calls, entries, bytes, exchanged| Lists {
+    let counts = |calls, entries, bytes, exchanged, merged| Lists {
         calls,
         entries,
         bytes,
         exchanged,
+        merged,
     };
+    let lending = || SharedFile::new(MemFile::new());
+    let staged = || SharedFile::new(Staged(MemFile::new()));
     // a view: one filetype instance of NBLOCK = 256 blocks per rank, two
     // ranks, 16 B a tuple
-    let view = || ("set_view", counts(2, 512, 8_192, 0));
+    let view = || ("set_view", counts(2, 512, 8_192, 0, 0));
     // an access: COUNT = 3 memtype instances per rank, 3·256 − 2 tuples
-    let access = |what, exchanged| (what, counts(2, 1_532, 24_512, exchanged));
+    let access = |what, exchanged, merged| (what, counts(2, 1_532, 24_512, exchanged, merged));
+    for (storage, shared) in [("lending", lending()), ("staged", staged())] {
+        assert_eq!(
+            phases(shared, false),
+            vec![view(), access("write", 0, 0), access("read", 0, 0)],
+            "independent, {storage}"
+        );
+    }
+    // a collective ships each rank's 384 runs in the other rank's domain;
+    // on storage that lends every window, nothing is merged
     assert_eq!(
-        phases(false),
-        vec![view(), access("write", 0), access("read", 0)],
-        "independent"
+        phases(lending(), true),
+        vec![
+            view(),
+            access("write", 12_288, 0),
+            access("read", 12_288, 0)
+        ],
+        "collective, lending"
     );
-    // a collective ships each rank's 384 runs in the other rank's domain
+    // staged, each IOP merges the lists of its domain once, its own and
+    // the one it received: Σ_p N(p) over both domains, as before the
+    // merge waited for a staged window
     assert_eq!(
-        phases(true),
-        vec![view(), access("write", 12_288), access("read", 12_288)],
-        "collective"
+        phases(staged(), true),
+        vec![
+            view(),
+            access("write", 12_288, MERGED),
+            access("read", 12_288, 0)
+        ],
+        "collective, staged"
     );
 }

@@ -16,6 +16,14 @@
 //! baseline: [`OlList::flatten`] fills it as ROMIO does, one tight loop per
 //! strided frame of the type's compiled [`crate::RunProgram`], not one
 //! tree walk per run.
+//!
+//! The lists a collective ships are in this module too: an AP writes the
+//! runs of its view in an IOP's domain as absolute tuples in one pass
+//! ([`OlList::encode_tiled`]), the IOP reads them where the message landed
+//! ([`OlWire`]), and merges them all ([`OlList::merge_lists`]) when it
+//! needs to know whether a window is covered.
+
+use std::ops::Range;
 
 use crate::kernels::{claim_ahead, Store, Stores, CLAIM_RUNS};
 use crate::typemap::Run;
@@ -25,6 +33,11 @@ use lio_obs::LazyCounter;
 static OBS_FLATTEN_CALLS: LazyCounter = LazyCounter::new("dt.flatten.calls");
 static OBS_FLATTEN_ENTRIES: LazyCounter = LazyCounter::new("dt.flatten.entries");
 static OBS_FLATTEN_BYTES: LazyCounter = LazyCounter::new("dt.flatten.bytes");
+static OBS_MERGE_TUPLES: LazyCounter = LazyCounter::new("dt.merge.tuples");
+
+/// The bytes one `⟨offset, length⟩` tuple takes in a message: two
+/// little-endian 64-bit words.
+pub const TUPLE_BYTES: usize = 16;
 
 /// One ol-list entry: a contiguous block of `len` bytes at byte `offset`.
 ///
@@ -289,25 +302,73 @@ impl OlList {
         consumed
     }
 
-    /// Merge several monotone ol-lists into one, combining adjacent and
-    /// overlapping blocks — ROMIO's collective-write optimization, with the
-    /// paper's `O(Σ_p Nblock(p))` cost (a k-way merge).
-    pub fn merge_lists(lists: &[&OlList]) -> OlList {
-        let mut cursors = vec![0usize; lists.len()];
+    /// The wire form ([`OlWire`]) of the stream bytes `stream` of this list
+    /// tiled from byte `base` every `extent` bytes, `size` data bytes per
+    /// instance — a fileview's stream, when the list is its filetype's
+    /// flattening: one tuple of absolute offset and length per run, the
+    /// runs at either end cut to the interval. One pass: the linear
+    /// [`OlList::locate`] of the first byte (§2.2), then the list walked
+    /// from there, instance after instance, into bytes reserved once for
+    /// every tuple of the instances the interval spans.
+    pub fn encode_tiled(&self, base: u64, extent: u64, size: u64, stream: Range<u64>) -> Vec<u8> {
+        debug_assert_eq!(size, self.total_data(), "size is the list's data");
+        let mut out = Vec::new();
+        if stream.is_empty() || size == 0 {
+            return out;
+        }
+        let Some(OlPos { mut seg, within }) = self.locate(stream.start % size) else {
+            return out;
+        };
+        let first = stream.start / size;
+        let spanned = (stream.end - 1) / size - first + 1;
+        let tuples = spanned.saturating_mul(self.segs.len() as u64);
+        let bytes = tuples.saturating_mul(TUPLE_BYTES as u64);
+        // one too large to allocate leaves the list to grow as it fills
+        let _ = out.try_reserve_exact(usize::try_from(bytes).unwrap_or(usize::MAX));
+        let mut left = stream.end - stream.start;
+        let mut skip = within;
+        let mut at = base + first * extent;
+        loop {
+            for s in &self.segs[seg..] {
+                let take = (s.len - skip).min(left);
+                let abs = at.wrapping_add_signed(s.offset) + skip;
+                let mut tuple = [0u8; TUPLE_BYTES];
+                tuple[..8].copy_from_slice(&abs.to_le_bytes());
+                tuple[8..].copy_from_slice(&take.to_le_bytes());
+                out.extend_from_slice(&tuple);
+                left -= take;
+                if left == 0 {
+                    return out;
+                }
+                skip = 0;
+            }
+            seg = 0;
+            at += extent;
+        }
+    }
+
+    /// Merge monotone ol-lists into one, combining adjacent and overlapping
+    /// blocks — ROMIO's collective-write optimization, with the paper's
+    /// `O(Σ_p Nblock(p))` cost (a k-way merge). `dt.merge.tuples` counts
+    /// the tuples it consumes.
+    pub fn merge_lists<I: Iterator<Item = OlSeg>>(lists: impl IntoIterator<Item = I>) -> OlList {
+        let mut lists: Vec<I> = lists.into_iter().collect();
+        let mut heads: Vec<Option<OlSeg>> = lists.iter_mut().map(Iterator::next).collect();
         let mut segs: Vec<OlSeg> = Vec::new();
+        let mut consumed = 0u64;
         loop {
             // pick the list whose next segment starts earliest
             let mut best: Option<(usize, i64)> = None;
-            for (li, l) in lists.iter().enumerate() {
-                if let Some(s) = l.segs.get(cursors[li]) {
+            for (li, head) in heads.iter().enumerate() {
+                if let Some(s) = head {
                     if best.is_none_or(|(_, o)| s.offset < o) {
                         best = Some((li, s.offset));
                     }
                 }
             }
             let Some((li, _)) = best else { break };
-            let s = lists[li].segs[cursors[li]];
-            cursors[li] += 1;
+            let s = std::mem::replace(&mut heads[li], lists[li].next()).expect("a head");
+            consumed += 1;
             if let Some(last) = segs.last_mut() {
                 let last_end = last.offset + last.len as i64;
                 if s.offset <= last_end {
@@ -318,8 +379,54 @@ impl OlList {
             }
             segs.push(s);
         }
+        OBS_MERGE_TUPLES.add(consumed);
         OlList { segs }
     }
+}
+
+/// An ol-list as a collective ships it ([`OlList::encode_tiled`]), read
+/// where the message landed: a view of [`TUPLE_BYTES`]-byte tuples, no
+/// second copy of the list.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OlWire<'a> {
+    tuples: &'a [[u8; TUPLE_BYTES]],
+}
+
+impl<'a> OlWire<'a> {
+    /// The tuples of `bytes`; `None` when they are not a whole number.
+    pub fn new(bytes: &'a [u8]) -> Option<OlWire<'a>> {
+        let (tuples, rest) = bytes.as_chunks();
+        rest.is_empty().then_some(OlWire { tuples })
+    }
+
+    /// Tuple `i` as `(offset, length)`.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<(u64, u64)> {
+        self.tuples.get(i).map(decode)
+    }
+
+    /// The last tuple.
+    pub fn last(&self) -> Option<(u64, u64)> {
+        self.tuples.last().map(decode)
+    }
+
+    /// The tuples as blocks, for [`OlList::merge_lists`].
+    pub fn segs(&self) -> impl Iterator<Item = OlSeg> + 'a {
+        self.tuples.iter().map(|t| {
+            let (offset, len) = decode(t);
+            OlSeg {
+                offset: offset as i64,
+                len,
+            }
+        })
+    }
+}
+
+#[inline]
+fn decode(tuple: &[u8; TUPLE_BYTES]) -> (u64, u64) {
+    let (offset, len) = tuple.split_at(8);
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    (word(offset), word(len))
 }
 
 /// Append the block `len` bytes at `offset`, folding it into the last
@@ -461,6 +568,10 @@ mod tests {
         }
     }
 
+    fn merged(lists: &[&OlList]) -> OlList {
+        OlList::merge_lists(lists.iter().map(|l| l.segs.iter().copied()))
+    }
+
     #[test]
     fn merge_two_interleaved_lists() {
         let a = OlList {
@@ -469,7 +580,7 @@ mod tests {
         let b = OlList {
             segs: vec![OlSeg { offset: 8, len: 8 }, OlSeg { offset: 24, len: 8 }],
         };
-        let m = OlList::merge_lists(&[&a, &b]);
+        let m = merged(&[&a, &b]);
         assert_eq!(m.segs, vec![OlSeg { offset: 0, len: 32 }]);
     }
 
@@ -481,7 +592,7 @@ mod tests {
         let b = OlList {
             segs: vec![OlSeg { offset: 12, len: 8 }],
         };
-        let m = OlList::merge_lists(&[&a, &b]);
+        let m = merged(&[&a, &b]);
         assert_eq!(m.segs.len(), 2);
     }
 
@@ -493,8 +604,44 @@ mod tests {
         let b = OlList {
             segs: vec![OlSeg { offset: 5, len: 10 }],
         };
-        let m = OlList::merge_lists(&[&a, &b]);
+        let m = merged(&[&a, &b]);
         assert_eq!(m.segs, vec![OlSeg { offset: 0, len: 15 }]);
+    }
+
+    #[test]
+    fn tiled_lists_travel_as_tuples_and_merge_from_where_they_landed() {
+        // blocks of 8 bytes at 0, 16, 32 in an extent of 40, tiled from 100
+        let d = Datatype::vector(3, 2, 4, &Datatype::int()).unwrap();
+        let l = OlList::flatten(&d, 1);
+        let tiled = |a, b| l.encode_tiled(100, 40, 24, a..b);
+        let tuples = |bytes: &[u8]| {
+            let wire = OlWire::new(bytes).expect("whole tuples");
+            (0..).map_while(|i| wire.get(i)).collect::<Vec<_>>()
+        };
+        // from mid-block 0 of instance 0 to mid-block 1 of instance 1
+        let even = tiled(4, 36);
+        assert!(
+            even.capacity() >= 2 * 3 * TUPLE_BYTES,
+            "two instances reserved"
+        );
+        assert_eq!(
+            tuples(&even),
+            [(104, 4), (116, 8), (132, 8), (140, 8), (156, 4)]
+        );
+        assert!(tiled(7, 7).is_empty());
+        assert_eq!(tuples(&tiled(48, 49)), [(180, 1)], "a third instance");
+
+        // the other half of the stream: the two merge into one run
+        let odd = tiled(0, 4);
+        let rest = tiled(36, 48);
+        let lists = [&odd, &even, &rest].map(|b| OlWire::new(b).unwrap());
+        let m = OlList::merge_lists(lists.iter().map(OlWire::segs));
+        let want = [(100, 8), (116, 8), (132, 16), (156, 8), (172, 8)];
+        let got: Vec<_> = m.segs.iter().map(|s| (s.offset as u64, s.len)).collect();
+        assert_eq!(got, want);
+        assert_eq!(lists[1].last(), Some((156, 4)));
+        assert!(OlWire::new(&even[1..]).is_none(), "not whole tuples");
+        assert!(OlWire::new(&[]).is_some_and(|w| w.last().is_none()));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   navigation; [`OlList::flatten`] expands the type's compiled
 //!   [`RunProgram`], the one interpreter both engines share;
 //!   [`FlatIter`], the per-run tree walk, is the tests' reference oracle
-//!   and the benches' tree-walk baseline, nothing else;
+//!   and the benches' tree-walk baseline, nothing else; a collective's
+//!   access lists travel as [`OlWire`] tuples ([`OlList::encode_tiled`])
+//!   and merge through [`OlList::merge_lists`];
 //! * [`ff_pack`], [`ff_unpack`], [`ff_size`], [`ff_extent`] —
 //!   **flattening-on-the-fly**, the paper's listless alternative:
 //!   `O(depth)` seek, `O(depth · log k)` navigation, and pack/unpack whose
@@ -67,7 +69,7 @@ pub use ff::{
     bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_transfer_from,
     ff_transfer_to, ff_unpack, ff_unpack_at,
 };
-pub use flatten::{OlCursor, OlList, OlPos, OlSeg};
+pub use flatten::{OlCursor, OlList, OlPos, OlSeg, OlWire, TUPLE_BYTES};
 pub use iter::FlatIter;
 pub use program::RunProgram;
 pub use strided::StridedSpec;

@@ -5,8 +5,9 @@
 //! itself, so a window placed into a lent piece is in the file with no
 //! `pwrite` behind it, and a window read out of one took no `pread`. The
 //! handle is private to this module because the mapping's soundness hangs
-//! on who may change the file's length; three invariants, each held by the
-//! outer lock (shared while lending, exclusive to map, unmap or truncate):
+//! on who may change the file's length; four invariants, each held by the
+//! outer lock (shared while lending or writing, exclusive to map, unmap or
+//! truncate):
 //!
 //! 1. **The mapping is never longer than the file.** Touching a mapped
 //!    page past end-of-file raises `SIGBUS`. This handle shrinks the file
@@ -20,6 +21,16 @@
 //! 3. **A file that grew through `write_at` is remapped** by the first
 //!    request that needs the new bytes. Whether it does is answered from
 //!    the mapping's own length: an in-bounds window costs no `fstat`.
+//! 4. **No remap while a `pwrite` is in flight.** [`MappedFile::write_all_at`]
+//!    holds the outer lock shared for its whole `pwrite`, and a remap needs
+//!    it exclusively. An extending `pwrite` shows its new length to `fstat`
+//!    before it returns; a mapping made at that length while the write was
+//!    still in flight lost the bytes stored through it between the old
+//!    end-of-file and the write's start — the file held zeros there, a
+//!    lost write of either engine (DESIGN.md §3.2). Lends inside the
+//!    current mapping do not wait for writes. No caller may hold the outer
+//!    lock across `write_all_at`; none does, as a lender's closure gets
+//!    bytes, not the file.
 //!
 //! What no lock of this process can hold: another process (or another
 //! handle on a named file) truncating it under the mapping, and a sparse
@@ -196,8 +207,10 @@ impl MappedFile {
         self.file.read_at(buf, offset)
     }
 
-    /// `pwrite` until all of `buf` is written; extends the file.
+    /// `pwrite` until all of `buf` is written; extends the file. Under the
+    /// outer lock, shared: no remap while it runs (invariant 4).
     pub fn write_all_at(&self, buf: &[u8], offset: u64) -> io::Result<()> {
+        let _no_remap = self.map.read().expect(POISONED);
         self.file.write_all_at(buf, offset)
     }
 
@@ -348,6 +361,32 @@ mod tests {
             .lend(0, STRIPE as u64, &mut |_, p| seen += p.len())
             .unwrap());
         assert_eq!((seen, mapped(&f)), (STRIPE, Some(STRIPE)));
+    }
+
+    /// Invariant 4: a `pwrite` does not run while the outer lock is held
+    /// exclusively, as a remap holds it, and runs once it is released.
+    #[test]
+    fn a_write_waits_for_a_remap() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let f = temp(96);
+        let written = AtomicBool::new(false);
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let remap = f.map.write().unwrap();
+            let writer = s.spawn(|| {
+                started.wait();
+                f.write_all_at(&[3u8; 32], 96).unwrap();
+                written.store(true, Ordering::SeqCst);
+            });
+            // the writer is at its call; give it time to go past the lock
+            started.wait();
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!written.load(Ordering::SeqCst), "a write ran under a remap");
+            drop(remap);
+            writer.join().unwrap();
+        });
+        assert!(written.load(Ordering::SeqCst));
+        assert_eq!(f.len().unwrap(), 128);
     }
 
     #[test]
