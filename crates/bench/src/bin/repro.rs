@@ -413,12 +413,14 @@ fn table3(opts: &Opts) {
 
 /// The Section 2.4 / 3.3 overhead inventory, quantified: representation
 /// memory, creation time, navigation time for list-based vs listless
-/// handling. Flattening, the one-pass build of a collective's access list
-/// and the coverage merge of two interleaved received lists are each timed
-/// as the median of several runs and also given per tuple: the unit costs
-/// a list-based model composes.
+/// handling. Flattening, the one-pass build of a collective's access list,
+/// the coverage merge of two interleaved received lists and the co-walk
+/// that copies a view's blocks out of a strided buffer are each timed as
+/// the median of several runs and also given per tuple (per block, the
+/// co-walk): the unit costs a list-based model composes.
 fn overheads() {
-    use lio_datatype::{ff_offset, serialize, Datatype, OlList, OlWire};
+    use lio_datatype::kernels::{Store, Stores};
+    use lio_datatype::{ff_offset, serialize, CoWalk, Datatype, OlList, OlWire};
     use std::time::Instant;
 
     const REPS: usize = 9;
@@ -436,10 +438,10 @@ fn overheads() {
     }
     println!("# overheads: the paper's Section 2.4 inventory, measured");
     let mut csv = String::from(
-        "nblock,ol_bytes,compact_bytes,flatten_us,flatten_ns_per_tuple,build_ns_per_tuple,merge_ns_per_tuple,encode_us,nav_linear_us,nav_ff_us\n",
+        "nblock,ol_bytes,compact_bytes,flatten_us,flatten_ns_per_tuple,build_ns_per_tuple,merge_ns_per_tuple,cowalk_ns_per_block,encode_us,nav_linear_us,nav_ff_us\n",
     );
     println!(
-        "{:>8} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
+        "{:>8} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
         "Nblock",
         "ol-list B",
         "compact B",
@@ -447,6 +449,7 @@ fn overheads() {
         "ns/tuple",
         "build ns",
         "merge ns",
+        "copy ns",
         "encode us",
         "nav-lin us",
         "nav-ff us"
@@ -476,6 +479,19 @@ fn overheads() {
         let merge_us = median_us(|| OlList::merge_lists(wires.iter().map(OlWire::segs)));
         let merge_ns = merge_us * 1e3 / (2.0 * tuples);
 
+        // the list-based placement of one instance's blocks into a window
+        // of the view, out of a user buffer of the same strided shape: the
+        // view's tiled list and the memtype's list walked side by side
+        let user: Vec<u8> = (0..ext).map(|i| i as u8).collect();
+        let mut win = vec![0u8; ext as usize];
+        let copy_us = median_us(|| {
+            let walk = CoWalk::new(ol.tiled_cursor(0, ext, size, 0), ol.cursor(0));
+            let stores = &mut Stores::new(Store::Cached);
+            walk.clone()
+                .place(&mut win, 0, &user, size as usize, stores, false)
+        });
+        let copy_ns = copy_us * 1e3 / tuples;
+
         let t = Instant::now();
         let compact = serialize::encode(&d);
         let encode_us = t.elapsed().as_secs_f64() * 1e6;
@@ -491,7 +507,7 @@ fn overheads() {
         assert_eq!(a, b);
 
         println!(
-            "{:>8} {:>12} {:>10} {:>12.1} {:>10.2} {:>10.2} {:>10.2} {:>10.1} {:>12.2} {:>10.2}",
+            "{:>8} {:>12} {:>10} {:>12.1} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.1} {:>12.2} {:>10.2}",
             nblock,
             ol_bytes,
             compact.len(),
@@ -499,13 +515,14 @@ fn overheads() {
             ns_per_tuple,
             build_ns,
             merge_ns,
+            copy_ns,
             encode_us,
             nav_linear_us,
             nav_ff_us
         );
         writeln!(
             csv,
-            "{nblock},{ol_bytes},{},{flatten_us:.1},{ns_per_tuple:.2},{build_ns:.2},{merge_ns:.2},{encode_us:.1},{nav_linear_us:.2},{nav_ff_us:.2}",
+            "{nblock},{ol_bytes},{},{flatten_us:.1},{ns_per_tuple:.2},{build_ns:.2},{merge_ns:.2},{copy_ns:.2},{encode_us:.1},{nav_linear_us:.2},{nav_ff_us:.2}",
             compact.len()
         )
         .unwrap();

@@ -19,8 +19,7 @@
 use std::ops::Range;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
-use lio_datatype::kernels::{claim_ahead, Stores};
-use lio_datatype::{ff_offset, ff_pack, ff_unpack_at, serialize, Datatype, OlCursor, OlList};
+use lio_datatype::{ff_offset, ff_pack, ff_unpack_at, serialize, Datatype, OlList, RunCursor};
 
 use crate::error::{IoError, Result};
 
@@ -202,13 +201,13 @@ impl MemPacker {
     }
 
     /// Where the stream's bytes lie in the user buffer from stream
-    /// position `skip` on, for the list-based engine's walks: the per-access
-    /// ol-list from its linear `locate(skip)` on, or the one run that a
-    /// contiguous buffer is.
-    pub fn runs_from(&self, skip: u64) -> UserRuns<'_> {
+    /// position `skip` on, for the list-based engine's co-walks: the
+    /// per-access ol-list from its linear `locate(skip)` on, or the one run
+    /// that a contiguous buffer is.
+    pub fn cursor(&self, skip: u64) -> RunCursor<'_> {
         match self {
-            MemPacker::Contig { base } => UserRuns::Contig(base + skip as usize),
-            MemPacker::List { list } => UserRuns::List(list.cursor(skip)),
+            MemPacker::Contig { base } => RunCursor::contig(base + skip as usize),
+            MemPacker::List { list } => list.cursor(skip),
             MemPacker::Ff { .. } => unreachable!("the listless engine materializes no runs"),
         }
     }
@@ -251,48 +250,6 @@ impl<'a, U> UserSide<'a, U> {
             user,
             stream_start,
             buf_at,
-        }
-    }
-}
-
-/// A forward-only cursor over the runs of a user buffer's stream: the
-/// list-based engine's side of the co-walk with a view's runs.
-pub(crate) enum UserRuns<'a> {
-    /// One endless run; the next stream byte lies at this buffer position.
-    Contig(usize),
-    List(OlCursor<'a>),
-}
-
-impl UserRuns<'_> {
-    /// Copy the next `dst.len()` stream bytes out of `user`, each run of
-    /// them stored into `dst` as `stores` says; returns the bytes copied,
-    /// fewer only where a list ends.
-    #[inline]
-    pub fn read(&mut self, user: &[u8], dst: &mut [u8], stores: &mut Stores) -> usize {
-        match self {
-            UserRuns::Contig(at) => {
-                stores.copy(dst, &user[*at..*at + dst.len()]);
-                *at += dst.len();
-                dst.len()
-            }
-            UserRuns::List(cursor) => cursor.read(user, dst, stores),
-        }
-    }
-
-    /// Copy `src` to where the next `src.len()` stream bytes lie in
-    /// `user`, claiming the user lines after each run first
-    /// ([`claim_ahead`]); returns the bytes copied, as [`UserRuns::read`].
-    #[inline]
-    pub fn write(&mut self, user: &mut [u8], src: &[u8]) -> usize {
-        match self {
-            UserRuns::Contig(at) => {
-                let run = *at..*at + src.len();
-                claim_ahead(user, run.clone());
-                user[run].copy_from_slice(src);
-                *at += src.len();
-                src.len()
-            }
-            UserRuns::List(cursor) => cursor.write(src, user),
         }
     }
 }
@@ -398,20 +355,22 @@ mod tests {
 
     #[test]
     fn user_runs_follow_the_packer() {
+        use lio_datatype::kernels::{Store, Stores};
+        use lio_datatype::CoWalk;
         let m = Datatype::vector(4, 2, 3, &Datatype::int()).unwrap();
         let user: Vec<u8> = (0..m.extent() as u8).collect();
         let listed = MemPacker::new(&m, 1, user.len(), true).unwrap();
         let mut stream = vec![0u8; m.size() as usize];
         listed.pack(&user, 0, &mut stream);
         // a typed buffer in pieces; a message: the stream behind its header
-        let (mut runs, mut got) = (listed.runs_from(3), [0u8; 7]);
-        let stores = &mut Stores::new(lio_datatype::kernels::Store::Cached);
-        assert_eq!(
-            runs.read(&user, &mut got[..2], stores) + runs.read(&user, &mut got[2..], stores),
-            7
-        );
+        let (stores, mut got) = (&mut Stores::new(Store::Cached), [0u8; 7]);
+        let mut walk = CoWalk::new(RunCursor::contig(0), listed.cursor(3));
+        let (head, tail) = got.split_at_mut(2);
+        let head = walk.place(head, 0, &user, 7, stores, false);
+        assert_eq!(head + walk.place(tail, 2, &user, 5, stores, false), 7);
         assert_eq!(got, stream[3..10]);
-        assert_eq!(MESSAGE.runs_from(2).read(&user, &mut got, stores), 7);
+        let mut message = CoWalk::new(RunCursor::contig(0), MESSAGE.cursor(2));
+        assert_eq!(message.place(&mut got, 0, &user, 7, stores, false), 7);
         assert_eq!(got, user[MSG_HEADER + 2..MSG_HEADER + 9]);
     }
 }

@@ -55,19 +55,21 @@
 //! beside the pre-read and placement of window `k + 1` — the only overlap
 //! that ever paid (EXPERIMENTS.md).
 
-use std::cell::{RefCell, RefMut};
+use std::cell::{OnceCell, RefCell, RefMut};
 use std::thread::Scope;
 
-use lio_datatype::ff::OBS_COPY_BYTES;
 use lio_datatype::kernels::Stores;
-use lio_datatype::{bytes_below_tiled, serialize, Datatype, Field, OlList, OlWire};
+use lio_datatype::{
+    bytes_below_tiled, disjoint_tilings, serialize, CoWalk, Datatype, Field, OlList, OlWire,
+    RunCursor,
+};
 use lio_mpi::{Comm, Lent, LentMut};
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
 
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
-use crate::packer::{MemPacker, UserRuns, UserSide, MESSAGE, MSG_HEADER, STREAM};
+use crate::packer::{MemPacker, UserSide, MESSAGE, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
 use crate::view::{FfNav, FileView, RunTally, ViewNav};
 use crate::window::{snap, timed, WindowIo, Windows};
@@ -154,18 +156,24 @@ impl CollState {
 pub(crate) struct MergeView {
     dtype: Datatype,
     disp: u64,
+    /// Every rank's filetype, for [`MergeView::disjoint`].
+    parts: Vec<Datatype>,
+    /// Whether no file byte lies in two views, once a window asked.
+    disjoint: OnceCell<bool>,
 }
 
 impl MergeView {
     /// Whether the data of one collective write fills `[lo, hi)`, so that
     /// the window needs no pre-read: the union of the fileviews covers
-    /// the range, **and** every AP supplies all of its view's bytes in it
-    /// (`takes[k]` is what AP `k` ships for the range). The mergeview
-    /// alone only knows what the views *could* cover; an AP that writes
+    /// the range, **and** the views are disjoint, **and** every AP supplies
+    /// all of its view's bytes in it (`takes[k]` is what AP `k` ships for
+    /// the range). The mergeview alone only knows what the views *could*
+    /// cover, and counts a byte two views hold twice; an AP that writes
     /// fewer bytes than its view holds there leaves file bytes that must
     /// survive. `O(depth)` per AP, still no list.
     pub fn filled_by(&self, navs: &[FfNav], takes: &[u64], lo: u64, hi: u64) -> bool {
         self.covered(lo, hi)
+            && self.disjoint()
             && navs
                 .iter()
                 .zip(takes)
@@ -173,7 +181,7 @@ impl MergeView {
     }
 
     /// Whether file range `[lo, hi)` is fully covered by the union of all
-    /// fileviews.
+    /// fileviews — a count, which only disjoint views make a union.
     fn covered(&self, lo: u64, hi: u64) -> bool {
         if hi <= lo {
             return true;
@@ -184,6 +192,13 @@ impl MergeView {
         let a = (lo - self.disp) as i64;
         let b = (hi - self.disp) as i64;
         bytes_below_tiled(&self.dtype, b) - bytes_below_tiled(&self.dtype, a) == hi - lo
+    }
+
+    /// Whether no file byte lies in two views: proved once, by the first
+    /// window that asks — only a staged one does — with one merge of an
+    /// extent of each filetype ([`disjoint_tilings`]).
+    fn disjoint(&self) -> bool {
+        *(self.disjoint).get_or_init(|| disjoint_tilings(&self.parts, self.dtype.extent()))
     }
 }
 
@@ -247,6 +262,8 @@ fn build_mergeview(views: &[FileView]) -> Result<Option<MergeView>> {
     Ok(Some(MergeView {
         dtype: merged,
         disp,
+        parts: views.iter().map(|v| v.filetype.clone()).collect(),
+        disjoint: OnceCell::new(),
     }))
 }
 
@@ -356,82 +373,33 @@ fn stream_intersection(
     (a, b)
 }
 
-/// An ol-list received from an AP, read where it landed and consumed
-/// window by window through a cursor (the IOP-side list walking of Section
-/// 2.3), side by side with the runs of the AP's end of the loop: a write's
-/// message, a read's reply being filled, or, for the IOP's own list, its
-/// user buffer.
-struct RecvList<'a> {
-    /// Absolute `(offset, len)` tuples.
-    list: OlWire<'a>,
-    seg_i: usize,
-    seg_off: u64,
-    /// Where the AP's next stream byte lies in its end's buffer.
-    runs: UserRuns<'a>,
-    /// Stream bytes consumed (writes) or filled (reads) so far.
-    moved: usize,
-}
-
 /// The tuples of a received access list, its length checked once.
 fn wire(list_bytes: &[u8]) -> Result<OlWire<'_>> {
     OlWire::new(list_bytes).ok_or_else(|| IoError::Usage("malformed access list".into()))
 }
 
-impl<'a> RecvList<'a> {
-    /// A cursor at the start of `list`, over an end whose stream goes on
-    /// at `runs`.
-    fn new(list: OlWire<'a>, runs: UserRuns<'a>) -> Self {
-        RecvList {
-            list,
-            seg_i: 0,
-            seg_off: 0,
-            runs,
-            moved: 0,
-        }
-    }
+/// The IOP-side list walking of Section 2.3: AP `k`'s list, read where it
+/// landed, beside the stream of its end — a write's message, a read's
+/// reply, or, for the IOP's own list, its user buffer.
+fn recv_walks<'a, U>(
+    lists: &[OlWire<'a>],
+    ends: &[UserSide<'a, U>],
+    spans: &[(u64, u64)],
+) -> Vec<CoWalk<'a>> {
+    (lists.iter().zip(ends).zip(spans))
+        .map(|((&list, end), span)| {
+            let user = end.packer.cursor(span.0 - end.stream_start);
+            CoWalk::new(RunCursor::wire(list), user)
+        })
+        .collect()
+}
 
-    /// Move this AP's bytes falling inside `[win_start, win_end)`: `mv`
-    /// copies each segment's part of the window, given as a range of
-    /// window positions, from or to the next bytes of the end's `runs`.
-    fn walk(
-        &mut self,
-        win_start: u64,
-        win_end: u64,
-        mut mv: impl FnMut(&mut UserRuns, std::ops::Range<usize>) -> usize,
-    ) {
-        let before = self.moved;
-        while let Some((off, len)) = self.list.get(self.seg_i) {
-            let cur = off + self.seg_off;
-            if cur >= win_end {
-                break;
-            }
-            debug_assert!(cur >= win_start, "cursor fell behind the window");
-            let avail = len - self.seg_off;
-            let take = avail.min(win_end - cur);
-            let o = (cur - win_start) as usize;
-            let got = mv(&mut self.runs, o..o + take as usize);
-            debug_assert_eq!(got as u64, take, "the list outran its data");
-            self.moved += take as usize;
-            if take == avail {
-                self.seg_i += 1;
-                self.seg_off = 0;
-            } else {
-                self.seg_off += take;
-                break;
-            }
-        }
-        OBS_COPY_BYTES.add((self.moved - before) as u64);
-    }
-
-    /// First uncopied absolute offset, if any.
-    fn next_offset(&self) -> Option<u64> {
-        self.list.get(self.seg_i).map(|(o, _)| o + self.seg_off)
-    }
-
-    /// Last absolute offset + 1 across all segments.
-    fn end_offset(&self) -> Option<u64> {
-        self.list.last().map(|(o, l)| o + l)
-    }
+/// The file range `[lo, hi)` the received lists reach; `None` when all
+/// are empty.
+fn reached(lists: &[OlWire]) -> Option<(u64, u64)> {
+    let lo = lists.iter().filter_map(|l| l.get(0)).map(|t| t.0).min()?;
+    let hi = lists.iter().filter_map(OlWire::last).map(|t| t.0 + t.1);
+    Some((lo, hi.max()?))
 }
 
 /// Cursor over the merge of every AP's list for covered-window tests (the
@@ -599,13 +567,14 @@ fn iop_write(
                 .map(|(msg, span)| UserSide::new(&MESSAGE, msg.as_slice(), span.0))
                 .collect();
             ends[me] = own;
-            let mut recv: Vec<RecvList> = Vec::with_capacity(msgs.len());
-            for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
-                let runs = end.packer.runs_from(span.0 - end.stream_start);
-                recv.push(RecvList::new(wire(list_bytes)?, runs));
-            }
+            let lists = lists.iter().map(|l| wire(l)).collect::<Result<Vec<_>>>()?;
+            let users = ends.iter().map(|e| e.user);
+            let mut walks: Vec<_> = recv_walks(&lists, &ends, &spans)
+                .into_iter()
+                .zip(users)
+                .collect();
             std::thread::scope(|lane| {
-                iop_write_listbased(storage, dom, &mut recv, &ends, hints, scratch, lane)
+                iop_write_listbased(storage, dom, &lists, &mut walks, hints, scratch, lane)
             })
         }
         Engine::Listless => {
@@ -637,21 +606,20 @@ fn iop_write(
     }
 }
 
-/// IOP write loop, list-based placement: list `recv[k]` says where the
-/// stream of `ends[k]` goes.
+/// IOP write loop, list-based placement: `walks[k]` walks the list
+/// `lists[k]` and takes the stream of the bytes beside it to where that
+/// list says.
 fn iop_write_listbased<'s>(
     storage: &'s dyn StorageFile,
     dom: (u64, u64),
-    recv: &mut [RecvList],
-    ends: &[UserSide<&[u8]>],
+    lists: &[OlWire],
+    walks: &mut [(CoWalk, &[u8])],
     hints: &Hints,
     scratch: &'s Scratch,
     lane: &'s Scope<'s, '_>,
 ) -> Result<()> {
     // clip the domain to where data actually lands
-    let lo = recv.iter().filter_map(|r| r.next_offset()).min();
-    let hi = recv.iter().filter_map(|r| r.end_offset()).max();
-    let (Some(lo), Some(hi)) = (lo, hi) else {
+    let Some((lo, hi)) = reached(lists) else {
         return Ok(());
     };
     let lo = lo.max(dom.0);
@@ -659,7 +627,6 @@ fn iop_write_listbased<'s>(
 
     // the merge of all lists, for the covered-window optimization: made by
     // the first window that is staged, as only a staged window asks
-    let lists: Vec<OlWire> = recv.iter().map(|r| r.list).collect();
     let mut coverage = None;
 
     let mut windows = 0u64;
@@ -667,10 +634,10 @@ fn iop_write_listbased<'s>(
     // a window never exceeds the clipped domain, so neither need the buffer
     let mut io = WindowIo::sole_writer(storage, scratch, grid.max_len(), lane);
     for (win, win_end) in grid {
-        let has_data = recv
+        if walks
             .iter()
-            .any(|r| r.next_offset().is_some_and(|o| o < win_end));
-        if has_data {
+            .any(|w| w.0.file.next_at().is_some_and(|o| o < win_end))
+        {
             windows += 1;
             let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
             io.update(
@@ -678,15 +645,13 @@ fn iop_write_listbased<'s>(
                 win_end,
                 || {
                     hints.detect_dense_writes
-                        && (coverage.get_or_insert_with(|| Coverage::merge(&lists)))
+                        && (coverage.get_or_insert_with(|| Coverage::merge(lists)))
                             .covered(win, win_end)
                 },
                 &mut |at, piece, store| {
-                    let mut stores = Stores::new(store);
-                    for (r, end) in recv.iter_mut().zip(ends) {
-                        r.walk(at, at + piece.len() as u64, |runs, o| {
-                            runs.read(end.user, &mut piece[o], &mut stores)
-                        });
+                    let stores = &mut Stores::new(store);
+                    for (walk, user) in walks.iter_mut() {
+                        walk.place(piece, at, user, usize::MAX, stores, false);
                     }
                 },
             )?;
@@ -1168,35 +1133,30 @@ fn iop_read(
     let mut windows = 0u64;
     match engine {
         Engine::ListBased => {
-            let mut recv: Vec<RecvList> = Vec::with_capacity(spans.len());
-            for ((list_bytes, end), span) in lists.iter().zip(&ends).zip(&spans) {
-                let list = wire(list_bytes).unwrap_or_else(|e| {
-                    fatal.get_or_insert(e);
-                    OlWire::default()
-                });
-                let runs = end.packer.runs_from(span.0 - end.stream_start);
-                recv.push(RecvList::new(list, runs));
-            }
-            let lo = recv.iter().filter_map(|r| r.next_offset()).min();
-            let hi = recv.iter().filter_map(|r| r.end_offset()).max();
-            // (a malformed list already failed the op: nothing to read)
-            if let (Some(lo), Some(hi), true) = (lo, hi, fatal.is_none()) {
+            // (a malformed list fails the op: nothing is read, no list walked)
+            let lists = lists.iter().map(|l| wire(l)).collect::<Result<Vec<_>>>();
+            let lists = lists.unwrap_or_else(|e| {
+                fatal.get_or_insert(e);
+                Vec::new()
+            });
+            let mut walks = recv_walks(&lists, &ends, &spans);
+            if let (Some((lo, hi)), true) = (reached(&lists), fatal.is_none()) {
                 let lo = lo.max(dom.0);
                 let hi = hi.min(dom.1);
                 let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
                 let mut io = WindowIo::new(storage, scratch, grid.max_len());
                 for (win, win_end) in grid {
-                    let wanted = recv
+                    if walks
                         .iter()
-                        .any(|r| r.next_offset().is_some_and(|o| o < win_end));
-                    if wanted {
+                        .any(|w| w.file.next_at().is_some_and(|o| o < win_end))
+                    {
                         windows += 1;
                         let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
                         let res = io.view(win, win_end, &mut |at, piece| {
-                            for (r, end) in recv.iter_mut().zip(&mut ends) {
-                                r.walk(at, at + piece.len() as u64, |runs, o| {
-                                    runs.write(end.user, &piece[o])
-                                });
+                            let each = walks.iter_mut().zip(&mut ends).zip(&mut filled);
+                            for ((walk, end), filled) in each {
+                                *filled +=
+                                    walk.extract(piece, at, end.user, usize::MAX, false) as u64;
                             }
                         });
                         if let Err(e) = res {
@@ -1206,9 +1166,6 @@ fn iop_read(
                     }
                 }
                 (io_ns, pack_ns) = (io.io_ns, io.pack_ns);
-            }
-            for (k, r) in recv.iter().enumerate() {
-                filled[k] = r.moved as u64;
             }
         }
         Engine::Listless => {

@@ -20,10 +20,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use lio_datatype::ff::OBS_COPY_BYTES;
 use lio_datatype::kernels::{Store, Stores};
-use lio_datatype::typemap::Run;
-use lio_datatype::{bytes_below_tiled, ff_offset, Datatype, OlList};
+use lio_datatype::{bytes_below_tiled, ff_offset, CoWalk, Datatype, OlList, RunCursor};
 
 use crate::error::{IoError, Result};
 use crate::packer::{MemPacker, UserSide};
@@ -142,11 +140,10 @@ impl ViewNav {
     ) -> usize {
         match self {
             ViewNav::List(nav) => {
-                let mut from = src.packer.runs_from(stream0 - src.stream_start);
-                let mut stores = Stores::new(store);
-                walk_runs(nav.runs_from(stream0), n, win_start, filebuf.len(), |at| {
-                    from.read(src.user, &mut filebuf[at], &mut stores)
-                })
+                let user = src.packer.cursor(stream0 - src.stream_start);
+                let (stores, profile) = (&mut Stores::new(store), lio_obs::profile::enabled());
+                CoWalk::new(nav.cursor(stream0), user)
+                    .place(filebuf, win_start, src.user, n, stores, profile)
             }
             ViewNav::Ff(nav) => nav.place_piece(src, stream0, n, filebuf, win_start, seen, store),
         }
@@ -166,10 +163,14 @@ impl ViewNav {
     ) -> usize {
         match self {
             ViewNav::List(nav) => {
-                let mut to = dst.packer.runs_from(stream0 - dst.stream_start);
-                walk_runs(nav.runs_from(stream0), n, win_start, filebuf.len(), |at| {
-                    to.write(dst.user, &filebuf[at])
-                })
+                let user = dst.packer.cursor(stream0 - dst.stream_start);
+                CoWalk::new(nav.cursor(stream0), user).extract(
+                    filebuf,
+                    win_start,
+                    dst.user,
+                    n,
+                    lio_obs::profile::enabled(),
+                )
             }
             ViewNav::Ff(nav) => nav.extract_piece(filebuf, win_start, stream0, n, dst, seen),
         }
@@ -182,55 +183,6 @@ impl ViewNav {
             ViewNav::Ff(n) => &n.view,
         }
     }
-}
-
-/// The list-based window loop, either direction: hand `mv` the part
-/// inside the window `[win_start, win_start + win_len)` of each of `runs`
-/// (absolute, monotone, starting at or after `win_start`), as a range of
-/// window positions, until `n` stream bytes are moved or the window ends;
-/// `mv` copies the range from or to the user side's next bytes and says
-/// how many it moved. Returns the bytes moved.
-fn walk_runs(
-    runs: impl Iterator<Item = Run>,
-    n: usize,
-    win_start: u64,
-    win_len: usize,
-    mut mv: impl FnMut(Range<usize>) -> usize,
-) -> usize {
-    let win_end = win_start + win_len as u64;
-    let mut moved = 0usize;
-    let profiling = lio_obs::profile::enabled();
-    let mut prev_end = u64::MAX;
-    for run in runs {
-        if moved >= n {
-            break;
-        }
-        let abs = run.disp as u64;
-        if abs >= win_end {
-            break;
-        }
-        debug_assert!(abs >= win_start, "run starts before the window");
-        let take = (run.len as usize)
-            .min(n - moved)
-            .min((win_end - abs) as usize);
-        let o = (abs - win_start) as usize;
-        let got = mv(o..o + take);
-        moved += got;
-        if profiling {
-            let gap = if prev_end == u64::MAX {
-                0
-            } else {
-                abs - prev_end
-            };
-            lio_obs::profile::record_run(take as u64, gap, abs == prev_end);
-            prev_end = abs + take as u64;
-        }
-        if got < run.len as usize {
-            break; // the window, the count or the user's stream ended mid-run
-        }
-    }
-    OBS_COPY_BYTES.add(moved as u64);
-    moved
 }
 
 // ---------------------------------------------------------------------
@@ -288,58 +240,10 @@ impl ListNav {
             .encode_tiled(self.view.disp, self.fext(), self.fsize(), stream)
     }
 
-    /// Iterator over absolute-offset runs from stream position `stream0`.
-    /// Construction performs the linear locate.
-    pub fn runs_from(&self, stream0: u64) -> ListRuns<'_> {
-        let fsize = self.fsize();
-        let inst = stream0 / fsize;
-        let within = stream0 % fsize;
-        // linear locate (the measured overhead)
-        let pos = self.list.locate(within);
-        let (seg, offset_in_seg) = match pos {
-            Some(p) => (p.seg, p.within),
-            None => (self.list.segs.len(), 0), // within == 0 of empty? fsize>0 so only when within rounds to len
-        };
-        ListRuns {
-            nav: self,
-            inst,
-            seg,
-            offset_in_seg,
-        }
-    }
-}
-
-/// Absolute-run iterator over a tiled ol-list.
-pub(crate) struct ListRuns<'a> {
-    nav: &'a ListNav,
-    inst: u64,
-    seg: usize,
-    offset_in_seg: u64,
-}
-
-impl Iterator for ListRuns<'_> {
-    type Item = Run;
-
-    fn next(&mut self) -> Option<Run> {
-        let list = &self.nav.list;
-        if self.seg >= list.segs.len() {
-            // wrap to the next filetype instance
-            self.inst += 1;
-            self.seg = 0;
-            self.offset_in_seg = 0;
-            if list.segs.is_empty() {
-                return None;
-            }
-        }
-        let s = list.segs[self.seg];
-        let base = self.nav.view.disp + self.inst * self.nav.fext();
-        let run = Run {
-            disp: (base as i64) + s.offset + self.offset_in_seg as i64,
-            len: s.len - self.offset_in_seg,
-        };
-        self.seg += 1;
-        self.offset_in_seg = 0;
-        Some(run)
+    /// A cursor over the view's runs, at file offsets, from stream
+    /// position `stream0` on. Construction performs the linear locate.
+    pub fn cursor(&self, stream0: u64) -> RunCursor<'_> {
+        (self.list).tiled_cursor(self.view.disp, self.fext(), self.fsize(), stream0)
     }
 }
 
@@ -698,24 +602,29 @@ mod tests {
         }
     }
 
-    /// The access list as the `ListRuns` walk spells it: every run from
-    /// the interval's first byte on, the last one cut at its end.
+    /// The access list spelled out: every run of the view's instances
+    /// from the interval's first byte on, the first and last cut to it.
     fn walked_access_list(nav: &ListNav, s_lo: u64, s_hi: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut left = s_hi.saturating_sub(s_lo);
-        for run in nav.runs_from(s_lo) {
+        let (disp, ext, segs) = (nav.view.disp, nav.fext(), &nav.list.segs);
+        let runs = (0..).flat_map(|i| segs.iter().map(move |s| (disp + i * ext, s)));
+        let (mut skip, mut left, mut out) = (s_lo, s_hi.saturating_sub(s_lo), Vec::new());
+        for (base, seg) in runs {
             if left == 0 {
                 break;
             }
-            let take = run.len.min(left);
-            out.extend_from_slice(&(run.disp as u64).to_le_bytes());
+            if skip >= seg.len {
+                skip -= seg.len;
+                continue;
+            }
+            let take = (seg.len - skip).min(left);
+            out.extend_from_slice(&(base + seg.offset as u64 + skip).to_le_bytes());
             out.extend_from_slice(&take.to_le_bytes());
-            left -= take;
+            (skip, left) = (0, left - take);
         }
         out
     }
 
-    /// The one-pass access list is the `ListRuns` walk, byte for byte:
+    /// The one-pass access list is the runs spelled out, byte for byte:
     /// filetypes with one and several frames, ragged and gapped blocks, a
     /// leading gap; displacements 0 and off any block; intervals empty,
     /// inside one block, starting and ending mid-block, and spanning

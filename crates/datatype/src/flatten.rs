@@ -9,8 +9,9 @@
 //!   `Nblock · (sizeof(offset) + sizeof(length))` footprint;
 //! * **traversal time** — [`OlList::locate`] performs the linear scan that
 //!   list-based navigation requires (`Nblock/2` entries on average);
-//! * **copy time** — [`OlList::pack`]/[`OlList::unpack`] read one tuple per
-//!   copied block.
+//! * **copy time** — every list-based copy (pack, unpack, and placement into
+//!   and extraction out of a window) is one [`CoWalk`] of two lists that
+//!   reads one tuple per block per list.
 //!
 //! Building the list costs `O(Nblock)` too, at the constant of a competent
 //! baseline: [`OlList::flatten`] fills it as ROMIO does, one tight loop per
@@ -25,8 +26,7 @@
 
 use std::ops::Range;
 
-use crate::kernels::{claim_ahead, Store, Stores, CLAIM_RUNS};
-use crate::typemap::Run;
+use crate::kernels::{claim_ahead, Store, Stores};
 use crate::types::Datatype;
 use lio_obs::LazyCounter;
 
@@ -67,102 +67,280 @@ pub struct OlPos {
     pub within: u64,
 }
 
-/// A forward-only cursor over the data stream of an [`OlList`]: the
-/// list-based engine's way through a typed buffer, one tuple read per
-/// block, whether the other end of the copy is a pack buffer
-/// ([`OlList::pack`]) or the runs of a second list walked side by side.
+/// A forward-only cursor over flat runs: one side of a [`CoWalk`]. Its
+/// state is the tuples it reads, the index of the next one, the position
+/// of the next byte and the bytes left in the run that holds it.
 #[derive(Debug, Clone)]
-pub struct OlCursor<'a> {
-    /// The list from the current block on.
-    segs: &'a [OlSeg],
-    /// Buffer offset of the next data byte.
-    at: i64,
+pub struct RunCursor<'a>(Kind<'a>);
+
+/// A [`RunCursor`] of each source, so that a co-walk is compiled for the
+/// pair it walks.
+#[derive(Debug, Clone)]
+enum Kind<'a> {
+    Segs(Cursor<Segs<'a>>),
+    Wire(Cursor<Wired<'a>>),
 }
 
-impl OlCursor<'_> {
-    /// The buffer range of the next run of the stream, cut to `want`
-    /// bytes; the cursor moves past it. Empty past the end of the list.
-    #[inline]
-    fn next_run(&mut self, want: usize) -> std::ops::Range<usize> {
-        let Some((seg, rest)) = self.segs.split_first() else {
-            return 0..0;
+/// A cursor over `runs`: the position of the next byte (a file offset or
+/// a buffer position) and the bytes left in its run.
+#[derive(Debug, Clone, Copy)]
+struct Cursor<S> {
+    runs: S,
+    at: u64,
+    left: u64,
+}
+
+/// Where a cursor's runs come from: the next run's position and length,
+/// `None` where they end.
+trait Runs: Copy {
+    fn next(&mut self) -> Option<(u64, u64)>;
+}
+
+/// A list tiled every `extent` bytes, the current instance at `base` — a
+/// fileview's runs, at file offsets — or, `extent` 0, read once: a
+/// memtype's runs in its buffer. A contiguous buffer is an empty list
+/// whose one run never ends.
+#[derive(Debug, Clone, Copy)]
+struct Segs<'a> {
+    segs: &'a [OlSeg],
+    i: usize,
+    base: u64,
+    extent: u64,
+}
+
+/// The tuples a collective ships, at file offsets.
+#[derive(Debug, Clone, Copy)]
+struct Wired<'a> {
+    list: OlWire<'a>,
+    i: usize,
+}
+
+impl Runs for Segs<'_> {
+    #[inline(always)]
+    fn next(&mut self) -> Option<(u64, u64)> {
+        let s = match self.segs.get(self.i) {
+            Some(s) => s,
+            None if self.extent == 0 => return None,
+            None => {
+                (self.i, self.base) = (0, self.base + self.extent);
+                self.segs.first()?
+            }
         };
-        let seg_end = seg.offset + seg.len as i64;
-        let end = seg_end.min(self.at.saturating_add(want as i64));
-        let run = self.at as usize..end as usize;
-        if end == seg_end {
-            self.segs = rest;
-            self.at = rest.first().map_or(seg_end, |s| s.offset);
-        } else {
-            self.at = end;
+        self.i += 1;
+        Some((self.base.wrapping_add_signed(s.offset), s.len))
+    }
+}
+
+impl Runs for Wired<'_> {
+    #[inline(always)]
+    fn next(&mut self) -> Option<(u64, u64)> {
+        let tuple = self.list.get(self.i)?;
+        self.i += 1;
+        Some(tuple)
+    }
+}
+
+impl<S: Runs> Cursor<S> {
+    /// Load the next run; `false` where the runs end.
+    #[inline(always)]
+    fn refill(&mut self) -> bool {
+        let next = self.runs.next();
+        if let Some((at, left)) = next {
+            (self.at, self.left) = (at, left);
         }
-        run
+        next.is_some()
     }
 
-    /// Hand `mv` the next `n` stream bytes run by run, as `(stream bytes
-    /// before the run, its buffer range)`; returns the bytes handed out,
-    /// fewer than `n` only where the list ends.
-    #[inline]
-    fn each_run(&mut self, n: usize, mut mv: impl FnMut(usize, std::ops::Range<usize>)) -> usize {
-        let mut done = 0;
-        while done < n {
-            let run = self.next_run(n - done);
-            if run.is_empty() {
+    fn next_at(mut self) -> Option<u64> {
+        (self.left > 0 || self.refill()).then_some(self.at)
+    }
+}
+
+impl<'a> RunCursor<'a> {
+    /// One endless run from position `at` on: a contiguous buffer.
+    pub fn contig(at: usize) -> RunCursor<'a> {
+        static NONE: OlList = OlList { segs: Vec::new() };
+        let mut c = NONE.enter(0, 0, 0);
+        (c.at, c.left) = (at as u64, u64::MAX);
+        RunCursor(Kind::Segs(c))
+    }
+
+    /// The runs of a received access list, from its first tuple.
+    pub fn wire(list: OlWire<'a>) -> RunCursor<'a> {
+        let (runs, at, left) = (Wired { list, i: 0 }, 0, 0);
+        RunCursor(Kind::Wire(Cursor { runs, at, left }))
+    }
+
+    /// Where the next byte lies, if there is one.
+    pub fn next_at(&self) -> Option<u64> {
+        match &self.0 {
+            Kind::Segs(c) => c.next_at(),
+            Kind::Wire(c) => c.next_at(),
+        }
+    }
+}
+
+/// The list-based engine's one copy loop: two [`RunCursor`]s walked side
+/// by side, one copy per piece the two have in common, each tuple of
+/// either read once. The `file` side's positions are file offsets (or a
+/// contiguous buffer's, when packing); the `user` side's are positions in
+/// a user buffer (or a message). A piece of 1–32 B whose length is a power
+/// of two is one load and one store; a longer one streams into a lent
+/// window ([`Stores`]) or claims the user lines after it
+/// ([`claim_ahead`]), as the listless engine's copies do.
+#[derive(Debug, Clone)]
+pub struct CoWalk<'a> {
+    pub file: RunCursor<'a>,
+    pub user: RunCursor<'a>,
+}
+
+impl<'a> CoWalk<'a> {
+    pub fn new(file: RunCursor<'a>, user: RunCursor<'a>) -> CoWalk<'a> {
+        CoWalk { file, user }
+    }
+
+    /// Copy up to `n` stream bytes out of `src` (the user side) into `win`,
+    /// which holds file bytes `[lo, lo + win.len())`, until the file side
+    /// leaves the window; each piece stored as `stores` says. Returns the
+    /// bytes copied. `profile` feeds the access-pattern profiler one record
+    /// per file-side run.
+    pub fn place(
+        &mut self,
+        win: &mut [u8],
+        lo: u64,
+        src: &[u8],
+        n: usize,
+        stores: &mut Stores,
+        profile: bool,
+    ) -> usize {
+        let hi = lo + win.len() as u64;
+        self.walk((lo, hi, n), profile, &mut (win, src, stores))
+    }
+
+    /// [`CoWalk::place`] the other way: up to `n` stream bytes out of `win`
+    /// into `dst`, claiming the user lines after each piece of 256 B–4 KiB.
+    pub fn extract(
+        &mut self,
+        win: &[u8],
+        lo: u64,
+        dst: &mut [u8],
+        n: usize,
+        profile: bool,
+    ) -> usize {
+        let hi = lo + win.len() as u64;
+        self.walk((lo, hi, n), profile, &mut (win, dst))
+    }
+
+    /// The co-walk compiled for the two cursors' sources and for whether it
+    /// profiles; the bytes moved.
+    fn walk(&mut self, bounds: (u64, u64, usize), profile: bool, copy: &mut impl Piece) -> usize {
+        let moved = match (profile, &mut self.file.0, &mut self.user.0) {
+            (false, Kind::Segs(f), Kind::Segs(u)) => co_walk::<false, _, _>(f, u, bounds, copy),
+            (false, Kind::Segs(f), Kind::Wire(u)) => co_walk::<false, _, _>(f, u, bounds, copy),
+            (false, Kind::Wire(f), Kind::Segs(u)) => co_walk::<false, _, _>(f, u, bounds, copy),
+            (false, Kind::Wire(f), Kind::Wire(u)) => co_walk::<false, _, _>(f, u, bounds, copy),
+            (true, Kind::Segs(f), Kind::Segs(u)) => co_walk::<true, _, _>(f, u, bounds, copy),
+            (true, Kind::Segs(f), Kind::Wire(u)) => co_walk::<true, _, _>(f, u, bounds, copy),
+            (true, Kind::Wire(f), Kind::Segs(u)) => co_walk::<true, _, _>(f, u, bounds, copy),
+            (true, Kind::Wire(f), Kind::Wire(u)) => co_walk::<true, _, _>(f, u, bounds, copy),
+        };
+        crate::ff::OBS_COPY_BYTES.add(moved as u64);
+        moved
+    }
+}
+
+/// The co-walk: `copy` every common piece of `file` and `user`, given as
+/// (window position, user position, length), until `n` bytes are moved,
+/// the file side reaches `hi` or either side ends. With `PROFILE`, each
+/// file-side run inside the window is one profiler record.
+#[inline(always)]
+fn co_walk<const PROFILE: bool, F: Runs, U: Runs>(
+    file: &mut Cursor<F>,
+    user: &mut Cursor<U>,
+    (lo, hi, n): (u64, u64, usize),
+    copy: &mut impl Piece,
+) -> usize {
+    // the cursors as locals, so that they live in registers
+    let (mut f, mut u) = (*file, *user);
+    let mut moved = 0usize;
+    let (mut fresh, mut prev_end) = (true, u64::MAX);
+    while moved < n {
+        if f.left == 0 {
+            if !f.refill() {
                 break;
             }
-            let len = run.len();
-            mv(done, run);
-            done += len;
+            fresh = true;
         }
-        done
-    }
-
-    /// Copy the next `out.len()` stream bytes out of the typed buffer
-    /// `src`, each run of them stored into `out` as `stores` says; returns
-    /// the bytes copied, fewer only where the list ends.
-    #[inline]
-    pub fn read(&mut self, src: &[u8], out: &mut [u8], stores: &mut Stores) -> usize {
-        if stores.streams(out.len()) {
-            return self.read_streaming(src, out, stores);
+        if f.at >= hi {
+            break;
         }
-        self.each_run(out.len(), |done, run| {
-            out[done..done + run.len()].copy_from_slice(&src[run]);
-        })
-    }
-
-    /// [`OlCursor::read`] into bytes long enough to hold a run that
-    /// streams, out of line as [`OlCursor::write_claiming`] is.
-    #[inline(never)]
-    fn read_streaming(&mut self, src: &[u8], out: &mut [u8], stores: &mut Stores) -> usize {
-        self.each_run(out.len(), |done, run| {
-            stores.copy(&mut out[done..done + run.len()], &src[run]);
-        })
-    }
-
-    /// Copy `data` to where the next `data.len()` stream bytes lie in the
-    /// typed buffer `dst`, claiming the lines after each run first
-    /// ([`claim_ahead`]); returns the bytes copied, as [`OlCursor::read`].
-    #[inline]
-    pub fn write(&mut self, data: &[u8], dst: &mut [u8]) -> usize {
-        if data.len() >= *CLAIM_RUNS.start() {
-            return self.write_claiming(data, dst);
+        debug_assert!(f.at >= lo, "a run starts before the window");
+        let run = f.left.min(hi - f.at).min((n - moved) as u64);
+        if PROFILE && fresh {
+            let gap = f.at.saturating_sub(prev_end);
+            lio_obs::profile::record_run(run, gap, f.at == prev_end);
+            (fresh, prev_end) = (false, f.at + run);
         }
-        self.each_run(data.len(), |done, run| {
-            let len = run.len();
-            dst[run].copy_from_slice(&data[done..done + len]);
-        })
+        if u.left == 0 && !u.refill() {
+            break;
+        }
+        let len = run.min(u.left);
+        copy.copy((f.at - lo) as usize, u.at as usize, len as usize);
+        (f.at, f.left) = (f.at + len, f.left - len);
+        (u.at, u.left) = (u.at + len, u.left - len);
+        moved += len as usize;
     }
+    (*file, *user) = (f, u);
+    moved
+}
 
-    /// [`OlCursor::write`] of data long enough to hold a run that claims,
-    /// out of line: the loop of short writes stays as small as it was.
-    #[inline(never)]
-    fn write_claiming(&mut self, data: &[u8], dst: &mut [u8]) -> usize {
-        self.each_run(data.len(), |done, run| {
-            let len = run.len();
-            claim_ahead(dst, run.clone());
-            dst[run].copy_from_slice(&data[done..done + len]);
-        })
+/// How a co-walk copies a piece: `len` bytes between window position `w`
+/// and user position `u`.
+trait Piece {
+    fn copy(&mut self, w: usize, u: usize, len: usize);
+}
+
+/// A placement: user bytes into the window, stored as the `Stores` say.
+impl Piece for (&mut [u8], &[u8], &mut Stores) {
+    #[inline(always)]
+    fn copy(&mut self, w: usize, u: usize, len: usize) {
+        let (dst, src) = (&mut self.0[w..w + len], &self.1[u..u + len]);
+        if !copy_short(dst, src) {
+            self.2.copy(dst, src);
+        }
     }
+}
+
+/// An extraction: window bytes into the user buffer, its lines claimed.
+impl Piece for (&[u8], &mut [u8]) {
+    #[inline(always)]
+    fn copy(&mut self, w: usize, u: usize, len: usize) {
+        let src = &self.0[w..w + len];
+        if !copy_short(&mut self.1[u..u + len], src) {
+            claim_ahead(self.1, u..u + len);
+            self.1[u..u + len].copy_from_slice(src);
+        }
+    }
+}
+
+/// Copy a piece of 1–32 B whose length is a power of two as one load and
+/// one store (the lengths `strided::strided_copy`'s fixed-width blocks
+/// cover); `false`, copying nothing, for any other length.
+#[inline(always)]
+fn copy_short(dst: &mut [u8], src: &[u8]) -> bool {
+    fn fixed<const B: usize>(dst: &mut [u8], src: &[u8]) {
+        dst[..B].copy_from_slice(&src[..B]);
+    }
+    match dst.len() {
+        1 => fixed::<1>(dst, src),
+        2 => fixed::<2>(dst, src),
+        4 => fixed::<4>(dst, src),
+        8 => fixed::<8>(dst, src),
+        16 => fixed::<16>(dst, src),
+        32 => fixed::<32>(dst, src),
+        _ => return false,
+    }
+    true
 }
 
 impl OlList {
@@ -187,18 +365,6 @@ impl OlList {
             OBS_FLATTEN_BYTES.add(list.memory_bytes() as u64);
         }
         list
-    }
-
-    /// Build directly from runs, dropping empty ones and merging the rest
-    /// as [`OlList::flatten`] does.
-    pub fn from_runs(runs: impl IntoIterator<Item = Run>) -> OlList {
-        let mut segs: Vec<OlSeg> = Vec::new();
-        for run in runs {
-            if run.len > 0 {
-                push_merged(&mut segs, run.disp, run.len);
-            }
-        }
-        OlList { segs }
     }
 
     /// Number of blocks — the paper's `Nblock` after merging.
@@ -272,16 +438,37 @@ impl OlList {
 
     /// A cursor at the `skipbytes`-th data byte, found by [`OlList::locate`]'s
     /// linear traversal; past the end of the data it yields nothing.
-    pub fn cursor(&self, skipbytes: u64) -> OlCursor<'_> {
-        let (seg, within) = match self.locate(skipbytes) {
-            Some(p) => (p.seg, p.within as i64),
-            None => (self.segs.len(), 0),
+    pub fn cursor(&self, skipbytes: u64) -> RunCursor<'_> {
+        RunCursor(Kind::Segs(self.enter(0, 0, skipbytes)))
+    }
+
+    /// A cursor at byte `stream` of this list tiled from byte `base` every
+    /// `extent` bytes, `size` data bytes per instance (a fileview's stream,
+    /// at file offsets), found by the linear [`OlList::locate`] of its
+    /// place in the instance.
+    pub fn tiled_cursor(&self, base: u64, extent: u64, size: u64, stream: u64) -> RunCursor<'_> {
+        let base = base + stream / size * extent;
+        RunCursor(Kind::Segs(self.enter(base, extent, stream % size)))
+    }
+
+    /// The cursor of this list tiled from `base` every `extent` bytes (read
+    /// once, `extent` 0) at the `skipbytes`-th byte of its first instance.
+    fn enter(&self, base: u64, extent: u64, skipbytes: u64) -> Cursor<Segs<'_>> {
+        let (i, at, left) = match self.locate(skipbytes) {
+            Some(OlPos { seg, within }) => {
+                let s = self.segs[seg];
+                (seg + 1, s.offset + within as i64, s.len - within)
+            }
+            None => (self.segs.len(), 0, 0),
         };
-        let segs = &self.segs[seg..];
-        OlCursor {
+        let (segs, at) = (&self.segs[..], base.wrapping_add_signed(at));
+        let runs = Segs {
             segs,
-            at: segs.first().map_or(0, |s| s.offset + within),
-        }
+            i,
+            base,
+            extent,
+        };
+        Cursor { runs, at, left }
     }
 
     /// Pack typed data into `packbuf`, skipping the first `skipbytes` data
@@ -289,17 +476,16 @@ impl OlList {
     /// loop with its per-block tuple read. Returns bytes copied.
     pub fn pack(&self, src: &[u8], skipbytes: u64, packbuf: &mut [u8]) -> usize {
         let stores = &mut Stores::new(Store::Cached);
-        let out = self.cursor(skipbytes).read(src, packbuf, stores);
-        crate::ff::OBS_COPY_BYTES.add(out as u64);
-        out
+        let n = packbuf.len();
+        CoWalk::new(RunCursor::contig(0), self.cursor(skipbytes))
+            .place(packbuf, 0, src, n, stores, false)
     }
 
     /// Unpack packed data into a typed buffer, skipping the first
     /// `skipbytes` data bytes. Returns bytes copied.
     pub fn unpack(&self, packbuf: &[u8], dst: &mut [u8], skipbytes: u64) -> usize {
-        let consumed = self.cursor(skipbytes).write(packbuf, dst);
-        crate::ff::OBS_COPY_BYTES.add(consumed as u64);
-        consumed
+        let n = packbuf.len();
+        CoWalk::new(RunCursor::contig(0), self.cursor(skipbytes)).extract(packbuf, 0, dst, n, false)
     }
 
     /// The wire form ([`OlWire`]) of the stream bytes `stream` of this list
@@ -382,6 +568,39 @@ impl OlList {
         OBS_MERGE_TUPLES.add(consumed);
         OlList { segs }
     }
+}
+
+/// Whether the tilings of `types`, all of period `extent`, are disjoint:
+/// one instance of each, folded onto `[0, extent)` (a byte past an
+/// instance's extent lands where the next instance's would), merged
+/// ([`OlList::merge_lists`], counted in `dt.merge.tuples`) — no byte lies
+/// in two of them iff the union holds all their bytes.
+pub fn disjoint_tilings(types: &[Datatype], extent: u64) -> bool {
+    if extent == 0 {
+        return false;
+    }
+    let mut total = 0u64;
+    let folded: Vec<Vec<OlSeg>> = (types.iter())
+        .map(|d| {
+            let mut segs = Vec::new();
+            d.program().expand(1, &mut |offset, len| {
+                let (mut at, mut left) = (offset.rem_euclid(extent as i64), len);
+                while left > 0 {
+                    let take = left.min(extent - at as u64);
+                    segs.push(OlSeg {
+                        offset: at,
+                        len: take,
+                    });
+                    (at, left) = (0, left - take);
+                }
+            });
+            segs.sort_unstable_by_key(|s| s.offset);
+            total += d.size();
+            segs
+        })
+        .collect();
+    let merged = OlList::merge_lists(folded.iter().map(|l| l.iter().copied()));
+    merged.total_data() == total
 }
 
 /// An ol-list as a collective ships it ([`OlList::encode_tiled`]), read
@@ -538,17 +757,21 @@ mod tests {
         let l = OlList::flatten(&d, 1);
         let full = reference_pack(&src, &d, 1);
         for skip in 0..=full.len() {
-            // pieces that cut blocks and span several
-            let mut cur = l.cursor(skip as u64);
+            // pieces that cut blocks and span several, one walk across both
+            let mut walk = CoWalk::new(RunCursor::contig(0), l.cursor(skip as u64));
             let stores = &mut Stores::new(Store::Cached);
             let mut got = vec![0u8; full.len() - skip];
             let (head, tail) = got.split_at_mut(5.min(full.len() - skip));
-            assert_eq!(cur.read(&src, head, stores), head.len());
-            assert_eq!(cur.read(&src, tail, stores), tail.len());
+            let (cut, rest) = (head.len(), tail.len());
+            assert_eq!(walk.place(head, 0, &src, 99, stores, false), cut);
+            let placed = walk.place(tail, cut as u64, &src, rest, stores, false);
+            assert_eq!(placed, rest);
             assert_eq!(got, full[skip..], "skip {skip}");
             // past the end of the list nothing moves, either way
-            assert_eq!(cur.read(&src, &mut [0u8; 4], stores), 0);
-            assert_eq!(cur.write(&[1u8; 4], &mut src.clone()), 0);
+            let end = (full.len() - skip) as u64;
+            let place = walk.place(&mut [0u8; 4], end, &src, 4, stores, false);
+            let extract = walk.extract(&[1u8; 4], end, &mut src.clone(), 4, false);
+            assert_eq!((place, extract), (0, 0));
         }
     }
 

@@ -15,7 +15,8 @@
 //!   [`FlatIter`], the per-run tree walk, is the tests' reference oracle
 //!   and the benches' tree-walk baseline, nothing else; a collective's
 //!   access lists travel as [`OlWire`] tuples ([`OlList::encode_tiled`])
-//!   and merge through [`OlList::merge_lists`];
+//!   and merge through [`OlList::merge_lists`]; every list-based copy is
+//!   one [`CoWalk`] of two lists' [`RunCursor`]s;
 //! * [`ff_pack`], [`ff_unpack`], [`ff_size`], [`ff_extent`] —
 //!   **flattening-on-the-fly**, the paper's listless alternative:
 //!   `O(depth)` seek, `O(depth · log k)` navigation, and pack/unpack whose
@@ -69,7 +70,7 @@ pub use ff::{
     bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_transfer_from,
     ff_transfer_to, ff_unpack, ff_unpack_at,
 };
-pub use flatten::{OlCursor, OlList, OlPos, OlSeg, OlWire, TUPLE_BYTES};
+pub use flatten::{disjoint_tilings, CoWalk, OlList, OlPos, OlSeg, OlWire, RunCursor, TUPLE_BYTES};
 pub use iter::FlatIter;
 pub use program::RunProgram;
 pub use strided::StridedSpec;

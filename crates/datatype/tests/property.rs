@@ -1012,3 +1012,140 @@ fn transfer_equals_pack_then_unpack_on_random_pairs() {
         }
     }
 }
+
+/// A random monotone list of 1–8 runs for the co-walk: blocks of 1–32 B
+/// that are a power of two, odd ones, and runs of 256 B or more that
+/// stream and claim, with gaps of 0–23 B (a zero gap merges two blocks).
+fn arb_runs(rng: &mut Rng) -> Datatype {
+    let (mut lens, mut disps, mut at) = (Vec::new(), Vec::new(), 0i64);
+    for _ in 0..rng.range(1, 9) {
+        let len = match rng.range(0, 4) {
+            0 | 1 => 1 << rng.range(0, 6),
+            2 => 2 * rng.range(0, 20) + 1,
+            _ => rng.range(256, 700),
+        };
+        at += rng.range(0, 24) as i64;
+        lens.push(len);
+        disps.push(at);
+        at += len as i64;
+    }
+    let d = Datatype::hindexed(&lens, &disps, &Datatype::byte()).unwrap();
+    Datatype::resized(&d, 0, at as u64 + rng.range(0, 24)).unwrap()
+}
+
+/// The positions of stream bytes `0..total` of `count` instances of `d`
+/// shifted by `base`, from the reference expansion.
+fn positions(d: &Datatype, count: u64, base: u64) -> Vec<usize> {
+    expand(d, count)
+        .into_iter()
+        .flat_map(|r| (0..r.len).map(move |i| (base as i64 + r.disp) as usize + i as usize))
+        .collect()
+}
+
+/// The list-based co-walk against the reference expansion: a view's list
+/// tiled from a displacement (or the access list it ships) walked beside a
+/// memtype's list (or a contiguous buffer), from a random stream byte on,
+/// through windows that cut runs, placing under both stores and
+/// extracting; and the memtype's pack and unpack at every skip.
+#[test]
+fn co_walk_matches_the_typemap() {
+    use lio_datatype::kernels::{Store, Stores};
+    use lio_datatype::{CoWalk, OlWire, RunCursor};
+    for case in 0..48 {
+        let mut rng = Rng::new(0xC0 ^ case);
+        let (ft, mt) = (arb_runs(&mut rng), arb_runs(&mut rng));
+        let (disp, mcount) = (rng.range(0, 50), rng.range(1, 4));
+        let user_pos = positions(&mt, mcount, 0);
+        let total = user_pos.len() as u64;
+        let finst = total.div_ceil(ft.size());
+        let file_pos = positions(&ft, finst, disp);
+        let file_len = disp as usize + (ft.extent() * finst) as usize;
+        let user_len = (mt.extent() * mcount) as usize;
+        let flist = OlList::flatten(&ft, 1);
+        let mlist = OlList::flatten(&mt, mcount);
+        let image: Vec<u8> = (0..file_len).map(|i| (i * 7 % 253) as u8 + 1).collect();
+        let user: Vec<u8> = (0..user_len).map(|i| (i * 11 % 251) as u8 + 1).collect();
+        for round in 0..8 {
+            let skip = rng.range(0, total + 1);
+            let contig = round % 3 == 2;
+            let wired = round % 2 == 1;
+            let ctx =
+                format!("case {case} round {round} skip {skip} contig {contig} wired {wired}");
+            // where stream byte s lies on the user side
+            let upos = |s: u64| match contig {
+                true => s as usize,
+                false => user_pos[s as usize],
+            };
+            let user_cursor = || match contig {
+                true => RunCursor::contig(skip as usize),
+                false => mlist.cursor(skip),
+            };
+            let list = flist.encode_tiled(disp, ft.extent(), ft.size(), skip..total);
+            let file_cursor = || match wired {
+                true => RunCursor::wire(OlWire::new(&list).unwrap()),
+                false => flist.tiled_cursor(disp, ft.extent(), ft.size(), skip),
+            };
+            // windows from the first byte on, 1–299 B each
+            let mut cuts = vec![file_pos.get(skip as usize).copied().unwrap_or(file_len)];
+            while *cuts.last().unwrap() < file_len {
+                let next = cuts.last().unwrap() + rng.range(1, 300) as usize;
+                cuts.push(next.min(file_len));
+            }
+            for store in [Store::Cached, Store::Stream] {
+                let mut walk = CoWalk::new(file_cursor(), user_cursor());
+                let mut file = vec![0u8; file_len];
+                let (mut want, mut moved) = (vec![0u8; file_len], 0);
+                for s in skip..total {
+                    want[file_pos[s as usize]] = user[upos(s)];
+                }
+                for w in cuts.windows(2) {
+                    let stores = &mut Stores::new(store);
+                    let (win, rest) = (&mut file[w[0]..w[1]], (total - skip) as usize - moved);
+                    moved += walk.place(win, w[0] as u64, &user, rest, stores, false);
+                }
+                assert_eq!(moved as u64, total - skip, "{ctx} {store:?}: placed");
+                assert_eq!(file, want, "{ctx} {store:?}: the file");
+            }
+            let mut walk = CoWalk::new(file_cursor(), user_cursor());
+            let mut out = vec![0u8; user_len.max(total as usize)];
+            let mut want = out.clone();
+            for s in skip..total {
+                want[upos(s)] = image[file_pos[s as usize]];
+            }
+            let mut moved = 0;
+            for w in cuts.windows(2) {
+                let (win, rest) = (&image[w[0]..w[1]], (total - skip) as usize - moved);
+                let n = (rng.range(0, 400) as usize).min(rest);
+                let got = walk.extract(win, w[0] as u64, &mut out, n, false);
+                assert!(got <= n, "{ctx}: extracted past n");
+                moved += got;
+                // what n held back is left for the rest of the window
+                moved += walk.extract(win, w[0] as u64, &mut out, rest - got, false);
+            }
+            assert_eq!(moved as u64, total - skip, "{ctx}: extracted");
+            assert_eq!(out, want, "{ctx}: the user buffer");
+        }
+        // pack and unpack at every skip, some short of the end
+        let full = reference_pack(&user, &mt, mcount);
+        for skip in 0..=total as usize {
+            let cap = rng.range(0, 80) as usize;
+            let end = (skip + cap).min(full.len());
+            let mut packed = vec![0u8; cap];
+            let got = mlist.pack(&user, skip as u64, &mut packed);
+            assert_eq!(
+                &packed[..got],
+                &full[skip..end],
+                "case {case} pack skip {skip}"
+            );
+            let mut back = user.clone();
+            let data: Vec<u8> = (0..cap).map(|i| i as u8 ^ 0x5A).collect();
+            let put = mlist.unpack(&data, &mut back, skip as u64);
+            assert_eq!(put, end - skip, "case {case} unpack skip {skip}");
+            let mut want = user.clone();
+            for (s, &b) in (skip..end).zip(&data) {
+                want[user_pos[s]] = b;
+            }
+            assert_eq!(back, want, "case {case} unpack skip {skip}");
+        }
+    }
+}
