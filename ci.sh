@@ -117,7 +117,9 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # same three axes — and the overlapping-view suite (`overlap`): where two
 # ranks' views overlap or leave holes, a collective write must leave every
 # byte no view holds as the file had it, on staged storage and on the
-# environment's.
+# environment's — and the random-view corpus (`random_views`): the same
+# for drawn views, disjoint, identical, shifted or of another extent, and
+# disjoint ones must leave the naive reference's file.
 # These are debug builds, so the scratch arena's 0xA5 poison is on.
 
 # Real-storage backend: the collective + pipeline + fault + geometry +
@@ -153,7 +155,7 @@ echo "== backend corpus LIO_BACKEND={mem,os}"
 for be in mem os; do
   echo "  -- LIO_BACKEND=$be"
   LIO_BACKEND=$be \
-    cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap
+    cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap --test random_views
 done
 
 # Every telemetry layer armed at once: the collective + pipeline + fault
@@ -210,14 +212,14 @@ LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench pack_overhead
 # placement that ships.
 # On failure, replay the exact schedule with:
 #   LIO_FAULT_SEED=<seed> \
-#     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap
+#     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap --test random_views
 ROTATING_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5EED)"
 for seed in 7 0xBAD5EED 0x5C032003 "$ROTATING_SEED"; do
   echo "== fault corpus: LIO_FAULT_SEED=$seed"
   if ! LIO_FAULT_SEED=$seed \
-      cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap; then
+      cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap --test random_views; then
     echo "FAULT CORPUS FAILURE — replay with:"
-    echo "  LIO_FAULT_SEED=$seed cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap"
+    echo "  LIO_FAULT_SEED=$seed cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap --test random_views"
     exit 1
   fi
 done

@@ -417,7 +417,8 @@ fn table3(opts: &Opts) {
 /// the coverage merge of two interleaved received lists and the co-walk
 /// that copies a view's blocks out of a strided buffer are each timed as
 /// the median of several runs and also given per tuple (per block, the
-/// co-walk): the unit costs a list-based model composes.
+/// co-walk, of two lists and of one list beside a contiguous buffer): the
+/// unit costs a list-based model composes.
 fn overheads() {
     use lio_datatype::kernels::{Store, Stores};
     use lio_datatype::{ff_offset, serialize, CoWalk, Datatype, OlList, OlWire};
@@ -438,10 +439,10 @@ fn overheads() {
     }
     println!("# overheads: the paper's Section 2.4 inventory, measured");
     let mut csv = String::from(
-        "nblock,ol_bytes,compact_bytes,flatten_us,flatten_ns_per_tuple,build_ns_per_tuple,merge_ns_per_tuple,cowalk_ns_per_block,encode_us,nav_linear_us,nav_ff_us\n",
+        "nblock,ol_bytes,compact_bytes,flatten_us,flatten_ns_per_tuple,build_ns_per_tuple,merge_ns_per_tuple,cowalk_ns_per_block,cowalk1_ns_per_block,encode_us,nav_linear_us,nav_ff_us\n",
     );
     println!(
-        "{:>8} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
+        "{:>8} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
         "Nblock",
         "ol-list B",
         "compact B",
@@ -450,6 +451,7 @@ fn overheads() {
         "build ns",
         "merge ns",
         "copy ns",
+        "copy1 ns",
         "encode us",
         "nav-lin us",
         "nav-ff us"
@@ -491,6 +493,11 @@ fn overheads() {
                 .place(&mut win, 0, &user, size as usize, stores, false)
         });
         let copy_ns = copy_us * 1e3 / tuples;
+        // one list: the same blocks packed from the user buffer, the
+        // memtype's list walked beside a contiguous buffer
+        let mut packed = vec![0u8; size as usize];
+        let copy1_us = median_us(|| ol.pack(&user, 0, &mut packed));
+        let copy1_ns = copy1_us * 1e3 / tuples;
 
         let t = Instant::now();
         let compact = serialize::encode(&d);
@@ -507,7 +514,7 @@ fn overheads() {
         assert_eq!(a, b);
 
         println!(
-            "{:>8} {:>12} {:>10} {:>12.1} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.1} {:>12.2} {:>10.2}",
+            "{:>8} {:>12} {:>10} {:>12.1} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.1} {:>12.2} {:>10.2}",
             nblock,
             ol_bytes,
             compact.len(),
@@ -516,13 +523,14 @@ fn overheads() {
             build_ns,
             merge_ns,
             copy_ns,
+            copy1_ns,
             encode_us,
             nav_linear_us,
             nav_ff_us
         );
         writeln!(
             csv,
-            "{nblock},{ol_bytes},{},{flatten_us:.1},{ns_per_tuple:.2},{build_ns:.2},{merge_ns:.2},{copy_ns:.2},{encode_us:.1},{nav_linear_us:.2},{nav_ff_us:.2}",
+            "{nblock},{ol_bytes},{},{flatten_us:.1},{ns_per_tuple:.2},{build_ns:.2},{merge_ns:.2},{copy_ns:.2},{copy1_ns:.2},{encode_us:.1},{nav_linear_us:.2},{nav_ff_us:.2}",
             compact.len()
         )
         .unwrap();

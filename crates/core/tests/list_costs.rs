@@ -2,8 +2,10 @@
 //! the Figure-4 view with a strided memtype, what an independent and a
 //! collective write and read-back of the list-based engine flatten
 //! (`dt.flatten.{calls,entries,bytes}`), ship between ranks as per-IOP
-//! access lists (`core.coll.exchange.list_bytes`) and merge to find the
-//! windows a collective write covers (`dt.merge.tuples`).
+//! access lists (`core.coll.exchange.list_bytes`), merge to find the
+//! windows a collective write covers (`dt.merge.tuples`) and copy in
+//! batches of equal short blocks (`dt.cowalk.batched_bytes`) — none on a
+//! view of 1280 B tile rows.
 //!
 //! The numbers are fixed by the shapes: setting the view flattens one
 //! filetype instance per rank; every access flattens its memtype; every
@@ -18,7 +20,7 @@ mod common;
 
 use common::{figure4_filetype, pattern, Staged};
 use lio_core::{File, Hints, SharedFile};
-use lio_datatype::Datatype;
+use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
 use lio_pfs::MemFile;
 
@@ -40,6 +42,8 @@ struct Lists {
     exchanged: u64,
     /// Tuples the IOPs' coverage merge consumed.
     merged: u64,
+    /// Bytes the co-walks copied in batches of equal short blocks.
+    batched: u64,
 }
 
 /// What one phase of both ranks recorded.
@@ -51,16 +55,36 @@ fn lists(before: &lio_obs::Snapshot, after: &lio_obs::Snapshot) -> Lists {
         bytes: delta("dt.flatten.bytes"),
         exchanged: delta("core.coll.exchange.list_bytes"),
         merged: delta("dt.merge.tuples"),
+        batched: delta("dt.cowalk.batched_bytes"),
     }
+}
+
+/// Rank `me`'s filetype, memtype and memtype count: the Figure-4 view
+/// with the strided memtype, or, `tile`, 4 × 4 rows of 1280 B of a
+/// subarray on both sides, as the `coll-tile` benchmark's.
+fn shape(me: u64, tile: bool) -> (Datatype, Datatype, u64) {
+    if !tile {
+        let memtype = Datatype::vector(NBLOCK, 1, 2, &Datatype::basic(SBLOCK as u32)).unwrap();
+        return (figure4_filetype(me, 2, NBLOCK, SBLOCK), memtype, COUNT);
+    }
+    let point = Datatype::basic(40);
+    let sub = |sizes: &[u64], starts: &[u64]| {
+        Datatype::subarray(sizes, &[4, 4, 32], starts, Order::C, &point).unwrap()
+    };
+    (
+        sub(&[4, 4, 64], &[0, 0, 32 * me]),
+        sub(&[6, 6, 34], &[1, 1, 1]),
+        1,
+    )
 }
 
 /// Set the view, write and read back on `shared`, armed; the counts of
 /// each phase.
-fn phases(shared: SharedFile, collective: bool) -> Vec<(&'static str, Lists)> {
+fn phases(shared: SharedFile, collective: bool, tile: bool) -> Vec<(&'static str, Lists)> {
     let snaps = World::run(2, |comm| {
         let me = comm.rank() as u64;
-        let memtype = Datatype::vector(NBLOCK, 1, 2, &Datatype::basic(SBLOCK as u32)).unwrap();
-        let len = ((COUNT - 1) * memtype.extent()) as usize + memtype.data_ub() as usize;
+        let (filetype, memtype, count) = shape(me, tile);
+        let len = ((count - 1) * memtype.extent()) as usize + memtype.data_ub() as usize;
         let user = pattern(len, me + 1);
         let mut back = vec![0u8; len];
         let mut f = File::open(comm, shared.clone(), Hints::list_based()).unwrap();
@@ -78,27 +102,26 @@ fn phases(shared: SharedFile, collective: bool) -> Vec<(&'static str, Lists)> {
             lio_obs::set_enabled(true);
         }
         mark(comm);
-        f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
-            .unwrap();
+        f.set_view(0, Datatype::byte(), filetype).unwrap();
         mark(comm);
         if collective {
-            f.write_at_all(0, &user, COUNT, &memtype).unwrap();
+            f.write_at_all(0, &user, count, &memtype).unwrap();
         } else {
-            f.write_at(0, &user, COUNT, &memtype).unwrap();
+            f.write_at(0, &user, count, &memtype).unwrap();
         }
         mark(comm);
         if collective {
-            f.read_at_all(0, &mut back, COUNT, &memtype).unwrap();
+            f.read_at_all(0, &mut back, count, &memtype).unwrap();
         } else {
-            f.read_at(0, &mut back, COUNT, &memtype).unwrap();
+            f.read_at(0, &mut back, count, &memtype).unwrap();
         }
         mark(comm);
         if me == 0 {
             lio_obs::set_enabled(false);
         }
         assert_eq!(
-            common::reference_stream(&back, &memtype, COUNT),
-            common::reference_stream(&user, &memtype, COUNT),
+            common::reference_stream(&back, &memtype, count),
+            common::reference_stream(&user, &memtype, count),
             "rank {me} reads back what it wrote"
         );
         snaps
@@ -111,38 +134,54 @@ fn phases(shared: SharedFile, collective: bool) -> Vec<(&'static str, Lists)> {
 }
 
 /// Exact counts, one per phase: how a list is built must not change what
-/// is built, shipped, walked and merged.
+/// is built, shipped, walked and merged, nor which bytes a batch copies.
 #[test]
 fn list_based_ops_build_and_ship_the_same_lists() {
-    let counts = |calls, entries, bytes, exchanged, merged| Lists {
+    let counts = |calls, entries, bytes, exchanged, merged, batched| Lists {
         calls,
         entries,
         bytes,
         exchanged,
         merged,
+        batched,
     };
     let lending = || SharedFile::new(MemFile::new());
     let staged = || SharedFile::new(Staged(MemFile::new()));
     // a view: one filetype instance of NBLOCK = 256 blocks per rank, two
     // ranks, 16 B a tuple
-    let view = || ("set_view", counts(2, 512, 8_192, 0, 0));
-    // an access: COUNT = 3 memtype instances per rank, 3·256 − 2 tuples
-    let access = |what, exchanged, merged| (what, counts(2, 1_532, 24_512, exchanged, merged));
+    let view = || ("set_view", counts(2, 512, 8_192, 0, 0, 0));
+    // an access: COUNT = 3 memtype instances per rank, 3·256 − 2 tuples.
+    // Its 8 B blocks are copied in batches but for a call's first block,
+    // where both cursors stand inside a run, and two at each of a rank's
+    // two seams (a 16 B memtype run where instances abut)
+    let access = |what, exchanged, merged, batched| {
+        (what, counts(2, 1_532, 24_512, exchanged, merged, batched))
+    };
+    // a sieve: one call a rank, 12 288 bytes − 2·(8 + 2·16)
+    const SIEVED: u64 = 12_208;
     for (storage, shared) in [("lending", lending()), ("staged", staged())] {
         assert_eq!(
-            phases(shared, false),
-            vec![view(), access("write", 0, 0), access("read", 0, 0)],
+            phases(shared, false, false),
+            vec![
+                view(),
+                access("write", 0, 0, SIEVED),
+                access("read", 0, 0, SIEVED)
+            ],
             "independent, {storage}"
         );
     }
+    // a collective copies 1.5 bytes a user byte; a rank's pack (unpack)
+    // starts inside a run on both sides and its own walk on the user side,
+    // the walk of a message on neither: 18 432 − 2·(8 + 8 + 2·16)
+    const COLL: u64 = 18_336;
     // a collective ships each rank's 384 runs in the other rank's domain;
     // on storage that lends every window, nothing is merged
     assert_eq!(
-        phases(lending(), true),
+        phases(lending(), true, false),
         vec![
             view(),
-            access("write", 12_288, 0),
-            access("read", 12_288, 0)
+            access("write", 12_288, 0, COLL),
+            access("read", 12_288, 0, COLL)
         ],
         "collective, lending"
     );
@@ -150,12 +189,25 @@ fn list_based_ops_build_and_ship_the_same_lists() {
     // the one it received: Σ_p N(p) over both domains, as before the
     // merge waited for a staged window
     assert_eq!(
-        phases(staged(), true),
+        phases(staged(), true, false),
         vec![
             view(),
-            access("write", 12_288, MERGED),
-            access("read", 12_288, 0)
+            access("write", 12_288, MERGED, COLL),
+            access("read", 12_288, 0, COLL)
         ],
         "collective, staged"
     );
+    // tile rows of 1280 B take the piece loop: nothing is batched
+    for collective in [false, true] {
+        for (what, lists) in phases(staged(), collective, true) {
+            assert_eq!(
+                lists.batched, 0,
+                "tile rows, collective {collective}: {what}"
+            );
+            assert!(
+                lists.calls > 0,
+                "tile rows, collective {collective}: {what}"
+            );
+        }
+    }
 }

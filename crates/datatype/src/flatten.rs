@@ -34,6 +34,7 @@ static OBS_FLATTEN_CALLS: LazyCounter = LazyCounter::new("dt.flatten.calls");
 static OBS_FLATTEN_ENTRIES: LazyCounter = LazyCounter::new("dt.flatten.entries");
 static OBS_FLATTEN_BYTES: LazyCounter = LazyCounter::new("dt.flatten.bytes");
 static OBS_MERGE_TUPLES: LazyCounter = LazyCounter::new("dt.merge.tuples");
+static OBS_BATCHED_BYTES: LazyCounter = LazyCounter::new("dt.cowalk.batched_bytes");
 
 /// The bytes one `⟨offset, length⟩` tuple takes in a message: two
 /// little-endian 64-bit words.
@@ -92,8 +93,13 @@ struct Cursor<S> {
 
 /// Where a cursor's runs come from: the next run's position and length,
 /// `None` where they end.
-trait Runs: Copy {
+trait Runs: Copy + Lane {
     fn next(&mut self) -> Option<(u64, u64)>;
+
+    /// The next run's length, the runs left as they are.
+    fn peek(mut self) -> Option<u64> {
+        self.next().map(|(_, len)| len)
+    }
 }
 
 /// A list tiled every `extent` bytes, the current instance at `base` — a
@@ -185,9 +191,10 @@ impl<'a> RunCursor<'a> {
 /// either read once. The `file` side's positions are file offsets (or a
 /// contiguous buffer's, when packing); the `user` side's are positions in
 /// a user buffer (or a message). A piece of 1–32 B whose length is a power
-/// of two is one load and one store; a longer one streams into a lent
-/// window ([`Stores`]) or claims the user lines after it
-/// ([`claim_ahead`]), as the listless engine's copies do.
+/// of two is one load and one store, and a run of such blocks of one width
+/// on both sides one batch; a longer piece streams into a lent window
+/// ([`Stores`]) or claims the user lines after it ([`claim_ahead`]), as the
+/// listless engine's copies do.
 #[derive(Debug, Clone)]
 pub struct CoWalk<'a> {
     pub file: RunCursor<'a>,
@@ -231,40 +238,62 @@ impl<'a> CoWalk<'a> {
         self.walk((lo, hi, n), profile, &mut (win, dst))
     }
 
-    /// The co-walk compiled for the two cursors' sources and for whether it
-    /// profiles; the bytes moved.
+    /// The co-walk compiled for the two cursors' sources; the bytes moved.
     fn walk(&mut self, bounds: (u64, u64, usize), profile: bool, copy: &mut impl Piece) -> usize {
-        let moved = match (profile, &mut self.file.0, &mut self.user.0) {
-            (false, Kind::Segs(f), Kind::Segs(u)) => co_walk::<false, _, _>(f, u, bounds, copy),
-            (false, Kind::Segs(f), Kind::Wire(u)) => co_walk::<false, _, _>(f, u, bounds, copy),
-            (false, Kind::Wire(f), Kind::Segs(u)) => co_walk::<false, _, _>(f, u, bounds, copy),
-            (false, Kind::Wire(f), Kind::Wire(u)) => co_walk::<false, _, _>(f, u, bounds, copy),
-            (true, Kind::Segs(f), Kind::Segs(u)) => co_walk::<true, _, _>(f, u, bounds, copy),
-            (true, Kind::Segs(f), Kind::Wire(u)) => co_walk::<true, _, _>(f, u, bounds, copy),
-            (true, Kind::Wire(f), Kind::Segs(u)) => co_walk::<true, _, _>(f, u, bounds, copy),
-            (true, Kind::Wire(f), Kind::Wire(u)) => co_walk::<true, _, _>(f, u, bounds, copy),
+        let (moved, batched) = match (&mut self.file.0, &mut self.user.0) {
+            (Kind::Segs(f), Kind::Segs(u)) => co_walk(f, u, bounds, profile, copy),
+            (Kind::Segs(f), Kind::Wire(u)) => co_walk(f, u, bounds, profile, copy),
+            (Kind::Wire(f), Kind::Segs(u)) => co_walk(f, u, bounds, profile, copy),
+            (Kind::Wire(f), Kind::Wire(u)) => co_walk(f, u, bounds, profile, copy),
         };
         crate::ff::OBS_COPY_BYTES.add(moved as u64);
+        OBS_BATCHED_BYTES.add(batched as u64);
         moved
     }
 }
 
 /// The co-walk: `copy` every common piece of `file` and `user`, given as
 /// (window position, user position, length), until `n` bytes are moved,
-/// the file side reaches `hi` or either side ends. With `PROFILE`, each
-/// file-side run inside the window is one profiler record.
+/// the file side reaches `hi` or either side ends; the bytes moved, and of
+/// those the bytes [`batch`]ed. A `profile`d call records each file-side
+/// run inside the window. It batches only if a list's next run is at most
+/// 32 B: chosen per call, as a batch test slows a loop of long runs.
 #[inline(always)]
-fn co_walk<const PROFILE: bool, F: Runs, U: Runs>(
+fn co_walk<F: Runs, U: Runs>(
+    file: &mut Cursor<F>,
+    user: &mut Cursor<U>,
+    bounds: (u64, u64, usize),
+    profile: bool,
+    copy: &mut impl Piece,
+) -> (usize, usize) {
+    let short = |len: Option<u64>| len.is_some_and(|len| len <= 32);
+    match (profile, short(file.runs.peek()) || short(user.runs.peek())) {
+        (true, _) => pieces::<true, false, _, _>(file, user, bounds, copy),
+        (false, true) => pieces::<false, true, _, _>(file, user, bounds, copy),
+        (false, false) => pieces::<false, false, _, _>(file, user, bounds, copy),
+    }
+}
+
+/// [`co_walk`]'s loop, a piece at a time, with `BATCH` a [`batch`] first.
+#[inline(always)]
+fn pieces<const PROFILE: bool, const BATCH: bool, F: Runs, U: Runs>(
     file: &mut Cursor<F>,
     user: &mut Cursor<U>,
     (lo, hi, n): (u64, u64, usize),
     copy: &mut impl Piece,
-) -> usize {
+) -> (usize, usize) {
     // the cursors as locals, so that they live in registers
     let (mut f, mut u) = (*file, *user);
-    let mut moved = 0usize;
+    let (mut moved, mut batched) = (0usize, 0usize);
     let (mut fresh, mut prev_end) = (true, u64::MAX);
     while moved < n {
+        if BATCH {
+            let b = batch(&mut f, &mut u, (lo, hi, n - moved), copy);
+            (moved, batched) = (moved + b, batched + b);
+            if moved == n {
+                break;
+            }
+        }
         if f.left == 0 {
             if !f.refill() {
                 break;
@@ -291,7 +320,126 @@ fn co_walk<const PROFILE: bool, F: Runs, U: Runs>(
         moved += len as usize;
     }
     (*file, *user) = (f, u);
-    moved
+    (moved, batched)
+}
+
+/// Copy blocks of one width of 1–32 B while both sides have one next —
+/// the rest of a run, or at a run start a run of that width — the file
+/// side's ends inside the window and the budget `n` holds; the bytes
+/// moved. The width is the shorter of the two sides' next runs.
+#[inline(always)]
+fn batch<F: Runs, U: Runs>(
+    f: &mut Cursor<F>,
+    u: &mut Cursor<U>,
+    bounds: (u64, u64, usize),
+    copy: &mut impl Piece,
+) -> usize {
+    // 0 where a side has no run left
+    let width = |left: u64, next: Option<u64>| if left > 0 { left } else { next.unwrap_or(0) };
+    let w = width(f.left, f.runs.peek()).min(width(u.left, u.runs.peek()));
+    match (f.left > 0, u.left > 0) {
+        (true, true) => 0,
+        (true, false) => sized(w, f, &mut u.runs, bounds, copy),
+        (false, true) => sized(w, &mut f.runs, u, bounds, copy),
+        (false, false) => sized(w, &mut f.runs, &mut u.runs, bounds, copy),
+    }
+}
+
+/// [`blocks`] compiled for the width `w`.
+#[inline(always)]
+fn sized(
+    w: u64,
+    f: &mut impl Lane,
+    u: &mut impl Lane,
+    bounds: (u64, u64, usize),
+    copy: &mut impl Piece,
+) -> usize {
+    match w {
+        1 => blocks::<1>(f, u, bounds, copy),
+        2 => blocks::<2>(f, u, bounds, copy),
+        4 => blocks::<4>(f, u, bounds, copy),
+        8 => blocks::<8>(f, u, bounds, copy),
+        16 => blocks::<16>(f, u, bounds, copy),
+        32 => blocks::<32>(f, u, bounds, copy),
+        _ => 0,
+    }
+}
+
+/// A side of a batch: its runs to the end of the slice they are read
+/// from, as `(position, length)`, for blocks of `w` bytes; `skip` moves
+/// past `k` of them and, at the slice's end, on to the next slice if any.
+trait Lane {
+    fn chunk(&self, w: u64) -> impl Iterator<Item = (u64, u64)>;
+    fn skip(&mut self, k: usize, w: u64) -> bool;
+}
+
+/// A cursor in a run: the rest of the run, cut into blocks.
+impl<S: Runs> Lane for Cursor<S> {
+    fn chunk(&self, w: u64) -> impl Iterator<Item = (u64, u64)> {
+        let at = self.at;
+        (0..self.left / w).map(move |k| (at + k * w, w))
+    }
+
+    fn skip(&mut self, k: usize, w: u64) -> bool {
+        (self.at, self.left) = (self.at + k as u64 * w, self.left - k as u64 * w);
+        false
+    }
+}
+
+/// The list's instance from the next run on, then the next instance.
+impl Lane for Segs<'_> {
+    fn chunk(&self, _: u64) -> impl Iterator<Item = (u64, u64)> {
+        (self.segs[self.i..].iter()).map(|s| (self.base.wrapping_add_signed(s.offset), s.len))
+    }
+
+    fn skip(&mut self, k: usize, _: u64) -> bool {
+        self.i += k;
+        let wraps = self.i == self.segs.len() && self.extent > 0;
+        if wraps {
+            (self.i, self.base) = (0, self.base + self.extent);
+        }
+        wraps
+    }
+}
+
+/// The received tuples from the next one on.
+impl Lane for Wired<'_> {
+    fn chunk(&self, _: u64) -> impl Iterator<Item = (u64, u64)> {
+        self.list.tuples[self.i..].iter().map(decode)
+    }
+
+    fn skip(&mut self, k: usize, _: u64) -> bool {
+        self.i += k;
+        false
+    }
+}
+
+/// The batch loop: both sides' next runs read, checked to be `W` bytes
+/// long, the file side's to end inside the window, and copied, until a
+/// check fails, the budget `n` is spent or a side's runs end.
+#[inline(always)]
+fn blocks<const W: usize>(
+    f: &mut impl Lane,
+    u: &mut impl Lane,
+    (lo, hi, n): (u64, u64, usize),
+    copy: &mut impl Piece,
+) -> usize {
+    let (w, mut moved) = (W as u64, 0);
+    loop {
+        let (budget, mut k) = ((n - moved) / W, 0);
+        for ((at, flen), (from, ulen)) in f.chunk(w).zip(u.chunk(w)).take(budget) {
+            if flen != w || ulen != w || at + w > hi {
+                break;
+            }
+            copy.copy((at - lo) as usize, from as usize, W);
+            k += 1;
+        }
+        moved += k * W;
+        // `|`: both sides skip; one whose slice ended may go on to the next
+        if !(f.skip(k, w) | u.skip(k, w)) || k == budget {
+            return moved;
+        }
+    }
 }
 
 /// How a co-walk copies a piece: `len` bytes between window position `w`

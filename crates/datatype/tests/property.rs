@@ -1149,3 +1149,161 @@ fn co_walk_matches_the_typemap() {
         }
     }
 }
+
+/// `count` runs of `w` bytes with gaps of 1–8 B, the run at `odd` of
+/// another width of 1–40 B, in an extent 0–7 B past the last.
+fn uniform_runs(rng: &mut Rng, w: u64, count: usize, odd: usize) -> Datatype {
+    let (mut lens, mut disps, mut at) = (Vec::new(), Vec::new(), 0i64);
+    for i in 0..count {
+        let len = match i == odd {
+            true => (1..).map(|_| rng.range(1, 41)).find(|&l| l != w).unwrap(),
+            false => w,
+        };
+        lens.push(len);
+        disps.push(at);
+        at += (len + rng.range(1, 9)) as i64;
+    }
+    let d = Datatype::hindexed(&lens, &disps, &Datatype::byte()).unwrap();
+    Datatype::resized(&d, 0, at as u64 + rng.range(0, 8)).unwrap()
+}
+
+/// One side of a co-walk under test: the cursor at a stream byte, and
+/// where each stream byte lies on that side.
+struct Walked<'a> {
+    cursor: Box<dyn Fn() -> lio_datatype::RunCursor<'a> + 'a>,
+    pos: Vec<usize>,
+}
+
+/// Place the user side's stream bytes `skip..` into the file side through
+/// windows of 1–`cut` B, each call with a budget that may end inside a
+/// batch and then the rest; extract them back the same way. Both must be
+/// the typemap's placement, byte for byte.
+fn co_walk_through_windows(
+    ctx: &str,
+    rng: &mut Rng,
+    (file, user): (&Walked, &Walked),
+    skip: usize,
+    cut: u64,
+) {
+    use lio_datatype::kernels::{Store, Stores};
+    use lio_datatype::CoWalk;
+    let total = file.pos.len().min(user.pos.len());
+    let file_len = file.pos.iter().max().map_or(0, |&p| p + 1);
+    let user_len = user.pos.iter().max().map_or(0, |&p| p + 1);
+    let image: Vec<u8> = (0..file_len).map(|i| (i * 7 % 253) as u8 + 1).collect();
+    let src: Vec<u8> = (0..user_len).map(|i| (i * 11 % 251) as u8 + 1).collect();
+    let first = file.pos.get(skip).copied().unwrap_or(file_len);
+    let mut cuts = vec![first];
+    while *cuts.last().unwrap() < file_len {
+        let next = cuts.last().unwrap() + rng.range(1, cut) as usize;
+        cuts.push(next.min(file_len));
+    }
+    let budgets: Vec<usize> = cuts
+        .iter()
+        .map(|_| rng.range(0, 3 * cut) as usize)
+        .collect();
+    // both directions: what one call with budget `n` moves, then the rest
+    let split = |moved: usize, got: usize, n: usize, w: &[usize]| {
+        assert!(
+            got <= n,
+            "{ctx}: window {w:?} moved {got} of a budget of {n}"
+        );
+        moved + got
+    };
+    for store in [Store::Cached, Store::Stream] {
+        let mut walk = CoWalk::new((file.cursor)(), (user.cursor)());
+        let (mut out, mut want) = (vec![0u8; file_len], vec![0u8; file_len]);
+        for s in skip..total {
+            want[file.pos[s]] = src[user.pos[s]];
+        }
+        let mut moved = 0;
+        for (w, &n) in cuts.windows(2).zip(&budgets) {
+            let (win, lo, rest) = (&mut out[w[0]..w[1]], w[0] as u64, total - skip - moved);
+            let stores = &mut Stores::new(store);
+            let got = walk.place(win, lo, &src, n.min(rest), stores, false);
+            moved = split(moved, got, n.min(rest), w);
+            moved += walk.place(win, lo, &src, rest - got, stores, false);
+        }
+        assert_eq!(moved, total - skip, "{ctx} {store:?}: placed");
+        assert_eq!(out, want, "{ctx} {store:?}: the file side");
+    }
+    let mut walk = CoWalk::new((file.cursor)(), (user.cursor)());
+    let (mut out, mut want) = (vec![0u8; user_len], vec![0u8; user_len]);
+    for s in skip..total {
+        want[user.pos[s]] = image[file.pos[s]];
+    }
+    let mut moved = 0;
+    for (w, &n) in cuts.windows(2).zip(&budgets) {
+        let (win, lo, rest) = (&image[w[0]..w[1]], w[0] as u64, total - skip - moved);
+        let got = walk.extract(win, lo, &mut out, n.min(rest), false);
+        moved = split(moved, got, n.min(rest), w);
+        moved += walk.extract(win, lo, &mut out, rest - got, false);
+    }
+    assert_eq!(moved, total - skip, "{ctx}: extracted");
+    assert_eq!(out, want, "{ctx}: the user side");
+}
+
+/// The co-walk's batches of equal short blocks against the typemap: lists
+/// of 1, 2, 4, 8, 16 or 32 B runs with one run of another width, a file
+/// list of few runs tiled many times (so it wraps inside a batch) or of
+/// many runs, through windows and budgets that end inside a batch, in
+/// every pairing the engine walks — a tiled view's list or the access list
+/// it ships beside a memtype's list or a contiguous buffer, and a
+/// contiguous buffer beside a memtype's list (pack and unpack) — placing
+/// and extracting.
+#[test]
+fn co_walk_batches_match_the_typemap() {
+    use lio_datatype::{OlWire, RunCursor};
+    for case in 0..72u64 {
+        let mut rng = Rng::new(0xBA7C ^ case);
+        let w = 1 << (case % 6);
+        let fcount = [1, 3, 40][(case / 6 % 3) as usize];
+        // an odd run at an index past the end is none
+        let odd = rng.range(0, 2 * fcount as u64) as usize;
+        let ft = uniform_runs(&mut rng, w, fcount, odd);
+        let mcount = rng.range(20, 60) as usize;
+        let odd = rng.range(0, 2 * mcount as u64) as usize;
+        let mt = uniform_runs(&mut rng, w, mcount, odd);
+        let (disp, minst) = (rng.range(0, 40), rng.range(1, 4));
+        let user_pos = positions(&mt, minst, 0);
+        let total = user_pos.len() as u64;
+        let file_pos = positions(&ft, total.div_ceil(ft.size()), disp);
+        let (flist, mlist) = (OlList::flatten(&ft, 1), OlList::flatten(&mt, minst));
+        let (ext, size) = (ft.extent(), ft.size());
+        for round in 0..6 {
+            let skip = match round {
+                0 => 0,
+                _ => rng.range(0, total + 1),
+            };
+            let wire = flist.encode_tiled(disp, ext, size, skip..total);
+            let tiled = Walked {
+                cursor: Box::new(|| flist.tiled_cursor(disp, ext, size, skip)),
+                pos: file_pos.clone(),
+            };
+            let wired = Walked {
+                cursor: Box::new(|| RunCursor::wire(OlWire::new(&wire).unwrap())),
+                pos: file_pos.clone(),
+            };
+            let listed = Walked {
+                cursor: Box::new(|| mlist.cursor(skip)),
+                pos: user_pos.clone(),
+            };
+            let contig = Walked {
+                cursor: Box::new(|| RunCursor::contig(skip as usize)),
+                pos: (0..total as usize).collect(),
+            };
+            let pairs = [
+                ("tiled/list", &tiled, &listed),
+                ("tiled/contig", &tiled, &contig),
+                ("wired/list", &wired, &listed),
+                ("wired/contig", &wired, &contig),
+                ("contig/list", &contig, &listed),
+            ];
+            for (pair, file, user) in pairs {
+                let cut = [4 * w, 300][round % 2];
+                let ctx = format!("case {case} w {w} {pair} skip {skip} cut {cut}");
+                co_walk_through_windows(&ctx, &mut rng, (file, user), skip as usize, cut);
+            }
+        }
+    }
+}
