@@ -151,11 +151,17 @@ for osdir in /dev/shm "$PWD/target/lio-os-ci"; do
   LIO_OS_DIR=$osdir cargo test -q -p lio-pfs --test os_edge
 done
 
+# The differential corpora above, in the one list that the backend corpus,
+# the fault corpus and the fault corpus's replay line all read, so that
+# the three cannot drift apart; each rerun adds its own suites in front.
+corpora=(geometry inplace own_share lent_write lent_read overlap random_views)
+backend_suites=(backend "${corpora[@]}")
+fault_suites=(collective pipeline faults "${corpora[@]}")
+
 echo "== backend corpus LIO_BACKEND={mem,os}"
 for be in mem os; do
   echo "  -- LIO_BACKEND=$be"
-  LIO_BACKEND=$be \
-    cargo test -q -p lio-core --test backend --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap --test random_views
+  LIO_BACKEND=$be cargo test -q -p lio-core "${backend_suites[@]/#/--test=}"
 done
 
 # Every telemetry layer armed at once: the collective + pipeline + fault
@@ -210,16 +216,14 @@ LIO_BENCH_FAST=1 cargo bench -q -p lio-bench --bench pack_overhead
 # rest of every AP's lent piece and reply) and `core.coll.fault_aborts`
 # are tested where a storage fault can occur at all — on the one read
 # placement that ships.
-# On failure, replay the exact schedule with:
-#   LIO_FAULT_SEED=<seed> \
-#     cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap --test random_views
+# On failure it prints the line that replays the exact schedule: the
+# seed and `fault_suites`.
 ROTATING_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5EED)"
 for seed in 7 0xBAD5EED 0x5C032003 "$ROTATING_SEED"; do
   echo "== fault corpus: LIO_FAULT_SEED=$seed"
-  if ! LIO_FAULT_SEED=$seed \
-      cargo test -q -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap --test random_views; then
+  if ! LIO_FAULT_SEED=$seed cargo test -q -p lio-core "${fault_suites[@]/#/--test=}"; then
     echo "FAULT CORPUS FAILURE — replay with:"
-    echo "  LIO_FAULT_SEED=$seed cargo test -p lio-core --test collective --test pipeline --test faults --test geometry --test inplace --test own_share --test lent_write --test lent_read --test overlap --test random_views"
+    echo "  LIO_FAULT_SEED=$seed cargo test -p lio-core ${fault_suites[*]/#/--test=}"
     exit 1
   fi
 done

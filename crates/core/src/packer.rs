@@ -5,7 +5,10 @@
 //!
 //! * list-based (Section 2.1): an ol-list is created for the memtype **on
 //!   every access** and discarded afterwards ("these lists are not stored
-//!   beyond the single access operation");
+//!   beyond the single access operation") — one instance of it, walked
+//!   `count` times an extent apart, as ROMIO's copy loops add
+//!   `n_buftypes · buftype_extent` for each further instance and as the
+//!   fileview's list is tiled;
 //! * listless (Section 3.1): `ff_pack`/`ff_unpack` stream the data with no
 //!   materialized representation.
 //!
@@ -19,7 +22,10 @@
 use std::ops::Range;
 
 use lio_datatype::ff::OBS_COPY_BYTES;
-use lio_datatype::{ff_offset, ff_pack, ff_unpack_at, serialize, Datatype, OlList, RunCursor};
+use lio_datatype::kernels::{Store, Stores};
+use lio_datatype::{
+    ff_offset, ff_pack, ff_unpack_at, serialize, CoWalk, Datatype, OlList, RunCursor,
+};
 
 use crate::error::{IoError, Result};
 
@@ -28,8 +34,14 @@ pub(crate) enum MemPacker {
     /// The memtype's data is a single run starting at this offset: the
     /// stream is a subslice of the user buffer.
     Contig { base: usize },
-    /// List-based: flatten to an ol-list per access.
-    List { list: OlList },
+    /// List-based: one memtype instance flattened per access, its stream
+    /// `count` instances of `size` bytes tiled every `extent` bytes.
+    List {
+        list: OlList,
+        extent: u64,
+        size: u64,
+        count: u64,
+    },
     /// Listless: flattening-on-the-fly.
     Ff { memtype: Datatype, count: u64 },
 }
@@ -67,9 +79,13 @@ impl MemPacker {
             }
         }
         if list_based {
-            // the per-access flattening cost of the list-based engine
+            // the per-access flattening cost of the list-based engine: one
+            // instance, whatever the count
             Ok(MemPacker::List {
-                list: OlList::flatten(memtype, count),
+                list: OlList::flatten(memtype, 1),
+                extent: memtype.extent(),
+                size: memtype.size(),
+                count,
             })
         } else {
             Ok(MemPacker::Ff {
@@ -90,7 +106,12 @@ impl MemPacker {
                 OBS_COPY_BYTES.add(n as u64);
                 n
             }
-            MemPacker::List { list } => list.pack(user, skip, out),
+            MemPacker::List { size, count, .. } => {
+                let n = clip(out.len(), count * size, skip);
+                let stores = &mut Stores::new(Store::Cached);
+                CoWalk::new(RunCursor::contig(0), self.cursor(skip))
+                    .place(out, 0, user, n, stores, false)
+            }
             MemPacker::Ff { memtype, count } => ff_pack(user, *count, memtype, skip, out),
         }
     }
@@ -112,9 +133,11 @@ impl MemPacker {
                 OBS_COPY_BYTES.add(n as u64);
                 n
             }
-            MemPacker::List { list } => {
+            MemPacker::List { size, count, .. } => {
                 debug_assert_eq!(at, 0, "a flattened memtype is never lent in pieces");
-                list.unpack(data, user, skip)
+                let n = clip(data.len(), count * size, skip);
+                CoWalk::new(RunCursor::contig(0), self.cursor(skip))
+                    .extract(data, 0, user, n, false)
             }
             MemPacker::Ff { memtype, count } => {
                 ff_unpack_at(data, user, at as i64, *count, memtype, skip)
@@ -202,15 +225,27 @@ impl MemPacker {
 
     /// Where the stream's bytes lie in the user buffer from stream
     /// position `skip` on, for the list-based engine's co-walks: the
-    /// per-access ol-list from its linear `locate(skip)` on, or the one run
-    /// that a contiguous buffer is.
+    /// per-access ol-list of one instance tiled at the memtype's extent
+    /// from the linear `locate` of `skip` in its instance on, or the one
+    /// run that a contiguous buffer is. Neither ends: a walk is bounded by
+    /// the stream bytes it is asked for.
     pub fn cursor(&self, skip: u64) -> RunCursor<'_> {
         match self {
             MemPacker::Contig { base } => RunCursor::contig(base + skip as usize),
-            MemPacker::List { list } => list.cursor(skip),
+            MemPacker::List {
+                list, extent, size, ..
+            } => list.tiled_cursor(0, *extent, *size, skip),
             MemPacker::Ff { .. } => unreachable!("the listless engine materializes no runs"),
         }
     }
+}
+
+/// Of `want` bytes from stream position `skip` on, those a stream of
+/// `total` bytes holds: a tiled cursor never ends, so a list-based pack or
+/// unpack clips as `ff_pack` and `ff_unpack_at` do.
+fn clip(want: usize, total: u64, skip: u64) -> usize {
+    let left = total.saturating_sub(skip);
+    want.min(usize::try_from(left).unwrap_or(usize::MAX))
 }
 
 /// Bytes of `(s_lo, s_hi)` header that a data message of the collective
@@ -269,35 +304,86 @@ mod tests {
         assert_eq!(&out[..], &user[8..24]);
     }
 
+    /// Memtypes whose instances tile with seams of every kind: a vector,
+    /// one with a trailing gap, one resized to extent 0 (every instance on
+    /// the first), one whose lower bound is not 0 and one whose data starts
+    /// past a leading hole; `true` where an unpack is defined (no two
+    /// instances share a byte).
+    fn seamed() -> Vec<(Datatype, bool)> {
+        let v = Datatype::vector(5, 3, 5, &Datatype::int()).unwrap();
+        let ragged = Datatype::indexed(&[2, 1, 3], &[0, 3, 5], &Datatype::int()).unwrap();
+        vec![
+            (v.clone(), true),
+            (Datatype::resized(&v, 0, v.extent() + 12).unwrap(), true),
+            (Datatype::resized(&v, 0, 0).unwrap(), false),
+            (Datatype::resized(&v, -8, v.extent() + 16).unwrap(), true),
+            (Datatype::hindexed(&[1], &[20], &ragged).unwrap(), true),
+        ]
+    }
+
+    /// The skips the engines are compared at: 0, mid-instance, instance
+    /// seams and past the end of `count` instances of `size` bytes.
+    fn skips(size: u64, count: u64) -> Vec<u64> {
+        let mut skips = vec![0, 1, size / 2, size - 1, size * count + 1, size * count + 9];
+        skips.extend((1..=count).map(|k| k * size));
+        skips
+    }
+
+    /// The buffer `count` instances of `m` span.
+    fn span(m: &Datatype, count: u64) -> usize {
+        ((count - 1) * m.extent()) as usize + m.data_ub() as usize
+    }
+
     #[test]
     fn engines_pack_identically() {
-        let m = lio_datatype::Datatype::vector(5, 3, 5, &Datatype::int()).unwrap();
-        let user: Vec<u8> = (0..m.extent() as usize * 2).map(|i| i as u8).collect();
-        let a = MemPacker::new(&m, 2, user.len(), true).unwrap();
-        let b = MemPacker::new(&m, 2, user.len(), false).unwrap();
-        let total = (m.size() * 2) as usize;
-        for skip in [0u64, 1, 7, 60] {
-            let mut oa = vec![0u8; total - skip as usize];
-            let mut ob = vec![0u8; total - skip as usize];
-            assert_eq!(a.pack(&user, skip, &mut oa), oa.len());
-            assert_eq!(b.pack(&user, skip, &mut ob), ob.len());
-            assert_eq!(oa, ob);
+        for (m, _) in seamed() {
+            for count in 1..=5 {
+                let user: Vec<u8> = (0..span(&m, count)).map(|i| (i * 7) as u8).collect();
+                let a = MemPacker::new(&m, count, user.len(), true).unwrap();
+                let b = MemPacker::new(&m, count, user.len(), false).unwrap();
+                assert!(matches!(a, MemPacker::List { .. }));
+                let total = m.size() * count;
+                for skip in skips(m.size(), count) {
+                    // the rest of the stream, and an `out` 5 bytes longer
+                    for extra in [0, 5] {
+                        let len = total.saturating_sub(skip) as usize + extra;
+                        let (mut oa, mut ob) = (vec![0xAAu8; len], vec![0xAAu8; len]);
+                        let ctx = format!("{m:?} count {count} skip {skip} extra {extra}");
+                        let n = a.pack(&user, skip, &mut oa);
+                        assert_eq!(n, b.pack(&user, skip, &mut ob), "{ctx}");
+                        assert_eq!(n, len - extra, "{ctx}");
+                        assert_eq!(oa, ob, "{ctx}");
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn engines_unpack_identically() {
-        let m = lio_datatype::Datatype::vector(4, 2, 3, &Datatype::int()).unwrap();
-        let total = (m.size() * 2) as usize;
-        let data: Vec<u8> = (0..total as u8).collect();
-        let span = m.extent() as usize * 2;
-        let mut ua = vec![0xAAu8; span];
-        let mut ub = vec![0xAAu8; span];
-        let a = MemPacker::new(&m, 2, span, true).unwrap();
-        let b = MemPacker::new(&m, 2, span, false).unwrap();
-        a.unpack(&data, &mut ua, 0);
-        b.unpack(&data, &mut ub, 0);
-        assert_eq!(ua, ub);
+        for (m, defined) in seamed() {
+            if !defined {
+                continue;
+            }
+            for count in 1..=5 {
+                let len = span(&m, count);
+                let a = MemPacker::new(&m, count, len, true).unwrap();
+                let b = MemPacker::new(&m, count, len, false).unwrap();
+                let total = m.size() * count;
+                for skip in skips(m.size(), count) {
+                    for extra in [0, 5] {
+                        let n = total.saturating_sub(skip) as usize + extra;
+                        let data: Vec<u8> = (0..n).map(|i| (i * 3 + 1) as u8).collect();
+                        let (mut ua, mut ub) = (vec![0xAAu8; len], vec![0xAAu8; len]);
+                        let ctx = format!("{m:?} count {count} skip {skip} extra {extra}");
+                        let put = a.unpack(&data, &mut ua, skip);
+                        assert_eq!(put, b.unpack(&data, &mut ub, skip), "{ctx}");
+                        assert_eq!(put, n - extra, "{ctx}");
+                        assert_eq!(ua, ub, "{ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! view of 1280 B tile rows.
 //!
 //! The numbers are fixed by the shapes: setting the view flattens one
-//! filetype instance per rank; every access flattens its memtype; every
+//! filetype instance per rank; every access flattens one instance of its
+//! memtype, whatever its count, as ROMIO does; every
 //! collective ships the runs each rank has in each other rank's file
 //! domain; a collective write merges every list of its domains when a
 //! window is staged, and only then. How a list is built may change; these
@@ -26,8 +27,8 @@ use lio_pfs::MemFile;
 
 const NBLOCK: u64 = 256;
 const SBLOCK: u64 = 8;
-/// Memtype instances per access: the strided vector's instances abut, so
-/// each of the list's seams merges two blocks.
+/// Memtype instances per access. The strided vector's instances abut, but
+/// its list is one instance, tiled: no run spans a seam.
 const COUNT: u64 = 3;
 /// The tuples of every access list of a collective write: two ranks' 384
 /// runs in each of two domains.
@@ -59,13 +60,21 @@ fn lists(before: &lio_obs::Snapshot, after: &lio_obs::Snapshot) -> Lists {
     }
 }
 
-/// Rank `me`'s filetype, memtype and memtype count: the Figure-4 view
-/// with the strided memtype, or, `tile`, 4 × 4 rows of 1280 B of a
-/// subarray on both sides, as the `coll-tile` benchmark's.
-fn shape(me: u64, tile: bool) -> (Datatype, Datatype, u64) {
-    if !tile {
+/// What each rank accesses.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// The Figure-4 view with `count` instances of the strided memtype.
+    Strided(u64),
+    /// 4 × 4 rows of 1280 B of a subarray on both sides, as the
+    /// `coll-tile` benchmark's.
+    Tile,
+}
+
+/// Rank `me`'s filetype, memtype and memtype count.
+fn shape(me: u64, shape: Shape) -> (Datatype, Datatype, u64) {
+    if let Shape::Strided(count) = shape {
         let memtype = Datatype::vector(NBLOCK, 1, 2, &Datatype::basic(SBLOCK as u32)).unwrap();
-        return (figure4_filetype(me, 2, NBLOCK, SBLOCK), memtype, COUNT);
+        return (figure4_filetype(me, 2, NBLOCK, SBLOCK), memtype, count);
     }
     let point = Datatype::basic(40);
     let sub = |sizes: &[u64], starts: &[u64]| {
@@ -80,10 +89,10 @@ fn shape(me: u64, tile: bool) -> (Datatype, Datatype, u64) {
 
 /// Set the view, write and read back on `shared`, armed; the counts of
 /// each phase.
-fn phases(shared: SharedFile, collective: bool, tile: bool) -> Vec<(&'static str, Lists)> {
+fn phases(shared: SharedFile, collective: bool, of: Shape) -> Vec<(&'static str, Lists)> {
     let snaps = World::run(2, |comm| {
         let me = comm.rank() as u64;
-        let (filetype, memtype, count) = shape(me, tile);
+        let (filetype, memtype, count) = shape(me, of);
         let len = ((count - 1) * memtype.extent()) as usize + memtype.data_ub() as usize;
         let user = pattern(len, me + 1);
         let mut back = vec![0u8; len];
@@ -150,18 +159,19 @@ fn list_based_ops_build_and_ship_the_same_lists() {
     // a view: one filetype instance of NBLOCK = 256 blocks per rank, two
     // ranks, 16 B a tuple
     let view = || ("set_view", counts(2, 512, 8_192, 0, 0, 0));
-    // an access: COUNT = 3 memtype instances per rank, 3·256 − 2 tuples.
-    // Its 8 B blocks are copied in batches but for a call's first block,
-    // where both cursors stand inside a run, and two at each of a rank's
-    // two seams (a 16 B memtype run where instances abut)
+    // an access: one memtype instance of 256 tuples per rank, though each
+    // moves COUNT = 3. Its 8 B blocks are copied in batches but for a
+    // call's first block, where both cursors stand inside a run; a batch
+    // goes on across the memtype's seams, where its tiled list wraps
     let access = |what, exchanged, merged, batched| {
-        (what, counts(2, 1_532, 24_512, exchanged, merged, batched))
+        (what, counts(2, 512, 8_192, exchanged, merged, batched))
     };
-    // a sieve: one call a rank, 12 288 bytes − 2·(8 + 2·16)
-    const SIEVED: u64 = 12_208;
+    // a sieve: one call a rank, of 2 · COUNT · NBLOCK · SBLOCK = 12 288
+    // bytes all but each call's first block: 12 288 − 2·8
+    const SIEVED: u64 = 12_272;
     for (storage, shared) in [("lending", lending()), ("staged", staged())] {
         assert_eq!(
-            phases(shared, false, false),
+            phases(shared, false, Shape::Strided(COUNT)),
             vec![
                 view(),
                 access("write", 0, 0, SIEVED),
@@ -172,12 +182,12 @@ fn list_based_ops_build_and_ship_the_same_lists() {
     }
     // a collective copies 1.5 bytes a user byte; a rank's pack (unpack)
     // starts inside a run on both sides and its own walk on the user side,
-    // the walk of a message on neither: 18 432 − 2·(8 + 8 + 2·16)
-    const COLL: u64 = 18_336;
+    // the walk of a message on neither: 18 432 − 2·(8 + 8)
+    const COLL: u64 = 18_400;
     // a collective ships each rank's 384 runs in the other rank's domain;
     // on storage that lends every window, nothing is merged
     assert_eq!(
-        phases(lending(), true, false),
+        phases(lending(), true, Shape::Strided(COUNT)),
         vec![
             view(),
             access("write", 12_288, 0, COLL),
@@ -189,7 +199,7 @@ fn list_based_ops_build_and_ship_the_same_lists() {
     // the one it received: Σ_p N(p) over both domains, as before the
     // merge waited for a staged window
     assert_eq!(
-        phases(staged(), true, false),
+        phases(staged(), true, Shape::Strided(COUNT)),
         vec![
             view(),
             access("write", 12_288, MERGED, COLL),
@@ -197,9 +207,22 @@ fn list_based_ops_build_and_ship_the_same_lists() {
         ],
         "collective, staged"
     );
+    // one instance is flattened per access, whatever the count: the same
+    // entries at COUNT 1 as at COUNT 3, independent and collective
+    for collective in [false, true] {
+        let entries = |count| {
+            let phases = phases(staged(), collective, Shape::Strided(count));
+            phases[1..]
+                .iter()
+                .map(|(_, l)| l.entries)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(entries(1), [512, 512], "COUNT 1, collective {collective}");
+        assert_eq!(entries(1), entries(COUNT), "collective {collective}");
+    }
     // tile rows of 1280 B take the piece loop: nothing is batched
     for collective in [false, true] {
-        for (what, lists) in phases(staged(), collective, true) {
+        for (what, lists) in phases(staged(), collective, Shape::Tile) {
             assert_eq!(
                 lists.batched, 0,
                 "tile rows, collective {collective}: {what}"

@@ -3,7 +3,8 @@
 //! that is disjoint from the others', identical to another rank's, that
 //! rank's shifted so that the two partially overlap, or one of another
 //! extent at another displacement; each writes through a random memtype,
-//! and one case has a rank that writes nothing.
+//! some resized so that gaps lie between its instances, and one case has a
+//! rank that writes nothing.
 //!
 //! Both engines run every case on a `MemFile` of `0xEE` behind `Staged`,
 //! which stages every window, and on the environment's storage
@@ -88,18 +89,21 @@ fn offsets(d: &Datatype, count: u64, base: u64) -> Vec<u64> {
         .collect()
 }
 
-/// A random memtype of `size` data bytes from byte 0 on: contiguous,
-/// strided, ragged or ragged and descending.
+/// A random memtype of `size` data bytes: contiguous, strided, ragged or
+/// ragged and descending from byte 0 on, or one of those resized so that
+/// its instances lie apart, with a gap after each or its data past a
+/// leading hole — the seams a list-based walk crosses where its one
+/// flattened instance wraps.
 fn arb_memtype(rng: &mut Rng, size: u64) -> Datatype {
     let byte = Datatype::byte();
-    match rng.below(4) {
+    match rng.below(6) {
         0 => Datatype::contiguous(size, &byte).unwrap(),
         1 => {
             let block = divisor(rng, size);
             let stride = block + rng.below(9);
             Datatype::vector(size / block, block, stride as i64, &byte).unwrap()
         }
-        kind => {
+        kind @ (2 | 3) => {
             let (mut lens, mut disps, mut at, mut left) = (vec![], vec![], 0i64, size);
             while left > 0 {
                 let len = 1 + rng.below(left.min(20));
@@ -113,6 +117,15 @@ fn arb_memtype(rng: &mut Rng, size: u64) -> Datatype {
                 disps.reverse();
             }
             Datatype::hindexed(&lens, &disps, &byte).unwrap()
+        }
+        4 => {
+            let inner = arb_memtype(rng, size);
+            Datatype::resized(&inner, 0, inner.extent() + 1 + rng.below(8)).unwrap()
+        }
+        _ => {
+            let (inner, lead) = (arb_memtype(rng, size), 1 + rng.below(8));
+            let placed = Datatype::hindexed(&[1], &[lead as i64], &inner).unwrap();
+            Datatype::resized(&placed, 0, lead + inner.extent() + rng.below(4)).unwrap()
         }
     }
 }

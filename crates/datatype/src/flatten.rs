@@ -103,15 +103,15 @@ trait Runs: Copy + Lane {
 }
 
 /// A list tiled every `extent` bytes, the current instance at `base` — a
-/// fileview's runs, at file offsets — or, `extent` 0, read once: a
-/// memtype's runs in its buffer. A contiguous buffer is an empty list
-/// whose one run never ends.
+/// fileview's runs at file offsets, a memtype's in its buffer — or, no
+/// `extent`, read once. A contiguous buffer is an empty list whose one run
+/// never ends.
 #[derive(Debug, Clone, Copy)]
 struct Segs<'a> {
     segs: &'a [OlSeg],
     i: usize,
     base: u64,
-    extent: u64,
+    extent: Option<u64>,
 }
 
 /// The tuples a collective ships, at file offsets.
@@ -124,11 +124,11 @@ struct Wired<'a> {
 impl Runs for Segs<'_> {
     #[inline(always)]
     fn next(&mut self) -> Option<(u64, u64)> {
-        let s = match self.segs.get(self.i) {
-            Some(s) => s,
-            None if self.extent == 0 => return None,
-            None => {
-                (self.i, self.base) = (0, self.base + self.extent);
+        let s = match (self.segs.get(self.i), self.extent) {
+            (Some(s), _) => s,
+            (None, None) => return None,
+            (None, Some(extent)) => {
+                (self.i, self.base) = (0, self.base + extent);
                 self.segs.first()?
             }
         };
@@ -166,7 +166,7 @@ impl<'a> RunCursor<'a> {
     /// One endless run from position `at` on: a contiguous buffer.
     pub fn contig(at: usize) -> RunCursor<'a> {
         static NONE: OlList = OlList { segs: Vec::new() };
-        let mut c = NONE.enter(0, 0, 0);
+        let mut c = NONE.enter(0, None, 0);
         (c.at, c.left) = (at as u64, u64::MAX);
         RunCursor(Kind::Segs(c))
     }
@@ -394,11 +394,13 @@ impl Lane for Segs<'_> {
 
     fn skip(&mut self, k: usize, _: u64) -> bool {
         self.i += k;
-        let wraps = self.i == self.segs.len() && self.extent > 0;
-        if wraps {
-            (self.i, self.base) = (0, self.base + self.extent);
+        match self.extent {
+            Some(extent) if self.i == self.segs.len() => {
+                (self.i, self.base) = (0, self.base + extent);
+                true
+            }
+            _ => false,
         }
-        wraps
     }
 }
 
@@ -587,21 +589,31 @@ impl OlList {
     /// A cursor at the `skipbytes`-th data byte, found by [`OlList::locate`]'s
     /// linear traversal; past the end of the data it yields nothing.
     pub fn cursor(&self, skipbytes: u64) -> RunCursor<'_> {
-        RunCursor(Kind::Segs(self.enter(0, 0, skipbytes)))
+        RunCursor(Kind::Segs(self.enter(0, None, skipbytes)))
     }
 
     /// A cursor at byte `stream` of this list tiled from byte `base` every
-    /// `extent` bytes, `size` data bytes per instance (a fileview's stream,
-    /// at file offsets), found by the linear [`OlList::locate`] of its
-    /// place in the instance.
+    /// `extent` bytes, `size` data bytes per instance — a fileview's stream
+    /// at file offsets, or a memtype's in its buffer, ROMIO's
+    /// `n_buftypes · buftype_extent` — found by the linear
+    /// [`OlList::locate`] of its place in the instance. It never ends: its
+    /// walk is bounded by the bytes asked for. An `extent` of 0 tiles
+    /// every instance onto the first; an empty list (`size` 0) has no runs.
     pub fn tiled_cursor(&self, base: u64, extent: u64, size: u64, stream: u64) -> RunCursor<'_> {
-        let base = base + stream / size * extent;
-        RunCursor(Kind::Segs(self.enter(base, extent, stream % size)))
+        let (inst, within) = match size {
+            0 => (0, 0),
+            _ => (stream / size, stream % size),
+        };
+        RunCursor(Kind::Segs(self.enter(
+            base + inst * extent,
+            Some(extent),
+            within,
+        )))
     }
 
     /// The cursor of this list tiled from `base` every `extent` bytes (read
-    /// once, `extent` 0) at the `skipbytes`-th byte of its first instance.
-    fn enter(&self, base: u64, extent: u64, skipbytes: u64) -> Cursor<Segs<'_>> {
+    /// once, no `extent`) at the `skipbytes`-th byte of its first instance.
+    fn enter(&self, base: u64, extent: Option<u64>, skipbytes: u64) -> Cursor<Segs<'_>> {
         let (i, at, left) = match self.locate(skipbytes) {
             Some(OlPos { seg, within }) => {
                 let s = self.segs[seg];
