@@ -3,7 +3,8 @@
 //! ```text
 //! repro fig5 [--quick] [--data BYTES]
 //! repro fig6 | fig7 | fig8 | table1 | table2 | table3 | overheads | all
-//! repro metrics
+//! repro metrics | top | trace | profile [--quick]
+//! repro validate-json <file>
 //! ```
 //!
 //! Each experiment prints the paper's rows/series and writes a CSV under
@@ -14,9 +15,10 @@
 //!
 //! `repro metrics` runs one collective write + read per engine with the
 //! `lio-obs` registry recording and dumps the full cross-layer metric
-//! snapshots as JSON (`results/metrics.json` and `BENCH_metrics.json`):
-//! file accesses, bytes moved, exchange-phase bytes (list metadata vs
-//! data), and the per-phase two-phase timing breakdown.
+//! snapshots as JSON (`results/metrics.json`): file accesses, bytes
+//! moved, exchange-phase bytes (list metadata vs data), and the
+//! per-phase two-phase timing breakdown. Performance is judged by the
+//! `benchmark/` package, not by this runner.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -75,7 +77,6 @@ fn main() {
         "top" => top_cmd(&opts),
         "trace" => trace_cmd(&opts),
         "profile" => profile_cmd(&opts),
-        "bench" => bench_cmd(&opts),
         "all" => {
             fig5(&opts);
             fig6(&opts);
@@ -99,7 +100,7 @@ fn main() {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro fig5|fig6|fig7|fig8|table1|table2|table3|overheads|multidim|ablation|throttle|tileio|metrics|top|trace|profile|bench|all \
+        "usage: repro fig5|fig6|fig7|fig8|table1|table2|table3|overheads|multidim|ablation|throttle|tileio|metrics|top|trace|profile|all \
          [--quick] [--data BYTES]\n       repro validate-json <file>"
     );
     std::process::exit(2);
@@ -899,7 +900,6 @@ fn metrics(opts: &Opts) {
         ));
     }
     let mut json = String::from("{\n");
-    let mut entries: Vec<lio_bench::schema::Entry> = Vec::new();
     for (i, (key, hints, store)) in configs.iter().enumerate() {
         let layers = hints.obs.unwrap_or(Layers::METRICS);
         let health_on = layers.contains(Layers::HEALTH);
@@ -976,100 +976,23 @@ fn metrics(opts: &Opts) {
                 h.count,
             );
         }
-        {
-            use lio_bench::schema::Entry;
-            let e = |metric: &str, value: f64, unit: &'static str| {
-                Entry::new("metrics", key.clone(), metric, value, unit)
-            };
-            for op in ["write", "read"] {
-                for phase in ["exchange", "io", "pack"] {
-                    let v = snap.counter(&format!("core.coll.{op}.{phase}_ns"));
-                    entries.push(e(&format!("{op}_{phase}_ns"), v as f64, "ns"));
-                }
-            }
-            entries.push(e(
-                "pfs_accesses",
-                (snap.counter("pfs.read.calls") + snap.counter("pfs.write.calls")) as f64,
-                "count",
-            ));
-            entries.push(e(
-                "pfs_write_bytes",
-                snap.counter("pfs.write.bytes") as f64,
-                "bytes",
-            ));
-            entries.push(e(
-                "exchange_list_bytes",
-                snap.counter("core.coll.exchange.list_bytes") as f64,
-                "bytes",
-            ));
-            entries.push(e(
-                "exchange_data_bytes",
-                snap.counter("core.coll.exchange.data_bytes") as f64,
-                "bytes",
-            ));
-            entries.push(e("copies_per_user_byte", copies, "ratio"));
-            entries.push(e(
-                "behind_bytes",
-                snap.counter("io.behind_bytes") as f64,
-                "bytes",
-            ));
-            for (hname, short) in [
-                ("pfs.write.size", "write_size"),
-                ("pfs.read.size", "read_size"),
-            ] {
-                if let Some(h) = snap.histogram(hname) {
-                    entries.push(e(&format!("pfs_{short}_p50"), h.p50() as f64, "bytes"));
-                    entries.push(e(&format!("pfs_{short}_p95"), h.p95() as f64, "bytes"));
-                    entries.push(e(&format!("pfs_{short}_p99"), h.p99() as f64, "bytes"));
-                }
-            }
-            if health_on {
-                let hr = lio_obs::health::report();
+        if health_on {
+            let hr = lio_obs::health::report();
+            println!(
+                "  {key}: health {} beats, watchdog {} checks / {} fired, {} straggler flags",
+                snap.counter("core.health.beats"),
+                hr.watchdog_checks,
+                hr.watchdog_fired,
+                hr.straggler_flags,
+            );
+            if let Some(h) = snap.histogram("core.health.skew_ns") {
                 println!(
-                    "  {key}: health {} beats, watchdog {} checks / {} fired, {} straggler flags",
-                    snap.counter("core.health.beats"),
-                    hr.watchdog_checks,
-                    hr.watchdog_fired,
-                    hr.straggler_flags,
+                    "  {key}: window rank-skew p50/p95/p99 = {}/{}/{} ns ({} windows)",
+                    h.p50(),
+                    h.p95(),
+                    h.p99(),
+                    h.count,
                 );
-                entries.push(e(
-                    "health_beats",
-                    snap.counter("core.health.beats") as f64,
-                    "count",
-                ));
-                entries.push(e(
-                    "health_watchdog_checks",
-                    hr.watchdog_checks as f64,
-                    "count",
-                ));
-                entries.push(e(
-                    "health_watchdog_fired",
-                    hr.watchdog_fired as f64,
-                    "count",
-                ));
-                entries.push(e(
-                    "health_stalls_aborted",
-                    hr.stalls_aborted as f64,
-                    "count",
-                ));
-                entries.push(e(
-                    "health_straggler_flags",
-                    hr.straggler_flags as f64,
-                    "count",
-                ));
-                if let Some(h) = snap.histogram("core.health.skew_ns") {
-                    println!(
-                        "  {key}: window rank-skew p50/p95/p99 = {}/{}/{} ns ({} windows)",
-                        h.p50(),
-                        h.p95(),
-                        h.p99(),
-                        h.count,
-                    );
-                    entries.push(e("health_skew_p50_ns", h.p50() as f64, "ns"));
-                    entries.push(e("health_skew_p95_ns", h.p95() as f64, "ns"));
-                    entries.push(e("health_skew_p99_ns", h.p99() as f64, "ns"));
-                    entries.push(e("health_skew_windows", h.count as f64, "count"));
-                }
             }
         }
         let sep = if i + 1 < configs.len() { "," } else { "" };
@@ -1078,15 +1001,6 @@ fn metrics(opts: &Opts) {
     json.push_str("}\n");
     fs::write("results/metrics.json", &json).expect("write metrics json");
     println!("  -> results/metrics.json");
-    lio_bench::schema::write_bench_json(
-        "BENCH_metrics.json",
-        &entries,
-        &[
-            ("nprocs", nprocs.to_string()),
-            ("nblock", nblock.to_string()),
-            ("sblock", sblock.to_string()),
-        ],
-    );
 }
 
 /// `repro top`: live per-rank health introspection. Runs a 4-rank
@@ -1169,18 +1083,6 @@ fn top_cmd(opts: &Opts) {
     health::reset();
 }
 
-/// `repro bench`: regenerate the schema-versioned pipeline bench
-/// artifact (`BENCH_pipeline.json`), including the `{engine}/os`
-/// real-storage backend column, through the same measurement code the
-/// `pipeline` cargo bench target runs. `--quick` shrinks the sampling
-/// the same way `LIO_BENCH_FAST=1` does.
-fn bench_cmd(opts: &Opts) {
-    if opts.quick {
-        std::env::set_var("LIO_BENCH_FAST", "1");
-    }
-    lio_bench::pipebench::run();
-}
-
 /// `repro trace`: a 4-rank collective write + read on
 /// throttled storage with event tracing armed, exported as a
 /// Chrome/Perfetto timeline (`results/trace.json`, load it at
@@ -1261,10 +1163,9 @@ fn trace_cmd(opts: &Opts) {
 /// and a BTIO-style nested-datatype pack — with the access-pattern
 /// profiler armed, print each workload's characterization plus the hint
 /// advisor's recommendations (with the reasoning behind each), and write
-/// the schema-versioned profiles to `results/profile.json`. This is the
-/// observe half of the self-tuning loop: the recommendations here should
-/// match the empirically fastest static configurations in
-/// `BENCH_pipeline.json` / `BENCH_pack.json`.
+/// the schema-versioned profiles, stamped with the commit, to
+/// `results/profile.json`. The advisor's rules and the measurements they
+/// rest on are in `lio_obs::profile` and EXPERIMENTS.md.
 fn profile_cmd(opts: &Opts) {
     use lio_core::{File, Hints, SharedFile};
     use lio_datatype::Datatype;
@@ -1418,7 +1319,7 @@ fn profile_cmd(opts: &Opts) {
 
     let mut json = String::from("{\n");
     writeln!(json, "  \"schema_version\": {PROFILE_SCHEMA_VERSION},").unwrap();
-    writeln!(json, "  \"commit\": \"{}\",", lio_bench::schema::commit()).unwrap();
+    writeln!(json, "  \"commit\": \"{}\",", commit()).unwrap();
     json.push_str("  \"workloads\": {\n");
     for (i, (name, (profile_json, recs_json))) in sections.iter().enumerate() {
         let sep = if i + 1 < sections.len() { "," } else { "" };
@@ -1434,8 +1335,22 @@ fn profile_cmd(opts: &Opts) {
     println!("  -> results/profile.json");
 }
 
+/// The current git commit (short hash), or `"unknown"` outside a
+/// repository, so a profile stays writable from an exported tarball.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// `repro validate-json <file>`: the tiny well-formedness checker CI
-/// points at `results/trace.json` and the `BENCH_*.json` artifacts.
+/// points at the `results/*.json` files this runner writes.
 fn validate_json(path: &str) {
     let s = fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("validate-json: cannot read {path}: {e}");

@@ -324,7 +324,7 @@ fn normalization_pinned_shapes() {
 
     // vector-of-vector built raggedly (hindexed rows at a step that
     // breaks cross-row stride regularity): the pass folds the 8 equal
-    // parts into Loop{Blocks} — BENCH_pack's vv_ragged shape
+    // parts into Loop{Blocks}
     let lens = [1u64; 8];
     let disps: Vec<i64> = (0..8).map(|i| i * 100).collect();
     let vv = Datatype::hindexed(&lens, &disps, &row).unwrap();
@@ -355,4 +355,36 @@ fn normalization_pinned_shapes() {
     let p = RunProgram::compile(&v);
     assert_eq!(p.describe(), "B(0,64,64,1)");
     assert_eq!(p.rewrites(), 0, "dense vector is canonical at compile");
+}
+
+/// What a pack costs, as counts: the frames a type compiles to and the
+/// runs its pack copies. A flat contiguous type is one `Blocks` frame
+/// packed in one run, so the program adds nothing to the copy a tree
+/// walk makes; the Figure 4 filetype (16 384 blocks of 8 bytes at a
+/// 16-byte pitch) is one `Blocks` frame packed in one run per block,
+/// the shape and the trip count of the loop a user would write for it.
+#[test]
+fn pack_frames_and_runs() {
+    let check = |name: &str, d: &Datatype, want: &str, runs: u64| {
+        let p = RunProgram::compile(d);
+        assert_eq!(p.frames(), 1, "{name}: frames");
+        assert_eq!(p.describe(), want, "{name}: frame shape");
+        let span = span_of(d, 1);
+        let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
+        let mut walk = vec![0u8; d.size() as usize];
+        treewalk_pack(&src, 1, d, 0, &mut walk);
+        let mut prog = vec![0u8; d.size() as usize];
+        assert_eq!(
+            p.pack_into(&src, 0, 1, 0, &mut prog),
+            (d.size() as usize, runs),
+            "{name}: (bytes, runs) packed"
+        );
+        assert_eq!(prog, walk, "{name}: program corrupts data");
+    };
+
+    let flat = Datatype::contiguous(4 << 20, &Datatype::byte()).unwrap();
+    check("flat_contiguous", &flat, "B(0,4194304,4194304,1)", 1);
+
+    let fig4 = Datatype::vector(16384, 1, 2, &Datatype::basic(8)).unwrap();
+    check("figure4", &fig4, "B(0,16,8,16384)", 16384);
 }

@@ -1,8 +1,7 @@
 //! A minimal hand-rolled JSON parser/validator (the workspace is
-//! dependency-free by design). Used by the `repro` binary to check that
-//! emitted artifacts (`results/trace.json`, `BENCH_*.json`) are
-//! well-formed, and to read the committed bench baseline for the
-//! regression comparison in `ci.sh`.
+//! dependency-free by design). Used by the `repro` binary and the tests
+//! to check that emitted artifacts (`results/trace.json`,
+//! `results/profile.json`, the health report) are well-formed.
 //!
 //! Faithful to RFC 8259 for everything the repo emits; numbers are kept
 //! as `f64`, which is lossless for the magnitudes we write.

@@ -26,9 +26,10 @@
 //! [`snapshot`] freezes everything into a [`ProfileSnapshot`] (plain
 //! data, JSON-serializable), and [`advise`] maps a snapshot to explained
 //! hint recommendations through the inspectable [`RULES`] table. The
-//! rules are grounded in the measured BENCH_pipeline/BENCH_pack results:
-//! they recommend exactly the static configurations those benches show
-//! to be fastest for the corresponding access shapes.
+//! rules recommend the static configurations the pipeline and pack
+//! measurements of commit `8c82e34` showed fastest for the corresponding
+//! access shapes; EXPERIMENTS.md ("Tuner verdict") has the numbers of
+//! that commit and where a setting's lead is inside the run-to-run noise.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
