@@ -967,7 +967,8 @@ fn metrics(opts: &Opts) {
         // satellite: request-size quantiles straight from the log2
         // histograms — the shape data sieving / two-phase is supposed
         // to move (tiny accesses -> buffer-sized ones)
-        if let Some(h) = snap.histogram("pfs.write.size") {
+        // (none on the `*_in_place` columns: they make no storage request)
+        if let Some(h) = snap.histogram("pfs.write.size").filter(|h| h.count > 0) {
             println!(
                 "  {key}: pfs write sizes p50/p95/p99 = {}/{}/{} B ({} calls)",
                 h.p50(),
@@ -1161,11 +1162,9 @@ fn trace_cmd(opts: &Opts) {
 /// `repro profile`: run structurally different workloads — the Figure 5
 /// independent pattern, the Figure 6 collective on throttled storage,
 /// and a BTIO-style nested-datatype pack — with the access-pattern
-/// profiler armed, print each workload's characterization plus the hint
-/// advisor's recommendations (with the reasoning behind each), and write
-/// the schema-versioned profiles, stamped with the commit, to
-/// `results/profile.json`. The advisor's rules and the measurements they
-/// rest on are in `lio_obs::profile` and EXPERIMENTS.md.
+/// profiler armed, print each workload's characterization, and write the
+/// schema-versioned profiles, stamped with the commit, to
+/// `results/profile.json`.
 fn profile_cmd(opts: &Opts) {
     use lio_core::{File, Hints, SharedFile};
     use lio_datatype::Datatype;
@@ -1174,30 +1173,26 @@ fn profile_cmd(opts: &Opts) {
     use lio_pfs::{CountingFile, MemFile, Throttle, ThrottledFile};
     use std::time::Duration;
 
-    const PROFILE_SCHEMA_VERSION: u64 = 1;
+    const PROFILE_SCHEMA_VERSION: u64 = 2;
     let nblock: u64 = if opts.quick { 128 } else { 512 };
-    println!("# profile: access-pattern profiler + hint advisor, 3 workloads");
+    println!("# profile: access-pattern profiler, 4 workloads");
 
     // consume the one-shot env check, then drive recording explicitly
     lio_obs::init_from_env();
 
-    // run `body` with the profiler armed; returns (profile, advice) JSON
-    let profiled = |name: &str, body: &mut dyn FnMut()| -> (String, String) {
+    // run `body` with the profiler armed; returns the profile's JSON
+    let profiled = |name: &str, body: &mut dyn FnMut()| -> String {
         lio_obs::reset();
         profile::reset();
         (Layers::METRICS | Layers::PROFILE).arm();
         body();
         Layers::NONE.arm();
         let p = profile::snapshot();
-        let recs = profile::advise(&p);
         println!("  {name}: {}", p.characterize());
-        for r in &recs {
-            println!("    -> {}  [{}: {}]", r.setting, r.rule, r.reason);
-        }
-        (p.to_json(), profile::recommendations_json(&recs))
+        p.to_json()
     };
 
-    let mut sections: Vec<(&str, (String, String))> = Vec::new();
+    let mut sections: Vec<(&str, String)> = Vec::new();
 
     // 1. Figure 5: independent access, 2 procs, 8 B blocks — the dense
     // small-block regime where data sieving wins
@@ -1225,8 +1220,7 @@ fn profile_cmd(opts: &Opts) {
     ));
 
     // 2. Figure 6: collective access, 4 procs, slow storage — the profile
-    // should reveal the io-bound phase breakdown, and the advisor size the
-    // collective buffer to the op's file-domain span
+    // should reveal the io-bound phase breakdown
     sections.push((
         "fig6_collective_throttled",
         profiled("fig6_collective_throttled", &mut || {
@@ -1321,13 +1315,9 @@ fn profile_cmd(opts: &Opts) {
     writeln!(json, "  \"schema_version\": {PROFILE_SCHEMA_VERSION},").unwrap();
     writeln!(json, "  \"commit\": \"{}\",", commit()).unwrap();
     json.push_str("  \"workloads\": {\n");
-    for (i, (name, (profile_json, recs_json))) in sections.iter().enumerate() {
+    for (i, (name, profile_json)) in sections.iter().enumerate() {
         let sep = if i + 1 < sections.len() { "," } else { "" };
-        writeln!(
-            json,
-            "  \"{name}\": {{\"profile\": {profile_json},\n  \"recommendations\": {recs_json}}}{sep}"
-        )
-        .unwrap();
+        writeln!(json, "  \"{name}\": {{\"profile\": {profile_json}}}{sep}").unwrap();
     }
     json.push_str("  }\n}\n");
     lio_obs::json::validate(&json).expect("profile export must be well-formed JSON");

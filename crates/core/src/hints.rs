@@ -1,9 +1,17 @@
-//! Tuning hints, modelled on ROMIO's `MPI_Info` keys.
+//! Tuning hints, modelled on ROMIO's `MPI_Info` keys: the engine, the
+//! two window sizes, the io-process count, the telemetry layers and the
+//! storage backend.
 
-/// The default of both window sizes, [`Hints::ind_buffer_size`] and
-/// [`Hints::cb_buffer_size`]: one cache-sized constant (512 KiB), shared
-/// with the advisor's `cb_buffer_size` rule.
-pub use lio_obs::profile::DEFAULT_WINDOW;
+/// The window every loop over file bytes uses unless a hint says
+/// otherwise: the default of both [`Hints::ind_buffer_size`] and
+/// [`Hints::cb_buffer_size`], and the chunk of the contiguous-file paths.
+/// Cache-sized on purpose: an io-process stores into its window and the
+/// storage layer loads from it straight after, so the window must still
+/// be in L2 (2 MiB on the reference box) next to the messages it is
+/// filled from. On the benchmark's three collective workloads 512 KiB
+/// ties 256 KiB and beats 1 MiB and the former 4 MiB (DESIGN.md §3.4 has
+/// the sweep).
+pub const DEFAULT_WINDOW: usize = 512 * 1024;
 
 /// The set of telemetry layers [`Hints::observe`] arms at open.
 pub use lio_obs::Layers;
@@ -19,24 +27,6 @@ pub enum Engine {
     /// mergeview for collective access. The paper's contribution
     /// (Section 3).
     Listless,
-}
-
-/// How independent non-contiguous accesses touch the file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SievingMode {
-    /// Data sieving: read a large window, copy through it, write it back
-    /// (ROMIO's default; the paper's Section 2.2).
-    Sieve,
-    /// One file access per contiguous block — the alternative the paper's
-    /// outlook discusses as a trade-off against sieving.
-    Direct,
-    /// Decide per access: sieving pays when the view is dense inside its
-    /// extent (most of each window is useful); direct access pays when
-    /// blocks are large and sparse. This implements the "more general
-    /// optimization ... the decision on the trade-off between data
-    /// sieving and multiple file accesses" of the paper's outlook
-    /// (Section 5). See [`crate::sieve::choose_mode`] for the heuristic.
-    Auto,
 }
 
 /// Which storage substrate backs a file opened through the hint path.
@@ -144,12 +134,6 @@ pub struct Hints {
     /// Number of io-processes for collective access; `0` means every rank
     /// is an IOP (the common single-node configuration in the paper).
     pub cb_nodes: usize,
-    /// Independent access strategy for non-contiguous fileviews.
-    pub sieving: SievingMode,
-    /// For collective writes: detect fully-covered windows and skip the
-    /// read-modify-write (ROMIO's list-merge optimization; the listless
-    /// engine uses the mergeview instead).
-    pub detect_dense_writes: bool,
     /// Telemetry: `Some(layers)` arms exactly these `lio-obs` layers
     /// (metrics, trace, profile, health) and disarms the others when a
     /// file is opened with these hints; `None` leaves the process-global
@@ -170,8 +154,6 @@ impl Hints {
             ind_buffer_size: DEFAULT_WINDOW,
             cb_buffer_size: DEFAULT_WINDOW,
             cb_nodes: 0,
-            sieving: SievingMode::Sieve,
-            detect_dense_writes: true,
             obs: None,
             backend: BackendKind::Mem,
         }
@@ -202,12 +184,6 @@ impl Hints {
     /// Override the number of io-processes (builder style).
     pub fn io_nodes(mut self, n: usize) -> Hints {
         self.cb_nodes = n;
-        self
-    }
-
-    /// Override the independent access strategy (builder style).
-    pub fn sieving_mode(mut self, mode: SievingMode) -> Hints {
-        self.sieving = mode;
         self
     }
 
@@ -308,21 +284,24 @@ impl Hints {
     /// `ind_rd_buffer_size`, `ind_wr_buffer_size` (both map to the single
     /// independent buffer knob; the larger wins), `cb_buffer_size` (both
     /// window sizes default to [`DEFAULT_WINDOW`], 512 KiB),
-    /// `cb_nodes`, `romio_ds_write` / `romio_ds_read` (both map to the
-    /// single sieving knob: `enable`/`disable`/`automatic` →
-    /// sieve/direct/auto), `detect_dense_writes` (`true`/`false`),
-    /// `backend` (`mem`/`throttled`/`os` — storage substrate for
-    /// backend-aware opens), and `lio_obs`, the telemetry layers armed at
-    /// open (`all`, `off`, or a comma list of `metrics`, `trace`,
+    /// `cb_nodes`, `backend` (`mem`/`throttled`/`os` — storage substrate
+    /// for backend-aware opens), and `lio_obs`, the telemetry layers armed
+    /// at open (`all`, `off`, or a comma list of `metrics`, `trace`,
     /// `profile` and `health`; `enable` means `metrics`).
     ///
+    /// ROMIO's `romio_ds_write` / `romio_ds_read` and the former
+    /// dense-write detection key are unknown keys here, whatever their value:
+    /// a non-contiguous independent access always sieves (ROMIO's default,
+    /// the paper's Section 2.2), and a collective write skips the read of
+    /// a window its data covers whenever the engine's own test says so.
+    ///
     /// ```
-    /// use lio_core::{Engine, Hints, SievingMode};
+    /// use lio_core::{Engine, Hints};
     /// let h = Hints::default()
-    ///     .apply_info([("cb_buffer_size", "1048576"), ("romio_ds_write", "automatic")])
+    ///     .apply_info([("cb_buffer_size", "1048576"), ("romio_ds_write", "disable")])
     ///     .unwrap();
     /// assert_eq!(h.cb_buffer_size, 1048576);
-    /// assert_eq!(h.sieving, SievingMode::Auto);
+    /// assert_eq!(h, Hints::default().cb_buffer(1048576));
     /// ```
     pub fn apply_info<'a>(
         mut self,
@@ -354,27 +333,6 @@ impl Hints {
                         .parse()
                         .map_err(|_| HintError::new(k, v, "expected a process count"))?;
                 }
-                "romio_ds_write" | "romio_ds_read" => {
-                    self.sieving = match v {
-                        "enable" => SievingMode::Sieve,
-                        "disable" => SievingMode::Direct,
-                        "automatic" => SievingMode::Auto,
-                        _ => {
-                            return Err(HintError::new(
-                                k,
-                                v,
-                                "expected enable, disable, or automatic",
-                            ))
-                        }
-                    }
-                }
-                "detect_dense_writes" => {
-                    self.detect_dense_writes = match v {
-                        "true" => true,
-                        "false" => false,
-                        _ => return Err(HintError::new(k, v, "expected true or false")),
-                    }
-                }
                 "backend" => {
                     self.backend = BackendKind::parse(v)
                         .ok_or_else(|| HintError::new(k, v, "expected mem, throttled, or os"))?;
@@ -399,9 +357,8 @@ impl Hints {
     }
 
     /// Serialize these hints back to `MPI_Info` pairs. Every recognized
-    /// key that [`Hints::apply_info`] parses is emitted (the read/write
-    /// sieving aliases collapse to `romio_ds_write`; `lio_obs` only
-    /// appears when the hint arms a set of layers), so
+    /// key that [`Hints::apply_info`] parses is emitted (`lio_obs` only
+    /// when the hint arms a set of layers), so
     /// `base.apply_info(h.to_info_pairs())` reconstructs `h` for any base
     /// whose independent buffer does not exceed `h`'s (the
     /// `ind_*_buffer_size` keys are larger-wins by the ROMIO contract).
@@ -427,18 +384,6 @@ impl Hints {
                 self.cb_buffer_size.to_string(),
             ),
             ("cb_nodes".to_string(), self.cb_nodes.to_string()),
-            (
-                "romio_ds_write".to_string(),
-                match self.sieving {
-                    SievingMode::Sieve => "enable".to_string(),
-                    SievingMode::Direct => "disable".to_string(),
-                    SievingMode::Auto => "automatic".to_string(),
-                },
-            ),
-            (
-                "detect_dense_writes".to_string(),
-                self.detect_dense_writes.to_string(),
-            ),
             ("backend".to_string(), self.backend.name().to_string()),
         ];
         if let Some(set) = self.obs {
@@ -461,8 +406,6 @@ mod info_tests {
                 ("cb_nodes", "2"),
                 ("ind_rd_buffer_size", "8192"),
                 ("ind_wr_buffer_size", "4096"),
-                ("romio_ds_write", "disable"),
-                ("detect_dense_writes", "false"),
                 ("totally_unknown_key", "whatever"),
                 // keys that once selected the pack loop and armed one
                 // telemetry layer each: an info set that still carries
@@ -477,9 +420,20 @@ mod info_tests {
         assert_eq!(h.cb_buffer_size, 65536);
         assert_eq!(h.cb_nodes, 2);
         assert_eq!(h.ind_buffer_size, DEFAULT_WINDOW); // max of default and given
-        assert_eq!(h.sieving, SievingMode::Direct);
-        assert!(!h.detect_dense_writes);
         assert_eq!(h.obs, None);
+        // the keys that once selected the independent strategy and
+        // switched the collective write's covered-window test change
+        // nothing, and no value of theirs is an error
+        for (k, v) in [
+            ("romio_ds_write", "disable"),
+            ("romio_ds_read", "sometimes"),
+            ("detect_dense_writes", "maybe"),
+        ] {
+            assert_eq!(
+                Hints::list_based().apply_info([(k, v)]),
+                Ok(Hints::list_based())
+            );
+        }
     }
 
     #[test]
@@ -488,9 +442,7 @@ mod info_tests {
         assert!(Hints::default()
             .apply_info([("cb_buffer_size", "lots")])
             .is_err());
-        assert!(Hints::default()
-            .apply_info([("detect_dense_writes", "maybe")])
-            .is_err());
+        assert!(Hints::default().apply_info([("cb_nodes", "all")]).is_err());
     }
 
     /// `lio_obs=<name>` arms the one layer and round-trips through

@@ -46,12 +46,12 @@ pub mod file;
 pub mod hints;
 pub mod packer;
 mod scratch;
-pub mod sieve;
+mod sieve;
 pub mod twophase;
 pub mod view;
 mod window;
 
 pub use error::{IoError, Result};
 pub use file::{File, SharedFile};
-pub use hints::{BackendKind, Engine, HintError, Hints, Layers, SievingMode};
+pub use hints::{BackendKind, Engine, HintError, Hints, Layers};
 pub use view::FileView;

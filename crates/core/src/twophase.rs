@@ -644,9 +644,9 @@ fn iop_write_listbased<'s>(
                 win,
                 win_end,
                 || {
-                    hints.detect_dense_writes
-                        && (coverage.get_or_insert_with(|| Coverage::merge(lists)))
-                            .covered(win, win_end)
+                    coverage
+                        .get_or_insert_with(|| Coverage::merge(lists))
+                        .covered(win, win_end)
                 },
                 &mut |at, piece, store| {
                     let stores = &mut Stores::new(store);
@@ -722,10 +722,7 @@ fn iop_write_listless<'s>(
             io.update(
                 win,
                 win_end,
-                || {
-                    hints.detect_dense_writes
-                        && merge.is_some_and(|m| m.filled_by(navs, &takes, win, win_end))
-                },
+                || merge.is_some_and(|m| m.filled_by(navs, &takes, win, win_end)),
                 // each AP's data goes on from its cursor and stops at the
                 // end of the piece by itself
                 &mut |at, piece, store| {

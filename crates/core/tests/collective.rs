@@ -212,15 +212,6 @@ fn collective_two_iops_of_four() {
 }
 
 #[test]
-fn collective_without_dense_detection() {
-    for h in engines() {
-        let mut h = h;
-        h.detect_dense_writes = false;
-        run_noncontig_collective(h, 4, 16, 8);
-    }
-}
-
-#[test]
 fn collective_tiny_blocks() {
     // Sblock = 1: metadata dwarfs data in the list-based engine
     for h in engines() {

@@ -2,7 +2,7 @@
 //! reconstruct `h` for every recognized key, and malformed values must
 //! surface as typed [`HintError`]s naming the failing pair.
 
-use lio_core::{Engine, Hints, Layers, SievingMode};
+use lio_core::{Engine, Hints, Layers};
 
 /// `to_info` emits borrowed pairs for `apply_info`.
 fn pairs(h: &Hints) -> Vec<(String, String)> {
@@ -27,18 +27,11 @@ fn roundtrip_reconstructs_every_field() {
         Hints::listless()
             .ind_buffer(8192)
             .cb_buffer(65536)
-            .io_nodes(3)
-            .sieving_mode(SievingMode::Direct),
-        Hints::list_based()
-            .sieving_mode(SievingMode::Auto)
-            .observe(Layers::METRICS),
+            .io_nodes(3),
+        Hints::list_based().observe(Layers::METRICS),
         Hints::listless().observe(Layers::TRACE | Layers::HEALTH),
         Hints::listless().observe(Layers::NONE),
         Hints::list_based().observe(Layers::ALL),
-        Hints {
-            detect_dense_writes: false,
-            ..Hints::list_based()
-        },
     ];
     for h in cases {
         assert_eq!(
@@ -77,9 +70,6 @@ fn malformed_values_name_the_failing_pair() {
         ("ind_wr_buffer_size", "-1", "byte count"),
         ("cb_buffer_size", "4k", "byte count"),
         ("cb_nodes", "all", "process count"),
-        ("romio_ds_write", "sometimes", "automatic"),
-        ("romio_ds_read", "yes", "automatic"),
-        ("detect_dense_writes", "enable", "true or false"),
         ("lio_obs", "loud", "metrics, trace, profile, health"),
     ];
     for (key, value, reason_part) in cases {

@@ -1,13 +1,13 @@
 //! Independent (non-collective) I/O: both engines vs the naive reference,
-//! across the paper's four access patterns (Figure 1), sieving modes,
-//! buffer sizes, and etype-granular offsets.
+//! across the paper's four access patterns (Figure 1), sieve buffer
+//! sizes, and etype-granular offsets.
 
 mod common;
 
 use common::{
     pattern, reference_read, reference_stream, reference_write, slow_staged, test_storage,
 };
-use lio_core::{File, Hints, SharedFile, SievingMode};
+use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field, Order};
 use lio_mpi::World;
 use lio_pfs::MemFile;
@@ -187,20 +187,18 @@ fn tiny_sieve_buffer_forces_many_windows() {
 }
 
 #[test]
-fn direct_mode_equals_sieve_mode() {
-    for base in engines() {
+fn sieve_from_an_etype_offset() {
+    for h in engines() {
         let ft = noncontig_filetype(10, 8, 3);
-        for mode in [SievingMode::Sieve, SievingMode::Direct] {
-            check_independent(
-                base.sieving_mode(mode),
-                0,
-                &ft,
-                &Datatype::contiguous(80, &Datatype::byte()).unwrap(),
-                1,
-                2,
-                &Datatype::byte(),
-            );
-        }
+        check_independent(
+            h,
+            0,
+            &ft,
+            &Datatype::contiguous(80, &Datatype::byte()).unwrap(),
+            1,
+            2,
+            &Datatype::byte(),
+        );
     }
 }
 
@@ -363,46 +361,4 @@ fn large_block_counts_both_engines() {
             &Datatype::byte(),
         );
     }
-}
-
-#[test]
-fn auto_mode_matches_explicit_modes() {
-    // Auto must produce the same file contents as either explicit mode,
-    // in both the dense-small-block regime (chooses sieve) and the
-    // sparse-large-block regime (chooses direct).
-    for h in engines() {
-        // dense, tiny blocks -> sieve territory
-        let dense_ft = noncontig_filetype(64, 8, 2);
-        check_independent(
-            h.sieving_mode(SievingMode::Auto),
-            0,
-            &dense_ft,
-            &Datatype::contiguous(64 * 8 * 2, &Datatype::byte()).unwrap(),
-            1,
-            0,
-            &Datatype::byte(),
-        );
-        // sparse, large blocks -> direct territory
-        let sparse_ft = noncontig_filetype(4, 16 * 1024, 8);
-        check_independent(
-            h.sieving_mode(SievingMode::Auto),
-            0,
-            &sparse_ft,
-            &Datatype::contiguous(4 * 16 * 1024, &Datatype::byte()).unwrap(),
-            1,
-            0,
-            &Datatype::byte(),
-        );
-    }
-}
-
-#[test]
-fn auto_mode_decision_boundaries() {
-    use lio_core::sieve::choose_mode;
-    // dense views sieve regardless of block size
-    assert_eq!(choose_mode(0.9, 100_000.0), SievingMode::Sieve);
-    // sparse + small blocks sieve (per-block access would thrash)
-    assert_eq!(choose_mode(0.1, 64.0), SievingMode::Sieve);
-    // sparse + large blocks go direct
-    assert_eq!(choose_mode(0.1, 64_000.0), SievingMode::Direct);
 }

@@ -20,7 +20,7 @@ use common::{
     reference_write,
 };
 use lio_core::hints::DEFAULT_WINDOW;
-use lio_core::{File, Hints, SievingMode};
+use lio_core::{File, Hints};
 use lio_datatype::Datatype;
 
 /// The stripe of `MemFile` and of a real file's mapping: where a lent
@@ -230,22 +230,18 @@ fn collective_four_ranks() {
 /// time — staged, every sieve window is a read-modify-write next to the
 /// other rank's bytes — then read them back, whole and across a new EOF.
 #[test]
-fn independent_sieved_direct_and_auto() {
+fn independent_sieved() {
     for engine in engines() {
         for geo in geometries(2) {
             let data = geo.data();
-            // the window size is nothing to the direct path, and `Auto`
-            // sieves a half-dense view: the default window does for both
-            let mut modes = vec![(SievingMode::Sieve, false)];
-            if geo.window == DEFAULT_WINDOW || geo.window == 96 {
-                modes.push((SievingMode::Sieve, true));
-            }
-            if geo.window == DEFAULT_WINDOW {
-                modes.extend([(SievingMode::Direct, false), (SievingMode::Auto, true)]);
-            }
-            for (mode, atomic) in modes {
-                let hints = geo.hints(engine).sieving_mode(mode);
-                let what = format!("{:?} {mode:?} atomic={atomic} {geo:?}", hints.engine);
+            let atomics: &[bool] = if geo.window == DEFAULT_WINDOW || geo.window == 96 {
+                &[false, true]
+            } else {
+                &[false]
+            };
+            for &atomic in atomics {
+                let hints = geo.hints(engine);
+                let what = format!("{:?} atomic={atomic} {geo:?}", hints.engine);
                 // the file ends inside the access
                 let initial = vec![0xFFu8; (geo.disp + geo.total() + 13) as usize];
                 check_access(

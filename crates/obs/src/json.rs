@@ -8,7 +8,7 @@
 
 /// A parsed JSON value. Object member order is preserved.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Value {
+enum Value {
     Null,
     Bool(bool),
     Num(f64),
@@ -17,39 +17,8 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
-impl Value {
-    /// Member lookup on an object; `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
 /// Parse a complete JSON document. Errors carry the byte offset.
-pub fn parse(s: &str) -> Result<Value, String> {
+fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
     let mut p = Parser { b, pos: 0 };
     p.skip_ws();
@@ -275,20 +244,26 @@ mod tests {
             r#"{"schema_version": 1, "entries": [{"bench": "p", "value": -1.5e3, "ok": true, "n": null}]}"#,
         )
         .unwrap();
-        assert_eq!(v.get("schema_version").unwrap().as_f64(), Some(1.0));
-        let e = &v.get("entries").unwrap().as_arr().unwrap()[0];
-        assert_eq!(e.get("bench").unwrap().as_str(), Some("p"));
-        assert_eq!(e.get("value").unwrap().as_f64(), Some(-1500.0));
-        assert_eq!(e.get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(e.get("n"), Some(&Value::Null));
+        let entry = Value::Obj(vec![
+            ("bench".to_string(), Value::Str("p".to_string())),
+            ("value".to_string(), Value::Num(-1500.0)),
+            ("ok".to_string(), Value::Bool(true)),
+            ("n".to_string(), Value::Null),
+        ]);
+        assert_eq!(
+            v,
+            Value::Obj(vec![
+                ("schema_version".to_string(), Value::Num(1.0)),
+                ("entries".to_string(), Value::Arr(vec![entry])),
+            ])
+        );
     }
 
     #[test]
     fn escapes_round_trip() {
         let mut s = String::new();
         crate::json_string(&mut s, "a\"b\\c\nd\te\u{1}");
-        let v = parse(&s).unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\nd\te\u{1}"));
+        assert_eq!(parse(&s), Ok(Value::Str("a\"b\\c\nd\te\u{1}".to_string())));
     }
 
     #[test]

@@ -1,8 +1,7 @@
-//! `lio-profile`: per-open, per-op access-pattern characterization and a
-//! rule-based hint advisor. Since the online tuner was deleted (PR 24) its
-//! consumers are `repro profile`, which prints the advice as the
-//! `key=value` pairs `Hints::apply_info` takes, and `ci.sh`; ROADMAP item
-//! 5(f) decides, with data, whether the rule table stays.
+//! `lio-profile`: per-open, per-op access-pattern characterization. Its
+//! consumer is `repro profile`, which prints each workload's
+//! [`ProfileSnapshot::characterize`] line and writes the snapshots to
+//! `results/profile.json`.
 //!
 //! The profiler aggregates, with zero allocation on the hot path and the
 //! same enable discipline as [`crate::trace`] (one relaxed atomic load
@@ -24,12 +23,7 @@
 //!   from the metric registry at snapshot time.
 //!
 //! [`snapshot`] freezes everything into a [`ProfileSnapshot`] (plain
-//! data, JSON-serializable), and [`advise`] maps a snapshot to explained
-//! hint recommendations through the inspectable [`RULES`] table. The
-//! rules recommend the static configurations the pipeline and pack
-//! measurements of commit `8c82e34` showed fastest for the corresponding
-//! access shapes; EXPERIMENTS.md ("Tuner verdict") has the numbers of
-//! that commit and where a setting's lead is inside the run-to-run noise.
+//! data, JSON-serializable).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
@@ -675,16 +669,6 @@ impl ProfileSnapshot {
         }
     }
 
-    /// Is any collective traffic present?
-    pub fn has_collective(&self) -> bool {
-        self.op(OpClass::CollWrite).requests + self.op(OpClass::CollRead).requests > 0
-    }
-
-    /// Is any independent traffic present?
-    pub fn has_independent(&self) -> bool {
-        self.op(OpClass::IndWrite).requests + self.op(OpClass::IndRead).requests > 0
-    }
-
     /// One-line characterization for the report table, e.g.
     /// `"write-heavy, 87% contiguous, 4096 B median run, io-bound"`.
     pub fn characterize(&self) -> String {
@@ -842,326 +826,8 @@ fn write_u64_array(out: &mut String, vals: &[u64]) {
     out.push(']');
 }
 
-// ---------------------------------------------------------------------------
-// Advisor
-// ---------------------------------------------------------------------------
-
-/// One concrete, explained hint recommendation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Recommendation {
-    /// Name of the [`Rule`] that fired.
-    pub rule: &'static str,
-    /// The hint assignment, info-string style, e.g. `"cb_buffer_size=262144"`.
-    pub setting: String,
-    /// Why — stated in terms of the profile evidence.
-    pub reason: String,
-}
-
-/// One row of the inspectable rule table: a named predicate over a
-/// profile that may yield a recommendation.
-pub struct Rule {
-    pub name: &'static str,
-    /// What the rule looks at and what it decides.
-    pub description: &'static str,
-    pub apply: fn(&ProfileSnapshot) -> Option<Recommendation>,
-}
-
-/// Sieving thresholds shared with `lio_core::sieve::choose_mode`: sieve
-/// pays off when density ≥ 1/2 (most of the window is wanted anyway) or
-/// blocks are small enough that per-access latency dominates.
-pub const SIEVE_DENSITY_THRESHOLD: f64 = 0.5;
-pub const SIEVE_SMALL_BLOCK: f64 = 8192.0;
-
-fn rule_engine(p: &ProfileSnapshot) -> Option<Recommendation> {
-    if p.view.views_set == 0 || p.view.contiguous {
-        return None;
-    }
-    Some(Recommendation {
-        rule: "engine",
-        setting: "engine=listless".to_string(),
-        reason: format!(
-            "non-contiguous view with {} leaf runs per filetype: flattening on the fly \
-             avoids materializing and exchanging per-run offset/length lists, and the \
-             collective benches show listless at or ahead of list-based in every \
-             measured configuration",
-            p.view.leaf_runs
-        ),
-    })
-}
-
-/// The window every loop over file bytes uses unless a hint says
-/// otherwise — sieve buffer and collective buffer alike
-/// (`lio_core::Hints::{ind_buffer_size, cb_buffer_size}` default to it).
-/// Cache-sized on purpose: an io-process stores into its window and the
-/// storage layer loads from it straight after, so the window must still
-/// be in L2 (2 MiB on the reference box) next to the messages it is
-/// filled from. On the benchmark's three collective workloads 512 KiB
-/// ties 256 KiB and beats 1 MiB and the former 4 MiB (DESIGN.md §3.4 has
-/// the sweep). It lives here, below every other crate, so that the
-/// advisor's `cb_buffer_size` rule and the hint defaults cannot drift apart.
-pub const DEFAULT_WINDOW: usize = 512 * 1024;
-
-/// The collective-buffer size for a per-op file-domain span: ~4 windows
-/// per op — enough to write behind, small enough to keep the exchange
-/// lists per window bounded — clamped to [64 KiB, [`DEFAULT_WINDOW`]]. A
-/// span, however long, is no reason to outgrow the cache: a window larger
-/// than the default is for storage measured to be latency-bound (an
-/// explicit hint), not for a geometry heuristic.
-fn rule_cb_buffer(p: &ProfileSnapshot) -> Option<Recommendation> {
-    if !p.has_collective() || p.domains.ops == 0 {
-        return None;
-    }
-    let span_per_op = p.domains.span_bytes / p.domains.ops;
-    if span_per_op == 0 {
-        return None;
-    }
-    let cb = (span_per_op / 4)
-        .max(1)
-        .next_power_of_two()
-        .clamp(64 * 1024, DEFAULT_WINDOW as u64);
-    let coverage = p.domains.coverage();
-    let dense = if coverage >= 0.9 {
-        " (dense coverage: the covered-window write optimization skips the read-back)"
-    } else {
-        ""
-    };
-    Some(Recommendation {
-        rule: "cb_buffer_size",
-        setting: format!("cb_buffer_size={cb}"),
-        reason: format!(
-            "collective span {span_per_op} B/op with {:.0}% coverage: {cb} B windows \
-             give ~{} windows per op and stay inside the cache-sized default{dense}",
-            coverage * 100.0,
-            span_per_op.div_ceil(cb)
-        ),
-    })
-}
-
-fn rule_sieving(p: &ProfileSnapshot) -> Option<Recommendation> {
-    if !p.has_independent() || p.view.views_set == 0 || p.view.contiguous {
-        return None;
-    }
-    let density = p.view.density();
-    let mean_block = p.view.mean_block();
-    if density >= SIEVE_DENSITY_THRESHOLD || mean_block < SIEVE_SMALL_BLOCK {
-        Some(Recommendation {
-            rule: "sieving",
-            setting: "romio_ds_write=enable".to_string(),
-            reason: format!(
-                "view density {density:.2} and mean block {mean_block:.0} B: sieving \
-                 turns many small accesses into one buffered window \
-                 (threshold: density ≥ {SIEVE_DENSITY_THRESHOLD} or block < \
-                 {SIEVE_SMALL_BLOCK} B)"
-            ),
-        })
-    } else {
-        Some(Recommendation {
-            rule: "sieving",
-            setting: "romio_ds_write=disable".to_string(),
-            reason: format!(
-                "view density {density:.2} with mean block {mean_block:.0} B: blocks \
-                 are large and sparse, direct access moves less data than a \
-                 read-modify-write window"
-            ),
-        })
-    }
-}
-
-/// The inspectable rule table, in evaluation order.
-pub static RULES: &[Rule] = &[
-    Rule {
-        name: "engine",
-        description: "non-contiguous views favor listless flattening over \
-                      materialized offset/length lists",
-        apply: rule_engine,
-    },
-    Rule {
-        name: "cb_buffer_size",
-        description: "size collective-buffer windows for ~4 windows per op, \
-                      clamped to [64 KiB, the cache-sized default window]",
-        apply: rule_cb_buffer,
-    },
-    Rule {
-        name: "sieving",
-        description: "sieve dense or small-block independent access; go \
-                      direct for sparse large blocks",
-        apply: rule_sieving,
-    },
-];
-
-/// Evaluate every rule against `p`, in table order.
-pub fn advise(p: &ProfileSnapshot) -> Vec<Recommendation> {
-    RULES.iter().filter_map(|r| (r.apply)(p)).collect()
-}
-
-/// Serialize recommendations as a JSON array.
-pub fn recommendations_json(recs: &[Recommendation]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in recs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"rule\": ");
-        crate::json_string(&mut out, r.rule);
-        out.push_str(", \"setting\": ");
-        crate::json_string(&mut out, &r.setting);
-        out.push_str(", \"reason\": ");
-        crate::json_string(&mut out, &r.reason);
-        out.push('}');
-    }
-    out.push(']');
-    out
-}
-
-/// Canned, pinned [`ProfileSnapshot`]s for the repro's fig5/fig6
-/// workload shapes. These are the reference inputs for the advisor tests
-/// here *and* for the info-key test in `lio-core` (every setting the
-/// advisor prints is one `Hints::apply_info` takes), so they live in the
-/// public API rather than behind `cfg(test)`.
-pub mod fixtures {
-    use super::*;
-
-    fn empty_hist() -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: Vec::new(),
-        }
-    }
-
-    fn hist_of(v: u64, n: u64) -> HistogramSnapshot {
-        let (lo, hi) = crate::bucket_bounds(crate::bucket_index(v));
-        HistogramSnapshot {
-            count: n,
-            sum: v * n,
-            min: v,
-            max: v,
-            buckets: vec![(lo, hi, n)],
-        }
-    }
-
-    /// Fig6 shape: exchange-bound collective write through a
-    /// non-contiguous interleaved view with small runs.
-    pub fn fig6_collective_small_runs() -> ProfileSnapshot {
-        ProfileSnapshot {
-            ops: vec![
-                ("ind_write", OpStats::default()),
-                ("ind_read", OpStats::default()),
-                (
-                    "coll_write",
-                    OpStats {
-                        requests: 4,
-                        bytes: 4 << 20,
-                    },
-                ),
-                ("coll_read", OpStats::default()),
-            ],
-            runs: RunStats {
-                total: 4096,
-                contiguous: 512,
-                sizes: hist_of(1024, 4096),
-                gaps: hist_of(3072, 3584),
-            },
-            view: ViewStats {
-                views_set: 4,
-                size: 1 << 20,
-                extent: 4 << 20,
-                leaf_runs: 1024,
-                contiguous: false,
-            },
-            shape: ShapeStats {
-                programs: 4,
-                normalized: 4,
-                rewritten: 0,
-                born_strided: 4,
-                frames: 4,
-                loop_frames: 0,
-                tail_frames: 0,
-                min_block: 1024,
-                max_block: 1024,
-                block_sizes: hist_of(1024, 4),
-            },
-            domains: DomainStats {
-                ops: 1,
-                span_bytes: 4 << 20,
-                covered_bytes: 4 << 20,
-                overlap_bytes: 0,
-                rank_access_bytes: vec![1 << 20; 4],
-                rank_exchange_bytes: vec![1 << 20; 4],
-            },
-            storage: StorageStats {
-                read_sizes: empty_hist(),
-                write_sizes: hist_of(1 << 20, 4),
-            },
-            coll_write: PhaseNs {
-                exchange_ns: 6_000_000,
-                io_ns: 3_000_000,
-                pack_ns: 1_000_000,
-            },
-            coll_read: PhaseNs::default(),
-        }
-    }
-
-    /// Fig5 shape: sparse large-block independent access where direct
-    /// I/O and large-copy sharding win.
-    pub fn fig5_independent_sparse_large() -> ProfileSnapshot {
-        ProfileSnapshot {
-            ops: vec![
-                (
-                    "ind_write",
-                    OpStats {
-                        requests: 8,
-                        bytes: 64 << 20,
-                    },
-                ),
-                ("ind_read", OpStats::default()),
-                ("coll_write", OpStats::default()),
-                ("coll_read", OpStats::default()),
-            ],
-            runs: RunStats {
-                total: 64,
-                contiguous: 0,
-                sizes: hist_of(1 << 20, 64),
-                gaps: hist_of(7 << 20, 63),
-            },
-            view: ViewStats {
-                views_set: 1,
-                size: 64 << 20,
-                extent: 512 << 20,
-                leaf_runs: 64,
-                contiguous: false,
-            },
-            shape: ShapeStats {
-                programs: 1,
-                normalized: 1,
-                rewritten: 0,
-                born_strided: 1,
-                frames: 1,
-                loop_frames: 0,
-                tail_frames: 0,
-                min_block: 1 << 20,
-                max_block: 1 << 20,
-                block_sizes: hist_of(1 << 20, 1),
-            },
-            domains: DomainStats::default(),
-            storage: StorageStats {
-                read_sizes: empty_hist(),
-                write_sizes: hist_of(1 << 20, 64),
-            },
-            coll_write: PhaseNs::default(),
-            coll_read: PhaseNs::default(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::fixtures::{
-        fig5_independent_sparse_large as fixture_independent_sparse_large,
-        fig6_collective_small_runs as fixture_collective_small_runs,
-    };
     use super::*;
     use std::sync::Mutex;
 
@@ -1247,68 +913,87 @@ mod tests {
         });
     }
 
-    #[test]
-    fn advisor_pinned_collective_fixture() {
-        let p = fixture_collective_small_runs();
-        let recs = advise(&p);
-        let by_rule = |name: &str| {
-            recs.iter()
-                .find(|r| r.rule == name)
-                .unwrap_or_else(|| panic!("rule {name} did not fire"))
-        };
-        // non-contiguous view → listless
-        assert_eq!(by_rule("engine").setting, "engine=listless");
-        // span 4 MiB/op → a quarter of it, capped at the default window
-        assert_eq!(
-            by_rule("cb_buffer_size").setting,
-            format!("cb_buffer_size={DEFAULT_WINDOW}")
-        );
-        // every recommendation explains itself
-        assert!(recs.iter().all(|r| !r.reason.is_empty()));
-    }
-
-    #[test]
-    fn advisor_pinned_independent_fixture() {
-        let p = fixture_independent_sparse_large();
-        let recs = advise(&p);
-        let by_rule = |name: &str| recs.iter().find(|r| r.rule == name);
-        // density 0.125, 1 MiB blocks → direct access
-        let sieve = by_rule("sieving").expect("sieving rule fires");
-        assert_eq!(sieve.setting, "romio_ds_write=disable");
-        // no collective traffic → no cb recommendation
-        assert!(by_rule("cb_buffer_size").is_none());
-    }
-
-    #[test]
-    fn advisor_is_deterministic_on_fixtures() {
-        for fixture in [
-            fixture_collective_small_runs(),
-            fixture_independent_sparse_large(),
-        ] {
-            let a = advise(&fixture);
-            let b = advise(&fixture);
-            assert_eq!(a, b, "rule table must be a pure function of the profile");
+    fn empty_hist() -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            buckets: Vec::new(),
         }
     }
 
-    #[test]
-    fn rules_table_is_inspectable() {
-        assert!(RULES.len() >= 3);
-        for r in RULES {
-            assert!(!r.name.is_empty());
-            assert!(!r.description.is_empty());
-        }
-        let names: Vec<_> = RULES.iter().map(|r| r.name).collect();
-        for want in ["engine", "cb_buffer_size", "sieving"] {
-            assert!(names.contains(&want), "rule {want} missing from table");
+    fn hist_of(v: u64, n: u64) -> HistogramSnapshot {
+        let (lo, hi) = crate::bucket_bounds(crate::bucket_index(v));
+        HistogramSnapshot {
+            count: n,
+            sum: v * n,
+            min: v,
+            max: v,
+            buckets: vec![(lo, hi, n)],
         }
     }
 
-    #[test]
-    fn recommendations_json_is_valid() {
-        let recs = advise(&fixture_collective_small_runs());
-        let json = recommendations_json(&recs);
-        crate::json::validate(&json).expect("recommendations JSON parses");
+    /// Fig6 shape: exchange-bound collective write through a
+    /// non-contiguous interleaved view with small runs.
+    fn fixture_collective_small_runs() -> ProfileSnapshot {
+        ProfileSnapshot {
+            ops: vec![
+                ("ind_write", OpStats::default()),
+                ("ind_read", OpStats::default()),
+                (
+                    "coll_write",
+                    OpStats {
+                        requests: 4,
+                        bytes: 4 << 20,
+                    },
+                ),
+                ("coll_read", OpStats::default()),
+            ],
+            runs: RunStats {
+                total: 4096,
+                contiguous: 512,
+                sizes: hist_of(1024, 4096),
+                gaps: hist_of(3072, 3584),
+            },
+            view: ViewStats {
+                views_set: 4,
+                size: 1 << 20,
+                extent: 4 << 20,
+                leaf_runs: 1024,
+                contiguous: false,
+            },
+            shape: ShapeStats {
+                programs: 4,
+                normalized: 4,
+                rewritten: 0,
+                born_strided: 4,
+                frames: 4,
+                loop_frames: 0,
+                tail_frames: 0,
+                min_block: 1024,
+                max_block: 1024,
+                block_sizes: hist_of(1024, 4),
+            },
+            domains: DomainStats {
+                ops: 1,
+                span_bytes: 4 << 20,
+                covered_bytes: 4 << 20,
+                overlap_bytes: 0,
+                rank_access_bytes: vec![1 << 20; 4],
+                rank_exchange_bytes: vec![1 << 20; 4],
+            },
+            storage: StorageStats {
+                read_sizes: empty_hist(),
+                write_sizes: hist_of(1 << 20, 4),
+            },
+            coll_write: PhaseNs {
+                exchange_ns: 6_000_000,
+                io_ns: 3_000_000,
+                pack_ns: 1_000_000,
+            },
+            coll_read: PhaseNs::default(),
+        }
     }
 
     #[test]

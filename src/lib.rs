@@ -46,7 +46,7 @@ pub use lio_pfs as pfs;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use lio_core::{Engine, File, FileView, Hints, SharedFile, SievingMode};
+    pub use lio_core::{Engine, File, FileView, Hints, SharedFile};
     pub use lio_datatype::{Datatype, Field, Order};
     pub use lio_mpi::{Comm, World};
     pub use lio_pfs::{MemFile, StorageFile, Throttle, ThrottledFile, UnixFile};
