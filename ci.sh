@@ -72,6 +72,30 @@ for src in crates/*/src; do
   fi
 done
 
+# Size census (ROADMAP's size line), the same ratchet: the Rust lines of
+# each crate's src/, comments and unit tests included, printed so that
+# the size line is read off this output, and `datatype`'s against the
+# number reviewed for it. A change that grows it past that number raises
+# the number here, where the diff shows it; one that shrinks it should
+# lower it. Copies, navigation and flattening all run one compiled run
+# program, and the ceiling keeps a second interpreter of a datatype (the
+# tree walks navigation and the tests' `FlatIter` used to be) from
+# coming back unseen.
+echo "== size census"
+reviewed_datatype_lines=6529
+total=0
+for src in crates/*/src; do
+  crate=$(basename "$(dirname "$src")")
+  n=$(find "$src" -name '*.rs' -exec cat {} + | wc -l)
+  total=$((total + n))
+  echo "  $crate: $n"
+  if [ "$crate" = datatype ] && [ "$n" -gt "$reviewed_datatype_lines" ]; then
+    echo "size census: crates/datatype/src has $n lines, more than the $reviewed_datatype_lines reviewed"
+    exit 1
+  fi
+done
+echo "  all crates: $total"
+
 # Knob census (ROADMAP item 5(d)), the same ratchet: the distinct
 # `LIO_*` names anywhere under crates/*/src — every environment variable
 # the workspace reads, whether it selects, arms or sizes something —

@@ -419,13 +419,18 @@ fn table3(opts: &Opts) {
 /// that copies a view's blocks out of a strided buffer are each timed as
 /// the median of several runs and also given per tuple (per block, the
 /// co-walk, of two lists and of one list beside a contiguous buffer): the
-/// unit costs a list-based model composes.
+/// unit costs a list-based model composes. Navigation and the fileview's
+/// encoding take well under a microsecond per call, below what one clock
+/// reading resolves, so they are timed the same way over a batch of
+/// `CALLS` calls — navigation to `CALLS` skips spread over the instance —
+/// and given per call.
 fn overheads() {
     use lio_datatype::kernels::{Store, Stores};
     use lio_datatype::{ff_offset, serialize, CoWalk, Datatype, OlList, OlWire};
     use std::time::Instant;
 
     const REPS: usize = 9;
+    const CALLS: u64 = 64;
     /// Median microseconds of `REPS` runs of `f`.
     fn median_us<R>(mut f: impl FnMut() -> R) -> f64 {
         let mut times: Vec<f64> = (0..REPS)
@@ -500,22 +505,37 @@ fn overheads() {
         let copy1_us = median_us(|| ol.pack(&user, 0, &mut packed));
         let copy1_ns = copy1_us * 1e3 / tuples;
 
-        let t = Instant::now();
         let compact = serialize::encode(&d);
-        let encode_us = t.elapsed().as_secs_f64() * 1e6;
+        let per_call = |us: f64| us / CALLS as f64;
+        let encode_us = per_call(median_us(|| {
+            (0..CALLS)
+                .map(|_| serialize::encode(&d).len())
+                .sum::<usize>()
+        }));
 
-        // navigate to the middle: list-based (linear) vs ff (O(depth))
-        let mid = d.size() / 2;
-        let t = Instant::now();
-        let a = ol.offset_of(mid).expect("mid");
-        let nav_linear_us = t.elapsed().as_secs_f64() * 1e6;
-        let t = Instant::now();
-        let b = ff_offset(&d, mid);
-        let nav_ff_us = t.elapsed().as_secs_f64() * 1e6;
-        assert_eq!(a, b);
+        // navigate to the middles of CALLS equal slices of the instance:
+        // list-based (linear) vs ff (O(depth))
+        let skips: Vec<u64> = (0..CALLS)
+            .map(|k| (2 * k + 1) * size / (2 * CALLS))
+            .collect();
+        let nav_linear_us = per_call(median_us(|| {
+            skips
+                .iter()
+                .map(|&s| ol.offset_of(std::hint::black_box(s)).expect("inside"))
+                .sum::<i64>()
+        }));
+        let nav_ff_us = per_call(median_us(|| {
+            skips
+                .iter()
+                .map(|&s| ff_offset(&d, std::hint::black_box(s)))
+                .sum::<i64>()
+        }));
+        for &s in &skips {
+            assert_eq!(ol.offset_of(s), Some(ff_offset(&d, s)), "skip {s}");
+        }
 
         println!(
-            "{:>8} {:>12} {:>10} {:>12.1} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.1} {:>12.2} {:>10.2}",
+            "{:>8} {:>12} {:>10} {:>12.1} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>10.3} {:>12.2} {:>10.4}",
             nblock,
             ol_bytes,
             compact.len(),
@@ -531,7 +551,7 @@ fn overheads() {
         );
         writeln!(
             csv,
-            "{nblock},{ol_bytes},{},{flatten_us:.1},{ns_per_tuple:.2},{build_ns:.2},{merge_ns:.2},{copy_ns:.2},{copy1_ns:.2},{encode_us:.1},{nav_linear_us:.2},{nav_ff_us:.2}",
+            "{nblock},{ol_bytes},{},{flatten_us:.1},{ns_per_tuple:.2},{build_ns:.2},{merge_ns:.2},{copy_ns:.2},{copy1_ns:.2},{encode_us:.3},{nav_linear_us:.2},{nav_ff_us:.4}",
             compact.len()
         )
         .unwrap();

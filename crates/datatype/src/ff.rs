@@ -13,7 +13,10 @@
 //! * [`ff_offset`], [`ff_size`], [`ff_extent`] — `MPIR_Type_ff_size` /
 //!   `MPIR_Type_ff_extent` (Figure 2): convert between "bytes of data" and
 //!   "extent spanned" in `O(depth · log k)`, replacing the list-based
-//!   linear traversal for file-pointer positioning.
+//!   linear traversal for file-pointer positioning. They navigate the
+//!   type's compiled run program ([`crate::RunProgram::offset_of`],
+//!   [`crate::RunProgram::bytes_below`]), the program every copy runs, so
+//!   one interpreter serves copies and navigation.
 //!
 //! Navigation functions treat the datatype as tiling an unbounded buffer
 //! (instance `i` at displacement `i · extent`), which is exactly how a
@@ -24,7 +27,7 @@
 use lio_obs::{LazyCounter, LazyHistogram};
 
 use crate::kernels::Store;
-use crate::types::{Datatype, Node, TypeKind};
+use crate::types::Datatype;
 
 /// Copy-engine metrics. Blocks-copied and the contiguous-run-length
 /// distribution quantify the paper's Section 2.1 copy overhead: small
@@ -49,22 +52,21 @@ pub static OBS_COPY_BYTES: LazyCounter = LazyCounter::new("dt.copy.bytes");
 /// position within instances; `databytes == k · size` returns the first
 /// data byte of instance `k`.
 ///
-/// This is the primitive from which `ff_size` and `ff_extent` are built;
-/// cost is `O(depth · log k)`.
+/// This is the primitive from which `ff_size` and `ff_extent` are built:
+/// one division for the instance, then [`crate::RunProgram::offset_of`]
+/// on the type's compiled program, `O(depth)`.
 pub fn ff_offset(d: &Datatype, databytes: u64) -> i64 {
     debug_assert!(d.is_monotone(), "navigation requires a monotone type");
     let size = d.size();
     assert!(size > 0, "cannot navigate a zero-size type");
     let inst = databytes / size;
-    let w = databytes % size;
-    inst as i64 * d.extent() as i64 + pos_within(&d.0, w)
+    inst as i64 * d.extent() as i64 + d.compiled().offset_of(databytes % size)
 }
 
 /// The number of data bytes contained in a window of `extent` bytes
 /// starting at the position of data byte `skipbytes` — the paper's
 /// `MPIR_Type_ff_size(dtype, skipbytes, extent)`.
 pub fn ff_size(d: &Datatype, skipbytes: u64, extent: u64) -> u64 {
-    debug_assert!(d.is_monotone(), "navigation requires a monotone type");
     let lo = ff_offset(d, skipbytes);
     bytes_below_tiled(d, lo + extent as i64) - skipbytes
 }
@@ -82,7 +84,9 @@ pub fn ff_extent(d: &Datatype, skipbytes: u64, size: u64) -> u64 {
 }
 
 /// Count the data bytes of the tiled layout of `d` with positions in
-/// `[0, x)`. The inverse of [`ff_offset`].
+/// `[0, x)`. The inverse of [`ff_offset`]: the instances wholly below `x`
+/// are one division, the one `x` cuts is
+/// [`crate::RunProgram::bytes_below`].
 ///
 /// Unlike [`ff_offset`], this does not require full monotonicity: it is
 /// also correct for types whose *top-level* fields interleave (such as the
@@ -99,174 +103,10 @@ pub fn bytes_below_tiled(d: &Datatype, x: i64) -> u64 {
         return 0;
     }
     let ext = d.extent() as i64;
-    debug_assert!(ext > 0, "monotone type with data has positive extent");
-    let m = &d.0.meta;
     // Number of instances whose data lies entirely below x; at most the
-    // following instance can be cut by x (monotone tiling).
-    let full = ((x - m.data_ub).div_euclid(ext) + 1).max(0);
-    full as u64 * size + bytes_below(&d.0, x - full * ext)
-}
-
-/// Data bytes of **one instance** of `node` with displacement < `x`.
-fn bytes_below(node: &Node, x: i64) -> u64 {
-    let m = &node.meta;
-    if m.size == 0 || x <= m.data_lb {
-        return 0;
-    }
-    if x >= m.data_ub {
-        return m.size;
-    }
-    match &node.kind {
-        TypeKind::Basic { .. } => x.clamp(0, m.size as i64) as u64,
-        TypeKind::LbMark | TypeKind::UbMark => 0,
-        TypeKind::Contiguous { count, child } => {
-            tiled_bytes_below(&child.0, *count, child.extent() as i64, x)
-        }
-        TypeKind::Hvector {
-            count,
-            blocklen,
-            stride,
-            child,
-        } => {
-            let cm = &child.0.meta;
-            let cext = child.extent() as i64;
-            let block_size = cm.size * blocklen;
-            if block_size == 0 {
-                return 0;
-            }
-            // One block = `blocklen` children tiled at the child extent.
-            let block_data_ub = (*blocklen as i64 - 1) * cext + cm.data_ub;
-            if *count <= 1 || *stride <= 0 {
-                return tiled_bytes_below(&child.0, *blocklen, cext, x);
-            }
-            let full = ((x - block_data_ub).div_euclid(*stride) + 1).clamp(0, *count as i64);
-            let partial = if (full as u64) < *count {
-                tiled_bytes_below(&child.0, *blocklen, cext, x - full * stride)
-            } else {
-                0
-            };
-            full as u64 * block_size + partial
-        }
-        TypeKind::Hindexed { blocks, child } => {
-            let cm = &child.0.meta;
-            let cext = child.extent() as i64;
-            let prefix = m
-                .size_prefix
-                .as_ref()
-                .expect("hindexed nodes carry size prefix sums");
-            // Blocks are disp-sorted with sorted ends (monotone, and
-            // zero-length blocks are dropped at construction); count the
-            // fully-below blocks.
-            let nb = blocks
-                .partition_point(|b| b.disp + (b.blocklen as i64 - 1) * cext + cm.data_ub <= x);
-            let mut total = prefix[nb];
-            if let Some(b) = blocks.get(nb) {
-                total += tiled_bytes_below(&child.0, b.blocklen, cext, x - b.disp);
-            }
-            total
-        }
-        TypeKind::Struct { fields } => fields
-            .iter()
-            .map(|f| tiled_bytes_below(&f.child.0, f.count, f.child.extent() as i64, x - f.disp))
-            .sum(),
-        TypeKind::Resized { child, .. } => bytes_below(&child.0, x),
-    }
-}
-
-/// Data bytes below `x` of `count` instances of `node` tiled at `ext`.
-fn tiled_bytes_below(node: &Node, count: u64, ext: i64, x: i64) -> u64 {
-    let m = &node.meta;
-    if count == 0 || m.size == 0 {
-        return 0;
-    }
-    if x <= m.data_lb {
-        return 0;
-    }
-    if count == 1 || ext <= 0 {
-        // ext == 0 with multiple data-bearing instances violates
-        // monotonicity, so a single evaluation suffices.
-        return bytes_below(node, x).min(m.size * count);
-    }
-    let full = ((x - m.data_ub).div_euclid(ext) + 1).clamp(0, count as i64);
-    let partial = if (full as u64) < count {
-        bytes_below(node, x - full * ext)
-    } else {
-        0
-    };
-    full as u64 * m.size + partial
-}
-
-/// Displacement of the `w`-th data byte within one instance of `node`;
-/// `0 <= w < size`.
-fn pos_within(node: &Node, w: u64) -> i64 {
-    debug_assert!(w < node.meta.size || (w == 0 && node.meta.size == 0));
-    match &node.kind {
-        TypeKind::Basic { .. } => w as i64,
-        TypeKind::LbMark | TypeKind::UbMark => unreachable!("markers hold no data"),
-        TypeKind::Contiguous { child, .. } => {
-            let csize = child.size();
-            let i = w / csize;
-            i as i64 * child.extent() as i64 + pos_within(&child.0, w % csize)
-        }
-        TypeKind::Hvector {
-            blocklen,
-            stride,
-            child,
-            ..
-        } => {
-            let csize = child.size();
-            let k = w / csize;
-            let i = k / blocklen;
-            let j = k % blocklen;
-            i as i64 * stride + j as i64 * child.extent() as i64 + pos_within(&child.0, w % csize)
-        }
-        TypeKind::Hindexed { blocks, child } => {
-            let prefix = node
-                .meta
-                .size_prefix
-                .as_ref()
-                .expect("hindexed nodes carry size prefix sums");
-            let b = find_block(prefix, blocks.len(), w);
-            let csize = child.size();
-            let rb = w - prefix[b];
-            let j = rb / csize;
-            blocks[b].disp + j as i64 * child.extent() as i64 + pos_within(&child.0, rb % csize)
-        }
-        TypeKind::Struct { fields } => {
-            let mut cum = 0u64;
-            for f in fields.iter() {
-                let fsize = f.child.size() * f.count;
-                if fsize == 0 {
-                    continue;
-                }
-                if w < cum + fsize {
-                    let rf = w - cum;
-                    let csize = f.child.size();
-                    let j = rf / csize;
-                    return f.disp
-                        + j as i64 * f.child.extent() as i64
-                        + pos_within(&f.child.0, rf % csize);
-                }
-                cum += fsize;
-            }
-            unreachable!("w < size implies a containing field")
-        }
-        TypeKind::Resized { child, .. } => pos_within(&child.0, w),
-    }
-}
-
-/// Find the block `b` with `prefix[b] <= r < prefix[b+1]`, skipping
-/// zero-size blocks that share the boundary value.
-fn find_block(prefix: &[u64], nblocks: usize, r: u64) -> usize {
-    match prefix.binary_search(&r) {
-        Ok(mut i) => {
-            while i < nblocks && prefix[i + 1] == r {
-                i += 1;
-            }
-            i
-        }
-        Err(i) => i - 1,
-    }
+    // following instance can be cut by x (instance-confined data).
+    let full = ((x - d.data_ub()).div_euclid(ext) + 1).max(0);
+    full as u64 * size + d.compiled().bytes_below(x - full * ext)
 }
 
 /// Pack non-contiguous data from the typed buffer `src` into the

@@ -11,24 +11,25 @@
 //!   the list-based baseline the paper attributes to ROMIO, complete with
 //!   its `O(Nblock)` costs in time and memory and its linear-traversal
 //!   navigation; [`OlList::flatten`] expands the type's compiled
-//!   [`RunProgram`], the one interpreter both engines share;
-//!   [`FlatIter`], the per-run tree walk, is the tests' reference oracle
-//!   and the benches' tree-walk baseline, nothing else; a collective's
-//!   access lists travel as [`OlWire`] tuples ([`OlList::encode_tiled`])
-//!   and merge through [`OlList::merge_lists`]; every list-based copy is
-//!   one [`CoWalk`] of two lists' [`RunCursor`]s;
+//!   [`RunProgram`], the one interpreter both engines share; a
+//!   collective's access lists travel as [`OlWire`] tuples
+//!   ([`OlList::encode_tiled`]) and merge through [`OlList::merge_lists`];
+//!   every list-based copy is one [`CoWalk`] of two lists' [`RunCursor`]s;
 //! * [`ff_pack`], [`ff_unpack`], [`ff_size`], [`ff_extent`] —
 //!   **flattening-on-the-fly**, the paper's listless alternative:
 //!   `O(depth)` seek, `O(depth · log k)` navigation, and pack/unpack whose
 //!   cost is proportional only to the bytes moved. Every listless copy
-//!   runs the type's compiled [`RunProgram`] ([`Datatype::program`]);
+//!   runs the type's compiled [`RunProgram`] ([`Datatype::program`]), and
+//!   every navigation descends it ([`RunProgram::offset_of`],
+//!   [`RunProgram::bytes_below`]);
 //!   [`ff_transfer_to`]/[`ff_transfer_from`] move data between two typed
 //!   buffers in one copy where pack + unpack make two;
 //! * [`serialize`] — the compact tree encoding exchanged once per fileview
 //!   by the fileview-caching optimization.
 //!
 //! The [`typemap`] module provides a deliberately naive reference
-//! expansion used as the differential-testing oracle.
+//! expansion, the one differential-testing oracle of copies, flattening
+//! and navigation alike.
 //!
 //! ## Quick example
 //!
@@ -56,7 +57,6 @@
 pub mod darray;
 pub mod ff;
 pub mod flatten;
-pub mod iter;
 pub mod kernels;
 pub mod program;
 pub mod serialize;
@@ -71,7 +71,6 @@ pub use ff::{
     ff_transfer_to, ff_unpack, ff_unpack_at,
 };
 pub use flatten::{disjoint_tilings, CoWalk, OlList, OlPos, OlSeg, OlWire, RunCursor, TUPLE_BYTES};
-pub use iter::FlatIter;
 pub use program::RunProgram;
 pub use strided::StridedSpec;
 pub use typemap::Run;

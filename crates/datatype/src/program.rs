@@ -2,16 +2,18 @@
 //!
 //! Both engines interpret a datatype through one of these programs: every
 //! listless copy — [`crate::ff_pack`]/[`crate::ff_unpack`] and the
-//! fileview window placement of `lio-core` — runs it, and the list-based
-//! engine's explicit flattening ([`crate::OlList::flatten`]) expands it
-//! (`RunProgram::expand`). Walking the [`Datatype`] tree per run (what
-//! [`crate::FlatIter`], the tests' oracle, does) pays a frame-stack
-//! descent and per-node dispatch for every emitted run, which is exactly
-//! why derived-datatype copies miss memcpy speed on small blocks. This
-//! module *compiles* the tree once into a compact run program —
-//! normalized nested loop descriptors (`{count, block, stride}` frames)
-//! plus literal run tails for irregular shapes — and interprets that
-//! program with tight block-copy loops and no per-run tree re-descent.
+//! fileview window placement of `lio-core` — runs it, every navigation
+//! ([`crate::ff_offset`], [`crate::bytes_below_tiled`] and all built on
+//! them) descends it, and the list-based engine's explicit flattening
+//! ([`crate::OlList::flatten`]) expands it (`RunProgram::expand`). Walking
+//! the [`Datatype`] tree per run (what the naive oracle
+//! [`crate::typemap::expand`] does) pays a descent and per-node dispatch
+//! for every emitted run, which is exactly why derived-datatype copies miss
+//! memcpy speed on small blocks. This module *compiles* the tree once into
+//! a compact run program — normalized nested loop descriptors (`{count,
+//! block, stride}` frames) plus literal run tails for irregular shapes —
+//! and interprets that program with tight block-copy loops and no per-run
+//! tree re-descent.
 //!
 //! Normalization happens at compile time, in two stages:
 //!
@@ -44,13 +46,18 @@
 //! The interpreter therefore preserves the paper's navigation contract:
 //! entry at an arbitrary `skipbytes` costs `O(depth)` (one division per
 //! loop frame, one binary search per tail), after which cost is
-//! proportional only to the bytes moved.
+//! proportional only to the bytes moved. Navigation is that entry alone:
+//! [`RunProgram::offset_of`] descends by the same divisions and searches,
+//! and [`RunProgram::bytes_below`], its inverse, divides by a frame's
+//! stride and searches a tail by its parts' positions — except where
+//! repetitions or parts overlap in position (the mergeview's interleaving
+//! filetypes), which it sums one by one.
 //!
 //! Programs are cached per datatype node behind a `OnceLock`, so repeated
 //! I/O on the same fileview or memtype pays compilation once; the
 //! `dt.compile.*` counters expose build-vs-hit behavior.
 
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 use lio_obs::LazyCounter;
 
@@ -94,10 +101,15 @@ pub(crate) enum PNode {
     /// Literal tail: heterogeneous parts at explicit displacements.
     /// `prefix[i]` is the data size strictly before part `i`
     /// (`len = parts.len() + 1`, strictly increasing), so a `skipbytes`
-    /// entry finds its part by binary search.
+    /// entry finds its part by binary search. `ordered`: each part's data
+    /// lies below the next one's, so a position finds its part by binary
+    /// search too; `span`: the positions the parts' data spans. Built by
+    /// [`tail`].
     Tail {
         parts: Box<[Part]>,
         prefix: Arc<[u64]>,
+        ordered: bool,
+        span: (i64, i64),
     },
 }
 
@@ -118,6 +130,26 @@ fn blocks(base: i64, stride: i64, block: u64, count: u64) -> PNode {
     }
 }
 
+/// A `Tail` frame over `parts`, none of them empty: its size-prefix table,
+/// whether its parts lie in position order, and its span.
+fn tail(parts: Vec<Part>) -> PNode {
+    let mut prefix = vec![0];
+    let (mut ordered, mut span) = (true, (i64::MAX, i64::MIN));
+    for p in &parts {
+        prefix.push(prefix[prefix.len() - 1] + node_size(&p.node));
+        let (lo, hi) = p.node.span();
+        // every part before this one ends at or below where it starts
+        ordered &= span.1 <= p.disp + lo;
+        span = (span.0.min(p.disp + lo), span.1.max(p.disp + hi));
+    }
+    PNode::Tail {
+        parts: parts.into(),
+        prefix: prefix.into(),
+        ordered,
+        span,
+    }
+}
+
 /// A datatype compiled to a run program. Obtain via
 /// [`Datatype::program`]; the instance layout (`size`/`extent`) is
 /// duplicated here so the interpreter never touches the tree.
@@ -128,6 +160,10 @@ pub struct RunProgram {
     pub(crate) extent: i64,
     frames: u32,
     rewrites: u32,
+    /// Fed to the access-pattern profiler by the first copy or flattening
+    /// that runs it; navigation alone does not, so the profile describes
+    /// the programs that move or list bytes.
+    profiled: Once,
 }
 
 impl Datatype {
@@ -135,37 +171,41 @@ impl Datatype {
     /// cached on the node (`OnceLock`), so every subsequent pack on the
     /// same fileview or memtype reuses it.
     pub fn program(&self) -> &RunProgram {
-        if let Some(p) = self.0.program.get() {
+        if self.0.program.get().is_some() {
             OBS_COMPILE_CACHE_HITS.incr();
-            return p.as_ref();
         }
+        let p = self.compiled();
+        p.profiled.call_once(|| {
+            if lio_obs::profile::enabled() {
+                let shape = Shape::of(p.root.as_ref());
+                // a single Blocks frame is the fully normalized form:
+                // one strided memcpy loop, no interpreter recursion
+                let normalized = p.frames == 1 && matches!(p.root, Some(PNode::Blocks { .. }));
+                lio_obs::profile::record_program(
+                    p.frames,
+                    shape.loops,
+                    shape.tails,
+                    shape.blocks.iter().copied().min().unwrap_or(u64::MAX),
+                    shape.blocks.iter().copied().max().unwrap_or(0),
+                    normalized,
+                    p.rewrites,
+                    &shape.blocks,
+                );
+            }
+        });
+        p
+    }
+
+    /// [`Datatype::program`] without counting a cache hit or feeding the
+    /// profiler: navigation's way in, whose calls take nanoseconds and
+    /// would each pay a shared counter's atomic add.
+    pub(crate) fn compiled(&self) -> &RunProgram {
         self.0
             .program
             .get_or_init(|| {
                 let p = RunProgram::compile(self);
                 OBS_COMPILE_PROGRAMS.incr();
                 OBS_COMPILE_FRAMES.add(p.frames as u64);
-                if lio_obs::profile::enabled() {
-                    let (loops, tails, mn, mx) =
-                        p.root.as_ref().map_or((0, 0, u64::MAX, 0), shape_of);
-                    // a single Blocks frame is the fully normalized form:
-                    // one strided memcpy loop, no interpreter recursion
-                    let normalized = p.frames == 1 && matches!(p.root, Some(PNode::Blocks { .. }));
-                    let mut block_sizes = Vec::new();
-                    if let Some(root) = &p.root {
-                        collect_blocks(root, &mut block_sizes);
-                    }
-                    lio_obs::profile::record_program(
-                        p.frames,
-                        loops,
-                        tails,
-                        mn,
-                        mx,
-                        normalized,
-                        p.rewrites,
-                        &block_sizes,
-                    );
-                }
                 Arc::new(p)
             })
             .as_ref()
@@ -177,10 +217,10 @@ impl RunProgram {
     /// [`Datatype::program`]).
     pub fn compile(d: &Datatype) -> RunProgram {
         let raw = compile_node(d);
-        let before = raw.as_ref().map_or(0, count_frames);
+        let before = Shape::of(raw.as_ref()).frames();
         let mut rewrites = 0u32;
         let root = raw.map(|n| normalize(n, &mut rewrites));
-        let frames = root.as_ref().map_or(0, count_frames);
+        let frames = Shape::of(root.as_ref()).frames();
         OBS_NORM_FRAMES_BEFORE.add(before as u64);
         OBS_NORM_FRAMES_AFTER.add(frames as u64);
         if rewrites > 0 {
@@ -189,6 +229,7 @@ impl RunProgram {
         RunProgram {
             frames,
             rewrites,
+            profiled: Once::new(),
             root,
             size: d.size(),
             extent: d.extent() as i64,
@@ -317,6 +358,26 @@ impl RunProgram {
         self.run(x, buf_disp, count, skip)
     }
 
+    /// Where data byte `w` of one instance lies (`w` < the type's size):
+    /// one division per `Blocks` or `Loop` frame, one binary search of a
+    /// `Tail`'s size prefixes, down one path — `O(depth)`.
+    pub fn offset_of(&self, w: u64) -> i64 {
+        debug_assert!(w < self.size, "data byte {w} of a {}-byte type", self.size);
+        self.root
+            .as_ref()
+            .expect("a zero-size type holds no data byte")
+            .offset_of(w)
+    }
+
+    /// Data bytes of one instance at positions below `x`, the inverse of
+    /// [`RunProgram::offset_of`]: `O(depth)` on a monotone type, and right
+    /// on any type whose data positions do not overlap, such as the
+    /// mergeview, whose filetypes interleave: overlapping repetitions or
+    /// tail parts are summed one by one.
+    pub fn bytes_below(&self, x: i64) -> u64 {
+        self.root.as_ref().map_or(0, |r| r.bytes_below(x))
+    }
+
     /// Hand `emit` every block of `count` tiled instances as `(disp, len)`,
     /// in typemap order, instance `i` at `i · extent`: each `Blocks` frame
     /// emits its blocks in one loop, `Loop` and `Tail` frames recurse at
@@ -404,30 +465,20 @@ fn compile_node(d: &Datatype) -> Option<PNode> {
             let cext = child.extent() as i64;
             let csize = child.size();
             let childp = compile_node(child)?;
-            let parts: Vec<Part> = blocks
+            // zero-length blocks are dropped at construction
+            let parts = blocks
                 .iter()
                 .map(|b| Part {
                     disp: b.disp,
                     node: tile(childp.clone(), b.blocklen, cext, csize),
                 })
                 .collect();
-            let prefix =
-                d.0.meta
-                    .size_prefix
-                    .clone()
-                    .expect("hindexed nodes carry size prefix sums");
-            Some(PNode::Tail {
-                parts: parts.into(),
-                prefix,
-            })
+            Some(tail(parts))
         }
         TypeKind::Struct { fields } => {
             let mut parts = Vec::new();
-            let mut prefix = vec![0u64];
-            let mut cum = 0u64;
             for f in fields.iter() {
-                let fsize = f.child.size() * f.count;
-                if fsize == 0 {
+                if f.child.size() * f.count == 0 {
                     continue; // markers and empty fields hold no data
                 }
                 let node = tile(
@@ -437,22 +488,17 @@ fn compile_node(d: &Datatype) -> Option<PNode> {
                     f.child.size(),
                 );
                 parts.push(Part { disp: f.disp, node });
-                cum += fsize;
-                prefix.push(cum);
             }
             if parts.len() == 1 {
                 // single data field: fold its displacement into the body
                 // (the subarray placement shape)
                 let Part { disp, node } = parts.pop().unwrap();
                 match node {
-                    tail @ PNode::Tail { .. } => parts.push(Part { disp, node: tail }),
+                    t @ PNode::Tail { .. } => parts.push(Part { disp, node: t }),
                     other => return Some(shift(other, disp)),
                 }
             }
-            Some(PNode::Tail {
-                parts: parts.into(),
-                prefix: prefix.into(),
-            })
+            Some(tail(parts))
         }
         TypeKind::Resized { child, .. } => compile_node(child),
     }
@@ -527,19 +573,15 @@ fn shift(node: PNode, d: i64) -> PNode {
             size,
             body,
         },
-        PNode::Tail { parts, prefix } => {
-            let parts: Vec<Part> = parts
+        PNode::Tail { parts, .. } => tail(
+            parts
                 .iter()
                 .map(|p| Part {
                     disp: p.disp + d,
                     node: p.node.clone(),
                 })
-                .collect();
-            PNode::Tail {
-                parts: parts.into(),
-                prefix,
-            }
-        }
+                .collect(),
+        ),
     }
 }
 
@@ -647,17 +689,7 @@ fn normalize(node: PNode, rw: &mut u32) -> PNode {
                 let Part { disp, node } = folded.pop().unwrap();
                 return shift(node, disp);
             }
-            let mut prefix = Vec::with_capacity(folded.len() + 1);
-            let mut cum = 0u64;
-            prefix.push(0);
-            for p in &folded {
-                cum += node_size(&p.node);
-                prefix.push(cum);
-            }
-            PNode::Tail {
-                parts: folded.into(),
-                prefix: prefix.into(),
-            }
+            tail(folded)
         }
     }
 }
@@ -767,20 +799,6 @@ fn fold_runs(parts: Vec<Part>, rw: &mut u32) -> Vec<Part> {
     out
 }
 
-/// Append every `Blocks` frame's block size (for the profiler's
-/// block-size histogram).
-fn collect_blocks(node: &PNode, sizes: &mut Vec<u64>) {
-    match node {
-        PNode::Blocks { block, .. } => sizes.push(*block),
-        PNode::Loop { body, .. } => collect_blocks(body, sizes),
-        PNode::Tail { parts, .. } => {
-            for p in parts.iter() {
-                collect_blocks(&p.node, sizes);
-            }
-        }
-    }
-}
-
 fn describe_node(node: &PNode) -> String {
     match node {
         PNode::Blocks {
@@ -806,32 +824,80 @@ fn describe_node(node: &PNode) -> String {
     }
 }
 
-fn count_frames(node: &PNode) -> u32 {
-    match node {
-        PNode::Blocks { .. } => 1,
-        PNode::Loop { body, .. } => 1 + count_frames(body),
-        PNode::Tail { parts, .. } => 1 + parts.iter().map(|p| count_frames(&p.node)).sum::<u32>(),
+/// The frames of a program tree, in one walk: its `Loop` and `Tail`
+/// frames counted, every `Blocks` frame's block size listed (the
+/// profiler's block-size histogram).
+#[derive(Default)]
+struct Shape {
+    loops: u32,
+    tails: u32,
+    blocks: Vec<u64>,
+}
+
+impl Shape {
+    fn of(root: Option<&PNode>) -> Shape {
+        let mut shape = Shape::default();
+        if let Some(r) = root {
+            shape.add(r);
+        }
+        shape
+    }
+
+    fn add(&mut self, node: &PNode) {
+        match node {
+            PNode::Blocks { block, .. } => self.blocks.push(*block),
+            PNode::Loop { body, .. } => {
+                self.loops += 1;
+                self.add(body);
+            }
+            PNode::Tail { parts, .. } => {
+                self.tails += 1;
+                parts.iter().for_each(|p| self.add(&p.node));
+            }
+        }
+    }
+
+    fn frames(&self) -> u32 {
+        self.loops + self.tails + self.blocks.len() as u32
     }
 }
 
-/// `(loop_frames, tail_frames, min_block, max_block)` over the tree;
-/// `min_block` is `u64::MAX` when no Blocks frame exists.
-fn shape_of(node: &PNode) -> (u32, u32, u64, u64) {
-    match node {
-        PNode::Blocks { block, .. } => (0, 0, *block, *block),
-        PNode::Loop { body, .. } => {
-            let (l, t, mn, mx) = shape_of(body);
-            (l + 1, t, mn, mx)
-        }
-        PNode::Tail { parts, .. } => {
-            let mut acc = (0u32, 1u32, u64::MAX, 0u64);
-            for p in parts.iter() {
-                let (l, t, mn, mx) = shape_of(&p.node);
-                acc = (acc.0 + l, acc.1 + t, acc.2.min(mn), acc.3.max(mx));
-            }
-            acc
-        }
+/// The span of `count` repetitions, `stride` apart from `base`, of a body
+/// whose data spans `[lo, hi)`.
+fn reps_span(base: i64, count: u64, stride: i64, (lo, hi): (i64, i64)) -> (i64, i64) {
+    let last = (count as i64 - 1) * stride;
+    (base + lo + last.min(0), base + hi + last.max(0))
+}
+
+/// Data bytes below `x` of `count` repetitions, `stride` apart, of a body
+/// holding `size` data bytes over `[lo, hi)`, `below` counting one: one
+/// division for those wholly below `x`, then a count of each after them
+/// that starts below `x` — a single one unless the repetitions overlap.
+fn reps_below(
+    x: i64,
+    count: u64,
+    stride: i64,
+    size: u64,
+    (lo, hi): (i64, i64),
+    below: impl Fn(i64) -> u64,
+) -> u64 {
+    // a count does not depend on order: walk a negative stride backwards
+    let (x, stride) = if stride < 0 {
+        (x - (count as i64 - 1) * stride, -stride)
+    } else {
+        (x, stride)
+    };
+    let mut i = if stride > 0 {
+        ((x - hi).div_euclid(stride) + 1).clamp(0, count as i64) as u64
+    } else {
+        0
+    };
+    let mut n = i * size;
+    while i < count && x - i as i64 * stride > lo {
+        n += below(x - i as i64 * stride);
+        i += 1;
     }
+    n
 }
 
 /// Where the interpreter's runs go: `x` fixes the direction (pack gathers
@@ -865,6 +931,93 @@ impl<X: Xfer> Sink<X> {
 }
 
 impl PNode {
+    /// The positions one instance's data spans, `[lo, hi)` from its origin.
+    fn span(&self) -> (i64, i64) {
+        match self {
+            PNode::Blocks {
+                base,
+                stride,
+                block,
+                count,
+            } => reps_span(*base, *count, *stride, (0, *block as i64)),
+            PNode::Loop {
+                base,
+                count,
+                stride,
+                body,
+                ..
+            } => reps_span(*base, *count, *stride, body.span()),
+            PNode::Tail { span, .. } => *span,
+        }
+    }
+
+    /// Where data byte `w` of one instance lies, from its origin
+    /// ([`RunProgram::offset_of`]); `w` < the node's data size.
+    fn offset_of(&self, w: u64) -> i64 {
+        match self {
+            PNode::Blocks {
+                base,
+                stride,
+                block,
+                ..
+            } => base + (w / block) as i64 * stride + (w % block) as i64,
+            PNode::Loop {
+                base,
+                stride,
+                size,
+                body,
+                ..
+            } => base + (w / size) as i64 * stride + body.offset_of(w % size),
+            PNode::Tail { parts, prefix, .. } => {
+                // prefix[0] == 0 <= w, so the partition point is >= 1
+                let p = prefix.partition_point(|&v| v <= w) - 1;
+                parts[p].disp + parts[p].node.offset_of(w - prefix[p])
+            }
+        }
+    }
+
+    /// Data bytes of one instance with positions below `x`, from its
+    /// origin ([`RunProgram::bytes_below`]).
+    fn bytes_below(&self, x: i64) -> u64 {
+        match self {
+            PNode::Blocks {
+                base,
+                stride,
+                block,
+                count,
+            } => {
+                let b = *block as i64;
+                reps_below(x - base, *count, *stride, *block, (0, b), |y| {
+                    y.clamp(0, b) as u64
+                })
+            }
+            PNode::Loop {
+                base,
+                count,
+                stride,
+                size,
+                body,
+            } => reps_below(x - base, *count, *stride, *size, body.span(), |y| {
+                body.bytes_below(y)
+            }),
+            PNode::Tail {
+                parts,
+                prefix,
+                ordered: true,
+                ..
+            } => {
+                // parts before the last one that starts below x lie wholly
+                // below it, parts after it wholly above
+                let p = parts.partition_point(|p| p.disp + p.node.span().0 < x);
+                match p.checked_sub(1) {
+                    Some(p) => prefix[p] + parts[p].node.bytes_below(x - parts[p].disp),
+                    None => 0,
+                }
+            }
+            PNode::Tail { parts, .. } => parts.iter().map(|p| p.node.bytes_below(x - p.disp)).sum(),
+        }
+    }
+
     /// Emit every block of one instance of this node at `origin`
     /// ([`RunProgram::expand`]).
     fn expand(&self, origin: i64, emit: &mut impl FnMut(i64, u64)) {
@@ -947,7 +1100,7 @@ impl PNode {
                     org += stride;
                 }
             }
-            PNode::Tail { parts, prefix } => {
+            PNode::Tail { parts, prefix, .. } => {
                 // prefix[0] == 0 <= skip, so the partition point is >= 1
                 let mut p = prefix.partition_point(|&v| v <= skip) - 1;
                 if p >= parts.len() {

@@ -559,8 +559,8 @@ mod tests {
     }
 
     #[test]
-    fn strided_matches_flatiter() {
-        use crate::FlatIter;
+    fn strided_matches_typemap() {
+        use crate::typemap::{expand_merged, merge, Run};
         let cases = vec![
             Datatype::vector(8, 1, 2, &Datatype::double()).unwrap(),
             Datatype::vector(4, 3, 5, &Datatype::int()).unwrap(),
@@ -568,29 +568,14 @@ mod tests {
         ];
         for d in cases {
             let s = d.as_strided().unwrap();
-            let runs: Vec<_> = FlatIter::new(&d, 2).collect();
-            let mut expect = Vec::new();
             let ext = d.extent() as i64;
-            for inst in 0..2i64 {
-                for j in 0..s.count as i64 {
-                    expect.push((inst * ext + s.base + j * s.stride, s.block));
-                }
-            }
-            // FlatIter may merge adjacent blocks; compare total coverage
-            let mut a: Vec<(i64, u64)> = runs.iter().map(|r| (r.disp, r.len)).collect();
-            // normalize both to per-byte sets
-            let bytes = |v: &[(i64, u64)]| {
-                let mut out = Vec::new();
-                for &(o, l) in v {
-                    for k in 0..l as i64 {
-                        out.push(o + k);
-                    }
-                }
-                out
-            };
-            a.sort_unstable();
-            expect.sort_unstable();
-            assert_eq!(bytes(&a), bytes(&expect), "{d:?}");
+            let blocks = (0..2i64).flat_map(|inst| {
+                (0..s.count as i64).map(move |j| Run {
+                    disp: inst * ext + s.base + j * s.stride,
+                    len: s.block,
+                })
+            });
+            assert_eq!(merge(blocks.collect()), expand_merged(&d, 2), "{d:?}");
         }
     }
 

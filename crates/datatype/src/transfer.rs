@@ -124,7 +124,7 @@ impl<'p> Stretches<'p> {
                     node = body;
                     skip %= size;
                 }
-                PNode::Tail { parts, prefix } => {
+                PNode::Tail { parts, prefix, .. } => {
                     // prefix[0] == 0 <= skip, so the partition point is >= 1
                     let p = prefix.partition_point(|&v| v <= skip) - 1;
                     self.stack.push(Frame::Tail {

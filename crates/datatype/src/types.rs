@@ -9,10 +9,10 @@
 //! Every node caches the quantities both I/O engines need in `O(1)`:
 //! `size` (true data bytes per instance), `lb`/`ub` (extent bounds, marker
 //! aware), `depth` (tree depth — the paper's low-order cost term for
-//! flattening-on-the-fly), and block statistics. Indexed and struct nodes
-//! additionally carry prefix sums of child sizes so that
-//! flattening-on-the-fly can seek to an arbitrary data offset in
-//! `O(depth · log k)` instead of traversing an ol-list.
+//! flattening-on-the-fly), and block statistics. Seeking to a data offset
+//! and counting the data below a position run on the compiled program
+//! ([`crate::RunProgram`]), whose tails carry the prefix sums of their
+//! parts' sizes.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -151,10 +151,6 @@ pub(crate) struct Meta {
     /// non-decreasing in typemap order, and non-negative — the MPI-IO
     /// precondition for filetypes and etypes.
     pub monotone: bool,
-    /// Prefix sums of cumulative data size per block/field (indexed and
-    /// struct nodes only); `prefix[i]` = data bytes strictly before child
-    /// block `i`. Length = number of blocks + 1.
-    pub size_prefix: Option<Arc<[u64]>>,
 }
 
 /// An immutable MPI-style derived datatype.
@@ -218,7 +214,6 @@ impl Datatype {
                 single_run: if size > 0 { Some(0) } else { None },
                 leaf_runs: if size > 0 { 1 } else { 0 },
                 monotone: true,
-                size_prefix: None,
             },
         }))
     }
@@ -260,7 +255,6 @@ impl Datatype {
                 single_run: None,
                 leaf_runs: 0,
                 monotone: true,
-                size_prefix: None,
             },
         }))
     }
@@ -282,7 +276,6 @@ impl Datatype {
                 single_run: None,
                 leaf_runs: 0,
                 monotone: true,
-                size_prefix: None,
             },
         }))
     }
@@ -352,7 +345,6 @@ impl Datatype {
                 single_run,
                 leaf_runs,
                 monotone,
-                size_prefix: None,
             },
         })))
     }
@@ -452,7 +444,6 @@ impl Datatype {
                 single_run,
                 leaf_runs,
                 monotone,
-                size_prefix: None,
             },
         })))
     }
@@ -528,8 +519,6 @@ impl Datatype {
         let ext = child.extent() as i64;
 
         let mut size: u64 = 0;
-        let mut prefix = Vec::with_capacity(blocks.len() + 1);
-        prefix.push(0u64);
         let mut data_lb = i64::MAX;
         let mut data_ub = i64::MIN;
         let mut explicit_lb: Option<i64> = None;
@@ -545,7 +534,6 @@ impl Datatype {
             size = size
                 .checked_add(bsize)
                 .ok_or_else(|| TypeError::InvalidCount("hindexed size overflow".into()))?;
-            prefix.push(size);
             leaf_runs = leaf_runs.saturating_add(m.leaf_runs.saturating_mul(b.blocklen));
             if b.blocklen > 0 {
                 if m.size > 0 {
@@ -593,7 +581,6 @@ impl Datatype {
                 single_run,
                 leaf_runs,
                 monotone,
-                size_prefix: Some(prefix.into()),
             },
         })))
     }
@@ -604,8 +591,6 @@ impl Datatype {
     /// in MPI-1 (this is how the paper's Figure 4 datatype sets its extent).
     pub fn struct_type(fields: Vec<Field>) -> Result<Datatype, TypeError> {
         let mut size: u64 = 0;
-        let mut prefix = Vec::with_capacity(fields.len() + 1);
-        prefix.push(0u64);
         let mut data_lb = i64::MAX;
         let mut data_ub = i64::MIN;
         let mut explicit_lb: Option<i64> = None;
@@ -622,7 +607,6 @@ impl Datatype {
             size = size
                 .checked_add(fsize)
                 .ok_or_else(|| TypeError::InvalidCount("struct size overflow".into()))?;
-            prefix.push(size);
             depth = depth.max(m.depth + 1);
             leaf_runs = leaf_runs.saturating_add(m.leaf_runs.saturating_mul(f.count));
             if f.count > 0 {
@@ -672,7 +656,6 @@ impl Datatype {
                 single_run,
                 leaf_runs,
                 monotone,
-                size_prefix: None, // computed on demand via fields (heterogeneous)
             },
         })))
     }
@@ -700,7 +683,6 @@ impl Datatype {
                 single_run: m.single_run,
                 leaf_runs: m.leaf_runs,
                 monotone: m.monotone && m.data_lb >= 0,
-                size_prefix: None,
             },
         })))
     }

@@ -1,6 +1,7 @@
 //! Differential corpus for the compiled run programs: for random
 //! monotone datatype trees × random skips, the compiled program and the
-//! naive tree walk must produce byte-identical streams.
+//! naive tree walk of the reference typemap must produce byte-identical
+//! streams.
 //!
 //! Seeding follows the fault-corpus convention from `lio-testkit`:
 //! `LIO_FAULT_SEED` replays one seed exactly, otherwise the fixed
@@ -8,7 +9,8 @@
 //! command so a CI failure is reproducible from the log alone.
 
 use lio_datatype::kernels::Store;
-use lio_datatype::{ff_pack, Datatype, Field, FlatIter, RunProgram};
+use lio_datatype::typemap::{expand, Run};
+use lio_datatype::{ff_pack, Datatype, Field, RunProgram};
 use lio_testkit::{corpus_seeds, Rng};
 
 const CASES_PER_SEED: u64 = 48;
@@ -89,10 +91,22 @@ fn gen_type(rng: &mut Rng, depth: u32) -> Datatype {
     }
 }
 
-/// The tree-walk baseline: pack by iterating merged leaf runs.
+/// The typemap's leaf runs of `count` instances from data byte `skip` on.
+fn runs_from(d: &Datatype, count: u64, mut skip: u64) -> impl Iterator<Item = Run> {
+    expand(d, count).into_iter().filter_map(move |r| {
+        let cut = skip.min(r.len);
+        skip -= cut;
+        (cut < r.len).then(|| Run {
+            disp: r.disp + cut as i64,
+            len: r.len - cut,
+        })
+    })
+}
+
+/// The tree-walk baseline: pack by iterating the typemap's leaf runs.
 fn treewalk_pack(src: &[u8], count: u64, d: &Datatype, skip: u64, out: &mut [u8]) -> usize {
     let mut cursor = 0;
-    for run in FlatIter::with_skip(d, count, skip) {
+    for run in runs_from(d, count, skip) {
         if cursor == out.len() {
             break;
         }
@@ -155,11 +169,11 @@ fn pack_compiled_treewalk_agree() {
     }
 }
 
-/// The tree-walk reference of unpack: scatter `packed` over the merged
+/// The tree-walk reference of unpack: scatter `packed` over the typemap's
 /// leaf runs from data byte `skip` on.
 fn treewalk_unpack(packed: &[u8], count: u64, d: &Datatype, skip: u64, dst: &mut [u8]) {
     let mut cursor = 0;
-    for run in FlatIter::with_skip(d, count, skip) {
+    for run in runs_from(d, count, skip) {
         if cursor == packed.len() {
             break;
         }

@@ -8,10 +8,10 @@
 //! so every run exercises the same corpus and failures are reproducible
 //! from the reported case number alone.
 
-use lio_datatype::typemap::{expand, expand_merged, merge, reference_pack};
+use lio_datatype::typemap::{expand, expand_merged, reference_pack};
 use lio_datatype::{
     bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_transfer_from,
-    ff_transfer_to, ff_unpack, ff_unpack_at, serialize, Datatype, Field, FlatIter, OlList, Run,
+    ff_transfer_to, ff_unpack, ff_unpack_at, serialize, Datatype, Field, OlList, Run,
 };
 
 /// xorshift64* — deterministic, dependency-free case generator.
@@ -120,19 +120,6 @@ fn buffer_span(d: &Datatype, count: u64) -> (i64, usize) {
 
 const CASES: u64 = 256;
 
-/// FlatIter (merged) must equal the reference typemap (merged).
-#[test]
-fn flatiter_matches_reference() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x11 ^ case);
-        let d = arb_type(&mut rng, 3);
-        let count = rng.range(1, 4);
-        let got = merge(FlatIter::new(&d, count).collect());
-        let want = expand_merged(&d, count);
-        assert_eq!(got, want, "case {case}: {d:?}");
-    }
-}
-
 /// OlList::flatten must equal the reference typemap (merged).
 #[test]
 fn flatten_matches_reference() {
@@ -214,8 +201,8 @@ fn picked_shapes() -> Vec<Datatype> {
     ]
 }
 
-/// `OlList::flatten` expands the compiled run program; the per-run tree
-/// walk, merged, yields the same list segment for segment.
+/// `OlList::flatten` expands the compiled run program; the reference
+/// typemap's tree walk, merged, yields the same list segment for segment.
 #[test]
 fn flatten_is_the_tree_walk_merged() {
     let mut corpus = picked_shapes();
@@ -233,7 +220,7 @@ fn flatten_is_the_tree_walk_merged() {
                     len: s.len,
                 })
                 .collect();
-            let want = merge(FlatIter::new(d, count).collect());
+            let want = expand_merged(d, count);
             assert_eq!(got, want, "case {case}, count {count}: {d:?}");
         }
     }
@@ -295,39 +282,8 @@ fn benchmark_shapes_flatten_to_their_block_counts() {
         let l = OlList::flatten(&d, count);
         assert_eq!(l.num_blocks(), entries, "{what}");
         assert_eq!(l.total_data(), d.size() * count, "{what}");
-        let want = merge(FlatIter::new(&d, count).collect());
+        let want = expand_merged(&d, count);
         assert_eq!(l.num_blocks(), want.len(), "{what}");
-    }
-}
-
-/// Seeking with FlatIter must drop exactly the first `skip` bytes.
-#[test]
-fn flatiter_skip_consistent() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x33 ^ case);
-        let d = arb_type(&mut rng, 3);
-        let count = rng.range(1, 3);
-        let frac = rng.f64();
-        let total = d.size() * count;
-        if total == 0 {
-            continue;
-        }
-        let skip = ((total as f64) * frac) as u64;
-        let mut want = Vec::new();
-        let mut remaining = skip;
-        for r in expand(&d, count) {
-            if remaining >= r.len {
-                remaining -= r.len;
-            } else {
-                want.push(Run {
-                    disp: r.disp + remaining as i64,
-                    len: r.len - remaining,
-                });
-                remaining = 0;
-            }
-        }
-        let got = merge(FlatIter::with_skip(&d, count, skip).collect());
-        assert_eq!(got, merge(want), "case {case}: {d:?} skip {skip}");
     }
 }
 
@@ -459,6 +415,127 @@ fn size_extent_compose() {
         let e = ff_extent(&d, skip, size);
         assert_eq!(ff_size(&d, skip, e), size, "case {case}: {d:?}");
     }
+}
+
+/// Navigation against the reference typemap alone: the positions of the
+/// data bytes of enough tiled instances, sorted, answer every question.
+/// `bytes_below_tiled` at every position of the first two extents (the
+/// one question the mergeview asks, so the only one for a type that is not
+/// monotone); on a monotone type also `ff_offset` of every data byte of two
+/// instances, and from each, `ff_size` of five windows and `ff_extent` of
+/// four spans.
+fn check_navigation(d: &Datatype, what: &str) {
+    let (size, ext) = (d.size(), d.extent() as i64);
+    // instance k's data starts at or past k·ext, so these instances hold
+    // every data byte below x_max, past the end of the widest window
+    let x_max = 4 * ext + d.data_ub() + 8;
+    let count = (x_max / ext + 1) as u64;
+    let mut pos: Vec<i64> = expand(d, count)
+        .iter()
+        .flat_map(|r| (0..r.len as i64).map(move |k| r.disp + k))
+        .collect();
+    pos.sort_unstable();
+    let below = |x: i64| pos.partition_point(|&p| p < x) as u64;
+    for x in -1..=2 * ext {
+        assert_eq!(bytes_below_tiled(d, x), below(x), "{what}: below {x}");
+    }
+    if !d.is_monotone() {
+        return;
+    }
+    for n in 0..2 * size {
+        let at = pos[n as usize];
+        assert_eq!(ff_offset(d, n), at, "{what}: byte {n}");
+        for window in [0, 1, 7, ext / 2 + 1, ext] {
+            let want = below(at + window) - n;
+            assert_eq!(
+                ff_size(d, n, window as u64),
+                want,
+                "{what}: {window} B from byte {n}"
+            );
+        }
+        for span in [0, 1, 5, size] {
+            let want = pos[(n + span) as usize] - at;
+            assert_eq!(
+                ff_extent(d, n, span) as i64,
+                want,
+                "{what}: {span} B from byte {n}"
+            );
+        }
+    }
+}
+
+/// `ff_offset`, `bytes_below_tiled`, `ff_size` and `ff_extent`, which
+/// navigate the compiled program, against the typemap: the monotone
+/// corpus, then three pinned shapes that reach the program's searches and
+/// sums —
+/// - the Figure-4 mergeview at P ∈ {2, 3, 4}, both as the collective
+///   builds it (a struct of the ranks' marker-bounded filetypes at one
+///   displacement, which compiles to a tail whose parts interleave) and as
+///   the paper draws it (one vector per rank at the rank's displacement,
+///   which compiles to a loop whose repetitions overlap);
+/// - a ragged `hindexed` that compiles to one long tail;
+/// - a `resized` memtype with `lb` = −8, navigated as
+///   `MemPacker::buffer_range` navigates a lent user buffer.
+#[test]
+fn navigation_matches_the_typemap() {
+    let field = |disp: i64, count: u64, child: &Datatype| Field {
+        disp,
+        count,
+        child: child.clone(),
+    };
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xAA ^ case);
+        // tiled navigation needs each instance's data inside one extent
+        let d = loop {
+            let d = arb_monotone(&mut rng, 3);
+            if d.data_ub() - d.data_lb() <= d.extent() as i64 {
+                break d;
+            }
+        };
+        check_navigation(&d, &format!("case {case}: {d:?}"));
+    }
+    for p in 2..=4i64 {
+        for (sblock, nblock) in [(8u32, 5u64), (3, 16)] {
+            let s = sblock as i64;
+            let v = Datatype::vector(nblock, 1, p, &Datatype::basic(sblock)).unwrap();
+            let ext = p * s * nblock as i64;
+            let filetype = |r: i64| {
+                Datatype::struct_type(vec![
+                    field(0, 1, &Datatype::lb_marker()),
+                    field(r * s, 1, &v),
+                    field(ext, 1, &Datatype::ub_marker()),
+                ])
+                .unwrap()
+            };
+            let views = (0..p).map(|r| field(0, 1, &filetype(r))).collect();
+            let drawn = (0..p).map(|r| field(r * s, 1, &v)).collect();
+            for (form, fields) in [("collective", views), ("drawn", drawn)] {
+                let merged = Datatype::struct_type(fields).unwrap();
+                let merged = Datatype::resized(&merged, 0, ext as u64).unwrap();
+                assert_eq!(merged.size() as i64, ext, "the views fill the extent");
+                check_navigation(
+                    &merged,
+                    &format!("{form} mergeview P={p} {sblock}x{nblock}"),
+                );
+            }
+        }
+    }
+    let lens: Vec<u64> = (0..200).map(|i| 1 + i * 7 % 5).collect();
+    let disps: Vec<i64> = (0..200)
+        .scan(0i64, |at, i| {
+            let d = *at;
+            *at += (1 + i * 7 % 5 + 1 + i * 3 % 4) as i64;
+            Some(d)
+        })
+        .collect();
+    let ragged = Datatype::indexed(&lens, &disps, &Datatype::int()).unwrap();
+    let prog = ragged.program().describe();
+    assert!(prog.matches('@').count() >= 100, "a long tail: {prog}");
+    check_navigation(&ragged, "ragged hindexed");
+    let v = Datatype::vector(4, 2, 3, &Datatype::int()).unwrap();
+    let memtype = Datatype::resized(&v, -8, 48).unwrap();
+    assert_eq!((memtype.lb(), memtype.data_lb()), (-8, 0));
+    check_navigation(&memtype, "resized memtype, lb -8");
 }
 
 /// Serialization round-trips structurally.
