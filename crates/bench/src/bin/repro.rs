@@ -965,15 +965,14 @@ fn metrics(opts: &Opts) {
         Layers::NONE.arm();
         let snap = lio_obs::snapshot();
         println!(
-            "  {key}: {} file accesses, {} B written, {} B list metadata, {} B exchange data",
+            "  {key}: {} file accesses, {} B written, {} B list metadata",
             snap.counter("pfs.read.calls") + snap.counter("pfs.write.calls"),
             snap.counter("pfs.write.bytes"),
             snap.counter("core.coll.exchange.list_bytes"),
-            snap.counter("core.coll.exchange.data_bytes"),
         );
         // Copies per user byte of the write and the read together: what
-        // the library's copy loops moved (the message is handed over, not
-        // copied) plus what went through a staging buffer.
+        // the library's copy loops moved plus what went through a staged
+        // window.
         let user = (2 * nprocs as u64 * total) as f64;
         let moved = snap.counter("dt.copy.bytes") + snap.counter("io.staged_bytes");
         let copies = moved as f64 / user;

@@ -124,7 +124,8 @@ pub struct Hints {
     /// Window size of collective (two-phase) file access per IOP. Default
     /// [`DEFAULT_WINDOW`] — the same cache-sized constant as the sieve
     /// window, not ROMIO's disk-era 4 MiB: the IOP fills the window from
-    /// its messages and the storage layer reads it straight back, so it
+    /// the buffers the ranks lend it and the storage layer reads it
+    /// straight back, so it
     /// must fit L2 beside them. Windows lie on the absolute grid of
     /// multiples of this size and interior file-domain boundaries are
     /// rounded to it. Setting it (builder, `cb_buffer_size` info key) sets

@@ -12,16 +12,16 @@
 //! * listless (Section 3.1): `ff_pack`/`ff_unpack` stream the data with no
 //!   materialized representation.
 //!
-//! Packed, the stream becomes a message (the list-based collective write);
-//! a window loop takes it from the buffer as it lies there ([`UserSide`]),
-//! with no pack buffer in between — the rank's own, or, in a listless
-//! collective, one another rank lent it (a write's whole buffer, a read's
-//! piece of it), found through the layout [`MemPacker::encode_into`] sent
-//! ahead.
+//! A window loop takes the stream from a buffer as it lies there
+//! ([`UserSide`]), with no pack buffer in between — the rank's own, or one
+//! another rank lent it (a write's whole buffer, a read's piece of it),
+//! found through the layout [`MemPacker::encode_into`] sent ahead. A
+//! list-based collective lends its shares packed ([`STREAM`]), as ROMIO
+//! packs them.
 
 use std::ops::Range;
 
-use lio_datatype::ff::OBS_COPY_BYTES;
+use lio_datatype::ff::{OBS_COPY_BYTES, OBS_PACK_CALLS, OBS_UNPACK_CALLS};
 use lio_datatype::kernels::{Store, Stores};
 use lio_datatype::{
     ff_offset, ff_pack, ff_unpack_at, serialize, CoWalk, Datatype, OlList, RunCursor,
@@ -107,6 +107,7 @@ impl MemPacker {
                 n
             }
             MemPacker::List { size, count, .. } => {
+                OBS_PACK_CALLS.incr();
                 let n = clip(out.len(), count * size, skip);
                 let stores = &mut Stores::new(Store::Cached);
                 CoWalk::new(RunCursor::contig(0), self.cursor(skip))
@@ -135,6 +136,7 @@ impl MemPacker {
             }
             MemPacker::List { size, count, .. } => {
                 debug_assert_eq!(at, 0, "a flattened memtype is never lent in pieces");
+                OBS_UNPACK_CALLS.incr();
                 let n = clip(data.len(), count * size, skip);
                 CoWalk::new(RunCursor::contig(0), self.cursor(skip))
                     .extract(data, 0, user, n, false)
@@ -248,22 +250,21 @@ fn clip(want: usize, total: u64, skip: u64) -> usize {
     want.min(usize::try_from(left).unwrap_or(usize::MAX))
 }
 
-/// Bytes of `(s_lo, s_hi)` header that a data message of the collective
+/// Bytes of `(s_lo, s_hi)` header that an access header of the collective
 /// exchange starts with.
 pub(crate) const MSG_HEADER: usize = 16;
-/// The layout of a buffer that is the stream itself.
+/// The layout of a buffer that is the stream itself: a staging buffer.
 pub(crate) static STREAM: MemPacker = MemPacker::Contig { base: 0 };
-/// The layout of a data message: the stream, behind the header.
-pub(crate) static MESSAGE: MemPacker = MemPacker::Contig { base: MSG_HEADER };
 
 /// One end of a window loop's copies: a buffer, how the stream lies in it,
 /// and the view-stream position of the stream's first byte. The user
 /// buffer of an access is one (`U` is `&[u8]` writing, `&mut [u8]`
 /// reading), whichever rank it belongs to — or, reading, the piece of it
-/// that rank lent the IOP; so is a message of the list-based collective
-/// exchange ([`MESSAGE`]) and a reply being filled ([`STREAM`]). The
-/// placement calls of `crate::view` move stream bytes between a `UserSide`
-/// and a window in one copy, whatever the layout on either side.
+/// that rank lent the IOP; so is the staging buffer of a rank that lends
+/// its shares packed ([`STREAM`]), or the piece of it lent to be filled.
+/// The placement calls of `crate::view` move stream bytes between a
+/// `UserSide` and a window in one copy, whatever the layout on either
+/// side.
 pub(crate) struct UserSide<'a, U> {
     pub packer: &'a MemPacker,
     pub user: U,
@@ -285,6 +286,23 @@ impl<'a, U> UserSide<'a, U> {
             user,
             stream_start,
             buf_at,
+        }
+    }
+
+    /// Where the stream lies in `user` from stream position `stream0` on,
+    /// for the list-based engine's co-walks: [`MemPacker::cursor`], moved
+    /// to where a piece starts.
+    pub fn cursor(&self, stream0: u64) -> RunCursor<'a> {
+        let skip = stream0 - self.stream_start;
+        match self.packer {
+            MemPacker::Contig { base } => RunCursor::contig(base + skip as usize - self.buf_at),
+            packer => {
+                debug_assert_eq!(
+                    self.buf_at, 0,
+                    "a flattened memtype is never lent in pieces"
+                );
+                packer.cursor(skip)
+            }
         }
     }
 }
@@ -448,15 +466,18 @@ mod tests {
         let listed = MemPacker::new(&m, 1, user.len(), true).unwrap();
         let mut stream = vec![0u8; m.size() as usize];
         listed.pack(&user, 0, &mut stream);
-        // a typed buffer in pieces; a message: the stream behind its header
+        // a typed buffer in pieces
         let (stores, mut got) = (&mut Stores::new(Store::Cached), [0u8; 7]);
         let mut walk = CoWalk::new(RunCursor::contig(0), listed.cursor(3));
         let (head, tail) = got.split_at_mut(2);
         let head = walk.place(head, 0, &user, 7, stores, false);
         assert_eq!(head + walk.place(tail, 2, &user, 5, stores, false), 7);
         assert_eq!(got, stream[3..10]);
-        let mut message = CoWalk::new(RunCursor::contig(0), MESSAGE.cursor(2));
-        assert_eq!(message.place(&mut got, 0, &user, 7, stores, false), 7);
-        assert_eq!(got, user[MSG_HEADER + 2..MSG_HEADER + 9]);
+        // the piece that holds stream bytes [20, 32) of a staging buffer
+        // that holds them from stream position 8 on
+        let piece = UserSide::piece(&STREAM, &stream[20..32], 8, 12);
+        let mut staged = CoWalk::new(RunCursor::contig(0), piece.cursor(22));
+        assert_eq!(staged.place(&mut got, 0, piece.user, 7, stores, false), 7);
+        assert_eq!(got, stream[22..29]);
     }
 }

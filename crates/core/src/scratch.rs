@@ -2,8 +2,8 @@
 //! operations on one open file.
 //!
 //! Every access needs a few large transient buffers — sieve and IOP
-//! window buffers, pack buffers, the data messages of the collective
-//! exchange — of sizes that repeat from one operation to the next.
+//! window buffers, the staging buffer a list-based collective packs its
+//! shares into — of sizes that repeat from one operation to the next.
 //! Allocating them per operation costs a zero-fill of bytes that are
 //! overwritten straight away. [`Scratch`] keeps the buffers of the
 //! previous operation and hands them out again:
@@ -12,10 +12,9 @@
 //!   open file; nothing global, nothing thread-local. It is only ever
 //!   touched from the rank's own thread — a window buffer that the
 //!   write-behind lane (`crate::window`) writes back comes home through a
-//!   channel first — and is freed with the `File`.
-//!   Message buffers change owner with the message: the sender takes one
-//!   from its arena, the receiver gives it to its own once the bytes are
-//!   placed or unpacked.
+//!   channel first — and is freed with the `File`. Every buffer goes back
+//!   to the arena it came from: another rank may read or fill one it is
+//!   lent, but never keeps it.
 //! * **Contents contract.** [`Scratch::take`] returns a `Vec<u8>` of
 //!   exactly the requested length whose bytes are initialized but
 //!   *unspecified* — whatever an earlier user left there. A site that
@@ -25,11 +24,9 @@
 //! * **Bound.** Within an operation the arena tracks how many bytes (of
 //!   capacity) are taken and not yet given back; it is *full* once it
 //!   holds the high-water mark of that number over the previous and the
-//!   current operation, and drops what is given to it while full. So it
-//!   retains no more than the previous operation took from it — to the
-//!   whole buffer: a received message whose capacity differs from the one
-//!   sent may carry it over the mark by less than itself, which beats
-//!   dropping a buffer the next operation is going to ask for. Buffers
+//!   current operation, and drops a buffer given to it that would carry it
+//!   past that mark. So it retains no more than the previous operation
+//!   took from it. Buffers
 //!   that sat unused through a whole operation are freed at the start of
 //!   the next, so a change of access pattern does not clog the arena.
 
@@ -110,13 +107,13 @@ impl Scratch {
         buf
     }
 
-    /// Return a buffer — one taken here, or a message received from
-    /// another rank's arena — for reuse. Dropped if the arena is full.
+    /// Return a buffer taken here for reuse. Dropped if it does not fit
+    /// in the arena.
     pub fn give(&self, buf: Vec<u8>) {
         let p = &mut *self.pool.borrow_mut();
         let cap = buf.capacity();
         p.out = p.out.saturating_sub(cap);
-        if cap > 0 && p.held < p.limit.max(p.peak) {
+        if cap > 0 && p.held + cap <= p.limit.max(p.peak) {
             p.held += cap;
             p.free.push(buf);
         }
@@ -194,18 +191,12 @@ mod tests {
             s.give(b);
         }
         assert_eq!(s.held(), 200, "a 200 B peak");
-        // foreign buffers are dropped once the arena is full...
-        for _ in 0..10 {
-            s.give(vec![0u8; 100]);
-        }
-        assert_eq!(s.held(), 200);
-        // ...which one slightly larger than what was sent does not make it
-        let a = s.take(100);
-        drop(a);
-        s.give(vec![0u8; 116]);
-        assert_eq!(s.held(), 216);
+        // a buffer that would carry the arena past the mark is dropped
+        let big = s.take(300);
+        s.give(big);
+        assert_eq!(s.held(), 200, "500 B would pass the 300 B peak");
         s.begin_op();
-        assert_eq!(s.held(), 216, "both buffers were in use last op");
+        assert_eq!(s.held(), 200, "under the 300 B the last op had out");
         // an op that needs less shrinks the arena at the next op's start
         let a = s.take(50);
         s.give(a);

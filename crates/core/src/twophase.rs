@@ -11,8 +11,8 @@
 //! *end* in the IOP's window loop ([`UserSide`]): a buffer and how its
 //! stream lies there. The loop moves each window's worth of it between that
 //! end and the window in one copy, whatever the memtype. What an AP has in
-//! the domain of its own IOP side — its *own share* — is never a message:
-//! its end is the user buffer itself.
+//! the domain of its own IOP side — its *own share* — is never packed or
+//! lent: its end is the user buffer itself.
 //!
 //! The two engines share this skeleton and differ in exactly the ways the
 //! paper describes:
@@ -20,42 +20,48 @@
 //! * **list-based**: every AP builds an **ol-list of absolute
 //!   `⟨offset, length⟩` tuples covering each IOP's domain** — size
 //!   `O(Saccess/Sextent · Nblock)`, i.e. proportional to the access, not
-//!   the filetype — and sends it with the data (16 bytes of metadata per
-//!   tuple); an AP's end is its message. For writes, the IOP merges all
-//!   received lists (`O(Σ_p Nblock(p))`) to detect fully-covered windows,
-//!   once it stages a window: only a staged window asks.
+//!   the filetype — and sends it to that IOP (16 bytes of metadata per
+//!   tuple), which walks it beside the AP's bytes. For writes, the IOP
+//!   merges all received lists (`O(Σ_p Nblock(p))`) to detect
+//!   fully-covered windows, once it stages a window: only a staged window
+//!   asks.
 //! * **listless**: fileview caching means the IOP already has every AP's
 //!   `(disp, filetype)` (exchanged compactly at `set_view`), so the paper's
 //!   messages carry *only data*; placement uses flattening-on-the-fly, and
 //!   the covered-window test is one `O(depth)` mergeview evaluation.
 //!
-//! Ranks here are threads of one address space, so a listless collective
-//! sends not even the data. An AP's header tells each IOP its stream
-//! interval there, its `stream_start` and its memtype (encoded as fileview
-//! caching encodes filetypes, and decoded once per memtype, [`CollState`]),
-//! and the IOP's end for that AP is the AP's user buffer — the shape the
-//! own share has always had. Writing, every rank lends its whole buffer to
-//! be read ([`Comm::lend`]). Reading, every rank cuts its buffer into one
-//! piece per file domain — the bytes its share of that domain occupies —
-//! and lends piece `i` to IOP `i` alone to be written ([`Comm::lend_mut`]):
-//! each IOP reads each file byte of its domain once and fills every rank's
-//! typed memory from there. One copy per user byte, no data message, and
-//! the lending scope's closing barrier is the rank-sync the op ends in. (A
-//! memtype whose bytes do not lie in stream order cannot be cut so; such
-//! an AP lends nothing and gets its shares back as replies, as the
-//! list-based engine does.)
+//! Ranks here are threads of one address space, so in neither engine does
+//! the data itself travel in a message: an AP *lends* the buffer its bytes
+//! lie in and the IOP moves them there, as a shared-memory MPI moves a
+//! large message with one copy. An AP's header tells each IOP its stream
+//! interval there, the `stream_start` of the lent buffer and how the
+//! stream lies in it (its layout: a memtype encoded as fileview caching
+//! encodes filetypes, decoded once per layout, [`CollState`]), and the
+//! IOP's end for that AP is the lent buffer — the shape the own share has
+//! always had. A listless AP lends its user buffer. A list-based AP packs
+//! its shares of the other domains into a staging buffer, each at its
+//! stream position, and lends that (ROMIO's pack, so its copies per user
+//! byte stay ROMIO's); so does a listless AP whose memtype does not hold
+//! its bytes in stream order, reading. Writing, every rank lends its
+//! buffer whole, to be read ([`Comm::lend`]). Reading, every rank cuts its
+//! buffer into one piece per file domain — the bytes its share of that
+//! domain occupies — and lends piece `i` to IOP `i` alone, to be written
+//! ([`Comm::lend_mut`]); a staging AP unpacks its pieces into its user
+//! buffer once the scope has closed. Each IOP reads each file byte of its
+//! domain once. Messages carry headers and ol-lists, nothing else, and the
+//! lending scope's closing barrier is the rank-sync the op ends in.
 //!
 //! There is one schedule, the monolithic two-phase of Thakur, Gropp & Lusk:
-//! data for a whole file domain travels in one message per (AP, IOP) pair
-//! (or, listless, is moved where it lies), which preserves the
-//! communication volume and list-handling costs the paper measures; then
-//! each IOP walks its domain. An IOP is the only writer of its domain
-//! until the closing rank-sync, and says so ([`WindowIo::sole_writer`]): on
-//! storage that stages and is slow, the write-back of window `k` runs
-//! beside the pre-read and placement of window `k + 1` — the only overlap
-//! that ever paid (EXPERIMENTS.md).
+//! every AP announces its whole share of each file domain at once (with,
+//! list-based, its whole list), which preserves the list-handling costs
+//! the paper measures; then each IOP walks its domain. An IOP is the only
+//! writer of its domain until the closing rank-sync, and says so
+//! ([`WindowIo::sole_writer`]): on storage that stages and is slow, the
+//! write-back of window `k` runs beside the pre-read and placement of
+//! window `k + 1` — the only overlap that ever paid (EXPERIMENTS.md).
 
 use std::cell::{OnceCell, RefCell, RefMut};
+use std::ops::Range;
 use std::thread::Scope;
 
 use lio_datatype::kernels::Stores;
@@ -69,7 +75,7 @@ use lio_pfs::StorageFile;
 
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
-use crate::packer::{MemPacker, UserSide, MESSAGE, MSG_HEADER, STREAM};
+use crate::packer::{MemPacker, UserSide, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
 use crate::view::{FfNav, FileView, RunTally, ViewNav};
 use crate::window::{snap, timed, WindowIo, Windows};
@@ -81,8 +87,8 @@ use lio_obs::health;
 // storage reads/writes of window buffers, and `pack_ns` covers all
 // pack/unpack/place/extract memory movement. `exchange.list_bytes` counts
 // ol-list metadata shipped (list-based engine only; always 0 for listless —
-// the paper's "16 bytes per tuple" overhead), `exchange.data_bytes` the
-// payload proper (0 for a listless collective, which lends it).
+// the paper's "16 bytes per tuple" overhead). No payload is ever shipped:
+// both engines lend it.
 static OBS_W_CALLS: LazyCounter = LazyCounter::new("core.coll.write.calls");
 static OBS_W_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.write.exchange_ns");
 static OBS_W_IO_NS: LazyCounter = LazyCounter::new("core.coll.write.io_ns");
@@ -92,7 +98,6 @@ static OBS_R_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.read.exchange_ns
 static OBS_R_IO_NS: LazyCounter = LazyCounter::new("core.coll.read.io_ns");
 static OBS_R_PACK_NS: LazyCounter = LazyCounter::new("core.coll.read.pack_ns");
 static OBS_EXCH_LIST_BYTES: LazyCounter = LazyCounter::new("core.coll.exchange.list_bytes");
-static OBS_EXCH_DATA_BYTES: LazyCounter = LazyCounter::new("core.coll.exchange.data_bytes");
 static OBS_WINDOWS: LazyCounter = LazyCounter::new("core.coll.windows");
 /// Collective calls that aborted on a permanent storage fault — counted
 /// after the closing rank-sync, so an abort is always a clean abort.
@@ -100,12 +105,10 @@ static OBS_FAULT_ABORTS: LazyCounter = LazyCounter::new("core.coll.fault_aborts"
 
 /// Tag for the ol-list message (list-based engine only).
 const TAG_TP_LIST: u64 = 101;
-/// Tag for AP→IOP access headers, with write data or its layout behind.
-const TAG_TP_DATA: u64 = 102;
-/// Tag for IOP→AP read data (list-based, or an AP that lends no pieces).
-const TAG_TP_RDATA: u64 = 103;
-/// Where the layout of a listless header starts: behind the `(s_lo, s_hi)`
-/// header and the AP's `stream_start`.
+/// Tag for AP→IOP access headers, with the layout of the lent bytes behind.
+const TAG_TP_HEADER: u64 = 102;
+/// Where the layout in a header starts: behind the `(s_lo, s_hi)` and the
+/// `stream_start` of the buffer the AP lends.
 const LAYOUT_AT: usize = MSG_HEADER + 8;
 
 /// Collective state established at `set_view` time.
@@ -114,8 +117,8 @@ pub(crate) struct CollState {
     pub remote_navs: Option<Vec<FfNav>>,
     /// Listless: the mergeview, when all ranks share disp and extent.
     pub merge: Option<MergeView>,
-    /// Listless: how each AP's stream lies in the user buffer it lends, as
-    /// this rank's IOP side last decoded it.
+    /// How each AP's stream lies in the buffer it lends, as this rank's IOP
+    /// side last decoded it.
     lenders: RefCell<Vec<Option<Lender>>>,
 }
 
@@ -131,15 +134,15 @@ impl CollState {
         }
     }
 
-    /// The packer of every AP whose header `msgs[k]` carries a layout
-    /// (`Behind::Layout`). A layout is decoded when it differs from the one
-    /// that AP sent last, so a memtype that stays the same from op to op is
-    /// decoded — and its program compiled — once.
-    fn lenders(&self, msgs: &[Vec<u8>]) -> Result<RefMut<'_, Vec<Option<Lender>>>> {
+    /// The packer of every AP whose header `heads[k]` carries a layout. A
+    /// layout is decoded when it differs from the one that AP sent last, so
+    /// a memtype that stays the same from op to op is decoded — and its
+    /// program compiled — once.
+    fn lenders(&self, heads: &[Vec<u8>]) -> Result<RefMut<'_, Vec<Option<Lender>>>> {
         let mut lenders = self.lenders.borrow_mut();
-        lenders.resize_with(msgs.len(), || None);
-        for (msg, lender) in msgs.iter().zip(lenders.iter_mut()) {
-            let Some(layout) = msg.get(LAYOUT_AT..).filter(|l| !l.is_empty()) else {
+        lenders.resize_with(heads.len(), || None);
+        for (head, lender) in heads.iter().zip(lenders.iter_mut()) {
+            let Some(layout) = head.get(LAYOUT_AT..).filter(|l| !l.is_empty()) else {
                 continue;
             };
             if lender.as_ref().is_none_or(|(known, _)| known != layout) {
@@ -379,18 +382,15 @@ fn wire(list_bytes: &[u8]) -> Result<OlWire<'_>> {
 }
 
 /// The IOP-side list walking of Section 2.3: AP `k`'s list, read where it
-/// landed, beside the stream of its end — a write's message, a read's
-/// reply, or, for the IOP's own list, its user buffer.
+/// landed, beside the stream of its end — the buffer it lent, or, for the
+/// IOP's own list, its user buffer.
 fn recv_walks<'a, U>(
     lists: &[OlWire<'a>],
     ends: &[UserSide<'a, U>],
     spans: &[(u64, u64)],
 ) -> Vec<CoWalk<'a>> {
     (lists.iter().zip(ends).zip(spans))
-        .map(|((&list, end), span)| {
-            let user = end.packer.cursor(span.0 - end.stream_start);
-            CoWalk::new(RunCursor::wire(list), user)
-        })
+        .map(|((&list, end), span)| CoWalk::new(RunCursor::wire(list), end.cursor(span.0)))
         .collect()
 }
 
@@ -475,37 +475,47 @@ pub(crate) fn write_at_all(
     let naggr = domains.len();
     let me = comm.rank();
 
-    // ----- AP phase: ship lists and data (list-based), or where the data
-    // lies (listless) ---------------------------------------------------
+    // ----- AP phase: announce (and, list-based, ship the lists and pack)
+    // A listless AP lends its user buffer; a list-based one packs its
+    // shares of the other domains into a staging buffer and lends that.
+    let stages = engine == Engine::ListBased;
     let span = (stream_start, stream_start + total);
-    let behind = match engine {
-        Engine::ListBased => Behind::Data(packer, user, scratch),
-        Engine::Listless => Behind::layout(packer, stream_start),
-    };
-    let times = (&mut exch_ns, &mut pack_ns);
-    let (_, own_list) = announce(comm, nav, &domains, span, &behind, times);
+    let layout = layout(if stages { &STREAM } else { packer }, stream_start);
+    let (shares, own_list) = announce(comm, nav, &domains, span, &layout, &mut exch_ns);
+    let mut staging = Vec::new();
+    if stages {
+        staging = stage(&shares, me, total, scratch);
+        for (skip, at) in staged(&shares, me, stream_start) {
+            let n = at.len() as u64;
+            let (got, ns) = timed(Some(("pack", n, 0)), || {
+                packer.pack(user, skip, &mut staging[at])
+            });
+            debug_assert_eq!(got as u64, n);
+            pack_ns += ns;
+        }
+    }
 
     // ----- IOP phase, in a lending scope --------------------------------
-    // Every rank lends its user buffer: a listless IOP places each AP's
-    // bytes from where they lie (the list-based one from its messages). The
-    // scope ends in the barrier this write ends in. A storage fault on an
-    // IOP must not strand the other ranks there, so IOP errors are
-    // captured, every rank reaches the barrier, and the error surfaces only
-    // after the world is in sync. (All AP→IOP messages are received above
-    // the window loop, so an aborted IOP leaves nothing in flight.)
+    // An IOP places each AP's bytes from where they lie. The scope ends in
+    // the barrier this write ends in. A storage fault on an IOP must not
+    // strand the other ranks there, so IOP errors are captured, every rank
+    // reaches the barrier, and the error surfaces only after the world is
+    // in sync. (All AP→IOP messages are received above the window loop, so
+    // an aborted IOP leaves nothing in flight.)
     let own = UserSide::new(packer, user, stream_start);
-    let (fatal, t, sp) = comm.lend(user, |lent| {
+    let lends = if stages { &staging[..] } else { user };
+    let (fatal, t, sp) = comm.lend(lends, |lent| {
         let mut fatal = None;
         if me < naggr && domains[me].1 > domains[me].0 {
             let t = lio_obs::now();
-            let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+            let (heads, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
             exch_ns += lio_obs::elapsed_ns(t);
             fatal = iop_write(
                 storage,
                 domains[me],
                 state,
                 engine,
-                &msgs,
+                &heads,
                 &lists,
                 own,
                 lent,
@@ -514,15 +524,12 @@ pub(crate) fn write_at_all(
                 scratch,
             )
             .err();
-            // placed: the messages now belong to this rank's arena
-            for msg in msgs {
-                scratch.give(msg);
-            }
         }
         (fatal, lio_obs::now(), lio_obs::trace::span("exch.barrier"))
     });
     drop(sp);
     exch_ns += lio_obs::elapsed_ns(t);
+    scratch.give(staging);
     if obs {
         OBS_W_EXCH_NS.add(exch_ns);
         OBS_W_PACK_NS.add(pack_ns);
@@ -538,18 +545,17 @@ pub(crate) fn write_at_all(
 }
 
 /// An IOP's part of a collective write over its domain `dom`, once every
-/// AP's message `msgs[k]` (and, list-based, its list `lists[k]`) is in:
-/// every AP's end of the window loop, then the loop. An AP's end is its
-/// message as received (list-based) or the user buffer it lent (listless,
-/// through the layout its header carries); the IOP's own rank's is `own`
-/// either way.
+/// AP's header `heads[k]` (and, list-based, its list `lists[k]`) is in:
+/// every AP's end of the window loop — the buffer it lent, found through
+/// the layout its header carries, or for the IOP's own rank `own` — then
+/// the loop.
 #[allow(clippy::too_many_arguments)]
 fn iop_write(
     storage: &dyn StorageFile,
     dom: (u64, u64),
     state: &CollState,
     engine: Engine,
-    msgs: &[Vec<u8>],
+    heads: &[Vec<u8>],
     lists: &[Vec<u8>],
     own: UserSide<&[u8]>,
     lent: &Lent,
@@ -557,16 +563,24 @@ fn iop_write(
     hints: &Hints,
     scratch: &Scratch,
 ) -> Result<()> {
-    let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
+    let spans: Vec<(u64, u64)> = heads.iter().map(|m| header(m)).collect();
+    let lenders = state.lenders(heads)?;
+    let mut ends: Vec<UserSide<&[u8]>> = (heads.iter().zip(&spans).zip(lenders.iter()))
+        .enumerate()
+        .map(
+            |(k, ((head, span), lender))| match (lender, lent_from(head)) {
+                (Some((_, packer)), Some(start)) => UserSide::new(packer, lent.get(k), start),
+                // nothing of this AP's in the domain
+                _ => UserSide::new(&STREAM, &[][..], span.0),
+            },
+        )
+        .collect();
+    ends[me] = own;
     // Domains are disjoint and nobody is told the write is done before
     // the closing barrier: this IOP is the only writer of its windows, so
     // its loop may write behind (`lane`).
     match engine {
         Engine::ListBased => {
-            let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans))
-                .map(|(msg, span)| UserSide::new(&MESSAGE, msg.as_slice(), span.0))
-                .collect();
-            ends[me] = own;
             let lists = lists.iter().map(|l| wire(l)).collect::<Result<Vec<_>>>()?;
             let users = ends.iter().map(|e| e.user);
             let mut walks: Vec<_> = recv_walks(&lists, &ends, &spans)
@@ -578,20 +592,6 @@ fn iop_write(
             })
         }
         Engine::Listless => {
-            let lenders = state.lenders(msgs)?;
-            let mut ends: Vec<UserSide<&[u8]>> = (msgs.iter().zip(&spans).zip(lenders.iter()))
-                .enumerate()
-                .map(
-                    |(k, ((msg, span), lender))| match (lender, lent_from(msg)) {
-                        (Some((_, packer)), Some(start)) => {
-                            UserSide::new(packer, lent.get(k), start)
-                        }
-                        // nothing of this AP's in the domain
-                        _ => UserSide::new(&STREAM, &[][..], span.0),
-                    },
-                )
-                .collect();
-            ends[me] = own;
             let navs = state
                 .remote_navs
                 .as_ref()
@@ -746,42 +746,57 @@ fn iop_write_listless<'s>(
     iop_write_done(io, windows)
 }
 
-/// What an AP's `TAG_TP_DATA` message carries behind its header.
-enum Behind<'a> {
-    /// Nothing: a read's announcement that is answered in replies.
-    Nothing,
-    /// The stream bytes, packed from the user buffer (the list-based write).
-    Data(&'a MemPacker, &'a [u8], &'a Scratch),
-    /// Where they lie in the user buffer the AP lends (listless): its
-    /// `stream_start`, then its packer's [`MemPacker::encode_into`].
-    Layout(Vec<u8>),
+/// The layout an AP whose stream lies in the buffer it lends as `packer`
+/// says, from view-stream position `stream_start` on, puts behind its
+/// headers: its `stream_start`, then [`MemPacker::encode_into`].
+fn layout(packer: &MemPacker, stream_start: u64) -> Vec<u8> {
+    let mut layout = stream_start.to_le_bytes().to_vec();
+    packer.encode_into(&mut layout);
+    layout
 }
 
-impl Behind<'_> {
-    /// The layout of a stream from `stream_start` in a buffer as `packer`.
-    fn layout(packer: &MemPacker, stream_start: u64) -> Self {
-        let mut layout = stream_start.to_le_bytes().to_vec();
-        packer.encode_into(&mut layout);
-        Behind::Layout(layout)
-    }
+/// A staging AP's buffer, from `scratch`: stream byte `s` of the access
+/// `[stream_start, stream_start + total)` at byte `s - stream_start`, laid
+/// out as [`STREAM`] — or none, when no share `shares[i]` of the access
+/// lies in another rank's domain.
+fn stage(shares: &[(u64, u64)], me: usize, total: u64, scratch: &Scratch) -> Vec<u8> {
+    let crosses = (shares.iter().enumerate()).any(|(i, s)| i != me && s.1 > s.0);
+    scratch.take(if crosses { total as usize } else { 0 })
+}
+
+/// Where a staging AP's shares of the other ranks' domains lie in its
+/// staging buffer ([`stage`]): each share's stream position relative to
+/// `stream_start`, and its bytes there. The own share is left out: it goes
+/// between the user buffer and the windows.
+fn staged(
+    shares: &[(u64, u64)],
+    me: usize,
+    stream_start: u64,
+) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+    (shares.iter().enumerate())
+        .filter(move |&(i, s)| i != me && s.1 > s.0)
+        .map(move |(_, &(s_lo, s_hi))| {
+            let skip = s_lo - stream_start;
+            (skip, skip as usize..(s_hi - stream_start) as usize)
+        })
 }
 
 /// AP side of the exchange, both directions. Every IOP with a domain gets
 /// the `(s_lo, s_hi)` of this rank's access `[stream_start, stream_end)`
-/// in it, followed — writing, so with something `behind` — by those
-/// stream bytes, packed (list-based, whose ol-list goes ahead in a message
-/// of its own), or by where they lie (listless). Except to the rank's own
-/// IOP side: that gets the header alone, its list is returned instead of
-/// sent (second value), and its data stays in the user buffer for the
-/// window loop (its [`UserSide`]). Returns the intervals per domain; time
-/// goes to `(exch_ns, pack_ns)`.
+/// in it and, where that is not empty, the `layout` of the buffer the
+/// bytes are lent in; list-based, this rank's ol-list for that domain goes
+/// ahead in a message of its own. Except to the rank's own IOP side: that
+/// gets the header alone, and its list is returned instead of sent (second
+/// value), as its bytes stay in the user buffer for the window loop (its
+/// [`UserSide`]). Returns the intervals per domain; time goes to
+/// `exch_ns`.
 fn announce(
     comm: &Comm,
     nav: &ViewNav,
     domains: &[(u64, u64)],
     (stream_start, stream_end): (u64, u64),
-    behind: &Behind,
-    (exch_ns, pack_ns): (&mut u64, &mut u64),
+    layout: &[u8],
+    exch_ns: &mut u64,
 ) -> (Vec<(u64, u64)>, Option<Vec<u8>>) {
     let me = comm.rank();
     let mut own_list = None;
@@ -806,68 +821,49 @@ fn announce(
                 *exch_ns += lio_obs::elapsed_ns(t);
             }
         }
-        let crosses = i != me && s_hi > s_lo;
-        let mut n = 0;
-        let mut msg = match behind {
-            Behind::Data(packer, user, scratch) if crosses => {
-                n = s_hi - s_lo;
-                let mut msg = scratch.take(MSG_HEADER + n as usize);
-                let (got, ns) = timed(Some(("pack", n, 0)), || {
-                    packer.pack(user, s_lo - stream_start, &mut msg[MSG_HEADER..])
-                });
-                debug_assert_eq!(got as u64, n);
-                *pack_ns += ns;
-                msg
-            }
-            Behind::Layout(layout) if crosses => {
-                let mut msg = vec![0; MSG_HEADER];
-                msg.extend_from_slice(layout);
-                msg
-            }
-            _ => vec![0; MSG_HEADER],
-        };
-        msg[0..8].copy_from_slice(&s_lo.to_le_bytes());
-        msg[8..16].copy_from_slice(&s_hi.to_le_bytes());
-        OBS_EXCH_DATA_BYTES.add(n);
+        let mut head = [s_lo.to_le_bytes(), s_hi.to_le_bytes()].concat();
+        if i != me && s_hi > s_lo {
+            head.extend_from_slice(layout);
+        }
         let t = lio_obs::now();
-        let _sp = lio_obs::trace::span_ab("exch.send", i as u64, n);
-        comm.send_vec(i, TAG_TP_DATA, msg);
+        let _sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
+        comm.send_vec(i, TAG_TP_HEADER, head);
         *exch_ns += lio_obs::elapsed_ns(t);
     }
     (shares, own_list)
 }
 
-/// The `(s_lo, s_hi)` stream interval a `TAG_TP_DATA` message starts with.
-fn header(msg: &[u8]) -> (u64, u64) {
-    let s_lo = u64::from_le_bytes(msg[0..8].try_into().expect("s_lo"));
-    let s_hi = u64::from_le_bytes(msg[8..16].try_into().expect("s_hi"));
+/// The `(s_lo, s_hi)` stream interval a header starts with.
+fn header(head: &[u8]) -> (u64, u64) {
+    let s_lo = u64::from_le_bytes(head[0..8].try_into().expect("s_lo"));
+    let s_hi = u64::from_le_bytes(head[8..16].try_into().expect("s_hi"));
     (s_lo, s_hi)
 }
 
 /// The `stream_start` of an AP that lends this IOP its bytes, which its
 /// header carries ahead of its layout; `None` for a header alone.
-fn lent_from(msg: &[u8]) -> Option<u64> {
-    let at = msg
+fn lent_from(head: &[u8]) -> Option<u64> {
+    let at = head
         .get(MSG_HEADER..LAYOUT_AT)
-        .filter(|_| msg.len() > LAYOUT_AT)?;
+        .filter(|_| head.len() > LAYOUT_AT)?;
     Some(u64::from_le_bytes(at.try_into().expect("8 bytes")))
 }
 
-/// IOP side of the exchange: every rank's `TAG_TP_DATA` message and,
-/// `with_lists`, its ol-list (empty otherwise), both in rank order. A rank
-/// that kept the list of its own domain hands it in as `own_list`; that
-/// one is not waited for. Receives complete in arrival order, so a late
-/// rank 0 delays nobody else's message.
+/// IOP side of the exchange: every rank's header and, `with_lists`, its
+/// ol-list (empty otherwise), both in rank order. A rank that kept the
+/// list of its own domain hands it in as `own_list`; that one is not
+/// waited for. Receives complete in arrival order, so a late rank 0
+/// delays nobody else's message.
 fn recv_exchange(
     comm: &Comm,
     with_lists: bool,
     own_list: Option<Vec<u8>>,
 ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let p_n = comm.size();
-    let mut msgs: Vec<Vec<u8>> = vec![Vec::new(); p_n];
+    let mut heads: Vec<Vec<u8>> = vec![Vec::new(); p_n];
     let mut lists: Vec<Vec<u8>> = vec![Vec::new(); p_n];
     let sp = lio_obs::trace::span("exch.wait");
-    let mut reqs: Vec<lio_mpi::Request> = (0..p_n).map(|p| comm.irecv(p, TAG_TP_DATA)).collect();
+    let mut reqs: Vec<lio_mpi::Request> = (0..p_n).map(|p| comm.irecv(p, TAG_TP_HEADER)).collect();
     if with_lists {
         let kept = own_list.is_some().then_some(comm.rank());
         reqs.extend(
@@ -882,7 +878,7 @@ fn recv_exchange(
             // one per AP: arrival order = rank entry order into the
             // collective, and feeds the per-op rank-skew histogram
             health::window_mark(0, src as u32);
-            msgs[src] = payload;
+            heads[src] = payload;
         } else {
             lists[src] = payload;
         }
@@ -892,7 +888,7 @@ fn recv_exchange(
     }
     drop(sp);
     health::window_flush();
-    (msgs, lists)
+    (heads, lists)
 }
 
 /// Collective read. Every rank calls this; fills `user` and returns bytes
@@ -932,80 +928,63 @@ pub(crate) fn read_at_all(
     // ----- AP phase: announce (and, list-based, ship the lists) --------
     // A listless AP whose stream lies in its buffer in order lends each IOP
     // the piece of the buffer its share of that IOP's domain occupies, and
-    // says how the stream lies there; any other AP gets its shares back in
-    // replies.
-    let lends = engine == Engine::Listless && packer.in_order();
-    let behind = match lends {
-        true => Behind::layout(packer, stream_start),
-        false => Behind::Nothing,
-    };
+    // says how the stream lies there; any other AP lends the pieces of a
+    // staging buffer, and keeps its user buffer for the own share and for
+    // unpacking the others once the scope has closed.
+    let stages = engine == Engine::ListBased || !packer.in_order();
     let span = (stream_start, stream_start + total);
-    let times = (&mut exch_ns, &mut pack_ns);
-    let (shares, own_list) = announce(comm, nav, &domains, span, &behind, times);
-    // the IOPs this rank gets a reply from: list-based, every other one
-    let replied = |i: usize| {
-        i != me
-            && domains[i].1 > domains[i].0
-            && !lends
-            && (engine == Engine::ListBased || shares[i].1 > shares[i].0)
+    let layout = layout(if stages { &STREAM } else { packer }, stream_start);
+    let (shares, own_list) = announce(comm, nav, &domains, span, &layout, &mut exch_ns);
+    let mut staging = match stages {
+        true => stage(&shares, me, total, scratch),
+        false => Vec::new(),
+    };
+    let (pieces, mut kept) = match (stages, staging.is_empty()) {
+        (false, _) => (cut(packer, user, stream_start, &shares), None),
+        (true, true) => (Vec::new(), Some(user)),
+        (true, false) => (
+            cut(&STREAM, &mut staging, stream_start, &shares),
+            Some(user),
+        ),
     };
 
-    // ----- IOP phase, then the replies ------------------------------------
-    // A storage fault on an IOP must not strand its APs: it is captured,
-    // every AP still gets the promised bytes (zeros past the failure point)
-    // and every rank the end of the op, and it surfaces on this rank only
-    // then. The IOP side's own end is the user buffer this rank `kept`, or
-    // the piece of it this rank lent itself.
-    let rest = |mut kept: Option<&mut [u8]>, lent: Option<&LentMut>| {
+    // ----- IOP phase, in a lending scope --------------------------------
+    // Every rank lends its pieces in a scope that ends in the barrier this
+    // read ends in: no rank writes a piece once its lender is told the read
+    // is done. A storage fault on an IOP must not strand its APs: it is
+    // captured, every AP still gets the promised bytes (zeros past the
+    // failure point) and every rank the end of the op, and it surfaces on
+    // this rank only then. The IOP side's own end is the user buffer this
+    // rank kept, or the piece of it this rank lent itself.
+    let (fatal, t, sp) = comm.lend_mut(pieces, |lent| {
         let mut fatal = None;
         if iop {
             let own = match kept.as_deref_mut() {
                 Some(user) => UserSide::new(packer, user, stream_start),
-                None => {
-                    let lent = lent.expect("a rank that keeps no buffer lent it");
-                    lent_end(packer, lent.take(me), stream_start, shares[me])
-                }
+                None => lent_end(packer, lent.take(me), stream_start, shares[me]),
             };
+            let t = lio_obs::now();
+            let (heads, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+            exch_ns += lio_obs::elapsed_ns(t);
+            let (dom, heads) = (domains[me], &heads[..]);
             fatal = iop_read(
-                storage,
-                comm,
-                domains[me],
-                state,
-                engine,
-                own_list,
-                own,
-                lent,
-                hints,
-                scratch,
-                &mut exch_ns,
+                storage, dom, state, engine, heads, &lists, own, lent, me, hints, scratch,
             );
         }
-        if let Some(user) = kept {
-            let mine = UserSide::new(packer, user, stream_start);
-            let times = (&mut exch_ns, &mut pack_ns);
-            recv_replies(comm, &shares, replied, mine, scratch, times);
+        (fatal, lio_obs::now(), lio_obs::trace::span("exch.barrier"))
+    });
+    drop(sp);
+    exch_ns += lio_obs::elapsed_ns(t);
+    if let Some(user) = kept {
+        for (skip, at) in staged(&shares, me, stream_start) {
+            let n = at.len() as u64;
+            let span = Some(("unpack", n, 0));
+            let (put, ns) = timed(span, || packer.unpack(&staging[at], user, skip));
+            debug_assert_eq!(put as u64, n);
+            pack_ns += ns;
         }
-        fatal
-    };
-    let fatal = match engine {
-        Engine::ListBased => rest(Some(user), None),
-        // Every rank lends its pieces (an AP that cannot cut its buffer
-        // none) in a scope that ends in the barrier this read ends in: no
-        // rank writes a piece once its lender is told the read is done.
-        Engine::Listless => {
-            let (pieces, kept) = match lends {
-                true => (cut(packer, user, stream_start, &shares), None),
-                false => (Vec::new(), Some(user)),
-            };
-            let (fatal, t, sp) = comm.lend_mut(pieces, |lent| {
-                let fatal = rest(kept, Some(lent));
-                (fatal, lio_obs::now(), lio_obs::trace::span("exch.barrier"))
-            });
-            drop(sp);
-            exch_ns += lio_obs::elapsed_ns(t);
-            fatal
-        }
-    };
+    }
+    scratch.give(staging);
     if obs {
         OBS_R_EXCH_NS.add(exch_ns);
         OBS_R_PACK_NS.add(pack_ns);
@@ -1063,64 +1042,42 @@ fn lent_end<'a, 'p>(
     UserSide::piece(packer, piece, stream_start, at)
 }
 
-/// An IOP's part of a collective read over its domain `dom`: every AP's
-/// header (and, list-based, its list) in, every AP's end of the window
-/// loop, the loop, then the replies out. An AP's end is the piece of its
-/// user buffer it lent this IOP (listless, through the layout its header
-/// carries) or else a reply of the promised length; the IOP's own rank's is
-/// `own`. A storage fault ends the loop, and every end is filled up with
-/// zeros past the failure point before the replies go: returns the fault.
+/// An IOP's part of a collective read over its domain `dom`, once every
+/// AP's header `heads[k]` (and, list-based, its list `lists[k]`) is in:
+/// every AP's end of the window loop — the piece of a buffer it lent this
+/// IOP, found through the layout its header carries, or for the IOP's own
+/// rank `own` — then the loop. A storage fault ends the loop, and every end
+/// is filled up with zeros past the failure point: returns the fault.
 #[allow(clippy::too_many_arguments)]
 fn iop_read(
     storage: &dyn StorageFile,
-    comm: &Comm,
     dom: (u64, u64),
     state: &CollState,
     engine: Engine,
-    own_list: Option<Vec<u8>>,
+    heads: &[Vec<u8>],
+    lists: &[Vec<u8>],
     own: UserSide<&mut [u8]>,
-    lent: Option<&LentMut>,
+    lent: &LentMut,
+    me: usize,
     hints: &Hints,
     scratch: &Scratch,
-    exch_ns: &mut u64,
 ) -> Option<IoError> {
-    let me = comm.rank();
-    let t = lio_obs::now();
-    let (msgs, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
-    *exch_ns += lio_obs::elapsed_ns(t);
-    let spans: Vec<(u64, u64)> = msgs.iter().map(|m| header(m)).collect();
+    let spans: Vec<(u64, u64)> = heads.iter().map(|m| header(m)).collect();
     let mut fatal: Option<IoError> = None;
-    let lenders = match lent.map(|_| state.lenders(&msgs)).transpose() {
-        Ok(lenders) => lenders,
-        // nothing is read then, but the replies still go
-        Err(e) => {
-            fatal = Some(e);
-            None
-        }
-    };
-    // whether AP `k` gets a reply: list-based, every other AP does
-    let replies = |k: usize| {
-        k != me
-            && (engine == Engine::ListBased
-                || (spans[k].1 > spans[k].0 && lent_from(&msgs[k]).is_none()))
-    };
-    let mut outs: Vec<Vec<u8>> = (0..spans.len())
-        .map(|k| match replies(k) {
-            true => scratch.take((spans[k].1 - spans[k].0) as usize),
-            false => Vec::new(),
-        })
-        .collect();
+    // (an undecodable layout fails the op: nothing is read)
+    let lenders = state.lenders(heads).map_err(|e| fatal = Some(e)).ok();
     let mut own = Some(own);
     let mut ends: Vec<UserSide<&mut [u8]>> = Vec::with_capacity(spans.len());
-    for (k, (out, &span)) in outs.iter_mut().zip(&spans).enumerate() {
+    for (k, &span) in spans.iter().enumerate() {
         let lender = || {
             let packer = &lenders.as_ref()?[k].as_ref()?.1;
-            Some((lent?, packer, lent_from(&msgs[k])?))
+            Some((packer, lent_from(&heads[k])?))
         };
         ends.push(match lender() {
             _ if k == me => own.take().expect("one own end"),
-            Some((lent, packer, start)) => lent_end(packer, lent.take(k), start, span),
-            None => UserSide::new(&STREAM, out.as_mut_slice(), span.0),
+            Some((packer, start)) => lent_end(packer, lent.take(k), start, span),
+            // nothing of this AP's in the domain
+            None => UserSide::new(&STREAM, &mut [][..], span.0),
         });
     }
     let mut filled = vec![0u64; spans.len()];
@@ -1225,61 +1182,14 @@ fn iop_read(
     }
     if fatal.is_some() {
         // every AP gets the promised length, zeros past the failure point:
-        // in its reply, in the piece it lent or, the own share, in the user
-        // buffer
+        // in the piece it lent or, the own share, in the user buffer
         for ((end, span), done) in ends.iter_mut().zip(&spans).zip(&filled) {
             let zeros = vec![0u8; (span.1 - span.0 - done) as usize];
             let skip = span.0 + done - end.stream_start;
             end.packer.unpack_at(&zeros, end.user, end.buf_at, skip);
         }
     }
-    drop(ends);
-    let t = lio_obs::now();
-    for (k, out) in outs.into_iter().enumerate() {
-        if replies(k) {
-            if obs {
-                OBS_EXCH_DATA_BYTES.add(out.len() as u64);
-            }
-            let _sp = lio_obs::trace::span_ab("exch.send", k as u64, out.len() as u64);
-            comm.send_vec(k, TAG_TP_RDATA, out);
-        }
-    }
-    *exch_ns += lio_obs::elapsed_ns(t);
     fatal
-}
-
-/// AP side of a read's replies: from every IOP `i` that `replied(i)`, the
-/// bytes of this rank's share `shares[i]` of its domain, unpacked into
-/// `mine` in arrival order. Time goes to `(exch_ns, pack_ns)`.
-fn recv_replies(
-    comm: &Comm,
-    shares: &[(u64, u64)],
-    replied: impl Fn(usize) -> bool,
-    mine: UserSide<&mut [u8]>,
-    scratch: &Scratch,
-    (exch_ns, pack_ns): (&mut u64, &mut u64),
-) {
-    let mut reqs: Vec<lio_mpi::Request> = (0..shares.len())
-        .filter(|&i| replied(i))
-        .map(|i| comm.irecv(i, TAG_TP_RDATA))
-        .collect();
-    for _ in 0..reqs.len() {
-        let t = lio_obs::now();
-        let sp = lio_obs::trace::span("exch.wait");
-        let (_, i, data) = comm.wait_any(&mut reqs);
-        drop(sp);
-        *exch_ns += lio_obs::elapsed_ns(t);
-        let (s_lo, s_hi) = shares[i];
-        debug_assert_eq!(data.len() as u64, s_hi - s_lo);
-        if s_hi > s_lo {
-            let skip = s_lo - mine.stream_start;
-            let span = Some(("unpack", data.len() as u64, 0));
-            let (put, ns) = timed(span, || mine.packer.unpack(&data, mine.user, skip));
-            debug_assert_eq!(put, data.len());
-            *pack_ns += ns;
-        }
-        scratch.give(data);
-    }
 }
 
 #[cfg(test)]
@@ -1289,30 +1199,37 @@ mod tests {
     use lio_mpi::World;
     use lio_pfs::MemFile;
 
-    /// A `TAG_TP_DATA` header for the stream interval `[s_lo, s_hi)`.
+    /// The header of an AP that lends its stream interval `[s_lo, s_hi)`
+    /// staged from stream position 0 on; an empty interval's alone.
     fn header_of(s_lo: u64, s_hi: u64) -> Vec<u8> {
-        [s_lo.to_le_bytes(), s_hi.to_le_bytes()].concat()
+        let mut head = [s_lo.to_le_bytes(), s_hi.to_le_bytes()].concat();
+        if s_hi > s_lo {
+            head.extend(layout(&STREAM, 0));
+        }
+        head
     }
 
     /// An access list one byte short of whole tuples fails an IOP's write
-    /// with `Usage`, before anything is placed.
+    /// with `Usage`, before anything is placed; the AP that lent its bytes
+    /// leaves the lending scope.
     #[test]
     fn a_torn_access_list_fails_the_write() {
         let storage = MemFile::new();
         let results = World::run(2, |comm| {
-            comm.lend(&[], |lent| {
+            // rank 1 lends 8 bytes in rank 0's domain
+            let staged = vec![1; 8 * comm.rank()];
+            comm.lend(&staged, |lent| {
                 if comm.rank() == 1 {
                     return None;
                 }
-                // rank 1 announces 8 bytes in rank 0's domain
-                let msgs = [header_of(0, 0), [header_of(0, 8), vec![1; 8]].concat()];
+                let heads = [header_of(0, 0), header_of(0, 8)];
                 let lists = [Vec::new(), vec![0; TUPLE_BYTES - 1]];
                 let (state, scratch) = (CollState::new(None, None), Scratch::default());
                 let own = UserSide::new(&STREAM, &[][..], 0);
                 let hints = Hints::list_based();
                 let (dom, engine) = ((0, 64), Engine::ListBased);
                 let res = iop_write(
-                    &storage, dom, &state, engine, &msgs, &lists, own, lent, 0, &hints, &scratch,
+                    &storage, dom, &state, engine, &heads, &lists, own, lent, 0, &hints, &scratch,
                 );
                 Some(res)
             })
@@ -1322,36 +1239,41 @@ mod tests {
             "{:?}",
             results[0]
         );
+        assert!(results[1].is_none(), "rank 1 left the scope");
         assert_eq!(storage.len(), 0, "nothing was written");
     }
 
     /// The same list fails an IOP's read with `Usage`, and the AP that sent
-    /// it still gets its reply, the promised length of zeros.
+    /// it finds the promised length of zeros in the piece it lent.
     #[test]
-    fn a_torn_access_list_fails_the_read_and_the_replies_still_go() {
+    fn a_torn_access_list_fails_the_read_and_zero_fills_the_lent_piece() {
         let storage = MemFile::new();
         let results = World::run(2, |comm| {
-            if comm.rank() == 1 {
-                comm.send_vec(0, TAG_TP_DATA, header_of(0, 8));
-                comm.send_vec(0, TAG_TP_LIST, vec![0; TUPLE_BYTES + 1]);
-                let reply = comm.recv(0, TAG_TP_RDATA);
-                assert_eq!(reply, [0; 8], "the promised bytes, zeros");
-                return None;
-            }
-            comm.send_vec(0, TAG_TP_DATA, header_of(0, 0));
-            let (state, scratch) = (CollState::new(None, None), Scratch::default());
-            let own = UserSide::new(&STREAM, &mut [][..], 0);
-            let hints = Hints::list_based();
-            let (dom, engine, own_list) = ((0, 64), Engine::ListBased, Some(Vec::new()));
-            let exch_ns = &mut 0;
-            iop_read(
-                &storage, comm, dom, &state, engine, own_list, own, None, &hints, &scratch, exch_ns,
-            )
+            // rank 1 lends rank 0 the 8 bytes of its staging buffer that
+            // rank 0's domain is to fill
+            let mut staging = vec![0xA5; 8 * comm.rank()];
+            let pieces = vec![&mut staging[..]];
+            let fatal = comm.lend_mut(pieces, |lent| {
+                if comm.rank() == 1 {
+                    return None;
+                }
+                let heads = [header_of(0, 0), header_of(0, 8)];
+                let lists = [Vec::new(), vec![0; TUPLE_BYTES + 1]];
+                let (state, scratch) = (CollState::new(None, None), Scratch::default());
+                let own = UserSide::new(&STREAM, &mut [][..], 0);
+                let hints = Hints::list_based();
+                let (dom, engine) = ((0, 64), Engine::ListBased);
+                iop_read(
+                    &storage, dom, &state, engine, &heads, &lists, own, lent, 0, &hints, &scratch,
+                )
+            });
+            (fatal, staging)
         });
         assert!(
-            matches!(results[0], Some(IoError::Usage(_))),
+            matches!(results[0].0, Some(IoError::Usage(_))),
             "{:?}",
-            results[0]
+            results[0].0
         );
+        assert_eq!(results[1].1, [0; 8], "the promised bytes, zeros");
     }
 }

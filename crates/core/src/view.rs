@@ -140,7 +140,7 @@ impl ViewNav {
     ) -> usize {
         match self {
             ViewNav::List(nav) => {
-                let user = src.packer.cursor(stream0 - src.stream_start);
+                let user = src.cursor(stream0);
                 let (stores, profile) = (&mut Stores::new(store), lio_obs::profile::enabled());
                 CoWalk::new(nav.cursor(stream0), user)
                     .place(filebuf, win_start, src.user, n, stores, profile)
@@ -163,7 +163,7 @@ impl ViewNav {
     ) -> usize {
         match self {
             ViewNav::List(nav) => {
-                let user = dst.packer.cursor(stream0 - dst.stream_start);
+                let user = dst.cursor(stream0);
                 CoWalk::new(nav.cursor(stream0), user).extract(
                     filebuf,
                     win_start,

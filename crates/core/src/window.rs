@@ -426,7 +426,9 @@ mod tests {
         want[20..30].fill(2);
         assert_eq!(seen, want);
         drop(io);
-        assert_eq!(scratch.held(), 16 + 40, "both buffers went back");
+        // the first went back; the second would carry the arena past the
+        // 40 B it had out at most
+        assert_eq!(scratch.held(), 16, "one buffer went back");
     }
 
     /// Staging storage whose writes take twice the lane hop.

@@ -29,18 +29,18 @@
 //! two layouts are: a typed user buffer meets the typed window in a
 //! transfer, with no pack buffer in between. So a sieved access copies
 //! each byte once, and so does the part of a collective that stays on its
-//! rank (the rank's own share is no message). List-based, the half of a
-//! collective's bytes that changes ranks is copied twice (user buffer →
-//! message, message → window): `(1 + 2)/2` at P = 2.
-//! `core.coll.exchange.data_bytes` counts the half that travels, exactly.
-//!
-//! A listless collective moves no byte through a message: writing, every
-//! rank lends its user buffer for the op (`lio_mpi::Comm::lend`), and each
-//! IOP places every AP's bytes from where they lie, as it does its own;
-//! reading, every rank lends each IOP the piece of its buffer that its
-//! share of the IOP's domain occupies (`lio_mpi::Comm::lend_mut`), and the
-//! IOP fills it — one copy, nothing exchanged, on every storage, and each
-//! file byte of the touched range read once.
+//! rank (the rank's own share never leaves it). No collective moves a byte
+//! through a message: every rank lends the buffer its bytes lie in, and
+//! each IOP moves every AP's bytes from or into it where they lie, as it
+//! does its own. List-based, that buffer is a staging buffer the half of a
+//! collective's bytes that changes ranks is packed into, or unpacked from,
+//! as ROMIO packs it: those bytes are copied twice (user buffer → staging
+//! buffer → window, or back), `(1 + 2)/2` at P = 2. Listless, it is the
+//! user buffer itself: writing, every rank lends it whole for the op
+//! (`lio_mpi::Comm::lend`); reading, every rank lends each IOP the piece
+//! of it that its share of the IOP's domain occupies
+//! (`lio_mpi::Comm::lend_mut`), and the IOP fills it — one copy on every
+//! storage, and each file byte of the touched range read once.
 //!
 //! A write that stores a run of 256 B or more into a window the storage
 //! lent streams the run's whole cache lines past the cache
@@ -73,8 +73,6 @@ struct Moved {
     copied: u64,
     staged: u64,
     in_place: u64,
-    /// Payload that left its rank (`core.coll.exchange.data_bytes`).
-    exchanged: u64,
     /// Bytes stored past the cache (`dt.stream.bytes`).
     streamed: u64,
 }
@@ -101,7 +99,6 @@ fn count(shared: &SharedFile, hints: Hints, op: impl Fn(&mut File, u64) + Sync) 
         copied: snap.counter("dt.copy.bytes"),
         staged: snap.counter("io.staged_bytes"),
         in_place: snap.counter("io.in_place_bytes"),
-        exchanged: snap.counter("core.coll.exchange.data_bytes"),
         streamed: snap.counter("dt.stream.bytes"),
     }
 }
@@ -170,12 +167,10 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
                 let collective = path.starts_with("collective");
                 let lent = hints.engine == Engine::Listless && collective;
                 let lib_copies = if lent { 2 * BYTES } else { lib_copies };
-                let exchanged = if collective && !lent { BYTES } else { 0 };
                 let mut want = Moved {
                     copied: lib_copies,
                     staged,
                     in_place: 0,
-                    exchanged,
                     streamed: 0,
                 };
                 if *lends {
@@ -250,7 +245,7 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
 
             // the ranks' data fills every window: no pre-read; the half that
             // changes ranks is moved twice (but listless, where the IOP moves
-            // it between the window and the buffer it was lent), the own half
+            // it between the window and the user buffer it was lent), the own half
             // once — from a strided user buffer as from one that is the
             // stream; the IOPs together touch the file range once
             let got = count(shared, hints, |f, me| {
@@ -299,9 +294,9 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     // The tile shape — a 3-D array of 40-byte points split in two along
     // the fastest axis, the memory tile padded with ghost points all round
     // — has half of every rank's rows in either domain too: of the two
-    // ranks' bytes exactly one rank's worth travels, list-based, either
-    // way; listless, nothing — the write's buffers are lent whole, the
-    // read's in pieces.
+    // ranks' bytes exactly one rank's worth goes through a staging buffer,
+    // list-based, either way; listless, nothing — the write's user buffers
+    // are lent whole, the read's in pieces.
     const N: u64 = 16;
     let point = Datatype::basic(40);
     let tile_bytes = N * N * (N / 2) * 40;
@@ -310,8 +305,8 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
         Datatype::subarray(&padded, &[N, N, N / 2], &[1, 1, 1], Order::C, &point).unwrap();
     // Its rows of 8 points (320 B) are runs that stream: on lending storage
     // the write of either engine streams every byte of their whole lines,
-    // the rows placed from a lent buffer, a message or the IOP's own user
-    // buffer alike; on storage that stages, and reading, nothing.
+    // the rows placed from a lent user or staging buffer or the IOP's own
+    // user buffer alike; on storage that stages, and reading, nothing.
     let file_tile = |me: u64, disp: u64| {
         let starts = [0, 0, me * N / 2];
         let tile =
@@ -339,8 +334,6 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
                     f.write_at_all(0, &user, 1, &mem_tile).unwrap();
                 });
                 let listless = hints.engine == Engine::Listless;
-                let travels = if listless { 0 } else { tile_bytes };
-                assert_eq!(got.exchanged, travels, "{what} write");
                 let copies = if listless { 2 } else { 3 } * tile_bytes;
                 assert_eq!(got.copied, copies, "{what} write");
                 let want = if lends { streams } else { 0 };
@@ -350,7 +343,6 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
                     let mut back = vec![0u8; mem_tile.extent() as usize];
                     f.read_at_all(0, &mut back, 1, &mem_tile).unwrap();
                 });
-                assert_eq!(got.exchanged, travels, "{what} read");
                 assert_eq!(got.copied, copies, "{what} read");
                 let in_place = if lends { 2 * tile_bytes } else { 0 };
                 assert_eq!(got.in_place, in_place, "{what} read");

@@ -5,8 +5,8 @@
 //! one. Two ranks share a three-slot Figure-4 view, so a third of every
 //! window is a gap no rank writes; blocks are 255, 256, 257, 1280, 4095,
 //! 4096 and 16384 B, the view starts on a cache line or 13 bytes past one,
-//! windows are shorter than the claim distance (and not a whole number of
-//! lines), end within it of a block, or are the default; the 16384 B blocks
+//! windows are shorter than 2 KiB (and not a whole number of lines), end
+//! within 1 KiB of a block, or are the default; the 16384 B blocks
 //! reach past the first `MemFile` stripe, and at displacement 13 one of
 //! them is cut by it. The user buffer is contiguous or holds its blocks
 //! apart. Each case runs on every storage `on_each_storage` knows — lending
@@ -17,7 +17,6 @@ mod common;
 use common::{figure4_of_blocks, on_each_storage, pattern, reference_stream, reference_write};
 use lio_core::hints::DEFAULT_WINDOW;
 use lio_core::{File, Hints};
-use lio_datatype::kernels::CLAIM_AHEAD;
 use lio_datatype::Datatype;
 
 const RUNS: [u64; 7] = [255, 256, 257, 1280, 4095, 4096, 16384];
@@ -53,11 +52,7 @@ fn memtypes(sblock: u64) -> [(Datatype, usize); 2] {
 #[test]
 fn streamed_placements_leave_the_reference_file() {
     for sblock in RUNS {
-        let windows = [
-            CLAIM_AHEAD - 548,
-            (SLOTS * sblock) as usize + CLAIM_AHEAD / 2,
-            DEFAULT_WINDOW,
-        ];
+        let windows = [1500, (SLOTS * sblock) as usize + 1024, DEFAULT_WINDOW];
         for disp in DISPS {
             for (memtype, span) in memtypes(sblock) {
                 let len = (disp + SLOTS * NBLOCK * sblock) as usize + 500;

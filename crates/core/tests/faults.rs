@@ -380,79 +380,90 @@ impl StorageFile for DeadFrom {
 }
 
 #[test]
-fn failed_collective_read_pads_replies_with_zeros() {
-    // A permanent read fault in the second IOP's domain: that rank's call
-    // fails, the other rank's succeeds, and what either gets from the
-    // failed domain — rank 0 in a reply, rank 1 as its own share, which is
-    // no message — is the promised number of bytes: file bytes up to the
-    // failed window, zeros from there on, never recycled buffer contents
-    // or bytes left as they were. Both return with nothing in flight.
+fn failed_collective_read_zero_fills_every_lent_piece() {
+    // A permanent read fault in the last IOP's domain: that rank's call
+    // fails, every other rank's succeeds, and what each gets from the
+    // failed domain — in the piece of its user buffer or of its staging
+    // buffer that it lent the failed IOP, or, the failed IOP's own rank,
+    // in its user buffer — is the promised number of bytes: file bytes up
+    // to the failed window, zeros from there on, never recycled buffer
+    // contents or bytes left as they were. Every rank returns with nothing
+    // in flight.
     const NBLOCK: u64 = 64;
     const SBLOCK: u64 = 8;
     const CB: usize = 96;
-    let len = 2 * NBLOCK * SBLOCK;
-    let image: Vec<u8> = (0..len).map(|i| 1 + (i % 100) as u8).collect();
-    let from = len * 3 / 4;
-    // strided user memory takes the own share through its chunk
-    let memtype = Datatype::vector(NBLOCK * SBLOCK, 1, 2, &Datatype::byte()).unwrap();
-    for engine in [Hints::list_based(), Hints::listless()] {
-        for strided in [false, true] {
-            let hints = engine.cb_buffer(CB);
-            let shared = SharedFile::new(DeadFrom {
-                inner: MemFile::with_data(image.clone()),
-                from,
-            });
-            let outcomes = World::run(2, |comm| {
-                let me = comm.rank() as u64;
-                let mut f = File::open(comm, shared.clone(), hints).unwrap();
-                f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
-                    .unwrap();
-                // warm the arena, so the failing op runs on recycled buffers
-                let junk = vec![0x5Au8; (NBLOCK * SBLOCK / 4) as usize];
-                f.write_at_all(0, &junk, junk.len() as u64, &Datatype::byte())
-                    .unwrap();
-                let n = NBLOCK * SBLOCK;
-                let (res, back) = if strided {
-                    let mut back = vec![0x77u8; memtype.extent() as usize];
-                    let res = f.read_at_all(0, &mut back, 1, &memtype);
-                    (res, common::reference_stream(&back, &memtype, 1))
-                } else {
+    let n = NBLOCK * SBLOCK;
+    // strided user memory takes the own share through its chunk; the
+    // descending one holds the second half of the stream first, so a
+    // listless rank stages its read too
+    let strided = Datatype::vector(n, 1, 2, &Datatype::byte()).unwrap();
+    let descending =
+        Datatype::hindexed(&[n / 2, n / 2], &[n as i64 / 2 + 8, 0], &Datatype::byte()).unwrap();
+    let cases = [
+        (Hints::list_based(), None, 2),
+        (Hints::list_based(), Some(&strided), 2),
+        (Hints::listless(), None, 2),
+        (Hints::listless(), Some(&strided), 2),
+        (Hints::list_based(), Some(&strided), 3),
+        (Hints::listless(), Some(&descending), 3),
+    ];
+    for (engine, memtype, p) in cases {
+        let len = p * n;
+        let image: Vec<u8> = (0..len).map(|i| 1 + (i % 100) as u8).collect();
+        let from = len * 3 / 4;
+        let hints = engine.cb_buffer(CB);
+        let shared = SharedFile::new(DeadFrom {
+            inner: MemFile::with_data(image.clone()),
+            from,
+        });
+        let outcomes = World::run(p as usize, |comm| {
+            let me = comm.rank() as u64;
+            let mut f = File::open(comm, shared.clone(), hints).unwrap();
+            f.set_view(0, Datatype::byte(), figure4_filetype(me, p, NBLOCK, SBLOCK))
+                .unwrap();
+            // warm the arena, so the failing op runs on recycled buffers
+            let junk = vec![0x5Au8; (n / 4) as usize];
+            f.write_at_all(0, &junk, junk.len() as u64, &Datatype::byte())
+                .unwrap();
+            let (res, back) = match memtype {
+                Some(memtype) => {
+                    let mut back = vec![0x77u8; memtype.data_ub() as usize];
+                    let res = f.read_at_all(0, &mut back, 1, memtype);
+                    (res, common::reference_stream(&back, memtype, 1))
+                }
+                None => {
                     let mut back = vec![0x77u8; n as usize];
                     let res = f.read_at_all(0, &mut back, n, &Datatype::byte());
                     (res, back)
-                };
-                comm.barrier();
-                assert_eq!(comm.stashed_msgs(), 0, "a message of the failed op is left");
-                (res.is_ok(), back)
-            });
-            let what = format!("{:?}, strided={strided}", hints.engine);
-            assert!(outcomes[0].0, "rank 0's own domain is healthy ({what})");
-            assert!(!outcomes[1].0, "rank 1 must report the fault ({what})");
-            for (rank, (_, back)) in outcomes.iter().enumerate() {
-                let mut zeros = 0;
-                for (i, &got) in back.iter().enumerate() {
-                    let i = i as u64;
-                    let at = (i / SBLOCK) * 2 * SBLOCK + rank as u64 * SBLOCK + i % SBLOCK;
-                    let want = if at < len / 4 {
-                        0x5A
-                    } else {
-                        image[at as usize]
-                    };
-                    if at + (CB as u64) <= from {
-                        assert_eq!(
-                            got, want,
-                            "rank {rank} byte {i} (file {at}) precedes the fault ({what})"
-                        );
-                    } else {
-                        assert!(
-                            got == want || got == 0,
-                            "rank {rank} byte {i} is {got:#x} ({what})"
-                        );
-                        zeros += (got == 0) as usize;
-                    }
                 }
-                assert!(zeros > 0, "the fault left no trace on rank {rank} ({what})");
+            };
+            comm.barrier();
+            assert_eq!(comm.stashed_msgs(), 0, "a message of the failed op is left");
+            (res.is_ok(), back)
+        });
+        let what = format!("{:?}, p={p}, memtype {memtype:?}", hints.engine);
+        for (rank, (ok, back)) in outcomes.iter().enumerate() {
+            let failed = rank as u64 == p - 1;
+            assert_eq!(!ok, failed, "only the last IOP reports the fault ({what})");
+            let mut zeros = 0;
+            for (i, &got) in back.iter().enumerate() {
+                let i = i as u64;
+                let at = (i / SBLOCK) * p * SBLOCK + rank as u64 * SBLOCK + i % SBLOCK;
+                let want = if i < n / 4 { 0x5A } else { image[at as usize] };
+                if at + (CB as u64) <= from {
+                    assert_eq!(
+                        got, want,
+                        "rank {rank} byte {i} (file {at}) precedes the fault ({what})"
+                    );
+                } else {
+                    assert!(
+                        got == want || got == 0,
+                        "rank {rank} byte {i} is {got:#x} ({what})"
+                    );
+                    zeros += (got == 0) as usize;
+                }
             }
+            assert!(zeros > 0, "the fault left no trace on rank {rank} ({what})");
         }
     }
 }

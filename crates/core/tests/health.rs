@@ -14,8 +14,8 @@
 //!    surface through `health::straggler()`, the per-rank skew table
 //!    and the health report.
 //! 5. **A lent read is an op like any other** — the IOPs fill the pieces
-//!    of their user buffers the ranks lend them, with no reply and no
-//!    unpack: every rank still begins, beats with its domain's bytes and
+//!    of their user buffers the ranks lend them, with no unpack: every
+//!    rank still begins, beats with its domain's bytes and
 //!    ends in the lending scope's barrier, and nothing trips.
 //!
 //! Health state is process-global, so every test serializes through one

@@ -7,17 +7,18 @@
 //! So every AP's memory layout meets every IOP's window loop: each case
 //! gives the ranks different memtypes (contiguous, strided, a ghost-padded
 //! subarray, and blocks in descending order — which cannot be cut into
-//! pieces, so that AP gets its shares back in replies) and different
+//! pieces, so that AP lends the pieces of a staging buffer and unpacks
+//! them once the scope has closed) and different
 //! counts, one rank often none and one handle often in atomic mode, over a
 //! file that ends in the middle of a window. Every rank's buffer must be
 //! what the naive typemap reference leaves, its gap bytes untouched — the
 //! same on a lending `MemFile`, the mapped `UnixFile`, `Staged(MemFile)`,
 //! the `LIO_BACKEND`/`LIO_FAULT_SEED` stack (`on_each_storage`,
 //! communication faults armed) and a `ThrottledFile`. Both engines run
-//! every case; the list-based one replies in messages and is the control.
+//! every case; the list-based one, whose every AP stages, is the control.
 //!
 //! Then the degenerate accesses, and the failure path: an IOP whose storage
-//! fails zero-fills the rest of every AP's piece (and reply) and still
+//! fails zero-fills the rest of every AP's piece, staged or not, and still
 //! reaches the closing barrier — the end of the lending scope — and so does
 //! everyone else, with nothing left in flight.
 
@@ -394,8 +395,9 @@ impl StorageFile for DeadFrom {
 /// The last IOP's storage fails in its last window: it reports the fault,
 /// every other rank returns normally, all of them from the closing barrier
 /// with nothing in flight. Every rank's buffer holds the reference's bytes
-/// up to that window and zeros from there — in the pieces of the ranks
-/// that lend them and in the replies of the one that cannot — and its gap
+/// up to that window and zeros from there — in the pieces of their user
+/// buffers the ranks lend and in the staging pieces of the one that
+/// cannot lend them — and its gap
 /// bytes untouched. The world goes on: a second read, on storage that
 /// works, lands exactly.
 #[test]

@@ -8,7 +8,8 @@
 //! Every scenario runs on a lending `MemFile`, on `Staged(MemFile)`, on a
 //! real file that lends through its mapping (`UnixFile::temp()`) and on the
 //! stack `LIO_BACKEND`/`LIO_FAULT_SEED` select (`on_each_storage`).
-//! The last test pins what does cross a channel, as exact counts.
+//! The last test pins what does cross a channel, as exact counts: headers
+//! and lists, never data.
 
 mod common;
 
@@ -17,12 +18,12 @@ use common::{
     reference_write, Staged,
 };
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock};
 
 use lio_core::hints::DEFAULT_WINDOW;
-use lio_core::{File, Hints, SharedFile};
+use lio_core::{Engine, File, Hints, SharedFile};
 use lio_datatype::typemap::reference_unpack;
-use lio_datatype::{serialize, Datatype, Field};
+use lio_datatype::{serialize, Datatype, Field, Order};
 use lio_mpi::World;
 use lio_pfs::{MemFile, UnixFile};
 
@@ -156,6 +157,7 @@ impl Layout {
 /// that another's goes on in). File and user buffers must be what the
 /// naive reference says, gaps of the user buffers included.
 fn check(what: &str, lay: &Layout, hints: Hints, mem: Mem, initial: &[u8], counts: &[u64]) {
+    let _shared = OBS.read().unwrap_or_else(|e| e.into_inner());
     // a cut inside a block, a window and a stripe of the data
     let cut = lay.disp + (lay.end() - lay.disp) * 3 / 5 + 7;
     let hints = hints.cb_buffer(lay.window);
@@ -314,103 +316,140 @@ fn windows_that_are_all_own_or_not_at_all() {
     }
 }
 
-/// What crosses a channel in one collective write and one collective read
-/// at P = 2, as exact counts: the half of the user bytes that changes
-/// ranks, the fixed headers, the ol-lists of the other rank's domain
-/// (list-based), the allgather of the access ranges and the write's
-/// closing barrier. The own share — the other half — is in none of them.
-/// Listless, no share of either op is a message: the header to the other
-/// rank's IOP side says where the bytes lie in the buffer the rank lends,
-/// whole for a write and in pieces for a read, the IOP moves them there,
-/// and both ops end in their lending scope's barrier.
+/// Held shared by every other test here, and alone by the one that reads
+/// `core.coll.exchange.list_bytes`: the telemetry registry is
+/// process-global, so a collective of another test would count there too.
+static OBS: RwLock<()> = RwLock::new(());
+
+/// The views the message counts are pinned on.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// Figure 4, 512 blocks of 64 B per rank; the user buffer holds them
+    /// at stride two.
+    Figure4,
+    /// An 8 × 8 × 12 array of 40 B points cut into `p` slabs along its
+    /// fastest axis; the user buffer is the slab with a ghost point all
+    /// round.
+    Tile,
+}
+
+impl Shape {
+    /// Rank `me`'s filetype of `p` ranks, and its user buffer (`seed`
+    /// says which bytes), memtype and count.
+    fn access(self, me: u64, p: u64, seed: u64) -> (Datatype, (Vec<u8>, Datatype, u64)) {
+        match self {
+            Shape::Figure4 => (
+                figure4_of_blocks(me, p, 512, 64),
+                user_buffer(Mem::Strided, 512 * 64, seed),
+            ),
+            Shape::Tile => {
+                let (point, f) = (Datatype::basic(40), 12 / p);
+                let slab = |sizes: &[u64], starts: &[u64]| {
+                    Datatype::subarray(sizes, &[8, 8, f], starts, Order::C, &point).unwrap()
+                };
+                let mem = slab(&[10, 10, f + 2], &[1, 1, 1]);
+                let user = pattern(mem.extent() as usize, seed);
+                (slab(&[8, 8, 12], &[0, 0, me * f]), (user, mem, 1))
+            }
+        }
+    }
+}
+
+/// What crosses a channel in one collective write and one collective read,
+/// as exact counts, at P ∈ {2, 3, 4} on the Figure-4 and the tile view:
+/// the allgather of the access ranges, a header from every rank to every
+/// IOP, the ol-lists of the other ranks' domains (list-based; exactly the
+/// bytes `core.coll.exchange.list_bytes` counts) and the lending scope's
+/// closing barrier — nothing else. No byte of data is a message: every rank
+/// lends the buffer its bytes lie in, whole for a write and in pieces for a
+/// read — listless its user buffer, list-based the staging buffer it packs
+/// its shares of the other domains into — and the header to another rank's
+/// IOP side says where they lie in it. The own share is in none of them.
 #[test]
 fn the_own_share_never_crosses_a_channel() {
-    const NBLOCK: u64 = 512;
-    const SBLOCK: u64 = 64;
-    const BYTES: u64 = NBLOCK * SBLOCK; // per rank
-                                        // gather of two 16-byte access ranges at rank 0 (one message),
-                                        // broadcast of count + two lengths + the ranges (one message)
-    let allgather = (2, 16 + (8 + 2 * 8 + 2 * 16));
-    // a 16-byte header to each IOP, the rank's own included
-    let headers = (4, 4 * 16);
-    // listless, the header to the other rank's IOP side goes on with where
-    // the bytes lie in the lent buffer: the rank's `stream_start`, a tag,
-    // the count and the memtype as fileview caching encodes it
-    let (memtype, _) = Mem::Strided.memtype(BYTES);
-    let layout = 8 + 1 + 8 + serialize::encode(&memtype).len() as u64;
-    let lent_headers = (4, 4 * 16 + 2 * layout);
-    // the half of each rank's bytes that changes ranks: a write's rides
-    // behind the header, a read's comes back in a reply of its own
-    let payload = (0, BYTES);
-    let replies = (2, BYTES);
-    let barrier = (2, 0);
-    // half of a rank's blocks lie in the other's domain, 16 bytes a tuple
-    let lists = (2, 2 * 16 * (NBLOCK / 2));
-    let sum = |parts: &[(u64, u64)]| parts.iter().fold((0, 0), |a, p| (a.0 + p.0, a.1 + p.1));
+    let _alone = OBS.write().unwrap_or_else(|e| e.into_inner());
     let storage = |name: &str| match name {
         "MemFile" => SharedFile::new(MemFile::new()),
         "Staged(MemFile)" => SharedFile::new(Staged(MemFile::new())),
         _ => SharedFile::new(UnixFile::temp().expect("temp file for the os backend")),
     };
-    for engine in engines() {
-        for name in ["MemFile", "Staged(MemFile)", "UnixFile"] {
-            let shared = storage(name);
-            let hints = engine;
-            // (std's barrier: the world's own would count)
-            let quiet = std::sync::Barrier::new(2);
-            let sent = |comm: &lio_mpi::Comm, op: &mut dyn FnMut()| {
-                quiet.wait();
-                let before = comm.world_stats();
-                quiet.wait();
-                op();
-                quiet.wait();
-                let after = comm.world_stats();
-                quiet.wait();
-                (
-                    after.msgs_sent - before.msgs_sent,
-                    after.bytes_sent - before.bytes_sent,
-                )
-            };
-            let counted = World::run(2, |comm| {
-                let me = comm.rank() as u64;
-                let mut f = File::open(comm, shared.clone(), hints).unwrap();
-                f.set_view(
-                    0,
-                    Datatype::byte(),
-                    figure4_of_blocks(me, 2, NBLOCK, SBLOCK),
-                )
-                .unwrap();
-                let (user, memtype, count) = user_buffer(Mem::Strided, BYTES, me + 1);
-                let mut back = vec![0u8; user.len()];
-                let wrote = sent(comm, &mut || {
-                    f.write_at_all(0, &user, count, &memtype).unwrap();
-                });
-                let read = sent(comm, &mut || {
-                    f.read_at_all(0, &mut back, count, &memtype).unwrap();
-                });
-                assert_eq!(
-                    reference_stream(&back, &memtype, count),
-                    reference_stream(&user, &memtype, count)
-                );
-                (wrote, read)
-            })[0];
-            let (write, read) = match hints.engine {
-                lio_core::Engine::ListBased => (
-                    vec![allgather, headers, payload, barrier, lists],
-                    vec![allgather, headers, replies, lists],
-                ),
-                lio_core::Engine::Listless => (
-                    vec![allgather, lent_headers, barrier],
-                    vec![allgather, lent_headers, barrier],
-                ),
-            };
-            let what = format!("{:?} on {name}", hints.engine);
-            assert_eq!(
-                counted.0,
-                sum(&write),
-                "{what}: (messages, bytes) of a write"
-            );
-            assert_eq!(counted.1, sum(&read), "{what}: (messages, bytes) of a read");
+    lio_obs::set_enabled(true);
+    for p in 2..=4u64 {
+        for shape in [Shape::Figure4, Shape::Tile] {
+            for hints in engines() {
+                let listless = hints.engine == Engine::Listless;
+                let p1 = p - 1;
+                // gather of 16-byte access ranges at rank 0, then a
+                // broadcast down a binomial tree of their count, their
+                // lengths and the ranges
+                let allgather = (2 * p1, 16 * p1 + p1 * (8 + 8 * p + 16 * p));
+                // the header to another rank's IOP side goes on with where
+                // the bytes lie in the lent buffer: the `stream_start`, a
+                // tag, and a base (a staging buffer) or the count and the
+                // memtype as fileview caching encodes it
+                let (_, (_, memtype, _)) = shape.access(0, p, 1);
+                let layout = match listless {
+                    true => 8 + 1 + 8 + serialize::encode(&memtype).len() as u64,
+                    false => 8 + 1 + 8,
+                };
+                let headers = (p * p, 16 * p * p + p * p1 * layout);
+                // a dissemination barrier: one empty message per rank and
+                // round
+                let barrier = (p * u64::from(u64::BITS - p1.leading_zeros()), 0);
+                for name in ["MemFile", "Staged(MemFile)", "UnixFile"] {
+                    let shared = storage(name);
+                    // (std's barrier: the world's own would count)
+                    let quiet = std::sync::Barrier::new(p as usize);
+                    let sent = |comm: &lio_mpi::Comm, op: &mut dyn FnMut()| {
+                        let list_bytes =
+                            || lio_obs::snapshot().counter("core.coll.exchange.list_bytes");
+                        quiet.wait();
+                        let (before, lists) = (comm.world_stats(), list_bytes());
+                        quiet.wait();
+                        op();
+                        quiet.wait();
+                        let (after, lists) = (comm.world_stats(), list_bytes() - lists);
+                        quiet.wait();
+                        let msgs = after.msgs_sent - before.msgs_sent;
+                        (msgs, after.bytes_sent - before.bytes_sent, lists)
+                    };
+                    let counted = World::run(p as usize, |comm| {
+                        let me = comm.rank() as u64;
+                        let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                        let (view, (user, memtype, count)) = shape.access(me, p, me + 1);
+                        f.set_view(0, Datatype::byte(), view).unwrap();
+                        let mut back = vec![0u8; user.len()];
+                        let wrote = sent(comm, &mut || {
+                            f.write_at_all(0, &user, count, &memtype).unwrap();
+                        });
+                        let read = sent(comm, &mut || {
+                            f.read_at_all(0, &mut back, count, &memtype).unwrap();
+                        });
+                        assert_eq!(
+                            reference_stream(&back, &memtype, count),
+                            reference_stream(&user, &memtype, count)
+                        );
+                        [wrote, read]
+                    })[0];
+                    for ((msgs, bytes, list_bytes), op) in
+                        counted.into_iter().zip(["write", "read"])
+                    {
+                        let what = format!("{:?} {shape:?} p={p} on {name}: a {op}", hints.engine);
+                        // one list to each other rank's IOP side, 16 B a tuple
+                        let lists = match listless {
+                            true => (0, 0),
+                            false => (p * p1, list_bytes),
+                        };
+                        assert_eq!(list_bytes % 16, 0, "{what}: whole tuples");
+                        assert_eq!(list_bytes > 0, !listless, "{what}: list bytes");
+                        let sum = [allgather, headers, lists, barrier]
+                            .iter()
+                            .fold((0, 0), |a, m| (a.0 + m.0, a.1 + m.1));
+                        assert_eq!((msgs, bytes), sum, "{what}: (messages, bytes)");
+                    }
+                }
+            }
         }
     }
+    lio_obs::set_enabled(false);
 }

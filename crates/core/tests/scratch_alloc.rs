@@ -1,7 +1,6 @@
 //! The scratch arena's promise, counted: once an access pattern has run
-//! twice, repeating it allocates no large block — every window, pack and
-//! message buffer comes out of the rank's arena (or arrived in a message
-//! from the peer's).
+//! twice, repeating it allocates no large block — every window and staging
+//! buffer comes out of the rank's arena.
 //!
 //! Its own test binary, so the process-wide counting allocator sees these
 //! operations only; the tests take turns at it ([`TURN`]).
@@ -111,12 +110,13 @@ fn large_allocs_of_cold_op(shared: SharedFile, hints: Hints, strided: bool, read
     })[0]
 }
 
-/// What the first collective write and read allocate, in words. List-based,
-/// each rank one 128 KiB message — the half of its data that changes ranks,
-/// a write's on its way out and a read's on its way back; listless, no
-/// message buffer at all — every rank lends its user buffer, whole to be
-/// read or in pieces to be written, and each IOP moves every AP's bytes
-/// there. Either way the own half goes between the user buffer and the
+/// What the first collective write and read allocate, in words. No data
+/// travels in a message, so no message buffer is large. List-based, each
+/// rank takes one staging buffer — the half of its data that changes ranks
+/// is packed into it, or unpacked from it, and it is lent in place of the
+/// user buffer; listless, none at all — every rank lends its user buffer,
+/// whole to be read or in pieces to be written, and each IOP moves every
+/// AP's bytes there. Either way the own half goes between the user buffer and the
 /// windows in one copy, strided user buffer or not; storage that lends its
 /// bytes needs no window buffer, a staging IOP takes its 128 KiB window on
 /// top — and, once slow storage has armed a write's write-behind lane, a
@@ -126,7 +126,7 @@ fn an_in_place_collective_takes_only_message_buffers() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     for engine in [Hints::list_based(), Hints::listless()] {
         let hints = engine.cb_buffer(128 * 1024);
-        let messages = match hints.engine {
+        let staging = match hints.engine {
             Engine::ListBased => 2,
             Engine::Listless => 0,
         };
@@ -138,11 +138,11 @@ fn an_in_place_collective_takes_only_message_buffers() {
                 let cold = |shared, hints| large_allocs_of_cold_op(shared, hints, strided, read);
                 let lent = cold(SharedFile::new(file()), hints);
                 assert_eq!(
-                    lent, messages,
-                    "{what}: the messages, nothing for the own share"
+                    lent, staging,
+                    "{what}: the staging buffers, nothing for the own share"
                 );
                 let staged = cold(SharedFile::new(Staged(file())), hints);
-                assert_eq!(staged, messages + 2, "{what}: and a window per IOP");
+                assert_eq!(staged, staging + 2, "{what}: and a window per IOP");
                 // four 64 KiB windows per IOP: the first write is inline and
                 // arms the lane, the other three alternate between two
                 // buffers; a read has no lane
@@ -150,7 +150,7 @@ fn an_in_place_collective_takes_only_message_buffers() {
                 let windows = if read { 2 } else { 4 };
                 assert_eq!(
                     cold(slow, hints.cb_buffer(LARGE)),
-                    messages + windows,
+                    staging + windows,
                     "{what}: and two windows per armed lane"
                 );
             }
@@ -215,7 +215,8 @@ fn steady_state_operations_allocate_no_large_block() {
                 let mut f = File::open(comm, shared.clone(), hints).unwrap();
                 f.set_view(0, Datatype::byte(), figure4_filetype(me, 2, NBLOCK, SBLOCK))
                     .unwrap();
-                // half-dense memory: what changes ranks goes through a message
+                // half-dense memory: what changes ranks goes through a
+                // staging buffer, list-based
                 let block = Datatype::contiguous(SBLOCK, &Datatype::byte()).unwrap();
                 let memtype = Datatype::vector(NBLOCK, 1, 2, &block).unwrap();
                 let data = pattern(2 * BYTES as usize, me + 1);

@@ -105,14 +105,13 @@ fn contiguous_memtype_never_packs() {
 
 /// A genuinely non-contiguous memtype, each rank writing into the other's
 /// file domain and reading it back: the list-based AP packs what changes
-/// ranks into a message (through its memtype's ol-list, so
-/// `core.coll.exchange.data_bytes` counts it) and gets it back in one; the
-/// listless one never packs or unpacks — every IOP moves the bytes between
-/// the window and the user buffer the AP lends, whole to be read or in
-/// pieces to be written, in one transfer. The audit has teeth: a memtype
-/// whose blocks descend cannot be cut into pieces, so its listless
-/// read-back comes in a reply that is unpacked through the memtype, and
-/// `dt.unpack.calls` sees it.
+/// ranks into the staging buffer it lends (through its memtype's ol-list,
+/// so `dt.pack.calls` counts it) and unpacks it from there; the listless
+/// one never packs or unpacks — every IOP moves the bytes between the
+/// window and the user buffer the AP lends, whole to be read or in pieces
+/// to be written, in one transfer. The audit has teeth: a memtype whose
+/// blocks descend cannot be cut into pieces, so its listless read-back is
+/// staged too, and unpacked through the memtype: `dt.unpack.calls` sees it.
 #[test]
 fn noncontig_memtype_does_pack() {
     let strided = Datatype::vector(64, 8, 16, &Datatype::byte()).unwrap();
@@ -138,20 +137,13 @@ fn noncontig_memtype_does_pack() {
         });
         let in_order = mem.is_monotone();
         let what = format!("{:?}, in order: {in_order}", hints.engine);
-        let (write_exchanged, read_exchanged) = match hints.engine {
-            Engine::ListBased => (2 * 512, 2 * 512),
-            Engine::Listless => {
-                assert_eq!(snap.counter("dt.pack.calls"), 0, "{what}: a write packed");
-                let unpacked = snap.counter("dt.unpack.calls") > 0;
-                assert_eq!(unpacked, !in_order, "{what}: unpacked a reply");
-                (0, if in_order { 0 } else { 2 * 512 })
-            }
+        let (packed, unpacked) = match hints.engine {
+            Engine::ListBased => (true, true),
+            Engine::Listless => (false, !in_order),
         };
-        assert_eq!(
-            snap.counter("core.coll.exchange.data_bytes"),
-            write_exchanged + read_exchanged,
-            "{what}: the bytes packed into messages"
-        );
+        let got = |name| snap.counter(name) > 0;
+        assert_eq!(got("dt.pack.calls"), packed, "{what}: a write packed");
+        assert_eq!(got("dt.unpack.calls"), unpacked, "{what}: a read unpacked");
     }
 }
 

@@ -33,10 +33,12 @@ use crate::types::Datatype;
 /// distribution quantify the paper's Section 2.1 copy overhead: small
 /// runs mean the pack loop is bookkeeping-bound, large runs mean it runs
 /// at memcpy speed.
-static OBS_PACK_CALLS: LazyCounter = LazyCounter::new("dt.pack.calls");
+/// Typed packs: these functions', and a list-based pack's in `lio-core`.
+pub static OBS_PACK_CALLS: LazyCounter = LazyCounter::new("dt.pack.calls");
 static OBS_PACK_BLOCKS: LazyCounter = LazyCounter::new("dt.pack.blocks");
 static OBS_PACK_BYTES: LazyCounter = LazyCounter::new("dt.pack.bytes");
-static OBS_UNPACK_CALLS: LazyCounter = LazyCounter::new("dt.unpack.calls");
+/// Typed unpacks, counted as [`OBS_PACK_CALLS`] is.
+pub static OBS_UNPACK_CALLS: LazyCounter = LazyCounter::new("dt.unpack.calls");
 static OBS_UNPACK_BLOCKS: LazyCounter = LazyCounter::new("dt.unpack.blocks");
 static OBS_UNPACK_BYTES: LazyCounter = LazyCounter::new("dt.unpack.bytes");
 pub(crate) static OBS_RUN_LEN: LazyHistogram = LazyHistogram::new("dt.run.len");

@@ -26,7 +26,7 @@
 
 use std::ops::Range;
 
-use crate::kernels::{claim_ahead, Store, Stores};
+use crate::kernels::{Store, Stores};
 use crate::types::Datatype;
 use lio_obs::LazyCounter;
 
@@ -193,8 +193,7 @@ impl<'a> RunCursor<'a> {
 /// a user buffer (or a message). A piece of 1–32 B whose length is a power
 /// of two is one load and one store, and a run of such blocks of one width
 /// on both sides one batch; a longer piece streams into a lent window
-/// ([`Stores`]) or claims the user lines after it ([`claim_ahead`]), as the
-/// listless engine's copies do.
+/// ([`Stores`]), as the listless engine's placements do.
 #[derive(Debug, Clone)]
 pub struct CoWalk<'a> {
     pub file: RunCursor<'a>,
@@ -225,7 +224,7 @@ impl<'a> CoWalk<'a> {
     }
 
     /// [`CoWalk::place`] the other way: up to `n` stream bytes out of `win`
-    /// into `dst`, claiming the user lines after each piece of 256 B–4 KiB.
+    /// into `dst`.
     pub fn extract(
         &mut self,
         win: &[u8],
@@ -461,14 +460,13 @@ impl Piece for (&mut [u8], &[u8], &mut Stores) {
     }
 }
 
-/// An extraction: window bytes into the user buffer, its lines claimed.
+/// An extraction: window bytes into the user buffer.
 impl Piece for (&[u8], &mut [u8]) {
     #[inline(always)]
     fn copy(&mut self, w: usize, u: usize, len: usize) {
-        let src = &self.0[w..w + len];
-        if !copy_short(&mut self.1[u..u + len], src) {
-            claim_ahead(self.1, u..u + len);
-            self.1[u..u + len].copy_from_slice(src);
+        let (dst, src) = (&mut self.1[u..u + len], &self.0[w..w + len]);
+        if !copy_short(dst, src) {
+            dst.copy_from_slice(src);
         }
     }
 }

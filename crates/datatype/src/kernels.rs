@@ -1,18 +1,14 @@
-//! The stores under every placement and extraction, whatever the frame
-//! executor's block size.
+//! The stores under every placement, whatever the frame executor's block
+//! size.
 //!
 //! The block copy itself is one safe fixed-width loop
 //! ([`crate::strided::strided_copy`]); this module holds what a copy into a
-//! window or a user buffer needs beyond it. [`Stores`] copies each run of
+//! window needs beyond it. [`Stores`] copies each run of
 //! 256 B or more into a window the storage lent with non-temporal stores
 //! for the run's whole cache lines, and fences once per placement call, so
 //! that a write's lines go to memory without first being read for
-//! ownership. [`claim_ahead`] asks for the user lines after a run of
-//! 256 B–4 KiB that an extraction is about to store, so that a read's
-//! stores into lines it has not touched yet do not each wait for a
-//! read-for-ownership.
-
-use std::ops::{Range, RangeInclusive};
+//! ownership. An extraction into a user buffer, which the user reads
+//! next, is a plain copy.
 
 use lio_obs::LazyCounter;
 
@@ -157,64 +153,6 @@ fn stream_lines(_: &mut [u8], _: &[u8]) {
     unreachable!("only x86_64 streams")
 }
 
-// ---------------------------------------------------------------------------
-// Claiming user lines ahead of an extraction's stores
-// ---------------------------------------------------------------------------
-
-/// Buffer bytes past a stored run whose cache lines [`claim_ahead`] asks
-/// for: far enough that a line arrives before the stores reach it, near
-/// enough that it is still in cache when they do (1, 4, 8 and 32 KiB all
-/// measured slower on the benchmark's tile rows, 2-vCPU x86_64 box).
-pub const CLAIM_AHEAD: usize = 2048;
-
-/// Run lengths that claim. Below 256 B the runs are too short for a
-/// store to wait on its line longer than the claim costs; above 4 KiB the
-/// hardware prefetcher already follows the store stream.
-pub const CLAIM_RUNS: RangeInclusive<usize> = 256..=4096;
-
-/// The positions [`claim_ahead`] claims for `run` in a buffer of
-/// `buf_len` bytes: the [`CLAIM_AHEAD`] bytes after the run, clipped to
-/// the buffer, or nothing for a run length outside [`CLAIM_RUNS`].
-pub fn claim_lines(buf_len: usize, run: Range<usize>) -> Range<usize> {
-    if !CLAIM_RUNS.contains(&run.len()) {
-        return 0..0;
-    }
-    run.end.min(buf_len)..run.end.saturating_add(CLAIM_AHEAD).min(buf_len)
-}
-
-/// Before `run` of `buf` is stored to, prefetch the lines of
-/// [`claim_lines`] for writing, so that a store into a line the op has not
-/// touched yet does not wait for its read-for-ownership. Extractions call
-/// it on the user buffer they fill. The hint is `prefetchw` where the
-/// target has `prfchw`, `prefetcht0` on the default `x86-64` target; both
-/// measured the same. Never on a line that is then streamed ([`Stores`]):
-/// the claim reads the line from memory, which is the transfer streaming
-/// saves, and a non-temporal store into a cached line evicts it again.
-/// Off x86_64 this does nothing.
-#[inline]
-pub fn claim_ahead(buf: &[u8], run: Range<usize>) {
-    if CLAIM_RUNS.contains(&run.len()) {
-        claim(buf, run);
-    }
-}
-
-/// [`claim_ahead`]'s prefetches, out of line: inlined, the loop slowed
-/// the list-based walk of 8 B runs that never claim (`ind-small`
-/// `lb_write_mbps` ×0.89), and a call costs nothing next to the copy of
-/// the 256 B or more behind it.
-#[cold]
-#[inline(never)]
-fn claim(buf: &[u8], run: Range<usize>) {
-    #[cfg(target_arch = "x86_64")]
-    for at in claim_lines(buf.len(), run).step_by(64) {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0};
-        // SAFETY: a prefetch never faults, and `at < buf.len()`.
-        unsafe { _mm_prefetch::<_MM_HINT_ET0>(buf.as_ptr().add(at).cast()) }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (buf, run);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,29 +216,5 @@ mod tests {
         assert_eq!(stores.streamed, want);
         drop(stores);
         assert!(dst.iter().all(|&b| b == 3));
-    }
-
-    #[test]
-    fn claim_covers_the_bytes_after_a_run_inside_the_window() {
-        let win = 64 << 10;
-        // run lengths around both ends of the claimed range
-        assert_eq!(claim_lines(win, 100..355), 0..0);
-        assert_eq!(claim_lines(win, 100..356), 356..356 + CLAIM_AHEAD);
-        assert_eq!(claim_lines(win, 100..4195), 4195..4195 + CLAIM_AHEAD);
-        assert_eq!(claim_lines(win, 100..4196), 4196..4196 + CLAIM_AHEAD);
-        assert_eq!(claim_lines(win, 100..4197), 0..0);
-        // a run ending within CLAIM_AHEAD of the window end, and at it
-        assert_eq!(claim_lines(win, win - 1500..win - 1000), win - 1000..win);
-        assert_eq!(claim_lines(win, win - 500..win), win..win);
-        // a window shorter than CLAIM_AHEAD
-        assert_eq!(claim_lines(1500, 0..300), 300..1500);
-        assert_eq!(claim_lines(1500, 1200..1500), 1500..1500);
-        // claiming touches nothing, whatever the run and the window
-        let window = vec![7u8; 1500];
-        for run in [0..300, 1000..1300, 1200..1500, 0..1500] {
-            claim_ahead(&window, run);
-        }
-        claim_ahead(&[], 0..0);
-        assert!(window.iter().all(|&b| b == 7));
     }
 }

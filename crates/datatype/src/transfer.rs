@@ -20,7 +20,7 @@
 //! and never looks back. It never materializes a run list either: its
 //! state is one stretch and a stack of at most `depth` frames.
 
-use crate::kernels::{self, Stores};
+use crate::kernels::Stores;
 use crate::program::{PNode, Part, RunProgram};
 use crate::strided::{strided_copy, Xfer};
 
@@ -300,20 +300,10 @@ impl Ends for ToUser<'_> {
         self.window.len()
     }
 
-    /// A block long enough to claim the user lines after it is stored one
-    /// at a time, each behind its claim.
     #[inline]
     fn mv(&mut self, m: Move) {
         let (src, dst) = (&self.window[m.w..], &mut self.user[m.u - self.at..]);
-        if m.block < *kernels::CLAIM_RUNS.start() {
-            strided_copy(src, m.ws, dst, m.us, m.block, m.n);
-            return;
-        }
-        for i in 0..m.n {
-            let (w, u) = (i * m.ws, i * m.us);
-            kernels::claim_ahead(dst, u..u + m.block);
-            dst[u..u + m.block].copy_from_slice(&src[w..w + m.block]);
-        }
+        strided_copy(src, m.ws, dst, m.us, m.block, m.n);
     }
 }
 

@@ -1,11 +1,10 @@
 //! Streaming a placement's whole lines past the cache (`kernels::Stores`)
-//! and claiming the user lines ahead of an extraction's stores
-//! (`kernels::claim_ahead`) change how bytes travel through the cache,
-//! never which bytes land where. Runs on either side of the streamed and
-//! claimed lengths (255, 256, 257, 1280, 4095, 4096 and 16384 B) are placed
-//! into windows whose last run ends at, or within `CLAIM_AHEAD` of, the
-//! window's end, into windows cut short of the type, and into windows
-//! shorter than `CLAIM_AHEAD`. Each window lies at three offsets from a
+//! changes how bytes travel through the cache, never which bytes land
+//! where. Runs on either side of the streamed length (255, 256, 257, 1280,
+//! 4095, 4096 and 16384 B) are placed into windows whose last run ends at,
+//! or within 2 KiB (the claim distance, [`CLAIM`]) of, the window's end,
+//! into windows cut short of the type, and into windows shorter than the
+//! claim distance. Each window lies at three offsets from a
 //! cache line, and is placed whole and in two pieces cut inside a run, as a
 //! storage lends a window that crosses one of its stripes — through
 //! `RunProgram::transfer_into` (a typed user buffer) and
@@ -15,7 +14,7 @@
 //! `RunProgram::transfer_out_of` must take the same bytes back into the
 //! typed user buffer.
 
-use lio_datatype::kernels::{Store, CLAIM_AHEAD};
+use lio_datatype::kernels::Store;
 use lio_datatype::typemap::{expand, reference_pack, Run};
 use lio_datatype::Datatype;
 
@@ -23,6 +22,9 @@ const RUNS: [u64; 7] = [255, 256, 257, 1280, 4095, 4096, 16384];
 const UNTOUCHED: u8 = 0xEE;
 /// Where a window starts relative to a cache line.
 const LINE_OFFSETS: [usize; 3] = [0, 13, 40];
+/// The claim distance, 2 KiB: windows end within it of their last run,
+/// or are shorter than it.
+const CLAIM: usize = 2048;
 
 /// `count` runs of `run` bytes, `run + gap` apart from byte `lead` on.
 fn window_type(run: u64, gap: u64, count: u64, lead: i64) -> Datatype {
@@ -49,12 +51,12 @@ fn lay(runs: &[Run], stream: &[u8], buf: &mut [u8]) -> usize {
     pos
 }
 
-/// Window lengths for `ft`: its extent plus 0, 100 and `CLAIM_AHEAD - 1`
-/// bytes (the last run ends at or within `CLAIM_AHEAD` of the end), and
+/// Window lengths for `ft`: its extent plus 0, 100 and `CLAIM - 1` bytes
+/// (the last run ends at or within [`CLAIM`] of the end), and
 /// cuts inside its last run and right after the run before.
 fn window_lens(ft: &Datatype, run: u64, gap: u64) -> Vec<usize> {
     let ub = ft.data_ub() as usize;
-    let mut lens = vec![ub, ub + 100, ub + CLAIM_AHEAD - 1, ub - run as usize / 2];
+    let mut lens = vec![ub, ub + 100, ub + CLAIM - 1, ub - run as usize / 2];
     if ft.size() > run {
         lens.push(ub - (run + gap) as usize);
     }
@@ -148,7 +150,7 @@ fn check(run: u64, gap: u64, count: u64, lead: i64, user: &Datatype) {
                     assert_untouched_around(&backing, at, len, &ctx);
                 }
             }
-            // and back out into the typed user buffer, claiming its lines
+            // and back out into the typed user buffer
             let ctx = format!("run {run} gap {gap} lead {lead} window {len} line offset {off}");
             let mut out = vec![UNTOUCHED; span];
             let mut back = vec![UNTOUCHED; span];
@@ -188,7 +190,7 @@ fn placed_runs_match_the_reference_in_windows_the_claim_reaches_past() {
             // gaps shorter and longer than the claim; a lead off the
             // cache-line grid
             check(run, 24, 4, 0, &user);
-            check(run, CLAIM_AHEAD as u64 + 40, 3, 13, &user);
+            check(run, CLAIM as u64 + 40, 3, 13, &user);
         }
     }
 }
@@ -197,14 +199,10 @@ fn placed_runs_match_the_reference_in_windows_the_claim_reaches_past() {
 fn placed_runs_match_the_reference_in_windows_shorter_than_the_claim() {
     for run in RUNS {
         for user in user_types(run) {
-            // two runs where they fit in CLAIM_AHEAD bytes, else one: all
+            // two runs where they fit in CLAIM bytes, else one: all
             // but the longest windows of the runs up to 1280 B are shorter
             // than the claim
-            let count = if 2 * run + 40 < CLAIM_AHEAD as u64 {
-                2
-            } else {
-                1
-            };
+            let count = if 2 * run + 40 < CLAIM as u64 { 2 } else { 1 };
             check(run, 40, count, 7, &user);
         }
     }
