@@ -246,12 +246,8 @@ impl<'c> File<'c> {
 
     /// The file range an access touches (for atomic-mode locking).
     fn access_span(&self, stream_start: u64, total: u64) -> std::ops::Range<u64> {
-        if total == 0 {
-            return 0..0;
-        }
-        let lo = self.nav.stream_to_abs(stream_start);
-        let hi = self.nav.stream_to_abs(stream_start + total - 1) + 1;
-        lo..hi
+        let reach = self.nav.reach((stream_start, stream_start + total));
+        reach.map_or(0..0, |(lo, hi)| lo..hi)
     }
 
     /// Independent write of `count` instances of `memtype` from `buf` at

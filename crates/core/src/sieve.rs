@@ -11,7 +11,7 @@ use crate::error::{IoError, Result};
 use crate::hints::Hints;
 use crate::packer::{MemPacker, UserSide};
 use crate::scratch::Scratch;
-use crate::view::{RunTally, ViewNav};
+use crate::view::ViewNav;
 use crate::window::{WindowIo, Windows};
 
 /// Read `storage[offset..]` into `buf`, zero-filling anything past EOF.
@@ -59,44 +59,33 @@ pub(crate) fn write_independent(
     }
 
     // data sieving: lock, read, merge, write back, per window
-    let grid = Windows::new(
-        nav.stream_to_abs(stream_start),
-        nav.stream_to_abs(stream_start + total - 1) + 1,
-        hints.ind_buffer_size as u64,
-    );
+    let src = UserSide::new(packer, user, stream_start);
+    let mut share = nav.share(&src, (stream_start, stream_start + total));
+    let (lo, hi) = share.reach().expect("an access of bytes reaches the file");
+    let grid = Windows::new(lo, hi, hints.ind_buffer_size as u64);
     // no larger than the loop can address: a window spans at most the
     // access range
     let mut io = WindowIo::new(storage, scratch, grid.max_len());
-    let src = UserSide::new(packer, user, stream_start);
-
-    let mut stream = stream_start;
-    let end = stream_start + total;
     for (win_start, win_end) in grid {
-        // view bytes inside the window, capped to what we still have
-        let n = nav.bytes_in(win_start, win_end).min(end - stream);
-        if n == 0 {
+        let (stream, end) = share.rest();
+        if !share.wants(win_end) {
             continue; // a cell that lies in a gap of the view
         }
+        // view bytes inside the window, capped to what we still have
+        let n = nav.bytes_in(win_start, win_end).min(end - stream);
         // in atomic mode the caller already holds the whole access range;
         // taking the window lock again would self-deadlock
         let _guard = (!whole_range_locked).then(|| lock.lock(win_start..win_end));
         // staged, a window our data does not fill is read first
-        let mut seen = RunTally::until(win_end);
         let mut placed = 0u64;
         io.update(
             win_start,
             win_end,
             || n == win_end - win_start,
-            &mut |at, piece, store| {
-                let rest = (n - placed) as usize;
-                let from = stream + placed;
-                placed +=
-                    nav.place_into_window(&src, from, rest, piece, at, &mut seen, store) as u64;
-            },
+            &mut |at, piece, store| placed += share.place(&src, piece, at, store) as u64,
         )?;
         drop(_guard);
-        short_transfer(win_start, win_end, placed, n)?;
-        stream += n;
+        short_transfer((win_start, win_end), placed, n)?;
     }
     Ok(total)
 }
@@ -132,15 +121,16 @@ fn write_contiguous_region(
     Ok(total)
 }
 
-/// The copy of a window moved `moved` bytes where navigation counted `n`:
-/// an error, not a debug assertion — no pack step cross-checks the count
-/// any more, and a short window is file or user bytes left stale.
-fn short_transfer(win_start: u64, win_end: u64, moved: u64, n: u64) -> Result<()> {
+/// The copy of a window — or of a collective share, over the file range
+/// `[lo, hi)` it reaches — moved `moved` bytes where navigation counted
+/// `n`: an error, not a debug assertion — no pack step cross-checks the
+/// count any more, and a short window is file or user bytes left stale.
+pub(crate) fn short_transfer((lo, hi): (u64, u64), moved: u64, n: u64) -> Result<()> {
     if moved == n {
         return Ok(());
     }
     Err(IoError::Storage(std::io::Error::other(format!(
-        "window [{win_start}, {win_end}) moved {moved} of the view's {n} bytes"
+        "[{lo}, {hi}) moved {moved} of the view's {n} bytes"
     ))))
 }
 
@@ -175,29 +165,22 @@ pub(crate) fn read_independent(
         return Ok(total);
     }
 
-    let grid = Windows::new(
-        nav.stream_to_abs(stream_start),
-        nav.stream_to_abs(stream_start + total - 1) + 1,
-        hints.ind_buffer_size as u64,
-    );
-    let mut io = WindowIo::new(storage, scratch, grid.max_len());
     let mut dst = UserSide::new(packer, user, stream_start);
-    let mut stream = stream_start;
-    let end = stream_start + total;
+    let mut share = nav.share(&dst, (stream_start, stream_start + total));
+    let (lo, hi) = share.reach().expect("an access of bytes reaches the file");
+    let grid = Windows::new(lo, hi, hints.ind_buffer_size as u64);
+    let mut io = WindowIo::new(storage, scratch, grid.max_len());
     for (win_start, win_end) in grid {
-        let n = nav.bytes_in(win_start, win_end).min(end - stream);
-        if n == 0 {
+        let (stream, end) = share.rest();
+        if !share.wants(win_end) {
             continue; // a cell that lies in a gap of the view
         }
-        let mut seen = RunTally::until(win_end);
+        let n = nav.bytes_in(win_start, win_end).min(end - stream);
         let mut got = 0u64;
         io.view(win_start, win_end, &mut |at, piece| {
-            let rest = (n - got) as usize;
-            let from = stream + got;
-            got += nav.extract_from_window(piece, at, from, rest, &mut dst, &mut seen) as u64;
+            got += share.extract(piece, at, &mut dst) as u64;
         })?;
-        short_transfer(win_start, win_end, got, n)?;
-        stream += n;
+        short_transfer((win_start, win_end), got, n)?;
     }
     Ok(total)
 }
@@ -208,8 +191,8 @@ mod tests {
 
     #[test]
     fn a_short_window_is_an_error_in_every_build() {
-        assert!(short_transfer(0, 64, 40, 40).is_ok());
-        let err = short_transfer(0, 64, 39, 40).unwrap_err();
+        assert!(short_transfer((0, 64), 40, 40).is_ok());
+        let err = short_transfer((0, 64), 39, 40).unwrap_err();
         assert!(matches!(err, IoError::Storage(_)), "{err}");
         assert!(err.to_string().contains("moved 39 of the view's 40 bytes"));
     }

@@ -3,71 +3,58 @@
 //! Collective reads/writes are performed by **io-processes** (IOPs) that
 //! touch the file, on behalf of all **access-processes** (APs) — paper
 //! Section 2.3. The file range touched by the collective call is split
-//! evenly among the IOPs (*file domains*); each AP ships the part of its
-//! access falling into each IOP's domain; each IOP loops over its domain
-//! in `cb_buffer_size` windows, sieving data in or out of a window buffer.
-//! Windows lie on the absolute grid of `crate::window`, and interior
-//! domain boundaries are rounded to it ([`file_domains`]). Every AP has an
-//! *end* in the IOP's window loop ([`UserSide`]): a buffer and how its
-//! stream lies there. The loop moves each window's worth of it between that
-//! end and the window in one copy, whatever the memtype. What an AP has in
-//! the domain of its own IOP side — its *own share* — is never packed or
-//! lent: its end is the user buffer itself.
+//! evenly among the IOPs (*file domains*, interior boundaries rounded to
+//! the window grid of `crate::window`, [`file_domains`]); each AP announces
+//! the part of its access in each IOP's domain — its *share* of it — and
+//! each IOP loops over its domain in `cb_buffer_size` windows, moving every
+//! share between a window and the AP's *end* of the loop ([`UserSide`]: a
+//! buffer and how the stream lies there) in one copy, whatever the
+//! memtype. That loop is written once per direction ([`write_windows`],
+//! [`read_windows`]), generic over [`Share`]: the engines differ only in
+//! what a share is and in their dense-window test, as the paper describes.
 //!
-//! The two engines share this skeleton and differ in exactly the ways the
-//! paper describes:
-//!
-//! * **list-based**: every AP builds an **ol-list of absolute
-//!   `⟨offset, length⟩` tuples covering each IOP's domain** — size
-//!   `O(Saccess/Sextent · Nblock)`, i.e. proportional to the access, not
-//!   the filetype — and sends it to that IOP (16 bytes of metadata per
-//!   tuple), which walks it beside the AP's bytes. For writes, the IOP
-//!   merges all received lists (`O(Σ_p Nblock(p))`) to detect
-//!   fully-covered windows, once it stages a window: only a staged window
-//!   asks.
-//! * **listless**: fileview caching means the IOP already has every AP's
-//!   `(disp, filetype)` (exchanged compactly at `set_view`), so the paper's
-//!   messages carry *only data*; placement uses flattening-on-the-fly, and
-//!   the covered-window test is one `O(depth)` mergeview evaluation.
+//! * **list-based** ([`ListShare`]): every AP builds an **ol-list of
+//!   absolute `⟨offset, length⟩` tuples covering each IOP's domain** — size
+//!   `O(Saccess/Sextent · Nblock)`, proportional to the access, not the
+//!   filetype — and sends it to that IOP (16 bytes of metadata per tuple),
+//!   which walks it beside the AP's end. For writes, the IOP merges all
+//!   received lists (`O(Σ_p Nblock(p))`) to detect fully-covered windows,
+//!   once it stages a window: only a staged window asks.
+//! * **listless** ([`FfShare`]): fileview caching means the IOP already has
+//!   every AP's `(disp, filetype)` (exchanged compactly at `set_view`), so
+//!   the messages carry no list; placement runs the filetype's program from
+//!   a stream cursor on, and the covered-window test is one `O(depth)`
+//!   mergeview evaluation.
 //!
 //! Ranks here are threads of one address space, so in neither engine does
 //! the data itself travel in a message: an AP *lends* the buffer its bytes
-//! lie in and the IOP moves them there, as a shared-memory MPI moves a
-//! large message with one copy. An AP's header tells each IOP its stream
-//! interval there, the `stream_start` of the lent buffer and how the
-//! stream lies in it (its layout: a memtype encoded as fileview caching
-//! encodes filetypes, decoded once per layout, [`CollState`]), and the
-//! IOP's end for that AP is the lent buffer — the shape the own share has
-//! always had. A listless AP lends its user buffer. A list-based AP packs
-//! its shares of the other domains into a staging buffer, each at its
-//! stream position, and lends that (ROMIO's pack, so its copies per user
-//! byte stay ROMIO's); so does a listless AP whose memtype does not hold
-//! its bytes in stream order, reading. Writing, every rank lends its
-//! buffer whole, to be read ([`Comm::lend`]). Reading, every rank cuts its
-//! buffer into one piece per file domain — the bytes its share of that
-//! domain occupies — and lends piece `i` to IOP `i` alone, to be written
-//! ([`Comm::lend_mut`]); a staging AP unpacks its pieces into its user
-//! buffer once the scope has closed. Each IOP reads each file byte of its
-//! domain once. Messages carry headers and ol-lists, nothing else, and the
-//! lending scope's closing barrier is the rank-sync the op ends in.
+//! lie in, as a shared-memory MPI moves a large message with one copy, and
+//! its header tells each IOP its stream interval there and how the stream
+//! lies in the lent buffer (its layout: a memtype encoded as fileview
+//! caching encodes filetypes, decoded once per layout, [`CollState`]). A
+//! listless AP lends its user buffer. A list-based AP packs its shares of
+//! the other domains into a staging buffer and lends that (ROMIO's pack);
+//! so does a listless AP whose memtype does not hold its stream in order,
+//! reading. The own share is never packed or lent: its end is the user
+//! buffer itself. Writing, every rank lends its buffer whole, to be read
+//! ([`Comm::lend`]); reading, it cuts it into one piece per file domain and
+//! lends piece `i` to IOP `i` alone, to be written ([`Comm::lend_mut`]).
+//! Messages carry headers and ol-lists, nothing else, and the lending
+//! scope's closing barrier is the rank-sync the op ends in.
 //!
 //! There is one schedule, the monolithic two-phase of Thakur, Gropp & Lusk:
-//! every AP announces its whole share of each file domain at once (with,
-//! list-based, its whole list), which preserves the list-handling costs
-//! the paper measures; then each IOP walks its domain. An IOP is the only
-//! writer of its domain until the closing rank-sync, and says so
-//! ([`WindowIo::sole_writer`]): on storage that stages and is slow, the
-//! write-back of window `k` runs beside the pre-read and placement of
-//! window `k + 1` — the only overlap that ever paid (EXPERIMENTS.md).
+//! every AP announces its whole share of each domain at once (list-based,
+//! with its whole list), which preserves the list-handling costs the paper
+//! measures; then each IOP walks its domain, its only writer until the
+//! closing rank-sync ([`WindowIo::sole_writer`]): on storage that stages
+//! and is slow, the write-back of window `k` runs beside window `k + 1` —
+//! the only overlap that ever paid (EXPERIMENTS.md).
 
 use std::cell::{OnceCell, RefCell, RefMut};
 use std::ops::Range;
-use std::thread::Scope;
 
-use lio_datatype::kernels::Stores;
 use lio_datatype::{
-    bytes_below_tiled, disjoint_tilings, serialize, CoWalk, Datatype, Field, OlList, OlWire,
-    RunCursor,
+    bytes_below_tiled, disjoint_tilings, serialize, Datatype, Field, OlList, OlWire,
 };
 use lio_mpi::{Comm, Lent, LentMut};
 use lio_obs::LazyCounter;
@@ -77,7 +64,7 @@ use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::{MemPacker, UserSide, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
-use crate::view::{FfNav, FileView, RunTally, ViewNav};
+use crate::view::{FfNav, FileView, ListShare, Share, ViewNav};
 use crate::window::{snap, timed, WindowIo, Windows};
 use lio_obs::health;
 
@@ -169,18 +156,19 @@ impl MergeView {
     /// Whether the data of one collective write fills `[lo, hi)`, so that
     /// the window needs no pre-read: the union of the fileviews covers
     /// the range, **and** the views are disjoint, **and** every AP supplies
-    /// all of its view's bytes in it (`takes[k]` is what AP `k` ships for
-    /// the range). The mergeview alone only knows what the views *could*
-    /// cover, and counts a byte two views hold twice; an AP that writes
-    /// fewer bytes than its view holds there leaves file bytes that must
+    /// all of its view's bytes in it (its stream interval `spans[k]` holds
+    /// them). The mergeview alone only knows what the views *could* cover,
+    /// and counts a byte two views hold twice; an AP that writes fewer
+    /// bytes than its view holds there leaves file bytes that must
     /// survive. `O(depth)` per AP, still no list.
-    pub fn filled_by(&self, navs: &[FfNav], takes: &[u64], lo: u64, hi: u64) -> bool {
+    pub fn filled_by(&self, navs: &[FfNav], spans: &[(u64, u64)], lo: u64, hi: u64) -> bool {
+        let supplies = |nav: &FfNav, &(s_lo, s_hi): &(u64, u64)| {
+            let (a, b) = (nav.abs_to_stream(lo), nav.abs_to_stream(hi));
+            a >= b || (s_lo <= a && b <= s_hi)
+        };
         self.covered(lo, hi)
             && self.disjoint()
-            && navs
-                .iter()
-                .zip(takes)
-                .all(|(nav, &take)| take == nav.bytes_in(lo, hi))
+            && navs.iter().zip(spans).all(|(n, s)| supplies(n, s))
     }
 
     /// Whether file range `[lo, hi)` is fully covered by the union of all
@@ -270,30 +258,21 @@ fn build_mergeview(views: &[FileView]) -> Result<Option<MergeView>> {
     }))
 }
 
-/// This rank's absolute access range for `total` stream bytes from
-/// `stream_start`; `None` when empty.
-fn access_range(nav: &ViewNav, stream_start: u64, total: u64) -> Option<(u64, u64)> {
-    if total == 0 {
-        return None;
-    }
-    let lo = nav.stream_to_abs(stream_start);
-    let hi = nav.stream_to_abs(stream_start + total - 1) + 1;
-    Some((lo, hi))
-}
-
-/// Exchange access ranges and compute the per-IOP file domains.
-fn file_domains(comm: &Comm, range: Option<(u64, u64)>, hints: &Hints) -> Vec<(u64, u64)> {
-    let (lo, hi) = range.unwrap_or((u64::MAX, 0));
-    let mut msg = lo.to_le_bytes().to_vec();
-    msg.extend_from_slice(&hi.to_le_bytes());
-    let all = comm.allgather(msg);
-    let ranges: Vec<Option<(u64, u64)>> = all
-        .iter()
-        .map(|b| {
-            let lo = u64::from_le_bytes(b[0..8].try_into().expect("lo"));
-            let hi = u64::from_le_bytes(b[8..16].try_into().expect("hi"));
-            (hi > lo && lo != u64::MAX).then_some((lo, hi))
-        })
+/// Exchange every rank's access range — the file bytes its stream
+/// interval `[s_lo, s_hi)` reaches — and compute the per-IOP file domains;
+/// the time goes to `exch_ns`.
+fn file_domains(
+    comm: &Comm,
+    nav: &ViewNav,
+    (s_lo, s_hi): (u64, u64),
+    hints: &Hints,
+    exch_ns: &mut u64,
+) -> Vec<(u64, u64)> {
+    let t = lio_obs::now();
+    let (lo, hi) = nav.reach((s_lo, s_hi)).unwrap_or((u64::MAX, 0));
+    let all = comm.allgather([lo.to_le_bytes(), hi.to_le_bytes()].concat());
+    let ranges: Vec<Option<(u64, u64)>> = (all.iter().map(|b| header(b)))
+        .map(|(lo, hi)| (hi > lo && lo != u64::MAX).then_some((lo, hi)))
         .collect();
     let min_st = ranges.iter().flatten().map(|r| r.0).min();
     let max_end = ranges.iter().flatten().map(|r| r.1).max();
@@ -325,6 +304,7 @@ fn file_domains(comm: &Comm, range: Option<(u64, u64)>, hints: &Hints) -> Vec<(u
     if lio_obs::profile::enabled() && comm.rank() == 0 {
         profile_domains(&ranges, min_st, max_end);
     }
+    *exch_ns += lio_obs::elapsed_ns(t);
     domains
 }
 
@@ -338,22 +318,13 @@ fn profile_domains(ranges: &[Option<(u64, u64)>], min_st: Option<u64>, max_end: 
     };
     let mut sorted: Vec<(u64, u64)> = ranges.iter().flatten().copied().collect();
     sorted.sort_unstable();
-    let mut union = 0u64;
-    let mut sum = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
+    // in order of start, each range adds to the union what lies past the
+    // furthest end before it
+    let (mut union, mut sum, mut reached) = (0u64, 0u64, 0u64);
     for &(a, b) in &sorted {
         sum += b - a;
-        cur = Some(match cur {
-            Some((cs, ce)) if a <= ce => (cs, ce.max(b)),
-            Some((cs, ce)) => {
-                union += ce - cs;
-                (a, b)
-            }
-            None => (a, b),
-        });
-    }
-    if let Some((cs, ce)) = cur {
-        union += ce - cs;
+        union += b.saturating_sub(a.max(reached));
+        reached = reached.max(b);
     }
     lio_obs::profile::record_domains(hi - lo, union, sum - union);
     for (r, span) in ranges.iter().enumerate() {
@@ -363,43 +334,13 @@ fn profile_domains(ranges: &[Option<(u64, u64)>], min_st: Option<u64>, max_end: 
     }
 }
 
-/// The intersection of this rank's stream interval with an IOP domain,
-/// expressed in stream positions.
-fn stream_intersection(
-    nav: &ViewNav,
-    stream_start: u64,
-    stream_end: u64,
-    dom: (u64, u64),
-) -> (u64, u64) {
-    let a = nav.abs_to_stream(dom.0).clamp(stream_start, stream_end);
-    let b = nav.abs_to_stream(dom.1).clamp(stream_start, stream_end);
-    (a, b)
-}
-
-/// The tuples of a received access list, its length checked once.
-fn wire(list_bytes: &[u8]) -> Result<OlWire<'_>> {
-    OlWire::new(list_bytes).ok_or_else(|| IoError::Usage("malformed access list".into()))
-}
-
-/// The IOP-side list walking of Section 2.3: AP `k`'s list, read where it
-/// landed, beside the stream of its end — the buffer it lent, or, for the
-/// IOP's own list, its user buffer.
-fn recv_walks<'a, U>(
-    lists: &[OlWire<'a>],
-    ends: &[UserSide<'a, U>],
-    spans: &[(u64, u64)],
-) -> Vec<CoWalk<'a>> {
-    (lists.iter().zip(ends).zip(spans))
-        .map(|((&list, end), span)| CoWalk::new(RunCursor::wire(list), end.cursor(span.0)))
+/// The tuples of every received access list, each length checked once.
+fn wires(lists: &[Vec<u8>]) -> Result<Vec<OlWire<'_>>> {
+    let malformed = || IoError::Usage("malformed access list".into());
+    lists
+        .iter()
+        .map(|l| OlWire::new(l).ok_or_else(malformed))
         .collect()
-}
-
-/// The file range `[lo, hi)` the received lists reach; `None` when all
-/// are empty.
-fn reached(lists: &[OlWire]) -> Option<(u64, u64)> {
-    let lo = lists.iter().filter_map(|l| l.get(0)).map(|t| t.0).min()?;
-    let hi = lists.iter().filter_map(OlWire::last).map(|t| t.0 + t.1);
-    Some((lo, hi.max()?))
 }
 
 /// Cursor over the merge of every AP's list for covered-window tests (the
@@ -431,15 +372,6 @@ impl Coverage {
     }
 }
 
-/// The file range `[lo, hi)` that the stream intervals `spans` of the
-/// views `navs` reach; `None` when all are empty.
-fn touched(spans: &[(u64, u64)], navs: &[FfNav]) -> Option<(u64, u64)> {
-    let used = || spans.iter().zip(navs).filter(|(s, _)| s.1 > s.0);
-    let lo = used().map(|(s, n)| n.stream_to_abs(s.0)).min()?;
-    let hi = used().map(|(s, n)| n.stream_to_abs(s.1 - 1) + 1).max()?;
-    Some((lo, hi))
-}
-
 /// Collective write. Every rank calls this; returns bytes written by this
 /// rank's access.
 #[allow(clippy::too_many_arguments)]
@@ -458,28 +390,20 @@ pub(crate) fn write_at_all(
     // the root trace span delimiting this collective op: the
     // critical-path analyzer keys on its tag
     let _root = lio_obs::trace::span_ab("coll.write", total, 0);
-    let engine = match nav {
-        ViewNav::List(_) => Engine::ListBased,
-        ViewNav::Ff(_) => Engine::Listless,
-    };
     let obs = lio_obs::enabled();
     if obs {
         OBS_W_CALLS.incr();
     }
-    let mut exch_ns = 0u64;
-    let mut pack_ns = 0u64;
-    let my_range = access_range(nav, stream_start, total);
-    let t = lio_obs::now();
-    let domains = file_domains(comm, my_range, hints);
-    exch_ns += lio_obs::elapsed_ns(t);
+    let (mut exch_ns, mut pack_ns) = (0u64, 0u64);
+    let span = (stream_start, stream_start + total);
+    let domains = file_domains(comm, nav, span, hints, &mut exch_ns);
     let naggr = domains.len();
     let me = comm.rank();
 
     // ----- AP phase: announce (and, list-based, ship the lists and pack)
     // A listless AP lends its user buffer; a list-based one packs its
     // shares of the other domains into a staging buffer and lends that.
-    let stages = engine == Engine::ListBased;
-    let span = (stream_start, stream_start + total);
+    let stages = matches!(nav, ViewNav::List(_));
     let layout = layout(if stages { &STREAM } else { packer }, stream_start);
     let (shares, own_list) = announce(comm, nav, &domains, span, &layout, &mut exch_ns);
     let mut staging = Vec::new();
@@ -508,20 +432,11 @@ pub(crate) fn write_at_all(
         let mut fatal = None;
         if me < naggr && domains[me].1 > domains[me].0 {
             let t = lio_obs::now();
-            let (heads, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+            let (heads, lists) = recv_exchange(comm, own_list);
             exch_ns += lio_obs::elapsed_ns(t);
+            let (dom, heads) = (domains[me], &heads[..]);
             fatal = iop_write(
-                storage,
-                domains[me],
-                state,
-                engine,
-                &heads,
-                &lists,
-                own,
-                lent,
-                me,
-                hints,
-                scratch,
+                storage, dom, state, heads, &lists, own, lent, me, hints, scratch,
             )
             .err();
         }
@@ -534,27 +449,30 @@ pub(crate) fn write_at_all(
         OBS_W_EXCH_NS.add(exch_ns);
         OBS_W_PACK_NS.add(pack_ns);
     }
-    match fatal {
-        Some(e) => {
-            OBS_FAULT_ABORTS.incr();
-            lio_obs::trace::flight_dump("collective write aborted on a storage fault");
-            Err(e)
-        }
-        None => Ok(total),
-    }
+    ended(fatal, total, "write")
+}
+
+/// How a collective op ends on this rank, once every rank is in sync: its
+/// `total` bytes, or the fault an IOP met, counted and dumped.
+fn ended(fatal: Option<IoError>, total: u64, op: &str) -> Result<u64> {
+    let Some(e) = fatal else {
+        return Ok(total);
+    };
+    OBS_FAULT_ABORTS.incr();
+    lio_obs::trace::flight_dump(&format!("collective {op} aborted on a storage fault"));
+    Err(e)
 }
 
 /// An IOP's part of a collective write over its domain `dom`, once every
 /// AP's header `heads[k]` (and, list-based, its list `lists[k]`) is in:
 /// every AP's end of the window loop — the buffer it lent, found through
-/// the layout its header carries, or for the IOP's own rank `own` — then
-/// the loop.
+/// the layout its header carries, or for the IOP's own rank `own` — and its
+/// share, then the loop with the engine's dense-window test.
 #[allow(clippy::too_many_arguments)]
 fn iop_write(
     storage: &dyn StorageFile,
     dom: (u64, u64),
     state: &CollState,
-    engine: Engine,
     heads: &[Vec<u8>],
     lists: &[Vec<u8>],
     own: UserSide<&[u8]>,
@@ -576,174 +494,116 @@ fn iop_write(
         )
         .collect();
     ends[me] = own;
-    // Domains are disjoint and nobody is told the write is done before
-    // the closing barrier: this IOP is the only writer of its windows, so
-    // its loop may write behind (`lane`).
-    match engine {
-        Engine::ListBased => {
-            let lists = lists.iter().map(|l| wire(l)).collect::<Result<Vec<_>>>()?;
-            let users = ends.iter().map(|e| e.user);
-            let mut walks: Vec<_> = recv_walks(&lists, &ends, &spans)
-                .into_iter()
-                .zip(users)
-                .collect();
-            std::thread::scope(|lane| {
-                iop_write_listbased(storage, dom, &lists, &mut walks, hints, scratch, lane)
-            })
-        }
-        Engine::Listless => {
-            let navs = state
-                .remote_navs
-                .as_ref()
-                .expect("listless collective requires cached fileviews");
+    let (lists, cb) = (wires(lists)?, hints.cb_buffer_size as u64);
+    match &state.remote_navs {
+        Some(navs) => {
+            let mut shares: Vec<_> = navs.iter().zip(&spans).map(|(n, &s)| n.share(s)).collect();
             let merge = state.merge.as_ref();
-            std::thread::scope(|lane| {
-                iop_write_listless(
-                    storage, dom, &spans, &ends, navs, merge, hints, scratch, lane,
-                )
-            })
+            let dense =
+                |win, win_end| merge.is_some_and(|m| m.filled_by(navs, &spans, win, win_end));
+            write_windows(storage, dom, &mut shares, &ends, dense, cb, scratch)
+        }
+        None => {
+            let mut shares = listed(&lists, &ends, &spans);
+            // the merge of all lists, made by the first window that is
+            // staged, as only a staged window asks
+            let mut coverage = None;
+            let dense = |win, win_end| {
+                let merged = coverage.get_or_insert_with(|| Coverage::merge(&lists));
+                merged.covered(win, win_end)
+            };
+            write_windows(storage, dom, &mut shares, &ends, dense, cb, scratch)
         }
     }
 }
 
-/// IOP write loop, list-based placement: `walks[k]` walks the list
-/// `lists[k]` and takes the stream of the bytes beside it to where that
-/// list says.
-fn iop_write_listbased<'s>(
-    storage: &'s dyn StorageFile,
-    dom: (u64, u64),
-    lists: &[OlWire],
-    walks: &mut [(CoWalk, &[u8])],
-    hints: &Hints,
-    scratch: &'s Scratch,
-    lane: &'s Scope<'s, '_>,
-) -> Result<()> {
-    // clip the domain to where data actually lands
-    let Some((lo, hi)) = reached(lists) else {
-        return Ok(());
-    };
-    let lo = lo.max(dom.0);
-    let hi = hi.min(dom.1);
-
-    // the merge of all lists, for the covered-window optimization: made by
-    // the first window that is staged, as only a staged window asks
-    let mut coverage = None;
-
-    let mut windows = 0u64;
-    let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-    // a window never exceeds the clipped domain, so neither need the buffer
-    let mut io = WindowIo::sole_writer(storage, scratch, grid.max_len(), lane);
-    for (win, win_end) in grid {
-        if walks
-            .iter()
-            .any(|w| w.0.file.next_at().is_some_and(|o| o < win_end))
-        {
-            windows += 1;
-            let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
-            io.update(
-                win,
-                win_end,
-                || {
-                    coverage
-                        .get_or_insert_with(|| Coverage::merge(lists))
-                        .covered(win, win_end)
-                },
-                &mut |at, piece, store| {
-                    let stores = &mut Stores::new(store);
-                    for (walk, user) in walks.iter_mut() {
-                        walk.place(piece, at, user, usize::MAX, stores, false);
-                    }
-                },
-            )?;
-        }
-    }
-    iop_write_done(io, windows)
-}
-
-/// Close an IOP write loop: the last write has landed, and the loop's
-/// phase times go to the metrics.
-fn iop_write_done(mut io: WindowIo, windows: u64) -> Result<()> {
-    io.finish()?;
-    if lio_obs::enabled() {
-        OBS_W_IO_NS.add(io.io_ns);
-        OBS_W_PACK_NS.add(io.pack_ns);
-        OBS_WINDOWS.add(windows);
-    }
-    Ok(())
-}
-
-/// IOP write loop, listless placement via cached fileviews: AP `k`'s
-/// stream bytes `spans[k]` go from `ends[k]` — the user buffer it lent, or
-/// this rank's own — to where `navs[k]` says.
-#[allow(clippy::too_many_arguments)]
-fn iop_write_listless<'s>(
-    storage: &'s dyn StorageFile,
-    dom: (u64, u64),
+/// The list-based shares: AP `k`'s list, read where it landed, walked
+/// beside the stream `spans[k]` of its end — the buffer it lent, or, for
+/// the IOP's own list, its user buffer (Section 2.3).
+fn listed<'a, U>(
+    lists: &[OlWire<'a>],
+    ends: &[UserSide<'a, U>],
     spans: &[(u64, u64)],
+) -> Vec<ListShare<'a>> {
+    (lists.iter().zip(ends).zip(spans))
+        .map(|((&list, end), &span)| ListShare::wire(list, end, span))
+        .collect()
+}
+
+/// The file range `[lo, hi)` the `shares` reach; `None` when all are
+/// empty. A share that reaches outside the IOP's domain `dom` cannot be
+/// moved in full: its error.
+fn reach<S: Share>(shares: &[S], dom: (u64, u64)) -> Result<Option<(u64, u64)>> {
+    let mut all: Option<(u64, u64)> = None;
+    for share in shares {
+        let Some((lo, hi)) = share.reach() else {
+            continue;
+        };
+        if lo < dom.0 || hi > dom.1 {
+            share.done()?;
+        }
+        all = Some(all.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+    }
+    Ok(all)
+}
+
+/// Whether any share has bytes below `win_end`: `active` becomes the
+/// indices of those that have, each of which has begun the window.
+fn begin<S: Share>(shares: &mut [S], win_end: u64, active: &mut Vec<usize>) -> bool {
+    active.clear();
+    let wanting = shares.iter_mut().enumerate();
+    active.extend(wanting.filter_map(|(k, s)| s.wants(win_end).then_some(k)));
+    !active.is_empty()
+}
+
+/// The IOP write loop: each window of `cb` bytes the shares reach takes
+/// the bytes of share `k` from `ends[k]`, read first only where it is
+/// staged and not `dense`. Domains are disjoint and nobody is told the
+/// write is done before the closing barrier: this IOP is the only writer
+/// of its windows, so its loop may write behind.
+fn write_windows<S: Share>(
+    storage: &dyn StorageFile,
+    dom: (u64, u64),
+    shares: &mut [S],
     ends: &[UserSide<&[u8]>],
-    navs: &[FfNav],
-    merge: Option<&MergeView>,
-    hints: &Hints,
-    scratch: &'s Scratch,
-    lane: &'s Scope<'s, '_>,
+    mut dense: impl FnMut(u64, u64) -> bool,
+    cb: u64,
+    scratch: &Scratch,
 ) -> Result<()> {
-    // clip the domain to where data actually lands
-    let Some((lo, hi)) = touched(spans, navs) else {
+    let Some((lo, hi)) = reach(shares, dom)? else {
         return Ok(());
     };
-    let lo = lo.max(dom.0);
-    let hi = hi.min(dom.1);
-
-    let mut windows = 0u64;
-    let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-    let mut io = WindowIo::sole_writer(storage, scratch, grid.max_len(), lane);
-    // per-AP stream cursor (how far each AP's data has been consumed)
-    let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
-    let mut takes = vec![0u64; spans.len()];
-    let mut seen = vec![RunTally::until(0); spans.len()];
-    for (win, win_end) in grid {
-        // per-AP byte counts in this window (cheap: O(depth) each)
-        let mut any = false;
-        takes.fill(0);
-        for (k, &(_, s_hi)) in spans.iter().enumerate() {
-            if cursors[k] >= s_hi {
+    let (mut windows, mut active) = (0u64, Vec::with_capacity(shares.len()));
+    let grid = Windows::new(lo, hi, cb);
+    std::thread::scope(|lane| {
+        let mut io = WindowIo::sole_writer(storage, scratch, grid.max_len(), lane);
+        for (win, win_end) in grid {
+            if !begin(shares, win_end, &mut active) {
                 continue;
             }
-            let b = navs[k].abs_to_stream(win_end).min(s_hi);
-            if b > cursors[k] {
-                takes[k] = b - cursors[k];
-                any = true;
-            }
-        }
-        if any {
             windows += 1;
             let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
-            seen.fill(RunTally::until(win_end));
+            // each share goes on from where it stopped and stops at the
+            // end of the piece by itself
             io.update(
                 win,
                 win_end,
-                || merge.is_some_and(|m| m.filled_by(navs, &takes, win, win_end)),
-                // each AP's data goes on from its cursor and stops at the
-                // end of the piece by itself
+                || dense(win, win_end),
                 &mut |at, piece, store| {
-                    for (k, nav_p) in navs.iter().enumerate() {
-                        if takes[k] > 0 {
-                            let (from, rest) = (cursors[k], (spans[k].1 - cursors[k]) as usize);
-                            let seen = &mut seen[k];
-                            cursors[k] += nav_p
-                                .place_piece(&ends[k], from, rest, piece, at, seen, store)
-                                as u64;
-                        }
+                    for &k in &active {
+                        shares[k].place(&ends[k], piece, at, store);
                     }
                 },
             )?;
         }
-    }
-    debug_assert!(
-        spans.iter().zip(&cursors).all(|(s, &c)| c >= s.1),
-        "an AP's data was not placed completely"
-    );
-    iop_write_done(io, windows)
+        io.finish()?;
+        if lio_obs::enabled() {
+            OBS_W_IO_NS.add(io.io_ns);
+            OBS_W_PACK_NS.add(io.pack_ns);
+            OBS_WINDOWS.add(windows);
+        }
+        shares.iter().try_for_each(Share::done)
+    })
 }
 
 /// The layout an AP whose stream lies in the buffer it lends as `packer`
@@ -799,14 +659,23 @@ fn announce(
     exch_ns: &mut u64,
 ) -> (Vec<(u64, u64)>, Option<Vec<u8>>) {
     let me = comm.rank();
+    let mut send = |i: usize, tag, msg| {
+        let t = lio_obs::now();
+        let _sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
+        comm.send_vec(i, tag, msg);
+        *exch_ns += lio_obs::elapsed_ns(t);
+    };
     let mut own_list = None;
     let mut shares = vec![(stream_start, stream_start); domains.len()];
     for (i, &dom) in domains.iter().enumerate() {
         if dom.1 <= dom.0 {
             continue;
         }
+        // the intersection of the access with the domain, in stream
+        // positions
+        let at = |abs| nav.abs_to_stream(abs).clamp(stream_start, stream_end);
         if stream_end > stream_start {
-            shares[i] = stream_intersection(nav, stream_start, stream_end, dom);
+            shares[i] = (at(dom.0), at(dom.1));
         }
         let (s_lo, s_hi) = shares[i];
         if let ViewNav::List(list_nav) = nav {
@@ -815,29 +684,23 @@ fn announce(
                 own_list = Some(list);
             } else {
                 OBS_EXCH_LIST_BYTES.add(list.len() as u64);
-                let t = lio_obs::now();
-                let _sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
-                comm.send_vec(i, TAG_TP_LIST, list);
-                *exch_ns += lio_obs::elapsed_ns(t);
+                send(i, TAG_TP_LIST, list);
             }
         }
         let mut head = [s_lo.to_le_bytes(), s_hi.to_le_bytes()].concat();
         if i != me && s_hi > s_lo {
             head.extend_from_slice(layout);
         }
-        let t = lio_obs::now();
-        let _sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
-        comm.send_vec(i, TAG_TP_HEADER, head);
-        *exch_ns += lio_obs::elapsed_ns(t);
+        send(i, TAG_TP_HEADER, head);
     }
     (shares, own_list)
 }
 
-/// The `(s_lo, s_hi)` stream interval a header starts with.
+/// The two words a header starts with: an access header's `(s_lo, s_hi)`
+/// stream interval, an access range's `(lo, hi)`.
 fn header(head: &[u8]) -> (u64, u64) {
-    let s_lo = u64::from_le_bytes(head[0..8].try_into().expect("s_lo"));
-    let s_hi = u64::from_le_bytes(head[8..16].try_into().expect("s_hi"));
-    (s_lo, s_hi)
+    let word = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+    (word(0), word(8))
 }
 
 /// The `stream_start` of an AP that lends this IOP its bytes, which its
@@ -849,28 +712,20 @@ fn lent_from(head: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(at.try_into().expect("8 bytes")))
 }
 
-/// IOP side of the exchange: every rank's header and, `with_lists`, its
-/// ol-list (empty otherwise), both in rank order. A rank that kept the
-/// list of its own domain hands it in as `own_list`; that one is not
-/// waited for. Receives complete in arrival order, so a late rank 0
+/// IOP side of the exchange: every rank's header and, list-based, its
+/// ol-list (empty otherwise), both in rank order. A list-based rank kept
+/// the list of its own domain and hands it in as `own_list`; that one is
+/// not waited for. Receives complete in arrival order, so a late rank 0
 /// delays nobody else's message.
-fn recv_exchange(
-    comm: &Comm,
-    with_lists: bool,
-    own_list: Option<Vec<u8>>,
-) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+fn recv_exchange(comm: &Comm, own_list: Option<Vec<u8>>) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let p_n = comm.size();
     let mut heads: Vec<Vec<u8>> = vec![Vec::new(); p_n];
     let mut lists: Vec<Vec<u8>> = vec![Vec::new(); p_n];
     let sp = lio_obs::trace::span("exch.wait");
     let mut reqs: Vec<lio_mpi::Request> = (0..p_n).map(|p| comm.irecv(p, TAG_TP_HEADER)).collect();
-    if with_lists {
-        let kept = own_list.is_some().then_some(comm.rank());
-        reqs.extend(
-            (0..p_n)
-                .filter(|&p| Some(p) != kept)
-                .map(|p| comm.irecv(p, TAG_TP_LIST)),
-        );
+    if own_list.is_some() {
+        let others = (0..p_n).filter(|&p| p != comm.rank());
+        reqs.extend(others.map(|p| comm.irecv(p, TAG_TP_LIST)));
     }
     for _ in 0..reqs.len() {
         let (i, src, payload) = comm.wait_any(&mut reqs);
@@ -908,20 +763,13 @@ pub(crate) fn read_at_all(
 ) -> Result<u64> {
     // root trace span delimiting this collective op
     let _root = lio_obs::trace::span_ab("coll.read", total, 0);
-    let engine = match nav {
-        ViewNav::List(_) => Engine::ListBased,
-        ViewNav::Ff(_) => Engine::Listless,
-    };
     let obs = lio_obs::enabled();
     if obs {
         OBS_R_CALLS.incr();
     }
-    let mut exch_ns = 0u64;
-    let mut pack_ns = 0u64;
-    let my_range = access_range(nav, stream_start, total);
-    let t = lio_obs::now();
-    let domains = file_domains(comm, my_range, hints);
-    exch_ns += lio_obs::elapsed_ns(t);
+    let (mut exch_ns, mut pack_ns) = (0u64, 0u64);
+    let span = (stream_start, stream_start + total);
+    let domains = file_domains(comm, nav, span, hints, &mut exch_ns);
     let me = comm.rank();
     let iop = domains.get(me).is_some_and(|d| d.1 > d.0);
 
@@ -931,8 +779,7 @@ pub(crate) fn read_at_all(
     // says how the stream lies there; any other AP lends the pieces of a
     // staging buffer, and keeps its user buffer for the own share and for
     // unpacking the others once the scope has closed.
-    let stages = engine == Engine::ListBased || !packer.in_order();
-    let span = (stream_start, stream_start + total);
+    let stages = matches!(nav, ViewNav::List(_)) || !packer.in_order();
     let layout = layout(if stages { &STREAM } else { packer }, stream_start);
     let (shares, own_list) = announce(comm, nav, &domains, span, &layout, &mut exch_ns);
     let mut staging = match stages {
@@ -964,11 +811,11 @@ pub(crate) fn read_at_all(
                 None => lent_end(packer, lent.take(me), stream_start, shares[me]),
             };
             let t = lio_obs::now();
-            let (heads, lists) = recv_exchange(comm, engine == Engine::ListBased, own_list);
+            let (heads, lists) = recv_exchange(comm, own_list);
             exch_ns += lio_obs::elapsed_ns(t);
             let (dom, heads) = (domains[me], &heads[..]);
             fatal = iop_read(
-                storage, dom, state, engine, heads, &lists, own, lent, me, hints, scratch,
+                storage, dom, state, heads, &lists, own, lent, me, hints, scratch,
             );
         }
         (fatal, lio_obs::now(), lio_obs::trace::span("exch.barrier"))
@@ -989,14 +836,7 @@ pub(crate) fn read_at_all(
         OBS_R_EXCH_NS.add(exch_ns);
         OBS_R_PACK_NS.add(pack_ns);
     }
-    match fatal {
-        Some(e) => {
-            OBS_FAULT_ABORTS.incr();
-            lio_obs::trace::flight_dump("collective read aborted on a storage fault");
-            Err(e)
-        }
-        None => Ok(total),
-    }
+    ended(fatal, total, "read")
 }
 
 /// `user`, a buffer that holds a stream from view-stream position
@@ -1046,14 +886,14 @@ fn lent_end<'a, 'p>(
 /// AP's header `heads[k]` (and, list-based, its list `lists[k]`) is in:
 /// every AP's end of the window loop — the piece of a buffer it lent this
 /// IOP, found through the layout its header carries, or for the IOP's own
-/// rank `own` — then the loop. A storage fault ends the loop, and every end
-/// is filled up with zeros past the failure point: returns the fault.
+/// rank `own` — and its share, then the loop. A fault ends the loop, and
+/// every end is filled up with zeros past what its share moved: returns
+/// the fault.
 #[allow(clippy::too_many_arguments)]
 fn iop_read(
     storage: &dyn StorageFile,
     dom: (u64, u64),
     state: &CollState,
-    engine: Engine,
     heads: &[Vec<u8>],
     lists: &[Vec<u8>],
     own: UserSide<&mut [u8]>,
@@ -1063,9 +903,10 @@ fn iop_read(
     scratch: &Scratch,
 ) -> Option<IoError> {
     let spans: Vec<(u64, u64)> = heads.iter().map(|m| header(m)).collect();
-    let mut fatal: Option<IoError> = None;
-    // (an undecodable layout fails the op: nothing is read)
-    let lenders = state.lenders(heads).map_err(|e| fatal = Some(e)).ok();
+    let (lenders, fail) = match state.lenders(heads) {
+        Ok(lenders) => (Some(lenders), None),
+        Err(e) => (None, Some(e)),
+    };
     let mut own = Some(own);
     let mut ends: Vec<UserSide<&mut [u8]>> = Vec::with_capacity(spans.len());
     for (k, &span) in spans.iter().enumerate() {
@@ -1080,116 +921,89 @@ fn iop_read(
             None => UserSide::new(&STREAM, &mut [][..], span.0),
         });
     }
-    let mut filled = vec![0u64; spans.len()];
-    let obs = lio_obs::enabled();
-    let mut io_ns = 0;
-    let mut pack_ns = 0;
-    let mut windows = 0u64;
-    match engine {
-        Engine::ListBased => {
-            // (a malformed list fails the op: nothing is read, no list walked)
-            let lists = lists.iter().map(|l| wire(l)).collect::<Result<Vec<_>>>();
-            let lists = lists.unwrap_or_else(|e| {
-                fatal.get_or_insert(e);
-                Vec::new()
-            });
-            let mut walks = recv_walks(&lists, &ends, &spans);
-            if let (Some((lo, hi)), true) = (reached(&lists), fatal.is_none()) {
-                let lo = lo.max(dom.0);
-                let hi = hi.min(dom.1);
-                let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-                let mut io = WindowIo::new(storage, scratch, grid.max_len());
-                for (win, win_end) in grid {
-                    if walks
-                        .iter()
-                        .any(|w| w.file.next_at().is_some_and(|o| o < win_end))
-                    {
-                        windows += 1;
-                        let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
-                        let res = io.view(win, win_end, &mut |at, piece| {
-                            let each = walks.iter_mut().zip(&mut ends).zip(&mut filled);
-                            for ((walk, end), filled) in each {
-                                *filled +=
-                                    walk.extract(piece, at, end.user, usize::MAX, false) as u64;
-                            }
-                        });
-                        if let Err(e) = res {
-                            fatal = Some(e);
-                            break;
-                        }
-                    }
-                }
-                (io_ns, pack_ns) = (io.io_ns, io.pack_ns);
-            }
+    // where each AP's bytes go on: an undecodable layout or a malformed
+    // list fails the op with nothing read, no list walked
+    let (mut rests, cb) = (spans.clone(), hints.cb_buffer_size as u64);
+    let res = match (fail.map_or_else(|| wires(lists), Err), &state.remote_navs) {
+        (Err(e), _) => Err(e),
+        (Ok(_), Some(navs)) => {
+            let mut shares: Vec<_> = navs.iter().zip(&spans).map(|(n, &s)| n.share(s)).collect();
+            read_windows(
+                storage,
+                dom,
+                &mut shares,
+                &mut ends,
+                &mut rests,
+                cb,
+                scratch,
+            )
         }
-        Engine::Listless => {
-            let navs = state
-                .remote_navs
-                .as_ref()
-                .expect("listless collective requires cached fileviews");
-            let mut cursors: Vec<u64> = spans.iter().map(|s| s.0).collect();
-            // (an undecodable layout already failed the op: nothing to read)
-            if let (Some((lo, hi)), true) = (touched(&spans, navs), fatal.is_none()) {
-                let lo = lo.max(dom.0);
-                let hi = hi.min(dom.1);
-                let grid = Windows::new(lo, hi, hints.cb_buffer_size as u64);
-                let mut io = WindowIo::new(storage, scratch, grid.max_len());
-                let mut seen = vec![RunTally::until(0); spans.len()];
-                for (win, win_end) in grid {
-                    let wanted = navs.iter().enumerate().any(|(k, nav_p)| {
-                        cursors[k] < spans[k].1
-                            && nav_p.abs_to_stream(win_end).min(spans[k].1) > cursors[k]
-                    });
-                    if wanted {
-                        windows += 1;
-                        let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
-                        seen.fill(RunTally::until(win_end));
-                        // each AP's bytes go on from its cursor and stop at
-                        // the end of the piece by themselves
-                        let res = io.view(win, win_end, &mut |at, piece| {
-                            for (k, nav_p) in navs.iter().enumerate() {
-                                let rest = (spans[k].1 - cursors[k]) as usize;
-                                if rest > 0 {
-                                    let (from, end) = (cursors[k], &mut ends[k]);
-                                    cursors[k] += nav_p.extract_piece(
-                                        piece,
-                                        at,
-                                        from,
-                                        rest,
-                                        end,
-                                        &mut seen[k],
-                                    ) as u64;
-                                }
-                            }
-                        });
-                        if let Err(e) = res {
-                            fatal = Some(e);
-                            break;
-                        }
-                    }
-                }
-                (io_ns, pack_ns) = (io.io_ns, io.pack_ns);
+        (Ok(lists), None) => {
+            let mut shares = listed(&lists, &ends, &spans);
+            read_windows(
+                storage,
+                dom,
+                &mut shares,
+                &mut ends,
+                &mut rests,
+                cb,
+                scratch,
+            )
+        }
+    };
+    let fatal = res.err()?;
+    // every AP gets the promised length, zeros past what was moved
+    for (end, &(from, to)) in ends.iter_mut().zip(&rests) {
+        let zeros = vec![0u8; (to - from) as usize];
+        end.packer
+            .unpack_at(&zeros, end.user, end.buf_at, from - end.stream_start);
+    }
+    Some(fatal)
+}
+
+/// The IOP read loop: each window of `cb` bytes the shares reach gives the
+/// bytes of share `k` to `ends[k]`. `rests[k]` is left the stream interval
+/// share `k` did not move.
+fn read_windows<S: Share>(
+    storage: &dyn StorageFile,
+    dom: (u64, u64),
+    shares: &mut [S],
+    ends: &mut [UserSide<&mut [u8]>],
+    rests: &mut [(u64, u64)],
+    cb: u64,
+    scratch: &Scratch,
+) -> Result<()> {
+    let Some((lo, hi)) = reach(shares, dom)? else {
+        return Ok(());
+    };
+    let (mut windows, mut active) = (0u64, Vec::with_capacity(shares.len()));
+    let grid = Windows::new(lo, hi, cb);
+    let mut io = WindowIo::new(storage, scratch, grid.max_len());
+    let mut res = Ok(());
+    for (win, win_end) in grid {
+        if !begin(shares, win_end, &mut active) {
+            continue;
+        }
+        windows += 1;
+        let _w = lio_obs::trace::span_ab("win", windows - 1, win_end - win);
+        res = io.view(win, win_end, &mut |at, piece| {
+            for &k in &active {
+                shares[k].extract(piece, at, &mut ends[k]);
             }
-            for (k, c) in cursors.iter().enumerate() {
-                filled[k] = c - spans[k].0;
-            }
+        });
+        if res.is_err() {
+            break;
         }
     }
-    if obs {
-        OBS_R_IO_NS.add(io_ns);
-        OBS_R_PACK_NS.add(pack_ns);
+    if lio_obs::enabled() {
+        OBS_R_IO_NS.add(io.io_ns);
+        OBS_R_PACK_NS.add(io.pack_ns);
         OBS_WINDOWS.add(windows);
     }
-    if fatal.is_some() {
-        // every AP gets the promised length, zeros past the failure point:
-        // in the piece it lent or, the own share, in the user buffer
-        for ((end, span), done) in ends.iter_mut().zip(&spans).zip(&filled) {
-            let zeros = vec![0u8; (span.1 - span.0 - done) as usize];
-            let skip = span.0 + done - end.stream_start;
-            end.packer.unpack_at(&zeros, end.user, end.buf_at, skip);
-        }
+    for (rest, share) in rests.iter_mut().zip(&*shares) {
+        *rest = share.rest();
     }
-    fatal
+    res.and_then(|()| shares.iter().try_for_each(Share::done))
 }
 
 #[cfg(test)]
@@ -1209,71 +1023,82 @@ mod tests {
         head
     }
 
-    /// An access list one byte short of whole tuples fails an IOP's write
-    /// with `Usage`, before anything is placed; the AP that lent its bytes
-    /// leaves the lending scope.
-    #[test]
-    fn a_torn_access_list_fails_the_write() {
-        let storage = MemFile::new();
-        let results = World::run(2, |comm| {
-            // rank 1 lends 8 bytes in rank 0's domain
-            let staged = vec![1; 8 * comm.rank()];
-            comm.lend(&staged, |lent| {
-                if comm.rank() == 1 {
-                    return None;
-                }
-                let heads = [header_of(0, 0), header_of(0, 8)];
-                let lists = [Vec::new(), vec![0; TUPLE_BYTES - 1]];
-                let (state, scratch) = (CollState::new(None, None), Scratch::default());
-                let own = UserSide::new(&STREAM, &[][..], 0);
-                let hints = Hints::list_based();
-                let (dom, engine) = ((0, 64), Engine::ListBased);
-                let res = iop_write(
-                    &storage, dom, &state, engine, &heads, &lists, own, lent, 0, &hints, &scratch,
-                );
-                Some(res)
-            })
-        });
-        assert!(
-            matches!(results[0], Some(Err(IoError::Usage(_)))),
-            "{:?}",
-            results[0]
-        );
-        assert!(results[1].is_none(), "rank 1 left the scope");
-        assert_eq!(storage.len(), 0, "nothing was written");
+    /// One tuple: the bytes `[0, len)` of the file.
+    fn tuple(len: u64) -> Vec<u8> {
+        [0u64.to_le_bytes(), len.to_le_bytes()].concat()
     }
 
-    /// The same list fails an IOP's read with `Usage`, and the AP that sent
-    /// it finds the promised length of zeros in the piece it lent.
+    /// An access list one byte short of whole tuples fails an IOP's write
+    /// with `Usage`, before anything is placed, and so does one whose
+    /// tuples hold fewer bytes than its header's span, once the loop has
+    /// placed what they hold; the AP that lent its bytes leaves the lending
+    /// scope.
+    #[test]
+    fn a_torn_access_list_fails_the_write() {
+        for (list, placed) in [(vec![0; TUPLE_BYTES - 1], 0), (tuple(4), 4)] {
+            let storage = MemFile::new();
+            let results = World::run(2, |comm| {
+                // rank 1 lends 8 bytes in rank 0's domain
+                let staged = vec![1; 8 * comm.rank()];
+                comm.lend(&staged, |lent| {
+                    if comm.rank() == 1 {
+                        return None;
+                    }
+                    let heads = [header_of(0, 0), header_of(0, 8)];
+                    let lists = [Vec::new(), list.clone()];
+                    let (state, scratch) = (CollState::new(None, None), Scratch::default());
+                    let own = UserSide::new(&STREAM, &[][..], 0);
+                    let (dom, hints) = ((0, 64), Hints::list_based());
+                    let res = iop_write(
+                        &storage, dom, &state, &heads, &lists, own, lent, 0, &hints, &scratch,
+                    );
+                    Some(res)
+                })
+            });
+            assert!(
+                matches!(results[0], Some(Err(IoError::Usage(_)))),
+                "{:?}",
+                results[0]
+            );
+            assert!(results[1].is_none(), "rank 1 left the scope");
+            assert_eq!(storage.len(), placed, "what the list held was written");
+        }
+    }
+
+    /// The same lists fail an IOP's read with `Usage`, and the AP that sent
+    /// one finds the promised length in the piece it lent: what its list
+    /// held, then zeros.
     #[test]
     fn a_torn_access_list_fails_the_read_and_zero_fills_the_lent_piece() {
-        let storage = MemFile::new();
-        let results = World::run(2, |comm| {
-            // rank 1 lends rank 0 the 8 bytes of its staging buffer that
-            // rank 0's domain is to fill
-            let mut staging = vec![0xA5; 8 * comm.rank()];
-            let pieces = vec![&mut staging[..]];
-            let fatal = comm.lend_mut(pieces, |lent| {
-                if comm.rank() == 1 {
-                    return None;
-                }
-                let heads = [header_of(0, 0), header_of(0, 8)];
-                let lists = [Vec::new(), vec![0; TUPLE_BYTES + 1]];
-                let (state, scratch) = (CollState::new(None, None), Scratch::default());
-                let own = UserSide::new(&STREAM, &mut [][..], 0);
-                let hints = Hints::list_based();
-                let (dom, engine) = ((0, 64), Engine::ListBased);
-                iop_read(
-                    &storage, dom, &state, engine, &heads, &lists, own, lent, 0, &hints, &scratch,
-                )
+        let want = [[0; 8], [7, 7, 7, 7, 0, 0, 0, 0]];
+        for (list, want) in [(vec![0; TUPLE_BYTES + 1], want[0]), (tuple(4), want[1])] {
+            let storage = MemFile::with_data(vec![7; 64]);
+            let results = World::run(2, |comm| {
+                // rank 1 lends rank 0 the 8 bytes of its staging buffer that
+                // rank 0's domain is to fill
+                let mut staging = vec![0xA5; 8 * comm.rank()];
+                let pieces = vec![&mut staging[..]];
+                let fatal = comm.lend_mut(pieces, |lent| {
+                    if comm.rank() == 1 {
+                        return None;
+                    }
+                    let heads = [header_of(0, 0), header_of(0, 8)];
+                    let lists = [Vec::new(), list.clone()];
+                    let (state, scratch) = (CollState::new(None, None), Scratch::default());
+                    let own = UserSide::new(&STREAM, &mut [][..], 0);
+                    let (dom, hints) = ((0, 64), Hints::list_based());
+                    iop_read(
+                        &storage, dom, &state, &heads, &lists, own, lent, 0, &hints, &scratch,
+                    )
+                });
+                (fatal, staging)
             });
-            (fatal, staging)
-        });
-        assert!(
-            matches!(results[0].0, Some(IoError::Usage(_))),
-            "{:?}",
-            results[0].0
-        );
-        assert_eq!(results[1].1, [0; 8], "the promised bytes, zeros");
+            assert!(
+                matches!(results[0].0, Some(IoError::Usage(_))),
+                "{:?}",
+                results[0].0
+            );
+            assert_eq!(results[1].1, want, "the promised bytes");
+        }
     }
 }

@@ -21,10 +21,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use lio_datatype::kernels::{Store, Stores};
-use lio_datatype::{bytes_below_tiled, ff_offset, CoWalk, Datatype, OlList, RunCursor};
+use lio_datatype::{bytes_below_tiled, ff_offset, CoWalk, Datatype, OlList, OlWire, RunCursor};
 
 use crate::error::{IoError, Result};
 use crate::packer::{MemPacker, UserSide};
+use crate::sieve::short_transfer;
 
 /// An MPI-IO fileview: displacement, elementary type, filetype.
 #[derive(Debug, Clone)]
@@ -110,6 +111,12 @@ impl ViewNav {
         }
     }
 
+    /// The file range `[lo, hi)` that stream bytes `[s_lo, s_hi)` reach;
+    /// `None` when there are none.
+    pub fn reach(&self, (s_lo, s_hi): (u64, u64)) -> Option<(u64, u64)> {
+        (s_hi > s_lo).then(|| (self.stream_to_abs(s_lo), self.stream_to_abs(s_hi - 1) + 1))
+    }
+
     /// Stream bytes with absolute offsets in `[lo, hi)`.
     pub fn bytes_in(&self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
@@ -118,61 +125,13 @@ impl ViewNav {
         self.abs_to_stream(hi) - self.abs_to_stream(lo)
     }
 
-    /// Copy up to `n` stream bytes from stream position `stream0` on out
-    /// of `src` into `filebuf`, which mirrors — or is — file bytes
-    /// `[win_start, win_start + filebuf.len())`: a whole window, or one of
-    /// the pieces the storage lends of it. One copy, whatever `src`'s
-    /// layout: listless, the filetype's program runs against the memtype's;
-    /// list-based, the two ol-lists are walked side by side. `store` says
-    /// how runs are stored into `filebuf` ([`Stores`]); a call that
-    /// streamed has fenced before it returns. Returns bytes placed; `seen`
-    /// is the profiler's tally for the window.
-    #[allow(clippy::too_many_arguments)]
-    pub fn place_into_window(
-        &self,
-        src: &UserSide<&[u8]>,
-        stream0: u64,
-        n: usize,
-        filebuf: &mut [u8],
-        win_start: u64,
-        seen: &mut RunTally,
-        store: Store,
-    ) -> usize {
+    /// This view's [`Share`] of stream bytes `span` of `end`, boxed for a
+    /// loop that holds one — the sieve's. A collective loop, which asks one
+    /// share per AP and piece, holds them unboxed.
+    pub fn share<'a, U>(&'a self, end: &UserSide<'a, U>, span: (u64, u64)) -> Box<dyn Share + 'a> {
         match self {
-            ViewNav::List(nav) => {
-                let user = src.cursor(stream0);
-                let (stores, profile) = (&mut Stores::new(store), lio_obs::profile::enabled());
-                CoWalk::new(nav.cursor(stream0), user)
-                    .place(filebuf, win_start, src.user, n, stores, profile)
-            }
-            ViewNav::Ff(nav) => nav.place_piece(src, stream0, n, filebuf, win_start, seen, store),
-        }
-    }
-
-    /// Copy this view's bytes out of `filebuf` (as for
-    /// [`ViewNav::place_into_window`]) into `dst`: up to `n` stream bytes
-    /// from stream position `stream0` on. Returns bytes extracted.
-    pub fn extract_from_window(
-        &self,
-        filebuf: &[u8],
-        win_start: u64,
-        stream0: u64,
-        n: usize,
-        dst: &mut UserSide<&mut [u8]>,
-        seen: &mut RunTally,
-    ) -> usize {
-        match self {
-            ViewNav::List(nav) => {
-                let user = dst.cursor(stream0);
-                CoWalk::new(nav.cursor(stream0), user).extract(
-                    filebuf,
-                    win_start,
-                    dst.user,
-                    n,
-                    lio_obs::profile::enabled(),
-                )
-            }
-            ViewNav::Ff(nav) => nav.extract_piece(filebuf, win_start, stream0, n, dst, seen),
+            ViewNav::List(n) => Box::new(n.share(end, span)),
+            ViewNav::Ff(n) => Box::new(n.share(span)),
         }
     }
 
@@ -183,6 +142,43 @@ impl ViewNav {
             ViewNav::Ff(n) => &n.view,
         }
     }
+}
+
+/// One AP's bytes in a range of the file — an IOP's domain, or the range
+/// of an independent access — as a window loop moves them: a stream
+/// interval of the AP's end of the loop ([`UserSide`]), where in the file
+/// those bytes go, and how far the loop has come. A loop asks each share,
+/// per window, whether bytes of it are left below the window's end, and
+/// then, piece by piece, to place or extract them. Both engines implement
+/// it, so each window loop is written once, generic over it: list-based a
+/// [`ListShare`] (an access list walked beside the end), listless an
+/// [`FfShare`] (the filetype's program from a stream cursor on).
+pub(crate) trait Share {
+    /// The file range `[lo, hi)` that the bytes not moved yet reach;
+    /// `None` when none are left.
+    fn reach(&self) -> Option<(u64, u64)>;
+
+    /// Whether bytes not moved yet lie below `win_end`. A share that says
+    /// so has begun the window that ends there.
+    fn wants(&mut self, win_end: u64) -> bool;
+
+    /// Place the next bytes from `src` into `piece`, up to its end: file
+    /// bytes `[at, at + piece.len())` — a window, or one of the pieces the
+    /// storage lends of one — or a buffer that mirrors them. `store` says
+    /// how runs are stored into it ([`Stores`]); a call that streamed has
+    /// fenced before it returns. Returns the bytes placed.
+    fn place(&mut self, src: &UserSide<&[u8]>, piece: &mut [u8], at: u64, store: Store) -> usize;
+
+    /// [`Share::place`] the other way: the next bytes out of `piece` into
+    /// `dst` — a whole buffer, or the piece of one that holds them.
+    fn extract(&mut self, piece: &[u8], at: u64, dst: &mut UserSide<&mut [u8]>) -> usize;
+
+    /// The stream interval not moved yet.
+    fn rest(&self) -> (u64, u64);
+
+    /// `Ok` once every byte has moved; the engine's error for a share
+    /// that was left short.
+    fn done(&self) -> Result<()>;
 }
 
 // ---------------------------------------------------------------------
@@ -245,6 +241,90 @@ impl ListNav {
     pub fn cursor(&self, stream0: u64) -> RunCursor<'_> {
         (self.list).tiled_cursor(self.view.disp, self.fext(), self.fsize(), stream0)
     }
+
+    /// The list-based [`Share`] of stream bytes `span` of `end`: the view's
+    /// runs from the linear locate of `span.0` on, each run profiled.
+    pub fn share<'a, U>(&'a self, end: &UserSide<'a, U>, (lo, hi): (u64, u64)) -> ListShare<'a> {
+        let walk = CoWalk::new(self.cursor(lo), end.cursor(lo));
+        let reach = (hi > lo).then(|| (self.stream_to_abs(lo), self.stream_to_abs(hi - 1) + 1));
+        ListShare::new(walk, reach, (lo, hi), lio_obs::profile::enabled())
+    }
+}
+
+/// The list-based [`Share`]: a [`CoWalk`] of where the bytes go — a
+/// received access list, or the view's ol-list tiled — beside where they
+/// lie in the AP's end.
+pub(crate) struct ListShare<'a> {
+    walk: CoWalk<'a>,
+    /// The file range the list reaches.
+    reach: Option<(u64, u64)>,
+    /// The stream bytes not moved yet.
+    next: u64,
+    end: u64,
+    /// Whether each file-side run feeds the profiler.
+    profile: bool,
+}
+
+impl<'a> ListShare<'a> {
+    /// The stream bytes `span` of `end`, where the access list `list`
+    /// says. A list that holds fewer bytes than `span` leaves the share
+    /// short; one that holds more is not walked past `span`.
+    pub fn wire<U>(list: OlWire<'a>, end: &UserSide<'a, U>, span: (u64, u64)) -> ListShare<'a> {
+        let walk = CoWalk::new(RunCursor::wire(list), end.cursor(span.0));
+        let reach = list.get(0).zip(list.last()).map(|(a, z)| (a.0, z.0 + z.1));
+        ListShare::new(walk, reach, span, false)
+    }
+
+    fn new(walk: CoWalk<'a>, reach: Option<(u64, u64)>, span: (u64, u64), profile: bool) -> Self {
+        let (next, end) = span;
+        ListShare {
+            walk,
+            reach,
+            next,
+            end,
+            profile,
+        }
+    }
+}
+
+impl Share for ListShare<'_> {
+    fn reach(&self) -> Option<(u64, u64)> {
+        self.reach.filter(|_| self.next < self.end)
+    }
+
+    fn wants(&mut self, win_end: u64) -> bool {
+        self.next < self.end && self.walk.file.next_at().is_some_and(|o| o < win_end)
+    }
+
+    fn place(&mut self, src: &UserSide<&[u8]>, piece: &mut [u8], at: u64, store: Store) -> usize {
+        let (n, stores) = ((self.end - self.next) as usize, &mut Stores::new(store));
+        let moved = self
+            .walk
+            .place(piece, at, src.user, n, stores, self.profile);
+        self.next += moved as u64;
+        moved
+    }
+
+    fn extract(&mut self, piece: &[u8], at: u64, dst: &mut UserSide<&mut [u8]>) -> usize {
+        let n = (self.end - self.next) as usize;
+        let moved = self.walk.extract(piece, at, dst.user, n, self.profile);
+        self.next += moved as u64;
+        moved
+    }
+
+    fn rest(&self) -> (u64, u64) {
+        (self.next, self.end)
+    }
+
+    /// A shortfall is a malformed list: `Usage`, as a torn one is.
+    fn done(&self) -> Result<()> {
+        match self.end - self.next {
+            0 => Ok(()),
+            short => Err(IoError::Usage(format!(
+                "access list short by {short} of its header's bytes"
+            ))),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -255,8 +335,7 @@ impl ListNav {
 /// the listless profiler record of a window the storage lends in several
 /// pieces is gathered here and fed once, by the piece that reaches the
 /// window's end (`FfNav::profile_piece`).
-#[derive(Clone)]
-pub(crate) struct RunTally {
+struct RunTally {
     win_end: u64,
     bytes: usize,
     runs: u64,
@@ -264,7 +343,7 @@ pub(crate) struct RunTally {
 
 impl RunTally {
     /// An empty tally for the window that ends at `win_end`.
-    pub fn until(win_end: u64) -> RunTally {
+    fn until(win_end: u64) -> RunTally {
         RunTally {
             win_end,
             bytes: 0,
@@ -284,95 +363,14 @@ impl FfNav {
         FfNav { view }
     }
 
-    /// Place up to `n` bytes of `src`'s stream, from view-stream position
-    /// `stream0` on, into `piece`: a window, or one of the pieces (this
-    /// one starting at `lo`) that the storage lends of one; `seen` is that
-    /// window's tally for the profiler. The filetype's program runs over
-    /// the piece, whose byte 0 sits at typemap displacement `lo − disp`,
-    /// and stops where the piece or the bytes end; its other side is the
-    /// stream as `src` holds it — contiguous bytes (unpack), or a typed
-    /// user buffer under its own program (transfer); `store` as for
-    /// [`ViewNav::place_into_window`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn place_piece(
-        &self,
-        src: &UserSide<&[u8]>,
-        stream0: u64,
-        n: usize,
-        piece: &mut [u8],
-        lo: u64,
-        seen: &mut RunTally,
-        store: Store,
-    ) -> usize {
-        debug_assert_eq!(src.buf_at, 0, "a write's end is a whole buffer");
-        let buf_disp = lo as i64 - self.view.disp as i64;
-        let skip = stream0 - src.stream_start;
-        let prog = self.view.filetype.program();
-        let moved = match src.packer {
-            MemPacker::Contig { base } => {
-                let data = &src.user[base + skip as usize..][..n];
-                prog.unpack_into(data, piece, buf_disp, u64::MAX, stream0, store)
-            }
-            MemPacker::Ff { memtype, count } => {
-                let from = memtype.program();
-                let (user, count) = (src.user, *count);
-                prog.transfer_into(
-                    piece,
-                    buf_disp,
-                    u64::MAX,
-                    stream0,
-                    from,
-                    user,
-                    count,
-                    skip,
-                    n,
-                    store,
-                )
-            }
-            MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
-        };
-        self.profile_piece(seen, moved, lo, piece.len())
-    }
-
-    /// [`FfNav::place_piece`] the other way: up to `n` stream bytes out of
-    /// `piece` into `dst` — a whole buffer, or the piece of one that holds
-    /// those bytes (`dst.buf_at` offsets it as `lo` offsets the window).
-    pub fn extract_piece(
-        &self,
-        piece: &[u8],
-        lo: u64,
-        stream0: u64,
-        n: usize,
-        dst: &mut UserSide<&mut [u8]>,
-        seen: &mut RunTally,
-    ) -> usize {
-        let buf_disp = lo as i64 - self.view.disp as i64;
-        let skip = stream0 - dst.stream_start;
-        let prog = self.view.filetype.program();
-        let moved = match dst.packer {
-            MemPacker::Contig { base } => {
-                let out = &mut dst.user[base + skip as usize - dst.buf_at..][..n];
-                prog.pack_into(piece, buf_disp, u64::MAX, stream0, out)
-            }
-            MemPacker::Ff { memtype, count } => {
-                let to = memtype.program();
-                let (user, at, count) = (&mut *dst.user, dst.buf_at, *count);
-                prog.transfer_out_of(
-                    piece,
-                    buf_disp,
-                    u64::MAX,
-                    stream0,
-                    to,
-                    user,
-                    at,
-                    count,
-                    skip,
-                    n,
-                )
-            }
-            MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
-        };
-        self.profile_piece(seen, moved, lo, piece.len())
+    /// The listless [`Share`] of stream bytes `span`, from `span.0` on.
+    pub fn share(&self, span: (u64, u64)) -> FfShare<'_> {
+        FfShare {
+            nav: self,
+            span,
+            next: span.0,
+            seen: RunTally::until(0),
+        }
     }
 
     /// Tally the `(bytes, runs)` the program moved in the piece
@@ -389,7 +387,9 @@ impl FfNav {
     ) -> usize {
         if lio_obs::profile::enabled() {
             // both sides of the boundary hold data of this access: one run
-            let cut = seen.bytes > 0 && bytes > 0 && self.bytes_in(lo - 1, lo + 1) == 2;
+            let cut = seen.bytes > 0
+                && bytes > 0
+                && self.abs_to_stream(lo + 1) - self.abs_to_stream(lo - 1) == 2;
             seen.bytes += bytes;
             seen.runs += runs - cut as u64;
             if lo + len as u64 >= seen.win_end {
@@ -428,11 +428,104 @@ impl FfNav {
         }
         bytes_below_tiled(&self.view.filetype, (abs - self.view.disp) as i64)
     }
+}
 
-    /// Stream bytes with absolute offsets in `[lo, hi)`.
-    pub fn bytes_in(&self, lo: u64, hi: u64) -> u64 {
-        self.abs_to_stream(hi)
-            .saturating_sub(self.abs_to_stream(lo))
+/// The listless [`Share`]: the filetype's run program over each piece,
+/// from a stream cursor on, and the profiler's tally of the window it is
+/// in.
+pub(crate) struct FfShare<'a> {
+    nav: &'a FfNav,
+    /// The stream bytes of the share.
+    span: (u64, u64),
+    /// The first of them not moved yet.
+    next: u64,
+    seen: RunTally,
+}
+
+impl FfShare<'_> {
+    /// Advance the cursor by what the program `moved` in the piece
+    /// `[at, at + len)`, and tell the profiler; returns the bytes.
+    fn moved(&mut self, moved: (usize, u64), at: u64, len: usize) -> usize {
+        let bytes = self.nav.profile_piece(&mut self.seen, moved, at, len);
+        self.next += bytes as u64;
+        bytes
+    }
+}
+
+impl Share for FfShare<'_> {
+    fn reach(&self) -> Option<(u64, u64)> {
+        let (lo, hi) = (self.next, self.span.1);
+        let nav = self.nav;
+        (hi > lo).then(|| (nav.stream_to_abs(lo), nav.stream_to_abs(hi - 1) + 1))
+    }
+
+    fn wants(&mut self, win_end: u64) -> bool {
+        self.seen = RunTally::until(win_end);
+        self.next < self.span.1 && self.nav.abs_to_stream(win_end) > self.next
+    }
+
+    /// The piece's byte 0 sits at typemap displacement `at − disp`; the
+    /// program's other side is the stream as `src` holds it — contiguous
+    /// bytes (unpack), or a typed user buffer under its own program
+    /// (transfer).
+    fn place(&mut self, src: &UserSide<&[u8]>, piece: &mut [u8], at: u64, store: Store) -> usize {
+        debug_assert_eq!(src.buf_at, 0, "a write's end is a whole buffer");
+        // the view's instances, endlessly tiled, from the piece's on
+        let (view, tiles, n) = (&self.nav.view, u64::MAX, (self.span.1 - self.next) as usize);
+        let (disp, s0) = (at as i64 - view.disp as i64, self.next);
+        let skip = s0 - src.stream_start;
+        let prog = view.filetype.program();
+        let moved = match src.packer {
+            MemPacker::Contig { base } => {
+                let data = &src.user[base + skip as usize..][..n];
+                prog.unpack_into(data, piece, disp, tiles, s0, store)
+            }
+            MemPacker::Ff { memtype, count } => {
+                let (from, user, count) = (memtype.program(), src.user, *count);
+                prog.transfer_into(piece, disp, tiles, s0, from, user, count, skip, n, store)
+            }
+            MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
+        };
+        self.moved(moved, at, piece.len())
+    }
+
+    /// `dst.buf_at` offsets a piece of a buffer as `at` offsets the
+    /// window's.
+    fn extract(&mut self, piece: &[u8], at: u64, dst: &mut UserSide<&mut [u8]>) -> usize {
+        let (view, tiles, n) = (&self.nav.view, u64::MAX, (self.span.1 - self.next) as usize);
+        let (disp, s0) = (at as i64 - view.disp as i64, self.next);
+        let skip = s0 - dst.stream_start;
+        let prog = view.filetype.program();
+        let moved = match dst.packer {
+            MemPacker::Contig { base } => {
+                let out = &mut dst.user[base + skip as usize - dst.buf_at..][..n];
+                prog.pack_into(piece, disp, tiles, s0, out)
+            }
+            MemPacker::Ff { memtype, count } => {
+                let (to, user, count) = (memtype.program(), &mut *dst.user, *count);
+                prog.transfer_out_of(piece, disp, tiles, s0, to, user, dst.buf_at, count, skip, n)
+            }
+            MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
+        };
+        self.moved(moved, at, piece.len())
+    }
+
+    fn rest(&self) -> (u64, u64) {
+        (self.next, self.span.1)
+    }
+
+    /// A shortfall is [`short_transfer`]'s error over the file range of
+    /// the whole share.
+    fn done(&self) -> Result<()> {
+        let (lo, hi) = self.span;
+        if self.next == hi {
+            return Ok(());
+        }
+        let range = (
+            self.nav.stream_to_abs(lo),
+            self.nav.stream_to_abs(hi - 1) + 1,
+        );
+        short_transfer(range, self.next - lo, hi - lo)
     }
 }
 
@@ -455,16 +548,18 @@ mod tests {
     /// Place `data`, the stream from position `stream0` on.
     fn place(nav: &ViewNav, data: &[u8], stream0: u64, filebuf: &mut [u8], at: u64) -> usize {
         let src = UserSide::new(&STREAM, data, stream0);
-        let seen = &mut RunTally::until(u64::MAX);
-        nav.place_into_window(&src, stream0, data.len(), filebuf, at, seen, Store::Stream)
+        let mut share = nav.share(&src, (stream0, stream0 + data.len() as u64));
+        share.wants(at + filebuf.len() as u64);
+        share.place(&src, filebuf, at, Store::Stream)
     }
 
     /// Extract into `out`, the stream from position `stream0` on.
     fn extract(nav: &ViewNav, filebuf: &[u8], at: u64, stream0: u64, out: &mut [u8]) -> usize {
-        let n = out.len();
+        let n = out.len() as u64;
         let mut dst = UserSide::new(&STREAM, out, stream0);
-        let seen = &mut RunTally::until(u64::MAX);
-        nav.extract_from_window(filebuf, at, stream0, n, &mut dst, seen)
+        let mut share = nav.share(&dst, (stream0, stream0 + n));
+        share.wants(at + filebuf.len() as u64);
+        share.extract(filebuf, at, &mut dst)
     }
 
     #[test]
@@ -576,24 +671,23 @@ mod tests {
                         let mut file = vec![0u8; file_len];
                         let mut out = vec![0u8; user.len()];
                         let ctx = format!("disp={disp} w={w} typed={}", user.len() > total);
+                        let span = (0, total as u64);
+                        let src = UserSide::new(packer, user.as_slice(), 0);
+                        let mut dst = UserSide::new(packer, out.as_mut_slice(), 0);
+                        let (mut placing, mut taking) =
+                            (nav.share(&src, span), nav.share(&dst, span));
                         for lo in (0..file_len).step_by(w) {
                             let hi = (lo + w).min(file_len);
-                            let s0 = nav.abs_to_stream(lo as u64);
                             let want = nav.bytes_in(lo as u64, hi as u64) as usize;
-                            let rest = total - s0 as usize;
-                            let seen = &mut RunTally::until(hi as u64);
-                            let src = UserSide::new(packer, user.as_slice(), 0);
-                            let piece = &mut file[lo..hi];
                             let store = [Store::Cached, Store::Stream][lo % 2];
-                            let placed = nav
-                                .place_into_window(&src, s0, rest, piece, lo as u64, seen, store);
+                            assert_eq!(placing.wants(hi as u64), want > 0, "{ctx} lo={lo}");
+                            let placed = placing.place(&src, &mut file[lo..hi], lo as u64, store);
                             assert_eq!(placed, want, "place {ctx} lo={lo}");
-                            let mut dst = UserSide::new(packer, out.as_mut_slice(), 0);
-                            let piece = &image[lo..hi];
-                            let got =
-                                nav.extract_from_window(piece, lo as u64, s0, rest, &mut dst, seen);
+                            taking.wants(hi as u64);
+                            let got = taking.extract(&image[lo..hi], lo as u64, &mut dst);
                             assert_eq!(got, want, "extract {ctx} lo={lo}");
                         }
+                        assert!(placing.done().is_ok() && taking.done().is_ok(), "{ctx}");
                         assert_eq!(file, image, "{ctx}");
                         assert_eq!(out, *user, "{ctx}");
                     }

@@ -374,6 +374,9 @@ fn the_own_share_never_crosses_a_channel() {
         _ => SharedFile::new(UnixFile::temp().expect("temp file for the os backend")),
     };
     lio_obs::set_enabled(true);
+    // the IOP windows each engine's write and read of one P, shape and
+    // storage walked: the one window loop runs the same windows for both
+    let mut walked = std::collections::BTreeMap::<String, Vec<u64>>::new();
     for p in 2..=4u64 {
         for shape in [Shape::Figure4, Shape::Tile] {
             for hints in engines() {
@@ -401,17 +404,21 @@ fn the_own_share_never_crosses_a_channel() {
                     // (std's barrier: the world's own would count)
                     let quiet = std::sync::Barrier::new(p as usize);
                     let sent = |comm: &lio_mpi::Comm, op: &mut dyn FnMut()| {
-                        let list_bytes =
-                            || lio_obs::snapshot().counter("core.coll.exchange.list_bytes");
+                        let counts = || {
+                            let snap = lio_obs::snapshot();
+                            let list_bytes = snap.counter("core.coll.exchange.list_bytes");
+                            (list_bytes, snap.counter("core.coll.windows"))
+                        };
                         quiet.wait();
-                        let (before, lists) = (comm.world_stats(), list_bytes());
+                        let (before, (lists, windows)) = (comm.world_stats(), counts());
                         quiet.wait();
                         op();
                         quiet.wait();
-                        let (after, lists) = (comm.world_stats(), list_bytes() - lists);
+                        let (after, (lists_after, windows_after)) = (comm.world_stats(), counts());
                         quiet.wait();
                         let msgs = after.msgs_sent - before.msgs_sent;
-                        (msgs, after.bytes_sent - before.bytes_sent, lists)
+                        let bytes = after.bytes_sent - before.bytes_sent;
+                        (msgs, bytes, lists_after - lists, windows_after - windows)
                     };
                     let counted = World::run(p as usize, |comm| {
                         let me = comm.rank() as u64;
@@ -431,9 +438,11 @@ fn the_own_share_never_crosses_a_channel() {
                         );
                         [wrote, read]
                     })[0];
-                    for ((msgs, bytes, list_bytes), op) in
+                    for ((msgs, bytes, list_bytes, windows), op) in
                         counted.into_iter().zip(["write", "read"])
                     {
+                        let op_on = format!("{shape:?} p={p} on {name}: a {op}");
+                        walked.entry(op_on).or_default().push(windows);
                         let what = format!("{:?} {shape:?} p={p} on {name}: a {op}", hints.engine);
                         // one list to each other rank's IOP side, 16 B a tuple
                         let lists = match listless {
@@ -452,4 +461,12 @@ fn the_own_share_never_crosses_a_channel() {
         }
     }
     lio_obs::set_enabled(false);
+    for (what, windows) in &walked {
+        assert_eq!(windows.len(), 2, "{what}: one count per engine");
+        assert!(windows[0] > 0, "{what}: windows were walked");
+        assert_eq!(
+            windows[0], windows[1],
+            "{what}: list-based and listless windows"
+        );
+    }
 }

@@ -9,7 +9,7 @@
 //! spins next to another's ping-pong would push it into the parked path.
 
 use std::sync::mpsc::channel;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 use lio_mpi::World;
@@ -128,17 +128,24 @@ fn message(panic: Box<dyn std::any::Any + Send>) -> String {
 fn wait_any_notices_a_rank_that_died_before_sending() {
     let _t = turn();
     // Ranks 0 and 1 wait for one message from each of the others; rank 2
-    // dies first. The world runs on threads of its own so that a survivor
-    // left spinning fails this test instead of hanging the suite.
+    // dies first, once both have sent theirs: a survivor that saw rank 2
+    // gone before its own send would take the other down with it. The
+    // world runs on threads of its own so that a survivor left spinning
+    // fails this test instead of hanging the suite.
     let (done_tx, done_rx) = channel();
+    let sent = Arc::new(Barrier::new(3));
     std::thread::spawn(move || {
         let ranks: Vec<_> = World::make_comms(3)
             .into_iter()
             .map(|comm| {
+                let sent = Arc::clone(&sent);
                 std::thread::spawn(move || {
                     let me = comm.rank();
+                    if me != 2 {
+                        comm.send(1 - me, 5, b"from the living");
+                    }
+                    sent.wait();
                     assert!(me != 2, "rank 2 dies inside the collective");
-                    comm.send(1 - me, 5, b"from the living");
                     let mut reqs = [comm.irecv(1 - me, 5), comm.irecv(2, 5)];
                     let (_, src, payload) = comm.wait_any(&mut reqs);
                     assert_eq!((src, &payload[..]), (1 - me, &b"from the living"[..]));
