@@ -84,7 +84,7 @@ done
 # keeps a second transport (data messages, read replies) or a second
 # window loop (one per engine) from coming back unseen.
 echo "== size census"
-declare -A reviewed_lines=([datatype]=6433 [core]=4575)
+declare -A reviewed_lines=([datatype]=6433 [core]=4638)
 total=0
 for src in crates/*/src; do
   crate=$(basename "$(dirname "$src")")
@@ -157,7 +157,11 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- ru
 # byte no view holds as the file had it, on staged storage and on the
 # environment's — and the random-view corpus (`random_views`): the same
 # for drawn views, disjoint, identical, shifted or of another extent, and
-# disjoint ones must leave the naive reference's file.
+# disjoint ones must leave the naive reference's file — and the sieve's
+# suites (`independent`, `atomic`): ranks whose sieving writes start their
+# window walks in different windows of a file that grows from empty, with
+# and without the whole-range lock, must leave the naive reference's
+# file; on the mapped real file the windows past EOF are staged.
 # These are debug builds, so the scratch arena's 0xA5 poison is on.
 
 # Real-storage backend: the collective + pipeline + fault + geometry +
@@ -192,7 +196,7 @@ done
 # The differential corpora above, in the one list that the backend corpus,
 # the fault corpus and the fault corpus's replay line all read, so that
 # the three cannot drift apart; each rerun adds its own suites in front.
-corpora=(geometry inplace own_share lent_write lent_read overlap random_views)
+corpora=(geometry inplace own_share lent_write lent_read overlap random_views independent atomic)
 backend_suites=(backend "${corpora[@]}")
 fault_suites=(collective pipeline faults "${corpora[@]}")
 

@@ -272,6 +272,7 @@ impl<'c> File<'c> {
             &self.hints,
             self.atomic,
             &self.scratch,
+            (self.comm.rank(), self.comm.size()),
         )
     }
 

@@ -33,7 +33,8 @@ pub(crate) fn write_window(storage: &dyn StorageFile, offset: u64, buf: &[u8]) -
 }
 
 /// Independent write of `total` stream bytes starting at stream position
-/// `stream_start`. Returns bytes written.
+/// `stream_start`, by `rank` of the `ranks` that open the file. Returns
+/// bytes written.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn write_independent(
     storage: &dyn StorageFile,
@@ -46,6 +47,7 @@ pub(crate) fn write_independent(
     hints: &Hints,
     whole_range_locked: bool,
     scratch: &Scratch,
+    (rank, ranks): (usize, usize),
 ) -> Result<u64> {
     if total == 0 {
         return Ok(0);
@@ -60,32 +62,47 @@ pub(crate) fn write_independent(
 
     // data sieving: lock, read, merge, write back, per window
     let src = UserSide::new(packer, user, stream_start);
-    let mut share = nav.share(&src, (stream_start, stream_start + total));
+    let stream_end = stream_start + total;
+    let share = nav.share(&src, (stream_start, stream_end));
     let (lo, hi) = share.reach().expect("an access of bytes reaches the file");
-    let grid = Windows::new(lo, hi, hints.ind_buffer_size as u64);
+    let size = hints.ind_buffer_size as u64;
+    let grid = Windows::new(lo, hi, size);
     // no larger than the loop can address: a window spans at most the
     // access range
     let mut io = WindowIo::new(storage, scratch, grid.max_len());
-    for (win_start, win_end) in grid {
-        let (stream, end) = share.rest();
-        if !share.wants(win_end) {
-            continue; // a cell that lies in a gap of the view
+    // rank-staggered (DESIGN.md §3.4): the windows from this rank's grid
+    // line up, with a share from there on, then those below it, with the
+    // whole access's share, which stops at the line
+    let line = grid.stagger(rank, ranks).unwrap_or(hi);
+    let upper = (line < hi).then(|| {
+        let share = nav.share(&src, (nav.abs_to_stream(line), stream_end));
+        (Windows::new(line, hi, size), share)
+    });
+    for (grid, mut share) in upper
+        .into_iter()
+        .chain([(Windows::new(lo, line, size), share)])
+    {
+        for (win_start, win_end) in grid {
+            let (stream, end) = share.rest();
+            if !share.wants(win_end) {
+                continue; // a cell that lies in a gap of the view
+            }
+            // view bytes inside the window, capped to what we still have
+            let n = nav.bytes_in(win_start, win_end).min(end - stream);
+            // in atomic mode the caller already holds the whole access
+            // range; taking the window lock again would self-deadlock
+            let _guard = (!whole_range_locked).then(|| lock.lock(win_start..win_end));
+            // staged, a window our data does not fill is read first
+            let mut placed = 0u64;
+            io.update(
+                win_start,
+                win_end,
+                || n == win_end - win_start,
+                &mut |at, piece, store| placed += share.place(&src, piece, at, store) as u64,
+            )?;
+            drop(_guard);
+            short_transfer((win_start, win_end), placed, n)?;
         }
-        // view bytes inside the window, capped to what we still have
-        let n = nav.bytes_in(win_start, win_end).min(end - stream);
-        // in atomic mode the caller already holds the whole access range;
-        // taking the window lock again would self-deadlock
-        let _guard = (!whole_range_locked).then(|| lock.lock(win_start..win_end));
-        // staged, a window our data does not fill is read first
-        let mut placed = 0u64;
-        io.update(
-            win_start,
-            win_end,
-            || n == win_end - win_start,
-            &mut |at, piece, store| placed += share.place(&src, piece, at, store) as u64,
-        )?;
-        drop(_guard);
-        short_transfer((win_start, win_end), placed, n)?;
     }
     Ok(total)
 }

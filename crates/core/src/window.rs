@@ -74,6 +74,22 @@ impl Windows {
     pub fn max_len(&self) -> usize {
         self.size.min(self.hi.saturating_sub(self.at)) as usize
     }
+
+    /// How many windows the walk yields.
+    pub fn cells(&self) -> u64 {
+        let n = (self.hi > self.at).then(|| (self.hi - 1) / self.size - self.at / self.size);
+        n.map_or(0, |last| last + 1)
+    }
+
+    /// Where `rank` of `ranks` starts its walk: the start of window
+    /// `k = ⌊rank·n/ranks⌋` of the `n`, a grid line, so that ranks sieving
+    /// interleaved views of one range start `n/ranks` windows apart
+    /// instead of queueing on one window's lock. `None` when `k = 0`:
+    /// rank 0, and every walk of one window, starts at the bottom.
+    pub fn stagger(&self, rank: usize, ranks: usize) -> Option<u64> {
+        let k = (rank as u128 * self.cells() as u128 / ranks.max(1) as u128) as u64;
+        (k > 0).then(|| (self.at / self.size + k) * self.size)
+    }
 }
 
 impl Iterator for Windows {
@@ -498,6 +514,35 @@ mod tests {
         assert_eq!(w, [(13, 17)]);
         assert_eq!(Windows::new(7, 7, 10).count(), 0);
         assert_eq!(Windows::new(9, 3, 10).count(), 0);
+    }
+
+    #[test]
+    fn a_staggered_walk_visits_every_window_once_from_its_rank_s_window() {
+        // on the grid and off it, one window and many
+        for (lo, hi, size) in [(0u64, 80u64, 10u64), (5, 27, 10), (13, 17, 10), (3, 200, 7)] {
+            let grid = Windows::new(lo, hi, size);
+            let in_order: Vec<_> = Windows::new(lo, hi, size).collect();
+            let n = in_order.len() as u64;
+            assert_eq!(grid.cells(), n, "[{lo}, {hi}) by {size}");
+            for ranks in 1..=5usize {
+                for rank in 0..ranks {
+                    let k = rank as u64 * n / ranks as u64;
+                    // rank 0 and a walk of one window keep file order
+                    let Some(line) = grid.stagger(rank, ranks) else {
+                        assert_eq!(k, 0, "rank {rank} of {ranks}");
+                        continue;
+                    };
+                    assert_eq!(line % size, 0, "the split is a grid line");
+                    let mut walk: Vec<_> = Windows::new(line, hi, size)
+                        .chain(Windows::new(lo, line, size))
+                        .collect();
+                    assert_eq!(walk[0], in_order[k as usize], "rank {rank} of {ranks}");
+                    walk.sort();
+                    assert_eq!(walk, in_order, "every window once");
+                }
+            }
+        }
+        assert_eq!(Windows::new(7, 7, 10).stagger(1, 2), None);
     }
 
     #[test]

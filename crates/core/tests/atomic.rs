@@ -18,18 +18,23 @@ fn engines() -> Vec<Hints> {
 /// within one access. Slow staging storage (every other round) widens the
 /// windows in time: a write that landed after its access had let go of
 /// the lock would show.
+///
+/// At P = 3 each access spans 16 windows and the ranks start their window
+/// walks at windows 0, 5 and 10: the whole-range lock, not the order of
+/// the windows, is what keeps one writer per block.
 #[test]
 fn atomic_conflicting_writes_do_not_tear() {
     for h in engines() {
         // tiny windows maximize interleaving opportunities when not atomic
         let h = h.ind_buffer(64);
-        for round in 0..6 {
+        for round in 0..12 {
             let (shared2, raw) = if round % 2 == 1 {
                 slow_staged(Vec::new())
             } else {
                 test_storage()
             };
-            World::run(2, move |comm| {
+            let nprocs = if round < 6 { 2 } else { 3 };
+            World::run(nprocs, move |comm| {
                 let me = comm.rank() as u64;
                 let ft = Datatype::vector(64, 1, 2, &Datatype::double()).unwrap();
                 let mut f = File::open(comm, shared2.clone(), h).unwrap();

@@ -260,33 +260,47 @@ fn two_ranks_disjoint_independent_writes() {
     // staging storage, where every window is a read-modify-write of 300 µs
     // under the lock and a write made *behind* the loop, after the lock is
     // gone, would lose the other rank's blocks. Sieving never declares
-    // itself sole writer, so no lane may arm.
+    // itself sole writer, so no lane may arm. Each access spans 4P
+    // windows, so rank r starts its walk at window ⌊r·n/P⌋ and wraps
+    // round: the ranks begin in different windows of a file that grows
+    // from empty, and the upper windows of most ranks are written before
+    // their lower ones.
     lio_obs::set_enabled(true);
-    for h in engines() {
-        for slow in [false, true] {
-            let h = h.ind_buffer(64);
-            let (shared, raw) = if slow {
-                slow_staged(Vec::new())
-            } else {
-                test_storage()
-            };
-            let sblock = 8u64;
-            let nblock = 32u64;
-            World::run(2, move |comm| {
-                let me = comm.rank() as u64;
-                let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
-                let ft_raw = Datatype::vector(nblock, 1, 2, &block).unwrap();
-                let mut f = File::open(comm, shared.clone(), h).unwrap();
-                f.set_view(me * sblock, Datatype::byte(), ft_raw).unwrap();
-                let data = vec![me as u8 + 1; (nblock * sblock) as usize];
-                f.write_at(0, &data, data.len() as u64, &Datatype::byte())
-                    .unwrap();
-            });
-            let snap = raw.snapshot();
-            assert_eq!(snap.len() as u64, 2 * nblock * sblock);
-            for (i, b) in snap.iter().enumerate() {
-                let owner = (i as u64 / sblock) % 2;
-                assert_eq!(*b, owner as u8 + 1, "byte {i}, slow={slow}");
+    let (sblock, nblock) = (8u64, 32u64);
+    for nprocs in [2u64, 3, 4] {
+        let filetype = move |me: u64| {
+            let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
+            (
+                me * sblock,
+                Datatype::vector(nblock, 1, nprocs as i64, &block).unwrap(),
+            )
+        };
+        let data = move |me: u64| pattern((nblock * sblock) as usize, me + 1);
+        let mut want = Vec::new();
+        for me in 0..nprocs {
+            let (disp, ft) = filetype(me);
+            reference_write(&mut want, disp, &ft, 0, &data(me));
+        }
+        for h in engines() {
+            for slow in [false, true] {
+                let h = h.ind_buffer(64);
+                let (shared, raw) = if slow {
+                    slow_staged(Vec::new())
+                } else {
+                    test_storage()
+                };
+                World::run(nprocs as usize, move |comm| {
+                    let me = comm.rank() as u64;
+                    let (disp, ft) = filetype(me);
+                    let mut f = File::open(comm, shared.clone(), h).unwrap();
+                    f.set_view(disp, Datatype::byte(), ft).unwrap();
+                    let data = data(me);
+                    f.write_at(0, &data, data.len() as u64, &Datatype::byte())
+                        .unwrap();
+                });
+                let what = format!("P={nprocs}, {:?}, slow={slow}", h.engine);
+                assert!(want.len() as u64 > 2 * nprocs * 64, "{what}: 2P windows");
+                assert_eq!(raw.snapshot(), want, "{what}");
             }
         }
     }
