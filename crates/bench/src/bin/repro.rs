@@ -496,7 +496,7 @@ fn overheads() {
             let walk = CoWalk::new(ol.tiled_cursor(0, ext, size, 0), ol.cursor(0));
             let stores = &mut Stores::new(Store::Cached);
             walk.clone()
-                .place(&mut win, 0, &user, size as usize, stores, false)
+                .place(&mut win, 0, &user, size as usize, stores)
         });
         let copy_ns = copy_us * 1e3 / tuples;
         // one list: the same blocks packed from the user buffer, the
@@ -1180,35 +1180,35 @@ fn trace_cmd(opts: &Opts) {
 
 /// `repro profile`: run structurally different workloads — the Figure 5
 /// independent pattern, the Figure 6 collective on throttled storage,
-/// and a BTIO-style nested-datatype pack — with the access-pattern
-/// profiler armed, print each workload's characterization, and write the
-/// schema-versioned profiles, stamped with the commit, to
+/// and a BTIO-style nested-datatype pack — with the metrics armed, print
+/// each workload's characterization (the access-pattern profile, a view
+/// of the registry), and write each workload's registry snapshot,
+/// schema-versioned and stamped with the commit, to
 /// `results/profile.json`.
 fn profile_cmd(opts: &Opts) {
     use lio_core::{File, Hints, SharedFile};
     use lio_datatype::Datatype;
     use lio_mpi::World;
-    use lio_obs::profile;
+    use lio_obs::profile::Profile;
     use lio_pfs::{CountingFile, MemFile, Throttle, ThrottledFile};
     use std::time::Duration;
 
-    const PROFILE_SCHEMA_VERSION: u64 = 2;
+    const PROFILE_SCHEMA_VERSION: u64 = 3;
     let nblock: u64 = if opts.quick { 128 } else { 512 };
-    println!("# profile: access-pattern profiler, 4 workloads");
+    println!("# profile: access-pattern profile of the metric registry, 4 workloads");
 
     // consume the one-shot env check, then drive recording explicitly
     lio_obs::init_from_env();
 
-    // run `body` with the profiler armed; returns the profile's JSON
+    // run `body` with the metrics armed; returns the registry's JSON
     let profiled = |name: &str, body: &mut dyn FnMut()| -> String {
         lio_obs::reset();
-        profile::reset();
-        (Layers::METRICS | Layers::PROFILE).arm();
+        Layers::METRICS.arm();
         body();
         Layers::NONE.arm();
-        let p = profile::snapshot();
-        println!("  {name}: {}", p.characterize());
-        p.to_json()
+        let snap = lio_obs::snapshot();
+        println!("  {name}: {}", Profile::of(&snap).characterize());
+        snap.to_json()
     };
 
     let mut sections: Vec<(&str, String)> = Vec::new();
@@ -1301,7 +1301,7 @@ fn profile_cmd(opts: &Opts) {
     // 4. the same nested pack built raggedly (hindexed rows instead of
     // an outer vector): the raw compile is a literal tail and only the
     // normalization pass recovers the strided form — the profile must
-    // report these programs as "rewritten", not "born strided"
+    // report its rewrites (`dt.normalize.rewrites`)
     sections.push((
         "ragged_hindexed_pack",
         profiled("ragged_hindexed_pack", &mut || {
@@ -1334,9 +1334,10 @@ fn profile_cmd(opts: &Opts) {
     writeln!(json, "  \"schema_version\": {PROFILE_SCHEMA_VERSION},").unwrap();
     writeln!(json, "  \"commit\": \"{}\",", commit()).unwrap();
     json.push_str("  \"workloads\": {\n");
-    for (i, (name, profile_json)) in sections.iter().enumerate() {
+    for (i, (name, metrics)) in sections.iter().enumerate() {
         let sep = if i + 1 < sections.len() { "," } else { "" };
-        writeln!(json, "  \"{name}\": {{\"profile\": {profile_json}}}{sep}").unwrap();
+        let metrics = metrics.trim_end().replace('\n', "\n  ");
+        writeln!(json, "  \"{name}\": {metrics}{sep}").unwrap();
     }
     json.push_str("  }\n}\n");
     lio_obs::json::validate(&json).expect("profile export must be well-formed JSON");

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use lio_datatype::Datatype;
 use lio_mpi::Comm;
-use lio_obs::LazyHistogram;
+use lio_obs::{LazyCounter, LazyGauge, LazyHistogram};
 use lio_pfs::{RangeLock, StorageFile};
 
 use crate::error::{IoError, Result};
@@ -17,12 +17,22 @@ use crate::view::{FfNav, FileView, ListNav, ViewNav};
 
 // Per-operation wall-time spans (nanoseconds), one histogram per entry
 // point. Each call contributes one sample, so `count` is the number of
-// operations and `sum` the total time spent in them on this process.
+// operations and `sum` the total time spent in them on this process;
+// beside each, the user bytes its calls asked for. Both feed the
+// access-pattern profile (`lio_obs::profile`), as the view gauges do.
 static OBS_WRITE_AT_NS: LazyHistogram = LazyHistogram::new("core.write_at.ns");
 static OBS_READ_AT_NS: LazyHistogram = LazyHistogram::new("core.read_at.ns");
 static OBS_WRITE_ALL_NS: LazyHistogram = LazyHistogram::new("core.write_at_all.ns");
 static OBS_READ_ALL_NS: LazyHistogram = LazyHistogram::new("core.read_at_all.ns");
+static OBS_WRITE_AT_BYTES: LazyCounter = LazyCounter::new("core.write_at.bytes");
+static OBS_READ_AT_BYTES: LazyCounter = LazyCounter::new("core.read_at.bytes");
+static OBS_WRITE_ALL_BYTES: LazyCounter = LazyCounter::new("core.write_at_all.bytes");
+static OBS_READ_ALL_BYTES: LazyCounter = LazyCounter::new("core.read_at_all.bytes");
 static OBS_SET_VIEW_NS: LazyHistogram = LazyHistogram::new("core.set_view.ns");
+// The last fileview's filetype: data bytes, extent and contiguous runs.
+static OBS_VIEW_SIZE: LazyGauge = LazyGauge::new("core.view.size");
+static OBS_VIEW_EXTENT: LazyGauge = LazyGauge::new("core.view.extent");
+static OBS_VIEW_LEAF_RUNS: LazyGauge = LazyGauge::new("core.view.leaf_runs");
 
 /// The state shared by all ranks that open the same file: the storage
 /// backend and the byte-range lock protecting data-sieving writes.
@@ -182,12 +192,9 @@ impl<'c> File<'c> {
     pub fn set_view(&mut self, disp: u64, etype: Datatype, filetype: Datatype) -> Result<()> {
         let _span = OBS_SET_VIEW_NS.span();
         let view = FileView::new(disp, etype, filetype)?;
-        lio_obs::profile::record_view(
-            view.filetype.size(),
-            view.filetype.extent(),
-            view.filetype.leaf_runs(),
-            view.is_contiguous(),
-        );
+        OBS_VIEW_SIZE.set(view.filetype.size());
+        OBS_VIEW_EXTENT.set(view.filetype.extent());
+        OBS_VIEW_LEAF_RUNS.set(view.filetype.leaf_runs());
         self.coll = twophase::establish_view(self.comm, &view, self.hints.engine)?;
         self.nav = Self::make_nav(view, self.hints.engine);
         self.fp = 0;
@@ -255,7 +262,7 @@ impl<'c> File<'c> {
     pub fn write_at(&self, offset: u64, buf: &[u8], count: u64, memtype: &Datatype) -> Result<u64> {
         let _span = OBS_WRITE_AT_NS.span();
         let (stream_start, total) = self.stream_params(offset, count, memtype);
-        lio_obs::profile::record_op(lio_obs::profile::OpClass::IndWrite, total);
+        OBS_WRITE_AT_BYTES.add(total);
         let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
         let _atomic_guard = self
@@ -288,7 +295,7 @@ impl<'c> File<'c> {
     ) -> Result<u64> {
         let _span = OBS_READ_AT_NS.span();
         let (stream_start, total) = self.stream_params(offset, count, memtype);
-        lio_obs::profile::record_op(lio_obs::profile::OpClass::IndRead, total);
+        OBS_READ_AT_BYTES.add(total);
         let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
         let _atomic_guard = self
@@ -337,7 +344,7 @@ impl<'c> File<'c> {
     ) -> Result<u64> {
         let _span = OBS_WRITE_ALL_NS.span();
         let (stream_start, total) = self.stream_params(offset, count, memtype);
-        lio_obs::profile::record_op(lio_obs::profile::OpClass::CollWrite, total);
+        OBS_WRITE_ALL_BYTES.add(total);
         let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
         self.health_begin(true);
@@ -378,7 +385,7 @@ impl<'c> File<'c> {
     ) -> Result<u64> {
         let _span = OBS_READ_ALL_NS.span();
         let (stream_start, total) = self.stream_params(offset, count, memtype);
-        lio_obs::profile::record_op(lio_obs::profile::OpClass::CollRead, total);
+        OBS_READ_ALL_BYTES.add(total);
         let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
         self.health_begin(false);

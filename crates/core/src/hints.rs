@@ -136,7 +136,7 @@ pub struct Hints {
     /// is an IOP (the common single-node configuration in the paper).
     pub cb_nodes: usize,
     /// Telemetry: `Some(layers)` arms exactly these `lio-obs` layers
-    /// (metrics, trace, profile, health) and disarms the others when a
+    /// (metrics, trace, health) and disarms the others when a
     /// file is opened with these hints; `None` leaves the process-global
     /// setting (and the `LIO_OBS` environment variable) in charge.
     pub obs: Option<Layers>,
@@ -287,8 +287,8 @@ impl Hints {
     /// window sizes default to [`DEFAULT_WINDOW`], 512 KiB),
     /// `cb_nodes`, `backend` (`mem`/`throttled`/`os` — storage substrate
     /// for backend-aware opens), and `lio_obs`, the telemetry layers armed
-    /// at open (`all`, `off`, or a comma list of `metrics`, `trace`,
-    /// `profile` and `health`; `enable` means `metrics`).
+    /// at open (`all`, `off`, or a comma list of `metrics`, `trace` and
+    /// `health`; `enable` and `profile` mean `metrics`).
     ///
     /// ROMIO's `romio_ds_write` / `romio_ds_read` and the former
     /// dense-write detection key are unknown keys here, whatever their value:
@@ -464,9 +464,15 @@ mod info_tests {
         layer_info_key("trace", Layers::TRACE);
     }
 
+    /// `profile` names what the access-pattern profile reads: the
+    /// metrics, printed back under their own name.
     #[test]
     fn profile_info_key() {
-        layer_info_key("profile", Layers::PROFILE);
+        for v in ["profile", "metrics,profile"] {
+            let h = Hints::default().apply_info([("lio_obs", v)]).unwrap();
+            assert_eq!(h.obs, Some(Layers::METRICS), "{v}");
+        }
+        layer_info_key("metrics", Layers::METRICS);
     }
 
     #[test]

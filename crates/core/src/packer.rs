@@ -110,8 +110,7 @@ impl MemPacker {
                 OBS_PACK_CALLS.incr();
                 let n = clip(out.len(), count * size, skip);
                 let stores = &mut Stores::new(Store::Cached);
-                CoWalk::new(RunCursor::contig(0), self.cursor(skip))
-                    .place(out, 0, user, n, stores, false)
+                CoWalk::new(RunCursor::contig(0), self.cursor(skip)).place(out, 0, user, n, stores)
             }
             MemPacker::Ff { memtype, count } => ff_pack(user, *count, memtype, skip, out),
         }
@@ -138,8 +137,7 @@ impl MemPacker {
                 debug_assert_eq!(at, 0, "a flattened memtype is never lent in pieces");
                 OBS_UNPACK_CALLS.incr();
                 let n = clip(data.len(), count * size, skip);
-                CoWalk::new(RunCursor::contig(0), self.cursor(skip))
-                    .extract(data, 0, user, n, false)
+                CoWalk::new(RunCursor::contig(0), self.cursor(skip)).extract(data, 0, user, n)
             }
             MemPacker::Ff { memtype, count } => {
                 ff_unpack_at(data, user, at as i64, *count, memtype, skip)
@@ -470,14 +468,14 @@ mod tests {
         let (stores, mut got) = (&mut Stores::new(Store::Cached), [0u8; 7]);
         let mut walk = CoWalk::new(RunCursor::contig(0), listed.cursor(3));
         let (head, tail) = got.split_at_mut(2);
-        let head = walk.place(head, 0, &user, 7, stores, false);
-        assert_eq!(head + walk.place(tail, 2, &user, 5, stores, false), 7);
+        let head = walk.place(head, 0, &user, 7, stores);
+        assert_eq!(head + walk.place(tail, 2, &user, 5, stores), 7);
         assert_eq!(got, stream[3..10]);
         // the piece that holds stream bytes [20, 32) of a staging buffer
         // that holds them from stream position 8 on
         let piece = UserSide::piece(&STREAM, &stream[20..32], 8, 12);
         let mut staged = CoWalk::new(RunCursor::contig(0), piece.cursor(22));
-        assert_eq!(staged.place(&mut got, 0, piece.user, 7, stores, false), 7);
+        assert_eq!(staged.place(&mut got, 0, piece.user, 7, stores), 7);
         assert_eq!(got, stream[22..29]);
     }
 }

@@ -56,7 +56,6 @@ pub(crate) fn write_independent(
     // c-c / nc-c: the file region is contiguous — one pack, one write.
     if nav.view().is_contiguous() {
         let abs = nav.stream_to_abs(stream_start);
-        lio_obs::profile::record_run(total, 0, true);
         return write_contiguous_region(storage, packer, user, abs, total, scratch);
     }
 
@@ -170,7 +169,6 @@ pub(crate) fn read_independent(
 
     if nav.view().is_contiguous() {
         let abs = nav.stream_to_abs(stream_start);
-        lio_obs::profile::record_run(total, 0, true);
         let grid = Windows::new(abs, abs + total, CONTIG_CHUNK);
         let mut io = WindowIo::new(storage, scratch, grid.max_len());
         for (win, win_end) in grid {

@@ -271,11 +271,11 @@ fn file_domains(
     let t = lio_obs::now();
     let (lo, hi) = nav.reach((s_lo, s_hi)).unwrap_or((u64::MAX, 0));
     let all = comm.allgather([lo.to_le_bytes(), hi.to_le_bytes()].concat());
-    let ranges: Vec<Option<(u64, u64)>> = (all.iter().map(|b| header(b)))
-        .map(|(lo, hi)| (hi > lo && lo != u64::MAX).then_some((lo, hi)))
+    let ranges: Vec<(u64, u64)> = (all.iter().map(|b| header(b)))
+        .filter(|&(lo, hi)| hi > lo && lo != u64::MAX)
         .collect();
-    let min_st = ranges.iter().flatten().map(|r| r.0).min();
-    let max_end = ranges.iter().flatten().map(|r| r.1).max();
+    let min_st = ranges.iter().map(|r| r.0).min();
+    let max_end = ranges.iter().map(|r| r.1).max();
     let naggr = hints.effective_io_nodes(comm.size());
     let mut domains = vec![(0u64, 0u64); naggr];
     if let (Some(lo), Some(hi)) = (min_st, max_end) {
@@ -298,40 +298,8 @@ fn file_domains(
             a = b;
         }
     }
-    // Every rank sees the same allgathered ranges; rank 0 records the
-    // collective's domain geometry once per op so the profile is not
-    // multiplied by the communicator size.
-    if lio_obs::profile::enabled() && comm.rank() == 0 {
-        profile_domains(&ranges, min_st, max_end);
-    }
     *exch_ns += lio_obs::elapsed_ns(t);
     domains
-}
-
-/// Profile the file-domain geometry of one collective op: overall span,
-/// union coverage of the per-rank access envelopes, and how much those
-/// envelopes overlap each other (interleaved views overlap heavily; the
-/// paper's Figure 4 pattern is the extreme case).
-fn profile_domains(ranges: &[Option<(u64, u64)>], min_st: Option<u64>, max_end: Option<u64>) {
-    let (Some(lo), Some(hi)) = (min_st, max_end) else {
-        return;
-    };
-    let mut sorted: Vec<(u64, u64)> = ranges.iter().flatten().copied().collect();
-    sorted.sort_unstable();
-    // in order of start, each range adds to the union what lies past the
-    // furthest end before it
-    let (mut union, mut sum, mut reached) = (0u64, 0u64, 0u64);
-    for &(a, b) in &sorted {
-        sum += b - a;
-        union += b.saturating_sub(a.max(reached));
-        reached = reached.max(b);
-    }
-    lio_obs::profile::record_domains(hi - lo, union, sum - union);
-    for (r, span) in ranges.iter().enumerate() {
-        if let Some((a, b)) = span {
-            lio_obs::profile::record_rank_access(r as u32, b - a);
-        }
-    }
 }
 
 /// The tuples of every received access list, each length checked once.
@@ -548,10 +516,10 @@ fn reach<S: Share>(shares: &[S], dom: (u64, u64)) -> Result<Option<(u64, u64)>> 
 }
 
 /// Whether any share has bytes below `win_end`: `active` becomes the
-/// indices of those that have, each of which has begun the window.
-fn begin<S: Share>(shares: &mut [S], win_end: u64, active: &mut Vec<usize>) -> bool {
+/// indices of those that have.
+fn begin<S: Share>(shares: &[S], win_end: u64, active: &mut Vec<usize>) -> bool {
     active.clear();
-    let wanting = shares.iter_mut().enumerate();
+    let wanting = shares.iter().enumerate();
     active.extend(wanting.filter_map(|(k, s)| s.wants(win_end).then_some(k)));
     !active.is_empty()
 }

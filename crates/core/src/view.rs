@@ -158,9 +158,8 @@ pub(crate) trait Share {
     /// `None` when none are left.
     fn reach(&self) -> Option<(u64, u64)>;
 
-    /// Whether bytes not moved yet lie below `win_end`. A share that says
-    /// so has begun the window that ends there.
-    fn wants(&mut self, win_end: u64) -> bool;
+    /// Whether bytes not moved yet lie below `win_end`.
+    fn wants(&self, win_end: u64) -> bool;
 
     /// Place the next bytes from `src` into `piece`, up to its end: file
     /// bytes `[at, at + piece.len())` — a window, or one of the pieces the
@@ -243,11 +242,11 @@ impl ListNav {
     }
 
     /// The list-based [`Share`] of stream bytes `span` of `end`: the view's
-    /// runs from the linear locate of `span.0` on, each run profiled.
+    /// runs from the linear locate of `span.0` on.
     pub fn share<'a, U>(&'a self, end: &UserSide<'a, U>, (lo, hi): (u64, u64)) -> ListShare<'a> {
         let walk = CoWalk::new(self.cursor(lo), end.cursor(lo));
         let reach = (hi > lo).then(|| (self.stream_to_abs(lo), self.stream_to_abs(hi - 1) + 1));
-        ListShare::new(walk, reach, (lo, hi), lio_obs::profile::enabled())
+        ListShare::new(walk, reach, (lo, hi))
     }
 }
 
@@ -261,8 +260,6 @@ pub(crate) struct ListShare<'a> {
     /// The stream bytes not moved yet.
     next: u64,
     end: u64,
-    /// Whether each file-side run feeds the profiler.
-    profile: bool,
 }
 
 impl<'a> ListShare<'a> {
@@ -272,17 +269,15 @@ impl<'a> ListShare<'a> {
     pub fn wire<U>(list: OlWire<'a>, end: &UserSide<'a, U>, span: (u64, u64)) -> ListShare<'a> {
         let walk = CoWalk::new(RunCursor::wire(list), end.cursor(span.0));
         let reach = list.get(0).zip(list.last()).map(|(a, z)| (a.0, z.0 + z.1));
-        ListShare::new(walk, reach, span, false)
+        ListShare::new(walk, reach, span)
     }
 
-    fn new(walk: CoWalk<'a>, reach: Option<(u64, u64)>, span: (u64, u64), profile: bool) -> Self {
-        let (next, end) = span;
+    fn new(walk: CoWalk<'a>, reach: Option<(u64, u64)>, (next, end): (u64, u64)) -> Self {
         ListShare {
             walk,
             reach,
             next,
             end,
-            profile,
         }
     }
 }
@@ -292,22 +287,20 @@ impl Share for ListShare<'_> {
         self.reach.filter(|_| self.next < self.end)
     }
 
-    fn wants(&mut self, win_end: u64) -> bool {
+    fn wants(&self, win_end: u64) -> bool {
         self.next < self.end && self.walk.file.next_at().is_some_and(|o| o < win_end)
     }
 
     fn place(&mut self, src: &UserSide<&[u8]>, piece: &mut [u8], at: u64, store: Store) -> usize {
         let (n, stores) = ((self.end - self.next) as usize, &mut Stores::new(store));
-        let moved = self
-            .walk
-            .place(piece, at, src.user, n, stores, self.profile);
+        let moved = self.walk.place(piece, at, src.user, n, stores);
         self.next += moved as u64;
         moved
     }
 
     fn extract(&mut self, piece: &[u8], at: u64, dst: &mut UserSide<&mut [u8]>) -> usize {
         let n = (self.end - self.next) as usize;
-        let moved = self.walk.extract(piece, at, dst.user, n, self.profile);
+        let moved = self.walk.extract(piece, at, dst.user, n);
         self.next += moved as u64;
         moved
     }
@@ -331,27 +324,6 @@ impl Share for ListShare<'_> {
 // Listless (flattening-on-the-fly) navigation
 // ---------------------------------------------------------------------
 
-/// What one view moved so far in the window being placed or extracted:
-/// the listless profiler record of a window the storage lends in several
-/// pieces is gathered here and fed once, by the piece that reaches the
-/// window's end (`FfNav::profile_piece`).
-struct RunTally {
-    win_end: u64,
-    bytes: usize,
-    runs: u64,
-}
-
-impl RunTally {
-    /// An empty tally for the window that ends at `win_end`.
-    fn until(win_end: u64) -> RunTally {
-        RunTally {
-            win_end,
-            bytes: 0,
-            runs: 0,
-        }
-    }
-}
-
 /// Listless navigator: no materialized representation beyond the
 /// filetype's compiled run program, cached on the datatype.
 pub(crate) struct FfNav {
@@ -369,53 +341,7 @@ impl FfNav {
             nav: self,
             span,
             next: span.0,
-            seen: RunTally::until(0),
         }
-    }
-
-    /// Tally the `(bytes, runs)` the program moved in the piece
-    /// `[lo, lo + len)` and, with the piece that reaches the window's end,
-    /// tell the profiler of the whole window — once, however many pieces
-    /// the storage cut it into, and without counting a run twice because
-    /// a piece boundary fell inside it. Returns the bytes.
-    fn profile_piece(
-        &self,
-        seen: &mut RunTally,
-        (bytes, runs): (usize, u64),
-        lo: u64,
-        len: usize,
-    ) -> usize {
-        if lio_obs::profile::enabled() {
-            // both sides of the boundary hold data of this access: one run
-            let cut = seen.bytes > 0
-                && bytes > 0
-                && self.abs_to_stream(lo + 1) - self.abs_to_stream(lo - 1) == 2;
-            seen.bytes += bytes;
-            seen.runs += runs - cut as u64;
-            if lo + len as u64 >= seen.win_end {
-                self.profile_runs(seen.bytes, seen.runs);
-            }
-        }
-        bytes
-    }
-
-    /// Feed the access-pattern profiler from what the program reports.
-    /// It never materializes runs, so they are accounted for as a batch:
-    /// one run for a contiguous view, whatever its instance size;
-    /// otherwise `runs` runs of the mean length, spaced by the filetype's
-    /// density (exact for a filetype that is one strided frame).
-    fn profile_runs(&self, bytes: usize, runs: u64) {
-        if runs == 0 {
-            return;
-        }
-        if self.view.is_contiguous() {
-            lio_obs::profile::record_run(bytes as u64, 0, true);
-            return;
-        }
-        let ft = &self.view.filetype;
-        let block = (bytes as u64).div_ceil(runs);
-        let stride = (block as u128 * ft.extent() as u128 / ft.size() as u128) as u64;
-        lio_obs::profile::record_strided(block, stride, runs);
     }
 
     pub fn stream_to_abs(&self, stream: u64) -> u64 {
@@ -431,25 +357,13 @@ impl FfNav {
 }
 
 /// The listless [`Share`]: the filetype's run program over each piece,
-/// from a stream cursor on, and the profiler's tally of the window it is
-/// in.
+/// from a stream cursor on.
 pub(crate) struct FfShare<'a> {
     nav: &'a FfNav,
     /// The stream bytes of the share.
     span: (u64, u64),
     /// The first of them not moved yet.
     next: u64,
-    seen: RunTally,
-}
-
-impl FfShare<'_> {
-    /// Advance the cursor by what the program `moved` in the piece
-    /// `[at, at + len)`, and tell the profiler; returns the bytes.
-    fn moved(&mut self, moved: (usize, u64), at: u64, len: usize) -> usize {
-        let bytes = self.nav.profile_piece(&mut self.seen, moved, at, len);
-        self.next += bytes as u64;
-        bytes
-    }
 }
 
 impl Share for FfShare<'_> {
@@ -459,8 +373,7 @@ impl Share for FfShare<'_> {
         (hi > lo).then(|| (nav.stream_to_abs(lo), nav.stream_to_abs(hi - 1) + 1))
     }
 
-    fn wants(&mut self, win_end: u64) -> bool {
-        self.seen = RunTally::until(win_end);
+    fn wants(&self, win_end: u64) -> bool {
         self.next < self.span.1 && self.nav.abs_to_stream(win_end) > self.next
     }
 
@@ -475,7 +388,7 @@ impl Share for FfShare<'_> {
         let (disp, s0) = (at as i64 - view.disp as i64, self.next);
         let skip = s0 - src.stream_start;
         let prog = view.filetype.program();
-        let moved = match src.packer {
+        let (moved, _) = match src.packer {
             MemPacker::Contig { base } => {
                 let data = &src.user[base + skip as usize..][..n];
                 prog.unpack_into(data, piece, disp, tiles, s0, store)
@@ -486,7 +399,8 @@ impl Share for FfShare<'_> {
             }
             MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
         };
-        self.moved(moved, at, piece.len())
+        self.next += moved as u64;
+        moved
     }
 
     /// `dst.buf_at` offsets a piece of a buffer as `at` offsets the
@@ -496,7 +410,7 @@ impl Share for FfShare<'_> {
         let (disp, s0) = (at as i64 - view.disp as i64, self.next);
         let skip = s0 - dst.stream_start;
         let prog = view.filetype.program();
-        let moved = match dst.packer {
+        let (moved, _) = match dst.packer {
             MemPacker::Contig { base } => {
                 let out = &mut dst.user[base + skip as usize - dst.buf_at..][..n];
                 prog.pack_into(piece, disp, tiles, s0, out)
@@ -507,7 +421,8 @@ impl Share for FfShare<'_> {
             }
             MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
         };
-        self.moved(moved, at, piece.len())
+        self.next += moved as u64;
+        moved
     }
 
     fn rest(&self) -> (u64, u64) {
@@ -549,7 +464,6 @@ mod tests {
     fn place(nav: &ViewNav, data: &[u8], stream0: u64, filebuf: &mut [u8], at: u64) -> usize {
         let src = UserSide::new(&STREAM, data, stream0);
         let mut share = nav.share(&src, (stream0, stream0 + data.len() as u64));
-        share.wants(at + filebuf.len() as u64);
         share.place(&src, filebuf, at, Store::Stream)
     }
 
@@ -558,7 +472,6 @@ mod tests {
         let n = out.len() as u64;
         let mut dst = UserSide::new(&STREAM, out, stream0);
         let mut share = nav.share(&dst, (stream0, stream0 + n));
-        share.wants(at + filebuf.len() as u64);
         share.extract(filebuf, at, &mut dst)
     }
 
@@ -683,7 +596,6 @@ mod tests {
                             assert_eq!(placing.wants(hi as u64), want > 0, "{ctx} lo={lo}");
                             let placed = placing.place(&src, &mut file[lo..hi], lo as u64, store);
                             assert_eq!(placed, want, "place {ctx} lo={lo}");
-                            taking.wants(hi as u64);
                             let got = taking.extract(&image[lo..hi], lo as u64, &mut dst);
                             assert_eq!(got, want, "extract {ctx} lo={lo}");
                         }

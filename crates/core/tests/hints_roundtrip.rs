@@ -46,7 +46,7 @@ fn roundtrip_reconstructs_every_field() {
 fn roundtrip_is_stable_under_reserialization() {
     let h = Hints::listless()
         .cb_buffer(4096)
-        .observe(Layers::METRICS | Layers::PROFILE);
+        .observe(Layers::METRICS | Layers::HEALTH);
     let once = roundtrip(h);
     assert_eq!(pairs(&once), pairs(&h), "serialization must be a fixpoint");
 }

@@ -1,9 +1,10 @@
 //! The telemetry's disabled cost, counted: with no layer armed, the
 //! independent and collective writes and reads of both engines record
-//! nothing at all — no trace event, no profiled op, no heartbeat, no
-//! metric. The same ops armed through the one switch (`Hints::observe`)
-//! must then record in every layer, so a count of zero above is a count
-//! the recording sites could have broken. Heartbeats are published from
+//! nothing at all — no trace event, no heartbeat, no metric, so the
+//! access-pattern profile, a view of the metrics, reads empty. The same
+//! ops armed through the one switch (`Hints::observe`) must then record
+//! in every layer, so a count of zero above is a count the recording
+//! sites could have broken. Heartbeats are published from
 //! the trace layer's span opens, so each of the two is then armed alone:
 //! health alone records no trace event, trace alone publishes no
 //! heartbeat.
@@ -86,16 +87,7 @@ fn trace_events() -> usize {
 }
 
 fn profiled_ops() -> u64 {
-    let p = profile::snapshot();
-    [
-        profile::OpClass::IndWrite,
-        profile::OpClass::IndRead,
-        profile::OpClass::CollWrite,
-        profile::OpClass::CollRead,
-    ]
-    .iter()
-    .map(|&c| p.op(c).requests)
-    .sum()
+    profile::snapshot().ops.iter().map(|op| op.requests).sum()
 }
 
 /// Every metric in the registry that holds a non-zero value.
@@ -120,17 +112,14 @@ fn nothing_armed_records_nothing() {
     Layers::NONE.arm();
     lio_obs::reset();
     trace::reset();
-    profile::reset();
     health::reset();
 
     run_ops(None);
     assert_eq!(trace_events(), 0, "trace events recorded while disarmed");
-    assert_eq!(profiled_ops(), 0, "profiled ops while disarmed");
-    let p = profile::snapshot();
     assert_eq!(
-        (p.runs.total, p.view.views_set, p.domains.ops),
-        (0, 0, 0),
-        "profile shapes recorded while disarmed"
+        profile::snapshot(),
+        profile::Profile::default(),
+        "profile recorded while disarmed"
     );
     assert!(
         health::live_snapshot().is_empty(),
@@ -153,7 +142,14 @@ fn nothing_armed_records_nothing() {
         "armed health published no heartbeat"
     );
     let metrics = recorded_metrics();
-    for name in ["pfs.write.bytes", "core.health.beats", "dt.copy.bytes"] {
+    let op_bytes = profile::OPS.map(|op| format!("core.{op}.bytes"));
+    let named = [
+        "pfs.write.bytes",
+        "core.health.beats",
+        "dt.copy.bytes",
+        "core.view.size",
+    ];
+    for name in op_bytes.iter().map(String::as_str).chain(named) {
         assert!(
             metrics.iter().any(|n| n == name),
             "armed metrics left {name} at zero"

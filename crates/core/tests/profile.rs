@@ -1,7 +1,8 @@
-//! Access-pattern profiler integration tests: the same deterministic
-//! workload produces a byte-identical profile (modulo the trailing
-//! timing block), the `lio_obs` hint drives the global enable, and the
-//! export is well-formed JSON.
+//! The access-pattern profile, a view of the metric registry: the same
+//! deterministic workload reads the same profile (its phase times
+//! aside), the `lio_obs` hint's `profile` arms what it reads, nothing
+//! armed reads an empty one, and the registry export it sits beside in
+//! `repro profile` is well-formed JSON.
 
 mod common;
 
@@ -10,7 +11,7 @@ use std::sync::Mutex;
 use lio_core::{File, Hints, Layers, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
-use lio_obs::profile;
+use lio_obs::profile::{self, PhaseNs, Profile};
 use lio_pfs::{CountingFile, MemFile};
 
 /// The Figure 4 interleaved filetype: rank `r` owns block slot `r` of
@@ -39,18 +40,15 @@ fn interleaved_ft(me: u64, nprocs: u64, nblock: u64, sblock: u64) -> Datatype {
     .unwrap()
 }
 
-/// Serialize tests touching the global profile state and restore the
-/// disabled default afterwards.
-fn with_profile<R>(f: impl FnOnce() -> R) -> R {
+/// Serialize tests touching the global registry and restore the
+/// disarmed default afterwards.
+fn with_metrics<R>(f: impl FnOnce() -> R) -> R {
     static GATE: Mutex<()> = Mutex::new(());
     let _g = GATE.lock().unwrap();
     lio_obs::reset();
-    lio_obs::set_enabled(true);
-    profile::reset();
-    profile::set_enabled(true);
+    Layers::METRICS.arm();
     let r = f();
-    profile::set_enabled(false);
-    lio_obs::set_enabled(false);
+    Layers::NONE.arm();
     r
 }
 
@@ -76,84 +74,40 @@ fn run_workload() {
     });
 }
 
-/// Everything before the trailing `"critical"` object is deterministic
-/// by construction (see `ProfileSnapshot::to_json`); the timing block
-/// after it is the only run-to-run variation allowed.
-fn deterministic_prefix(json: &str) -> &str {
-    json.split("\"critical\"").next().unwrap()
+/// The profile without its phase times, the one run-to-run variation
+/// allowed.
+fn untimed(p: Profile) -> Profile {
+    let none = PhaseNs::default();
+    Profile {
+        coll_write: none,
+        coll_read: none,
+        ..p
+    }
 }
 
 #[test]
 fn same_workload_same_profile() {
-    let (a, b) = with_profile(|| {
+    let (a, b) = with_metrics(|| {
         run_workload();
-        let a = profile::snapshot().to_json();
+        let a = profile::snapshot();
         lio_obs::reset();
-        profile::reset();
         run_workload();
-        let b = profile::snapshot().to_json();
-        (a, b)
+        (a, profile::snapshot())
     });
-    assert!(a.contains("\"critical\""), "profile must carry phase times");
+    assert!(a.coll_write.total() > 0, "profile must carry phase times");
+    assert!(a.runs.count > 0 && a.view.size > 0, "{a:?}");
     assert_eq!(
-        deterministic_prefix(&a),
-        deterministic_prefix(&b),
+        untimed(a),
+        untimed(b),
         "identical workloads must produce identical profiles"
     );
 }
 
-/// A window that the storage lends in pieces (`MemFile`: one per 256 KiB
-/// stripe, and 1000 B blocks do not end on the seams) is profiled as the
-/// one window it is: the same runs as when it is staged in one buffer.
-#[test]
-fn lent_pieces_profile_like_the_staged_window() {
-    let run = |shared: SharedFile| {
-        let (nblock, sblock) = (320u64, 1000u64);
-        let total = nblock * sblock;
-        World::run(2, move |comm| {
-            let me = comm.rank() as u64;
-            let mut f = File::open(comm, shared.clone(), Hints::listless()).expect("open");
-            f.set_view(0, Datatype::byte(), interleaved_ft(me, 2, nblock, sblock))
-                .expect("set_view");
-            let data = vec![me as u8 + 1; total as usize];
-            let mut back = vec![0u8; total as usize];
-            let byte = Datatype::byte();
-            f.write_at_all(0, &data, total, &byte)
-                .expect("write_at_all");
-            f.read_at_all(0, &mut back, total, &byte)
-                .expect("read_at_all");
-            f.write_at(0, &data, total, &byte).expect("write_at");
-            comm.barrier();
-            f.read_at(0, &mut back, total, &byte).expect("read_at");
-            assert_eq!(back, data, "read-back mismatch");
-        });
-        profile::snapshot()
-    };
-    let (lent, staged) = with_profile(|| {
-        let lent = run(SharedFile::new(MemFile::new()));
-        lio_obs::reset();
-        profile::reset();
-        (
-            lent,
-            run(SharedFile::new(CountingFile::new(MemFile::new()))),
-        )
-    });
-    assert!(
-        lent.runs.total > 4 * 320,
-        "every block of every op is a run"
-    );
-    // ops, runs, view, datatype and domains; what follows is the storage's
-    // own request histogram, which only the counting decorator feeds
-    let (lent, staged) = (lent.to_json(), staged.to_json());
-    let until_storage = |json: &str| json.split("\"storage\"").next().unwrap().to_string();
-    assert_eq!(until_storage(&lent), until_storage(&staged));
-}
-
 #[test]
 fn profile_json_is_well_formed() {
-    let json = with_profile(|| {
+    let json = with_metrics(|| {
         run_workload();
-        profile::snapshot().to_json()
+        lio_obs::snapshot().to_json()
     });
     lio_obs::json::validate(&json).expect("profile export must be well-formed JSON");
 }
@@ -161,11 +115,12 @@ fn profile_json_is_well_formed() {
 #[test]
 fn profile_hint_controls_recording() {
     // the gate must serialize against the other profile tests even
-    // though this one toggles the enable through the hint path
-    with_profile(|| {
-        profile::set_enabled(false);
+    // though this one arms the metrics through the hint path
+    with_metrics(|| {
+        Layers::NONE.arm();
         let shared = SharedFile::new(MemFile::new());
-        let hints = Hints::listless().observe(Layers::METRICS | Layers::PROFILE);
+        let set = Layers::parse("metrics,profile").unwrap();
+        let hints = Hints::listless().observe(set);
         World::run(2, move |comm| {
             let mut f = File::open(comm, shared.clone(), hints).expect("open");
             f.set_view(0, Datatype::byte(), Datatype::byte())
@@ -174,24 +129,20 @@ fn profile_hint_controls_recording() {
             f.write_at_all(comm.rank() as u64 * 256, &data, 256, &Datatype::byte())
                 .expect("write");
         });
-        let p = profile::snapshot();
+        let w = profile::snapshot().op("write_at_all");
         assert!(
-            p.op(profile::OpClass::CollWrite).requests >= 2,
-            "lio_obs=metrics,profile must arm the profiler"
+            w.requests >= 2,
+            "lio_obs=metrics,profile must arm the profile"
         );
-        assert_eq!(p.op(profile::OpClass::CollWrite).bytes, 512);
+        assert_eq!(w.bytes, 512);
     });
 }
 
 #[test]
 fn disabled_profiler_records_nothing_across_layers() {
-    with_profile(|| {
-        profile::set_enabled(false);
+    with_metrics(|| {
+        Layers::NONE.arm();
         run_workload();
-        let p = profile::snapshot();
-        assert_eq!(p.op(profile::OpClass::CollWrite).requests, 0);
-        assert_eq!(p.runs.total, 0);
-        assert_eq!(p.view.views_set, 0);
-        assert_eq!(p.domains.ops, 0);
+        assert_eq!(profile::snapshot(), Profile::default());
     });
 }

@@ -208,8 +208,7 @@ impl<'a> CoWalk<'a> {
     /// Copy up to `n` stream bytes out of `src` (the user side) into `win`,
     /// which holds file bytes `[lo, lo + win.len())`, until the file side
     /// leaves the window; each piece stored as `stores` says. Returns the
-    /// bytes copied. `profile` feeds the access-pattern profiler one record
-    /// per file-side run.
+    /// bytes copied.
     pub fn place(
         &mut self,
         win: &mut [u8],
@@ -217,33 +216,25 @@ impl<'a> CoWalk<'a> {
         src: &[u8],
         n: usize,
         stores: &mut Stores,
-        profile: bool,
     ) -> usize {
         let hi = lo + win.len() as u64;
-        self.walk((lo, hi, n), profile, &mut (win, src, stores))
+        self.walk((lo, hi, n), &mut (win, src, stores))
     }
 
     /// [`CoWalk::place`] the other way: up to `n` stream bytes out of `win`
     /// into `dst`.
-    pub fn extract(
-        &mut self,
-        win: &[u8],
-        lo: u64,
-        dst: &mut [u8],
-        n: usize,
-        profile: bool,
-    ) -> usize {
+    pub fn extract(&mut self, win: &[u8], lo: u64, dst: &mut [u8], n: usize) -> usize {
         let hi = lo + win.len() as u64;
-        self.walk((lo, hi, n), profile, &mut (win, dst))
+        self.walk((lo, hi, n), &mut (win, dst))
     }
 
     /// The co-walk compiled for the two cursors' sources; the bytes moved.
-    fn walk(&mut self, bounds: (u64, u64, usize), profile: bool, copy: &mut impl Piece) -> usize {
+    fn walk(&mut self, bounds: (u64, u64, usize), copy: &mut impl Piece) -> usize {
         let (moved, batched) = match (&mut self.file.0, &mut self.user.0) {
-            (Kind::Segs(f), Kind::Segs(u)) => co_walk(f, u, bounds, profile, copy),
-            (Kind::Segs(f), Kind::Wire(u)) => co_walk(f, u, bounds, profile, copy),
-            (Kind::Wire(f), Kind::Segs(u)) => co_walk(f, u, bounds, profile, copy),
-            (Kind::Wire(f), Kind::Wire(u)) => co_walk(f, u, bounds, profile, copy),
+            (Kind::Segs(f), Kind::Segs(u)) => co_walk(f, u, bounds, copy),
+            (Kind::Segs(f), Kind::Wire(u)) => co_walk(f, u, bounds, copy),
+            (Kind::Wire(f), Kind::Segs(u)) => co_walk(f, u, bounds, copy),
+            (Kind::Wire(f), Kind::Wire(u)) => co_walk(f, u, bounds, copy),
         };
         crate::ff::OBS_COPY_BYTES.add(moved as u64);
         OBS_BATCHED_BYTES.add(batched as u64);
@@ -254,28 +245,26 @@ impl<'a> CoWalk<'a> {
 /// The co-walk: `copy` every common piece of `file` and `user`, given as
 /// (window position, user position, length), until `n` bytes are moved,
 /// the file side reaches `hi` or either side ends; the bytes moved, and of
-/// those the bytes [`batch`]ed. A `profile`d call records each file-side
-/// run inside the window. It batches only if a list's next run is at most
-/// 32 B: chosen per call, as a batch test slows a loop of long runs.
+/// those the bytes [`batch`]ed. It batches only if a list's next run is at
+/// most 32 B: chosen per call, as a batch test slows a loop of long runs.
 #[inline(always)]
 fn co_walk<F: Runs, U: Runs>(
     file: &mut Cursor<F>,
     user: &mut Cursor<U>,
     bounds: (u64, u64, usize),
-    profile: bool,
     copy: &mut impl Piece,
 ) -> (usize, usize) {
     let short = |len: Option<u64>| len.is_some_and(|len| len <= 32);
-    match (profile, short(file.runs.peek()) || short(user.runs.peek())) {
-        (true, _) => pieces::<true, false, _, _>(file, user, bounds, copy),
-        (false, true) => pieces::<false, true, _, _>(file, user, bounds, copy),
-        (false, false) => pieces::<false, false, _, _>(file, user, bounds, copy),
+    if short(file.runs.peek()) || short(user.runs.peek()) {
+        pieces::<true, _, _>(file, user, bounds, copy)
+    } else {
+        pieces::<false, _, _>(file, user, bounds, copy)
     }
 }
 
 /// [`co_walk`]'s loop, a piece at a time, with `BATCH` a [`batch`] first.
 #[inline(always)]
-fn pieces<const PROFILE: bool, const BATCH: bool, F: Runs, U: Runs>(
+fn pieces<const BATCH: bool, F: Runs, U: Runs>(
     file: &mut Cursor<F>,
     user: &mut Cursor<U>,
     (lo, hi, n): (u64, u64, usize),
@@ -284,7 +273,6 @@ fn pieces<const PROFILE: bool, const BATCH: bool, F: Runs, U: Runs>(
     // the cursors as locals, so that they live in registers
     let (mut f, mut u) = (*file, *user);
     let (mut moved, mut batched) = (0usize, 0usize);
-    let (mut fresh, mut prev_end) = (true, u64::MAX);
     while moved < n {
         if BATCH {
             let b = batch(&mut f, &mut u, (lo, hi, n - moved), copy);
@@ -293,22 +281,14 @@ fn pieces<const PROFILE: bool, const BATCH: bool, F: Runs, U: Runs>(
                 break;
             }
         }
-        if f.left == 0 {
-            if !f.refill() {
-                break;
-            }
-            fresh = true;
+        if f.left == 0 && !f.refill() {
+            break;
         }
         if f.at >= hi {
             break;
         }
         debug_assert!(f.at >= lo, "a run starts before the window");
         let run = f.left.min(hi - f.at).min((n - moved) as u64);
-        if PROFILE && fresh {
-            let gap = f.at.saturating_sub(prev_end);
-            lio_obs::profile::record_run(run, gap, f.at == prev_end);
-            (fresh, prev_end) = (false, f.at + run);
-        }
         if u.left == 0 && !u.refill() {
             break;
         }
@@ -635,15 +615,14 @@ impl OlList {
     pub fn pack(&self, src: &[u8], skipbytes: u64, packbuf: &mut [u8]) -> usize {
         let stores = &mut Stores::new(Store::Cached);
         let n = packbuf.len();
-        CoWalk::new(RunCursor::contig(0), self.cursor(skipbytes))
-            .place(packbuf, 0, src, n, stores, false)
+        CoWalk::new(RunCursor::contig(0), self.cursor(skipbytes)).place(packbuf, 0, src, n, stores)
     }
 
     /// Unpack packed data into a typed buffer, skipping the first
     /// `skipbytes` data bytes. Returns bytes copied.
     pub fn unpack(&self, packbuf: &[u8], dst: &mut [u8], skipbytes: u64) -> usize {
         let n = packbuf.len();
-        CoWalk::new(RunCursor::contig(0), self.cursor(skipbytes)).extract(packbuf, 0, dst, n, false)
+        CoWalk::new(RunCursor::contig(0), self.cursor(skipbytes)).extract(packbuf, 0, dst, n)
     }
 
     /// The wire form ([`OlWire`]) of the stream bytes `stream` of this list
@@ -921,14 +900,14 @@ mod tests {
             let mut got = vec![0u8; full.len() - skip];
             let (head, tail) = got.split_at_mut(5.min(full.len() - skip));
             let (cut, rest) = (head.len(), tail.len());
-            assert_eq!(walk.place(head, 0, &src, 99, stores, false), cut);
-            let placed = walk.place(tail, cut as u64, &src, rest, stores, false);
+            assert_eq!(walk.place(head, 0, &src, 99, stores), cut);
+            let placed = walk.place(tail, cut as u64, &src, rest, stores);
             assert_eq!(placed, rest);
             assert_eq!(got, full[skip..], "skip {skip}");
             // past the end of the list nothing moves, either way
             let end = (full.len() - skip) as u64;
-            let place = walk.place(&mut [0u8; 4], end, &src, 4, stores, false);
-            let extract = walk.extract(&[1u8; 4], end, &mut src.clone(), 4, false);
+            let place = walk.place(&mut [0u8; 4], end, &src, 4, stores);
+            let extract = walk.extract(&[1u8; 4], end, &mut src.clone(), 4);
             assert_eq!((place, extract), (0, 0));
         }
     }

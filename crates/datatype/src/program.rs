@@ -57,7 +57,7 @@
 //! I/O on the same fileview or memtype pays compilation once; the
 //! `dt.compile.*` counters expose build-vs-hit behavior.
 
-use std::sync::{Arc, Once};
+use std::sync::Arc;
 
 use lio_obs::LazyCounter;
 
@@ -160,10 +160,6 @@ pub struct RunProgram {
     pub(crate) extent: i64,
     frames: u32,
     rewrites: u32,
-    /// Fed to the access-pattern profiler by the first copy or flattening
-    /// that runs it; navigation alone does not, so the profile describes
-    /// the programs that move or list bytes.
-    profiled: Once,
 }
 
 impl Datatype {
@@ -174,31 +170,12 @@ impl Datatype {
         if self.0.program.get().is_some() {
             OBS_COMPILE_CACHE_HITS.incr();
         }
-        let p = self.compiled();
-        p.profiled.call_once(|| {
-            if lio_obs::profile::enabled() {
-                let shape = Shape::of(p.root.as_ref());
-                // a single Blocks frame is the fully normalized form:
-                // one strided memcpy loop, no interpreter recursion
-                let normalized = p.frames == 1 && matches!(p.root, Some(PNode::Blocks { .. }));
-                lio_obs::profile::record_program(
-                    p.frames,
-                    shape.loops,
-                    shape.tails,
-                    shape.blocks.iter().copied().min().unwrap_or(u64::MAX),
-                    shape.blocks.iter().copied().max().unwrap_or(0),
-                    normalized,
-                    p.rewrites,
-                    &shape.blocks,
-                );
-            }
-        });
-        p
+        self.compiled()
     }
 
-    /// [`Datatype::program`] without counting a cache hit or feeding the
-    /// profiler: navigation's way in, whose calls take nanoseconds and
-    /// would each pay a shared counter's atomic add.
+    /// [`Datatype::program`] without counting a cache hit: navigation's
+    /// way in, whose calls take nanoseconds and would each pay a shared
+    /// counter's atomic add.
     pub(crate) fn compiled(&self) -> &RunProgram {
         self.0
             .program
@@ -217,10 +194,10 @@ impl RunProgram {
     /// [`Datatype::program`]).
     pub fn compile(d: &Datatype) -> RunProgram {
         let raw = compile_node(d);
-        let before = Shape::of(raw.as_ref()).frames();
+        let before = raw.as_ref().map_or(0, frames_of);
         let mut rewrites = 0u32;
         let root = raw.map(|n| normalize(n, &mut rewrites));
-        let frames = Shape::of(root.as_ref()).frames();
+        let frames = root.as_ref().map_or(0, frames_of);
         OBS_NORM_FRAMES_BEFORE.add(before as u64);
         OBS_NORM_FRAMES_AFTER.add(frames as u64);
         if rewrites > 0 {
@@ -229,7 +206,6 @@ impl RunProgram {
         RunProgram {
             frames,
             rewrites,
-            profiled: Once::new(),
             root,
             size: d.size(),
             extent: d.extent() as i64,
@@ -253,7 +229,7 @@ impl RunProgram {
         self.root.as_ref().map_or(0, node_blocks)
     }
 
-    /// A compact structural description, for tests and the profiler:
+    /// A compact structural description, for tests:
     /// `B(base,stride,block,count)`, `L(base,count,stride,size)[body]`,
     /// `T[@disp part; ...]`, or `-` for an empty program.
     pub fn describe(&self) -> String {
@@ -824,41 +800,12 @@ fn describe_node(node: &PNode) -> String {
     }
 }
 
-/// The frames of a program tree, in one walk: its `Loop` and `Tail`
-/// frames counted, every `Blocks` frame's block size listed (the
-/// profiler's block-size histogram).
-#[derive(Default)]
-struct Shape {
-    loops: u32,
-    tails: u32,
-    blocks: Vec<u64>,
-}
-
-impl Shape {
-    fn of(root: Option<&PNode>) -> Shape {
-        let mut shape = Shape::default();
-        if let Some(r) = root {
-            shape.add(r);
-        }
-        shape
-    }
-
-    fn add(&mut self, node: &PNode) {
-        match node {
-            PNode::Blocks { block, .. } => self.blocks.push(*block),
-            PNode::Loop { body, .. } => {
-                self.loops += 1;
-                self.add(body);
-            }
-            PNode::Tail { parts, .. } => {
-                self.tails += 1;
-                parts.iter().for_each(|p| self.add(&p.node));
-            }
-        }
-    }
-
-    fn frames(&self) -> u32 {
-        self.loops + self.tails + self.blocks.len() as u32
+/// The frames of a program tree: its `Blocks`, `Loop` and `Tail` nodes.
+fn frames_of(node: &PNode) -> u32 {
+    1 + match node {
+        PNode::Blocks { .. } => 0,
+        PNode::Loop { body, .. } => frames_of(body),
+        PNode::Tail { parts, .. } => parts.iter().map(|p| frames_of(&p.node)).sum(),
     }
 }
 

@@ -1178,7 +1178,7 @@ fn co_walk_matches_the_typemap() {
                 for w in cuts.windows(2) {
                     let stores = &mut Stores::new(store);
                     let (win, rest) = (&mut file[w[0]..w[1]], (total - skip) as usize - moved);
-                    moved += walk.place(win, w[0] as u64, &user, rest, stores, false);
+                    moved += walk.place(win, w[0] as u64, &user, rest, stores);
                 }
                 assert_eq!(moved as u64, total - skip, "{ctx} {store:?}: placed");
                 assert_eq!(file, want, "{ctx} {store:?}: the file");
@@ -1193,11 +1193,11 @@ fn co_walk_matches_the_typemap() {
             for w in cuts.windows(2) {
                 let (win, rest) = (&image[w[0]..w[1]], (total - skip) as usize - moved);
                 let n = (rng.range(0, 400) as usize).min(rest);
-                let got = walk.extract(win, w[0] as u64, &mut out, n, false);
+                let got = walk.extract(win, w[0] as u64, &mut out, n);
                 assert!(got <= n, "{ctx}: extracted past n");
                 moved += got;
                 // what n held back is left for the rest of the window
-                moved += walk.extract(win, w[0] as u64, &mut out, rest - got, false);
+                moved += walk.extract(win, w[0] as u64, &mut out, rest - got);
             }
             assert_eq!(moved as u64, total - skip, "{ctx}: extracted");
             assert_eq!(out, want, "{ctx}: the user buffer");
@@ -1297,9 +1297,9 @@ fn co_walk_through_windows(
         for (w, &n) in cuts.windows(2).zip(&budgets) {
             let (win, lo, rest) = (&mut out[w[0]..w[1]], w[0] as u64, total - skip - moved);
             let stores = &mut Stores::new(store);
-            let got = walk.place(win, lo, &src, n.min(rest), stores, false);
+            let got = walk.place(win, lo, &src, n.min(rest), stores);
             moved = split(moved, got, n.min(rest), w);
-            moved += walk.place(win, lo, &src, rest - got, stores, false);
+            moved += walk.place(win, lo, &src, rest - got, stores);
         }
         assert_eq!(moved, total - skip, "{ctx} {store:?}: placed");
         assert_eq!(out, want, "{ctx} {store:?}: the file side");
@@ -1312,9 +1312,9 @@ fn co_walk_through_windows(
     let mut moved = 0;
     for (w, &n) in cuts.windows(2).zip(&budgets) {
         let (win, lo, rest) = (&image[w[0]..w[1]], w[0] as u64, total - skip - moved);
-        let got = walk.extract(win, lo, &mut out, n.min(rest), false);
+        let got = walk.extract(win, lo, &mut out, n.min(rest));
         moved = split(moved, got, n.min(rest), w);
-        moved += walk.extract(win, lo, &mut out, rest - got, false);
+        moved += walk.extract(win, lo, &mut out, rest - got);
     }
     assert_eq!(moved, total - skip, "{ctx}: extracted");
     assert_eq!(out, want, "{ctx}: the user side");

@@ -276,7 +276,6 @@ impl Comm {
         // logical message: one send event, and `accept` records the
         // receive only for the copy it keeps).
         lio_obs::trace::msg_send(dst as u32, seq, payload.len() as u64);
-        lio_obs::profile::record_rank_exchange(self.rank as u32, payload.len() as u64);
         let dup = match self.fault.borrow_mut().as_mut() {
             Some(f) => f.dup_send(),
             None => false,

@@ -15,10 +15,10 @@
 //! relaxed atomic load and a predictable branch**; `lio-core`'s `obs_off`
 //! test counts that nothing at all is recorded while it is off.
 //!
-//! Four layers record: these metrics, [`trace`], [`profile`] and
-//! [`health`]. One switch arms any set of them, a [`Layers`]: the
-//! `LIO_OBS` environment variable (`all`, or a comma list such as
-//! `metrics,trace`; read once by [`init_from_env`]), the `lio_obs` info
+//! Three layers record: these metrics, [`trace`] and [`health`]. One
+//! switch arms any set of them, a [`Layers`]: the `LIO_OBS` environment
+//! variable (`all`, or a comma list such as `metrics,trace`; read once
+//! by [`init_from_env`]), the `lio_obs` info
 //! key and `Hints::observe` in `lio-core`, or [`Layers::arm`]. The armed
 //! set is one word, and each layer's `enabled` one relaxed load of it;
 //! each layer's own `set_enabled` flips its bit. [`snapshot`]
@@ -26,6 +26,8 @@
 //!
 //! Metric name convention: `layer.object.what`, e.g. `pfs.read.bytes`,
 //! `mpi.p2p.msgs`, `dt.pack.blocks`, `core.coll.write.exchange_ns`.
+//! [`profile`] records nothing of its own: the access-pattern profile is
+//! a view of a registry [`snapshot`].
 //!
 //! The [`trace`] module adds per-rank *events* on top of the aggregate
 //! metrics (spans, message edges, Perfetto export, critical-path
@@ -92,9 +94,9 @@ pub fn set_enabled(on: bool) {
 // The one switch: a set of layers
 // ---------------------------------------------------------------------------
 
-/// A set of the four recording layers: these metrics, [`trace`],
-/// [`profile`] and [`health`]. Combine with `|`; [`Layers::arm`] turns
-/// exactly the set's layers on and the others off.
+/// A set of the three recording layers: these metrics, [`trace`] and
+/// [`health`]. Combine with `|`; [`Layers::arm`] turns exactly the set's
+/// layers on and the others off.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Layers(u8);
 
@@ -102,15 +104,17 @@ impl Layers {
     pub const NONE: Layers = Layers(0);
     pub const METRICS: Layers = Layers(1);
     pub const TRACE: Layers = Layers(2);
-    pub const PROFILE: Layers = Layers(4);
-    pub const HEALTH: Layers = Layers(8);
-    pub const ALL: Layers = Layers(15);
+    pub const HEALTH: Layers = Layers(4);
+    pub const ALL: Layers = Layers(7);
 
+    /// The names a switch value may list, one row per layer, then
+    /// `profile`: what the [`profile`] view reads, the metrics, under the
+    /// name that once armed a layer of its own. `Display` never prints it.
     const NAMED: [(&'static str, Layers); 4] = [
         ("metrics", Layers::METRICS),
         ("trace", Layers::TRACE),
-        ("profile", Layers::PROFILE),
         ("health", Layers::HEALTH),
+        ("profile", Layers::METRICS),
     ];
 
     /// Does this set hold every layer of `other`?
@@ -121,8 +125,8 @@ impl Layers {
     /// Parse a switch value, case and spaces ignored: `all`; `0`, `off`,
     /// `false`, `disable` or empty for no layer; `1`, `on`, `true` or
     /// `enable` for metrics alone; else a comma list of
-    /// `metrics`, `trace`, `profile` and `health`. An unknown name is
-    /// the `Err`.
+    /// `metrics`, `trace`, `health` and `profile` (the metrics again).
+    /// An unknown name is the `Err`.
     pub fn parse(s: &str) -> Result<Layers, String> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
@@ -163,7 +167,7 @@ impl std::fmt::Display for Layers {
             Layers::NONE => f.write_str("off"),
             Layers::ALL => f.write_str("all"),
             set => {
-                let names: Vec<&str> = Layers::NAMED
+                let names: Vec<&str> = Layers::NAMED[..3]
                     .iter()
                     .filter(|(_, layer)| set.contains(*layer))
                     .map(|(n, _)| *n)
@@ -815,7 +819,7 @@ mod tests {
 
     /// Serialize access to the global enabled flag + registry across tests
     /// (cargo runs tests in one process, many threads).
-    fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
+    pub(crate) fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
         static GATE: Mutex<()> = Mutex::new(());
         let _g = GATE.lock().unwrap();
         reset();
@@ -1013,13 +1017,19 @@ mod tests {
             ("disable", Layers::NONE),
             ("", Layers::NONE),
             (" Trace , HEALTH ", Layers::TRACE | Layers::HEALTH),
-            ("metrics,profile,", m | Layers::PROFILE),
+            ("metrics,health,", m | Layers::HEALTH),
         ] {
             assert_eq!(Layers::parse(v), Ok(want), "{v:?}");
             assert_eq!(Layers::parse(&want.to_string()), Ok(want), "{want}");
         }
+        // `profile` is the metrics, and never printed
+        for v in ["profile", "metrics,profile", "Profile,metrics"] {
+            assert_eq!(Layers::parse(v), Ok(m), "{v:?}");
+        }
+        assert_eq!(Layers::parse("trace,profile"), Ok(Layers::TRACE | m));
+        assert_eq!((m | Layers::HEALTH).to_string(), "metrics,health");
         assert_eq!(Layers::parse("trace,loud"), Err("loud".to_string()));
-        assert!(Layers::ALL.contains(Layers::PROFILE | Layers::HEALTH));
+        assert!(Layers::ALL.contains(Layers::TRACE | Layers::HEALTH));
         assert!(!Layers::TRACE.contains(Layers::METRICS));
     }
 

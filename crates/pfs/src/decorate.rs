@@ -299,7 +299,6 @@ impl<F: StorageFile> StorageFile for CountingFile<F> {
         OBS_READ_CALLS.incr();
         OBS_READ_BYTES.add(n as u64);
         OBS_READ_SIZE.record(buf.len() as u64);
-        lio_obs::profile::record_pfs(false, buf.len() as u64);
         Ok(n)
     }
 
@@ -312,7 +311,6 @@ impl<F: StorageFile> StorageFile for CountingFile<F> {
         OBS_WRITE_CALLS.incr();
         OBS_WRITE_BYTES.add(n as u64);
         OBS_WRITE_SIZE.record(buf.len() as u64);
-        lio_obs::profile::record_pfs(true, buf.len() as u64);
         Ok(n)
     }
 

@@ -6,10 +6,17 @@
 //! region of the file is locked to prevent non-related data from being
 //! overwritten by now obsolete data in the gaps in the file buffer". This
 //! module provides that lock: an advisory byte-range lock manager shared
-//! by all processes accessing a file.
+//! by all processes accessing a file. A lock that has to wait for an
+//! overlapping range counts the wait in `pfs.lock.waits` and its time in
+//! `pfs.lock.wait_ns`; one that does not records nothing.
 
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
+
+use lio_obs::{LazyCounter, LazyHistogram};
+
+static OBS_LOCK_WAITS: LazyCounter = LazyCounter::new("pfs.lock.waits");
+static OBS_LOCK_WAIT_NS: LazyHistogram = LazyHistogram::new("pfs.lock.wait_ns");
 
 #[derive(Default)]
 struct LockState {
@@ -49,8 +56,15 @@ impl RangeLock {
         }
         let (mutex, cond) = &*self.inner;
         let mut state = mutex.lock().unwrap();
-        while state.held.iter().any(|h| overlap(h, &range)) {
-            state = cond.wait(state).unwrap();
+        let busy = |s: &LockState| s.held.iter().any(|h| overlap(h, &range));
+        if busy(&state) {
+            // counted before it waits, so a wait in progress is seen
+            OBS_LOCK_WAITS.incr();
+            let t = lio_obs::now();
+            while busy(&state) {
+                state = cond.wait(state).unwrap();
+            }
+            OBS_LOCK_WAIT_NS.record(lio_obs::elapsed_ns(t));
         }
         state.held.push(range.clone());
         RangeGuard {

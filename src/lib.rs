@@ -13,9 +13,9 @@
 //! * [`datatype`] — derived datatypes; ol-list flattening vs
 //!   flattening-on-the-fly,
 //! * [`obs`] — telemetry: metrics (counters, histograms, span timers,
-//!   JSON snapshots), event trace, profiler and health layer, armed as
-//!   one set (`LIO_OBS=metrics,trace`, `LIO_OBS=all`, or the `lio_obs`
-//!   hint),
+//!   JSON snapshots; the access-pattern profile is a view of them), event
+//!   trace and health layer, armed as one set (`LIO_OBS=metrics,trace`,
+//!   `LIO_OBS=all`, or the `lio_obs` hint),
 //! * [`pfs`] — storage substrate (mem/disk/throttled/counting files),
 //! * [`mpi`] — threads-as-ranks message passing,
 //! * [`core`] — fileviews, data sieving, two-phase collective I/O,
