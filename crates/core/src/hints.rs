@@ -4,7 +4,7 @@
 
 /// The window every loop over file bytes uses unless a hint says
 /// otherwise: the default of both [`Hints::ind_buffer_size`] and
-/// [`Hints::cb_buffer_size`], and the chunk of the contiguous-file paths.
+/// [`Hints::cb_buffer_size`].
 /// Cache-sized on purpose: an io-process stores into its window and the
 /// storage layer loads from it straight after, so the window must still
 /// be in L2 (2 MiB on the reference box) next to the messages it is

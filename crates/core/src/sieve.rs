@@ -11,7 +11,7 @@ use crate::error::{IoError, Result};
 use crate::hints::Hints;
 use crate::packer::{MemPacker, UserSide};
 use crate::scratch::Scratch;
-use crate::view::ViewNav;
+use crate::view::{Share, ViewNav};
 use crate::window::{WindowIo, Windows};
 
 /// Read `storage[offset..]` into `buf`, zero-filling anything past EOF.
@@ -52,18 +52,24 @@ pub(crate) fn write_independent(
     if total == 0 {
         return Ok(0);
     }
-
-    // c-c / nc-c: the file region is contiguous — one pack, one write.
-    if nav.view().is_contiguous() {
-        let abs = nav.stream_to_abs(stream_start);
-        return write_contiguous_region(storage, packer, user, abs, total, scratch);
-    }
-
-    // data sieving: lock, read, merge, write back, per window
     let src = UserSide::new(packer, user, stream_start);
     let stream_end = stream_start + total;
     let share = nav.share(&src, (stream_start, stream_end));
     let (lo, hi) = share.reach().expect("an access of bytes reaches the file");
+    // in atomic mode the caller already holds the whole access range;
+    // taking a lock in it again would self-deadlock
+    let guard = |range| (!whole_range_locked).then(|| lock.lock(range));
+
+    // c-c: bytes that are one run in the file and in the buffer are one
+    // write, straight from the buffer
+    let slice = packer.contig_slice(user, 0, total);
+    if let Some(slice) = slice.filter(|_| hi - lo == total) {
+        let _guard = guard(lo..hi);
+        write_window(storage, lo, slice)?;
+        return Ok(total);
+    }
+
+    // data sieving: lock, read, merge, write back, per window
     let size = hints.ind_buffer_size as u64;
     let grid = Windows::new(lo, hi, size);
     // no larger than the loop can address: a window spans at most the
@@ -88,9 +94,7 @@ pub(crate) fn write_independent(
             }
             // view bytes inside the window, capped to what we still have
             let n = nav.bytes_in(win_start, win_end).min(end - stream);
-            // in atomic mode the caller already holds the whole access
-            // range; taking the window lock again would self-deadlock
-            let _guard = (!whole_range_locked).then(|| lock.lock(win_start..win_end));
+            let _guard = guard(win_start..win_end);
             // staged, a window our data does not fill is read first
             let mut placed = 0u64;
             io.update(
@@ -102,37 +106,6 @@ pub(crate) fn write_independent(
             drop(_guard);
             short_transfer((win_start, win_end), placed, n)?;
         }
-    }
-    Ok(total)
-}
-
-/// Transfer size of the contiguous-file paths' intermediate buffer: the
-/// same cache-sized window as everywhere else, on the same grid.
-const CONTIG_CHUNK: u64 = crate::hints::DEFAULT_WINDOW as u64;
-
-/// Contiguous-file write path (the `c-c`/`nc-c` cases of Figure 1):
-/// pack (if needed) and write in large chunks.
-fn write_contiguous_region(
-    storage: &dyn StorageFile,
-    packer: &MemPacker,
-    user: &[u8],
-    abs: u64,
-    total: u64,
-    scratch: &Scratch,
-) -> Result<u64> {
-    if let Some(slice) = packer.contig_slice(user, 0, total) {
-        // c-c: a single zero-copy write
-        write_window(storage, abs, slice)?;
-        return Ok(total);
-    }
-    // nc-c: pack into the file's bytes, or through an intermediate buffer
-    let grid = Windows::new(abs, abs + total, CONTIG_CHUNK);
-    let mut io = WindowIo::new(storage, scratch, grid.max_len());
-    for (win, win_end) in grid {
-        io.update(win, win_end, || true, &mut |at, piece, _| {
-            let got = packer.pack(user, at - abs, piece);
-            debug_assert_eq!(got, piece.len());
-        })?;
     }
     Ok(total)
 }
@@ -166,20 +139,6 @@ pub(crate) fn read_independent(
     if total == 0 {
         return Ok(0);
     }
-
-    if nav.view().is_contiguous() {
-        let abs = nav.stream_to_abs(stream_start);
-        let grid = Windows::new(abs, abs + total, CONTIG_CHUNK);
-        let mut io = WindowIo::new(storage, scratch, grid.max_len());
-        for (win, win_end) in grid {
-            io.view(win, win_end, &mut |at, piece| {
-                let put = packer.unpack(piece, user, at - abs);
-                debug_assert_eq!(put, piece.len());
-            })?;
-        }
-        return Ok(total);
-    }
-
     let mut dst = UserSide::new(packer, user, stream_start);
     let mut share = nav.share(&dst, (stream_start, stream_start + total));
     let (lo, hi) = share.reach().expect("an access of bytes reaches the file");

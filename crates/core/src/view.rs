@@ -21,7 +21,9 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use lio_datatype::kernels::{Store, Stores};
-use lio_datatype::{bytes_below_tiled, ff_offset, CoWalk, Datatype, OlList, OlWire, RunCursor};
+use lio_datatype::{
+    bytes_below_tiled, ff_offset, CoWalk, Datatype, OlList, OlSeg, OlWire, RunCursor,
+};
 
 use crate::error::{IoError, Result};
 use crate::packer::{MemPacker, UserSide};
@@ -74,13 +76,6 @@ impl FileView {
         }
     }
 
-    /// Whether the view exposes the file contiguously (no holes), so
-    /// accesses can bypass sieving entirely.
-    pub fn is_contiguous(&self) -> bool {
-        self.filetype.size() == self.filetype.extent()
-            && self.filetype.single_run() == Some(self.filetype.data_lb())
-    }
-
     /// Convert an access offset in etype units to a stream byte position.
     #[inline]
     pub fn etype_offset_to_stream(&self, offset: u64) -> u64 {
@@ -125,13 +120,13 @@ impl ViewNav {
         self.abs_to_stream(hi) - self.abs_to_stream(lo)
     }
 
-    /// This view's [`Share`] of stream bytes `span` of `end`, boxed for a
-    /// loop that holds one — the sieve's. A collective loop, which asks one
-    /// share per AP and piece, holds them unboxed.
-    pub fn share<'a, U>(&'a self, end: &UserSide<'a, U>, span: (u64, u64)) -> Box<dyn Share + 'a> {
+    /// This view's [`Share`] of stream bytes `span` of `end`, for a loop
+    /// that holds one of either engine — the sieve's. A collective loop,
+    /// which asks one share per AP and piece, holds its engine's.
+    pub fn share<'a, U>(&'a self, end: &UserSide<'a, U>, span: (u64, u64)) -> ViewShare<'a> {
         match self {
-            ViewNav::List(n) => Box::new(n.share(end, span)),
-            ViewNav::Ff(n) => Box::new(n.share(span)),
+            ViewNav::List(n) => ViewShare::List(n.share(end, span)),
+            ViewNav::Ff(n) => ViewShare::Ff(n.share(span)),
         }
     }
 
@@ -178,6 +173,54 @@ pub(crate) trait Share {
     /// `Ok` once every byte has moved; the engine's error for a share
     /// that was left short.
     fn done(&self) -> Result<()>;
+}
+
+/// The [`Share`] of either engine, as [`ViewNav::share`] hands it out:
+/// held in place, not on the heap.
+pub(crate) enum ViewShare<'a> {
+    List(ListShare<'a>),
+    Ff(FfShare<'a>),
+}
+
+/// `$body` with `$s` bound to the share of either engine in `$share`.
+macro_rules! either {
+    ($share:expr, $s:ident => $body:expr) => {
+        match $share {
+            ViewShare::List($s) => $body,
+            ViewShare::Ff($s) => $body,
+        }
+    };
+}
+
+/// `place` and `extract` are kept out of line: inlined into the sieve's
+/// window loop, the list-based co-walk runs 4–6 % slower (`ind-small`
+/// `lb_write_mbps`, EXPERIMENTS.md).
+impl Share for ViewShare<'_> {
+    fn reach(&self) -> Option<(u64, u64)> {
+        either!(self, s => s.reach())
+    }
+
+    fn wants(&self, win_end: u64) -> bool {
+        either!(self, s => s.wants(win_end))
+    }
+
+    #[inline(never)]
+    fn place(&mut self, src: &UserSide<&[u8]>, piece: &mut [u8], at: u64, store: Store) -> usize {
+        either!(self, s => s.place(src, piece, at, store))
+    }
+
+    #[inline(never)]
+    fn extract(&mut self, piece: &[u8], at: u64, dst: &mut UserSide<&mut [u8]>) -> usize {
+        either!(self, s => s.extract(piece, at, dst))
+    }
+
+    fn rest(&self) -> (u64, u64) {
+        either!(self, s => s.rest())
+    }
+
+    fn done(&self) -> Result<()> {
+        either!(self, s => s.done())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -236,8 +279,16 @@ impl ListNav {
     }
 
     /// A cursor over the view's runs, at file offsets, from stream
-    /// position `stream0` on. Construction performs the linear locate.
+    /// position `stream0` on. Construction performs the linear locate; a
+    /// view whose one run fills its extent is one endless run, as ROMIO
+    /// treats a contiguous filetype.
     pub fn cursor(&self, stream0: u64) -> RunCursor<'_> {
+        if let [OlSeg { offset, len }] = self.list.segs[..] {
+            if len == self.fext() {
+                let at = self.view.disp.wrapping_add_signed(offset) + stream0;
+                return RunCursor::contig(at as usize);
+            }
+        }
         (self.list).tiled_cursor(self.view.disp, self.fext(), self.fsize(), stream0)
     }
 
@@ -484,19 +535,6 @@ mod tests {
         // etype not dividing filetype size
         let ft = Datatype::contiguous(3, &Datatype::byte()).unwrap();
         assert!(FileView::new(0, Datatype::int(), ft).is_err());
-    }
-
-    #[test]
-    fn contiguous_detection() {
-        assert!(FileView::bytes().is_contiguous());
-        let dense = FileView::new(
-            8,
-            Datatype::double(),
-            Datatype::contiguous(4, &Datatype::double()).unwrap(),
-        )
-        .unwrap();
-        assert!(dense.is_contiguous());
-        assert!(!sample_view(0).is_contiguous());
     }
 
     #[test]

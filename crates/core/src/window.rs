@@ -1,7 +1,6 @@
 //! The window grid: every window loop of this crate — the sieve windows
-//! of independent access, the IOP windows of the two-phase schedule and
-//! the staging chunks of the contiguous paths — cuts its byte range along
-//! absolute multiples of the window size.
+//! of independent access and the IOP windows of the two-phase schedule —
+//! cuts its byte range along absolute multiples of the window size.
 //!
 //! Absolute, not relative to where the data starts: the boundaries then
 //! fall on page and lock-stripe boundaries of the storage whatever the

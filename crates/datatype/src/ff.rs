@@ -55,14 +55,11 @@ pub static OBS_COPY_BYTES: LazyCounter = LazyCounter::new("dt.copy.bytes");
 /// data byte of instance `k`.
 ///
 /// This is the primitive from which `ff_size` and `ff_extent` are built:
-/// one division for the instance, then [`crate::RunProgram::offset_of`]
-/// on the type's compiled program, `O(depth)`.
+/// [`crate::RunProgram::offset_of`] on the type's compiled program, whose
+/// instance frame is entered as any other frame, `O(depth)`.
 pub fn ff_offset(d: &Datatype, databytes: u64) -> i64 {
     debug_assert!(d.is_monotone(), "navigation requires a monotone type");
-    let size = d.size();
-    assert!(size > 0, "cannot navigate a zero-size type");
-    let inst = databytes / size;
-    inst as i64 * d.extent() as i64 + d.compiled().offset_of(databytes % size)
+    d.compiled().offset_of(databytes)
 }
 
 /// The number of data bytes contained in a window of `extent` bytes
@@ -86,9 +83,9 @@ pub fn ff_extent(d: &Datatype, skipbytes: u64, size: u64) -> u64 {
 }
 
 /// Count the data bytes of the tiled layout of `d` with positions in
-/// `[0, x)`. The inverse of [`ff_offset`]: the instances wholly below `x`
-/// are one division, the one `x` cuts is
-/// [`crate::RunProgram::bytes_below`].
+/// `[0, x)`. The inverse of [`ff_offset`]:
+/// [`crate::RunProgram::bytes_below`], where the instances wholly below
+/// `x` are one division of the instance frame.
 ///
 /// Unlike [`ff_offset`], this does not require full monotonicity: it is
 /// also correct for types whose *top-level* fields interleave (such as the
@@ -100,15 +97,7 @@ pub fn bytes_below_tiled(d: &Datatype, x: i64) -> u64 {
         d.data_ub() - d.data_lb() <= d.extent() as i64 && d.data_lb() >= 0,
         "tiled counting requires instance-confined, non-negative data"
     );
-    let size = d.size();
-    if size == 0 || x <= 0 {
-        return 0;
-    }
-    let ext = d.extent() as i64;
-    // Number of instances whose data lies entirely below x; at most the
-    // following instance can be cut by x (instance-confined data).
-    let full = ((x - d.data_ub()).div_euclid(ext) + 1).max(0);
-    full as u64 * size + d.compiled().bytes_below(x - full * ext)
+    d.compiled().bytes_below(x)
 }
 
 /// Pack non-contiguous data from the typed buffer `src` into the

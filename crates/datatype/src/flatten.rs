@@ -476,16 +476,16 @@ impl OlList {
     /// operation ROMIO performs when a fileview is first established. The
     /// type's compiled [`crate::RunProgram`] is expanded, each strided
     /// frame's tuples in one loop, into a list reserved once from the
-    /// program's block count; adjacent runs are merged, as ROMIO's
-    /// flattening does.
+    /// program's block count; its runs come merged, as a copy moves them
+    /// and as ROMIO's flattening merges them.
     pub fn flatten(d: &Datatype, count: u64) -> OlList {
         let prog = d.program();
         let mut segs: Vec<OlSeg> = Vec::new();
         // merging only shortens the list, so the count is an upper bound;
         // one too large to allocate leaves the list to grow as it fills
-        let blocks = prog.blocks().saturating_mul(count);
+        let blocks = prog.blocks.saturating_mul(count);
         let _ = segs.try_reserve_exact(usize::try_from(blocks).unwrap_or(usize::MAX));
-        prog.expand(count, &mut |disp, len| push_merged(&mut segs, disp, len));
+        prog.expand(count, &mut |offset, len| segs.push(OlSeg { offset, len }));
         let list = OlList { segs };
         if lio_obs::enabled() {
             OBS_FLATTEN_CALLS.incr();
@@ -783,19 +783,6 @@ fn decode(tuple: &[u8; TUPLE_BYTES]) -> (u64, u64) {
     let (offset, len) = tuple.split_at(8);
     let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
     (word(offset), word(len))
-}
-
-/// Append the block `len` bytes at `offset`, folding it into the last
-/// block when that one ends where it starts.
-#[inline]
-fn push_merged(segs: &mut Vec<OlSeg>, offset: i64, len: u64) {
-    if let Some(last) = segs.last_mut() {
-        if last.offset + last.len as i64 == offset {
-            last.len += len;
-            return;
-        }
-    }
-    segs.push(OlSeg { offset, len });
 }
 
 #[cfg(test)]

@@ -17,16 +17,14 @@
 //!
 //! Normalization happens at compile time, in two stages:
 //!
-//! * **construction folding** — any subtree that reduces to the canonical
-//!   strided form becomes a single [`PNode::Blocks`] frame (this subsumes
-//!   contiguous children, unit-count wrappers, dense vectors, and evenly
-//!   spaced indexed blocks — the same folding as [`Datatype::as_strided`],
-//!   applied at *every* level, not just the root); regular repetition that
-//!   cannot fold becomes a [`PNode::Loop`] frame storing the body's data
-//!   size so a `skipbytes` entry point divides instead of iterating;
-//!   irregular displacement lists (ragged hindexed, multi-field structs)
-//!   become a [`PNode::Tail`] with a size-prefix table, entered by binary
-//!   search;
+//! * **construction folding** — repetition that keeps blocks evenly
+//!   spaced becomes a single [`PNode::Blocks`] frame ([`tile`] at *every*
+//!   level: contiguous children, unit-count wrappers, dense vectors);
+//!   regular repetition that cannot fold becomes a [`PNode::Loop`] frame
+//!   storing the body's data size so a `skipbytes` entry point divides
+//!   instead of iterating; displacement lists (hindexed, multi-field
+//!   structs) become a [`PNode::Tail`] with a size-prefix table, entered
+//!   by binary search;
 //! * **a normalization pass** ([`normalize`]) that rewrites the raw tree
 //!   into canonical strided form wherever the type map permits: it merges
 //!   adjacent blocks whose spacing equals the block size, hoists
@@ -36,12 +34,17 @@
 //!   frames — splitting a ragged tail into a strided prefix plus a short
 //!   literal tail — and collapses single-part tails. The
 //!   `dt.normalize.{rewrites,frames_before,frames_after}` counters record
-//!   what the pass accomplished.
+//!   what the pass accomplished. [`Datatype::as_strided`] is an instance
+//!   that folds and normalizes to one `Blocks` frame.
 //!
+//! The root is the **instance frame**: the type's instances tiled at its
+//! extent through the same folds, once per type, so instances that abut
+//! merge (a byte view is one block) and `count` only bounds the bytes.
 //! Every `Blocks` frame is copied by the frame executor
 //! ([`StridedSpec::copy_instance`]): one call of the safe fixed-width loop
-//! ([`crate::strided::strided_copy`]) per run of whole blocks, no
-//! per-block dispatch or division.
+//! ([`crate::strided::strided_copy`]) per run of whole blocks, and runs
+//! that abut across frames reach it as one — a copy makes the fewest runs
+//! its typemap allows.
 //!
 //! The interpreter therefore preserves the paper's navigation contract:
 //! entry at an arbitrary `skipbytes` costs `O(depth)` (one division per
@@ -151,13 +154,18 @@ fn tail(parts: Vec<Part>) -> PNode {
 }
 
 /// A datatype compiled to a run program. Obtain via
-/// [`Datatype::program`]; the instance layout (`size`/`extent`) is
-/// duplicated here so the interpreter never touches the tree.
+/// [`Datatype::program`]. Its root is the instance frame, instance `i` at
+/// `i · extent`: a copy or navigation of `count` instances enters it like
+/// any frame.
 #[derive(Debug)]
 pub struct RunProgram {
     pub(crate) root: Option<PNode>,
     pub(crate) size: u64,
-    pub(crate) extent: i64,
+    /// Instances the root tiles.
+    instances: u64,
+    /// Blocks one instance emits before adjacent ones merge (saturating):
+    /// the count ROMIO takes before it fills an ol-list.
+    pub(crate) blocks: u64,
     frames: u32,
     rewrites: u32,
 }
@@ -196,23 +204,29 @@ impl RunProgram {
         let raw = compile_node(d);
         let before = raw.as_ref().map_or(0, frames_of);
         let mut rewrites = 0u32;
-        let root = raw.map(|n| normalize(n, &mut rewrites));
-        let frames = root.as_ref().map_or(0, frames_of);
+        let one = raw.map(|n| normalize(n, &mut rewrites));
+        let frames = one.as_ref().map_or(0, frames_of);
         OBS_NORM_FRAMES_BEFORE.add(before as u64);
         OBS_NORM_FRAMES_AFTER.add(frames as u64);
         if rewrites > 0 {
             OBS_NORM_REWRITES.add(rewrites as u64);
         }
+        // as many instances as keep the frame's positions and bytes below
+        // 2^62, so that no frame arithmetic overflows
+        let (size, extent) = (d.size(), d.extent());
+        let instances = (1 << 62) / size.max(extent).max(1);
         RunProgram {
             frames,
             rewrites,
-            root,
-            size: d.size(),
-            extent: d.extent() as i64,
+            blocks: one.as_ref().map_or(0, node_blocks),
+            root: one.map(|n| tile(n, instances, extent as i64, size)),
+            size,
+            instances,
         }
     }
 
-    /// Number of program nodes (loop/tail/block frames).
+    /// Number of program nodes (loop/tail/block frames) of one instance,
+    /// the instance frame not counted.
     pub fn frames(&self) -> u32 {
         self.frames
     }
@@ -223,17 +237,20 @@ impl RunProgram {
         self.rewrites
     }
 
-    /// Blocks one instance emits before adjacent ones merge (saturating):
-    /// the count ROMIO takes before it fills an ol-list.
-    pub(crate) fn blocks(&self) -> u64 {
-        self.root.as_ref().map_or(0, node_blocks)
-    }
-
     /// A compact structural description, for tests:
     /// `B(base,stride,block,count)`, `L(base,count,stride,size)[body]`,
-    /// `T[@disp part; ...]`, or `-` for an empty program.
+    /// `T[@disp part; ...]`, or `-` for an empty program; `k` times the
+    /// instance count reads `kn`, as in `L(0,n,extent,size)[B(…)]`.
     pub fn describe(&self) -> String {
-        self.root.as_ref().map_or_else(|| "-".into(), describe_node)
+        let n = self.instances;
+        self.root
+            .as_ref()
+            .map_or_else(|| "-".into(), |r| describe_node(r, n))
+    }
+
+    /// The data bytes of `count` instances, at most the instance frame's.
+    pub(crate) fn total(&self, count: u64) -> u64 {
+        self.size * count.min(self.instances)
     }
 
     /// Pack `count` tiled instances into `packbuf`, skipping the first
@@ -251,7 +268,7 @@ impl RunProgram {
             typed: src,
             contig: packbuf,
         };
-        self.run(x, buf_disp, count, skip)
+        self.run(x, buf_disp, count, skip, lio_obs::enabled())
     }
 
     /// Unpack `packbuf` into `count` tiled instances of `dst`, skipping
@@ -273,7 +290,7 @@ impl RunProgram {
             typed: dst,
             stores: Stores::new(store),
         };
-        self.run(x, buf_disp, count, skip)
+        self.run(x, buf_disp, count, skip, lio_obs::enabled())
     }
 
     /// Move up to `n` stream bytes from a typed user buffer straight into
@@ -302,7 +319,7 @@ impl RunProgram {
             stores: Stores::new(store),
         };
         let x = Transfer::new(Stretches::new(from, ucount, uskip), n, ends);
-        self.run(x, buf_disp, count, skip)
+        self.run(x, buf_disp, count, skip, lio_obs::enabled())
     }
 
     /// The inverse of [`RunProgram::transfer_into`]: move up to `n` stream
@@ -331,52 +348,44 @@ impl RunProgram {
             at: user_at,
         };
         let x = Transfer::new(Stretches::new(to, ucount, uskip), n, ends);
-        self.run(x, buf_disp, count, skip)
+        self.run(x, buf_disp, count, skip, lio_obs::enabled())
     }
 
-    /// Where data byte `w` of one instance lies (`w` < the type's size):
-    /// one division per `Blocks` or `Loop` frame, one binary search of a
-    /// `Tail`'s size prefixes, down one path — `O(depth)`.
+    /// Where data byte `w` of the tiled instances lies: one division per
+    /// `Blocks` or `Loop` frame, one binary search of a `Tail`'s size
+    /// prefixes, down one path — `O(depth)`.
     pub fn offset_of(&self, w: u64) -> i64 {
-        debug_assert!(w < self.size, "data byte {w} of a {}-byte type", self.size);
-        self.root
-            .as_ref()
-            .expect("a zero-size type holds no data byte")
-            .offset_of(w)
+        let root = self.root.as_ref().expect("a zero-size type holds no data");
+        debug_assert!(w < self.total(u64::MAX), "byte {w} past the frame");
+        root.offset_of(w)
     }
 
-    /// Data bytes of one instance at positions below `x`, the inverse of
-    /// [`RunProgram::offset_of`]: `O(depth)` on a monotone type, and right
-    /// on any type whose data positions do not overlap, such as the
-    /// mergeview, whose filetypes interleave: overlapping repetitions or
-    /// tail parts are summed one by one.
+    /// Data bytes of the tiled instances at positions below `x`, the
+    /// inverse of [`RunProgram::offset_of`]: `O(depth)` on a monotone
+    /// type, and right on any type whose data positions do not overlap,
+    /// such as the mergeview, whose filetypes interleave: overlapping
+    /// repetitions or tail parts are summed one by one.
     pub fn bytes_below(&self, x: i64) -> u64 {
         self.root.as_ref().map_or(0, |r| r.bytes_below(x))
     }
 
-    /// Hand `emit` every block of `count` tiled instances as `(disp, len)`,
-    /// in typemap order, instance `i` at `i · extent`: each `Blocks` frame
-    /// emits its blocks in one loop, `Loop` and `Tail` frames recurse at
-    /// their displacements. The list-based engine's explicit flattening
-    /// ([`crate::OlList::flatten`]) is this expansion.
+    /// Hand `emit` every run of `count` tiled instances as `(disp, len)`,
+    /// in typemap order, the runs a copy moves: the executor's, over a
+    /// window from the lowest data position on that never ends. The
+    /// list-based engine's explicit flattening ([`crate::OlList::flatten`])
+    /// is this expansion.
     pub(crate) fn expand(&self, count: u64, emit: &mut impl FnMut(i64, u64)) {
-        let Some(root) = &self.root else {
-            return;
-        };
-        let mut origin = 0i64;
-        for _ in 0..count {
-            root.expand(origin, emit);
-            origin += self.extent;
-        }
+        let lb = self.root.as_ref().map_or(0, |r| r.span().0);
+        self.run(Emit { lb, emit }, lb, count, 0, false);
     }
 
     /// Interpret the program over `count` tiled instances, in the
-    /// direction `x` fixes.
-    fn run<X: Xfer>(&self, x: X, buf_disp: i64, count: u64, skip: u64) -> (usize, u64) {
+    /// direction `x` fixes; `obs`: record the runs and bytes it copies.
+    fn run<X: Xfer>(&self, x: X, buf_disp: i64, count: u64, skip: u64, obs: bool) -> (usize, u64) {
         let Some(root) = &self.root else {
             return (0, 0);
         };
-        let total = self.size.saturating_mul(count);
+        let total = self.total(count);
         let (_, contig) = x.lens();
         if skip >= total || contig == 0 {
             return (0, 0);
@@ -385,23 +394,39 @@ impl RunProgram {
             cap: (total - skip).min(contig as u64) as usize,
             x,
             cursor: 0,
-            runs: 0,
             clipped: false,
-            obs: lio_obs::enabled(),
+            run: (0, 0, 0),
+            runs: 0,
+            obs,
         };
-        let mut inst = skip / self.size;
-        let mut s = skip % self.size;
-        let mut origin = inst as i64 * self.extent - buf_disp;
-        while inst < count && !sink.full() {
-            root.walk(origin, s, &mut sink);
-            inst += 1;
-            s = 0;
-            origin += self.extent;
-        }
+        root.walk(-buf_disp, skip, &mut sink);
+        sink.flush();
         if sink.obs {
             crate::ff::OBS_COPY_BYTES.add(sink.cursor as u64);
         }
         (sink.cursor, sink.runs)
+    }
+}
+
+impl Datatype {
+    /// The canonical strided decomposition of one instance's data, if the
+    /// type reduces to evenly spaced dense blocks: its instance's program,
+    /// normalized, when that is one `Blocks` frame.
+    pub fn as_strided(&self) -> Option<StridedSpec> {
+        match normalize(compile_node(self)?, &mut 0) {
+            PNode::Blocks {
+                base,
+                stride,
+                block,
+                count,
+            } => Some(StridedSpec {
+                base,
+                stride,
+                block,
+                count,
+            }),
+            _ => None,
+        }
     }
 }
 
@@ -410,15 +435,9 @@ fn compile_node(d: &Datatype) -> Option<PNode> {
     if d.size() == 0 {
         return None;
     }
-    // Any strided-reducible subtree collapses to one Blocks frame.
-    if let Some(s) = d.as_strided() {
-        return Some(blocks(s.base, s.stride, s.block, s.count));
-    }
     match d.kind() {
-        // Basic always reduces to strided; markers hold no data.
-        TypeKind::Basic { .. } | TypeKind::LbMark | TypeKind::UbMark => {
-            unreachable!("leaf types reduce to a Blocks frame or hold no data")
-        }
+        TypeKind::Basic { size } => Some(blocks(0, *size as i64, *size as u64, 1)),
+        TypeKind::LbMark | TypeKind::UbMark => unreachable!("markers hold no data"),
         TypeKind::Contiguous { count, child } => {
             let body = compile_node(child)?;
             Some(tile(body, *count, child.extent() as i64, child.size()))
@@ -441,7 +460,8 @@ fn compile_node(d: &Datatype) -> Option<PNode> {
             let cext = child.extent() as i64;
             let csize = child.size();
             let childp = compile_node(child)?;
-            // zero-length blocks are dropped at construction
+            // zero-length blocks are dropped at construction; equal ones at
+            // one step (the `indexed_block` shape) fold in `normalize`
             let parts = blocks
                 .iter()
                 .map(|b| Part {
@@ -482,12 +502,18 @@ fn compile_node(d: &Datatype) -> Option<PNode> {
 
 /// `n` repetitions of `body` (holding `body_size` data bytes) placed
 /// `step` bytes apart: fold into the body's Blocks frame when the
-/// repetitions keep blocks evenly spaced (mirroring
-/// `StridedSpec::tile`), collapse unit counts, loop otherwise.
-fn tile(body: PNode, n: u64, step: i64, body_size: u64) -> PNode {
+/// repetitions keep blocks evenly spaced, into the body's Loop frame when
+/// they continue its repetitions, collapse unit counts, loop otherwise.
+fn tile(mut body: PNode, n: u64, step: i64, body_size: u64) -> PNode {
     debug_assert!(n >= 1, "zero-count subtrees hold no data");
     if n == 1 {
         return body;
+    }
+    if let PNode::Loop { count, stride, .. } = &mut body {
+        if step == *stride * *count as i64 {
+            *count *= n;
+            return body;
+        }
     }
     if let PNode::Blocks {
         base,
@@ -775,25 +801,43 @@ fn fold_runs(parts: Vec<Part>, rw: &mut u32) -> Vec<Part> {
     out
 }
 
-fn describe_node(node: &PNode) -> String {
+/// [`RunProgram::describe`] of `node` in a program of `n` instances.
+fn describe_node(node: &PNode, n: u64) -> String {
+    let num = |v: u64| match (v / n, v % n) {
+        (1, 0) if n > 1 => "n".to_string(),
+        (k @ 2.., 0) if n > 1 => format!("{k}n"),
+        _ => v.to_string(),
+    };
+    let signed = |v: i64| if v > 0 { num(v as u64) } else { v.to_string() };
     match node {
         PNode::Blocks {
             base,
             stride,
             block,
             count,
-        } => format!("B({base},{stride},{block},{count})"),
+        } => format!(
+            "B({base},{},{},{})",
+            signed(*stride),
+            num(*block),
+            num(*count)
+        ),
         PNode::Loop {
             base,
             count,
             stride,
             size,
             body,
-        } => format!("L({base},{count},{stride},{size})[{}]", describe_node(body)),
+        } => format!(
+            "L({base},{},{},{})[{}]",
+            num(*count),
+            signed(*stride),
+            num(*size),
+            describe_node(body, n)
+        ),
         PNode::Tail { parts, .. } => {
             let inner: Vec<String> = parts
                 .iter()
-                .map(|p| format!("@{} {}", p.disp, describe_node(&p.node)))
+                .map(|p| format!("@{} {}", p.disp, describe_node(&p.node, n)))
                 .collect();
             format!("T[{}]", inner.join("; "))
         }
@@ -849,14 +893,18 @@ fn reps_below(
 
 /// Where the interpreter's runs go: `x` fixes the direction (pack gathers
 /// out of the typed buffer, unpack scatters into it), `cursor..cap` is the
-/// contiguous side still to move.
+/// contiguous side still to move. A run waits until the next one shows
+/// whether it continues it in the typed layout; then the two are one.
 struct Sink<X> {
     x: X,
     cursor: usize,
     cap: usize,
-    runs: u64,
     /// The typed-side window ended before the capacity did.
     clipped: bool,
+    /// The waiting run: window position, stream position, bytes.
+    run: (usize, usize, usize),
+    /// Runs moved, each recorded in `dt.run.len` when `obs`.
+    runs: u64,
     obs: bool,
 }
 
@@ -868,12 +916,86 @@ impl<X: Xfer> Sink<X> {
 
     /// One instance of a `Blocks` frame at `origin`, entered after `skip`
     /// data bytes, through the shared frame executor.
-    fn blocks(&mut self, spec: &StridedSpec, origin: i64, skip: u64) {
+    fn frame(&mut self, spec: &StridedSpec, origin: i64, skip: u64) {
         let want = (spec.size() - skip).min((self.cap - self.cursor) as u64) as usize;
-        let (n, runs) = spec.copy_instance(&mut self.x, origin, skip, self.cursor, want, self.obs);
+        let n = spec.copy_instance(self, origin, skip, self.cursor, want);
         self.cursor += n;
-        self.runs += runs;
         self.clipped = n < want;
+    }
+
+    /// Move the waiting run.
+    fn flush(&mut self) {
+        let (t, c, n) = std::mem::take(&mut self.run);
+        if n > 0 {
+            self.x.copy(t, c, n);
+            self.runs += 1;
+            if self.obs {
+                crate::ff::OBS_RUN_LEN.record(n as u64);
+            }
+        }
+    }
+}
+
+/// The executor's side of a [`Sink`]: its stream positions follow each
+/// other, so a run continues the waiting one where its window position does.
+impl<X: Xfer> Xfer for Sink<X> {
+    fn lens(&self) -> (usize, usize) {
+        self.x.lens()
+    }
+
+    #[inline]
+    fn copy(&mut self, t: usize, c: usize, n: usize) {
+        let (wt, wc, wn) = self.run;
+        debug_assert!(
+            wn == 0 || c == wc + wn,
+            "the executor moves the stream in order"
+        );
+        if wn > 0 && t == wt + wn {
+            self.run.2 += n;
+            return;
+        }
+        self.flush();
+        self.run = (t, c, n);
+    }
+
+    /// The first block may continue the waiting run and the last one
+    /// waits; the blocks between them are one batch.
+    #[inline]
+    fn blocks(&mut self, t: usize, stride: usize, c: usize, block: usize, n: usize) {
+        self.copy(t, c, block);
+        if n == 1 {
+            return;
+        }
+        self.flush();
+        if n > 2 {
+            self.x.blocks(t + stride, stride, c + block, block, n - 2);
+            self.runs += n as u64 - 2;
+            if self.obs {
+                crate::ff::OBS_RUN_LEN.record_n(block as u64, n as u64 - 2);
+            }
+        }
+        self.run = (t + (n - 1) * stride, c + (n - 1) * block, block);
+    }
+}
+
+/// The [`Xfer`] of [`RunProgram::expand`]: each run's position, `lb`
+/// past its window position, and length go to `emit`; nothing is copied.
+struct Emit<F> {
+    lb: i64,
+    emit: F,
+}
+
+impl<F: FnMut(i64, u64)> Xfer for Emit<F> {
+    fn lens(&self) -> (usize, usize) {
+        (i64::MAX as usize, usize::MAX)
+    }
+
+    fn copy(&mut self, t: usize, _: usize, n: usize) {
+        (self.emit)(self.lb + t as i64, n as u64);
+    }
+
+    fn blocks(&mut self, t: usize, stride: usize, _: usize, block: usize, n: usize) {
+        (0..n).for_each(|i| self.copy(t + i * stride, 0, block));
     }
 }
 
@@ -965,43 +1087,6 @@ impl PNode {
         }
     }
 
-    /// Emit every block of one instance of this node at `origin`
-    /// ([`RunProgram::expand`]).
-    fn expand(&self, origin: i64, emit: &mut impl FnMut(i64, u64)) {
-        match self {
-            PNode::Blocks {
-                base,
-                stride,
-                block,
-                count,
-            } => {
-                let mut at = origin + base;
-                for _ in 0..*count {
-                    emit(at, *block);
-                    at += stride;
-                }
-            }
-            PNode::Loop {
-                base,
-                count,
-                stride,
-                body,
-                ..
-            } => {
-                let mut org = origin + base;
-                for _ in 0..*count {
-                    body.expand(org, emit);
-                    org += stride;
-                }
-            }
-            PNode::Tail { parts, .. } => {
-                for part in parts.iter() {
-                    part.node.expand(origin + part.disp, emit);
-                }
-            }
-        }
-    }
-
     /// Execute one instance of this node at `origin`, entering after
     /// `skip` data bytes (`skip` < the node's data size). The `O(depth)`
     /// entry divides/searches per frame; thereafter every iteration is a
@@ -1021,7 +1106,7 @@ impl PNode {
                     count: *count,
                 };
                 if skip < spec.size() {
-                    sink.blocks(&spec, origin, skip);
+                    sink.frame(&spec, origin, skip);
                 }
             }
             PNode::Loop {
@@ -1032,9 +1117,6 @@ impl PNode {
                 body,
             } => {
                 let mut i = skip / size;
-                if i >= *count {
-                    return;
-                }
                 let mut s = skip % size;
                 let mut org = origin + base + i as i64 * stride;
                 while i < *count {
@@ -1050,9 +1132,6 @@ impl PNode {
             PNode::Tail { parts, prefix, .. } => {
                 // prefix[0] == 0 <= skip, so the partition point is >= 1
                 let mut p = prefix.partition_point(|&v| v <= skip) - 1;
-                if p >= parts.len() {
-                    return;
-                }
                 let mut s = skip - prefix[p];
                 while p < parts.len() {
                     let part = &parts[p];

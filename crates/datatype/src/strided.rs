@@ -18,8 +18,8 @@
 //! [`StridedSpec::copy_instance`] is the one loop that walks such a
 //! frame. Its only caller is the compiled run program
 //! ([`crate::program`]), whose `Blocks` frames are exactly these specs: a
-//! whole type that reduces to one ([`Datatype::as_strided`], the
-//! compile-time fold) is a program with a single root frame. Where its
+//! type whose instance compiles to one ([`Datatype::as_strided`]) is a
+//! program of a single frame below its instance frame. Where its
 //! divisions live: one on entry, to turn the data offset into (block
 //! index, offset within the block); one per run of whole blocks, only
 //! when the caller's window cuts the run short; none per block. A run of
@@ -27,7 +27,6 @@
 //! that every pack, unpack, placement and extraction shares.
 
 use crate::kernels::Stores;
-use crate::types::{Datatype, TypeKind};
 
 /// A datatype instance as evenly spaced dense blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,125 +46,6 @@ impl StridedSpec {
     #[inline]
     pub fn size(&self) -> u64 {
         self.block * self.count
-    }
-
-    /// Fold `n` repetitions of this spec placed `step` bytes apart into a
-    /// single spec, when the placement keeps blocks evenly spaced.
-    fn tile(self, n: u64, step: i64) -> Option<StridedSpec> {
-        if n == 0 || self.count == 0 {
-            return None;
-        }
-        if n == 1 {
-            return Some(self);
-        }
-        if self.count == 1 {
-            // single block per repetition: blocks land at base + i*step
-            if step == self.block as i64 {
-                // dense: merge into one big block
-                return Some(StridedSpec {
-                    base: self.base,
-                    stride: self.block as i64 * n as i64,
-                    block: self.block * n,
-                    count: 1,
-                });
-            }
-            return Some(StridedSpec {
-                base: self.base,
-                stride: step,
-                block: self.block,
-                count: n,
-            });
-        }
-        // multi-block repetitions stay evenly spaced only if the next
-        // repetition continues the same arithmetic progression
-        if step == self.stride * self.count as i64 {
-            return Some(StridedSpec {
-                base: self.base,
-                stride: self.stride,
-                block: self.block,
-                count: self.count * n,
-            });
-        }
-        None
-    }
-
-    /// Shift the whole spec by `disp` bytes.
-    fn shifted(self, disp: i64) -> StridedSpec {
-        StridedSpec {
-            base: self.base + disp,
-            ..self
-        }
-    }
-}
-
-impl Datatype {
-    /// The canonical strided decomposition of one instance's data, if the
-    /// type reduces to evenly spaced dense blocks.
-    pub fn as_strided(&self) -> Option<StridedSpec> {
-        if self.size() == 0 {
-            return None;
-        }
-        match self.kind() {
-            TypeKind::Basic { size } => Some(StridedSpec {
-                base: 0,
-                stride: *size as i64,
-                block: *size as u64,
-                count: 1,
-            }),
-            TypeKind::LbMark | TypeKind::UbMark => None,
-            TypeKind::Contiguous { count, child } => {
-                child.as_strided()?.tile(*count, child.extent() as i64)
-            }
-            TypeKind::Hvector {
-                count,
-                blocklen,
-                stride,
-                child,
-            } => {
-                let inner = child.as_strided()?.tile(*blocklen, child.extent() as i64)?;
-                inner.tile(*count, *stride)
-            }
-            TypeKind::Hindexed { blocks, child } => {
-                // a single explicit block reduces directly; several blocks
-                // reduce iff they are equal-length and evenly spaced (the
-                // `indexed_block` shape with an arithmetic displacement
-                // progression)
-                let first = blocks.first()?;
-                let inner = child
-                    .as_strided()?
-                    .tile(first.blocklen, child.extent() as i64)?
-                    .shifted(first.disp);
-                if blocks.len() == 1 {
-                    return Some(inner);
-                }
-                let step = blocks.get(1)?.disp - first.disp;
-                let even = blocks.iter().enumerate().all(|(i, b)| {
-                    b.blocklen == first.blocklen && b.disp == first.disp + i as i64 * step
-                });
-                if !even {
-                    return None;
-                }
-                inner.tile(blocks.len() as u64, step)
-            }
-            TypeKind::Struct { fields } => {
-                // exactly one data-bearing field (markers are free)
-                let mut data_field = None;
-                for f in fields.iter() {
-                    if f.child.size() > 0 && f.count > 0 {
-                        if data_field.is_some() {
-                            return None;
-                        }
-                        data_field = Some(f);
-                    }
-                }
-                let f = data_field?;
-                f.child
-                    .as_strided()?
-                    .tile(f.count, f.child.extent() as i64)
-                    .map(|s| s.shifted(f.disp))
-            }
-            TypeKind::Resized { child, .. } => child.as_strided(),
-        }
     }
 }
 
@@ -308,8 +188,8 @@ impl StridedSpec {
     /// The frame executor. Copies up to `todo` data bytes of the instance
     /// whose origin sits at window position `origin`, entering after
     /// `skip < size()` data bytes, to or from contiguous position `c`.
-    /// Returns `(bytes, runs)`; fewer bytes than `todo.min(size() - skip)`
-    /// means the window ended first.
+    /// Returns the bytes; fewer than `todo.min(size() - skip)` means the
+    /// window ended first.
     ///
     /// `(block index, within)` is resolved once on entry. A positive
     /// stride then gets one *run*: the most whole blocks that fit both
@@ -324,8 +204,7 @@ impl StridedSpec {
         skip: u64,
         c: usize,
         todo: usize,
-        obs: bool,
-    ) -> (usize, u64) {
+    ) -> usize {
         let block = self.block as usize;
         let wlen = x.lens().0 as i64;
         let (mut j, mut within) = if skip == 0 {
@@ -334,7 +213,7 @@ impl StridedSpec {
             (skip / self.block, (skip % self.block) as usize)
         };
         let mut pos = origin + self.base + j as i64 * self.stride;
-        let (mut done, mut runs) = (0usize, 0u64);
+        let mut done = 0usize;
         let mut batch = self.stride > 0;
         while j < self.count && done < todo {
             if batch && within == 0 {
@@ -352,13 +231,9 @@ impl StridedSpec {
                 }
                 let nblk = n as usize;
                 x.blocks(pos as usize, self.stride as usize, c + done, block, nblk);
-                if obs {
-                    crate::ff::OBS_RUN_LEN.record_n(self.block, n);
-                }
                 j += n;
                 pos += n as i64 * self.stride;
                 done += nblk * block;
-                runs += n;
                 continue;
             }
             let t = pos + within as i64;
@@ -369,10 +244,6 @@ impl StridedSpec {
             let n = rest.min(todo - done).min((wlen - t) as usize);
             x.copy(t as usize, c + done, n);
             done += n;
-            runs += 1;
-            if obs {
-                crate::ff::OBS_RUN_LEN.record(n as u64);
-            }
             if n < rest {
                 break; // the bytes or the window ended mid-block
             }
@@ -380,14 +251,14 @@ impl StridedSpec {
             j += 1;
             pos += self.stride;
         }
-        (done, runs)
+        done
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Field, Order};
+    use crate::types::{Datatype, Field, Order};
 
     #[test]
     fn basic_is_one_block() {
@@ -542,20 +413,24 @@ mod tests {
 
     #[test]
     fn multi_field_struct_does_not_reduce() {
-        let d = Datatype::struct_type(vec![
-            Field {
-                disp: 0,
-                count: 1,
-                child: Datatype::int(),
-            },
-            Field {
-                disp: 16,
-                count: 1,
-                child: Datatype::int(),
-            },
-        ])
-        .unwrap();
+        let field = |disp| Field {
+            disp,
+            count: 1,
+            child: Datatype::int(),
+        };
+        // fields at uneven steps stay a tail
+        let d = Datatype::struct_type(vec![field(0), field(16), field(20)]).unwrap();
         assert!(d.as_strided().is_none());
+        // equal fields at one step are one strided frame, as the program
+        // folds them
+        let d = Datatype::struct_type(vec![field(0), field(16)]).unwrap();
+        let want = StridedSpec {
+            base: 0,
+            stride: 16,
+            block: 4,
+            count: 2,
+        };
+        assert_eq!(d.as_strided(), Some(want));
     }
 
     #[test]

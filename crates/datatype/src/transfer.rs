@@ -52,12 +52,8 @@ enum Frame<'p> {
 }
 
 /// A forward-only cursor over the blocks of `count` tiled instances of a
-/// run program, in stream order.
+/// run program, in stream order: a walk of its instance frame.
 pub(crate) struct Stretches<'p> {
-    prog: &'p RunProgram,
-    /// The instance being walked, and how many there are.
-    inst: u64,
-    count: u64,
     /// Data bytes from where the cursor started to the end of the stream.
     len: u64,
     stack: Vec<Frame<'p>>,
@@ -68,18 +64,12 @@ impl<'p> Stretches<'p> {
     /// A cursor at data byte `skip` of `count` instances of `prog`.
     pub fn new(prog: &'p RunProgram, count: u64, skip: u64) -> Self {
         let mut s = Stretches {
-            prog,
-            inst: 0,
-            count,
-            len: prog.size.saturating_mul(count).saturating_sub(skip),
+            len: prog.total(count).saturating_sub(skip),
             stack: Vec::new(),
             cur: Stretch::default(),
         };
-        if let Some(root) = &prog.root {
-            s.inst = skip / prog.size;
-            if s.inst < count {
-                s.descend(root, s.inst as i64 * prog.extent, skip % prog.size);
-            }
+        if let Some(root) = prog.root.as_ref().filter(|_| s.len > 0) {
+            s.descend(root, 0, skip);
         }
         s
     }
@@ -139,8 +129,8 @@ impl<'p> Stretches<'p> {
         }
     }
 
-    /// The stretch the stream continues with; `None` past the last
-    /// instance.
+    /// The stretch the stream continues with; `None` past the instance
+    /// frame.
     fn stretch(&mut self) -> Option<&mut Stretch> {
         while self.cur.left == 0 {
             let (node, origin) = match self.stack.last_mut() {
@@ -163,14 +153,7 @@ impl<'p> Stretches<'p> {
                     *rest = tail;
                     (&part.node, *origin + part.disp)
                 }
-                None => {
-                    self.inst += 1;
-                    if self.inst >= self.count {
-                        return None;
-                    }
-                    let root = self.prog.root.as_ref()?;
-                    (root, self.inst as i64 * self.prog.extent)
-                }
+                None => return None,
             };
             self.descend(node, origin, 0);
         }

@@ -296,7 +296,7 @@ fn normalization_pinned_shapes() {
     check(
         "ragged_tail",
         &ragged,
-        "T[@0 B(0,16,8,12); @200 B(0,8,8,1)]",
+        "L(0,n,208,104)[T[@0 B(0,16,8,12); @200 B(0,8,8,1)]]",
         2,
     );
 
@@ -306,7 +306,7 @@ fn normalization_pinned_shapes() {
     check(
         "adjacent_merge",
         &touching,
-        "T[@0 B(0,16,16,1); @32 B(0,8,8,1)]",
+        "L(0,n,40,24)[T[@0 B(0,16,16,1); @32 B(0,8,8,1)]]",
         1,
     );
 
@@ -317,7 +317,7 @@ fn normalization_pinned_shapes() {
     check(
         "dense_run_collapse",
         &dense_run,
-        "T[@0 B(0,32,32,1); @100 B(0,8,8,1)]",
+        "L(0,n,108,40)[T[@0 B(0,32,32,1); @100 B(0,8,8,1)]]",
         3,
     );
 
@@ -334,7 +334,8 @@ fn normalization_pinned_shapes() {
             .collect(),
     )
     .unwrap();
-    check("equal_disp_struct", &fields, "L(0,4,32,8)[B(0,12,4,2)]", 2);
+    let want = "L(0,n,112,32)[L(0,4,32,8)[B(0,12,4,2)]]";
+    check("equal_disp_struct", &fields, want, 2);
 
     // vector-of-vector built raggedly (hindexed rows at a step that
     // breaks cross-row stride regularity): the pass folds the 8 equal
@@ -342,7 +343,8 @@ fn normalization_pinned_shapes() {
     let lens = [1u64; 8];
     let disps: Vec<i64> = (0..8).map(|i| i * 100).collect();
     let vv = Datatype::hindexed(&lens, &disps, &row).unwrap();
-    check("vv_ragged", &vv, "L(0,8,100,32)[B(0,16,8,4)]", 2);
+    let want = "L(0,n,756,256)[L(0,8,100,32)[B(0,16,8,4)]]";
+    check("vv_ragged", &vv, want, 2);
 
     // BTIO-style tile as a struct of explicit planes: plane = 4 rows of
     // 16 B at 64-byte pitch, planes 512 B apart
@@ -362,43 +364,50 @@ fn normalization_pinned_shapes() {
         },
     ])
     .unwrap();
-    check("btio_struct_tile", &tile, "L(0,2,512,64)[B(0,64,16,4)]", 2);
+    let want = "L(0,n,720,128)[L(0,2,512,64)[B(0,64,16,4)]]";
+    check("btio_struct_tile", &tile, want, 2);
 
-    // already-canonical shapes pass through untouched
+    // already-canonical shapes pass through untouched, and dense
+    // instances are one block
     let v = Datatype::vector(4, 2, 2, &Datatype::basic(8)).unwrap();
     let p = RunProgram::compile(&v);
-    assert_eq!(p.describe(), "B(0,64,64,1)");
+    assert_eq!(p.describe(), "B(0,64n,64n,1)");
     assert_eq!(p.rewrites(), 0, "dense vector is canonical at compile");
 }
 
 /// What a pack costs, as counts: the frames a type compiles to and the
-/// runs its pack copies. A flat contiguous type is one `Blocks` frame
-/// packed in one run, so the program adds nothing to the copy a tree
-/// walk makes; the Figure 4 filetype (16 384 blocks of 8 bytes at a
-/// 16-byte pitch) is one `Blocks` frame packed in one run per block,
+/// runs its pack of three instances copies. A flat contiguous type is one
+/// `Blocks` frame, its instances one block, packed in one run, so the
+/// program adds nothing to the copy a tree walk makes; the Figure 4
+/// filetype (16 384 blocks of 8 bytes at a 16-byte pitch) is one `Blocks`
+/// frame in the instance frame, packed in one run per block but one per
+/// seam, where the last block of an instance abuts the first of the next —
 /// the shape and the trip count of the loop a user would write for it.
 #[test]
 fn pack_frames_and_runs() {
+    const COUNT: u64 = 3;
     let check = |name: &str, d: &Datatype, want: &str, runs: u64| {
         let p = RunProgram::compile(d);
         assert_eq!(p.frames(), 1, "{name}: frames");
         assert_eq!(p.describe(), want, "{name}: frame shape");
-        let span = span_of(d, 1);
+        let span = span_of(d, COUNT);
         let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
-        let mut walk = vec![0u8; d.size() as usize];
-        treewalk_pack(&src, 1, d, 0, &mut walk);
-        let mut prog = vec![0u8; d.size() as usize];
+        let total = (d.size() * COUNT) as usize;
+        let mut walk = vec![0u8; total];
+        treewalk_pack(&src, COUNT, d, 0, &mut walk);
+        let mut prog = vec![0u8; total];
         assert_eq!(
-            p.pack_into(&src, 0, 1, 0, &mut prog),
-            (d.size() as usize, runs),
+            p.pack_into(&src, 0, COUNT, 0, &mut prog),
+            (total, runs),
             "{name}: (bytes, runs) packed"
         );
         assert_eq!(prog, walk, "{name}: program corrupts data");
     };
 
     let flat = Datatype::contiguous(4 << 20, &Datatype::byte()).unwrap();
-    check("flat_contiguous", &flat, "B(0,4194304,4194304,1)", 1);
+    check("flat_contiguous", &flat, "B(0,4194304n,4194304n,1)", 1);
 
     let fig4 = Datatype::vector(16384, 1, 2, &Datatype::basic(8)).unwrap();
-    check("figure4", &fig4, "B(0,16,8,16384)", 16384);
+    let want = "L(0,n,262136,131072)[B(0,16,8,16384)]";
+    check("figure4", &fig4, want, COUNT * 16384 - (COUNT - 1));
 }

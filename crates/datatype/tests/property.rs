@@ -8,6 +8,7 @@
 //! so every run exercises the same corpus and failures are reproducible
 //! from the reported case number alone.
 
+use lio_datatype::kernels::Store;
 use lio_datatype::typemap::{expand, expand_merged, reference_pack};
 use lio_datatype::{
     bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_transfer_from,
@@ -222,6 +223,98 @@ fn flatten_is_the_tree_walk_merged() {
                 .collect();
             let want = expand_merged(d, count);
             assert_eq!(got, want, "case {case}, count {count}: {d:?}");
+        }
+    }
+}
+
+/// The runs of a stream from its data byte `skip` on, as few as its
+/// typemap allows: those of the merged typemap `merged` that end past
+/// `skip`.
+fn fewest_runs(merged: &[Run], skip: u64) -> u64 {
+    let mut end = 0;
+    merged
+        .iter()
+        .filter(|r| (end += r.len, end > skip).1)
+        .count() as u64
+}
+
+/// A copy emits the fewest runs its typemap allows: from every data byte
+/// of one and of three instances, pack, unpack and both transfers (the
+/// other side a contiguous stream) report as many runs as the merged
+/// typemap holds from there, on the corpus and on typemap-equivalent
+/// constructions, which also compile to one program:
+/// `contiguous(n·k, T)`, `contiguous(n, contiguous(k, T))` and a vector
+/// whose stride is its block; and the byte, whose instances are one run.
+#[test]
+fn copies_emit_the_fewest_runs_their_typemap_allows() {
+    let int = Datatype::int();
+    let mut corpus = vec![Datatype::byte()];
+    for t in [Datatype::basic(3), Datatype::vector(2, 1, 3, &int).unwrap()] {
+        let twins = [
+            Datatype::contiguous(12, &t).unwrap(),
+            Datatype::contiguous(3, &Datatype::contiguous(4, &t).unwrap()).unwrap(),
+            Datatype::vector(3, 4, 4, &t).unwrap(),
+        ];
+        for twin in &twins[1..] {
+            let (a, b) = (twins[0].program(), twin.program());
+            assert_eq!(a.describe(), b.describe(), "{twin:?}");
+        }
+        corpus.extend(twins);
+    }
+    corpus.extend(picked_shapes());
+    for case in 0..CASES {
+        let mut rng = Rng::new(0x3C ^ case);
+        corpus.push(arb_type(&mut rng, 3));
+    }
+    let stream = Datatype::byte();
+    let stream = stream.program();
+    for (case, d) in corpus.iter().enumerate() {
+        for count in [1u64, 3] {
+            let (origin, span) = buffer_span(d, count);
+            let total = d.size() * count;
+            let merged = expand_merged(d, count);
+            let prog = d.program();
+            let typed: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
+            let (mut out, mut whole) = (typed.clone(), vec![0u8; total as usize]);
+            // every byte of a short stream; of a long one, each run's first
+            // two and last
+            let starts: Vec<u64> = (merged.iter())
+                .scan(0, |end, r| Some((*end, *end += r.len).0))
+                .chain([total])
+                .collect();
+            let near = |s: u64| total <= 256 || starts.iter().any(|&e| s + 1 >= e && s <= e + 1);
+            for skip in (0..total).filter(|&s| near(s)) {
+                let n = (total - skip) as usize;
+                let packed = &mut whole[..n];
+                let (o, c) = (origin, count);
+                let got = [
+                    prog.pack_into(&typed, o, c, skip, packed),
+                    prog.unpack_into(packed, &mut out, o, c, skip, Store::Cached),
+                    prog.transfer_into(
+                        &mut out,
+                        o,
+                        c,
+                        skip,
+                        stream,
+                        packed,
+                        n as u64,
+                        0,
+                        n,
+                        Store::Cached,
+                    ),
+                    prog.transfer_out_of(&typed, o, c, skip, stream, packed, 0, n as u64, 0, n),
+                ];
+                let want = (n, fewest_runs(&merged, skip));
+                for (what, got) in ["pack", "unpack", "transfer to", "transfer from"]
+                    .iter()
+                    .zip(got)
+                {
+                    assert_eq!(
+                        got, want,
+                        "{what}, case {case} × {count} from {skip}: {d:?}"
+                    );
+                }
+            }
         }
     }
 }
