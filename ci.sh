@@ -85,9 +85,11 @@ done
 # window loop (one per engine) from coming back unseen. `obs`'s keeps a
 # second instrumentation from coming back unseen: the access-pattern
 # profile is a view of the one metric registry, and records nothing of
-# its own.
+# its own. `pfs`'s keeps the decorators' hand-written forwards from
+# coming back unseen: one `Decorated<F, P>` implements `StorageFile`, and
+# the throttle, the counter and the fault plan are policies of it.
 echo "== size census"
-declare -A reviewed_lines=([datatype]=6272 [core]=4523 [obs]=3548)
+declare -A reviewed_lines=([datatype]=6272 [core]=4522 [obs]=3548 [pfs]=2785)
 total=0
 for src in crates/*/src; do
   crate=$(basename "$(dirname "$src")")
@@ -202,7 +204,7 @@ done
 # the three cannot drift apart; each rerun adds its own suites in front.
 corpora=(geometry inplace own_share lent_write lent_read overlap random_views independent atomic)
 backend_suites=(backend "${corpora[@]}")
-fault_suites=(collective pipeline faults "${corpora[@]}")
+fault_suites=(collective pipeline faults lent_faults "${corpora[@]}")
 
 echo "== backend corpus LIO_BACKEND={mem,os}"
 for be in mem os; do
@@ -249,11 +251,16 @@ grep -Eq "ragged_hindexed_pack:.*[1-9][0-9]* rewritten" "$out/profile.txt"
 # Fault corpus: the three fixed seeds plus a rotating, commit-derived
 # seed so the corpus keeps widening over time without losing replay
 # determinism (the seed depends only on the commit, never the clock).
-# A fault seed wraps the device in a FaultyFile, which lends nothing: every
-# window here is staged, so the zero-fill contract of a failed IOP (the
-# rest of every AP's lent piece and reply) and `core.coll.fault_aborts`
-# are tested where a storage fault can occur at all — on the one read
-# placement that ships.
+# A fault seed decorates the device with the seed's fault plan, which lends
+# all but a seeded share of the windows: those it declines are staged, and
+# their requests meet the faults, so each op of these suites moves bytes in
+# place and staged (`lent_faults` asserts both, and injected faults, for a
+# collective write and read). The windows `slow` storage stages, behind a
+# throttle that declines every lend, meet the faults on the write-behind
+# lane. A failed IOP's zero-fill contract (the rest of every AP's lent
+# piece) and `core.coll.fault_aborts` are pinned by `faults`, `lent_read`
+# and `lent_write` on a device-loss policy that fails the lend, and again
+# behind `Staged`, which fails the staged request.
 # On failure it prints the line that replays the exact schedule: the
 # seed and `fault_suites`.
 ROTATING_SEED="0x$(git rev-parse --short=8 HEAD 2>/dev/null || echo 5EED)"

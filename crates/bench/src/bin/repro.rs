@@ -777,7 +777,7 @@ fn throttle(opts: &Opts) {
     use lio_core::{File, Hints, SharedFile};
     use lio_datatype::Datatype;
     use lio_mpi::World;
-    use lio_pfs::{MemFile, Throttle, ThrottledFile};
+    use lio_pfs::{Decorated, MemFile, Throttle};
     use std::time::Instant;
 
     let data = opts
@@ -801,7 +801,7 @@ fn throttle(opts: &Opts) {
         for (engine, ename) in ENGINES {
             let shared = match profile {
                 None => SharedFile::new(MemFile::new()),
-                Some(t) => SharedFile::new(ThrottledFile::new(MemFile::new(), t)),
+                Some(t) => SharedFile::new(Decorated::new(MemFile::new(), t)),
             };
             shared
                 .storage()
@@ -838,7 +838,7 @@ fn throttle(opts: &Opts) {
 /// One instrumented collective write + read per engine and storage, with
 /// a full `lio-obs` snapshot each. The JSON answers,
 /// per configuration: how many file accesses and bytes the storage
-/// layer saw (`pfs.*`, via a [`CountingFile`] wrapper), how many bytes
+/// layer saw (`pfs.*`, through a `lio_pfs::Counter` policy), how many bytes
 /// crossed the exchange phase and how much of that was ol-list metadata
 /// (`core.coll.exchange.*`, `mpi.*`), how many blocks the pack/unpack
 /// machinery copied (`dt.*`), and how the wall time of the collective
@@ -849,7 +849,7 @@ fn metrics(opts: &Opts) {
     use lio_core::{File, Hints, SharedFile};
     use lio_datatype::Datatype;
     use lio_mpi::World;
-    use lio_pfs::{CountingFile, MemFile, Throttle, ThrottledFile};
+    use lio_pfs::{Counter, Decorated, MemFile, Throttle};
     use std::time::Duration;
 
     let nprocs = 4usize;
@@ -867,7 +867,8 @@ fn metrics(opts: &Opts) {
     lio_obs::init_from_env();
 
     /// What a column's file is made of. Every kind but `Bare` sits under
-    /// a `CountingFile`, which — like every decorator — lends no bytes.
+    /// a `Counter`, which declines to lend: a lent window is no request to
+    /// count, so every window of those columns is staged.
     #[derive(PartialEq)]
     enum Store {
         Counted,
@@ -937,15 +938,19 @@ fn metrics(opts: &Opts) {
         };
         let throttled = *store == Store::Throttled;
         let shared = if throttled {
-            SharedFile::new(CountingFile::new(ThrottledFile::new(MemFile::new(), slow)))
+            SharedFile::new(Decorated::new(
+                Decorated::new(MemFile::new(), slow),
+                Counter::default(),
+            ))
         } else if hints.backend == lio_core::BackendKind::Os {
-            SharedFile::new(CountingFile::new(
+            SharedFile::new(Decorated::new(
                 lio_pfs::UnixFile::temp().expect("os backend temp file"),
+                Counter::default(),
             ))
         } else if *store == Store::Bare {
             SharedFile::new(MemFile::new())
         } else {
-            SharedFile::new(CountingFile::new(MemFile::new()))
+            SharedFile::new(Decorated::new(MemFile::new(), Counter::default()))
         };
         let hints = *hints;
         let shared2 = shared.clone();
@@ -1035,7 +1040,7 @@ fn top_cmd(opts: &Opts) {
     use lio_datatype::Datatype;
     use lio_mpi::World;
     use lio_obs::health;
-    use lio_pfs::{MemFile, Throttle, ThrottledFile};
+    use lio_pfs::{Decorated, MemFile, Throttle};
     use std::time::Duration;
 
     let nprocs = 4usize;
@@ -1057,7 +1062,7 @@ fn top_cmd(opts: &Opts) {
         write_bw: 1e9,
         latency: Duration::from_millis(1),
     };
-    let shared = SharedFile::new(ThrottledFile::new(MemFile::new(), slow));
+    let shared = SharedFile::new(Decorated::new(MemFile::new(), slow));
     let hints = Hints::listless().cb_buffer(4 << 10).observe(Layers::HEALTH);
     let worker = std::thread::spawn(move || {
         World::run(nprocs, move |comm| {
@@ -1113,7 +1118,7 @@ fn trace_cmd(opts: &Opts) {
     use lio_datatype::Datatype;
     use lio_mpi::World;
     use lio_obs::trace;
-    use lio_pfs::{MemFile, Throttle, ThrottledFile};
+    use lio_pfs::{Decorated, MemFile, Throttle};
     use std::time::Duration;
 
     let nprocs = 4usize;
@@ -1138,7 +1143,7 @@ fn trace_cmd(opts: &Opts) {
         write_bw: 2e9,
         latency: Duration::from_millis(1),
     };
-    let shared = SharedFile::new(ThrottledFile::new(MemFile::new(), slow));
+    let shared = SharedFile::new(Decorated::new(MemFile::new(), slow));
     let hints = Hints::listless().cb_buffer(4 << 10);
     World::run(nprocs, move |comm| {
         let me = comm.rank() as u64;
@@ -1190,7 +1195,7 @@ fn profile_cmd(opts: &Opts) {
     use lio_datatype::Datatype;
     use lio_mpi::World;
     use lio_obs::profile::Profile;
-    use lio_pfs::{CountingFile, MemFile, Throttle, ThrottledFile};
+    use lio_pfs::{Counter, Decorated, MemFile, Throttle};
     use std::time::Duration;
 
     const PROFILE_SCHEMA_VERSION: u64 = 3;
@@ -1221,7 +1226,7 @@ fn profile_cmd(opts: &Opts) {
             let nprocs = 2usize;
             let sblock = 8u64;
             let total = 16 * nblock * sblock;
-            let shared = SharedFile::new(CountingFile::new(MemFile::new()));
+            let shared = SharedFile::new(Decorated::new(MemFile::new(), Counter::default()));
             World::run(nprocs, move |comm| {
                 let me = comm.rank() as u64;
                 let mut f = File::open(comm, shared.clone(), Hints::listless()).expect("open");
@@ -1251,8 +1256,10 @@ fn profile_cmd(opts: &Opts) {
                 write_bw: 2e9,
                 latency: Duration::from_millis(1),
             };
-            let shared =
-                SharedFile::new(CountingFile::new(ThrottledFile::new(MemFile::new(), slow)));
+            let shared = SharedFile::new(Decorated::new(
+                Decorated::new(MemFile::new(), slow),
+                Counter::default(),
+            ));
             let hints = Hints::listless().cb_buffer(4 << 10);
             World::run(nprocs, move |comm| {
                 let me = comm.rank() as u64;
@@ -1278,7 +1285,7 @@ fn profile_cmd(opts: &Opts) {
         "btio_nested_pack",
         profiled("btio_nested_pack", &mut || {
             let nprocs = 4usize;
-            let shared = SharedFile::new(CountingFile::new(MemFile::new()));
+            let shared = SharedFile::new(Decorated::new(MemFile::new(), Counter::default()));
             World::run(nprocs, move |comm| {
                 let me = comm.rank() as u64;
                 let mut f = File::open(comm, shared.clone(), Hints::listless()).expect("open");
@@ -1307,7 +1314,7 @@ fn profile_cmd(opts: &Opts) {
         profiled("ragged_hindexed_pack", &mut || {
             let nprocs = 2usize;
             let rows: u64 = if opts.quick { 256 } else { 1024 };
-            let shared = SharedFile::new(CountingFile::new(MemFile::new()));
+            let shared = SharedFile::new(Decorated::new(MemFile::new(), Counter::default()));
             World::run(nprocs, move |comm| {
                 let me = comm.rank() as u64;
                 let mut f = File::open(comm, shared.clone(), Hints::listless()).expect("open");

@@ -86,7 +86,7 @@ impl SharedFile {
         use crate::BackendKind;
         Ok(match kind {
             BackendKind::Mem => SharedFile::new(lio_pfs::MemFile::new()),
-            BackendKind::Throttled => SharedFile::new(lio_pfs::ThrottledFile::new(
+            BackendKind::Throttled => SharedFile::new(lio_pfs::Decorated::new(
                 lio_pfs::MemFile::new(),
                 lio_pfs::Throttle::sx6_local_fs(),
             )),

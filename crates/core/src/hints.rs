@@ -41,7 +41,7 @@ pub enum BackendKind {
     #[default]
     Mem,
     /// In-memory file behind the calibrated SX-6 local-FS bandwidth model
-    /// (`lio_pfs::ThrottledFile`).
+    /// (`lio_pfs::Throttle`), which stages every window.
     Throttled,
     /// Real OS file: an unlinked temp file in `LIO_OS_DIR`
     /// (`lio_pfs::UnixFile::temp`), lent through its mapping where the

@@ -270,26 +270,36 @@ impl ListNav {
         inst * self.fsize() + self.list.size_in_window(0, within as i64)
     }
 
+    /// Where stream byte 0 lies if the view's one run fills its extent:
+    /// then it is one endless run, as ROMIO treats a contiguous filetype.
+    fn contiguous(&self) -> Option<u64> {
+        let [OlSeg { offset, len }] = self.list.segs[..] else {
+            return None;
+        };
+        (len == self.fext()).then(|| self.view.disp.wrapping_add_signed(offset))
+    }
+
     /// The access list of stream bytes `stream`: its runs as absolute
     /// tuples, in the form a collective ships them
-    /// ([`OlList::encode_tiled`]: one linear locate, then one pass).
+    /// ([`OlList::encode_tiled`]: one linear locate, then one pass), one
+    /// tuple if the view is contiguous.
     pub fn access_list(&self, stream: Range<u64>) -> Vec<u8> {
-        self.list
-            .encode_tiled(self.view.disp, self.fext(), self.fsize(), stream)
+        match self.contiguous().filter(|_| !stream.is_empty()) {
+            Some(at) => [at + stream.start, stream.end - stream.start]
+                .map(u64::to_le_bytes)
+                .concat(),
+            None => (self.list).encode_tiled(self.view.disp, self.fext(), self.fsize(), stream),
+        }
     }
 
     /// A cursor over the view's runs, at file offsets, from stream
     /// position `stream0` on. Construction performs the linear locate; a
-    /// view whose one run fills its extent is one endless run, as ROMIO
-    /// treats a contiguous filetype.
+    /// contiguous view is one endless run.
     pub fn cursor(&self, stream0: u64) -> RunCursor<'_> {
-        if let [OlSeg { offset, len }] = self.list.segs[..] {
-            if len == self.fext() {
-                let at = self.view.disp.wrapping_add_signed(offset) + stream0;
-                return RunCursor::contig(at as usize);
-            }
+        match self.contiguous() {
+            Some(at) => RunCursor::contig((at + stream0) as usize),
+            None => (self.list).tiled_cursor(self.view.disp, self.fext(), self.fsize(), stream0),
         }
-        (self.list).tiled_cursor(self.view.disp, self.fext(), self.fsize(), stream0)
     }
 
     /// The list-based [`Share`] of stream bytes `span` of `end`: the view's
@@ -647,9 +657,13 @@ mod tests {
     }
 
     /// The access list spelled out: every run of the view's instances
-    /// from the interval's first byte on, the first and last cut to it.
+    /// from the interval's first byte on, the first and last cut to it —
+    /// one run on a contiguous view.
     fn walked_access_list(nav: &ListNav, s_lo: u64, s_hi: u64) -> Vec<u8> {
         let (disp, ext, segs) = (nav.view.disp, nav.fext(), &nav.list.segs);
+        if let Some(at) = nav.contiguous().filter(|_| s_hi > s_lo) {
+            return [at + s_lo, s_hi - s_lo].map(u64::to_le_bytes).concat();
+        }
         let runs = (0..).flat_map(|i| segs.iter().map(move |s| (disp + i * ext, s)));
         let (mut skip, mut left, mut out) = (s_lo, s_hi.saturating_sub(s_lo), Vec::new());
         for (base, seg) in runs {

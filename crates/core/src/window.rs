@@ -38,7 +38,7 @@ static OBS_BEHIND_BYTES: LazyCounter = LazyCounter::new("io.behind_bytes");
 /// What handing a window to the lane costs: a channel send, a thread
 /// wake-up and the way back. An inline staged write that took longer arms
 /// the lane; one that did not (a decorator over `MemFile`, a real file's
-/// page cache) is cheaper done in line. It is `ThrottledFile`'s boundary
+/// page cache) is cheaper done in line. It is the `Throttle`'s boundary
 /// between a delay it spins through and one it sleeps through — below it
 /// the waiting thread keeps its core and a second thread has nothing to
 /// overlap with.
@@ -388,7 +388,7 @@ pub(crate) fn snap(abs: u64, size: u64, lo: u64, hi: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lio_pfs::{CountingFile, MemFile};
+    use lio_pfs::{Counter, Decorated, MemFile, Throttle};
 
     #[test]
     fn lent_windows_take_no_buffer_and_need_no_pre_read() {
@@ -419,7 +419,7 @@ mod tests {
     fn declined_windows_are_staged_through_one_buffer() {
         let scratch = Scratch::default();
         scratch.begin_op();
-        let file = CountingFile::new(MemFile::with_data(vec![7; 100]));
+        let file = Decorated::new(MemFile::with_data(vec![7; 100]), Counter::default());
         let mut io = WindowIo::new(&file, &scratch, 16);
         // not dense: read, modified, written back
         io.update(10, 20, || false, &mut |at, piece, store| {
@@ -430,7 +430,7 @@ mod tests {
         // dense: written without a read
         io.update(20, 30, || true, &mut |_, piece, _| piece.fill(2))
             .unwrap();
-        let stats = file.stats();
+        let stats = file.policy().stats();
         assert_eq!((stats.reads, stats.writes), (1, 2));
         // a window longer than announced trades the buffer in
         let mut seen = Vec::new();
@@ -446,26 +446,11 @@ mod tests {
         assert_eq!(scratch.held(), 16, "one buffer went back");
     }
 
-    /// Staging storage whose writes take twice the lane hop.
-    struct Slow(MemFile);
-
-    impl StorageFile for Slow {
-        fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.0.read_at(offset, buf)
-        }
-        fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
-            std::thread::sleep(2 * LANE_HOP);
-            self.0.write_at(offset, buf)
-        }
-        fn len(&self) -> u64 {
-            self.0.len()
-        }
-        fn set_len(&self, len: u64) -> std::io::Result<()> {
-            self.0.set_len(len)
-        }
-        fn sync(&self) -> std::io::Result<()> {
-            self.0.sync()
-        }
+    /// Staging storage whose requests take twice the lane hop.
+    fn slow() -> Decorated<MemFile, Throttle> {
+        let mut throttle = Throttle::sx6_local_fs();
+        throttle.latency = 2 * LANE_HOP;
+        Decorated::new(MemFile::with_data(vec![7; 64]), throttle)
     }
 
     #[test]
@@ -486,18 +471,18 @@ mod tests {
         };
         // declared: the first slow write arms the lane, the other three
         // windows alternate between two buffers
-        let (scratch, file) = (Scratch::default(), Slow(MemFile::with_data(vec![7; 64])));
+        let (scratch, file) = (Scratch::default(), slow());
         scratch.begin_op();
         let armed =
             std::thread::scope(|lane| run(&mut WindowIo::sole_writer(&file, &scratch, 16, lane)));
         assert!(armed);
-        assert_eq!(file.0.snapshot(), want);
+        assert_eq!(file.inner().snapshot(), want);
         assert_eq!(scratch.held(), 32, "both buffers came home");
         // not declared: every write is made before `update` returns
-        let (scratch, file) = (Scratch::default(), Slow(MemFile::with_data(vec![7; 64])));
+        let (scratch, file) = (Scratch::default(), slow());
         scratch.begin_op();
         assert!(!run(&mut WindowIo::new(&file, &scratch, 16)));
-        assert_eq!(file.0.snapshot(), want);
+        assert_eq!(file.inner().snapshot(), want);
         assert_eq!(scratch.held(), 16);
     }
 

@@ -2,15 +2,11 @@
 
 mod common;
 
-use common::{slow_staged, test_storage};
+use common::{engines, slow_staged, test_storage};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::Datatype;
 use lio_mpi::World;
 use lio_pfs::MemFile;
-
-fn engines() -> Vec<Hints> {
-    vec![Hints::list_based(), Hints::listless()]
-}
 
 /// With atomicity on, two ranks writing the *same* strided region with
 /// tiny sieving windows must not interleave: the final file holds one

@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::{pattern, reference_write, storage_for_backend, Staged};
+use common::{pattern, reference_write, storage_for_backend};
 use lio_core::{BackendKind, Engine, File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
@@ -86,7 +86,7 @@ impl Config {
 fn run_on(kind: BackendKind, staged: bool, cfg: Config) -> (Vec<u8>, Vec<Vec<u8>>) {
     let (shared, snap) = storage_for_backend(kind);
     let shared2 = if staged {
-        SharedFile::new(Staged(Arc::clone(shared.storage())))
+        SharedFile::new(common::staged(Arc::clone(shared.storage())))
     } else {
         shared.clone()
     };

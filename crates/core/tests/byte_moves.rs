@@ -57,11 +57,11 @@
 
 mod common;
 
-use common::{figure4_filetype, pattern, real_file_with, Staged};
+use common::{figure4_filetype, pattern, real_file_with, staged};
 use lio_core::{Engine, File, Hints, SharedFile};
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
-use lio_pfs::{MemFile, Throttle, ThrottledFile, UnixFile};
+use lio_pfs::{Decorated, MemFile, Throttle, UnixFile};
 
 const NBLOCK: u64 = 512;
 const SBLOCK: u64 = 1024;
@@ -134,23 +134,23 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
     let storages = [
         ("MemFile", true, SharedFile::new(MemFile::new())),
         (
-            "Staged(MemFile)",
+            "staged(MemFile)",
             false,
-            SharedFile::new(Staged(MemFile::new())),
+            SharedFile::new(staged(MemFile::new())),
         ),
         (
-            "ThrottledFile",
+            "Throttled(MemFile)",
             false,
-            SharedFile::new(ThrottledFile::new(MemFile::new(), fast)),
+            SharedFile::new(Decorated::new(MemFile::new(), fast)),
         ),
         // a real file lends what lies inside it (its mapping never grows
         // the file), so it starts at full size; staged, it is the same
         // file through `pread`/`pwrite`
         ("UnixFile", true, SharedFile::new(real_file())),
         (
-            "Staged(UnixFile)",
+            "staged(UnixFile)",
             false,
-            SharedFile::new(Staged(real_file())),
+            SharedFile::new(staged(real_file())),
         ),
     ];
     let byte = Datatype::byte();
@@ -339,7 +339,7 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
             let streams: u64 = (0..2).map(|me| file_tile(me, disp).1).sum();
             for (lends, shared) in [
                 (true, SharedFile::new(MemFile::new())),
-                (false, SharedFile::new(Staged(MemFile::new()))),
+                (false, SharedFile::new(staged(MemFile::new()))),
             ] {
                 let view = |f: &mut File, me: u64| {
                     f.set_view(disp, Datatype::byte(), file_tile(me, disp).0)

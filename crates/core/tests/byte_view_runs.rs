@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{pattern, Staged};
+use common::{pattern, staged};
 use lio_core::{Engine, File, Hints, SharedFile};
 use lio_datatype::typemap::expand;
 use lio_datatype::Datatype;
@@ -29,7 +29,7 @@ fn a_byte_view_moves_no_run_shorter_than_a_memtype_block() {
     for hints in [Hints::list_based(), Hints::listless()] {
         for (name, shared) in [
             ("MemFile", SharedFile::new(MemFile::new())),
-            ("Staged(MemFile)", SharedFile::new(Staged(MemFile::new()))),
+            ("staged(MemFile)", SharedFile::new(staged(MemFile::new()))),
         ] {
             let what = format!("{:?} on {name}", hints.engine);
             World::run(4, |comm| {

@@ -8,17 +8,13 @@
 mod common;
 
 use common::{
-    apply_comm_faults, check_partial_participation, pattern, reference_write, test_storage,
-    LENDING_AND_STAGED,
+    apply_comm_faults, check_partial_participation, engines, pattern, reference_write,
+    test_storage, LENDING_AND_STAGED,
 };
 use common::{MakeStorage, SnapHandle};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field, Order};
 use lio_mpi::World;
-
-fn engines() -> Vec<Hints> {
-    vec![Hints::list_based(), Hints::listless()]
-}
 
 /// Every engine on the environment's storage and on staging storage: the
 /// cases of a test that reads back collectively.

@@ -6,8 +6,7 @@
 use lio_core::{BackendKind, File, Hints, SharedFile};
 use lio_datatype::typemap::{expand, reference_pack};
 use lio_datatype::{Datatype, Field};
-use lio_pfs::decorate::FaultyFile;
-use lio_pfs::{MemFile, StorageFile, UnixFile};
+use lio_pfs::{Decorated, Faults, Go, MemFile, Op, Policy, StorageFile, UnixFile};
 use std::sync::Arc;
 
 /// An injection-free handle on the raw device beneath whatever stack
@@ -68,119 +67,119 @@ fn storage_stack(
         lio_pfs::retry::write_full_at(&*raw, 0, &data).expect("pre-populate storage");
     }
     let device: Arc<dyn StorageFile> = match fault_seed {
-        Some(seed) => Arc::new(FaultyFile::new(
+        Some(seed) => Arc::new(Decorated::new(
             Arc::clone(&raw),
-            lio_testkit::fault_plan(seed),
+            Faults::new(lio_testkit::fault_plan(seed)),
         )),
         None => Arc::clone(&raw),
     };
     let shared = match backend {
-        BackendKind::Throttled => SharedFile::new(lio_pfs::ThrottledFile::new(
-            device,
-            lio_pfs::Throttle::sx6_local_fs(),
-        )),
+        BackendKind::Throttled => {
+            SharedFile::new(Decorated::new(device, lio_pfs::Throttle::sx6_local_fs()))
+        }
         BackendKind::Mem | BackendKind::Os => SharedFile::from_arc(device),
     };
     (shared, SnapHandle(raw))
 }
 
-/// One storage call as [`RecordingFile`] saw it.
+/// One storage call as [`Recording`] saw it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Request {
     pub write: bool,
     pub offset: u64,
     pub len: u64,
+    /// The thread that made it.
+    pub thread: std::thread::ThreadId,
 }
 
-/// A [`StorageFile`] decorator that logs the offset and length of every
-/// `read_at`/`write_at` before handing it to the file beneath, so a test
-/// can assert on the request geometry an engine produces. Like every
-/// decorator it lends nothing, so each staged window is one logged call.
-pub struct RecordingFile {
-    inner: Arc<dyn StorageFile>,
-    log: std::sync::Mutex<Vec<Request>>,
-}
+/// The policy that logs every `read_at`/`write_at` before passing it on,
+/// so a test can assert on the request geometry an engine produces. It
+/// declines every lend, as the default does, so each window is staged and
+/// is one logged call. Its clones share one log.
+#[derive(Clone, Default)]
+pub struct Recording(Arc<std::sync::Mutex<Vec<Request>>>);
 
-impl RecordingFile {
-    pub fn new(inner: Arc<dyn StorageFile>) -> RecordingFile {
-        RecordingFile {
-            inner,
-            log: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
+impl Recording {
     /// The requests logged since the last call, in arrival order.
     pub fn take(&self) -> Vec<Request> {
-        std::mem::take(
-            &mut self
-                .log
-                .lock()
-                .expect("the log lock is never held across a panic"),
-        )
-    }
-
-    fn note(&self, write: bool, offset: u64, len: usize) {
-        self.log
-            .lock()
-            .expect("the log lock is never held across a panic")
-            .push(Request {
-                write,
-                offset,
-                len: len as u64,
-            });
+        std::mem::take(&mut self.0.lock().expect("never held across a panic"))
     }
 }
 
-impl StorageFile for RecordingFile {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.note(false, offset, buf.len());
-        self.inner.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
-        self.note(true, offset, buf.len());
-        self.inner.write_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn set_len(&self, len: u64) -> std::io::Result<()> {
-        self.inner.set_len(len)
-    }
-    fn sync(&self) -> std::io::Result<()> {
-        self.inner.sync()
+impl Policy for Recording {
+    fn request(&self, op: Op, offset: u64, len: usize, go: impl Go) -> std::io::Result<usize> {
+        let (write, len64, thread) = (op == Op::Write, len as u64, std::thread::current().id());
+        let log = &mut self.0.lock().expect("never held across a panic");
+        log.push(Request {
+            write,
+            offset,
+            len: len64,
+            thread,
+        });
+        go(len)
     }
 }
 
-/// A storage that lends no bytes, whatever is beneath it: only the five
-/// required [`StorageFile`] methods are forwarded, so
-/// `with_range`/`with_range_mut` keep their declining defaults and every
-/// window of an access is staged through `read_at`/`write_at` — the oracle
-/// the in-place path of a [`MemFile`] is compared against.
-pub struct Staged<F>(pub F);
+/// The policy that lends no bytes, whatever is beneath it: it passes every
+/// request and keeps the declining default for lends, so every window of
+/// an access is staged through `read_at`/`write_at` — the oracle the
+/// in-place path of a [`MemFile`] is compared against.
+pub struct Staged;
 
-impl<F: StorageFile> StorageFile for Staged<F> {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.0.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.write_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.0.len()
-    }
-    fn set_len(&self, len: u64) -> std::io::Result<()> {
-        self.0.set_len(len)
-    }
-    fn sync(&self) -> std::io::Result<()> {
-        self.0.sync()
-    }
+impl Policy for Staged {}
+
+/// `inner` behind [`Staged`].
+pub fn staged<F: StorageFile>(inner: F) -> Decorated<F, Staged> {
+    Decorated::new(inner, Staged)
 }
 
 /// A `MemFile` holding `data` behind [`Staged`]: the same bytes as
 /// [`test_storage_with`]'s default, none of them lent.
 pub fn staged_with(data: Vec<u8>) -> (SharedFile, SnapHandle) {
     let mem = Arc::new(MemFile::with_data(data));
-    (SharedFile::new(Staged(Arc::clone(&mem))), SnapHandle(mem))
+    (SharedFile::new(staged(Arc::clone(&mem))), SnapHandle(mem))
+}
+
+/// A device that loses every byte from the given offset on: a request or
+/// a lend that reaches them fails for good (a failed lend is what a
+/// mapping that cannot be made returns), and what lies below is passed on
+/// and lent. Stack [`Staged`] on it to fail the staged requests instead.
+pub struct LostFrom(pub u64);
+
+impl LostFrom {
+    fn check(&self, hi: u64) -> std::io::Result<()> {
+        match hi > self.0 {
+            true => Err(std::io::Error::other("device lost")),
+            false => Ok(()),
+        }
+    }
+}
+
+impl Policy for LostFrom {
+    fn request(&self, _op: Op, offset: u64, len: usize, go: impl Go) -> std::io::Result<usize> {
+        self.check(offset + len as u64)?;
+        go(len)
+    }
+
+    fn lend(&self, _op: Op, _lo: u64, hi: u64) -> std::io::Result<bool> {
+        self.check(hi).map(|()| true)
+    }
+}
+
+/// A `MemFile` holding `data` that loses every byte from `from` on
+/// ([`LostFrom`]), lending what lies below, or staging every window.
+pub fn lost_from(data: Vec<u8>, from: u64, lending: bool) -> SharedFile {
+    let lost = Decorated::new(MemFile::with_data(data), LostFrom(from));
+    match lending {
+        true => SharedFile::new(lost),
+        false => SharedFile::new(staged(lost)),
+    }
+}
+
+/// A `MemFile` holding `data` behind the calibrated request-cost model
+/// (`Throttle::sx6_local_fs`), which stages every window.
+pub fn throttled_with(data: Vec<u8>) -> (SharedFile, SnapHandle) {
+    storage_stack(BackendKind::Throttled, data, None)
 }
 
 /// What a collective corpus runs on, as makers of a file holding the given
@@ -196,13 +195,13 @@ pub type MakeStorage = fn(Vec<u8>) -> (SharedFile, SnapHandle);
 /// window loop's lane hop (`LANE_HOP`, 100 µs), so a collective write's
 /// IOPs arm their write-behind lanes after their first staged window,
 /// while sieving (which never declares itself sole writer) stays inline.
-pub fn slow<F: StorageFile>(inner: F) -> lio_pfs::ThrottledFile<F> {
+pub fn slow<F: StorageFile>(inner: F) -> Decorated<F, lio_pfs::Throttle> {
     let per_request = lio_pfs::Throttle {
         read_bw: 1e12,
         write_bw: 1e12,
         latency: std::time::Duration::from_micros(150),
     };
-    lio_pfs::ThrottledFile::new(inner, per_request)
+    Decorated::new(inner, per_request)
 }
 
 /// [`slow`] storage over a `MemFile` holding `data`.
@@ -253,7 +252,7 @@ pub fn on_each_storage<R: PartialEq + Send>(
     let image = mem.snapshot();
 
     let mem = Arc::new(MemFile::with_data(initial.to_vec()));
-    let staged = SharedFile::new(Staged(Arc::clone(&mem)));
+    let staged = SharedFile::new(staged(Arc::clone(&mem)));
     assert!(!lends(&staged));
     assert!(
         run(staged) == got,
@@ -291,11 +290,12 @@ pub fn on_each_storage<R: PartialEq + Send>(
 
 /// [`test_storage_with`] (so `LIO_BACKEND` still picks the substrate)
 /// without the storage fault schedule — a retried request would be logged
-/// twice — and with a [`RecordingFile`] on top.
-pub fn recording_storage(data: Vec<u8>) -> (SharedFile, Arc<RecordingFile>) {
+/// twice — and with a [`Recording`] on top.
+pub fn recording_storage(data: Vec<u8>) -> (SharedFile, Recording) {
     let (inner, _) = storage_stack(BackendKind::from_env(), data, None);
-    let rec = Arc::new(RecordingFile::new(Arc::clone(inner.storage())));
-    (SharedFile::from_arc(rec.clone()), rec)
+    let rec = Recording::default();
+    let storage = Decorated::new(Arc::clone(inner.storage()), rec.clone());
+    (SharedFile::new(storage), rec)
 }
 
 /// Arm the rank-local communication fault schedule when `LIO_FAULT_SEED`
@@ -425,6 +425,40 @@ pub fn figure4_filetype(p: u64, nprocs: u64, nblock: u64, sblock: u64) -> Dataty
         },
         Field {
             disp: (nblock * nprocs * sblock) as i64,
+            count: 1,
+            child: Datatype::ub_marker(),
+        },
+    ])
+    .unwrap()
+}
+
+/// Both engines' default hints.
+pub fn engines() -> [Hints; 2] {
+    [Hints::list_based(), Hints::listless()]
+}
+
+/// The cyclically interleaved filetype: `nblock` blocks of `sblock`
+/// bytes, one block per stride of `slots` block slots. At displacement
+/// `r·sblock` rank `r` owns slot `r` of each stride, so every rank touches
+/// every IOP's domain; with more slots than ranks, one slot per stride
+/// stays unwritten and windows are read, modified and written back.
+pub fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
+    let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
+    let v = Datatype::vector(nblock, 1, slots as i64, &block).unwrap();
+    let extent = nblock * slots * sblock;
+    Datatype::struct_type(vec![
+        Field {
+            disp: 0,
+            count: 1,
+            child: Datatype::lb_marker(),
+        },
+        Field {
+            disp: 0,
+            count: 1,
+            child: v,
+        },
+        Field {
+            disp: extent as i64,
             count: 1,
             child: Datatype::ub_marker(),
         },

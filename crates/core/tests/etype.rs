@@ -4,15 +4,11 @@
 
 mod common;
 
-use common::{pattern, reference_write};
+use common::{engines, pattern, reference_write};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::Datatype;
 use lio_mpi::World;
 use lio_pfs::MemFile;
-
-fn engines() -> Vec<Hints> {
-    vec![Hints::list_based(), Hints::listless()]
-}
 
 /// With etype = 40-byte "points" (5 doubles, as BTIO uses), offsets are
 /// point-granular.

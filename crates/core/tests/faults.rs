@@ -1,10 +1,11 @@
 //! Differential fault-schedule corpus: collective writes and read-backs
 //! under seeded storage + communication fault injection must produce
 //! byte-for-byte the same file as the naive fault-free reference, for
-//! both engines, with every window written inline and with the windows
-//! written behind the loop (slow storage), across rank counts — the
-//! retry/backoff and short-I/O resumption layers must make injected
-//! faults invisible to correct programs.
+//! both engines, with the windows the fault plan lends worked on in place
+//! and the rest staged inline, and with every window staged and written
+//! behind the loop (slow storage), across rank counts — the retry/backoff
+//! and short-I/O resumption layers must make injected faults invisible to
+//! correct programs.
 //!
 //! Every assertion message carries the seed's repro command
 //! ([`lio_testkit::repro_hint`]); setting `LIO_FAULT_SEED` narrows the
@@ -18,47 +19,22 @@
 
 mod common;
 
-use common::{figure4_filetype, pattern, reference_write, slow};
+use common::{
+    figure4_filetype, interleaved_ft, lost_from, pattern, reference_write, slow, Recording,
+};
 use lio_core::{File, Hints, SharedFile};
-use lio_datatype::{Datatype, Field};
+use lio_datatype::Datatype;
 use lio_mpi::World;
-use lio_pfs::decorate::{FaultPlan, FaultyFile};
-use lio_pfs::{MemFile, StorageFile};
+use lio_pfs::{Decorated, FaultPlan, Faults, MemFile};
 use lio_testkit as tk;
-use std::sync::{Arc, Mutex};
-use std::thread::ThreadId;
-
-/// The cyclically interleaved filetype used throughout: `nblock` blocks
-/// of `sblock` bytes, one block per stride of `slots` block slots.
-fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
-    let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
-    let v = Datatype::vector(nblock, 1, slots as i64, &block).unwrap();
-    let extent = nblock * slots * sblock;
-    Datatype::struct_type(vec![
-        Field {
-            disp: 0,
-            count: 1,
-            child: Datatype::lb_marker(),
-        },
-        Field {
-            disp: 0,
-            count: 1,
-            child: v,
-        },
-        Field {
-            disp: extent as i64,
-            count: 1,
-            child: Datatype::ub_marker(),
-        },
-    ])
-    .unwrap()
-}
+use std::sync::Arc;
 
 /// One collective write + sync + full read-back with the seed's storage
 /// and communication fault schedules armed; every rank asserts its
-/// read-back in-world. Returns the injection-free file snapshot. On `slow`
-/// storage the faults hit the lane's writes and the loop's pre-reads at
-/// the same time.
+/// read-back in-world. Returns the injection-free file snapshot. The plan
+/// lends all but a seeded share of the windows, and those staged meet its
+/// faults; `slow` storage declines every lend, and the faults hit the
+/// lane's writes and the loop's pre-reads at the same time.
 #[allow(clippy::too_many_arguments)]
 fn run_faulty_case(
     hints: Hints,
@@ -71,7 +47,7 @@ fn run_faulty_case(
     steps: u64,
 ) -> Vec<u8> {
     let mem = Arc::new(MemFile::new());
-    let faulty = FaultyFile::new(Arc::clone(&mem), tk::fault_plan(seed));
+    let faulty = Decorated::new(Arc::clone(&mem), Faults::new(tk::fault_plan(seed)));
     let shared = if slow_storage {
         SharedFile::new(slow(faulty))
     } else {
@@ -193,12 +169,14 @@ fn torn_write_leaves_serially_explainable_bytes() {
     {
         let mem = Arc::new(MemFile::with_data(old.clone()));
         // Pure fail-stop: no probabilistic faults, the device dies after
-        // half the payload volume has been submitted for writing.
+        // half the payload volume has been submitted for writing. The plan
+        // lends no window for writing (its point counts requested bytes),
+        // so the tear falls on a staged write.
         let plan = FaultPlan {
             torn_after: Some(want.len() as u64 / 2),
             ..FaultPlan::disabled()
         };
-        let faulty = FaultyFile::new(Arc::clone(&mem), plan);
+        let faulty = Decorated::new(Arc::clone(&mem), Faults::new(plan));
         let shared = if slow_storage {
             SharedFile::new(slow(faulty))
         } else {
@@ -244,33 +222,6 @@ fn torn_write_leaves_serially_explainable_bytes() {
     }
 }
 
-/// Logs the offset and the calling thread of every `write_at` it is asked
-/// for, before the device beneath gets to fail it.
-struct WriteLog<F> {
-    inner: F,
-    log: Mutex<Vec<(u64, ThreadId)>>,
-}
-
-impl<F: StorageFile> StorageFile for WriteLog<F> {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.inner.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
-        let who = std::thread::current().id();
-        self.log.lock().unwrap().push((offset, who));
-        self.inner.write_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn set_len(&self, len: u64) -> std::io::Result<()> {
-        self.inner.set_len(len)
-    }
-    fn sync(&self) -> std::io::Result<()> {
-        self.inner.sync()
-    }
-}
-
 /// A permanent fault in a write that the lane makes *behind* the window
 /// loop is that IOP's typed error, found before the next write is issued:
 /// the log shows no write past the failed window. Every rank returns (the
@@ -296,12 +247,15 @@ fn a_failed_write_behind_stops_the_loop_and_strands_nobody() {
             torn_after: Some(FAILS * CB + CB / 2),
             ..FaultPlan::disabled()
         };
-        let device = FaultyFile::new(MemFile::with_data(vec![0xEE; span as usize]), plan);
-        let log = Arc::new(WriteLog {
-            inner: device,
-            log: Mutex::new(Vec::new()),
-        });
-        let shared = SharedFile::new(slow(Arc::clone(&log)));
+        let device = Decorated::new(
+            MemFile::with_data(vec![0xEE; span as usize]),
+            Faults::new(plan),
+        );
+        // every write the device is asked for, before it gets to fail it;
+        // the subject is the write-behind lane, and `slow` storage declines
+        // every lend, so every window is staged
+        let rec = Recording::default();
+        let shared = SharedFile::new(slow(Decorated::new(device, rec.clone())));
         let outcomes = World::run(nprocs, move |comm| {
             let me = comm.rank() as u64;
             let mut f = File::open(comm, shared.clone(), hints).unwrap();
@@ -332,50 +286,21 @@ fn a_failed_write_behind_stops_the_loop_and_strands_nobody() {
                 "{what}: rank {rank} has no storage to fail: {res:?}"
             );
         }
-        let log = log.log.lock().unwrap();
-        let failed: Vec<_> = log.iter().filter(|w| w.0 / CB == FAILS).collect();
+        let log: Vec<_> = rec.take().into_iter().filter(|r| r.write).collect();
+        let failed: Vec<_> = log.iter().filter(|w| w.offset / CB == FAILS).collect();
         assert!(
             !failed.is_empty(),
             "{what}: window {FAILS} was never written"
         );
         let iop = outcomes[0].1;
         assert!(
-            failed.iter().all(|w| w.1 != iop),
+            failed.iter().all(|w| w.thread != iop),
             "{what}: window {FAILS} was written inline, not behind the loop"
         );
         assert!(
-            log.iter().all(|w| w.0 / CB <= FAILS),
-            "{what}: a window past the failed one was written: {:?}",
-            log.iter().map(|w| w.0).collect::<Vec<_>>()
+            log.iter().all(|w| w.offset / CB <= FAILS),
+            "{what}: a window past the failed one was written: {log:?}"
         );
-    }
-}
-
-/// A device that loses everything from byte `from` on: reads reaching
-/// past it fail permanently.
-struct DeadFrom {
-    inner: MemFile,
-    from: u64,
-}
-
-impl StorageFile for DeadFrom {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-        if offset + buf.len() as u64 > self.from {
-            return Err(std::io::Error::other("device lost"));
-        }
-        self.inner.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
-        self.inner.write_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn set_len(&self, len: u64) -> std::io::Result<()> {
-        self.inner.set_len(len)
-    }
-    fn sync(&self) -> std::io::Result<()> {
-        self.inner.sync()
     }
 }
 
@@ -388,7 +313,8 @@ fn failed_collective_read_zero_fills_every_lent_piece() {
     // in its user buffer — is the promised number of bytes: file bytes up
     // to the failed window, zeros from there on, never recycled buffer
     // contents or bytes left as they were. Every rank returns with nothing
-    // in flight.
+    // in flight — whether the failed IOP's lend of the window fails or,
+    // staged, its read.
     const NBLOCK: u64 = 64;
     const SBLOCK: u64 = 8;
     const CB: usize = 96;
@@ -407,15 +333,12 @@ fn failed_collective_read_zero_fills_every_lent_piece() {
         (Hints::list_based(), Some(&strided), 3),
         (Hints::listless(), Some(&descending), 3),
     ];
-    for (engine, memtype, p) in cases {
+    for ((engine, memtype, p), lending) in cases.into_iter().flat_map(|c| [(c, true), (c, false)]) {
         let len = p * n;
         let image: Vec<u8> = (0..len).map(|i| 1 + (i % 100) as u8).collect();
         let from = len * 3 / 4;
         let hints = engine.cb_buffer(CB);
-        let shared = SharedFile::new(DeadFrom {
-            inner: MemFile::with_data(image.clone()),
-            from,
-        });
+        let shared = lost_from(image.clone(), from, lending);
         let outcomes = World::run(p as usize, |comm| {
             let me = comm.rank() as u64;
             let mut f = File::open(comm, shared.clone(), hints).unwrap();
@@ -441,7 +364,10 @@ fn failed_collective_read_zero_fills_every_lent_piece() {
             assert_eq!(comm.stashed_msgs(), 0, "a message of the failed op is left");
             (res.is_ok(), back)
         });
-        let what = format!("{:?}, p={p}, memtype {memtype:?}", hints.engine);
+        let what = format!(
+            "{:?}, p={p}, memtype {memtype:?}, lending {lending}",
+            hints.engine
+        );
         for (rank, (ok, back)) in outcomes.iter().enumerate() {
             let failed = rank as u64 == p - 1;
             assert_eq!(!ok, failed, "only the last IOP reports the fault ({what})");
@@ -465,5 +391,57 @@ fn failed_collective_read_zero_fills_every_lent_piece() {
             }
             assert!(zeros > 0, "the fault left no trace on rank {rank} ({what})");
         }
+    }
+}
+
+/// A sieved write and a sieved read whose last window reaches lost bytes
+/// return the device's error — the lend of the window fails, or, staged,
+/// its read — and the write releases that window's lock: a second write
+/// into the same window, below the lost bytes, completes (within a
+/// deadline, so that a lock left held fails the test instead of hanging
+/// it) and lands.
+#[test]
+fn a_failed_sieve_window_surfaces_its_error_and_releases_its_lock() {
+    const IND: u64 = 64;
+    let (len, byte) = (8 * IND, Datatype::byte());
+    // 8 bytes of every 16: every window is sieved, none is dense
+    let view = Datatype::vector(len / 16, 8, 16, &byte).unwrap();
+    for (engine, lending) in [(Hints::list_based(), true), (Hints::listless(), true)]
+        .into_iter()
+        .chain([(Hints::list_based(), false), (Hints::listless(), false)])
+    {
+        let (what, hints) = (
+            format!("{:?}, lending {lending}", engine.engine),
+            engine.ind_buffer(IND as usize),
+        );
+        let shared = lost_from(vec![0xEE; len as usize], len - IND / 2, lending);
+        let (view, byte, probe) = (view.clone(), byte.clone(), shared.clone());
+        let (done, finished) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let errors = World::run(1, |comm| {
+                let mut f = File::open(comm, probe.clone(), hints).unwrap();
+                f.set_view(0, byte.clone(), view.clone()).unwrap();
+                let mut half = pattern(len as usize / 2, 3);
+                let wrote = f.write_at(0, &half, len / 2, &byte).unwrap_err();
+                let read = f.read_at(0, &mut half, len / 2, &byte).unwrap_err();
+                // the last window starts at stream byte 7·IND/2
+                f.write_at(7 * IND / 2, &[0x11; 8], 8, &byte).unwrap();
+                [wrote.to_string(), read.to_string()]
+            });
+            let _ = done.send(());
+            errors
+        });
+        // a held lock leaves the thread waiting, and it cannot be joined
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+        if waited == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            panic!("{what}: the second write never got the window's lock");
+        }
+        let errors = run.join().expect("the run's panic is printed above");
+        for e in &errors[0] {
+            assert!(e.contains("storage error: device lost"), "{what}: {e}");
+        }
+        let mut landed = [0u8; 8];
+        shared.storage().read_at(7 * IND, &mut landed).unwrap();
+        assert_eq!(landed, [0x11; 8], "{what}");
     }
 }

@@ -24,10 +24,11 @@
 mod common;
 
 use common::{
-    pattern, reference_write, slow_staged, storage_for_backend, test_storage, SnapHandle,
+    interleaved_ft, pattern, reference_write, slow_staged, storage_for_backend, test_storage,
+    SnapHandle,
 };
 use lio_core::{BackendKind, File, Hints, IoError, SharedFile};
-use lio_datatype::{Datatype, Field};
+use lio_datatype::Datatype;
 use lio_mpi::World;
 use lio_obs::health::{self, StallSpec};
 use lio_obs::trace::Phase;
@@ -62,32 +63,6 @@ fn hb_phase(p: tk::StallPhase) -> Phase {
         tk::StallPhase::Exchange => Phase::Exchange,
         tk::StallPhase::Io => Phase::Io,
     }
-}
-
-/// Cyclically interleaved filetype: every rank touches every IOP's
-/// domain, so every rank beats both exchange and io heartbeats.
-fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
-    let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
-    let v = Datatype::vector(nblock, 1, slots as i64, &block).unwrap();
-    let extent = nblock * slots * sblock;
-    Datatype::struct_type(vec![
-        Field {
-            disp: 0,
-            count: 1,
-            child: Datatype::lb_marker(),
-        },
-        Field {
-            disp: 0,
-            count: 1,
-            child: v,
-        },
-        Field {
-            disp: extent as i64,
-            count: 1,
-            child: Datatype::ub_marker(),
-        },
-    ])
-    .unwrap()
 }
 
 /// Per-rank collective results: `(rank, write result)`.

@@ -5,16 +5,12 @@
 mod common;
 
 use common::{
-    pattern, reference_read, reference_stream, reference_write, slow_staged, test_storage,
+    engines, pattern, reference_read, reference_stream, reference_write, slow_staged, test_storage,
 };
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Field, Order};
 use lio_mpi::World;
 use lio_pfs::MemFile;
-
-fn engines() -> Vec<Hints> {
-    vec![Hints::list_based(), Hints::listless()]
-}
 
 /// Run one write+readback scenario on a single rank and check against the
 /// reference.

@@ -16,8 +16,8 @@
 mod common;
 
 use common::{
-    figure4_of_blocks, image_of, on_each_storage, pattern, reference_read, reference_stream,
-    reference_write,
+    engines, figure4_of_blocks, image_of, on_each_storage, pattern, reference_read,
+    reference_stream, reference_write,
 };
 use lio_core::hints::DEFAULT_WINDOW;
 use lio_core::{File, Hints};
@@ -94,10 +94,6 @@ fn geometries(p: u64) -> Vec<Geo> {
         }
     }
     out
-}
-
-fn engines() -> [Hints; 2] {
-    [Hints::list_based(), Hints::listless()]
 }
 
 /// How the ranks of one scenario access the file.

@@ -12,9 +12,9 @@
 //! counts, one rank often none and one handle often in atomic mode, over a
 //! file that ends in the middle of a window. Every rank's buffer must be
 //! what the naive typemap reference leaves, its gap bytes untouched — the
-//! same on a lending `MemFile`, the mapped `UnixFile`, `Staged(MemFile)`,
+//! same on a lending `MemFile`, the mapped `UnixFile`, `staged(MemFile)`,
 //! the `LIO_BACKEND`/`LIO_FAULT_SEED` stack (`on_each_storage`,
-//! communication faults armed) and a `ThrottledFile`. Both engines run
+//! communication faults armed) and a throttled `MemFile`. Both engines run
 //! every case; the list-based one, whose every AP stages, is the control.
 //!
 //! Then the degenerate accesses, and the failure path: an IOP whose storage
@@ -25,14 +25,14 @@
 mod common;
 
 use common::{
-    apply_comm_faults, figure4_of_blocks, on_each_storage, pattern, reference_read, slow_staged,
-    Staged,
+    apply_comm_faults, figure4_of_blocks, lost_from, on_each_storage, pattern, reference_read,
+    slow_staged, staged,
 };
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::typemap::reference_unpack;
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
-use lio_pfs::{MemFile, StorageFile};
+use lio_pfs::MemFile;
 
 /// Bytes of every run of every memtype: the naive reference walks runs.
 const POINT: u32 = 8;
@@ -238,7 +238,7 @@ fn every_memory_layout_meets_every_window_on_every_storage() {
     }
 }
 
-/// The same cases on a `ThrottledFile`: every window is a timed request.
+/// The same cases on a throttled `MemFile`: every window is a timed request.
 #[test]
 fn a_throttled_file_reads_the_same() {
     for case in cases() {
@@ -337,7 +337,7 @@ fn degenerate_accesses_read_like_any_other() {
     for (what, accesses) in &cases {
         for hints in [Hints::listless(), Hints::list_based()] {
             let lending = SharedFile::new(MemFile::with_data(image.clone()));
-            let staged = SharedFile::new(Staged(MemFile::with_data(image.clone())));
+            let staged = SharedFile::new(staged(MemFile::with_data(image.clone())));
             for shared in [lending, staged] {
                 let got = World::run(accesses.len(), |comm| {
                     let a = &accesses[comm.rank()];
@@ -364,42 +364,14 @@ fn degenerate_accesses_read_like_any_other() {
     }
 }
 
-/// Reads from byte `from` on fail for good; everything else is a `MemFile`,
-/// staged.
-struct DeadFrom {
-    inner: MemFile,
-    from: u64,
-}
-
-impl StorageFile for DeadFrom {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-        if offset + buf.len() as u64 > self.from {
-            return Err(std::io::Error::other("device lost"));
-        }
-        self.inner.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
-        self.inner.write_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn set_len(&self, len: u64) -> std::io::Result<()> {
-        self.inner.set_len(len)
-    }
-    fn sync(&self) -> std::io::Result<()> {
-        self.inner.sync()
-    }
-}
-
 /// The last IOP's storage fails in its last window: it reports the fault,
 /// every other rank returns normally, all of them from the closing barrier
 /// with nothing in flight. Every rank's buffer holds the reference's bytes
 /// up to that window and zeros from there — in the pieces of their user
 /// buffers the ranks lend and in the staging pieces of the one that
-/// cannot lend them — and its gap
-/// bytes untouched. The world goes on: a second read, on storage that
-/// works, lands exactly.
+/// cannot lend them — and its gap bytes untouched, whether the IOP's lend
+/// of the window fails or, staged, its read. The world goes on: a second
+/// read, on storage that works, lands exactly.
 #[test]
 fn a_failed_iop_zero_fills_every_piece_and_reaches_the_barrier() {
     let case = Case {
@@ -416,15 +388,12 @@ fn a_failed_iop_zero_fills_every_piece_and_reaches_the_barrier() {
     dead[(from as usize / CB) * CB..].fill(0);
     let (want, want_dead) = (case.expected(&image), case.expected(&dead));
     assert!(want != want_dead, "the failure loses some rank's bytes");
-    for hints in [
-        Hints::listless().cb_buffer(CB),
-        Hints::list_based().cb_buffer(CB),
-    ] {
-        let what = case.what(&hints);
-        let failing = SharedFile::new(DeadFrom {
-            inner: MemFile::with_data(image.clone()),
-            from,
-        });
+    for (hints, lending) in [Hints::listless(), Hints::list_based()]
+        .into_iter()
+        .flat_map(|h| [(h.cb_buffer(CB), true), (h.cb_buffer(CB), false)])
+    {
+        let what = format!("{}, lending {lending}", case.what(&hints));
+        let failing = lost_from(image.clone(), from, lending);
         let healthy = SharedFile::new(MemFile::with_data(image.clone()));
         let outcomes = World::run(case.p, |comm| {
             let (ok, got) = case.try_read(comm, &failing, hints);

@@ -8,7 +8,7 @@
 //! subarray) and different counts, one rank often none, over a file that
 //! ends in the middle of a window, and must leave exactly the file the
 //! naive reference writes — the same on a lending `MemFile`, the mapped
-//! `UnixFile`, `Staged(MemFile)`, the `LIO_BACKEND`/`LIO_FAULT_SEED` stack
+//! `UnixFile`, `staged(MemFile)`, the `LIO_BACKEND`/`LIO_FAULT_SEED` stack
 //! (`on_each_storage`, communication faults armed) and slow staging
 //! storage whose IOPs write behind their loops. Both engines run every case;
 //! the list-based one ships its bytes in messages and is the control.
@@ -20,13 +20,13 @@
 mod common;
 
 use common::{
-    apply_comm_faults, figure4_of_blocks, image_of, on_each_storage, pattern, reference_stream,
-    reference_write, slow_staged,
+    apply_comm_faults, figure4_of_blocks, image_of, lost_from, on_each_storage, pattern,
+    reference_stream, reference_write, slow_staged,
 };
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
-use lio_pfs::{MemFile, StorageFile};
+use lio_pfs::MemFile;
 
 /// Bytes of every run of every memtype: the naive reference walks runs.
 const POINT: u32 = 8;
@@ -223,39 +223,12 @@ fn the_write_behind_lane_places_from_lent_buffers() {
     assert!(behind() > before, "no lane wrote behind its loop");
 }
 
-/// Writes from byte `from` on fail for good; everything else is a
-/// `MemFile`, staged.
-struct DeadFrom {
-    inner: MemFile,
-    from: u64,
-}
-
-impl StorageFile for DeadFrom {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.inner.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> std::io::Result<usize> {
-        if offset + buf.len() as u64 > self.from {
-            return Err(std::io::Error::other("device lost"));
-        }
-        self.inner.write_at(offset, buf)
-    }
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-    fn set_len(&self, len: u64) -> std::io::Result<()> {
-        self.inner.set_len(len)
-    }
-    fn sync(&self) -> std::io::Result<()> {
-        self.inner.sync()
-    }
-}
-
 /// The last IOP's storage fails: it reports the fault, every other rank
 /// returns normally, all of them from the closing barrier with nothing in
 /// flight, and the domains before the failed one hold the reference's
-/// bytes. The world goes on: a second write, on storage that works, lands
-/// exactly.
+/// bytes — whether the IOP's lend of the failed window fails or, staged,
+/// its requests. The world goes on: a second write, on storage that works,
+/// lands exactly.
 #[test]
 fn a_failed_iop_still_reaches_the_closing_barrier() {
     let case = Case {
@@ -265,15 +238,12 @@ fn a_failed_iop_still_reaches_the_closing_barrier() {
     };
     let want = case.reference();
     let from = want.len() as u64 * 3 / 4;
-    for hints in [
-        Hints::listless().cb_buffer(CB),
-        Hints::list_based().cb_buffer(CB),
-    ] {
-        let what = case.what(&hints);
-        let failing = SharedFile::new(DeadFrom {
-            inner: MemFile::with_data(case.initial()),
-            from,
-        });
+    for (hints, lending) in [Hints::listless(), Hints::list_based()]
+        .into_iter()
+        .flat_map(|h| [(h.cb_buffer(CB), true), (h.cb_buffer(CB), false)])
+    {
+        let what = format!("{}, lending {lending}", case.what(&hints));
+        let failing = lost_from(case.initial(), from, lending);
         let healthy = SharedFile::new(MemFile::with_data(case.initial()));
         let outcomes = World::run(case.p, |comm| {
             let me = comm.rank();

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{figure4_filetype, pattern, Staged};
+use common::{figure4_filetype, pattern, staged};
 use lio_core::{File, Hints, SharedFile};
 use lio_datatype::{Datatype, Order};
 use lio_mpi::World;
@@ -155,7 +155,7 @@ fn list_based_ops_build_and_ship_the_same_lists() {
         batched,
     };
     let lending = || SharedFile::new(MemFile::new());
-    let staged = || SharedFile::new(Staged(MemFile::new()));
+    let staged = || SharedFile::new(staged(MemFile::new()));
     // a view: one filetype instance of NBLOCK = 256 blocks per rank, two
     // ranks, 16 B a tuple
     let view = || ("set_view", counts(2, 512, 8_192, 0, 0, 0));

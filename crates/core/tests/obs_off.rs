@@ -15,7 +15,7 @@ use lio_core::{Engine, File, Hints, Layers, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_obs::{health, profile, trace};
-use lio_pfs::{CountingFile, MemFile};
+use lio_pfs::{Counter, Decorated, MemFile};
 
 const NPROCS: usize = 4;
 const SBLOCK: u64 = 16;
@@ -54,7 +54,7 @@ fn run_ops(obs: Option<Layers>) {
             let shared = if lends {
                 SharedFile::new(MemFile::new())
             } else {
-                SharedFile::new(CountingFile::new(MemFile::new()))
+                SharedFile::new(Decorated::new(MemFile::new(), Counter::default()))
             };
             let hints = Hints {
                 obs,

@@ -19,8 +19,7 @@ use lio_core::{File, Hints, SharedFile};
 use lio_datatype::typemap::expand;
 use lio_datatype::Datatype;
 use lio_mpi::World;
-use lio_pfs::decorate::CountingFile;
-use lio_pfs::MemFile;
+use lio_pfs::{Counter, Decorated, MemFile};
 
 const HOLE: u8 = 0xEE;
 const RANKS: usize = 2;
@@ -130,12 +129,18 @@ fn disjoint_views_still_skip_the_pre_read() {
         for cb in CB_BUFFERS {
             for n in [1, 7, 64] {
                 let len = 16 * n as usize;
-                let counting =
-                    std::sync::Arc::new(CountingFile::new(MemFile::with_data(vec![HOLE; len])));
+                let counting = std::sync::Arc::new(Decorated::new(
+                    MemFile::with_data(vec![HOLE; len]),
+                    Counter::default(),
+                ));
                 let shared = SharedFile::from_arc(counting.clone());
                 run_write(&shared, Shape::Partition, hints(list_based, cb), n);
                 let ctx = format!("list_based={list_based} cb={cb} n={n}");
-                assert_eq!(counting.stats().reads, 0, "{ctx}: windows pre-read");
+                assert_eq!(
+                    counting.policy().stats().reads,
+                    0,
+                    "{ctx}: windows pre-read"
+                );
                 let file = counting.inner().snapshot();
                 let want: Vec<u8> = (0..len as u64).map(byte_at).collect();
                 assert_eq!(file, want, "{ctx}");

@@ -5,7 +5,7 @@
 //! engines, whatever the number of ranks and io-processes, the window,
 //! where the view starts and how the user buffer holds the stream.
 //!
-//! Every scenario runs on a lending `MemFile`, on `Staged(MemFile)`, on a
+//! Every scenario runs on a lending `MemFile`, on `staged(MemFile)`, on a
 //! real file that lends through its mapping (`UnixFile::temp()`) and on the
 //! stack `LIO_BACKEND`/`LIO_FAULT_SEED` select (`on_each_storage`).
 //! The last test pins what does cross a channel, as exact counts: headers
@@ -14,8 +14,8 @@
 mod common;
 
 use common::{
-    figure4_of_blocks, image_of, on_each_storage, pattern, reference_read, reference_stream,
-    reference_write, Staged,
+    engines, figure4_of_blocks, image_of, on_each_storage, pattern, reference_read,
+    reference_stream, reference_write, staged,
 };
 use std::collections::BTreeMap;
 use std::sync::{Mutex, RwLock};
@@ -210,10 +210,6 @@ fn check(what: &str, lay: &Layout, hints: Hints, mem: Mem, initial: &[u8], count
     }
 }
 
-fn engines() -> [Hints; 2] {
-    [Hints::list_based(), Hints::listless()]
-}
-
 const WINDOWS: [usize; 3] = [DEFAULT_WINDOW, 96, 384 * 1024];
 
 fn disps(window: usize) -> [u64; 5] {
@@ -370,7 +366,7 @@ fn the_own_share_never_crosses_a_channel() {
     let _alone = OBS.write().unwrap_or_else(|e| e.into_inner());
     let storage = |name: &str| match name {
         "MemFile" => SharedFile::new(MemFile::new()),
-        "Staged(MemFile)" => SharedFile::new(Staged(MemFile::new())),
+        "staged(MemFile)" => SharedFile::new(staged(MemFile::new())),
         _ => SharedFile::new(UnixFile::temp().expect("temp file for the os backend")),
     };
     lio_obs::set_enabled(true);
@@ -399,7 +395,7 @@ fn the_own_share_never_crosses_a_channel() {
                 // a dissemination barrier: one empty message per rank and
                 // round
                 let barrier = (p * u64::from(u64::BITS - p1.leading_zeros()), 0);
-                for name in ["MemFile", "Staged(MemFile)", "UnixFile"] {
+                for name in ["MemFile", "staged(MemFile)", "UnixFile"] {
                     let shared = storage(name);
                     // (std's barrier: the world's own would count)
                     let quiet = std::sync::Barrier::new(p as usize);
@@ -469,4 +465,53 @@ fn the_own_share_never_crosses_a_channel() {
             "{what}: list-based and listless windows"
         );
     }
+}
+
+/// On a contiguous view — the default one — a list-based collective ships
+/// one 16 B tuple per (AP, other IOP) pair with a non-empty share, per
+/// op, not one per data byte: the view is one endless run, as ROMIO
+/// treats a contiguous filetype. Rank `r` writes `(r + 1)·U` bytes right
+/// after rank `r − 1`'s, so every rank but 0 reaches into the domain
+/// below its own: `P − 1` pairs at P ∈ {2, 3}. Listless ships no list.
+#[test]
+fn a_contiguous_view_ships_one_tuple_per_share() {
+    let _alone = OBS.write().unwrap_or_else(|e| e.into_inner());
+    const CB: u64 = 1024;
+    const U: u64 = 4 * CB;
+    let list_bytes = || lio_obs::snapshot().counter("core.coll.exchange.list_bytes");
+    let at = |r: u64| U * r * (r + 1) / 2;
+    let data = |r: u64| pattern(((r + 1) * U) as usize, r + 1);
+    lio_obs::set_enabled(true);
+    for p in [2u64, 3] {
+        let want: Vec<u8> = (0..p).flat_map(data).collect();
+        for hints in engines() {
+            let what = format!("{:?} p={p}", hints.engine);
+            let shared = SharedFile::new(MemFile::new());
+            let hints = hints.cb_buffer(CB as usize);
+            let shipped = |op: &(dyn Fn(&mut File, u64) + Sync)| {
+                let before = list_bytes();
+                World::run(p as usize, |comm| {
+                    let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                    op(&mut f, comm.rank() as u64)
+                });
+                list_bytes() - before
+            };
+            let byte = Datatype::byte();
+            let wrote = shipped(&|f, r| {
+                f.write_at_all(at(r), &data(r), (r + 1) * U, &byte).unwrap();
+            });
+            assert!(image_of(&shared) == want, "{what}: the file");
+            let read = shipped(&|f, r| {
+                let mut back = vec![0u8; ((r + 1) * U) as usize];
+                f.read_at_all(at(r), &mut back, (r + 1) * U, &byte).unwrap();
+                assert!(back == data(r), "{what}: rank {r}'s read-back");
+            });
+            let tuples = match hints.engine {
+                Engine::Listless => 0,
+                Engine::ListBased => 16 * (p - 1),
+            };
+            assert_eq!((wrote, read), (tuples, tuples), "{what}: list bytes");
+        }
+    }
+    lio_obs::set_enabled(false);
 }

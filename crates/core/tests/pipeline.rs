@@ -12,11 +12,11 @@
 mod common;
 
 use common::{
-    apply_comm_faults, check_partial_participation, pattern, reference_write, slow_staged,
-    test_storage_with, SnapHandle,
+    apply_comm_faults, check_partial_participation, interleaved_ft, pattern, reference_write,
+    slow_staged, test_storage_with, SnapHandle,
 };
 use lio_core::{File, Hints, SharedFile};
-use lio_datatype::{Datatype, Field};
+use lio_datatype::Datatype;
 use lio_mpi::World;
 
 /// xorshift64* — deterministic, dependency-free case generator.
@@ -40,34 +40,6 @@ impl Rng {
     fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.next_u64() % (hi - lo)
     }
-}
-
-/// The cyclically interleaved filetype used throughout: `nblock` blocks
-/// of `sblock` bytes, one block per stride of `slots` block slots. With
-/// `slots > nprocs` one slot per stride stays unwritten, forcing
-/// read-modify-write windows.
-fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
-    let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
-    let v = Datatype::vector(nblock, 1, slots as i64, &block).unwrap();
-    let extent = nblock * slots * sblock;
-    Datatype::struct_type(vec![
-        Field {
-            disp: 0,
-            count: 1,
-            child: Datatype::lb_marker(),
-        },
-        Field {
-            disp: 0,
-            count: 1,
-            child: v,
-        },
-        Field {
-            disp: extent as i64,
-            count: 1,
-            child: Datatype::ub_marker(),
-        },
-    ])
-    .unwrap()
 }
 
 /// Run a multi-step collective write + full read-back under `hints` on

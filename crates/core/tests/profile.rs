@@ -12,7 +12,7 @@ use lio_core::{File, Hints, Layers, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_obs::profile::{self, PhaseNs, Profile};
-use lio_pfs::{CountingFile, MemFile};
+use lio_pfs::{Counter, Decorated, MemFile};
 
 /// The Figure 4 interleaved filetype: rank `r` owns block slot `r` of
 /// each `nprocs`-slot stride of `sblock`-byte blocks.
@@ -58,7 +58,7 @@ fn run_workload() {
     let nprocs = 4usize;
     let (nblock, sblock) = (64u64, 16u64);
     let total = nblock * sblock;
-    let shared = SharedFile::new(CountingFile::new(MemFile::new()));
+    let shared = SharedFile::new(Decorated::new(MemFile::new(), Counter::default()));
     World::run(nprocs, move |comm| {
         let me = comm.rank() as u64;
         let mut f = File::open(comm, shared.clone(), Hints::listless()).expect("open");

@@ -198,7 +198,7 @@ fn engines_agree_collective() {
             (Hints::listless().cb_buffer(cb), true),
         ] {
             let shared = if staged {
-                SharedFile::new(common::Staged(MemFile::new()))
+                SharedFile::new(common::staged(MemFile::new()))
             } else {
                 SharedFile::new(MemFile::new())
             };

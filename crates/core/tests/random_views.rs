@@ -7,8 +7,9 @@
 //! rank that writes nothing.
 //!
 //! Both engines run every case on a `MemFile` of `0xEE` behind `Staged`,
-//! which stages every window, and on the environment's storage
-//! (`LIO_BACKEND`, `LIO_FAULT_SEED`). Where views may overlap, every rank
+//! which stages every window, behind the calibrated request-cost model
+//! (`Throttle::sx6_local_fs`), which stages them as timed requests, and on
+//! the environment's storage (`LIO_BACKEND`, `LIO_FAULT_SEED`). Where views may overlap, every rank
 //! writes the same byte to a file offset, so the outcome is defined: each
 //! byte some rank wrote holds it, each byte no rank wrote still reads
 //! `0xEE`, and a read-back returns what each rank wrote. Where all views
@@ -18,7 +19,8 @@
 mod common;
 
 use common::{
-    apply_comm_faults, pattern, reference_write, staged_with, test_storage_with, MakeStorage,
+    apply_comm_faults, pattern, reference_write, staged_with, test_storage_with, throttled_with,
+    MakeStorage,
 };
 use lio_core::{File, Hints};
 use lio_datatype::typemap::expand;
@@ -236,8 +238,8 @@ fn write_and_read(
     (snap.snapshot(), back)
 }
 
-/// Every case, both engines, staged and the environment's storage, three
-/// window sizes.
+/// Every case, both engines, staged, throttled and the environment's
+/// storage, three window sizes.
 #[test]
 fn random_views_write_what_the_views_hold() {
     for case in 0..48u64 {
@@ -279,6 +281,7 @@ fn random_views_write_what_the_views_hold() {
                 .cb_buffer(cb);
                 for (storage, make) in [
                     ("staged", staged_with as MakeStorage),
+                    ("throttled", throttled_with),
                     ("env", test_storage_with),
                 ] {
                     let ctx = format!(

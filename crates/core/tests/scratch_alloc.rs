@@ -10,7 +10,7 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use common::{figure4_filetype, pattern, slow_staged, Staged};
+use common::{figure4_filetype, pattern, slow_staged, staged};
 use lio_core::{Engine, File, Hints, SharedFile};
 use lio_datatype::Datatype;
 use lio_mpi::{Comm, World};
@@ -141,7 +141,7 @@ fn an_in_place_collective_takes_only_message_buffers() {
                     lent, staging,
                     "{what}: the staging buffers, nothing for the own share"
                 );
-                let staged = cold(SharedFile::new(Staged(file())), hints);
+                let staged = cold(SharedFile::new(staged(file())), hints);
                 assert_eq!(staged, staging + 2, "{what}: and a window per IOP");
                 // four 64 KiB windows per IOP: the first write is inline and
                 // arms the lane, the other three alternate between two
@@ -169,7 +169,7 @@ fn an_in_place_sieved_op_takes_no_buffer() {
     for hints in [Hints::list_based(), Hints::listless()] {
         let file = || MemFile::with_data(vec![0; 2 * BYTES as usize]);
         let lent = SharedFile::new(file());
-        let staged = SharedFile::new(Staged(file()));
+        let staged = SharedFile::new(staged(file()));
         for (shared, windows) in [(lent, 0), (staged, 2)] {
             World::run(2, |comm| {
                 let me = comm.rank() as u64;

@@ -6,14 +6,16 @@
 
 mod common;
 
+use common::interleaved_ft;
+
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use lio_core::{File, Hints, SharedFile};
-use lio_datatype::{Datatype, Field};
+use lio_datatype::Datatype;
 use lio_mpi::World;
 use lio_obs::trace;
-use lio_pfs::{MemFile, Throttle, ThrottledFile};
+use lio_pfs::{Decorated, MemFile, Throttle};
 
 /// Serialize tests touching the global trace state (cargo runs tests in
 /// one process, many threads) and restore defaults afterwards.
@@ -28,38 +30,12 @@ fn with_trace<R>(f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// The interleaved filetype every collective test writes through: rank r
-/// owns block slot r of each stride.
-fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
-    let block = Datatype::contiguous(sblock, &Datatype::byte()).unwrap();
-    let v = Datatype::vector(nblock, 1, slots as i64, &block).unwrap();
-    let extent = nblock * slots * sblock;
-    Datatype::struct_type(vec![
-        Field {
-            disp: 0,
-            count: 1,
-            child: Datatype::lb_marker(),
-        },
-        Field {
-            disp: 0,
-            count: 1,
-            child: v,
-        },
-        Field {
-            disp: extent as i64,
-            count: 1,
-            child: Datatype::ub_marker(),
-        },
-    ])
-    .unwrap()
-}
-
 /// A file that lends its bytes — the IOPs work on its windows in place —
 /// and one that stages every window: the span and edge rules hold on both.
 fn both_storages() -> [SharedFile; 2] {
     [
         SharedFile::new(MemFile::new()),
-        SharedFile::new(common::Staged(MemFile::new())),
+        SharedFile::new(common::staged(MemFile::new())),
     ]
 }
 
@@ -216,7 +192,7 @@ fn in_place_ops_trace_places_and_no_requests() {
         assert!(!places.is_empty(), "no placement recorded");
         assert!(places.iter().all(|ev| ev.b > 0), "a piece has bytes");
         assert_eq!((requests, io_ns), (0, 0), "in place there is no request");
-        let (places, requests, _) = spans(SharedFile::new(common::Staged(MemFile::new())));
+        let (places, requests, _) = spans(SharedFile::new(common::staged(MemFile::new())));
         assert!(!places.is_empty() && requests > 0, "staging makes requests");
     });
 }
@@ -272,7 +248,7 @@ fn critical_path_names_a_bounding_phase() {
             write_bw: 500e6,
             latency: std::time::Duration::from_micros(200),
         };
-        let shared = SharedFile::new(ThrottledFile::new(Arc::new(MemFile::new()), slow));
+        let shared = SharedFile::new(Decorated::new(Arc::new(MemFile::new()), slow));
         let hints = Hints::default().cb_buffer(1 << 10);
         let streams = traced_collective(hints, shared);
         let tl = trace::merge(&streams);

@@ -83,7 +83,7 @@ fn contiguous_memtype_never_packs() {
     let snap = counted(|| {
         let hints = Hints::listless().cb_buffer(8192);
         run_collective(hints, SharedFile::new(MemFile::new()));
-        run_collective(hints, SharedFile::new(common::Staged(MemFile::new())));
+        run_collective(hints, SharedFile::new(common::staged(MemFile::new())));
         lio_obs::snapshot()
     });
     assert_eq!(
@@ -121,7 +121,7 @@ fn noncontig_memtype_does_pack() {
         (Hints::listless(), &strided),
         (Hints::listless(), &descending),
     ] {
-        let shared = SharedFile::new(common::Staged(MemFile::new()));
+        let shared = SharedFile::new(common::staged(MemFile::new()));
         let snap = counted(|| {
             World::run(2, |comm| {
                 let me = comm.rank() as u64;

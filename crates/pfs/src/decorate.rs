@@ -1,12 +1,25 @@
-//! Storage-file decorators: throttling, statistics, and fault injection.
+//! Storage-file decorators: one [`Decorated`] file, and the policies that
+//! make it throttle, count or inject faults.
 //!
-//! Each decorator counts, throttles, or perturbs exactly the call that
-//! passes through it, attributing the effect to the calling thread. None
-//! forwards [`StorageFile::with_range_mut`]/[`StorageFile::with_range`]:
-//! bytes lent in place are not a request, so there would be nothing to
-//! count, delay, tear or fail. A decorated file answers `false`, the
-//! caller stages the range in its own buffer, and the decorator sees the
-//! `read_at`/`write_at` it always saw.
+//! [`Decorated`] implements [`StorageFile`] once, over whatever file lies
+//! beneath it, and asks its [`Policy`] what to do with each call:
+//! - a `read_at`/`write_at` may pass, be delayed, shortened (a prefix is
+//!   passed on), torn (a prefix is passed on, then the call fails) or
+//!   failed;
+//! - a `sync` may fail;
+//! - a lend ([`StorageFile::with_range_mut`], [`StorageFile::with_range`])
+//!   may be passed to the file beneath, declined — the caller then stages
+//!   that range through requests, as on storage with no bytes to lend — or
+//!   failed with a typed error before any byte is lent.
+//!
+//! Declining is the default. [`Throttle`] and [`Counter`] keep it on
+//! purpose: what they charge or count is the request, and a lent window
+//! would be none, so on them every window is staged. [`Faults`] lends: a
+//! lend is whole or nothing, so a range its plan would have shortened or
+//! failed as a request is declined, and its staged requests draw faults of
+//! their own; under a fail-stop point every range for updating is
+//! declined. One operation thus moves bytes both ways. Each policy
+//! attributes its effect to the calling thread.
 
 use std::io;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -17,17 +30,23 @@ use lio_obs::{LazyCounter, LazyGauge, LazyHistogram};
 
 use crate::file::StorageFile;
 
-/// Storage-layer metrics, fed by [`CountingFile`] (and the other
-/// decorators) into the global `lio-obs` registry. The request-size
-/// histograms are what make the paper's access-granularity arguments
-/// visible: data sieving should shift mass from tiny buckets to
+/// Storage-layer metrics, fed by [`Counter`] (and the other policies) into
+/// the global `lio-obs` registry, reads first and writes second. The
+/// request-size histograms are what make the paper's access-granularity
+/// arguments visible: data sieving should shift mass from tiny buckets to
 /// buffer-sized ones.
-static OBS_READ_CALLS: LazyCounter = LazyCounter::new("pfs.read.calls");
-static OBS_READ_BYTES: LazyCounter = LazyCounter::new("pfs.read.bytes");
-static OBS_WRITE_CALLS: LazyCounter = LazyCounter::new("pfs.write.calls");
-static OBS_WRITE_BYTES: LazyCounter = LazyCounter::new("pfs.write.bytes");
-static OBS_READ_SIZE: LazyHistogram = LazyHistogram::new("pfs.read.size");
-static OBS_WRITE_SIZE: LazyHistogram = LazyHistogram::new("pfs.write.size");
+static OBS_CALLS: [LazyCounter; 2] = [
+    LazyCounter::new("pfs.read.calls"),
+    LazyCounter::new("pfs.write.calls"),
+];
+static OBS_BYTES: [LazyCounter; 2] = [
+    LazyCounter::new("pfs.read.bytes"),
+    LazyCounter::new("pfs.write.bytes"),
+];
+static OBS_SIZE: [LazyHistogram; 2] = [
+    LazyHistogram::new("pfs.read.size"),
+    LazyHistogram::new("pfs.write.size"),
+];
 static OBS_THROTTLE_NS: LazyCounter = LazyCounter::new("pfs.throttle.delay_ns");
 /// Wall time burnt in the busy-wait tail of [`throttle_delay`]. This is
 /// CPU time, not modelled device time: consumers that account "storage
@@ -40,10 +59,111 @@ static OBS_FAULTS_INJECTED: LazyCounter = LazyCounter::new("pfs.faults.injected"
 /// (an IOP's pre-read against its write-behind lane, or two ranks).
 static OBS_OPS_INFLIGHT_MAX: LazyGauge = LazyGauge::new("pfs.ops.inflight_max");
 
-/// Current in-flight throttled ops across all [`ThrottledFile`]s.
+/// Current in-flight throttled ops across all throttled files.
 static THROTTLE_INFLIGHT: AtomicU64 = AtomicU64::new(0);
 
-/// A bandwidth/latency model emulating a particular storage system.
+/// Which way a request or a lend moves bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    Read,
+    Write,
+}
+
+/// The call on the file beneath that a policy is handed with a request:
+/// `go(keep)` passes on the first `keep` bytes and returns how many the
+/// file moved.
+pub trait Go: FnOnce(usize) -> io::Result<usize> {}
+
+impl<G: FnOnce(usize) -> io::Result<usize>> Go for G {}
+
+/// What a [`Decorated`] file does with the calls it gets; the defaults
+/// pass every request and `sync` and decline every lend.
+pub trait Policy: Send + Sync {
+    /// A `read_at`/`write_at` of `len` bytes at `offset`.
+    fn request(&self, _op: Op, _offset: u64, len: usize, go: impl Go) -> io::Result<usize> {
+        go(len)
+    }
+
+    /// A lend of `[lo, hi)` for updating (`Write`) or reading, before any
+    /// byte is lent: `true` passes it to the file beneath (which may
+    /// decline in turn), `false` declines it, and the caller stages it.
+    fn lend(&self, _op: Op, _lo: u64, _hi: u64) -> io::Result<bool> {
+        Ok(false)
+    }
+
+    /// A `sync`, before the file beneath is synced.
+    fn sync(&self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A [`StorageFile`] over `inner` that makes each call as its policy `P`
+/// says; see the module docs.
+pub struct Decorated<F, P> {
+    inner: F,
+    policy: P,
+}
+
+impl<F, P> Decorated<F, P> {
+    /// Decorate `inner` with `policy`.
+    pub fn new(inner: F, policy: P) -> Decorated<F, P> {
+        Decorated { inner, policy }
+    }
+
+    /// The file beneath (bypasses the policy: tests snapshot through it).
+    pub fn inner(&self) -> &F {
+        &self.inner
+    }
+
+    /// The policy, and what it counted.
+    pub fn policy(&self) -> &P {
+        &self.policy
+    }
+}
+
+impl<F: StorageFile, P: Policy> StorageFile for Decorated<F, P> {
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        let len = buf.len();
+        (self.policy).request(Op::Read, offset, len, |keep| {
+            self.inner.read_at(offset, &mut buf[..keep])
+        })
+    }
+
+    fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<usize> {
+        (self.policy).request(Op::Write, offset, buf.len(), |keep| {
+            self.inner.write_at(offset, &buf[..keep])
+        })
+    }
+
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+
+    fn sync(&self) -> io::Result<()> {
+        self.policy.sync()?;
+        self.inner.sync()
+    }
+
+    fn with_range_mut(
+        &self,
+        lo: u64,
+        hi: u64,
+        f: &mut dyn FnMut(u64, &mut [u8]),
+    ) -> io::Result<bool> {
+        Ok(self.policy.lend(Op::Write, lo, hi)? && self.inner.with_range_mut(lo, hi, f)?)
+    }
+
+    fn with_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, &[u8])) -> io::Result<bool> {
+        Ok(self.policy.lend(Op::Read, lo, hi)? && self.inner.with_range(lo, hi, f)?)
+    }
+}
+
+/// A bandwidth/latency model emulating a particular storage system, and
+/// the policy that charges it per request.
 ///
 /// The paper's SX-6 testbed sustains ~6.5 GB/s writes and ~8 GB/s reads
 /// ([`Throttle::sx6_local_fs`]). Each access costs `latency` plus
@@ -86,27 +206,12 @@ impl Throttle {
         }
     }
 
-    fn delay_for(&self, bytes: usize, write: bool) -> Duration {
-        let bw = if write { self.write_bw } else { self.read_bw };
+    fn delay_for(&self, bytes: usize, op: Op) -> Duration {
+        let bw = match op {
+            Op::Read => self.read_bw,
+            Op::Write => self.write_bw,
+        };
         self.latency + Duration::from_secs_f64(bytes as f64 / bw)
-    }
-}
-
-/// Wraps a [`StorageFile`] to emulate a given bandwidth/latency profile.
-pub struct ThrottledFile<F> {
-    inner: F,
-    throttle: Throttle,
-}
-
-impl<F: StorageFile> ThrottledFile<F> {
-    /// Throttle `inner` to the given profile.
-    pub fn new(inner: F, throttle: Throttle) -> ThrottledFile<F> {
-        ThrottledFile { inner, throttle }
-    }
-
-    /// The wrapped file.
-    pub fn inner(&self) -> &F {
-        &self.inner
     }
 }
 
@@ -150,62 +255,28 @@ fn throttle_delay(d: Duration) -> Duration {
     spun
 }
 
-/// RAII guard maintaining the in-flight-ops high-water mark.
-struct InflightOp;
-
-impl InflightOp {
-    fn enter() -> InflightOp {
-        let cur = THROTTLE_INFLIGHT.fetch_add(1, Ordering::Relaxed) + 1;
-        OBS_OPS_INFLIGHT_MAX.record_max(cur);
-        InflightOp
-    }
-}
-
-impl Drop for InflightOp {
-    fn drop(&mut self) {
+impl Policy for Throttle {
+    fn request(&self, op: Op, _offset: u64, len: usize, go: impl Go) -> io::Result<usize> {
+        let inflight = THROTTLE_INFLIGHT.fetch_add(1, Ordering::Relaxed) + 1;
+        OBS_OPS_INFLIGHT_MAX.record_max(inflight);
+        let mut sp = lio_obs::trace::span(match op {
+            Op::Read => "pfs.read",
+            Op::Write => "pfs.write",
+        });
+        let moved = go(len).inspect(|&n| {
+            let d = self.delay_for(n, op);
+            OBS_THROTTLE_NS.add(d.as_nanos() as u64);
+            let spun = throttle_delay(d);
+            // the span's wall time includes the spin tail; the payload
+            // keeps modelled device time and CPU spin separable downstream
+            sp.set_payload(n as u64, d.as_nanos() as u64, spun.as_nanos() as u64);
+        });
         THROTTLE_INFLIGHT.fetch_sub(1, Ordering::Relaxed);
+        moved
     }
 }
 
-impl<F: StorageFile> StorageFile for ThrottledFile<F> {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let _op = InflightOp::enter();
-        let mut sp = lio_obs::trace::span("pfs.read");
-        let n = self.inner.read_at(offset, buf)?;
-        let d = self.throttle.delay_for(n, false);
-        OBS_THROTTLE_NS.add(d.as_nanos() as u64);
-        let spun = throttle_delay(d);
-        // the span's wall time includes the spin tail; the payload keeps
-        // modelled device time and CPU spin separable downstream
-        sp.set_payload(n as u64, d.as_nanos() as u64, spun.as_nanos() as u64);
-        Ok(n)
-    }
-
-    fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<usize> {
-        let _op = InflightOp::enter();
-        let mut sp = lio_obs::trace::span("pfs.write");
-        let n = self.inner.write_at(offset, buf)?;
-        let d = self.throttle.delay_for(n, true);
-        OBS_THROTTLE_NS.add(d.as_nanos() as u64);
-        let spun = throttle_delay(d);
-        sp.set_payload(n as u64, d.as_nanos() as u64, spun.as_nanos() as u64);
-        Ok(n)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn set_len(&self, len: u64) -> io::Result<()> {
-        self.inner.set_len(len)
-    }
-
-    fn sync(&self) -> io::Result<()> {
-        self.inner.sync()
-    }
-}
-
-/// Access statistics collected by [`CountingFile`].
+/// Access statistics collected by [`Counter`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Number of read calls.
@@ -235,102 +306,55 @@ impl IoStats {
     }
 }
 
-/// Wraps a [`StorageFile`] and counts accesses and bytes — used by the
-/// overhead ablation benches to show, e.g., how data sieving trades access
-/// count against transferred volume.
-pub struct CountingFile<F> {
-    inner: F,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    max_read: AtomicU64,
-    max_write: AtomicU64,
+/// The policy that counts requests and bytes — used by the overhead
+/// ablations to show, e.g., how data sieving trades access count against
+/// transferred volume. Each counter is a pair, reads first.
+#[derive(Default)]
+pub struct Counter {
+    calls: [AtomicU64; 2],
+    bytes: [AtomicU64; 2],
+    max: [AtomicU64; 2],
 }
 
-impl<F: StorageFile> CountingFile<F> {
-    /// Wrap `inner` with fresh counters.
-    pub fn new(inner: F) -> CountingFile<F> {
-        CountingFile {
-            inner,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
-            max_read: AtomicU64::new(0),
-            max_write: AtomicU64::new(0),
-        }
-    }
-
+impl Counter {
     /// Snapshot the counters.
     pub fn stats(&self) -> IoStats {
+        let get = |pair: &[AtomicU64; 2], op: Op| pair[op as usize].load(Ordering::Relaxed);
         IoStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            max_read: self.max_read.load(Ordering::Relaxed),
-            max_write: self.max_write.load(Ordering::Relaxed),
+            reads: get(&self.calls, Op::Read),
+            writes: get(&self.calls, Op::Write),
+            bytes_read: get(&self.bytes, Op::Read),
+            bytes_written: get(&self.bytes, Op::Write),
+            max_read: get(&self.max, Op::Read),
+            max_write: get(&self.max, Op::Write),
         }
     }
 
     /// Reset the counters to zero.
     pub fn reset(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.max_read.store(0, Ordering::Relaxed);
-        self.max_write.store(0, Ordering::Relaxed);
-    }
-
-    /// The wrapped file.
-    pub fn inner(&self) -> &F {
-        &self.inner
+        for c in [&self.calls, &self.bytes, &self.max].into_iter().flatten() {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 
-impl<F: StorageFile> StorageFile for CountingFile<F> {
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read_at(offset, buf)?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-        self.max_read.fetch_max(buf.len() as u64, Ordering::Relaxed);
-        OBS_READ_CALLS.incr();
-        OBS_READ_BYTES.add(n as u64);
-        OBS_READ_SIZE.record(buf.len() as u64);
+impl Policy for Counter {
+    fn request(&self, op: Op, _offset: u64, len: usize, go: impl Go) -> io::Result<usize> {
+        let n = go(len)?;
+        let i = op as usize;
+        self.calls[i].fetch_add(1, Ordering::Relaxed);
+        self.bytes[i].fetch_add(n as u64, Ordering::Relaxed);
+        self.max[i].fetch_max(len as u64, Ordering::Relaxed);
+        OBS_CALLS[i].incr();
+        OBS_BYTES[i].add(n as u64);
+        OBS_SIZE[i].record(len as u64);
         Ok(n)
-    }
-
-    fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write_at(offset, buf)?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
-        self.max_write
-            .fetch_max(buf.len() as u64, Ordering::Relaxed);
-        OBS_WRITE_CALLS.incr();
-        OBS_WRITE_BYTES.add(n as u64);
-        OBS_WRITE_SIZE.record(buf.len() as u64);
-        Ok(n)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn set_len(&self, len: u64) -> io::Result<()> {
-        self.inner.set_len(len)
-    }
-
-    fn sync(&self) -> io::Result<()> {
-        self.inner.sync()
     }
 }
 
-/// Deterministic fault-injection plan for [`FaultyFile`], driven by a
-/// seeded xorshift64* stream — the same generator family as the
-/// differential test corpora, so any failing schedule is replayed by its
-/// seed alone.
+/// Deterministic fault-injection plan for [`Faults`], driven by a seeded
+/// xorshift64* stream — the same generator family as the differential
+/// test corpora, so any failing schedule is replayed by its seed alone.
 ///
 /// Plans without `torn_after` are *survivable by construction*: short
 /// transfers always move at least one byte, transient errors stop after
@@ -338,7 +362,7 @@ impl<F: StorageFile> StorageFile for CountingFile<F> {
 /// `flush_fail_first` calls — so a bounded retry/resume loop (see
 /// [`crate::retry`]) always completes. `torn_after` is the deliberate
 /// exception: it models a crash mid-write and is permanent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed for the injection decision stream.
     pub seed: u64,
@@ -353,25 +377,18 @@ pub struct FaultPlan {
     /// [`crate::retry::RetryPolicy`] for faults to be survivable.
     pub max_consecutive_transient: u32,
     /// Fail-stop after this many payload bytes have been submitted for
-    /// writing: the crossing write persists only the prefix up to the
-    /// limit, then it and every later write fail permanently (a torn
-    /// write followed by device loss).
+    /// writing: the crossing write
+    /// persists only the prefix up to the limit, then it and every later
+    /// write fail permanently (a torn write followed by device loss).
     pub torn_after: Option<u64>,
     /// The first k `sync()` calls fail with a transient error.
     pub flush_fail_first: u32,
 }
 
 impl FaultPlan {
-    /// No faults at all; [`FaultyFile`] degenerates to a passthrough.
+    /// No faults at all; [`Faults`] degenerates to a passthrough.
     pub fn disabled() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            short_per_256: 0,
-            transient_per_256: 0,
-            max_consecutive_transient: 0,
-            torn_after: None,
-            flush_fail_first: 0,
-        }
+        FaultPlan::default()
     }
 
     /// Moderate survivable defaults: roughly one access in five is
@@ -397,15 +414,18 @@ impl FaultPlan {
     }
 }
 
-/// Wraps a [`StorageFile`] and injects faults per a seeded [`FaultPlan`],
-/// for exercising the I/O layers' retry/backoff and short-I/O resumption.
-/// Composes with [`ThrottledFile`]/[`CountingFile`] like any decorator;
-/// wrap an `Arc<MemFile>` to keep an injection-free handle for snapshots.
+/// The policy that injects faults per a seeded [`FaultPlan`], for
+/// exercising the I/O layers' retry/backoff and short-I/O resumption.
+/// Decorate an `Arc<MemFile>` to keep an injection-free handle for
+/// snapshots.
 ///
-/// An inactive plan takes a single-branch fast path, so a `FaultyFile`
-/// left in place costs one predictable branch per request.
-pub struct FaultyFile<F> {
-    inner: F,
+/// It lends, except for the ranges its decision stream would have
+/// shortened or failed as requests, and, under `torn_after`, the ranges
+/// for updating: those are declined, so their staged requests meet the
+/// fault, and the fail-stop point falls on a request, where it falls on
+/// storage that stages everything. An inactive plan takes a single-branch
+/// fast path, so it costs one predictable branch per call.
+pub struct Faults {
     plan: FaultPlan,
     active: bool,
     rng: Mutex<u64>,
@@ -415,11 +435,10 @@ pub struct FaultyFile<F> {
     injected: AtomicU64,
 }
 
-impl<F: StorageFile> FaultyFile<F> {
-    /// Wrap `inner` under the given fault plan.
-    pub fn new(inner: F, plan: FaultPlan) -> FaultyFile<F> {
-        FaultyFile {
-            inner,
+impl Faults {
+    /// Inject under the given plan.
+    pub fn new(plan: FaultPlan) -> Faults {
+        Faults {
             active: plan.is_active(),
             rng: Mutex::new(plan.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
             plan,
@@ -428,16 +447,6 @@ impl<F: StorageFile> FaultyFile<F> {
             syncs: AtomicU32::new(0),
             injected: AtomicU64::new(0),
         }
-    }
-
-    /// The wrapped file (bypasses injection — tests snapshot through it).
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-
-    /// The plan this file injects under.
-    pub fn plan(&self) -> FaultPlan {
-        self.plan
     }
 
     /// Total faults injected so far.
@@ -471,83 +480,75 @@ impl<F: StorageFile> FaultyFile<F> {
             .is_ok()
     }
 
-    fn transient_error(&self, r: u64, op: &str) -> io::Error {
-        let kind = match (r >> 8) % 3 {
-            0 => io::ErrorKind::WouldBlock,
-            1 => io::ErrorKind::Interrupted,
-            _ => io::ErrorKind::TimedOut,
-        };
-        io::Error::new(kind, format!("injected transient {op} fault"))
+    /// Whether roll `r` draws a transient failure, and whether it draws a
+    /// short transfer.
+    fn draws(&self, r: u64) -> (bool, bool) {
+        (
+            (r & 0xFF) < self.plan.transient_per_256 as u64,
+            ((r >> 16) & 0xFF) < self.plan.short_per_256 as u64,
+        )
     }
 
     /// Decide the fate of one access of `len` bytes: `Err` injects a
-    /// transient failure, `Ok(Some(keep))` truncates to a non-empty
-    /// prefix, `Ok(None)` passes through untouched.
-    fn fate(&self, len: usize, op: &str) -> io::Result<Option<usize>> {
+    /// transient failure, `Ok(keep)` passes on a prefix — all of it, or a
+    /// non-empty part.
+    fn fate(&self, len: usize, op: Op) -> io::Result<usize> {
         let r = self.roll();
-        if (r & 0xFF) < self.plan.transient_per_256 as u64 && self.claim_transient() {
+        let (transient, short) = self.draws(r);
+        if transient && self.claim_transient() {
             self.record_injection();
-            return Err(self.transient_error(r, op));
+            let kind = match (r >> 8) % 3 {
+                0 => io::ErrorKind::WouldBlock,
+                1 => io::ErrorKind::Interrupted,
+                _ => io::ErrorKind::TimedOut,
+            };
+            return Err(io::Error::new(
+                kind,
+                format!("injected transient {op:?} fault"),
+            ));
         }
         self.consec_transient.store(0, Ordering::Relaxed);
-        if ((r >> 16) & 0xFF) < self.plan.short_per_256 as u64 && len > 1 {
+        if short && len > 1 {
             self.record_injection();
-            return Ok(Some(1 + ((r >> 24) as usize) % (len - 1)));
+            return Ok(1 + ((r >> 24) as usize) % (len - 1));
         }
-        Ok(None)
+        Ok(len)
     }
 }
 
-impl<F: StorageFile> StorageFile for FaultyFile<F> {
-    // The inactive paths must cost a single predictable branch, so keep
-    // them inlinable.
+impl Policy for Faults {
+    // The inactive path must cost a single predictable branch, so keep it
+    // inlinable.
     #[inline]
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+    fn request(&self, op: Op, _offset: u64, len: usize, go: impl Go) -> io::Result<usize> {
         if !self.active {
-            return self.inner.read_at(offset, buf);
+            return go(len);
         }
-        match self.fate(buf.len(), "read")? {
-            Some(keep) => self.inner.read_at(offset, &mut buf[..keep]),
-            None => self.inner.read_at(offset, buf),
-        }
-    }
-
-    #[inline]
-    fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<usize> {
-        if !self.active {
-            return self.inner.write_at(offset, buf);
-        }
-        if let Some(limit) = self.plan.torn_after {
+        if let Some(limit) = self.plan.torn_after.filter(|_| op == Op::Write) {
             // `bytes_written` counts *attempted* payload bytes, so the
             // fail-stop point is deterministic even under concurrency.
-            let start = self
-                .bytes_written
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
+            let start = self.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
             if start >= limit {
                 self.record_injection();
                 return Err(io::Error::other("injected fail-stop: device lost"));
             }
-            if start + buf.len() as u64 > limit {
-                let keep = (limit - start) as usize;
-                self.inner.write_at(offset, &buf[..keep])?;
+            if start + len as u64 > limit {
+                go((limit - start) as usize)?;
                 self.record_injection();
                 return Err(io::Error::other(
                     "injected torn write: only a prefix was persisted",
                 ));
             }
         }
-        match self.fate(buf.len(), "write")? {
-            Some(keep) => self.inner.write_at(offset, &buf[..keep]),
-            None => self.inner.write_at(offset, buf),
-        }
+        go(self.fate(len, op)?)
     }
 
-    fn len(&self) -> u64 {
-        self.inner.len()
-    }
-
-    fn set_len(&self, len: u64) -> io::Result<()> {
-        self.inner.set_len(len)
+    /// A lend is whole or nothing: a range the plan would have shortened
+    /// or failed as a request is declined, and so is every range for
+    /// updating under a fail-stop point, which counts requested bytes.
+    fn lend(&self, op: Op, _lo: u64, _hi: u64) -> io::Result<bool> {
+        let lendable = op == Op::Read || self.plan.torn_after.is_none();
+        Ok(!self.active || (lendable && self.draws(self.roll()) == (false, false)))
     }
 
     fn sync(&self) -> io::Result<()> {
@@ -561,7 +562,7 @@ impl<F: StorageFile> StorageFile for FaultyFile<F> {
                 ));
             }
         }
-        self.inner.sync()
+        Ok(())
     }
 }
 
@@ -572,28 +573,28 @@ mod tests {
 
     #[test]
     fn counting_tracks_ops() {
-        let f = CountingFile::new(MemFile::new());
+        let f = Decorated::new(MemFile::new(), Counter::default());
         f.write_at(0, &[1; 100]).unwrap();
         let mut buf = [0u8; 40];
         f.read_at(0, &mut buf).unwrap();
         f.read_at(60, &mut buf).unwrap();
-        let s = f.stats();
+        let s = f.policy().stats();
         assert_eq!(s.writes, 1);
         assert_eq!(s.bytes_written, 100);
         assert_eq!(s.reads, 2);
         assert_eq!(s.bytes_read, 80);
-        f.reset();
-        assert_eq!(f.stats(), IoStats::default());
+        f.policy().reset();
+        assert_eq!(f.policy().stats(), IoStats::default());
     }
 
     #[test]
     fn counting_tracks_max_request_and_merge() {
-        let f = CountingFile::new(MemFile::new());
+        let f = Decorated::new(MemFile::new(), Counter::default());
         f.write_at(0, &[1; 100]).unwrap();
         f.write_at(0, &[1; 10]).unwrap();
         let mut buf = [0u8; 40];
         f.read_at(0, &mut buf).unwrap();
-        let s = f.stats();
+        let s = f.policy().stats();
         assert_eq!(s.max_write, 100);
         assert_eq!(s.max_read, 40);
 
@@ -615,7 +616,7 @@ mod tests {
 
     #[test]
     fn counting_is_concurrency_safe() {
-        let f = CountingFile::new(MemFile::new());
+        let f = Decorated::new(MemFile::new(), Counter::default());
         let (threads, ops) = (8usize, 16usize);
         std::thread::scope(|s| {
             for t in 0..threads {
@@ -628,7 +629,7 @@ mod tests {
                 });
             }
         });
-        let s = f.stats();
+        let s = f.policy().stats();
         assert_eq!(s.writes, (threads * ops) as u64);
         assert_eq!(s.bytes_written, (threads * ops * 777) as u64);
         assert_eq!(s.max_write, 777);
@@ -641,7 +642,7 @@ mod tests {
             write_bw: 1.0e6,
             latency: Duration::ZERO,
         };
-        let f = ThrottledFile::new(MemFile::new(), slow);
+        let f = Decorated::new(MemFile::new(), slow);
         let t0 = Instant::now();
         f.write_at(0, &[0u8; 10_000]).unwrap(); // should cost ~10ms
         let elapsed = t0.elapsed();
@@ -650,7 +651,7 @@ mod tests {
 
     #[test]
     fn throttled_preserves_data() {
-        let f = ThrottledFile::new(MemFile::new(), Throttle::sx6_local_fs());
+        let f = Decorated::new(MemFile::new(), Throttle::sx6_local_fs());
         f.write_at(5, b"data").unwrap();
         let mut buf = [0u8; 4];
         assert_eq!(f.read_at(5, &mut buf).unwrap(), 4);
@@ -682,7 +683,10 @@ mod tests {
     #[test]
     fn faulty_same_seed_same_schedule() {
         let run = || {
-            let f = FaultyFile::new(MemFile::with_data(vec![7; 256]), FaultPlan::seeded(0xFA11));
+            let f = Decorated::new(
+                MemFile::with_data(vec![7; 256]),
+                Faults::new(FaultPlan::seeded(0xFA11)),
+            );
             let mut out = Vec::new();
             let mut buf = [0u8; 32];
             for i in 0..64u64 {
@@ -702,7 +706,7 @@ mod tests {
             transient_per_256: 0,
             ..FaultPlan::seeded(7)
         };
-        let f = FaultyFile::new(MemFile::with_data(vec![7; 256]), plan);
+        let f = Decorated::new(MemFile::with_data(vec![7; 256]), Faults::new(plan));
         let mut buf = [0u8; 64];
         let mut shortened = 0;
         for _ in 0..50 {
@@ -725,22 +729,14 @@ mod tests {
             max_consecutive_transient: 3,
             ..FaultPlan::seeded(11)
         };
-        let f = FaultyFile::new(MemFile::with_data(vec![7; 64]), plan);
+        let f = Decorated::new(MemFile::with_data(vec![7; 64]), Faults::new(plan));
         let mut buf = [0u8; 8];
         let (mut run, mut max_run, mut errs) = (0u32, 0u32, 0u32);
         for _ in 0..200 {
             match f.read_at(0, &mut buf) {
                 Err(e) => {
-                    assert!(
-                        matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock
-                                | io::ErrorKind::Interrupted
-                                | io::ErrorKind::TimedOut
-                        ),
-                        "unexpected kind {:?}",
-                        e.kind()
-                    );
+                    let kind = e.kind();
+                    assert!(crate::retry::is_transient(&e), "unexpected kind {kind:?}");
                     run += 1;
                     errs += 1;
                 }
@@ -749,45 +745,26 @@ mod tests {
             max_run = max_run.max(run);
         }
         assert!(errs > 0);
-        assert!(
-            max_run <= 3,
-            "cap violated: {max_run} consecutive transients"
-        );
+        assert!(max_run <= 3, "{max_run} consecutive transients");
     }
 
     #[test]
     fn faulty_torn_write_persists_prefix_then_fails_permanently() {
         let plan = FaultPlan {
             seed: 1,
-            short_per_256: 0,
-            transient_per_256: 0,
-            max_consecutive_transient: 0,
             torn_after: Some(10),
-            flush_fail_first: 0,
+            ..FaultPlan::disabled()
         };
-        let f = FaultyFile::new(MemFile::new(), plan);
+        let f = Decorated::new(MemFile::new(), Faults::new(plan));
         assert_eq!(f.write_at(0, &[1u8; 8]).unwrap(), 8);
         let e = f.write_at(8, &[2u8; 8]).unwrap_err();
-        assert_eq!(
-            e.kind(),
-            io::ErrorKind::Other,
-            "torn write must be permanent"
-        );
+        assert_eq!(e.kind(), io::ErrorKind::Other, "a torn write is permanent");
         let snap = f.inner().snapshot();
-        assert_eq!(
-            snap,
-            [1, 1, 1, 1, 1, 1, 1, 1, 2, 2],
-            "prefix up to the limit persists"
-        );
-        assert!(
-            f.write_at(20, &[3u8; 4]).is_err(),
-            "writes after fail-stop all fail"
-        );
-        assert_eq!(
-            f.inner().snapshot().len(),
-            10,
-            "no bytes persisted after fail-stop"
-        );
+        assert_eq!(snap, [1, 1, 1, 1, 1, 1, 1, 1, 2, 2], "the prefix persists");
+        let after = f.write_at(20, &[3u8; 4]);
+        assert!(after.is_err(), "writes after fail-stop all fail");
+        let len = f.inner().snapshot().len();
+        assert_eq!(len, 10, "no bytes persisted after fail-stop");
     }
 
     #[test]
@@ -796,22 +773,44 @@ mod tests {
             flush_fail_first: 2,
             ..FaultPlan::disabled()
         };
-        let f = FaultyFile::new(MemFile::new(), FaultPlan { seed: 3, ..plan });
+        let f = Decorated::new(MemFile::new(), Faults::new(FaultPlan { seed: 3, ..plan }));
         assert!(f.sync().is_err());
         assert!(f.sync().is_err());
         assert!(f.sync().is_ok());
-        assert_eq!(f.injected(), 2);
+        assert_eq!(f.policy().injected(), 2);
     }
 
     #[test]
     fn faulty_disabled_plan_is_passthrough() {
-        let f = FaultyFile::new(MemFile::with_data(vec![9; 128]), FaultPlan::disabled());
+        let f = Decorated::new(
+            MemFile::with_data(vec![9; 128]),
+            Faults::new(FaultPlan::disabled()),
+        );
         let mut buf = [0u8; 64];
         for _ in 0..50 {
             assert_eq!(f.read_at(0, &mut buf).unwrap(), 64);
             assert_eq!(f.write_at(0, &buf).unwrap(), 64);
         }
         f.sync().unwrap();
-        assert_eq!(f.injected(), 0);
+        assert_eq!(f.policy().injected(), 0);
+    }
+
+    #[test]
+    fn faulty_lends_all_but_a_seeded_share() {
+        let f = Decorated::new(MemFile::new(), Faults::new(FaultPlan::seeded(5)));
+        let place = |f: &dyn StorageFile| f.with_range_mut(0, 8, &mut |_, p| p.fill(1));
+        let lent = (0..200).filter(|_| place(&f).unwrap()).count();
+        // the seeded plan draws a fault for about 80 of 256 requests
+        assert!((100..190).contains(&lent), "{lent} of 200 ranges lent");
+        assert_eq!(f.policy().injected(), 0, "a declined range is no fault");
+        assert_eq!(f.inner().snapshot(), [1; 8]);
+        // a fail-stop point counts requested bytes: no write is lent
+        let plan = FaultPlan {
+            torn_after: Some(10),
+            ..FaultPlan::disabled()
+        };
+        let f = Decorated::new(MemFile::with_data(vec![0; 16]), Faults::new(plan));
+        assert!(!place(&f).unwrap());
+        assert!(f.with_range(0, 16, &mut |_, _| {}).unwrap(), "reads are");
     }
 }

@@ -70,9 +70,10 @@ pub trait StorageFile: Send + Sync {
     /// above holds unchanged, `f` must not call back into the storage,
     /// and a panic in `f` poisons the file like a panic inside a copy.
     /// Bytes `f` leaves alone keep their value: an update in place needs
-    /// no read-modify-write. Decorators deliberately do *not* forward
-    /// this (see [`crate::decorate`]): what they count, delay, fail or
-    /// record is the request, and lent bytes are not one.
+    /// no read-modify-write. A [`crate::Decorated`] file asks its policy
+    /// first ([`crate::Policy::lend`]): the fault plan lends, and the
+    /// throttle and the counter decline, since what they charge or count
+    /// is the request, and lent bytes are not one.
     fn with_range_mut(
         &self,
         _lo: u64,
@@ -140,7 +141,7 @@ const POISONED: &str = "a MemFile lock is only poisoned by a panic inside a copy
 /// paper identifies as the one where listless I/O matters most ("the
 /// higher the bandwidth of the used file system in relation to the
 /// bandwidth of the memory system..., the more important listless I/O
-/// is"). Use [`crate::ThrottledFile`] to emulate slower storage.
+/// is"). Decorate it with a [`crate::Throttle`] to emulate slower storage.
 ///
 /// It is *parallel* the way such a file system is: the bytes live in
 /// fixed-size stripes, each behind its own lock, so transfers to disjoint
@@ -951,8 +952,8 @@ mod tests {
     }
 
     #[test]
-    fn arcs_forward_lending_and_decorators_decline() {
-        use crate::decorate::{CountingFile, FaultPlan, FaultyFile, Throttle, ThrottledFile};
+    fn arcs_forward_lending_and_policies_decide_it() {
+        use crate::decorate::{Counter, Decorated, FaultPlan, Faults, Throttle};
         let lends = |f: &dyn StorageFile| {
             f.write_at(0, &[9u8; 64]).unwrap();
             let a = lent_mut(f, 8, 16).is_some();
@@ -969,19 +970,14 @@ mod tests {
         // a real file lends through its mapping, behind an `Arc` too
         assert!(lends(&unix_with(&[])));
         assert!(lends(&Arc::new(UnixFile::temp().unwrap())));
-        assert!(!lends(&FaultyFile::new(
-            unix_with(&[]),
-            FaultPlan::disabled()
-        )));
-        assert!(!lends(&CountingFile::new(MemFile::new())));
-        assert!(!lends(&ThrottledFile::new(
-            MemFile::new(),
-            Throttle::sx6_local_fs()
-        )));
-        assert!(!lends(&FaultyFile::new(
-            MemFile::new(),
-            FaultPlan::disabled()
-        )));
+        // a policy decides: the fault plan lends, the request-cost ones
+        // decline
+        let faults = || Faults::new(FaultPlan::disabled());
+        assert!(lends(&Decorated::new(unix_with(&[]), faults())));
+        assert!(lends(&Decorated::new(MemFile::new(), faults())));
+        assert!(!lends(&Decorated::new(MemFile::new(), Counter::default())));
+        let throttle = Throttle::sx6_local_fs();
+        assert!(!lends(&Decorated::new(MemFile::new(), throttle)));
     }
 
     #[test]

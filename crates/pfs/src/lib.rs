@@ -12,13 +12,14 @@
 //! * [`UnixFile`] — the real-storage backend: a kernel file reached with
 //!   `pread`/`pwrite`, lending what lies inside it through one shared
 //!   mapping ([`UnixFile::temp`] makes an unlinked one in [`os_dir`]);
-//! * [`ThrottledFile`] — a calibrated bandwidth/latency model for
-//!   emulating slower storage ([`Throttle::sx6_local_fs`],
-//!   [`Throttle::commodity_nfs`]);
-//! * [`CountingFile`] — access/byte counters for the overhead ablations;
-//! * [`FaultyFile`] — seeded deterministic fault injection (short
-//!   transfers, transient errors, torn writes, flush failures), with the
-//!   bounded recovery loops in [`retry`];
+//! * [`Decorated`] — one decorator over any of them, which does what its
+//!   [`Policy`] says with each request, `sync` and lend:
+//!   [`Throttle`], a calibrated bandwidth/latency model for emulating
+//!   slower storage ([`Throttle::sx6_local_fs`],
+//!   [`Throttle::commodity_nfs`]); [`Counter`], access/byte counters for
+//!   the overhead ablations; [`Faults`], seeded deterministic fault
+//!   injection (short transfers, transient errors, torn writes, flush
+//!   failures), with the bounded recovery loops in [`retry`];
 //! * [`RangeLock`] — the byte-range lock that data-sieving writes need for
 //!   their read-modify-write cycle.
 
@@ -29,7 +30,7 @@ mod map;
 pub mod retry;
 
 pub use decorate::{
-    take_spin_ns, CountingFile, FaultPlan, FaultyFile, IoStats, Throttle, ThrottledFile,
+    take_spin_ns, Counter, Decorated, FaultPlan, Faults, Go, IoStats, Op, Policy, Throttle,
 };
 pub use file::{os_dir, MemFile, StorageFile, SubmissionQueue, UnixFile};
 pub use lock::{RangeGuard, RangeLock};

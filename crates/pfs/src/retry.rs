@@ -231,7 +231,7 @@ pub fn sync_with_retry(f: &dyn StorageFile) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decorate::{FaultPlan, FaultyFile};
+    use crate::decorate::{Decorated, FaultPlan, Faults, Go, Op, Policy};
     use crate::file::MemFile;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -243,7 +243,7 @@ mod tests {
             transient_per_256: 0,
             ..FaultPlan::seeded(21)
         };
-        let f = FaultyFile::new(MemFile::with_data(data.clone()), plan);
+        let f = Decorated::new(MemFile::with_data(data.clone()), Faults::new(plan));
         let mut buf = vec![0u8; 4096];
         assert_eq!(read_full_at(&f, 0, &mut buf).unwrap(), 4096);
         assert_eq!(buf, data);
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn resumes_short_writes_and_retries_transients() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
-        let f = FaultyFile::new(MemFile::new(), FaultPlan::seeded(22));
+        let f = Decorated::new(MemFile::new(), Faults::new(FaultPlan::seeded(22)));
         write_full_at(&f, 0, &data).unwrap();
         assert_eq!(f.inner().snapshot(), data);
         let mut buf = vec![0u8; 4096];
@@ -272,13 +272,10 @@ mod tests {
     fn permanent_errors_propagate_immediately() {
         let plan = FaultPlan {
             seed: 9,
-            short_per_256: 0,
-            transient_per_256: 0,
-            max_consecutive_transient: 0,
             torn_after: Some(0),
-            flush_fail_first: 0,
+            ..FaultPlan::disabled()
         };
-        let f = FaultyFile::new(MemFile::new(), plan);
+        let f = Decorated::new(MemFile::new(), Faults::new(plan));
         let e = write_full_at(&f, 0, &[1u8; 16]).unwrap_err();
         assert!(!is_transient(&e));
         assert!(
@@ -289,23 +286,13 @@ mod tests {
         );
     }
 
-    /// A file whose every access fails transiently — forever.
+    /// Every access fails transiently — forever.
     struct AlwaysBlocked(AtomicU32);
 
-    impl StorageFile for AlwaysBlocked {
-        fn read_at(&self, _o: u64, _b: &mut [u8]) -> io::Result<usize> {
+    impl Policy for AlwaysBlocked {
+        fn request(&self, _op: Op, _offset: u64, _len: usize, _go: impl Go) -> io::Result<usize> {
             self.0.fetch_add(1, Ordering::Relaxed);
             Err(io::Error::new(io::ErrorKind::WouldBlock, "busy"))
-        }
-        fn write_at(&self, _o: u64, _b: &[u8]) -> io::Result<usize> {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            Err(io::Error::new(io::ErrorKind::WouldBlock, "busy"))
-        }
-        fn len(&self) -> u64 {
-            0
-        }
-        fn set_len(&self, _len: u64) -> io::Result<()> {
-            Ok(())
         }
         fn sync(&self) -> io::Result<()> {
             self.0.fetch_add(1, Ordering::Relaxed);
@@ -320,10 +307,10 @@ mod tests {
             base_backoff: Duration::from_nanos(1),
             max_backoff: Duration::from_nanos(10),
         };
-        let f = AlwaysBlocked(AtomicU32::new(0));
+        let f = Decorated::new(MemFile::new(), AlwaysBlocked(AtomicU32::new(0)));
         let e = policy.write_full_at(&f, 0, &[0u8; 8]).unwrap_err();
         assert_eq!(
-            f.0.load(Ordering::Relaxed),
+            f.policy().0.load(Ordering::Relaxed),
             5,
             "budget must bound the attempts"
         );
@@ -335,7 +322,7 @@ mod tests {
         assert_eq!(inner.attempts, 5);
         assert!(!is_transient(&e), "exhaustion must be permanent");
 
-        f.0.store(0, Ordering::Relaxed);
+        f.policy().0.store(0, Ordering::Relaxed);
         let e = policy.sync(&f).unwrap_err();
         assert!(e.to_string().contains("sync"));
     }

@@ -11,11 +11,11 @@
 //! coherence with the positional calls in both directions, and the three
 //! ways a mapping could outlive its file (a range past EOF, a shrinking
 //! `set_len`, growth through `write_at`), each of which must decline or
-//! remap, never fault; and a decorated file declines to lend at all.
+//! remap, never fault; and a counted file declines to lend at all.
 //! `ci.sh` runs this file on tmpfs and on a real directory (`LIO_OS_DIR`).
 
 use lio_pfs::retry::{read_full_at, sync_with_retry, write_full_at};
-use lio_pfs::{FaultPlan, FaultyFile, MemFile, StorageFile, UnixFile};
+use lio_pfs::{Counter, Decorated, FaultPlan, Faults, MemFile, StorageFile, UnixFile};
 
 fn pattern(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -126,14 +126,14 @@ fn reads_spanning_eof_are_short_writes_extend() {
 fn seeded_plan_survives_on_a_real_file() {
     // Shorts, bounded transients and two failed flushes, under the retry
     // loops the engines use for every staged call.
-    let f = FaultyFile::new(temp(), FaultPlan::seeded(33));
+    let f = Decorated::new(temp(), Faults::new(FaultPlan::seeded(33)));
     let data = pattern(20_000, 33);
     write_full_at(&f, 11, &data).unwrap();
     let mut back = vec![0u8; data.len()];
     assert_eq!(read_full_at(&f, 11, &mut back).unwrap(), data.len());
     assert_eq!(back, data);
     sync_with_retry(&f).expect("sync survives the default plan");
-    assert!(f.injected() > 0);
+    assert!(f.policy().injected() > 0);
     assert_eq!(read_back(f.inner(), 11, data.len()), data);
 }
 
@@ -213,12 +213,9 @@ fn a_range_past_eof_and_a_decorated_device_are_declined() {
         assert_eq!(lent(f, len + 5, len + 5), Some(Vec::new()));
         assert!(lent(f, 0, len).is_some(), "round {round}");
     }
-    // in bounds, but the file is decorated: the request is the fault
-    // plan's business, so the caller stages it
-    let f = FaultyFile::new(
-        real_lender(&pattern(len as usize, 4)),
-        FaultPlan::disabled(),
-    );
+    // in bounds, but the file is counted: a lent window is no request to
+    // count, so the caller stages it
+    let f = Decorated::new(real_lender(&pattern(len as usize, 4)), Counter::default());
     untouched(&f, 0, len);
     untouched(&f, 10, 20);
 }

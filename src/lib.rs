@@ -49,5 +49,5 @@ pub mod prelude {
     pub use lio_core::{Engine, File, FileView, Hints, SharedFile};
     pub use lio_datatype::{Datatype, Field, Order};
     pub use lio_mpi::{Comm, World};
-    pub use lio_pfs::{MemFile, StorageFile, Throttle, ThrottledFile, UnixFile};
+    pub use lio_pfs::{Decorated, MemFile, StorageFile, Throttle, UnixFile};
 }

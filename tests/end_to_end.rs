@@ -113,13 +113,13 @@ fn fileview_caching_amortizes() {
 
 /// Data sieving turns a thousand small accesses into one window: a
 /// half-dense view of 1024 doubles is read (it lies past EOF, so the read
-/// returns nothing) and written back whole, gaps included. CountingFile
+/// returns nothing) and written back whole, gaps included. The counter
 /// sees the two requests.
 #[test]
 fn sieving_reduces_file_accesses() {
-    use listless_io::pfs::CountingFile;
+    use listless_io::pfs::Counter;
 
-    let counting = Arc::new(CountingFile::new(MemFile::new()));
+    let counting = Arc::new(Decorated::new(MemFile::new(), Counter::default()));
     let shared = SharedFile::from_arc(counting.clone() as Arc<dyn StorageFile>);
     World::run(1, |comm| {
         let hints = Hints::listless().ind_buffer(1 << 20);
@@ -129,7 +129,7 @@ fn sieving_reduces_file_accesses() {
         let data = vec![3u8; 1024 * 8];
         f.write_at(0, &data, 1024 * 8, &Datatype::byte()).unwrap();
     });
-    let s = counting.stats();
+    let s = counting.policy().stats();
     // the view's extent: 1023 strides of 16 B and the last double
     let extent = 1023 * 16 + 8;
     assert_eq!((s.reads, s.writes), (1, 1));
@@ -140,7 +140,7 @@ fn sieving_reduces_file_accesses() {
 /// The stack works unchanged over a throttled (bandwidth-modelled) file.
 #[test]
 fn throttled_storage_end_to_end() {
-    let throttled = ThrottledFile::new(
+    let throttled = Decorated::new(
         MemFile::new(),
         Throttle {
             read_bw: 5.0e9,
@@ -164,21 +164,21 @@ fn throttled_storage_end_to_end() {
     assert_eq!(shared.len(), 2 * 32 * 8);
 }
 
-/// Short transfers and transient errors injected by a FaultyFile are
+/// Short transfers and transient errors injected by the fault plan are
 /// absorbed by the retry/resume layer: reads and writes complete with
 /// correct data under an aggressive survivable plan.
 #[test]
 fn survives_short_transfers() {
-    use listless_io::pfs::{FaultPlan, FaultyFile};
+    use listless_io::pfs::{FaultPlan, Faults};
 
     let mem = Arc::new(MemFile::with_data(vec![7u8; 256]));
-    let faulty = FaultyFile::new(
+    let faulty = Decorated::new(
         Arc::clone(&mem),
-        FaultPlan {
+        Faults::new(FaultPlan {
             short_per_256: 200, // most accesses truncated
             transient_per_256: 64,
             ..FaultPlan::seeded(0xE2E)
-        },
+        }),
     );
     let shared = SharedFile::new(faulty);
     World::run(1, |comm| {
@@ -200,14 +200,14 @@ fn survives_short_transfers() {
 #[test]
 fn storage_errors_propagate() {
     use listless_io::core::IoError;
-    use listless_io::pfs::{FaultPlan, FaultyFile};
+    use listless_io::pfs::{FaultPlan, Faults};
 
-    let file = FaultyFile::new(
+    let file = Decorated::new(
         MemFile::new(),
-        FaultPlan {
+        Faults::new(FaultPlan {
             torn_after: Some(0), // every write fails permanently
             ..FaultPlan::disabled()
-        },
+        }),
     );
     let shared = SharedFile::new(file);
     World::run(1, |comm| {
@@ -306,9 +306,10 @@ fn window_buffers_smaller_and_larger_than_the_access() {
                     );
 
                     let shared = match access {
-                        Access::CollectiveStaged => {
-                            SharedFile::new(listless_io::pfs::CountingFile::new(MemFile::new()))
-                        }
+                        Access::CollectiveStaged => SharedFile::new(Decorated::new(
+                            MemFile::new(),
+                            listless_io::pfs::Counter::default(),
+                        )),
                         _ => SharedFile::new(MemFile::new()),
                     };
                     let backs = World::run(P as usize, |comm| {
