@@ -85,11 +85,13 @@ done
 # window loop (one per engine) from coming back unseen. `obs`'s keeps a
 # second instrumentation from coming back unseen: the access-pattern
 # profile is a view of the one metric registry, and records nothing of
-# its own. `pfs`'s keeps the decorators' hand-written forwards from
+# its own, and the collective phase counters are charged by the trace
+# layer's spans from the one tag table (`trace::phase_of`), not by
+# hand-held timers. `pfs`'s keeps the decorators' hand-written forwards from
 # coming back unseen: one `Decorated<F, P>` implements `StorageFile`, and
 # the throttle, the counter and the fault plan are policies of it.
 echo "== size census"
-declare -A reviewed_lines=([datatype]=6272 [core]=4522 [obs]=3548 [pfs]=2785)
+declare -A reviewed_lines=([datatype]=6272 [core]=4440 [obs]=3536 [pfs]=2728)
 total=0
 for src in crates/*/src; do
   crate=$(basename "$(dirname "$src")")

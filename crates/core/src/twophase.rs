@@ -65,25 +65,20 @@ use crate::hints::{Engine, Hints};
 use crate::packer::{MemPacker, UserSide, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
 use crate::view::{FfNav, FileView, ListShare, Share, ViewNav};
-use crate::window::{snap, timed, WindowIo, Windows};
+use crate::window::{snap, WindowIo, Windows};
 use lio_obs::health;
 
-// Two-phase breakdown metrics. The `_ns` counters accumulate wall time per
-// phase across all rounds on this process: `exchange_ns` covers AP↔IOP
-// message traffic (sends, receives, the closing barrier), `io_ns` covers
-// storage reads/writes of window buffers, and `pack_ns` covers all
-// pack/unpack/place/extract memory movement. `exchange.list_bytes` counts
-// ol-list metadata shipped (list-based engine only; always 0 for listless —
-// the paper's "16 bytes per tuple" overhead). No payload is ever shipped:
-// both engines lend it.
+// Collective metrics. The two-phase breakdown,
+// `core.coll.{write,read}.{exchange,io,pack}_ns`, is not kept here: the
+// spans below name the phases (`exch.*` the AP↔IOP messages, the domains'
+// allgather and the closing barrier; `io.*` the window requests; `pack`,
+// `unpack` and `pack.place` every copy), and each outermost one charges
+// its phase's counter when it closes (`lio_obs::trace::phase_of`).
+// `exchange.list_bytes` counts ol-list metadata shipped (list-based engine
+// only; always 0 for listless — the paper's "16 bytes per tuple"
+// overhead). No payload is ever shipped: both engines lend it.
 static OBS_W_CALLS: LazyCounter = LazyCounter::new("core.coll.write.calls");
-static OBS_W_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.write.exchange_ns");
-static OBS_W_IO_NS: LazyCounter = LazyCounter::new("core.coll.write.io_ns");
-static OBS_W_PACK_NS: LazyCounter = LazyCounter::new("core.coll.write.pack_ns");
 static OBS_R_CALLS: LazyCounter = LazyCounter::new("core.coll.read.calls");
-static OBS_R_EXCH_NS: LazyCounter = LazyCounter::new("core.coll.read.exchange_ns");
-static OBS_R_IO_NS: LazyCounter = LazyCounter::new("core.coll.read.io_ns");
-static OBS_R_PACK_NS: LazyCounter = LazyCounter::new("core.coll.read.pack_ns");
 static OBS_EXCH_LIST_BYTES: LazyCounter = LazyCounter::new("core.coll.exchange.list_bytes");
 static OBS_WINDOWS: LazyCounter = LazyCounter::new("core.coll.windows");
 /// Collective calls that aborted on a permanent storage fault — counted
@@ -259,16 +254,15 @@ fn build_mergeview(views: &[FileView]) -> Result<Option<MergeView>> {
 }
 
 /// Exchange every rank's access range — the file bytes its stream
-/// interval `[s_lo, s_hi)` reaches — and compute the per-IOP file domains;
-/// the time goes to `exch_ns`.
+/// interval `[s_lo, s_hi)` reaches — and compute the per-IOP file domains
+/// (the `exch.domains` span).
 fn file_domains(
     comm: &Comm,
     nav: &ViewNav,
     (s_lo, s_hi): (u64, u64),
     hints: &Hints,
-    exch_ns: &mut u64,
 ) -> Vec<(u64, u64)> {
-    let t = lio_obs::now();
+    let _sp = lio_obs::trace::span("exch.domains");
     let (lo, hi) = nav.reach((s_lo, s_hi)).unwrap_or((u64::MAX, 0));
     let all = comm.allgather([lo.to_le_bytes(), hi.to_le_bytes()].concat());
     let ranges: Vec<(u64, u64)> = (all.iter().map(|b| header(b)))
@@ -298,7 +292,6 @@ fn file_domains(
             a = b;
         }
     }
-    *exch_ns += lio_obs::elapsed_ns(t);
     domains
 }
 
@@ -358,13 +351,9 @@ pub(crate) fn write_at_all(
     // the root trace span delimiting this collective op: the
     // critical-path analyzer keys on its tag
     let _root = lio_obs::trace::span_ab("coll.write", total, 0);
-    let obs = lio_obs::enabled();
-    if obs {
-        OBS_W_CALLS.incr();
-    }
-    let (mut exch_ns, mut pack_ns) = (0u64, 0u64);
+    OBS_W_CALLS.incr();
     let span = (stream_start, stream_start + total);
-    let domains = file_domains(comm, nav, span, hints, &mut exch_ns);
+    let domains = file_domains(comm, nav, span, hints);
     let naggr = domains.len();
     let me = comm.rank();
 
@@ -373,17 +362,15 @@ pub(crate) fn write_at_all(
     // shares of the other domains into a staging buffer and lends that.
     let stages = matches!(nav, ViewNav::List(_));
     let layout = layout(if stages { &STREAM } else { packer }, stream_start);
-    let (shares, own_list) = announce(comm, nav, &domains, span, &layout, &mut exch_ns);
+    let (shares, own_list) = announce(comm, nav, &domains, span, &layout);
     let mut staging = Vec::new();
     if stages {
         staging = stage(&shares, me, total, scratch);
         for (skip, at) in staged(&shares, me, stream_start) {
             let n = at.len() as u64;
-            let (got, ns) = timed(Some(("pack", n, 0)), || {
-                packer.pack(user, skip, &mut staging[at])
-            });
+            let _sp = lio_obs::trace::span_ab("pack", n, 0);
+            let got = packer.pack(user, skip, &mut staging[at]);
             debug_assert_eq!(got as u64, n);
-            pack_ns += ns;
         }
     }
 
@@ -396,27 +383,20 @@ pub(crate) fn write_at_all(
     // an aborted IOP leaves nothing in flight.)
     let own = UserSide::new(packer, user, stream_start);
     let lends = if stages { &staging[..] } else { user };
-    let (fatal, t, sp) = comm.lend(lends, |lent| {
+    let (fatal, sp) = comm.lend(lends, |lent| {
         let mut fatal = None;
         if me < naggr && domains[me].1 > domains[me].0 {
-            let t = lio_obs::now();
             let (heads, lists) = recv_exchange(comm, own_list);
-            exch_ns += lio_obs::elapsed_ns(t);
             let (dom, heads) = (domains[me], &heads[..]);
             fatal = iop_write(
                 storage, dom, state, heads, &lists, own, lent, me, hints, scratch,
             )
             .err();
         }
-        (fatal, lio_obs::now(), lio_obs::trace::span("exch.barrier"))
+        (fatal, lio_obs::trace::span("exch.barrier"))
     });
     drop(sp);
-    exch_ns += lio_obs::elapsed_ns(t);
     scratch.give(staging);
-    if obs {
-        OBS_W_EXCH_NS.add(exch_ns);
-        OBS_W_PACK_NS.add(pack_ns);
-    }
     ended(fatal, total, "write")
 }
 
@@ -565,11 +545,7 @@ fn write_windows<S: Share>(
             )?;
         }
         io.finish()?;
-        if lio_obs::enabled() {
-            OBS_W_IO_NS.add(io.io_ns);
-            OBS_W_PACK_NS.add(io.pack_ns);
-            OBS_WINDOWS.add(windows);
-        }
+        OBS_WINDOWS.add(windows);
         shares.iter().try_for_each(Share::done)
     })
 }
@@ -616,22 +592,18 @@ fn staged(
 /// ahead in a message of its own. Except to the rank's own IOP side: that
 /// gets the header alone, and its list is returned instead of sent (second
 /// value), as its bytes stay in the user buffer for the window loop (its
-/// [`UserSide`]). Returns the intervals per domain; time goes to
-/// `exch_ns`.
+/// [`UserSide`]). Returns the intervals per domain.
 fn announce(
     comm: &Comm,
     nav: &ViewNav,
     domains: &[(u64, u64)],
     (stream_start, stream_end): (u64, u64),
     layout: &[u8],
-    exch_ns: &mut u64,
 ) -> (Vec<(u64, u64)>, Option<Vec<u8>>) {
     let me = comm.rank();
-    let mut send = |i: usize, tag, msg| {
-        let t = lio_obs::now();
+    let send = |i: usize, tag, msg| {
         let _sp = lio_obs::trace::span_ab("exch.send", i as u64, 0);
         comm.send_vec(i, tag, msg);
-        *exch_ns += lio_obs::elapsed_ns(t);
     };
     let mut own_list = None;
     let mut shares = vec![(stream_start, stream_start); domains.len()];
@@ -700,7 +672,7 @@ fn recv_exchange(comm: &Comm, own_list: Option<Vec<u8>>) -> (Vec<Vec<u8>>, Vec<V
         if i < p_n {
             // one per AP: arrival order = rank entry order into the
             // collective, and feeds the per-op rank-skew histogram
-            health::window_mark(0, src as u32);
+            health::window_mark(src as u32);
             heads[src] = payload;
         } else {
             lists[src] = payload;
@@ -731,13 +703,9 @@ pub(crate) fn read_at_all(
 ) -> Result<u64> {
     // root trace span delimiting this collective op
     let _root = lio_obs::trace::span_ab("coll.read", total, 0);
-    let obs = lio_obs::enabled();
-    if obs {
-        OBS_R_CALLS.incr();
-    }
-    let (mut exch_ns, mut pack_ns) = (0u64, 0u64);
+    OBS_R_CALLS.incr();
     let span = (stream_start, stream_start + total);
-    let domains = file_domains(comm, nav, span, hints, &mut exch_ns);
+    let domains = file_domains(comm, nav, span, hints);
     let me = comm.rank();
     let iop = domains.get(me).is_some_and(|d| d.1 > d.0);
 
@@ -749,7 +717,7 @@ pub(crate) fn read_at_all(
     // unpacking the others once the scope has closed.
     let stages = matches!(nav, ViewNav::List(_)) || !packer.in_order();
     let layout = layout(if stages { &STREAM } else { packer }, stream_start);
-    let (shares, own_list) = announce(comm, nav, &domains, span, &layout, &mut exch_ns);
+    let (shares, own_list) = announce(comm, nav, &domains, span, &layout);
     let mut staging = match stages {
         true => stage(&shares, me, total, scratch),
         false => Vec::new(),
@@ -771,39 +739,31 @@ pub(crate) fn read_at_all(
     // failure point) and every rank the end of the op, and it surfaces on
     // this rank only then. The IOP side's own end is the user buffer this
     // rank kept, or the piece of it this rank lent itself.
-    let (fatal, t, sp) = comm.lend_mut(pieces, |lent| {
+    let (fatal, sp) = comm.lend_mut(pieces, |lent| {
         let mut fatal = None;
         if iop {
             let own = match kept.as_deref_mut() {
                 Some(user) => UserSide::new(packer, user, stream_start),
                 None => lent_end(packer, lent.take(me), stream_start, shares[me]),
             };
-            let t = lio_obs::now();
             let (heads, lists) = recv_exchange(comm, own_list);
-            exch_ns += lio_obs::elapsed_ns(t);
             let (dom, heads) = (domains[me], &heads[..]);
             fatal = iop_read(
                 storage, dom, state, heads, &lists, own, lent, me, hints, scratch,
             );
         }
-        (fatal, lio_obs::now(), lio_obs::trace::span("exch.barrier"))
+        (fatal, lio_obs::trace::span("exch.barrier"))
     });
     drop(sp);
-    exch_ns += lio_obs::elapsed_ns(t);
     if let Some(user) = kept {
         for (skip, at) in staged(&shares, me, stream_start) {
             let n = at.len() as u64;
-            let span = Some(("unpack", n, 0));
-            let (put, ns) = timed(span, || packer.unpack(&staging[at], user, skip));
+            let _sp = lio_obs::trace::span_ab("unpack", n, 0);
+            let put = packer.unpack(&staging[at], user, skip);
             debug_assert_eq!(put as u64, n);
-            pack_ns += ns;
         }
     }
     scratch.give(staging);
-    if obs {
-        OBS_R_EXCH_NS.add(exch_ns);
-        OBS_R_PACK_NS.add(pack_ns);
-    }
     ended(fatal, total, "read")
 }
 
@@ -963,11 +923,7 @@ fn read_windows<S: Share>(
             break;
         }
     }
-    if lio_obs::enabled() {
-        OBS_R_IO_NS.add(io.io_ns);
-        OBS_R_PACK_NS.add(io.pack_ns);
-        OBS_WINDOWS.add(windows);
-    }
+    OBS_WINDOWS.add(windows);
     for (rest, share) in rests.iter_mut().zip(&*shares) {
         *rest = share.rest();
     }

@@ -19,6 +19,7 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use lio_datatype::kernels::Store;
+use lio_obs::trace::span_ab;
 use lio_obs::LazyCounter;
 use lio_pfs::StorageFile;
 
@@ -136,11 +137,6 @@ pub(crate) struct WindowIo<'a, 'env> {
     /// Where the lane thread may run: the declaration of `sole_writer`.
     owner: Option<&'a Scope<'a, 'env>>,
     lane: Option<Lane>,
-    /// Time in `read_at`/`write_at` (the `io.read`/`io.write` spans), the
-    /// lane's included; stays 0 while the storage lends.
-    pub io_ns: u64,
-    /// Time in the loop body (the `pack.place` spans).
-    pub pack_ns: u64,
 }
 
 /// The write-behind lane of one window loop. Buffers cross to the lane
@@ -149,8 +145,8 @@ pub(crate) struct WindowIo<'a, 'env> {
 struct Lane {
     /// `(offset, buffer, length)` of the window to write.
     jobs: Sender<(u64, Vec<u8>, usize)>,
-    /// The buffer, what the write returned and the nanoseconds it took.
-    done: Receiver<(Vec<u8>, Result<()>, u64)>,
+    /// The buffer and what the write returned.
+    done: Receiver<(Vec<u8>, Result<()>)>,
     in_flight: bool,
     /// The buffer that is not being filled: the last one to come back.
     spare: Vec<u8>,
@@ -164,13 +160,10 @@ impl Lane {
         scope.spawn(move || {
             lio_obs::trace::adopt(rank);
             for (win, buf, len) in todo {
-                let (res, ns) = timed(Some(("io.write", win, len as u64)), || {
-                    write_window(storage, win, &buf[..len])
-                });
-                // the throttle's busy-wait tail is this thread's CPU, not
-                // device time another thread could have overlapped with
-                let ns = ns.saturating_sub(lio_pfs::take_spin_ns());
-                if tx.send((buf, res, ns)).is_err() {
+                let sp = span_ab("io.write", win, len as u64);
+                let res = write_window(storage, win, &buf[..len]);
+                drop(sp);
+                if tx.send((buf, res)).is_err() {
                     break;
                 }
             }
@@ -195,8 +188,6 @@ impl<'a, 'env> WindowIo<'a, 'env> {
             max_len,
             owner: None,
             lane: None,
-            io_ns: 0,
-            pack_ns: 0,
         }
     }
 
@@ -238,42 +229,32 @@ impl<'a, 'env> WindowIo<'a, 'env> {
     ) -> Result<()> {
         let storage = self.storage;
         let len = win_end - win;
-        let (lent, ns) = timed(None, || {
-            storage.with_range_mut(win, win_end, &mut |at, piece| {
-                let _sp = lio_obs::trace::span_ab("pack.place", at, piece.len() as u64);
-                f(at, piece, Store::Stream)
-            })
+        let lent = storage.with_range_mut(win, win_end, &mut |at, piece| {
+            let _sp = span_ab("pack.place", at, piece.len() as u64);
+            f(at, piece, Store::Stream)
         });
         if lent? {
-            self.pack_ns += ns;
             OBS_IN_PLACE_BYTES.add(len);
             return Ok(());
         }
         let (owner, behind) = (self.owner, self.lane.is_some());
         let fb = self.stage(len as usize);
         let dense = dense();
-        let mut io_ns = 0;
         if !dense {
-            let (read, ns) = timed(Some(("io.read", win, len)), || {
-                read_window(storage, win, fb)
-            });
-            read?;
-            io_ns = ns;
+            let _sp = span_ab("io.read", win, len);
+            read_window(storage, win, fb)?;
         }
-        let ((), pack_ns) = timed(Some(("pack.place", win, 0)), || f(win, fb, Store::Cached));
+        let sp = span_ab("pack.place", win, 0);
+        f(win, fb, Store::Cached);
+        drop(sp);
         let mut slow = false;
         if !behind {
             // only a loop that could arm the lane pays for the clock
             let clock = owner.map(|_| Instant::now());
-            let (written, ns) = timed(Some(("io.write", win, len)), || {
-                write_window(storage, win, fb)
-            });
-            written?;
-            io_ns += ns;
+            let _sp = span_ab("io.write", win, len);
+            write_window(storage, win, fb)?;
             slow = clock.is_some_and(|t| t.elapsed() > LANE_HOP);
         }
-        self.io_ns += io_ns;
-        self.pack_ns += pack_ns;
         OBS_STAGED_BYTES.add(len * (2 - dense as u64));
         if behind {
             return self.write_behind(win, len as usize);
@@ -303,13 +284,12 @@ impl<'a, 'env> WindowIo<'a, 'env> {
         let Some(lane) = self.lane.as_mut().filter(|l| l.in_flight) else {
             return Ok(());
         };
-        let (buf, res, ns) = lane
+        let (buf, res) = lane
             .done
             .recv()
             .expect("the lane answers every job it was sent");
         lane.in_flight = false;
         lane.spare = buf;
-        self.io_ns += ns;
         res
     }
 
@@ -325,40 +305,23 @@ impl<'a, 'env> WindowIo<'a, 'env> {
     pub fn view(&mut self, win: u64, win_end: u64, f: &mut dyn FnMut(u64, &[u8])) -> Result<()> {
         let storage = self.storage;
         let len = win_end - win;
-        let (lent, ns) = timed(None, || {
-            storage.with_range(win, win_end, &mut |at, piece| {
-                let _sp = lio_obs::trace::span_ab("pack.place", at, piece.len() as u64);
-                f(at, piece)
-            })
+        let lent = storage.with_range(win, win_end, &mut |at, piece| {
+            let _sp = span_ab("pack.place", at, piece.len() as u64);
+            f(at, piece)
         });
         if lent? {
-            self.pack_ns += ns;
             OBS_IN_PLACE_BYTES.add(len);
             return Ok(());
         }
         let fb = self.stage(len as usize);
-        let (read, io_ns) = timed(Some(("io.read", win, len)), || {
-            read_window(storage, win, fb)
-        });
-        read?;
-        let ((), pack_ns) = timed(Some(("pack.place", win, 0)), || f(win, fb));
-        self.io_ns += io_ns;
-        self.pack_ns += pack_ns;
+        let sp = span_ab("io.read", win, len);
+        read_window(storage, win, fb)?;
+        drop(sp);
+        let _sp = span_ab("pack.place", win, 0);
+        f(win, fb);
         OBS_STAGED_BYTES.add(len);
         Ok(())
     }
-}
-
-/// Run `work` — under the trace span `(tag, a, b)`, if any — and return
-/// what it returned and the nanoseconds it took (0 with obs off).
-pub(crate) fn timed<R>(
-    span: Option<(&'static str, u64, u64)>,
-    work: impl FnOnce() -> R,
-) -> (R, u64) {
-    let t = lio_obs::now();
-    let _sp = span.map(|(tag, a, b)| lio_obs::trace::span_ab(tag, a, b));
-    let r = work();
-    (r, lio_obs::elapsed_ns(t))
 }
 
 impl Drop for WindowIo<'_, '_> {
@@ -410,7 +373,6 @@ mod tests {
         io.view(95, 105, &mut |_, piece| seen = piece.to_vec())
             .unwrap();
         assert_eq!(seen, [7, 7, 7, 7, 7, 0, 0, 0, 0, 0]);
-        assert_eq!(io.io_ns, 0, "obs is off");
         drop(io);
         assert_eq!(scratch.held(), 64, "one buffer, taken by the staged window");
     }

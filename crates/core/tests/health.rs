@@ -316,13 +316,13 @@ fn straggler_streak_feeds_report() {
     with_health(|| {
         // fabricate a last-arrival streak: rank 3 closes every window
         // with a spread comfortably above STRAGGLER_MIN_SKEW_NS
-        for w in 0..6u64 {
-            health::window_mark(w, 0);
-            health::window_mark(w, 1);
+        for _ in 0..6 {
+            health::window_mark(0);
+            health::window_mark(1);
             std::thread::sleep(Duration::from_micros(120));
-            health::window_mark(w, 3);
+            health::window_mark(3);
+            health::window_flush();
         }
-        health::window_flush();
 
         let s = health::straggler().expect("a 6-window streak must flag a straggler");
         assert_eq!(s.rank, 3);

@@ -7,7 +7,9 @@
 //! sites could have broken. Heartbeats are published from
 //! the trace layer's span opens, so each of the two is then armed alone:
 //! health alone records no trace event, trace alone publishes no
-//! heartbeat.
+//! heartbeat. The same span opens charge the collective phase counters,
+//! so the metrics are armed alone too: the counters fill, and no trace
+//! event or heartbeat is recorded.
 //!
 //! Every layer is process-global, so the whole check is one test.
 
@@ -180,6 +182,27 @@ fn nothing_armed_records_nothing() {
             Vec::<String>::new(),
             "{name} alone recorded metrics"
         );
+    }
+
+    // the metrics alone: the spans charge the phase counters, and record
+    // and publish nothing
+    lio_obs::reset();
+    trace::reset();
+    health::reset();
+    run_ops(Some(Layers::METRICS));
+    Layers::NONE.arm();
+    assert_eq!(trace_events(), 0, "metrics alone recorded trace events");
+    assert!(
+        health::live_snapshot().is_empty(),
+        "metrics alone published heartbeats"
+    );
+    // (the storage that stages makes the requests `io_ns` times)
+    let metrics = recorded_metrics();
+    for dir in ["write", "read"] {
+        for phase in ["exchange", "io", "pack"] {
+            let name = format!("core.coll.{dir}.{phase}_ns");
+            assert!(metrics.contains(&name), "metrics alone left {name} at zero");
+        }
     }
     trace::reset();
     health::reset();

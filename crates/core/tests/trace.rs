@@ -1,8 +1,9 @@
 //! Trace-correctness tests (deterministic, 4 ranks): every span closes,
 //! cross-rank send→recv edges are causally ordered after the merge, the
 //! ring buffer drops oldest-first on wraparound without corrupting the
-//! export, and the critical-path analyzer names a bounding phase for a
-//! collective write whose windows are written behind the loop.
+//! export, the critical-path analyzer names a bounding phase for a
+//! collective write whose windows are written behind the loop, and the
+//! two-phase breakdown counters are the sums of the traced phase spans.
 
 mod common;
 
@@ -42,14 +43,19 @@ fn both_storages() -> [SharedFile; 2] {
 /// Run one 4-rank collective write + read-back under `hints` against the
 /// given storage, with tracing armed, and return the collected streams.
 fn traced_collective(hints: Hints, shared: SharedFile) -> Vec<trace::RankStream> {
+    traced(hints, shared, 8)
+}
+
+/// [`traced_collective`] with `nblock` blocks of 32 bytes per rank.
+fn traced(hints: Hints, shared: SharedFile, nblock: u64) -> Vec<trace::RankStream> {
     trace::reset();
     let sh = shared;
     World::run(4, move |comm| {
         let me = comm.rank() as u64;
-        let ft = interleaved_ft(32, 8, comm.size() as u64 + 1);
+        let ft = interleaved_ft(32, nblock, comm.size() as u64 + 1);
         let mut f = File::open(comm, sh.clone(), hints).unwrap();
         f.set_view(me * 32, Datatype::byte(), ft).unwrap();
-        let n = 8 * 32u64;
+        let n = nblock * 32;
         let data: Vec<u8> = (0..n).map(|i| (me * 31 + i) as u8).collect();
         f.write_at_all(0, &data, n, &Datatype::byte()).unwrap();
         let mut back = vec![0u8; n as usize];
@@ -335,5 +341,93 @@ fn win_spans_carry_index_and_bytes() {
                 assert!(windows > 0, "no IOP opened a window");
             }
         }
+    });
+}
+
+/// Per direction (writes first) and phase (exchange, io, pack): the summed
+/// durations of the spans the phase counters charge — those with a phase
+/// in the one tag table under a `coll.write`/`coll.read` root, no span of
+/// a phase between them and the root — on every track, lanes included.
+fn phase_spans(streams: &[trace::RankStream]) -> [[u64; 3]; 2] {
+    // every span: its tag, its parent and when it opened
+    let mut spans: HashMap<u64, (&str, u64, u64)> = HashMap::new();
+    let events = || streams.iter().flat_map(|s| &s.events);
+    for ev in events().filter(|ev| ev.kind == trace::Kind::SpanBegin) {
+        spans.insert(ev.span_id, (ev.tag, ev.parent, ev.ts));
+    }
+    let column = |phase| match phase {
+        trace::Phase::Exchange => 0,
+        trace::Phase::Io => 1,
+        _ => 2,
+    };
+    let mut sums = [[0u64; 3]; 2];
+    for ev in events().filter(|ev| ev.kind == trace::Kind::SpanEnd) {
+        let (tag, mut up, begin) = spans[&ev.span_id];
+        let Some(phase) = trace::phase_of(tag).1 else {
+            continue;
+        };
+        let dir = loop {
+            let Some(&(above, next, _)) = spans.get(&up) else {
+                break None; // no root above
+            };
+            match above {
+                "coll.write" => break Some(0),
+                "coll.read" => break Some(1),
+                _ if trace::phase_of(above).1.is_some() => break None, // not outermost
+                _ => up = next,
+            }
+        };
+        if let Some(dir) = dir {
+            sums[dir][column(phase)] += ev.ts - begin;
+        }
+    }
+    sums
+}
+
+/// The two-phase breakdown has one source: armed with the metrics and the
+/// trace, each of `core.coll.{write,read}.{exchange,io,pack}_ns` is
+/// exactly the summed durations of that direction's outermost spans of
+/// that phase in the trace, for both engines, on a file that lends its
+/// windows (no `io.*` span at all) and on slow storage that stages them
+/// through small windows, where the IOPs' write-behind lanes arm and their
+/// `io.write` spans on worker tracks charge the write's `io_ns`.
+#[test]
+fn phase_counters_are_the_traced_spans() {
+    with_trace(|| {
+        lio_obs::set_enabled(true);
+        for hints in [Hints::list_based(), Hints::listless()].map(|h| h.cb_buffer(256)) {
+            let slow = Throttle {
+                latency: std::time::Duration::from_micros(200),
+                ..Throttle::sx6_local_fs()
+            };
+            let storages = [
+                (false, SharedFile::new(MemFile::new())),
+                (true, SharedFile::new(Decorated::new(MemFile::new(), slow))),
+            ];
+            for (staged, shared) in storages {
+                lio_obs::reset();
+                let streams = traced(hints, shared, 64);
+                assert!(streams.iter().all(|s| s.dropped == 0), "a ring overflowed");
+                let snap = lio_obs::snapshot();
+                let what = format!("{hints:?} staged={staged}");
+                let lanes = streams.iter().flat_map(|s| &s.events);
+                let lanes = lanes.filter(|ev| ev.tid as usize >= lio_obs::MAX_RANKS);
+                assert_eq!(
+                    (snap.counter("io.behind_bytes") > 0, lanes.count() > 0),
+                    (staged, staged),
+                    "{what}: the lanes arm on slow staging storage alone"
+                );
+                let sums = phase_spans(&streams);
+                for (d, dir) in ["write", "read"].into_iter().enumerate() {
+                    for (p, phase) in ["exchange", "io", "pack"].into_iter().enumerate() {
+                        let name = format!("core.coll.{dir}.{phase}_ns");
+                        assert_eq!(snap.counter(&name), sums[d][p], "{what}: {name}");
+                    }
+                    assert!(sums[d][0] > 0 && sums[d][2] > 0, "{what}: {dir}");
+                    assert_eq!(sums[d][1] > 0, staged, "{what}: {dir} io");
+                }
+            }
+        }
+        lio_obs::set_enabled(false);
     });
 }

@@ -22,11 +22,11 @@
 //!   parks a typed [`StallInfo`] for the culprit rank that `lio-core`
 //!   surfaces as `IoError::Stalled` once the closing sync is reached.
 //!   It is configured in code only, by [`set_watchdog`].
-//! * **Straggler attribution** — IOPs mark each per-window
-//!   contribution arrival; the spread between first and last arrival
-//!   is recorded into the `core.health.skew_ns` histogram and the
-//!   last-arriving rank feeds a persistence streak. A rank that
-//!   arrives last [`STRAGGLER_K`] windows in a row with non-trivial
+//! * **Straggler attribution** — IOPs mark each AP's header as it
+//!   arrives in a collective's exchange; the spread between first and
+//!   last arrival is recorded into the `core.health.skew_ns` histogram
+//!   and the last-arriving rank feeds a persistence streak. A rank that
+//!   arrives last [`STRAGGLER_K`] exchanges in a row with non-trivial
 //!   skew is flagged as a straggler and named in the health report.
 //! * **Live introspection** — [`live_snapshot`] and [`report`] render
 //!   the slots as structs / text / schema-versioned JSON.
@@ -151,12 +151,11 @@ pub fn op_begin(op: u64, write: bool) {
 }
 
 /// Mark the calling rank's collective op as finished (the closing sync
-/// was reached). Flushes any pending skew window.
+/// was reached).
 pub fn op_end() {
     if !enabled() {
         return;
     }
-    window_flush();
     let Some(s) = SLOTS.get(current_rank() as usize) else {
         return;
     };
@@ -407,12 +406,11 @@ pub fn take_stall(rank: u32) -> Option<StallInfo> {
 // Per-window rank-skew tracking and straggler attribution
 // ---------------------------------------------------------------------------
 
-/// Thread-local accumulator for the window the calling IOP is
+/// Thread-local accumulator for the exchange the calling IOP is
 /// currently collecting. Plain `Copy` state in a `Cell`: zero alloc,
 /// zero contention.
 #[derive(Clone, Copy, Default)]
 struct WindowAcc {
-    window: u64,
     t_first: u64,
     t_last: u64,
     last_rank: u32,
@@ -433,48 +431,32 @@ static SLOW_SKEW_NS: AtomicU64 = AtomicU64::new(0);
 static LAST_COUNT: [AtomicU64; MAX_RANKS] = [const { AtomicU64::new(0) }; MAX_RANKS];
 static LAST_SKEW_SUM_NS: [AtomicU64; MAX_RANKS] = [const { AtomicU64::new(0) }; MAX_RANKS];
 
-/// An IOP received a per-window contribution from `src_rank` for
-/// `window`. On window rollover the previous window's first-to-last
-/// arrival spread is recorded (`core.health.skew_ns`) and attributed
-/// to the last-arriving rank.
-#[inline(always)]
-pub fn window_mark(window: u64, src_rank: u32) {
+/// An IOP received the contribution of `src_rank` to the exchange it is
+/// collecting: the first stamps the exchange's start, every later one its
+/// last arrival. [`window_flush`] closes the exchange.
+pub fn window_mark(src_rank: u32) {
     if !enabled() {
         return;
     }
-    window_mark_slow(window, src_rank);
-}
-
-#[inline(never)]
-fn window_mark_slow(window: u64, src_rank: u32) {
     let now = now_ns();
     ACC.with(|cell| {
-        let acc = match cell.get() {
-            Some(mut acc) if acc.window == window => {
-                acc.t_last = now;
-                acc.last_rank = src_rank;
-                acc.count += 1;
-                acc
-            }
-            prev => {
-                if let Some(done) = prev {
-                    finish_window(done);
-                }
-                WindowAcc {
-                    window,
-                    t_first: now,
-                    t_last: now,
-                    last_rank: src_rank,
-                    count: 1,
-                }
-            }
+        let first = WindowAcc {
+            t_first: now,
+            ..WindowAcc::default()
         };
-        cell.set(Some(acc));
+        let acc = cell.get().unwrap_or(first);
+        cell.set(Some(WindowAcc {
+            t_last: now,
+            last_rank: src_rank,
+            count: acc.count + 1,
+            ..acc
+        }));
     });
 }
 
-/// Flush the calling thread's in-progress skew window (end of the IOP
-/// loop / end of op).
+/// Close the calling thread's exchange: its first-to-last arrival
+/// spread is recorded (`core.health.skew_ns`) and charged to the
+/// last-arriving rank (the end of the IOP's receives).
 pub fn window_flush() {
     ACC.with(|cell| {
         if let Some(acc) = cell.take() {
@@ -891,13 +873,13 @@ mod tests {
     fn skew_streak_flags_straggler() {
         with_health(|| {
             assert!(straggler().is_none());
-            for w in 0..STRAGGLER_K as u64 {
+            for _ in 0..STRAGGLER_K {
                 // rank 1 always arrives last, with a forced gap.
-                window_mark(w, 0);
+                window_mark(0);
                 std::thread::sleep(Duration::from_micros(60));
-                window_mark(w, 1);
+                window_mark(1);
+                window_flush();
             }
-            window_flush();
             let s = straggler().expect("persistent last-arriver flagged");
             assert_eq!(s.rank, 1);
             assert!(s.windows >= STRAGGLER_K);
@@ -909,12 +891,12 @@ mod tests {
     #[test]
     fn alternating_last_arrivers_never_flag() {
         with_health(|| {
-            for w in 0..(3 * STRAGGLER_K as u64) {
-                window_mark(w, 0);
+            for w in 0..(3 * STRAGGLER_K) {
+                window_mark(0);
                 std::thread::sleep(Duration::from_micros(40));
-                window_mark(w, (1 + w % 2) as u32); // alternate 1, 2
+                window_mark(1 + w % 2); // alternate 1, 2
+                window_flush();
             }
-            window_flush();
             assert!(straggler().is_none());
         });
     }

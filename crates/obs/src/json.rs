@@ -1,38 +1,27 @@
-//! A minimal hand-rolled JSON parser/validator (the workspace is
+//! A minimal hand-rolled JSON validator (the workspace is
 //! dependency-free by design). Used by the `repro` binary and the tests
 //! to check that emitted artifacts (`results/trace.json`,
-//! `results/profile.json`, the health report) are well-formed.
-//!
-//! Faithful to RFC 8259 for everything the repo emits; numbers are kept
-//! as `f64`, which is lossless for the magnitudes we write.
+//! `results/profile.json`, the health report) are well-formed: it walks
+//! the RFC 8259 grammar and keeps nothing of what it read.
 
-/// A parsed JSON value. Object member order is preserved.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
+/// What checking one grammar rule at the cursor gives: the byte offset
+/// of the first error.
+type Checked = Result<(), String>;
 
-/// Parse a complete JSON document. Errors carry the byte offset.
-fn parse(s: &str) -> Result<Value, String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, pos: 0 };
+/// Check that `s` is exactly one well-formed JSON document. Errors carry
+/// the byte offset.
+pub fn validate(s: &str) -> Checked {
+    let mut p = Parser {
+        b: s.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
-    let v = p.value()?;
+    p.value()?;
     p.skip_ws();
-    if p.pos != b.len() {
+    if p.pos != p.b.len() {
         return Err(format!("trailing content at byte {}", p.pos));
     }
-    Ok(v)
-}
-
-/// Validate well-formedness without keeping the tree.
-pub fn validate(s: &str) -> Result<(), String> {
-    parse(s).map(|_| ())
+    Ok(())
 }
 
 struct Parser<'a> {
@@ -55,7 +44,7 @@ impl Parser<'_> {
         self.b.get(self.pos).copied()
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn expect(&mut self, c: u8) -> Checked {
         if self.peek() == Some(c) {
             self.pos += 1;
             Ok(())
@@ -64,113 +53,79 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Checked {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'{') => self.list(b'}', true),
+            Some(b'[') => self.list(b']', false),
+            Some(b'"') => self.string(),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(format!("unexpected {:?} at byte {}", c as char, self.pos)),
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+    fn literal(&mut self, lit: &str) -> Checked {
         if self.b[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
+    /// An object (`keyed`: each member is `"key": value`) or an array,
+    /// from its opening bracket to `close`.
+    fn list(&mut self, close: u8, keyed: bool) -> Checked {
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Value::Obj(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            members.push((key, self.value()?));
+            if keyed {
+                self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+            }
+            self.value()?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Value::Obj(members));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+                _ => {
+                    let close = close as char;
+                    return Err(format!("expected ',' or {close:?} at byte {}", self.pos));
+                }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Checked {
         self.expect(b'"')?;
-        let mut out = String::new();
         loop {
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {}
                         Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?,
-                                16,
-                            )
-                            .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            // surrogate pairs are not emitted by this repo;
-                            // map lone surrogates to the replacement char
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let hex = self.b.get(self.pos + 1..self.pos + 5);
+                            if !hex.is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) {
+                                return Err(format!("bad \\u escape at byte {}", self.pos));
+                            }
                             self.pos += 4;
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
@@ -180,24 +135,15 @@ impl Parser<'_> {
                 Some(c) if c < 0x20 => {
                     return Err(format!("raw control char in string at byte {}", self.pos));
                 }
-                Some(_) => {
-                    // consume one UTF-8 scalar (input is &str, so valid)
-                    let rest = &self.b[self.pos..];
-                    let ch_len = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8".to_string())?
-                        .chars()
-                        .next()
-                        .map(|c| c.len_utf8())
-                        .unwrap_or(1);
-                    out.push_str(std::str::from_utf8(&rest[..ch_len]).unwrap());
-                    self.pos += ch_len;
-                }
+                // any other byte of the input, which is UTF-8: no byte of
+                // a multi-byte scalar is a quote, a backslash or a control
+                Some(_) => self.pos += 1,
                 None => return Err("unterminated string".to_string()),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Checked {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -227,10 +173,7 @@ impl Parser<'_> {
                 return Err(format!("bad number at byte {start}"));
             }
         }
-        let text = std::str::from_utf8(&self.b[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
+        Ok(())
     }
 }
 
@@ -240,30 +183,16 @@ mod tests {
 
     #[test]
     fn parses_the_shapes_we_emit() {
-        let v = parse(
-            r#"{"schema_version": 1, "entries": [{"bench": "p", "value": -1.5e3, "ok": true, "n": null}]}"#,
-        )
-        .unwrap();
-        let entry = Value::Obj(vec![
-            ("bench".to_string(), Value::Str("p".to_string())),
-            ("value".to_string(), Value::Num(-1500.0)),
-            ("ok".to_string(), Value::Bool(true)),
-            ("n".to_string(), Value::Null),
-        ]);
-        assert_eq!(
-            v,
-            Value::Obj(vec![
-                ("schema_version".to_string(), Value::Num(1.0)),
-                ("entries".to_string(), Value::Arr(vec![entry])),
-            ])
-        );
+        let doc = r#"{"schema_version": 1, "entries": [{"bench": "p", "value": -1.5e3, "ok": true, "n": null}, [], {}], "s": "é\u00e9\/"}"#;
+        assert_eq!(validate(doc), Ok(()));
     }
 
     #[test]
     fn escapes_round_trip() {
         let mut s = String::new();
         crate::json_string(&mut s, "a\"b\\c\nd\te\u{1}");
-        assert_eq!(parse(&s), Ok(Value::Str("a\"b\\c\nd\te\u{1}".to_string())));
+        assert_eq!(s, r#""a\"b\\c\nd\te\u0001""#);
+        assert_eq!(validate(&s), Ok(()));
     }
 
     #[test]
@@ -273,6 +202,8 @@ mod tests {
         assert!(validate("{\"a\" 1}").is_err());
         assert!(validate("\"unterminated").is_err());
         assert!(validate("tru").is_err());
+        assert!(validate("\"\\u12g4\"").is_err());
+        assert!(validate("-.5").is_err());
     }
 
     #[test]

@@ -26,6 +26,10 @@
 //!
 //! Metric name convention: `layer.object.what`, e.g. `pfs.read.bytes`,
 //! `mpi.p2p.msgs`, `dt.pack.blocks`, `core.coll.write.exchange_ns`.
+//! Time is measured by guards, never by a hand-held clock: a latency by
+//! [`LazyHistogram::span`], and the two-phase breakdown
+//! (`core.coll.{write,read}.{exchange,io,pack}_ns`) by the [`trace`]
+//! layer's spans, which charge the phase the one tag table names.
 //! [`profile`] records nothing of its own: the access-pattern profile is
 //! a view of a registry [`snapshot`].
 //!
@@ -606,20 +610,6 @@ impl Drop for Span {
             hist.record(start.elapsed().as_nanos() as u64);
         }
     }
-}
-
-/// `Some(Instant::now())` when recording, `None` otherwise. Pairs with
-/// [`elapsed_ns`] for manual phase accumulation (the two-phase breakdown
-/// in `lio-core` accumulates per-round phase times this way).
-#[inline]
-pub fn now() -> Option<Instant> {
-    enabled().then(Instant::now)
-}
-
-/// Nanoseconds since `start`, or 0 when `start` is `None`.
-#[inline]
-pub fn elapsed_ns(start: Option<Instant>) -> u64 {
-    start.map_or(0, |s| s.elapsed().as_nanos() as u64)
 }
 
 // ---------------------------------------------------------------------------

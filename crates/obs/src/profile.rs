@@ -14,7 +14,9 @@
 //! * compiled programs and the normalization pass's rewrites:
 //!   `dt.compile.programs`, `dt.normalize.rewrites`;
 //! * storage request sizes: `pfs.{read,write}.size`;
-//! * the collective phases: `core.coll.{write,read}.*_ns`.
+//! * the collective phases: `core.coll.{write,read}.*_ns`, which the
+//!   trace layer's spans charge (the outermost span of each phase of the
+//!   one tag table, [`crate::trace::phase_of`]), tracing on or off.
 
 use crate::{HistogramSnapshot, Snapshot};
 

@@ -19,7 +19,9 @@
 //! keeps the thread's rank ([`set_thread_rank`], [`adopt`]) and the one
 //! tag table ([`phase_of`]). Opening a span or a mark publishes the
 //! rank's heartbeat ([`crate::health`]) whenever that layer is armed,
-//! with tracing on or off; only tracing records the event.
+//! with tracing on or off; only tracing records the event. With the
+//! metrics armed, a span is also what charges the two-phase breakdown
+//! (`PHASE_NS`).
 //!
 //! Enable with [`set_enabled`], or as `trace` in the one
 //! [`crate::Layers`] switch (`LIO_OBS=trace`, `Hints::observe`).
@@ -171,7 +173,13 @@ thread_local! {
     static RANK: Cell<u32> = const { Cell::new(NO_RANK) };
     static PARENT: Cell<u64> = const { Cell::new(0) };
     static TID: Cell<u32> = const { Cell::new(NO_RANK) };
+    static CHARGE: Cell<Charge> = const { Cell::new(None) };
 }
+
+/// A thread's place in a collective for the phase counters: the counters
+/// of the root it lies in (`None` outside one), and whether one of its
+/// spans charges a phase now — so that only the outermost one does.
+type Charge = Option<(&'static [LazyCounter; 3], bool)>;
 
 static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU32 = AtomicU32::new(MAX_RANKS as u32);
@@ -190,30 +198,34 @@ pub fn current_rank() -> u32 {
     RANK.with(|r| r.get())
 }
 
-/// A copyable capture of the current thread's rank and open span, for
-/// handing to spawned worker threads (storage lanes).
-#[derive(Clone, Copy, Debug)]
+/// A copyable capture of the current thread's rank, open span and
+/// collective, for handing to spawned worker threads (storage lanes).
+#[derive(Clone, Copy)]
 pub struct ThreadHandle {
     rank: u32,
     parent: u64,
+    root: Option<&'static [LazyCounter; 3]>,
 }
 
-/// Capture the current thread's rank and open span for [`adopt`] by a
-/// worker thread.
+/// Capture the current thread's rank, open span and collective for
+/// [`adopt`] by a worker thread.
 pub fn thread_handle() -> ThreadHandle {
     ThreadHandle {
         rank: current_rank(),
         parent: parent(),
+        root: CHARGE.get().map(|(root, _)| root),
     }
 }
 
 /// Join the rank of the captured handle from a freshly spawned worker
-/// thread: its heartbeats are that rank's, and its events parent under
-/// the span that was open at capture time, on a worker track of their
-/// own.
+/// thread: its heartbeats are that rank's, its events parent under the
+/// span that was open at capture time, on a worker track of their own,
+/// and its outermost phase spans charge the captured collective's
+/// counters.
 pub fn adopt(h: ThreadHandle) {
     RANK.with(|r| r.set(h.rank));
     PARENT.with(|p| p.set(h.parent));
+    CHARGE.set(h.root.map(|root| (root, false)));
     if h.rank != NO_RANK {
         TID.with(|t| t.set(NEXT_TID.fetch_add(1, Relaxed)));
     }
@@ -224,11 +236,15 @@ pub fn adopt(h: ThreadHandle) {
 // ---------------------------------------------------------------------------
 
 /// RAII span: records a `SpanBegin` now and the matching `SpanEnd` on
-/// drop. Inert (zero further cost) when tracing is disabled or the
-/// thread has no rank.
+/// drop, and charges its phase counter on drop when it is the outermost
+/// span of a phase in a collective. Inert (zero further cost) when no
+/// layer is armed.
 pub struct Span {
     /// `(rank, id, enclosing span)` of a recording span; `None` inert.
     open: Option<(u32, u64, u64)>,
+    /// The thread's [`Charge`] to put back, if this span changed it, and
+    /// the counter it charges with its opening time.
+    meter: Option<(Charge, Option<(&'static LazyCounter, u64)>)>,
     payload: (u64, u64, u64),
     tag: &'static str,
 }
@@ -243,20 +259,29 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
+        let charges = self.meter.and_then(|(_, charges)| charges);
+        let ts = (self.open.is_some() || charges.is_some()).then(now_ns);
+        let ts = ts.unwrap_or(0);
         if let Some((rank, id, parent)) = self.open {
             PARENT.with(|p| p.set(parent));
-            record(rank, Kind::SpanEnd, self.tag, (id, parent), self.payload);
+            let at = (ts, id, parent);
+            record(rank, Kind::SpanEnd, self.tag, at, self.payload);
+        }
+        if let Some((was, _)) = self.meter {
+            CHARGE.set(was);
+        }
+        if let Some((counter, begin)) = charges {
+            counter.add(ts - begin);
         }
     }
 }
 
-/// The one gate of every span, mark and message event: the calling
-/// thread's rank when tracing records `tag`, after publishing the rank's
-/// heartbeat for it when the health layer is armed. Disarmed, both
-/// layers cost the one load of the arming word.
+/// The one gate of every span, mark and message event, for the armed
+/// layers `on`: the calling thread's rank when tracing records `tag`,
+/// after publishing the rank's heartbeat for it when the health layer is
+/// armed.
 #[inline]
-fn open(tag: &'static str, a: u64, b: u64) -> Option<u32> {
-    let on = crate::armed();
+fn gate(on: Layers, tag: &'static str, a: u64, b: u64) -> Option<u32> {
     if !on.contains(Layers::TRACE) && !on.contains(Layers::HEALTH) {
         return None;
     }
@@ -270,10 +295,27 @@ fn open(tag: &'static str, a: u64, b: u64) -> Option<u32> {
     on.contains(Layers::TRACE).then_some(rank)
 }
 
-/// Push an event of the calling thread, stamped now.
-fn record(rank: u32, kind: Kind, tag: &'static str, ids: (u64, u64), abc: (u64, u64, u64)) {
-    let ((span_id, parent), (a, b, c)) = (ids, abc);
-    let (ts, tid) = (now_ns(), TID.with(|t| t.get()));
+/// Open `tag` in the thread's [`Charge`], the metrics armed: a root enters
+/// its direction's counters, the outermost span of a phase in one
+/// charges that phase's. Returns the charge before and the counter, or
+/// `None` when the span changes nothing.
+fn meter(tag: &str) -> Option<(Charge, Option<&'static LazyCounter>)> {
+    let was = CHARGE.get();
+    let (root, counter) = match (tag, was) {
+        ("coll.write", _) => (&PHASE_NS[0], None),
+        ("coll.read", _) => (&PHASE_NS[1], None),
+        (_, Some((root, false))) => (root, Some(&root[charged(phase_of(tag).1?)])),
+        _ => return None,
+    };
+    CHARGE.set(Some((root, counter.is_some())));
+    Some((was, counter))
+}
+
+/// Push an event of the calling thread, stamped `at = (ts, span id,
+/// enclosing span)`.
+fn record(rank: u32, kind: Kind, tag: &'static str, at: (u64, u64, u64), abc: (u64, u64, u64)) {
+    let ((ts, span_id, parent), (a, b, c)) = (at, abc);
+    let tid = TID.with(|t| t.get());
     push(Event {
         ts,
         span_id,
@@ -303,24 +345,37 @@ pub fn span(tag: &'static str) -> Span {
 /// index and its byte count).
 #[inline]
 pub fn span_ab(tag: &'static str, a: u64, b: u64) -> Span {
-    let open = open(tag, a, b).map(|rank| {
-        let id = NEXT_SPAN.fetch_add(1, Relaxed);
-        let parent = PARENT.with(|p| p.replace(id));
-        record(rank, Kind::SpanBegin, tag, (id, parent), (a, b, 0));
-        (rank, id, parent)
-    });
-    Span {
-        open,
+    let mut span = Span {
+        open: None,
+        meter: None,
         payload: (0, 0, 0),
         tag,
+    };
+    let on = crate::armed();
+    if on == Layers::NONE {
+        return span;
     }
+    // one clock reading serves the trace's `SpanBegin` and the charge
+    let meter = on.contains(Layers::METRICS).then(|| meter(tag)).flatten();
+    let rank = gate(on, tag, a, b);
+    let charges = meter.and_then(|(_, counter)| counter);
+    let ts = (rank.is_some() || charges.is_some()).then(now_ns);
+    let ts = ts.unwrap_or(0);
+    span.open = rank.map(|rank| {
+        let id = NEXT_SPAN.fetch_add(1, Relaxed);
+        let parent = PARENT.with(|p| p.replace(id));
+        record(rank, Kind::SpanBegin, tag, (ts, id, parent), (a, b, 0));
+        (rank, id, parent)
+    });
+    span.meter = meter.map(|(was, counter)| (was, counter.map(|c| (c, ts))));
+    span
 }
 
 /// Record an instant event.
 #[inline]
 pub fn mark(tag: &'static str, a: u64, b: u64) {
-    if let Some(rank) = open(tag, a, b) {
-        record(rank, Kind::Mark, tag, (0, parent()), (a, b, 0));
+    if let Some(rank) = gate(crate::armed(), tag, a, b) {
+        record(rank, Kind::Mark, tag, (now_ns(), 0, parent()), (a, b, 0));
     }
 }
 
@@ -340,8 +395,9 @@ pub fn msg_recv(peer: u32, seq: u64, bytes: u64) {
 
 #[inline]
 fn msg_event(kind: Kind, tag: &'static str, peer: u32, seq: u64, bytes: u64) {
-    if let Some(rank) = open(tag, peer as u64, seq) {
-        record(rank, kind, tag, (0, parent()), (peer as u64, seq, bytes));
+    if let Some(rank) = gate(crate::armed(), tag, peer as u64, seq) {
+        let abc = (peer as u64, seq, bytes);
+        record(rank, kind, tag, (now_ns(), 0, parent()), abc);
     }
 }
 
@@ -628,13 +684,16 @@ impl Phase {
 
 /// The one tag table: for each tag the library opens (spans, marks,
 /// message events), the phase its heartbeat publishes (`Idle`: none) and
-/// the phase the critical path charges its time to. They differ where
-/// the time is another span's: `win` wraps its `io.*` and `pack.place`
-/// children, so it beats as `Io` but adds nothing to `io_ns`; a
-/// collective's closing `mpi.barrier` lies inside `exch.barrier`.
+/// the phase its time goes to, on the critical path and in the phase
+/// counters. They differ where the time is another span's: `win` wraps
+/// its `io.*` and `pack.place` children, so it beats as `Io` but adds
+/// nothing to `io_ns`; a collective's closing `mpi.barrier` lies inside
+/// `exch.barrier`. The allgather of the file domains, `exch.domains`,
+/// beats as the plan it builds and is charged to the exchange.
 pub fn phase_of(tag: &str) -> (Phase, Option<Phase>) {
     use Phase::*;
     match tag {
+        "exch.domains" => (Plan, Some(Exchange)),
         "exch.send" => (Exchange, Some(Exchange)),
         "msg.recv" => (Exchange, None),
         "exch.wait" | "mpi.wait" => (ExchangeWait, Some(Exchange)),
@@ -665,9 +724,37 @@ pub struct OpReport {
     pub bounding: Phase,
 }
 
-static CRIT_EXCH: LazyCounter = LazyCounter::new("core.coll.critical.exchange_ns");
-static CRIT_IO: LazyCounter = LazyCounter::new("core.coll.critical.io_ns");
-static CRIT_PACK: LazyCounter = LazyCounter::new("core.coll.critical.pack_ns");
+static CRITICAL_NS: [LazyCounter; 3] = [
+    LazyCounter::new("core.coll.critical.exchange_ns"),
+    LazyCounter::new("core.coll.critical.io_ns"),
+    LazyCounter::new("core.coll.critical.pack_ns"),
+];
+
+/// The two-phase breakdown, writes first: the wall time of the outermost
+/// span of each phase ([`charged`]) under a `coll.write`/`coll.read` root,
+/// on every thread of the op, lanes included. Only a [`Span`] adds to it.
+static PHASE_NS: [[LazyCounter; 3]; 2] = [
+    [
+        LazyCounter::new("core.coll.write.exchange_ns"),
+        LazyCounter::new("core.coll.write.io_ns"),
+        LazyCounter::new("core.coll.write.pack_ns"),
+    ],
+    [
+        LazyCounter::new("core.coll.read.exchange_ns"),
+        LazyCounter::new("core.coll.read.io_ns"),
+        LazyCounter::new("core.coll.read.pack_ns"),
+    ],
+];
+
+/// Where a phase's counter lies in a row of `PHASE_NS` and in
+/// `CRITICAL_NS`.
+fn charged(phase: Phase) -> usize {
+    match phase {
+        Phase::Exchange => 0,
+        Phase::Io => 1,
+        _ => 2,
+    }
+}
 
 /// Sum of a set of possibly-overlapping intervals, clipped to a window:
 /// nested same-phase spans (a `pfs.write` inside an `io.write` lane op)
@@ -745,7 +832,7 @@ pub fn critical_path(t: &Timeline) -> Vec<OpReport> {
             continue;
         };
         let (lo, hi) = (t.events[b].ts, end);
-        let (mut exch, mut io, mut pack) = (Vec::new(), Vec::new(), Vec::new());
+        let mut phases: [Vec<(u64, u64)>; 3] = Default::default();
         for &(sb, send) in &spans {
             let ev = &t.events[sb];
             if ev.rank != rank || sb == b {
@@ -754,16 +841,11 @@ pub fn critical_path(t: &Timeline) -> Vec<OpReport> {
             if ev.ts >= hi || send <= lo {
                 continue;
             }
-            match phase_of(ev.tag).1 {
-                Some(Phase::Exchange) => exch.push((ev.ts, send)),
-                Some(Phase::Io) => io.push((ev.ts, send)),
-                Some(Phase::Pack) => pack.push((ev.ts, send)),
-                _ => {}
+            if let Some(phase) = phase_of(ev.tag).1 {
+                phases[charged(phase)].push((ev.ts, send));
             }
         }
-        let exch = union_ns(exch, lo, hi);
-        let io = union_ns(io, lo, hi);
-        let pack = union_ns(pack, lo, hi);
+        let [exch, io, pack] = phases.map(|iv| union_ns(iv, lo, hi));
         let bounding = if exch >= io && exch >= pack {
             Phase::Exchange
         } else if io >= pack {
@@ -771,9 +853,9 @@ pub fn critical_path(t: &Timeline) -> Vec<OpReport> {
         } else {
             Phase::Pack
         };
-        CRIT_EXCH.add(exch);
-        CRIT_IO.add(io);
-        CRIT_PACK.add(pack);
+        for (counter, ns) in CRITICAL_NS.iter().zip([exch, io, pack]) {
+            counter.add(ns);
+        }
         reports.push(OpReport {
             index: k,
             tag: t.events[b].tag,
@@ -920,9 +1002,10 @@ mod tests {
     use super::*;
 
     /// Every tag the library opens, with the phase its heartbeat names.
-    const OPENED: [(&str, Phase); 18] = [
+    const OPENED: [(&str, Phase); 19] = [
         ("coll.write", Phase::Idle),
         ("coll.read", Phase::Idle),
+        ("exch.domains", Phase::Plan),
         ("exch.send", Phase::Exchange),
         ("msg.recv", Phase::Exchange),
         ("msg.send", Phase::Idle),

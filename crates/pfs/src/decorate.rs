@@ -49,9 +49,8 @@ static OBS_SIZE: [LazyHistogram; 2] = [
 ];
 static OBS_THROTTLE_NS: LazyCounter = LazyCounter::new("pfs.throttle.delay_ns");
 /// Wall time burnt in the busy-wait tail of [`throttle_delay`]. This is
-/// CPU time, not modelled device time: consumers that account "storage
-/// time" from wall clocks (the write-behind lane's accounting in
-/// `lio-core`) subtract it so overlap numbers aren't inflated by the spin.
+/// CPU time, not modelled device time; the `pfs.*` spans' wall time, and
+/// so `core.coll.*.io_ns`, includes it.
 static OBS_SPIN_NS: LazyCounter = LazyCounter::new("pfs.throttle.spin_ns");
 static OBS_FAULTS_INJECTED: LazyCounter = LazyCounter::new("pfs.faults.injected");
 /// High-water mark of concurrently in-flight throttled storage ops,
@@ -220,21 +219,6 @@ impl Throttle {
 /// above sleeps first so the waiting thread yields its core.
 const SPIN_TAIL: Duration = Duration::from_micros(100);
 
-// Per-thread accumulator of spin-tail nanoseconds, so a caller timing a
-// storage op with a wall clock can subtract the CPU busy-wait share of
-// the throttle from "device time" (see `take_spin_ns`).
-thread_local! {
-    static SPIN_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Drain the calling thread's accumulated throttle spin-tail time (ns).
-/// The collective engine's write-behind lane calls this after each
-/// write: the spin is CPU burn, not modelled device time, and must not be
-/// credited to `core.coll.*.io_ns`.
-pub fn take_spin_ns() -> u64 {
-    SPIN_NS.with(|c| c.replace(0))
-}
-
 fn throttle_delay(d: Duration) -> Duration {
     let start = Instant::now();
     if d > SPIN_TAIL {
@@ -249,9 +233,7 @@ fn throttle_delay(d: Duration) -> Duration {
         std::hint::spin_loop();
     }
     let spun = spin_start.elapsed();
-    let ns = spun.as_nanos() as u64;
-    SPIN_NS.with(|c| c.set(c.get().saturating_add(ns)));
-    OBS_SPIN_NS.add(ns);
+    OBS_SPIN_NS.add(spun.as_nanos() as u64);
     spun
 }
 
@@ -293,19 +275,6 @@ pub struct IoStats {
     pub max_write: u64,
 }
 
-impl IoStats {
-    /// Fold `other` into `self`: totals add, maxima take the larger value.
-    /// Useful for aggregating per-rank or per-file stats.
-    pub fn merge(&mut self, other: &IoStats) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.max_read = self.max_read.max(other.max_read);
-        self.max_write = self.max_write.max(other.max_write);
-    }
-}
-
 /// The policy that counts requests and bytes — used by the overhead
 /// ablations to show, e.g., how data sieving trades access count against
 /// transferred volume. Each counter is a pair, reads first.
@@ -327,13 +296,6 @@ impl Counter {
             bytes_written: get(&self.bytes, Op::Write),
             max_read: get(&self.max, Op::Read),
             max_write: get(&self.max, Op::Write),
-        }
-    }
-
-    /// Reset the counters to zero.
-    pub fn reset(&self) {
-        for c in [&self.calls, &self.bytes, &self.max].into_iter().flatten() {
-            c.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -583,12 +545,10 @@ mod tests {
         assert_eq!(s.bytes_written, 100);
         assert_eq!(s.reads, 2);
         assert_eq!(s.bytes_read, 80);
-        f.policy().reset();
-        assert_eq!(f.policy().stats(), IoStats::default());
     }
 
     #[test]
-    fn counting_tracks_max_request_and_merge() {
+    fn counting_tracks_max_request() {
         let f = Decorated::new(MemFile::new(), Counter::default());
         f.write_at(0, &[1; 100]).unwrap();
         f.write_at(0, &[1; 10]).unwrap();
@@ -597,21 +557,7 @@ mod tests {
         let s = f.policy().stats();
         assert_eq!(s.max_write, 100);
         assert_eq!(s.max_read, 40);
-
-        let mut total = IoStats::default();
-        total.merge(&s);
-        let other = IoStats {
-            reads: 1,
-            bytes_read: 5,
-            max_read: 512,
-            ..IoStats::default()
-        };
-        total.merge(&other);
-        assert_eq!(total.reads, s.reads + 1);
-        assert_eq!(total.writes, 2);
-        assert_eq!(total.bytes_read, s.bytes_read + 5);
-        assert_eq!(total.max_read, 512);
-        assert_eq!(total.max_write, 100);
+        assert_eq!((s.reads, s.writes), (1, 2));
     }
 
     #[test]

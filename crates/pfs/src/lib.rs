@@ -29,9 +29,7 @@ pub mod lock;
 mod map;
 pub mod retry;
 
-pub use decorate::{
-    take_spin_ns, Counter, Decorated, FaultPlan, Faults, Go, IoStats, Op, Policy, Throttle,
-};
+pub use decorate::{Counter, Decorated, FaultPlan, Faults, Go, IoStats, Op, Policy, Throttle};
 pub use file::{os_dir, MemFile, StorageFile, SubmissionQueue, UnixFile};
 pub use lock::{RangeGuard, RangeLock};
 pub use retry::{RetryExhausted, RetryPolicy};

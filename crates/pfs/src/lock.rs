@@ -60,11 +60,10 @@ impl RangeLock {
         if busy(&state) {
             // counted before it waits, so a wait in progress is seen
             OBS_LOCK_WAITS.incr();
-            let t = lio_obs::now();
+            let _waiting = OBS_LOCK_WAIT_NS.span();
             while busy(&state) {
                 state = cond.wait(state).unwrap();
             }
-            OBS_LOCK_WAIT_NS.record(lio_obs::elapsed_ns(t));
         }
         state.held.push(range.clone());
         RangeGuard {
