@@ -87,11 +87,13 @@ done
 # profile is a view of the one metric registry, and records nothing of
 # its own, and the collective phase counters are charged by the trace
 # layer's spans from the one tag table (`trace::phase_of`), not by
-# hand-held timers. `pfs`'s keeps the decorators' hand-written forwards from
-# coming back unseen: one `Decorated<F, P>` implements `StorageFile`, and
-# the throttle, the counter and the fault plan are policies of it.
+# hand-held timers, and the health layer's heartbeats and skew report are
+# read from the trace's rings, not kept in slots of their own. `pfs`'s
+# keeps the decorators' hand-written forwards from coming back unseen:
+# one `Decorated<F, P>` implements `StorageFile`, and the throttle, the
+# counter and the fault plan are policies of it.
 echo "== size census"
-declare -A reviewed_lines=([datatype]=6272 [core]=4440 [obs]=3536 [pfs]=2728)
+declare -A reviewed_lines=([datatype]=6272 [core]=4437 [obs]=3511 [pfs]=2728)
 total=0
 for src in crates/*/src; do
   crate=$(basename "$(dirname "$src")")
@@ -104,6 +106,20 @@ for src in crates/*/src; do
   fi
 done
 echo "  all crates: $total"
+
+# Per-rank array census (ROADMAP item 5(a)), the same ratchet: the
+# statics under crates/obs/src sized `MAX_RANKS]`, each a table of every
+# rank's state that aliases across worlds, against the number reviewed.
+# One is left: the trace's rings, which the heartbeats and the skew report
+# are read from. Item 5(a) scopes them and takes this to 0.
+echo "== per-rank array census"
+reviewed_rank_arrays=1
+n=$(grep -rh --include='*.rs' '^[[:space:]]*static .*MAX_RANKS\]' crates/obs/src | wc -l)
+echo "  obs: $n (reviewed: $reviewed_rank_arrays)"
+if [ "$n" -gt "$reviewed_rank_arrays" ]; then
+  echo "per-rank array census: crates/obs/src has $n MAX_RANKS-sized statics, more than was reviewed"
+  exit 1
+fi
 
 # Knob census (ROADMAP item 5(d)), the same ratchet: the distinct
 # `LIO_*` names anywhere under crates/*/src — every environment variable
@@ -214,17 +230,20 @@ for be in mem os; do
   LIO_BACKEND=$be cargo test -q -p lio-core "${backend_suites[@]/#/--test=}"
 done
 
-# Every telemetry layer armed at once: the collective + pipeline + fault
-# suites once more with metrics, the trace recorder and the heartbeats on
-# for every file (catches a panic that only an armed layer
-# reaches, and a watchdog false positive under tracing), plus the
-# dedicated trace-correctness tests (span pairing, causal merge, ring
-# wraparound, critical path, each `win` span's index and bytes), then the
-# hang-injection suite under a hard timeout so a watchdog regression can
-# never wedge CI itself. Heartbeats are published from the span opens, so
-# that suite checks that those alone name a seeded stall's rank and
-# phase; it configures its watchdog in code (`health::set_watchdog`), and
-# its replay line is `LIO_OBS=health cargo test -q -p lio-core --test health`.
+# Both telemetry layers armed at once: the collective + pipeline + fault
+# suites once more with the metrics and the trace recorder on for every
+# file, whose newest events are the heartbeats the watchdog reads
+# (catches a panic that only an armed layer reaches, and a watchdog false
+# positive), plus the dedicated trace-correctness tests (span pairing,
+# causal merge, ring wraparound, critical path, each `win` span's index
+# and bytes), then the hang-injection suite under a hard timeout so a
+# watchdog regression can never wedge CI itself. A heartbeat is the
+# rank's newest beating event in its trace ring, so that suite checks
+# that those alone name a seeded stall's rank, phase and op, also after
+# the ring has wrapped past the op's root; it configures its watchdog in
+# code (`health::set_watchdog`), and its replay line is
+# `LIO_OBS=health cargo test -q -p lio-core --test health` (`health`
+# names the trace).
 echo "== collective/pipeline/faults suites under LIO_OBS=all"
 LIO_OBS=all cargo test -q -p lio-core --test collective --test pipeline --test faults
 echo "== trace correctness tests"

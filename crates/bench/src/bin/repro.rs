@@ -899,15 +899,16 @@ fn metrics(opts: &Opts) {
             Store::Counted,
         ));
     }
-    // the health column: the same collective with the runtime health
-    // layer armed (heartbeats, skew tracking, watchdog in diagnose-only
-    // mode) — a small window size so every op closes several skew windows
+    // the health column: the same collective with the trace armed, whose
+    // events are the heartbeats and the exchanges' arrivals (watchdog in
+    // diagnose-only mode) — a small window size so every op runs several
+    // exchanges
     for (engine, ename) in ENGINES.iter() {
         configs.push((
             format!("{}_health", ename.replace('-', "_")),
             Hints::with_engine(*engine)
                 .cb_buffer(4 << 10)
-                .observe(Layers::METRICS | Layers::HEALTH),
+                .observe(Layers::ALL),
             Store::Counted,
         ));
     }
@@ -923,7 +924,7 @@ fn metrics(opts: &Opts) {
     let mut json = String::from("{\n");
     for (i, (key, hints, store)) in configs.iter().enumerate() {
         let layers = hints.obs.unwrap_or(Layers::METRICS);
-        let health_on = layers.contains(Layers::HEALTH);
+        let health_on = layers.contains(Layers::TRACE);
         lio_obs::reset();
         lio_obs::health::reset();
         layers.arm();
@@ -1004,20 +1005,19 @@ fn metrics(opts: &Opts) {
         if health_on {
             let hr = lio_obs::health::report();
             println!(
-                "  {key}: health {} beats, watchdog {} checks / {} fired, {} straggler flags",
-                snap.counter("core.health.beats"),
+                "  {key}: health {} beats in the ranks' last ops, watchdog {} checks / {} fired, \
+                 {} straggler flags",
+                hr.ranks.iter().map(|r| r.beats).sum::<u64>(),
                 hr.watchdog_checks,
                 hr.watchdog_fired,
                 hr.straggler_flags,
             );
-            if let Some(h) = snap.histogram("core.health.skew_ns") {
-                println!(
-                    "  {key}: window rank-skew p50/p95/p99 = {}/{}/{} ns ({} windows)",
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.count,
-                );
+            let skews =
+                lio_obs::health::rank_skews(&lio_obs::trace::merge(&lio_obs::trace::collect()));
+            let n: u64 = skews.iter().map(|s| s.exchanges_last).sum();
+            let skew_ns: u64 = skews.iter().map(|s| s.skew_ns).sum();
+            if let Some(mean) = skew_ns.checked_div(n) {
+                println!("  {key}: exchange rank-skew {mean} ns mean ({n} exchanges)");
             }
         }
         let sep = if i + 1 < configs.len() { "," } else { "" };
@@ -1029,10 +1029,10 @@ fn metrics(opts: &Opts) {
 }
 
 /// `repro top`: live per-rank health introspection. Runs a 4-rank
-/// collective write + read on throttled storage with the
-/// runtime health layer armed, samples the lock-free heartbeat slots
-/// while the collective is in flight (phase, window, bytes, heartbeat age
-/// per rank — the batch rendering of a `top`-style view),
+/// collective write + read on throttled storage with the trace armed,
+/// samples each rank's heartbeat from its trace ring while the collective
+/// is in flight (phase, window, bytes, heartbeat age per rank — the batch
+/// rendering of a `top`-style view),
 /// and writes the final schema-versioned health report to
 /// `results/health.json`.
 fn top_cmd(opts: &Opts) {
@@ -1050,11 +1050,11 @@ fn top_cmd(opts: &Opts) {
     let total = 16 * nblock * sblock;
     println!("# top: per-rank health snapshots over a 4-rank throttled collective run");
 
-    // consume the one-shot env check, then arm the layer: this
-    // subcommand exists to show heartbeats
+    // consume the one-shot env check, then arm the trace, whose events
+    // are the heartbeats: this subcommand exists to show them
     lio_obs::init_from_env();
     health::reset();
-    Layers::HEALTH.arm();
+    Layers::TRACE.arm();
     health::set_watchdog(30_000, false);
 
     let slow = Throttle {
@@ -1063,7 +1063,7 @@ fn top_cmd(opts: &Opts) {
         latency: Duration::from_millis(1),
     };
     let shared = SharedFile::new(Decorated::new(MemFile::new(), slow));
-    let hints = Hints::listless().cb_buffer(4 << 10).observe(Layers::HEALTH);
+    let hints = Hints::listless().cb_buffer(4 << 10).observe(Layers::TRACE);
     let worker = std::thread::spawn(move || {
         World::run(nprocs, move |comm| {
             let me = comm.rank() as u64;
@@ -1081,8 +1081,8 @@ fn top_cmd(opts: &Opts) {
         });
     });
 
-    // sample the slots while the collective runs: each frame is a
-    // consistent-enough relaxed read of every rank's heartbeat slot
+    // sample the heartbeats while the collective runs: each frame copies
+    // every rank's heartbeat from its ring under the ring's lock
     let mut frames = 0u32;
     let t0 = std::time::Instant::now();
     while !worker.is_finished() && frames < 40 {
@@ -1128,14 +1128,13 @@ fn trace_cmd(opts: &Opts) {
     println!("# trace: 4-rank collective write+read, 1 ms/op storage, tracing on");
 
     // consume the one-shot env check, then arm recording: this
-    // subcommand exists to produce a timeline. Health is armed too: the
-    // critical-path report then carries the per-rank window-skew
-    // attribution alongside the bounding phases
+    // subcommand exists to produce a timeline. The critical-path report
+    // then carries the per-rank exchange-skew attribution, read from the
+    // same events, alongside the bounding phases
     lio_obs::init_from_env();
     lio_obs::reset();
-    trace::reset();
     lio_obs::health::reset();
-    (Layers::METRICS | Layers::TRACE | Layers::HEALTH).arm();
+    Layers::ALL.arm();
     lio_obs::health::set_watchdog(30_000, false);
 
     let slow = Throttle {

@@ -121,11 +121,11 @@ impl SharedFile {
 
     /// A point-in-time health report for the ranks working on this
     /// file: per-rank phase/progress snapshots plus the
-    /// watchdog and straggler aggregates (see `lio_obs::health`).
-    /// The heartbeat slots are process-global, so on a process running
-    /// several files this reports every active rank. Safe to call from
-    /// outside the rank closure while `World::run` is in flight —
-    /// readers never block a heartbeat writer.
+    /// watchdog and straggler aggregates (see `lio_obs::health`), read
+    /// from the trace rings. The rings are process-global, so on a
+    /// process running several files this reports every active rank.
+    /// Safe to call from outside the rank closure while `World::run` is
+    /// in flight: it holds each rank's ring lock only to copy from it.
     pub fn health_report(&self) -> lio_obs::health::HealthReport {
         lio_obs::health::report()
     }
@@ -145,9 +145,8 @@ pub struct File<'c> {
     hints: Hints,
     nav: ViewNav,
     coll: CollState,
-    /// Collective ops issued through this handle — the health layer's
-    /// op id. Collectives are called in the same order on every rank,
-    /// so the ids align across the world.
+    /// Collective ops issued through this handle, the op id a root span
+    /// carries: called in the same order on every rank, so ids align.
     ops: std::sync::atomic::AtomicU64,
     /// Individual file pointer, in etype units.
     fp: u64,
@@ -347,20 +346,20 @@ impl<'c> File<'c> {
         OBS_WRITE_ALL_BYTES.add(total);
         let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
-        self.health_begin(true);
-        let res = twophase::write_at_all(
-            self.shared.storage.as_ref(),
-            self.comm,
-            &self.coll,
-            &self.nav,
-            &packer,
-            buf,
-            stream_start,
-            total,
-            &self.hints,
-            &self.scratch,
-        );
-        self.health_end(res)
+        self.collective("coll.write", total, || {
+            twophase::write_at_all(
+                self.shared.storage.as_ref(),
+                self.comm,
+                &self.coll,
+                &self.nav,
+                &packer,
+                buf,
+                stream_start,
+                total,
+                &self.hints,
+                &self.scratch,
+            )
+        })
     }
 
     /// Collective read (`MPI_File_read_at_all`): every rank of the
@@ -388,38 +387,36 @@ impl<'c> File<'c> {
         OBS_READ_ALL_BYTES.add(total);
         let packer = self.packer(memtype, count, buf.len())?;
         self.scratch.begin_op();
-        self.health_begin(false);
-        let res = twophase::read_at_all(
-            self.shared.storage.as_ref(),
-            self.comm,
-            &self.coll,
-            &self.nav,
-            &packer,
-            buf,
-            stream_start,
-            total,
-            &self.hints,
-            &self.scratch,
-        );
-        self.health_end(res)
+        self.collective("coll.read", total, || {
+            twophase::read_at_all(
+                self.shared.storage.as_ref(),
+                self.comm,
+                &self.coll,
+                &self.nav,
+                &packer,
+                buf,
+                stream_start,
+                total,
+                &self.hints,
+                &self.scratch,
+            )
+        })
     }
 
-    /// Stamp the health heartbeat slot for a starting collective op.
-    fn health_begin(&self, write: bool) {
+    /// Run the collective `engine` of `total` bytes in its root span `tag`,
+    /// whose payload carries the op id, then surface a watchdog abort: every
+    /// rank reached the closing sync, so `IoError::Stalled` strands no
+    /// peer. An engine error (e.g. a fault abort) wins over a parked stall.
+    fn collective(
+        &self,
+        tag: &'static str,
+        total: u64,
+        engine: impl FnOnce() -> Result<u64>,
+    ) -> Result<u64> {
         let op = self.ops.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        lio_obs::health::op_begin(op, write);
-    }
-
-    /// Close out the health slot for a finished collective op and
-    /// surface a watchdog abort. The engine has returned, so every rank
-    /// already reached the closing sync — converting the parked stall
-    /// to [`IoError::Stalled`] here strands no peer. An engine error
-    /// (e.g. a fault abort) wins over a parked stall.
-    fn health_end(&self, res: Result<u64>) -> Result<u64> {
-        if !lio_obs::health::enabled() {
-            return res;
-        }
-        lio_obs::health::op_end();
+        let root = lio_obs::trace::span_ab(tag, total, op);
+        let res = engine();
+        drop(root);
         match (res, lio_obs::health::take_stall(self.comm.rank() as u32)) {
             (Ok(_), Some(info)) => Err(IoError::Stalled(info)),
             (res, _) => res,

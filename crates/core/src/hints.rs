@@ -136,7 +136,7 @@ pub struct Hints {
     /// is an IOP (the common single-node configuration in the paper).
     pub cb_nodes: usize,
     /// Telemetry: `Some(layers)` arms exactly these `lio-obs` layers
-    /// (metrics, trace, health) and disarms the others when a
+    /// (metrics, trace) and disarms the others when a
     /// file is opened with these hints; `None` leaves the process-global
     /// setting (and the `LIO_OBS` environment variable) in charge.
     pub obs: Option<Layers>,
@@ -287,8 +287,8 @@ impl Hints {
     /// window sizes default to [`DEFAULT_WINDOW`], 512 KiB),
     /// `cb_nodes`, `backend` (`mem`/`throttled`/`os` — storage substrate
     /// for backend-aware opens), and `lio_obs`, the telemetry layers armed
-    /// at open (`all`, `off`, or a comma list of `metrics`, `trace` and
-    /// `health`; `enable` and `profile` mean `metrics`).
+    /// at open (`all`, `off`, or a comma list of `metrics` and `trace`;
+    /// `enable` and `profile` mean `metrics`, `health` means `trace`).
     ///
     /// ROMIO's `romio_ds_write` / `romio_ds_read` and the former
     /// dense-write detection key are unknown keys here, whatever their value:
@@ -475,9 +475,15 @@ mod info_tests {
         layer_info_key("metrics", Layers::METRICS);
     }
 
+    /// `health` names what the heartbeats are: the trace's events,
+    /// printed back under the trace's own name.
     #[test]
     fn health_info_key() {
-        layer_info_key("health", Layers::HEALTH);
+        for v in ["health", "trace,health"] {
+            let h = Hints::default().apply_info([("lio_obs", v)]).unwrap();
+            assert_eq!(h.obs, Some(Layers::TRACE), "{v}");
+        }
+        layer_info_key("trace", Layers::TRACE);
     }
 
     #[test]
@@ -485,7 +491,7 @@ mod info_tests {
         let h = Hints::default()
             .apply_info([("lio_obs", "Metrics, health")])
             .unwrap();
-        assert_eq!(h.obs, Some(Layers::METRICS | Layers::HEALTH));
+        assert_eq!(h.obs, Some(Layers::METRICS | Layers::TRACE));
         let err = Hints::default()
             .apply_info([("lio_obs", "trace,loud")])
             .unwrap_err();

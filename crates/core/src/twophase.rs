@@ -66,7 +66,6 @@ use crate::packer::{MemPacker, UserSide, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
 use crate::view::{FfNav, FileView, ListShare, Share, ViewNav};
 use crate::window::{snap, WindowIo, Windows};
-use lio_obs::health;
 
 // Collective metrics. The two-phase breakdown,
 // `core.coll.{write,read}.{exchange,io,pack}_ns`, is not kept here: the
@@ -348,9 +347,6 @@ pub(crate) fn write_at_all(
     hints: &Hints,
     scratch: &Scratch,
 ) -> Result<u64> {
-    // the root trace span delimiting this collective op: the
-    // critical-path analyzer keys on its tag
-    let _root = lio_obs::trace::span_ab("coll.write", total, 0);
     OBS_W_CALLS.incr();
     let span = (stream_start, stream_start + total);
     let domains = file_domains(comm, nav, span, hints);
@@ -671,8 +667,8 @@ fn recv_exchange(comm: &Comm, own_list: Option<Vec<u8>>) -> (Vec<Vec<u8>>, Vec<V
         let (i, src, payload) = comm.wait_any(&mut reqs);
         if i < p_n {
             // one per AP: arrival order = rank entry order into the
-            // collective, and feeds the per-op rank-skew histogram
-            health::window_mark(src as u32);
+            // collective; the health report's rank skew reads these marks
+            lio_obs::trace::mark("exch.arrive", src as u64, 0);
             heads[src] = payload;
         } else {
             lists[src] = payload;
@@ -682,7 +678,6 @@ fn recv_exchange(comm: &Comm, own_list: Option<Vec<u8>>) -> (Vec<Vec<u8>>, Vec<V
         lists[comm.rank()] = list;
     }
     drop(sp);
-    health::window_flush();
     (heads, lists)
 }
 
@@ -701,8 +696,6 @@ pub(crate) fn read_at_all(
     hints: &Hints,
     scratch: &Scratch,
 ) -> Result<u64> {
-    // root trace span delimiting this collective op
-    let _root = lio_obs::trace::span_ab("coll.read", total, 0);
     OBS_R_CALLS.incr();
     let span = (stream_start, stream_start + total);
     let domains = file_domains(comm, nav, span, hints);

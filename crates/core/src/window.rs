@@ -37,12 +37,13 @@ static OBS_STAGED_BYTES: LazyCounter = LazyCounter::new("io.staged_bytes");
 static OBS_BEHIND_BYTES: LazyCounter = LazyCounter::new("io.behind_bytes");
 
 /// What handing a window to the lane costs: a channel send, a thread
-/// wake-up and the way back. An inline staged write that took longer arms
-/// the lane; one that did not (a decorator over `MemFile`, a real file's
-/// page cache) is cheaper done in line. It is the `Throttle`'s boundary
-/// between a delay it spins through and one it sleeps through — below it
-/// the waiting thread keeps its core and a second thread has nothing to
-/// overlap with.
+/// wake-up and the way back. The first inline staged write that takes
+/// longer arms the lane for the rest of the loop. A decorator over
+/// `MemFile` or a real file's page cache usually stays under it, but it
+/// is wall time: one such write that the host preempts past it arms the
+/// lane all the same. It is the `Throttle`'s boundary between a delay it
+/// spins through and one it sleeps through — below it the waiting thread
+/// keeps its core and a second thread has nothing to overlap with.
 pub(crate) const LANE_HOP: Duration = Duration::from_micros(100);
 
 /// The grid cell `[k·size, (k+1)·size)` that holds `abs`.

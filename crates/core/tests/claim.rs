@@ -24,7 +24,7 @@ const RUNS: [u64; 7] = [255, 256, 257, 1280, 4095, 4096, 16384];
 const DISPS: [u64; 2] = [0, 13];
 const RANKS: u64 = 2;
 /// Figure-4 slots per view instance: one more than there are ranks.
-const SLOTS: u64 = 3;
+const NSLOT: u64 = 3;
 const NBLOCK: u64 = 6;
 const UNTOUCHED: u8 = 0xEE;
 
@@ -52,17 +52,17 @@ fn memtypes(sblock: u64) -> [(Datatype, usize); 2] {
 #[test]
 fn streamed_placements_leave_the_reference_file() {
     for sblock in RUNS {
-        let windows = [1500, (SLOTS * sblock) as usize + 1024, DEFAULT_WINDOW];
+        let windows = [1500, (NSLOT * sblock) as usize + 1024, DEFAULT_WINDOW];
         for disp in DISPS {
             for (memtype, span) in memtypes(sblock) {
-                let len = (disp + SLOTS * NBLOCK * sblock) as usize + 500;
+                let len = (disp + NSLOT * NBLOCK * sblock) as usize + 500;
                 let initial = vec![UNTOUCHED; len];
                 let users: Vec<Vec<u8>> =
                     (0..RANKS).map(|r| pattern(span, 7 * sblock + r)).collect();
                 let mut want = initial.clone();
                 for (rank, user) in users.iter().enumerate() {
                     let stream = reference_stream(user, &memtype, 1);
-                    let ft = figure4_of_blocks(rank as u64, SLOTS, NBLOCK, sblock);
+                    let ft = figure4_of_blocks(rank as u64, NSLOT, NBLOCK, sblock);
                     reference_write(&mut want, disp, &ft, 0, &stream);
                 }
                 for engine in [Hints::list_based(), Hints::listless()] {
@@ -78,7 +78,7 @@ fn streamed_placements_leave_the_reference_file() {
                                 on_each_storage(&what, &initial, RANKS, |comm, shared| {
                                     let me = comm.rank();
                                     let mut f = File::open(comm, shared, hints).unwrap();
-                                    let ft = figure4_of_blocks(me as u64, SLOTS, NBLOCK, sblock);
+                                    let ft = figure4_of_blocks(me as u64, NSLOT, NBLOCK, sblock);
                                     f.set_view(disp, Datatype::byte(), ft).unwrap();
                                     let user = &users[me];
                                     let n = if collective {

@@ -10,16 +10,17 @@
 //! 3. **Slow is not stuck** — the throttled bandwidth model and the real
 //!    `os` backend run with a tight watchdog deadline and must register
 //!    progress (the window loops' heartbeats), never a false positive.
-//! 4. **Straggler attribution** — a fabricated last-arrival streak must
-//!    surface through `health::straggler()`, the per-rank skew table
-//!    and the health report.
+//! 4. **Straggler attribution** — a fabricated last-arrival streak of
+//!    `exch.arrive` marks must surface through `health::straggler`, the
+//!    per-rank skew table and the health report.
 //! 5. **A lent read is an op like any other** — the IOPs fill the pieces
 //!    of their user buffers the ranks lend them, with no unpack: every
 //!    rank still begins, beats with its domain's bytes and
 //!    ends in the lending scope's barrier, and nothing trips.
 //!
-//! Health state is process-global, so every test serializes through one
-//! gate and resets the layer on entry and exit.
+//! Health state (the trace rings, the watchdog's verdicts) is
+//! process-global, so every test serializes through one gate and resets
+//! it on entry and exit.
 
 mod common;
 
@@ -31,14 +32,15 @@ use lio_core::{BackendKind, File, Hints, IoError, SharedFile};
 use lio_datatype::Datatype;
 use lio_mpi::World;
 use lio_obs::health::{self, StallSpec};
-use lio_obs::trace::Phase;
+use lio_obs::trace::{self, Phase};
 use lio_testkit as tk;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Serialize the suite: the heartbeat slots, watchdog config, and stall
-/// plan are process-global. Resets on entry and exit so a failing test
-/// cannot poison its neighbours.
+/// Serialize the suite: the trace rings the heartbeats are read from,
+/// the watchdog config, and the stall plan are process-global. Arms the
+/// trace and resets on entry and exit so a failing test cannot poison
+/// its neighbours.
 fn with_health<R>(f: impl FnOnce() -> R) -> R {
     static GATE: Mutex<()> = Mutex::new(());
     let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -46,9 +48,9 @@ fn with_health<R>(f: impl FnOnce() -> R) -> R {
     // cannot re-arm the layers below.
     lio_obs::init_from_env();
     health::reset();
-    health::set_enabled(true);
+    trace::set_enabled(true);
     let r = f();
-    health::set_enabled(false);
+    trace::set_enabled(false);
     health::reset();
     r
 }
@@ -215,6 +217,60 @@ fn seeded_stall_detected_in_pipelined_engine() {
     });
 }
 
+/// The heartbeat outlives the events it was read from: with each rank's
+/// trace ring far smaller than one op's events, the ring has dropped the
+/// second op's `coll.write` root long before the rank wedges, and the
+/// watchdog still names the rank, its phase and that op's id.
+#[test]
+fn a_wrapped_ring_still_names_the_stalled_op() {
+    let nprocs = 4usize;
+    let seed = tk::FIXED_SEEDS[0];
+    let plan = tk::stall_plan(seed, nprocs);
+    let stall = StallSpec {
+        rank: plan.rank,
+        phase: hb_phase(plan.phase),
+        hold: Duration::from_millis(plan.hold_ms),
+    };
+    with_health(|| {
+        trace::set_capacity(4);
+        health::set_watchdog(200, true);
+        let (shared, _snap) = test_storage();
+        let results: Arc<Mutex<RankResults>> = Arc::new(Mutex::new(Vec::new()));
+        let res2 = Arc::clone(&results);
+        World::run(nprocs, move |comm| {
+            let me = comm.rank() as u64;
+            let ft = interleaved_ft(32, 16, nprocs as u64);
+            let mut f = File::open(comm, shared.clone(), Hints::listless()).unwrap();
+            f.set_view(me * 32, Datatype::byte(), ft).unwrap();
+            let data = pattern(32 * 16, me + 1);
+            f.write_at_all(0, &data, 32 * 16, &Datatype::byte())
+                .unwrap();
+            // arm the wedge for the second op only
+            comm.barrier();
+            if me == 0 {
+                health::set_stall_plan(Some(stall));
+            }
+            comm.barrier();
+            let r = f.write_at_all(0, &data, 32 * 16, &Datatype::byte());
+            res2.lock().unwrap().push((me, r));
+        });
+        trace::set_capacity(trace::DEFAULT_CAPACITY);
+        let results = Arc::try_unwrap(results).unwrap().into_inner().unwrap();
+        let stalled: Vec<_> = results
+            .iter()
+            .filter_map(|(_, r)| match r {
+                Err(IoError::Stalled(info)) => Some(info.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stalled.len(), 1, "{results:?}; {}", replay(seed));
+        let info = &stalled[0];
+        assert_eq!(info.rank, plan.rank, "{info:?}; {}", replay(seed));
+        assert_eq!(info.phase, stall.phase.name(), "{info:?}; {}", replay(seed));
+        assert_eq!(info.op, 2, "the second op's id: {info:?}; {}", replay(seed));
+    });
+}
+
 // ---------------------------------------------------------------------
 // 2. A stall that resolves before the deadline stays invisible
 // ---------------------------------------------------------------------
@@ -314,28 +370,31 @@ fn slow_backends_heartbeat_instead_of_tripping_the_watchdog() {
 #[test]
 fn straggler_streak_feeds_report() {
     with_health(|| {
-        // fabricate a last-arrival streak: rank 3 closes every window
-        // with a spread comfortably above STRAGGLER_MIN_SKEW_NS
+        // fabricate a last-arrival streak on an IOP: rank 3 closes every
+        // exchange with a spread comfortably above STRAGGLER_MIN_SKEW_NS
+        trace::set_thread_rank(0);
         for _ in 0..6 {
-            health::window_mark(0);
-            health::window_mark(1);
+            let _wait = trace::span("exch.wait");
+            trace::mark("exch.arrive", 0, 0);
+            trace::mark("exch.arrive", 1, 0);
             std::thread::sleep(Duration::from_micros(120));
-            health::window_mark(3);
-            health::window_flush();
+            trace::mark("exch.arrive", 3, 0);
         }
+        trace::set_thread_rank(lio_obs::NO_RANK);
+        let timeline = trace::merge(&trace::collect());
 
-        let s = health::straggler().expect("a 6-window streak must flag a straggler");
+        let s = health::straggler(&timeline).expect("a 6-exchange streak must flag a straggler");
         assert_eq!(s.rank, 3);
-        assert!(s.windows >= health::STRAGGLER_K);
+        assert!(s.exchanges >= health::STRAGGLER_K);
         assert!(s.skew_ns >= health::STRAGGLER_MIN_SKEW_NS);
 
         // per-rank skew attribution (the critical-path report column)
-        let skews = health::rank_skews();
+        let skews = health::rank_skews(&timeline);
         let r3 = skews
             .iter()
             .find(|r| r.rank == 3)
             .expect("rank 3 must appear in the per-rank skew table");
-        assert!(r3.windows_last >= 4, "{skews:?}");
+        assert!(r3.exchanges_last >= 4, "{skews:?}");
         assert!(r3.skew_ns >= 4 * health::STRAGGLER_MIN_SKEW_NS, "{skews:?}");
         assert!(
             !skews.iter().any(|r| r.rank == 0),

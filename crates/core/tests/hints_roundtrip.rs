@@ -29,7 +29,7 @@ fn roundtrip_reconstructs_every_field() {
             .cb_buffer(65536)
             .io_nodes(3),
         Hints::list_based().observe(Layers::METRICS),
-        Hints::listless().observe(Layers::TRACE | Layers::HEALTH),
+        Hints::listless().observe(Layers::TRACE),
         Hints::listless().observe(Layers::NONE),
         Hints::list_based().observe(Layers::ALL),
     ];
@@ -46,7 +46,7 @@ fn roundtrip_reconstructs_every_field() {
 fn roundtrip_is_stable_under_reserialization() {
     let h = Hints::listless()
         .cb_buffer(4096)
-        .observe(Layers::METRICS | Layers::HEALTH);
+        .observe(Layers::METRICS | Layers::TRACE);
     let once = roundtrip(h);
     assert_eq!(pairs(&once), pairs(&h), "serialization must be a fixpoint");
 }

@@ -4,12 +4,11 @@
 //! access-pattern profile, a view of the metrics, reads empty. The same
 //! ops armed through the one switch (`Hints::observe`) must then record
 //! in every layer, so a count of zero above is a count the recording
-//! sites could have broken. Heartbeats are published from
-//! the trace layer's span opens, so each of the two is then armed alone:
-//! health alone records no trace event, trace alone publishes no
-//! heartbeat. The same span opens charge the collective phase counters,
-//! so the metrics are armed alone too: the counters fill, and no trace
-//! event or heartbeat is recorded.
+//! sites could have broken. Heartbeats are the trace's own events, so
+//! `health` names the trace layer, and the trace armed alone publishes
+//! heartbeats and records no metric. The same span opens charge the
+//! collective phase counters, so the metrics are armed alone too: the
+//! counters fill, and no trace event or heartbeat is recorded.
 //!
 //! Every layer is process-global, so the whole check is one test.
 
@@ -145,12 +144,7 @@ fn nothing_armed_records_nothing() {
     );
     let metrics = recorded_metrics();
     let op_bytes = profile::OPS.map(|op| format!("core.{op}.bytes"));
-    let named = [
-        "pfs.write.bytes",
-        "core.health.beats",
-        "dt.copy.bytes",
-        "core.view.size",
-    ];
+    let named = ["pfs.write.bytes", "dt.copy.bytes", "core.view.size"];
     for name in op_bytes.iter().map(String::as_str).chain(named) {
         assert!(
             metrics.iter().any(|n| n == name),
@@ -158,31 +152,22 @@ fn nothing_armed_records_nothing() {
         );
     }
 
-    // one layer of the two that share the span opens, then the other
-    for (alone, name) in [(Layers::HEALTH, "health"), (Layers::TRACE, "trace")] {
-        lio_obs::reset();
-        trace::reset();
-        health::reset();
-        run_ops(Some(alone));
-        Layers::NONE.arm();
-        let (events, beats) = (trace_events(), health::live_snapshot());
-        if alone == Layers::HEALTH {
-            assert!(!beats.is_empty(), "health alone published no heartbeat");
-            assert_eq!(events, 0, "health alone recorded trace events");
-        } else {
-            assert!(events > 0, "trace alone recorded nothing");
-            assert!(
-                beats.is_empty(),
-                "trace alone published heartbeats: {beats:?}"
-            );
-        }
-        let metrics = recorded_metrics();
-        assert_eq!(
-            metrics,
-            Vec::<String>::new(),
-            "{name} alone recorded metrics"
-        );
-    }
+    // `health` is the trace, and the trace alone publishes heartbeats
+    assert_eq!(Layers::parse("health"), Layers::parse("trace"));
+    lio_obs::reset();
+    health::reset();
+    run_ops(Some(Layers::TRACE));
+    Layers::NONE.arm();
+    assert!(trace_events() > 0, "trace alone recorded nothing");
+    assert!(
+        !health::live_snapshot().is_empty(),
+        "trace alone published no heartbeat"
+    );
+    assert_eq!(
+        recorded_metrics(),
+        Vec::<String>::new(),
+        "trace alone recorded metrics"
+    );
 
     // the metrics alone: the spans charge the phase counters, and record
     // and publish nothing

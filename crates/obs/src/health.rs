@@ -4,17 +4,22 @@
 //! Two-phase collective I/O is synchronization-heavy by construction:
 //! one wedged or slow rank stalls the whole world, and until now the
 //! obs stack could only explain an op *after* it finished. This module
-//! names the failure while it is happening:
+//! names the failure while it is happening. It records nothing of its
+//! own: it is a view of each rank's [`crate::trace`] ring.
 //!
-//! * **Heartbeats** — every rank's progress (op id, phase, window index,
-//!   bytes moved, monotonic timestamp) lives in a per-rank slot of plain
-//!   atomics, written by the trace layer's span and mark opens while this
-//!   layer is armed, tracing on or off (see `publish`). Publishing is
-//!   zero-alloc and lock-free; a reader (the watchdog,
-//!   `SharedFile::health_report()`, `repro top`) scans the slots with
-//!   relaxed loads and never blocks a writer.
-//! * **Watchdog** — a lazily-spawned thread scans the slots and flags
-//!   any in-flight op whose heartbeat is older than a deadline. It
+//! * **Heartbeats** — a rank's heartbeat is the newest event of its ring
+//!   that beats: a span begin, mark or message whose tag has a phase in
+//!   the one tag table ([`phase_of`]), a message receipt only right after
+//!   an exchange wait. A collective's `coll.write`/`coll.read` root,
+//!   whose payload carries the op id `lio-core` numbers, beats as `plan`
+//!   when it opens and as `idle` when it closes. The ring keeps its
+//!   heartbeat (the open root's op id and direction, the newest beat's
+//!   phase and time) as it pushes each event, so a reader (the watchdog,
+//!   `SharedFile::health_report()`, `repro top`) takes one ring lock per
+//!   rank, and the heartbeat survives the ring's wraparound. Window,
+//!   bytes and beats are read from the events of the op the ring holds.
+//! * **Watchdog** — a lazily-spawned thread reads the heartbeats and
+//!   flags any in-flight op whose heartbeat is older than a deadline. It
 //!   picks the *culprit* (a rank stuck in a non-wait phase beats a
 //!   rank merely waiting on one), prints a diagnosis with the replay
 //!   line, asks the flight recorder ([`crate::trace::flight_dump`])
@@ -22,189 +27,133 @@
 //!   parks a typed [`StallInfo`] for the culprit rank that `lio-core`
 //!   surfaces as `IoError::Stalled` once the closing sync is reached.
 //!   It is configured in code only, by [`set_watchdog`].
-//! * **Straggler attribution** — IOPs mark each AP's header as it
-//!   arrives in a collective's exchange; the spread between first and
-//!   last arrival is recorded into the `core.health.skew_ns` histogram
-//!   and the last-arriving rank feeds a persistence streak. A rank that
-//!   arrives last [`STRAGGLER_K`] exchanges in a row with non-trivial
-//!   skew is flagged as a straggler and named in the health report.
+//! * **Straggler attribution** — an IOP marks each AP's header as it
+//!   arrives in a collective's exchange (`exch.arrive`, inside the
+//!   `exch.wait` span). From the merged [`Timeline`], each exchange's
+//!   first-to-last spread is charged to its last arriver
+//!   ([`rank_skews`]), and a rank that arrives last [`STRAGGLER_K`]
+//!   exchanges in a row with non-trivial skew is a straggler
+//!   ([`straggler`]), named in the health report.
 //! * **Live introspection** — [`live_snapshot`] and [`report`] render
-//!   the slots as structs / text / schema-versioned JSON.
+//!   the heartbeats as structs / text / schema-versioned JSON.
 //!
-//! The layer is armed like the others, as `health` in the one
-//! [`crate::Layers`] switch (`LIO_OBS=health`, `Hints::observe`), or by
-//! [`set_enabled`]. Disarmed, a span costs the one load of the arming
-//! word it costs the trace layer, and `lio-core`'s `obs_off` test counts
-//! that a disarmed op publishes no heartbeat.
+//! There is no layer of its own to arm: `health` in the one
+//! [`crate::Layers`] switch (`LIO_OBS=health`, `Hints::observe`) names
+//! the trace, which records the events, and a file opened with the trace
+//! armed starts the watchdog.
 //!
 //! Hang injection for tests goes through [`set_stall_plan`]: a seeded
-//! `Stall` fault (see `lio-testkit`) wedges a chosen rank inside its
-//! heartbeat in a chosen phase until the hold elapses *or* the watchdog
-//! flags it — after release the rank completes the collective protocol
-//! normally, so no peer is ever stranded before the closing sync.
+//! `Stall` fault (see `lio-testkit`) wedges a chosen rank right after it
+//! records a heartbeat in a chosen phase, until the hold elapses *or* the
+//! watchdog flags it — after release the rank completes the collective
+//! protocol normally, so no peer is ever stranded before the closing sync.
 
-use crate::trace::{current_rank, now_ns, phase_of, Phase};
-use crate::{Layers, LazyCounter, LazyHistogram, MAX_RANKS, NO_RANK};
-use std::cell::Cell;
+use crate::trace::{self, now_ns, phase_of, Event, Kind, Phase, Timeline};
+use crate::{LazyCounter, MAX_RANKS, NO_RANK};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
-/// Consecutive last-arrival windows before a rank is flagged a straggler.
+/// Consecutive last arrivals before a rank is flagged a straggler.
 pub const STRAGGLER_K: u32 = 4;
 
-/// Minimum first-to-last arrival spread for a window to count toward a
-/// straggler streak — spreads below this are scheduler noise.
+/// Minimum first-to-last arrival spread for an exchange to count toward
+/// a straggler streak — spreads below this are scheduler noise.
 pub const STRAGGLER_MIN_SKEW_NS: u64 = 20_000;
 
 // ---------------------------------------------------------------------------
-// Enablement
+// The heartbeat a ring keeps
 // ---------------------------------------------------------------------------
 
-/// Is the health layer recording heartbeats? One relaxed load.
-#[inline(always)]
-pub fn enabled() -> bool {
-    crate::armed().contains(Layers::HEALTH)
+/// A rank's heartbeat, which its trace ring updates as it pushes each
+/// event ([`Beat::after`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Beat {
+    /// The open root's op id; 0 = idle.
+    op: u64,
+    /// Is the open (or last) root a write?
+    write: bool,
+    /// Phase and time of the newest beat.
+    phase: Phase,
+    ts: u64,
+    /// The push count of the last root's begin event.
+    pub(crate) root_at: u64,
 }
 
-/// Turn the health layer on or off globally.
-pub fn set_enabled(on: bool) {
-    crate::arm_layers(Layers::HEALTH, on);
-}
-
-// ---------------------------------------------------------------------------
-// Heartbeat slots: one cache-line-ish struct of atomics per rank,
-// written by the rank's threads (its own and its write-behind lane),
-// many lock-free readers
-// ---------------------------------------------------------------------------
-
-struct Slot {
-    /// In-flight collective op id; 0 = idle.
-    op: AtomicU64,
-    /// 1 when the in-flight op is a write.
-    write: AtomicU32,
-    /// Last progress phase (`Phase` as u32).
-    phase: AtomicU32,
-    /// Last window index the rank contributed to / placed.
-    window: AtomicU64,
-    /// Bytes moved so far in this op.
-    bytes: AtomicU64,
-    /// Heartbeats published in this op.
-    beats: AtomicU64,
-    /// `now_ns()` of the last heartbeat.
-    ts: AtomicU64,
-    /// Op id the watchdog already flagged (dedup: one diagnosis per op).
-    flagged: AtomicU64,
-}
-
-impl Slot {
-    const fn new() -> Slot {
-        Slot {
-            op: AtomicU64::new(0),
-            write: AtomicU32::new(0),
-            phase: AtomicU32::new(0),
-            window: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            beats: AtomicU64::new(0),
-            ts: AtomicU64::new(0),
-            flagged: AtomicU64::new(0),
+impl Beat {
+    /// The heartbeat once `ev`, the ring's `at`-th event, is pushed after
+    /// `prev`; `None` when `ev` does not beat.
+    pub(crate) fn after(prev: Option<Beat>, ev: &Event, at: u64) -> Option<Beat> {
+        let prev = prev.unwrap_or_default();
+        let mut beat = Beat { ts: ev.ts, ..prev };
+        match (ev.kind, ev.tag) {
+            (Kind::SpanBegin, "coll.write" | "coll.read") => {
+                let write = ev.tag == "coll.write";
+                (beat.op, beat.write, beat.phase, beat.root_at) = (ev.b, write, Phase::Plan, at);
+            }
+            (Kind::SpanEnd, "coll.write" | "coll.read") => (beat.op, beat.phase) = (0, Phase::Idle),
+            (Kind::SpanEnd, _) => return None,
+            _ => beat.phase = beat_phase(prev.phase, ev.tag)?,
         }
+        Some(beat)
     }
 }
 
-static SLOTS: [Slot; MAX_RANKS] = [const { Slot::new() }; MAX_RANKS];
+/// The phase an event of `tag` beats as after a beat in `prev`, if it
+/// beats: its phase in the one table ([`phase_of`]). A message receipt
+/// beats only out of an exchange wait: in a barrier's rounds or a plan's
+/// allgather the rank is still waiting on whoever is late.
+fn beat_phase(prev: Phase, tag: &str) -> Option<Phase> {
+    let phase = phase_of(tag).0;
+    let stray_receipt = tag == "msg.recv" && prev != Phase::ExchangeWait;
+    (phase != Phase::Idle && !stray_receipt).then_some(phase)
+}
+
+/// The last window index, the bytes moved and the beats of the op whose
+/// events since its root are `events`: a `win` span's window index and
+/// bytes, an `exch.send`'s bytes.
+fn progress(events: &[Event]) -> (u64, u64, u64) {
+    let (mut beat, mut window, mut bytes, mut beats) = (None, 0, 0, 0);
+    for ev in events {
+        let Some(next) = Beat::after(beat, ev, 0) else {
+            continue;
+        };
+        if ev.kind == Kind::SpanEnd {
+            break;
+        }
+        beat = Some(next);
+        beats += 1;
+        if ev.tag == "win" {
+            window = ev.a;
+        }
+        if ev.tag == "win" || ev.tag == "exch.send" {
+            bytes += ev.b;
+        }
+    }
+    (window, bytes, beats)
+}
 
 // ---------------------------------------------------------------------------
-// Instruments (aggregate surface; the raw atomics below stay readable
-// even when the main obs registry is disabled)
+// Instruments (the watchdog's own aggregates; the raw atomics stay
+// readable even when the metrics are disarmed)
 // ---------------------------------------------------------------------------
 
-static OBS_BEATS: LazyCounter = LazyCounter::new("core.health.beats");
 static OBS_WD_FIRED: LazyCounter = LazyCounter::new("core.health.watchdog.fired");
 static OBS_STALL_ABORTS: LazyCounter = LazyCounter::new("core.health.stalls.aborted");
-static OBS_STRAGGLER_FLAGS: LazyCounter = LazyCounter::new("core.health.straggler.flags");
-static OBS_SKEW: LazyHistogram = LazyHistogram::new("core.health.skew_ns");
 
 static WD_CHECKS_RAW: AtomicU64 = AtomicU64::new(0);
 static WD_FIRED_RAW: AtomicU64 = AtomicU64::new(0);
 static STALL_ABORTS_RAW: AtomicU64 = AtomicU64::new(0);
-static STRAGGLER_FLAGS_RAW: AtomicU64 = AtomicU64::new(0);
-
-// ---------------------------------------------------------------------------
-// Heartbeat publication
-// ---------------------------------------------------------------------------
-
-/// Mark the calling rank as entering collective op `op` (non-zero;
-/// `lio-core` threads a per-file sequence number through so ids align
-/// across ranks). Resets the per-op progress fields.
-pub fn op_begin(op: u64, write: bool) {
-    let Some(s) = SLOTS.get(current_rank() as usize).filter(|_| enabled()) else {
-        return;
-    };
-    s.write.store(write as u32, Relaxed);
-    s.phase.store(Phase::Plan as u32, Relaxed);
-    s.window.store(0, Relaxed);
-    s.bytes.store(0, Relaxed);
-    s.beats.store(1, Relaxed);
-    s.ts.store(now_ns(), Relaxed);
-    s.op.store(op, Relaxed);
-}
-
-/// Mark the calling rank's collective op as finished (the closing sync
-/// was reached).
-pub fn op_end() {
-    if !enabled() {
-        return;
-    }
-    let Some(s) = SLOTS.get(current_rank() as usize) else {
-        return;
-    };
-    s.op.store(0, Relaxed);
-    s.phase.store(Phase::Idle as u32, Relaxed);
-    s.ts.store(now_ns(), Relaxed);
-}
-
-/// Publish `rank`'s heartbeat for the span or mark `tag` it opened with
-/// payload `(a, b)`; the trace layer's gate calls this for every event
-/// while the layer is armed. The phase is the tag's in the one table
-/// ([`phase_of`]; none, nothing is published); a `win` span adds its
-/// window index and bytes, an `exch.send` its bytes. A message receipt
-/// publishes only out of an exchange wait: in a barrier's rounds or a
-/// plan's allgather the rank is still waiting on whoever is late.
-#[inline(never)]
-pub(crate) fn publish(rank: u32, tag: &str, a: u64, b: u64) {
-    let phase = phase_of(tag).0;
-    let Some(s) = SLOTS.get(rank as usize) else {
-        return;
-    };
-    if phase == Phase::Idle
-        || (tag == "msg.recv" && s.phase.load(Relaxed) != Phase::ExchangeWait as u32)
-    {
-        return;
-    }
-    s.phase.store(phase as u32, Relaxed);
-    if tag == "win" {
-        s.window.store(a, Relaxed);
-    }
-    if tag == "win" || tag == "exch.send" {
-        s.bytes.fetch_add(b, Relaxed);
-    }
-    s.beats.fetch_add(1, Relaxed);
-    s.ts.store(now_ns(), Relaxed);
-    OBS_BEATS.incr();
-    if STALL_ARMED.load(Relaxed) {
-        maybe_wedge(rank, phase, s);
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Seeded stall injection (the testkit `Stall` fault kind lands here)
 // ---------------------------------------------------------------------------
 
-/// A deterministic hang: `rank` wedges inside its next heartbeat in
-/// `phase` and stays wedged for `hold` — or until the watchdog flags
-/// it, whichever comes first. After release the rank resumes the
-/// protocol normally, so peers always reach the closing sync.
+/// A deterministic hang: `rank` wedges right after its next heartbeat in
+/// `phase` and stays wedged for `hold` — or until the watchdog flags it,
+/// whichever comes first. After release the rank resumes the protocol
+/// normally, so peers always reach the closing sync.
 #[derive(Clone, Copy, Debug)]
 pub struct StallSpec {
     pub rank: u32,
@@ -223,11 +172,16 @@ pub fn set_stall_plan(spec: Option<StallSpec>) {
     *st = spec;
 }
 
-fn maybe_wedge(rank: u32, phase: Phase, slot: &Slot) {
+/// `rank`'s ring holds its new heartbeat `beat`; the trace calls this
+/// with no ring lock held. One relaxed load unless a stall plan is armed.
+pub(crate) fn beaten(rank: u32, beat: Beat) {
+    if !STALL_ARMED.load(Relaxed) {
+        return;
+    }
     let hold = {
         let mut st = STALL.lock().unwrap();
         match *st {
-            Some(spec) if spec.rank == rank && spec.phase == phase => {
+            Some(spec) if spec.rank == rank && spec.phase == beat.phase => {
                 *st = None;
                 STALL_ARMED.store(false, Relaxed);
                 spec.hold
@@ -235,12 +189,11 @@ fn maybe_wedge(rank: u32, phase: Phase, slot: &Slot) {
             _ => return,
         }
     };
-    let op = slot.op.load(Relaxed);
     let released_at = Instant::now() + hold;
     // Wedge: no heartbeats, no progress. Release on hold expiry or on
     // the watchdog flagging this op (so aborts never wait out the hold).
     while Instant::now() < released_at {
-        if op != 0 && slot.flagged.load(Relaxed) == op {
+        if beat.op != 0 && flagged(rank, beat.op) {
             break;
         }
         std::thread::sleep(Duration::from_millis(2));
@@ -265,8 +218,8 @@ pub fn set_watchdog(deadline_ms: u64, abort: bool) {
 }
 
 /// Spawn the watchdog thread if it is not already running. Called by
-/// `File::open` when the health layer is armed; repeated calls are
-/// free. The thread idles (cheaply) while the layer is disabled.
+/// `File::open` when the trace is armed; repeated calls are free. The
+/// thread idles (cheaply) while the trace is disarmed.
 pub fn ensure_watchdog() {
     static STARTED: Once = Once::new();
     STARTED.call_once(|| {
@@ -284,7 +237,7 @@ fn watchdog_loop() {
         // fraction of the deadline itself.
         let poll = Duration::from_millis((deadline_ms / 4).clamp(5, 1000));
         std::thread::sleep(poll);
-        if !enabled() {
+        if !trace::enabled() {
             continue;
         }
         WD_CHECKS_RAW.fetch_add(1, Relaxed);
@@ -297,47 +250,59 @@ fn watchdog_loop() {
 fn check_once(deadline_ms: u64) {
     let now = now_ns();
     let deadline_ns = deadline_ms.saturating_mul(1_000_000);
-    // Collect overdue in-flight ops not yet flagged.
-    let mut culprit: Option<(usize, u64, Phase, u64)> = None; // (rank, age, phase, op)
-    for (rank, s) in SLOTS.iter().enumerate() {
-        let op = s.op.load(Relaxed);
-        if op == 0 || s.flagged.load(Relaxed) == op {
+    // Collect overdue in-flight ops not yet flagged, and whether a rank
+    // not yet flagged is at work (in a non-wait phase), overdue or not.
+    let mut culprit: Option<(u32, u64, Phase, u64)> = None; // (rank, age, phase, op)
+    let mut working = false;
+    for rank in 0..MAX_RANKS as u32 {
+        let Some((b, _)) = trace::heartbeat(rank, false) else {
+            continue;
+        };
+        if b.op == 0 || flagged(rank, b.op) {
             continue;
         }
-        let age = now.saturating_sub(s.ts.load(Relaxed));
+        working |= !b.phase.is_wait();
+        let age = now.saturating_sub(b.ts);
         if age < deadline_ns {
             continue;
         }
-        let phase = Phase::from_u32(s.phase.load(Relaxed));
         // A rank stuck in a non-wait phase outranks any waiter (the
         // waiters are its victims); among equals the oldest beat wins.
         let better = match culprit {
             None => true,
             Some((_, best_age, best_phase, _)) => {
-                (!phase.is_wait() && best_phase.is_wait())
-                    || (phase.is_wait() == best_phase.is_wait() && age > best_age)
+                (!b.phase.is_wait() && best_phase.is_wait())
+                    || (b.phase.is_wait() == best_phase.is_wait() && age > best_age)
             }
         };
         if better {
-            culprit = Some((rank, age, phase, op));
+            culprit = Some((rank, age, b.phase, b.op));
         }
     }
-    let Some((rank, age, phase, op)) = culprit else {
+    // Nor is a waiter named while a rank is still at work: it may have
+    // begun to wait before that rank's last beat, and so be overdue first.
+    let named = culprit.filter(|&(_, _, phase, _)| !phase.is_wait() || !working);
+    let Some((rank, age, phase, op)) = named else {
         return;
     };
-    let s = &SLOTS[rank];
+    let events = trace::heartbeat(rank, true).map(|(_, events)| events);
+    let (window, bytes, _) = progress(&events.unwrap_or_default());
     let info = StallInfo {
-        rank: rank as u32,
+        rank,
         phase: phase.name(),
         op,
-        window: s.window.load(Relaxed),
-        bytes: s.bytes.load(Relaxed),
+        window,
+        bytes,
         stalled_ms: age / 1_000_000,
     };
-    s.flagged.store(op, Relaxed);
+    let abort = WD_ABORT.load(Relaxed);
+    {
+        let mut stalls = STALLS.lock().unwrap();
+        stalls.retain(|(s, _)| s.rank != rank);
+        stalls.push((info.clone(), abort));
+    }
     WD_FIRED_RAW.fetch_add(1, Relaxed);
     OBS_WD_FIRED.incr();
-    let abort = WD_ABORT.load(Relaxed);
     // Diagnose loudly the first couple of times, then stay quiet (the
     // same suppression discipline as the trace flight recorder).
     let n = WD_DIAGNOSES.fetch_add(1, Relaxed);
@@ -356,7 +321,6 @@ fn check_once(deadline_ms: u64) {
     if abort {
         STALL_ABORTS_RAW.fetch_add(1, Relaxed);
         OBS_STALL_ABORTS.incr();
-        *PENDING[rank].lock().unwrap() = Some(info);
     }
 }
 
@@ -392,104 +356,65 @@ impl std::fmt::Display for StallInfo {
     }
 }
 
-static PENDING: [Mutex<Option<StallInfo>>; MAX_RANKS] = [const { Mutex::new(None) }; MAX_RANKS];
+/// The watchdog's verdicts, the latest per rank (one diagnosis per op),
+/// each with whether it is parked for the rank's [`take_stall`].
+static STALLS: Mutex<Vec<(StallInfo, bool)>> = Mutex::new(Vec::new());
+
+/// Has the watchdog flagged `rank`'s op `op`?
+fn flagged(rank: u32, op: u64) -> bool {
+    let stalls = STALLS.lock().unwrap();
+    stalls.iter().any(|(s, _)| s.rank == rank && s.op == op)
+}
 
 /// Take the parked stall for `rank`, if the watchdog aborted its op.
 /// `lio-core` calls this after the engine returns (i.e. after the
 /// closing sync — no peer is stranded) and converts it to
-/// `IoError::Stalled`.
+/// `IoError::Stalled`. One relaxed load while the trace is disarmed.
 pub fn take_stall(rank: u32) -> Option<StallInfo> {
-    PENDING.get(rank as usize)?.lock().unwrap().take()
+    if !trace::enabled() {
+        return None;
+    }
+    let mut stalls = STALLS.lock().unwrap();
+    let (info, parked) = stalls
+        .iter_mut()
+        .find(|(s, parked)| s.rank == rank && *parked)?;
+    *parked = false;
+    Some(info.clone())
 }
 
 // ---------------------------------------------------------------------------
-// Per-window rank-skew tracking and straggler attribution
+// Rank skew and straggler attribution, read from the merged timeline
 // ---------------------------------------------------------------------------
 
-/// Thread-local accumulator for the exchange the calling IOP is
-/// currently collecting. Plain `Copy` state in a `Cell`: zero alloc,
-/// zero contention.
-#[derive(Clone, Copy, Default)]
-struct WindowAcc {
-    t_first: u64,
-    t_last: u64,
-    last_rank: u32,
-    count: u32,
-}
-
-thread_local! {
-    static ACC: Cell<Option<WindowAcc>> = const { Cell::new(None) };
-}
-
-static SLOW_RANK: AtomicU32 = AtomicU32::new(NO_RANK);
-static SLOW_STREAK: AtomicU32 = AtomicU32::new(0);
-static SLOW_SKEW_NS: AtomicU64 = AtomicU64::new(0);
-
-// Per-rank last-arrival attribution: how many finished windows each rank
-// closed and the total spread charged to it. Feeds the per-rank skew
-// column of the critical-path report.
-static LAST_COUNT: [AtomicU64; MAX_RANKS] = [const { AtomicU64::new(0) }; MAX_RANKS];
-static LAST_SKEW_SUM_NS: [AtomicU64; MAX_RANKS] = [const { AtomicU64::new(0) }; MAX_RANKS];
-
-/// An IOP received the contribution of `src_rank` to the exchange it is
-/// collecting: the first stamps the exchange's start, every later one its
-/// last arrival. [`window_flush`] closes the exchange.
-pub fn window_mark(src_rank: u32) {
-    if !enabled() {
-        return;
-    }
-    let now = now_ns();
-    ACC.with(|cell| {
-        let first = WindowAcc {
-            t_first: now,
-            ..WindowAcc::default()
-        };
-        let acc = cell.get().unwrap_or(first);
-        cell.set(Some(WindowAcc {
-            t_last: now,
-            last_rank: src_rank,
-            count: acc.count + 1,
-            ..acc
-        }));
-    });
-}
-
-/// Close the calling thread's exchange: its first-to-last arrival
-/// spread is recorded (`core.health.skew_ns`) and charged to the
-/// last-arriving rank (the end of the IOP's receives).
-pub fn window_flush() {
-    ACC.with(|cell| {
-        if let Some(acc) = cell.take() {
-            finish_window(acc);
+/// Every exchange of `t` that collected two or more arrivals, in the
+/// order the exchanges ended: its last arriver and its first-to-last
+/// arrival spread. An exchange is an `exch.wait` span, its arrivals the
+/// `exch.arrive` marks inside it (payload: the arriving rank).
+fn exchanges(t: &Timeline) -> Vec<(u32, u64)> {
+    // per open `exch.wait`: (first arrival, last arrival, last rank, count)
+    let mut open: HashMap<u64, (u64, u64, u32, u32)> = HashMap::new();
+    let mut out = Vec::new();
+    for ev in &t.events {
+        match (ev.kind, ev.tag) {
+            (Kind::SpanBegin, "exch.wait") => {
+                open.insert(ev.span_id, (0, 0, NO_RANK, 0));
+            }
+            (Kind::Mark, "exch.arrive") => {
+                if let Some((first, last, rank, n)) = open.get_mut(&ev.parent) {
+                    if *n == 0 {
+                        *first = ev.ts;
+                    }
+                    (*last, *rank, *n) = (ev.ts, ev.a as u32, *n + 1);
+                }
+            }
+            (Kind::SpanEnd, "exch.wait") => match open.remove(&ev.span_id) {
+                Some((first, last, rank, n)) if n >= 2 => out.push((rank, last - first)),
+                _ => {}
+            },
+            _ => {}
         }
-    });
-}
-
-fn finish_window(acc: WindowAcc) {
-    if acc.count < 2 {
-        return;
     }
-    let skew = acc.t_last.saturating_sub(acc.t_first);
-    OBS_SKEW.record(skew);
-    SLOW_SKEW_NS.store(skew, Relaxed);
-    if (acc.last_rank as usize) < MAX_RANKS {
-        LAST_COUNT[acc.last_rank as usize].fetch_add(1, Relaxed);
-        LAST_SKEW_SUM_NS[acc.last_rank as usize].fetch_add(skew, Relaxed);
-    }
-    if skew < STRAGGLER_MIN_SKEW_NS {
-        // A tight window breaks any streak: the last arrival was noise.
-        SLOW_STREAK.store(0, Relaxed);
-        return;
-    }
-    if SLOW_RANK.swap(acc.last_rank, Relaxed) == acc.last_rank {
-        let streak = SLOW_STREAK.fetch_add(1, Relaxed) + 1;
-        if streak == STRAGGLER_K {
-            STRAGGLER_FLAGS_RAW.fetch_add(1, Relaxed);
-            OBS_STRAGGLER_FLAGS.incr();
-        }
-    } else {
-        SLOW_STREAK.store(1, Relaxed);
-    }
+    out
 }
 
 /// A rank persistently arriving last with non-trivial skew.
@@ -497,50 +422,70 @@ fn finish_window(acc: WindowAcc) {
 pub struct StragglerInfo {
     /// The under-performing rank.
     pub rank: u32,
-    /// Consecutive windows it arrived last.
-    pub windows: u32,
-    /// The most recent window's first-to-last arrival spread.
+    /// Consecutive exchanges it arrived last in.
+    pub exchanges: u32,
+    /// The most recent exchange's first-to-last arrival spread.
     pub skew_ns: u64,
 }
 
-/// The current straggler, if any rank has arrived last for
-/// [`STRAGGLER_K`] consecutive windows with skew above
-/// [`STRAGGLER_MIN_SKEW_NS`]. Named in [`HealthReport::straggler`].
-pub fn straggler() -> Option<StragglerInfo> {
-    let streak = SLOW_STREAK.load(Relaxed);
-    if streak < STRAGGLER_K {
-        return None;
+/// The straggler streak over `t`'s exchanges, in the order they ended:
+/// the rank that arrived last in the newest run of exchanges whose spread
+/// was at least [`STRAGGLER_MIN_SKEW_NS`] (a tighter one breaks the run),
+/// named once the run is [`STRAGGLER_K`] long; and how many runs reached
+/// that length.
+fn streak(t: &Timeline) -> (Option<StragglerInfo>, u64) {
+    let (mut rank, mut run, mut last_skew, mut flags) = (NO_RANK, 0, 0, 0);
+    for (last, skew) in exchanges(t) {
+        last_skew = skew;
+        if skew < STRAGGLER_MIN_SKEW_NS {
+            run = 0;
+            continue;
+        }
+        run = if last == rank { run + 1 } else { 1 };
+        rank = last;
+        if run == STRAGGLER_K {
+            flags += 1;
+        }
     }
-    let rank = SLOW_RANK.load(Relaxed);
-    (rank != NO_RANK).then_some(StragglerInfo {
+    let info = StragglerInfo {
         rank,
-        windows: streak,
-        skew_ns: SLOW_SKEW_NS.load(Relaxed),
-    })
+        exchanges: run,
+        skew_ns: last_skew,
+    };
+    ((run >= STRAGGLER_K).then_some(info), flags)
+}
+
+/// The straggler of `t`, if a rank arrived last in the newest
+/// [`STRAGGLER_K`] or more exchanges with skew above
+/// [`STRAGGLER_MIN_SKEW_NS`]. Named in [`HealthReport::straggler`].
+pub fn straggler(t: &Timeline) -> Option<StragglerInfo> {
+    streak(t).0
 }
 
 /// One rank's cumulative last-arrival attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RankSkew {
     pub rank: u32,
-    /// Finished windows this rank closed (arrived last in).
-    pub windows_last: u64,
-    /// Total first-to-last spread across those windows.
+    /// Exchanges this rank closed (arrived last in).
+    pub exchanges_last: u64,
+    /// Total first-to-last spread across those exchanges.
     pub skew_ns: u64,
 }
 
-/// Per-rank last-arrival totals for every rank charged with at least one
-/// finished window. Rendered as the per-rank skew column of the
-/// critical-path report.
-pub fn rank_skews() -> Vec<RankSkew> {
-    (0..MAX_RANKS)
-        .filter_map(|r| {
-            let windows_last = LAST_COUNT[r].load(Relaxed);
-            (windows_last > 0).then(|| RankSkew {
-                rank: r as u32,
-                windows_last,
-                skew_ns: LAST_SKEW_SUM_NS[r].load(Relaxed),
-            })
+/// Per-rank last-arrival totals over `t`'s exchanges, for every rank
+/// that arrived last in at least one, in rank order. Rendered as the
+/// per-rank skew column of the critical-path report.
+pub fn rank_skews(t: &Timeline) -> Vec<RankSkew> {
+    let mut per: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    for (rank, skew) in exchanges(t) {
+        let (n, sum) = per.entry(rank).or_default();
+        (*n, *sum) = (*n + 1, *sum + skew);
+    }
+    per.into_iter()
+        .map(|(rank, (exchanges_last, skew_ns))| RankSkew {
+            rank,
+            exchanges_last,
+            skew_ns,
         })
         .collect()
 }
@@ -549,7 +494,7 @@ pub fn rank_skews() -> Vec<RankSkew> {
 // Introspection: snapshots, reports, JSON
 // ---------------------------------------------------------------------------
 
-/// Point-in-time copy of one rank's heartbeat slot.
+/// Point-in-time copy of one rank's heartbeat.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankHealth {
     pub rank: u32,
@@ -566,30 +511,31 @@ pub struct RankHealth {
     pub age_ms: u64,
 }
 
-/// Scan the heartbeat slots. Ranks that never published are skipped.
+/// Read every rank's heartbeat. Ranks that never beat are skipped.
 pub fn live_snapshot() -> Vec<RankHealth> {
     let now = now_ns();
-    SLOTS
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.beats.load(Relaxed) > 0 || s.op.load(Relaxed) != 0)
-        .map(|(rank, s)| RankHealth {
-            rank: rank as u32,
-            op: s.op.load(Relaxed),
-            write: s.write.load(Relaxed) != 0,
-            phase: Phase::from_u32(s.phase.load(Relaxed)).name(),
-            window: s.window.load(Relaxed),
-            bytes: s.bytes.load(Relaxed),
-            beats: s.beats.load(Relaxed),
-            age_ms: now.saturating_sub(s.ts.load(Relaxed)) / 1_000_000,
+    (0..MAX_RANKS as u32)
+        .filter_map(|rank| Some((rank, trace::heartbeat(rank, true)?)))
+        .map(|(rank, (b, events))| {
+            let (window, bytes, beats) = progress(&events);
+            RankHealth {
+                rank,
+                op: b.op,
+                write: b.write,
+                phase: b.phase.name(),
+                window,
+                bytes,
+                beats,
+                age_ms: now.saturating_sub(b.ts) / 1_000_000,
+            }
         })
         .collect()
 }
 
 /// Schema version of [`HealthReport::to_json`] output.
-pub const REPORT_SCHEMA: &str = "lio-health-v1";
+pub const REPORT_SCHEMA: &str = "lio-health-v2";
 
-/// A schema-versioned health status report: the live slots plus the
+/// A schema-versioned health status report: the live heartbeats plus the
 /// watchdog and straggler aggregates.
 #[derive(Clone, Debug, Default)]
 pub struct HealthReport {
@@ -601,15 +547,17 @@ pub struct HealthReport {
     pub straggler: Option<StragglerInfo>,
 }
 
-/// Build a [`HealthReport`] from the current slots and aggregates.
+/// Build a [`HealthReport`] from the heartbeats, the watchdog's
+/// aggregates and the merged timeline of every rank's ring.
 pub fn report() -> HealthReport {
+    let (straggler, straggler_flags) = streak(&trace::merge(&trace::collect()));
     HealthReport {
         ranks: live_snapshot(),
         watchdog_checks: WD_CHECKS_RAW.load(Relaxed),
         watchdog_fired: WD_FIRED_RAW.load(Relaxed),
         stalls_aborted: STALL_ABORTS_RAW.load(Relaxed),
-        straggler_flags: STRAGGLER_FLAGS_RAW.load(Relaxed),
-        straggler: straggler(),
+        straggler_flags,
+        straggler,
     }
 }
 
@@ -629,8 +577,8 @@ impl HealthReport {
         out.push_str("},\n  \"straggler\": ");
         match &self.straggler {
             Some(s) => out.push_str(&format!(
-                "{{\"rank\": {}, \"windows\": {}, \"skew_ns\": {}}}",
-                s.rank, s.windows, s.skew_ns
+                "{{\"rank\": {}, \"exchanges\": {}, \"skew_ns\": {}}}",
+                s.rank, s.exchanges, s.skew_ns
             )),
             None => out.push_str("null"),
         }
@@ -661,22 +609,14 @@ impl HealthReport {
             "rank", "op", "rw", "phase", "window", "bytes", "beats", "age_ms"
         ));
         for r in &self.ranks {
+            let rw = match (r.op, r.write) {
+                (0, _) => "-",
+                (_, true) => "w",
+                (_, false) => "r",
+            };
             out.push_str(&format!(
                 "{:>4}  {:>4}  {:<2}  {:<13}  {:>7}  {:>12}  {:>8}  {:>7}\n",
-                r.rank,
-                r.op,
-                if r.op == 0 {
-                    "-"
-                } else if r.write {
-                    "w"
-                } else {
-                    "r"
-                },
-                r.phase,
-                r.window,
-                r.bytes,
-                r.beats,
-                r.age_ms
+                r.rank, r.op, rw, r.phase, r.window, r.bytes, r.beats, r.age_ms
             ));
         }
         out.push_str(&format!(
@@ -685,8 +625,8 @@ impl HealthReport {
         ));
         match &self.straggler {
             Some(s) => out.push_str(&format!(
-                "; straggler: rank {} ({} windows, last skew {} ns)\n",
-                s.rank, s.windows, s.skew_ns
+                "; straggler: rank {} ({} exchanges, last skew {} ns)\n",
+                s.rank, s.exchanges, s.skew_ns
             )),
             None => out.push_str("; straggler: none\n"),
         }
@@ -694,33 +634,16 @@ impl HealthReport {
     }
 }
 
-/// Clear every slot and aggregate (tests share one process).
+/// Clear the heartbeats (every trace ring: they are its events), the
+/// watchdog's verdicts and aggregates and the stall plan (tests share
+/// one process).
 pub fn reset() {
-    for s in SLOTS.iter() {
-        s.op.store(0, Relaxed);
-        s.write.store(0, Relaxed);
-        s.phase.store(0, Relaxed);
-        s.window.store(0, Relaxed);
-        s.bytes.store(0, Relaxed);
-        s.beats.store(0, Relaxed);
-        s.ts.store(0, Relaxed);
-        s.flagged.store(0, Relaxed);
-    }
-    for p in PENDING.iter() {
-        *p.lock().unwrap() = None;
-    }
+    trace::reset();
+    STALLS.lock().unwrap().clear();
     set_stall_plan(None);
-    SLOW_RANK.store(NO_RANK, Relaxed);
-    SLOW_STREAK.store(0, Relaxed);
-    SLOW_SKEW_NS.store(0, Relaxed);
-    for r in 0..MAX_RANKS {
-        LAST_COUNT[r].store(0, Relaxed);
-        LAST_SKEW_SUM_NS[r].store(0, Relaxed);
-    }
     WD_CHECKS_RAW.store(0, Relaxed);
     WD_FIRED_RAW.store(0, Relaxed);
     STALL_ABORTS_RAW.store(0, Relaxed);
-    STRAGGLER_FLAGS_RAW.store(0, Relaxed);
     WD_DIAGNOSES.store(0, Relaxed);
 }
 
@@ -731,29 +654,35 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{adopt, mark, msg_recv, set_thread_rank, span, span_ab, thread_handle};
+    use crate::trace::{
+        adopt, current_rank, mark, msg_recv, set_thread_rank, span, span_ab, thread_handle,
+    };
 
-    /// Serialize access to the global health state across tests.
+    /// Serialize access to the global trace and health state across
+    /// tests (the trace's own unit tests record no rank's events).
     fn with_health<R>(f: impl FnOnce() -> R) -> R {
         static GATE: Mutex<()> = Mutex::new(());
         let _g = GATE.lock().unwrap();
         reset();
-        set_enabled(true);
+        trace::set_enabled(true);
         let r = f();
-        set_enabled(false);
+        trace::set_enabled(false);
         reset();
         r
+    }
+
+    fn rank(r: u32) -> RankHealth {
+        live_snapshot().into_iter().find(|h| h.rank == r).unwrap()
     }
 
     #[test]
     fn beats_publish_to_slots() {
         with_health(|| {
             set_thread_rank(3);
-            op_begin(7, true);
+            let root = span_ab("coll.write", 0, 7);
             drop(span_ab("win", 5, 4096));
             drop(span_ab("exch.send", 1, 0));
-            let snap = live_snapshot();
-            let r = snap.iter().find(|r| r.rank == 3).unwrap();
+            let r = rank(3);
             assert_eq!(r.op, 7);
             assert!(r.write);
             assert_eq!(r.phase, "exchange");
@@ -762,11 +691,9 @@ mod tests {
             assert_eq!(r.beats, 3);
             // a tag with no phase publishes nothing
             mark("test.mark", 9, 9);
-            let beats = || live_snapshot().iter().find(|r| r.rank == 3).unwrap().beats;
-            assert_eq!(beats(), 3);
-            op_end();
-            let snap = live_snapshot();
-            let r = snap.iter().find(|r| r.rank == 3).unwrap();
+            assert_eq!(rank(3).beats, 3);
+            drop(root);
+            let r = rank(3);
             assert_eq!(r.op, 0);
             assert_eq!(r.phase, "idle");
             set_thread_rank(NO_RANK);
@@ -777,8 +704,8 @@ mod tests {
     fn a_receipt_ends_only_an_exchange_wait() {
         with_health(|| {
             set_thread_rank(5);
-            op_begin(2, false);
-            let phase = || live_snapshot().iter().find(|r| r.rank == 5).unwrap().phase;
+            let _root = span_ab("coll.read", 0, 2);
+            let phase = || rank(5).phase;
             msg_recv(1, 1, 64); // the plan's allgather
             assert_eq!(phase(), "plan");
             drop(span("mpi.wait"));
@@ -788,7 +715,6 @@ mod tests {
             drop(span("mpi.barrier"));
             msg_recv(1, 3, 0); // a barrier's round
             assert_eq!(phase(), "barrier");
-            op_end();
             set_thread_rank(NO_RANK);
         });
     }
@@ -796,12 +722,12 @@ mod tests {
     #[test]
     fn disabled_beats_are_noops() {
         with_health(|| {
-            set_enabled(false);
+            trace::set_enabled(false);
             set_thread_rank(9);
-            op_begin(1, false);
+            let _root = span_ab("coll.read", 0, 1);
             drop(span("io.write"));
             assert!(live_snapshot().iter().all(|r| r.rank != 9));
-            set_enabled(true);
+            trace::set_enabled(true);
             set_thread_rank(NO_RANK);
         });
     }
@@ -812,10 +738,10 @@ mod tests {
             set_watchdog(1, true);
             // Rank 0: wedged in io. Rank 1: waiting on it. Both overdue.
             set_thread_rank(0);
-            op_begin(42, true);
+            let _r0 = span_ab("coll.write", 0, 42);
             drop(span("io.write"));
             set_thread_rank(1);
-            op_begin(42, true);
+            let _r1 = span_ab("coll.write", 0, 42);
             drop(span("mpi.wait"));
             set_thread_rank(NO_RANK);
             std::thread::sleep(Duration::from_millis(5));
@@ -833,12 +759,34 @@ mod tests {
         });
     }
 
+    /// A rank that began to wait before the culprit's last beat is overdue
+    /// first, and is still not named while the culprit is at work.
+    #[test]
+    fn an_early_waiter_is_not_named_while_a_rank_works() {
+        with_health(|| {
+            set_watchdog(20, true);
+            set_thread_rank(1);
+            let _r1 = span_ab("coll.write", 0, 8);
+            drop(span("mpi.barrier"));
+            std::thread::sleep(Duration::from_millis(40));
+            set_thread_rank(0);
+            let _r0 = span_ab("coll.write", 0, 8);
+            drop(span("io.write"));
+            set_thread_rank(NO_RANK);
+            check_once(20);
+            assert!(take_stall(1).is_none(), "rank 0 is still at work");
+            std::thread::sleep(Duration::from_millis(25));
+            check_once(20);
+            assert_eq!(take_stall(0).map(|s| s.phase), Some("io"));
+        });
+    }
+
     #[test]
     fn fresh_beats_hold_off_watchdog() {
         with_health(|| {
             set_watchdog(10_000, true);
             set_thread_rank(2);
-            op_begin(5, false);
+            let _root = span_ab("coll.read", 0, 5);
             drop(span("io.read"));
             set_thread_rank(NO_RANK);
             check_once(10_000);
@@ -856,7 +804,7 @@ mod tests {
                 hold: Duration::from_millis(30),
             }));
             set_thread_rank(4);
-            op_begin(1, true);
+            let _root = span_ab("coll.write", 0, 1);
             let t0 = Instant::now();
             drop(span("io.read")); // wrong phase: no wedge
             assert!(t0.elapsed() < Duration::from_millis(20));
@@ -869,35 +817,46 @@ mod tests {
         });
     }
 
+    /// One exchange on the calling rank: `first` arrives, then, `gap`
+    /// later, `last`.
+    fn exchange(first: u32, gap: Duration, last: u32) {
+        let _wait = span("exch.wait");
+        mark("exch.arrive", first as u64, 0);
+        std::thread::sleep(gap);
+        mark("exch.arrive", last as u64, 0);
+    }
+
+    fn timeline() -> Timeline {
+        trace::merge(&trace::collect())
+    }
+
     #[test]
     fn skew_streak_flags_straggler() {
         with_health(|| {
-            assert!(straggler().is_none());
+            set_thread_rank(0);
+            assert!(straggler(&timeline()).is_none());
             for _ in 0..STRAGGLER_K {
                 // rank 1 always arrives last, with a forced gap.
-                window_mark(0);
-                std::thread::sleep(Duration::from_micros(60));
-                window_mark(1);
-                window_flush();
+                exchange(0, Duration::from_micros(60), 1);
             }
-            let s = straggler().expect("persistent last-arriver flagged");
+            let s = straggler(&timeline()).expect("persistent last-arriver flagged");
             assert_eq!(s.rank, 1);
-            assert!(s.windows >= STRAGGLER_K);
+            assert!(s.exchanges >= STRAGGLER_K);
             assert!(s.skew_ns >= STRAGGLER_MIN_SKEW_NS);
-            assert_eq!(STRAGGLER_FLAGS_RAW.load(Relaxed), 1);
+            assert_eq!(report().straggler_flags, 1);
+            set_thread_rank(NO_RANK);
         });
     }
 
     #[test]
     fn alternating_last_arrivers_never_flag() {
         with_health(|| {
+            set_thread_rank(0);
             for w in 0..(3 * STRAGGLER_K) {
-                window_mark(0);
-                std::thread::sleep(Duration::from_micros(40));
-                window_mark(1 + w % 2); // alternate 1, 2
-                window_flush();
+                exchange(0, Duration::from_micros(40), 1 + w % 2); // alternate 1, 2
             }
-            assert!(straggler().is_none());
+            assert!(straggler(&timeline()).is_none());
+            set_thread_rank(NO_RANK);
         });
     }
 
@@ -905,7 +864,7 @@ mod tests {
     fn report_json_is_valid() {
         with_health(|| {
             set_thread_rank(0);
-            op_begin(9, true);
+            let _root = span_ab("coll.write", 0, 9);
             drop(span_ab("pack", 128, 0));
             let rep = report();
             let json = rep.to_json();
@@ -915,18 +874,17 @@ mod tests {
             let text = rep.render();
             assert!(text.contains("pack"));
             assert!(text.contains("watchdog:"));
-            op_end();
             set_thread_rank(NO_RANK);
         });
     }
 
     /// A write-behind lane adopts its rank's identity, so its `io.write`
-    /// spans beat on the rank's slot.
+    /// spans beat in the rank's ring.
     #[test]
     fn worker_adoption_carries_rank() {
         with_health(|| {
             set_thread_rank(6);
-            op_begin(3, false);
+            let _root = span_ab("coll.read", 0, 3);
             let h = thread_handle();
             std::thread::scope(|s| {
                 s.spawn(move || {
@@ -935,10 +893,8 @@ mod tests {
                     drop(span_ab("io.write", 0, 512));
                 });
             });
-            let snap = live_snapshot();
-            let r = snap.iter().find(|r| r.rank == 6).unwrap();
+            let r = rank(6);
             assert_eq!((r.phase, r.beats), ("io", 2));
-            op_end();
             set_thread_rank(NO_RANK);
         });
     }

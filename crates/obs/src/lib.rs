@@ -15,8 +15,8 @@
 //! relaxed atomic load and a predictable branch**; `lio-core`'s `obs_off`
 //! test counts that nothing at all is recorded while it is off.
 //!
-//! Three layers record: these metrics, [`trace`] and [`health`]. One
-//! switch arms any set of them, a [`Layers`]: the `LIO_OBS` environment
+//! Two layers record: these metrics and the [`trace`]'s events. One
+//! switch arms either or both, a [`Layers`]: the `LIO_OBS` environment
 //! variable (`all`, or a comma list such as `metrics,trace`; read once
 //! by [`init_from_env`]), the `lio_obs` info
 //! key and `Hints::observe` in `lio-core`, or [`Layers::arm`]. The armed
@@ -35,13 +35,13 @@
 //!
 //! The [`trace`] module adds per-rank *events* on top of the aggregate
 //! metrics (spans, message edges, Perfetto export, critical-path
-//! analysis) and owns what the event layers share: the thread's rank
-//! ([`trace::set_thread_rank`]) and the one tag table
-//! ([`trace::phase_of`]). [`health`] is built from those events: a span
-//! or mark opened while it is armed publishes the rank's heartbeat, which
-//! its hang watchdog and live status reports read, next to its straggler
-//! attribution. [`json`] is the tiny parser the tooling uses to check
-//! emitted artifacts.
+//! analysis) and owns what the views of those events share: the thread's
+//! rank ([`trace::set_thread_rank`]) and the one tag table
+//! ([`trace::phase_of`]). [`health`] records nothing of its own either: a
+//! rank's heartbeat is the newest event of its trace ring that beats,
+//! which the hang watchdog and the live status reports read, and its
+//! straggler attribution reads the merged timeline. [`json`] is the tiny
+//! parser the tooling uses to check emitted artifacts.
 
 pub mod health;
 pub mod json;
@@ -98,9 +98,9 @@ pub fn set_enabled(on: bool) {
 // The one switch: a set of layers
 // ---------------------------------------------------------------------------
 
-/// A set of the three recording layers: these metrics, [`trace`] and
-/// [`health`]. Combine with `|`; [`Layers::arm`] turns exactly the set's
-/// layers on and the others off.
+/// A set of the two recording layers: these metrics and the [`trace`].
+/// Combine with `|`; [`Layers::arm`] turns exactly the set's layers on
+/// and the others off.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Layers(u8);
 
@@ -108,16 +108,16 @@ impl Layers {
     pub const NONE: Layers = Layers(0);
     pub const METRICS: Layers = Layers(1);
     pub const TRACE: Layers = Layers(2);
-    pub const HEALTH: Layers = Layers(4);
-    pub const ALL: Layers = Layers(7);
+    pub const ALL: Layers = Layers(3);
 
-    /// The names a switch value may list, one row per layer, then
-    /// `profile`: what the [`profile`] view reads, the metrics, under the
-    /// name that once armed a layer of its own. `Display` never prints it.
+    /// The names a switch value may list, one row per layer, then the
+    /// views under the names that once armed layers of their own:
+    /// `health`, whose heartbeats are the trace's events, and `profile`,
+    /// which reads the metrics. `Display` never prints the views.
     const NAMED: [(&'static str, Layers); 4] = [
         ("metrics", Layers::METRICS),
         ("trace", Layers::TRACE),
-        ("health", Layers::HEALTH),
+        ("health", Layers::TRACE),
         ("profile", Layers::METRICS),
     ];
 
@@ -129,8 +129,8 @@ impl Layers {
     /// Parse a switch value, case and spaces ignored: `all`; `0`, `off`,
     /// `false`, `disable` or empty for no layer; `1`, `on`, `true` or
     /// `enable` for metrics alone; else a comma list of
-    /// `metrics`, `trace`, `health` and `profile` (the metrics again).
-    /// An unknown name is the `Err`.
+    /// `metrics`, `trace`, `health` (the trace again) and `profile` (the
+    /// metrics again). An unknown name is the `Err`.
     pub fn parse(s: &str) -> Result<Layers, String> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
@@ -171,7 +171,7 @@ impl std::fmt::Display for Layers {
             Layers::NONE => f.write_str("off"),
             Layers::ALL => f.write_str("all"),
             set => {
-                let names: Vec<&str> = Layers::NAMED[..3]
+                let names: Vec<&str> = Layers::NAMED[..2]
                     .iter()
                     .filter(|(_, layer)| set.contains(*layer))
                     .map(|(n, _)| *n)
@@ -201,13 +201,14 @@ pub fn init_from_env() {
 
 /// What a file open does with its telemetry hint: read the environment
 /// ([`init_from_env`]), arm exactly `forced` when it is given, and start
-/// the health watchdog when that layer is armed.
+/// the health watchdog when the trace, whose events are the heartbeats,
+/// is armed.
 pub fn arm_at_open(forced: Option<Layers>) {
     init_from_env();
     if let Some(set) = forced {
         set.arm();
     }
-    if health::enabled() {
+    if trace::enabled() {
         health::ensure_watchdog();
     }
 }
@@ -1006,20 +1007,24 @@ mod tests {
             ("off", Layers::NONE),
             ("disable", Layers::NONE),
             ("", Layers::NONE),
-            (" Trace , HEALTH ", Layers::TRACE | Layers::HEALTH),
-            ("metrics,health,", m | Layers::HEALTH),
+            (" Trace , METRICS ", Layers::TRACE | m),
+            ("metrics,trace,", Layers::ALL),
         ] {
             assert_eq!(Layers::parse(v), Ok(want), "{v:?}");
             assert_eq!(Layers::parse(&want.to_string()), Ok(want), "{want}");
         }
-        // `profile` is the metrics, and never printed
+        // `profile` is the metrics and `health` the trace, and neither
+        // is printed
         for v in ["profile", "metrics,profile", "Profile,metrics"] {
             assert_eq!(Layers::parse(v), Ok(m), "{v:?}");
         }
-        assert_eq!(Layers::parse("trace,profile"), Ok(Layers::TRACE | m));
-        assert_eq!((m | Layers::HEALTH).to_string(), "metrics,health");
+        for v in ["health", "trace,health", " HEALTH "] {
+            assert_eq!(Layers::parse(v), Ok(Layers::TRACE), "{v:?}");
+        }
+        assert_eq!(Layers::parse("health,profile"), Ok(Layers::ALL));
+        assert_eq!(Layers::TRACE.to_string(), "trace");
         assert_eq!(Layers::parse("trace,loud"), Err("loud".to_string()));
-        assert!(Layers::ALL.contains(Layers::TRACE | Layers::HEALTH));
+        assert!(Layers::ALL.contains(Layers::TRACE | m));
         assert!(!Layers::TRACE.contains(Layers::METRICS));
     }
 

@@ -17,14 +17,15 @@
 //!
 //! This module is the event source of the layers that read events: it
 //! keeps the thread's rank ([`set_thread_rank`], [`adopt`]) and the one
-//! tag table ([`phase_of`]). Opening a span or a mark publishes the
-//! rank's heartbeat ([`crate::health`]) whenever that layer is armed,
-//! with tracing on or off; only tracing records the event. With the
-//! metrics armed, a span is also what charges the two-phase breakdown
-//! (`PHASE_NS`).
+//! tag table ([`phase_of`]). Each rank's ring also keeps the rank's
+//! heartbeat as it pushes an event ([`crate::health`] reads it): the open
+//! collective root's op id and direction, and the phase and time of the
+//! newest event that beats. With the metrics armed, a span is also what
+//! charges the two-phase breakdown (`PHASE_NS`).
 //!
-//! Enable with [`set_enabled`], or as `trace` in the one
-//! [`crate::Layers`] switch (`LIO_OBS=trace`, `Hints::observe`).
+//! Enable with [`set_enabled`], or as `trace` (or `health`, its other
+//! name) in the one [`crate::Layers`] switch (`LIO_OBS=trace`,
+//! `Hints::observe`).
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -32,7 +33,8 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::{health, Layers, LazyCounter, MAX_RANKS, NO_RANK};
+use crate::health::{self, Beat};
+use crate::{Layers, LazyCounter, MAX_RANKS, NO_RANK};
 
 /// Default per-rank ring capacity, in events.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
@@ -112,6 +114,8 @@ struct Ring {
     /// Total events ever pushed; `next - buf.len()` were dropped.
     next: u64,
     buf: Vec<Event>,
+    /// The rank's heartbeat, once an event beat; it outlives the events.
+    beat: Option<Beat>,
 }
 
 impl Ring {
@@ -119,10 +123,12 @@ impl Ring {
         Ring {
             next: 0,
             buf: Vec::new(),
+            beat: None,
         }
     }
 
-    fn push(&mut self, ev: Event) {
+    /// Push `ev`; the new heartbeat when it beats.
+    fn push(&mut self, ev: Event) -> Option<Beat> {
         let cap = CAPACITY.load(Relaxed).max(1);
         if self.buf.len() < cap {
             if self.buf.is_empty() {
@@ -133,18 +139,41 @@ impl Ring {
             // full: overwrite the oldest slot
             self.buf[(self.next % cap as u64) as usize] = ev;
         }
+        let beat = Beat::after(self.beat, &ev, self.next);
+        self.beat = beat.or(self.beat);
         self.next += 1;
+        beat
     }
 }
 
 static BUFS: [Mutex<Ring>; MAX_RANKS] = [const { Mutex::new(Ring::new()) }; MAX_RANKS];
 
+/// Push `ev` into its rank's ring, and hand a heartbeat it makes to the
+/// stall plan once the ring's lock is released.
 #[inline]
 fn push(ev: Event) {
-    let r = ev.rank as usize;
-    if r < MAX_RANKS {
-        BUFS[r].lock().unwrap().push(ev);
+    let Some(ring) = BUFS.get(ev.rank as usize) else {
+        return;
+    };
+    let beat = ring.lock().unwrap().push(ev);
+    if let Some(beat) = beat {
+        health::beaten(ev.rank, beat);
     }
+}
+
+/// `rank`'s heartbeat, if one of its events ever beat, and, when
+/// `with_events`, a copy of the events its ring still holds from its last
+/// root's begin on, oldest first (else none).
+pub(crate) fn heartbeat(rank: u32, with_events: bool) -> Option<(Beat, Vec<Event>)> {
+    let ring = BUFS.get(rank as usize)?.lock().unwrap();
+    let beat = ring.beat?;
+    let len = ring.buf.len() as u64;
+    let from = match with_events {
+        true => beat.root_at.max(ring.next - len),
+        false => ring.next,
+    };
+    let held = (from..ring.next).map(|i| ring.buf[(i % len) as usize]);
+    Some((beat, held.collect()))
 }
 
 /// Set the per-rank ring capacity (in events) and clear all buffers.
@@ -161,6 +190,7 @@ pub fn reset() {
         let mut ring = b.lock().unwrap();
         ring.buf.clear();
         ring.next = 0;
+        ring.beat = None;
     }
     NEXT_SPAN.store(1, Relaxed);
 }
@@ -277,22 +307,13 @@ impl Drop for Span {
 }
 
 /// The one gate of every span, mark and message event, for the armed
-/// layers `on`: the calling thread's rank when tracing records `tag`,
-/// after publishing the rank's heartbeat for it when the health layer is
-/// armed.
+/// layers `on`: the calling thread's rank when tracing records.
 #[inline]
-fn gate(on: Layers, tag: &'static str, a: u64, b: u64) -> Option<u32> {
-    if !on.contains(Layers::TRACE) && !on.contains(Layers::HEALTH) {
+fn gate(on: Layers) -> Option<u32> {
+    if !on.contains(Layers::TRACE) {
         return None;
     }
-    let rank = current_rank();
-    if rank == NO_RANK {
-        return None;
-    }
-    if on.contains(Layers::HEALTH) {
-        health::publish(rank, tag, a, b);
-    }
-    on.contains(Layers::TRACE).then_some(rank)
+    Some(current_rank()).filter(|&rank| rank != NO_RANK)
 }
 
 /// Open `tag` in the thread's [`Charge`], the metrics armed: a root enters
@@ -357,7 +378,7 @@ pub fn span_ab(tag: &'static str, a: u64, b: u64) -> Span {
     }
     // one clock reading serves the trace's `SpanBegin` and the charge
     let meter = on.contains(Layers::METRICS).then(|| meter(tag)).flatten();
-    let rank = gate(on, tag, a, b);
+    let rank = gate(on);
     let charges = meter.and_then(|(_, counter)| counter);
     let ts = (rank.is_some() || charges.is_some()).then(now_ns);
     let ts = ts.unwrap_or(0);
@@ -374,7 +395,7 @@ pub fn span_ab(tag: &'static str, a: u64, b: u64) -> Span {
 /// Record an instant event.
 #[inline]
 pub fn mark(tag: &'static str, a: u64, b: u64) {
-    if let Some(rank) = gate(crate::armed(), tag, a, b) {
+    if let Some(rank) = gate(crate::armed()) {
         record(rank, Kind::Mark, tag, (now_ns(), 0, parent()), (a, b, 0));
     }
 }
@@ -395,7 +416,7 @@ pub fn msg_recv(peer: u32, seq: u64, bytes: u64) {
 
 #[inline]
 fn msg_event(kind: Kind, tag: &'static str, peer: u32, seq: u64, bytes: u64) {
-    if let Some(rank) = gate(crate::armed(), tag, peer as u64, seq) {
+    if let Some(rank) = gate(crate::armed()) {
         let abc = (peer as u64, seq, bytes);
         record(rank, kind, tag, (now_ns(), 0, parent()), abc);
     }
@@ -534,7 +555,8 @@ fn arg_names(tag: &str) -> (&'static str, &'static str, &'static str) {
         "pfs.read" | "pfs.write" => ("bytes", "modelled_ns", "spin_ns"),
         "pfs.retry" => ("attempt", "backoff_ns", "c"),
         "win" => ("window", "bytes", "c"),
-        "coll.read" | "coll.write" => ("bytes", "b", "c"),
+        "coll.read" | "coll.write" => ("bytes", "op", "c"),
+        "exch.arrive" => ("src", "b", "c"),
         "io.read" | "io.write" | "pack.place" => ("window", "bytes", "c"),
         _ => ("a", "b", "c"),
     }
@@ -637,23 +659,23 @@ pub fn to_chrome_json(t: &Timeline) -> String {
 /// of them. `ExchangeWait` and `Barrier` are *wait* phases: a rank parked
 /// there is a victim of someone else's stall, not the culprit — the
 /// health watchdog attributes hangs with this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u32)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Phase {
     /// No collective in flight.
-    Idle = 0,
+    #[default]
+    Idle,
     /// Building the access plan / flattening the view.
-    Plan = 1,
+    Plan,
     /// Actively sending or receiving exchange data.
-    Exchange = 2,
+    Exchange,
     /// Blocked waiting for exchange messages to arrive.
-    ExchangeWait = 3,
+    ExchangeWait,
     /// Storage access (read/write/flush), including the write-behind lane.
-    Io = 4,
+    Io,
     /// Datatype pack/unpack.
-    Pack = 5,
+    Pack,
     /// Closing synchronization.
-    Barrier = 6,
+    Barrier,
 }
 
 impl Phase {
@@ -674,16 +696,10 @@ impl Phase {
     pub fn is_wait(self) -> bool {
         matches!(self, Phase::ExchangeWait | Phase::Barrier)
     }
-
-    pub(crate) fn from_u32(v: u32) -> Phase {
-        use Phase::*;
-        let all = [Idle, Plan, Exchange, ExchangeWait, Io, Pack, Barrier];
-        all.get(v as usize).copied().unwrap_or(Idle)
-    }
 }
 
 /// The one tag table: for each tag the library opens (spans, marks,
-/// message events), the phase its heartbeat publishes (`Idle`: none) and
+/// message events), the phase an event of it beats as (`Idle`: none) and
 /// the phase its time goes to, on the critical path and in the phase
 /// counters. They differ where the time is another span's: `win` wraps
 /// its `io.*` and `pack.place` children, so it beats as `Io` but adds
@@ -904,35 +920,33 @@ pub fn render_report(reports: &[OpReport], tl: &Timeline) -> String {
              phase attributions above may be incomplete\n",
         );
     }
-    // Per-rank skew column from the runtime health layer: which ranks
-    // closed collective windows (arrived last) and how much spread they
-    // cost. Only present when the health layer is armed.
-    if health::enabled() {
-        let skews = health::rank_skews();
-        if !skews.is_empty() {
-            out.push_str("rank skew (health): windows each rank arrived last in\n");
+    // Per-rank skew column, read from the exchanges' arrival marks: which
+    // ranks closed collective exchanges (arrived last) and how much spread
+    // they cost. Only present when the timeline holds such exchanges.
+    let skews = health::rank_skews(tl);
+    if !skews.is_empty() {
+        out.push_str("rank skew (health): exchanges each rank arrived last in\n");
+        out.push_str(&format!(
+            "{:>4} {:>12} {:>14} {:>14}\n",
+            "rank", "exch last", "total skew ms", "avg skew ms"
+        ));
+        for s in &skews {
             out.push_str(&format!(
-                "{:>4} {:>12} {:>14} {:>14}\n",
-                "rank", "windows last", "total skew ms", "avg skew ms"
+                "{:>4} {:>12} {:>14.3} {:>14.3}\n",
+                s.rank,
+                s.exchanges_last,
+                s.skew_ns as f64 / 1e6,
+                s.skew_ns as f64 / s.exchanges_last as f64 / 1e6,
             ));
-            for s in &skews {
-                out.push_str(&format!(
-                    "{:>4} {:>12} {:>14.3} {:>14.3}\n",
-                    s.rank,
-                    s.windows_last,
-                    s.skew_ns as f64 / 1e6,
-                    s.skew_ns as f64 / s.windows_last as f64 / 1e6,
-                ));
-            }
-            match health::straggler() {
-                Some(st) => out.push_str(&format!(
-                    "  straggler: rank {} ({} consecutive windows, last skew {:.3} ms)\n",
-                    st.rank,
-                    st.windows,
-                    st.skew_ns as f64 / 1e6
-                )),
-                None => out.push_str("  straggler: none flagged\n"),
-            }
+        }
+        match health::straggler(tl) {
+            Some(st) => out.push_str(&format!(
+                "  straggler: rank {} ({} consecutive exchanges, last skew {:.3} ms)\n",
+                st.rank,
+                st.exchanges,
+                st.skew_ns as f64 / 1e6
+            )),
+            None => out.push_str("  straggler: none flagged\n"),
         }
     }
     out
