@@ -1051,11 +1051,14 @@ fn top_cmd(opts: &Opts) {
     println!("# top: per-rank health snapshots over a 4-rank throttled collective run");
 
     // consume the one-shot env check, then arm the trace, whose events
-    // are the heartbeats: this subcommand exists to show them
+    // are the heartbeats: this subcommand exists to show them. The
+    // watchdog polls every quarter deadline: 200 ms has it check several
+    // times while the collective runs, and is still far above any gap
+    // between two heartbeats of a rank at work.
     lio_obs::init_from_env();
     health::reset();
     Layers::TRACE.arm();
-    health::set_watchdog(30_000, false);
+    health::set_watchdog(200, false);
 
     let slow = Throttle {
         read_bw: 1e9,

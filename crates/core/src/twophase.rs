@@ -24,7 +24,9 @@
 //!   every AP's `(disp, filetype)` (exchanged compactly at `set_view`), so
 //!   the messages carry no list; placement runs the filetype's program from
 //!   a stream cursor on, and the covered-window test is one `O(depth)`
-//!   mergeview evaluation.
+//!   mergeview evaluation. Where two views interleave 8-byte blocks
+//!   into dense rows ([`Rows`]), a window the storage lends is filled row
+//!   by row in one pass past the cache (the row zip, [`MergeView::zip`]).
 //!
 //! Ranks here are threads of one address space, so in neither engine does
 //! the data itself travel in a message: an AP *lends* the buffer its bytes
@@ -53,8 +55,10 @@
 use std::cell::{OnceCell, RefCell, RefMut};
 use std::ops::Range;
 
+use lio_datatype::kernels::Store;
 use lio_datatype::{
-    bytes_below_tiled, disjoint_tilings, serialize, Datatype, Field, OlList, OlWire,
+    bytes_below_tiled, disjoint_tilings, serialize, zip_rows, zips, Datatype, Field, OlList,
+    OlWire, ZIP_BLOCK,
 };
 use lio_mpi::{Comm, Lent, LentMut};
 use lio_obs::LazyCounter;
@@ -64,7 +68,7 @@ use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::{MemPacker, UserSide, MSG_HEADER, STREAM};
 use crate::scratch::Scratch;
-use crate::view::{FfNav, FileView, ListShare, Share, ViewNav};
+use crate::view::{FfNav, FfShare, FileView, ListShare, Share, ViewNav};
 use crate::window::{snap, WindowIo, Windows};
 
 // Collective metrics. The two-phase breakdown,
@@ -144,25 +148,118 @@ pub(crate) struct MergeView {
     parts: Vec<Datatype>,
     /// Whether no file byte lies in two views, once a window asked.
     disjoint: OnceCell<bool>,
+    /// The views as rows of the row zip, if they are.
+    rows: Option<Rows>,
+}
+
+/// The bytes of a row of [`Rows`]: a block of each of its two views.
+const ROW: u64 = 2 * ZIP_BLOCK as u64;
+
+/// Two views that fill the file from the displacement on in rows of
+/// [`ROW`] bytes, each row one [`ZIP_BLOCK`]-byte block of each view,
+/// `slots[s]`'s at `s·ZIP_BLOCK` — proved at `set_view`, so a collective
+/// write whose every AP supplies its bytes of a piece fills the piece's
+/// whole rows, and the row zip ([`zip_rows`]) places them in one pass.
+struct Rows {
+    /// The rank of each slot, in file order.
+    slots: [usize; 2],
+}
+
+impl Rows {
+    /// The rows of `views`, both of extent `ext`: two filetypes, each one
+    /// `Blocks` frame ([`Datatype::as_strided`]) of [`ZIP_BLOCK`]-byte
+    /// blocks every [`ROW`] bytes through the whole extent, one starting
+    /// at 0 and the other at `ZIP_BLOCK`. The zip's one loop serves that
+    /// row and no other: views of longer blocks or more ranks are placed
+    /// share by share.
+    fn of(views: &[FileView], ext: u64) -> Option<Rows> {
+        if views.len() != 2 {
+            return None;
+        }
+        let mut slots = [usize::MAX; 2];
+        for (k, view) in views.iter().enumerate() {
+            let spec = view.filetype.as_strided()?;
+            // one block repeats every extent
+            let stride = if spec.count == 1 {
+                ext as i64
+            } else {
+                spec.stride
+            };
+            let tiles = spec.block == ZIP_BLOCK as u64
+                && stride == ROW as i64
+                && spec.count * ROW == ext
+                && (spec.base == 0 || spec.base == ZIP_BLOCK as i64);
+            let slot = (spec.base as usize) / ZIP_BLOCK;
+            if !tiles || slots[slot] != usize::MAX {
+                return None;
+            }
+            slots[slot] = k;
+        }
+        Some(Rows { slots })
+    }
 }
 
 impl MergeView {
     /// Whether the data of one collective write fills `[lo, hi)`, so that
     /// the window needs no pre-read: the union of the fileviews covers
     /// the range, **and** the views are disjoint, **and** every AP supplies
-    /// all of its view's bytes in it (its stream interval `spans[k]` holds
-    /// them). The mergeview alone only knows what the views *could* cover,
-    /// and counts a byte two views hold twice; an AP that writes fewer
-    /// bytes than its view holds there leaves file bytes that must
-    /// survive. `O(depth)` per AP, still no list.
+    /// all of its view's bytes in it ([`MergeView::supplies`]). The
+    /// mergeview alone only knows what the views *could* cover, and counts
+    /// a byte two views hold twice. `O(depth)` per AP, still no list.
     pub fn filled_by(&self, navs: &[FfNav], spans: &[(u64, u64)], lo: u64, hi: u64) -> bool {
-        let supplies = |nav: &FfNav, &(s_lo, s_hi): &(u64, u64)| {
+        self.covered(lo, hi) && self.disjoint() && Self::supplies(navs, spans, lo, hi)
+    }
+
+    /// Whether every AP supplies all of its view's bytes in `[lo, hi)`:
+    /// its stream interval `spans[k]` holds them. An AP that writes fewer
+    /// bytes than its view holds there leaves file bytes that must
+    /// survive. `O(depth)` per AP.
+    fn supplies(navs: &[FfNav], spans: &[(u64, u64)], lo: u64, hi: u64) -> bool {
+        navs.iter().zip(spans).all(|(nav, &(s_lo, s_hi))| {
             let (a, b) = (nav.abs_to_stream(lo), nav.abs_to_stream(hi));
             a >= b || (s_lo <= a && b <= s_hi)
+        })
+    }
+
+    /// Place the shares' bytes of the piece `[at, at + piece.len())` that
+    /// the storage lent, if the views are [`Rows`], the rows lie on the
+    /// 8-byte word grid there ([`zips`]) and every AP supplies its bytes
+    /// there: the whole rows in one pass of the row zip, the partial rows
+    /// at either end, and any rows after one the zip could not take,
+    /// share by share. The rows prove the views dense and disjoint, so the
+    /// test is the supplies half of [`MergeView::filled_by`] alone.
+    /// `false`: nothing placed, the piece is the caller's.
+    pub fn zip(
+        &self,
+        navs: &[FfNav],
+        spans: &[(u64, u64)],
+        shares: &mut [FfShare],
+        ends: &[UserSide<&[u8]>],
+        at: u64,
+        piece: &mut [u8],
+    ) -> bool {
+        let Some(rows) = &self.rows else {
+            return false;
         };
-        self.covered(lo, hi)
-            && self.disjoint()
-            && navs.iter().zip(spans).all(|(n, s)| supplies(n, s))
+        let hi = at + piece.len() as u64;
+        let first = self.disp + at.saturating_sub(self.disp).div_ceil(ROW) * ROW;
+        let n = hi.saturating_sub(first) / ROW;
+        if n == 0 || !Self::supplies(navs, spans, at, hi) {
+            return false;
+        }
+        let (head, rest) = piece.split_at_mut((first - at) as usize);
+        let body = (n * ROW) as usize;
+        if !zips(&rest[..body]) {
+            return false;
+        }
+        by_share(shares, ends, head, at);
+        let mut cols = rows.slots.map(|k| shares[k].column(&ends[k]));
+        let placed = zip_rows(&mut rest[..body], &mut cols);
+        for k in rows.slots {
+            shares[k].moved(placed as u64 / 2);
+        }
+        by_share(shares, ends, &mut rest[placed..], first + placed as u64);
+        true
     }
 
     /// Whether file range `[lo, hi)` is fully covered by the union of all
@@ -184,6 +281,17 @@ impl MergeView {
     /// extent of each filetype ([`disjoint_tilings`]).
     fn disjoint(&self) -> bool {
         *(self.disjoint).get_or_init(|| disjoint_tilings(&self.parts, self.dtype.extent()))
+    }
+}
+
+/// Place every share's bytes of `part`, the lent file bytes from `at` on,
+/// share by share.
+fn by_share(shares: &mut [FfShare], ends: &[UserSide<&[u8]>], part: &mut [u8], at: u64) {
+    if part.is_empty() {
+        return;
+    }
+    for (share, end) in shares.iter_mut().zip(ends) {
+        share.place(end, part, at, Store::Stream);
     }
 }
 
@@ -249,6 +357,7 @@ fn build_mergeview(views: &[FileView]) -> Result<Option<MergeView>> {
         disp,
         parts: views.iter().map(|v| v.filetype.clone()).collect(),
         disjoint: OnceCell::new(),
+        rows: Rows::of(views, ext),
     }))
 }
 
@@ -445,7 +554,10 @@ fn iop_write(
             let merge = state.merge.as_ref();
             let dense =
                 |win, win_end| merge.is_some_and(|m| m.filled_by(navs, &spans, win, win_end));
-            write_windows(storage, dom, &mut shares, &ends, dense, cb, scratch)
+            let zip = |at, piece: &mut [u8], shares: &mut [FfShare]| {
+                merge.is_some_and(|m| m.zip(navs, &spans, shares, &ends, at, piece))
+            };
+            write_windows(storage, dom, &mut shares, &ends, dense, zip, cb, scratch)
         }
         None => {
             let mut shares = listed(&lists, &ends, &spans);
@@ -456,7 +568,8 @@ fn iop_write(
                 let merged = coverage.get_or_insert_with(|| Coverage::merge(&lists));
                 merged.covered(win, win_end)
             };
-            write_windows(storage, dom, &mut shares, &ends, dense, cb, scratch)
+            let zip = |_, _: &mut [u8], _: &mut [ListShare]| false;
+            write_windows(storage, dom, &mut shares, &ends, dense, zip, cb, scratch)
         }
     }
 }
@@ -502,15 +615,19 @@ fn begin<S: Share>(shares: &[S], win_end: u64, active: &mut Vec<usize>) -> bool 
 
 /// The IOP write loop: each window of `cb` bytes the shares reach takes
 /// the bytes of share `k` from `ends[k]`, read first only where it is
-/// staged and not `dense`. Domains are disjoint and nobody is told the
-/// write is done before the closing barrier: this IOP is the only writer
-/// of its windows, so its loop may write behind.
+/// staged and not `dense`. A piece the storage lent goes to `zip` first,
+/// which places all shares' bytes of it in one pass or says it did not.
+/// Domains are disjoint and nobody is told the write is done before the
+/// closing barrier: this IOP is the only writer of its windows, so its
+/// loop may write behind.
+#[allow(clippy::too_many_arguments)]
 fn write_windows<S: Share>(
     storage: &dyn StorageFile,
     dom: (u64, u64),
     shares: &mut [S],
     ends: &[UserSide<&[u8]>],
     mut dense: impl FnMut(u64, u64) -> bool,
+    mut zip: impl FnMut(u64, &mut [u8], &mut [S]) -> bool,
     cb: u64,
     scratch: &Scratch,
 ) -> Result<()> {
@@ -534,6 +651,9 @@ fn write_windows<S: Share>(
                 win_end,
                 || dense(win, win_end),
                 &mut |at, piece, store| {
+                    if store == Store::Stream && zip(at, piece, shares) {
+                        return;
+                    }
                     for &k in &active {
                         shares[k].place(&ends[k], piece, at, store);
                     }

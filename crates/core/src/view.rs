@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use lio_datatype::kernels::{Store, Stores};
 use lio_datatype::{
-    bytes_below_tiled, ff_offset, CoWalk, Datatype, OlList, OlSeg, OlWire, RunCursor,
+    bytes_below_tiled, ff_offset, CoWalk, Column, Datatype, OlList, OlSeg, OlWire, RunCursor,
 };
 
 use crate::error::{IoError, Result};
@@ -425,6 +425,30 @@ pub(crate) struct FfShare<'a> {
     span: (u64, u64),
     /// The first of them not moved yet.
     next: u64,
+}
+
+impl<'s> FfShare<'s> {
+    /// The row zip's [`Column`] of the share's next bytes, as `src` holds
+    /// them.
+    pub fn column<'a>(&self, src: &UserSide<'a, &'a [u8]>) -> Column<'a> {
+        let skip = self.next - src.stream_start;
+        match src.packer {
+            MemPacker::Contig { base } => Column::contig(&src.user[base + skip as usize..]),
+            MemPacker::Ff { memtype, count } => {
+                Column::typed(memtype.program(), src.user, *count, skip)
+            }
+            MemPacker::List { .. } => unreachable!("a flattened memtype meets a listless view"),
+        }
+    }
+
+    /// The next `n` bytes were placed by a zip.
+    pub fn moved(&mut self, n: u64) {
+        self.next += n;
+        debug_assert!(
+            self.next <= self.span.1,
+            "a zip places what its shares supply"
+        );
+    }
 }
 
 impl Share for FfShare<'_> {

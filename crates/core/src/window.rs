@@ -37,11 +37,12 @@ static OBS_STAGED_BYTES: LazyCounter = LazyCounter::new("io.staged_bytes");
 static OBS_BEHIND_BYTES: LazyCounter = LazyCounter::new("io.behind_bytes");
 
 /// What handing a window to the lane costs: a channel send, a thread
-/// wake-up and the way back. The first inline staged write that takes
-/// longer arms the lane for the rest of the loop. A decorator over
-/// `MemFile` or a real file's page cache usually stays under it, but it
-/// is wall time: one such write that the host preempts past it arms the
-/// lane all the same. It is the `Throttle`'s boundary between a delay it
+/// wake-up and the way back. Two consecutive inline staged writes that
+/// each take longer arm the lane for the rest of the loop. A decorator
+/// over `MemFile` or a real file's page cache stays under it; it is wall
+/// time, so the host may preempt one such write past it, but one write
+/// is not a slow storage, and the lane stays unarmed until the next write
+/// is slow as well. It is the `Throttle`'s boundary between a delay it
 /// spins through and one it sleeps through — below it the waiting thread
 /// keeps its core and a second thread has nothing to overlap with.
 pub(crate) const LANE_HOP: Duration = Duration::from_micros(100);
@@ -120,8 +121,9 @@ impl Iterator for Windows {
 ///
 /// **Write-behind.** A loop made by [`WindowIo::sole_writer`] has declared
 /// that nobody else writes its range until it has called
-/// [`WindowIo::finish`]. Once one of its inline staged writes has taken
-/// longer than [`LANE_HOP`], its later windows are written back by one
+/// [`WindowIo::finish`]. Once two consecutive inline staged writes of it
+/// have each taken longer than [`LANE_HOP`], its later windows are
+/// written back by one
 /// lane thread while the loop pre-reads and fills the next window in a
 /// second buffer. At most one write is in flight; its result is taken
 /// before the next write is issued and by `finish`, so a failed write
@@ -138,6 +140,8 @@ pub(crate) struct WindowIo<'a, 'env> {
     /// Where the lane thread may run: the declaration of `sole_writer`.
     owner: Option<&'a Scope<'a, 'env>>,
     lane: Option<Lane>,
+    /// The last inline staged write took longer than [`LANE_HOP`].
+    slow: bool,
 }
 
 /// The write-behind lane of one window loop. Buffers cross to the lane
@@ -189,6 +193,7 @@ impl<'a, 'env> WindowIo<'a, 'env> {
             max_len,
             owner: None,
             lane: None,
+            slow: false,
         }
     }
 
@@ -260,9 +265,10 @@ impl<'a, 'env> WindowIo<'a, 'env> {
         if behind {
             return self.write_behind(win, len as usize);
         }
-        if let (Some(scope), true) = (owner, slow) {
+        if let (Some(scope), true, true) = (owner, slow, self.slow) {
             self.lane = Some(Lane::spawn(scope, storage));
         }
+        self.slow = slow;
         Ok(())
     }
 
@@ -352,7 +358,8 @@ pub(crate) fn snap(abs: u64, size: u64, lo: u64, hi: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lio_pfs::{Counter, Decorated, MemFile, Throttle};
+    use lio_pfs::{Counter, Decorated, Go, MemFile, Op, Policy, Throttle};
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn lent_windows_take_no_buffer_and_need_no_pre_read() {
@@ -432,7 +439,7 @@ mod tests {
             io.finish().unwrap();
             io.lane.is_some()
         };
-        // declared: the first slow write arms the lane, the other three
+        // declared: the second slow write arms the lane, the other two
         // windows alternate between two buffers
         let (scratch, file) = (Scratch::default(), slow());
         scratch.begin_op();
@@ -447,6 +454,56 @@ mod tests {
         assert!(!run(&mut WindowIo::new(&file, &scratch, 16)));
         assert_eq!(file.inner().snapshot(), want);
         assert_eq!(scratch.held(), 16);
+    }
+
+    /// Staging storage whose first write alone takes twice the lane hop:
+    /// one write the host preempted.
+    #[derive(Default)]
+    struct FirstWriteSlow(std::sync::atomic::AtomicBool);
+
+    impl Policy for FirstWriteSlow {
+        fn request(&self, op: Op, _: u64, len: usize, go: impl Go) -> std::io::Result<usize> {
+            let first = op == Op::Write && !self.0.swap(true, Ordering::Relaxed);
+            if first {
+                std::thread::sleep(2 * LANE_HOP);
+            }
+            go(len)
+        }
+    }
+
+    /// The rule is checked against the write times the loop itself
+    /// recorded (`slow` after each inline write), not against the clock:
+    /// the host may preempt a later write past the hop too, and then two
+    /// consecutive slow writes arm the lane rightly.
+    #[test]
+    fn one_slow_write_does_not_arm_the_lane() {
+        let scratch = Scratch::default();
+        let file = Decorated::new(MemFile::with_data(vec![7; 64]), FirstWriteSlow::default());
+        scratch.begin_op();
+        let (armed, slow) = std::thread::scope(|lane| {
+            let mut io = WindowIo::sole_writer(&file, &scratch, 16, lane);
+            let mut slow = Vec::new();
+            for w in 0..4u64 {
+                let inline = io.lane.is_none();
+                io.update(w * 16, w * 16 + 16, || true, &mut |_, piece, _| {
+                    piece.fill(w as u8)
+                })
+                .unwrap();
+                if inline {
+                    slow.push(io.slow);
+                }
+            }
+            io.finish().unwrap();
+            (io.lane.is_some(), slow)
+        });
+        assert!(slow[0], "the first write sleeps past the hop");
+        let twice = slow.windows(2).any(|p| p[0] && p[1]);
+        assert_eq!(armed, twice, "armed on the inline writes' times {slow:?}");
+        let want: Vec<u8> = (0..64).map(|i| (i / 16) as u8).collect();
+        assert_eq!(file.inner().snapshot(), want);
+        if !armed {
+            assert_eq!(scratch.held(), 16, "one buffer, inline");
+        }
     }
 
     #[test]

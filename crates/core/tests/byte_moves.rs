@@ -50,8 +50,11 @@
 //! lent streams the run's whole cache lines past the cache
 //! (`dt.stream.bytes`): every byte of every write here on lending storage,
 //! whose blocks are whole lines — but the c-c write, which places
-//! nothing — and nothing on storage that stages, nothing of any read,
-//! nothing of the Figure-4 8 B blocks.
+//! nothing — and nothing on storage that stages, nothing of any read.
+//! Of the Figure-4 8 B blocks, too short to stream one by one, only the
+//! listless collective write streams: it fills every whole row of a dense
+//! lent window in one pass, every rank's block of a row after the other
+//! (the row zip), and streams the whole lines of those rows.
 //!
 //! Its own test binary with a single test: the counters are process-wide.
 
@@ -371,18 +374,50 @@ fn copies_per_user_byte_with_and_without_lent_bytes() {
         assert_eq!(file_tile(0, 0).1 + file_tile(1, 0).1, 2 * tile_bytes);
     }
 
-    // The Figure-4 shapes of the small benchmark rows, 8 B blocks, stream
-    // nothing, sieved or collective, on storage that lends.
+    // The Figure-4 shapes of the small benchmark rows, 8 B blocks, on
+    // storage that lends. A sieved write streams nothing, nor does the
+    // list-based engine or any read; the listless collective write fills
+    // every whole row of its dense windows in one pass (the row zip) and
+    // streams their whole lines — all of the file here, whose windows lie
+    // on the line grid. The copies per user byte stay those of the table.
+    const FIG4: u64 = 4096 * 8;
     let shared = SharedFile::new(MemFile::new());
     for hints in [Hints::list_based(), Hints::listless()] {
-        let got = count(&shared, hints, |f, me| {
+        let what = format!("{:?} 8 B blocks", hints.engine);
+        let view = |f: &mut File, me: u64| {
             f.set_view(0, byte.clone(), figure4_filetype(me, 2, 4096, 8))
                 .unwrap();
-            let data = pattern(4096 * 8, me + 5);
-            f.write_at(0, &data, data.len() as u64, &byte).unwrap();
-            f.write_at_all(0, &data, data.len() as u64, &byte).unwrap();
+        };
+        let data = |me: u64| pattern(FIG4 as usize, me + 5);
+        let got = count(&shared, hints, |f, me| {
+            view(f, me);
+            f.write_at(0, &data(me), FIG4, &byte).unwrap();
         });
-        assert!(got.in_place > 0, "{:?} 8 B blocks", hints.engine);
-        assert_eq!(got.streamed, 0, "{:?} 8 B blocks", hints.engine);
+        assert!(got.in_place > 0, "{what}");
+        assert_eq!((got.copied, got.streamed), (2 * FIG4, 0), "{what}, sieved");
+        let got = count(&shared, hints, |f, me| {
+            view(f, me);
+            f.write_at_all(0, &data(me), FIG4, &byte).unwrap();
+        });
+        let listless = hints.engine == Engine::Listless;
+        let copies = if listless { 2 * FIG4 } else { 3 * FIG4 };
+        let streams = if listless {
+            whole_lines([(0, 2 * FIG4)].into_iter())
+        } else {
+            0
+        };
+        assert_eq!((got.in_place, got.copied), (2 * FIG4, copies), "{what}");
+        assert_eq!(got.streamed, streams, "{what}, collective write");
+        let got = count(&shared, hints, |f, me| {
+            view(f, me);
+            let mut back = vec![0u8; FIG4 as usize];
+            f.read_at_all(0, &mut back, FIG4, &byte).unwrap();
+            assert_eq!(back, data(me));
+        });
+        assert_eq!(
+            (got.copied, got.streamed),
+            (copies, 0),
+            "{what}, collective read"
+        );
     }
 }

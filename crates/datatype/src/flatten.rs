@@ -209,6 +209,12 @@ impl<'a> CoWalk<'a> {
     /// which holds file bytes `[lo, lo + win.len())`, until the file side
     /// leaves the window; each piece stored as `stores` says. Returns the
     /// bytes copied.
+    ///
+    /// Out of line, as [`CoWalk::extract`] is: small enough to be inlined
+    /// into a caller in another crate, it would take [`co_walk`]'s
+    /// instances into that crate's codegen units, where every edit there
+    /// would compile the list-based kernel anew.
+    #[inline(never)]
     pub fn place(
         &mut self,
         win: &mut [u8],
@@ -223,6 +229,7 @@ impl<'a> CoWalk<'a> {
 
     /// [`CoWalk::place`] the other way: up to `n` stream bytes out of `win`
     /// into `dst`.
+    #[inline(never)]
     pub fn extract(&mut self, win: &[u8], lo: u64, dst: &mut [u8], n: usize) -> usize {
         let hi = lo + win.len() as u64;
         self.walk((lo, hi, n), &mut (win, dst))

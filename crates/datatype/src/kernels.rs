@@ -8,7 +8,10 @@
 //! for the run's whole cache lines, and fences once per placement call, so
 //! that a write's lines go to memory without first being read for
 //! ownership. An extraction into a user buffer, which the user reads
-//! next, is a plain copy.
+//! next, is a plain copy. A placement whose runs are too short to stream
+//! one by one — the 8 B blocks of a dense collective window — streams
+//! whole lines assembled from 8-byte words ([`Stores::lines`], the row
+//! zip of `transfer.rs`).
 
 use lio_obs::LazyCounter;
 
@@ -75,6 +78,44 @@ impl Stores {
         } else {
             dst.copy_from_slice(src);
         }
+    }
+}
+
+/// Where the 8-byte words of one half of [`Stores::lines`]' 16-byte
+/// stores come from: that of store `g` is `src[at + g·adv..][..8]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Word<'a> {
+    pub src: &'a [u8],
+    pub at: usize,
+    pub adv: usize,
+}
+
+impl<'a> Word<'a> {
+    /// The first word's bytes.
+    pub fn bytes(&self) -> &'a [u8] {
+        &self.src[self.at..self.at + 8]
+    }
+}
+
+impl Stores {
+    /// Stream `lines`, whole 64-byte lines on a line boundary, 16 bytes
+    /// at a time: 16-byte word `g` of `lines` is word `g` of `pair[0]`,
+    /// then word `g` of `pair[1]`. Only into a lent window
+    /// ([`Store::Stream`]), on x86_64.
+    pub(crate) fn lines(&mut self, lines: &mut [u8], pair: [Word; 2]) {
+        let n = lines.len() / 16;
+        if n == 0 {
+            return;
+        }
+        let aligned = lines.as_ptr().align_offset(64) == 0;
+        assert!(self.stream && lines.len().is_multiple_of(64) && aligned);
+        for h in pair {
+            let last = h.adv.checked_mul(n - 1);
+            let end = last.and_then(|a| a.checked_add(h.at + 8));
+            assert!(end.is_some_and(|end| end <= h.src.len()), "words in bounds");
+        }
+        stream_words(lines, pair);
+        self.streamed += lines.len() as u64;
     }
 }
 
@@ -153,6 +194,39 @@ fn stream_lines(_: &mut [u8], _: &[u8]) {
     unreachable!("only x86_64 streams")
 }
 
+/// [`Stores::lines`]' loop: two loads and one 16-byte non-temporal store
+/// a word, both sources in registers.
+#[cfg(target_arch = "x86_64")]
+fn stream_words(lines: &mut [u8], pair: [Word; 2]) {
+    use core::arch::x86_64::{__m128i, _mm_set_epi64x, _mm_stream_si128};
+    let [mut lo, mut hi] = pair.map(|h| h.src[h.at..].as_ptr());
+    let [lo_adv, hi_adv] = pair.map(|h| h.adv);
+    for line in lines.chunks_exact_mut(64) {
+        let d = line.as_mut_ptr().cast::<__m128i>();
+        for i in 0..4 {
+            // SAFETY: `Stores::lines` asserted that every word `lo` and `hi`
+            // point at for a word of `lines` lies inside its slice, and the
+            // loads take any alignment; `d` addresses the 64 bytes of
+            // `line`, 64-byte aligned (asserted there), stored as four
+            // 16-byte words; SSE2 is baseline x86_64.
+            unsafe {
+                let (l, h) = (
+                    lo.cast::<i64>().read_unaligned(),
+                    hi.cast::<i64>().read_unaligned(),
+                );
+                _mm_stream_si128(d.add(i), _mm_set_epi64x(h, l));
+            }
+            lo = lo.wrapping_add(lo_adv);
+            hi = hi.wrapping_add(hi_adv);
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn stream_words(_: &mut [u8], _: [Word; 2]) {
+    unreachable!("only x86_64 streams")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,6 +265,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn streamed_lines_take_their_words_in_turn() {
+        let src: Vec<u8> = (0..4096).map(|i| (i * 13 % 251) as u8).collect();
+        let mut dst = vec![0u8; 1024 + 64];
+        let at = dst.as_ptr().align_offset(64);
+        let dst = &mut dst[at..at + 1024];
+        let word = |at: usize, adv: usize| Word { src: &src, at, adv };
+        // 16-byte word `g` of the lines is word `g` of each half
+        let check = |dst: &mut [u8], pair: [Word; 2]| {
+            let mut stores = Stores::new(Store::Stream);
+            stores.lines(dst, pair);
+            drop(stores);
+            for (g, got) in dst.chunks_exact(16).enumerate() {
+                let want: Vec<u8> = (pair.iter())
+                    .flat_map(|w| w.src[w.at + g * w.adv..][..8].to_vec())
+                    .collect();
+                assert_eq!(got, want, "word {g}");
+            }
+        };
+        if !cfg!(target_arch = "x86_64") {
+            return;
+        }
+        check(dst, [word(0, 16), word(8, 16)]);
+        check(dst, [word(3, 40), word(700, 0)]);
+        check(&mut dst[..256], [word(2000, 8), word(5, 3)]);
     }
 
     #[test]

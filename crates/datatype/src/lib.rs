@@ -23,7 +23,9 @@
 //!   every navigation descends it ([`RunProgram::offset_of`],
 //!   [`RunProgram::bytes_below`]);
 //!   [`ff_transfer_to`]/[`ff_transfer_from`] move data between two typed
-//!   buffers in one copy where pack + unpack make two;
+//!   buffers in one copy where pack + unpack make two, and [`zip_rows`]
+//!   fills rows of two interleaved 8-byte blocks from two typed buffers in
+//!   one pass;
 //! * [`serialize`] — the compact tree encoding exchanged once per fileview
 //!   by the fileview-caching optimization.
 //!
@@ -73,5 +75,6 @@ pub use ff::{
 pub use flatten::{disjoint_tilings, CoWalk, OlList, OlPos, OlSeg, OlWire, RunCursor, TUPLE_BYTES};
 pub use program::RunProgram;
 pub use strided::StridedSpec;
+pub use transfer::{zip_rows, zips, Column, ZIP_BLOCK};
 pub use typemap::Run;
 pub use types::{Datatype, Field, HBlock, Order, TypeError, TypeKind};
